@@ -5,7 +5,7 @@ corpus through :class:`repro.service.AsyncDecodeSession`.
 The producer coroutine submits JPEGs one by one (as a web frontend
 would, requests trickling in) while the consumer iterates the
 completion stream concurrently — submission and completion overlap,
-which the pull-driven ``DecodeService`` could never do.  Underneath,
+which a pull-driven batch loop could never do.  Underneath,
 the session's pump thread forms cross-request batches by size/age and
 fans them out over the worker pool.
 

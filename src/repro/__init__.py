@@ -44,7 +44,7 @@ def __getattr__(name):  # lazy top-level API to keep import light
 
         return platforms
     if name in {"AsyncDecodeSession", "BatchDecoder", "DecodeHTTPServer",
-                "DecodeService", "DecodeSession", "ImageRequest"}:
+                "DecodeSession", "ImageRequest"}:
         from . import service
 
         return getattr(service, name)

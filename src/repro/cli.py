@@ -154,7 +154,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     from .data import synthetic_photo
     from .errors import QueueFullError
     from .jpeg import EncoderSettings, encode_jpeg
-    from .service import DecodeService, ImageRequest
+    from .service import DecodeSession, ImageRequest
 
     # Assemble the input set: named files, plus --synth generated images.
     blobs: list[tuple[str, bytes]] = [
@@ -178,7 +178,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                                  args.breaker_threshold)
     lane_pools = None if args.lane_pools == "none" else args.lane_pools
     failures = 0
-    with DecodeService(batch_size=args.batch_size,
+    # Pull-driven: no pump thread, this loop forms every batch itself.
+    with DecodeSession(max_batch=args.batch_size,
                        queue_capacity=args.queue_capacity,
                        workers=args.workers, backend=args.backend,
                        scheduler=scheduler, transport=args.transport,
@@ -187,7 +188,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                        default_deadline_ms=args.default_deadline_ms,
                        speculative=args.speculative,
                        tracing=args.tracing, trace_sample=args.trace_sample,
-                       trace_log=args.trace_log) as svc:
+                       trace_log=args.trace_log, pump=False) as svc:
         print(f"serve-batch: {len(blobs)} inputs x{args.repeat}, "
               f"batch={args.batch_size}, queue={args.queue_capacity}, "
               f"{svc.decoder.pool.workers} x {svc.decoder.pool.backend} "
@@ -230,8 +231,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                         batch = svc.run_once()
                         if batch is not None:
                             handle(batch)
-        for batch in svc.drain():
-            handle(batch)
+        while svc.pending:
+            batch = svc.run_once()   # None when the step only shed
+            if batch is not None:
+                handle(batch)
         print(f"summary: {svc.stats.format()}")
     return 1 if failures else 0
 

@@ -29,9 +29,10 @@ points):
   :class:`~repro.service.remote.ShardedDecodeSession` (``repro serve
   --hosts``, Eq 5/6 + EWMA placement across hosts with failover and
   breaker-guarded re-admission)
-- :class:`BatchDecoder` — decode one batch across a worker pool
-- :class:`DecodeService` — the legacy pull-driven front end, now a thin
-  facade over :class:`~repro.service.session.DecodeSession`
+- :class:`BatchDecoder` — decode one batch across a worker pool:
+  every image becomes a :class:`~repro.service.tasks.DecodePlan`
+  (whole image, restart segments or speculative chunks), one dispatch
+  places its subtasks, one gather loop merges them
 - :class:`ImageRequest` / :class:`ImageResult` / :class:`BatchResult`
 - :class:`~repro.service.scheduler.ModelScheduler` — model-guided
   cross-image batch scheduling (LPT over per-lane predicted costs,
@@ -72,18 +73,7 @@ load against a session) and ``benchmarks/bench_batch_partition.py``
 """
 
 from .aio import AsyncDecodeSession
-from .batch import (
-    PRIORITIES,
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    BatchDecoder,
-    BatchResult,
-    DecodeService,
-    ImageRequest,
-    ImageResult,
-    parse_priority,
-)
+from .batch import BatchDecoder, BatchResult
 from .executors import ExecutorRegistry, parse_lane_pools
 from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
 from .http import DecodeHTTPServer, ppm_bytes
@@ -130,6 +120,15 @@ from .scheduler import (
 )
 from .session import DecodeHandle, DecodeSession
 from .stats import BatchStats, ExecutorUsage, ServiceStats, percentile
+from .tasks import (
+    PRIORITIES,
+    PRIORITY_HIGH,
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    ImageRequest,
+    ImageResult,
+    parse_priority,
+)
 from .workers import BACKENDS, WorkerPool
 
 __all__ = [
@@ -146,7 +145,6 @@ __all__ = [
     "BatchStats",
     "DecodeHTTPServer",
     "DecodeHandle",
-    "DecodeService",
     "DecodeSession",
     "DecodeWorkerHost",
     "ExecutorLane",

@@ -1,259 +1,65 @@
-"""Batched multi-image decoding: :class:`BatchDecoder` and
-:class:`DecodeService`.
+"""Batched multi-image decoding: :class:`BatchDecoder`.
 
 The paper keeps one image's Huffman decode sequential and fills the
 hardware with the *pixel* stages; a decode service amortizes the other
 way too — across images.  :class:`BatchDecoder` fans a batch of JPEG
-requests out over a :class:`~repro.service.workers.WorkerPool`:
+requests out over a :class:`~repro.service.workers.WorkerPool` in
+three steps that are the same for every image:
 
-- one task per image (the common case), each running the destuffing
-  prescan + fused fast-path entropy decode and the numpy pixel stages;
-- or, when an image carries restart markers (DRI) and the batch alone
-  cannot fill the pool, one task per *restart segment*
-  (:func:`repro.jpeg.parallel_huffman.decode_segment_coefficients`),
-  merged back into a whole-image coefficient grid and finished through
-  :func:`repro.jpeg.decoder.pixels_from_coefficients`;
-- or, for *marker-free* scans (DRI=0) under the same underfilled-pool
-  condition, one task per *speculative chunk*
-  (:mod:`repro.jpeg.speculative`): optimistic decoders started at
-  guessed byte offsets, stitched back by bit-position convergence with
-  per-chunk sequential repair of misspeculated gaps — bit-identical to
-  the sequential oracle either way.
+- **plan** — each image becomes one
+  :class:`~repro.service.tasks.DecodePlan`: a whole-image task (the
+  common case), one task per restart segment (DRI images, when the
+  batch alone cannot fill the pool), or one task per speculative chunk
+  (marker-free scans under the same condition);
+- **dispatch** — one place leases the shared-memory slot, draws the
+  fault directive, opens the attempt trace context and submits;
+- **gather** — one loop owns retry/back-off, slot quarantine, remote
+  failover, lane-failure charging, attempt spans and slot release,
+  hands replies to their plan, and finishes each plan into its
+  :class:`~repro.service.tasks.ImageResult`.
 
 Per image, requests choose the entropy engine (``fast``/``reference``),
 the decode mode (``reference`` = the real sequential pixel path, or any
 :class:`~repro.core.modes.DecodeMode` value to run a simulated
 heterogeneous executor), and the platform.  Failures are isolated: a
-corrupt JPEG fails its own :class:`ImageResult` and never the batch.
-
-:class:`DecodeService` is the pull-driven long-running shape
-(`repro serve-batch`): a bounded
-:class:`~repro.service.queue.SubmissionQueue` with backpressure and
-cumulative statistics, kept as a thin compatibility facade over the
-futures-based :class:`~repro.service.session.DecodeSession` (which adds
-per-request handles and a background batch-forming pump — prefer it in
-new code).
+corrupt JPEG fails its own result and never the batch.  The futures
+front end over this class is
+:class:`~repro.service.session.DecodeSession`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
 from typing import Any, Sequence
 
-import numpy as np
-
-from ..errors import EntropyError, ReproError, ServiceError
-from ..jpeg.decoder import (
-    DecodeOptions,
-    component_tables_from_info,
-    decode_jpeg,
-    pixels_from_coefficients,
-)
-from ..jpeg.blocks import ImageGeometry
-from ..jpeg.entropy import CoefficientBuffers, ComponentTables
-from ..jpeg.markers import JpegImageInfo, parse_jpeg
-from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
-from ..jpeg.parallel_huffman import (
-    RestartSegment,
-    decode_segment_coefficients,
-    scatter_segment,
-    segment_plane_nbytes,
-    split_restart_segments,
-)
-from ..jpeg.speculative import (
-    DEFAULT_OVERLAP_BYTES,
-    ChunkTrace,
-    SpeculativeChunk,
-    chunk_mcu_budget,
-    decode_speculative_chunk,
-    make_repairer,
-    plan_chunks,
-    speculative_eligible,
-    stitch_chunks,
-    _sequential as _decode_sequential_prescanned,
-)
-from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
-from .obs import (
-    SpanRecord,
-    TraceContext,
-    child_span,
-    drain_worker_spans,
-    make_span,
-    record_worker_span,
-)
-from .queue import SubmissionQueue
+from ..errors import ReproError, ServiceError
+from ..jpeg.markers import parse_jpeg
+from .faults import FaultPlan
+from .obs import SpanRecord, TraceContext, child_span, make_span
 from .scheduler import BatchSchedule, ModelScheduler
-from .stats import BatchStats, WorkSpan
+from .stats import BatchStats
+from .tasks import (  # noqa: F401 - task functions re-exported
+    DecodePlan,
+    ImageRequest,
+    ImageResult,
+    SegmentPlan,
+    SpeculativePlan,
+    Subtask,
+    TaskReply,
+    WholeImagePlan,
+    decode_image_task,
+    decode_segment_task,
+)
 from .transport import (
     SHM_MIN_BYTES,
     PlaneArena,
-    PlaneRef,
     PlaneSlot,
-    packed_nbytes,
     peek_dimensions,
-    publish_plane,
-    publish_planes,
     resolve_transport,
 )
-from .workers import WorkerPool, worker_name
-
-#: The three load-shedding priority classes (higher = more important).
-PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH = 0, 1, 2
-
-#: Named spellings accepted by :func:`parse_priority` (and the HTTP
-#: ``X-Priority`` header).
-PRIORITIES = {"low": PRIORITY_LOW, "normal": PRIORITY_NORMAL,
-              "high": PRIORITY_HIGH}
-
-
-def parse_priority(value: "str | int") -> int:
-    """Normalize a priority spelling — ``"low"``/``"normal"``/``"high"``
-    or a non-negative integer (as int or digit string) — to its class
-    number; raises :class:`~repro.errors.ServiceError` otherwise."""
-    if isinstance(value, bool):
-        raise ServiceError(f"invalid priority {value!r} "
-                           f"(want low/normal/high or an integer >= 0)")
-    if isinstance(value, int):
-        priority = value
-    else:
-        text = str(value).strip().lower()
-        if text in PRIORITIES:
-            return PRIORITIES[text]
-        try:
-            priority = int(text)
-        except ValueError:
-            raise ServiceError(
-                f"invalid priority {value!r} "
-                f"(want low/normal/high or an integer >= 0)")
-    if priority < 0:
-        raise ServiceError(f"priority must be >= 0, got {priority}")
-    return priority
-
-
-@dataclass
-class ImageRequest:
-    """One image to decode, with its per-image knobs."""
-
-    #: Raw JFIF bytes.
-    data: bytes
-    #: Caller-chosen identity, echoed on the result (assigned by the
-    #: service when submitted as raw bytes).
-    request_id: Any = None
-    #: Huffman decode path: ``"fast"`` (fused tables) or ``"reference"``.
-    entropy_engine: str = "fast"
-    #: ``"reference"`` runs the real sequential pixel path;
-    #: any :class:`~repro.core.modes.DecodeMode` value (``"simd"``,
-    #: ``"gpu"``, ``"pipeline"``, ``"sps"``, ``"pps"``, ``"auto"``)
-    #: runs the corresponding simulated heterogeneous executor.
-    mode: str = "reference"
-    #: Platform name for executor modes (ignored by ``"reference"``).
-    platform: str = "GTX 560"
-    #: IDCT method for the reference pixel path.
-    idct_method: str = "aan"
-    #: Fancy (triangular) chroma upsampling for the reference path.
-    fancy_upsampling: bool = True
-    #: Restart-segment fan-out: ``True`` forces it (where DRI permits),
-    #: ``False`` forbids it, ``None`` lets the batch decoder decide
-    #: (split only when the batch alone cannot fill the worker pool).
-    split_segments: bool | None = None
-    #: Speculative chunk fan-out for marker-free scans: ``True`` forces
-    #: it (where eligibility permits — DRI=0, fast engine, reference
-    #: mode), ``False`` forbids it, ``None`` defers to the batch
-    #: decoder's ``speculative`` policy knob.
-    speculative: bool | None = None
-    #: Relative deadline in milliseconds from submission; ``None``
-    #: means no deadline.  A request whose deadline passes before its
-    #: decode starts is shed with
-    #: :class:`~repro.errors.DeadlineExceededError` (HTTP 504) instead
-    #: of being decoded (enforced by the session's batch forming).
-    deadline_ms: float | None = None
-    #: Best-effort decode of hostile bytes: instead of ``ok=False`` on a
-    #: corrupt scan, return the pixels decoded before the failure with
-    #: :attr:`ImageResult.error_regions` marking the damage.  Salvage
-    #: requests decode whole-image on the reference path (no segment or
-    #: speculative fan-out — the error map needs one decoder's view).
-    salvage: bool = False
-    #: Load-shedding priority class: 0 = low, 1 = normal (default),
-    #: 2 = high.  Under overload the session sheds low classes first
-    #: (each class only admits into a fraction of the queue; see
-    #: :data:`repro.service.session.DEFAULT_SHED_FRACTIONS`) and batch
-    #: forming orders higher classes first at equal deadlines.
-    priority: int = PRIORITY_NORMAL
-    #: Tracing context (PR 10): set by ``DecodeSession.submit`` when
-    #: the request is sampled for tracing.  ``None`` (the default)
-    #: keeps every observability hook dormant — the entire tracing
-    #: layer hangs off this single attribute check.
-    trace: TraceContext | None = None
-
-
-@dataclass
-class ImageResult:
-    """Outcome of one image's decode inside a batch."""
-
-    request_id: Any
-    ok: bool
-    rgb: np.ndarray | None = None
-    width: int = 0
-    height: int = 0
-    #: Exception class name when ``ok`` is False (e.g. "JpegFormatError").
-    error_type: str | None = None
-    #: Human-readable failure message when ``ok`` is False.
-    error: str | None = None
-    #: Number of independently decoded restart segments or speculative
-    #: chunks (1 = whole scan).
-    segments: int = 1
-    #: True when the image's coefficients came from the *stitched*
-    #: speculative chunk fan-out (False for the whole-scan fallback —
-    #: the result is bit-identical either way, this records which path
-    #: produced it).
-    speculative: bool = False
-    #: Speculative chunk boundaries that failed to converge and were
-    #: healed by sequential gap repair (0 on a clean stitch).
-    misspeculated: int = 0
-    #: Simulated executor time in microseconds (executor modes only).
-    simulated_us: float | None = None
-    #: Submit-to-completion latency, seconds (filled by the batch loop).
-    latency_s: float = 0.0
-    #: Worker busy spans that produced this image (utilization input).
-    spans: list[WorkSpan] = field(default_factory=list)
-    #: Shared-memory descriptor of the decoded pixels while they are in
-    #: transit (worker → parent); the gather loop materializes
-    #: :attr:`rgb` from it and clears it before the result escapes.
-    plane: PlaneRef | None = None
-    #: Real worker busy time in microseconds (sum of spans) — the
-    #: wall-clock observation lane-bound scheduling feeds back into the
-    #: scheduler, as opposed to the model-world :attr:`simulated_us`.
-    wall_us: float | None = None
-    #: Decode attempts this image consumed (> 1 after a worker-crash
-    #: retry; decode is pure, so a retried success is bit-identical).
-    attempts: int = 1
-    #: True when ``ok=False`` came from infrastructure (a dead worker
-    #: after the retry budget) rather than the image's own bytes — the
-    #: failure class lane circuit breakers count, since a corrupt JPEG
-    #: fails on *any* lane but a crashing lane fails every image.
-    infra_failure: bool = False
-    #: True when the image was redispatched onto a *different* pool
-    #: than its scheduled lane (a remote host failed and a sibling
-    #: absorbed the work).  Such results are excluded from the original
-    #: lane's feedback and breaker credit — the lane that was priced is
-    #: not the lane that decoded.
-    failed_over: bool = False
-    #: True when salvage mode recovered this image from corrupt bytes
-    #: (``ok`` stays True; the pixels are best-effort).
-    salvaged: bool = False
-    #: Salvage damage map: boolean ``(mcu_rows, mcus_per_row)`` grid,
-    #: True where decoding failed.  None for clean decodes and
-    #: non-salvage requests.
-    error_regions: np.ndarray | None = None
-    #: Canonical decode errors salvage mode recovered from (one per
-    #: failed scan), empty otherwise.
-    salvage_errors: list[str] = field(default_factory=list)
-    #: Trace spans for this image (PR 10): worker-side stage spans
-    #: shipped back piggybacked on the result, plus parent-side
-    #: schedule/attempt spans.  Empty when the request was not traced.
-    trace_spans: list[SpanRecord] = field(default_factory=list)
+from .workers import WorkerPool
 
 
 @dataclass
@@ -294,325 +100,53 @@ class BatchResult:
         return all(r.ok for r in self.results)
 
 
-# ---------------------------------------------------------------------------
-# Worker-side task functions (module-level: the process backend pickles
-# them by reference).
-# ---------------------------------------------------------------------------
-
-#: Decoder stage name → Timeline glyph kind for worker stage spans.
-_STAGE_KINDS = {"parse": "dispatch", "entropy": "huffman",
-                "idct": "kernel", "upsample": "cpu-parallel",
-                "color": "cpu-parallel", "shm_publish": "write"}
-
-
-def _stage_recorder(ctx: TraceContext, resource: str):
-    """A :attr:`DecodeOptions.stage_hook` that records each decode
-    stage into this worker process's lock-free span ring (drained and
-    shipped back on the result by the task function)."""
-    def hook(stage: str, t0: float, t1: float) -> None:
-        """Record one completed decoder stage as a child span."""
-        record_worker_span(child_span(
-            ctx, stage, resource, _STAGE_KINDS.get(stage, "dispatch"),
-            t0, t1))
-    return hook
-
-
-def decode_image_task(request: ImageRequest,
-                      slot: PlaneSlot | None = None,
-                      fault: FaultDirective | None = None) -> ImageResult:
-    """Decode one whole image inside a worker; never raises (except by
-    injected crash faults, which model a worker that never returns).
-
-    *Any* failure — malformed bytes, truncated scan, unsupported
-    feature, unknown mode, but also the unexpected (``MemoryError``,
-    numpy shape errors) — is captured on the returned
-    :class:`ImageResult` so one bad image cannot poison its batch.
-    Per-image isolation holds for arbitrary exceptions, not just the
-    library's own.
-
-    With a transport *slot*, the decoded pixels are written into the
-    leased shared-memory segment and the result carries only a
-    :class:`~repro.service.transport.PlaneRef` — nothing heavy rides
-    the pickle pipe.  If publishing fails for any reason the pixels
-    fall back to the pickle path rather than failing the decode.
-
-    *fault* is an injected :class:`~repro.service.faults.FaultDirective`
-    (chaos testing only): ``kill``/``delay`` apply at entry,
-    ``exception`` raises inside the decode, ``shm_fail`` fails the
-    publish (exercising the pickle fallback).
-    """
-    apply_dispatch_fault(fault)
-    t0 = perf_counter()
-    ctx = request.trace
-    resource = worker_name()
-    try:
-        if fault is not None and fault.kind == "exception":
-            raise RuntimeError(fault.message)
-        salvaged = False
-        error_regions = None
-        salvage_errors: list[str] = []
-        if request.mode == "reference":
-            options = DecodeOptions(
-                idct_method=request.idct_method,
-                fancy_upsampling=request.fancy_upsampling,
-                entropy_engine=request.entropy_engine,
-                salvage=request.salvage,
-            )
-            if ctx is not None:
-                options.stage_hook = _stage_recorder(ctx, resource)
-            decoded = decode_jpeg(request.data, options)
-            rgb, simulated_us = decoded.rgb, None
-            if request.salvage:
-                salvaged = decoded.salvaged
-                error_regions = decoded.error_map
-                salvage_errors = list(decoded.errors)
-        else:
-            from ..core import HeterogeneousDecoder
-            from ..evaluation import platforms
-
-            plat = {p.name: p for p in platforms.ALL_PLATFORMS}[
-                request.platform]
-            decoder = HeterogeneousDecoder.for_platform(
-                plat, entropy_engine=request.entropy_engine,
-                fancy_upsampling=request.fancy_upsampling)
-            t_dec = perf_counter()
-            result = decoder.decode(request.data, request.mode)
-            rgb, simulated_us = result.rgb, result.total_us
-            if ctx is not None:
-                # Simulated-executor decodes have no per-stage hooks;
-                # one span covers the whole decode, tagged with the
-                # lane's mode so the Gantt still names the work.
-                record_worker_span(child_span(
-                    ctx, "decode", resource, "kernel",
-                    t_dec, perf_counter(), mode=str(request.mode),
-                    platform=str(request.platform)))
-    except KeyError:
-        return ImageResult(
-            request_id=request.request_id, ok=False,
-            error_type="KeyError",
-            error=f"unknown platform {request.platform!r}",
-            spans=[WorkSpan(worker_name(), t0, perf_counter())],
-            trace_spans=(drain_worker_spans(ctx.trace_id)
-                         if ctx is not None else []))
-    except Exception as exc:  # ANY failure stays on this image's result
-        return ImageResult(
-            request_id=request.request_id, ok=False,
-            error_type=type(exc).__name__, error=str(exc),
-            spans=[WorkSpan(worker_name(), t0, perf_counter())],
-            trace_spans=(drain_worker_spans(ctx.trace_id)
-                         if ctx is not None else []))
-    h, w = rgb.shape[:2]
-    plane = None
-    if slot is not None:
-        try:
-            if fault is not None and fault.kind == "shm_fail":
-                raise ServiceError(fault.message)
-            t_pub = perf_counter()
-            plane = publish_plane(slot, rgb)
-            if ctx is not None:
-                record_worker_span(child_span(
-                    ctx, "shm_publish", resource, "write",
-                    t_pub, perf_counter(), nbytes=plane.nbytes))
-            rgb = None
-        except Exception:
-            plane = None  # slot too small / segment gone: pickle instead
-    return ImageResult(
-        request_id=request.request_id, ok=True, rgb=rgb,
-        width=w, height=h, simulated_us=simulated_us, plane=plane,
-        salvaged=salvaged, error_regions=error_regions,
-        salvage_errors=salvage_errors,
-        spans=[WorkSpan(worker_name(), t0, perf_counter())],
-        trace_spans=(drain_worker_spans(ctx.trace_id)
-                     if ctx is not None else []))
-
-
-def decode_segment_task(
-    seg: RestartSegment,
-    segment_bytes: bytes,
-    geometry_args: tuple[int, int, str],
-    tables: list[ComponentTables],
-    entropy_engine: str,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> tuple[RestartSegment, "list | tuple | None", str | None, str | None,
-           WorkSpan]:
-    """Decode one restart segment inside a worker; never raises (except
-    by injected crash faults).
-
-    Returns ``(segment, payload, error_type, error, span)`` — *payload*
-    is None on failure, the list of coefficient planes on the pickle
-    path, or a tuple of :class:`~repro.service.transport.PlaneRef`
-    descriptors when a transport *slot* was leased (the planes are
-    packed into the shared segment instead of riding the result pipe).
-    *geometry_args* is the pickled-down ``(width, height, mode)`` of
-    the full image.  Any exception class is captured — per-segment
-    isolation mirrors :func:`decode_image_task`.  *fault* injects
-    chaos the same way as for whole-image tasks.
-    """
-    apply_dispatch_fault(fault)
-    t0 = perf_counter()
-    try:
-        if fault is not None and fault.kind == "exception":
-            raise RuntimeError(fault.message)
-        geometry = ImageGeometry(*geometry_args)
-        planes = decode_segment_coefficients(
-            seg, segment_bytes, geometry, tables, entropy_engine)
-    except Exception as exc:  # ANY failure stays on this segment
-        return (seg, None, type(exc).__name__, str(exc),
-                WorkSpan(worker_name(), t0, perf_counter()))
-    payload: "list | tuple" = planes
-    if slot is not None:
-        try:
-            if fault is not None and fault.kind == "shm_fail":
-                raise ServiceError(fault.message)
-            payload = publish_planes(slot, planes)
-        except Exception:
-            payload = planes  # fall back to pickling the planes
-    return seg, payload, None, None, WorkSpan(worker_name(), t0,
-                                              perf_counter())
-
-
-def decode_speculative_chunk_task(
-    chunk: SpeculativeChunk,
-    slice_bytes: bytes,
-    geometry_args: tuple[int, int, str],
-    tables: list[ComponentTables],
-    terminator: int | None,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> tuple[SpeculativeChunk, "ChunkTrace | None", "list | tuple | None",
-           str | None, str | None, WorkSpan]:
-    """Speculatively decode one chunk inside a worker; never raises
-    (except by injected crash faults).
-
-    Returns ``(chunk, trace, payload, error_type, error, span)``.
-    Decode errors inside the chunk are *not* task errors — the
-    optimistic decoder records them on the trace and the stitcher
-    decides whether they matter (misspeculation repairs sequentially,
-    a hostile stream falls back to the oracle).  *trace* is None only
-    when the task itself failed structurally (then ``error_type`` is
-    set).  *payload* carries the trace's coefficient planes: a list on
-    the pickle path or :class:`~repro.service.transport.PlaneRef`
-    descriptors when a transport *slot* was leased — the trace rides
-    the pickle pipe with ``planes`` stripped either way, and the
-    gather loop reattaches them.
-    """
-    apply_dispatch_fault(fault)
-    t0 = perf_counter()
-    try:
-        if fault is not None and fault.kind == "exception":
-            raise RuntimeError(fault.message)
-        trace = decode_speculative_chunk(
-            chunk, slice_bytes, geometry_args, tables, "fast", terminator)
-    except Exception as exc:  # ANY failure stays on this chunk
-        return (chunk, None, None, type(exc).__name__, str(exc),
-                WorkSpan(worker_name(), t0, perf_counter()))
-    payload: "list | tuple" = trace.planes
-    if slot is not None:
-        try:
-            if fault is not None and fault.kind == "shm_fail":
-                raise ServiceError(fault.message)
-            payload = publish_planes(slot, trace.planes)
-        except Exception:
-            payload = trace.planes  # fall back to pickling the planes
-    trace.planes = None
-    return (chunk, trace, payload, None, None,
-            WorkSpan(worker_name(), t0, perf_counter()))
-
-
-# ---------------------------------------------------------------------------
-# Batch orchestration.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _SplitJob:
-    """Book-keeping for one image being decoded segment-by-segment."""
-
-    index: int
-    request: ImageRequest
-    info: JpegImageInfo
-    pending: int
-    planes_by_seg: dict[int, tuple[RestartSegment, list[np.ndarray]]] = \
-        field(default_factory=dict)
-    spans: list[WorkSpan] = field(default_factory=list)
-    error_type: str | None = None
-    error: str | None = None
-    #: Transport slots whose planes are still referenced (released only
-    #: after the merge copies them out).
-    slots: list[PlaneSlot] = field(default_factory=list)
-    #: True when a segment failed on infrastructure (worker crash past
-    #: the retry budget) rather than the scan bytes.
-    infra: bool = False
-    #: Max dispatch attempts any of this image's segments consumed.
-    attempts: int = 1
-
-
-@dataclass
-class _SpecJob:
-    """Book-keeping for one marker-free image decoded speculatively."""
-
-    index: int
-    request: ImageRequest
-    info: JpegImageInfo
-    #: The destuffed scan — sliced for the chunk tasks, and the substrate
-    #: the stitcher's gap repair (and the whole-scan fallback) decode.
-    prescan: ScanPrescan
-    chunks: list[SpeculativeChunk]
-    tables: list[ComponentTables]
-    pending: int
-    #: Traces by chunk index; None marks a chunk whose task failed or
-    #: whose worker crashed past the retry budget — the stitcher treats
-    #: both as misspeculation (repair or fall back), never as an image
-    #: error.
-    traces_by_chunk: dict[int, "ChunkTrace | None"] = \
-        field(default_factory=dict)
-    spans: list[WorkSpan] = field(default_factory=list)
-    #: Transport slots whose planes are still referenced (released only
-    #: after the stitch copies them out).
-    slots: list[PlaneSlot] = field(default_factory=list)
-    #: True when any chunk died on infrastructure past the retry budget
-    #: (reported on the result only if the image ultimately fails).
-    infra: bool = False
-    #: Max dispatch attempts any of this image's chunks consumed.
-    attempts: int = 1
-
-
 @dataclass
 class _InFlight:
-    """Book-keeping for one dispatched task: everything the gather loop
-    needs to requeue it after its worker dies (a fresh slot is leased on
-    redispatch — the old one is quarantined, the dead worker may still
-    hold a view into it)."""
+    """One dispatched subtask: what the gather loop needs to hand its
+    reply to the plan, or to requeue it after its worker dies (a fresh
+    slot is leased on redispatch — the old one is quarantined, the dead
+    worker may still hold a view into it)."""
 
-    #: ``"whole"``, ``"segment"`` or ``"spec"``.
-    kind: str
-    #: Batch index of the image this task belongs to.
-    index: int
-    #: Pool the task ran on (redispatch targets the same, healed, pool).
+    plan: DecodePlan
+    unit: Subtask
+    #: Pool this attempt ran on (a retry targets the same, healed, pool
+    #: unless a remote lane fails over to a sibling).
     pool: WorkerPool
-    #: True when the task crossed a process boundary (pickle accounting).
-    piped: bool
     #: Dispatch attempts so far (1 = first try).
     attempts: int
     #: Shared-memory slot leased to this dispatch, if any.
     slot: PlaneSlot | None
-    #: Scheduler lane the task was placed on (fault-plan targeting).
-    lane: str | None
-    #: Segment redispatch arguments
-    #: ``(seg, seg_bytes, geo_args, tables, engine, nbytes)`` — or, for
-    #: speculative chunks, ``(chunk, chunk_bytes, geo_args, tables,
-    #: terminator, nbytes)``; empty for whole-image tasks (those
-    #: redispatch from ``requests[index]``).
-    args: tuple = ()
-    #: True when this dispatch already runs on a failover pool instead
-    #: of its scheduled lane's pool (propagated onto the result).
-    failed_over: bool = False
     #: Attempt trace context (``request.trace.child()``) when the image
-    #: is traced — each dispatch attempt records under its own span so
+    #: is traced — each dispatch records under its own span, so
     #: redispatches appear as sibling attempt spans.
-    ctx: TraceContext | None = None
+    ctx: TraceContext | None
     #: ``perf_counter`` at dispatch: the attempt span's start.
-    dispatched_at: float = 0.0
+    dispatched_at: float
+
+
+@dataclass
+class _Run:
+    """Mutable state of one :meth:`BatchDecoder.decode_batch` call,
+    shared by dispatch and gather."""
+
+    results: list
+    #: ``perf_counter`` when dispatch began (latency origin).
+    t0: float = 0.0
+    pending: dict[Future, _InFlight] = field(default_factory=dict)
+    #: Slots leased to in-flight tasks, by segment name — the cleanup
+    #: authority when futures fail or the dispatch aborts.
+    outstanding: dict[str, PlaneSlot] = field(default_factory=dict)
+    #: Pools that actually received work this batch — the honest
+    #: utilization denominator (with lane-bound pools the default pool
+    #: often sits idle by construction).
+    pools_used: set[int] = field(default_factory=set)
+    #: Parent-side spans per batch index for traced requests (schedule
+    #: placement, dispatch attempts, breaker exclusions).
+    trace_parent: dict[int, list[SpanRecord]] = field(default_factory=dict)
+    lane_failures: dict[str, int] = field(default_factory=dict)
+    bytes_shm: int = 0
+    bytes_pickle: int = 0
+    retries: int = 0
 
 
 class BatchDecoder:
@@ -629,8 +163,7 @@ class BatchDecoder:
                  retry_backoff_s: float = 0.01,
                  faults: FaultPlan | None = None,
                  speculative: str = "auto",
-                 speculative_chunks: int | None = None,
-                 speculative_overlap: int = DEFAULT_OVERLAP_BYTES) -> None:
+                 speculative_chunks: int | None = None) -> None:
         """Create the pool (see :class:`~repro.service.workers.WorkerPool`
         for backend semantics).  *defaults* seeds the per-image knobs
         applied when a request is submitted as raw bytes.
@@ -675,8 +208,7 @@ class BatchDecoder:
         ``"off"`` disables the path (a per-request
         :attr:`ImageRequest.speculative` overrides the policy either
         way).  *speculative_chunks* fixes the chunk count (default: the
-        dispatching pool's worker count); *speculative_overlap* is the
-        convergence-window size in payload bytes.
+        dispatching pool's worker count).
         """
         from .executors import ExecutorRegistry
         from .transport import TRANSPORTS
@@ -690,7 +222,6 @@ class BatchDecoder:
                 f"speculative_chunks must be >= 1, got {speculative_chunks}")
         self.speculative = speculative
         self.speculative_chunks = speculative_chunks
-        self.speculative_overlap = speculative_overlap
 
         # Validate everything cheap *before* any pool exists, so a
         # bad configuration never leaks live worker processes.
@@ -743,7 +274,16 @@ class BatchDecoder:
         self.arena = PlaneArena() if self.transport == "shm" else None
         self.shm_min_bytes = shm_min_bytes
 
-    # -- request normalization -----------------------------------------
+    @property
+    def rebuilds(self) -> int:
+        """Worker-pool rebuilds across the default pool and every
+        lane-bound pool — the self-healing activity counter."""
+        total = self.pool.rebuilds
+        if self.registry is not None:
+            total += sum(p.rebuilds for p in self.registry.pools.values())
+        return total
+
+    # -- plan -----------------------------------------------------------
 
     def _normalize(self, items: Sequence[bytes | ImageRequest]
                    ) -> list[ImageRequest]:
@@ -759,136 +299,277 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
-    def _split_candidate(self, req: ImageRequest, n_requests: int) -> bool:
-        """Parse-free preconditions for restart-segment fan-out.
+    def _schedule(self, requests: list[ImageRequest], run: _Run
+                  ) -> tuple[list[ImageRequest], BatchSchedule | None,
+                             dict[int, str]]:
+        """Price and place the batch (when a scheduler is attached):
+        returns the lane-rewritten requests, the schedule, and — with
+        lane-bound pools — each placed image's lane name."""
+        if self.scheduler is None or not requests:
+            return requests, None, {}
+        t_plan0 = perf_counter()
+        schedule = self.scheduler.plan(requests)
+        t_plan1 = perf_counter()
+        requests = self.scheduler.apply(requests, schedule)
+        lane_of = {a.index: a.executor.name for a in schedule.assignments
+                   if a.executor is not None}
+        for i, req in enumerate(requests):
+            if req.trace is None:
+                continue
+            spans = run.trace_parent.setdefault(i, [])
+            spans.append(child_span(
+                req.trace, "schedule", "scheduler", "dispatch",
+                t_plan0, t_plan1, lane=lane_of.get(i, "")))
+            for lane in getattr(schedule, "excluded", ()):
+                spans.append(child_span(
+                    req.trace, "lane_excluded", lane, "dispatch",
+                    t_plan1, t_plan1, lane=lane, reason="breaker_open"))
+        if self.registry is None:
+            return requests, schedule, {}
+        schedule.wall_time = True
+        return requests, schedule, lane_of
+
+    def _fanout_wanted(self, req: ImageRequest, n_requests: int,
+                       pool: WorkerPool) -> tuple[bool, bool]:
+        """Parse-free preconditions ``(segments, speculative)`` for
+        fanning *req* out.
 
         Checked *before* any header parse so that the common throughput
         case (a batch large enough to fill the pool with whole-image
         tasks) pays zero serialized parent-side work per image — the
-        worker owns the parse.  Executor modes never split (they consume
-        the scan in-order themselves).
+        worker owns the parse.  Only the reference pixel path fans out
+        (executor modes consume the scan in-order themselves; salvage
+        needs one decoder's view of the damage), and remote lanes ship
+        whole images only — the host's own session decides any fan-out
+        on its side of the wire.  The per-request knobs override;
+        otherwise an image fans out only when whole-image tasks cannot
+        fill the pool (the speculative policy ``"on"`` waives that,
+        ``"off"`` forbids).  The speculative decoder additionally
+        needs the fast engine's exact bit positions.  Actual
+        eligibility (DRI, progressive, stray RSTn) is checked after the
+        parse.
         """
-        if req.mode != "reference" or req.split_segments is False \
-                or req.salvage:
-            return False
-        if req.split_segments is True:
-            return True
-        # auto: split only when whole-image tasks cannot fill the pool.
-        return (self.pool.backend != "serial"
-                and n_requests < self.pool.workers)
+        if req.mode != "reference" or req.salvage \
+                or pool.backend == "remote":
+            return False, False
+        parallel = self.pool.backend != "serial"
+        underfilled = parallel and n_requests < self.pool.workers
+        split = underfilled if req.split_segments is None \
+            else req.split_segments
+        if req.entropy_engine != "fast":
+            spec = False
+        elif req.speculative is not None:
+            spec = req.speculative
+        else:
+            spec = {"off": False, "on": parallel,
+                    "auto": underfilled}[self.speculative]
+        return split, spec
 
-    def _speculative_candidate(self, req: ImageRequest,
-                               n_requests: int) -> bool:
-        """Parse-free preconditions for speculative chunk fan-out.
+    def _plan(self, index: int, req: ImageRequest, lane: str | None,
+              pool: WorkerPool, n_requests: int) -> DecodePlan:
+        """Choose *req*'s decode plan.  Raises the parse/structure error
+        (``ReproError``/``ValueError``) of an image that cannot be
+        planned — the caller fails that image alone."""
+        want_split, want_spec = self._fanout_wanted(req, n_requests, pool)
+        info = None
+        if want_split or want_spec:
+            info = parse_jpeg(req.data)
+        # Progressive streams decode whole-image: multi-scan coefficient
+        # accumulation has no per-segment or per-chunk decomposition.
+        if info is not None and not info.progressive:
+            if want_split and info.restart_interval > 0:
+                return SegmentPlan(index, req, lane, info)
+            if want_spec and info.restart_interval == 0:
+                plan = SpeculativePlan.build(
+                    index, req, lane, info,
+                    self.speculative_chunks or pool.workers)
+                if plan is not None:
+                    return plan
+        # The plan carries its frame size so retries lease without
+        # another SOF scan; with no parent-side parse, one cheap peek
+        # (skipped when this pool's replies never ride shared memory).
+        # A failed peek leases nothing — the worker then reports the
+        # precise decode error over the pickle path.
+        dims = None
+        if info is not None:
+            dims = info.width, info.height
+        elif self.arena is not None and pool.backend == "process":
+            dims = peek_dimensions(req.data)
+        return WholeImagePlan(index, req, lane,
+                              dims[0] * dims[1] * 3 if dims else 0)
 
-        Mirrors :meth:`_split_candidate` for marker-free scans: only
-        the reference pixel path with the fast engine qualifies (the
-        speculative decoder needs exact bit positions), the per-request
-        knob overrides, and the decoder-level policy decides the rest —
-        ``"auto"`` fans out only when whole-image tasks cannot fill the
-        pool.  Actual eligibility (DRI=0, no stray RSTn) is checked
-        after the parse.
-        """
-        if req.mode != "reference" or req.entropy_engine != "fast" \
-                or req.salvage:
-            return False
-        if req.speculative is False:
-            return False
-        if req.speculative is True:
-            return True
-        if self.speculative == "off":
-            return False
-        if self.speculative == "on":
-            return self.pool.backend != "serial"
-        return (self.pool.backend != "serial"
-                and n_requests < self.pool.workers)
+    # -- transport slots ------------------------------------------------
 
-    # -- the batch loop -------------------------------------------------
-
-    # -- transport helpers ---------------------------------------------
-
-    def _lease_image_slot(self, req: ImageRequest,
-                          pool: WorkerPool) -> PlaneSlot | None:
-        """Lease a shm slot sized for *req*'s decoded pixels, if the
-        transport applies to *pool* (process backend + shm resolved).
-        A failed header peek skips the lease — the worker then reports
-        the precise decode error over the pickle path."""
-        if self.arena is None or pool.backend != "process":
-            return None
-        dims = peek_dimensions(req.data)
-        if dims is None:
-            return None
-        w, h = dims
-        if w * h * 3 < self.shm_min_bytes:
+    def _lease(self, nbytes: int, pool: WorkerPool, run: _Run
+               ) -> PlaneSlot | None:
+        """Lease a shm slot for a reply of *nbytes*, if the transport
+        applies to *pool* (process backend + shm resolved) and the
+        payload is worth a segment."""
+        if self.arena is None or pool.backend != "process" \
+                or nbytes <= 0 or nbytes < self.shm_min_bytes:
             return None
         try:
-            return self.arena.lease(w * h * 3)
+            slot = self.arena.lease(nbytes)
         except ServiceError:
             return None
+        run.outstanding[slot.name] = slot
+        return slot
 
-    def _lease_segment_slot(self, nbytes: int,
-                            pool: WorkerPool) -> PlaneSlot | None:
-        """Lease a shm slot for one restart segment's packed planes."""
-        if self.arena is None or pool.backend != "process" or nbytes <= 0:
-            return None
-        if nbytes < self.shm_min_bytes:
-            return None
-        try:
-            return self.arena.lease(nbytes)
-        except ServiceError:
-            return None
-
-    def _release_slot(self, slot: PlaneSlot | None,
-                      outstanding: dict[str, PlaneSlot]) -> None:
+    def _release_slot(self, slot: PlaneSlot | None, run: _Run) -> None:
         """Return one slot to the arena ring and the tracking map."""
-        if slot is None or self.arena is None:
-            return
-        outstanding.pop(slot.name, None)
-        self.arena.release(slot)
+        if slot is not None and self.arena is not None:
+            run.outstanding.pop(slot.name, None)
+            self.arena.release(slot)
 
-    def _quarantine_slot(self, slot: PlaneSlot | None,
-                         outstanding: dict[str, PlaneSlot]) -> None:
+    def _quarantine_slot(self, slot: PlaneSlot | None, run: _Run) -> None:
         """Unlink a failed dispatch's slot without recycling it: the
         dead (or killed) worker may have been mid-memcpy into the
         segment, so the name must never be reused."""
-        if slot is None or self.arena is None:
-            return
-        outstanding.pop(slot.name, None)
-        self.arena.discard(slot)
+        if slot is not None and self.arena is not None:
+            run.outstanding.pop(slot.name, None)
+            self.arena.discard(slot)
 
-    def _next_fault(self, lane: str | None) -> FaultDirective | None:
-        """Consult the attached fault plan for this dispatch (None when
-        no plan is attached or the plan stays quiet)."""
-        if self.faults is None:
-            return None
-        return self.faults.next_directive(lane)
+    # -- dispatch and gather --------------------------------------------
 
-    @property
-    def rebuilds(self) -> int:
-        """Worker-pool rebuilds across the default pool and every
-        lane-bound pool — the self-healing activity counter."""
-        total = self.pool.rebuilds
-        if self.registry is not None:
-            total += sum(p.rebuilds for p in self.registry.pools.values())
-        return total
+    def _dispatch(self, run: _Run, plan: DecodePlan, unit: Subtask,
+                  pool: WorkerPool, attempts: int = 1) -> None:
+        """(Re)dispatch one subtask: lease its slot, draw its fault
+        directive, open its attempt context, submit, register."""
+        root = plan.request.trace
+        ctx = root.child() if root is not None else None
+        t_disp = perf_counter()
+        slot = self._lease(unit.slot_bytes, pool, run)
+        fault = (self.faults.next_directive(plan.lane)
+                 if self.faults is not None else None)
+        try:
+            fut = pool.submit(unit.fn, *plan.task_args(unit, ctx),
+                              slot, fault)
+        except BaseException:
+            # Never submitted: nobody can be writing into the slot.
+            self._release_slot(slot, run)
+            raise
+        run.pools_used.add(id(pool))
+        run.pending[fut] = _InFlight(plan, unit, pool, attempts, slot,
+                                     ctx, t_disp)
 
-    def _materialize(self, result: ImageResult,
-                     outstanding: dict[str, PlaneSlot]) -> int:
-        """Turn a transported :class:`PlaneRef` back into ``rgb``.
+    def _recover(self, run: _Run, task: _InFlight) -> bool:
+        """Clean up after a dispatch whose worker died; True when the
+        subtask was re-dispatched, False when its retry budget is
+        spent."""
+        # The dead worker may still hold a view into its slot —
+        # quarantine, never recycle.
+        self._quarantine_slot(task.slot, run)
+        task.pool.heal()
+        plan, pool = task.plan, task.pool
+        if pool.backend == "remote":
+            # Charged to the lane whose pool actually failed (the
+            # failover target when the rescue dispatch failed too), and
+            # before the budget check: the lane must answer for every
+            # failed dispatch, even the one that exhausts the budget.
+            failed_lane = getattr(pool, "name", None) or plan.lane
+            if failed_lane is not None:
+                run.lane_failures[failed_lane] = \
+                    run.lane_failures.get(failed_lane, 0) + 1
+        if task.attempts > self.retry_budget:
+            return False
+        run.retries += 1
+        sleep(self.retry_backoff_s * (2 ** (task.attempts - 1)))
+        if pool.backend == "remote" and self.registry is not None:
+            # Prefer a surviving sibling host over hammering the one
+            # that just failed.
+            alt = self.registry.failover_pool(plan.lane)
+            if alt is not None:
+                pool, plan.failed_over = alt, True
+        self._dispatch(run, plan, task.unit, pool, task.attempts + 1)
+        return True
 
-        Returns the bytes that crossed shared memory (0 on the pickle
-        path); always leaves the result descriptor-free so nothing
-        downstream can observe a recycled segment.
-        """
-        ref = result.plane
-        if ref is None:
-            return 0
-        result.rgb = self.arena.resolve(ref, copy=True)
-        result.plane = None
-        self._release_slot(outstanding.get(ref.segment), outstanding)
-        return ref.nbytes
+    def _planes(self, run: _Run, task: _InFlight,
+                reply: TaskReply) -> "list | None":
+        """Resolve a reply's heavy payload into arrays, accounting the
+        bytes to the transport that carried them."""
+        planes = reply.planes
+        if isinstance(planes, tuple):
+            # Shared-memory refs: zero-copy views; the slot stays
+            # leased until the plan has merged (or copied) them.
+            run.bytes_shm += sum(r.nbytes for r in planes)
+            task.plan.slots.append(task.slot)
+            return [self.arena.resolve(r, copy=False) for r in planes]
+        # Nothing rode the slot (none leased, or the publish fell back
+        # to pickle) and its worker is done with it: recycle it now.
+        self._release_slot(task.slot, run)
+        if planes and task.pool.backend == "process":
+            run.bytes_pickle += sum(p.nbytes for p in planes)
+        return planes
 
-    # -- the batch loop (continued) ------------------------------------
+    def _gather(self, run: _Run) -> None:
+        """Drain every in-flight subtask: retry the crashed, hand each
+        reply to its plan, finish plans as their last subtask lands."""
+        while run.pending:
+            done, _ = wait(list(run.pending), return_when=FIRST_COMPLETED)
+            for fut in done:
+                task = run.pending.pop(fut)
+                plan = task.plan
+                try:
+                    reply, failure = fut.result(), None
+                except BaseException as exc:
+                    # The task shell catches everything, so a raising
+                    # future means infrastructure died under it:
+                    # BrokenProcessPool (worker SIGKILLed/OOMed), a
+                    # remote host error or an injected WorkerCrashError.
+                    reply, failure = None, exc
+                if task.ctx is not None:
+                    # The attempt span uses the child context's OWN
+                    # identity so worker stage spans (parented on that
+                    # same context) nest under it; retries of one
+                    # request become sibling attempt spans under the
+                    # shared request span.
+                    run.trace_parent.setdefault(plan.index, []).append(
+                        make_span(
+                            task.ctx, "attempt",
+                            plan.lane or task.pool.backend, "cpu-parallel",
+                            task.dispatched_at, perf_counter(),
+                            attempt=task.attempts, task=plan.task_name,
+                            outcome="ok" if failure is None else "crashed"))
+                if failure is None:
+                    if isinstance(reply, ImageResult):
+                        # A remote lane resolves with its host's
+                        # finished result (that session already ran
+                        # plan → gather): pixels on board, no slot.
+                        reply = TaskReply(value=reply, spans=reply.spans,
+                                          trace_spans=reply.trace_spans)
+                    arrays = self._planes(run, task, reply)
+                elif self._recover(run, task):
+                    continue
+                else:
+                    # Budget spent: the loop writes the reply the dead
+                    # worker never could.
+                    plan.infra = True
+                    arrays, reply = None, TaskReply(
+                        error_type="WorkerCrashError",
+                        error=f"worker crashed after {task.attempts} "
+                              f"attempt(s): {type(failure).__name__}: "
+                              f"{failure}")
+                plan.spans.extend(reply.spans)
+                plan.trace_spans.extend(reply.trace_spans)
+                plan.accept(task.unit, reply, arrays)
+                plan.attempts = max(plan.attempts, task.attempts)
+                plan.pending -= 1
+                if plan.pending == 0:
+                    self._finish(run, plan)
+
+    def _finish(self, run: _Run, plan: DecodePlan) -> None:
+        """Finish *plan* into its result, release its slots and stamp
+        the per-image bookkeeping the plan cannot know."""
+        result = plan.finish()
+        for slot in plan.slots:
+            self._release_slot(slot, run)
+        result.spans, result.trace_spans = plan.spans, plan.trace_spans
+        result.attempts = plan.attempts
+        result.failed_over = plan.failed_over
+        result.wall_us = sum(s.duration_s for s in result.spans) * 1e6 \
+            or None
+        result.latency_s = perf_counter() - run.t0
+        run.results[plan.index] = result
 
     def decode_batch(self, items: Sequence[bytes | ImageRequest]
                      ) -> BatchResult:
@@ -912,569 +593,75 @@ class BatchDecoder:
         mid-batch.
         """
         requests = self._normalize(items)
-        schedule = None
-        lane_by_index: dict[int, str] = {}
-        #: Parent-side spans per batch index for traced requests
-        #: (schedule placement, dispatch attempts, breaker exclusions).
-        trace_parent: dict[int, list[SpanRecord]] = {}
-        traced = [i for i, r in enumerate(requests) if r.trace is not None]
-        if self.scheduler is not None and requests:
-            t_plan0 = perf_counter()
-            schedule = self.scheduler.plan(requests)
-            t_plan1 = perf_counter()
-            requests = self.scheduler.apply(requests, schedule)
-            if traced:
-                lane_of = {a.index: a.executor.name
-                           for a in schedule.assignments
-                           if a.executor is not None}
-                for i in traced:
-                    root = requests[i].trace
-                    spans = trace_parent.setdefault(i, [])
-                    spans.append(child_span(
-                        root, "schedule", "scheduler", "dispatch",
-                        t_plan0, t_plan1, lane=lane_of.get(i, "")))
-                    for lane in getattr(schedule, "excluded", ()):
-                        spans.append(child_span(
-                            root, "lane_excluded", lane, "dispatch",
-                            t_plan1, t_plan1, lane=lane,
-                            reason="breaker_open"))
-            if self.registry is not None:
-                schedule.wall_time = True
-                lane_by_index = {
-                    a.index: a.executor.name
-                    for a in schedule.assignments if a.executor is not None}
-        t0 = perf_counter()
-        results: list[ImageResult | None] = [None] * len(requests)
-        pending: dict[Any, _InFlight] = {}
-        split_jobs: dict[int, _SplitJob] = {}
-        spec_jobs: dict[int, _SpecJob] = {}
-        #: Pools that actually received work this batch — the honest
-        #: utilization denominator (with lane-bound pools the default
-        #: pool often sits idle by construction).
-        pools_used: set[int] = set()
-        #: Slots leased to in-flight tasks, by segment name — the
-        #: cleanup authority when futures fail or the dispatch aborts.
-        outstanding: dict[str, PlaneSlot] = {}
-        bytes_shm = 0
-        bytes_pickle = 0
-        retries = 0
-        lane_failures: dict[str, int] = {}
-
-        def submit_with_slot(pool, fn, *args, slot=None, fault=None):
-            """Submit, guaranteeing the slot is reclaimed on failure."""
-            if slot is not None:
-                outstanding[slot.name] = slot
-            try:
-                fut = pool.submit(fn, *args, slot, fault)
-            except BaseException:
-                self._release_slot(slot, outstanding)
-                raise
-            pools_used.add(id(pool))
-            return fut
-
-        def dispatch_whole(i, pool, lane, attempts=1, failed_over=False):
-            """(Re)dispatch one whole-image task; registers in-flight."""
-            req = requests[i]
-            ctx = None
-            t_disp = perf_counter()
-            if req.trace is not None:
-                ctx = req.trace.child()
-                req = replace(req, trace=ctx)
-            slot = self._lease_image_slot(req, pool)
-            fut = submit_with_slot(pool, decode_image_task, req,
-                                   slot=slot, fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "whole", i, pool, pool.backend == "process",
-                attempts, slot, lane, failed_over=failed_over,
-                ctx=ctx, dispatched_at=t_disp)
-
-        def dispatch_segment(i, pool, lane, seg, seg_bytes, geo_args,
-                             tables, engine, nbytes, attempts=1):
-            """(Re)dispatch one restart-segment task."""
-            root = requests[i].trace
-            ctx = root.child() if root is not None else None
-            t_disp = perf_counter()
-            slot = self._lease_segment_slot(nbytes, pool)
-            fut = submit_with_slot(pool, decode_segment_task, seg,
-                                   seg_bytes, geo_args, tables, engine,
-                                   slot=slot, fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "segment", i, pool, pool.backend == "process",
-                attempts, slot, lane,
-                (seg, seg_bytes, geo_args, tables, engine, nbytes),
-                ctx=ctx, dispatched_at=t_disp)
-
-        def dispatch_spec(i, pool, lane, chunk, chunk_bytes, geo_args,
-                          tables, terminator, nbytes, attempts=1):
-            """(Re)dispatch one speculative-chunk task."""
-            root = requests[i].trace
-            ctx = root.child() if root is not None else None
-            t_disp = perf_counter()
-            slot = self._lease_segment_slot(nbytes, pool)
-            fut = submit_with_slot(pool, decode_speculative_chunk_task,
-                                   chunk, chunk_bytes, geo_args, tables,
-                                   terminator, slot=slot,
-                                   fault=self._next_fault(lane))
-            pending[fut] = _InFlight(
-                "spec", i, pool, pool.backend == "process",
-                attempts, slot, lane,
-                (chunk, chunk_bytes, geo_args, tables, terminator, nbytes),
-                ctx=ctx, dispatched_at=t_disp)
-
-        gather_complete = False
+        run = _Run(results=[None] * len(requests))
+        requests, schedule, lanes = self._schedule(requests, run)
+        run.t0 = perf_counter()
+        gathered = False
         try:
             for i, req in enumerate(requests):
-                lane = lane_by_index.get(i)
+                lane = lanes.get(i)
                 pool = self.pool
-                if lane is not None and self.registry is not None:
+                if lane is not None:
                     pool = self.registry.pool_for(lane) or self.pool
-                split = spec = False
-                scan = chunks = None
-                want_split = self._split_candidate(req, len(requests))
-                want_spec = self._speculative_candidate(req, len(requests))
-                if pool.backend == "remote":
-                    # Remote lanes ship whole images only: the host's
-                    # own session decides any segment/speculative
-                    # fan-out on its side of the wire.
-                    want_split = want_spec = False
-                if want_split or want_spec:
-                    try:
-                        info = parse_jpeg(req.data)
-                    except (ReproError, ValueError) as exc:
-                        results[i] = ImageResult(
-                            request_id=req.request_id, ok=False,
-                            error_type=type(exc).__name__, error=str(exc),
-                            latency_s=perf_counter() - t0)
-                        continue
-                    # Progressive streams decode whole-image: multi-scan
-                    # coefficient accumulation has no per-segment or
-                    # per-chunk decomposition.
-                    split = want_split and info.restart_interval > 0 \
-                        and not info.progressive
-                    spec = not split and want_spec \
-                        and info.restart_interval == 0 \
-                        and not info.progressive
-                if spec:
-                    try:
-                        scan = destuff_scan(info.entropy_data)
-                    except (ReproError, ValueError):
-                        # Malformed scan structure: the whole-image
-                        # worker reports the precise decode error.
-                        scan = None
-                    if scan is None or not speculative_eligible(
-                            info.restart_interval, scan):
-                        spec = False
-                    else:
-                        chunks = plan_chunks(
-                            len(scan.payload),
-                            self.speculative_chunks or pool.workers,
-                            self.speculative_overlap)
-                        # One chunk degenerates to the sequential decode
-                        # — a whole-image task without the stitch tax.
-                        spec = len(chunks) > 1
-                if not split and not spec:
-                    dispatch_whole(i, pool, lane)
-                    continue
-                geo = info.geometry
-                if spec:
-                    tables = component_tables_from_info(info)
-                    job = _SpecJob(index=i, request=req, info=info,
-                                   prescan=scan, chunks=chunks,
-                                   tables=tables, pending=len(chunks))
-                    spec_jobs[i] = job
-                    geo_args = (geo.width, geo.height, geo.mode,
-                            geo.ncomponents)
-                    payload = scan.payload
-                    bpms = [c.h_factor * c.v_factor
-                            for c in geo.components]
-                    for chunk in chunks:
-                        budget = chunk_mcu_budget(chunk, geo)
-                        # int16 coefficient blocks: 64 * 2 bytes each.
-                        nbytes = packed_nbytes(
-                            [budget * bpm * 128 for bpm in bpms])
-                        dispatch_spec(
-                            i, pool, lane, chunk,
-                            payload[chunk.start:chunk.slice_stop],
-                            geo_args, tables,
-                            (scan.terminator
-                             if chunk.slice_stop == len(payload) else None),
-                            nbytes)
-                    continue
-                # Validate the marker structure before fanning out: a
-                # truncated/corrupt scan has fewer RSTn boundaries than
-                # the DRI interval demands, and isolated segments would
-                # then zero-pad their way to silent garbage where the
-                # sequential decoder raises.
-                expected = -(-geo.total_mcus // info.restart_interval)
                 try:
-                    segments = split_restart_segments(
-                        info.entropy_data, geo.total_mcus,
-                        info.restart_interval)
-                    if len(segments) != expected:
-                        raise EntropyError(
-                            f"restart marker structure inconsistent: "
-                            f"expected {expected} segments, found "
-                            f"{len(segments)} (truncated or corrupt scan)")
+                    plan = self._plan(i, req, lane, pool, len(requests))
                 except (ReproError, ValueError) as exc:
-                    results[i] = ImageResult(
+                    run.results[i] = ImageResult(
                         request_id=req.request_id, ok=False,
                         error_type=type(exc).__name__, error=str(exc),
-                        latency_s=perf_counter() - t0)
+                        latency_s=perf_counter() - run.t0)
                     continue
-                job = _SplitJob(index=i, request=req, info=info,
-                                pending=len(segments))
-                split_jobs[i] = job
-                tables = component_tables_from_info(info)
-                geo_args = (geo.width, geo.height, geo.mode,
-                        geo.ncomponents)
-                plane_sizes: dict[int, int] = {}
-                for seg in segments:
-                    nbytes = plane_sizes.get(seg.mcu_count)
-                    if nbytes is None:
-                        nbytes = packed_nbytes(
-                            segment_plane_nbytes(seg, geo))
-                        plane_sizes[seg.mcu_count] = nbytes
-                    dispatch_segment(
-                        i, pool, lane, seg,
-                        info.entropy_data[seg.byte_start: seg.byte_stop],
-                        geo_args, tables, req.entropy_engine, nbytes)
-
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    task = pending.pop(fut)
-                    i = task.index
-                    try:
-                        payload = fut.result()
-                        failure = None
-                    except BaseException as exc:
-                        # The task function catches everything, so a
-                        # raising future means infrastructure died under
-                        # it: BrokenProcessPool (worker SIGKILLed/OOMed)
-                        # or an injected WorkerCrashError.
-                        payload, failure = None, exc
-                    if task.ctx is not None:
-                        # The attempt span uses the child context's OWN
-                        # identity so worker stage spans (parented on
-                        # that same context) nest under it; retries of
-                        # one request become sibling attempt spans under
-                        # the shared request span.
-                        trace_parent.setdefault(i, []).append(make_span(
-                            task.ctx, "attempt",
-                            task.lane or task.pool.backend, "cpu-parallel",
-                            task.dispatched_at, perf_counter(),
-                            attempt=task.attempts, task=task.kind,
-                            outcome=("crashed" if failure is not None
-                                     else "ok")))
-                    if failure is not None:
-                        # The dead worker may still hold a view into
-                        # its slot — quarantine, never recycle.
-                        self._quarantine_slot(task.slot, outstanding)
-                        task.pool.heal()
-                        if task.pool.backend == "remote":
-                            # Charged to the lane whose pool actually
-                            # failed (the failover target when the
-                            # rescue dispatch failed too), and before
-                            # the budget check: the lane must answer
-                            # for every failed dispatch, even the one
-                            # that exhausts the budget.
-                            failed_lane = getattr(
-                                task.pool, "name", None) or task.lane
-                            if failed_lane is not None:
-                                lane_failures[failed_lane] = \
-                                    lane_failures.get(failed_lane, 0) + 1
-                        if task.attempts <= self.retry_budget:
-                            retries += 1
-                            sleep(self.retry_backoff_s
-                                  * (2 ** (task.attempts - 1)))
-                            if task.kind == "whole":
-                                pool = task.pool
-                                failed_over = task.failed_over
-                                if (pool.backend == "remote"
-                                        and self.registry is not None):
-                                    # Prefer a surviving sibling host
-                                    # over hammering the one that just
-                                    # failed.
-                                    alt = self.registry.failover_pool(
-                                        task.lane)
-                                    if alt is not None:
-                                        pool, failed_over = alt, True
-                                dispatch_whole(i, pool, task.lane,
-                                               attempts=task.attempts + 1,
-                                               failed_over=failed_over)
-                            elif task.kind == "spec":
-                                dispatch_spec(
-                                    i, task.pool, task.lane, *task.args,
-                                    attempts=task.attempts + 1)
-                            else:
-                                dispatch_segment(
-                                    i, task.pool, task.lane, *task.args,
-                                    attempts=task.attempts + 1)
-                            continue
-                        exc_msg = (
-                            f"worker crashed after {task.attempts} "
-                            f"attempt(s): {type(failure).__name__}: "
-                            f"{failure}")
-                        if task.kind == "whole":
-                            results[i] = ImageResult(
-                                request_id=requests[i].request_id,
-                                ok=False, error_type="WorkerCrashError",
-                                error=exc_msg, infra_failure=True,
-                                attempts=task.attempts,
-                                failed_over=task.failed_over,
-                                latency_s=perf_counter() - t0)
-                        elif task.kind == "spec":
-                            # A chunk lost to infrastructure is just a
-                            # misspeculated chunk: the stitcher repairs
-                            # the gap sequentially (or the whole scan
-                            # falls back) — the image still decodes.
-                            job = spec_jobs[i]
-                            job.infra = True
-                            job.attempts = max(job.attempts, task.attempts)
-                            job.traces_by_chunk[task.args[0].index] = None
-                            job.pending -= 1
-                            if job.pending == 0:
-                                results[i] = self._finish_speculative(job)
-                                for slot in job.slots:
-                                    self._release_slot(slot, outstanding)
-                                results[i].latency_s = perf_counter() - t0
-                        else:
-                            job = split_jobs[i]
-                            job.error_type = (job.error_type
-                                              or "WorkerCrashError")
-                            job.error = job.error or exc_msg
-                            job.infra = True
-                            job.attempts = max(job.attempts, task.attempts)
-                            job.pending -= 1
-                            if job.pending == 0:
-                                results[i] = self._finish_split(job)
-                                for slot in job.slots:
-                                    self._release_slot(slot, outstanding)
-                                results[i].latency_s = perf_counter() - t0
-                        continue
-                    if task.kind == "whole":
-                        results[i] = payload
-                        payload.attempts = task.attempts
-                        payload.failed_over = task.failed_over
-                        moved = self._materialize(payload, outstanding)
-                        bytes_shm += moved
-                        if (moved == 0 and payload.ok
-                                and payload.rgb is not None and task.piped):
-                            bytes_pickle += payload.rgb.nbytes
-                        res = results[i]
-                        res.wall_us = sum(
-                            s.duration_s for s in res.spans) * 1e6 or None
-                        res.latency_s = perf_counter() - t0
-                    elif task.kind == "spec":
-                        job = spec_jobs[i]
-                        job.attempts = max(job.attempts, task.attempts)
-                        chunk, trace, planes, err_type, err, span = payload
-                        job.spans.append(span)
-                        if trace is None:
-                            # Structural task failure — treated as one
-                            # more misspeculated chunk, never an image
-                            # error (the stitch repairs or falls back).
-                            job.traces_by_chunk[chunk.index] = None
-                        else:
-                            if isinstance(planes, tuple):
-                                # Shared-memory refs: zero-copy views;
-                                # the slot stays leased until the stitch
-                                # scatters them into the global grid.
-                                trace.planes = [
-                                    self.arena.resolve(r, copy=False)
-                                    for r in planes]
-                                bytes_shm += sum(r.nbytes for r in planes)
-                                slot = outstanding.get(planes[0].segment)
-                                if slot is not None:
-                                    job.slots.append(slot)
-                            else:
-                                if task.piped:
-                                    bytes_pickle += sum(
-                                        p.nbytes for p in planes)
-                                trace.planes = planes
-                            job.traces_by_chunk[chunk.index] = trace
-                        job.pending -= 1
-                        if job.pending == 0:
-                            results[i] = self._finish_speculative(job)
-                            for slot in job.slots:
-                                self._release_slot(slot, outstanding)
-                            results[i].wall_us = sum(
-                                s.duration_s
-                                for s in results[i].spans) * 1e6 or None
-                            results[i].latency_s = perf_counter() - t0
-                    else:
-                        job = split_jobs[i]
-                        job.attempts = max(job.attempts, task.attempts)
-                        seg, planes, err_type, err, span = payload
-                        job.spans.append(span)
-                        if planes is None:
-                            job.error_type = job.error_type or err_type
-                            job.error = job.error or err
-                        elif isinstance(planes, tuple):
-                            # Shared-memory refs: zero-copy views; the
-                            # slot stays leased until the merge scatters
-                            # them into the whole-image grid.
-                            views = [self.arena.resolve(r, copy=False)
-                                     for r in planes]
-                            bytes_shm += sum(r.nbytes for r in planes)
-                            slot = outstanding.get(planes[0].segment)
-                            if slot is not None:
-                                job.slots.append(slot)
-                            job.planes_by_seg[seg.index] = (seg, views)
-                        else:
-                            if task.piped:
-                                bytes_pickle += sum(
-                                    p.nbytes for p in planes)
-                            job.planes_by_seg[seg.index] = (seg, planes)
-                        job.pending -= 1
-                        if job.pending == 0:
-                            results[i] = self._finish_split(job)
-                            for slot in job.slots:
-                                self._release_slot(slot, outstanding)
-                            results[i].wall_us = sum(
-                                s.duration_s
-                                for s in results[i].spans) * 1e6 or None
-                            results[i].latency_s = perf_counter() - t0
-            gather_complete = True
+                for unit in plan.units:
+                    self._dispatch(run, plan, unit, pool)
+            self._gather(run)
+            gathered = True
         finally:
             # Crash-safety for slots whose tasks never handed them
             # back.  After a *complete* gather every remaining slot
-            # belongs to a future that resolved with an error (its
-            # worker is dead or done), so recycling is safe.  On an
-            # aborted gather (submit raised, exception mid-loop) a
-            # sibling worker may still be writing into its lease —
-            # those names are quarantined (unlinked, never reused),
-            # not returned to the ring.
-            for slot in list(outstanding.values()):
-                if gather_complete:
-                    self._release_slot(slot, outstanding)
-                elif self.arena is not None:
-                    outstanding.pop(slot.name, None)
-                    self.arena.discard(slot)
+            # belongs to a future that resolved (its worker is dead or
+            # done), so recycling is safe.  On an aborted gather
+            # (submit raised, exception mid-loop) a sibling worker may
+            # still be writing into its lease — those names are
+            # quarantined (unlinked, never reused), not returned to the
+            # ring.
+            for slot in list(run.outstanding.values()):
+                if gathered:
+                    self._release_slot(slot, run)
+                else:
+                    self._quarantine_slot(slot, run)
+        return self._report(run, schedule)
 
-        for i, extra in trace_parent.items():
+    def _report(self, run: _Run, schedule: BatchSchedule | None
+                ) -> BatchResult:
+        """Reduce a gathered run into its :class:`BatchResult`."""
+        for i, extra in run.trace_parent.items():
             # Parent-side spans (schedule, lane_excluded, attempts) ride
             # in front of the worker-side spans already on the result.
-            if results[i] is not None:
-                results[i].trace_spans = extra + results[i].trace_spans
-
-        wall_s = perf_counter() - t0
-        done = [r for r in results if r is not None]
-        spans = [s for r in done for s in r.spans]
+            if run.results[i] is not None:
+                run.results[i].trace_spans = \
+                    extra + run.results[i].trace_spans
+        wall_s = perf_counter() - run.t0
+        done = [r for r in run.results if r is not None]
         all_pools = [self.pool]
         if self.registry is not None:
             all_pools.extend(self.registry.pools.values())
         workers = sum(p.workers for p in all_pools
-                      if id(p) in pools_used) or self.pool.workers
+                      if id(p) in run.pools_used) or self.pool.workers
         stats = BatchStats.from_spans(
             batch_size=len(done),
             ok=sum(r.ok for r in done),
             failed=sum(not r.ok for r in done),
             wall_s=wall_s, workers=workers,
             latencies_s=[r.latency_s for r in done],
-            spans=spans, bytes_shm=bytes_shm, bytes_pickle=bytes_pickle)
-        self.retries_total += retries
+            spans=[s for r in done for s in r.spans],
+            bytes_shm=run.bytes_shm, bytes_pickle=run.bytes_pickle)
+        self.retries_total += run.retries
         return BatchResult(
             results=done, stats=stats, schedule=schedule,
             lane_pools=(self.registry.describe()
                         if self.registry is not None else None),
-            transport=self.transport, retries=retries,
-            lane_failures=lane_failures)
-
-    def _finish_split(self, job: _SplitJob) -> ImageResult:
-        """Merge a split image's segments and run the pixel stages."""
-        req, info = job.request, job.info
-        if job.error is not None or job.error_type is not None:
-            return ImageResult(
-                request_id=req.request_id, ok=False,
-                error_type=job.error_type, error=job.error,
-                segments=len(job.planes_by_seg) + 1, spans=job.spans,
-                infra_failure=job.infra, attempts=job.attempts)
-        t0 = perf_counter()
-        geo = info.geometry
-        merged = CoefficientBuffers.empty(geo)
-        for seg, planes in job.planes_by_seg.values():
-            scatter_segment(seg, planes, geo, merged)
-        rgb = pixels_from_coefficients(info, merged, DecodeOptions(
-            idct_method=req.idct_method,
-            fancy_upsampling=req.fancy_upsampling,
-            entropy_engine=req.entropy_engine))
-        t1 = perf_counter()
-        job.spans.append(WorkSpan(worker_name(), t0, t1))
-        trace_spans = []
-        if req.trace is not None:
-            trace_spans.append(child_span(
-                req.trace, "merge", worker_name(), "cpu-parallel",
-                t0, t1, segments=len(job.planes_by_seg)))
-        return ImageResult(
-            request_id=req.request_id, ok=True, rgb=rgb,
-            width=info.width, height=info.height,
-            segments=len(job.planes_by_seg), spans=job.spans,
-            attempts=job.attempts, trace_spans=trace_spans)
-
-    def _finish_speculative(self, job: _SpecJob) -> ImageResult:
-        """Stitch a speculative image's chunk traces and run the pixel
-        stages.
-
-        Misspeculated boundaries (and chunks lost to crashed workers)
-        are healed by sequential gap repair inside the stitch; only
-        when coverage cannot be established at all does the whole scan
-        re-decode sequentially — which also reproduces the oracle's
-        exact error for hostile streams.  Either way the coefficients
-        are bit-identical to the sequential decode.
-        """
-        req, info = job.request, job.info
-        geo = info.geometry
-        traces = [job.traces_by_chunk.get(k)
-                  for k in range(len(job.chunks))]
-        t0 = perf_counter()
-        if job.infra and not any(t is not None for t in traces):
-            # Every chunk died on infrastructure: the pool is gone, and
-            # quietly serializing the whole decode in the parent would
-            # mask it.  Partial loss heals below; total loss is terminal.
-            job.spans.append(WorkSpan(worker_name(), t0, perf_counter()))
-            return ImageResult(
-                request_id=req.request_id, ok=False,
-                error_type="WorkerCrashError",
-                error="all speculative chunks lost to worker crashes",
-                segments=len(job.chunks), spans=job.spans,
-                misspeculated=len(job.chunks),
-                infra_failure=True, attempts=job.attempts)
-        coeffs, report = stitch_chunks(
-            traces, job.chunks, geo,
-            repair=make_repairer(job.prescan, geo, job.tables))
-        if coeffs is None:
-            try:
-                coeffs = _decode_sequential_prescanned(
-                    job.prescan, geo, job.tables, info.restart_interval)
-            except Exception as exc:
-                job.spans.append(
-                    WorkSpan(worker_name(), t0, perf_counter()))
-                return ImageResult(
-                    request_id=req.request_id, ok=False,
-                    error_type=type(exc).__name__, error=str(exc),
-                    segments=len(job.chunks), spans=job.spans,
-                    misspeculated=len(report.misspeculated),
-                    infra_failure=job.infra, attempts=job.attempts)
-        rgb = pixels_from_coefficients(info, coeffs, DecodeOptions(
-            idct_method=req.idct_method,
-            fancy_upsampling=req.fancy_upsampling,
-            entropy_engine=req.entropy_engine))
-        t1 = perf_counter()
-        job.spans.append(WorkSpan(worker_name(), t0, t1))
-        trace_spans = []
-        if req.trace is not None:
-            trace_spans.append(child_span(
-                req.trace, "stitch", worker_name(), "cpu-parallel",
-                t0, t1, chunks=len(job.chunks),
-                misspeculated=len(report.misspeculated)))
-        return ImageResult(
-            request_id=req.request_id, ok=True, rgb=rgb,
-            width=info.width, height=info.height,
-            segments=len(job.chunks), spans=job.spans,
-            speculative=report.ok,
-            misspeculated=len(report.misspeculated),
-            attempts=job.attempts, trace_spans=trace_spans)
+            transport=self.transport, retries=run.retries,
+            lane_failures=run.lane_failures)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1496,149 +683,4 @@ class BatchDecoder:
 
     def __exit__(self, *exc_info: Any) -> None:
         """Context-manager exit: close the pool."""
-        self.close()
-
-
-class DecodeService:
-    """Pull-driven compatibility facade over
-    :class:`~repro.service.session.DecodeSession`.
-
-    Producers :meth:`submit` images (raw bytes or fully-specified
-    :class:`ImageRequest`\\ s); the owner drives :meth:`run_once` /
-    :meth:`drain` to decode queued work in batches.  Submission is
-    non-blocking by default, so a full queue surfaces immediately as
-    :class:`~repro.errors.QueueFullError` — the backpressure contract.
-
-    .. deprecated:: PR 4
-        New code should use
-        :class:`~repro.service.session.DecodeSession` directly: its
-        ``submit`` returns a per-request future-like
-        :class:`~repro.service.session.DecodeHandle` and its background
-        pump overlaps submission with completion — this class survives
-        for the pull-driven call sites, running the session pump-less
-        so the ``submit``/``run_once``/``drain`` call surface and
-        batching behave as before.  One deliberate reporting change:
-        ``ImageResult.latency_s`` (and the latency percentiles built
-        from it) now measures *submit*-to-completion, so time spent
-        queued between ``run_once`` calls counts — the honest number
-        for a service, where the old dispatch-to-completion figure
-        hid queueing delay.
-    """
-
-    def __init__(self, batch_size: int = 8, queue_capacity: int = 32,
-                 workers: int | None = None, backend: str | None = None,
-                 defaults: ImageRequest | None = None,
-                 scheduler: ModelScheduler | str | None = None,
-                 transport: str = "auto",
-                 lane_pools: "object | str | bool | None" = None,
-                 retry_budget: int | None = None,
-                 faults: FaultPlan | None = None,
-                 default_deadline_ms: float | None = None,
-                 speculative: str | None = None,
-                 tracing: str = "off", trace_sample: float = 0.1,
-                 trace_log: "str | None" = None) -> None:
-        """Build the underlying pump-less session; *batch_size* caps one
-        drain step.
-
-        *scheduler* (policy name or
-        :class:`~repro.service.scheduler.ModelScheduler`) turns on
-        model-guided cross-image scheduling; the service then feeds each
-        batch's observed per-image times back into the scheduler's
-        per-lane throughput estimates after every :meth:`run_once`.
-        *transport*/*lane_pools* are forwarded to
-        :class:`BatchDecoder` (shared-memory plane transport and
-        lane-bound executor pools), as are the fault-tolerance knobs
-        *retry_budget*/*faults*; *default_deadline_ms* applies a
-        deadline to every request that carries none (expired requests
-        are shed at :meth:`run_once` batch forming, their handles
-        failing with :class:`~repro.errors.DeadlineExceededError`).
-        """
-        from .session import DecodeSession
-
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.session = DecodeSession(
-            max_batch=batch_size, queue_capacity=queue_capacity,
-            workers=workers, backend=backend, defaults=defaults,
-            scheduler=scheduler, transport=transport,
-            lane_pools=lane_pools, retry_budget=retry_budget,
-            faults=faults, default_deadline_ms=default_deadline_ms,
-            speculative=speculative, tracing=tracing,
-            trace_sample=trace_sample, trace_log=trace_log, pump=False)
-
-    @property
-    def batch_size(self) -> int:
-        """Maximum images decoded by one :meth:`run_once` step."""
-        return self.session.max_batch
-
-    @property
-    def queue(self) -> SubmissionQueue:
-        """The session's bounded submission queue."""
-        return self.session.queue
-
-    @property
-    def decoder(self) -> BatchDecoder:
-        """The session's batch decoder (pool + optional scheduler)."""
-        return self.session.decoder
-
-    @property
-    def stats(self):
-        """Running totals across every processed batch."""
-        return self.session.stats
-
-    def submit(self, item: bytes | ImageRequest,
-               timeout: float | None = 0) -> Any:
-        """Enqueue one image; returns its request id.
-
-        ``timeout=0`` (default) fails fast with
-        :class:`~repro.errors.QueueFullError` when the queue is at
-        capacity; ``timeout=None`` blocks until space frees up.
-
-        Auto-assigned ids are unique and monotonically increasing even
-        under concurrent producers; an id is skipped (never reissued)
-        when the queue rejects its submission.  (The session's
-        :class:`~repro.service.session.DecodeHandle` is dropped here —
-        this API predates per-request handles; results come back from
-        :meth:`run_once`.)
-        """
-        return self.session.submit(item, timeout=timeout).request_id
-
-    def run_once(self) -> BatchResult | None:
-        """Decode one batch of queued requests (None when queue empty).
-
-        Scheduled batches additionally (a) fold observed per-image times
-        into the scheduler's per-lane feedback (the cross-batch
-        adaptation loop) and (b) accumulate per-lane placement counts on
-        :attr:`stats`.
-        """
-        return self.session.run_once()
-
-    def drain(self) -> list[BatchResult]:
-        """Decode batches until the queue is empty; return all results."""
-        out = []
-        while True:
-            result = self.run_once()
-            if result is None:
-                return out
-            out.append(result)
-
-    @property
-    def pending(self) -> int:
-        """Requests waiting in the submission queue."""
-        return self.session.pending
-
-    def close(self) -> None:
-        """Close the session (refusing new submissions) and the pool.
-
-        Matches the historical contract: queued-but-undrained requests
-        are not decoded on close (their handles are cancelled).
-        """
-        self.session.close(drain=False)
-
-    def __enter__(self) -> "DecodeService":
-        """Context-manager entry: the service itself."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: close queue and pool."""
         self.close()

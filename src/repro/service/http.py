@@ -72,7 +72,7 @@ from ..errors import (
     ServiceClosedError,
     ServiceError,
 )
-from .batch import ImageResult, parse_priority
+from .tasks import ImageResult, parse_priority
 from .obs import render_prometheus
 from .session import DecodeSession
 

@@ -1,9 +1,8 @@
 """Bounded submission queue with backpressure.
 
 The service's ingress: producers :meth:`~SubmissionQueue.put` requests
-and a consumer — the pull-driven batch loop of
-:class:`~repro.service.batch.DecodeService`, or the
-:class:`~repro.service.session.DecodeSession` pump thread — drains them
+and a consumer — the :class:`~repro.service.session.DecodeSession`
+pump thread, or a pull-mode caller of its ``run_once`` — drains them
 with :meth:`~SubmissionQueue.get_batch`.  Both ends are safe under
 concurrency: any number of producer threads may block in ``put`` while
 the consumer drains (one condition variable serializes slot claims, so

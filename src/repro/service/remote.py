@@ -398,12 +398,14 @@ class DecodeWorkerHost:
                             "op": "error",
                             "error_type": type(exc).__name__,
                             "error": str(exc)}, []
+                    # Counted before the send: the client may read the
+                    # counter the instant its recv returns.
+                    with self._lock:
+                        self.bytes_tx += frame_nbytes(reply, out_blobs)
                     try:
-                        sent = send_frame(conn, reply, out_blobs)
+                        send_frame(conn, reply, out_blobs)
                     except OSError:
                         return
-                    with self._lock:
-                        self.bytes_tx += sent
         finally:
             with self._lock:
                 self._conns.discard(conn)
@@ -633,10 +635,15 @@ class RemoteLanePool:
         """Queue one whole-image decode; blocks while ``depth``
         requests are already in flight (bounded-depth backpressure).
 
-        The positional contract mirrors the batch decoder's dispatch:
-        ``submit(decode_image_task, request, slot, fault)``.  Remote
-        lanes execute whole images only (no shm slot crosses the
-        wire); any other task function is a caller bug.
+        The positional contract is the batch decoder's one dispatch:
+        ``submit(subtask.fn, *args, slot, fault)``.  Remote lanes run
+        whole-image plans only, so *fn* must be ``decode_image_task``
+        and no shm slot crosses the wire; anything else is a caller
+        bug.  Where a local worker answers with a
+        :class:`~repro.service.tasks.TaskReply`, the future here
+        resolves with the host's *finished*
+        :class:`~repro.service.batch.ImageResult` — its own session
+        already ran plan → gather — which the gather loop wraps.
         """
         if fn is not decode_image_task:
             raise ServiceError(

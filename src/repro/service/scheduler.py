@@ -663,7 +663,7 @@ class ModelScheduler:
     :class:`~repro.service.batch.BatchDecoder` calls :meth:`plan` with
     the normalized batch; the returned rewritten requests pin each image
     to its lane's decode mode/platform (or to restart-segment fan-out).
-    :class:`~repro.service.batch.DecodeService` calls :meth:`observe`
+    :class:`~repro.service.session.DecodeSession` calls :meth:`observe`
     with the completed results, closing the feedback loop.
     """
 

@@ -1,13 +1,12 @@
 """Futures-based decode sessions: per-request handles over a pumped
 batch loop.
 
-:class:`~repro.service.batch.DecodeService` is pull-driven — producers
-``submit`` and the owner must interleave ``run_once``/``drain`` calls to
-make progress, so submission can never overlap completion.
-:class:`DecodeSession` inverts that: ``submit`` returns a
-:class:`DecodeHandle` (future-like — ``done()``, ``result(timeout)``,
-``add_done_callback()``) and a background **pump thread** forms batches
-on its own, by size or age:
+A bare :class:`~repro.service.batch.BatchDecoder` is pull-driven — the
+caller forms each batch and blocks for it, so submission can never
+overlap completion.  :class:`DecodeSession` inverts that: ``submit``
+returns a :class:`DecodeHandle` (future-like — ``done()``,
+``result(timeout)``, ``add_done_callback()``) and a background **pump
+thread** forms batches on its own, by size or age:
 
 - a batch dispatches as soon as ``max_batch`` requests are pending, or
 - when the *oldest* pending request has waited ``max_delay_ms`` — the
@@ -36,9 +35,9 @@ default) decodes everything already accepted, then shuts the pool down;
 :class:`~repro.errors.ServiceClosedError`.  Close is idempotent.
 
 The async front end (:mod:`repro.service.aio`) and the HTTP shim
-(:mod:`repro.service.http`) both layer on this class; the legacy
-pull-driven :class:`~repro.service.batch.DecodeService` survives as a
-thin facade over a pump-less session (``pump=False``).
+(:mod:`repro.service.http`) both layer on this class; ``repro
+serve-batch`` drives a pump-less session (``pump=False``) through
+:meth:`DecodeSession.run_once`.
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ class DecodeSession:
     size (``max_batch``) or age (``max_delay_ms``) and resolves handles
     as results complete.  Construct with ``pump=False`` for the
     pull-driven mode (no thread; the caller drives :meth:`run_once`) —
-    that is how the legacy :class:`~repro.service.batch.DecodeService`
-    facade runs, and the deterministic choice for lifecycle tests.
+    that is how ``repro serve-batch`` runs, and the deterministic
+    choice for lifecycle tests.
     """
 
     def __init__(self, max_batch: int = 8, max_delay_ms: float = 2.0,
@@ -513,9 +512,11 @@ class DecodeSession:
     def run_once(self) -> BatchResult | None:
         """Pull-mode step: decode one batch of queued requests (None
         when nothing is pending, or when every pending request had
-        already expired and was shed).  This is what the
-        :class:`~repro.service.batch.DecodeService` facade drives; with
-        the pump running it is also safe (the queue hands each entry to
+        already expired and was shed — :attr:`pending` tells the two
+        apart).  Scheduled batches fold their observed per-image times
+        into the scheduler's per-lane feedback and per-lane placement
+        counts into :attr:`stats`, exactly as pumped ones do.  With the
+        pump running it is also safe (the queue hands each entry to
         exactly one consumer) but normally unnecessary."""
         entries = self.queue.get_batch(self.max_batch, timeout=0)
         with self._backlog_lock:

@@ -8,7 +8,7 @@ comparable to the parent's wall-clock window).  :class:`BatchStats`
 reduces one batch's spans into the numbers an operator watches —
 images/sec, p50/p90/p99 latency, and busy-time utilization per worker —
 and :class:`ServiceStats` accumulates those across the batches a
-long-running :class:`~repro.service.batch.DecodeService` processes.
+long-running :class:`~repro.service.session.DecodeSession` processes.
 """
 
 from __future__ import annotations

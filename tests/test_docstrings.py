@@ -72,3 +72,36 @@ def test_checker_ignores_private_and_nested(tmp_path):
         "    def nested():\n        pass\n"
     )
     assert check_docstrings.check_file(ok) == []
+
+
+# ---------------------------------------------------------------------------
+# tools/check_function_length.py (ISSUE 13): the dispatch core stays small.
+# ---------------------------------------------------------------------------
+
+import check_function_length  # noqa: E402
+
+DISPATCH_CORE = [str(REPO_ROOT / "src" / "repro" / "service" / name)
+                 for name in ("batch.py", "tasks.py")]
+
+
+def test_dispatch_core_functions_stay_under_80_lines(capsys):
+    assert check_function_length.main(DISPATCH_CORE + ["--max", "80"]) == 0, \
+        capsys.readouterr().out
+
+
+def test_length_excludes_docstring_and_counts_nested(tmp_path, capsys):
+    src = tmp_path / "long.py"
+    src.write_text(
+        "class K:\n"
+        "    def method(self):\n"
+        '        """Doc line one.\n\n        Doc line three.\n        """\n'
+        "        a = 1\n"
+        "        def inner():\n"
+        "            return a\n"
+        "        return inner\n"
+    )
+    assert check_function_length.function_lengths(src) == [
+        ("K.method", 2, 4), ("K.method.inner", 8, 1)]
+    assert check_function_length.main([str(src), "--max", "4"]) == 0
+    assert check_function_length.main([str(src), "--max", "3"]) == 1
+    assert "K.method is 4 lines (max 3)" in capsys.readouterr().out

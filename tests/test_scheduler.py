@@ -15,7 +15,7 @@ from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
-    DecodeService,
+    DecodeSession,
     ModelScheduler,
     ThroughputFeedback,
     default_executors,
@@ -404,8 +404,8 @@ class TestServiceFeedbackLoop:
     def test_run_once_feeds_observations_and_stats(self):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
         sched = ModelScheduler(policy="model", platform=platforms.GTX560)
-        with DecodeService(batch_size=8, backend="serial",
-                           scheduler=sched) as svc:
+        with DecodeSession(max_batch=8, backend="serial",
+                           scheduler=sched, pump=False) as svc:
             for b in blobs:
                 svc.submit(b)
             result = svc.run_once()
@@ -420,8 +420,8 @@ class TestServiceFeedbackLoop:
     def test_scales_adapt_across_batches(self):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
         sched = ModelScheduler(policy="model", platform=platforms.GTX560)
-        with DecodeService(batch_size=8, backend="serial",
-                           scheduler=sched) as svc:
+        with DecodeSession(max_batch=8, backend="serial",
+                           scheduler=sched, pump=False) as svc:
             for b in blobs:
                 svc.submit(b)
             svc.run_once()
@@ -437,8 +437,8 @@ class TestServiceFeedbackLoop:
         blob = encode(128, 96, seed=10)
         sched = ModelScheduler(policy="roundrobin",
                                platform=platforms.GTX560)
-        with DecodeService(batch_size=1, backend="serial",
-                           scheduler=sched) as svc:
+        with DecodeSession(max_batch=1, backend="serial",
+                           scheduler=sched, pump=False) as svc:
             for _ in range(4):
                 svc.submit(blob)
             names = []

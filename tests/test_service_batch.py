@@ -14,7 +14,7 @@ from repro.errors import (
 from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
-    DecodeService,
+    DecodeSession,
     ImageRequest,
     SubmissionQueue,
     WorkerPool,
@@ -143,26 +143,43 @@ class TestErrorIsolation:
         assert np.array_equal(batch.results[0].rgb, sequential_rgbs[1])
 
     def test_segment_worker_failure_is_captured(self, corpus):
-        """decode_segment_task reports failures on its return tuple
-        instead of raising (the contract the batch loop relies on)."""
+        """decode_segment_task reports failures on its TaskReply
+        instead of raising (the contract the gather loop relies on)."""
         from repro.jpeg import parse_jpeg
         from repro.jpeg.decoder import component_tables_from_info
         from repro.jpeg.parallel_huffman import RestartSegment
-        from repro.service.batch import decode_segment_task
+        from repro.service.batch import TaskReply, decode_segment_task
 
         info = parse_jpeg(corpus[1])
         seg = RestartSegment(index=0, byte_start=0, byte_stop=1,
                              mcu_start=0,
                              mcu_count=info.restart_interval)
         # Invalid geometry makes the task fail before any bit is read.
-        seg_out, planes, err_type, err, span = decode_segment_task(
+        reply = decode_segment_task(
             seg, b"\x00", (0, 16, "4:2:2"),
             component_tables_from_info(info), "fast")
-        assert seg_out is seg
-        assert planes is None
-        assert err_type == "JpegError"
-        assert "invalid image dimensions" in err
+        assert isinstance(reply, TaskReply)
+        assert reply.value is None and reply.planes is None
+        assert reply.error_type == "JpegError"
+        assert "invalid image dimensions" in reply.error
+        (span,) = reply.spans
         assert span.duration_s >= 0
+
+    def test_failed_split_reports_the_plans_segment_count(self, corpus):
+        """A split image that fails reports how many segments it was
+        split into — the plan's subtask count, same as on success —
+        not how many happened to decode."""
+        from repro.service import FaultPlan
+
+        req = ImageRequest(data=corpus[1], split_segments=True)
+        with BatchDecoder(workers=2, backend="thread") as dec:
+            total = dec.decode_batch([req]).results[0].segments
+        assert total > 2
+        with BatchDecoder(workers=2, backend="thread",
+                          faults=FaultPlan(exception_at={1})) as dec:
+            res = dec.decode_batch([req]).results[0]
+        assert not res.ok and res.error_type == "RuntimeError"
+        assert res.segments == total
 
     def test_unknown_platform_reported(self, corpus):
         req = ImageRequest(data=corpus[0], mode="simd", platform="RTX 9999")
@@ -208,8 +225,8 @@ class TestQueueBackpressure:
             SubmissionQueue(capacity=0)
 
     def test_service_backpressure_and_drain(self, corpus, sequential_rgbs):
-        with DecodeService(batch_size=2, queue_capacity=2,
-                           backend="serial") as svc:
+        with DecodeSession(max_batch=2, queue_capacity=2,
+                           backend="serial", pump=False) as svc:
             svc.submit(corpus[0])
             svc.submit(corpus[1])
             with pytest.raises(QueueFullError):
@@ -218,7 +235,9 @@ class TestQueueBackpressure:
             first = svc.run_once()        # drain one batch ...
             assert first is not None and first.ok
             svc.submit(corpus[2])         # ... and submission succeeds
-            batches = svc.drain()
+            batches = []
+            while svc.pending:
+                batches.append(svc.run_once())
             assert svc.run_once() is None
         results = list(first) + [r for b in batches for r in b]
         # Ids are unique and monotonic; the rejected submission's id (2)
@@ -230,7 +249,7 @@ class TestQueueBackpressure:
         assert svc.stats.images_ok == 3
 
     def test_closed_service_rejects_submissions(self, corpus):
-        svc = DecodeService(backend="serial")
+        svc = DecodeSession(backend="serial", pump=False)
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit(corpus[0])

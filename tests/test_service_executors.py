@@ -11,7 +11,7 @@ from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
-    DecodeService,
+    DecodeSession,
     ExecutorRegistry,
     ModelScheduler,
     default_executors,
@@ -145,11 +145,14 @@ class TestLaneBoundDispatch:
         scheduler = ModelScheduler(policy="model")
         with ExecutorRegistry(scheduler.executors,
                               layout="gpu=thread:1,cpu=thread:1") as registry, \
-                DecodeService(batch_size=4, backend="serial",
-                              scheduler=scheduler, lane_pools=registry) as svc:
+                DecodeSession(max_batch=4, backend="serial",
+                              scheduler=scheduler, lane_pools=registry,
+                              pump=False) as svc:
             for blob in corpus:
                 svc.submit(blob)
-            results = svc.drain()
+            results = []
+            while svc.pending:
+                results.append(svc.run_once())
             assert all(b.ok for b in results)
             assert svc.stats.per_executor, "lane usage must be recorded"
             for usage in svc.stats.per_executor.values():

@@ -26,11 +26,10 @@ from repro.errors import (
     ServiceError,
     WorkerCrashError,
 )
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeHTTPServer,
-    DecodeService,
     DecodeSession,
     FaultDirective,
     FaultPlan,
@@ -393,21 +392,120 @@ class TestSelfHealingRetry:
         assert all(r.error_type for r in batch.results)
         assert all(not r.infra_failure for r in batch.results)
 
-    @pytest.mark.skipif(not shm_available(),
-                        reason="POSIX shared memory unavailable")
-    def test_shm_publish_failure_falls_back_to_pickle(self, blob, oracle):
-        """A failing shared-memory publish must not fail the decode:
-        the worker falls back to the pickle pipe and the arena stays
-        leak-free."""
-        plan = FaultPlan(shm_fail_every=1)
+
+# ---------------------------------------------------------------------------
+# The uniform dispatch/gather loop: every plan kind x every fault kind.
+# ---------------------------------------------------------------------------
+
+class DelayFirstDispatch:
+    """FaultPlan stand-in: a ``delay`` directive on the first dispatch.
+    (FaultPlan only delays by scheduler lane; these cells run
+    unscheduled so the three plan kinds share one decoder shape.)"""
+
+    DELAY_S = 0.05
+
+    def __init__(self):
+        self.dispatches = 0
+
+    def next_directive(self, lane=None):
+        self.dispatches += 1
+        if self.dispatches == 1:
+            return FaultDirective(kind="delay", delay_s=self.DELAY_S)
+        return None
+
+
+#: fault name -> (plan factory, retry budget).
+MATRIX_FAULTS = {
+    "kill": (lambda: FaultPlan(kill_at={0}), 2),
+    "kill_no_budget": (lambda: FaultPlan(kill_at={0}), 0),
+    "exception": (lambda: FaultPlan(exception_at={0}), 2),
+    "shm_fail": (lambda: FaultPlan(shm_fail_every=1), 2),
+    "delay": (DelayFirstDispatch, 2),
+}
+
+
+@pytest.mark.skipif(not shm_available(),
+                    reason="POSIX shared memory unavailable")
+class TestUniformFaultMatrix:
+    """One dispatch and one gather loop serve every plan, so every
+    (plan kind, fault kind) cell must hold the same invariants: the
+    documented outcome, attempts/retries as injected, no leaked slot,
+    no /dev/shm residue."""
+
+    CHUNKS = 3
+
+    @pytest.fixture(scope="class")
+    def cells(self, small_rgb, blob):
+        """kind -> (request, the plan's subtask count)."""
+        dri = encode_jpeg(small_rgb, EncoderSettings(
+            quality=85, subsampling="4:2:2", restart_interval=4))
+        info = parse_jpeg(dri)
+        n_segments = -(-info.geometry.total_mcus // info.restart_interval)
+        return {
+            "whole": (ImageRequest(data=blob), 1),
+            "segment": (ImageRequest(data=dri, split_segments=True),
+                        n_segments),
+            "spec": (ImageRequest(data=blob, speculative=True),
+                     self.CHUNKS),
+        }
+
+    @pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
+    @pytest.mark.parametrize("kind", ["whole", "segment", "spec"])
+    def test_cell(self, cells, kind, fault):
+        make_plan, budget = MATRIX_FAULTS[fault]
+        request, units = cells[kind]
+        want = decode_jpeg(request.data).rgb
+        t0 = time.perf_counter()
         with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0, faults=plan) as dec:
-            batch = dec.decode_batch([blob, blob])
-            assert batch.ok, [(r.error_type, r.error) for r in batch]
+                          shm_min_bytes=0, retry_budget=budget,
+                          retry_backoff_s=0.0, faults=make_plan(),
+                          speculative="off",
+                          speculative_chunks=self.CHUNKS) as dec:
+            batch = dec.decode_batch([request])
+            leaked = dec.arena.leaked()
+        elapsed = time.perf_counter() - t0
+        (res,) = batch.results
+        # Success or failure, a result reports its plan's subtask count.
+        assert res.segments == units
+
+        if fault == "kill_no_budget" and kind == "spec" and res.ok:
+            # A sibling chunk outran the pool teardown: partial loss
+            # heals as misspeculation (total loss is terminal, below).
+            assert res.misspeculated >= 1
+            assert np.array_equal(res.rgb, want)
+        elif fault == "kill_no_budget":
+            # The killed task is gone for good (and a real SIGKILL
+            # breaks the whole process pool under its siblings).
+            assert not res.ok and res.infra_failure
+            assert res.error_type == "WorkerCrashError"
+        elif fault == "exception" and kind != "spec":
+            # A decode exception is the image's own error, never retried
+            # (a speculative chunk's heals as misspeculation instead).
+            assert not res.ok and not res.infra_failure
+            assert res.error_type == "RuntimeError"
+        else:
+            assert res.ok, (res.error_type, res.error)
+            assert np.array_equal(res.rgb, want)
+
+        if fault == "kill":
+            # The killed dispatch retried once; siblings that were in
+            # flight on the broken pool retried with it.
+            assert res.attempts == 2
+            assert 1 <= batch.retries <= units
+            assert dec.rebuilds >= 1
+        else:
+            assert res.attempts == 1
+            assert batch.retries == 0
+        if fault == "shm_fail":
+            # Every publish failed over to the pickle pipe.
+            assert batch.stats.bytes_shm == 0
             assert batch.stats.bytes_pickle > 0
-            for r in batch.results:
-                assert np.array_equal(r.rgb, oracle)
-            assert dec.arena.leaked() == []
+        elif res.ok:
+            assert batch.stats.bytes_shm > 0
+        if fault == "delay":
+            assert elapsed >= DelayFirstDispatch.DELAY_S
+
+        assert leaked == []
         assert not shm_files()
 
 
@@ -420,7 +518,7 @@ class TestDeadlines:
         with pytest.raises(ServiceError):
             DecodeSession(backend="serial", default_deadline_ms=0,
                           pump=False)
-        with DecodeService(backend="serial") as svc:
+        with DecodeSession(backend="serial", pump=False) as svc:
             with pytest.raises(ServiceError):
                 svc.submit(ImageRequest(data=b"x", deadline_ms=-5))
 

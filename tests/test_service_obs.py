@@ -12,11 +12,13 @@ import json
 import sys
 import threading
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.jpeg import EncoderSettings, encode_jpeg
+from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeHTTPServer,
@@ -328,6 +330,42 @@ class TestTraceUnderFaults:
         assert {s.parent_id for s in attempts} == {ctx.span_id}
         assert attempts[0].trace_id == attempts[1].trace_id == ctx.trace_id
         assert attempts[1].start >= attempts[0].start
+
+    @pytest.mark.parametrize("kind", ["whole", "segment", "spec"])
+    def test_every_plan_kind_traces_one_attempt_per_dispatch(
+            self, small_rgb, blob, kind):
+        """The one dispatch opens an attempt context for every subtask
+        of every plan: one ``attempt`` span per dispatch carrying
+        ``attempt=`` and ``task=``, all siblings under the request
+        span, the killed subtask's retry among them."""
+        dri = encode_jpeg(small_rgb, EncoderSettings(
+            quality=85, subsampling="4:2:2", restart_interval=4))
+        request = {
+            "whole": ImageRequest(data=blob),
+            "segment": ImageRequest(data=dri, split_segments=True),
+            "spec": ImageRequest(data=blob, speculative=True),
+        }[kind]
+        plan = FaultPlan(kill_at={0})
+        ctx = TraceContext.new_root()
+        with BatchDecoder(workers=2, backend="thread",
+                          retry_backoff_s=0.0, faults=plan,
+                          speculative="off", speculative_chunks=3) as dec:
+            batch = dec.decode_batch([replace(request, trace=ctx)])
+        (result,) = batch.results
+        assert result.ok and batch.retries == 1
+        assert np.array_equal(result.rgb, decode_jpeg(request.data).rgb)
+        attempts = [s for s in result.trace_spans if s.name == "attempt"]
+        # One span per dispatch: every subtask once, the killed one twice.
+        assert len(attempts) == plan.dispatches == result.segments + 1
+        assert {s.attrs["task"] for s in attempts} == {kind}
+        assert {s.parent_id for s in attempts} == {ctx.span_id}
+        assert {s.trace_id for s in attempts} == {ctx.trace_id}
+        assert len({s.span_id for s in attempts}) == len(attempts)
+        outcomes = sorted((s.attrs["attempt"], s.attrs["outcome"])
+                          for s in attempts)
+        assert outcomes == ([(1, "crashed")]
+                            + [(1, "ok")] * (result.segments - 1)
+                            + [(2, "ok")])
 
     def test_breaker_open_lane_emits_lane_excluded_event(self, blob):
         """An open circuit breaker excludes its lane from the plan and

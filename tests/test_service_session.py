@@ -16,7 +16,6 @@ from repro.errors import QueueFullError, ServiceClosedError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     DecodeHandle,
-    DecodeService,
     DecodeSession,
     ImageRequest,
     SubmissionQueue,
@@ -236,26 +235,27 @@ class TestSessionLifecycle:
         json.dumps(snap)   # must be JSON-serializable end to end
 
 
-class TestFacadeCompat:
-    """DecodeService is now a facade over a pump-less session; spot-check
-    the delegation the PR-2/PR-3 suites rely on (those suites still run
-    unchanged in test_service_batch.py / test_scheduler.py)."""
+class TestPullMode:
+    """A pump-less session is the pull-driven service shape (``repro
+    serve-batch``): nothing decodes until the owner calls run_once."""
 
-    def test_facade_exposes_session(self, corpus, sequential_rgbs):
-        with DecodeService(batch_size=2, backend="serial") as svc:
-            assert isinstance(svc.session, DecodeSession)
-            assert svc.batch_size == 2
-            rid = svc.submit(corpus[0])
-            assert rid == 0
-            batch = svc.run_once()
+    def test_run_once_decodes_submitted_work(self, corpus, sequential_rgbs):
+        with DecodeSession(max_batch=2, backend="serial",
+                           pump=False) as sess:
+            assert sess.max_batch == 2
+            handle = sess.submit(corpus[0])
+            assert handle.request_id == 0 and not handle.done()
+            batch = sess.run_once()
+            assert handle.result(timeout=0) is batch.results[0]
         assert np.array_equal(batch.results[0].rgb, sequential_rgbs[0])
-        assert svc.stats.batches == 1
+        assert sess.stats.batches == 1
 
-    def test_facade_close_does_not_decode_leftovers(self, corpus):
-        svc = DecodeService(batch_size=2, backend="serial")
-        svc.submit(corpus[0])
-        svc.close()
-        assert svc.stats.batches == 0
+    def test_close_without_drain_does_not_decode_leftovers(self, corpus):
+        sess = DecodeSession(max_batch=2, backend="serial", pump=False)
+        handle = sess.submit(corpus[0])
+        sess.close(drain=False)
+        assert sess.stats.batches == 0
+        assert handle.cancelled()
 
 
 class TestQueueStress:
