@@ -24,19 +24,16 @@ import numpy as np
 from ..errors import JpegUnsupportedError, PartitionError
 from ..gpusim import calibrate
 from ..gpusim.queue import CommandQueue
-from ..jpeg.blocks import ImageGeometry, blocks_to_plane
-from ..jpeg.color import ycbcr_to_rgb_float
+from ..jpeg.blocks import ImageGeometry
 from ..jpeg.decoder import (
     DecodeOptions,
     component_tables_from_info,
     quant_tables_from_info,
+    render_span,
 )
 from ..jpeg.entropy import CoefficientBuffers
 from ..jpeg.fast_entropy import create_entropy_decoder
-from ..jpeg.idct import idct_2d_aan, samples_from_idct
 from ..jpeg.markers import JpegImageInfo, parse_jpeg
-from ..jpeg.quantization import dequantize_blocks
-from ..jpeg.sampling import upsample_plane
 from ..kernels.program import GpuDecodeProgram, GpuProgramOptions
 from .modes import DecodeMode
 from .partition import (
@@ -218,23 +215,8 @@ def cpu_parallel_span(geometry: ImageGeometry, coeffs: CoefficientBuffers,
         raise JpegUnsupportedError(
             "partial spans are not defined for 4:2:0 (no vertical context)"
         )
-    span = coeffs.rows_slice(mcu_row_start, mcu_row_stop)
-    nrows = mcu_row_stop - mcu_row_start
-    planes = []
-    for comp, plane_coeffs, quant in zip(geo.components, span.planes, quants):
-        deq = dequantize_blocks(plane_coeffs, quant)
-        samples = samples_from_idct(idct_2d_aan(deq))
-        planes.append(blocks_to_plane(samples, comp.blocks_wide,
-                                      nrows * comp.v_factor))
-    y = planes[0]
-    cb = upsample_plane(planes[1], geo.mode, fancy)
-    cr = upsample_plane(planes[2], geo.mode, fancy)
-    px0 = mcu_row_start * geo.mcu_height
-    px1 = min(mcu_row_stop * geo.mcu_height, geo.height)
-    h_px = px1 - px0
-    return ycbcr_to_rgb_float(
-        y[:h_px, : geo.width], cb[:h_px, : geo.width], cr[:h_px, : geo.width]
-    )
+    return render_span(geo, coeffs, quants, mcu_row_start, mcu_row_stop,
+                       DecodeOptions(fancy_upsampling=fancy))
 
 
 def cpu_span_time_us(config: ExecutionConfig, geometry: ImageGeometry,

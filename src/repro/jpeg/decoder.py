@@ -1,11 +1,12 @@
 """Reference sequential JPEG decoder (the "libjpeg" baseline).
 
-Mirrors the 2-tier controller structure of libjpeg-turbo (paper Figure 2):
-a *coefficient controller* owns entropy decoding + dequantization + IDCT,
-and a *postprocessing controller* owns upsampling + color conversion.
-Both operate over the whole-image buffers introduced by the
-re-engineering step (paper Section 3), while row-granular access remains
-available for the legacy row-by-row execution style.
+Mirrors the 2-tier structure of libjpeg-turbo (paper Figure 2): the
+*coefficient controller* owns entropy decoding into the whole-image
+coefficient buffers introduced by the re-engineering step (paper
+Section 3), and :func:`render_span` owns everything downstream of them —
+dequantization + IDCT, upsampling, color conversion — over any MCU-row
+span, so row-granular access remains available for the legacy
+row-by-row execution style.
 
 This module is the correctness oracle for every parallel execution mode:
 all executors must produce bit-identical RGB output to
@@ -26,20 +27,10 @@ from .color import (cmyk_inverted_to_rgb, gray_to_rgb, ycbcr_to_rgb_float,
                     ycck_to_rgb)
 from .entropy import CoefficientBuffers, ComponentTables
 from .fast_entropy import create_entropy_decoder
-from .idct import idct_2d_aan, idct_2d_blocks, samples_from_idct
-from .idct_int import idct_2d_islow
+from .idct import idct_samples
 from .markers import JpegImageInfo, parse_jpeg
 from .progressive import ProgressiveDecoder
-from .quantization import dequantize_blocks
 from .sampling import upsample_plane
-
-#: Pluggable IDCT methods, mirroring libjpeg's jpeg_idct_* selection
-#: ("aan" = jidctflt, "islow" = jidctint, "matrix" = orthonormal oracle).
-IDCT_METHODS = {
-    "aan": idct_2d_aan,
-    "matrix": idct_2d_blocks,
-    "islow": idct_2d_islow,
-}
 
 
 @dataclass
@@ -54,7 +45,7 @@ class DecodeOptions:
     ``salvage`` turns hostile-input failures into best-effort output:
     instead of raising on a corrupt scan, the decoder keeps every
     coefficient decoded before the failure, renders the image anyway
-    (undeocded blocks stay zero — mid-gray), and reports the damage in
+    (undecoded blocks stay zero — mid-gray), and reports the damage in
     :attr:`DecodedImage.error_map` / :attr:`DecodedImage.errors`.
 
     ``stage_hook``, when set, is called as ``hook(stage, t0, t1)`` with
@@ -127,7 +118,7 @@ def quant_tables_from_info(info: JpegImageInfo) -> list[np.ndarray]:
 
 
 class CoefficientController:
-    """Tier 1: entropy decode + dequantize + IDCT, over MCU-row spans."""
+    """Tier 1: entropy decoding of a baseline scan, in MCU-row steps."""
 
     def __init__(self, info: JpegImageInfo, options: DecodeOptions) -> None:
         if info.progressive:
@@ -137,8 +128,6 @@ class CoefficientController:
         self.info = info
         self.geometry = info.geometry
         self.options = options
-        self._idct = IDCT_METHODS[options.idct_method]
-        self._quants = quant_tables_from_info(info)
         self.entropy = create_entropy_decoder(
             options.entropy_engine,
             self.geometry,
@@ -151,71 +140,59 @@ class CoefficientController:
         """Entropy-decode *nrows* more MCU rows; return total rows done."""
         return self.entropy.decode_mcu_rows(nrows)
 
-    def idct_rows(self, mcu_row_start: int, mcu_row_stop: int) -> list[np.ndarray]:
-        """Dequantize + IDCT the span; returns per-component sample planes
-        (padded to the block grid within the span)."""
-        span = self.entropy.coefficients.rows_slice(mcu_row_start, mcu_row_stop)
-        planes = []
-        nrows = mcu_row_stop - mcu_row_start
-        for comp, coefs, quant in zip(
-            self.geometry.components, span.planes, self._quants
-        ):
-            deq = dequantize_blocks(coefs, quant)
-            spatial = self._idct(deq)
-            samples = samples_from_idct(spatial)
-            planes.append(
-                blocks_to_plane(
-                    samples, comp.blocks_wide, nrows * comp.v_factor
-                )
-            )
-        return planes
 
+def render_span(geometry: ImageGeometry, coefficients: CoefficientBuffers,
+                quants: list[np.ndarray], mcu_row_start: int,
+                mcu_row_stop: int, options: DecodeOptions,
+                adobe_transform: int | None = None) -> np.ndarray:
+    """Tier 2: the pixel stages over MCU rows ``[start, stop)``.
 
-class PostprocessingController:
-    """Tier 2: upsampling + color conversion over pixel-row spans.
-
-    Handles every supported component layout: 1 (grayscale), 3 (JFIF
-    YCbCr), 4 (Adobe YCCK when the APP14 transform flag is 2, inverted
-    CMYK otherwise).
+    Per component dequantize + IDCT into a sample plane; upsample chroma
+    to luma resolution; crop to the image; colour-convert.  Returns the
+    span's ``(pixel_rows, width, 3)`` uint8 RGB.  Handles every supported
+    component layout: 1 (grayscale), 3 (JFIF YCbCr), 4 (Adobe YCCK when
+    *adobe_transform* is 2, inverted CMYK otherwise).  The one pixel
+    path of the whole-image decode, the row-wise decode and the
+    executors' CPU partition; emits the "idct", "upsample" and "color"
+    stages on ``options.stage_hook``.
     """
-
-    def __init__(self, geometry: ImageGeometry, options: DecodeOptions,
-                 adobe_transform: int | None = None) -> None:
-        self.geometry = geometry
-        self.options = options
-        self.adobe_transform = adobe_transform
-
-    def process(self, planes: list[np.ndarray],
-                out_width: int, out_height: int) -> np.ndarray:
-        """Upsample chroma to luma resolution, convert, crop to size."""
-        hook = self.options.stage_hook
-        mode = self.geometry.mode
-        y = planes[0][:out_height, :out_width]
-        if len(planes) == 1:
-            t0 = perf_counter() if hook else 0.0
-            rgb = gray_to_rgb(y)
-            if hook:
-                hook("color", t0, perf_counter())
-            return rgb
+    hook = options.stage_hook
+    nrows = mcu_row_stop - mcu_row_start
+    span = coefficients.rows_slice(mcu_row_start, mcu_row_stop)
+    width = geometry.width
+    height = (min(mcu_row_stop * geometry.mcu_height, geometry.height)
+              - mcu_row_start * geometry.mcu_height)
+    t0 = perf_counter() if hook else 0.0
+    planes = [
+        blocks_to_plane(idct_samples(coefs, quant, options.idct_method),
+                        comp.blocks_wide, nrows * comp.v_factor)
+        for comp, coefs, quant in zip(geometry.components, span.planes, quants)
+    ]
+    if hook:
+        hook("idct", t0, perf_counter())
+    y = planes[0][:height, :width]
+    if len(planes) > 1:
         t0 = perf_counter() if hook else 0.0
-        cb = upsample_plane(planes[1], mode, self.options.fancy_upsampling)
-        cr = upsample_plane(planes[2], mode, self.options.fancy_upsampling)
-        cb = cb[:out_height, :out_width]
-        cr = cr[:out_height, :out_width]
+        cb, cr = (
+            upsample_plane(plane, geometry.mode,
+                           options.fancy_upsampling)[:height, :width]
+            for plane in planes[1:3])
         if hook:
             hook("upsample", t0, perf_counter())
-        t0 = perf_counter() if hook else 0.0
-        if len(planes) == 3:
-            rgb = ycbcr_to_rgb_float(y, cb, cr)
+    t0 = perf_counter() if hook else 0.0
+    if len(planes) == 1:
+        rgb = gray_to_rgb(y)
+    elif len(planes) == 3:
+        rgb = ycbcr_to_rgb_float(y, cb, cr)
+    else:
+        k = planes[3][:height, :width]
+        if adobe_transform == 2:
+            rgb = ycck_to_rgb(y, cb, cr, k)
         else:
-            k = planes[3][:out_height, :out_width]
-            if self.adobe_transform == 2:
-                rgb = ycck_to_rgb(y, cb, cr, k)
-            else:
-                rgb = cmyk_inverted_to_rgb(y, cb, cr, k)
-        if hook:
-            hook("color", t0, perf_counter())
-        return rgb
+            rgb = cmyk_inverted_to_rgb(y, cb, cr, k)
+    if hook:
+        hook("color", t0, perf_counter())
+    return rgb
 
 
 def pixels_from_coefficients(
@@ -231,24 +208,10 @@ def pixels_from_coefficients(
     planes some other way (e.g. the batched decode service after
     restart-segment-parallel entropy decoding).
     """
-    options = options or DecodeOptions()
-    hook = options.stage_hook
-    geo = info.geometry
-    idct = IDCT_METHODS[options.idct_method]
-    quants = quant_tables_from_info(info)
-    planes = []
-    t0 = perf_counter() if hook else 0.0
-    for comp, coefs, quant in zip(geo.components, coefficients.planes, quants):
-        deq = dequantize_blocks(coefs, quant)
-        samples = samples_from_idct(idct(deq))
-        planes.append(
-            blocks_to_plane(samples, comp.blocks_wide,
-                            geo.mcu_rows * comp.v_factor)
-        )
-    if hook:
-        hook("idct", t0, perf_counter())
-    post = PostprocessingController(geo, options, info.adobe_transform)
-    return post.process(planes, info.width, info.height)
+    return render_span(info.geometry, coefficients,
+                       quant_tables_from_info(info), 0,
+                       info.geometry.mcu_rows, options or DecodeOptions(),
+                       info.adobe_transform)
 
 
 def _decode_progressive(info: JpegImageInfo,
@@ -378,28 +341,35 @@ def decode_jpeg_rowwise(data: bytes, options: DecodeOptions | None = None,
 
     Produces output identical to :func:`decode_jpeg`; exists to model (and
     test) the row-granular path whose extra dependencies the paper's
-    Section 3 identifies as the obstacle to parallelism.
+    Section 3 identifies as the obstacle to parallelism.  Emits the same
+    five stages on ``stage_hook``, "entropy" and the pixel stages once
+    per step.
     """
     options = options or DecodeOptions()
+    hook = options.stage_hook
+    t0 = perf_counter() if hook else 0.0
     info = parse_jpeg(data)
+    if hook:
+        hook("parse", t0, perf_counter())
     if info.progressive:
         raise JpegUnsupportedError(
             "progressive JPEGs decode whole-image; use decode_jpeg")
     coef = CoefficientController(info, options)
-    post = PostprocessingController(coef.geometry, options,
-                                    info.adobe_transform)
     geo = coef.geometry
+    quants = quant_tables_from_info(info)
 
     rgb = np.empty((info.height, info.width, 3), dtype=np.uint8)
     done = 0
     while done < geo.mcu_rows:
         step = min(rows_per_step, geo.mcu_rows - done)
+        t0 = perf_counter() if hook else 0.0
         coef.decode_rows(step)
-        planes = coef.idct_rows(done, done + step)
-        y0, y1 = geo.mcu_row_to_pixel_rows(done)[0], \
-            geo.mcu_row_to_pixel_rows(done + step - 1)[1]
-        h_span = y1 - y0
-        rgb[y0:y1] = post.process(planes, info.width, h_span)
+        if hook:
+            hook("entropy", t0, perf_counter())
+        span = render_span(geo, coef.entropy.coefficients, quants,
+                           done, done + step, options, info.adobe_transform)
+        y0 = done * geo.mcu_height
+        rgb[y0:y0 + len(span)] = span
         done += step
     return DecodedImage(
         rgb=rgb,

@@ -109,7 +109,8 @@ class EntropyDecoder:
         self._mcus_done = 0
         self._next_rst = 0
         self._row_byte_offsets: list[int] = [0]
-        self.coefficients = CoefficientBuffers.empty(geometry)
+        #: Allocated by :meth:`start`, once per decode.
+        self.coefficients: CoefficientBuffers | None = None
         self._rows_done = 0
 
     # -- lifecycle ------------------------------------------------------

@@ -412,7 +412,9 @@ class FastEntropyDecoder:
         self._next_rst = 0
         self._rows_done = 0
         self._row_byte_offsets: list[int] = [0]
-        self.coefficients = CoefficientBuffers.empty(geometry)
+        #: Allocated by :meth:`start` / :meth:`start_prescanned`, once
+        #: per decode.
+        self.coefficients: CoefficientBuffers | None = None
         self._flat_planes: list[np.ndarray] = []
 
     # -- lifecycle ------------------------------------------------------

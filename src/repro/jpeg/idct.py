@@ -1,26 +1,31 @@
 """Inverse DCT implementations (paper Section 4.1).
 
-Three interchangeable implementations, mirroring libjpeg's pluggable
-IDCT methods:
+Three interchangeable transforms, mirroring libjpeg's pluggable IDCT
+methods (:data:`IDCT_METHODS`):
 
 ``idct_2d_reference``
     Direct evaluation of the paper's Eq. (1) column pass and Eq. (2) row
     pass — the correctness oracle.
 
 ``idct_2d_blocks``
-    Vectorized separable transform (``C.T @ X @ C``) over block batches —
-    the production CPU path ("SIMD mode" analog).
+    Vectorized separable transform (``C.T @ X @ C``) over block batches
+    (the ``"matrix"`` method).
 
 ``idct_2d_aan``
     The AAN fast scaled IDCT (Arai/Agui/Nakajima, reference [26] in the
     paper) exactly as structured in libjpeg's ``jidctflt.c``: dequantized
     coefficients are pre-scaled by the AAN factors, then a 5-multiply
-    1D pass runs over columns and rows.  Vectorized over the batch
-    dimension, so the flowgraph code below operates on whole arrays.
+    1D pass runs over columns and rows.
 
-All functions accept (n, 8, 8) coefficient batches and return float64
-sample batches *without* level shift or clamping; see
-:func:`samples_from_idct` for the final stage.
+The transforms accept (n, 8, 8) coefficient batches and return float64
+sample batches *without* level shift or clamping.  The decode path does
+not call them block-batch-wide: :func:`idct_samples` runs dequantize ->
+IDCT -> level shift -> clamp over tiles of :data:`TILE_BLOCKS` blocks, so
+a tile's float64 intermediates stay cache-resident — the paper's kernels
+stage work through local memory for the same reason.  Tiling changes the
+traversal only: every element sees the same float64 operations in the
+same order as the whole-batch formulation, so every output byte is the
+same.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import numpy as np
 
 from .constants import BLOCK_SIZE, LEVEL_SHIFT, MAX_SAMPLE
 from .dct import dct_matrix
+from .idct_int import idct_2d_islow
+from .quantization import dequantize_blocks
 
 _C = dct_matrix()
 
@@ -87,49 +94,62 @@ _C2MC6 = 1.082392200     # 2 * (cos(pi/8) - cos(3pi/8))
 _NC2PC6 = -2.613125930   # -2 * (cos(pi/8) + cos(3pi/8))
 
 
-def _aan_pass(data: np.ndarray) -> np.ndarray:
-    """One AAN 1D IDCT pass along axis -2 of an (n, 8, 8) batch.
+def _aan_pass(src: np.ndarray, dst: np.ndarray, work: np.ndarray) -> None:
+    """One AAN 1D IDCT pass along axis 0 of a blocks-last (8, 8, n) slab.
 
-    Operating along axis -2 means this is the *column pass*; callers
-    transpose around it for the row pass.  Pure ndarray arithmetic so a
-    single call handles every column of every block at once.
+    ``src[i]`` is the contiguous (8, n) slab holding input *i* of every
+    column (or row) of every block, so each ufunc below is one long
+    unit-stride loop.  Results go to ``dst[0..7]``; *work* is a
+    (9, 8, n) scratch whose slabs stand in for the flowgraph's
+    temporaries (each name below is bound to the slab that holds it).
+    The arithmetic is jidctflt.c's, one float64 operation per ufunc call
+    in flowgraph order — ``out=`` only decides where a result lands.
     """
-    in0, in1, in2, in3, in4, in5, in6, in7 = (data[..., i, :] for i in range(8))
+    in0, in1, in2, in3, in4, in5, in6, in7 = src
+    add, sub, mul = np.add, np.subtract, np.multiply
+    a, b, c, d, e, f, g, h, i = work
 
     # even part (phases 3, 5-3, 2)
-    tmp10 = in0 + in4
-    tmp11 = in0 - in4
-    tmp13 = in2 + in6
-    tmp12 = (in2 - in6) * _SQRT2 - tmp13
-    e0 = tmp10 + tmp13
-    e3 = tmp10 - tmp13
-    e1 = tmp11 + tmp12
-    e2 = tmp11 - tmp12
+    tmp10 = add(in0, in4, out=a)
+    tmp11 = sub(in0, in4, out=b)
+    tmp13 = add(in2, in6, out=c)
+    tmp12 = sub(mul(sub(in2, in6, out=d), _SQRT2, out=d), tmp13, out=d)
+    e0 = add(tmp10, tmp13, out=e)
+    e3 = sub(tmp10, tmp13, out=a)
+    e1 = add(tmp11, tmp12, out=c)
+    e2 = sub(tmp11, tmp12, out=b)
 
     # odd part (phases 6, 5, 2)
-    z13 = in5 + in3
-    z10 = in5 - in3
-    z11 = in1 + in7
-    z12 = in1 - in7
-    o7 = z11 + z13
-    t11 = (z11 - z13) * _SQRT2
-    z5 = (z10 + z12) * _C2X2
-    t10 = _C2MC6 * z12 - z5
-    t12 = _NC2PC6 * z10 + z5
-    o6 = t12 - o7
-    o5 = t11 - o6
-    o4 = t10 + o5
+    z13 = add(in5, in3, out=d)
+    z10 = sub(in5, in3, out=f)
+    z11 = add(in1, in7, out=g)
+    z12 = sub(in1, in7, out=h)
+    o7 = add(z11, z13, out=i)
+    t11 = mul(sub(z11, z13, out=g), _SQRT2, out=g)
+    z5 = mul(add(z10, z12, out=d), _C2X2, out=d)
+    t10 = sub(mul(_C2MC6, z12, out=h), z5, out=h)
+    t12 = add(mul(_NC2PC6, z10, out=f), z5, out=f)
+    o6 = sub(t12, o7, out=f)
+    o5 = sub(t11, o6, out=g)
+    o4 = add(t10, o5, out=h)
 
-    out = np.empty_like(data)
-    out[..., 0, :] = e0 + o7
-    out[..., 7, :] = e0 - o7
-    out[..., 1, :] = e1 + o6
-    out[..., 6, :] = e1 - o6
-    out[..., 2, :] = e2 + o5
-    out[..., 5, :] = e2 - o5
-    out[..., 4, :] = e3 + o4
-    out[..., 3, :] = e3 - o4
-    return out
+    add(e0, o7, out=dst[0])
+    sub(e0, o7, out=dst[7])
+    add(e1, o6, out=dst[1])
+    sub(e1, o6, out=dst[6])
+    add(e2, o5, out=dst[2])
+    sub(e2, o5, out=dst[5])
+    add(e3, o4, out=dst[4])
+    sub(e3, o4, out=dst[3])
+
+
+def _aan_2d(cols: np.ndarray, rows: np.ndarray, work: np.ndarray) -> None:
+    """Column pass, transpose, row pass over pre-scaled blocks-last
+    coefficients *cols* ``(u, v, n)``; leaves the spatial block in *rows*
+    as ``(y, x, n)`` and clobbers *cols*."""
+    _aan_pass(cols, rows, work)                    # column pass, Eq. (1)
+    np.copyto(cols, rows.transpose(1, 0, 2))
+    _aan_pass(cols, rows, work)                    # row pass, Eq. (2)
 
 
 def idct_2d_aan(blocks: np.ndarray) -> np.ndarray:
@@ -141,13 +161,98 @@ def idct_2d_aan(blocks: np.ndarray) -> np.ndarray:
     :func:`idct_2d_blocks` to float precision.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
-    scaled = blocks * _AAN_SCALE  # broadcast over the batch axis
-    cols = _aan_pass(scaled)                       # column pass, Eq. (1)
-    rows = _aan_pass(cols.swapaxes(-1, -2)).swapaxes(-1, -2)  # row pass, Eq. (2)
-    return rows
+    scaled = (blocks * _AAN_SCALE).reshape(-1, BLOCK_SIZE, BLOCK_SIZE)
+    cols = np.ascontiguousarray(scaled.transpose(1, 2, 0))
+    rows = np.empty_like(cols)
+    _aan_2d(cols, rows, np.empty((9,) + cols.shape[1:]))
+    return rows.transpose(2, 1, 0).reshape(blocks.shape)
 
 
 def samples_from_idct(spatial: np.ndarray) -> np.ndarray:
     """Level-shift and clamp IDCT output to uint8 samples."""
     out = np.rint(spatial + LEVEL_SHIFT)
     return np.clip(out, 0, MAX_SAMPLE).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# The decode path's entry point: tiled dequantize + IDCT + level shift.
+# ---------------------------------------------------------------------------
+
+#: Pluggable IDCT methods, mirroring libjpeg's jpeg_idct_* selection
+#: ("aan" = jidctflt, "islow" = jidctint, "matrix" = orthonormal oracle).
+IDCT_METHODS = {
+    "aan": idct_2d_aan,
+    "matrix": idct_2d_blocks,
+    "islow": idct_2d_islow,
+}
+
+#: Byte budget of one float64 (8, 8, tile) scratch slab.  With the two
+#: slabs the passes ping-pong between, the pass temporaries and the
+#: tile's own coefficients the working set is about 1 MB, the size of a
+#: per-core L2.  Measured at 1280x960: tiles of 128 and of 4096 blocks
+#: are both slower than 512.
+TILE_BYTES = 256 << 10
+TILE_BLOCKS = TILE_BYTES // (BLOCK_SIZE * BLOCK_SIZE * 8)
+
+
+def _aan_scratch(m: int) -> tuple[np.ndarray, ...]:
+    """Blocks-last scratch of :func:`_aan_tile` for tiles of *m* blocks:
+    the int32 dequantized tile, the two float64 slabs the passes
+    ping-pong between, and the temporaries of :func:`_aan_pass`."""
+    return (np.empty((BLOCK_SIZE, BLOCK_SIZE, m), dtype=np.int32),
+            np.empty((BLOCK_SIZE, BLOCK_SIZE, m)),
+            np.empty((BLOCK_SIZE, BLOCK_SIZE, m)),
+            np.empty((9, BLOCK_SIZE, m)))
+
+
+def _aan_tile(coefs: np.ndarray, quant: np.ndarray, out: np.ndarray,
+              scratch: tuple[np.ndarray, ...]) -> None:
+    """Fused ``samples_from_idct(idct_2d_aan(dequantize_blocks(...)))``
+    for one tile of blocks, stored into uint8 *out*.
+
+    Runs blocks-last in *scratch* so nothing tile-sized is allocated:
+    int32 dequant -> AAN scale -> column pass -> transpose -> row pass
+    -> +128 -> rint -> clip, then one transposing store.
+    """
+    deq, cols, rows, work = scratch
+    np.multiply(coefs.transpose(1, 2, 0), quant[:, :, None], out=deq)
+    np.multiply(deq, _AAN_SCALE[:, :, None], out=cols)
+    _aan_2d(cols, rows, work)
+    np.add(rows, LEVEL_SHIFT, out=rows)
+    np.rint(rows, out=rows)
+    np.clip(rows, 0, MAX_SAMPLE, out=rows)
+    out[...] = rows.transpose(2, 1, 0)
+
+
+def idct_samples(coefs: np.ndarray, quant: np.ndarray,
+                 method: str = "aan") -> np.ndarray:
+    """Dequantize + IDCT + level shift + clamp: quantized (n, 8, 8)
+    coefficients in, (n, 8, 8) uint8 samples out.
+
+    Equal, byte for byte, to ``samples_from_idct(IDCT_METHODS[method](
+    dequantize_blocks(coefs, quant)))`` but evaluated over tiles of
+    :data:`TILE_BLOCKS` blocks.  The default AAN method runs the fused
+    blocks-last kernel :func:`_aan_tile`; the other methods run their
+    own transform per tile.  The scratch belongs to this call (one
+    allocation, reused by every full tile), so concurrent calls — the
+    ``thread`` backend — share nothing.
+    """
+    transform = IDCT_METHODS[method]
+    coefs = np.asarray(coefs)
+    n = coefs.shape[0]
+    out = np.empty((n, BLOCK_SIZE, BLOCK_SIZE), dtype=np.uint8)
+    fused = transform is idct_2d_aan
+    if fused:
+        quant = quant.astype(np.int32)
+    scratch_blocks = 0
+    for start in range(0, n, TILE_BLOCKS):
+        tile = slice(start, start + TILE_BLOCKS)
+        if not fused:
+            out[tile] = samples_from_idct(
+                transform(dequantize_blocks(coefs[tile], quant)))
+            continue
+        m = min(TILE_BLOCKS, n - start)
+        if m != scratch_blocks:        # first tile, and a shorter last one
+            scratch, scratch_blocks = _aan_scratch(m), m
+        _aan_tile(coefs[tile], quant, out[tile], scratch)
+    return out

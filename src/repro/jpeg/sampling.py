@@ -4,7 +4,8 @@ The encoder downsamples chrominance; the decoder restores it.  The
 decoder's "fancy" (triangular-filter) horizontal upsampler is exactly
 Algorithm 1 of the paper: each input pixel expands to two outputs that
 weight the pixel 3:1 against its left/right neighbour, with the two edge
-pixels copied.  All paths are vectorized over whole planes.
+pixels copied.  All paths are vectorized; the fancy upsamplers walk the
+plane in row bands (integer arithmetic, so banding cannot change a bit).
 """
 
 from __future__ import annotations
@@ -83,6 +84,20 @@ def downsample_h1v2(plane: np.ndarray) -> np.ndarray:
     return ((pairs[:, 0] + pairs[:, 1] + 1) // 2).astype(plane.dtype)
 
 
+#: Byte budget of the uint32 rows one band of a fancy upsampler works on:
+#: band-sized temporaries are reused hot from the allocator, where
+#: plane-sized ones were first touches of fresh pages on every call.
+BAND_BYTES = 512 << 10
+
+
+def _row_bands(rows: int, width: int):
+    """Yield ``(start, stop)`` row bands of at most :data:`BAND_BYTES`
+    of *width* uint32 samples each (at least one row)."""
+    step = max(1, BAND_BYTES // max(1, 4 * width))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
 def upsample_h2v1_fancy(plane: np.ndarray) -> np.ndarray:
     """Fancy 2x horizontal upsampling — Algorithm 1 vectorized.
 
@@ -97,15 +112,17 @@ def upsample_h2v1_fancy(plane: np.ndarray) -> np.ndarray:
     """
     plane = np.asarray(plane)
     h, w = plane.shape
-    src = plane.astype(np.uint32)
-    out = np.empty((h, 2 * w), dtype=np.uint32)
-    # even outputs: weight 3:1 with the left neighbour
-    out[:, 2::2] = (3 * src[:, 1:] + src[:, :-1] + 1) >> 2
-    # odd outputs: weight 3:1 with the right neighbour
-    out[:, 1:-1:2] = (3 * src[:, :-1] + src[:, 1:] + 2) >> 2
-    out[:, 0] = src[:, 0]
-    out[:, -1] = src[:, -1]
-    return out.astype(plane.dtype)
+    out = np.empty((h, 2 * w), dtype=plane.dtype)
+    for r0, r1 in _row_bands(h, 2 * w):
+        src = plane[r0:r1].astype(np.uint32)
+        band = out[r0:r1]
+        # even outputs: weight 3:1 with the left neighbour
+        band[:, 2::2] = (3 * src[:, 1:] + src[:, :-1] + 1) >> 2
+        # odd outputs: weight 3:1 with the right neighbour
+        band[:, 1:-1:2] = (3 * src[:, :-1] + src[:, 1:] + 2) >> 2
+        band[:, 0] = src[:, 0]
+        band[:, -1] = src[:, -1]
+    return out
 
 
 def upsample_h2v1_simple(plane: np.ndarray) -> np.ndarray:
@@ -121,21 +138,24 @@ def upsample_h2v2_fancy(plane: np.ndarray) -> np.ndarray:
     rounding matched to jdsample.c (vertical adds happen at 16x scale).
     """
     plane = np.asarray(plane)
-    src = plane.astype(np.uint32)
-    h, w = src.shape
-    # vertical pass at 4x precision: rows weight 3:1 with up/down neighbour
-    vert = np.empty((2 * h, w), dtype=np.uint32)
-    vert[2::2] = 3 * src[1:] + src[:-1]
-    vert[1:-1:2] = 3 * src[:-1] + src[1:]
-    vert[0] = 4 * src[0]
-    vert[-1] = 4 * src[-1]
-    # horizontal pass consumes the 4x-scaled rows, total scale 16
-    out = np.empty((2 * h, 2 * w), dtype=np.uint32)
-    out[:, 2::2] = (3 * vert[:, 1:] + vert[:, :-1] + 8) >> 4
-    out[:, 1:-1:2] = (3 * vert[:, :-1] + vert[:, 1:] + 7) >> 4
-    out[:, 0] = (vert[:, 0] + 2) >> 2
-    out[:, -1] = (vert[:, -1] + 2) >> 2
-    return out.astype(plane.dtype)
+    h, w = plane.shape
+    out = np.empty((2 * h, 2 * w), dtype=plane.dtype)
+    for r0, r1 in _row_bands(h, 4 * w):
+        # the band plus its one-row halo; past the plane's edge the halo
+        # repeats the edge row, and 3 s + s is the edge rule's 4 s
+        halo = np.arange(r0 - 1, r1 + 1).clip(0, h - 1)
+        src = plane[halo].astype(np.uint32)
+        # vertical pass at 4x precision: rows weight 3:1 with up/down neighbour
+        vert = np.empty((2 * (r1 - r0), w), dtype=np.uint32)
+        vert[0::2] = 3 * src[1:-1] + src[:-2]
+        vert[1::2] = 3 * src[1:-1] + src[2:]
+        # horizontal pass consumes the 4x-scaled rows, total scale 16
+        band = out[2 * r0:2 * r1]
+        band[:, 2::2] = (3 * vert[:, 1:] + vert[:, :-1] + 8) >> 4
+        band[:, 1:-1:2] = (3 * vert[:, :-1] + vert[:, 1:] + 7) >> 4
+        band[:, 0] = (vert[:, 0] + 2) >> 2
+        band[:, -1] = (vert[:, -1] + 2) >> 2
+    return out
 
 
 def upsample_h4v1_fancy(plane: np.ndarray) -> np.ndarray:

@@ -21,8 +21,7 @@ from ..errors import KernelError
 from ..gpusim.kernel import KernelLaunch, SimKernel
 from ..gpusim.memory import MemoryTraffic
 from ..gpusim.ndrange import NDRange
-from ..jpeg.idct import idct_2d_aan, samples_from_idct
-from ..jpeg.quantization import dequantize_blocks
+from ..jpeg.idct import idct_samples
 
 #: Work-items assigned per 8x8 block (one per column).
 ITEMS_PER_BLOCK = 8
@@ -88,5 +87,4 @@ class IdctKernel(SimKernel):
 
     def execute(self, *, coeffs: np.ndarray, quant: np.ndarray) -> np.ndarray:
         """Dequantize + AAN IDCT + level shift; returns (n, 8, 8) uint8."""
-        deq = dequantize_blocks(coeffs, quant)
-        return samples_from_idct(idct_2d_aan(deq))
+        return idct_samples(coeffs, quant)

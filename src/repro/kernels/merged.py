@@ -30,8 +30,7 @@ from ..gpusim.kernel import KernelLaunch, SimKernel
 from ..gpusim.memory import MemoryTraffic
 from ..gpusim.ndrange import NDRange
 from ..jpeg.color import ycbcr_to_rgb_float
-from ..jpeg.idct import idct_2d_aan, samples_from_idct
-from ..jpeg.quantization import dequantize_blocks
+from ..jpeg.idct import idct_samples
 from ..jpeg.sampling import upsample_h2v1_fancy
 from . import color_kernel, idct_kernel, upsample_kernel
 
@@ -82,10 +81,9 @@ class MergedIdctColorKernel(SimKernel):
     def execute(self, *, y_coeffs: np.ndarray, cb_coeffs: np.ndarray,
                 cr_coeffs: np.ndarray, quants: list[np.ndarray]) -> np.ndarray:
         """Returns per-block RGB samples, (n, 8, 8, 3) uint8."""
-        outs = []
-        for coeffs, quant in zip((y_coeffs, cb_coeffs, cr_coeffs), quants):
-            outs.append(samples_from_idct(idct_2d_aan(dequantize_blocks(coeffs, quant))))
-        return ycbcr_to_rgb_float(outs[0], outs[1], outs[2])
+        return ycbcr_to_rgb_float(*(
+            idct_samples(coeffs, quant)
+            for coeffs, quant in zip((y_coeffs, cb_coeffs, cr_coeffs), quants)))
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from repro.core import (
     clear_model_cache,
 )
 from repro.data import synthetic_photo
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import (DecodeOptions, EncoderSettings, decode_jpeg,
+                        decode_jpeg_rowwise, encode_jpeg)
 from repro.evaluation import platforms
 
 
@@ -86,3 +89,54 @@ class TestRepr:
         assert len(rows) == 3
         assert rows[2]["GPU model"] == "NVIDIA GTX 680"
         assert rows[0]["No. of GPU cores"] == "96"
+
+
+STAGES = {"parse", "entropy", "idct", "upsample", "color"}
+
+
+class TestStageSpans:
+    """``stage_hook`` must account for a whole decode on both the
+    whole-image and the row-wise path: the same five stages, in order,
+    nothing overlapping, and together (nearly) the call's wall time."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        rgb = synthetic_photo(256, 384, seed=5)
+        return encode_jpeg(rgb, EncoderSettings(subsampling="4:2:2"))
+
+    @staticmethod
+    def traced(decode, data):
+        spans = []
+        t0 = perf_counter()
+        out = decode(data, DecodeOptions(
+            stage_hook=lambda stage, a, b: spans.append((stage, a, b))))
+        return out.rgb, spans, t0, perf_counter()
+
+    @pytest.mark.parametrize("decode", [
+        decode_jpeg,
+        lambda data, options: decode_jpeg_rowwise(data, options,
+                                                  rows_per_step=4),
+    ], ids=["whole", "rowwise"])
+    def test_five_stages_close(self, frame, decode):
+        closures = []
+        # best of three: a host hiccup between two spans is not a gap
+        for _ in range(3):
+            rgb, spans, t0, t1 = self.traced(decode, frame)
+            assert {stage for stage, _, _ in spans} == STAGES
+            assert spans[0][0] == "parse"
+            bounds = [t for _, a, b in spans for t in (a, b)]
+            assert bounds == sorted(bounds) and t0 <= bounds[0]
+            assert bounds[-1] <= t1
+            closures.append(sum(b - a for _, a, b in spans) / (t1 - t0))
+        assert 0.95 <= max(closures) <= 1.0
+        assert np.array_equal(rgb, decode_jpeg(frame).rgb)
+
+    def test_rowwise_emits_per_step(self, frame):
+        _, spans, _, _ = self.traced(
+            lambda data, options: decode_jpeg_rowwise(data, options,
+                                                      rows_per_step=4), frame)
+        steps = 256 // 8 // 4
+        stages = [stage for stage, _, _ in spans]
+        assert stages.count("parse") == 1
+        for stage in STAGES - {"parse"}:
+            assert stages.count(stage) == steps

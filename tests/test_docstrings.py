@@ -1,8 +1,8 @@
 """Docstring (D1) lint over the scoped modules, run as a tier-1 test.
 
-The scope is the ISSUE-2 satellite contract, widened by ISSUEs 3-5:
-``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``,
-every module of ``repro.service`` (the scheduler, the serving front
+The scope is the ISSUE-2 satellite contract, widened by ISSUEs 3-5 and
+14: ``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
+pixel kernels ``repro.jpeg.idct``/``repro.jpeg.color``, every module of ``repro.service`` (the scheduler, the serving front
 ends ``session``/``aio``/``http``, and the ISSUE-5 lane-pool
 ``executors``/shared-memory ``transport`` modules included), and the
 partitioning core ``repro.core.partition``/``repro.core.perfmodel``
@@ -51,6 +51,14 @@ def test_scope_includes_fault_injection():
     assert "faults.py" in names
 
 
+def test_scope_includes_pixel_kernels():
+    """The ISSUE-14 widening: the tiled IDCT and strip-wise colour
+    modules must stay fully documented."""
+    files = check_docstrings.collect(list(check_docstrings.DEFAULT_TARGETS))
+    names = {f.name for f in files if f.parent.name == "jpeg"}
+    assert {"idct.py", "color.py"} <= names
+
+
 def test_checker_flags_missing_docstrings(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
@@ -82,10 +90,18 @@ import check_function_length  # noqa: E402
 
 DISPATCH_CORE = [str(REPO_ROOT / "src" / "repro" / "service" / name)
                  for name in ("batch.py", "tasks.py")]
+#: ISSUE 14: the tile loop, the strip loop and the shared pixel helper.
+PIXEL_KERNELS = [str(REPO_ROOT / "src" / "repro" / "jpeg" / name)
+                 for name in ("idct.py", "color.py", "decoder.py")]
 
 
 def test_dispatch_core_functions_stay_under_80_lines(capsys):
     assert check_function_length.main(DISPATCH_CORE + ["--max", "80"]) == 0, \
+        capsys.readouterr().out
+
+
+def test_pixel_kernel_functions_stay_under_80_lines(capsys):
+    assert check_function_length.main(PIXEL_KERNELS + ["--max", "80"]) == 0, \
         capsys.readouterr().out
 
 

@@ -286,3 +286,23 @@ class TestPrescan:
         entry = tab.fused[0]     # prefix 00000000 -> symbol 0x01, bit 0
         assert entry >> 16 == 3  # 2 code bits + 1 magnitude bit
         assert (entry & 0xFFF) - 2048 == -1  # EXTEND(0, 1) == -1
+
+
+class TestCoefficientAllocation:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_buffers_allocated_by_start_only(self, engine):
+        """The constructor used to build a zeroed whole-image buffer that
+        ``start()`` immediately replaced; one allocation per decode, and
+        a restarted decoder never hands out a previous decode's planes."""
+        geo = ImageGeometry(48, 32, "4:2:0")
+        tables = std_tables()
+        data = EntropyEncoder(geo, tables).encode(random_coefficients(geo, 1))
+        dec = create_entropy_decoder(engine, geo, tables)
+        assert dec.coefficients is None
+        with pytest.raises(EntropyError):
+            dec.decode_mcu_rows(1)
+        first = dec.decode_all(data)
+        second = dec.decode_all(data)
+        assert first is not second
+        for a, b in zip(first.planes, second.planes):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)

@@ -18,7 +18,8 @@ Usage::
     python tools/check_docstrings.py [FILE_OR_DIR ...]
 
 With no arguments, checks the modules this repo scopes the rule to:
-``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, every
+``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
+ISSUE-14 pixel kernels ``repro.jpeg.idct`` and ``repro.jpeg.color``, every
 module of ``repro.service`` — which as of ISSUE 4 includes the serving
 front ends ``service/session.py``, ``service/aio.py`` and
 ``service/http.py``, and as of ISSUE 5 the lane-bound executor pools
@@ -44,6 +45,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TARGETS = (
     REPO_ROOT / "src" / "repro" / "jpeg" / "fast_entropy.py",
     REPO_ROOT / "src" / "repro" / "jpeg" / "parallel_huffman.py",
+    REPO_ROOT / "src" / "repro" / "jpeg" / "idct.py",
+    REPO_ROOT / "src" / "repro" / "jpeg" / "color.py",
     REPO_ROOT / "src" / "repro" / "service",
     REPO_ROOT / "src" / "repro" / "core" / "partition.py",
     REPO_ROOT / "src" / "repro" / "core" / "perfmodel.py",

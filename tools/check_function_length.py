@@ -15,7 +15,10 @@ Usage::
 
 CI runs it over ``src/repro/service/batch.py`` and
 ``src/repro/service/tasks.py`` so the dispatch core's one big loop
-(ISSUE 13 collapsed a 490-line ``decode_batch``) cannot grow back.
+(ISSUE 13 collapsed a 490-line ``decode_batch``) cannot grow back, and
+over ``src/repro/jpeg/idct.py``, ``color.py`` and ``decoder.py`` so the
+tile loop, the strip loop and the shared pixel helper (ISSUE 14) cannot
+grow into one.
 Exit status 1 when any function is over the limit.
 """
 
