@@ -79,6 +79,15 @@ class CoefficientBuffers:
         return CoefficientBuffers(geometry=sub_geo, planes=planes)
 
 
+def dc_range_error(pred: int) -> EntropyError:
+    """The error both entropy engines raise when a DC predictor leaves
+    the int16 coefficient range (hostile DC differences: a valid 8-bit
+    stream keeps it within +-2047).  The text is the one numpy's int16
+    store used to leak as a bare ``OverflowError``, so only the type
+    changed for anyone matching on it."""
+    return EntropyError(f"Python integer {pred} out of bounds for int16")
+
+
 class EntropyDecoder:
     """Sequential Huffman decoding of one baseline scan.
 
@@ -149,8 +158,10 @@ class EntropyDecoder:
         if dc_sym > 11:
             raise EntropyError(f"DC category {dc_sym} out of range")
         diff = extend(reader.read_bits(dc_sym), dc_sym) if dc_sym else 0
-        self._preds[ci] += diff
-        out[0] = self._preds[ci]
+        pred = self._preds[ci] = self._preds[ci] + diff
+        if not -32768 <= pred <= 32767:
+            raise dc_range_error(pred)
+        out[0] = pred
 
         ac = self._ac_decoders[ci]
         zz = ZIGZAG_ORDER

@@ -14,29 +14,39 @@ standard libjpeg/GPU-decoder remedy in pure Python:
 2. **Word-buffered bit reader**: a Python-int accumulator refilled up
    to eight bytes at a time (``jdhuff`` style) replaces per-byte
    ``_fill`` traffic; the hot loop touches the buffer once per symbol.
-3. **Fused decode tables** (:class:`FusedDecodeTables`): the 8-bit
-   first-level lookup is extended so that one probe yields
-   ``(total_bits_consumed, run, EXTENDed value)`` — symbol decode,
-   magnitude read and EXTEND collapsed into a single table hit.  Codes
-   longer than 8 bits fall back to the MINCODE/MAXCODE walk over the
+3. **Fused decode tables** (:class:`FusedDecodeTables`): a
+   ``FUSED_BITS``-wide probe yields a ready-to-use tuple
+   ``(bits, k_advance, value)`` — symbol decode, magnitude read and
+   EXTEND collapsed into a single table hit, with the run (or EOB / ZRL)
+   already expressed as the zig-zag advance it causes.  CPython charges
+   per bytecode, so one ``UNPACK_SEQUENCE`` beats the five
+   shift/mask/subtract operations a packed integer costs.  Codes the
+   probe cannot resolve fall back to the ``LOOKUP_BITS`` first-level
+   ``lookup`` and then to the MINCODE/MAXCODE walk over the
    already-buffered bits.
 4. **Flattened hot loop**: :meth:`FastEntropyDecoder.decode_mcu_rows`
-   binds every table to a local and fills the coefficient planes without
-   per-block method dispatch.
+   binds every table to a local, walks a per-MCU block plan computed
+   once per decode, and stores coefficients through a typed
+   ``memoryview`` of each int16 plane (half the cost of a numpy scalar
+   ``__setitem__``; figures in ``docs/architecture.md``).  Restart
+   handling, the end-of-segment careful symbols and the long-code walk
+   are module-level helpers called only on their rare paths.
 
 :class:`FastEntropyDecoder` is bit-exact with
 :class:`~repro.jpeg.entropy.EntropyDecoder` (the retained ``reference``
 oracle): identical coefficient planes on valid streams, and identical
 exception types *and messages* on adversarial ones (truncated payloads,
-bad restart sequences, undecodable codes) — property-tested in
-``tests/test_entropy_engine.py``.  Select an engine by name through
-:func:`create_entropy_decoder` (the ``entropy_engine=`` knob on
-:class:`~repro.jpeg.decoder.DecodeOptions`,
+bad restart sequences, undecodable codes, a DC predictor leaving int16)
+— property-tested in ``tests/test_entropy_engine.py``.  Select an engine
+by name through :func:`create_entropy_decoder` (the ``entropy_engine=``
+knob on :class:`~repro.jpeg.decoder.DecodeOptions`,
 :class:`~repro.core.decoder.HeterogeneousDecoder` and the CLI).
 """
 
 from __future__ import annotations
 
+import struct
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -44,8 +54,13 @@ import numpy as np
 
 from ..errors import BitstreamError, EntropyError, HuffmanError
 from .blocks import ImageGeometry
-from .constants import ZIGZAG_ORDER
-from .entropy import CoefficientBuffers, ComponentTables, EntropyDecoder
+from .constants import EOB_SYMBOL, ZIGZAG_ORDER, ZRL_SYMBOL
+from .entropy import (
+    CoefficientBuffers,
+    ComponentTables,
+    EntropyDecoder,
+    dc_range_error,
+)
 from .huffman import (
     LOOKUP_BITS,
     MAX_CODE_LENGTH,
@@ -57,19 +72,44 @@ from .huffman import (
 #: Sentinel for a scan that ends in a lone 0xFF (truncated stuffing pair).
 TRUNCATED_FF = -1
 
-#: Zig-zag order as a plain tuple — tuple indexing is the fastest
-#: per-coefficient lookup available to the hot loop.
-_ZIGZAG = tuple(int(i) for i in ZIGZAG_ORDER)
+#: Zig-zag order shifted by one: ``_ZIGZAG_AFTER[k]`` is the natural
+#: index of zig-zag position ``k - 1``.  A fused entry advances ``k``
+#: *past* the coefficient it carries, so the store looks its index up
+#: after the advance and the loop needs no separate ``k += 1``.  (Tuple
+#: indexing is the fastest per-coefficient lookup CPython offers.)
+_ZIGZAG_AFTER = (0,) + tuple(int(i) for i in ZIGZAG_ORDER)
 
 #: Width of the fused single-probe window.  Wider than the 8-bit
 #: first-level ``lookup`` so that code + magnitude pairs up to 10 bits
-#: resolve in one table hit.
+#: resolve in one table hit.  (12-, 14- and 16-bit windows were measured
+#: and gain nothing on any corpus image: the 10-bit probe already
+#: resolves ~98 % of the symbols of the densest ones.)
 FUSED_BITS = 10
+_FUSED_MASK = (1 << FUSED_BITS) - 1
+
+#: ``k_advance`` of a fused EOB entry: from any ``k`` it lands past the
+#: last coefficient, which is what ends the block loop.
+EOB_ADVANCE = 64
+#: ``k_advance`` of a fused ZRL entry (sixteen zeros, nothing stored).
+ZRL_ADVANCE = 16
+#: The only AC symbols of size 0 the reference decoder accepts.
+_SIZE0_ADVANCE = {EOB_SYMBOL: EOB_ADVANCE, ZRL_SYMBOL: ZRL_ADVANCE}
 
 #: The hot loop tops up the accumulator whenever fewer than this many
 #: bits are buffered; 32 covers the worst fast-path consumption of one
 #: symbol (16-bit code + 15-bit AC magnitude = 31 bits).
 _REFILL_THRESHOLD = 32
+
+#: ``_LOW_MASKS[n] == (1 << n) - 1`` for every width the hot loop masks
+#: to: stale accumulator bits below the refill threshold, and magnitude
+#: fields (also EXTEND's offset: ``extend(m, s) == m - _LOW_MASKS[s]``
+#: for the negative half).
+_LOW_MASKS = tuple((1 << n) - 1 for n in range(_REFILL_THRESHOLD))
+
+#: Bulk refill: eight payload bytes as one big-endian integer.
+_READ8 = struct.Struct(">Q").unpack_from
+
+_AC_OVERRUN = "AC coefficient index overran the block"
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +214,27 @@ def destuff_scan(data: bytes | bytearray | memoryview | np.ndarray) -> ScanPresc
 class FusedDecodeTables:
     """Per-(spec, role) decode tables for the fast path.
 
-    ``fused[p]`` for a ``FUSED_BITS``-wide prefix *p* packs the complete
-    outcome of decoding one symbol whose code *and* magnitude bits both
-    fit in the prefix: ``(total_bits << 16) | (run << 12) | (value + 2048)``.
-    A zero entry means "not fully resolvable in one probe" and falls back
-    to ``lookup`` (code resolved, magnitude read separately) and then to
-    the MINCODE/MAXCODE walk for codes longer than 8 bits.
+    ``fused[p]`` for a ``FUSED_BITS``-wide prefix *p* is the complete,
+    ready-to-use outcome of decoding one symbol whose code *and*
+    magnitude bits both fit in the prefix — a tuple
+    ``(bits, k_advance, value)``:
 
-    For the DC role ``run`` is 0 and ``value`` is the EXTENDed
-    difference; for the AC role ``value == 0`` can only mean EOB
-    (``run == 0``) or ZRL (``run == 15``) since EXTEND never produces 0
-    for a non-zero size.  Symbols the reference decoder would reject
-    (DC category > 11, AC size-0 symbols other than EOB/ZRL) are never
+    - ``bits``: code length plus magnitude width, what the reader
+      consumes;
+    - ``k_advance``: how far the zig-zag index moves.  A coefficient
+      after ``run`` zeros advances ``run + 1`` (the store then indexes
+      ``_ZIGZAG_AFTER``); ZRL advances :data:`ZRL_ADVANCE`; EOB advances
+      :data:`EOB_ADVANCE`, past the end of any block.  In the DC role it
+      is always 1 (the DC coefficient itself);
+    - ``value``: the EXTENDed coefficient (DC role: the difference to
+      the predictor).  In the AC role 0 can only mean EOB or ZRL, since
+      EXTEND never produces 0 for a non-zero size.
+
+    ``None`` means "not resolvable in one probe": the decoder falls
+    back to ``lookup`` (``LOOKUP_BITS``-wide, ``(length << 8) | symbol``,
+    magnitude read separately) and then to the MINCODE/MAXCODE walk for
+    longer codes.  Symbols the reference decoder would reject (DC
+    category > 11, AC size-0 symbols other than EOB/ZRL) are never
     fused, so the fallback path raises the exact reference errors.
     """
 
@@ -194,7 +243,8 @@ class FusedDecodeTables:
     def __init__(self, spec: HuffmanSpec, role: str) -> None:
         """Build all decode tables for *spec* acting as *role* ("dc"/"ac")."""
         enc = HuffmanEncoder(spec)
-        self.fused = [0] * (1 << FUSED_BITS)
+        self.fused: list[tuple[int, int, int] | None] = (
+            [None] * (1 << FUSED_BITS))
         self.lookup = [0] * (1 << LOOKUP_BITS)
         self.mincode = [0] * (MAX_CODE_LENGTH + 1)
         self.maxcode = [-1] * (MAX_CODE_LENGTH + 1)
@@ -215,29 +265,28 @@ class FusedDecodeTables:
 
         for symbol in enc.symbols:
             c, length = enc.code_for(symbol)
-            if length > LOOKUP_BITS:
-                continue
-            shift = LOOKUP_BITS - length
-            packed = (length << 8) | symbol
-            for p in range(c << shift, (c + 1) << shift):
-                self.lookup[p] = packed
+            if length <= LOOKUP_BITS:
+                shift = LOOKUP_BITS - length
+                self.lookup[c << shift:(c + 1) << shift] = (
+                    [(length << 8) | symbol] * (1 << shift))
             if role == "dc":
-                run, size, valid = 0, symbol, symbol <= 11
+                size, advance = symbol, (1 if symbol <= 11 else None)
             else:
-                run, size = symbol >> 4, symbol & 0x0F
-                valid = size > 0 or symbol in (0x00, 0xF0)
-            if not valid or length + size > FUSED_BITS:
-                continue
+                size = symbol & 0x0F
+                advance = ((symbol >> 4) + 1 if size
+                           else _SIZE0_ADVANCE.get(symbol))
             total = length + size
-            shift = FUSED_BITS - total
+            if advance is None or total > FUSED_BITS:
+                continue
+            span = 1 << (FUSED_BITS - total)
             for m in range(1 << size):
-                entry = (total << 16) | (run << 12) | (extend(m, size) + 2048)
-                base = ((c << size) | m) << shift
-                for p in range(base, base + (1 << shift)):
-                    self.fused[p] = entry
+                first = ((c << size) | m) * span
+                self.fused[first:first + span] = (
+                    [(total, advance, extend(m, size))] * span)
 
 
 _TABLE_CACHE: dict[tuple[HuffmanSpec, str], FusedDecodeTables] = {}
+_TABLE_CACHE_LOCK = threading.Lock()
 
 #: Cache bound: per-image optimized tables would otherwise accumulate
 #: without limit in a long-running decode service.
@@ -247,17 +296,25 @@ _TABLE_CACHE_MAX = 64
 def fused_tables(spec: HuffmanSpec, role: str) -> FusedDecodeTables:
     """Build (or fetch cached) fused tables for *spec* in *role*.
 
-    The cache is FIFO-bounded at ``_TABLE_CACHE_MAX`` entries so unique
-    per-image optimized Huffman tables cannot leak memory in long-lived
-    processes; the Annex-K standard tables stay resident in practice
-    because they are re-inserted on reuse after any eviction.
+    The cache is LRU-bounded at ``_TABLE_CACHE_MAX`` entries — a hit
+    moves its entry to the young end of the (insertion-ordered) dict —
+    so unique per-image optimized Huffman tables cannot leak memory in
+    long-lived processes, and the Annex-K standard tables, which nearly
+    every image uses, are never the ones evicted.  Lookup, refresh and
+    eviction run under one lock (``thread``-backend workers share the
+    cache); the table build itself runs outside it.
     """
     key = (spec, role)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        while len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        tab = _TABLE_CACHE[key] = FusedDecodeTables(spec, role)
+    with _TABLE_CACHE_LOCK:
+        tab = _TABLE_CACHE.pop(key, None)
+        if tab is not None:
+            _TABLE_CACHE[key] = tab
+            return tab
+    tab = FusedDecodeTables(spec, role)
+    with _TABLE_CACHE_LOCK:
+        _TABLE_CACHE[key] = tab
+        while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
+            del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return tab
 
 
@@ -346,6 +403,133 @@ def _careful_read_bits(n: int, acc: int, nbits: int, pos: int, seg_end: int,
     return (acc >> nbits) & ((1 << n) - 1), acc, nbits, pos
 
 
+def _careful_dc(acc: int, nbits: int, pos: int, seg_end: int,
+                zero_feed: bool, trunc: bool, payload: bytes,
+                tab: FusedDecodeTables, tolerant: bool):
+    """Decode one DC difference with reference semantics — the path of
+    every DC symbol the fused probe does not resolve, anywhere in a
+    segment.
+
+    Returns ``(diff, acc, nbits, pos)``.
+    """
+    s, acc, nbits, pos = _careful_symbol(
+        acc, nbits, pos, seg_end, zero_feed, trunc, payload, tab)
+    if s > 11:
+        if not tolerant:
+            raise EntropyError(f"DC category {s} out of range")
+        s = 0
+    if s == 0:
+        return 0, acc, nbits, pos
+    m, acc, nbits, pos = _careful_read_bits(
+        s, acc, nbits, pos, seg_end, zero_feed, trunc, payload)
+    return extend(m, s), acc, nbits, pos
+
+
+def _careful_ac(k: int, acc: int, nbits: int, pos: int, seg_end: int,
+                zero_feed: bool, trunc: bool, payload: bytes,
+                tab: FusedDecodeTables, tolerant: bool):
+    """Decode one AC symbol at zig-zag index *k* with reference
+    semantics — the path of the last symbols of a segment, where the
+    reader may have to pad or raise.
+
+    Returns ``(k, value, acc, nbits, pos)`` with *k* advanced the way a
+    fused entry advances it: past the coefficient when *value* is
+    non-zero (store it at ``_ZIGZAG_AFTER[k]``), by 16 for ZRL, to
+    :data:`EOB_ADVANCE` when the block ends here.
+    """
+    sym, acc, nbits, pos = _careful_symbol(
+        acc, nbits, pos, seg_end, zero_feed, trunc, payload, tab)
+    size = sym & 0x0F
+    if size == 0:
+        if sym == ZRL_SYMBOL:
+            return k + ZRL_ADVANCE, 0, acc, nbits, pos
+        if sym == EOB_SYMBOL or tolerant:
+            return EOB_ADVANCE, 0, acc, nbits, pos
+        raise EntropyError(f"bad AC symbol {sym:#x}")
+    k += (sym >> 4) + 1
+    if k > 64 and not tolerant:
+        raise EntropyError(_AC_OVERRUN)
+    m, acc, nbits, pos = _careful_read_bits(
+        size, acc, nbits, pos, seg_end, zero_feed, trunc, payload)
+    if k > 64:
+        return EOB_ADVANCE, 0, acc, nbits, pos
+    return k, extend(m, size), acc, nbits, pos
+
+
+def _long_symbol(code: int, tab: FusedDecodeTables) -> tuple[int, int]:
+    """Resolve a code longer than ``LOOKUP_BITS`` from *code*, the next
+    ``MAX_CODE_LENGTH`` buffered bits (MINCODE/MAXCODE walk).
+
+    Returns ``(symbol, code length)``.
+    """
+    maxcode = tab.maxcode
+    for length in range(LOOKUP_BITS + 1, MAX_CODE_LENGTH + 1):
+        c = code >> (MAX_CODE_LENGTH - length)
+        if c <= maxcode[length]:
+            return (tab.values[tab.valptr[length] + c - tab.mincode[length]],
+                    length)
+    raise HuffmanError("undecodable Huffman code")
+
+
+def _refill_tail(acc: int, nbits: int, pos: int, seg_end: int,
+                 zero_feed: bool, phantom: int, payload: bytes):
+    """Top up the accumulator within eight bytes of the segment end.
+
+    Takes whatever real bytes remain; when a marker ends the segment
+    the reference reader zero-feeds there, so the fast path may too —
+    32 phantom bits, counted in *phantom* so positions stay exact.
+    Returns ``(acc, nbits, pos, phantom)``; ``nbits`` still below the
+    refill threshold means the careful path has to take over.
+    """
+    acc &= _LOW_MASKS[nbits]
+    take = seg_end - pos
+    if take > 0:
+        acc = (acc << (take << 3)) | int.from_bytes(
+            payload[pos:seg_end], "big")
+        nbits += take << 3
+        pos = seg_end
+    if nbits < _REFILL_THRESHOLD and zero_feed:
+        acc <<= 32
+        nbits += 32
+        phantom += 32
+    return acc, nbits, pos, phantom
+
+
+def _segment_bounds(scan: ScanPrescan, rst_idx: int):
+    """``(seg_end, zero_feed, trunc)`` of the segment that ends at
+    restart marker *rst_idx* (or at the end of the payload): where it
+    ends and how the reference reader behaves there — it zero-feeds at
+    a marker and raises on exhaustion or a truncated ``0xFF`` pair."""
+    if rst_idx < scan.restart_count:
+        return scan.marker_payload_offsets[rst_idx], True, False
+    term = scan.terminator
+    return (len(scan.payload),
+            term is not None and term != TRUNCATED_FF,
+            term == TRUNCATED_FF)
+
+
+def _next_segment(scan: ScanPrescan, rst_idx: int):
+    """Cross restart marker *rst_idx*: check it is there and in
+    sequence, byte-align just past it.
+
+    Returns ``(pos, seg_end, zero_feed, trunc)`` of the segment behind
+    the marker; the caller clears the bit buffer and the DC predictors.
+    """
+    if rst_idx >= scan.restart_count:
+        term = scan.terminator
+        if term is not None and term != TRUNCATED_FF:
+            raise BitstreamError(
+                f"expected restart marker, found 0xFF{term:02X}")
+        raise BitstreamError("no restart marker before end of stream")
+    found = scan.marker_values[rst_idx] - 0xD0
+    if found != rst_idx & 7:
+        raise EntropyError(
+            f"restart marker out of sequence: RST{found}, "
+            f"expected RST{rst_idx & 7}")
+    return (scan.marker_payload_offsets[rst_idx],
+            *_segment_bounds(scan, rst_idx + 1))
+
+
 # ---------------------------------------------------------------------------
 # The engine.
 # ---------------------------------------------------------------------------
@@ -409,13 +593,15 @@ class FastEntropyDecoder:
         self._rst_idx = 0
         self._preds = [0] * len(tables)
         self._mcus_done = 0
-        self._next_rst = 0
         self._rows_done = 0
         self._row_byte_offsets: list[int] = [0]
         #: Allocated by :meth:`start` / :meth:`start_prescanned`, once
         #: per decode.
         self.coefficients: CoefficientBuffers | None = None
-        self._flat_planes: list[np.ndarray] = []
+        #: Block plan of one MCU row and the coefficient distance
+        #: between MCU rows, per component (see :meth:`_bind_planes`).
+        self._row_plan: list[tuple] = []
+        self._row_steps: list[int] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -431,11 +617,9 @@ class FastEntropyDecoder:
         self._set_segment_bounds()
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
-        self._next_rst = 0
         self._rows_done = 0
         self._row_byte_offsets = [0]
-        self.coefficients = CoefficientBuffers.empty(self.geometry)
-        self._flat_planes = [p.reshape(-1) for p in self.coefficients.planes]
+        self._bind_planes()
 
     def start_prescanned(self, scan: ScanPrescan, bit_offset: int = 0) -> None:
         """Attach an existing prescan and start decoding at *bit_offset*.
@@ -475,25 +659,54 @@ class FastEntropyDecoder:
         self._set_segment_bounds()
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
-        self._next_rst = self._rst_idx & 7
         self._rows_done = 0
         self._row_byte_offsets = [scan.orig_offset(byte)]
-        self.coefficients = CoefficientBuffers.empty(self.geometry)
-        self._flat_planes = [p.reshape(-1) for p in self.coefficients.planes]
+        self._bind_planes()
 
     def _set_segment_bounds(self) -> None:
         """Derive the current segment's end and end-of-segment behavior."""
-        scan = self._scan
-        if self._rst_idx < scan.restart_count:
-            self._seg_end = scan.marker_payload_offsets[self._rst_idx]
-            self._seg_zero_feed = True   # reference zero-feeds at a marker
-            self._seg_trunc = False
-        else:
-            self._seg_end = len(self._payload)
-            self._seg_zero_feed = (
-                scan.terminator is not None and scan.terminator != TRUNCATED_FF
-            )
-            self._seg_trunc = scan.terminator == TRUNCATED_FF
+        self._seg_end, self._seg_zero_feed, self._seg_trunc = (
+            _segment_bounds(self._scan, self._rst_idx))
+
+    def _bind_planes(self) -> None:
+        """Allocate the coefficient planes and lay out the block walk.
+
+        ``_row_plan[mcol]`` lists the blocks of MCU column *mcol* in
+        decode order as ``(component, offset, view, dc fused, ac fused,
+        ac lookup, dc tables, ac tables)``: *offset* is the block's
+        first coefficient relative to the start of its MCU row, *view*
+        a typed ``memoryview`` of the flattened int16 plane.  Computed
+        once per decode, so the hot loop pays one addition per block
+        for addressing.
+        """
+        geo = self.geometry
+        self.coefficients = CoefficientBuffers.empty(geo)
+        views = [memoryview(p.reshape(-1)) for p in self.coefficients.planes]
+        self._row_steps = [(c.v_factor * c.blocks_wide) << 6
+                           for c in geo.components]
+        self._row_plan = [
+            tuple(
+                (ci, ((v * c.blocks_wide + mcol * c.h_factor + h) << 6),
+                 views[ci], dct.fused, act.fused, act.lookup, dct, act)
+                for ci, (c, dct, act) in enumerate(zip(
+                    geo.components, self._dc_tables, self._ac_tables))
+                for v in range(c.v_factor)
+                for h in range(c.h_factor))
+            for mcol in range(geo.mcus_per_row)
+        ]
+
+    def _mark_row_end(self, pos: int, real_bits: int) -> None:
+        """Record the original-stream offset reached after an MCU row.
+
+        Only real buffered bits roll the position back: phantom zero-fed
+        padding is not payload, and subtracting it would under-report a
+        row ending at a restart marker by the padding width (landing
+        mid-tail instead of just past the RSTn pair).
+        """
+        if real_bits < 0:
+            real_bits = 0
+        off = self._scan.orig_offset(max(0, pos - (real_bits >> 3)))
+        self._row_byte_offsets.append(max(off, self._row_byte_offsets[-1]))
 
     @property
     def rows_decoded(self) -> int:
@@ -541,311 +754,152 @@ class FastEntropyDecoder:
     def decode_mcu_rows(self, nrows: int) -> int:
         """Decode up to *nrows* further MCU rows; return rows decoded.
 
-        One flat loop: all tables and reader state live in locals, each
-        symbol costs one fused probe in the common case, and coefficient
-        planes are written through pre-flattened views.
+        One flat loop: tables and reader state live in locals, a symbol
+        costs one fused probe and one tuple unpack in the common case,
+        and coefficients are stored through typed ``memoryview``s of
+        the planes.  Everything rare — a restart boundary, the last
+        bytes of a segment, a code the probe cannot resolve in the DC
+        position or beyond ``LOOKUP_BITS`` — is a call to a
+        module-level helper.
         """
         if self._scan is None:
             raise EntropyError("start() must be called before decoding")
-        geo = self.geometry
-        target = min(self._rows_done + nrows, geo.mcu_rows)
+        target = min(self._rows_done + nrows, self.geometry.mcu_rows)
         interval = self.restart_interval
         scan = self._scan
         payload = self._payload
-        zz = _ZIGZAG
-        from_bytes = int.from_bytes
+        tolerant = self.tolerant
+        preds = self._preds
+        row_steps = self._row_steps
+        zz_after = _ZIGZAG_AFTER
+        masks = _LOW_MASKS
+        read8 = _READ8
+        threshold = _REFILL_THRESHOLD
+        fused_bits, fused_mask = FUSED_BITS, _FUSED_MASK
 
         # Reader state -> locals.
-        tolerant = self.tolerant
-        acc = self._acc
-        nbits = self._nbits
-        pos = self._pos
-        phantom = self._phantom
-        seg_end = self._seg_end
-        zero_feed = self._seg_zero_feed
-        trunc = self._seg_trunc
+        acc, nbits, pos, phantom = (
+            self._acc, self._nbits, self._pos, self._phantom)
+        seg_end, zero_feed, trunc = (
+            self._seg_end, self._seg_zero_feed, self._seg_trunc)
+        bulk_end = seg_end - 7   # an 8-byte refill fits while pos < bulk_end
         rst_idx = self._rst_idx
-        next_rst = self._next_rst
         mcus_done = self._mcus_done
-        preds = self._preds
         rows_done = self._rows_done
-        mcus_per_row = geo.mcus_per_row
-        marker_pay = scan.marker_payload_offsets
-        marker_val = scan.marker_values
-        n_markers = len(marker_pay)
-
-        # Per-component decode plan (tables + plane views bound once).
-        plan = [
-            (ci, comp.v_factor, comp.h_factor, comp.blocks_wide,
-             self._flat_planes[ci], self._dc_tables[ci], self._ac_tables[ci])
-            for ci, comp in enumerate(geo.components)
-        ]
 
         while rows_done < target:
-            mrow = rows_done
-            for mcol in range(mcus_per_row):
+            origins = [rows_done * step for step in row_steps]
+            for mcu in self._row_plan:
                 if interval and mcus_done and mcus_done % interval == 0:
-                    # --- restart: byte-align, consume RSTn, reset DC ---
-                    if rst_idx >= n_markers:
-                        term = scan.terminator
-                        if term is not None and term != TRUNCATED_FF:
-                            raise BitstreamError(
-                                f"expected restart marker, found 0xFF{term:02X}"
-                            )
-                        raise BitstreamError(
-                            "no restart marker before end of stream")
-                    rst_n = marker_val[rst_idx] - 0xD0
-                    if rst_n != next_rst:
-                        raise EntropyError(
-                            f"restart marker out of sequence: RST{rst_n}, "
-                            f"expected RST{next_rst}"
-                        )
-                    pos = marker_pay[rst_idx]
+                    pos, seg_end, zero_feed, trunc = _next_segment(
+                        scan, rst_idx)
+                    bulk_end = seg_end - 7
                     rst_idx += 1
-                    acc = 0
-                    nbits = 0
-                    phantom = 0
-                    if rst_idx < n_markers:
-                        seg_end = marker_pay[rst_idx]
-                        zero_feed, trunc = True, False
+                    acc = nbits = phantom = 0
+                    preds[:] = [0] * len(preds)
+                for ci, rel, out, d_fused, a_fused, a_lookup, dct, act in mcu:
+                    base = origins[ci] + rel
+
+                    # ---------------- DC ----------------
+                    if nbits < threshold:
+                        if pos < bulk_end:
+                            acc = ((acc & masks[nbits]) << 64) | read8(
+                                payload, pos)[0]
+                            nbits += 64
+                            pos += 8
+                        else:
+                            acc, nbits, pos, phantom = _refill_tail(
+                                acc, nbits, pos, seg_end, zero_feed,
+                                phantom, payload)
+                    e = (d_fused[(acc >> (nbits - fused_bits)) & fused_mask]
+                         if nbits >= threshold else None)
+                    if e:
+                        bits, _, diff = e
+                        nbits -= bits
                     else:
-                        seg_end = len(payload)
-                        zero_feed = (scan.terminator is not None
-                                     and scan.terminator != TRUNCATED_FF)
-                        trunc = scan.terminator == TRUNCATED_FF
-                    next_rst = (next_rst + 1) & 7
-                    for ci in range(len(preds)):
-                        preds[ci] = 0
-                for ci, vf, hf, bw, flat, dct, act in plan:
-                    pred = preds[ci]
-                    d_fused, d_lookup = dct.fused, dct.lookup
-                    a_fused, a_lookup = act.fused, act.lookup
-                    for v in range(vf):
-                        rowbase = (mrow * vf + v) * bw + mcol * hf
-                        for h in range(hf):
-                            base = (rowbase + h) << 6
+                        diff, acc, nbits, pos = _careful_dc(
+                            acc, nbits, pos, seg_end, zero_feed, trunc,
+                            payload, dct, tolerant)
+                    pred = preds[ci] = preds[ci] + diff
+                    if -32768 <= pred <= 32767:
+                        out[base] = pred
+                    elif tolerant:
+                        # Garbage prefixes drift the predictor past
+                        # int16; wrap like the modular DC-delta patch.
+                        out[base] = ((pred + 32768) & 65535) - 32768
+                    else:
+                        raise dc_range_error(pred)
 
-                            # ---------------- DC ----------------
-                            if nbits < _REFILL_THRESHOLD:
-                                while nbits < _REFILL_THRESHOLD and pos < seg_end:
-                                    take = seg_end - pos
-                                    if take > 8:
-                                        take = 8
-                                    acc = ((acc & ((1 << nbits) - 1))
-                                           << (take << 3)) | from_bytes(
-                                               payload[pos:pos + take], "big")
-                                    nbits += take << 3
-                                    pos += take
-                                if nbits < _REFILL_THRESHOLD and zero_feed:
-                                    # a marker ends this segment: the
-                                    # reference zero-feeds there, so the
-                                    # fast path may too (masking keeps
-                                    # the accumulator bounded)
-                                    acc = (acc & ((1 << nbits) - 1)) << 32
-                                    nbits += 32
-                                    phantom += 32
-                            if nbits >= _REFILL_THRESHOLD:
-                                e = d_fused[(acc >> (nbits - 10)) & 0x3FF]
-                                if e:
-                                    nbits -= e >> 16
-                                    pred += (e & 0xFFF) - 2048
-                                else:
-                                    p2 = d_lookup[(acc >> (nbits - 8)) & 0xFF]
-                                    if p2:
-                                        nbits -= p2 >> 8
-                                        s = p2 & 0xFF
-                                    else:
-                                        code = (acc >> (nbits - 16)) & 0xFFFF
-                                        dmax = dct.maxcode
-                                        for ln in range(9, 17):
-                                            c = code >> (16 - ln)
-                                            if c <= dmax[ln]:
-                                                nbits -= ln
-                                                s = dct.values[
-                                                    dct.valptr[ln] + c
-                                                    - dct.mincode[ln]]
-                                                break
-                                        else:
-                                            raise HuffmanError(
-                                                "undecodable Huffman code")
-                                    if s > 11:
-                                        if tolerant:
-                                            s = 0
-                                        else:
-                                            raise EntropyError(
-                                                f"DC category {s} out of range")
-                                    if s:
-                                        nbits -= s
-                                        m = (acc >> nbits) & ((1 << s) - 1)
-                                        pred += (m - (1 << s) + 1
-                                                 if m < (1 << (s - 1)) else m)
+                    # ---------------- AC ----------------
+                    k = 1
+                    while k < 64:
+                        if nbits < threshold:
+                            if pos < bulk_end:
+                                acc = ((acc & masks[nbits]) << 64) | read8(
+                                    payload, pos)[0]
+                                nbits += 64
+                                pos += 8
                             else:
-                                s, acc, nbits, pos = _careful_symbol(
+                                acc, nbits, pos, phantom = _refill_tail(
                                     acc, nbits, pos, seg_end, zero_feed,
-                                    trunc, payload, dct)
-                                if s > 11:
-                                    if tolerant:
-                                        s = 0
-                                    else:
-                                        raise EntropyError(
-                                            f"DC category {s} out of range")
-                                if s:
-                                    m, acc, nbits, pos = _careful_read_bits(
-                                        s, acc, nbits, pos, seg_end,
-                                        zero_feed, trunc, payload)
-                                    pred += (m - (1 << s) + 1
-                                             if m < (1 << (s - 1)) else m)
-                            if tolerant:
-                                # Garbage prefixes drift the predictor
-                                # past int16; wrap like the modular
-                                # DC-delta patch does.
-                                flat[base] = ((pred + 0x8000) & 0xFFFF) - 0x8000
-                            else:
-                                flat[base] = pred
-
-                            # ---------------- AC ----------------
-                            k = 1
-                            while k < 64:
-                                if nbits < _REFILL_THRESHOLD:
-                                    while (nbits < _REFILL_THRESHOLD
-                                           and pos < seg_end):
-                                        take = seg_end - pos
-                                        if take > 8:
-                                            take = 8
-                                        acc = ((acc & ((1 << nbits) - 1))
-                                               << (take << 3)) | from_bytes(
-                                                   payload[pos:pos + take],
-                                                   "big")
-                                        nbits += take << 3
-                                        pos += take
-                                    if nbits < _REFILL_THRESHOLD and zero_feed:
-                                        acc = ((acc & ((1 << nbits) - 1))
-                                               << 32)
-                                        nbits += 32
-                                        phantom += 32
-                                    if nbits < _REFILL_THRESHOLD:
-                                        # careful tail path, one symbol
-                                        sym, acc, nbits, pos = _careful_symbol(
-                                            acc, nbits, pos, seg_end,
-                                            zero_feed, trunc, payload, act)
-                                        run, size = sym >> 4, sym & 0x0F
-                                        if size == 0:
-                                            if sym == 0x00:
-                                                break
-                                            if sym == 0xF0:
-                                                k += 16
-                                                continue
-                                            if tolerant:
-                                                break
-                                            raise EntropyError(
-                                                f"bad AC symbol {sym:#x}")
-                                        k += run
-                                        if k > 63:
-                                            if tolerant:
-                                                _, acc, nbits, pos = \
-                                                    _careful_read_bits(
-                                                        size, acc, nbits, pos,
-                                                        seg_end, zero_feed,
-                                                        trunc, payload)
-                                                break
-                                            raise EntropyError(
-                                                "AC coefficient index overran "
-                                                "the block")
-                                        m, acc, nbits, pos = _careful_read_bits(
-                                            size, acc, nbits, pos, seg_end,
-                                            zero_feed, trunc, payload)
-                                        flat[base + zz[k]] = (
-                                            m - (1 << size) + 1
-                                            if m < (1 << (size - 1)) else m)
-                                        k += 1
-                                        continue
-                                e = a_fused[(acc >> (nbits - 10)) & 0x3FF]
-                                if e:
-                                    nbits -= e >> 16
-                                    val = (e & 0xFFF) - 2048
+                                    phantom, payload)
+                                if nbits < threshold:
+                                    k, val, acc, nbits, pos = _careful_ac(
+                                        k, acc, nbits, pos, seg_end,
+                                        zero_feed, trunc, payload, act,
+                                        tolerant)
                                     if val:
-                                        k += (e >> 12) & 0xF
-                                        if k > 63:
-                                            if tolerant:
-                                                break
-                                            raise EntropyError(
-                                                "AC coefficient index overran "
-                                                "the block")
-                                        flat[base + zz[k]] = val
-                                        k += 1
-                                    elif e & 0xF000:   # ZRL (run 15, size 0)
-                                        k += 16
-                                    else:              # EOB
-                                        break
+                                        out[base + zz_after[k]] = val
                                     continue
-                                p2 = a_lookup[(acc >> (nbits - 8)) & 0xFF]
-                                if p2:
-                                    nbits -= p2 >> 8
-                                    sym = p2 & 0xFF
-                                else:
-                                    code = (acc >> (nbits - 16)) & 0xFFFF
-                                    amax = act.maxcode
-                                    for ln in range(9, 17):
-                                        c = code >> (16 - ln)
-                                        if c <= amax[ln]:
-                                            nbits -= ln
-                                            sym = act.values[
-                                                act.valptr[ln] + c
-                                                - act.mincode[ln]]
-                                            break
-                                    else:
-                                        raise HuffmanError(
-                                            "undecodable Huffman code")
-                                run, size = sym >> 4, sym & 0x0F
-                                if size == 0:
-                                    if sym == 0x00:
-                                        break
-                                    if sym == 0xF0:
-                                        k += 16
-                                        continue
+                        e = a_fused[(acc >> (nbits - fused_bits))
+                                    & fused_mask]
+                        if e:
+                            bits, advance, val = e
+                            nbits -= bits
+                            k += advance     # EOB: past 63; ZRL: 16
+                            if val:
+                                if k > 64:
                                     if tolerant:
                                         break
-                                    raise EntropyError(
-                                        f"bad AC symbol {sym:#x}")
-                                k += run
-                                if k > 63:
-                                    if tolerant:
-                                        nbits -= size
-                                        break
-                                    raise EntropyError(
-                                        "AC coefficient index overran the "
-                                        "block")
-                                nbits -= size
-                                m = (acc >> nbits) & ((1 << size) - 1)
-                                flat[base + zz[k]] = (
-                                    m - (1 << size) + 1
-                                    if m < (1 << (size - 1)) else m)
-                                k += 1
-                    preds[ci] = pred
+                                    raise EntropyError(_AC_OVERRUN)
+                                out[base + zz_after[k]] = val
+                            continue
+                        p2 = a_lookup[(acc >> (nbits - LOOKUP_BITS)) & 255]
+                        if p2:
+                            nbits -= p2 >> 8
+                            sym = p2 & 255
+                        else:
+                            sym, bits = _long_symbol(
+                                (acc >> (nbits - MAX_CODE_LENGTH)) & 65535,
+                                act)
+                            nbits -= bits
+                        size = sym & 15
+                        if size == 0:
+                            if sym == ZRL_SYMBOL:
+                                k += ZRL_ADVANCE
+                                continue
+                            if sym == EOB_SYMBOL or tolerant:
+                                break
+                            raise EntropyError(f"bad AC symbol {sym:#x}")
+                        nbits -= size
+                        k += (sym >> 4) + 1
+                        if k > 64:
+                            if tolerant:
+                                break
+                            raise EntropyError(_AC_OVERRUN)
+                        m = (acc >> nbits) & masks[size]
+                        out[base + zz_after[k]] = (
+                            m if m >> (size - 1) else m - masks[size])
                 mcus_done += 1
             rows_done += 1
-            # Only real buffered bits roll the position back: phantom
-            # zero-fed padding is not payload, and subtracting it used
-            # to under-report rows ending at a restart marker by the
-            # padding width (landing mid-tail instead of just past the
-            # RSTn pair).
-            real = nbits - phantom
-            if real < 0:
-                real = 0
-            off = scan.orig_offset(max(0, pos - (real >> 3)))
-            last = self._row_byte_offsets[-1]
-            self._row_byte_offsets.append(off if off > last else last)
+            self._mark_row_end(pos, nbits - phantom)
 
         # Locals -> state.
-        self._acc = acc
-        self._nbits = nbits
-        self._pos = pos
-        self._phantom = phantom
-        self._seg_end = seg_end
-        self._seg_zero_feed = zero_feed
-        self._seg_trunc = trunc
+        self._acc, self._nbits, self._pos, self._phantom = (
+            acc, nbits, pos, phantom)
+        self._seg_end, self._seg_zero_feed, self._seg_trunc = (
+            seg_end, zero_feed, trunc)
         self._rst_idx = rst_idx
-        self._next_rst = next_rst
         self._mcus_done = mcus_done
         self._rows_done = rows_done
         return rows_done

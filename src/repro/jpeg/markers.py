@@ -307,16 +307,15 @@ def _find_scan_end(data: bytes, start: int,
     *tolerant* accepts a stream that simply ends mid-scan (truncation)
     and returns ``len(data)``; the scan is then flagged unterminated
     and a decode of it is best-effort (the salvage path)."""
-    pos = start
     n = len(data)
-    while pos < n - 1:
-        if data[pos] == 0xFF:
-            nxt = data[pos + 1]
-            if nxt == 0x00 or C.is_rst(nxt):
-                pos += 2
-                continue
+    # One C-level search per 0xFF instead of one Python iteration per
+    # byte: only the byte after each 0xFF is classified here.
+    pos = data.find(b"\xff", start)
+    while 0 <= pos < n - 1:
+        nxt = data[pos + 1]
+        if nxt != 0x00 and not C.is_rst(nxt):
             return pos
-        pos += 1
+        pos = data.find(b"\xff", pos + 2)
     if tolerant:
         return n
     raise JpegFormatError("entropy-coded data not terminated by a marker")

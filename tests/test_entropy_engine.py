@@ -10,6 +10,11 @@ runs, truncated payloads, tampered restart markers, stray markers).
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,8 @@ from repro.jpeg import (
     parse_jpeg,
 )
 from repro.jpeg import constants as C
+from repro.jpeg import fast_entropy
+from repro.jpeg.bitstream import BitWriter
 from repro.jpeg.blocks import ImageGeometry
 from repro.jpeg.decoder import component_tables_from_info
 from repro.jpeg.entropy import (
@@ -32,9 +39,17 @@ from repro.jpeg.entropy import (
     EntropyDecoder,
     EntropyEncoder,
 )
-from repro.jpeg.fast_entropy import FastEntropyDecoder, fused_tables
-from repro.jpeg.huffman import HuffmanSpec
+from repro.jpeg.fast_entropy import (
+    EOB_ADVANCE,
+    FUSED_BITS,
+    ZRL_ADVANCE,
+    FastEntropyDecoder,
+    fused_tables,
+)
+from repro.jpeg.huffman import HuffmanEncoder, HuffmanSpec
 from repro.data import synthetic_photo
+
+CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "corpus"
 
 
 def std_tables() -> list[ComponentTables]:
@@ -255,6 +270,27 @@ class TestAdversarialStreams:
         assert_engines_agree(geo, tables, 0,
                              data[:cut] + b"\xff\xd9" + data[cut:])
 
+    def test_dc_predictor_leaving_int16(self):
+        """Twenty blocks of DC difference +2047: the predictor passes
+        32767 at the 17th.  Both engines used to leak numpy's bare
+        ``OverflowError`` from the coefficient store; it is one named
+        ``EntropyError`` now, and tolerant mode still wraps."""
+        geo = ImageGeometry(160, 8, "4:4:4", ncomponents=1)
+        tables = std_tables()[:1]
+        dc_code = HuffmanEncoder(tables[0].dc).code_for(11)
+        eob_code = HuffmanEncoder(tables[0].ac).code_for(C.EOB_SYMBOL)
+        writer = BitWriter()
+        writer.write_pairs([dc_code, (2047, 11), eob_code] * 20)
+        writer.flush()
+        data = writer.getvalue()
+        assert_engines_agree(geo, tables, 0, data)
+        assert decode_outcome("fast", geo, tables, 0, data) == (
+            "err", EntropyError,
+            "Python integer 34799 out of bounds for int16")
+        spec = FastEntropyDecoder(geo, tables, tolerant=True)
+        dc = spec.decode_all(data).planes[0][:, 0, 0]
+        assert dc[15] == 16 * 2047 and dc[16] == 17 * 2047 - 65536
+
 
 class TestPrescan:
     def test_destuff_removes_stuffing_and_indexes_markers(self):
@@ -277,15 +313,136 @@ class TestPrescan:
         assert scan.terminator == 0xD9
 
     def test_fused_tables_cover_short_codes(self):
+        """What a fused entry *means* — bits consumed, zig-zag advance,
+        EXTENDed value — for known prefixes, whatever its layout."""
         spec = HuffmanSpec(C.STD_AC_LUMINANCE_BITS, C.STD_AC_LUMINANCE_VALUES)
         tab = fused_tables(spec, "ac")
-        # (run 0, size 1) has a 2-bit code: every prefix with that code and
-        # any magnitude bit must be fused (3 consumed bits)
+        assert len(tab.fused) == 1 << FUSED_BITS
         fused_hits = sum(1 for e in tab.fused if e)
         assert fused_hits > 128  # most of the probe space is one-shot
-        entry = tab.fused[0]     # prefix 00000000 -> symbol 0x01, bit 0
-        assert entry >> 16 == 3  # 2 code bits + 1 magnitude bit
-        assert (entry & 0xFFF) - 2048 == -1  # EXTEND(0, 1) == -1
+
+        def entry_for(prefix: str):
+            """The entry every probe starting with *prefix* must hit."""
+            pad = FUSED_BITS - len(prefix)
+            first = int(prefix, 2) << pad
+            entries = set(tab.fused[first:first + (1 << pad)])
+            assert len(entries) == 1
+            bits, advance, value = entries.pop()
+            return bits, advance, value
+
+        # (run 0, size 1) has the 2-bit code 00: with either magnitude
+        # bit it is fused — 3 bits, one coefficient, EXTEND(m, 1)
+        assert entry_for("000") == (3, 1, -1)
+        assert entry_for("001") == (3, 1, 1)
+        # (run 1, size 1), code 1100: one zero, then the coefficient
+        assert entry_for("11001") == (5, 2, 1)
+        # EOB (1010) ends any block from any k; nothing is stored
+        bits, advance, value = entry_for("1010")
+        assert (bits, value) == (4, 0) and 1 + advance >= 64
+        assert advance == EOB_ADVANCE
+        # (run 0, size 5), code 11010 + 5 magnitude bits = the full window
+        assert entry_for("1101000000") == (10, 1, -31)
+        # (run 0, size 6), code 1111000: magnitude falls outside the
+        # window, so the probe does not resolve it
+        assert tab.fused[int("1111000000", 2)] is None
+        # ZRL is an 11-bit code in this table: never fused here, but a
+        # table that gives it a short code fuses it as sixteen zeros
+        short_zrl = fused_tables(
+            HuffmanSpec((0, 2) + (0,) * 14, (C.EOB_SYMBOL, C.ZRL_SYMBOL)),
+            "ac")
+        assert short_zrl.fused[int("01", 2) << (FUSED_BITS - 2)] == (
+            2, ZRL_ADVANCE, 0)
+        # DC role: the value is the difference, the advance is the DC
+        # coefficient itself; categories past 11 are left to the
+        # fallback, which raises the reference error
+        dc = fused_tables(
+            HuffmanSpec(C.STD_DC_LUMINANCE_BITS, C.STD_DC_LUMINANCE_VALUES),
+            "dc")
+        assert dc.fused[0] == (2, 1, 0)               # category 0: code 00
+        assert dc.fused[int("0110", 2) << 6] == (5, 1, -3)  # category 2
+        bad_dc = fused_tables(HuffmanSpec((0, 2) + (0,) * 14, (0, 12)), "dc")
+        assert bad_dc.fused[int("01", 2) << (FUSED_BITS - 2)] is None
+
+
+def unique_spec(i: int) -> HuffmanSpec:
+    """A valid two-symbol table no other index shares."""
+    return HuffmanSpec((2,) + (0,) * 15, (0x01 + (i % 10), 0x11 + i))
+
+
+class TestTableCache:
+    def test_lru_keeps_the_standard_tables_resident(self):
+        """A hit refreshes its entry: a stream of per-image optimized
+        specs (more than the cache holds) never evicts tables that are
+        used in between — under the old FIFO order they were rebuilt
+        every ``_TABLE_CACHE_MAX`` images."""
+        std = std_tables()
+        resident = [(t.dc, "dc", fused_tables(t.dc, "dc")) for t in std[:2]]
+        resident += [(t.ac, "ac", fused_tables(t.ac, "ac")) for t in std[:2]]
+        for i in range(fast_entropy._TABLE_CACHE_MAX + 6):
+            fused_tables(unique_spec(i), "ac")
+            for spec, role, tab in resident:
+                assert fused_tables(spec, role) is tab
+            assert len(fast_entropy._TABLE_CACHE) <= \
+                fast_entropy._TABLE_CACHE_MAX
+        # ... and the least recently used one is what goes
+        assert (unique_spec(0), "ac") not in fast_entropy._TABLE_CACHE
+
+    def test_concurrent_eviction_never_raises(self):
+        """Eight threads on distinct specs, constantly evicting: the old
+        ``pop(next(iter(cache)))`` raised KeyError when two of them
+        picked the same victim."""
+        errors: list[BaseException] = []
+        deadline = time.monotonic() + 1.5
+
+        def hammer(tid: int) -> None:
+            i = 0
+            try:
+                while time.monotonic() < deadline:
+                    spec = unique_spec(1000 * tid + i % 40)
+                    tab = fused_tables(spec, "ac")
+                    assert tab.values == spec.values
+                    i += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(fast_entropy._TABLE_CACHE) <= fast_entropy._TABLE_CACHE_MAX
+
+
+class TestCommittedCorpus:
+    def test_engines_agree_on_every_corpus_image(self):
+        """All 54 ledger inputs (read-only): identical planes from both
+        engines; the fast engine's row offsets start at 0, never go
+        back and end inside the scan."""
+        paths = sorted(CORPUS.glob("*.jpg"))
+        assert len(paths) == 54
+        for path in paths:
+            data = path.read_bytes()
+            fast = decode_jpeg(data, DecodeOptions(entropy_engine="fast"))
+            ref = decode_jpeg(data, DecodeOptions(entropy_engine="reference"))
+            for a, b in zip(fast.coefficients.planes,
+                            ref.coefficients.planes, strict=True):
+                assert a.dtype == np.int16 and np.array_equal(a, b), path.name
+            if fast.info.progressive:
+                continue   # multi-scan: no per-row offsets to report
+            offsets = fast.row_byte_offsets
+            assert len(offsets) == fast.info.geometry.mcu_rows + 1, path.name
+            assert offsets[0] == 0, path.name
+            assert all(b >= a for a, b in zip(offsets, offsets[1:])), path.name
+            assert 0 < offsets[-1] <= len(fast.info.entropy_data), path.name
+            assert offsets[-1] <= ref.row_byte_offsets[-1], path.name
 
 
 class TestCoefficientAllocation:

@@ -19,6 +19,7 @@ from repro.jpeg.entropy import (
 )
 from repro.jpeg.huffman import HuffmanSpec
 from repro.jpeg.markers import (
+    _find_scan_end,
     build_dht,
     build_dqt,
     build_sos,
@@ -118,6 +119,76 @@ class TestMarkerParsing:
     def test_dht_truncated(self):
         with pytest.raises(JpegFormatError):
             parse_dht_payload(b"\x00\x01")
+
+
+def find_scan_end_bytewise(data: bytes, start: int,
+                           tolerant: bool = False) -> int:
+    """The per-byte scan-end walk ``markers._find_scan_end`` was until
+    ISSUE 15, kept verbatim as the oracle for the ``bytes.find`` one."""
+    pos = start
+    n = len(data)
+    while pos < n - 1:
+        if data[pos] == 0xFF:
+            nxt = data[pos + 1]
+            if nxt == 0x00 or C.is_rst(nxt):
+                pos += 2
+                continue
+            return pos
+        pos += 1
+    if tolerant:
+        return n
+    raise JpegFormatError("entropy-coded data not terminated by a marker")
+
+
+#: What a scan is made of, as far as its end is concerned: plain bytes,
+#: stuffed 0xFF, the eight RSTn, 0xFF fill, and markers that end it.
+_SCAN_PIECES = st.one_of(
+    st.binary(min_size=0, max_size=6),
+    st.just(b"\xff\x00"),
+    st.sampled_from([bytes([0xFF, 0xD0 + i]) for i in range(8)]),
+    st.just(b"\xff\xff"),
+    st.sampled_from([b"\xff\xd9", b"\xff\xc4", b"\xff\xda", b"\xff\x01",
+                     b"\xff\xcf", b"\xff\xd8"]),
+    st.just(b"\xff"),
+)
+
+
+class TestFindScanEnd:
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(_SCAN_PIECES, max_size=12),
+           lone_ff=st.booleans(), start=st.integers(0, 80),
+           tolerant=st.booleans(), as_bytearray=st.booleans())
+    def test_equals_the_bytewise_walk(self, pieces, lone_ff, start,
+                                      tolerant, as_bytearray):
+        data = b"".join(pieces) + (b"\xff" if lone_ff else b"")
+        start = min(start, len(data) + 2)
+        try:
+            expected = find_scan_end_bytewise(data, start, tolerant)
+        except JpegFormatError as exc:
+            with pytest.raises(JpegFormatError) as got:
+                _find_scan_end(data, start, tolerant=tolerant)
+            assert str(got.value) == str(exc)
+            return
+        subject = bytearray(data) if as_bytearray else data
+        assert _find_scan_end(subject, start, tolerant=tolerant) == expected
+
+    @pytest.mark.parametrize("data, start, end", [
+        (b"\x12\xff\x00\x34\xff\xd9", 0, 4),        # stuffing is data
+        (b"\xff\xd0\xff\xd7\xff\xd8", 0, 4),        # RST0/RST7 in, SOI out
+        (b"\x00\xff\xff\xd9", 0, 1),                 # FF FF: fill ends it
+        (b"\xff\x00\xff\xd9", 1, 2),                 # start inside a pair
+        (b"\xff\xd9", 0, 0),
+    ])
+    def test_known_ends(self, data, start, end):
+        assert _find_scan_end(data, start) == end
+        assert _find_scan_end(data, start, tolerant=True) == end
+
+    @pytest.mark.parametrize("data", [b"", b"\xff", b"\x01\x02\xff",
+                                      b"\xff\x00\xff\xd3", b"\xff\x00\xff"])
+    def test_unterminated(self, data):
+        with pytest.raises(JpegFormatError, match="not terminated"):
+            _find_scan_end(data, 0)
+        assert _find_scan_end(data, 0, tolerant=True) == len(data)
 
 
 class TestEntropyRoundtrip:
