@@ -594,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(DRI=0) images: optimistic parallel Huffman "
                         "decode stitched by bit-position convergence; "
                         "'auto' fans out only when the batch cannot "
-                        "fill the pool")
+                        "fill the pool and the fan-out is predicted to "
+                        "pay")
     p.add_argument("--schedule", default="none",
                    choices=["none", "model", "roundrobin"],
                    help="cross-image batch scheduling: price each image "

@@ -154,6 +154,18 @@ class ImageGeometry:
         """Total blocks in one MCU across all components."""
         return sum(c.blocks_per_mcu for c in self.components)
 
+    def mcu_strip(self, mcus: int) -> "ImageGeometry":
+        """Virtual image one MCU wide and *mcus* MCUs tall, same
+        sampling and component count: the coordinate system of a decode
+        that covers a run of MCUs rather than whole MCU rows (restart
+        runs, speculative chunks, gap repairs).  An MCU's block order is
+        position-independent, so strip MCU *j* owns the contiguous
+        blocks ``[j * bpm, (j + 1) * bpm)`` of each component plane
+        (``bpm`` = the component's blocks per MCU) — the layout
+        :func:`scatter_mcu_strip` places into the real grid."""
+        return ImageGeometry(self.mcu_width, max(1, mcus) * self.mcu_height,
+                             self.mode, self.ncomponents)
+
     def mcu_row_to_pixel_rows(self, mcu_row: int) -> tuple[int, int]:
         """Pixel-row span [start, stop) covered by *mcu_row* (clamped)."""
         start = mcu_row * self.mcu_height
@@ -204,6 +216,40 @@ def blocks_to_plane(
     if height is not None or width is not None:
         plane = plane[: height or plane.shape[0], : width or plane.shape[1]]
     return plane
+
+
+def scatter_mcu_strip(
+    strip_planes: list[np.ndarray], first_local: int, first_global: int,
+    count: int, geometry: ImageGeometry, out_planes: list[np.ndarray],
+    dc_delta: "np.ndarray | None" = None,
+) -> None:
+    """Place *count* MCUs of an :meth:`ImageGeometry.mcu_strip` decode
+    into the whole-image block grid.
+
+    Strip MCUs ``first_local..first_local+count`` map onto global MCUs
+    ``first_global..first_global+count`` of *geometry*.  *dc_delta*
+    (per component) is added to every placed block's DC term — the
+    speculative stitcher's predictor correction.  A tolerant decode
+    stores DC modulo 2**16, so the patch is modular too: the delta is
+    wrapped into int16 and the in-place add wraps again; the true value
+    fits int16, so the residue *is* the exact sequential value.
+    """
+    if count <= 0:
+        return
+    g = np.arange(first_global, first_global + count)
+    mrow, mcol = np.divmod(g, geometry.mcus_per_row)
+    for ci, comp in enumerate(geometry.components):
+        vf, hf = comp.v_factor, comp.h_factor
+        bpm = vf * hf
+        dest = (mrow[:, None] * vf + np.arange(vf)) * comp.blocks_wide
+        dest = (dest[:, :, None]
+                + (mcol[:, None, None] * hf + np.arange(hf))).reshape(-1)
+        out_planes[ci][dest] = strip_planes[ci][
+            first_local * bpm:(first_local + count) * bpm]
+        d = 0 if dc_delta is None else \
+            ((int(dc_delta[ci]) + 0x8000) & 0xFFFF) - 0x8000
+        if d:
+            out_planes[ci][dest, 0, 0] += np.int16(d)
 
 
 def mcu_interleave_order(geometry: ImageGeometry) -> list[tuple[int, int]]:

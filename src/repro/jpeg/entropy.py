@@ -124,12 +124,16 @@ class EntropyDecoder:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self, entropy_data: bytes) -> None:
-        """Attach the raw scan bytes and reset all decoding state."""
+    def start(self, entropy_data: bytes, first_restart: int = 0) -> None:
+        """Attach the raw scan bytes and reset all decoding state.
+
+        *first_restart* is the index, within the whole scan, of the
+        first restart marker in *entropy_data* (not 0 for a run of
+        restart segments cut out of a longer scan)."""
         self._reader = BitReader(entropy_data)
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
-        self._next_rst = 0
+        self._next_rst = first_restart & 7
         self._rows_done = 0
         self._row_byte_offsets = [0]
         self.coefficients = CoefficientBuffers.empty(self.geometry)

@@ -31,6 +31,12 @@ standard libjpeg/GPU-decoder remedy in pure Python:
    ``__setitem__``; figures in ``docs/architecture.md``).  Restart
    handling, the end-of-segment careful symbols and the long-code walk
    are module-level helpers called only on their rare paths.
+5. **One bounded run** (:meth:`FastEntropyDecoder.decode_run`): the
+   same loop over an MCU-strip geometry, stopped at an MCU count or a
+   bit limit and optionally tracing ``(bit position, DC predictors)``
+   per MCU — what restart runs, speculative chunks and the stitcher's
+   repairs are made of (:mod:`~repro.jpeg.parallel_huffman`,
+   :mod:`~repro.jpeg.speculative`).
 
 :class:`FastEntropyDecoder` is bit-exact with
 :class:`~repro.jpeg.entropy.EntropyDecoder` (the retained ``reference``
@@ -403,9 +409,28 @@ def _careful_read_bits(n: int, acc: int, nbits: int, pos: int, seg_end: int,
     return (acc >> nbits) & ((1 << n) - 1), acc, nbits, pos
 
 
+class _Passed:
+    """Structural errors a tolerant decode has passed over so far."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
+def _pass_or_raise(tolerant: "_Passed | None", message: str) -> None:
+    """A structural error in the stream: a strict decode (*tolerant*
+    None) raises it, a tolerant one counts it and carries on — the
+    count is how the speculative stitcher learns that a chunk's parse
+    went over an error after it had synchronised."""
+    if tolerant is None:
+        raise EntropyError(message)
+    tolerant.count += 1
+
+
 def _careful_dc(acc: int, nbits: int, pos: int, seg_end: int,
                 zero_feed: bool, trunc: bool, payload: bytes,
-                tab: FusedDecodeTables, tolerant: bool):
+                tab: FusedDecodeTables, tolerant: "_Passed | None"):
     """Decode one DC difference with reference semantics — the path of
     every DC symbol the fused probe does not resolve, anywhere in a
     segment.
@@ -415,8 +440,7 @@ def _careful_dc(acc: int, nbits: int, pos: int, seg_end: int,
     s, acc, nbits, pos = _careful_symbol(
         acc, nbits, pos, seg_end, zero_feed, trunc, payload, tab)
     if s > 11:
-        if not tolerant:
-            raise EntropyError(f"DC category {s} out of range")
+        _pass_or_raise(tolerant, f"DC category {s} out of range")
         s = 0
     if s == 0:
         return 0, acc, nbits, pos
@@ -427,7 +451,7 @@ def _careful_dc(acc: int, nbits: int, pos: int, seg_end: int,
 
 def _careful_ac(k: int, acc: int, nbits: int, pos: int, seg_end: int,
                 zero_feed: bool, trunc: bool, payload: bytes,
-                tab: FusedDecodeTables, tolerant: bool):
+                tab: FusedDecodeTables, tolerant: "_Passed | None"):
     """Decode one AC symbol at zig-zag index *k* with reference
     semantics — the path of the last symbols of a segment, where the
     reader may have to pad or raise.
@@ -443,12 +467,12 @@ def _careful_ac(k: int, acc: int, nbits: int, pos: int, seg_end: int,
     if size == 0:
         if sym == ZRL_SYMBOL:
             return k + ZRL_ADVANCE, 0, acc, nbits, pos
-        if sym == EOB_SYMBOL or tolerant:
-            return EOB_ADVANCE, 0, acc, nbits, pos
-        raise EntropyError(f"bad AC symbol {sym:#x}")
+        if sym != EOB_SYMBOL:
+            _pass_or_raise(tolerant, f"bad AC symbol {sym:#x}")
+        return EOB_ADVANCE, 0, acc, nbits, pos
     k += (sym >> 4) + 1
-    if k > 64 and not tolerant:
-        raise EntropyError(_AC_OVERRUN)
+    if k > 64:
+        _pass_or_raise(tolerant, _AC_OVERRUN)
     m, acc, nbits, pos = _careful_read_bits(
         size, acc, nbits, pos, seg_end, zero_feed, trunc, payload)
     if k > 64:
@@ -508,9 +532,11 @@ def _segment_bounds(scan: ScanPrescan, rst_idx: int):
             term == TRUNCATED_FF)
 
 
-def _next_segment(scan: ScanPrescan, rst_idx: int):
+def _next_segment(scan: ScanPrescan, rst_idx: int, first_restart: int):
     """Cross restart marker *rst_idx*: check it is there and in
-    sequence, byte-align just past it.
+    sequence, byte-align just past it.  *first_restart* is the position
+    of the prescan's first marker in its scan's RST0..RST7 cycle (not 0
+    for a run of restart segments cut out of a longer scan).
 
     Returns ``(pos, seg_end, zero_feed, trunc)`` of the segment behind
     the marker; the caller clears the bit buffer and the DC predictors.
@@ -522,10 +548,11 @@ def _next_segment(scan: ScanPrescan, rst_idx: int):
                 f"expected restart marker, found 0xFF{term:02X}")
         raise BitstreamError("no restart marker before end of stream")
     found = scan.marker_values[rst_idx] - 0xD0
-    if found != rst_idx & 7:
+    expected = (first_restart + rst_idx) & 7
+    if found != expected:
         raise EntropyError(
             f"restart marker out of sequence: RST{found}, "
-            f"expected RST{rst_idx & 7}")
+            f"expected RST{expected}")
     return (scan.marker_payload_offsets[rst_idx],
             *_segment_bounds(scan, rst_idx + 1))
 
@@ -561,7 +588,10 @@ class FastEntropyDecoder:
         garbage until it self-synchronizes, and that garbage routinely
         overruns blocks or overflows the int16 DC range.  Tolerant mode
         clamps instead of raising — AC overruns and bad AC symbols end
-        the block, out-of-range DC categories decode as empty, and DC
+        the block and out-of-range DC categories decode as empty, each
+        counted (:attr:`run_passed` says in which MCU of a bounded run:
+        the same error *after* the guess has synchronised is the
+        stream's own, and the sequential decoder raises it), and DC
         stores wrap modulo 2**16 (the stitcher's DC-delta patch is also
         modular, so wrapped speculative values still patch to the exact
         sequential result).  Undecodable Huffman codes still raise:
@@ -575,6 +605,7 @@ class FastEntropyDecoder:
         self.geometry = geometry
         self.restart_interval = restart_interval
         self.tolerant = tolerant
+        self._passed = _Passed() if tolerant else None
         self._dc_tables = [fused_tables(t.dc, "dc") for t in tables]
         self._ac_tables = [fused_tables(t.ac, "ac") for t in tables]
         self._scan: ScanPrescan | None = None
@@ -591,6 +622,7 @@ class FastEntropyDecoder:
         self._seg_zero_feed = False
         self._seg_trunc = False
         self._rst_idx = 0
+        self._first_restart = 0
         self._preds = [0] * len(tables)
         self._mcus_done = 0
         self._rows_done = 0
@@ -602,12 +634,29 @@ class FastEntropyDecoder:
         #: between MCU rows, per component (see :meth:`_bind_planes`).
         self._row_plan: list[tuple] = []
         self._row_steps: list[int] = []
+        #: Per-MCU-row hook of a bounded run (see :meth:`decode_run`);
+        #: None keeps the row-offset bookkeeping of a whole-image decode.
+        self._run_hook = None
+        #: What the last :meth:`decode_run` recorded per MCU: the exact
+        #: :attr:`bit_position` and :attr:`dc_predictors` after it.
+        self.run_positions: list[int] = []
+        self.run_predictors: list[tuple[int, ...]] = []
+        #: Tolerant runs only: structural errors passed over so far,
+        #: after each MCU of the last :meth:`decode_run`.
+        self.run_passed: list[int] = []
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self, entropy_data: bytes) -> None:
-        """Prescan the raw scan bytes and reset all decoding state."""
+    def start(self, entropy_data: bytes, first_restart: int = 0) -> None:
+        """Prescan the raw scan bytes and reset all decoding state.
+
+        *first_restart* is the index, within the whole scan, of the
+        first restart marker in *entropy_data*: a run of restart
+        segments cut out of a longer scan checks its RSTn sequence from
+        there, so an out-of-sequence marker raises the sequential
+        decoder's message."""
         self._scan = destuff_scan(entropy_data)
+        self._first_restart = first_restart
         self._payload = self._scan.payload
         self._acc = 0
         self._nbits = 0
@@ -652,6 +701,7 @@ class FastEntropyDecoder:
             self._pos = byte
         self._phantom = 0
         self._rst_idx = 0
+        self._first_restart = 0
         while (self._rst_idx < scan.restart_count
                and scan.marker_payload_offsets[self._rst_idx] * 8
                <= bit_offset):
@@ -768,7 +818,7 @@ class FastEntropyDecoder:
         interval = self.restart_interval
         scan = self._scan
         payload = self._payload
-        tolerant = self.tolerant
+        tolerant = self._passed     # None = strict
         preds = self._preds
         row_steps = self._row_steps
         zz_after = _ZIGZAG_AFTER
@@ -786,13 +836,14 @@ class FastEntropyDecoder:
         rst_idx = self._rst_idx
         mcus_done = self._mcus_done
         rows_done = self._rows_done
+        run_hook = self._run_hook
 
         while rows_done < target:
             origins = [rows_done * step for step in row_steps]
             for mcu in self._row_plan:
                 if interval and mcus_done and mcus_done % interval == 0:
                     pos, seg_end, zero_feed, trunc = _next_segment(
-                        scan, rst_idx)
+                        scan, rst_idx, self._first_restart)
                     bulk_end = seg_end - 7
                     rst_idx += 1
                     acc = nbits = phantom = 0
@@ -823,7 +874,7 @@ class FastEntropyDecoder:
                     pred = preds[ci] = preds[ci] + diff
                     if -32768 <= pred <= 32767:
                         out[base] = pred
-                    elif tolerant:
+                    elif tolerant is not None:
                         # Garbage prefixes drift the predictor past
                         # int16; wrap like the modular DC-delta patch.
                         out[base] = ((pred + 32768) & 65535) - 32768
@@ -859,9 +910,8 @@ class FastEntropyDecoder:
                             k += advance     # EOB: past 63; ZRL: 16
                             if val:
                                 if k > 64:
-                                    if tolerant:
-                                        break
-                                    raise EntropyError(_AC_OVERRUN)
+                                    _pass_or_raise(tolerant, _AC_OVERRUN)
+                                    break
                                 out[base + zz_after[k]] = val
                             continue
                         p2 = a_lookup[(acc >> (nbits - LOOKUP_BITS)) & 255]
@@ -878,21 +928,24 @@ class FastEntropyDecoder:
                             if sym == ZRL_SYMBOL:
                                 k += ZRL_ADVANCE
                                 continue
-                            if sym == EOB_SYMBOL or tolerant:
-                                break
-                            raise EntropyError(f"bad AC symbol {sym:#x}")
+                            if sym != EOB_SYMBOL:
+                                _pass_or_raise(
+                                    tolerant, f"bad AC symbol {sym:#x}")
+                            break
                         nbits -= size
                         k += (sym >> 4) + 1
                         if k > 64:
-                            if tolerant:
-                                break
-                            raise EntropyError(_AC_OVERRUN)
+                            _pass_or_raise(tolerant, _AC_OVERRUN)
+                            break
                         m = (acc >> nbits) & masks[size]
                         out[base + zz_after[k]] = (
                             m if m >> (size - 1) else m - masks[size])
                 mcus_done += 1
             rows_done += 1
-            self._mark_row_end(pos, nbits - phantom)
+            if run_hook is None:
+                self._mark_row_end(pos, nbits - phantom)
+            elif run_hook(pos, nbits - phantom):
+                break
 
         # Locals -> state.
         self._acc, self._nbits, self._pos, self._phantom = (
@@ -903,6 +956,54 @@ class FastEntropyDecoder:
         self._mcus_done = mcus_done
         self._rows_done = rows_done
         return rows_done
+
+    def decode_run(self, limit_bit: int | None = None,
+                   record: bool = True) -> int:
+        """Bounded run: decode MCUs of an
+        :meth:`~repro.jpeg.blocks.ImageGeometry.mcu_strip` geometry
+        from wherever :meth:`start` / :meth:`start_prescanned` put the
+        reader; return how many.
+
+        The run ends at the strip's MCU count, or after the first MCU
+        that ends at or past *limit_bit* (a :attr:`bit_position`; every
+        MCU that *starts* before the limit is decoded in full).  The
+        pad bits of a payload's final byte are never consumed, so
+        :attr:`bit_position` stops up to seven bits short of the payload
+        end: a run that must not feed on zeros past the real data passes
+        ``payload bits - 7``.  With *record*, :attr:`run_positions` and
+        :attr:`run_predictors` (and :attr:`run_passed`, for a tolerant
+        decoder) get one entry per MCU — the trace the speculative
+        stitcher synchronises on.  Decode errors propagate;
+        the record then holds the MCUs completed before the error (and
+        the planes whatever was stored).
+
+        This is :meth:`decode_mcu_rows` itself — a strip's MCU row is
+        one MCU — with the stop rule and the record hooked into its
+        per-row epilogue in place of the row-offset bookkeeping: a
+        whole-image decode pays one ``is None`` test per MCU row for
+        it, and a run pays one closure call per MCU instead of a call
+        into the decoder with its state load and store.
+        """
+        positions = self.run_positions = []
+        predictors = self.run_predictors = []
+        passed_after = self.run_passed = []
+        limit = float("inf") if limit_bit is None else limit_bit
+        preds, passed = self._preds, self._passed
+
+        def after_mcu(pos: int, real_bits: int) -> bool:
+            bit = (pos << 3) - (real_bits if real_bits > 0 else 0)
+            if record:
+                positions.append(bit)
+                predictors.append(tuple(preds))
+                if passed is not None:
+                    passed_after.append(passed.count)
+            return bit >= limit
+
+        self._run_hook = after_mcu
+        try:
+            return self.decode_mcu_rows(self.geometry.mcu_rows)
+        finally:
+            self._run_hook = None
 
     def decode_all(self, entropy_data: bytes) -> CoefficientBuffers:
         """Convenience: start + decode every MCU row."""

@@ -12,10 +12,12 @@ This module implements that extension:
 
 - :func:`split_restart_segments` scans the entropy data for RSTn
   boundaries and returns the byte spans;
-- :func:`decode_segment_coefficients` / :func:`scatter_segment` decode
-  one segment in isolation and place its blocks into the global grid —
-  the unit of work :mod:`repro.service` fans out across a real worker
-  pool;
+- :func:`merge_segment_runs` groups consecutive segments into runs of
+  about equal compressed size and :func:`decode_segment_coefficients`
+  decodes one run in isolation into an MCU strip
+  (:func:`~repro.jpeg.blocks.scatter_mcu_strip` places it into the
+  global grid) — the unit of work :mod:`repro.service` fans out across
+  a real worker pool;
 - :class:`ParallelEntropyDecoder` decodes every segment independently
   (results are bit-identical to the sequential decoder — tested) and
   models the multi-core schedule: segments are greedily assigned to
@@ -40,14 +42,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EntropyError
-from .blocks import ImageGeometry
+from .blocks import ImageGeometry, scatter_mcu_strip
 from .entropy import CoefficientBuffers, ComponentTables
-from .fast_entropy import create_entropy_decoder, destuff_scan
+from .fast_entropy import (
+    FastEntropyDecoder,
+    create_entropy_decoder,
+    destuff_scan,
+)
+from .speculative import (
+    DEFAULT_OVERLAP_BYTES,
+    SpeculativeChunk,
+    SpeculativeReport,
+    _sequential as _sequential_oracle,
+    speculate,
+)
 
 
 @dataclass(frozen=True)
 class RestartSegment:
-    """One independently decodable span of the entropy-coded data."""
+    """One independently decodable span of the entropy-coded data: a
+    restart segment, or a *run* of consecutive ones
+    (:func:`merge_segment_runs`) — ``index`` is then the run's first
+    segment and ``byte_stop`` its last segment's end."""
 
     index: int
     byte_start: int       # offset of the segment's first payload byte
@@ -57,7 +73,7 @@ class RestartSegment:
 
     @property
     def nbytes(self) -> int:
-        """Compressed size of the segment in bytes (markers excluded)."""
+        """Compressed size of the span in bytes (trailing RSTn excluded)."""
         return self.byte_stop - self.byte_start
 
 
@@ -68,11 +84,20 @@ def split_restart_segments(entropy_data: bytes, total_mcus: int,
     Reuses the fast engine's destuffing prescan
     (:func:`repro.jpeg.fast_entropy.destuff_scan`) instead of a
     duplicate byte-at-a-time 0xFF scan: the prescan's marker index
-    already holds the original-stream offset of every RSTn pair.
+    already holds the original-stream offset of every RSTn pair.  The
+    markers must count RST0..RST7 cyclically: segments decode apart, so
+    the one place that sees every marker checks the sequence, with the
+    sequential decoder's message.
     """
     if restart_interval <= 0:
         raise EntropyError("parallel Huffman decoding needs a DRI interval")
-    boundaries = destuff_scan(entropy_data).marker_orig_offsets
+    prescan = destuff_scan(entropy_data)
+    for i, value in enumerate(prescan.marker_values):
+        if value - 0xD0 != i & 7:
+            raise EntropyError(
+                f"restart marker out of sequence: RST{value - 0xD0}, "
+                f"expected RST{i & 7}")
+    boundaries = prescan.marker_orig_offsets
 
     segments: list[RestartSegment] = []
     start = 0
@@ -92,76 +117,100 @@ def split_restart_segments(entropy_data: bytes, total_mcus: int,
     return segments
 
 
+def merge_segment_runs(segments: list[RestartSegment],
+                       run_count: int) -> list[RestartSegment]:
+    """Merge consecutive segments into at most *run_count* runs of about
+    equal compressed size — the unit a worker pool is handed: a task per
+    segment costs a dispatch, a pickled table set and a transport lease
+    each, for work a worker can do in one pass over adjacent bytes.
+
+    A run closes at the segment boundary nearest its share of the bytes
+    so far (run *k* of *n* aims at ``k / n`` of the total), so one run
+    per segment comes out exactly and an oversized segment yields fewer
+    runs.
+    """
+    count = max(1, min(run_count, len(segments)))
+    total = sum(seg.nbytes for seg in segments)
+    runs: list[RestartSegment] = []
+    first, done = 0, 0
+    for i, seg in enumerate(segments):
+        done += seg.nbytes
+        last = i == len(segments) - 1
+        if last or (2 * done + segments[i + 1].nbytes) * count \
+                > 2 * total * (len(runs) + 1):
+            head = segments[first]
+            runs.append(RestartSegment(
+                index=head.index, byte_start=head.byte_start,
+                byte_stop=seg.byte_stop, mcu_start=head.mcu_start,
+                mcu_count=seg.mcu_start + seg.mcu_count - head.mcu_start))
+            first = i + 1
+    return runs
+
+
 def decode_segment_coefficients(
     seg: RestartSegment,
     segment_bytes: bytes,
     geometry: ImageGeometry,
     tables: list[ComponentTables],
     entropy_engine: str = "fast",
+    restart_interval: int = 0,
 ) -> list[np.ndarray]:
-    """Entropy-decode one restart segment in complete isolation.
+    """Entropy-decode one restart segment, or one run of them, in
+    complete isolation.
 
     Restart segments are byte-aligned and reset their DC predictions, so
-    each one decodes with a fresh sequential decoder over a *virtual*
-    1-MCU-row image covering exactly its MCUs (the scan order inside an
-    MCU is position-independent).  Returns the virtual image's
-    coefficient planes, ready for :func:`scatter_segment`.
+    a run decodes with a fresh sequential decoder over the MCU strip
+    (:meth:`~repro.jpeg.blocks.ImageGeometry.mcu_strip`) covering
+    exactly its MCUs.  *segment_bytes* starts at the run's first byte;
+    a run of several segments carries its interior RSTn markers (and
+    *restart_interval*), whose sequence is checked from ``seg.index``,
+    and should carry its trailing marker too so the last segment ends
+    the way it does in the whole scan.  The strip's MCU count is the
+    run's only bound: the fast engine takes it as an untraced
+    :meth:`~repro.jpeg.fast_entropy.FastEntropyDecoder.decode_run`
+    (which drops the per-row offset bookkeeping, ~1.5 us per MCU of a
+    strip), the reference engine row by row.  Returns the strip's
+    coefficient planes, ready for
+    :func:`~repro.jpeg.blocks.scatter_mcu_strip`.
 
     This function is self-contained and picklable-argument-only on
     purpose: the batched decode service ships it to process-pool
     workers.
     """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
-    vdec = create_entropy_decoder(entropy_engine, virt, tables,
-                                  restart_interval=0)
-    vdec.start(segment_bytes)
-    vdec.decode_mcu_rows(1)
+    strip = geometry.mcu_strip(seg.mcu_count)
+    vdec = create_entropy_decoder(entropy_engine, strip, tables,
+                                  restart_interval)
+    vdec.start(segment_bytes, first_restart=seg.index)
+    if isinstance(vdec, FastEntropyDecoder):
+        vdec.decode_run(record=False)
+    else:
+        vdec.decode_mcu_rows(strip.mcu_rows)
     return vdec.coefficients.planes
 
 
 def segment_plane_nbytes(seg: RestartSegment,
                          geometry: ImageGeometry) -> list[int]:
     """Byte sizes of the planes :func:`decode_segment_coefficients`
-    returns for *seg*, in order.
-
-    Derived from the same virtual single-MCU-row geometry the decode
+    returns for *seg*, in order: one int16 8x8 block per block of the
+    run's MCU strip.  Derived from the same strip geometry the decode
     uses, so a caller sizing a transport buffer (the batched service's
-    shared-memory lease) can never drift out of step with the actual
-    payload layout: one int16 8x8 block per ``blocks_total`` entry.
-    """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
+    shared-memory lease) cannot drift out of step with the payload."""
     block_nbytes = 8 * 8 * np.dtype(np.int16).itemsize
-    return [c.blocks_total * block_nbytes for c in virt.components]
+    return [c.blocks_total * block_nbytes
+            for c in geometry.mcu_strip(seg.mcu_count).components]
 
 
-def scatter_segment(
-    seg: RestartSegment,
-    planes: list[np.ndarray],
-    geometry: ImageGeometry,
-    out: CoefficientBuffers,
-) -> None:
-    """Place one segment's virtual-image *planes* into the global grid.
+#: The sequential Huffman cost model (Figure 7's slope and per-pixel
+#: base re-expressed per MCU) in closed form: Eq 4's ``THuff`` without
+#: a profiled platform.
+HUFFMAN_NS_PER_BYTE = 13.0
+HUFFMAN_NS_PER_MCU = 70.0
 
-    Virtual MCU *j* maps to global MCU ``seg.mcu_start + j``; each
-    component block is copied to its row-major position in *out*.
-    """
-    virt = ImageGeometry(seg.mcu_count * geometry.mcu_width,
-                         geometry.mcu_height, geometry.mode)
-    for ci, comp in enumerate(geometry.components):
-        vcomp = virt.components[ci]
-        src = planes[ci]
-        dst = out.planes[ci]
-        for j in range(seg.mcu_count):
-            g = seg.mcu_start + j
-            grow, gcol = divmod(g, geometry.mcus_per_row)
-            for v in range(comp.v_factor):
-                for h in range(comp.h_factor):
-                    sidx = v * vcomp.blocks_wide + j * comp.h_factor + h
-                    didx = ((grow * comp.v_factor + v) * comp.blocks_wide
-                            + gcol * comp.h_factor + h)
-                    dst[didx] = src[sidx]
+
+def modeled_entropy_us(nbytes: int, mcus: int) -> float:
+    """Modelled sequential entropy-decode time (us) of *mcus* MCUs coded
+    in *nbytes* bytes."""
+    return (nbytes * HUFFMAN_NS_PER_BYTE + mcus * HUFFMAN_NS_PER_MCU) / 1e3
 
 
 def _lpt_makespan(work: list[float], cores: int) -> float:
@@ -204,38 +253,27 @@ class ParallelEntropyDecoder:
         self.restart_interval = restart_interval
         self.entropy_engine = entropy_engine
 
-    def _decode_segment(self, seg: RestartSegment, data: bytes,
-                        out: CoefficientBuffers) -> None:
-        """Decode one segment into the right slice of *out*.
+    def decode(self, entropy_data: bytes,
+               cores: int = 4) -> ParallelDecodeResult:
+        """Decode all segments; model the multi-core schedule with
+        :func:`modeled_entropy_us` per segment.
 
         Segments start and end on MCU-row boundaries only if the
-        interval divides the row width, so the segment is decoded into a
-        scratch buffer in scan order and then scattered into the global
-        block grid.
-        """
-        planes = decode_segment_coefficients(
-            seg, data[seg.byte_start: seg.byte_stop], self.geometry,
-            self.tables, self.entropy_engine)
-        scatter_segment(seg, planes, self.geometry, out)
-
-    def decode(self, entropy_data: bytes, cores: int = 4,
-               ns_per_byte: float = 13.0,
-               ns_per_mcu: float = 70.0) -> ParallelDecodeResult:
-        """Decode all segments; model the multi-core schedule.
-
-        ``ns_per_byte``/``ns_per_mcu`` mirror the sequential Huffman cost
-        model (Figure 7's slope and per-pixel base re-expressed per MCU).
+        interval divides the row width, so each is decoded into an MCU
+        strip and then scattered into the global block grid.
         """
         geo = self.geometry
         segments = split_restart_segments(
             entropy_data, geo.total_mcus, self.restart_interval)
         out = CoefficientBuffers.empty(geo)
         for seg in segments:
-            self._decode_segment(seg, entropy_data, out)
-        work = [
-            (seg.nbytes * ns_per_byte + seg.mcu_count * ns_per_mcu) / 1e3
-            for seg in segments
-        ]
+            planes = decode_segment_coefficients(
+                seg, entropy_data[seg.byte_start:seg.byte_stop], geo,
+                self.tables, self.entropy_engine)
+            scatter_mcu_strip(planes, 0, seg.mcu_start, seg.mcu_count,
+                              geo, out.planes)
+        work = [modeled_entropy_us(seg.nbytes, seg.mcu_count)
+                for seg in segments]
         return ParallelDecodeResult(
             coefficients=out, segments=segments,
             sequential_us=float(sum(work)),
@@ -249,8 +287,8 @@ class SpeculativeDecodeResult:
     """Output of a speculative (marker-free) parallel entropy decode."""
 
     coefficients: CoefficientBuffers
-    report: "SpeculativeReport"
-    chunks: list["SpeculativeChunk"]
+    report: SpeculativeReport
+    chunks: list[SpeculativeChunk]
     sequential_us: float      # simulated single-core time
     parallel_us: float        # simulated LPT makespan + serial repairs
     cores: int
@@ -275,47 +313,28 @@ class SpeculativeEntropyDecoder:
     def __init__(self, geometry: ImageGeometry,
                  tables: list[ComponentTables],
                  chunk_count: int | None = None,
-                 overlap: int | None = None) -> None:
+                 overlap: int = DEFAULT_OVERLAP_BYTES) -> None:
         """Bind decode inputs; *chunk_count* None = one chunk per core."""
         self.geometry = geometry
         self.tables = tables
         self.chunk_count = chunk_count
-        self.overlap = overlap if overlap is not None else DEFAULT_OVERLAP_BYTES
+        self.overlap = overlap
 
     def decode(self, entropy_data: bytes, cores: int = 4,
-               ns_per_byte: float = 13.0,
-               ns_per_mcu: float = 70.0,
                map_fn=map) -> SpeculativeDecodeResult:
-        """Decode the whole scan speculatively; model the schedule.
-
-        ``ns_per_byte``/``ns_per_mcu`` mirror the sequential Huffman
-        cost model (Figure 7's slope and per-pixel base re-expressed
-        per MCU), applied to each chunk's shipped window.
-        """
+        """Decode the whole scan speculatively; model the schedule
+        with :func:`modeled_entropy_us` applied to each chunk's shipped
+        window."""
         geo = self.geometry
         scan = destuff_scan(entropy_data)
         n_chunks = self.chunk_count if self.chunk_count else max(1, cores)
-        chunks = plan_chunks(len(scan.payload), n_chunks, self.overlap)
-        geo_args = (geo.width, geo.height, geo.mode)
-        payload = scan.payload
-        tasks = [
-            (c, payload[c.start:c.slice_stop], geo_args, self.tables,
-             "fast", scan.terminator if c.slice_stop == len(payload)
-             else None)
-            for c in chunks
-        ]
-        traces = list(map_fn(_decode_chunk_star, tasks))
-        out, report = stitch_chunks(
-            traces, chunks, geo,
-            repair=make_repairer(scan, geo, self.tables))
+        chunks, out, report = speculate(scan, geo, self.tables, n_chunks,
+                                        self.overlap, map_fn)
         mcus_per_chunk = geo.total_mcus / len(chunks)
-        work = [
-            ((c.window_stop - c.start) * ns_per_byte
-             + mcus_per_chunk * ns_per_mcu) / 1e3
-            for c in chunks
-        ]
-        sequential_us = (len(payload) * ns_per_byte
-                         + geo.total_mcus * ns_per_mcu) / 1e3
+        work = [modeled_entropy_us(c.window_stop - c.start, mcus_per_chunk)
+                for c in chunks]
+        sequential_us = modeled_entropy_us(len(scan.payload),
+                                           geo.total_mcus)
         parallel_us = _lpt_makespan(work, cores)
         if out is None:
             # Whole-scan fallback: the sequential decode IS the path.
@@ -327,17 +346,3 @@ class SpeculativeEntropyDecoder:
             coefficients=out, report=report, chunks=chunks,
             sequential_us=sequential_us, parallel_us=parallel_us,
             cores=cores)
-
-
-# Late imports keep module load order simple: speculative.py imports
-# nothing from this module.
-from .speculative import (  # noqa: E402
-    DEFAULT_OVERLAP_BYTES,
-    SpeculativeChunk,
-    SpeculativeReport,
-    _decode_chunk_star,
-    _sequential as _sequential_oracle,
-    make_repairer,
-    plan_chunks,
-    stitch_chunks,
-)

@@ -18,10 +18,12 @@ The pipeline here:
    chunks, each extended by an overlap window into its successor.
 2. :func:`decode_speculative_chunk` runs an optimistic
    :class:`~repro.jpeg.fast_entropy.FastEntropyDecoder` from each chunk
-   start (chunk 0 starts at the true origin, so its prefix is exact),
-   decoding MCU by MCU through a one-MCU-per-row *virtual* geometry and
-   recording the exact payload **bit position** and per-component DC
-   predictors after every MCU — the trace convergence is detected on.
+   start (chunk 0 starts at the true origin, so its prefix is exact) as
+   one *bounded run* (:func:`traced_run`) over an MCU-strip geometry:
+   it records the exact payload **bit position** and per-component DC
+   predictors after every MCU — the trace convergence is detected on —
+   and ends with the MCU that crosses the overlap window, or at the
+   last real payload bit.
 3. :func:`stitch_chunks` finds, per adjacent pair, the first common bit
    position inside the overlap window.  Equal bit positions mean equal
    decoder state from there on (Huffman decode is deterministic), so
@@ -30,10 +32,13 @@ The pipeline here:
    predecessor chain supplies the true predictors and the delta is
    patched onto the chunk's DC coefficients during scatter.
 4. Convergence can legitimately fail (overlap too small, decode error
-   in the overlap, hostile bytes).  The stitcher then reports
-   ``fallback`` and :func:`decode_coefficients_speculative` re-decodes
-   the scan sequentially — the retained sequential path stays the
-   bit-identity (and error-identity) oracle.
+   in the overlap, hostile bytes): the stitcher repairs the gap with a
+   sequential bounded run from its trusted frontier, and likewise the
+   MCUs a truncated scan owes past its real data.  When coverage still
+   cannot be established it reports ``fallback`` and
+   :func:`decode_coefficients_speculative` re-decodes the scan
+   sequentially — the retained sequential path stays the bit-identity
+   (and error-identity) oracle.
 
 The service integration (:class:`~repro.service.batch.BatchDecoder`)
 ships :func:`decode_speculative_chunk` to worker processes as a third
@@ -43,11 +48,12 @@ fan-out mode next to whole-image and restart-segment tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..errors import EntropyError
-from .blocks import ImageGeometry
+from .blocks import ImageGeometry, scatter_mcu_strip
 from .entropy import CoefficientBuffers, ComponentTables
 from .fast_entropy import FastEntropyDecoder, ScanPrescan, destuff_scan
 
@@ -76,8 +82,6 @@ class SpeculativeChunk:
     """One speculative decode unit over the destuffed payload."""
 
     index: int
-    #: Total chunks in the plan (workers size budgets from it).
-    count: int
     #: Payload byte offset the decoder starts at (byte-aligned guess;
     #: exact for chunk 0).
     start: int
@@ -91,11 +95,6 @@ class SpeculativeChunk:
     #: True for the final chunk (decodes through the scan terminator).
     last: bool
 
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes shipped for this chunk."""
-        return self.slice_stop - self.start
-
 
 @dataclass
 class ChunkTrace:
@@ -104,14 +103,14 @@ class ChunkTrace:
     ``positions[j]`` is the absolute payload *bit* offset after decoding
     local MCU *j*; ``dc_trace[j]`` the per-component DC predictors at
     that point.  ``planes[ci]`` holds the chunk's decoded blocks in
-    virtual one-MCU-per-row order: local MCU *j* owns the contiguous
-    block range ``[j * bpm, (j + 1) * bpm)`` of component *ci* where
-    ``bpm`` is the component's blocks per MCU.  A decode error inside
-    the chunk is *recorded*, never raised — whether it matters depends
-    on whether the error fell inside the MCU range the stitcher needs.
+    MCU-strip order (:meth:`~repro.jpeg.blocks.ImageGeometry.mcu_strip`):
+    local MCU *j* owns the contiguous block range
+    ``[j * bpm, (j + 1) * bpm)`` of component *ci* where ``bpm`` is the
+    component's blocks per MCU.  A decode error inside the chunk is
+    *recorded*, never raised — whether it matters depends on whether
+    the error fell inside the MCU range the stitcher needs.
     """
 
-    index: int
     start_bit: int
     mcus: int
     positions: np.ndarray
@@ -119,6 +118,11 @@ class ChunkTrace:
     planes: list[np.ndarray] | None
     error_type: str | None = None
     error: str | None = None
+    #: Local index of the last MCU in which a tolerant decode passed
+    #: over a structural error (-1: none).  Before the chunk's sync
+    #: point that is the guess parsing garbage; after it, the stream's
+    #: own error, which the sequential decoder raises.
+    last_passed: int = -1
 
 
 @dataclass
@@ -170,7 +174,7 @@ def plan_chunks(payload_len: int, chunk_count: int,
         window_stop = n if last else min(stop + overlap, n)
         slice_stop = n if last else min(window_stop + TAIL_SLACK_BYTES, n)
         chunks.append(SpeculativeChunk(
-            index=i, count=count, start=start, stop=stop,
+            index=i, start=start, stop=stop,
             window_stop=window_stop, slice_stop=slice_stop, last=last))
     return chunks
 
@@ -184,12 +188,11 @@ def chunk_mcu_budget(chunk: SpeculativeChunk,
     even with degenerate 1-bit Huffman codes; the smaller bound sizes
     the chunk's virtual geometry (and so its plane allocation).
     """
-    total = geometry.total_mcus
-    bpm = sum(c.h_factor * c.v_factor for c in geometry.components)
-    cap = total + 2
+    cap = geometry.total_mcus + 2
     if not chunk.last:
         window_bits = (chunk.window_stop - chunk.start) * 8
-        cap = min(cap, window_bits // (_MIN_BITS_PER_BLOCK * bpm) + 2)
+        cap = min(cap, window_bits // (
+            _MIN_BITS_PER_BLOCK * geometry.blocks_per_mcu) + 2)
     return max(1, cap)
 
 
@@ -203,10 +206,45 @@ MAX_RESTARTS = 64
 _RESTART_BACKOFF_BITS = 24
 
 
+def traced_run(geometry: ImageGeometry, tables: list[ComponentTables],
+               scan: ScanPrescan, start_bit: int, max_mcus: int,
+               limit_bit: int | None, tolerant: bool = False) -> ChunkTrace:
+    """One bounded run of the fast engine over *scan*, as a trace.
+
+    Decodes from *start_bit* for at most *max_mcus* MCUs or until an
+    MCU ends at or past *limit_bit*
+    (:meth:`~repro.jpeg.fast_entropy.FastEntropyDecoder.decode_run`
+    over an MCU-strip geometry — one call, not one per MCU).  A decode
+    error ends the trace and is *recorded* on it, never raised; the
+    MCUs completed before it stand.  Both the speculative chunks and
+    the stitcher's sequential repairs are this function.
+    """
+    decoder = FastEntropyDecoder(geometry.mcu_strip(max_mcus), tables, 0,
+                                 tolerant=tolerant)
+    decoder.start_prescanned(scan, start_bit)
+    err_type = err_msg = None
+    try:
+        decoder.decode_run(limit_bit)
+    except Exception as exc:  # the stitcher decides whether it matters
+        err_type, err_msg = type(exc).__name__, str(exc)
+    mcus = len(decoder.run_positions)
+    passed = np.flatnonzero(np.diff(decoder.run_passed, prepend=0))
+    return ChunkTrace(
+        start_bit=start_bit, mcus=mcus,
+        positions=np.asarray(decoder.run_positions, dtype=np.int64),
+        dc_trace=np.asarray(decoder.run_predictors, dtype=np.int64
+                            ).reshape(mcus, len(geometry.components)),
+        planes=[np.array(plane[:mcus * comp.blocks_per_mcu])
+                for plane, comp in zip(decoder.coefficients.planes,
+                                       geometry.components)],
+        error_type=err_type, error=err_msg,
+        last_passed=int(passed[-1]) if len(passed) else -1)
+
+
 def decode_speculative_chunk(
     chunk: SpeculativeChunk,
     slice_bytes: bytes,
-    geometry_args: tuple[int, int, str],
+    geometry_args: tuple,
     tables: list[ComponentTables],
     engine: str = "fast",
     terminator: int | None = None,
@@ -216,14 +254,17 @@ def decode_speculative_chunk(
     *slice_bytes* is ``payload[chunk.start:chunk.slice_stop]`` — already
     destuffed, so it attaches via
     :meth:`~repro.jpeg.fast_entropy.FastEntropyDecoder.start_prescanned`
-    (re-destuffing would corrupt 0xFF data bytes).  *terminator* is the
+    (re-destuffing would corrupt 0xFF data bytes).  *geometry_args* are
+    the whole image's ``ImageGeometry`` arguments.  *terminator* is the
     original scan's terminator when the slice reaches the payload end
-    (the decoder then zero-feeds exactly like the sequential path) and
-    None otherwise (running off the slack raises, which is recorded as
-    a chunk error).  Decoding advances one MCU at a time through a
-    one-MCU-per-row virtual geometry, recording the exact bit position
-    and DC predictors after each MCU; it stops at the window end, the
-    MCU budget, or a decode error.
+    and None otherwise (running off the slack raises, which is recorded
+    as a chunk error).  The chunk is one :func:`traced_run`: it stops
+    after the MCU that crosses the window end, at the MCU budget, at a
+    decode error — or once fewer than eight real payload bits remain.
+    No MCU is decoded that would begin in the final byte's pad bits or
+    feed on zeros past them; whatever the image still owes after the
+    real data (a truncated scan) comes from the stitcher's tail repair,
+    which decodes with the sequential oracle's own semantics.
 
     Chunk 0 starts at the true stream origin and decodes *strictly*
     (its prefix is the oracle's own parse; errors there are real).
@@ -241,114 +282,33 @@ def decode_speculative_chunk(
             " (it alone exposes exact bit positions)")
     geometry = ImageGeometry(*geometry_args)
     budget = chunk_mcu_budget(chunk, geometry)
-    virtual = ImageGeometry(geometry.mcu_width,
-                            budget * geometry.mcu_height, geometry.mode)
     local = ScanPrescan(payload=bytes(slice_bytes), terminator=terminator)
-    limit_bits = (chunk.window_stop - chunk.start) * 8
-    base_bit = chunk.start * 8
-    exact = chunk.index == 0
-    ncomp = len(geometry.components)
-
-    attempt_bit = 0
-    restarts = MAX_RESTARTS if not exact else 0
     payload_bits = len(local.payload) * 8
-    decoder = None
-    positions: list[int] = []
-    dcs: list[tuple[int, ...]] = []
-    err_type = err_msg = None
+    limit_bits = min((chunk.window_stop - chunk.start) * 8, payload_bits - 7)
+    exact = chunk.index == 0
+    attempt_bit = 0
+    restarts = 0 if exact else MAX_RESTARTS
     while True:
-        decoder = FastEntropyDecoder(virtual, tables, 0, tolerant=not exact)
-        decoder.start_prescanned(local, attempt_bit)
-        positions, dcs = [], []
-        err_type = err_msg = None
-        # Past the payload end the final chunk may legitimately
-        # zero-feed a few more MCUs (partial-bit tails); grace bounds
-        # that overshoot so a bitless tail cannot spin the budget down
-        # decoding phantoms.
-        grace = geometry.mcus_per_row + 2
-        while len(positions) < budget:
-            if decoder.bit_position >= limit_bits:
-                if not chunk.last or grace == 0:
-                    break
-                grace -= 1
-            try:
-                decoder.decode_mcu_rows(1)
-            except Exception as exc:  # misspeculation evidence
-                if not exact and payload_bits - decoder.bit_position < 64:
-                    # Over-decode off the end of the real payload —
-                    # expected when the MCU budget exceeds what the
-                    # chunk truly holds, not misspeculation.  (An
-                    # end-of-data error can report up to an accumulator
-                    # of real bits short of the payload end.)
-                    break
-                err_type, err_msg = type(exc).__name__, str(exc)
-                break
-            positions.append(base_bit + decoder.bit_position)
-            dcs.append(decoder.dc_predictors)
-        if err_type is None or restarts == 0:
+        trace = traced_run(geometry, tables, local, attempt_bit, budget,
+                           limit_bits, tolerant=not exact)
+        if trace.error_type is None:
             break
-        # A position that matched the predecessor would pin this
-        # attempt's suffix to the true parse, which cannot misparse —
-        # so a failed attempt's positions are never sync points and
-        # the restart may jump all the way to the misparse.
+        failed_at = int(trace.positions[-1]) if trace.mcus else attempt_bit
+        if not exact and payload_bits - failed_at < 64:
+            # Ran off the end of the real payload — the MCU budget
+            # exceeds what the slice truly holds; not misspeculation.
+            # (An end-of-data error can report up to an accumulator of
+            # real bits short of the payload end.)
+            trace.error_type = trace.error = None
+            break
+        nxt = max(attempt_bit + 1, failed_at - _RESTART_BACKOFF_BITS)
+        if restarts == 0 or nxt >= limit_bits:
+            break
         restarts -= 1
-        nxt = max(attempt_bit + 1,
-                  decoder.bit_position - _RESTART_BACKOFF_BITS)
-        if nxt >= limit_bits:
-            break
         attempt_bit = nxt
-
-    mcus = len(positions)
-    planes = []
-    for ci, comp in enumerate(virtual.components):
-        bpm = comp.h_factor * comp.v_factor
-        planes.append(np.array(decoder.coefficients.planes[ci][:mcus * bpm]))
-    return ChunkTrace(
-        index=chunk.index, start_bit=base_bit + attempt_bit, mcus=mcus,
-        positions=np.asarray(positions, dtype=np.int64),
-        dc_trace=(np.asarray(dcs, dtype=np.int64)
-                  if dcs else np.zeros((0, ncomp), dtype=np.int64)),
-        planes=planes, error_type=err_type, error=err_msg)
-
-
-def scatter_chunk(trace: ChunkTrace, first_local: int, first_global: int,
-                  count: int, delta: np.ndarray, geometry: ImageGeometry,
-                  out: CoefficientBuffers) -> None:
-    """Place *count* MCUs of a chunk into the whole-image grid.
-
-    Local MCUs ``first_local..first_local+count`` map onto global MCUs
-    ``first_global..first_global+count``; *delta* (per component) is the
-    DC predictor correction added to every placed block's DC term —
-    after it, the values equal the sequential decoder's exactly.
-    """
-    if count <= 0:
-        return
-    mpr = geometry.mcus_per_row
-    g = np.arange(first_global, first_global + count)
-    mrow, mcol = g // mpr, g % mpr
-    for ci, comp in enumerate(geometry.components):
-        vf, hf = comp.v_factor, comp.h_factor
-        bw = comp.blocks_wide
-        bpm = vf * hf
-        dest = ((mrow[:, None] * vf + np.arange(vf)[None, :]) * bw)
-        dest = dest[:, :, None] + (mcol[:, None, None] * hf
-                                   + np.arange(hf)[None, None, :])
-        dest = dest.reshape(-1)
-        blocks = trace.planes[ci][first_local * bpm:
-                                  (first_local + count) * bpm]
-        out.planes[ci][dest] = blocks
-        # Tolerant decode stores DC mod 2**16, so the patch is modular
-        # too: wrap the delta into int16 range and let the in-place add
-        # wrap again — the true value fits int16, so the residue IS the
-        # exact sequential value.
-        d = ((int(delta[ci]) + 0x8000) & 0xFFFF) - 0x8000
-        if d:
-            out.planes[ci][dest, 0, 0] += np.int16(d)
-
-
-def _strictly_increasing(a: np.ndarray) -> bool:
-    """True when *a* has no repeated or decreasing entries."""
-    return bool(np.all(np.diff(a) > 0)) if len(a) > 1 else True
+    trace.start_bit += chunk.start * 8
+    trace.positions += chunk.start * 8
+    return trace
 
 
 def _find_sync(prev: ChunkTrace, prev_sync: int, cur: ChunkTrace,
@@ -369,7 +329,7 @@ def _find_sync(prev: ChunkTrace, prev_sync: int, cur: ChunkTrace,
     q = np.concatenate(([np.int64(cur.start_bit)], cur.positions))
     pw = p[np.searchsorted(p, lo, "left"):np.searchsorted(p, hi, "right")]
     qw = q[np.searchsorted(q, lo, "left"):np.searchsorted(q, hi, "right")]
-    if not (_strictly_increasing(pw) and _strictly_increasing(qw)):
+    if np.any(np.diff(pw) <= 0) or np.any(np.diff(qw) <= 0):
         # Repeated positions (zero-feed inside a window) make the trace
         # index ambiguous — treat as non-convergence.
         return None
@@ -377,6 +337,142 @@ def _find_sync(prev: ChunkTrace, prev_sync: int, cur: ChunkTrace,
         j_prev = int(np.searchsorted(p, cand, "left"))
         if j_prev >= prev_sync:
             return j_prev, int(np.searchsorted(q, cand, "left"))
+    return None
+
+
+@dataclass
+class _Trusted:
+    """The stitcher's frontier: *trace* follows the true parse from its
+    local MCU *sync* on, which is global MCU *base*; *delta* (per
+    component) turns its DC predictors into the true ones."""
+
+    trace: ChunkTrace
+    sync: int
+    base: int
+    delta: np.ndarray
+
+    @property
+    def mcus(self) -> int:
+        """Trusted MCUs the trace holds."""
+        return self.trace.mcus - self.sync
+
+    def emit(self, count: int, emissions: list) -> None:
+        """Queue the first *count* trusted MCUs for the scatter."""
+        emissions.append(
+            (self.trace, self.sync, self.base, count, self.delta))
+
+    def after(self, count: int) -> tuple[int, np.ndarray]:
+        """Bit position and true predictors after *count* trusted MCUs."""
+        j = self.sync + count - 1
+        if j >= 0:
+            return (int(self.trace.positions[j]),
+                    self.delta + self.trace.dc_trace[j])
+        return self.trace.start_bit, self.delta
+
+    def resumable(self, count: int, end_bit: int) -> int | None:
+        """The most trusted MCUs, at most *count*, after which a fresh
+        decoder can take over; None when there is no such point.
+
+        A position inside the payload's final byte (*end_bit* is the
+        payload's length) is not one: an MCU that ends there may have
+        fed on padding zeros, which the bit position does not show —
+        the decoder that did it carries on correctly, one restarted
+        from the position would read the last real bits twice.  Every
+        earlier MCU end had more than seven real bits ahead of it.
+        """
+        clean = int(np.searchsorted(self.trace.positions, end_bit - 7, "left"))
+        ext = min(self.sync + count, clean)
+        return ext - self.sync if ext >= self.sync else None
+
+
+def _error_note(trace: ChunkTrace) -> str:
+    """`` (Type: message)`` of the error that ended *trace*, or nothing."""
+    return f" ({trace.error_type}: {trace.error})" if trace.error_type else ""
+
+
+_NO_FRONTIER = "the trusted trace has no frontier a repair can resume from"
+
+
+def _walk_syncs(T: _Trusted, traces, chunks, total: int, repair,
+                emissions: list, report: SpeculativeReport):
+    """Chain chunks ``1..n-1`` onto the trusted frontier *T*.
+
+    A chunk that shares a bit position with the frontier inside its
+    overlap becomes the new frontier (its DC correction chains the
+    predecessor's); one that does not — or whose tolerant parse went
+    over a structural error past that position — is repaired
+    sequentially from the frontier.  Returns ``(T, reason)``: the final
+    frontier (None once the emissions already reach the last MCU) and
+    the failure reason (None unless the stitch must fall back).
+    """
+    for k in range(1, len(chunks)):
+        cur = traces[k]
+        sync = None
+        if cur is not None and T.mcus > 0:
+            sync = _find_sync(T.trace, T.sync, cur, chunks[k].start * 8,
+                              int(T.trace.positions[-1]))
+        if sync is not None and cur.last_passed >= sync[1]:
+            # The chunk passed over a structural error *after* this
+            # point: the stream's own.  The strict repair stops at it.
+            sync = None
+        if sync is not None:
+            j_prev, i_cur = sync
+            count = j_prev - T.sync + 1
+            T.emit(count, emissions)
+            cur_dc = cur.dc_trace[i_cur - 1] if i_cur > 0 else 0
+            T = _Trusted(cur, i_cur, T.base + count,
+                         T.delta + T.trace.dc_trace[j_prev] - cur_dc)
+            report.converged += 1
+            continue
+        report.misspeculated.append(k)
+        if repair is None:
+            return T, f"chunk {k} never converged in its overlap"
+        count = min(T.mcus, total - T.base)
+        if T.base + count >= total:
+            T.emit(count, emissions)
+            return None, None
+        count = T.resumable(count, chunks[-1].slice_stop * 8)
+        if count is None:
+            return T, _NO_FRONTIER
+        T.emit(count, emissions)
+        frontier_mcu = T.base + count
+        frontier_bit, frontier_preds = T.after(count)
+        R = repair(frontier_bit, total - frontier_mcu,
+                   chunks[k].window_stop * 8)
+        if R.mcus == 0:
+            return T, (f"repair of chunk {k} made no progress"
+                       + _error_note(R))
+        report.repaired += 1
+        T = _Trusted(R, 0, frontier_mcu, frontier_preds)
+    return T, None
+
+
+def _cover_tail(T: _Trusted, total: int, last: SpeculativeChunk, repair,
+                emissions: list, report: SpeculativeReport) -> str | None:
+    """Emit the frontier through the last MCU, repairing sequentially
+    whatever the final chunk (*last*) left undecoded — a scan whose
+    real data ends before its MCUs do.  Returns the failure reason, or
+    None when coverage is complete."""
+    if total - T.base <= T.mcus:
+        T.emit(total - T.base, emissions)
+        return None
+    if last.index not in report.misspeculated:
+        report.misspeculated.append(last.index)
+    if repair is None:
+        return (f"final chunk covers {T.mcus} MCUs of the "
+                f"{total - T.base} it owns" + _error_note(T.trace))
+    have = T.resumable(T.mcus, last.slice_stop * 8)
+    if have is None:
+        return _NO_FRONTIER
+    T.emit(have, emissions)
+    missing = total - T.base - have
+    frontier_bit, frontier_preds = T.after(have)
+    R = repair(frontier_bit, missing, None)
+    if R.mcus < missing:
+        return (f"tail repair covers {R.mcus} MCUs of the "
+                f"{missing} missing" + _error_note(R))
+    report.repaired += 1
+    _Trusted(R, 0, total - missing, frontier_preds).emit(missing, emissions)
     return None
 
 
@@ -401,120 +497,37 @@ def stitch_chunks(
     trusted frontier — a true MCU boundary — through the failed chunk's
     span, and the walk resumes syncing the next chunk against that
     repair trace.  Misspeculation then costs one chunk's sequential
-    decode, not the scan's.  Without a callback, or when coverage still
-    cannot be established, the stitch fails — ``(None, report)`` with
-    ``fallback`` set — and the caller re-decodes the whole scan
-    sequentially.  On success the returned buffers are bit-identical to
-    the sequential decode.
+    decode, not the scan's.  The same callback covers the tail: chunks
+    stop at the end of the real payload, so the MCUs a truncated scan
+    still owes are decoded from the last frontier.  Without a callback,
+    or when coverage still cannot be established, the stitch fails —
+    ``(None, report)`` with ``fallback`` set — and the caller re-decodes
+    the whole scan sequentially.  On success the returned buffers are
+    bit-identical to the sequential decode.
     """
     total = geometry.total_mcus
-    n_chunks = len(chunks)
-    ncomp = len(geometry.components)
-    report = SpeculativeReport(chunks=n_chunks)
-
-    def fail(reason: str, *bad: int):
-        report.misspeculated.extend(
-            b for b in bad if b not in report.misspeculated)
+    report = SpeculativeReport(chunks=len(chunks))
+    # (trace, first_local, first_global, count, delta) to scatter.
+    emissions: list[tuple[ChunkTrace, int, int, int, np.ndarray]] = []
+    if traces[0] is None:
+        report.misspeculated.append(0)
+        reason = "chunk 0 produced no trace"
+    else:
+        T = _Trusted(traces[0], 0, 0,
+                     np.zeros(len(geometry.components), dtype=np.int64))
+        T, reason = _walk_syncs(T, traces, chunks, total, repair,
+                                emissions, report)
+        if reason is None and T is not None:
+            reason = _cover_tail(T, total, chunks[-1], repair,
+                                 emissions, report)
+    if reason is not None:
         report.fallback = True
         report.reason = reason
         return None, report
-
-    if traces[0] is None:
-        return fail("chunk 0 produced no trace", 0)
-
-    # (trace, first_local, first_global, count, delta) to scatter.
-    emissions: list[tuple[ChunkTrace, int, int, int, np.ndarray]] = []
-    # Trusted state: trace T, its first trusted local MCU, the global
-    # index of that MCU, and its DC correction.
-    T = traces[0]
-    T_sync = 0
-    T_base = 0
-    T_delta = np.zeros(ncomp, dtype=np.int64)
-
-    def frontier_after(count: int) -> tuple[int, np.ndarray]:
-        """Bit position and true predictors after *count* trusted MCUs."""
-        if count > 0:
-            j = T_sync + count - 1
-            return int(T.positions[j]), T_delta + T.dc_trace[j]
-        return T.start_bit, T_delta
-
-    complete = False
-    k = 1
-    while k < n_chunks:
-        cur = traces[k]
-        sync = None
-        if cur is not None and T.mcus > T_sync:
-            lo = chunks[k].start * 8
-            hi = int(T.positions[-1])
-            sync = _find_sync(T, T_sync, cur, lo, hi)
-        if sync is not None:
-            j_prev, i_cur = sync
-            count = j_prev - T_sync + 1
-            emissions.append((T, T_sync, T_base, count, T_delta))
-            cur_dc = (cur.dc_trace[i_cur - 1] if i_cur > 0
-                      else np.zeros(ncomp, dtype=np.int64))
-            # The trusted predictors at the sync point are the
-            # predecessor's speculative ones plus its own correction —
-            # the corrections chain.
-            T, T_sync, T_delta = cur, i_cur, T_delta + T.dc_trace[j_prev] - cur_dc
-            T_base = T_base + count
-            report.converged += 1
-            k += 1
-            continue
-        # --- misspeculation: repair the gap sequentially -------------
-        report.misspeculated.append(k)
-        if repair is None:
-            return fail(f"chunk {k} never converged in its overlap")
-        count = min(T.mcus - T_sync, total - T_base)
-        emissions.append((T, T_sync, T_base, count, T_delta))
-        frontier_mcu = T_base + count
-        if frontier_mcu >= total:
-            complete = True
-            break
-        frontier_bit, frontier_preds = frontier_after(count)
-        limit_bit = chunks[k].window_stop * 8
-        R = repair(frontier_bit, total - frontier_mcu, limit_bit)
-        if R.mcus == 0:
-            return fail(
-                f"repair of chunk {k} made no progress"
-                + (f" ({R.error_type}: {R.error})" if R.error_type else ""))
-        report.repaired += 1
-        T, T_sync, T_base, T_delta = R, 0, frontier_mcu, frontier_preds
-        k += 1
-
-    # --- final coverage through the last MCU -------------------------
-    count = total - T_base
-    if complete:
-        pass
-    elif count > T.mcus - T_sync:
-        if repair is None:
-            return fail(
-                f"final chunk covers {T.mcus - T_sync} MCUs of the "
-                f"{count} it owns"
-                + (f" ({T.error_type}: {T.error})" if T.error_type else ""),
-                n_chunks - 1)
-        have = T.mcus - T_sync
-        emissions.append((T, T_sync, T_base, have, T_delta))
-        frontier_bit, frontier_preds = frontier_after(have)
-        R = repair(frontier_bit, total - T_base - have, None)
-        if R.mcus < total - T_base - have:
-            return fail(
-                f"tail repair covers {R.mcus} MCUs of the "
-                f"{total - T_base - have} missing"
-                + (f" ({R.error_type}: {R.error})" if R.error_type else ""),
-                n_chunks - 1)
-        report.repaired += 1
-        if n_chunks - 1 not in report.misspeculated:
-            report.misspeculated.append(n_chunks - 1)
-        emissions.append((R, 0, T_base + have, total - T_base - have,
-                          frontier_preds))
-    else:
-        emissions.append((T, T_sync, T_base, count, T_delta))
-
     out = CoefficientBuffers.empty(geometry)
     for trace, first_local, first_global, count, delta in emissions:
-        scatter_chunk(trace, first_local, first_global, count, delta,
-                      geometry, out)
+        scatter_mcu_strip(trace.planes, first_local, first_global, count,
+                          geometry, out.planes, delta)
     return out, report
 
 
@@ -530,6 +543,32 @@ def speculative_eligible(restart_interval: int,
     return restart_interval == 0 and prescan.restart_count == 0
 
 
+def speculate(scan: ScanPrescan, geometry: ImageGeometry,
+              tables: list[ComponentTables], chunk_count: int,
+              overlap: int = DEFAULT_OVERLAP_BYTES, map_fn=map):
+    """Chunk, decode and stitch a marker-free *scan*.
+
+    Returns ``(chunks, coefficients, report)``; *coefficients* is None
+    when the stitch could not establish coverage and the caller has to
+    decode the scan sequentially.  *map_fn* orders the chunk decodes
+    (pass a pool's ``map`` for real parallelism —
+    :func:`decode_speculative_chunk` is picklable).
+    """
+    chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
+    geo_args = (geometry.width, geometry.height, geometry.mode,
+                geometry.ncomponents)
+    payload = scan.payload
+    tasks = [
+        (c, payload[c.start:c.slice_stop], geo_args, tables, "fast",
+         scan.terminator if c.slice_stop == len(payload) else None)
+        for c in chunks
+    ]
+    traces = list(map_fn(_decode_chunk_star, tasks))
+    out, report = stitch_chunks(traces, chunks, geometry,
+                                repair=make_repairer(scan, geometry, tables))
+    return chunks, out, report
+
+
 def decode_coefficients_speculative(
     info,
     chunk_count: int,
@@ -541,39 +580,26 @@ def decode_coefficients_speculative(
     """Speculatively decode a whole scan's coefficients.
 
     *info* is a parsed :class:`~repro.jpeg.markers.JpegImageInfo`;
-    *map_fn* orders the chunk decodes (pass a pool's ``map`` for real
-    parallelism — :func:`decode_speculative_chunk` is picklable).
-    Misspeculated boundaries are healed by sequential gap repair; only
-    when the stitch cannot establish coverage at all is the whole scan
-    re-decoded sequentially.  Either way the result is bit-identical to
-    the sequential oracle and hostile streams raise the oracle's exact
-    errors; the report says which path ran.
+    *map_fn* as for :func:`speculate`.  Misspeculated boundaries are
+    healed by sequential gap repair; only when the stitch cannot
+    establish coverage at all is the whole scan re-decoded sequentially.
+    Either way the result is bit-identical to the sequential oracle and
+    hostile streams raise the oracle's exact errors; the report says
+    which path ran.
     """
     from .decoder import component_tables_from_info
 
     geometry = info.geometry
     tables = component_tables_from_info(info)
     scan = prescan if prescan is not None else destuff_scan(info.entropy_data)
-    if not speculative_eligible(info.restart_interval, scan) \
-            or engine != "fast":
-        report = SpeculativeReport(chunks=1, fallback=True,
-                                   reason="scan not speculative-eligible")
-        return _sequential(scan, geometry, tables,
-                           info.restart_interval), report
-    chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
-    geo_args = (geometry.width, geometry.height, geometry.mode)
-    payload = scan.payload
-    tasks = [
-        (c, payload[c.start:c.slice_stop], geo_args, tables, engine,
-         scan.terminator if c.slice_stop == len(payload) else None)
-        for c in chunks
-    ]
-    traces = list(map_fn(_decode_chunk_star, tasks))
-    out, report = stitch_chunks(traces, chunks, geometry,
-                                repair=make_repairer(scan, geometry, tables))
+    if speculative_eligible(info.restart_interval, scan) and engine == "fast":
+        _, out, report = speculate(scan, geometry, tables, chunk_count,
+                                   overlap, map_fn)
+    else:
+        out, report = None, SpeculativeReport(
+            chunks=1, fallback=True, reason="scan not speculative-eligible")
     if out is None:
-        return _sequential(scan, geometry, tables,
-                           info.restart_interval), report
+        out = _sequential(scan, geometry, tables, info.restart_interval)
     return out, report
 
 
@@ -586,51 +612,18 @@ def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,
                   tables: list[ComponentTables]):
     """Build the sequential gap-repair callback for :func:`stitch_chunks`.
 
-    The returned ``repair(start_bit, max_mcus, limit_bit)`` decodes the
-    full prescan *strictly* from *start_bit* — always a true MCU
-    boundary handed over by the stitcher — for at most *max_mcus* MCUs
-    or until *limit_bit* (None = decode all *max_mcus*).  DC predictors
-    start at zero like any chunk; the stitcher patches the frontier
-    predictors back in as the repair trace's delta.  Decode errors end
-    the trace (a short repair fails coverage and falls back to the
-    sequential oracle, which reproduces the error for hostile streams).
+    The returned ``repair(start_bit, max_mcus, limit_bit)`` is a strict
+    :func:`traced_run` over the full prescan from *start_bit* — always
+    a true MCU boundary handed over by the stitcher — for at most
+    *max_mcus* MCUs or until *limit_bit* (None = decode all *max_mcus*,
+    feeding on zeros past the real data exactly as the sequential
+    decoder would).  DC predictors start at zero like any chunk; the
+    stitcher patches the frontier predictors back in as the repair
+    trace's delta.  Decode errors end the trace (a short repair fails
+    coverage and falls back to the sequential oracle, which reproduces
+    the error for hostile streams).
     """
-
-    def repair(start_bit: int, max_mcus: int,
-               limit_bit: int | None) -> ChunkTrace:
-        virtual = ImageGeometry(geometry.mcu_width,
-                                max(1, max_mcus) * geometry.mcu_height,
-                                geometry.mode)
-        decoder = FastEntropyDecoder(virtual, tables, 0)
-        decoder.start_prescanned(scan, start_bit)
-        positions: list[int] = []
-        dcs: list[tuple[int, ...]] = []
-        err_type = err_msg = None
-        while len(positions) < max_mcus:
-            if limit_bit is not None and decoder.bit_position >= limit_bit:
-                break
-            try:
-                decoder.decode_mcu_rows(1)
-            except Exception as exc:
-                err_type, err_msg = type(exc).__name__, str(exc)
-                break
-            positions.append(decoder.bit_position)
-            dcs.append(decoder.dc_predictors)
-        mcus = len(positions)
-        ncomp = len(geometry.components)
-        planes = []
-        for ci, comp in enumerate(virtual.components):
-            bpm = comp.h_factor * comp.v_factor
-            planes.append(np.array(
-                decoder.coefficients.planes[ci][:mcus * bpm]))
-        return ChunkTrace(
-            index=-1, start_bit=start_bit, mcus=mcus,
-            positions=np.asarray(positions, dtype=np.int64),
-            dc_trace=(np.asarray(dcs, dtype=np.int64)
-                      if dcs else np.zeros((0, ncomp), dtype=np.int64)),
-            planes=planes, error_type=err_type, error=err_msg)
-
-    return repair
+    return partial(traced_run, geometry, tables, scan)
 
 
 def _sequential(scan: ScanPrescan, geometry: ImageGeometry,

@@ -8,9 +8,10 @@ three steps that are the same for every image:
 
 - **plan** — each image becomes one
   :class:`~repro.service.tasks.DecodePlan`: a whole-image task (the
-  common case), one task per restart segment (DRI images, when the
-  batch alone cannot fill the pool), or one task per speculative chunk
-  (marker-free scans under the same condition);
+  common case), one task per run of restart segments (DRI images, when
+  the batch alone cannot fill the pool *and* the fan-out is predicted
+  to finish sooner than the whole-image task), or one task per
+  speculative chunk (marker-free scans under the same conditions);
 - **dispatch** — one place leases the shared-memory slot, draws the
   fault directive, opens the attempt trace context and submits;
 - **gather** — one loop owns retry/back-off, slot quarantine, remote
@@ -36,9 +37,10 @@ from typing import Any, Sequence
 
 from ..errors import ReproError, ServiceError
 from ..jpeg.markers import parse_jpeg
+from ..jpeg.parallel_huffman import modeled_entropy_us
 from .faults import FaultPlan
 from .obs import SpanRecord, TraceContext, child_span, make_span
-from .scheduler import BatchSchedule, ModelScheduler
+from .scheduler import BatchSchedule, ModelScheduler, fanout_pays
 from .stats import BatchStats
 from .tasks import (  # noqa: F401 - task functions re-exported
     DecodePlan,
@@ -60,6 +62,16 @@ from .transport import (
     resolve_transport,
 )
 from .workers import WorkerPool
+
+#: Restart-segment runs planned per worker of the dispatching pool.
+#: Runs are balanced by compressed bytes, which tracks decode time only
+#: roughly (a smooth region packs more MCUs per byte than a busy one);
+#: two per worker halve what the slower run of a pair can hold the
+#: image up by, for one more ~0.5 ms dispatch each.
+SEGMENT_RUNS_PER_WORKER = 2
+
+#: :meth:`BatchDecoder._fanout_wanted` verdicts.
+_NO, _IF_IT_PAYS, _FORCED = 0, 1, 2
 
 
 @dataclass
@@ -202,9 +214,11 @@ class BatchDecoder:
 
         *speculative* governs the marker-free fan-out
         (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
-        DRI=0 scan into speculative chunks under the same
-        underfilled-pool condition as restart segments, ``"on"`` makes
-        every eligible image a candidate regardless of batch size, and
+        DRI=0 scan into speculative chunks under the same conditions as
+        restart segments — the batch cannot fill the pool, and the
+        fan-out is predicted to pay
+        (:func:`~repro.service.scheduler.fanout_pays`) — ``"on"`` fans
+        out every eligible image regardless of batch size or price, and
         ``"off"`` disables the path (a per-request
         :attr:`ImageRequest.speculative` overrides the policy either
         way).  *speculative_chunks* fixes the chunk count (default: the
@@ -330,9 +344,10 @@ class BatchDecoder:
         return requests, schedule, lane_of
 
     def _fanout_wanted(self, req: ImageRequest, n_requests: int,
-                       pool: WorkerPool) -> tuple[bool, bool]:
+                       pool: WorkerPool) -> tuple[int, int]:
         """Parse-free preconditions ``(segments, speculative)`` for
-        fanning *req* out.
+        fanning *req* out over *pool*, each ``_NO``, ``_IF_IT_PAYS`` or
+        ``_FORCED``.
 
         Checked *before* any header parse so that the common throughput
         case (a batch large enough to fill the pool with whole-image
@@ -341,35 +356,39 @@ class BatchDecoder:
         (executor modes consume the scan in-order themselves; salvage
         needs one decoder's view of the damage), and remote lanes ship
         whole images only — the host's own session decides any fan-out
-        on its side of the wire.  The per-request knobs override;
-        otherwise an image fans out only when whole-image tasks cannot
-        fill the pool (the speculative policy ``"on"`` waives that,
-        ``"off"`` forbids).  The speculative decoder additionally
-        needs the fast engine's exact bit positions.  Actual
-        eligibility (DRI, progressive, stray RSTn) is checked after the
-        parse.
+        on its side of the wire.  The per-request knobs force or forbid
+        (a scheduler's dominant-image fallback arrives as one: it has
+        priced the image already); otherwise an image is a candidate
+        only when whole-image tasks cannot fill the pool, and fans out
+        if that is predicted to pay (:meth:`_plan`).  The speculative
+        policy ``"on"`` forces every eligible image, ``"off"`` forbids;
+        the speculative decoder additionally needs the fast engine's
+        exact bit positions.  Actual eligibility (DRI, progressive,
+        stray RSTn) is checked after the parse.
         """
         if req.mode != "reference" or req.salvage \
                 or pool.backend == "remote":
-            return False, False
-        parallel = self.pool.backend != "serial"
-        underfilled = parallel and n_requests < self.pool.workers
-        split = underfilled if req.split_segments is None \
-            else req.split_segments
+            return _NO, _NO
+        parallel = pool.backend != "serial"
+        auto = _IF_IT_PAYS if parallel and n_requests < pool.workers \
+            else _NO
+        wanted = {None: auto, True: _FORCED, False: _NO}
+        split = wanted[req.split_segments]
         if req.entropy_engine != "fast":
-            spec = False
+            spec = _NO
         elif req.speculative is not None:
-            spec = req.speculative
+            spec = wanted[req.speculative]
         else:
-            spec = {"off": False, "on": parallel,
-                    "auto": underfilled}[self.speculative]
+            spec = {"off": _NO, "on": _FORCED if parallel else _NO,
+                    "auto": auto}[self.speculative]
         return split, spec
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
               pool: WorkerPool, n_requests: int) -> DecodePlan:
-        """Choose *req*'s decode plan.  Raises the parse/structure error
-        (``ReproError``/``ValueError``) of an image that cannot be
-        planned — the caller fails that image alone."""
+        """Choose *req*'s decode plan; fan-out units are sized from
+        *pool*, the pool they will run on.  Raises the parse/structure
+        error (``ReproError``/``ValueError``) of an image that cannot
+        be planned — the caller fails that image alone."""
         want_split, want_spec = self._fanout_wanted(req, n_requests, pool)
         info = None
         if want_split or want_spec:
@@ -377,9 +396,16 @@ class BatchDecoder:
         # Progressive streams decode whole-image: multi-scan coefficient
         # accumulation has no per-segment or per-chunk decomposition.
         if info is not None and not info.progressive:
-            if want_split and info.restart_interval > 0:
-                return SegmentPlan(index, req, lane, info)
-            if want_spec and info.restart_interval == 0:
+            want = want_split if info.restart_interval > 0 else want_spec
+            if want == _IF_IT_PAYS and fanout_pays(
+                    modeled_entropy_us(len(info.entropy_data),
+                                       info.geometry.total_mcus),
+                    pool.workers):
+                want = _FORCED
+            if want == _FORCED and info.restart_interval > 0:
+                return SegmentPlan(index, req, lane, info,
+                                   SEGMENT_RUNS_PER_WORKER * pool.workers)
+            if want == _FORCED:
                 plan = SpeculativePlan.build(
                     index, req, lane, info,
                     self.speculative_chunks or pool.workers)

@@ -22,9 +22,11 @@ Three cooperating pieces:
   :func:`schedule_roundrobin` is the cost-blind baseline the benchmark
   compares against.  An image whose best single-lane cost exceeds the
   batch's ideal balanced makespan *dominates* the batch — no whole-image
-  placement can hide it — so when it carries restart markers the
-  scheduler falls back to restart-segment fan-out
-  (:mod:`repro.jpeg.parallel_huffman`) instead of assigning it whole.
+  placement can hide it — so when it can be decomposed, and the
+  fan-out is predicted to finish sooner than the image whole
+  (:func:`fanout_pays`), the scheduler falls back to restart-segment or
+  speculative fan-out (:mod:`repro.jpeg.parallel_huffman`,
+  :mod:`repro.jpeg.speculative`) instead of assigning it whole.
 - **Feedback** — :class:`ThroughputFeedback` keeps one EWMA correction
   factor per lane from observed vs. predicted per-image times, so the
   schedule adapts across batches the way PPS re-partitioning (Eq 16/17)
@@ -60,6 +62,36 @@ POLICIES = ("model", "roundrobin")
 
 #: Circuit-breaker states a lane can be in.
 BREAKER_STATES = ("closed", "open", "half_open")
+
+#: What fanning one image out must save before it is taken, in model
+#: microseconds.  Fan-out adds a serial share only a fanned-out image
+#: pays: the parent-side parse and destuffing prescan, one more
+#: dispatch, lease and reply per unit, the overlap every speculative
+#: chunk decodes twice, and the stitch or scatter of the units' planes.
+#: (The pixel stages cost the same on either path: a worker runs them
+#: for a whole image, the pump thread for a fanned-out one.)  Fitted in
+#: PR 16 on the 2-core ledger host over the ``http_mixed`` members with
+#: the parallel saving taken out — two units on *one* ``process``
+#: worker against the same image whole on that worker, best of 9: 1.3-
+#: 1.9 ms for the 256x192 thumbnails (``THuff`` 155-227 us), 2.5 / 4.4
+#: ms for the 448x336 previews (454 / 660), 3.7 / 5.1 ms for the frames
+#: (775 / 1,360), against 25 us of that host's entropy decode per
+#: modelled microsecond: about 3 ms = 125 model microseconds where the
+#: decision is close.  The price is twice that.  The overhead is also
+#: CPU the rest of the batch would have used, so a fan-out has to win
+#: it back once for its own latency and once for its neighbours'; and
+#: a predicted gain of a millisecond or two is inside what dispatch
+#: jitter takes back.  Table: ``docs/benchmarks.md``, PR 16.
+FANOUT_FIXED_US = 250.0
+
+
+def fanout_pays(entropy_us: float, units: int) -> bool:
+    """True when decoding an image's entropy data as *units* parallel
+    tasks is predicted to finish sooner than decoding it whole:
+    ``entropy_us / units + FANOUT_FIXED_US < entropy_us`` (both sides
+    add the same pixel stages).  *entropy_us* is the model's Eq 4 term
+    (``THuff``) for the image."""
+    return units > 1 and entropy_us * (1.0 - 1.0 / units) > FANOUT_FIXED_US
 
 
 @dataclass(frozen=True)
@@ -129,6 +161,10 @@ class ImagePricing:
     splittable: bool = False
     #: Entropy scans in the stream (1 = baseline, > 1 = progressive).
     scans: int = 1
+    #: The model's Eq 4 term (``THuff``, us) for one pass over the
+    #: entropy data — what a fan-out divides (see :func:`fanout_pays`);
+    #: 0 for images no lane prices.
+    entropy_us: float = 0.0
     #: True when only the whole-image reference path can decode this
     #: image (progressive, or a component layout the simulated
     #: executors don't model).  Every lane prices as ``inf``; the
@@ -457,6 +493,9 @@ def price_images(
                 pricing.costs[lane.name] = math.inf
                 continue
             model: PerformanceModel = model_for(lane.platform, model_sub)
+            if not pricing.entropy_us:
+                pricing.entropy_us = model.t_huff(
+                    info.width, info.height, info.file_density)
             pricing.costs[lane.name] = model.price(
                 lane.kind, info.width, info.height, info.file_density,
                 scans=scans)
@@ -498,7 +537,9 @@ def schedule_lpt(
     markers, or the scheduler priced it with speculative chunk fan-out
     available — is routed to parallel fan-out instead: the one case
     where whole-image placement cannot avoid that image defining the
-    batch's finish line.
+    batch's finish line.  Only when the fan-out is predicted to pay,
+    though (:func:`fanout_pays` over the open lanes): a thumbnail that
+    heads a short batch dominates it too, and decodes sooner whole.
 
     An image none of *executors* can take (every scaled cost ``inf`` —
     e.g. a lane subset excluding its only eligible lanes) is returned
@@ -539,7 +580,8 @@ def schedule_lpt(
             continue
         if (split_dominant and len(placeable) > 1
                 and (pricing.splittable or pricing.has_restarts)
-                and best[pricing.index] > ideal):
+                and best[pricing.index] > ideal
+                and fanout_pays(pricing.entropy_us, lanes_open)):
             assignments.append(Assignment(
                 index=pricing.index, executor=None,
                 predicted_us=best[pricing.index], split=True))

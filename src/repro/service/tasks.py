@@ -10,8 +10,9 @@ finishes into one :class:`ImageResult`:
 - :class:`WholeImagePlan` — one task per image (the common case): the
   destuffing prescan + fused fast-path entropy decode and the numpy
   pixel stages all run inside the worker (or on a remote host);
-- :class:`SegmentPlan` — one task per *restart segment* of a DRI image,
-  merged into a whole-image coefficient grid;
+- :class:`SegmentPlan` — one task per *run of restart segments* of a
+  DRI image (a couple of runs per worker of the pool, balanced by
+  compressed bytes), merged into a whole-image coefficient grid;
 - :class:`SpeculativePlan` — one task per *speculative chunk* of a
   marker-free scan: optimistic decoders started at guessed byte
   offsets, stitched back by bit-position convergence with sequential
@@ -32,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import EntropyError, ReproError, ServiceError
-from ..jpeg.blocks import ImageGeometry
+from ..jpeg.blocks import ImageGeometry, scatter_mcu_strip
 from ..jpeg.decoder import (
     DecodeOptions,
     component_tables_from_info,
@@ -45,7 +46,7 @@ from ..jpeg.markers import JpegImageInfo
 from ..jpeg.parallel_huffman import (
     RestartSegment,
     decode_segment_coefficients,
-    scatter_segment,
+    merge_segment_runs,
     segment_plane_nbytes,
     split_restart_segments,
 )
@@ -174,8 +175,8 @@ class ImageResult:
     error_type: str | None = None
     #: Human-readable failure message when ``ok`` is False.
     error: str | None = None
-    #: Number of independently decoded restart segments or speculative
-    #: chunks (1 = whole scan).
+    #: Number of independently decoded restart-segment runs or
+    #: speculative chunks (1 = whole scan).
     segments: int = 1
     #: True when the image's coefficients came from the *stitched*
     #: speculative chunk fan-out (False for the whole-scan fallback —
@@ -384,20 +385,21 @@ def decode_image_task(request: ImageRequest,
 def decode_segment_task(
     seg: RestartSegment,
     segment_bytes: bytes,
-    geometry_args: tuple[int, int, str],
+    geometry_args: tuple,
     tables: list[ComponentTables],
     entropy_engine: str,
+    restart_interval: int = 0,
     slot: PlaneSlot | None = None,
     fault: FaultDirective | None = None,
 ) -> TaskReply:
-    """Decode one restart segment inside a worker (see
+    """Decode one run of restart segments inside a worker (see
     :func:`run_task`): ``planes`` are its coefficient planes.
-    *geometry_args* is the pickled-down ``(width, height, mode)`` of
-    the full image."""
+    *geometry_args* is the pickled-down ``ImageGeometry`` of the full
+    image."""
     return run_task(
         lambda: (None, decode_segment_coefficients(
             seg, segment_bytes, ImageGeometry(*geometry_args), tables,
-            entropy_engine)),
+            entropy_engine, restart_interval)),
         slot, fault)
 
 
@@ -577,13 +579,15 @@ class WholeImagePlan(DecodePlan):
 
 
 class SegmentPlan(DecodePlan):
-    """One task per restart segment of a DRI image."""
+    """One task per run of restart segments of a DRI image."""
 
     task_name = "segment"
 
     def __init__(self, index: int, request: ImageRequest,
-                 lane: str | None, info: JpegImageInfo) -> None:
-        """Split *info*'s scan at its RSTn markers.
+                 lane: str | None, info: JpegImageInfo,
+                 run_count: int) -> None:
+        """Split *info*'s scan at its RSTn markers into at most
+        *run_count* runs of consecutive segments.
 
         Validates the marker structure before fanning out: a truncated
         or corrupt scan has fewer RSTn boundaries than the DRI interval
@@ -601,42 +605,45 @@ class SegmentPlan(DecodePlan):
                 f"(truncated or corrupt scan)")
         tables = component_tables_from_info(info)
         geo_args = (geo.width, geo.height, geo.mode, geo.ncomponents)
-        sizes: dict[int, int] = {}
-        units = []
-        for seg in segments:
-            if seg.mcu_count not in sizes:
-                sizes[seg.mcu_count] = packed_nbytes(
-                    segment_plane_nbytes(seg, geo))
-            units.append(Subtask(
+        units = [
+            Subtask(
                 decode_segment_task,
-                (seg, info.entropy_data[seg.byte_start:seg.byte_stop],
-                 geo_args, tables, request.entropy_engine),
-                sizes[seg.mcu_count]))
+                # + 2: the run's trailing RSTn rides along, so its last
+                # segment ends at a marker as it does in the whole scan.
+                (run, info.entropy_data[run.byte_start:run.byte_stop + 2],
+                 geo_args, tables, request.entropy_engine,
+                 info.restart_interval),
+                packed_nbytes(segment_plane_nbytes(run, geo)))
+            for run in merge_segment_runs(segments, run_count)]
         super().__init__(index, request, lane, units)
         self.info = info
         self.planes: list[tuple[RestartSegment, list]] = []
-        #: The first failed (or lost) segment's reply, if any.
-        self.failure: TaskReply | None = None
+        #: The failed (or lost) run earliest in the scan, if any.
+        self.failure: tuple[int, TaskReply] | None = None
 
     def accept(self, unit: Subtask, reply: TaskReply,
                arrays: "list | None") -> None:
-        """Keep the segment's planes for the merge, or its error (the
-        first failure wins; no sibling can cover a failed segment)."""
+        """Keep the run's planes for the merge, or its error (no
+        sibling can cover a failed run; of several failures the one
+        earliest in the scan wins — the sequential decoder's)."""
+        run = unit.args[0]
         if reply.error_type is None:
-            self.planes.append((unit.args[0], arrays))
-        elif self.failure is None:
-            self.failure = reply
+            self.planes.append((run, arrays))
+        elif self.failure is None or run.index < self.failure[0]:
+            self.failure = run.index, reply
 
     def finish(self) -> ImageResult:
-        """Scatter the segments into one coefficient grid and run the
+        """Scatter the runs into one coefficient grid and run the
         pixel stages."""
         if self.failure is not None:
-            return self._failed(self.failure.error_type, self.failure.error)
+            reply = self.failure[1]
+            return self._failed(reply.error_type, reply.error)
         t0 = perf_counter()
         geo = self.info.geometry
         merged = CoefficientBuffers.empty(geo)
-        for seg, planes in self.planes:
-            scatter_segment(seg, planes, geo, merged)
+        for run, planes in self.planes:
+            scatter_mcu_strip(planes, 0, run.mcu_start, run.mcu_count,
+                              geo, merged.planes)
         return self._rendered(self.info, merged, t0, "merge",
                               {"segments": len(self.planes)})
 

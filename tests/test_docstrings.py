@@ -105,6 +105,16 @@ def test_pixel_kernel_functions_stay_under_80_lines(capsys):
         capsys.readouterr().out
 
 
+def test_fanout_functions_stay_under_80_lines(capsys):
+    """ISSUE 16: the stitcher is a sync walk, a tail cover and a
+    scatter; chunk, repair and restart-run decodes are thin callers of
+    the engine's one bounded run."""
+    paths = [str(REPO_ROOT / "src" / "repro" / "jpeg" / name)
+             for name in ("speculative.py", "parallel_huffman.py")]
+    assert check_function_length.main(paths + ["--max", "80"]) == 0, \
+        capsys.readouterr().out
+
+
 def test_entropy_hot_loop_stays_under_150_lines(capsys):
     """ISSUE 15: restart handling, the end-of-segment careful symbols
     and the long-code walk live in module-level helpers; the hot

@@ -242,6 +242,31 @@ class TestHostileMatrix:
             assert decoded.rgb.shape == (64, 96, 3), name
             assert decoded.salvaged == bool(decoded.errors), name
 
+    def test_forced_fanout_agrees_with_the_oracle(self, corpus):
+        """Every baseline cell, valid and hostile (plus a scan cut
+        short with its EOI kept), through forced fan-out: the
+        sequential oracle's pixels, or its exact error."""
+        cells = {name: blob for name, blob in corpus.items()
+                 if name.startswith("baseline")}
+        items = []
+        for name, blob in cells.items():
+            start = _entropy_start(blob)
+            cut = start + (len(blob) - start) * 3 // 5
+            variants = [blob, blob[:cut] + blob[-2:]]
+            variants += [hostile_variant(blob, kind)
+                         for kind in HOSTILE_KINDS]
+            items += [(f"{name}/{i}", v) for i, v in enumerate(variants)]
+        with BatchDecoder(workers=3, backend="thread") as dec:
+            batch = dec.decode_batch([
+                ImageRequest(data=v, speculative=True, split_segments=True)
+                for _, v in items])
+        fanned = 0
+        for (context, blob), res in zip(items, batch.results):
+            got = res.rgb if res.ok else (res.error_type, res.error)
+            assert_same_outcome(got, outcome(blob, "fast"), context)
+            fanned += res.segments > 1
+        assert fanned >= 2 * len(cells), "fan-out never engaged"
+
     def test_hostile_cells_fail_alone_in_a_batch(self, corpus, oracles):
         """One corrupt member never disturbs its batchmates."""
         good = "baseline-ycbcr-4:2:0-96x64-q85"

@@ -31,10 +31,12 @@ def encode(w, h, sub="4:2:2", dri=0, seed=7, detail=0.6, quality=85):
         quality=quality, subsampling=sub, restart_interval=dri))
 
 
-def fake_pricing(index, costs, has_restarts=False, w=64, h=64):
+def fake_pricing(index, costs, has_restarts=False, w=64, h=64,
+                 entropy_us=0.0):
     return ImagePricing(
         index=index, width=w, height=h, density=0.2,
-        subsampling="4:2:2", has_restarts=has_restarts, costs=dict(costs))
+        subsampling="4:2:2", has_restarts=has_restarts, costs=dict(costs),
+        entropy_us=entropy_us)
 
 
 def lanes(*names):
@@ -102,7 +104,8 @@ class TestLptPlacement:
     def test_dominant_restart_image_splits(self):
         ex = lanes("a", "b")
         pricings = [
-            fake_pricing(0, {"a": 1000.0, "b": 900.0}, has_restarts=True),
+            fake_pricing(0, {"a": 1000.0, "b": 900.0}, has_restarts=True,
+                         entropy_us=700.0),
             fake_pricing(1, {"a": 10.0, "b": 10.0}),
             fake_pricing(2, {"a": 10.0, "b": 12.0}),
         ]
@@ -138,7 +141,8 @@ class TestLptPlacement:
         fb = ThroughputFeedback(alpha=1.0)
         fb.observe("a", 10.0, 1000.0)  # scale("a") = 100
         pricings = [
-            fake_pricing(0, {"a": 5.0, "b": 600.0}, has_restarts=True),
+            fake_pricing(0, {"a": 5.0, "b": 600.0}, has_restarts=True,
+                         entropy_us=600.0),
             fake_pricing(1, {"a": 100.0, "b": 100.0}),
         ]
         sched = schedule_lpt(pricings, ex, feedback=fb)
@@ -285,7 +289,7 @@ class TestSpeculativeSplittability:
         # the batch — splittable (via speculation) is enough to fan out.
         ex = lanes("a", "b")
         pricings = [
-            fake_pricing(0, {"a": 1000.0, "b": 900.0}),
+            fake_pricing(0, {"a": 1000.0, "b": 900.0}, entropy_us=700.0),
             fake_pricing(1, {"a": 10.0, "b": 10.0}),
             fake_pricing(2, {"a": 10.0, "b": 12.0}),
         ]

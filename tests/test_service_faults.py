@@ -41,7 +41,7 @@ from repro.service import (
     schedule_roundrobin,
     shm_available,
 )
-from repro.service.batch import ImageResult
+from repro.service.batch import SEGMENT_RUNS_PER_WORKER, ImageResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -441,10 +441,14 @@ class TestUniformFaultMatrix:
             quality=85, subsampling="4:2:2", restart_interval=4))
         info = parse_jpeg(dri)
         n_segments = -(-info.geometry.total_mcus // info.restart_interval)
+        # Segments ship as runs: SEGMENT_RUNS_PER_WORKER per worker of
+        # test_cell's two-worker pool.
+        n_runs = SEGMENT_RUNS_PER_WORKER * 2
+        assert n_segments > n_runs
         return {
             "whole": (ImageRequest(data=blob), 1),
             "segment": (ImageRequest(data=dri, split_segments=True),
-                        n_segments),
+                        n_runs),
             "spec": (ImageRequest(data=blob, speculative=True),
                      self.CHUNKS),
         }

@@ -39,6 +39,7 @@ from repro.jpeg.speculative import (
     plan_chunks,
     speculative_eligible,
     stitch_chunks,
+    traced_run,
 )
 
 
@@ -289,6 +290,115 @@ class TestConvergenceFailure:
 
 
 # ---------------------------------------------------------------------------
+# Bounded work: what a chunk decodes, counted in MCUs (never timed).
+# ---------------------------------------------------------------------------
+
+def _pad_bit_sweep():
+    """One marker-free image per pad-bit count (0..7) of its payload's
+    final byte: the bits a decoder never consumes, which is what the
+    last chunk's stop rule has to see past."""
+    by_pad = {}
+    for seed in range(80):
+        rgb = GENERATORS["photo"](64, 80, seed=seed)
+        info = parse_jpeg(encode(rgb, sub=["4:2:0", "4:2:2", "4:4:4"][
+            seed % 3]))
+        # Bit positions next to a marker are exact (padding is counted
+        # as phantom); at a bare end of data the last one can read up to
+        # seven bits short.
+        scan = destuff_scan(info.entropy_data + b"\xff\xd9")
+        oracle = traced_run(info.geometry, component_tables_from_info(info),
+                            scan, 0, info.geometry.total_mcus, None)
+        pad = len(scan.payload) * 8 - int(oracle.positions[-1])
+        by_pad.setdefault(pad, info)
+        if len(by_pad) == 8:
+            break
+    return by_pad
+
+
+class TestBoundedWork:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        by_pad = _pad_bit_sweep()
+        assert sorted(by_pad) == list(range(8)), \
+            "seed sweep no longer covers every pad-bit count"
+        return by_pad
+
+    @pytest.mark.parametrize("terminator", [None, 0xD9])
+    @pytest.mark.parametrize("chunk_count", [2, 3])
+    def test_no_chunk_decodes_past_its_share(self, sweep, chunk_count,
+                                             terminator):
+        """Every chunk decodes the MCUs it owns, those that start inside
+        its overlap window, one more that crosses the window's end and
+        whatever it parsed before synchronising — and nothing else: no
+        MCU that begins in the final byte's pad bits or after them."""
+        for pad, info in sweep.items():
+            geo = info.geometry
+            tables = component_tables_from_info(info)
+            scan = destuff_scan(
+                info.entropy_data
+                + (b"" if terminator is None else bytes([0xFF, terminator])))
+            assert scan.terminator == terminator
+            total = geo.total_mcus
+            payload_bits = len(scan.payload) * 8
+            ends = traced_run(geo, tables, scan, 0, total, None).positions
+            starts = np.concatenate(([0], ends[:-1]))
+            geo_args = (geo.width, geo.height, geo.mode, geo.ncomponents)
+            decoded = allowed = 0
+            for c in plan_chunks(len(scan.payload), chunk_count):
+                trace = decode_speculative_chunk(
+                    c, scan.payload[c.start:c.slice_stop], geo_args, tables,
+                    "fast", scan.terminator
+                    if c.slice_stop == len(scan.payload) else None)
+                assert trace.error_type is None
+                owned = np.count_nonzero(
+                    (starts >= c.start * 8) & (starts < c.stop * 8))
+                overlap = 0 if c.last else np.count_nonzero(
+                    (starts >= c.stop * 8) & (starts < c.window_stop * 8))
+                # MCUs parsed before the chunk first stands on a true
+                # MCU boundary (0 for chunk 0).
+                on_trace = np.flatnonzero(np.isin(
+                    np.concatenate(([trace.start_bit], trace.positions)),
+                    starts))
+                presync = int(on_trace[0]) if len(on_trace) else trace.mcus
+                context = f"[pad={pad} chunk {c.index}/{chunk_count}]"
+                assert trace.mcus <= owned + overlap + 1 + presync, context
+                # No MCU began at or past the stop rule's limit.
+                limit = min(c.window_stop * 8, payload_bits - 7)
+                if trace.mcus > 1:
+                    assert trace.positions[-2] < limit, context
+                decoded += trace.mcus
+                allowed += overlap + 1 + presync
+            assert decoded <= total + allowed, f"[pad={pad}]"
+
+    def test_truncated_scan_is_finished_by_tail_repair(self):
+        """A marker-free stream cut before its last MCU rows (EOI kept):
+        the chunks stop at the last real bit and the stitcher's tail
+        repair decodes what the image still owes, with the sequential
+        decoder's own semantics — its coefficients, or its exact
+        error."""
+        base = encode(GENERATORS["photo"](64, 80, seed=11), quality=80)
+        info = parse_jpeg(base)
+        repaired = failed = 0
+        for keep in range(40, 91, 3):
+            cut = info.entropy_data[:len(info.entropy_data) * keep // 100]
+            blob_info = parse_jpeg(base.replace(info.entropy_data, cut))
+            try:
+                want = oracle_coefficients(blob_info)
+            except Exception as exc:
+                want = (type(exc).__name__, str(exc))
+            try:
+                got, report = decode_coefficients_speculative(blob_info, 3)
+            except Exception as exc:
+                assert (type(exc).__name__, str(exc)) == want, f"[{keep}%]"
+                failed += 1
+                continue
+            assert_identical(got, want, f"[{keep}%]")
+            assert report.ok and report.repaired >= 1, f"[{keep}%]"
+            repaired += 1
+        assert repaired and failed, "sweep must hit both outcomes"
+
+
+# ---------------------------------------------------------------------------
 # Hostile inputs: error identity with the sequential oracle.
 # ---------------------------------------------------------------------------
 
@@ -371,6 +481,35 @@ class TestHostileInputs:
             f"speculative path diverges from oracle: got={got} want={want}")
         if want is None:
             assert_identical(out, oracle_coefficients(blob_info))
+
+    @given(pos=st.integers(0, 1 << 30), bits=st.integers(1, 255),
+           chunk_count=st.integers(2, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_speculative_flipped_bytes_identity(self, hostile_base, pos,
+                                                bits, chunk_count):
+        """A corrupt byte anywhere in the scan: a later chunk parses it
+        tolerantly, but an error it passes over after synchronising is
+        the stream's own, and the stitch must not hide it."""
+        info = parse_jpeg(hostile_base)
+        data = bytearray(info.entropy_data)
+        data[pos % len(data)] ^= bits
+        try:
+            blob_info = parse_jpeg(
+                hostile_base.replace(info.entropy_data, bytes(data)))
+        except Exception:
+            return  # the flip made a marker: the container broke
+        try:
+            want = oracle_coefficients(blob_info)
+        except Exception as exc:
+            want = (type(exc).__name__, str(exc))
+        try:
+            got, _ = decode_coefficients_speculative(blob_info, chunk_count)
+        except Exception as exc:
+            got = (type(exc).__name__, str(exc))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+        else:
+            assert_identical(got, want)
 
     def test_stuffed_bytes_at_chunk_boundaries(self):
         """Chunk boundaries are planned on the *destuffed* payload, so

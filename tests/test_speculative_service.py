@@ -24,9 +24,10 @@ from repro.service import (
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
+    WorkerPool,
     shm_available,
 )
-from repro.service.scheduler import price_images
+from repro.service.scheduler import FANOUT_FIXED_US, fanout_pays, price_images
 
 
 def encode(rgb, sub="4:2:0", quality=85, dri=0) -> bytes:
@@ -52,6 +53,25 @@ def blobs():
 @pytest.fixture(scope="module")
 def oracles(blobs):
     return [decode_jpeg(b).rgb for b in blobs]
+
+
+@pytest.fixture(scope="module")
+def frame_mf() -> bytes:
+    """A 640x480 marker-free frame: big enough for fan-out to pay."""
+    return encode(GENERATORS["photo"](480, 640, seed=6), quality=90)
+
+
+@pytest.fixture(scope="module")
+def frame_dri() -> bytes:
+    """An 800x600 frame with restart markers."""
+    return encode(GENERATORS["photo"](600, 800, seed=8), sub="4:2:2",
+                  quality=80, dri=50)
+
+
+@pytest.fixture(scope="module")
+def thumbnail() -> bytes:
+    """A 256x192 marker-free thumbnail: fan-out cannot pay for it."""
+    return encode(GENERATORS["photo"](192, 256, seed=9), quality=80)
 
 
 class TestSpeculativeBatches:
@@ -95,14 +115,14 @@ class TestSpeculativeBatches:
         assert res.ok and res.segments > 1
         assert np.array_equal(res.rgb, oracles[0])
 
-    def test_auto_policy_defers_to_batch_pressure(self, blobs):
+    def test_auto_policy_defers_to_batch_pressure(self, blobs, frame_mf):
         # A batch that already fills the pool keeps whole-image tasks;
-        # a lone image fans out.
+        # a lone frame fans out.
         with BatchDecoder(workers=2, backend="thread",
                           speculative="auto") as dec:
             full = dec.decode_batch(
-                [ImageRequest(data=b) for b in blobs[:4]])
-            lone = dec.decode_batch([ImageRequest(data=blobs[0])])
+                [ImageRequest(data=b) for b in [frame_mf] + blobs[:3]])
+            lone = dec.decode_batch([ImageRequest(data=frame_mf)])
         assert all(r.segments == 1 for r in full.results)
         assert lone.results[0].segments > 1
 
@@ -131,6 +151,155 @@ class TestSpeculativeBatches:
             BatchDecoder(speculative="sometimes")
         with pytest.raises(ServiceError):
             BatchDecoder(speculative_chunks=0)
+
+
+class TestPricedDecision:
+    """Under ``"auto"`` an image fans out only when that is predicted
+    to finish sooner than decoding it whole."""
+
+    def test_predicate(self):
+        assert not fanout_pays(10 * FANOUT_FIXED_US, 1)
+        assert not fanout_pays(2 * FANOUT_FIXED_US, 2)
+        assert fanout_pays(2 * FANOUT_FIXED_US + 1, 2)
+        assert fanout_pays(1.5 * FANOUT_FIXED_US + 1, 3)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_lone_thumbnail_decodes_whole(self, thumbnail, backend):
+        with BatchDecoder(workers=2, backend=backend) as dec:
+            (res,) = dec.decode_batch([thumbnail]).results
+        assert res.ok and res.segments == 1 and not res.speculative
+        assert np.array_equal(res.rgb, decode_jpeg(thumbnail).rgb)
+
+    def test_thumbnail_heading_a_short_batch_decodes_whole(self, thumbnail,
+                                                           blobs):
+        # It outweighs its batch, which is all the dominance rule asks.
+        with BatchDecoder(workers=2, backend="thread",
+                          scheduler="model") as dec:
+            batch = dec.decode_batch([thumbnail, blobs[0]])
+        assert batch.ok and batch.schedule.split_count == 0
+        assert [r.segments for r in batch.results] == [1, 1]
+
+    def test_lone_frames_fan_out(self, frame_mf, frame_dri):
+        with BatchDecoder(workers=2, backend="thread") as dec:
+            (mf,) = dec.decode_batch([frame_mf]).results
+            (dri,) = dec.decode_batch([frame_dri]).results
+        assert mf.ok and mf.speculative and mf.segments == 2
+        assert dri.ok and not dri.speculative and 1 < dri.segments <= 4
+        assert np.array_equal(mf.rgb, decode_jpeg(frame_mf).rgb)
+        assert np.array_equal(dri.rgb, decode_jpeg(frame_dri).rgb)
+
+    def test_frames_that_outweigh_their_batch_fan_out(self, frame_mf,
+                                                      frame_dri, thumbnail):
+        with BatchDecoder(workers=2, backend="thread",
+                          scheduler="model") as dec:
+            a = dec.decode_batch([frame_mf, thumbnail])
+            b = dec.decode_batch([frame_dri, thumbnail])
+        for batch in (a, b):
+            assert batch.ok and batch.schedule.split_count == 1
+            assert batch.results[0].segments > 1
+            assert batch.results[1].segments == 1
+        assert a.results[0].speculative and not b.results[0].speculative
+
+    def test_policies_and_overrides_ignore_the_price(self, thumbnail,
+                                                     frame_mf):
+        small_dri = encode(GENERATORS["photo"](64, 80, seed=3), dri=4)
+        with BatchDecoder(workers=2, backend="thread",
+                          speculative="on") as dec:
+            on = dec.decode_batch(
+                [thumbnail,
+                 ImageRequest(data=small_dri, split_segments=True)])
+        assert [r.segments > 1 for r in on.results] == [True, True]
+        with BatchDecoder(workers=2, backend="thread",
+                          speculative="off") as dec:
+            off = dec.decode_batch(
+                [frame_mf, ImageRequest(data=thumbnail, speculative=True)])
+        assert off.results[0].segments == 1
+        assert off.results[1].segments > 1
+
+    def test_plan_prices_from_the_header_alone(self, frame_mf, frame_dri,
+                                               thumbnail, monkeypatch):
+        """What ``scheduler.plan`` costs per image does not grow with
+        the pricing: one header parse, no prescan, no pass over the
+        entropy data."""
+        import repro.service.scheduler as scheduler_module
+
+        sched = ModelScheduler(policy="model")
+        batch = [ImageRequest(data=b)
+                 for b in (frame_mf, frame_dri, thumbnail)]
+        sched.plan(batch)               # profiles the lanes' models
+        parses = []
+        real_parse = scheduler_module.parse_jpeg
+        monkeypatch.setattr(
+            scheduler_module, "parse_jpeg",
+            lambda data: parses.append(1) or real_parse(data))
+        import repro.jpeg.fast_entropy as fast_entropy
+
+        def no_prescan(data):
+            raise AssertionError("plan must not touch the entropy data")
+
+        monkeypatch.setattr(fast_entropy, "destuff_scan", no_prescan)
+        schedule = sched.plan(batch)
+        assert len(parses) == len(batch)
+        assert all(p.entropy_us > 0 for p in schedule.pricings)
+
+
+class TestDispatchingPool:
+    """The fan-out decision and the unit count come from the pool the
+    units will run on, not from the decoder's default pool."""
+
+    def test_lane_pool_decides_and_sizes(self, frame_mf, frame_dri):
+        with BatchDecoder(backend="serial") as dec, \
+                WorkerPool(workers=3, backend="thread") as lane_pool:
+            assert dec._fanout_wanted(
+                ImageRequest(data=frame_mf), 1, dec.pool) == (0, 0)
+            assert dec._fanout_wanted(
+                ImageRequest(data=frame_mf), 1, lane_pool) == (1, 1)
+            spec = dec._plan(0, ImageRequest(data=frame_mf), None,
+                             lane_pool, 1)
+            runs = dec._plan(0, ImageRequest(data=frame_dri), None,
+                             lane_pool, 1)
+            whole = dec._plan(0, ImageRequest(data=frame_mf), None,
+                              dec.pool, 1)
+        assert spec.task_name == "spec" and len(spec.units) == 3
+        assert runs.task_name == "segment" and len(runs.units) == 6
+        assert whole.task_name == "whole"
+
+
+class TestComponentLayouts:
+    """Forced fan-out of every component layout, with and without
+    restart markers: the units' MCU strips keep the component count."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("dri", [0, 4])
+    @pytest.mark.parametrize("colorspace", ["gray", "ycbcr", "ycck"])
+    def test_forced_fanout_is_bit_identical(self, colorspace, dri, backend):
+        rgb = GENERATORS["photo"](64, 96, seed=5)
+        data = encode_jpeg(rgb, EncoderSettings(
+            quality=85, colorspace=colorspace, restart_interval=dri,
+            subsampling="4:4:4" if colorspace == "gray" else "4:2:0"))
+        want = decode_jpeg(data).rgb
+        with BatchDecoder(workers=2, backend=backend) as dec:
+            (res,) = dec.decode_batch([ImageRequest(
+                data=data, split_segments=True, speculative=True)]).results
+        assert res.ok, (res.error_type, res.error)
+        assert res.segments > 1
+        assert res.speculative == (dri == 0)
+        assert res.misspeculated == 0
+        assert np.array_equal(res.rgb, want)
+
+    @pytest.mark.parametrize("colorspace", ["gray", "ycck"])
+    def test_default_policy_decodes_restart_streams(self, colorspace):
+        # The reported failure: ok=False, "3 components but 1 table
+        # pairs" from a lone DRI image under the default policy.
+        rgb = GENERATORS["photo"](480, 640, seed=5)
+        data = encode_jpeg(rgb, EncoderSettings(
+            quality=85, colorspace=colorspace, restart_interval=4,
+            subsampling="4:4:4"))
+        with BatchDecoder(workers=2, backend="thread") as dec:
+            (res,) = dec.decode_batch([data]).results
+        assert res.ok, (res.error_type, res.error)
+        assert res.segments > 1
+        assert np.array_equal(res.rgb, decode_jpeg(data).rgb)
 
 
 @pytest.mark.skipif(not shm_available(),
@@ -222,11 +391,11 @@ class TestHostileThroughService:
 
 
 class TestSchedulerRouting:
-    def test_dominant_marker_free_image_speculates(self):
+    def test_dominant_marker_free_image_speculates(self, frame_mf):
         """The scheduler satellite, end to end: a dominant DRI=0 image
         is no longer serialized — LPT marks it split, apply() routes it
         speculative, and the decode fans out bit-identically."""
-        big = encode(GENERATORS["photo"](480, 640, seed=6), quality=90)
+        big = frame_mf
         small = encode(GENERATORS["smooth"](64, 64, seed=7))
         assert parse_jpeg(big).restart_interval == 0
         with BatchDecoder(workers=2, backend="thread",
@@ -237,8 +406,8 @@ class TestSchedulerRouting:
         assert res.ok and res.segments > 1 and res.speculative
         assert np.array_equal(res.rgb, decode_jpeg(big).rgb)
 
-    def test_scheduler_speculative_off_serializes_again(self):
-        big = encode(GENERATORS["photo"](480, 640, seed=6), quality=90)
+    def test_scheduler_speculative_off_serializes_again(self, frame_mf):
+        big = frame_mf
         small = encode(GENERATORS["smooth"](64, 64, seed=7))
         sched = ModelScheduler(policy="model", speculative=False)
         with BatchDecoder(workers=2, backend="thread",
