@@ -18,9 +18,18 @@ Acceptance: on a multi-core host the session's *closed-loop* throughput
 ``SERVICE_LATENCY_MIN_RATIO`` (default: ``SERVICE_BENCH_MIN_RATIO``'s
 default, 1.05) times the sequential decode loop — the pump and the
 futures layer must not eat the process-parallel win S1 established.
-Bit-identity of every session output is asserted before any timing is
-trusted.  On a single-core host the sweep reports but the floor is
-skipped.
+A throughput floor alone passes a pump that resolves handles a batch at
+a time, so the open-loop sweep carries a latency one too: at half the
+sequential rate the service is mostly idle when a request arrives, and
+the median request must come back within one sequential decode plus
+:data:`LIGHT_LOAD_SLACK_MS` — one that waited for a batch to fill, or
+for its batch-mates to finish, does not.  Each request is held against
+its *own* decode time (the busy span its worker reported), not against
+the in-process loop timed seconds earlier: on a shared host the speed
+of a decode moves by more than the slack between the two phases, while
+what the service adds on top of the decode does not.  Bit-identity of
+every session output is asserted before any timing is trusted.  On a
+single-core host the sweep reports but both floors are skipped.
 """
 
 import os
@@ -51,6 +60,10 @@ LOAD_FACTORS = (0.5, 1.0, 2.0)
 #: Requests per open-loop level (the corpus cycled).
 REQUESTS_PER_LEVEL = 18
 
+#: What a request may cost over one sequential decode at the lightest
+#: load level (queue hop, dispatch round trip, result transport).
+LIGHT_LOAD_SLACK_MS = 5.0
+
 #: Closed-loop floor: session throughput vs the sequential loop.
 MIN_RATIO = float(os.environ.get(
     "SERVICE_LATENCY_MIN_RATIO",
@@ -78,8 +91,7 @@ def time_sequential(blobs: list[bytes]) -> tuple[float, list[np.ndarray]]:
 
 def _session(workers: int) -> DecodeSession:
     """The configuration under test: a pumped process-pool session."""
-    return DecodeSession(max_batch=4, max_delay_ms=2.0,
-                         queue_capacity=32, workers=workers,
+    return DecodeSession(max_batch=4, queue_capacity=32, workers=workers,
                          backend="process")
 
 
@@ -102,14 +114,18 @@ def time_session_closed_loop(blobs: list[bytes],
 
 
 def run_open_loop(blobs: list[bytes], offered_ips: float,
-                  workers: int) -> tuple[float, float, float]:
+                  workers: int) -> tuple[float, float, float, float]:
     """One open-loop level: submit on a fixed schedule, return
-    (achieved img/s, p50 ms, p99 ms) of submit-to-completion latency."""
+    (achieved img/s, p50 ms, p99 ms) of submit-to-completion latency
+    and the p50 of what each request took beyond its own decode, ms."""
     from repro.service import percentile
 
     interarrival = 1.0 / offered_ips
     with _session(workers) as sess:
-        sess.submit(blobs[0]).result(timeout=120)   # warm the pool
+        # Warm every worker, not just the pool: a fresh interpreter
+        # decodes its first images 2-3x slower than a settled one.
+        for warm in [sess.submit(b, timeout=None) for b in blobs * 2]:
+            warm.result(timeout=120)
         handles = []
         t0 = perf_counter()
         for i in range(REQUESTS_PER_LEVEL):
@@ -125,7 +141,9 @@ def run_open_loop(blobs: list[bytes], offered_ips: float,
     assert all(r.ok for r in results)
     lat_ms = [r.latency_s * 1e3 for r in results]
     return (len(results) / wall, percentile(lat_ms, 50),
-            percentile(lat_ms, 99))
+            percentile(lat_ms, 99),
+            percentile([r.latency_s * 1e3 - r.wall_us / 1e3
+                        for r in results], 50))
 
 
 def render() -> str:
@@ -139,9 +157,12 @@ def render() -> str:
     rows = [["sequential loop", "closed", f"{seq_ips:.2f}", "-", "-"],
             ["session (all-at-once)", "closed",
              f"{closed_ips:.2f} ({closed_ips / seq_ips:.2f}x)", "-", "-"]]
+    light_extra = None
     for factor in LOAD_FACTORS:
         offered = factor * seq_ips
-        achieved, p50, p99 = run_open_loop(blobs, offered, workers)
+        achieved, p50, p99, extra = run_open_loop(blobs, offered, workers)
+        if light_extra is None:
+            light_extra = extra
         rows.append([f"session @ {factor:.1f}x seq rate",
                      f"{offered:.2f} offered",
                      f"{achieved:.2f}", f"{p50:.1f}", f"{p99:.1f}"])
@@ -152,8 +173,14 @@ def render() -> str:
             f"batched session must reach >= {MIN_RATIO}x sequential "
             f"throughput on a {cpus}-core host; got {closed_ips:.2f} vs "
             f"{seq_ips:.2f} img/s")
+        assert light_extra < LIGHT_LOAD_SLACK_MS, (
+            f"at {LOAD_FACTORS[0]}x the sequential rate the median "
+            f"request must come back within its own decode time + "
+            f"{LIGHT_LOAD_SLACK_MS} ms; it took {light_extra:.1f} ms more")
         note += (f"; session {closed_ips / seq_ips:.2f}x sequential "
-                 f"(floor {MIN_RATIO}x)")
+                 f"(floor {MIN_RATIO}x), light-load p50 latency "
+                 f"{light_extra:.1f} ms over the decode itself "
+                 f"(limit {LIGHT_LOAD_SLACK_MS} ms)")
     else:
         note += "; single-core host - ratio assertion skipped"
     return format_table(

@@ -51,12 +51,12 @@ async def main() -> None:
     gallery = build_gallery()
     oracle = {name: decode_jpeg(data).rgb for name, data in gallery}
 
-    async with AsyncDecodeSession(max_batch=4, max_delay_ms=2.0,
+    async with AsyncDecodeSession(max_batch=4,
                                   backend="thread") as session:
         async def produce() -> None:
-            # Trickle submissions in like live traffic; the session's
-            # age deadline keeps latency bounded while the pump still
-            # batches whatever overlaps.
+            # Trickle submissions in like live traffic; the pump admits
+            # each as soon as a worker has room and resolves it when
+            # its own image is done.
             for name, data in gallery:
                 await session.submit(data)
                 print(f"  submitted {name}")

@@ -645,11 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8077,
                    help="listening port (0 = ephemeral, printed at start)")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="dispatch a batch as soon as this many requests "
-                        "are pending")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="dispatch a partial batch once its oldest request "
-                        "has waited this long")
+                   help="most requests admitted to the pool as one group "
+                        "(one schedule, one feedback observation)")
+    p.add_argument("--max-delay-ms", type=float, default=0.0,
+                   help="hold requests back for company until --max-batch "
+                        "are pending or the oldest has waited this long "
+                        "(default 0: admit as soon as a worker has room)")
     p.add_argument("--queue-capacity", type=int, default=32,
                    help="bounded submission queue; full = HTTP 429")
     p.add_argument("--workers", type=int, default=None,
@@ -710,11 +711,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=9077,
                    help="listening port (0 = ephemeral, printed at start)")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="dispatch a batch as soon as this many requests "
-                        "are pending")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="dispatch a partial batch once its oldest request "
-                        "has waited this long")
+                   help="most requests admitted to the pool as one group "
+                        "(one schedule, one feedback observation)")
+    p.add_argument("--max-delay-ms", type=float, default=0.0,
+                   help="hold requests back for company until --max-batch "
+                        "are pending or the oldest has waited this long "
+                        "(default 0: admit as soon as a worker has room)")
     p.add_argument("--queue-capacity", type=int, default=32,
                    help="bounded submission queue")
     p.add_argument("--workers", type=int, default=None,

@@ -13,8 +13,9 @@ points):
 
 - :class:`~repro.service.session.DecodeSession` — futures-based
   sessions: ``submit`` returns a per-request
-  :class:`~repro.service.session.DecodeHandle`, a background pump forms
-  batches by size/age
+  :class:`~repro.service.session.DecodeHandle`, a background pump keeps a
+  rolling window of decodes in flight and resolves each handle when
+  its own image is done
 - :class:`~repro.service.aio.AsyncDecodeSession` — the asyncio adapter
   (async submit, completion stream)
 - :class:`~repro.service.http.DecodeHTTPServer` — stdlib HTTP shim

@@ -154,7 +154,7 @@ class AsyncDecodeSession:
 
     @property
     def pending(self) -> int:
-        """Requests accepted but not yet dispatched to a batch."""
+        """Requests accepted but not yet admitted to the pool."""
         return self._session.pending
 
     @property

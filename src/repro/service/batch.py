@@ -14,10 +14,19 @@ three steps that are the same for every image:
   speculative chunk (marker-free scans under the same conditions);
 - **dispatch** — one place leases the shared-memory slot, draws the
   fault directive, opens the attempt trace context and submits;
-- **gather** — one loop owns retry/back-off, slot quarantine, remote
-  failover, lane-failure charging, attempt spans and slot release,
-  hands replies to their plan, and finishes each plan into its
+- **gather** — one body (:meth:`BatchDecoder.gather_one`, per completed
+  future) owns retry/back-off, slot quarantine, remote failover,
+  lane-failure charging, attempt spans and slot release, hands replies
+  to their plan, and finishes each plan into its
   :class:`~repro.service.tasks.ImageResult`.
+
+:meth:`BatchDecoder.admit` plans and dispatches a group of requests
+into one long-lived in-flight table and returns at once; completed
+futures set :attr:`BatchDecoder.wake` and :meth:`BatchDecoder.gather`
+lands them.  One driver at a time owns the two halves: ``decode_batch``
+(admit all, gather until that group is done) or the rolling pump of
+:class:`~repro.service.session.DecodeSession` (admit whenever a worker
+has room, resolve each image as its plan finishes).
 
 Per image, requests choose the entropy engine (``fast``/``reference``),
 the decode mode (``reference`` = the real sequential pixel path, or any
@@ -30,10 +39,12 @@ front end over this class is
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+import threading
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from time import perf_counter, sleep
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..errors import ReproError, ServiceError
 from ..jpeg.markers import parse_jpeg
@@ -91,11 +102,10 @@ class BatchResult:
     #: Tasks re-dispatched after an infrastructure failure (dead
     #: worker) inside this batch.
     retries: int = 0
-    #: Per-lane count of *remote dispatch* infrastructure failures this
-    #: batch (connection refused/lost/timeout on a remote lane pool),
-    #: counted even when a failover redispatch saved every image — the
-    #: scheduler charges these to the lane breakers so a dying host
-    #: trips its breaker while siblings absorb its work.
+    #: Per-lane count of *remote dispatch* infrastructure failures
+    #: (connection refused/lost/timeout), counted even when a failover
+    #: redispatch saved every image — the scheduler charges them to the
+    #: lane breakers, so a dying host trips while siblings absorb it.
     lane_failures: dict = field(default_factory=dict)
 
     def __iter__(self):
@@ -137,22 +147,30 @@ class _InFlight:
 
 
 @dataclass
-class _Run:
-    """Mutable state of one :meth:`BatchDecoder.decode_batch` call,
-    shared by dispatch and gather."""
+class _Group:
+    """What one :meth:`BatchDecoder.admit` planned and dispatched
+    together (one schedule, one feedback observation, one
+    :class:`BatchStats`), possibly while earlier groups are in flight."""
 
     results: list
-    #: ``perf_counter`` when dispatch began (latency origin).
+    #: ``perf_counter`` at admission, and when dispatch began (the
+    #: group-relative latency origin).
+    admitted_at: float = 0.0
     t0: float = 0.0
-    pending: dict[Future, _InFlight] = field(default_factory=dict)
-    #: Slots leased to in-flight tasks, by segment name — the cleanup
-    #: authority when futures fail or the dispatch aborts.
-    outstanding: dict[str, PlaneSlot] = field(default_factory=dict)
-    #: Pools that actually received work this batch — the honest
-    #: utilization denominator (with lane-bound pools the default pool
-    #: often sits idle by construction).
+    schedule: BatchSchedule | None = None
+    #: Plans dispatched and not yet finished.
+    open: int = 0
+    #: The reduced group, set when its last plan finishes.
+    batch: BatchResult | None = None
+    #: The infrastructure failure that aborted the group, if one did.
+    error: BaseException | None = None
+    #: The admitting driver's per-image records (a session's entries).
+    tag: Any = None
+    #: Pools that actually received work — the honest utilization
+    #: denominator (with lane-bound pools the default pool often sits
+    #: idle by construction).
     pools_used: set[int] = field(default_factory=set)
-    #: Parent-side spans per batch index for traced requests (schedule
+    #: Parent-side spans per index for traced requests (schedule
     #: placement, dispatch attempts, breaker exclusions).
     trace_parent: dict[int, list[SpanRecord]] = field(default_factory=dict)
     lane_failures: dict[str, int] = field(default_factory=dict)
@@ -190,11 +208,10 @@ class BatchDecoder:
         planes: ``"shm"`` (shared-memory segments + descriptors),
         ``"pickle"`` (the classic result pipe), or ``"auto"`` (shm
         wherever a process pool and working POSIX shared memory exist,
-        pickle everywhere else — serial/thread backends always resolve
-        to pickle since nothing crosses a process boundary).
-        *shm_min_bytes* keeps payloads below that size on the pickle
-        path (segment churn costs more than pickling a few KB; tests
-        pass 0 to force shm for every task).
+        pickle everywhere else — nothing crosses a process boundary on
+        serial/thread backends).  *shm_min_bytes* keeps smaller payloads
+        on the pickle path (segment churn costs more than pickling a
+        few KB; tests pass 0 to force shm for every task).
 
         *lane_pools* binds scheduler lanes to dedicated pools: pass an
         :class:`~repro.service.executors.ExecutorRegistry`, a layout
@@ -215,14 +232,13 @@ class BatchDecoder:
         *speculative* governs the marker-free fan-out
         (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
         DRI=0 scan into speculative chunks under the same conditions as
-        restart segments — the batch cannot fill the pool, and the
-        fan-out is predicted to pay
-        (:func:`~repro.service.scheduler.fanout_pays`) — ``"on"`` fans
-        out every eligible image regardless of batch size or price, and
-        ``"off"`` disables the path (a per-request
-        :attr:`ImageRequest.speculative` overrides the policy either
-        way).  *speculative_chunks* fixes the chunk count (default: the
-        dispatching pool's worker count).
+        restart segments — what is in flight cannot fill the pool, and
+        the fan-out is predicted to pay
+        (:func:`~repro.service.scheduler.fanout_pays`); ``"on"`` fans
+        out every eligible image regardless, ``"off"`` disables the path
+        (a per-request :attr:`ImageRequest.speculative` overrides
+        either way).  *speculative_chunks* fixes the chunk count
+        (default: the dispatching pool's worker count).
         """
         from .executors import ExecutorRegistry
         from .transport import TRANSPORTS
@@ -287,15 +303,32 @@ class BatchDecoder:
         self.transport = resolve_transport(transport, backends)
         self.arena = PlaneArena() if self.transport == "shm" else None
         self.shm_min_bytes = shm_min_bytes
+        #: The in-flight table: every dispatched subtask of every group.
+        self._pending: dict[Future, _InFlight] = {}
+        #: Images (plans) admitted and not yet finished.
+        self.in_flight = 0
+        #: Completed futures not yet gathered, and the one wake-up a
+        #: driver blocks on: set by every future's done-callback (and,
+        #: under a session, by every arrival on its queue).
+        self._landed: deque[Future] = deque()
+        self.wake = threading.Event()
+
+    def _pools(self) -> list[WorkerPool]:
+        """The default pool and every lane-bound pool."""
+        lanes = self.registry.pools.values() if self.registry is not None \
+            else ()
+        return [self.pool, *lanes]
+
+    @property
+    def workers(self) -> int:
+        """Workers across every pool."""
+        return sum(p.workers for p in self._pools())
 
     @property
     def rebuilds(self) -> int:
-        """Worker-pool rebuilds across the default pool and every
-        lane-bound pool — the self-healing activity counter."""
-        total = self.pool.rebuilds
-        if self.registry is not None:
-            total += sum(p.rebuilds for p in self.registry.pools.values())
-        return total
+        """Worker-pool rebuilds across every pool — the self-healing
+        activity counter."""
+        return sum(p.rebuilds for p in self._pools())
 
     # -- plan -----------------------------------------------------------
 
@@ -313,16 +346,15 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
-    def _schedule(self, requests: list[ImageRequest], run: _Run
-                  ) -> tuple[list[ImageRequest], BatchSchedule | None,
-                             dict[int, str]]:
-        """Price and place the batch (when a scheduler is attached):
-        returns the lane-rewritten requests, the schedule, and — with
-        lane-bound pools — each placed image's lane name."""
+    def _schedule(self, requests: list[ImageRequest], group: _Group
+                  ) -> tuple[list[ImageRequest], dict[int, str]]:
+        """Price and place the group (when a scheduler is attached):
+        returns the lane-rewritten requests and — with lane-bound pools
+        — each placed image's lane name."""
         if self.scheduler is None or not requests:
-            return requests, None, {}
+            return requests, {}
         t_plan0 = perf_counter()
-        schedule = self.scheduler.plan(requests)
+        schedule = group.schedule = self.scheduler.plan(requests)
         t_plan1 = perf_counter()
         requests = self.scheduler.apply(requests, schedule)
         lane_of = {a.index: a.executor.name for a in schedule.assignments
@@ -330,7 +362,7 @@ class BatchDecoder:
         for i, req in enumerate(requests):
             if req.trace is None:
                 continue
-            spans = run.trace_parent.setdefault(i, [])
+            spans = group.trace_parent.setdefault(i, [])
             spans.append(child_span(
                 req.trace, "schedule", "scheduler", "dispatch",
                 t_plan0, t_plan1, lane=lane_of.get(i, "")))
@@ -339,9 +371,9 @@ class BatchDecoder:
                     req.trace, "lane_excluded", lane, "dispatch",
                     t_plan1, t_plan1, lane=lane, reason="breaker_open"))
         if self.registry is None:
-            return requests, schedule, {}
+            return requests, {}
         schedule.wall_time = True
-        return requests, schedule, lane_of
+        return requests, lane_of
 
     def _fanout_wanted(self, req: ImageRequest, n_requests: int,
                        pool: WorkerPool) -> tuple[int, int]:
@@ -350,21 +382,22 @@ class BatchDecoder:
         ``_FORCED``.
 
         Checked *before* any header parse so that the common throughput
-        case (a batch large enough to fill the pool with whole-image
-        tasks) pays zero serialized parent-side work per image — the
-        worker owns the parse.  Only the reference pixel path fans out
-        (executor modes consume the scan in-order themselves; salvage
-        needs one decoder's view of the damage), and remote lanes ship
-        whole images only — the host's own session decides any fan-out
-        on its side of the wire.  The per-request knobs force or forbid
-        (a scheduler's dominant-image fallback arrives as one: it has
-        priced the image already); otherwise an image is a candidate
-        only when whole-image tasks cannot fill the pool, and fans out
-        if that is predicted to pay (:meth:`_plan`).  The speculative
-        policy ``"on"`` forces every eligible image, ``"off"`` forbids;
-        the speculative decoder additionally needs the fast engine's
-        exact bit positions.  Actual eligibility (DRI, progressive,
-        stray RSTn) is checked after the parse.
+        case (enough whole-image tasks to fill the pool) pays zero
+        serialized parent-side work per image — the worker owns the
+        parse.  Only the reference pixel path fans out (executor modes
+        consume the scan in-order themselves; salvage needs one
+        decoder's view of the damage), and remote lanes ship whole
+        images only — the host's own session decides any fan-out.  The
+        per-request knobs force or forbid (a scheduler's dominant-image
+        fallback arrives as one: it has priced the image already);
+        otherwise an image is a candidate only when whole-image tasks
+        cannot fill the pool — *n_requests* counts the images already
+        in flight plus the group being admitted — and fans out if that
+        is predicted to pay (:meth:`_plan`).  The speculative policy
+        ``"on"`` forces every eligible image, ``"off"`` forbids; the
+        speculative decoder additionally needs the fast engine's exact
+        bit positions.  Actual eligibility (DRI, progressive, stray
+        RSTn) is checked after the parse.
         """
         if req.mode != "reference" or req.salvage \
                 or pool.backend == "remote":
@@ -426,8 +459,7 @@ class BatchDecoder:
 
     # -- transport slots ------------------------------------------------
 
-    def _lease(self, nbytes: int, pool: WorkerPool, run: _Run
-               ) -> PlaneSlot | None:
+    def _lease(self, nbytes: int, pool: WorkerPool) -> PlaneSlot | None:
         """Lease a shm slot for a reply of *nbytes*, if the transport
         applies to *pool* (process backend + shm resolved) and the
         payload is worth a segment."""
@@ -435,36 +467,70 @@ class BatchDecoder:
                 or nbytes <= 0 or nbytes < self.shm_min_bytes:
             return None
         try:
-            slot = self.arena.lease(nbytes)
+            return self.arena.lease(nbytes)
         except ServiceError:
             return None
-        run.outstanding[slot.name] = slot
-        return slot
 
-    def _release_slot(self, slot: PlaneSlot | None, run: _Run) -> None:
-        """Return one slot to the arena ring and the tracking map."""
+    def _release_slot(self, slot: PlaneSlot | None) -> None:
+        """Return one slot to the arena ring."""
         if slot is not None and self.arena is not None:
-            run.outstanding.pop(slot.name, None)
             self.arena.release(slot)
 
-    def _quarantine_slot(self, slot: PlaneSlot | None, run: _Run) -> None:
+    def _quarantine_slot(self, slot: PlaneSlot | None) -> None:
         """Unlink a failed dispatch's slot without recycling it: the
         dead (or killed) worker may have been mid-memcpy into the
         segment, so the name must never be reused."""
         if slot is not None and self.arena is not None:
-            run.outstanding.pop(slot.name, None)
             self.arena.discard(slot)
 
-    # -- dispatch and gather --------------------------------------------
+    # -- admit: plan and dispatch ---------------------------------------
 
-    def _dispatch(self, run: _Run, plan: DecodePlan, unit: Subtask,
+    def admit(self, items: Sequence[bytes | ImageRequest]) -> _Group:
+        """Schedule, plan and dispatch *items* as one group, on top of
+        whatever is already in flight, and return without waiting.
+        An infrastructure failure (closed pool) aborts the group and
+        rides back as ``group.error``."""
+        requests = self._normalize(items)
+        group = _Group(results=[None] * len(requests),
+                       admitted_at=perf_counter())
+        try:
+            requests, lanes = self._schedule(requests, group)
+            group.t0 = perf_counter()
+            crowd = self.in_flight + len(requests)
+            for i, req in enumerate(requests):
+                lane = lanes.get(i)
+                pool = self.pool
+                if lane is not None:
+                    pool = self.registry.pool_for(lane) or self.pool
+                group.open += 1
+                self.in_flight += 1
+                try:
+                    plan = self._plan(i, req, lane, pool, crowd)
+                except (ReproError, ValueError) as exc:
+                    # Cannot be planned: the image fails alone, as the
+                    # reply of a task that was never sent.
+                    plan, lost = WholeImagePlan(i, req, lane, 0), Future()
+                    plan.group = group
+                    lost.set_result(TaskReply(
+                        error_type=type(exc).__name__, error=str(exc)))
+                    self._track(lost, _InFlight(
+                        plan, plan.units[0], pool, 1, None, None, 0.0))
+                    continue
+                plan.group = group
+                for unit in plan.units:
+                    self._dispatch(plan, unit, pool)
+        except BaseException as exc:
+            self._abort(group, exc)
+        return group
+
+    def _dispatch(self, plan: DecodePlan, unit: Subtask,
                   pool: WorkerPool, attempts: int = 1) -> None:
         """(Re)dispatch one subtask: lease its slot, draw its fault
         directive, open its attempt context, submit, register."""
         root = plan.request.trace
         ctx = root.child() if root is not None else None
         t_disp = perf_counter()
-        slot = self._lease(unit.slot_bytes, pool, run)
+        slot = self._lease(unit.slot_bytes, pool)
         fault = (self.faults.next_directive(plan.lane)
                  if self.faults is not None else None)
         try:
@@ -472,21 +538,51 @@ class BatchDecoder:
                               slot, fault)
         except BaseException:
             # Never submitted: nobody can be writing into the slot.
-            self._release_slot(slot, run)
+            self._release_slot(slot)
             raise
-        run.pools_used.add(id(pool))
-        run.pending[fut] = _InFlight(plan, unit, pool, attempts, slot,
-                                     ctx, t_disp)
+        plan.group.pools_used.add(id(pool))
+        self._track(fut, _InFlight(plan, unit, pool, attempts, slot,
+                                   ctx, t_disp))
 
-    def _recover(self, run: _Run, task: _InFlight) -> bool:
+    def _track(self, fut: Future, task: _InFlight) -> None:
+        """File *task* in the in-flight table; *fut* wakes the driver."""
+        self._pending[fut] = task
+        fut.add_done_callback(self._on_done)
+
+    def _on_done(self, fut: Future) -> None:
+        """Future done-callback (any thread): queue it, wake the driver."""
+        self._landed.append(fut)
+        self.wake.set()
+
+    def _abort(self, group: _Group, exc: BaseException) -> None:
+        """Infrastructure failed under *group*: forget its in-flight
+        subtasks and record *exc*."""
+        for fut, task in list(self._pending.items()):
+            if task.plan.group is group:
+                del self._pending[fut]
+                self._forget(task)
+        self.in_flight -= group.open
+        group.open = 0
+        group.error = exc
+
+    def _forget(self, task: _InFlight) -> None:
+        """Quarantine every slot an abandoned subtask's plan holds: a
+        worker may still be writing into its lease, so the names are
+        unlinked, never returned to the ring."""
+        self._quarantine_slot(task.slot)
+        while task.plan.slots:
+            self._quarantine_slot(task.plan.slots.pop())
+
+    # -- gather ---------------------------------------------------------
+
+    def _recover(self, task: _InFlight) -> bool:
         """Clean up after a dispatch whose worker died; True when the
-        subtask was re-dispatched, False when its retry budget is
-        spent."""
+        subtask was re-dispatched, False when its budget is spent."""
         # The dead worker may still hold a view into its slot —
         # quarantine, never recycle.
-        self._quarantine_slot(task.slot, run)
+        self._quarantine_slot(task.slot)
         task.pool.heal()
-        plan, pool = task.plan, task.pool
+        plan, pool, group = task.plan, task.pool, task.plan.group
         if pool.backend == "remote":
             # Charged to the lane whose pool actually failed (the
             # failover target when the rescue dispatch failed too), and
@@ -494,11 +590,13 @@ class BatchDecoder:
             # failed dispatch, even the one that exhausts the budget.
             failed_lane = getattr(pool, "name", None) or plan.lane
             if failed_lane is not None:
-                run.lane_failures[failed_lane] = \
-                    run.lane_failures.get(failed_lane, 0) + 1
+                group.lane_failures[failed_lane] = \
+                    group.lane_failures.get(failed_lane, 0) + 1
         if task.attempts > self.retry_budget:
             return False
-        run.retries += 1
+        group.retries += 1
+        # Slept on the driver's thread: other images keep decoding in
+        # their workers, but nothing is gathered meanwhile.
         sleep(self.retry_backoff_s * (2 ** (task.attempts - 1)))
         if pool.backend == "remote" and self.registry is not None:
             # Prefer a surviving sibling host over hammering the one
@@ -506,173 +604,159 @@ class BatchDecoder:
             alt = self.registry.failover_pool(plan.lane)
             if alt is not None:
                 pool, plan.failed_over = alt, True
-        self._dispatch(run, plan, task.unit, pool, task.attempts + 1)
+        self._dispatch(plan, task.unit, pool, task.attempts + 1)
         return True
 
-    def _planes(self, run: _Run, task: _InFlight,
-                reply: TaskReply) -> "list | None":
+    def _planes(self, task: _InFlight, reply: TaskReply) -> "list | None":
         """Resolve a reply's heavy payload into arrays, accounting the
         bytes to the transport that carried them."""
-        planes = reply.planes
+        planes, group = reply.planes, task.plan.group
         if isinstance(planes, tuple):
             # Shared-memory refs: zero-copy views; the slot stays
             # leased until the plan has merged (or copied) them.
-            run.bytes_shm += sum(r.nbytes for r in planes)
+            group.bytes_shm += sum(r.nbytes for r in planes)
             task.plan.slots.append(task.slot)
             return [self.arena.resolve(r, copy=False) for r in planes]
         # Nothing rode the slot (none leased, or the publish fell back
         # to pickle) and its worker is done with it: recycle it now.
-        self._release_slot(task.slot, run)
+        self._release_slot(task.slot)
         if planes and task.pool.backend == "process":
-            run.bytes_pickle += sum(p.nbytes for p in planes)
+            group.bytes_pickle += sum(p.nbytes for p in planes)
         return planes
 
-    def _gather(self, run: _Run) -> None:
-        """Drain every in-flight subtask: retry the crashed, hand each
-        reply to its plan, finish plans as their last subtask lands."""
-        while run.pending:
-            done, _ = wait(list(run.pending), return_when=FIRST_COMPLETED)
-            for fut in done:
-                task = run.pending.pop(fut)
-                plan = task.plan
-                try:
-                    reply, failure = fut.result(), None
-                except BaseException as exc:
-                    # The task shell catches everything, so a raising
-                    # future means infrastructure died under it:
-                    # BrokenProcessPool (worker SIGKILLed/OOMed), a
-                    # remote host error or an injected WorkerCrashError.
-                    reply, failure = None, exc
-                if task.ctx is not None:
-                    # The attempt span uses the child context's OWN
-                    # identity so worker stage spans (parented on that
-                    # same context) nest under it; retries of one
-                    # request become sibling attempt spans under the
-                    # shared request span.
-                    run.trace_parent.setdefault(plan.index, []).append(
-                        make_span(
-                            task.ctx, "attempt",
-                            plan.lane or task.pool.backend, "cpu-parallel",
-                            task.dispatched_at, perf_counter(),
-                            attempt=task.attempts, task=plan.task_name,
-                            outcome="ok" if failure is None else "crashed"))
-                if failure is None:
-                    if isinstance(reply, ImageResult):
-                        # A remote lane resolves with its host's
-                        # finished result (that session already ran
-                        # plan → gather): pixels on board, no slot.
-                        reply = TaskReply(value=reply, spans=reply.spans,
-                                          trace_spans=reply.trace_spans)
-                    arrays = self._planes(run, task, reply)
-                elif self._recover(run, task):
-                    continue
-                else:
-                    # Budget spent: the loop writes the reply the dead
-                    # worker never could.
-                    plan.infra = True
-                    arrays, reply = None, TaskReply(
-                        error_type="WorkerCrashError",
-                        error=f"worker crashed after {task.attempts} "
-                              f"attempt(s): {type(failure).__name__}: "
-                              f"{failure}")
-                plan.spans.extend(reply.spans)
-                plan.trace_spans.extend(reply.trace_spans)
-                plan.accept(task.unit, reply, arrays)
-                plan.attempts = max(plan.attempts, task.attempts)
-                plan.pending -= 1
-                if plan.pending == 0:
-                    self._finish(run, plan)
+    def gather_one(self, fut: Future) -> DecodePlan | None:
+        """Land one completed future: retry it if its worker crashed,
+        else hand its reply to its plan.  Returns the plan when that was
+        its last subtask (its result is in ``plan.group.results``), or
+        when infrastructure failed under it (``plan.group.error``)."""
+        task = self._pending.pop(fut, None)
+        if task is None:
+            return None     # a straggler of an aborted group
+        try:
+            return self._land(task, fut)
+        except BaseException as exc:
+            self._forget(task)
+            self._abort(task.plan.group, exc)
+            return task.plan
 
-    def _finish(self, run: _Run, plan: DecodePlan) -> None:
+    def _land(self, task: _InFlight, fut: Future) -> DecodePlan | None:
+        """The gather body: one completed subtask, first to last."""
+        plan = task.plan
+        try:
+            reply, failure = fut.result(), None
+        except BaseException as exc:
+            # The task shell catches everything, so a raising future
+            # means infrastructure died under it: BrokenProcessPool
+            # (worker SIGKILLed/OOMed), a remote host error or an
+            # injected WorkerCrashError.
+            reply, failure = None, exc
+        if task.ctx is not None:
+            # The attempt span uses the child context's OWN identity so
+            # worker stage spans (parented on that same context) nest
+            # under it; retries of one request become sibling attempt
+            # spans under the shared request span.
+            plan.group.trace_parent.setdefault(plan.index, []).append(
+                make_span(
+                    task.ctx, "attempt",
+                    plan.lane or task.pool.backend, "cpu-parallel",
+                    task.dispatched_at, perf_counter(),
+                    attempt=task.attempts, task=plan.task_name,
+                    outcome="ok" if failure is None else "crashed"))
+        if failure is None:
+            if isinstance(reply, ImageResult):
+                # A remote lane resolves with its host's finished
+                # result (that session already ran plan → gather):
+                # pixels on board, no slot.
+                reply = TaskReply(value=reply, spans=reply.spans,
+                                  trace_spans=reply.trace_spans)
+            arrays = self._planes(task, reply)
+        elif self._recover(task):
+            return None
+        else:
+            # Budget spent: write the reply the dead worker never could.
+            plan.infra = True
+            arrays, reply = None, TaskReply(
+                error_type="WorkerCrashError",
+                error=f"worker crashed after {task.attempts} "
+                      f"attempt(s): {type(failure).__name__}: {failure}")
+        plan.spans.extend(reply.spans)
+        plan.trace_spans.extend(reply.trace_spans)
+        plan.accept(task.unit, reply, arrays)
+        plan.attempts = max(plan.attempts, task.attempts)
+        plan.pending -= 1
+        if plan.pending:
+            return None
+        self._finish(plan)
+        return plan
+
+    def _finish(self, plan: DecodePlan) -> None:
         """Finish *plan* into its result, release its slots and stamp
         the per-image bookkeeping the plan cannot know."""
+        group = plan.group
         result = plan.finish()
-        for slot in plan.slots:
-            self._release_slot(slot, run)
+        while plan.slots:
+            self._release_slot(plan.slots.pop())
         result.spans, result.trace_spans = plan.spans, plan.trace_spans
         result.attempts = plan.attempts
         result.failed_over = plan.failed_over
         result.wall_us = sum(s.duration_s for s in result.spans) * 1e6 \
             or None
-        result.latency_s = perf_counter() - run.t0
-        run.results[plan.index] = result
+        result.latency_s = perf_counter() - group.t0
+        extra = group.trace_parent.pop(plan.index, None)
+        if extra:
+            # Parent-side spans (schedule, lane_excluded, attempts) ride
+            # in front of the worker-side ones.
+            result.trace_spans = extra + result.trace_spans
+        group.results[plan.index] = result
+        group.open -= 1
+        self.in_flight -= 1
+        if not group.open:
+            group.batch = self._report(group)
+
+    def gather(self) -> Iterator[DecodePlan]:
+        """Land every future completed so far, yielding each plan as
+        :meth:`gather_one` returns it."""
+        while self._landed:
+            plan = self.gather_one(self._landed.popleft())
+            if plan is not None:
+                yield plan
+
+    def drain(self, group: _Group) -> Iterator[DecodePlan]:
+        """Block until *group* has no open plan, yielding every plan
+        that lands meanwhile.  Clear before gather: a completion between
+        the two leaves :attr:`wake` set, so none is slept through."""
+        while group.open:
+            self.wake.wait()
+            self.wake.clear()
+            yield from self.gather()
 
     def decode_batch(self, items: Sequence[bytes | ImageRequest]
                      ) -> BatchResult:
-        """Decode *items* concurrently; results come back in order.
+        """Decode *items* concurrently — admit them all as one group,
+        gather until it is done; results come back in order.
 
         Raises only on infrastructure failure (closed pool); per-image
-        decode errors are reported on the individual results.
-
-        With a scheduler attached, the batch is first priced and placed
-        (:meth:`~repro.service.scheduler.ModelScheduler.plan`) and each
-        request rewritten to run on its assigned lane; the resulting
-        :class:`~repro.service.scheduler.BatchSchedule` rides back on
-        ``BatchResult.schedule``.  With lane-bound pools
-        (``lane_pools=``), each placed image dispatches to its lane's
-        own pool, the schedule is flagged ``wall_time`` and per-image
-        ``wall_us`` carries the real heterogeneous execution time the
-        scheduler's feedback consumes.  With ``transport="shm"``,
-        process-pool workers return shared-memory descriptors and the
-        pixels are materialized here; every leased segment is released
-        (or unlinked at :meth:`close`) even when a worker dies
-        mid-batch.
+        decode errors are reported on the individual results.  With a
+        scheduler attached the schedule the group ran under rides back
+        on ``BatchResult.schedule`` (flagged ``wall_time`` when it ran
+        on lane-bound pools, whose per-image ``wall_us`` is then the
+        real execution time the scheduler's feedback consumes).  Every
+        leased shared-memory segment is released (or unlinked at
+        :meth:`close`) even when a worker dies mid-batch.
         """
-        requests = self._normalize(items)
-        run = _Run(results=[None] * len(requests))
-        requests, schedule, lanes = self._schedule(requests, run)
-        run.t0 = perf_counter()
-        gathered = False
-        try:
-            for i, req in enumerate(requests):
-                lane = lanes.get(i)
-                pool = self.pool
-                if lane is not None:
-                    pool = self.registry.pool_for(lane) or self.pool
-                try:
-                    plan = self._plan(i, req, lane, pool, len(requests))
-                except (ReproError, ValueError) as exc:
-                    run.results[i] = ImageResult(
-                        request_id=req.request_id, ok=False,
-                        error_type=type(exc).__name__, error=str(exc),
-                        latency_s=perf_counter() - run.t0)
-                    continue
-                for unit in plan.units:
-                    self._dispatch(run, plan, unit, pool)
-            self._gather(run)
-            gathered = True
-        finally:
-            # Crash-safety for slots whose tasks never handed them
-            # back.  After a *complete* gather every remaining slot
-            # belongs to a future that resolved (its worker is dead or
-            # done), so recycling is safe.  On an aborted gather
-            # (submit raised, exception mid-loop) a sibling worker may
-            # still be writing into its lease — those names are
-            # quarantined (unlinked, never reused), not returned to the
-            # ring.
-            for slot in list(run.outstanding.values()):
-                if gathered:
-                    self._release_slot(slot, run)
-                else:
-                    self._quarantine_slot(slot, run)
-        return self._report(run, schedule)
+        group = self.admit(items)
+        for _ in self.drain(group):
+            pass
+        if group.error is not None:
+            raise group.error
+        return group.batch
 
-    def _report(self, run: _Run, schedule: BatchSchedule | None
-                ) -> BatchResult:
-        """Reduce a gathered run into its :class:`BatchResult`."""
-        for i, extra in run.trace_parent.items():
-            # Parent-side spans (schedule, lane_excluded, attempts) ride
-            # in front of the worker-side spans already on the result.
-            if run.results[i] is not None:
-                run.results[i].trace_spans = \
-                    extra + run.results[i].trace_spans
-        wall_s = perf_counter() - run.t0
-        done = [r for r in run.results if r is not None]
-        all_pools = [self.pool]
-        if self.registry is not None:
-            all_pools.extend(self.registry.pools.values())
-        workers = sum(p.workers for p in all_pools
-                      if id(p) in run.pools_used) or self.pool.workers
+    def _report(self, group: _Group) -> BatchResult:
+        """Reduce a finished group into its :class:`BatchResult`."""
+        wall_s = perf_counter() - group.t0
+        done = group.results
+        workers = sum(p.workers for p in self._pools()
+                      if id(p) in group.pools_used) or self.pool.workers
         stats = BatchStats.from_spans(
             batch_size=len(done),
             ok=sum(r.ok for r in done),
@@ -680,14 +764,14 @@ class BatchDecoder:
             wall_s=wall_s, workers=workers,
             latencies_s=[r.latency_s for r in done],
             spans=[s for r in done for s in r.spans],
-            bytes_shm=run.bytes_shm, bytes_pickle=run.bytes_pickle)
-        self.retries_total += run.retries
+            bytes_shm=group.bytes_shm, bytes_pickle=group.bytes_pickle)
+        self.retries_total += group.retries
         return BatchResult(
-            results=done, stats=stats, schedule=schedule,
+            results=done, stats=stats, schedule=group.schedule,
             lane_pools=(self.registry.describe()
                         if self.registry is not None else None),
-            transport=self.transport, retries=run.retries,
-            lane_failures=run.lane_failures)
+            transport=self.transport, retries=group.retries,
+            lane_failures=group.lane_failures)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -280,6 +280,11 @@ class _SessionHTTPServer(ThreadingHTTPServer):
     #: already being decoded can never observe a closed session.
     daemon_threads = False
 
+    #: Listen backlog.  The stdlib default of 5 makes the kernel drop
+    #: the SYN of a sixth simultaneous connection, and its client then
+    #: stalls for the 1 s retransmit timer.
+    request_queue_size = 128
+
     session: DecodeSession
     result_timeout_s: float
     quiet: bool

@@ -3,7 +3,10 @@
 The service's ingress: producers :meth:`~SubmissionQueue.put` requests
 and a consumer — the :class:`~repro.service.session.DecodeSession`
 pump thread, or a pull-mode caller of its ``run_once`` — drains them
-with :meth:`~SubmissionQueue.get_batch`.  Both ends are safe under
+with :meth:`~SubmissionQueue.get_batch` (arrival order) or
+:meth:`~SubmissionQueue.take` (most urgent first, the session's way:
+requests stay queued, and count against the capacity, until the moment
+a worker has room for them).  Both ends are safe under
 concurrency: any number of producer threads may block in ``put`` while
 the consumer drains (one condition variable serializes slot claims, so
 no request is ever lost or duplicated).  Capacity is a hard bound —
@@ -15,14 +18,18 @@ drop, retry-after).
 Implemented on a ``collections.deque`` + ``threading.Condition`` rather
 than ``queue.Queue`` so that close semantics and batch draining are
 first-class: closing wakes all blocked producers/consumers, and
-``get_batch`` returns up to *max_items* in one lock acquisition.
+``get_batch`` returns up to *max_items* in one lock acquisition.  A
+consumer that sleeps on something else as well (the session pump waits
+on "a request arrived *or* a decode finished") passes *on_change*: it
+is called after every ``put`` and after ``close``, once the item is
+visible to ``get_batch``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import QueueFullError, ServiceClosedError
 
@@ -30,11 +37,14 @@ from ..errors import QueueFullError, ServiceClosedError
 class SubmissionQueue:
     """Thread-safe bounded FIFO of pending decode requests."""
 
-    def __init__(self, capacity: int = 32) -> None:
-        """Create a queue holding at most *capacity* pending requests."""
+    def __init__(self, capacity: int = 32,
+                 on_change: Callable[[], None] | None = None) -> None:
+        """Create a queue holding at most *capacity* pending requests;
+        *on_change* is the consumer's arrival/close wake-up."""
         if capacity <= 0:
             raise ValueError(f"queue capacity must be positive, got {capacity}")
         self._capacity = capacity
+        self._on_change = on_change
         self._items: deque[Any] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -100,6 +110,8 @@ class SubmissionQueue:
                         f"timed out after {timeout}s)")
             self._items.append(item)
             self._cond.notify_all()
+        if self._on_change is not None:
+            self._on_change()
 
     def get_batch(self, max_items: int, timeout: float | None = 0) -> list[Any]:
         """Dequeue up to *max_items* requests in arrival order.
@@ -121,6 +133,29 @@ class SubmissionQueue:
                 self._cond.notify_all()
             return batch
 
+    def take(self, max_items: int, key: Callable[[Any], Any],
+             expired: Callable[[Any], bool]) -> tuple[list[Any], list[Any]]:
+        """Dequeue out of arrival order: every request *expired* says
+        has run out of time, and of the rest the *max_items* most
+        urgent (smallest *key*).  Returns ``(taken, expired)``; what
+        stays keeps its arrival order.  Never blocks."""
+        with self._cond:
+            dead, live = [], []
+            for item in self._items:
+                (dead if expired(item) else live).append(item)
+            taken = sorted(live, key=key)[:max_items]
+            if dead or taken:
+                gone = {id(item) for item in dead + taken}
+                self._items = deque(item for item in self._items
+                                    if id(item) not in gone)
+                self._cond.notify_all()
+            return taken, dead
+
+    def peek(self) -> Any:
+        """The oldest pending request (None when empty), left queued."""
+        with self._cond:
+            return self._items[0] if self._items else None
+
     def close(self) -> None:
         """Refuse further ``put`` calls and wake every blocked waiter.
 
@@ -129,3 +164,5 @@ class SubmissionQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+        if self._on_change is not None:
+            self._on_change()

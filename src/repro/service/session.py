@@ -1,50 +1,52 @@
-"""Futures-based decode sessions: per-request handles over a pumped
-batch loop.
+"""Futures-based decode sessions: per-request handles over a rolling
+dispatch loop.
 
 A bare :class:`~repro.service.batch.BatchDecoder` is pull-driven — the
 caller forms each batch and blocks for it, so submission can never
 overlap completion.  :class:`DecodeSession` inverts that: ``submit``
 returns a :class:`DecodeHandle` (future-like — ``done()``,
-``result(timeout)``, ``add_done_callback()``) and a background **pump
-thread** forms batches on its own, by size or age:
+``result(timeout)``, ``add_done_callback()``) and one background **pump
+thread** runs a continuous admit → dispatch → gather loop over the
+decoder's in-flight table:
 
-- a batch dispatches as soon as ``max_batch`` requests are pending, or
-- when the *oldest* pending request has waited ``max_delay_ms`` — the
-  latency bound that keeps a trickle of traffic from waiting forever
-  for a full batch.
+- **window** — at most :data:`DISPATCH_DEPTH` images per worker are in
+  flight; the rest wait in the queue, where backpressure applies;
+- **admission group** — whenever the window has room the pump takes the
+  most urgent pending requests that fit (priority, then earliest
+  deadline, then age; expired ones are shed), at most ``max_batch`` of
+  them, and admits them together: one schedule, one feedback
+  observation, one stats record.  ``max_delay_ms`` > 0 holds a group
+  back until ``max_batch`` requests are pending or the oldest has waited
+  that long — off by default: no worker waits for a batch to end, so an
+  idle one gains nothing from waiting for company;
+- **per-plan resolution** — a handle resolves as soon as its own image
+  is done, never when a batch is; stats and trace spans fold in first,
+  so a completion observer (done callback, ``GET /stats`` right after a
+  response) always sees itself counted.
 
-Formed batches run through the ordinary
-:class:`~repro.service.batch.BatchDecoder` (and therefore through the
-model-guided :class:`~repro.service.scheduler.ModelScheduler` when one
-is attached), so everything the batch layer guarantees — bit-identity
-with :func:`repro.jpeg.decoder.decode_jpeg`, per-image error isolation,
-restart-segment fan-out — holds unchanged; a failed decode *resolves*
-its handle with an ``ok=False`` :class:`~repro.service.batch.ImageResult`
-rather than raising, exactly like the batch API.  Scheduler feedback
-(:meth:`~repro.service.scheduler.ModelScheduler.observe`) and
-:class:`~repro.service.stats.ServiceStats` accumulation both happen
-inside the pump loop, under the session's stats lock, so concurrent
-readers (``GET /stats`` in :mod:`repro.service.http`) always see a
-consistent snapshot.
+The pump sleeps on one wake-up — a decode finished *or* a request
+arrived — and burns no CPU while idle.  It is also the one sequential
+resource left: planning, dispatch, retry back-off and a fanned-out
+frame's stitch + pixel stages all run on it.  Everything the batch
+layer guarantees (bit-identity with ``decode_jpeg``, per-image error
+isolation, fan-out) holds unchanged; a failed decode *resolves* its
+handle with an ``ok=False`` result rather than raising, exactly like
+the batch API.
 
-Lifecycle: sessions are context managers.  ``close(drain=True)`` (the
-default) decodes everything already accepted, then shuts the pool down;
-``close(drain=False)`` cancels every pending handle instead
-(``handle.cancelled()`` turns true, ``result()`` raises
-``CancelledError``).  After close, ``submit`` raises
-:class:`~repro.errors.ServiceClosedError`.  Close is idempotent.
-
-The async front end (:mod:`repro.service.aio`) and the HTTP shim
-(:mod:`repro.service.http`) both layer on this class; ``repro
-serve-batch`` drives a pump-less session (``pump=False``) through
-:meth:`DecodeSession.run_once`.
+Sessions are context managers (see :meth:`DecodeSession.close` for
+drain vs cancel).  The async front end (:mod:`repro.service.aio`) and
+the HTTP shim (:mod:`repro.service.http`) both layer on this class;
+``repro serve-batch`` drives a pump-less session (``pump=False``)
+through :meth:`DecodeSession.run_once`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from concurrent.futures import Future, InvalidStateError
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Callable
@@ -68,6 +70,13 @@ from .stats import ServiceStats
 #: overload the low classes shed first and high-priority latency is
 #: preserved.  Override per session via ``shed_fractions=``.
 DEFAULT_SHED_FRACTIONS: dict[int, float] = {0: 0.5, 1: 0.9}
+
+#: Images the pump keeps in flight per worker: one running and one
+#: queued behind it, which hides the 0.3-0.7 ms dispatch round trip
+#: (``workers.dispatch_rtt_ms``) between a worker finishing and its next
+#: task arriving.  Deeper only lets requests age inside the pool, where
+#: neither priority, deadline nor ``close(drain=False)`` can reach them.
+DISPATCH_DEPTH = 2
 
 
 class DecodeHandle:
@@ -126,18 +135,15 @@ class DecodeHandle:
     # -- resolution (session-internal) ---------------------------------
 
     def _set_result(self, result: ImageResult) -> None:
-        """Resolve with *result*; a lost race against cancel is a no-op."""
-        try:
+        """Resolve with *result*; a lost race against cancel (or an
+        earlier resolution) is a no-op."""
+        with suppress(InvalidStateError):
             self._future.set_result(result)
-        except InvalidStateError:
-            pass
 
     def _set_exception(self, exc: BaseException) -> None:
-        """Fail with an infrastructure error; no-op when cancelled."""
-        try:
+        """Fail with an infrastructure error; same no-op rule."""
+        with suppress(InvalidStateError):
             self._future.set_exception(exc)
-        except InvalidStateError:
-            pass
 
 
 @dataclass
@@ -149,34 +155,31 @@ class _Entry:
     #: Absolute ``perf_counter`` instant the request expires (None = no
     #: deadline): submission time plus ``deadline_ms``.
     deadline_at: float | None = None
-    #: Load-shedding priority class (mirrors the request's; see
-    #: :data:`DEFAULT_SHED_FRACTIONS`).
-    priority: int = 1
 
     @property
     def edf_key(self) -> tuple[float, float, float]:
-        """Batch-forming sort key: priority class first (higher
+        """Admission sort key: priority class first (higher
         classes dispatch ahead of lower ones), then earliest deadline,
         then FIFO age; deadline-free requests sort after every
         deadlined one of their class."""
-        return (-self.priority,
+        return (-self.request.priority,
                 self.deadline_at if self.deadline_at is not None
                 else math.inf, self.handle.submitted_at)
 
 
 class DecodeSession:
-    """Push-driven decode front end: futures in, batches underneath.
+    """Push-driven decode front end: futures in, a rolling window of
+    decodes underneath.
 
     ``submit`` enqueues a request and immediately returns its
-    :class:`DecodeHandle`; the background pump thread forms batches by
-    size (``max_batch``) or age (``max_delay_ms``) and resolves handles
-    as results complete.  Construct with ``pump=False`` for the
-    pull-driven mode (no thread; the caller drives :meth:`run_once`) —
-    that is how ``repro serve-batch`` runs, and the deterministic
-    choice for lifecycle tests.
+    :class:`DecodeHandle`; the background pump thread admits requests
+    whenever a worker has room and resolves each handle as its image
+    finishes.  Construct with ``pump=False`` for the pull-driven mode
+    (no thread; the caller drives :meth:`run_once`) — how ``repro
+    serve-batch`` runs, and the deterministic choice for lifecycle tests.
     """
 
-    def __init__(self, max_batch: int = 8, max_delay_ms: float = 2.0,
+    def __init__(self, max_batch: int = 8, max_delay_ms: float = 0.0,
                  queue_capacity: int = 32,
                  workers: int | None = None, backend: str | None = None,
                  defaults: ImageRequest | None = None,
@@ -201,11 +204,13 @@ class DecodeSession:
         :data:`DEFAULT_SHED_FRACTIONS`).  Classes absent from the map
         admit into the full capacity.
 
-        *max_batch* caps one dispatched batch; *max_delay_ms* bounds how
-        long the oldest pending request may wait for the batch to fill.
+        *max_batch* caps one admission group (and one ``run_once``
+        batch); *max_delay_ms* > 0 holds pending requests back until
+        *max_batch* of them are waiting or the oldest has waited that
+        long (0, the default, admits as soon as the window has room).
         *default_deadline_ms* applies to every request that does not
         carry its own ``deadline_ms`` (None = no default deadline);
-        batch forming orders pending requests earliest-deadline-first
+        admission orders pending requests earliest-deadline-first
         and requests whose deadline passes before their decode starts
         resolve with :class:`~repro.errors.DeadlineExceededError`.
         *retry_budget*/*retry_backoff_s*/*faults* forward to
@@ -246,22 +251,19 @@ class DecodeSession:
                 raise ServiceError(
                     f"shed fraction for priority {priority} must be in "
                     f"(0, 1], got {fraction}")
-        self.queue = SubmissionQueue(capacity=queue_capacity)
-        decoder_kwargs = {}
-        if shm_min_bytes is not None:
-            decoder_kwargs["shm_min_bytes"] = shm_min_bytes
-        if retry_budget is not None:
-            decoder_kwargs["retry_budget"] = retry_budget
-        if retry_backoff_s is not None:
-            decoder_kwargs["retry_backoff_s"] = retry_backoff_s
-        if faults is not None:
-            decoder_kwargs["faults"] = faults
-        if speculative is not None:
-            decoder_kwargs["speculative"] = speculative
-        self.decoder = BatchDecoder(workers=workers, backend=backend,
-                                    defaults=defaults, scheduler=scheduler,
-                                    transport=transport,
-                                    lane_pools=lane_pools, **decoder_kwargs)
+        # One wake-up for the pump: arrivals and completions both set it.
+        self.queue = SubmissionQueue(
+            capacity=queue_capacity,
+            on_change=lambda: self.decoder.wake.set())
+        forwarded = {"shm_min_bytes": shm_min_bytes, "faults": faults,
+                     "retry_budget": retry_budget,
+                     "retry_backoff_s": retry_backoff_s,
+                     "speculative": speculative}
+        self.decoder = BatchDecoder(
+            workers=workers, backend=backend, defaults=defaults,
+            scheduler=scheduler, transport=transport, lane_pools=lane_pools,
+            **{k: v for k, v in forwarded.items() if v is not None})
+        self._window = DISPATCH_DEPTH * self.decoder.workers
         obs_kwargs = {"mode": tracing, "sample_rate": trace_sample,
                       "log_path": trace_log}
         if trace_capacity is not None:
@@ -269,13 +271,7 @@ class DecodeSession:
         self.obs = ObsHub(**obs_kwargs)
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
-        #: EDF window: entries pulled off the queue but not yet
-        #: dispatched (bounded by the queue capacity, so backpressure
-        #: semantics are unchanged).
-        self._backlog: list[_Entry] = []
-        self._backlog_lock = threading.Lock()
-        self._next_id = 0
-        self._id_lock = threading.Lock()
+        self._ids = itertools.count()     # next() is atomic
         self._closed = False
         self._close_lock = threading.Lock()
         self._cancel_pending = False
@@ -295,10 +291,8 @@ class DecodeSession:
 
     @property
     def pending(self) -> int:
-        """Requests accepted but not yet dispatched to a batch
-        (queued plus buffered in the EDF window)."""
-        with self._backlog_lock:
-            return len(self.queue) + len(self._backlog)
+        """Requests accepted but not yet admitted to the pool."""
+        return len(self.queue)
 
     def submit(self, item: bytes | ImageRequest,
                timeout: float | None = 0) -> DecodeHandle:
@@ -332,10 +326,7 @@ class DecodeSession:
                 f"priority must be a non-negative integer, "
                 f"got {req.priority!r}")
         if req.request_id is None:
-            with self._id_lock:
-                assigned = self._next_id
-                self._next_id += 1
-            req = replace(req, request_id=assigned)
+            req = replace(req, request_id=next(self._ids))
         if req.trace is None:
             # Mode gate applies only to trace *creation*; a propagated
             # context (remote host replaying a client trace) is always
@@ -352,9 +343,7 @@ class DecodeSession:
         limit = (None if fraction is None
                  else max(1, math.ceil(self.queue.capacity * fraction)))
         try:
-            self.queue.put(_Entry(request=req, handle=handle,
-                                  deadline_at=deadline_at,
-                                  priority=req.priority),
+            self.queue.put(_Entry(req, handle, deadline_at),
                            timeout=timeout, limit=limit)
         except QueueFullError:
             with self._stats_lock:
@@ -364,62 +353,35 @@ class DecodeSession:
 
     # -- the pump -------------------------------------------------------
 
-    def _collect(self) -> list[_Entry]:
-        """Block for the first pending entry, then fill the window until
-        ``max_batch`` or the oldest entry's age deadline; returns the
-        formed batch in earliest-deadline-first order."""
-        with self._backlog_lock:
-            buffered = len(self._backlog)
-        if buffered == 0:
-            first = self.queue.get_batch(self.max_batch, timeout=None)
-            if not first:
-                return []
-            with self._backlog_lock:
-                self._backlog.extend(first)
-                buffered = len(self._backlog)
-        with self._backlog_lock:
-            oldest = min(e.handle.submitted_at for e in self._backlog)
-        age_deadline = oldest + self.max_delay_ms / 1e3
-        while buffered < self.max_batch and not self._closed:
-            remaining = age_deadline - perf_counter()
-            if remaining <= 0:
-                break
-            more = self.queue.get_batch(
-                self.max_batch - buffered, timeout=remaining)
-            if more:
-                with self._backlog_lock:
-                    self._backlog.extend(more)
-                    buffered = len(self._backlog)
-            elif self.queue.closed:
-                break
-        return self._form_batch()
+    def _hold_s(self) -> float:
+        """Seconds the queue should still wait for company: 0 once
+        ``max_batch`` requests are pending, the oldest has aged
+        ``max_delay_ms``, or the session is closing."""
+        oldest = self.queue.peek()
+        if oldest is None or len(self.queue) >= self.max_batch \
+                or self.queue.closed:
+            return 0.0
+        return max(0.0, oldest.handle.submitted_at
+                   + self.max_delay_ms / 1e3 - perf_counter())
 
-    def _form_batch(self) -> list[_Entry]:
-        """Shed expired entries, then take the ``max_batch`` most urgent
-        from the EDF window.
+    def _form_batch(self, limit: int) -> list[_Entry]:
+        """Shed expired requests, then take the *limit* most urgent off
+        the queue — called when a worker has room, so the order is
+        decided at the last moment.
 
-        Expired entries (their absolute deadline passed before a decode
-        slot arrived) resolve with
-        :class:`~repro.errors.DeadlineExceededError` — shedding them
-        here, *before* dispatch, is the point: under overload the
-        service spends workers only on requests whose clients are still
-        waiting.  The survivors dispatch earliest-deadline-first, the
-        order that minimizes deadline misses for a single shared
-        resource; deadline-free requests keep FIFO order after every
-        deadlined one.
+        Expired requests (deadline passed before a decode slot arrived)
+        resolve with :class:`~repro.errors.DeadlineExceededError` —
+        shed *before* dispatch, so under overload workers are spent only
+        on requests whose clients still wait.  The survivors go
+        earliest-deadline-first, the order that minimizes deadline
+        misses for one shared resource; deadline-free requests keep
+        FIFO order after every deadlined one.
         """
         now = perf_counter()
-        expired: list[_Entry] = []
-        with self._backlog_lock:
-            live: list[_Entry] = []
-            for e in self._backlog:
-                if e.deadline_at is not None and now >= e.deadline_at:
-                    expired.append(e)
-                else:
-                    live.append(e)
-            live.sort(key=lambda e: e.edf_key)
-            batch = live[:self.max_batch]
-            self._backlog = live[self.max_batch:]
+        batch, expired = self.queue.take(
+            limit, key=lambda e: e.edf_key,
+            expired=lambda e: e.deadline_at is not None
+            and now >= e.deadline_at)
         for e in expired:
             e.handle._set_exception(DeadlineExceededError(
                 f"request {e.handle.request_id} missed its "
@@ -430,113 +392,146 @@ class DecodeSession:
         return batch
 
     def _pump_loop(self) -> None:
-        """Form and decode batches until the session closes and (in
-        drain mode) the queue is empty."""
+        """Land what finished, admit what fits, sleep until a decode
+        finishes or a request arrives — until the session is closed and
+        nothing is pending or in flight.  Clearing the wake-up *before*
+        looking means an event between the look and the sleep leaves it
+        set: none is slept through."""
+        decoder = self.decoder
         while True:
-            entries = self._collect()
-            if not entries:
-                if self.queue.closed:
-                    return
-                continue
+            decoder.wake.clear()
+            self._settle_all(decoder.gather())
+            hold = self._admit_pending()
+            if self.queue.closed and not decoder.in_flight \
+                    and not self.pending:
+                return
+            decoder.wake.wait(hold)
+
+    def _admit_pending(self) -> float | None:
+        """Admit pending requests, most urgent first, in groups of up to
+        ``max_batch`` while the window has room.  Returns how long the
+        remainder is being held for company (None: nothing is)."""
+        while len(self.queue):
             if self._cancel_pending:
-                for e in entries:
+                for e in self._form_batch(self.queue.capacity):
                     e.handle.cancel()
                 continue
-            try:
-                self._decode_entries(entries)
-            except Exception:
-                # The batch's handles already carry the exception; keep
-                # pumping so later submissions are not stranded pending.
-                continue
+            room = self._window - self.decoder.in_flight
+            if room <= 0:
+                return None
+            hold = self._hold_s()
+            if hold > 0:
+                return hold
+            entries = self._form_batch(min(room, self.max_batch))
+            if entries:
+                self._admit(entries)
+        return None
 
-    def _decode_entries(self, entries: list[_Entry]) -> BatchResult | None:
-        """Decode one formed batch, resolve its handles, fold stats and
-        scheduler feedback.  Returns the batch result (pull-mode callers
-        surface it; the pump discards it)."""
-        requests = [e.request for e in entries]
-        t_dispatch = perf_counter()
-        try:
-            batch = self.decoder.decode_batch(requests)
-        except BaseException as exc:
-            # Infrastructure failure (closed pool, interpreter teardown):
-            # fail every handle of the batch, never silently drop one.
-            for e in entries:
-                e.handle._set_exception(exc)
-            raise
-        now = perf_counter()
-        for entry, result in zip(entries, batch.results):
-            # True submit-to-completion latency (the batch loop only
-            # measured from dispatch).
-            result.latency_s = now - entry.handle.submitted_at
-            self.obs.observe_latency(result.latency_s)
-            ctx = entry.request.trace
-            if ctx is not None:
-                # Root span carries the context's own identity; the
-                # queue span covers submit -> batch dispatch.  Prepended
-                # so the root leads the batch — downstream consumers
-                # (remote host wire encoding, the trace store) see one
-                # self-contained span list per result.
-                result.trace_spans = [
-                    make_span(ctx, "request", "session", "dispatch",
-                              entry.handle.submitted_at, now,
-                              request_id=str(entry.request.request_id),
-                              ok=result.ok),
-                    child_span(ctx, "queue", "session", "dispatch",
-                               entry.handle.submitted_at, t_dispatch,
-                               priority=entry.priority),
-                ] + result.trace_spans
-                self.obs.record_spans(result.trace_spans)
-        # Stats and scheduler feedback fold in *before* handles resolve,
-        # so a completion observer (done callback, HTTP /stats poll
-        # right after a response) always sees its own batch counted.
+    def _admit(self, entries: list[_Entry]):
+        """Admit *entries* as one group."""
         with self._stats_lock:
-            self.stats.record(batch.stats,
-                              [r.latency_s for r in batch.results])
-            self.stats.record_faults(
-                retries=batch.retries,
-                infra_failures=sum(1 for r in batch.results
-                                   if not r.ok and r.infra_failure),
-                pool_rebuilds=self.decoder.rebuilds)
-            if batch.schedule is not None and self.decoder.scheduler is not None:
-                self.decoder.scheduler.observe(
-                    batch.schedule, batch.results,
-                    lane_failures=batch.lane_failures)
-                self.stats.record_schedule(batch.schedule, batch.results,
-                                           lane_pools=batch.lane_pools)
-        for entry, result in zip(entries, batch.results):
-            entry.handle._set_result(result)
-        return batch
+            self.stats.mark_busy(perf_counter())
+        group = self.decoder.admit([e.request for e in entries])
+        group.tag = entries
+        if group.error is not None:
+            self._fail(group)
+        return group
+
+    def _fail(self, group) -> None:
+        """Infrastructure failed under *group* (closed pool): fail every
+        handle it has not resolved, never silently drop one."""
+        for e in group.tag:
+            e.handle._set_exception(group.error)
+        with self._stats_lock:
+            if not self.decoder.in_flight:
+                self.stats.mark_idle(perf_counter())
+
+    def _settle_all(self, plans) -> None:
+        """Settle each plan the decoder hands back, as it lands."""
+        for plan in plans:
+            try:
+                if plan.group.error is not None:
+                    self._fail(plan.group)
+                else:
+                    self._settle(plan.group, plan.index)
+            except Exception as exc:    # a fold failed, not the decode:
+                plan.group.tag[plan.index].handle._set_exception(exc)
+
+    def _settle(self, group, index: int) -> None:
+        """One image is done: stamp latency, fold its share of stats,
+        feedback and spans, *then* resolve its handle — so a completion
+        observer always sees itself counted.  The per-group folds (one
+        ``scheduler.observe``, one stats record) ride on the image that
+        completes its group."""
+        entry, result = group.tag[index], group.results[index]
+        now = perf_counter()
+        # True submit-to-completion latency (the dispatch core only
+        # measured from admission).
+        result.latency_s = now - entry.handle.submitted_at
+        self.obs.observe_latency(result.latency_s)
+        ctx = entry.request.trace
+        if ctx is not None:
+            # Root span carries the context's own identity; the queue
+            # span covers submit -> admission.  Prepended so the root
+            # leads — downstream consumers (remote host wire encoding,
+            # the trace store) see one self-contained span list.
+            result.trace_spans = [
+                make_span(ctx, "request", "session", "dispatch",
+                          entry.handle.submitted_at, now,
+                          request_id=str(entry.request.request_id),
+                          ok=result.ok),
+                child_span(ctx, "queue", "session", "dispatch",
+                           entry.handle.submitted_at, group.admitted_at,
+                           priority=entry.request.priority),
+            ] + result.trace_spans
+            self.obs.record_spans(result.trace_spans)
+        batch, scheduler = group.batch, self.decoder.scheduler
+        with self._stats_lock:
+            self.stats.record_image(result.ok, result.latency_s)
+            if batch is not None:
+                self.stats.record(batch.stats)
+                self.stats.record_faults(
+                    retries=batch.retries,
+                    infra_failures=sum(1 for r in batch.results
+                                       if not r.ok and r.infra_failure),
+                    pool_rebuilds=self.decoder.rebuilds)
+                if batch.schedule is not None and scheduler is not None:
+                    scheduler.observe(batch.schedule, batch.results,
+                                      lane_failures=batch.lane_failures)
+                    self.stats.record_schedule(
+                        batch.schedule, batch.results,
+                        lane_pools=batch.lane_pools)
+            if not self.decoder.in_flight:
+                self.stats.mark_idle(now)
+        entry.handle._set_result(result)
 
     # -- pull mode ------------------------------------------------------
 
     def run_once(self) -> BatchResult | None:
-        """Pull-mode step: decode one batch of queued requests (None
-        when nothing is pending, or when every pending request had
-        already expired and was shed — :attr:`pending` tells the two
-        apart).  Scheduled batches fold their observed per-image times
-        into the scheduler's per-lane feedback and per-lane placement
-        counts into :attr:`stats`, exactly as pumped ones do.  With the
-        pump running it is also safe (the queue hands each entry to
-        exactly one consumer) but normally unnecessary."""
-        entries = self.queue.get_batch(self.max_batch, timeout=0)
-        with self._backlog_lock:
-            self._backlog.extend(entries)
-            buffered = len(self._backlog)
-        if buffered == 0:
+        """Pull-mode step: admit one batch of up to ``max_batch`` queued
+        requests and gather it, settling handles, stats and feedback as
+        the pump does.  None when nothing is pending or everything
+        pending had expired and was shed (:attr:`pending` tells the two
+        apart) — and on a pumped session, whose pump owns the queue."""
+        if self._pump_thread is not None:
             return None
-        batch = self._form_batch()
-        if not batch:
+        entries = self._form_batch(self.max_batch)
+        if not entries:
             return None
-        return self._decode_entries(batch)
+        group = self._admit(entries)
+        self._settle_all(self.decoder.drain(group))
+        if group.error is not None:
+            raise group.error
+        return group.batch
 
     # -- observability --------------------------------------------------
 
     def retry_after_s(self) -> int:
         """Suggested client back-off in whole seconds, scaled to the
         current backlog: pending requests over the observed service
-        rate (images/s), clamped to [1, 30].  Before any batch has
-        completed the rate is unknown and the estimate assumes one
-        ``max_batch`` drains per second.  This is what HTTP 429/503/504
+        rate (images per busy second), clamped to [1, 30].  Before any
+        image has completed the rate is unknown and the estimate assumes
+        one ``max_batch`` drains per second.  This is what HTTP 429/503/504
         responses put in ``Retry-After``."""
         backlog = self.pending
         with self._stats_lock:
@@ -559,6 +554,7 @@ class DecodeSession:
         with self._stats_lock:
             snap = self.stats.as_dict()
         snap["pending"] = len(self.queue)
+        snap["in_flight"] = self.decoder.in_flight
         snap["queue_capacity"] = self.queue.capacity
         snap["queue_space"] = self.queue.space
         snap["max_batch"] = self.max_batch
@@ -580,9 +576,9 @@ class DecodeSession:
         """Shut the session down; idempotent.
 
         ``drain=True`` decodes every request already accepted (the pump
-        finishes the queue; in pull mode the remaining batches run
-        inline here), then closes the pool.  ``drain=False`` cancels
-        every pending handle instead — in-flight batches still resolve.
+        finishes the queue; in pull mode the same loop runs inline
+        here), then closes the pool.  ``drain=False`` cancels every
+        request not yet admitted — what is in flight still resolves.
         Either way, subsequent :meth:`submit` calls raise
         :class:`~repro.errors.ServiceClosedError`.
         """
@@ -594,23 +590,9 @@ class DecodeSession:
             self.queue.close()   # refuse new puts, wake the pump
         if self._pump_thread is not None:
             self._pump_thread.join()
-        # Pull mode (and the pump's post-close leftovers, which there
-        # are none of once the thread joined): finish or cancel what is
-        # still queued or buffered in the EDF window.
-        while True:
-            entries = self.queue.get_batch(self.max_batch, timeout=0)
-            with self._backlog_lock:
-                self._backlog.extend(entries)
-                buffered = len(self._backlog)
-            if buffered == 0:
-                break
-            batch = self._form_batch()
-            if drain:
-                if batch:
-                    self._decode_entries(batch)
-            else:
-                for e in batch:
-                    e.handle.cancel()
+        else:
+            # Pull mode: finish (or cancel) what is still queued here.
+            self._pump_loop()
         self.decoder.close()
 
     def __enter__(self) -> "DecodeSession":

@@ -7,14 +7,19 @@ system-wide on Linux, so spans from process-pool workers are directly
 comparable to the parent's wall-clock window).  :class:`BatchStats`
 reduces one batch's spans into the numbers an operator watches —
 images/sec, p50/p90/p99 latency, and busy-time utilization per worker —
-and :class:`ServiceStats` accumulates those across the batches a
-long-running :class:`~repro.service.session.DecodeSession` processes.
+and :class:`ServiceStats` accumulates those across the admission
+groups a long-running :class:`~repro.service.session.DecodeSession`
+processes.  Groups overlap under the rolling pump, so the service's
+busy time is not the sum of their walls but the union of the intervals
+during which anything was in flight (:meth:`ServiceStats.mark_busy` /
+:meth:`ServiceStats.mark_idle`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 
 #: Sliding window of per-image latency samples retained for service
 #: percentiles.  Counters (images, wall time, throughput) are exact
@@ -159,12 +164,15 @@ class ExecutorUsage:
 
 @dataclass
 class ServiceStats:
-    """Running totals across every batch a service instance processed."""
+    """Running totals across every group a service instance processed."""
 
     batches: int = 0
     images_ok: int = 0
     images_failed: int = 0
-    total_wall_s: float = 0.0
+    #: Closed busy intervals, summed, and the start of the open one
+    #: (None while idle).  See :attr:`total_wall_s`.
+    _busy_s: float = 0.0
+    _busy_from: float | None = None
     #: Scheduled batches only: images that ran via restart-segment
     #: fan-out because they dominated their batch.
     images_split: int = 0
@@ -191,15 +199,42 @@ class ServiceStats:
     _latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
 
-    def record(self, stats: BatchStats, latencies_s: list[float]) -> None:
-        """Fold one batch's reduced stats into the running totals."""
+    def record_image(self, ok: bool, latency_s: float) -> None:
+        """Count one finished image and its submit-to-completion
+        latency (folded per image, before its handle resolves)."""
+        if ok:
+            self.images_ok += 1
+        else:
+            self.images_failed += 1
+        self._latencies_s.append(latency_s)
+
+    def record(self, stats: BatchStats) -> None:
+        """Fold one finished group's transport totals into the running
+        totals (its images were counted one by one)."""
         self.batches += 1
-        self.images_ok += stats.ok
-        self.images_failed += stats.failed
-        self.total_wall_s += stats.wall_s
         self.bytes_shm += stats.bytes_shm
         self.bytes_pickle += stats.bytes_pickle
-        self._latencies_s.extend(latencies_s)
+
+    def mark_busy(self, now: float) -> None:
+        """Something was admitted at *now*: a busy interval opens,
+        unless one is open already."""
+        if self._busy_from is None:
+            self._busy_from = now
+
+    def mark_idle(self, now: float) -> None:
+        """Nothing is in flight any more: the open interval closes."""
+        if self._busy_from is not None:
+            self._busy_s += max(0.0, now - self._busy_from)
+            self._busy_from = None
+
+    @property
+    def total_wall_s(self) -> float:
+        """Seconds during which at least one image was in flight — the
+        union of the groups' intervals, the open one counted up to now
+        (overlapping groups would double-count in a sum of walls)."""
+        if self._busy_from is None:
+            return self._busy_s
+        return self._busy_s + max(0.0, perf_counter() - self._busy_from)
 
     def record_faults(self, *, retries: int = 0, infra_failures: int = 0,
                       deadline_expired: int = 0,
@@ -268,7 +303,7 @@ class ServiceStats:
 
     @property
     def images_per_sec(self) -> float:
-        """Aggregate throughput across all recorded batches."""
+        """Aggregate throughput: images over busy seconds."""
         total = self.images_ok + self.images_failed
         return total / self.total_wall_s if self.total_wall_s > 0 else 0.0
 
@@ -288,18 +323,21 @@ class ServiceStats:
         (``throughput.horizon == "lifetime"``).
         """
         lat = [s * 1e3 for s in self._latencies_s] or [0.0]
+        images = self.images_ok + self.images_failed
+        total_wall_s = self.total_wall_s    # one reading of the clock
+        rate = images / total_wall_s if total_wall_s > 0 else 0.0
         return {
             "batches": self.batches,
             "images_ok": self.images_ok,
             "images_failed": self.images_failed,
             "images_split": self.images_split,
-            "total_wall_s": self.total_wall_s,
-            "images_per_sec": self.images_per_sec,
+            "total_wall_s": total_wall_s,
+            "images_per_sec": rate,
             "throughput": {
                 "horizon": "lifetime",
-                "images_per_sec": self.images_per_sec,
-                "images": self.images_ok + self.images_failed,
-                "total_wall_s": self.total_wall_s,
+                "images_per_sec": rate,
+                "images": images,
+                "total_wall_s": total_wall_s,
             },
             "latency_ms": {
                 "horizon": "window",
@@ -337,7 +375,7 @@ class ServiceStats:
                         "backend": u.pool_backend,
                         "workers": u.pool_workers,
                     },
-                    "utilization": u.utilization(self.total_wall_s),
+                    "utilization": u.utilization(total_wall_s),
                 }
                 for name, u in sorted(self.per_executor.items())
             },

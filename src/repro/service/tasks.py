@@ -141,7 +141,7 @@ class ImageRequest:
     #: means no deadline.  A request whose deadline passes before its
     #: decode starts is shed with
     #: :class:`~repro.errors.DeadlineExceededError` (HTTP 504) instead
-    #: of being decoded (enforced by the session's batch forming).
+    #: of being decoded (enforced when the session admits requests).
     deadline_ms: float | None = None
     #: Best-effort decode of hostile bytes: instead of ``ok=False`` on a
     #: corrupt scan, return the pixels decoded before the failure with
@@ -475,6 +475,8 @@ class DecodePlan:
         """Bind the plan to batch slot *index* and its *units*."""
         self.index = index
         self.request = request
+        #: The admission group the dispatch core filed the plan under.
+        self.group: Any = None
         #: Scheduler lane the image was placed on (fault-plan
         #: targeting, failover lookup, attempt-span resource).
         self.lane = lane

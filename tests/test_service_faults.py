@@ -512,6 +512,62 @@ class TestUniformFaultMatrix:
         assert leaked == []
         assert not shm_files()
 
+    @pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
+    @pytest.mark.parametrize("kind", ["whole", "segment", "spec"])
+    def test_cell_through_the_rolling_pump(self, cells, kind, fault,
+                                           tiny_rgb):
+        """The same 15 cells through a pumped session, with three
+        thumbnails admitted behind the faulted image in groups of their
+        own: the fault is the faulted image's business — its siblings
+        resolve (retried with it only when a real SIGKILL broke the
+        pool under them), every handle resolves exactly once, and no
+        slot outlives the run."""
+        make_plan, budget = MATRIX_FAULTS[fault]
+        request, units = cells[kind]
+        want = decode_jpeg(request.data).rgb
+        thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
+        thumb_rgb = decode_jpeg(thumb).rgb
+        order: list[int] = []
+        with DecodeSession(workers=2, backend="process", transport="shm",
+                           shm_min_bytes=0, retry_budget=budget,
+                           retry_backoff_s=0.0, faults=make_plan(),
+                           speculative="off", max_batch=1) as session:
+            session.decoder.speculative_chunks = self.CHUNKS
+            handles = [session.submit(request)]
+            handles += [session.submit(thumb) for _ in range(3)]
+            for i, h in enumerate(handles):
+                h.add_done_callback(lambda _h, i=i: order.append(i))
+            res, *siblings = [h.result(timeout=120) for h in handles]
+            batches = session.stats_snapshot()["batches"]
+            leaked = session.decoder.arena.leaked()
+        assert sorted(order) == [0, 1, 2, 3]        # each exactly once
+        assert batches == 4                         # four groups
+        assert res.segments == units
+        if fault == "kill_no_budget":
+            # No budget anywhere: whatever was in flight on the broken
+            # pool is lost with it, terminally and as infrastructure.
+            for r in [res] + siblings:
+                assert r.ok or (r.infra_failure
+                                and r.error_type == "WorkerCrashError")
+        else:
+            for r in siblings:
+                assert r.ok, (r.error_type, r.error)
+                assert np.array_equal(r.rgb, thumb_rgb)
+            if fault == "exception" and kind != "spec":
+                assert not res.ok and not res.infra_failure
+                assert res.error_type == "RuntimeError"
+            else:
+                assert res.ok, (res.error_type, res.error)
+                assert np.array_equal(res.rgb, want)
+        if fault == "kill":
+            assert res.attempts == 2
+        elif fault == "delay" and kind == "whole":
+            # The delayed image held one worker; the other answered
+            # its siblings meanwhile.
+            assert order[-1] == 0
+        assert leaked == []
+        assert not shm_files()
+
 
 # ---------------------------------------------------------------------------
 # Deadlines: validation, shedding, EDF ordering.

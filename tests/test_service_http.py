@@ -237,3 +237,56 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "listening on" in out
         assert "summary:" in out
+
+
+class TestRollingFrontEnd:
+    """What the rolling pump changes at the socket: replies arrive
+    sooner, so the accept queue and the counted-before-resolved rule
+    are both leaned on harder."""
+
+    def test_thirty_two_simultaneous_connections(self, tiny_rgb):
+        """The listen backlog holds a burst: no connection is left to
+        the kernel's 1 s SYN retransmit (the stdlib default of 5 drops
+        the sixth simultaneous SYN)."""
+        data = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
+        srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
+                               queue_capacity=64)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        n = 32
+        start = threading.Barrier(n)
+        outcomes: list[tuple[int, float] | None] = [None] * n
+
+        def fetch(i: int) -> None:
+            start.wait(timeout=30)
+            t0 = time.perf_counter()
+            with _post(srv.url + "/decode", data) as resp:
+                resp.read()
+                outcomes[i] = (resp.status, time.perf_counter() - t0)
+
+        try:
+            clients = [threading.Thread(target=fetch, args=(i,))
+                       for i in range(n)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60)
+        finally:
+            srv.shutdown()
+            thread.join(timeout=30)
+            srv.close()
+        assert all(o is not None and o[0] == 200 for o in outcomes)
+        assert max(latency for _status, latency in outcomes) < 1.0
+
+    def test_stats_right_after_a_response_counts_it(self, server, blob):
+        """Stats fold in before the handle resolves, per image."""
+        for done in range(1, 6):
+            with _post(server.url + "/decode", blob) as resp:
+                assert resp.status == 200
+                resp.read()
+            with urllib.request.urlopen(server.url + "/stats",
+                                        timeout=30) as resp:
+                stats = json.loads(resp.read())
+            assert stats["images_ok"] == done
+            assert stats["latency_ms"]["window_size"] == done
+            assert stats["in_flight"] == 0
