@@ -3,7 +3,8 @@ hosts, and priority-class shedding under overload.
 
 Spawns real ``repro serve-worker`` subprocesses on localhost (each its
 own Python process, so host-side decode genuinely runs in parallel)
-and drives them through :class:`repro.service.ShardedDecodeSession`:
+and drives them through :func:`repro.service.sharded_session` (a plain
+``DecodeSession`` over :func:`repro.service.remote_executors` lanes):
 
 1. **scaling** — the same cycled corpus decoded through 1 host, then
    through ``HOST_COUNT`` hosts, every image asserted bit-identical to
@@ -40,8 +41,9 @@ from repro.service import (
     PRIORITY_HIGH,
     PRIORITY_LOW,
     ImageRequest,
-    ShardedDecodeSession,
     percentile,
+    remote_executors,
+    sharded_session,
 )
 
 from common import write_result
@@ -125,8 +127,8 @@ def run_tier(ports: list[int], blobs: list[bytes],
     *ports*; every result must be ok and bit-identical."""
     stream = [i % len(blobs) for i in range(TOTAL_IMAGES)]
     latencies: list[float] = []
-    session = ShardedDecodeSession(
-        hosts=[("127.0.0.1", p) for p in ports],
+    session = sharded_session(
+        remote_executors([("127.0.0.1", p) for p in ports]),
         policy="roundrobin", max_batch=BATCH_SIZE, pump=False,
         queue_capacity=max(32, BATCH_SIZE))
     try:
@@ -159,8 +161,8 @@ def run_tier(ports: list[int], blobs: list[bytes],
 def shed_probe(port: int, blobs: list[bytes]) -> dict:
     """Flood a small-queue one-host tier with alternating low/high
     requests; returns per-class admission counts and high-class p99."""
-    session = ShardedDecodeSession(
-        hosts=[("127.0.0.1", port)], policy="roundrobin",
+    session = sharded_session(
+        remote_executors([("127.0.0.1", port)]), policy="roundrobin",
         max_batch=BATCH_SIZE, queue_capacity=SHED_QUEUE)
     admitted = {PRIORITY_LOW: [], PRIORITY_HIGH: []}
     shed = {PRIORITY_LOW: 0, PRIORITY_HIGH: 0}

@@ -13,7 +13,7 @@ Commands mirror the workflows the library supports:
   :class:`~repro.service.session.DecodeSession` (``POST /decode`` →
   PPM/metadata, ``GET /stats``, 429 on backpressure; see
   :mod:`repro.service.http`); with ``--hosts host:port,...`` the
-  session shards batches across remote worker hosts (see
+  session's scheduler lanes are remote worker hosts (see
   :mod:`repro.service.remote`)
 - ``serve-worker --port N``    — one shard of the sharded serving tier:
   a decode session behind the length-prefixed TCP protocol the front
@@ -150,21 +150,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_batch(args: argparse.Namespace) -> int:
+def _batch_inputs(args: argparse.Namespace) -> list[tuple[str, bytes]]:
+    """serve-batch's input set: named files, plus --synth images."""
     from .data import synthetic_photo
-    from .errors import QueueFullError
     from .jpeg import EncoderSettings, encode_jpeg
-    from .service import DecodeSession, ImageRequest
 
-    # Assemble the input set: named files, plus --synth generated images.
-    blobs: list[tuple[str, bytes]] = [
-        (f, Path(f).read_bytes()) for f in args.files
-    ]
+    blobs = [(f, Path(f).read_bytes()) for f in args.files]
     for i in range(args.synth):
         rgb = synthetic_photo(480, 640, seed=i, detail=0.6)
         blobs.append((f"synth-{i}", encode_jpeg(rgb, EncoderSettings(
             quality=85, subsampling="4:2:2",
             restart_interval=8 if i % 2 else 0))))
+    return blobs
+
+
+def _cmd_serve_batch(args: argparse.Namespace) -> int:
+    from .errors import QueueFullError
+    from .service import DecodeSession, ImageRequest
+
+    blobs = _batch_inputs(args)
     if not blobs:
         print("no inputs: pass JPEG files and/or --synth N", file=sys.stderr)
         return 2
@@ -174,27 +178,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    scheduler = _build_scheduler(args.schedule, args.platform,
-                                 args.breaker_threshold)
-    lane_pools = None if args.lane_pools == "none" else args.lane_pools
     failures = 0
     # Pull-driven: no pump thread, this loop forms every batch itself.
-    with DecodeSession(max_batch=args.batch_size,
-                       queue_capacity=args.queue_capacity,
-                       workers=args.workers, backend=args.backend,
-                       scheduler=scheduler, transport=args.transport,
-                       lane_pools=lane_pools,
-                       retry_budget=args.retry_budget,
-                       default_deadline_ms=args.default_deadline_ms,
-                       speculative=args.speculative,
-                       tracing=args.tracing, trace_sample=args.trace_sample,
-                       trace_log=args.trace_log, pump=False) as svc:
+    with DecodeSession(**_session_kwargs(args), pump=False) as svc:
         print(f"serve-batch: {len(blobs)} inputs x{args.repeat}, "
-              f"batch={args.batch_size}, queue={args.queue_capacity}, "
-              f"{svc.decoder.pool.workers} x {svc.decoder.pool.backend} "
-              f"workers, transport={svc.decoder.transport}"
-              + (f", schedule={args.schedule}" if scheduler else "")
-              + (f", lane-pools={args.lane_pools}" if lane_pools else ""))
+              f"batch={args.max_batch}, {_describe_session(args, svc)}")
 
         def handle(batch) -> None:
             nonlocal failures
@@ -239,94 +227,70 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _build_scheduler(schedule: str, platform: str,
-                     breaker_threshold: int | None = None):
-    """Scheduler instance for serve/serve-batch (None when disabled).
-
-    *breaker_threshold* tunes the lane circuit breakers (consecutive
-    infrastructure failures before a lane trips open); None keeps the
-    :class:`~repro.service.scheduler.LaneBreakerBoard` defaults.
-    """
-    if schedule == "none":
+def _breakers(threshold: int | None):
+    """The lane circuit-breaker board ``--breaker-threshold`` tunes
+    (consecutive infrastructure failures before a lane trips open);
+    None keeps the :class:`~repro.service.scheduler.LaneBreakerBoard`
+    defaults."""
+    if threshold is None:
         return None
-    from .evaluation import platforms
-    from .service import LaneBreakerBoard, ModelScheduler
-
-    plat = {p.name: p for p in platforms.ALL_PLATFORMS}[platform]
-    breakers = (LaneBreakerBoard(threshold=breaker_threshold)
-                if breaker_threshold is not None else None)
-    return ModelScheduler(policy=schedule, platform=plat, breakers=breakers)
+    from .service import LaneBreakerBoard
+    return LaneBreakerBoard(threshold=threshold)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _session_kwargs(args: argparse.Namespace,
+                    local_lanes: bool = True) -> dict:
+    """:class:`~repro.service.session.DecodeSession` keywords from the
+    shared session flags (see :func:`_add_session_args`).  Without
+    *local_lanes* the flags that size and schedule local pools are left
+    out: on a sharded front tier they describe the worker hosts."""
+    kwargs = dict(
+        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
+        queue_capacity=args.queue_capacity, retry_budget=args.retry_budget,
+        # serve-worker has no such flag: the front tier owns deadlines.
+        default_deadline_ms=getattr(args, "default_deadline_ms", None),
+        tracing=args.tracing, trace_sample=args.trace_sample,
+        trace_log=args.trace_log)
+    if not local_lanes:
+        return kwargs
+    scheduler = None
+    if args.schedule != "none":
+        from .evaluation import platforms
+        from .service import ModelScheduler
+
+        plat = {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
+        scheduler = ModelScheduler(
+            policy=args.schedule, platform=plat,
+            breakers=_breakers(args.breaker_threshold))
+    return dict(
+        kwargs, workers=args.workers, backend=args.backend,
+        scheduler=scheduler, transport=args.transport,
+        lane_pools=None if args.lane_pools == "none" else args.lane_pools,
+        speculative=args.speculative)
+
+
+def _describe_session(args: argparse.Namespace, session) -> str:
+    """The configuration half of a serving command's startup line."""
+    decoder = session.decoder
+    text = (f"queue={args.queue_capacity}, {decoder.pool.workers} x "
+            f"{decoder.pool.backend} workers, transport={decoder.transport}")
+    if decoder.scheduler is not None:
+        text += f", schedule={decoder.scheduler.policy}"
+    if args.lane_pools != "none":
+        text += f", lane-pools={args.lane_pools}"
+    return text
+
+
+def _serve_until_signalled(serve, stop, accepting: str) -> None:
+    """Run *serve* with a graceful drain on SIGTERM/SIGINT: the first
+    signal calls *stop* and the caller's ``finally`` closes (decoding
+    everything already accepted) on the way out.  *stop* runs on a
+    helper thread — the handler runs on the main thread, which is
+    inside *serve*, and a stop that blocks until that loop exits
+    (``HTTPServer.shutdown``) would deadlock inline."""
     import signal
     import threading
 
-    from .service import DecodeHTTPServer
-
-    session = None
-    if args.hosts:
-        # Sharded front tier: the session's scheduler lanes are remote
-        # worker hosts; the HTTP shim rides on top unchanged.
-        from .service import LaneBreakerBoard
-        from .service.remote import ShardedDecodeSession
-
-        breakers = (LaneBreakerBoard(threshold=args.breaker_threshold)
-                    if args.breaker_threshold is not None else None)
-        policy = "roundrobin" if args.schedule == "roundrobin" else "model"
-        session = ShardedDecodeSession(
-            hosts=args.hosts, policy=policy, depth=args.shard_depth,
-            breakers=breakers,
-            max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-            queue_capacity=args.queue_capacity,
-            retry_budget=args.retry_budget,
-            default_deadline_ms=args.default_deadline_ms,
-            tracing=args.tracing, trace_sample=args.trace_sample,
-            trace_log=args.trace_log)
-        server = DecodeHTTPServer(session=session, host=args.host,
-                                  port=args.port)
-        print(f"serve: listening on {server.url} "
-              f"(max_batch={args.max_batch}, "
-              f"max_delay={args.max_delay_ms}ms, "
-              f"queue={args.queue_capacity}, sharded across "
-              f"{len(session.hosts)} hosts [{', '.join(session.hosts)}], "
-              f"depth={args.shard_depth}, schedule={policy})", flush=True)
-    else:
-        server = DecodeHTTPServer(
-            host=args.host, port=args.port,
-            max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-            queue_capacity=args.queue_capacity,
-            workers=args.workers, backend=args.backend,
-            scheduler=_build_scheduler(args.schedule, args.platform,
-                                       args.breaker_threshold),
-            transport=args.transport,
-            lane_pools=(None if args.lane_pools == "none"
-                        else args.lane_pools),
-            retry_budget=args.retry_budget,
-            default_deadline_ms=args.default_deadline_ms,
-            speculative=args.speculative,
-            tracing=args.tracing, trace_sample=args.trace_sample,
-            trace_log=args.trace_log)
-        pool = server.session.decoder.pool
-        print(f"serve: listening on {server.url} "
-              f"(max_batch={args.max_batch}, "
-              f"max_delay={args.max_delay_ms}ms, "
-              f"queue={args.queue_capacity}, "
-              f"{pool.workers} x {pool.backend} workers, "
-              f"transport={server.session.decoder.transport}"
-              + (f", schedule={args.schedule}"
-                 if args.schedule != "none" else "")
-              + (f", lane-pools={args.lane_pools}"
-                 if args.lane_pools != "none" else "")
-              + ")", flush=True)
-    print("endpoints: POST /decode (JPEG in, PPM out; ?format=json for "
-          "metadata), GET /stats, GET /metrics, GET /healthz", flush=True)
-
-    # Graceful drain on SIGTERM/SIGINT: stop accepting connections,
-    # decode everything already accepted, exit 0.  The handler must not
-    # call server.shutdown() inline — it runs on the main thread, which
-    # is inside serve_forever, and shutdown() blocks until that loop
-    # exits — so a helper thread issues the stop.
     draining = threading.Event()
 
     def _graceful(signum: int, frame: object) -> None:
@@ -334,8 +298,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return
         draining.set()
         print(f"received {signal.Signals(signum).name}: draining, "
-              f"no longer accepting requests", file=sys.stderr, flush=True)
-        threading.Thread(target=server.shutdown, daemon=True).start()
+              f"no longer accepting {accepting}", file=sys.stderr, flush=True)
+        threading.Thread(target=stop, daemon=True).start()
 
     previous: dict[int, object] = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -344,77 +308,77 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError:
             pass  # not the main thread (embedded use): no signal hooks
     try:
-        server.serve_forever(max_requests=args.max_requests)
+        serve()
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-        # close() drains the owned session: every accepted request's
-        # handle resolves before the pool shuts down.  A sharded session
-        # is external to the server, so it is drained here instead.
+
+
+def _serve_session(args: argparse.Namespace):
+    """The session ``repro serve`` fronts: a local one, or with
+    ``--hosts`` the sharded front tier — the same class over remote
+    lanes."""
+    from .service import DecodeSession, remote_executors, sharded_session
+
+    if not args.hosts:
+        return DecodeSession(**_session_kwargs(args))
+    policy = "roundrobin" if args.schedule == "roundrobin" else "model"
+    return sharded_session(
+        remote_executors(args.hosts, depth=args.shard_depth), policy=policy,
+        breakers=_breakers(args.breaker_threshold),
+        **_session_kwargs(args, local_lanes=False))
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service import DecodeHTTPServer
+
+    session = _serve_session(args)
+    try:
+        server = DecodeHTTPServer(session=session, host=args.host,
+                                  port=args.port)
+    except BaseException:
+        session.close(drain=False)
+        raise
+    sharded = ""
+    if args.hosts:
+        lanes = session.decoder.scheduler.executors
+        sharded = (f", sharded across {len(lanes)} hosts "
+                   f"[{', '.join(lane.endpoint for lane in lanes)}], "
+                   f"depth={args.shard_depth}")
+    print(f"serve: listening on {server.url} "
+          f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
+          f"{_describe_session(args, session)}{sharded})", flush=True)
+    print("endpoints: POST /decode (JPEG in, PPM out; ?format=json for "
+          "metadata), GET /stats, GET /metrics, GET /healthz", flush=True)
+    try:
+        _serve_until_signalled(
+            lambda: server.serve_forever(max_requests=args.max_requests),
+            server.shutdown, "requests")
+    finally:
+        # The session is external to the server, so it is drained here:
+        # every accepted request's handle resolves before the pools
+        # shut down.
         server.close()
-        if session is not None:
-            session.close(drain=True)
-        print(f"summary: {server.session.stats.format()}")
+        session.close(drain=True)
+        print(f"summary: {session.stats.format()}")
     return 0
 
 
 def _cmd_serve_worker(args: argparse.Namespace) -> int:
-    import signal
-    import threading
+    from .service import DecodeWorkerHost
 
-    from .service.remote import DecodeWorkerHost
-
-    host = DecodeWorkerHost(
-        host=args.host, port=args.port,
-        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-        queue_capacity=args.queue_capacity,
-        workers=args.workers, backend=args.backend,
-        scheduler=_build_scheduler(args.schedule, args.platform,
-                                   args.breaker_threshold),
-        transport=args.transport,
-        lane_pools=None if args.lane_pools == "none" else args.lane_pools,
-        retry_budget=args.retry_budget,
-        speculative=args.speculative,
-        tracing=args.tracing, trace_sample=args.trace_sample,
-        trace_log=args.trace_log)
-    pool = host.session.decoder.pool
+    host = DecodeWorkerHost(host=args.host, port=args.port,
+                            **_session_kwargs(args))
     print(f"serve-worker: listening on {host.endpoint} "
           f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
-          f"queue={args.queue_capacity}, "
-          f"{pool.workers} x {pool.backend} workers"
-          + (f", schedule={args.schedule}" if args.schedule != "none" else "")
-          + (f", lane-pools={args.lane_pools}"
-             if args.lane_pools != "none" else "")
-          + ")", flush=True)
-
-    # Same graceful-drain shape as serve: shutdown() only flags the
-    # accept loop and is safe inline, but severing live connections and
-    # draining the session happens in close() on the way out.
-    draining = threading.Event()
-
-    def _graceful(signum: int, frame: object) -> None:
-        if draining.is_set():
-            return
-        draining.set()
-        print(f"received {signal.Signals(signum).name}: draining, "
-              f"no longer accepting connections", file=sys.stderr, flush=True)
-        host.shutdown()
-
-    previous: dict[int, object] = {}
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[sig] = signal.signal(sig, _graceful)
-        except ValueError:
-            pass  # not the main thread (embedded use): no signal hooks
+          f"{_describe_session(args, host.session)})", flush=True)
     try:
-        host.serve_forever()
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _serve_until_signalled(host.serve_forever, host.shutdown,
+                               "connections")
     finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+        # close() severs live connections and drains the owned session.
         host.close()
         print(f"summary: {host.session.stats.format()}")
     return 0
@@ -480,6 +444,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
+_PLATFORMS = ["GT 430", "GTX 560", "GTX 680"]
+_MODES = ["reference", "sequential", "simd", "gpu", "pipeline", "sps",
+          "pps", "auto"]
+_ENGINES = ["fast", "reference"]
+
+
 def _add_tracing_args(p: argparse.ArgumentParser) -> None:
     """The shared tracing flags of serve / serve-worker / serve-batch."""
     p.add_argument("--tracing", default="off",
@@ -497,12 +467,72 @@ def _add_tracing_args(p: argparse.ArgumentParser) -> None:
                         "'repro trace' and 'repro timeline')")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Heterogeneous JPEG decompression (PMAM'14 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
+    """The session flags serve-batch / serve / serve-worker share, each
+    declared once (:func:`_session_kwargs` reads them back).  *pull*
+    (serve-batch: no pump, the command forms every batch itself) spells
+    the group size ``--batch-size`` and has no delay to set."""
+    if pull:
+        p.add_argument("--batch-size", dest="max_batch", type=int, default=8)
+        p.set_defaults(max_delay_ms=0.0)
+    else:
+        p.add_argument("--max-batch", type=int, default=8,
+                       help="most requests admitted to the pool as one "
+                            "group (one schedule, one feedback observation)")
+        p.add_argument("--max-delay-ms", type=float, default=0.0,
+                       help="hold requests back for company until "
+                            "--max-batch are pending or the oldest has "
+                            "waited this long (default 0: admit as soon "
+                            "as a worker has room)")
+    p.add_argument("--queue-capacity", type=int, default=32,
+                   help="bounded submission queue (serve: full = HTTP 429)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="pool size (default: all cores)")
+    p.add_argument("--backend", default=None,
+                   choices=["process", "thread", "serial"],
+                   help="worker pool backend (default: process on "
+                        "multi-core hosts, serial otherwise)")
+    p.add_argument("--schedule", default="none",
+                   choices=["none", "model", "roundrobin"],
+                   help="cross-image batch scheduling: price each image "
+                        "on the platform's SIMD and GPU lanes with the "
+                        "fitted performance model and place whole images "
+                        "(LPT for 'model', cyclic for 'roundrobin'); "
+                        "overrides --mode per image")
+    p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
+                   help="platform whose lanes a scheduler prices")
+    p.add_argument("--transport", default="auto",
+                   choices=["auto", "shm", "pickle"],
+                   help="how process-pool workers return decoded planes: "
+                        "shared-memory segments + descriptors ('shm') or "
+                        "the pickle result pipe; 'auto' picks shm whenever "
+                        "a process pool and working POSIX shm exist")
+    p.add_argument("--lane-pools", default="none",
+                   help="bind scheduler lanes to dedicated pools "
+                        "(requires --schedule): 'auto' for the default "
+                        "layout (each GPU lane its own pool, CPU lanes "
+                        "share the remaining cores) or a spec like "
+                        "'gpu=1,simd=process:3'")
+    p.add_argument("--retry-budget", type=int, default=None,
+                   help="redispatches per image after a worker crash "
+                        "before the request fails (default: 2)")
+    p.add_argument("--breaker-threshold", type=int, default=None,
+                   help="consecutive infrastructure failures before a "
+                        "scheduler lane's circuit breaker trips open "
+                        "(requires --schedule; default: 3)")
+    p.add_argument("--speculative", default="auto",
+                   choices=["auto", "on", "off"],
+                   help="speculative chunk fan-out for marker-free "
+                        "(DRI=0) images: optimistic parallel Huffman "
+                        "decode stitched by bit-position convergence; "
+                        "'auto' fans out only when the batch cannot "
+                        "fill the pool and the fan-out is predicted to "
+                        "pay")
+    _add_tracing_args(p)
 
+
+def _add_file_parsers(sub) -> None:
+    """info / decode / synth / profile / evaluate."""
     p = sub.add_parser("info", help="print JPEG header facts")
     p.add_argument("file")
     p.set_defaults(func=_cmd_info)
@@ -510,13 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a JPEG to PPM")
     p.add_argument("file")
     p.add_argument("output")
-    p.add_argument("--mode", default="reference",
-                   choices=["reference", "sequential", "simd", "gpu",
-                            "pipeline", "sps", "pps", "auto"])
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"])
-    p.add_argument("--entropy-engine", default="fast",
-                   choices=["fast", "reference"],
+    p.add_argument("--mode", default="reference", choices=_MODES)
+    p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
+    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES,
                    help="Huffman decode path (bit-exact; 'fast' uses the "
                         "fused-table engine)")
     p.add_argument("--salvage", action="store_true",
@@ -547,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("profile", help="offline-profile a platform")
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"])
+    p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
     p.add_argument("--subsampling", default="4:2:2",
                    choices=["4:4:4", "4:2:2"])
     p.add_argument("--output", default="model.json")
@@ -556,13 +581,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="all-mode simulated timings")
     p.add_argument("file")
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"])
-    p.add_argument("--entropy-engine", default="fast",
-                   choices=["fast", "reference"],
+    p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
+    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES,
                    help="Huffman decode path used to prepare the image")
     p.set_defaults(func=_cmd_evaluate)
 
+
+def _add_serving_parsers(sub) -> None:
+    """serve-batch / serve / serve-worker: :func:`_add_session_args`
+    plus what only one of them takes."""
     p = sub.add_parser(
         "serve-batch",
         help="batched decode service: queue + worker pool + stats")
@@ -570,62 +597,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JPEG files to decode (may be empty with --synth)")
     p.add_argument("--synth", type=int, default=0,
                    help="also generate N synthetic 640x480 JPEGs")
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--queue-capacity", type=int, default=32)
-    p.add_argument("--workers", type=int, default=None,
-                   help="pool size (default: all cores)")
-    p.add_argument("--backend", default=None,
-                   choices=["process", "thread", "serial"],
-                   help="worker pool backend (default: process on "
-                        "multi-core hosts, serial otherwise)")
-    p.add_argument("--entropy-engine", default="fast",
-                   choices=["fast", "reference"])
-    p.add_argument("--mode", default="reference",
-                   choices=["reference", "sequential", "simd", "gpu",
-                            "pipeline", "sps", "pps", "auto"])
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"])
+    _add_session_args(p, pull=True)
+    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES)
+    p.add_argument("--mode", default="reference", choices=_MODES)
     p.add_argument("--split-segments", default="auto",
                    choices=["auto", "always", "never"],
                    help="restart-segment fan-out for DRI images")
-    p.add_argument("--speculative", default="auto",
-                   choices=["auto", "on", "off"],
-                   help="speculative chunk fan-out for marker-free "
-                        "(DRI=0) images: optimistic parallel Huffman "
-                        "decode stitched by bit-position convergence; "
-                        "'auto' fans out only when the batch cannot "
-                        "fill the pool and the fan-out is predicted to "
-                        "pay")
-    p.add_argument("--schedule", default="none",
-                   choices=["none", "model", "roundrobin"],
-                   help="cross-image batch scheduling: price each image "
-                        "on the platform's SIMD and GPU lanes with the "
-                        "fitted performance model and place whole images "
-                        "(LPT for 'model', cyclic for 'roundrobin'); "
-                        "overrides --mode per image")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "pickle"],
-                   help="how process-pool workers return decoded planes: "
-                        "shared-memory segments + descriptors ('shm') or "
-                        "the pickle result pipe; 'auto' picks shm whenever "
-                        "a process pool and working POSIX shm exist")
-    p.add_argument("--lane-pools", default="none",
-                   help="bind scheduler lanes to dedicated pools "
-                        "(requires --schedule): 'auto' for the default "
-                        "layout (each GPU lane its own pool, CPU lanes "
-                        "share the remaining cores) or a spec like "
-                        "'gpu=1,simd=process:3'")
     p.add_argument("--repeat", type=int, default=1,
                    help="feed the input set N times (soak/throughput)")
     p.add_argument("--out-dir", default=None,
                    help="write decoded PPMs into this directory")
-    p.add_argument("--retry-budget", type=int, default=None,
-                   help="redispatches per image after a worker crash "
-                        "before the request fails (default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=None,
-                   help="consecutive infrastructure failures before a "
-                        "scheduler lane's circuit breaker trips open "
-                        "(requires --schedule; default: 3)")
     p.add_argument("--default-deadline-ms", type=float, default=None,
                    help="queueing deadline applied to requests that do "
                         "not carry one; expired requests are shed "
@@ -634,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="best-effort decode of corrupt streams: damaged "
                         "images resolve ok with an error-region map "
                         "instead of failing the request")
-    _add_tracing_args(p)
     p.set_defaults(func=_cmd_serve_batch)
 
     p = sub.add_parser(
@@ -644,62 +624,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8077,
                    help="listening port (0 = ephemeral, printed at start)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="most requests admitted to the pool as one group "
-                        "(one schedule, one feedback observation)")
-    p.add_argument("--max-delay-ms", type=float, default=0.0,
-                   help="hold requests back for company until --max-batch "
-                        "are pending or the oldest has waited this long "
-                        "(default 0: admit as soon as a worker has room)")
-    p.add_argument("--queue-capacity", type=int, default=32,
-                   help="bounded submission queue; full = HTTP 429")
-    p.add_argument("--workers", type=int, default=None,
-                   help="pool size (default: all cores)")
-    p.add_argument("--backend", default=None,
-                   choices=["process", "thread", "serial"],
-                   help="worker pool backend (default: process on "
-                        "multi-core hosts, serial otherwise)")
-    p.add_argument("--schedule", default="none",
-                   choices=["none", "model", "roundrobin"],
-                   help="cross-image batch scheduling inside the pump "
-                        "(see serve-batch --schedule)")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "pickle"],
-                   help="worker→parent result transport "
-                        "(see serve-batch --transport)")
-    p.add_argument("--lane-pools", default="none",
-                   help="lane-bound executor pools "
-                        "(see serve-batch --lane-pools)")
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"],
-                   help="platform whose lanes a scheduler prices")
+    _add_session_args(p)
     p.add_argument("--max-requests", type=int, default=None,
                    help="exit after N connections (smoke tests/demos; "
                         "default: serve forever)")
-    p.add_argument("--retry-budget", type=int, default=None,
-                   help="redispatches per image after a worker crash "
-                        "before the request fails (default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=None,
-                   help="consecutive infrastructure failures before a "
-                        "scheduler lane's circuit breaker trips open "
-                        "(requires --schedule; default: 3)")
     p.add_argument("--default-deadline-ms", type=float, default=None,
                    help="queueing deadline applied to requests without "
                         "an X-Deadline-Ms header; expired requests "
                         "answer 504 (default: none)")
-    p.add_argument("--speculative", default="auto",
-                   choices=["auto", "on", "off"],
-                   help="speculative chunk fan-out for marker-free "
-                        "images (see serve-batch --speculative)")
     p.add_argument("--hosts", default=None,
                    help="shard decode across worker hosts "
                         "('host:port,host:port', see serve-worker); "
                         "--workers/--backend/--transport/--lane-pools "
                         "then apply to the hosts, not this process")
     p.add_argument("--shard-depth", type=int, default=2,
-                   help="bounded in-flight requests per worker host "
-                        "(backpressure on placement; default: 2)")
-    _add_tracing_args(p)
+                   help="requests on the wire per worker host; further "
+                        "placements wait in the host's lane (default: 2)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -710,75 +650,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=9077,
                    help="listening port (0 = ephemeral, printed at start)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="most requests admitted to the pool as one group "
-                        "(one schedule, one feedback observation)")
-    p.add_argument("--max-delay-ms", type=float, default=0.0,
-                   help="hold requests back for company until --max-batch "
-                        "are pending or the oldest has waited this long "
-                        "(default 0: admit as soon as a worker has room)")
-    p.add_argument("--queue-capacity", type=int, default=32,
-                   help="bounded submission queue")
-    p.add_argument("--workers", type=int, default=None,
-                   help="pool size (default: all cores)")
-    p.add_argument("--backend", default=None,
-                   choices=["process", "thread", "serial"],
-                   help="worker pool backend (default: process on "
-                        "multi-core hosts, serial otherwise)")
-    p.add_argument("--schedule", default="none",
-                   choices=["none", "model", "roundrobin"],
-                   help="cross-image batch scheduling inside this host "
-                        "(see serve-batch --schedule)")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "pickle"],
-                   help="worker→parent result transport "
-                        "(see serve-batch --transport)")
-    p.add_argument("--lane-pools", default="none",
-                   help="lane-bound executor pools "
-                        "(see serve-batch --lane-pools)")
-    p.add_argument("--platform", default="GTX 560",
-                   choices=["GT 430", "GTX 560", "GTX 680"],
-                   help="platform whose lanes a scheduler prices")
-    p.add_argument("--retry-budget", type=int, default=None,
-                   help="redispatches per image after a worker crash "
-                        "before the request fails (default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=None,
-                   help="consecutive infrastructure failures before a "
-                        "scheduler lane's circuit breaker trips open "
-                        "(requires --schedule; default: 3)")
-    p.add_argument("--speculative", default="auto",
-                   choices=["auto", "on", "off"],
-                   help="speculative chunk fan-out for marker-free "
-                        "images (see serve-batch --speculative)")
-    _add_tracing_args(p)
+    _add_session_args(p)
     p.set_defaults(func=_cmd_serve_worker)
 
+
+def _add_trace_parsers(sub) -> None:
+    """trace / timeline."""
     p = sub.add_parser(
         "trace",
         help="render one collected trace as an ASCII Gantt + span tree")
     p.add_argument("trace_id",
                    help="trace id (or unique prefix) from an X-Trace-Id "
                         "response header or the trace log")
-    p.add_argument("--trace-log", default="traces.jsonl",
-                   help="JSON-lines span log a serving command wrote "
-                        "(default: traces.jsonl)")
-    p.add_argument("--width", type=int, default=78,
-                   help="Gantt chart width in characters (default: 78)")
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser(
+    q = sub.add_parser(
         "timeline",
         help="render the most recent collected traces as ASCII Gantts")
-    p.add_argument("--last", type=int, default=5,
+    q.add_argument("--last", type=int, default=5,
                    help="how many of the most recent traces to render "
                         "(default: 5)")
-    p.add_argument("--trace-log", default="traces.jsonl",
-                   help="JSON-lines span log a serving command wrote "
-                        "(default: traces.jsonl)")
-    p.add_argument("--width", type=int, default=78,
-                   help="Gantt chart width in characters (default: 78)")
-    p.set_defaults(func=_cmd_timeline)
+    q.set_defaults(func=_cmd_timeline)
+    for reader in (p, q):
+        reader.add_argument("--trace-log", default="traces.jsonl",
+                            help="JSON-lines span log a serving command "
+                                 "wrote (default: traces.jsonl)")
+        reader.add_argument("--width", type=int, default=78,
+                            help="Gantt chart width in characters "
+                                 "(default: 78)")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Heterogeneous JPEG decompression (PMAM'14 reproduction)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    _add_file_parsers(sub)
+    _add_serving_parsers(sub)
+    _add_trace_parsers(sub)
     return parser
 
 

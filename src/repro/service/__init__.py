@@ -25,11 +25,12 @@ points):
   :class:`~repro.service.remote.DecodeWorkerHost` (``repro
   serve-worker``, one session behind a length-prefixed TCP protocol),
   :class:`~repro.service.remote.RemoteLane` /
-  :class:`~repro.service.remote.RemoteLanePool` (scheduler lanes that
-  live across a socket, bounded in-flight depth as backpressure) and
-  :class:`~repro.service.remote.ShardedDecodeSession` (``repro serve
-  --hosts``, Eq 5/6 + EWMA placement across hosts with failover and
-  breaker-guarded re-admission)
+  :class:`~repro.service.remote.HostPool` (a scheduler lane across a
+  socket and the pool it opens: at most ``depth`` requests on the wire,
+  the rest wait in the lane) and
+  :func:`~repro.service.remote.sharded_session` (``repro serve
+  --hosts``: a plain ``DecodeSession`` over remote lanes — Eq 5/6 +
+  EWMA placement with failover and breaker-guarded re-admission)
 - :class:`BatchDecoder` — decode one batch across a worker pool:
   every image becomes a :class:`~repro.service.tasks.DecodePlan`
   (whole image, restart segments or speculative chunks), one dispatch
@@ -40,7 +41,8 @@ points):
   round-robin baseline, EWMA throughput feedback)
 - :class:`~repro.service.executors.ExecutorRegistry` — lane-bound
   heterogeneous executor pools (GPU lane = its own pool, CPU lanes =
-  a sized shared pool), making the scheduler's makespan win wall-clock
+  a sized shared pool, remote lane = the link to its host), making the
+  scheduler's makespan win wall-clock
 - :class:`~repro.service.transport.PlaneArena` /
   :class:`~repro.service.transport.PlaneRef` — zero-copy shared-memory
   plane transport for process-backend results (``transport="shm"``)
@@ -95,12 +97,11 @@ from .obs import (
 from .queue import SubmissionQueue
 from .remote import (
     DecodeWorkerHost,
+    HostPool,
     RemoteLane,
-    RemoteLanePool,
-    ShardRegistry,
-    ShardedDecodeSession,
     parse_hosts,
     remote_executors,
+    sharded_session,
 )
 from .transport import (
     TRANSPORTS,
@@ -153,6 +154,7 @@ __all__ = [
     "ExecutorUsage",
     "FaultDirective",
     "FaultPlan",
+    "HostPool",
     "ImageRequest",
     "ImageResult",
     "LaneBreakerBoard",
@@ -161,10 +163,7 @@ __all__ = [
     "PlaneArena",
     "PlaneRef",
     "RemoteLane",
-    "RemoteLanePool",
     "ServiceStats",
-    "ShardRegistry",
-    "ShardedDecodeSession",
     "SpanRecord",
     "SpanRing",
     "SubmissionQueue",
@@ -189,6 +188,7 @@ __all__ = [
     "resolve_transport",
     "schedule_lpt",
     "schedule_roundrobin",
+    "sharded_session",
     "shm_available",
     "spans_to_timeline",
 ]

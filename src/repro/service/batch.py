@@ -102,7 +102,7 @@ class BatchResult:
     #: Tasks re-dispatched after an infrastructure failure (dead
     #: worker) inside this batch.
     retries: int = 0
-    #: Per-lane count of *remote dispatch* infrastructure failures
+    #: Per-lane count of failed dispatches to another machine
     #: (connection refused/lost/timeout), counted even when a failover
     #: redispatch saved every image — the scheduler charges them to the
     #: lane breakers, so a dying host trips while siblings absorb it.
@@ -132,7 +132,7 @@ class _InFlight:
     plan: DecodePlan
     unit: Subtask
     #: Pool this attempt ran on (a retry targets the same, healed, pool
-    #: unless a remote lane fails over to a sibling).
+    #: unless the registry offers a sibling to fail over to).
     pool: WorkerPool
     #: Dispatch attempts so far (1 = first try).
     attempts: int
@@ -386,10 +386,11 @@ class BatchDecoder:
         serialized parent-side work per image — the worker owns the
         parse.  Only the reference pixel path fans out (executor modes
         consume the scan in-order themselves; salvage needs one
-        decoder's view of the damage), and remote lanes ship whole
-        images only — the host's own session decides any fan-out.  The
-        per-request knobs force or forbid (a scheduler's dominant-image
-        fallback arrives as one: it has priced the image already);
+        decoder's view of the damage), and a pool that is a link to
+        another machine ships whole images only — the host's own
+        session decides any fan-out.  The per-request knobs force or
+        forbid (a scheduler's dominant-image fallback arrives as one:
+        it has priced the image already);
         otherwise an image is a candidate only when whole-image tasks
         cannot fill the pool — *n_requests* counts the images already
         in flight plus the group being admitted — and fans out if that
@@ -400,7 +401,7 @@ class BatchDecoder:
         RSTn) is checked after the parse.
         """
         if req.mode != "reference" or req.salvage \
-                or pool.backend == "remote":
+                or pool.whole_images_only:
             return _NO, _NO
         parallel = pool.backend != "serial"
         auto = _IF_IT_PAYS if parallel and n_requests < pool.workers \
@@ -583,27 +584,26 @@ class BatchDecoder:
         self._quarantine_slot(task.slot)
         task.pool.heal()
         plan, pool, group = task.plan, task.pool, task.plan.group
-        if pool.backend == "remote":
-            # Charged to the lane whose pool actually failed (the
+        if pool.charges_lane is not None:
+            # Nothing here can heal this pool, so its lane answers for
+            # the failure: the lane whose pool actually failed (the
             # failover target when the rescue dispatch failed too), and
-            # before the budget check: the lane must answer for every
-            # failed dispatch, even the one that exhausts the budget.
-            failed_lane = getattr(pool, "name", None) or plan.lane
-            if failed_lane is not None:
-                group.lane_failures[failed_lane] = \
-                    group.lane_failures.get(failed_lane, 0) + 1
+            # before the budget check — every failed dispatch counts,
+            # even the one that exhausts the budget.
+            group.lane_failures[pool.charges_lane] = \
+                group.lane_failures.get(pool.charges_lane, 0) + 1
         if task.attempts > self.retry_budget:
             return False
         group.retries += 1
         # Slept on the driver's thread: other images keep decoding in
         # their workers, but nothing is gathered meanwhile.
         sleep(self.retry_backoff_s * (2 ** (task.attempts - 1)))
-        if pool.backend == "remote" and self.registry is not None:
-            # Prefer a surviving sibling host over hammering the one
-            # that just failed.
-            alt = self.registry.failover_pool(plan.lane)
-            if alt is not None:
-                pool, plan.failed_over = alt, True
+        # Prefer a surviving sibling over hammering what just failed,
+        # where the registry has one (it never does for a local pool).
+        alt = self.registry.failover_pool(plan.lane) \
+            if self.registry is not None else None
+        if alt is not None:
+            pool, plan.failed_over = alt, True
         self._dispatch(plan, task.unit, pool, task.attempts + 1)
         return True
 
@@ -663,12 +663,6 @@ class BatchDecoder:
                     attempt=task.attempts, task=plan.task_name,
                     outcome="ok" if failure is None else "crashed"))
         if failure is None:
-            if isinstance(reply, ImageResult):
-                # A remote lane resolves with its host's finished
-                # result (that session already ran plan → gather):
-                # pixels on board, no slot.
-                reply = TaskReply(value=reply, spans=reply.spans,
-                                  trace_spans=reply.trace_spans)
             arrays = self._planes(task, reply)
         elif self._recover(task):
             return None

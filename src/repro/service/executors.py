@@ -30,11 +30,17 @@ Layouts are configurable per lane *kind* via :func:`parse_lane_pools`
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from ..errors import ServiceError
 from .scheduler import ExecutorLane
-from .workers import BACKENDS, WorkerPool, default_worker_count
+from .workers import (
+    BACKENDS,
+    WorkerPool,
+    default_backend,
+    default_worker_count,
+)
 
 #: Lane-kind keys a layout spec may configure.  ``cpu`` addresses both
 #: CPU kinds (``simd`` and ``seq``) at once.
@@ -102,22 +108,32 @@ class ExecutorRegistry:
     unset (default: process on multi-core hosts, serial otherwise —
     the same heuristic as
     :func:`~repro.service.workers.default_backend`).
+
+    A lane that opens its own pool
+    (:meth:`~repro.service.scheduler.ExecutorLane.open_pool`: a remote
+    lane's link to its host) is bound to it the way a ``gpu`` lane is
+    to its dedicated pool; only this seam tells such lanes apart.
     """
 
     def __init__(self, executors: Sequence[ExecutorLane],
                  layout: "str | dict | None" = None,
                  backend: str | None = None) -> None:
-        """Build one pool per GPU lane plus the shared CPU pool."""
+        """Build one pool per GPU lane plus the shared CPU pool, and
+        adopt the pool of every lane that opens its own."""
         if not executors:
             raise ServiceError("executor registry needs at least one lane")
         if isinstance(layout, str):
             layout = parse_lane_pools(layout)
         layout = dict(layout or {})
-        from .workers import default_backend
         fallback = backend or default_backend()
         self.executors = tuple(executors)
         self._pools: dict[str, WorkerPool] = {}
         self._pool_of: dict[str, str] = {}   # lane name -> pool key
+        #: Lanes that opened their own pool, in lane order: each other's
+        #: failover targets.
+        self._links: list[str] = []
+        self._failover_turn = itertools.count()     # next() is atomic
+        self._closed = False
 
         cpu_keys = [k for k in ("cpu", "simd", "seq") if k in layout]
         if len(cpu_keys) > 1:
@@ -126,26 +142,28 @@ class ExecutorRegistry:
                 f"all CPU lanes share one pool — configure exactly one of "
                 f"cpu/simd/seq")
 
-        gpu_lanes = [ln for ln in self.executors if ln.kind == "gpu"]
-        cpu_lanes = [ln for ln in self.executors if ln.kind != "gpu"]
-
         gpu_backend, gpu_workers = layout.get("gpu", (None, 1))
-        for lane in gpu_lanes:
-            self._pools[lane.name] = WorkerPool(
-                workers=gpu_workers, backend=gpu_backend or fallback,
-                name=lane.name)
-            self._pool_of[lane.name] = lane.name
-
-        if cpu_lanes:
-            cpu_spec = layout[cpu_keys[0]] if cpu_keys else (
-                None, max(1, default_worker_count() - len(gpu_lanes)))
-            cpu_backend, cpu_workers = cpu_spec
-            pool = WorkerPool(workers=cpu_workers,
-                              backend=cpu_backend or fallback, name=CPU_POOL)
-            self._pools[CPU_POOL] = pool
-            for lane in cpu_lanes:
+        gpu_lanes = 0
+        for lane in self.executors:
+            pool = lane.open_pool()
+            if pool is not None:
+                self._links.append(lane.name)
+            elif lane.kind == "gpu":
+                gpu_lanes += 1
+                pool = WorkerPool(workers=gpu_workers,
+                                  backend=gpu_backend or fallback,
+                                  name=lane.name)
+            else:
                 self._pool_of[lane.name] = CPU_POOL
-        self._closed = False
+                continue
+            self._pools[lane.name] = pool
+            self._pool_of[lane.name] = lane.name
+        if CPU_POOL in self._pool_of.values():
+            cpu_backend, cpu_workers = layout[cpu_keys[0]] if cpu_keys \
+                else (None, max(1, default_worker_count() - gpu_lanes))
+            self._pools[CPU_POOL] = WorkerPool(
+                workers=cpu_workers, backend=cpu_backend or fallback,
+                name=CPU_POOL)
 
     # -- lookup ---------------------------------------------------------
 
@@ -156,16 +174,19 @@ class ExecutorRegistry:
 
     def failover_pool(self, lane_name: str) -> "WorkerPool | None":
         """An alternative pool for redispatch after *lane_name*'s pool
-        failed a task.  Local registries have no cross-host redundancy
-        — a crashed pool heals in place and the task retries on it —
-        so the base answer is None; the sharded
-        :class:`~repro.service.remote.ShardRegistry` overrides this to
-        rotate the retry onto a surviving host."""
-        return None
+        failed a task: a sibling host's, round-robin over the others,
+        when the lane is a link to one.  None locally (and for the only
+        host) — a crashed local pool heals in place and the task
+        retries on it."""
+        others = [name for name in self._links if name != lane_name]
+        if lane_name not in self._links or not others:
+            return None
+        return self._pools[others[next(self._failover_turn) % len(others)]]
 
     @property
     def pools(self) -> dict[str, WorkerPool]:
-        """Distinct pools keyed by pool name (gpu lane name or "cpu")."""
+        """Distinct pools keyed by pool name (the lane name of a
+        dedicated pool, or "cpu")."""
         return dict(self._pools)
 
     @property
@@ -178,34 +199,14 @@ class ExecutorRegistry:
         """Worker count summed over every pool."""
         return sum(pool.workers for pool in self._pools.values())
 
-    @property
-    def rebuilds(self) -> int:
-        """Self-heal rebuild count summed over every pool."""
-        return sum(pool.rebuilds for pool in self._pools.values())
-
     def describe(self) -> dict:
-        """JSON-ready lane→pool binding map (stats / ``GET /stats``)."""
-        out = {}
-        for lane in self.executors:
-            key = self._pool_of[lane.name]
-            pool = self._pools[key]
-            out[lane.name] = {
-                "pool": key,
-                "backend": pool.backend,
-                "workers": pool.workers,
-                "kind": lane.kind,
-                "rebuilds": pool.rebuilds,
-            }
-        return out
-
-    def metric_labels(self) -> "list[dict]":
-        """Stable per-lane label sets for the Prometheus exporter: one
-        ``{lane, pool, backend, kind}`` dict per lane, sorted by lane
-        name so scraped series never flap order between polls."""
-        described = self.describe()
-        return [{"lane": name, "pool": info["pool"],
-                 "backend": info["backend"], "kind": info["kind"]}
-                for name, info in sorted(described.items())]
+        """JSON-ready lane→pool binding map (stats / ``GET /stats``):
+        per lane, its pool key and kind plus what the pool says of
+        itself — for a host link that includes its ``link`` health."""
+        return {lane.name: {"pool": self._pool_of[lane.name],
+                            "kind": lane.kind,
+                            **self.pool_for(lane.name).describe()}
+                for lane in self.executors}
 
     # -- lifecycle ------------------------------------------------------
 

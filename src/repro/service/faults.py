@@ -30,13 +30,13 @@ benchmark), and keep per-kind injection counters so tests can assert
 exactly what was injected.
 
 Remote lanes (:mod:`repro.service.remote`) apply directives
-*client-side*, in the lane pool's I/O threads, because no directive
-can ride a TCP frame into another process tree: ``kill`` raises
+*client-side*, in the host pool's threads, because no directive can
+ride a TCP frame into another process tree: ``kill`` raises
 :class:`~repro.errors.WorkerCrashError` before the request is sent —
 indistinguishable from a host dying mid-request, so it exercises the
-failover + breaker path; ``delay`` sleeps in the I/O thread (a slow
+failover + breaker path; ``delay`` sleeps in the pool thread (a slow
 link/browned-out host); ``exception`` synthesizes the decode-error
-result a crashed decode would have produced; ``shm_fail`` is a no-op —
+reply a crashed decode would have produced; ``shm_fail`` is a no-op —
 no shared memory crosses the wire.
 """
 

@@ -1,9 +1,9 @@
 """Sharded serving tier: scheduler lanes that live across a socket.
 
-The executor registry binds every scheduler lane to a *local* worker
-pool; this module promotes the lane abstraction over TCP so the same
-Eq 5/6 pricing + per-lane EWMA feedback machinery places whole images
-onto other machines.  Three pieces:
+The executor registry binds every scheduler lane to a worker pool; this
+module supplies the lane and the pool whose other end is another
+machine, so the same Eq 5/6 pricing + per-lane EWMA feedback machinery
+places whole images onto worker hosts.  Three pieces:
 
 - :class:`DecodeWorkerHost` — a lightweight worker host (``repro
   serve-worker``) wrapping one :class:`~repro.service.session.\
@@ -12,32 +12,29 @@ onto other machines.  Three pieces:
   planes ride the existing :class:`~repro.service.transport.PlaneRef`
   descriptor contract — ``{shape, dtype}`` plus a blob index — so the
   wire format is the byte-transport spelling of the shm descriptor.
-- :class:`RemoteLane` / :class:`RemoteLanePool` — an
-  :class:`~repro.service.scheduler.ExecutorLane` whose "pool" is a
-  bounded-depth TCP client.  The scheduler prices and places onto it
-  exactly like a local lane; the pool's bounded in-flight depth makes
-  a slow host backpressure placement directly (``submit`` blocks once
-  ``depth`` requests are outstanding).
-- :class:`ShardRegistry` / :class:`ShardedDecodeSession` — the front
-  tier (``repro serve --hosts``).  Batches shard across hosts via LPT,
-  remote ``wall_us`` folds into
+- :class:`RemoteLane` / :class:`HostPool` — an
+  :class:`~repro.service.scheduler.ExecutorLane` describing the link
+  (endpoint, ``depth``, timeouts) and the
+  :class:`~repro.service.workers.WorkerPool` it opens: ``depth``
+  threads, one persistent connection each, answering with the same
+  :class:`~repro.service.tasks.TaskReply` a local worker sends.  The
+  scheduler prices and places onto it exactly like a local lane.
+- :func:`sharded_session` — the front tier (``repro serve --hosts``):
+  a plain session over :func:`remote_executors` lanes.  Remote
+  ``wall_us`` folds into
   :class:`~repro.service.scheduler.ThroughputFeedback`, connection
   failures trip the :class:`~repro.service.scheduler.LaneBreakerBoard`
   (half-open canary = one probe request), and a failed dispatch fails
-  over to a surviving host mid-batch.
+  over to a surviving host.
 
 Wire format (all integers big-endian)::
 
     u32 header_len | header (JSON, UTF-8) | u32 nblobs
         | { u64 blob_len | blob bytes } * nblobs
 
-Fault semantics: a :class:`~repro.service.faults.FaultPlan` attached to
-the front tier's decoder injects faults *client-side* in the lane
-pool's I/O threads — ``kill`` raises
-:class:`~repro.errors.WorkerCrashError` before the request is sent
-(modeling a host that dies mid-request), ``delay`` sleeps, and
-``exception`` synthesizes a decode-error result; ``shm_fail`` is
-ignored because no shared memory crosses the wire.
+A :class:`~repro.service.faults.FaultPlan` on the front tier injects
+its faults *client-side*, in the host pool's threads (see
+:mod:`repro.service.faults`).
 """
 
 from __future__ import annotations
@@ -46,27 +43,22 @@ import json
 import socket
 import struct
 import threading
-import queue as queue_module
 from concurrent.futures import Future
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import (
-    RemoteHostError,
-    RemoteProtocolError,
-    ServiceClosedError,
-    ServiceError,
-)
-from .batch import ImageRequest, ImageResult, decode_image_task
-from .executors import ExecutorRegistry
+from ..errors import RemoteHostError, RemoteProtocolError, ServiceError
 from .faults import FaultDirective, apply_dispatch_fault
 from .obs import SpanRecord, TraceContext, child_span, map_remote_spans
 from .scheduler import ExecutorLane, LaneBreakerBoard, ModelScheduler
 from .session import DecodeSession
 from .stats import WorkSpan
+from .tasks import ImageRequest, ImageResult, TaskReply, decode_image_task
+from .workers import WorkerPool
 
 #: Refuse JSON headers beyond this size: a desynchronized or hostile
 #: stream must fail fast, not allocate gigabytes.
@@ -75,10 +67,6 @@ MAX_HEADER_BYTES = 16 * 1024 * 1024
 #: Refuse single blobs beyond this size (1 GiB covers any plausible
 #: decoded plane; a corrupt length prefix must not OOM the host).
 MAX_BLOB_BYTES = 1 << 30
-
-#: Default bounded in-flight depth per remote lane: how many requests
-#: may be outstanding on one host before placement blocks on it.
-DEFAULT_DEPTH = 2
 
 #: ImageRequest fields carried verbatim in the decode header.  The
 #: front tier owns deadlines (a shed request never reaches the wire)
@@ -113,8 +101,7 @@ def send_frame(sock: socket.socket, header: dict,
     parts = [struct.pack(">I", len(payload)), payload,
              struct.pack(">I", len(blobs))]
     for blob in blobs:
-        parts.append(struct.pack(">Q", len(blob)))
-        parts.append(bytes(blob))
+        parts += [struct.pack(">Q", len(blob)), bytes(blob)]
     data = b"".join(parts)
     sock.sendall(data)
     return len(data)
@@ -127,14 +114,16 @@ def frame_nbytes(header: dict, blobs: Sequence[bytes] = ()) -> int:
     return 4 + len(payload) + 4 + sum(8 + len(b) for b in blobs)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly *n* bytes; None on clean EOF *before any byte*,
-    :class:`~repro.errors.RemoteProtocolError` on EOF mid-read."""
+def _recv_exact(sock: socket.socket, n: int,
+                between_frames: bool = False) -> bytes | None:
+    """Read exactly *n* bytes.  EOF raises
+    :class:`~repro.errors.RemoteProtocolError` — except before the
+    first byte of a read *between_frames*, a clean close: None."""
     buf = bytearray()
     while len(buf) < n:
         chunk = sock.recv(min(1 << 16, n - len(buf)))
         if not chunk:
-            if not buf:
+            if between_frames and not buf:
                 return None
             raise RemoteProtocolError(
                 f"connection closed mid-frame ({len(buf)}/{n} bytes)")
@@ -148,39 +137,31 @@ def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]] | None:
     Raises :class:`~repro.errors.RemoteProtocolError` on truncation
     mid-frame, an oversized header/blob, or undecodable header JSON.
     """
-    head = _recv_exact(sock, 4)
+    head = _recv_exact(sock, 4, between_frames=True)
     if head is None:
         return None
-
-    def need(n: int) -> bytes:
-        """Read *n* bytes that MUST arrive (we are inside a frame)."""
-        data = _recv_exact(sock, n)
-        if data is None:
-            raise RemoteProtocolError("connection closed mid-frame")
-        return data
-
     (header_len,) = struct.unpack(">I", head)
     if header_len > MAX_HEADER_BYTES:
         raise RemoteProtocolError(
             f"frame header of {header_len} bytes exceeds the "
             f"{MAX_HEADER_BYTES}-byte limit")
     try:
-        header = json.loads(need(header_len).decode())
+        header = json.loads(_recv_exact(sock, header_len).decode())
     except (ValueError, UnicodeDecodeError) as exc:
         raise RemoteProtocolError(f"undecodable frame header: {exc}")
     if not isinstance(header, dict):
         raise RemoteProtocolError(
             f"frame header must be a JSON object, got "
             f"{type(header).__name__}")
-    (nblobs,) = struct.unpack(">I", need(4))
+    (nblobs,) = struct.unpack(">I", _recv_exact(sock, 4))
     blobs: list[bytes] = []
     for _ in range(nblobs):
-        (blob_len,) = struct.unpack(">Q", need(8))
+        (blob_len,) = struct.unpack(">Q", _recv_exact(sock, 8))
         if blob_len > MAX_BLOB_BYTES:
             raise RemoteProtocolError(
                 f"frame blob of {blob_len} bytes exceeds the "
                 f"{MAX_BLOB_BYTES}-byte limit")
-        blobs.append(need(blob_len) if blob_len else b"")
+        blobs.append(_recv_exact(sock, blob_len))
     return header, blobs
 
 
@@ -188,16 +169,19 @@ def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]] | None:
 # Request / result codecs.
 # ---------------------------------------------------------------------------
 
-def _array_descriptor(array: np.ndarray, blob_index: int) -> dict:
-    """The ``PlaneRef``-style wire descriptor of one ndarray: shape +
-    dtype in the header, pixels as blob *blob_index*."""
-    return {"shape": list(array.shape), "dtype": str(array.dtype),
-            "blob": blob_index}
+def _wire_id(request_id: Any) -> Any:
+    """A request id as the JSON header carries it: stringified when it
+    is not a JSON scalar (the front tier keys results by batch
+    position, so the echoed id is informational on the wire)."""
+    if isinstance(request_id, (str, int, float, bool, type(None))):
+        return request_id
+    return str(request_id)
 
 
 def _array_from_descriptor(descriptor: dict,
                            blobs: Sequence[bytes]) -> np.ndarray:
-    """Rebuild the ndarray a :func:`_array_descriptor` describes."""
+    """Rebuild the ndarray a ``PlaneRef``-style wire descriptor (see
+    :func:`encode_result`) describes."""
     try:
         blob = blobs[int(descriptor["blob"])]
         array = np.frombuffer(blob, dtype=np.dtype(descriptor["dtype"]))
@@ -208,17 +192,9 @@ def _array_from_descriptor(descriptor: dict,
 
 def encode_request(request: ImageRequest) -> tuple[dict, list[bytes]]:
     """Serialize one decode request: knobs in the header, JFIF bytes as
-    the single blob.  ``request_id`` is stringified when it is not a
-    JSON scalar (the front tier keys results by batch position, so the
-    echoed id is informational on the wire)."""
-    fields: dict[str, Any] = {}
-    for name in _REQUEST_FIELDS:
-        value = getattr(request, name)
-        if name == "request_id" \
-                and not isinstance(value, (str, int, float, bool,
-                                           type(None))):
-            value = str(value)
-        fields[name] = value
+    the single blob."""
+    fields = {name: getattr(request, name) for name in _REQUEST_FIELDS}
+    fields["request_id"] = _wire_id(request.request_id)
     header: dict[str, Any] = {"op": "decode", "request": fields}
     if request.trace is not None:
         # The trace context rides the header so host-side spans stitch
@@ -255,25 +231,22 @@ def encode_result(result: ImageResult) -> tuple[dict, list[bytes]]:
     pixel plane (and salvage error map, when present) as blobs."""
     header: dict[str, Any] = {"op": "result"}
     for name in _RESULT_FIELDS:
-        value = getattr(result, name)
-        if name == "request_id" \
-                and not isinstance(value, (str, int, float, bool,
-                                           type(None))):
-            value = str(value)
-        header[name] = value
+        header[name] = getattr(result, name)
+    header["request_id"] = _wire_id(result.request_id)
     header["salvage_errors"] = list(result.salvage_errors)
     header["spans"] = [[s.worker, s.started, s.finished]
                        for s in result.spans]
     if result.trace_spans:
         header["trace_spans"] = [s.to_dict() for s in result.trace_spans]
     blobs: list[bytes] = []
-    if result.rgb is not None:
-        header["plane"] = _array_descriptor(result.rgb, len(blobs))
-        blobs.append(np.ascontiguousarray(result.rgb).tobytes())
-    if result.error_regions is not None:
-        header["error_regions"] = _array_descriptor(
-            result.error_regions, len(blobs))
-        blobs.append(np.ascontiguousarray(result.error_regions).tobytes())
+    for key, array in (("plane", result.rgb),
+                       ("error_regions", result.error_regions)):
+        if array is not None:
+            # PlaneRef-style descriptor: shape + dtype here, pixels as
+            # a blob.
+            header[key] = {"shape": list(array.shape),
+                           "dtype": str(array.dtype), "blob": len(blobs)}
+            blobs.append(np.ascontiguousarray(array).tobytes())
     return header, blobs
 
 
@@ -315,8 +288,8 @@ class DecodeWorkerHost:
     or pass session keyword arguments and let the host own one (closed
     with the host).  ``port=0`` binds an ephemeral port; read
     :attr:`port` after construction.  One daemon thread per accepted
-    connection; each connection serves frames sequentially (the lane
-    pool opens ``depth`` connections to get ``depth``-way concurrency).
+    connection; each connection serves frames sequentially (a host
+    pool opens up to ``depth`` of them for ``depth``-way concurrency).
 
     Operations: ``decode`` (request in, result out), ``ping``
     (liveness), ``stats`` (the session's
@@ -381,13 +354,7 @@ class DecodeWorkerHost:
         """Serve one connection's frames until EOF or a socket error."""
         try:
             with conn:
-                while True:
-                    try:
-                        frame = recv_frame(conn)
-                    except (RemoteProtocolError, OSError):
-                        return
-                    if frame is None:
-                        return
+                while (frame := recv_frame(conn)) is not None:
                     header, blobs = frame
                     with self._lock:
                         self.bytes_rx += frame_nbytes(header, blobs)
@@ -402,10 +369,9 @@ class DecodeWorkerHost:
                     # counter the instant its recv returns.
                     with self._lock:
                         self.bytes_tx += frame_nbytes(reply, out_blobs)
-                    try:
-                        send_frame(conn, reply, out_blobs)
-                    except OSError:
-                        return
+                    send_frame(conn, reply, out_blobs)
+        except (RemoteProtocolError, OSError):
+            pass    # the peer is gone, or what it sends is not frames
         finally:
             with self._lock:
                 self._conns.discard(conn)
@@ -449,21 +415,15 @@ class DecodeWorkerHost:
         """Stop accepting, sever live connections, close the owned
         session.  Idempotent."""
         self.shutdown()
-        try:
+        with suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
-            try:
+            with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self._owns_session:
@@ -485,7 +445,7 @@ class DecodeWorkerHost:
 @dataclass(frozen=True)
 class RemoteLane(ExecutorLane):
     """An :class:`~repro.service.scheduler.ExecutorLane` that lives
-    across a socket.
+    across a socket, and the description of the link to it.
 
     ``kind="simd"`` keys Eq 5/6 pricing — hosts start priced as the
     platform's parallel CPU path and the per-lane EWMA feedback learns
@@ -498,6 +458,12 @@ class RemoteLane(ExecutorLane):
 
     host: str = ""
     port: int = 0
+    #: Requests on the wire to this host at once; further placements
+    #: wait in the lane (bounded by the session's dispatch window).
+    depth: int = 2
+    #: Socket timeouts: opening a connection, and one request's reply.
+    connect_timeout_s: float = 5.0
+    request_timeout_s: float = 120.0
 
     @property
     def mode(self) -> str:
@@ -509,439 +475,254 @@ class RemoteLane(ExecutorLane):
         """``host:port`` this lane dispatches to."""
         return f"{self.host}:{self.port}"
 
+    def open_pool(self) -> "HostPool":
+        """The link to this lane's host: what a registry binds it to."""
+        return HostPool(self)
 
-def parse_hosts(spec: "str | Iterable[str]") -> list[tuple[str, int]]:
+
+def parse_hosts(spec: "str | Iterable[Any]") -> list[tuple[str, int]]:
     """Parse ``"host:port,host:port"`` (or an iterable of ``host:port``
     strings / ``(host, port)`` pairs) into ``(host, port)`` tuples."""
-    if isinstance(spec, str):
-        entries: Iterable[Any] = [s for s in spec.split(",") if s.strip()]
-    else:
-        entries = spec
     hosts: list[tuple[str, int]] = []
-    for entry in entries:
+    for entry in spec.split(",") if isinstance(spec, str) else spec:
         if isinstance(entry, tuple):
             host, port = entry
+        elif entry.strip():
+            host, _, port = entry.strip().rpartition(":")
         else:
-            host, _, port = str(entry).strip().rpartition(":")
-            if not host:
-                raise ServiceError(
-                    f"malformed host spec {entry!r} (want host:port)")
-        try:
-            port = int(port)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                f"malformed host port in {entry!r} (want an integer)")
-        if not 0 < port < 65536:
-            raise ServiceError(f"host port out of range in {entry!r}")
-        hosts.append((str(host), port))
+            continue    # "a:1,b:2," — a trailing comma names no host
+        if not host or not str(port).isdigit() \
+                or not 0 < int(port) < 65536:
+            raise ServiceError(f"malformed host spec {entry!r} "
+                               f"(want host:port, port 1-65535)")
+        hosts.append((str(host), int(port)))
     if not hosts:
         raise ServiceError("no worker hosts given (want host:port,...)")
     return hosts
 
 
 def remote_executors(hosts: "str | Iterable[Any]",
-                     platform: "object | None" = None
-                     ) -> tuple[RemoteLane, ...]:
-    """One :class:`RemoteLane` per ``host:port`` entry of *hosts*.
+                     **link: Any) -> tuple[RemoteLane, ...]:
+    """One :class:`RemoteLane` per ``host:port`` entry of *hosts*;
+    *link* sets the lanes' ``depth`` / ``connect_timeout_s`` /
+    ``request_timeout_s`` (defaults: :class:`RemoteLane`'s).
 
-    All lanes share one pricing *platform* (default
-    :data:`~repro.evaluation.platforms.GTX560`): pricing only needs a
-    consistent relative cost surface, and the per-lane EWMA feedback
-    learns each host's absolute speed from observed wall time.
+    All lanes share one pricing platform
+    (:data:`~repro.evaluation.platforms.GTX560` unless *link* names
+    another): pricing only needs a consistent relative cost surface,
+    and the per-lane EWMA feedback learns each host's absolute speed
+    from observed wall time.
     """
-    if platform is None:
-        from ..evaluation import platforms
-        platform = platforms.GTX560
+    from ..evaluation import platforms
+    link.setdefault("platform", platforms.GTX560)
     lanes = tuple(
         RemoteLane(name=f"remote-{host}:{port}", kind="simd",
-                   platform=platform, host=host, port=port)
+                   host=host, port=port, **link)
         for host, port in parse_hosts(hosts))
     if len({lane.name for lane in lanes}) != len(lanes):
         raise ServiceError("duplicate worker host endpoints")
     return lanes
 
 
-class RemoteLanePool:
-    """The worker-pool face of one remote host: a bounded-depth TCP
-    client with the :class:`~repro.service.workers.WorkerPool` submit
-    surface (``backend="remote"``).
+class HostPool(WorkerPool):
+    """The pool a :class:`RemoteLane` opens: a TCP client of one worker
+    host behind the :class:`~repro.service.workers.WorkerPool` surface
+    (futures, close and refusal after close are the base class's).
 
-    ``depth`` I/O threads each own one persistent connection to the
-    host (opened lazily, reconnected on failure — reconnects count as
-    :attr:`rebuilds`, the remote analog of a pool rebuild).
-    :meth:`submit` *blocks* once ``depth`` requests are in flight:
-    that bounded depth is the backpressure contract — a slow host
-    stalls further placement onto it instead of queueing unboundedly.
+    ``lane.depth`` pool threads each own one persistent connection
+    (opened on first use, reopened after a failure — a reconnect counts
+    as a :attr:`rebuilds`) and round-trip one request at a time, so at
+    most ``depth`` requests are on the wire.  :meth:`submit` never
+    blocks: further requests wait in the pool's queue, which the
+    session's dispatch window bounds.
 
-    Socket-level failures (refused, reset, timeout) resolve the
-    request's future with :class:`~repro.errors.RemoteHostError`; the
-    batch decoder's gather loop treats that like a worker crash —
-    retry (failing over to a sibling host when the registry offers
-    one) and charge the lane's breaker.
+    A round trip answers with the :class:`~repro.service.tasks.\
+    TaskReply` a local ``decode_image_task`` sends — the host's result
+    without its pixels as ``value``, the RGB plane as ``planes``.
+    Socket-level failures (refused, reset, timeout) raise
+    :class:`~repro.errors.RemoteHostError` through the future; the
+    gather loop treats that like a worker crash — retry (on a sibling
+    host when the registry offers one) and charge the lane's breaker.
     """
 
-    def __init__(self, host: str, port: int, depth: int = DEFAULT_DEPTH,
-                 name: str | None = None, connect_timeout_s: float = 5.0,
-                 request_timeout_s: float = 120.0) -> None:
-        """Start *depth* I/O threads targeting ``host:port``.
+    whole_images_only = True
+
+    def __init__(self, lane: RemoteLane) -> None:
+        """A pool of ``lane.depth`` threads targeting ``lane.endpoint``.
 
         No connection is attempted here — hosts may start after the
-        front tier; the first submit connects.
+        front tier; a thread's first request connects.
         """
-        if depth < 1:
-            raise ServiceError(f"lane depth must be >= 1, got {depth}")
-        self.host, self.port = host, int(port)
-        self.name = name or f"remote-{host}:{port}"
-        #: Pool-surface attributes the decoder/registry read.
+        super().__init__(workers=lane.depth, backend="thread",
+                         name=lane.name)
+        #: What stats and spans call this pool: its threads only wait on
+        #: a socket, the decode runs on the host.
         self.backend = "remote"
-        self.workers = depth
-        self.depth = depth
-        self.connect_timeout_s = connect_timeout_s
-        self.request_timeout_s = request_timeout_s
-        self._closed = False
+        self.lane = lane
+        self.charges_lane = lane.name
         self._lock = threading.Lock()
-        self._permits = threading.Semaphore(depth)
-        self._tasks: "queue_module.Queue[tuple | None]" = \
-            queue_module.Queue()
-        #: Lifetime counters (exported by :meth:`snapshot`).
-        self.requests = 0
-        self.failures = 0
-        self.reconnects = 0
-        self.in_flight = 0
-        self.connected = 0
-        self.bytes_tx = 0
-        self.bytes_rx = 0
-        self._threads = [
-            threading.Thread(target=self._io_loop, daemon=True,
-                             name=f"{self.name}-io{i}")
-            for i in range(depth)]
-        for thread in self._threads:
-            thread.start()
+        self._local = threading.local()     # .sock: this thread's link
+        self._socks: set[socket.socket] = set()
+        #: Lifetime counters (exported by :meth:`describe`).
+        self.requests = self.failures = self.in_flight = 0
+        self.bytes_tx = self.bytes_rx = 0
 
-    @property
-    def endpoint(self) -> str:
-        """``host:port`` this pool dispatches to."""
-        return f"{self.host}:{self.port}"
+    def submit(self, fn: Callable, request: ImageRequest, slot: Any = None,
+               fault: FaultDirective | None = None) -> Future:
+        """Queue one whole-image decode for the host; never blocks.
 
-    @property
-    def rebuilds(self) -> int:
-        """Reconnects after a broken connection — the remote analog of
-        a local pool rebuild (summed into the decoder's fault stats)."""
-        return self.reconnects
-
-    # -- submit surface -------------------------------------------------
-
-    def submit(self, fn: Callable, /, *args: Any, **kwargs: Any) -> Future:
-        """Queue one whole-image decode; blocks while ``depth``
-        requests are already in flight (bounded-depth backpressure).
-
-        The positional contract is the batch decoder's one dispatch:
-        ``submit(subtask.fn, *args, slot, fault)``.  Remote lanes run
-        whole-image plans only, so *fn* must be ``decode_image_task``
-        and no shm slot crosses the wire; anything else is a caller
-        bug.  Where a local worker answers with a
-        :class:`~repro.service.tasks.TaskReply`, the future here
-        resolves with the host's *finished*
-        :class:`~repro.service.batch.ImageResult` — its own session
-        already ran plan → gather — which the gather loop wraps.
+        The dispatch core's one call shape, ``submit(unit.fn, *args,
+        slot, fault)``: *fn* names the work the host runs (only
+        whole-image plans reach a pool that is :attr:`whole_images_only`)
+        and no shm *slot* is leased for replies that cross a socket.
         """
-        if fn is not decode_image_task:
-            raise ServiceError(
-                f"remote lane pools execute whole-image decode tasks "
-                f"only, got {getattr(fn, '__name__', fn)!r}")
-        if not args:
-            raise ServiceError("remote submit needs an ImageRequest")
-        request = args[0]
-        slot = args[1] if len(args) > 1 else kwargs.get("slot")
-        fault = args[2] if len(args) > 2 else kwargs.get("fault")
-        if slot is not None:
-            raise ServiceError("remote lane pools take no shm slot")
-        if self._closed:
-            raise ServiceClosedError(f"remote lane pool {self.name} "
-                                     f"is closed")
-        self._permits.acquire()
-        if self._closed:
-            self._permits.release()
-            raise ServiceClosedError(f"remote lane pool {self.name} "
-                                     f"is closed")
+        return super().submit(self._serve, request, fault)
+
+    def _serve(self, request: ImageRequest,
+               fault: FaultDirective | None) -> TaskReply:
+        """One request on a pool thread: client-side fault injection
+        (no directive crosses the wire; see :mod:`repro.service.faults`),
+        then the round trip."""
+        try:
+            apply_dispatch_fault(fault)
+            if fault is not None and fault.kind == "exception":
+                reply = TaskReply(error_type="RuntimeError",
+                                  error=fault.message)
+            else:
+                reply = self._roundtrip(self._connection(), request)
+        except Exception as exc:
+            self._drop_connection()
+            with self._lock:
+                self.failures += 1
+            if isinstance(exc, ServiceError):
+                raise
+            # Refused, reset, timed out: one infrastructure error type.
+            raise RemoteHostError(f"host {self.lane.endpoint}: "
+                                  f"{type(exc).__name__}: {exc}") from exc
         with self._lock:
-            self.in_flight += 1
-        future: Future = Future()
-        self._tasks.put((future, request, fault))
-        return future
+            self.requests += 1
+        return reply
 
-    def heal(self) -> bool:
-        """Nothing to rebuild locally — reconnection is lazy inside the
-        I/O threads; always False."""
-        return False
-
-    # -- I/O threads ----------------------------------------------------
-
-    def _io_loop(self) -> None:
-        """One I/O thread: take queued requests, round-trip them over a
-        persistent (lazily reconnected) connection."""
-        sock: socket.socket | None = None
-        ever_connected = False
-        try:
-            while True:
-                item = self._tasks.get()
-                if item is None:
-                    return
-                future, request, fault = item
-                try:
-                    if fault is not None:
-                        # Client-side injection: kill raises
-                        # WorkerCrashError here (the I/O thread is no
-                        # worker process), delay sleeps.
-                        apply_dispatch_fault(fault)
-                    if fault is not None and fault.kind == "exception":
-                        result = ImageResult(
-                            request_id=request.request_id, ok=False,
-                            error_type="RuntimeError",
-                            error=fault.message)
-                    else:
-                        if sock is None:
-                            sock = self._connect(ever_connected)
-                            ever_connected = True
-                        result = self._roundtrip(sock, request)
-                    with self._lock:
-                        self.requests += 1
-                    future.set_result(result)
-                except BaseException as exc:
-                    if sock is not None:
-                        try:
-                            sock.close()
-                        except OSError:
-                            pass
-                        sock = None
-                        with self._lock:
-                            self.connected -= 1
-                    with self._lock:
-                        self.failures += 1
-                    if not isinstance(exc, ServiceError):
-                        exc = RemoteHostError(
-                            f"host {self.endpoint}: "
-                            f"{type(exc).__name__}: {exc}")
-                    future.set_exception(exc)
-                finally:
-                    with self._lock:
-                        self.in_flight -= 1
-                    self._permits.release()
-        finally:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                with self._lock:
-                    self.connected -= 1
-
-    def _connect(self, reconnecting: bool) -> socket.socket:
-        """Open this thread's persistent connection; count reconnects."""
-        try:
+    def _connection(self) -> socket.socket:
+        """This thread's persistent connection, (re)opened on demand."""
+        local, lane = self._local, self.lane
+        sock = getattr(local, "sock", None)
+        if sock is None:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout_s)
-        except OSError as exc:
-            raise RemoteHostError(
-                f"cannot connect to host {self.endpoint}: {exc}")
-        sock.settimeout(self.request_timeout_s)
-        with self._lock:
-            self.connected += 1
-            if reconnecting:
-                self.reconnects += 1
+                (lane.host, lane.port), timeout=lane.connect_timeout_s)
+            sock.settimeout(lane.request_timeout_s)
+            with self._lock:
+                self._socks.add(sock)
+                if getattr(local, "reopening", False):
+                    self.rebuilds += 1
+            # Whatever this thread opens next is a reconnect.
+            local.sock, local.reopening = sock, True
         return sock
 
+    def _drop_connection(self) -> None:
+        """Close this thread's connection after a failed request: the
+        stream may be mid-frame, so the next request reconnects."""
+        sock = getattr(self._local, "sock", None)
+        if sock is not None:
+            self._local.sock = None
+            with self._lock:
+                self._socks.discard(sock)
+            with suppress(OSError):
+                sock.close()
+
     def _roundtrip(self, sock: socket.socket,
-                   request: ImageRequest) -> ImageResult:
-        """Send one decode request, receive and rebuild its result."""
+                   request: ImageRequest) -> TaskReply:
+        """Send one decode request, receive its result and rebuild the
+        reply a local whole-image task would have sent."""
+        endpoint = self.lane.endpoint
         header, blobs = encode_request(request)
+        with self._lock:
+            self.in_flight += 1
         t0 = perf_counter()
         try:
             sent = send_frame(sock, header, blobs)
             frame = recv_frame(sock)
-        except socket.timeout:
-            raise RemoteHostError(
-                f"host {self.endpoint}: no reply within "
-                f"{self.request_timeout_s}s")
-        except OSError as exc:
-            raise RemoteHostError(f"host {self.endpoint}: {exc}")
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        if frame is None:
+            raise RemoteHostError(f"host {endpoint} closed the connection")
+        t1 = perf_counter()
+        reply, reply_blobs = frame
+        received = frame_nbytes(reply, reply_blobs)
         with self._lock:
             self.bytes_tx += sent
-        if frame is None:
-            raise RemoteHostError(
-                f"host {self.endpoint} closed the connection")
-        reply, reply_blobs = frame
-        with self._lock:
-            self.bytes_rx += frame_nbytes(reply, reply_blobs)
+            self.bytes_rx += received
         if reply.get("op") == "error":
             raise RemoteHostError(
-                f"host {self.endpoint} refused the request: "
+                f"host {endpoint} refused the request: "
                 f"{reply.get('error_type')}: {reply.get('error')}")
-        t1 = perf_counter()
         result = decode_result(reply, reply_blobs)
-        # Attribute busy spans to the host so utilization math and the
-        # stats per-worker view name where the time was really spent.
-        result.spans = [replace(s, worker=f"{self.endpoint}/{s.worker}")
-                        for s in result.spans]
-        if result.trace_spans:
+        trace_spans = result.trace_spans
+        if trace_spans:
             clock = reply.get("clock") or {}
-            result.trace_spans = map_remote_spans(
-                result.trace_spans, self.endpoint, t0, t1,
+            trace_spans = map_remote_spans(
+                trace_spans, endpoint, t0, t1,
                 host_recv=float(clock.get("recv", t0)),
                 host_send=float(clock.get("send", t1)))
         if request.trace is not None:
-            result.trace_spans.append(child_span(
-                request.trace, "remote_roundtrip", self.endpoint, "read",
-                t0, t1, bytes_tx=sent,
-                bytes_rx=frame_nbytes(reply, reply_blobs)))
-        return result
+            trace_spans.append(child_span(
+                request.trace, "remote_roundtrip", endpoint, "read",
+                t0, t1, bytes_tx=sent, bytes_rx=received))
+        rgb, result.rgb = result.rgb, None
+        return TaskReply(
+            value=result, planes=None if rgb is None else [rgb],
+            # Busy spans are attributed to the host, so utilization math
+            # and the per-worker stats name where the time was spent.
+            spans=[replace(s, worker=f"{endpoint}/{s.worker}")
+                   for s in result.spans],
+            trace_spans=trace_spans)
 
-    # -- lifecycle ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Wire/health counters of this host link (per-host stats)."""
+    def describe(self) -> dict:
+        """The pool's stats entry plus ``link``: the wire and health
+        counters of this host (the ``per_host`` section of ``/stats``)."""
         with self._lock:
-            return {
-                "endpoint": self.endpoint,
-                "depth": self.depth,
+            link = {
+                "endpoint": self.lane.endpoint,
+                "depth": self.workers,
                 "in_flight": self.in_flight,
-                "connected": self.connected,
+                "connected": len(self._socks),
                 "requests": self.requests,
                 "failures": self.failures,
-                "reconnects": self.reconnects,
+                "reconnects": self.rebuilds,
                 "bytes_tx": self.bytes_tx,
                 "bytes_rx": self.bytes_rx,
             }
+        return {**super().describe(), "link": link}
 
     def close(self) -> None:
-        """Drain queued requests, stop the I/O threads.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._threads:
-            self._tasks.put(None)
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-
-    def __enter__(self) -> "RemoteLanePool":
-        """Context-manager entry: the pool itself."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: close the pool."""
-        self.close()
+        """Finish queued requests and stop the threads (the base
+        class), then close their connections.  Idempotent."""
+        super().close()
+        with self._lock:
+            while self._socks:
+                with suppress(OSError):
+                    self._socks.pop().close()
 
 
-class ShardRegistry(ExecutorRegistry):
-    """Lane→pool registry whose pools are :class:`RemoteLanePool` TCP
-    clients — the distributed drop-in for
-    :class:`~repro.service.executors.ExecutorRegistry`.
+def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
+                    breakers: LaneBreakerBoard | None = None,
+                    **session_kwargs: Any) -> DecodeSession:
+    """The front tier (``repro serve --hosts``): a plain
+    :class:`~repro.service.session.DecodeSession` whose scheduler lanes
+    are *lanes* (:func:`remote_executors`), each bound to its
+    :class:`HostPool` by the session's own executor registry.
 
-    The batch decoder adopts it through the same ``lane_pools=``
-    parameter; every inherited accessor (``pool_for``, ``backends``,
-    ``describe``, ``rebuilds``...) works unchanged because the remote
-    pools speak the worker-pool surface.
+    Fan-out stays host-side: the scheduler ships whole images
+    (``split_dominant=False, speculative=False``) and each host's own
+    session decides any split.  Images no lane prices finitely
+    (progressive, grayscale, exotic sampling — and every image once all
+    hosts are down) decode on the session's local fallback pool: one
+    serial worker, unless *session_kwargs* say otherwise.
     """
-
-    def __init__(self, lanes: Sequence[RemoteLane],
-                 depth: int = DEFAULT_DEPTH,
-                 connect_timeout_s: float = 5.0,
-                 request_timeout_s: float = 120.0) -> None:
-        """Bind one :class:`RemoteLanePool` (of *depth*) per lane."""
-        if not lanes:
-            raise ServiceError("shard registry needs at least one lane")
-        self.executors = tuple(lanes)
-        self._pools: dict[str, RemoteLanePool] = {}
-        self._pool_of: dict[str, str] = {}
-        for lane in self.executors:
-            self._pools[lane.name] = RemoteLanePool(
-                lane.host, lane.port, depth=depth, name=lane.name,
-                connect_timeout_s=connect_timeout_s,
-                request_timeout_s=request_timeout_s)
-            self._pool_of[lane.name] = lane.name
-        self._closed = False
-        self._failover_lock = threading.Lock()
-        self._failover_cursor = 0
-
-    def failover_pool(self, lane_name: str) -> "RemoteLanePool | None":
-        """A sibling host's pool for redispatch after *lane_name*
-        failed a request (round-robin over the others; None when this
-        is the only host)."""
-        others = [name for name in self._pool_of if name != lane_name]
-        if not others:
-            return None
-        with self._failover_lock:
-            cursor = self._failover_cursor
-            self._failover_cursor += 1
-        return self._pools[others[cursor % len(others)]]
-
-    def hosts_snapshot(self,
-                       breakers: LaneBreakerBoard | None = None) -> dict:
-        """Per-host wire/health counters, plus each lane's breaker
-        state when a board is given (the ``per_host`` stats section)."""
-        snapshot = {}
-        for lane in self.executors:
-            entry = self._pools[lane.name].snapshot()
-            if breakers is not None:
-                entry["breaker"] = breakers.state(lane.name)
-            snapshot[lane.name] = entry
-        return snapshot
-
-
-class ShardedDecodeSession(DecodeSession):
-    """The front tier: a :class:`~repro.service.session.DecodeSession`
-    whose scheduler lanes are remote worker hosts.
-
-    Placement is the same Eq 5/6 + LPT machinery as a local lane-bound
-    session; observed remote wall time folds into the per-lane EWMA
-    feedback, connection failures fail over to surviving hosts and
-    trip the lane's breaker (half-open canary re-admits a recovered
-    host with one probe request).  Images no lane prices finitely
-    (progressive, grayscale, exotic sampling — and every image once
-    all hosts are down) decode on the session's local fallback pool.
-
-    Fan-out stays host-side: the front tier ships whole images
-    (``split_dominant=False, speculative=False`` in its scheduler) and
-    each host's own session decides any segment/speculative split.
-    """
-
-    def __init__(self, hosts: "str | Iterable[Any]",
-                 policy: str = "model", depth: int = DEFAULT_DEPTH,
-                 breakers: LaneBreakerBoard | None = None,
-                 platform: "object | None" = None,
-                 connect_timeout_s: float = 5.0,
-                 request_timeout_s: float = 120.0,
-                 **session_kwargs: Any) -> None:
-        """Build remote lanes + shard registry, then the session over
-        them.  *hosts* is ``"host:port,..."`` (or pairs); remaining
-        keywords are :class:`~repro.service.session.DecodeSession`'s.
-        """
-        lanes = remote_executors(hosts, platform=platform)
-        registry = ShardRegistry(
-            lanes, depth=depth, connect_timeout_s=connect_timeout_s,
-            request_timeout_s=request_timeout_s)
-        scheduler = ModelScheduler(
-            policy=policy, executors=lanes, split_dominant=False,
-            speculative=False, breakers=breakers)
-        session_kwargs.setdefault("backend", "serial")
-        session_kwargs.setdefault("workers", 1)
-        try:
-            super().__init__(scheduler=scheduler, lane_pools=registry,
-                             **session_kwargs)
-        except BaseException:
-            registry.close()
-            raise
-        self._shard_registry = registry
-
-    @property
-    def hosts(self) -> tuple[str, ...]:
-        """Endpoints this front tier shards across."""
-        return tuple(pool.endpoint
-                     for pool in self._shard_registry.pools.values())
-
-    def close(self, drain: bool = True) -> None:
-        """Close the session, then the registry's host links."""
-        try:
-            super().close(drain=drain)
-        finally:
-            self._shard_registry.close()
+    scheduler = ModelScheduler(
+        policy=policy, executors=lanes, split_dominant=False,
+        speculative=False, breakers=breakers)
+    return DecodeSession(scheduler=scheduler, lane_pools=True,
+                         **{"backend": "serial", "workers": 1,
+                            **session_kwargs})

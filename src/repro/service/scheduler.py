@@ -53,6 +53,7 @@ from ..jpeg.markers import JpegImageInfo, parse_jpeg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
     from .batch import ImageRequest, ImageResult
+    from .workers import WorkerPool
 
 #: Subsampling modes the GPU kernels (and the fitted models) cover.
 MODELED_SUBSAMPLINGS = ("4:4:4", "4:2:2")
@@ -125,6 +126,14 @@ class ExecutorLane:
         if self.kind == "gpu":
             return subsampling in MODELED_SUBSAMPLINGS
         return True
+
+    def open_pool(self) -> "WorkerPool | None":
+        """The pool only this lane can provide, or None (every local
+        lane) to run on the pools the
+        :class:`~repro.service.executors.ExecutorRegistry` builds.  A
+        lane that lives on another machine answers with the link to it
+        (:class:`~repro.service.remote.RemoteLane`)."""
+        return None
 
 
 def default_executors(platform: Platform) -> tuple[ExecutorLane, ...]:
@@ -893,35 +902,30 @@ class ModelScheduler:
         the device it becomes after recovery.
 
         *lane_failures* (``BatchResult.lane_failures``) carries the
-        per-dispatch infrastructure failures of remote lanes — failures
-        a failover redispatch may have hidden from the results.  When
-        present, breaker accounting runs two-pass: per-image successes
-        first, then every dispatch failure, so a lane whose images were
-        all rescued by siblings still trips its breaker and cannot have
-        the trip masked by a success recorded after it.  Failed-over
-        results never credit their original lane.
+        per-dispatch infrastructure failures of lanes on other machines
+        — failures a failover redispatch may have hidden from the
+        results.  Such a lane is charged per dispatch, after every
+        per-image success, so a lane whose images were all rescued by
+        siblings still trips its breaker and cannot have the trip
+        masked by a success recorded after it; every other lane
+        answers per image, in order.  Failed-over results never credit
+        their original lane.
         """
         for a, observed in lane_outcomes(schedule, results):
             self.feedback.observe(a.executor.name, a.predicted_us, observed)
         by_index = {a.index: a for a in schedule.assignments}
-        if lane_failures:
-            for i, result in enumerate(results):
-                a = by_index.get(i)
-                if a is None or a.executor is None or result.failed_over:
-                    continue
-                if result.ok or not result.infra_failure:
-                    self.breakers.record(a.executor.name, ok=True)
-            for lane, count in lane_failures.items():
-                for _ in range(count):
-                    if self.breakers.record(lane, ok=False):
-                        self.feedback.reset(lane)
-            return
+        per_dispatch = lane_failures or {}
         for i, result in enumerate(results):
             a = by_index.get(i)
-            if a is None or a.executor is None:
+            if a is None or a.executor is None or result.failed_over:
                 continue
             lane = a.executor.name
             if result.ok or not result.infra_failure:
                 self.breakers.record(lane, ok=True)
-            elif self.breakers.record(lane, ok=False):
+            elif lane not in per_dispatch \
+                    and self.breakers.record(lane, ok=False):
                 self.feedback.reset(lane)
+        for lane, count in per_dispatch.items():
+            for _ in range(count):
+                if self.breakers.record(lane, ok=False):
+                    self.feedback.reset(lane)

@@ -543,14 +543,8 @@ class DecodeSession:
     def stats_snapshot(self) -> dict:
         """JSON-ready snapshot of the running service statistics plus
         queue occupancy, (when scheduled) per-lane feedback state, and
-        (when sharded) per-host link health."""
-        registry = self.decoder.registry
-        if registry is not None and hasattr(registry, "hosts_snapshot"):
-            scheduler = self.decoder.scheduler
-            hosts = registry.hosts_snapshot(
-                scheduler.breakers if scheduler is not None else None)
-            with self._stats_lock:
-                self.stats.record_hosts(hosts)
+        (when sharded) per-host link health.  A read: nothing it
+        reports is written back into :attr:`stats`."""
         with self._stats_lock:
             snap = self.stats.as_dict()
         snap["pending"] = len(self.queue)
@@ -564,10 +558,19 @@ class DecodeSession:
         snap["closed"] = self._closed
         snap["tracing"] = {"mode": self.obs.mode, **self.obs.counters()}
         snap["transport"]["mode"] = self.decoder.transport
-        if self.decoder.scheduler is not None:
-            snap["scheduler"] = self.decoder.scheduler.snapshot()
-        if self.decoder.registry is not None:
-            snap["lane_pools"] = self.decoder.registry.describe()
+        scheduler, registry = self.decoder.scheduler, self.decoder.registry
+        if scheduler is not None:
+            snap["scheduler"] = scheduler.snapshot()
+        snap["per_host"] = {}
+        if registry is not None:
+            lanes = snap["lane_pools"] = registry.describe()
+            # The distributed mirror of per_executor: each host link's
+            # wire counters as its pool reports them, plus its lane's
+            # breaker.
+            snap["per_host"] = {
+                name: {**info["link"],
+                       "breaker": scheduler.breakers.state(name)}
+                for name, info in sorted(lanes.items()) if "link" in info}
         return snap
 
     # -- lifecycle ------------------------------------------------------

@@ -192,10 +192,6 @@ class ServiceStats:
     #: Requests refused at admission by weighted load shedding, counted
     #: per priority class (fills under overload; empty otherwise).
     shed_by_priority: dict = field(default_factory=dict)
-    #: Sharded serving only: latest per-host link health snapshot
-    #: (endpoint, in-flight depth, bytes over TCP, breaker state) —
-    #: the distributed mirror of :attr:`per_executor`.
-    per_host: dict = field(default_factory=dict)
     _latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
 
@@ -256,11 +252,6 @@ class ServiceStats:
         """Count one request refused at admission by weighted shedding."""
         self.shed_by_priority[priority] = \
             self.shed_by_priority.get(priority, 0) + 1
-
-    def record_hosts(self, hosts: dict) -> None:
-        """Replace the per-host link snapshot (sharded serving; the
-        counters inside are cumulative on the host links themselves)."""
-        self.per_host = dict(hosts)
 
     def record_schedule(self, schedule, results,
                         lane_pools: dict | None = None) -> None:
@@ -362,8 +353,6 @@ class ServiceStats:
                     in sorted(self.shed_by_priority.items())
                 },
             },
-            "per_host": {name: dict(entry) for name, entry
-                         in sorted(self.per_host.items())},
             "per_executor": {
                 name: {
                     "images": u.images,
@@ -410,11 +399,4 @@ class ServiceStats:
                 f"p{priority}={count}" for priority, count
                 in sorted(self.shed_by_priority.items()))
             text += f"\nshed by priority: {shed}"
-        if self.per_host:
-            hosts = " ".join(
-                f"{entry.get('endpoint', name)}"
-                f"[{entry.get('breaker', '?')}]"
-                f"={entry.get('requests', 0)}"
-                for name, entry in sorted(self.per_host.items()))
-            text += f"\nhosts: {hosts}"
         return text

@@ -103,3 +103,63 @@ class TestServeBatch:
         assert main(["serve-batch", str(jpeg_file), "--schedule",
                      "roundrobin", "--backend", "serial"]) == 0
         assert "schedule[roundrobin]" in capsys.readouterr().out
+
+
+class TestSessionFlags:
+    """serve-batch / serve / serve-worker take the session flags from
+    one declaration and turn them into one keyword set."""
+
+    SHARED = ("max_batch", "max_delay_ms", "queue_capacity", "workers",
+              "backend", "schedule", "transport", "lane_pools", "platform",
+              "retry_budget", "breaker_threshold", "speculative",
+              "tracing", "trace_sample", "trace_log")
+
+    def test_shared_flags_parse_to_identical_defaults(self):
+        from repro.cli import _session_kwargs, build_parser
+
+        parser = build_parser()
+        parsed = [vars(parser.parse_args([command])) for command in
+                  ("serve-batch", "serve", "serve-worker")]
+        defaults = [{name: args[name] for name in self.SHARED}
+                    for args in parsed]
+        assert defaults[0] == defaults[1] == defaults[2]
+        assert defaults[0]["max_batch"] == 8
+        assert defaults[0]["queue_capacity"] == 32
+        kwargs = [_session_kwargs(parser.parse_args([command]))
+                  for command in ("serve-batch", "serve", "serve-worker")]
+        assert kwargs[0] == kwargs[1] == kwargs[2]
+
+    def test_one_spelling_per_command_for_the_group_size(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(
+            ["serve-batch", "--batch-size", "3"]).max_batch == 3
+        assert parser.parse_args(["serve", "--max-batch", "3"]).max_batch == 3
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve-batch", "--max-delay-ms", "1"])
+
+    def test_serve_hosts_builds_a_plain_session_over_remote_lanes(self):
+        from repro.cli import _serve_session, build_parser
+        from repro.service import DecodeSession, ExecutorRegistry
+
+        args = build_parser().parse_args(
+            ["serve", "--hosts", "a:1,b:2", "--shard-depth", "3",
+             "--schedule", "roundrobin", "--breaker-threshold", "5"])
+        session = _serve_session(args)      # connects to nothing yet
+        try:
+            assert type(session) is DecodeSession
+            assert type(session.decoder.registry) is ExecutorRegistry
+            scheduler = session.decoder.scheduler
+            assert scheduler.policy == "roundrobin"
+            assert scheduler.breakers.threshold == 5
+            assert [lane.endpoint for lane in scheduler.executors] \
+                == ["a:1", "b:2"]
+            assert all(lane.depth == 3 for lane in scheduler.executors)
+            pools = session.decoder.registry.pools
+            assert [pool.workers for pool in pools.values()] == [3, 3]
+            # The local fallback pool stays small whatever the flags say.
+            assert (session.decoder.pool.backend,
+                    session.decoder.pool.workers) == ("serial", 1)
+        finally:
+            session.close(drain=False)

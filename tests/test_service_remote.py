@@ -1,11 +1,15 @@
-"""Sharded serving (PR 9): the length-prefixed wire protocol, the TCP
-worker host, remote lane pools with bounded in-flight depth, the
-sharded front tier's bit-identity / failover / breaker-canary
-contracts (including a SIGKILL'd subprocess host), priority-class
-weighted shedding and backlog-scaled ``Retry-After``."""
+"""Sharded serving (PR 9, one stack since PR 18): the length-prefixed
+wire protocol, the TCP worker host, the host pool a remote lane opens
+(non-blocking submit, at most ``depth`` requests on the wire), the
+sharded front tier's bit-identity / failover / breaker-canary contracts
+(including a SIGKILL'd subprocess host) and per-handle resolution on a
+saturated host, priority-class weighted shedding and backlog-scaled
+``Retry-After``."""
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import os
 import re
@@ -39,15 +43,19 @@ from repro.service import (
     PRIORITY_NORMAL,
     DecodeHTTPServer,
     DecodeSession,
+    BatchDecoder,
     DecodeWorkerHost,
+    ExecutorRegistry,
     FaultDirective,
+    HostPool,
     ImageRequest,
     LaneBreakerBoard,
-    RemoteLanePool,
-    ShardedDecodeSession,
+    ModelScheduler,
     parse_hosts,
     parse_priority,
     remote_executors,
+    render_prometheus,
+    sharded_session,
 )
 from repro.service.batch import ImageResult, decode_image_task
 from repro.service.remote import (
@@ -63,6 +71,9 @@ from repro.service.remote import (
 from repro.service.stats import WorkSpan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+import check_prom_format  # noqa: E402
 
 
 def shm_files(prefix: str = "repro-") -> list[str]:
@@ -87,6 +98,46 @@ def running_host(port: int = 0, **session_kwargs):
     finally:
         host.close()
         thread.join(timeout=10)
+
+
+def host_pool(host: str, port: int, **link) -> HostPool:
+    """The pool the registry would bind a lane for ``host:port`` to."""
+    (lane,) = remote_executors([(host, port)], **link)
+    return lane.open_pool()
+
+
+def front_tier(hosts, **kwargs) -> DecodeSession:
+    """A sharded session over *hosts* (``(host, port)`` pairs or worker
+    hosts); link keywords go to the lanes, the rest to the session."""
+    link = {k: kwargs.pop(k) for k in ("depth", "connect_timeout_s",
+                                       "request_timeout_s") if k in kwargs}
+    pairs = [(h.host, h.port) if isinstance(h, DecodeWorkerHost) else h
+             for h in hosts]
+    return sharded_session(remote_executors(pairs, **link), **kwargs)
+
+
+def gate_decodes(host: DecodeWorkerHost, held: set) -> threading.Event:
+    """Make *host* hold its n-th decode request (n in *held*, counted
+    from 0) until the returned event is set."""
+    gate, ordinal, real = threading.Event(), itertools.count(), host._dispatch
+
+    def gated(header, blobs):
+        if header.get("op") == "decode" and next(ordinal) in held:
+            assert gate.wait(timeout=60)
+        return real(header, blobs)
+
+    host._dispatch = gated
+    return gate
+
+
+def wait_until(predicate, timeout: float = 30.0) -> bool:
+    """Poll *predicate* until it holds or *timeout* passes."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -292,56 +343,88 @@ class TestDecodeWorkerHost:
 
 
 # ---------------------------------------------------------------------------
-# Remote lane pools.
+# Host pools: what a remote lane opens.
 # ---------------------------------------------------------------------------
 
 class TestRemoteLanePool:
     def test_submit_roundtrip_and_counters(self, worker_host, blob, oracle):
-        with RemoteLanePool(worker_host.host, worker_host.port,
-                            depth=2) as pool:
+        with host_pool(worker_host.host, worker_host.port) as pool:
             future = pool.submit(decode_image_task,
                                  ImageRequest(data=blob, request_id=0),
                                  None, None)
-            result = future.result(timeout=60)
-            assert result.ok
-            assert np.array_equal(result.rgb, oracle)
-            assert result.spans, "host spans must survive the wire"
-            assert all(s.worker.startswith(pool.endpoint)
-                       for s in result.spans)
-            snap = pool.snapshot()
-            assert snap["requests"] == 1
-            assert snap["failures"] == 0
-            assert snap["in_flight"] == 0
-            assert snap["bytes_tx"] > len(blob)
-            assert snap["bytes_rx"] > oracle.nbytes
+            reply = future.result(timeout=60)
+            # The TaskReply a local decode_image_task sends: a result
+            # shell without pixels, the RGB plane as the heavy part.
+            assert reply.error_type is None
+            assert reply.value.ok and reply.value.rgb is None
+            assert np.array_equal(reply.planes[0], oracle)
+            assert reply.spans, "host spans must survive the wire"
+            assert all(s.worker.startswith(worker_host.endpoint)
+                       for s in reply.spans)
+            described = pool.describe()
+            assert described["backend"] == "remote"
+            link = described["link"]
+            assert link["endpoint"] == worker_host.endpoint
+            assert link["depth"] == described["workers"] == 2
+            assert link["requests"] == 1
+            assert link["failures"] == 0
+            assert link["in_flight"] == 0
+            assert link["bytes_tx"] > len(blob)
+            assert link["bytes_rx"] > oracle.nbytes
 
-    def test_rejects_foreign_task_functions(self, blob):
-        pool = RemoteLanePool("127.0.0.1", 1, depth=1)
-        try:
-            with pytest.raises(ServiceError):
-                pool.submit(len, ImageRequest(data=blob), None, None)
-            with pytest.raises(ServiceError):
-                pool.submit(decode_image_task, ImageRequest(data=blob),
-                            "slot-0", None)
-        finally:
-            pool.close()
+    def test_only_whole_image_plans_reach_a_remote_lane(self, worker_host):
+        """The contract that replaced sniffing ``fn`` at submit: the
+        dispatch core asks the pool, and fans nothing out onto a link —
+        not even under a policy that forces every eligible image."""
+        from repro.data import synthetic_photo
+        frame = encode_jpeg(synthetic_photo(240, 320, seed=3, detail=0.6),
+                            EncoderSettings(quality=85, subsampling="4:2:2"))
+        lanes = remote_executors([(worker_host.host, worker_host.port)])
+        with BatchDecoder(backend="thread", workers=2, speculative="on",
+                          scheduler=ModelScheduler(executors=lanes),
+                          lane_pools=True) as decoder:
+            assert decoder.registry.pool_for(lanes[0].name).whole_images_only
+            assert not decoder.pool.whole_images_only
+            (result,) = decoder.decode_batch([frame])
+        assert result.ok and not result.speculative
+        assert result.segments == 1
+        assert np.array_equal(result.rgb, decode_jpeg(frame).rgb)
+        assert worker_host.requests == 1
+
+    def test_submit_never_blocks_and_wire_depth_is_bounded(
+            self, worker_host, blob):
+        """At most ``depth`` requests are on the wire; the rest wait in
+        the pool without blocking whoever submits them."""
+        gate = gate_decodes(worker_host, held={0})
+        with host_pool(worker_host.host, worker_host.port, depth=1) as pool:
+            futures = [pool.submit(decode_image_task,
+                                   ImageRequest(data=blob, request_id=i),
+                                   None, None) for i in range(3)]
+            # All three were accepted while the host holds the first.
+            assert wait_until(
+                lambda: pool.describe()["link"]["in_flight"] == 1)
+            assert not any(f.done() for f in futures)
+            assert pool.describe()["link"]["connected"] == 1
+            gate.set()
+            assert all(f.result(timeout=60).value.ok for f in futures)
+            assert pool.describe()["link"]["requests"] == 3
 
     def test_connection_refused_is_remote_host_error(self, blob):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()  # nothing listens here now
-        with RemoteLanePool("127.0.0.1", port, depth=1,
-                            connect_timeout_s=2.0) as pool:
+        with host_pool("127.0.0.1", port, depth=1,
+                       connect_timeout_s=2.0) as pool:
             future = pool.submit(decode_image_task,
                                  ImageRequest(data=blob), None, None)
             with pytest.raises(RemoteHostError):
                 future.result(timeout=30)
-            assert pool.snapshot()["failures"] == 1
+            assert pool.describe()["link"]["failures"] == 1
 
     def test_client_side_fault_injection(self, worker_host, blob):
-        with RemoteLanePool(worker_host.host, worker_host.port,
-                            depth=1) as pool:
+        with host_pool(worker_host.host, worker_host.port,
+                       depth=1) as pool:
             kill = pool.submit(decode_image_task, ImageRequest(data=blob),
                                None, FaultDirective(kind="kill"))
             with pytest.raises(WorkerCrashError):
@@ -349,17 +432,33 @@ class TestRemoteLanePool:
             boom = pool.submit(
                 decode_image_task, ImageRequest(data=blob, request_id=4),
                 None, FaultDirective(kind="exception", message="chaos"))
-            result = boom.result(timeout=30)
-            assert not result.ok
-            assert result.error_type == "RuntimeError"
-            assert result.error == "chaos"
+            reply = boom.result(timeout=30)
+            assert reply.error_type == "RuntimeError"
+            assert reply.error == "chaos"
+            t0 = time.perf_counter()
+            slow = pool.submit(
+                decode_image_task, ImageRequest(data=blob), None,
+                FaultDirective(kind="delay", delay_s=0.05))
+            assert slow.result(timeout=30).value.ok
+            assert time.perf_counter() - t0 >= 0.05
+            assert worker_host.requests == 1    # only the delayed one
 
     def test_closed_pool_refuses_submits(self, blob):
-        pool = RemoteLanePool("127.0.0.1", 1, depth=1)
+        pool = host_pool("127.0.0.1", 1, depth=1)
         pool.close()
         with pytest.raises(ServiceClosedError):
             pool.submit(decode_image_task, ImageRequest(data=blob),
                         None, None)
+
+    def test_link_is_declared_on_the_lane(self):
+        (lane,) = remote_executors("a:1", depth=3, request_timeout_s=9.0)
+        assert (lane.depth, lane.request_timeout_s) == (3, 9.0)
+        assert lane.connect_timeout_s == 5.0
+        with pytest.raises(ServiceError):
+            remote_executors("a:1", depth=0)[0].open_pool()
+        # A local lane opens nothing; the registry gives it a pool.
+        local = ModelScheduler().executors[0]
+        assert local.open_pool() is None
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +468,11 @@ class TestRemoteLanePool:
 class TestShardedSession:
     def test_two_hosts_bit_identical_and_both_served(self, blob, oracle):
         with running_host() as h1, running_host() as h2:
-            session = ShardedDecodeSession(
-                hosts=[(h1.host, h1.port), (h2.host, h2.port)],
-                policy="roundrobin", max_batch=8, pump=False)
+            session = front_tier([h1, h2], policy="roundrobin",
+                                 max_batch=8, pump=False)
             try:
+                assert type(session) is DecodeSession
+                assert type(session.decoder.registry) is ExecutorRegistry
                 handles = [session.submit(blob) for _ in range(8)]
                 session.run_once()
                 for handle in handles:
@@ -386,13 +486,13 @@ class TestShardedSession:
 
     def test_per_host_stats_section(self, blob):
         with running_host() as host:
-            session = ShardedDecodeSession(
-                hosts=[(host.host, host.port)],
-                breakers=LaneBreakerBoard(), pump=False)
+            session = front_tier([host], breakers=LaneBreakerBoard(),
+                                 pump=False)
             try:
                 session.submit(blob)
                 session.run_once()
                 snapshot = session.stats_snapshot()
+                metrics = render_prometheus(snapshot, session.obs)
             finally:
                 session.close(drain=False)
         (entry,) = snapshot["per_host"].values()
@@ -400,6 +500,165 @@ class TestShardedSession:
         assert entry["requests"] == 1
         assert entry["breaker"] == "closed"
         assert entry["bytes_tx"] > 0
+        (lane,) = snapshot["lane_pools"].values()
+        assert lane["backend"] == "remote" and lane["kind"] == "simd"
+        # The /metrics host series render from the same snapshot.
+        assert check_prom_format.validate(metrics) == []
+        samples, _ = check_prom_format.parse_samples(metrics)
+        by_key = {(s.name, tuple(sorted(s.labels.items()))): s.value
+                  for s in samples}
+        endpoint = (("host", host.endpoint),)
+        assert by_key[("repro_host_requests_total", endpoint)] == 1
+        assert by_key[("repro_host_failures_total", endpoint)] == 0
+        assert by_key[("repro_host_bytes_total",
+                       (("direction", "rx"),) + endpoint)] > 0
+
+    def test_saturated_host_does_not_delay_other_handles(self):
+        """PR 17's contract on a remote lane: with the host holding its
+        second request, the first image's handle resolves on its own —
+        the pump is never parked inside ``submit``."""
+        from repro.data import synthetic_photo
+        frame = encode_jpeg(synthetic_photo(480, 640, seed=1, detail=0.6),
+                            EncoderSettings(quality=85, subsampling="4:2:2"))
+        expected = decode_jpeg(frame).rgb
+        with running_host() as host:
+            gate = gate_decodes(host, held={1})
+            resolved = []
+            with front_tier([host], depth=1) as session:
+                (lane,) = session.decoder.scheduler.executors
+                depth_seen = []
+
+                def on_wire() -> int:
+                    link = session.stats_snapshot()["per_host"][lane.name]
+                    depth_seen.append(link["in_flight"])
+                    return link["in_flight"]
+
+                handles = [session.submit(frame) for _ in range(4)]
+                for i, handle in enumerate(handles):
+                    handle.add_done_callback(lambda _h, i=i:
+                                             resolved.append(i))
+                assert wait_until(handles[0].done)
+                assert np.array_equal(handles[0].result().rgb, expected)
+                # The second request is held on the host, the other two
+                # wait in the lane: none of them is done, none blocks.
+                assert wait_until(lambda: on_wire() == 1)
+                assert not any(h.done() for h in handles[1:])
+                assert session.stats_snapshot()["in_flight"] == 3
+                gate.set()
+                for handle in handles:
+                    assert np.array_equal(handle.result(timeout=60).rgb,
+                                          expected)
+                    on_wire()
+            assert sorted(resolved) == [0, 1, 2, 3]     # exactly once
+            assert max(depth_seen) <= lane.depth
+            assert host.requests == 4
+
+    def test_thread_count_does_not_grow_with_requests(self, tiny_rgb):
+        tiny = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
+        with running_host() as host:
+            # Hold the first two requests so that both pool threads
+            # (and both host connections) exist before counting.
+            gate = gate_decodes(host, held={0, 1})
+            with front_tier([host], depth=2, queue_capacity=64) as session:
+                (lane,) = session.decoder.scheduler.executors
+
+                def burst(n):
+                    handles = [session.submit(tiny, timeout=None)
+                               for _ in range(n)]
+                    if not gate.is_set():
+                        assert wait_until(
+                            lambda: session.stats_snapshot()["per_host"]
+                            [lane.name]["in_flight"] == 2)
+                        gate.set()
+                    assert all(h.result(timeout=60).ok for h in handles)
+                    return threading.active_count()
+
+                after_10 = burst(10)
+                assert burst(200) == after_10
+
+    def test_stats_poll_is_a_read(self, blob):
+        """Concurrent ``/stats`` polls during a sharded run see whole,
+        monotone per-host entries and write nothing into the session's
+        ``ServiceStats``."""
+        keys = {"endpoint", "depth", "in_flight", "connected", "requests",
+                "failures", "reconnects", "bytes_tx", "bytes_rx", "breaker"}
+        with running_host() as host, \
+                front_tier([host], depth=2, queue_capacity=64) as session:
+            polls: list[list[dict]] = [[], []]
+            running = threading.Event()
+            running.set()
+
+            def poll(seen):
+                while running.is_set():
+                    (entry,) = session.stats_snapshot()["per_host"].values()
+                    seen.append(entry)
+
+            pollers = [threading.Thread(target=poll, args=(seen,))
+                       for seen in polls]
+            for thread in pollers:
+                thread.start()
+            handles = [session.submit(blob, timeout=None)
+                       for _ in range(24)]
+            assert all(h.result(timeout=60).ok for h in handles)
+            running.clear()
+            for thread in pollers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for seen in polls:
+                assert seen
+                assert all(set(entry) == keys for entry in seen)
+                assert all(0 <= e["in_flight"] <= e["depth"] for e in seen)
+                counts = [e["requests"] for e in seen]
+                assert counts == sorted(counts)
+            # Idle now: polling again leaves every stats field as it was.
+            before = copy.deepcopy(vars(session.stats))
+            final = [session.stats_snapshot() for _ in range(2)]
+            assert vars(session.stats) == before
+            assert not hasattr(session.stats, "per_host")
+            assert final[0]["per_host"] == final[1]["per_host"]
+            (entry,) = final[0]["per_host"].values()
+            assert entry["requests"] == 24 and entry["in_flight"] == 0
+
+    def test_local_and_remote_lanes_mix_in_one_session(self, blob, oracle):
+        """A host is a lane like any other: the same lane list can name
+        local lanes, and each answers for its own failures."""
+        with running_host() as host:
+            (remote,) = remote_executors([(host.host, host.port)])
+            local = ModelScheduler().executors[0]
+            assert local.kind == "simd"
+            breakers = LaneBreakerBoard(threshold=1, cooldown_s=60.0)
+            scheduler = ModelScheduler(policy="roundrobin",
+                                       executors=[local, remote],
+                                       breakers=breakers)
+            with DecodeSession(scheduler=scheduler, backend="serial",
+                               lane_pools="cpu=thread:1", max_batch=4,
+                               pump=False) as session:
+                handles = [session.submit(blob) for _ in range(4)]
+                batch = session.run_once()
+                for handle in handles:
+                    assert np.array_equal(handle.result(timeout=60).rgb,
+                                          oracle)
+                assert host.requests == 2
+                lanes = session.stats_snapshot()["lane_pools"]
+                assert "link" in lanes[remote.name]
+                assert "link" not in lanes[local.name]
+                assert set(session.stats_snapshot()["per_host"]) \
+                    == {remote.name}
+                assert session.decoder.registry.failover_pool(
+                    remote.name) is None       # its only sibling is local
+                assert session.decoder.registry.failover_pool(
+                    local.name) is None
+            # One group, both kinds of failure: the host is charged per
+            # dispatch, the local lane per image.
+            on_local = {a.index for a in batch.schedule.assignments
+                        if a.executor is local}
+            results = [ImageResult(request_id=i, ok=i not in on_local,
+                                   infra_failure=i in on_local)
+                       for i in range(4)]
+            scheduler.observe(batch.schedule, results,
+                              lane_failures={remote.name: 1})
+            assert breakers.state(remote.name) == "open"
+            assert breakers.state(local.name) == "open"
 
     def test_dead_host_fails_over_and_trips_breaker(self, blob, oracle):
         dead = DecodeWorkerHost(port=0, backend="serial")
@@ -407,8 +666,8 @@ class TestShardedSession:
         dead.close()  # breaker target: nothing listens here
         with running_host() as alive:
             breakers = LaneBreakerBoard(threshold=2, cooldown_s=60.0)
-            session = ShardedDecodeSession(
-                hosts=[(alive.host, alive.port), ("127.0.0.1", dead_port)],
+            session = front_tier(
+                [alive, ("127.0.0.1", dead_port)],
                 policy="roundrobin", breakers=breakers,
                 connect_timeout_s=2.0, max_batch=8, pump=False)
             try:
@@ -427,14 +686,39 @@ class TestShardedSession:
             finally:
                 session.close(drain=False)
 
+    def test_every_host_down_falls_back_to_the_local_pool(
+            self, blob, oracle):
+        dead = DecodeWorkerHost(port=0, backend="serial")
+        dead_port = dead.port
+        dead.close()
+        breakers = LaneBreakerBoard(threshold=1, cooldown_s=60.0)
+        session = front_tier([("127.0.0.1", dead_port)], breakers=breakers,
+                             connect_timeout_s=2.0, retry_budget=0,
+                             pump=False)
+        try:
+            lost = session.submit(blob)
+            session.run_once()
+            # The only host is gone and has no sibling: the image fails
+            # on infrastructure and the lane's breaker opens ...
+            assert lost.result(timeout=60).infra_failure
+            assert breakers.state(f"remote-127.0.0.1:{dead_port}") == "open"
+            # ... so the next one is placed nowhere and decodes here.
+            handle = session.submit(blob)
+            session.run_once()
+            result = handle.result(timeout=60)
+            assert result.ok and np.array_equal(result.rgb, oracle)
+            assert not result.failed_over
+        finally:
+            session.close(drain=False)
+
     def test_half_open_canary_readmits_restarted_host(self, blob, oracle):
         victim = DecodeWorkerHost(port=0, backend="serial")
         port = victim.port
         victim.close()
         with running_host() as alive:
             breakers = LaneBreakerBoard(threshold=1, cooldown_s=0.2)
-            session = ShardedDecodeSession(
-                hosts=[(alive.host, alive.port), ("127.0.0.1", port)],
+            session = front_tier(
+                [alive, ("127.0.0.1", port)],
                 policy="roundrobin", breakers=breakers,
                 connect_timeout_s=2.0, max_batch=4, pump=False)
             try:
@@ -482,10 +766,11 @@ class TestKillHostMidBatch:
         victim, victim_port = _spawn_worker()
         survivor, survivor_port = _spawn_worker()
         breakers = LaneBreakerBoard(threshold=1, cooldown_s=0.2)
-        session = ShardedDecodeSession(
-            hosts=f"127.0.0.1:{victim_port},127.0.0.1:{survivor_port}",
+        session = sharded_session(
+            remote_executors(
+                f"127.0.0.1:{victim_port},127.0.0.1:{survivor_port}",
+                connect_timeout_s=2.0, request_timeout_s=30.0),
             policy="roundrobin", breakers=breakers,
-            connect_timeout_s=2.0, request_timeout_s=30.0,
             max_batch=8, pump=False)
         restarted = None
         victim_lane = f"remote-127.0.0.1:{victim_port}"
@@ -652,8 +937,7 @@ class TestTraceStitching:
 
     def test_remote_spans_are_client_clock_mapped(self, blob):
         with running_host() as host:
-            session = ShardedDecodeSession(
-                hosts=[(host.host, host.port)], tracing="on", pump=False)
+            session = front_tier([host], tracing="on", pump=False)
             try:
                 handle = session.submit(blob)
                 session.run_once()
@@ -700,8 +984,7 @@ class TestTraceStitching:
 
     def test_remote_spans_ride_result_and_land_in_client_store(self, blob):
         with running_host() as host:
-            session = ShardedDecodeSession(
-                hosts=[(host.host, host.port)], tracing="on", pump=False)
+            session = front_tier([host], tracing="on", pump=False)
             try:
                 handle = session.submit(blob)
                 session.run_once()
