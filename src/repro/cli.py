@@ -325,8 +325,9 @@ def _serve_session(args: argparse.Namespace):
     if not args.hosts:
         return DecodeSession(**_session_kwargs(args))
     policy = "roundrobin" if args.schedule == "roundrobin" else "model"
+    link = {} if args.shard_depth is None else {"depth": args.shard_depth}
     return sharded_session(
-        remote_executors(args.hosts, depth=args.shard_depth), policy=policy,
+        remote_executors(args.hosts, **link), policy=policy,
         breakers=_breakers(args.breaker_threshold),
         **_session_kwargs(args, local_lanes=False))
 
@@ -346,7 +347,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lanes = session.decoder.scheduler.executors
         sharded = (f", sharded across {len(lanes)} hosts "
                    f"[{', '.join(lane.endpoint for lane in lanes)}], "
-                   f"depth={args.shard_depth}")
+                   f"depth={lanes[0].depth}")
     print(f"serve: listening on {server.url} "
           f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
           f"{_describe_session(args, session)}{sharded})", flush=True)
@@ -637,9 +638,10 @@ def _add_serving_parsers(sub) -> None:
                         "('host:port,host:port', see serve-worker); "
                         "--workers/--backend/--transport/--lane-pools "
                         "then apply to the hosts, not this process")
-    p.add_argument("--shard-depth", type=int, default=2,
+    p.add_argument("--shard-depth", type=int, default=None,
                    help="requests on the wire per worker host; further "
-                        "placements wait in the host's lane (default: 2)")
+                        "placements wait in the host's lane (default: "
+                        "RemoteLane.depth, 2)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -47,11 +47,16 @@ from time import perf_counter, sleep
 from typing import Any, Iterator, Sequence
 
 from ..errors import ReproError, ServiceError
-from ..jpeg.markers import parse_jpeg
+from ..jpeg.markers import JpegImageInfo
 from ..jpeg.parallel_huffman import modeled_entropy_us
 from .faults import FaultPlan
 from .obs import SpanRecord, TraceContext, child_span, make_span
-from .scheduler import BatchSchedule, ModelScheduler, fanout_pays
+from .scheduler import (
+    BatchSchedule,
+    ModelScheduler,
+    fanout_pays,
+    whole_image_only,
+)
 from .stats import BatchStats
 from .tasks import (  # noqa: F401 - task functions re-exported
     DecodePlan,
@@ -64,12 +69,12 @@ from .tasks import (  # noqa: F401 - task functions re-exported
     WholeImagePlan,
     decode_image_task,
     decode_segment_task,
+    read_header,
 )
 from .transport import (
     SHM_MIN_BYTES,
     PlaneArena,
     PlaneSlot,
-    peek_dimensions,
     resolve_transport,
 )
 from .workers import WorkerPool
@@ -81,7 +86,7 @@ from .workers import WorkerPool
 #: image up by, for one more ~0.5 ms dispatch each.
 SEGMENT_RUNS_PER_WORKER = 2
 
-#: :meth:`BatchDecoder._fanout_wanted` verdicts.
+#: Fan-out verdicts of :meth:`BatchDecoder._plan`.
 _NO, _IF_IT_PAYS, _FORCED = 0, 1, 2
 
 
@@ -346,15 +351,14 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
-    def _schedule(self, requests: list[ImageRequest], group: _Group
+    def _schedule(self, requests: list[ImageRequest],
+                  infos: "list[JpegImageInfo | None]", group: _Group
                   ) -> tuple[list[ImageRequest], dict[int, str]]:
-        """Price and place the group (when a scheduler is attached):
-        returns the lane-rewritten requests and — with lane-bound pools
-        — each placed image's lane name."""
-        if self.scheduler is None or not requests:
-            return requests, {}
+        """Price and place the group from its headers *infos*: returns
+        the lane-rewritten requests and — with lane-bound pools — each
+        placed image's lane name."""
         t_plan0 = perf_counter()
-        schedule = group.schedule = self.scheduler.plan(requests)
+        schedule = group.schedule = self.scheduler.plan(requests, infos)
         t_plan1 = perf_counter()
         requests = self.scheduler.apply(requests, schedule)
         lane_of = {a.index: a.executor.name for a in schedule.assignments
@@ -375,62 +379,54 @@ class BatchDecoder:
         schedule.wall_time = True
         return requests, lane_of
 
-    def _fanout_wanted(self, req: ImageRequest, n_requests: int,
-                       pool: WorkerPool) -> tuple[int, int]:
-        """Parse-free preconditions ``(segments, speculative)`` for
-        fanning *req* out over *pool*, each ``_NO``, ``_IF_IT_PAYS`` or
-        ``_FORCED``.
-
-        Checked *before* any header parse so that the common throughput
-        case (enough whole-image tasks to fill the pool) pays zero
-        serialized parent-side work per image — the worker owns the
-        parse.  Only the reference pixel path fans out (executor modes
-        consume the scan in-order themselves; salvage needs one
-        decoder's view of the damage), and a pool that is a link to
-        another machine ships whole images only — the host's own
-        session decides any fan-out.  The per-request knobs force or
-        forbid (a scheduler's dominant-image fallback arrives as one:
-        it has priced the image already);
-        otherwise an image is a candidate only when whole-image tasks
-        cannot fill the pool — *n_requests* counts the images already
-        in flight plus the group being admitted — and fans out if that
-        is predicted to pay (:meth:`_plan`).  The speculative policy
-        ``"on"`` forces every eligible image, ``"off"`` forbids; the
-        speculative decoder additionally needs the fast engine's exact
-        bit positions.  Actual eligibility (DRI, progressive, stray
-        RSTn) is checked after the parse.
-        """
-        if req.mode != "reference" or req.salvage \
-                or pool.whole_images_only:
-            return _NO, _NO
-        parallel = pool.backend != "serial"
-        auto = _IF_IT_PAYS if parallel and n_requests < pool.workers \
-            else _NO
-        wanted = {None: auto, True: _FORCED, False: _NO}
-        split = wanted[req.split_segments]
-        if req.entropy_engine != "fast":
-            spec = _NO
-        elif req.speculative is not None:
-            spec = wanted[req.speculative]
-        else:
-            spec = {"off": _NO, "on": _FORCED if parallel else _NO,
-                    "auto": auto}[self.speculative]
-        return split, spec
-
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
-              pool: WorkerPool, n_requests: int) -> DecodePlan:
-        """Choose *req*'s decode plan; fan-out units are sized from
-        *pool*, the pool they will run on.  Raises the parse/structure
-        error (``ReproError``/``ValueError``) of an image that cannot
-        be planned — the caller fails that image alone."""
-        want_split, want_spec = self._fanout_wanted(req, n_requests, pool)
-        info = None
-        if want_split or want_spec:
-            info = parse_jpeg(req.data)
-        # Progressive streams decode whole-image: multi-scan coefficient
-        # accumulation has no per-segment or per-chunk decomposition.
-        if info is not None and not info.progressive:
-            want = want_split if info.restart_interval > 0 else want_spec
+              pool: WorkerPool, n_requests: int,
+              infos: "list[JpegImageInfo | None] | None" = None
+              ) -> DecodePlan:
+        """Choose *req*'s decode plan — one short-circuiting decision:
+        request knobs, then the pool, then header facts, then the price.
+
+        Only the reference pixel path fans out (executor modes consume
+        the scan in-order themselves), and a link to another machine
+        ships whole images only — the host's own session decides any
+        fan-out.  The per-request knobs force or forbid (a scheduler's
+        dominant-image fallback arrives as one: it has priced the image
+        already); otherwise an image is a candidate only when whole
+        images cannot fill *pool* — *n_requests* counts those in flight
+        plus the group being admitted — and fans out if that is
+        predicted to pay.  The speculative policy ``"on"`` forces every
+        eligible image, ``"off"`` forbids; speculation additionally
+        needs the fast engine's exact bit positions.
+
+        *infos* are the group's headers where a scheduler has read
+        them, each taken out as it is used (kept alive through the
+        dispatches that follow they cost 2.5 MB of peak RSS); without
+        one the header is read here, and only for a fan-out candidate
+        or a reply that will ride a leased slot, so the common
+        throughput case pays zero serialized parent-side work per
+        image.  Fan-out units are sized from *pool*, the pool they run
+        on.  Raises the structure error of an image that cannot be
+        planned — the caller fails that image alone."""
+        split = spec = _NO
+        if req.mode == "reference" and not pool.whole_images_only:
+            parallel = pool.backend != "serial"
+            auto = _IF_IT_PAYS if parallel and n_requests < pool.workers \
+                else _NO
+            policy = {"off": _NO, "on": _FORCED if parallel else _NO,
+                      "auto": auto}[self.speculative]
+            split = {None: auto, True: _FORCED, False: _NO}[
+                req.split_segments]
+            if req.entropy_engine == "fast":
+                spec = {None: policy, True: _FORCED, False: _NO}[
+                    req.speculative]
+        if infos is not None:
+            info, infos[index] = infos[index], None
+        elif split or spec or self._rides_shm(pool):
+            info = read_header(req)
+        else:
+            info = None
+        if info is not None and not whole_image_only(info, req.salvage):
+            want = split if info.restart_interval > 0 else spec
             if want == _IF_IT_PAYS and fanout_pays(
                     modeled_entropy_us(len(info.entropy_data),
                                        info.geometry.total_mcus),
@@ -445,26 +441,18 @@ class BatchDecoder:
                     self.speculative_chunks or pool.workers)
                 if plan is not None:
                     return plan
-        # The plan carries its frame size so retries lease without
-        # another SOF scan; with no parent-side parse, one cheap peek
-        # (skipped when this pool's replies never ride shared memory).
-        # A failed peek leases nothing — the worker then reports the
-        # precise decode error over the pickle path.
-        dims = None
-        if info is not None:
-            dims = info.width, info.height
-        elif self.arena is not None and pool.backend == "process":
-            dims = peek_dimensions(req.data)
-        return WholeImagePlan(index, req, lane,
-                              dims[0] * dims[1] * 3 if dims else 0)
+        return WholeImagePlan(index, req, lane, info)
 
     # -- transport slots ------------------------------------------------
 
+    def _rides_shm(self, pool: WorkerPool) -> bool:
+        """True when *pool*'s replies can ride shared memory."""
+        return self.arena is not None and pool.backend == "process"
+
     def _lease(self, nbytes: int, pool: WorkerPool) -> PlaneSlot | None:
         """Lease a shm slot for a reply of *nbytes*, if the transport
-        applies to *pool* (process backend + shm resolved) and the
-        payload is worth a segment."""
-        if self.arena is None or pool.backend != "process" \
+        applies to *pool* and the payload is worth a segment."""
+        if not self._rides_shm(pool) \
                 or nbytes <= 0 or nbytes < self.shm_min_bytes:
             return None
         try:
@@ -495,7 +483,12 @@ class BatchDecoder:
         group = _Group(results=[None] * len(requests),
                        admitted_at=perf_counter())
         try:
-            requests, lanes = self._schedule(requests, group)
+            # The parent's one look at the bytes: all up front where a
+            # scheduler will price them, else lazily in _plan.
+            infos, lanes = None, {}
+            if self.scheduler is not None and requests:
+                infos = [read_header(req) for req in requests]
+                requests, lanes = self._schedule(requests, infos, group)
             group.t0 = perf_counter()
             crowd = self.in_flight + len(requests)
             for i, req in enumerate(requests):
@@ -506,11 +499,11 @@ class BatchDecoder:
                 group.open += 1
                 self.in_flight += 1
                 try:
-                    plan = self._plan(i, req, lane, pool, crowd)
+                    plan = self._plan(i, req, lane, pool, crowd, infos)
                 except (ReproError, ValueError) as exc:
                     # Cannot be planned: the image fails alone, as the
                     # reply of a task that was never sent.
-                    plan, lost = WholeImagePlan(i, req, lane, 0), Future()
+                    plan, lost = WholeImagePlan(i, req, lane, None), Future()
                     plan.group = group
                     lost.set_result(TaskReply(
                         error_type=type(exc).__name__, error=str(exc)))

@@ -72,7 +72,7 @@ from ..errors import (
     ServiceClosedError,
     ServiceError,
 )
-from .tasks import ImageResult, parse_priority
+from .tasks import ImageRequest, ImageResult, parse_priority
 from .obs import render_prometheus
 from .session import DecodeSession
 
@@ -103,6 +103,20 @@ def result_metadata(result: ImageResult) -> dict:
     if result.trace_spans:
         meta["trace_id"] = result.trace_spans[0].trace_id
     return meta
+
+
+def _flag(value: str) -> bool:
+    """An on/off header value: on unless empty, ``0``, ``false``, ``no``."""
+    return value.strip().lower() not in ("", "0", "false", "no")
+
+
+#: Request headers that override a per-request knob: header name ->
+#: (:class:`~repro.service.tasks.ImageRequest` field, value parser).
+_HEADER_KNOBS = {
+    "X-Deadline-Ms": ("deadline_ms", float),
+    "X-Salvage": ("salvage", _flag),
+    "X-Priority": ("priority", parse_priority),
+}
 
 
 class _DecodeRequestHandler(BaseHTTPRequestHandler):
@@ -165,97 +179,14 @@ retry_after_s`)."""
         if url.path != "/decode":
             self._send_json(404, {"error": f"no such resource: {url.path}"})
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
-            self._send_json(400, {"error": "empty request body "
-                                           "(POST the JPEG bytes)"})
-            return
-        data = self.rfile.read(length)
-        overrides: dict[str, Any] = {}
-        deadline_header = self.headers.get("X-Deadline-Ms")
-        if deadline_header is not None:
-            try:
-                overrides["deadline_ms"] = float(deadline_header)
-            except ValueError:
-                self._send_json(400, {
-                    "error": f"invalid X-Deadline-Ms header: "
-                             f"{deadline_header!r} (want a positive "
-                             f"number of milliseconds)"})
-                return
-        salvage_header = self.headers.get("X-Salvage")
-        if salvage_header is not None:
-            overrides["salvage"] = (
-                salvage_header.strip().lower() not in ("", "0", "false", "no"))
-        priority_header = self.headers.get("X-Priority")
-        if priority_header is not None:
-            try:
-                overrides["priority"] = parse_priority(priority_header)
-            except ServiceError as exc:
-                self._send_json(400, {
-                    "error": f"invalid X-Priority header: {exc}"})
-                return
-        trace_header = self.headers.get("X-Trace")
-        if trace_header is not None and trace_header.strip().lower() \
-                not in ("", "0", "false", "no"):
-            # Force a trace for this request, bypassing the sampler.
-            overrides["trace"] = self.server.session.obs.start_trace()
-        item: "bytes | Any" = data
-        if overrides:
-            item = replace(self.server.session.decoder.defaults,
-                           data=data, **overrides)
-        try:
-            handle = self.server.session.submit(item, timeout=0)
-        except QueueFullError as exc:
-            # Retry-After scales with the actual backlog: a client told
-            # to come back in N seconds should find queue space then.
-            self._send_json(429, {"error": str(exc)},
-                            {"Retry-After": self._retry_after()})
-            return
-        except ServiceClosedError as exc:
-            self._send_json(503, {"error": str(exc)},
-                            {"Retry-After": self._retry_after()})
-            return
-        except ServiceError as exc:
-            # Invalid per-request knob (e.g. non-positive deadline).
-            self._send_json(400, {"error": str(exc)})
-            return
-        try:
-            result = handle.result(timeout=self.server.result_timeout_s)
-        except DeadlineExceededError as exc:
-            # The request expired before a worker picked it up: the
-            # service is shedding load, tell the client to back off.
-            self._send_json(504, {
-                "error": str(exc),
-                "request_id": handle.request_id},
-                {"Retry-After": self._retry_after()})
-            return
-        except TimeoutError:
-            self._send_json(504, {
-                "error": f"decode did not complete within "
-                         f"{self.server.result_timeout_s}s",
-                "request_id": handle.request_id})
-            return
-        except CancelledError:
-            # The session closed with drain=False under this request
-            # (externally-owned session); answer, don't drop the socket.
-            self._send_json(503, {
-                "error": "request cancelled: session closing",
-                "request_id": handle.request_id})
-            return
-        except Exception as exc:
-            # Infrastructure failure (dead pool): 500 beats a handler
-            # traceback and a reset connection.
-            self._send_json(500, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "request_id": handle.request_id})
+        item = self._read_request()
+        result = self._decode(item) if item is not None else None
+        if result is None:
             return
         meta = result_metadata(result)
-        if not result.ok:
-            self._send_json(400, meta)
-            return
         fmt = parse_qs(url.query).get("format", ["ppm"])[0]
-        if fmt == "json":
-            self._send_json(200, meta)
+        if not result.ok or fmt == "json":
+            self._send_json(200 if result.ok else 400, meta)
             return
         headers = {
             "X-Request-Id": str(result.request_id),
@@ -270,6 +201,89 @@ retry_after_s`)."""
             headers["X-Trace-Id"] = result.trace_spans[0].trace_id
         self._send(200, ppm_bytes(result.rgb), "image/x-portable-pixmap",
                    headers)
+
+    def _read_request(self) -> "bytes | ImageRequest | None":
+        """The POSTed JPEG as a submittable item: the raw bytes, or an
+        :class:`~repro.service.tasks.ImageRequest` when request headers
+        override per-request knobs.  A malformed header answers 400."""
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw or 0)
+        except ValueError:
+            self._send_json(400, {
+                "error": f"invalid Content-Length header: {raw!r}"})
+            return None
+        if length <= 0:
+            self._send_json(400, {"error": "empty request body "
+                                           "(POST the JPEG bytes)"})
+            return None
+        data = self.rfile.read(length)
+        overrides: dict[str, Any] = {}
+        for name, (knob, parse) in _HEADER_KNOBS.items():
+            raw = self.headers.get(name)
+            if raw is None:
+                continue
+            try:
+                overrides[knob] = parse(raw)
+            except (ValueError, ServiceError) as exc:
+                self._send_json(400, {
+                    "error": f"invalid {name} header: {raw!r} ({exc})"})
+                return None
+        if _flag(self.headers.get("X-Trace", "")):
+            # Force a trace for this request, bypassing the sampler.
+            overrides["trace"] = self.server.session.obs.start_trace()
+        if not overrides:
+            return data
+        return replace(self.server.session.decoder.defaults, data=data,
+                       **overrides)
+
+    def _decode(self, item: "bytes | ImageRequest") -> ImageResult | None:
+        """Submit *item* without blocking and wait for its result; a
+        refused submission answers 429 / 503 / 400, a request that
+        never decoded 504 / 503 / 500."""
+        try:
+            handle = self.server.session.submit(item, timeout=0)
+        except QueueFullError as exc:
+            # Retry-After scales with the actual backlog: a client told
+            # to come back in N seconds should find queue space then.
+            self._send_json(429, {"error": str(exc)},
+                            {"Retry-After": self._retry_after()})
+            return None
+        except ServiceClosedError as exc:
+            self._send_json(503, {"error": str(exc)},
+                            {"Retry-After": self._retry_after()})
+            return None
+        except ServiceError as exc:
+            # Invalid per-request knob (e.g. non-positive deadline).
+            self._send_json(400, {"error": str(exc)})
+            return None
+        try:
+            return handle.result(timeout=self.server.result_timeout_s)
+        except DeadlineExceededError as exc:
+            # The request expired before a worker picked it up: the
+            # service is shedding load, tell the client to back off.
+            self._send_json(504, {
+                "error": str(exc),
+                "request_id": handle.request_id},
+                {"Retry-After": self._retry_after()})
+        except TimeoutError:
+            self._send_json(504, {
+                "error": f"decode did not complete within "
+                         f"{self.server.result_timeout_s}s",
+                "request_id": handle.request_id})
+        except CancelledError:
+            # The session closed with drain=False under this request
+            # (externally-owned session); answer, don't drop the socket.
+            self._send_json(503, {
+                "error": "request cancelled: session closing",
+                "request_id": handle.request_id})
+        except Exception as exc:
+            # Infrastructure failure (dead pool): 500 beats a handler
+            # traceback and a reset connection.
+            self._send_json(500, {
+                "error": f"{type(exc).__name__}: {exc}",
+                "request_id": handle.request_id})
+        return None
 
 
 class _SessionHTTPServer(ThreadingHTTPServer):

@@ -235,11 +235,6 @@ class SpanRing:
 _WORKER_RING = SpanRing()
 
 
-def worker_ring() -> SpanRing:
-    """This process's span ring (one per pool worker after fork)."""
-    return _WORKER_RING
-
-
 def record_worker_span(span: SpanRecord) -> None:
     """Record *span* into this process's ring (lock-free append)."""
     _WORKER_RING.record(span)
@@ -387,8 +382,7 @@ class ObsHub:
     """
 
     def __init__(self, mode: str = "off", sample_rate: float = 0.1,
-                 log_path: str | Path | None = None,
-                 trace_capacity: int = TRACE_CAPACITY):
+                 log_path: str | Path | None = None):
         """Configure the hub; *sample_rate* applies to ``sample`` mode."""
         self.mode = parse_trace_mode(mode)
         if not (0.0 < sample_rate <= 1.0):
@@ -396,7 +390,7 @@ class ObsHub:
                 f"trace sample rate must be in (0, 1], got {sample_rate}")
         self.sample_period = max(1, round(1.0 / sample_rate))
         self.latency = Histogram()
-        self.store = TraceStore(capacity=trace_capacity)
+        self.store = TraceStore()
         self.log = TraceLog(log_path) if log_path else None
         self.started_at = time()
         self._seq = 0

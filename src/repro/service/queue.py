@@ -3,13 +3,12 @@
 The service's ingress: producers :meth:`~SubmissionQueue.put` requests
 and a consumer — the :class:`~repro.service.session.DecodeSession`
 pump thread, or a pull-mode caller of its ``run_once`` — drains them
-with :meth:`~SubmissionQueue.get_batch` (arrival order) or
-:meth:`~SubmissionQueue.take` (most urgent first, the session's way:
-requests stay queued, and count against the capacity, until the moment
-a worker has room for them).  Both ends are safe under
-concurrency: any number of producer threads may block in ``put`` while
-the consumer drains (one condition variable serializes slot claims, so
-no request is ever lost or duplicated).  Capacity is a hard bound —
+with :meth:`~SubmissionQueue.take`, most urgent first: requests stay
+queued, and count against the capacity, until the moment a worker has
+room for them.  Both ends are safe under concurrency: any number of
+producer threads may block in ``put`` while the consumer drains (one
+condition variable serializes slot claims, so no request is ever lost
+or duplicated).  Capacity is a hard bound —
 when the queue is full, ``put`` either blocks (bounded by *timeout*) or
 fails fast with :class:`~repro.errors.QueueFullError`, which is the
 backpressure signal a front end propagates to its clients (HTTP 429,
@@ -17,12 +16,12 @@ drop, retry-after).
 
 Implemented on a ``collections.deque`` + ``threading.Condition`` rather
 than ``queue.Queue`` so that close semantics and batch draining are
-first-class: closing wakes all blocked producers/consumers, and
-``get_batch`` returns up to *max_items* in one lock acquisition.  A
-consumer that sleeps on something else as well (the session pump waits
-on "a request arrived *or* a decode finished") passes *on_change*: it
+first-class: closing wakes all blocked producers, and ``take`` sheds
+and dequeues in one lock acquisition.  The consumer never blocks here:
+it sleeps on something else as well (the session pump waits on "a
+request arrived *or* a decode finished") and passes *on_change*, which
 is called after every ``put`` and after ``close``, once the item is
-visible to ``get_batch``.
+visible to ``take``.
 """
 
 from __future__ import annotations
@@ -109,29 +108,8 @@ class SubmissionQueue:
                         f"submission queue full ({capacity} pending, "
                         f"timed out after {timeout}s)")
             self._items.append(item)
-            self._cond.notify_all()
         if self._on_change is not None:
             self._on_change()
-
-    def get_batch(self, max_items: int, timeout: float | None = 0) -> list[Any]:
-        """Dequeue up to *max_items* requests in arrival order.
-
-        Returns fewer than *max_items* when the queue holds fewer, and
-        ``[]`` when empty at the deadline (``timeout=0`` polls, ``None``
-        waits until at least one request or close).
-        """
-        if max_items <= 0:
-            raise ValueError(f"max_items must be positive, got {max_items}")
-        with self._cond:
-            if timeout != 0:
-                self._cond.wait_for(
-                    lambda: self._closed or self._items, timeout=timeout)
-            batch = []
-            while self._items and len(batch) < max_items:
-                batch.append(self._items.popleft())
-            if batch:
-                self._cond.notify_all()
-            return batch
 
     def take(self, max_items: int, key: Callable[[Any], Any],
              expired: Callable[[Any], bool]) -> tuple[list[Any], list[Any]]:
@@ -159,7 +137,7 @@ class SubmissionQueue:
     def close(self) -> None:
         """Refuse further ``put`` calls and wake every blocked waiter.
 
-        Already-queued requests remain drainable via :meth:`get_batch`.
+        Already-queued requests remain drainable via :meth:`take`.
         """
         with self._cond:
             self._closed = True

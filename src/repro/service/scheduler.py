@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from ..core.modes import DecodeMode
 from ..core.perfmodel import PerformanceModel
@@ -60,9 +60,6 @@ MODELED_SUBSAMPLINGS = ("4:4:4", "4:2:2")
 
 #: Scheduling policies :class:`ModelScheduler` implements.
 POLICIES = ("model", "roundrobin")
-
-#: Circuit-breaker states a lane can be in.
-BREAKER_STATES = ("closed", "open", "half_open")
 
 #: What fanning one image out must save before it is taken, in model
 #: microseconds.  Fan-out adds a serial share only a fanned-out image
@@ -175,17 +172,12 @@ class ImagePricing:
     #: 0 for images no lane prices.
     entropy_us: float = 0.0
     #: True when only the whole-image reference path can decode this
-    #: image (progressive, or a component layout the simulated
-    #: executors don't model).  Every lane prices as ``inf``; the
-    #: scheduler pins these to ``mode="reference"`` instead.
+    #: request (:func:`whole_image_only`, or a component layout the
+    #: simulated executors don't model).  Every lane prices as ``inf``;
+    #: the scheduler pins these to ``mode="reference"`` instead.
     reference_only: bool = False
     #: Predicted decode time (us) per lane name; ``inf`` = ineligible.
     costs: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def best_us(self) -> float:
-        """Cheapest predicted time across eligible lanes."""
-        return min(self.costs.values(), default=math.inf)
 
 
 @dataclass
@@ -455,11 +447,22 @@ class LaneBreakerBoard:
             return out
 
 
+def whole_image_only(info: JpegImageInfo, salvage: bool = False) -> bool:
+    """True when a request decodes whole on the reference path or not at
+    all — the one rule pricing, placement and the fan-out decision
+    share: a progressive stream accumulates coefficients across scans,
+    so it has no fan-out units and no modelled lane; a salvage decode's
+    error map needs one decoder's view of the damage, and the simulated
+    executors ignore ``salvage``."""
+    return salvage or info.progressive
+
+
 def price_images(
     infos: Sequence[tuple[int, JpegImageInfo]],
     executors: Sequence[ExecutorLane],
     model_for: "callable",
     speculative: bool = False,
+    salvage: "Collection[int]" = (),
 ) -> list[ImagePricing]:
     """Price parsed images on every lane.
 
@@ -473,22 +476,23 @@ def price_images(
     With *speculative* set, marker-free images price as splittable too:
     the speculative chunk fan-out (:mod:`repro.jpeg.speculative`) can
     decompose any DRI=0 scan, so the dominant-image fallback is no
-    longer gated on restart markers.
+    longer gated on restart markers.  *salvage* names the batch indices
+    whose request asked for a salvage decode.
     """
     pricings = []
     for index, info in infos:
         sub = info.subsampling_mode
         scans = max(1, len(info.scans))
-        reference_only = info.progressive \
-            or len(info.frame.components) != 3
+        whole = whole_image_only(info, index in salvage)
         pricing = ImagePricing(
             index=index, width=info.width, height=info.height,
             density=info.file_density, subsampling=sub,
             has_restarts=info.restart_interval > 0,
             splittable=((info.restart_interval > 0 or speculative)
-                        and not info.progressive),
-            scans=scans, reference_only=reference_only)
-        if reference_only:
+                        and not whole),
+            scans=scans,
+            reference_only=whole or len(info.frame.components) != 3)
+        if pricing.reference_only:
             # The simulated executor lanes model 3-component baseline
             # decoding only; these images route whole to the reference
             # path (see ModelScheduler.apply).
@@ -789,23 +793,32 @@ class ModelScheduler:
         return price_images(infos, self.executors, self._model_for,
                             speculative=self.speculative)
 
-    def plan(self, requests: "Sequence[ImageRequest]") -> BatchSchedule:
-        """Parse, price and place one batch; returns the schedule.
+    def plan(self, requests: "Sequence[ImageRequest]",
+             infos: "Sequence[JpegImageInfo | None] | None" = None
+             ) -> BatchSchedule:
+        """Price and place one batch; returns the schedule.
 
-        Images whose headers fail to parse get an unassigned
-        :class:`Assignment` (``executor=None``) and are left for the
-        worker to fail with the precise decode error — the scheduler
-        never swallows an error the decoder would report.
+        *infos* are the requests' headers where the caller has read
+        them (:func:`~repro.service.tasks.read_header`, one each); a
+        bare ``plan(requests)`` — benchmarks, offline studies — parses
+        for itself.  Images whose headers fail to parse (``None``) get
+        an unassigned :class:`Assignment` (``executor=None``) and are
+        left for the worker to fail with the precise decode error — the
+        scheduler never swallows an error the decoder would report.
         """
-        infos: list[tuple[int, JpegImageInfo]] = []
-        unparsable: list[int] = []
-        for i, req in enumerate(requests):
-            try:
-                infos.append((i, parse_jpeg(req.data)))
-            except (ReproError, ValueError):
-                unparsable.append(i)
-        pricings = price_images(infos, self.executors, self._model_for,
-                                speculative=self.speculative)
+        if infos is None:
+            # Strictly: a salvage request only a tolerant parse can read
+            # stays unassigned, which routes it the same — as submitted.
+            infos = []
+            for req in requests:
+                try:
+                    infos.append(parse_jpeg(req.data))
+                except (ReproError, ValueError):
+                    infos.append(None)
+        pricings = price_images(
+            [(i, info) for i, info in enumerate(infos) if info is not None],
+            self.executors, self._model_for, speculative=self.speculative,
+            salvage={i for i, req in enumerate(requests) if req.salvage})
         limits = self.breakers.limits([l.name for l in self.executors])
         if self.policy == "model":
             schedule = schedule_lpt(pricings, self.executors, self.feedback,
@@ -816,8 +829,9 @@ class ModelScheduler:
                                            start=self._rr_cursor,
                                            lane_limits=limits)
             self._rr_cursor = schedule.rr_next_cursor
-        for i in unparsable:
-            schedule.assignments.append(Assignment(index=i, executor=None))
+        schedule.assignments += [
+            Assignment(index=i, executor=None)
+            for i, info in enumerate(infos) if info is None]
         schedule.assignments.sort(key=lambda a: a.index)
         schedule.excluded = tuple(
             sorted(name for name, cap in limits.items() if cap == 0))
@@ -832,34 +846,30 @@ class ModelScheduler:
         fallbacks pin the reference pixel path with the fan-out that
         fits the image forced on — restart-segment splitting where DRI
         permits, speculative chunk fan-out for marker-free scans.
-        Images only the reference path can decode (progressive streams,
-        grayscale/4-component layouts) are pinned to ``mode="reference"``
-        whole-image.  Unassigned images pass through untouched.
+        Requests only the reference path can decode (progressive
+        streams, salvage decodes, grayscale/4-component layouts) are
+        pinned to ``mode="reference"`` whole-image.  Unassigned images
+        pass through untouched.
         """
-        from dataclasses import replace
-
-        restarts = {p.index: p.has_restarts for p in schedule.pricings}
-        ref_only = {p.index for p in schedule.pricings if p.reference_only}
+        pricing = {p.index: p for p in schedule.pricings}
         rewritten = list(requests)
         for a in schedule.assignments:
-            req = rewritten[a.index]
-            if a.index in ref_only:
-                rewritten[a.index] = replace(
-                    req, mode="reference", split_segments=False,
-                    speculative=False)
+            priced = pricing.get(a.index)
+            if priced is not None and priced.reference_only:
+                pins = dict(mode="reference", split_segments=False,
+                            speculative=False)
+            elif a.split and priced.has_restarts:
+                pins = dict(mode="reference", split_segments=True)
             elif a.split:
-                if restarts.get(a.index):
-                    rewritten[a.index] = replace(
-                        req, mode="reference", split_segments=True)
-                else:
-                    rewritten[a.index] = replace(
-                        req, mode="reference", split_segments=False,
-                        speculative=True)
+                pins = dict(mode="reference", split_segments=False,
+                            speculative=True)
             elif a.executor is not None:
-                rewritten[a.index] = replace(
-                    req, mode=a.executor.mode,
-                    platform=a.executor.platform.name,
-                    split_segments=False)
+                pins = dict(mode=a.executor.mode,
+                            platform=a.executor.platform.name,
+                            split_segments=False)
+            else:
+                continue
+            rewritten[a.index] = replace(rewritten[a.index], **pins)
         return rewritten
 
     # -- observability --------------------------------------------------

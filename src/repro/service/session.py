@@ -68,7 +68,7 @@ from .stats import ServiceStats
 #: (class 0) only admit into half the queue, normal (class 1) into 90%;
 #: high (class 2) and any higher class use the full capacity — so under
 #: overload the low classes shed first and high-priority latency is
-#: preserved.  Override per session via ``shed_fractions=``.
+#: preserved.
 DEFAULT_SHED_FRACTIONS: dict[int, float] = {0: 0.5, 1: 0.9}
 
 #: Images the pump keeps in flight per worker: one running and one
@@ -192,17 +192,10 @@ class DecodeSession:
                  faults: "object | None" = None,
                  default_deadline_ms: float | None = None,
                  speculative: str | None = None,
-                 shed_fractions: "dict[int, float] | None" = None,
                  tracing: str = "off", trace_sample: float = 0.1,
                  trace_log: "str | None" = None,
-                 trace_capacity: int | None = None,
                  pump: bool = True) -> None:
         """Build queue, decoder and (unless ``pump=False``) the pump.
-
-        *shed_fractions* maps priority classes to the share of the
-        queue each may fill (weighted shedding; default
-        :data:`DEFAULT_SHED_FRACTIONS`).  Classes absent from the map
-        admit into the full capacity.
 
         *max_batch* caps one admission group (and one ``run_once``
         batch); *max_delay_ms* > 0 holds pending requests back until
@@ -228,8 +221,7 @@ class DecodeSession:
         not already carry one — a request submitted *with* a context
         (a remote host replaying a client's trace) is always honored
         regardless of the local mode.  *trace_sample* is the sampled
-        fraction in ``sample`` mode, *trace_log* an optional JSON-lines
-        span log path, *trace_capacity* the in-memory trace retention.
+        fraction in ``sample`` mode, *trace_log* a JSON-lines span log.
         """
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
@@ -243,14 +235,6 @@ class DecodeSession:
         self.max_batch = max_batch
         self.max_delay_ms = max_delay_ms
         self.default_deadline_ms = default_deadline_ms
-        self.shed_fractions = dict(DEFAULT_SHED_FRACTIONS
-                                   if shed_fractions is None
-                                   else shed_fractions)
-        for priority, fraction in self.shed_fractions.items():
-            if not 0.0 < fraction <= 1.0:
-                raise ServiceError(
-                    f"shed fraction for priority {priority} must be in "
-                    f"(0, 1], got {fraction}")
         # One wake-up for the pump: arrivals and completions both set it.
         self.queue = SubmissionQueue(
             capacity=queue_capacity,
@@ -264,11 +248,8 @@ class DecodeSession:
             scheduler=scheduler, transport=transport, lane_pools=lane_pools,
             **{k: v for k, v in forwarded.items() if v is not None})
         self._window = DISPATCH_DEPTH * self.decoder.workers
-        obs_kwargs = {"mode": tracing, "sample_rate": trace_sample,
-                      "log_path": trace_log}
-        if trace_capacity is not None:
-            obs_kwargs["trace_capacity"] = trace_capacity
-        self.obs = ObsHub(**obs_kwargs)
+        self.obs = ObsHub(mode=tracing, sample_rate=trace_sample,
+                          log_path=trace_log)
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
         self._ids = itertools.count()     # next() is atomic
@@ -339,7 +320,7 @@ class DecodeSession:
                        if req.deadline_ms is not None else None)
         # ceil, so a fraction never shrinks a tiny queue below what an
         # unweighted session would admit (0.9 of capacity 2 is still 2).
-        fraction = self.shed_fractions.get(req.priority)
+        fraction = DEFAULT_SHED_FRACTIONS.get(req.priority)
         limit = (None if fraction is None
                  else max(1, math.ceil(self.queue.capacity * fraction)))
         try:

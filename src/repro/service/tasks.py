@@ -42,7 +42,7 @@ from ..jpeg.decoder import (
 )
 from ..jpeg.entropy import CoefficientBuffers, ComponentTables
 from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
-from ..jpeg.markers import JpegImageInfo
+from ..jpeg.markers import JpegImageInfo, parse_jpeg
 from ..jpeg.parallel_huffman import (
     RestartSegment,
     decode_segment_coefficients,
@@ -438,8 +438,21 @@ def decode_speculative_chunk_task(
 
 
 # ---------------------------------------------------------------------------
-# Parent side: the decode-plan protocol and its three implementations.
+# Parent side: the one header read, the decode-plan protocol and its
+# three implementations.
 # ---------------------------------------------------------------------------
+
+def read_header(request: ImageRequest) -> JpegImageInfo | None:
+    """The parent's one look at *request*'s bytes, read by pricing, the
+    fan-out decision, the fan-out plans and the slot lease alike: its
+    header as the worker's own parse will see it (tolerant for salvage),
+    or None when that parse raises — the worker reports the precise
+    error, and a stream nobody could read is leased nothing."""
+    try:
+        return parse_jpeg(request.data, tolerant=request.salvage)
+    except (ReproError, ValueError):
+        return None
+
 
 @dataclass(frozen=True)
 class Subtask:
@@ -550,10 +563,12 @@ class WholeImagePlan(DecodePlan):
     task_name = "whole"
 
     def __init__(self, index: int, request: ImageRequest,
-                 lane: str | None, slot_bytes: int) -> None:
-        """*slot_bytes* is the decoded frame size (``w * h * 3``)."""
-        super().__init__(index, request, lane, [
-            Subtask(decode_image_task, (request,), slot_bytes)])
+                 lane: str | None, info: JpegImageInfo | None) -> None:
+        """The reply's slot is the decoded frame of the header *info*;
+        with none read (or none readable) the reply pickles."""
+        super().__init__(index, request, lane, [Subtask(
+            decode_image_task, (request,),
+            info.width * info.height * 3 if info is not None else 0)])
         self.result: ImageResult | None = None
 
     def task_args(self, unit: Subtask, ctx: TraceContext | None) -> tuple:

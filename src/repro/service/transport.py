@@ -27,10 +27,6 @@ Three cooperating pieces:
   working POSIX shared memory); everywhere else the service keeps the
   plain pickle path, so serial/thread backends behave exactly as
   before.
-
-:func:`peek_dimensions` rounds the module out: a marker-level SOF scan
-that tells the parent how many bytes to lease without paying a full
-header parse on the batch hot path.
 """
 
 from __future__ import annotations
@@ -218,19 +214,6 @@ def _attach(name: str):
         return shm
 
 
-#: Per-process shared-memory publish tallies (worker side): count of
-#: :func:`publish_plane` calls and total bytes copied.  Plain ints
-#: bumped under the GIL — cheap enough to stay on in every mode; the
-#: parent's /metrics scrapes its own process, workers expose theirs
-#: through trace spans (``shm_publish``).
-PUBLISH_COUNTERS = {"planes": 0, "bytes": 0}
-
-
-def publish_counters_snapshot() -> dict:
-    """Copy of this process's :data:`PUBLISH_COUNTERS`."""
-    return dict(PUBLISH_COUNTERS)
-
-
 def publish_plane(slot: PlaneSlot, array: np.ndarray,
                   offset: int = 0) -> PlaneRef:
     """Write *array* into *slot* at *offset*; return its descriptor.
@@ -249,8 +232,6 @@ def publish_plane(slot: PlaneSlot, array: np.ndarray,
     dst = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf,
                      offset=offset)
     np.copyto(dst, array)
-    PUBLISH_COUNTERS["planes"] += 1
-    PUBLISH_COUNTERS["bytes"] += array.nbytes
     return PlaneRef(segment=slot.name, offset=offset,
                     shape=tuple(array.shape), dtype=array.dtype.str)
 
@@ -472,47 +453,3 @@ class PlaneArena:
         """Context-manager exit: unlink everything."""
         self.close()
 
-
-# ---------------------------------------------------------------------------
-# Header peeking.
-# ---------------------------------------------------------------------------
-
-#: SOF markers that carry frame dimensions (C0-CF minus DHT/JPG/DAC).
-_SOF_MARKERS = frozenset(range(0xC0, 0xD0)) - {0xC4, 0xC8, 0xCC}
-
-
-def peek_dimensions(data: bytes) -> "tuple[int, int] | None":
-    """Cheap ``(width, height)`` peek from a JPEG's SOF header.
-
-    A marker-level scan (skip each segment by its length field) that
-    stops at the first frame header — no table parsing, no entropy
-    scan, so the batch dispatcher can size a transport lease in
-    microseconds.  Returns ``None`` for anything malformed; callers
-    then skip the lease and let the worker report the precise error.
-    """
-    n = len(data)
-    if n < 4 or data[0] != 0xFF or data[1] != 0xD8:  # SOI
-        return None
-    i = 2
-    while i + 3 < n:
-        if data[i] != 0xFF:
-            return None
-        marker = data[i + 1]
-        if marker == 0xFF:      # fill byte
-            i += 1
-            continue
-        if marker == 0xD9 or marker == 0xDA:  # EOI / SOS: no SOF seen
-            return None
-        length = (data[i + 2] << 8) | data[i + 3]
-        if length < 2 or i + 2 + length > n:
-            return None
-        if marker in _SOF_MARKERS:
-            if length < 7:
-                return None
-            height = (data[i + 5] << 8) | data[i + 6]
-            width = (data[i + 7] << 8) | data[i + 8]
-            if width <= 0 or height <= 0:
-                return None
-            return width, height
-        i += 2 + length
-    return None

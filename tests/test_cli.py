@@ -163,3 +163,15 @@ class TestSessionFlags:
                     session.decoder.pool.workers) == ("serial", 1)
         finally:
             session.close(drain=False)
+
+    def test_shard_depth_defaults_to_the_lanes_own(self):
+        from repro.cli import _serve_session, build_parser
+        from repro.service import RemoteLane
+
+        session = _serve_session(
+            build_parser().parse_args(["serve", "--hosts", "a:1"]))
+        try:
+            (lane,) = session.decoder.scheduler.executors
+            assert lane.depth == RemoteLane.depth
+        finally:
+            session.close(drain=False)

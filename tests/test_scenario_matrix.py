@@ -16,8 +16,10 @@ salvage path, asserting:
   never a hang, a worker crash, or a silent divergence.
 
 Satellites live here too: the named unsupported-SOF matrix (one case
-per marker 0xC0-0xCF) and ``peek_dimensions`` property tests over every
-SOF flavor and component count with junk segments fuzzed before SOF.
+per marker 0xC0-0xCF), property tests of the parent's one header read
+(``read_header``: fuzzed bytes and broken frame headers are ``None``,
+never an exception), the lease every cell gets from that read, and
+salvage routed identically with and without a scheduler.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from repro.jpeg import (
     parse_jpeg,
 )
 from repro.jpeg import constants as C
-from repro.service import BatchDecoder, ImageRequest
-from repro.service.transport import peek_dimensions
+from repro.service import BatchDecoder, ImageRequest, shm_available
+from repro.service.tasks import read_header
 
 # ---------------------------------------------------------------------------
 # The corpus: every valid cell of the scenario space, plus hostile
@@ -133,7 +135,7 @@ class TestValidMatrix:
             assert info.subsampling_mode == sub, name
             assert len(info.scans) == (1 if coding == "baseline"
                                        else 2 + 4 * ncomp[cs]), name
-            assert peek_dimensions(blob) == (96, 64), name
+            assert (info.width, info.height) == (96, 64), name
 
     def test_progressive_matches_baseline_twin(self, corpus, oracles):
         """The tentpole contract: a progressive re-encode carries the
@@ -342,11 +344,12 @@ class TestSofMarkerMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: peek_dimensions property tests (every SOF flavor, 1/3/4
-# components, junk segments fuzzed in front of the frame header).
+# Satellite: the parent's one header read (``read_header``) over fuzzed
+# bytes and broken frame headers — None, never an exception: the worker
+# reports the precise error, nothing is priced, fanned out or leased.
 # ---------------------------------------------------------------------------
 
-PEEK_SOF_MARKERS = sorted(frozenset(range(0xC0, 0xD0)) - {0xC4, 0xC8, 0xCC})
+SOF_MARKERS = sorted(frozenset(range(0xC0, 0xD0)) - {0xC4, 0xC8, 0xCC})
 
 
 def _sof_segment(marker: int, width: int, height: int, ncomp: int) -> bytes:
@@ -367,49 +370,147 @@ def _junk_segments(blobs: list[bytes]) -> bytes:
     return out
 
 
-class TestPeekDimensionsProperties:
+class TestReadHeaderProperties:
     @settings(max_examples=40, deadline=None)
-    @given(marker=st.sampled_from(PEEK_SOF_MARKERS),
-           width=st.integers(1, 0xFFFF), height=st.integers(1, 0xFFFF),
-           ncomp=st.sampled_from([1, 3, 4]),
-           junk=st.lists(st.binary(max_size=64), max_size=4))
-    def test_every_sof_flavor_peeks(self, marker, width, height, ncomp,
-                                    junk):
-        """The peek is marker-level: any SOFn (supported or not), any
-        component count, any pile of junk segments in front."""
-        blob = b"\xff\xd8" + _junk_segments(junk) \
-            + _sof_segment(marker, width, height, ncomp)
-        assert peek_dimensions(blob) == (width, height)
-
-    @settings(max_examples=40, deadline=None)
-    @given(junk=st.lists(st.binary(max_size=64), max_size=4))
-    def test_no_sof_means_none(self, junk):
+    @given(junk=st.lists(st.binary(max_size=64), max_size=4),
+           salvage=st.booleans())
+    def test_no_frame_means_none(self, junk, salvage):
         blob = b"\xff\xd8" + _junk_segments(junk) + b"\xff\xd9"
-        assert peek_dimensions(blob) is None
+        assert read_header(ImageRequest(data=blob, salvage=salvage)) is None
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.binary(max_size=256))
-    def test_arbitrary_bytes_never_raise(self, data):
-        result = peek_dimensions(data)
-        assert result is None or (result[0] > 0 and result[1] > 0)
+    @given(data=st.binary(max_size=256), salvage=st.booleans())
+    def test_arbitrary_bytes_never_raise(self, data, salvage):
+        for blob in (data, b"\xff\xd8" + data):
+            info = read_header(ImageRequest(data=blob, salvage=salvage))
+            assert info is None or (info.width > 0 and info.height > 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(marker=st.sampled_from(PEEK_SOF_MARKERS),
-           cut=st.integers(0, 16))
-    def test_truncated_header_is_none_not_an_exception(self, marker, cut):
-        blob = b"\xff\xd8" + _sof_segment(marker, 96, 64, 3)
-        assert peek_dimensions(blob[:len(blob) - 1 - cut]) is None
+    @given(marker=st.sampled_from(SOF_MARKERS), cut=st.integers(0, 16),
+           junk=st.lists(st.binary(max_size=64), max_size=4))
+    def test_truncated_header_is_none_not_an_exception(self, marker, cut,
+                                                       junk):
+        """A frame header with no scan behind it — whole or cut short,
+        any SOF flavor — is a stream the parser rejects."""
+        blob = b"\xff\xd8" + _junk_segments(junk) \
+            + _sof_segment(marker, 96, 64, 3)
+        assert read_header(ImageRequest(data=blob[:len(blob) - cut])) \
+            is None
 
     def test_table_markers_are_not_frames(self):
         """0xC4/0xC8/0xCC carry tables, not frame headers: a stream
-        holding only those yields None rather than bogus dimensions."""
+        holding only those has no header to read."""
         for marker in (0xC4, 0xC8, 0xCC):
             blob = b"\xff\xd8" + _sof_segment(marker, 96, 64, 3)
-            assert peek_dimensions(blob) is None
+            assert read_header(ImageRequest(data=blob)) is None
 
-    def test_corpus_members_peek_their_size(self, corpus):
+    def test_garbage_returns_none(self, corpus):
+        blob = corpus["baseline-ycbcr-4:2:0-96x64-q85"]
+        for bad in (b"", b"\x00" * 64, blob[:8], b"\xff\xd8\xff\xd9"):
+            assert read_header(ImageRequest(data=bad)) is None
+
+    def test_reads_what_the_worker_will_parse(self, corpus):
+        """Strict for a strict request, tolerant for a salvage one: a
+        truncated stream has a header only under salvage."""
         for name, blob in corpus.items():
-            assert peek_dimensions(blob) == (96, 64), name
+            info = read_header(ImageRequest(data=blob))
+            assert (info.width, info.height) == (96, 64), name
+            cut = hostile_variant(blob, "truncated")
+            assert read_header(ImageRequest(data=cut)) is None, name
+            salvaged = read_header(ImageRequest(data=cut, salvage=True))
+            assert (salvaged.width, salvaged.height) == (96, 64), name
+
+
+# ---------------------------------------------------------------------------
+# Satellite: every cell's lease comes from that one read.  Valid cells
+# lease exactly their frame and their pixels ride shared memory; a
+# stream whose header does not parse leases nothing; hostile cells come
+# back with the error ``decode_jpeg`` raises directly.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not shm_available(),
+                    reason="POSIX shared memory unavailable")
+class TestLeaseFromTheOneRead:
+    def test_every_cell_leases_its_frame_or_nothing(self, corpus, oracles):
+        cells = [(name, blob, oracles[name]) for name, blob in corpus.items()]
+        for name, blob in corpus.items():
+            for kind in HOSTILE_KINDS:
+                bad = hostile_variant(blob, kind)
+                cells.append((f"{name}/{kind}", bad, outcome(bad, "fast")))
+        with BatchDecoder(workers=2, backend="process", transport="shm",
+                          shm_min_bytes=0) as dec:
+            leased: list[int] = []
+            lease = dec.arena.lease
+            dec.arena.lease = lambda n: leased.append(n) or lease(n)
+            for context, blob, expected in cells:
+                del leased[:]
+                batch = dec.decode_batch([ImageRequest(data=blob)])
+                (res,) = batch.results
+                got = res.rgb if res.ok else (res.error_type, res.error)
+                assert_same_outcome(got, expected, context)
+                parses = read_header(ImageRequest(data=blob)) is not None
+                assert leased == ([64 * 96 * 3] if parses else []), context
+                assert (batch.stats.bytes_shm > 0) == res.ok, context
+                assert dec.arena.leaked() == [], context
+
+
+# ---------------------------------------------------------------------------
+# Satellite: salvage is routed, not lost.  A salvage request whose
+# header parses decodes whole on the reference path whatever scheduler
+# is attached: same pixels, damage map and recovered errors as the
+# direct salvage decode.
+# ---------------------------------------------------------------------------
+
+def _drop_restart_marker(blob: bytes) -> bytes:
+    """Overwrite one RST3 with two data bytes: the header parses, the
+    strict scan fails with a restart marker out of sequence."""
+    pos = blob.index(bytes([0xFF, 0xD3]), _entropy_start(blob))
+    return blob[:pos] + b"\x12\x34" + blob[pos + 2:]
+
+
+class TestSalvageBehindAScheduler:
+    @pytest.fixture(scope="class")
+    def damaged(self, corpus) -> dict[str, bytes]:
+        """Every hostile variant whose header still parses."""
+        from repro.data import synthetic_photo
+
+        cells = {f"{name}/{kind}": hostile_variant(blob, kind)
+                 for name, blob in corpus.items()
+                 for kind in ("bit-flipped", "stray-marker")}
+        rgb = synthetic_photo(64, 96, seed=0)
+        for cs, sub in (("gray", "4:4:4"), ("ycbcr", "4:2:2"),
+                        ("ycbcr", "4:2:0"), ("ycck", "4:1:1")):
+            blob = encode_jpeg(rgb, EncoderSettings(
+                quality=85, subsampling=sub, colorspace=cs,
+                restart_interval=2))
+            cells[f"dri-{cs}-{sub}/dropped-rst"] = _drop_restart_marker(blob)
+        return cells
+
+    def test_dropped_restart_marker_fails_strict(self, damaged):
+        for context, blob in damaged.items():
+            if context.endswith("dropped-rst"):
+                assert parse_jpeg(blob).restart_interval == 2
+                assert outcome(blob, "fast") == (
+                    "EntropyError",
+                    "restart marker out of sequence: RST4, expected RST3")
+
+    @pytest.mark.parametrize("scheduler", [None, "model", "roundrobin"])
+    def test_salvage_matches_the_direct_decode(self, damaged, scheduler):
+        with BatchDecoder(workers=2, backend="thread",
+                          scheduler=scheduler) as dec:
+            batch = dec.decode_batch([
+                ImageRequest(data=blob, request_id=context, salvage=True)
+                for context, blob in damaged.items()])
+        for res in batch:
+            want = decode_jpeg(damaged[res.request_id],
+                               DecodeOptions(salvage=True))
+            assert res.ok, (res.request_id, res.error)
+            assert res.segments == 1, res.request_id
+            assert np.array_equal(res.rgb, want.rgb), res.request_id
+            assert res.salvaged == want.salvaged, res.request_id
+            assert res.salvage_errors == list(want.errors), res.request_id
+            assert np.array_equal(res.error_regions, want.error_map), \
+                res.request_id
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,14 @@ class TestErrorIsolation:
         assert "RTX 9999" in res.error
 
 
+def _drain(q: SubmissionQueue, max_items: int) -> list:
+    """Take up to *max_items* in arrival order, nothing expired."""
+    taken, expired = q.take(max_items, key=lambda item: 0,
+                            expired=lambda item: False)
+    assert expired == []
+    return taken
+
+
 class TestQueueBackpressure:
     def test_nonblocking_put_raises_when_full(self):
         q = SubmissionQueue(capacity=2)
@@ -207,10 +215,10 @@ class TestQueueBackpressure:
     def test_put_unblocks_after_drain(self):
         q = SubmissionQueue(capacity=1)
         q.put("a", timeout=0)
-        assert q.get_batch(1) == ["a"]
+        assert _drain(q, 1) == ["a"]
         q.put("b", timeout=0)   # space freed: accepted again
-        assert q.get_batch(8) == ["b"]
-        assert q.get_batch(8) == []
+        assert _drain(q, 8) == ["b"]
+        assert _drain(q, 8) == []
 
     def test_closed_queue_rejects_puts_but_drains(self):
         q = SubmissionQueue(capacity=4)
@@ -218,7 +226,7 @@ class TestQueueBackpressure:
         q.close()
         with pytest.raises(ServiceClosedError):
             q.put("b")
-        assert q.get_batch(4) == ["a"]
+        assert _drain(q, 4) == ["a"]
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -291,3 +299,106 @@ class TestWorkerPool:
         pool.close()
         with pytest.raises(ServiceClosedError):
             pool.submit(lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# One look at the bytes: the parent parses a request's header at most
+# once (``tasks.read_header``), and not at all where nothing reads it.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def parent_parses(monkeypatch):
+    """Every ``parse_jpeg`` call made in this process, as the name of
+    the calling module.  Process-pool workers parse in their own
+    processes and never show up here; serial/thread "workers" do, under
+    ``repro.jpeg.*``."""
+    import sys
+
+    from repro.jpeg import markers
+
+    callers: list[str] = []
+    real = markers.parse_jpeg
+
+    def counting(data, tolerant=False):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(data, tolerant)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") \
+                and getattr(module, "parse_jpeg", None) is real:
+            monkeypatch.setattr(module, "parse_jpeg", counting)
+    return callers
+
+
+class TestOneHeaderRead:
+    ONE_EACH = ["repro.service.tasks"] * 4
+
+    def test_scheduled_batch_parses_each_request_once(self, corpus,
+                                                      parent_parses):
+        with BatchDecoder(workers=2, backend="process",
+                          scheduler="model") as dec:
+            parent_parses.clear()       # construction profiles the lanes
+            batch = dec.decode_batch(corpus)
+        assert batch.ok
+        assert parent_parses == self.ONE_EACH
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_forced_fanout_parses_each_request_once(self, tiny_rgb,
+                                                    scheduled,
+                                                    parent_parses):
+        """Segment and speculative plans are built from the one read —
+        also behind a scheduler (a GPU-only lane set places no 4:2:0
+        frame, so the forced knobs reach the fan-out decision)."""
+        from repro.evaluation import platforms
+        from repro.service import ModelScheduler
+        from repro.service.scheduler import ExecutorLane
+
+        blobs = [encode_jpeg(tiny_rgb, EncoderSettings(
+            quality=85, subsampling="4:2:0", restart_interval=dri))
+            for dri in (2, 0)]
+        scheduler = ModelScheduler(executors=(
+            ExecutorLane("gpu", "gpu", platforms.GTX560),)) \
+            if scheduled else None
+        with BatchDecoder(workers=2, backend="process",
+                          scheduler=scheduler) as dec:
+            parent_parses.clear()
+            batch = dec.decode_batch([
+                ImageRequest(data=b, split_segments=True, speculative=True)
+                for b in blobs])
+        assert parent_parses == ["repro.service.tasks"] * 2
+        segmented, speculated = batch.results
+        assert segmented.segments > 1 and not segmented.speculative
+        assert speculated.segments > 1 and speculated.speculative
+        for res, blob in zip(batch, blobs):
+            assert np.array_equal(res.rgb, decode_jpeg(blob).rgb)
+
+    def test_pumped_session_parses_each_request_once(self, corpus,
+                                                     sequential_rgbs,
+                                                     parent_parses):
+        with DecodeSession(workers=2, backend="process",
+                           scheduler="model") as sess:
+            parent_parses.clear()
+            handles = [sess.submit(b, timeout=None) for b in corpus]
+            results = [h.result(timeout=60) for h in handles]
+        assert parent_parses == self.ONE_EACH
+        for res, oracle in zip(results, sequential_rgbs):
+            assert np.array_equal(res.rgb, oracle)
+
+    def test_lease_alone_costs_one_parse(self, corpus, parent_parses):
+        with BatchDecoder(workers=2, backend="process", transport="shm",
+                          shm_min_bytes=0) as dec:
+            if dec.arena is None:
+                pytest.skip("POSIX shared memory unavailable")
+            batch = dec.decode_batch(corpus)
+        assert batch.ok and batch.stats.bytes_shm > 0
+        assert parent_parses == self.ONE_EACH
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_nothing_to_decide_costs_no_parse(self, corpus, backend,
+                                              parent_parses):
+        """No scheduler, no lease, enough whole images to fill the pool:
+        the only parses are the decodes' own."""
+        with BatchDecoder(workers=2, backend=backend) as dec:
+            batch = dec.decode_batch(corpus)
+        assert batch.ok
+        assert parent_parses == ["repro.jpeg.decoder"] * 4

@@ -115,6 +115,54 @@ class TestDecodeEndpoint:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
 
+    def test_non_numeric_content_length_maps_to_400(self, server):
+        """A Content-Length that is not a number is answered, not a
+        handler traceback and a reset connection."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"POST /decode HTTP/1.0\r\n"
+                         b"Content-Length: abc\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_salvage_header_survives_a_scheduler(self, small_rgb):
+        """X-Salvage behind ``--schedule model``: the request is routed
+        whole to the reference path, not placed on a lane whose
+        executor ignores ``salvage``."""
+        from repro.jpeg import DecodeOptions
+
+        blob = encode_jpeg(small_rgb, EncoderSettings(
+            quality=85, subsampling="4:2:2", restart_interval=4))
+        pos = blob.index(b"\xff\xd3")
+        bad = blob[:pos] + b"\x12\x34" + blob[pos + 2:]
+        want = decode_jpeg(bad, DecodeOptions(salvage=True))
+        assert want.salvaged
+        srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
+                               scheduler="model")
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(srv.url + "/decode", bad)
+            assert err.value.code == 400
+            assert json.loads(err.value.read())["error_type"] \
+                == "EntropyError"
+            req = urllib.request.Request(
+                srv.url + "/decode", data=bad, method="POST",
+                headers={"X-Salvage": "1"})
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                assert resp.status == 200
+                assert resp.headers["X-Salvaged"] == "1"
+                assert resp.read() == ppm_bytes(want.rgb)
+        finally:
+            srv.shutdown()
+            thread.join(timeout=30)
+            srv.close()
+
     def test_unknown_paths_404(self, server, blob):
         for method, path, data in (("GET", "/nope", None),
                                    ("POST", "/nope", blob)):

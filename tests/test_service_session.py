@@ -279,14 +279,27 @@ class TestQueueStress:
             t.start()
         return threads
 
+    @staticmethod
+    def _take(queue: SubmissionQueue, max_items: int,
+              arrived: threading.Event) -> list:
+        """Consume the way the session pump does: sleep on the queue's
+        ``on_change`` wake-up (cleared before the look, so no arrival
+        is slept through), then take in arrival order."""
+        arrived.wait(0.01)
+        arrived.clear()
+        taken, _ = queue.take(max_items, key=lambda item: 0,
+                              expired=lambda item: False)
+        return taken
+
     def test_blocking_producers_lose_nothing(self):
-        queue = SubmissionQueue(capacity=4)
+        arrived = threading.Event()
+        queue = SubmissionQueue(capacity=4, on_change=arrived.set)
         drained: list = []
         stop = threading.Event()
 
         def pump() -> None:
             while not stop.is_set() or len(queue):
-                drained.extend(queue.get_batch(3, timeout=0.01))
+                drained.extend(self._take(queue, 3, arrived))
 
         consumer = threading.Thread(target=pump)
         consumer.start()
@@ -309,13 +322,14 @@ class TestQueueStress:
     def test_failfast_producers_see_queuefull_only(self):
         """With timeout=0 and a slow consumer, some puts are rejected —
         but every accepted item still comes out exactly once."""
-        queue = SubmissionQueue(capacity=2)
+        arrived = threading.Event()
+        queue = SubmissionQueue(capacity=2, on_change=arrived.set)
         drained: list = []
         stop = threading.Event()
 
         def pump() -> None:
             while not stop.is_set() or len(queue):
-                drained.extend(queue.get_batch(1, timeout=0.001))
+                drained.extend(self._take(queue, 1, arrived))
 
         consumer = threading.Thread(target=pump)
         consumer.start()

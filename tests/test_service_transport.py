@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.jpeg.markers import parse_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeSession,
@@ -30,7 +29,6 @@ from repro.service import (
 from repro.service.transport import (
     PlaneRef,
     packed_nbytes,
-    peek_dimensions,
     publish_plane,
     publish_planes,
 )
@@ -183,20 +181,6 @@ class TestTransportResolution:
             BatchDecoder(backend="process", transport="carrier-pigeon")
         with pytest.raises(ServiceError):
             BatchDecoder(backend="process", lane_pools="auto")  # no scheduler
-
-
-class TestPeekDimensions:
-    def test_matches_full_parse(self, corpus):
-        for blob in corpus:
-            info = parse_jpeg(blob)
-            assert peek_dimensions(blob) == (info.width, info.height)
-
-    def test_garbage_returns_none(self, corpus):
-        assert peek_dimensions(b"") is None
-        assert peek_dimensions(b"\x00" * 64) is None
-        assert peek_dimensions(corpus[0][:8]) is None
-        # SOI followed by immediate EOI: no frame header
-        assert peek_dimensions(b"\xff\xd8\xff\xd9") is None
 
 
 # ---------------------------------------------------------------------------

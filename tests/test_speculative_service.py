@@ -250,10 +250,6 @@ class TestDispatchingPool:
     def test_lane_pool_decides_and_sizes(self, frame_mf, frame_dri):
         with BatchDecoder(backend="serial") as dec, \
                 WorkerPool(workers=3, backend="thread") as lane_pool:
-            assert dec._fanout_wanted(
-                ImageRequest(data=frame_mf), 1, dec.pool) == (0, 0)
-            assert dec._fanout_wanted(
-                ImageRequest(data=frame_mf), 1, lane_pool) == (1, 1)
             spec = dec._plan(0, ImageRequest(data=frame_mf), None,
                              lane_pool, 1)
             runs = dec._plan(0, ImageRequest(data=frame_dri), None,
