@@ -9,7 +9,7 @@ removes it and stops cleanly at a marker boundary.
 incrementally — simple and exactly specified, which is why it anchors
 the *reference* entropy engine.  The default decode path instead rides
 :mod:`repro.jpeg.fast_entropy`, which destuffs once up front and reads
-through a wide word buffer; this module remains the correctness oracle
+precomputed bit windows; this module remains the correctness oracle
 (and the writer used by the encoder).
 """
 

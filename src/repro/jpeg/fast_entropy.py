@@ -4,33 +4,38 @@ The paper's whole pipeline is gated by sequential Huffman decoding
 (Section 1), and in this reproduction that stage was the slowest code in
 the tree: :class:`~repro.jpeg.bitstream.BitReader` destuffed one byte at
 a time, every symbol paid a method call plus three bitstream calls, and
-the block loop dispatched per coefficient.  This module applies the
-standard libjpeg/GPU-decoder remedy in pure Python:
+the block loop dispatched per coefficient.  CPython charges per
+bytecode, so this module moves everything it can out of the per-symbol
+loop and into tables built once:
 
 1. **Destuffing prescan** (:func:`destuff_scan`): one vectorized pass
    converts the byte-stuffed scan into a contiguous marker-free payload
    plus a restart-marker offset index, so the inner loop never tests for
    ``0xFF``.
-2. **Word-buffered bit reader**: a Python-int accumulator refilled up
-   to eight bytes at a time (``jdhuff`` style) replaces per-byte
-   ``_fill`` traffic; the hot loop touches the buffer once per symbol.
-3. **Fused decode tables** (:class:`FusedDecodeTables`): a
-   ``FUSED_BITS``-wide probe yields a ready-to-use tuple
-   ``(bits, k_advance, value)`` — symbol decode, magnitude read and
-   EXTEND collapsed into a single table hit, with the run (or EOB / ZRL)
-   already expressed as the zig-zag advance it causes.  CPython charges
-   per bytecode, so one ``UNPACK_SEQUENCE`` beats the five
-   shift/mask/subtract operations a packed integer costs.  Codes the
-   probe cannot resolve fall back to the ``LOOKUP_BITS`` first-level
-   ``lookup`` and then to the MINCODE/MAXCODE walk over the
-   already-buffered bits.
+2. **The reader is one bit position.**  :meth:`ScanPrescan.windows_at`
+   precomputes, with a dozen numpy passes per span of payload, the next
+   ``PROBE_BITS`` bits at *every* bit offset (a ``uint16`` per bit).
+   Reading is ``win[p]``, consuming is ``p += bits``: no accumulator,
+   no refill test, no shift or mask in the loop.  Windows that reach
+   past a restart marker are zero-filled there, which is exactly what
+   the reference reader feeds past a marker, so the probe stays exact up
+   to the last bit of a restart segment.
+3. **One table hit carries two symbols**
+   (:class:`FusedDecodeTables`): ``probe[win[p]]`` is a ready-to-use
+   tuple ``(bits, k_advance, value, bits2, k_advance2, value2)`` —
+   symbol decode, magnitude read and EXTEND of one coefficient, and of
+   the symbol after it wherever both fit the window.  A wider window
+   alone buys nothing (a 10-bit one already resolved ~98 % of the
+   symbols); what it buys is room for the second symbol, which cuts
+   the number of loop iterations.
 4. **Flattened hot loop**: :meth:`FastEntropyDecoder.decode_mcu_rows`
    binds every table to a local, walks a per-MCU block plan computed
    once per decode, and stores coefficients through a typed
-   ``memoryview`` of each int16 plane (half the cost of a numpy scalar
-   ``__setitem__``; figures in ``docs/architecture.md``).  Restart
-   handling, the end-of-segment careful symbols and the long-code walk
-   are module-level helpers called only on their rare paths.
+   ``memoryview`` of each int16 plane.  Everything rare — a restart
+   boundary, the last bits of a segment, a symbol the probe does not
+   resolve — is a call to a module-level *careful* helper that reads
+   its bits from the payload at ``p`` with the reference reader's exact
+   pad / zero-feed / raise rules.
 5. **One bounded run** (:meth:`FastEntropyDecoder.decode_run`): the
    same loop over an MCU-strip geometry, stopped at an MCU count or a
    bit limit and optionally tracing ``(bit position, DC predictors)``
@@ -51,7 +56,6 @@ knob on :class:`~repro.jpeg.decoder.DecodeOptions`,
 
 from __future__ import annotations
 
-import struct
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -67,13 +71,7 @@ from .entropy import (
     EntropyDecoder,
     dc_range_error,
 )
-from .huffman import (
-    LOOKUP_BITS,
-    MAX_CODE_LENGTH,
-    HuffmanEncoder,
-    HuffmanSpec,
-    extend,
-)
+from .huffman import LOOKUP_BITS, MAX_CODE_LENGTH, HuffmanSpec, extend
 
 #: Sentinel for a scan that ends in a lone 0xFF (truncated stuffing pair).
 TRUNCATED_FF = -1
@@ -85,35 +83,31 @@ TRUNCATED_FF = -1
 #: indexing is the fastest per-coefficient lookup CPython offers.)
 _ZIGZAG_AFTER = (0,) + tuple(int(i) for i in ZIGZAG_ORDER)
 
-#: Width of the fused single-probe window.  Wider than the 8-bit
-#: first-level ``lookup`` so that code + magnitude pairs up to 10 bits
-#: resolve in one table hit.  (12-, 14- and 16-bit windows were measured
-#: and gain nothing on any corpus image: the 10-bit probe already
-#: resolves ~98 % of the symbols of the densest ones.)
-FUSED_BITS = 10
-_FUSED_MASK = (1 << FUSED_BITS) - 1
+#: Width of the probe window: ``win[p]`` is the next ``PROBE_BITS``
+#: payload bits and indexes ``FusedDecodeTables.probe`` directly.  13
+#: bits hold two code + magnitude pairs in 59-78 % of the Annex-K table
+#: slots; 14 pairs a few more but doubles the tables and their cold
+#: build for no measured gain, 16 thrashes the cache (figures in
+#: ``docs/architecture.md``).
+PROBE_BITS = 13
+
+#: Payload bytes per span of probe windows.  A window is two bytes per
+#: payload *bit*, so a decode holds 512 KiB of them however long its
+#: scan is, and the windows it reads are the ones it has just built.
+SPAN_BYTES = 1 << 15
+#: Windows built past the end of a span, so that a block which starts
+#: inside a span can finish in it: one block is at most 64 symbols of at
+#: most 31 bits (16-bit code + 15-bit magnitude) — under 256 bytes.
+_SPAN_MARGIN = 256
 
 #: ``k_advance`` of a fused EOB entry: from any ``k`` it lands past the
 #: last coefficient, which is what ends the block loop.
 EOB_ADVANCE = 64
 #: ``k_advance`` of a fused ZRL entry (sixteen zeros, nothing stored).
 ZRL_ADVANCE = 16
-#: The only AC symbols of size 0 the reference decoder accepts.
-_SIZE0_ADVANCE = {EOB_SYMBOL: EOB_ADVANCE, ZRL_SYMBOL: ZRL_ADVANCE}
 
-#: The hot loop tops up the accumulator whenever fewer than this many
-#: bits are buffered; 32 covers the worst fast-path consumption of one
-#: symbol (16-bit code + 15-bit AC magnitude = 31 bits).
-_REFILL_THRESHOLD = 32
-
-#: ``_LOW_MASKS[n] == (1 << n) - 1`` for every width the hot loop masks
-#: to: stale accumulator bits below the refill threshold, and magnitude
-#: fields (also EXTEND's offset: ``extend(m, s) == m - _LOW_MASKS[s]``
-#: for the negative half).
-_LOW_MASKS = tuple((1 << n) - 1 for n in range(_REFILL_THRESHOLD))
-
-#: Bulk refill: eight payload bytes as one big-endian integer.
-_READ8 = struct.Struct(">Q").unpack_from
+#: What a reader that zero-feeds past its segment may consume: no limit.
+_UNBOUNDED = 1 << 62
 
 _AC_OVERRUN = "AC coefficient index overran the block"
 
@@ -143,6 +137,9 @@ class ScanPrescan:
     terminator: int | None = None
     piece_payload_starts: list[int] = field(default_factory=lambda: [0])
     piece_orig_starts: list[int] = field(default_factory=lambda: [0])
+    #: ``(span, windows)`` of the span built last, see :meth:`windows_at`.
+    _windows: tuple[int, memoryview] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def orig_offset(self, payload_pos: int) -> int:
         """Original-stream byte offset equivalent to *payload_pos*."""
@@ -154,6 +151,59 @@ class ScanPrescan:
     def restart_count(self) -> int:
         """Number of RSTn markers indexed by the prescan."""
         return len(self.marker_payload_offsets)
+
+    def windows_at(self, bit: int) -> tuple[int, memoryview]:
+        """Probe windows of the payload span that holds bit position
+        *bit*, as ``(win0, win)``: ``win[p]`` is the ``PROBE_BITS`` bits
+        at payload bit ``win0 + p``, for every bit of the span
+        (``SPAN_BYTES`` from ``win0``) and ``_SPAN_MARGIN`` bytes past
+        it.  Bits past the payload, and past the restart marker that
+        ends the segment a window starts in, read as zero.
+
+        Built on first use and kept until another span is asked for:
+        decoders that share a prescan (the stitcher's repairs) build a
+        span once, and a decode holds one span however long its scan.
+        """
+        span = bit // (SPAN_BYTES << 3)
+        cached = self._windows
+        if cached is None or cached[0] != span:
+            cached = self._windows = (span, _probe_windows(self, span))
+        return span * (SPAN_BYTES << 3), cached[1]
+
+    def __getstate__(self) -> dict:
+        """Pickle the digest, not the windows derived from it."""
+        return {**self.__dict__, "_windows": None}
+
+
+def _probe_windows(scan: ScanPrescan, span: int) -> memoryview:
+    """Build the windows of :meth:`ScanPrescan.windows_at` for payload
+    bytes ``[span * SPAN_BYTES, (span + 1) * SPAN_BYTES)``."""
+    payload = scan.payload
+    start = span * SPAN_BYTES
+    n = max(0, min(len(payload) - start, SPAN_BYTES + _SPAN_MARGIN))
+    b = np.zeros(n + 2, dtype=np.uint32)
+    raw = np.frombuffer(payload, dtype=np.uint8)[start:start + n + 2]
+    b[:raw.size] = raw
+    # 24 bits from each byte on; bit offset r of byte i keeps 16 of them.
+    v = (b[:-2] << 16) | (b[1:-1] << 8) | b[2:]
+    win = np.empty((n, 8), dtype=np.uint16)
+    for r in range(8):
+        np.right_shift(v, 8 - r, out=win[:, r], casting="unsafe")
+    flat = win.reshape(-1)
+    flat >>= 16 - PROBE_BITS
+    # A window j < PROBE_BITS bits before a restart marker keeps its j
+    # real bits; what follows is the next segment, not the zeros the
+    # reference reader feeds there.
+    marks = scan.marker_payload_offsets
+    ends = (np.asarray(marks[bisect_right(marks, start):
+                             bisect_right(marks, start + n + 1)],
+                       dtype=np.int64) - start) << 3
+    if ends.size:
+        for j in range(1, PROBE_BITS):
+            at = ends - j
+            flat[at[(at >= 0) & (at < flat.size)]] &= (
+                0xFFFF << (PROBE_BITS - j)) & 0xFFFF
+    return memoryview(flat)
 
 
 def destuff_scan(data: bytes | bytearray | memoryview | np.ndarray) -> ScanPrescan:
@@ -220,10 +270,12 @@ def destuff_scan(data: bytes | bytearray | memoryview | np.ndarray) -> ScanPresc
 class FusedDecodeTables:
     """Per-(spec, role) decode tables for the fast path.
 
-    ``fused[p]`` for a ``FUSED_BITS``-wide prefix *p* is the complete,
-    ready-to-use outcome of decoding one symbol whose code *and*
-    magnitude bits both fit in the prefix — a tuple
-    ``(bits, k_advance, value)``:
+    ``probe[w]`` for a ``PROBE_BITS``-wide window *w* is the complete,
+    ready-to-use outcome of decoding the symbol(s) whose code *and*
+    magnitude bits fit in the window.  In the DC role it is a triple
+    ``(bits, k_advance, value)``; in the AC role the triple of the first
+    symbol followed by the triple of the second,
+    ``(bits, k_advance, value, bits2, k_advance2, value2)``:
 
     - ``bits``: code length plus magnitude width, what the reader
       consumes;
@@ -236,27 +288,35 @@ class FusedDecodeTables:
       the predictor).  In the AC role 0 can only mean EOB or ZRL, since
       EXTEND never produces 0 for a non-zero size.
 
+    The second triple is the single-symbol decode of the bits behind
+    the first, present when the first symbol is a coefficient (nothing
+    is paired after EOB or ZRL) and the second fits what is left of the
+    window; ``(0, 0, 0)`` otherwise, which the loop can apply blindly.
+    The loop must not apply it when the first coefficient was the
+    block's last (zig-zag 63): those bits are the next block's DC code.
+
     ``None`` means "not resolvable in one probe": the decoder falls
-    back to ``lookup`` (``LOOKUP_BITS``-wide, ``(length << 8) | symbol``,
-    magnitude read separately) and then to the MINCODE/MAXCODE walk for
-    longer codes.  Symbols the reference decoder would reject (DC
-    category > 11, AC size-0 symbols other than EOB/ZRL) are never
-    fused, so the fallback path raises the exact reference errors.
+    back to the careful helpers, which use ``lookup``
+    (``LOOKUP_BITS``-wide, ``(length << 8) | symbol``, magnitude read
+    separately) and the MINCODE/MAXCODE walk for longer codes.  Symbols
+    the reference decoder would reject (DC category > 11, AC size-0
+    symbols other than EOB/ZRL) are never fused in either slot, so the
+    fallback path raises the exact reference errors.
     """
 
-    __slots__ = ("fused", "lookup", "mincode", "maxcode", "valptr", "values")
+    __slots__ = ("spec", "role", "_probe", "lookup", "mincode", "maxcode",
+                 "valptr", "values")
 
     def __init__(self, spec: HuffmanSpec, role: str) -> None:
-        """Build all decode tables for *spec* acting as *role* ("dc"/"ac")."""
-        enc = HuffmanEncoder(spec)
-        self.fused: list[tuple[int, int, int] | None] = (
-            [None] * (1 << FUSED_BITS))
-        self.lookup = [0] * (1 << LOOKUP_BITS)
+        """Build the symbol-at-a-time tables for *spec* acting as *role*
+        ("dc"/"ac"); :attr:`probe` is left to its first use."""
+        self.spec = spec
+        self.role = role
+        self._probe: list | None = None
         self.mincode = [0] * (MAX_CODE_LENGTH + 1)
         self.maxcode = [-1] * (MAX_CODE_LENGTH + 1)
         self.valptr = [0] * (MAX_CODE_LENGTH + 1)
         self.values = tuple(int(v) for v in spec.values)
-
         code = 0
         k = 0
         for length in range(1, MAX_CODE_LENGTH + 1):
@@ -268,27 +328,90 @@ class FusedDecodeTables:
                 k += count
                 self.maxcode[length] = code - 1
             code <<= 1
+        lens, starts, syms = _canonical(spec)
+        owner = _window_owners(starts, LOOKUP_BITS)
+        self.lookup = np.where(
+            lens[owner] <= LOOKUP_BITS, (lens[owner] << 8) | syms[owner], 0
+        ).tolist()
 
-        for symbol in enc.symbols:
-            c, length = enc.code_for(symbol)
-            if length <= LOOKUP_BITS:
-                shift = LOOKUP_BITS - length
-                self.lookup[c << shift:(c + 1) << shift] = (
-                    [(length << 8) | symbol] * (1 << shift))
-            if role == "dc":
-                size, advance = symbol, (1 if symbol <= 11 else None)
-            else:
-                size = symbol & 0x0F
-                advance = ((symbol >> 4) + 1 if size
-                           else _SIZE0_ADVANCE.get(symbol))
-            total = length + size
-            if advance is None or total > FUSED_BITS:
-                continue
-            span = 1 << (FUSED_BITS - total)
-            for m in range(1 << size):
-                first = ((c << size) | m) * span
-                self.fused[first:first + span] = (
-                    [(total, advance, extend(m, size))] * span)
+    @property
+    def probe(self) -> list:
+        """The ``PROBE_BITS``-wide table, built on first use: it is the
+        cold cost of a table (0.6 ms for an AC one), and the progressive
+        decoder — a fresh set of optimized tables per scan, read one
+        symbol at a time through ``lookup`` — never asks for it."""
+        if self._probe is None:
+            self._probe = _probe_table(*_canonical(self.spec), self.role)
+        return self._probe
+
+
+def _canonical(spec: HuffmanSpec):
+    """``(lens, starts, syms)`` of *spec*'s symbols in canonical order.
+    Canonical codes fill the code space in order, so symbol i owns the
+    16-bit-aligned range ``[starts[i], starts[i + 1])``; whatever no
+    code owns goes to a sentinel of length 17, too long for any window.
+    """
+    lens = np.repeat(np.arange(1, MAX_CODE_LENGTH + 2, dtype=np.int32),
+                     spec.bits + (1,))
+    starts = np.zeros(lens.size, dtype=np.int32)
+    np.cumsum(1 << (MAX_CODE_LENGTH - lens[:-1]), out=starts[1:])
+    return lens, starts, np.array(spec.values + (0,), dtype=np.int32)
+
+
+def _window_owners(starts: np.ndarray, width: int) -> np.ndarray:
+    """Index of the symbol whose code range holds each *width*-bit
+    window (left-aligned to 16 bits), for all ``1 << width`` windows."""
+    shift = MAX_CODE_LENGTH - width
+    edges = (starts + ((1 << shift) - 1)) >> shift
+    return np.repeat(np.arange(starts.size, dtype=np.int32),
+                     np.diff(edges, append=1 << width))
+
+
+def _probe_table(lens: np.ndarray, starts: np.ndarray, syms: np.ndarray,
+                 role: str) -> list:
+    """``FusedDecodeTables.probe`` for canonical symbols *syms* with
+    code lengths *lens* and 16-bit-aligned code *starts*.
+
+    Vectorised over the windows: per-symbol facts (bits consumed,
+    advance, magnitude mask) are gathered per window, the second symbol
+    of an AC entry is the first symbol of the window shifted past the
+    first, and one tuple is made per run of equal windows.
+    """
+    width = PROBE_BITS
+    if role == "dc":
+        size, advance = syms, (syms <= 11).astype(np.int32)
+    else:
+        size = syms & 15
+        advance = np.where(size > 0, (syms >> 4) + 1, 0)
+        advance[syms == EOB_SYMBOL] = EOB_ADVANCE
+        advance[syms == ZRL_SYMBOL] = ZRL_ADVANCE
+    total = lens + size
+    fused = (advance > 0) & (total <= width)
+    total, advance, size = total * fused, advance * fused, size * fused
+    full = (1 << size) - 1      # magnitude mask, and EXTEND's offset
+    half = (1 << size) >> 1     # magnitudes below it are negative
+
+    x = np.arange(1 << width, dtype=np.int32)
+    owner = _window_owners(starts, width)
+    bits, adv = total[owner], advance[owner]
+    m = (x >> (width - bits)) & full[owner]
+    val = m - (m < half[owner]) * full[owner]
+    cols = [bits, adv, val]
+    if role == "ac":
+        rest = (x << bits) & ((1 << width) - 1)
+        bits2 = bits[rest]
+        paired = (val != 0) & (bits2 > 0) & (bits + bits2 <= width)
+        cols += [bits2 * paired, adv[rest] * paired, val[rest] * paired]
+
+    change = np.zeros(x.size, dtype=bool)
+    change[0] = True
+    for c in cols:
+        change[1:] |= c[1:] != c[:-1]
+    first = np.flatnonzero(change)
+    entries = np.fromiter(zip(*(c[first].tolist() for c in cols)),
+                          dtype=object, count=first.size)
+    entries[bits[first] == 0] = None
+    return np.repeat(entries, np.diff(first, append=x.size)).tolist()
 
 
 _TABLE_CACHE: dict[tuple[HuffmanSpec, str], FusedDecodeTables] = {}
@@ -325,88 +448,82 @@ def fused_tables(spec: HuffmanSpec, role: str) -> FusedDecodeTables:
 
 
 # ---------------------------------------------------------------------------
-# Careful (end-of-payload) helpers.
+# Careful helpers.
 #
-# The fast loop only runs while >= _REFILL_THRESHOLD real bits are
-# buffered, where the reference reader can neither pad nor raise.  Near
-# the end of a segment these helpers emulate BitReader's exact
-# peek/read/zero-feed semantics so adversarial streams fail with the
-# same exceptions in both engines.
+# The probe is exact only while the reference reader could neither pad
+# nor raise inside its window.  Everything else — the last bits of a
+# segment, a symbol the probe does not resolve — goes through these
+# helpers, which read their few bits straight from the payload at bit
+# position ``p`` and emulate BitReader's exact peek/read/zero-feed
+# semantics, so adversarial streams fail with the same exceptions in
+# both engines.  They are valid anywhere in a segment.
 # ---------------------------------------------------------------------------
 
-def _careful_symbol(acc: int, nbits: int, pos: int, seg_end: int,
-                    zero_feed: bool, trunc: bool, payload: bytes,
-                    tab: FusedDecodeTables):
-    """Decode one symbol with reference peek/pad semantics.
+def _bits_at(payload: bytes, p: int, n: int, seg_bits: int) -> int:
+    """The *n* (at most 32) bits at bit position *p* of *payload*.
+    Bits at or past *seg_bits*, the (byte-aligned) end of the segment,
+    read as zero: the reference reader's zero feed or pad."""
+    i = p >> 3
+    stop = i + 5
+    if stop <= seg_bits >> 3:
+        word = int.from_bytes(payload[i:stop], "big")
+    elif p < seg_bits:
+        word = int.from_bytes(payload[i:seg_bits >> 3], "big") << (
+            (stop << 3) - seg_bits)
+    else:
+        return 0
+    return (word >> (40 - (p & 7) - n)) & ((1 << n) - 1)
 
-    Returns ``(symbol, acc, nbits, pos)``.
+
+def _exhausted(trunc: bool) -> BitstreamError:
+    """What the reference reader raises when asked for bits it has not."""
+    return BitstreamError("truncated stream after 0xFF" if trunc
+                          else "bitstream exhausted")
+
+
+def _careful_symbol(p: int, seg_bits: int, zero_feed: bool, trunc: bool,
+                    payload: bytes, tab: FusedDecodeTables):
+    """Decode one symbol at *p* with reference peek/pad semantics.
+
+    Returns ``(symbol, p, avail)``.  *avail* is the bit position up to
+    which the reference reader holds bits after this symbol — it pads
+    its ``LOOKUP_BITS`` peek with zeros at the end of the data, and
+    reads behind the symbol may use up that padding before they raise:
+    hand it to :func:`_careful_read_bits`.
     """
-    # Drop stale consumed bits so the accumulator stays bounded even
-    # when every symbol of a long zero-padded tail passes through here.
-    acc &= (1 << nbits) - 1
-    # peek_bits(LOOKUP_BITS): fill from payload, zero-feed past a marker,
-    # or zero-pad on exhaustion (reference peek catches BitstreamError).
-    while nbits < LOOKUP_BITS:
-        if pos < seg_end:
-            acc = (acc << 8) | payload[pos]
-            pos += 1
-            nbits += 8
-        elif zero_feed:
-            acc <<= 8
-            nbits += 8
-        else:
-            acc <<= LOOKUP_BITS - nbits
-            nbits = LOOKUP_BITS
-            break
-    packed = tab.lookup[(acc >> (nbits - LOOKUP_BITS)) & 0xFF]
+    if zero_feed:
+        avail = _UNBOUNDED
+    elif p + LOOKUP_BITS <= seg_bits:
+        avail = seg_bits
+    else:
+        avail = p + LOOKUP_BITS     # the reference pads its peek
+    code = _bits_at(payload, p, MAX_CODE_LENGTH, seg_bits)
+    packed = tab.lookup[code >> (MAX_CODE_LENGTH - LOOKUP_BITS)]
     if packed:
-        return packed & 0xFF, acc, nbits - (packed >> 8), pos
-    # slow path: consume the 8 peeked bits, then walk one bit at a time
-    code = (acc >> (nbits - LOOKUP_BITS)) & 0xFF
-    nbits -= LOOKUP_BITS
+        return packed & 0xFF, p + (packed >> 8), avail
+    # slow path: the peeked bits are consumed, then one bit at a time
     maxcode = tab.maxcode
     for length in range(LOOKUP_BITS + 1, MAX_CODE_LENGTH + 1):
-        while nbits < 1:  # read_bits(1) semantics: may raise
-            if pos < seg_end:
-                acc = (acc << 8) | payload[pos]
-                pos += 1
-                nbits += 8
-            elif zero_feed:
-                acc <<= 8
-                nbits += 8
-            elif trunc:
-                raise BitstreamError("truncated stream after 0xFF")
-            else:
-                raise BitstreamError("bitstream exhausted")
-        nbits -= 1
-        code = (code << 1) | ((acc >> nbits) & 1)
-        if code <= maxcode[length]:
-            sym = tab.values[tab.valptr[length] + code - tab.mincode[length]]
-            return sym, acc, nbits, pos
+        if p + length > avail:
+            raise _exhausted(trunc)
+        c = code >> (MAX_CODE_LENGTH - length)
+        if c <= maxcode[length]:
+            sym = tab.values[tab.valptr[length] + c - tab.mincode[length]]
+            return sym, p + length, avail
     raise HuffmanError("undecodable Huffman code")
 
 
-def _careful_read_bits(n: int, acc: int, nbits: int, pos: int, seg_end: int,
-                       zero_feed: bool, trunc: bool, payload: bytes):
-    """read_bits(n) with reference refill/exhaustion semantics.
+def _careful_read_bits(n: int, p: int, avail: int, seg_bits: int,
+                       trunc: bool, payload: bytes):
+    """read_bits(n) at *p* with reference exhaustion semantics: raises
+    when the read runs past *avail* (see :func:`_careful_symbol`; the
+    end of the segment when no symbol was decoded in it yet).
 
-    Returns ``(value, acc, nbits, pos)``.
+    Returns ``(value, p)``.
     """
-    acc &= (1 << nbits) - 1
-    while nbits < n:
-        if pos < seg_end:
-            acc = (acc << 8) | payload[pos]
-            pos += 1
-            nbits += 8
-        elif zero_feed:
-            acc <<= 8
-            nbits += 8
-        elif trunc:
-            raise BitstreamError("truncated stream after 0xFF")
-        else:
-            raise BitstreamError("bitstream exhausted")
-    nbits -= n
-    return (acc >> nbits) & ((1 << n) - 1), acc, nbits, pos
+    if p + n > avail:
+        raise _exhausted(trunc)
+    return _bits_at(payload, p, n, seg_bits), p + n
 
 
 class _Passed:
@@ -428,106 +545,64 @@ def _pass_or_raise(tolerant: "_Passed | None", message: str) -> None:
     tolerant.count += 1
 
 
-def _careful_dc(acc: int, nbits: int, pos: int, seg_end: int,
-                zero_feed: bool, trunc: bool, payload: bytes,
-                tab: FusedDecodeTables, tolerant: "_Passed | None"):
-    """Decode one DC difference with reference semantics — the path of
-    every DC symbol the fused probe does not resolve, anywhere in a
-    segment.
+def _careful_dc(p: int, seg_bits: int, zero_feed: bool, trunc: bool,
+                payload: bytes, tab: FusedDecodeTables,
+                tolerant: "_Passed | None"):
+    """Decode one DC difference at *p* with reference semantics — the
+    path of every DC symbol the probe does not resolve.
 
-    Returns ``(diff, acc, nbits, pos)``.
+    Returns ``(diff, p)``.
     """
-    s, acc, nbits, pos = _careful_symbol(
-        acc, nbits, pos, seg_end, zero_feed, trunc, payload, tab)
+    s, p, avail = _careful_symbol(p, seg_bits, zero_feed, trunc, payload, tab)
     if s > 11:
         _pass_or_raise(tolerant, f"DC category {s} out of range")
         s = 0
     if s == 0:
-        return 0, acc, nbits, pos
-    m, acc, nbits, pos = _careful_read_bits(
-        s, acc, nbits, pos, seg_end, zero_feed, trunc, payload)
-    return extend(m, s), acc, nbits, pos
+        return 0, p
+    m, p = _careful_read_bits(s, p, avail, seg_bits, trunc, payload)
+    return extend(m, s), p
 
 
-def _careful_ac(k: int, acc: int, nbits: int, pos: int, seg_end: int,
-                zero_feed: bool, trunc: bool, payload: bytes,
-                tab: FusedDecodeTables, tolerant: "_Passed | None"):
-    """Decode one AC symbol at zig-zag index *k* with reference
-    semantics — the path of the last symbols of a segment, where the
-    reader may have to pad or raise.
+def _careful_ac(k: int, p: int, seg_bits: int, zero_feed: bool, trunc: bool,
+                payload: bytes, tab: FusedDecodeTables,
+                tolerant: "_Passed | None"):
+    """Decode one AC symbol at *p*, zig-zag index *k*, with reference
+    semantics — the path of the symbols the probe does not resolve and
+    of the last ones of a segment, where the reader may pad or raise.
 
-    Returns ``(k, value, acc, nbits, pos)`` with *k* advanced the way a
-    fused entry advances it: past the coefficient when *value* is
-    non-zero (store it at ``_ZIGZAG_AFTER[k]``), by 16 for ZRL, to
-    :data:`EOB_ADVANCE` when the block ends here.
+    Returns ``(k, value, p)`` with *k* advanced the way a fused entry
+    advances it: past the coefficient when *value* is non-zero (store it
+    at ``_ZIGZAG_AFTER[k]``), by 16 for ZRL, to :data:`EOB_ADVANCE` when
+    the block ends here.
     """
-    sym, acc, nbits, pos = _careful_symbol(
-        acc, nbits, pos, seg_end, zero_feed, trunc, payload, tab)
+    sym, p, avail = _careful_symbol(
+        p, seg_bits, zero_feed, trunc, payload, tab)
     size = sym & 0x0F
     if size == 0:
         if sym == ZRL_SYMBOL:
-            return k + ZRL_ADVANCE, 0, acc, nbits, pos
+            return k + ZRL_ADVANCE, 0, p
         if sym != EOB_SYMBOL:
             _pass_or_raise(tolerant, f"bad AC symbol {sym:#x}")
-        return EOB_ADVANCE, 0, acc, nbits, pos
+        return EOB_ADVANCE, 0, p
     k += (sym >> 4) + 1
     if k > 64:
         _pass_or_raise(tolerant, _AC_OVERRUN)
-    m, acc, nbits, pos = _careful_read_bits(
-        size, acc, nbits, pos, seg_end, zero_feed, trunc, payload)
+    m, p = _careful_read_bits(size, p, avail, seg_bits, trunc, payload)
     if k > 64:
-        return EOB_ADVANCE, 0, acc, nbits, pos
-    return k, extend(m, size), acc, nbits, pos
-
-
-def _long_symbol(code: int, tab: FusedDecodeTables) -> tuple[int, int]:
-    """Resolve a code longer than ``LOOKUP_BITS`` from *code*, the next
-    ``MAX_CODE_LENGTH`` buffered bits (MINCODE/MAXCODE walk).
-
-    Returns ``(symbol, code length)``.
-    """
-    maxcode = tab.maxcode
-    for length in range(LOOKUP_BITS + 1, MAX_CODE_LENGTH + 1):
-        c = code >> (MAX_CODE_LENGTH - length)
-        if c <= maxcode[length]:
-            return (tab.values[tab.valptr[length] + c - tab.mincode[length]],
-                    length)
-    raise HuffmanError("undecodable Huffman code")
-
-
-def _refill_tail(acc: int, nbits: int, pos: int, seg_end: int,
-                 zero_feed: bool, phantom: int, payload: bytes):
-    """Top up the accumulator within eight bytes of the segment end.
-
-    Takes whatever real bytes remain; when a marker ends the segment
-    the reference reader zero-feeds there, so the fast path may too —
-    32 phantom bits, counted in *phantom* so positions stay exact.
-    Returns ``(acc, nbits, pos, phantom)``; ``nbits`` still below the
-    refill threshold means the careful path has to take over.
-    """
-    acc &= _LOW_MASKS[nbits]
-    take = seg_end - pos
-    if take > 0:
-        acc = (acc << (take << 3)) | int.from_bytes(
-            payload[pos:seg_end], "big")
-        nbits += take << 3
-        pos = seg_end
-    if nbits < _REFILL_THRESHOLD and zero_feed:
-        acc <<= 32
-        nbits += 32
-        phantom += 32
-    return acc, nbits, pos, phantom
+        return EOB_ADVANCE, 0, p
+    return k, extend(m, size), p
 
 
 def _segment_bounds(scan: ScanPrescan, rst_idx: int):
-    """``(seg_end, zero_feed, trunc)`` of the segment that ends at
-    restart marker *rst_idx* (or at the end of the payload): where it
-    ends and how the reference reader behaves there — it zero-feeds at
-    a marker and raises on exhaustion or a truncated ``0xFF`` pair."""
+    """``(seg_bits, zero_feed, trunc)`` of the segment that ends at
+    restart marker *rst_idx* (or at the end of the payload): the bit
+    position where it ends and how the reference reader behaves there —
+    it zero-feeds at a marker and raises on exhaustion or a truncated
+    ``0xFF`` pair."""
     if rst_idx < scan.restart_count:
-        return scan.marker_payload_offsets[rst_idx], True, False
+        return scan.marker_payload_offsets[rst_idx] << 3, True, False
     term = scan.terminator
-    return (len(scan.payload),
+    return (len(scan.payload) << 3,
             term is not None and term != TRUNCATED_FF,
             term == TRUNCATED_FF)
 
@@ -538,8 +613,8 @@ def _next_segment(scan: ScanPrescan, rst_idx: int, first_restart: int):
     of the prescan's first marker in its scan's RST0..RST7 cycle (not 0
     for a run of restart segments cut out of a longer scan).
 
-    Returns ``(pos, seg_end, zero_feed, trunc)`` of the segment behind
-    the marker; the caller clears the bit buffer and the DC predictors.
+    Returns ``(p, seg_bits, zero_feed, trunc)`` of the segment behind
+    the marker; the caller clears the DC predictors.
     """
     if rst_idx >= scan.restart_count:
         term = scan.terminator
@@ -553,8 +628,92 @@ def _next_segment(scan: ScanPrescan, rst_idx: int, first_restart: int):
         raise EntropyError(
             f"restart marker out of sequence: RST{found}, "
             f"expected RST{expected}")
-    return (scan.marker_payload_offsets[rst_idx],
+    return (scan.marker_payload_offsets[rst_idx] << 3,
             *_segment_bounds(scan, rst_idx + 1))
+
+
+def _probe_end(seg_bits: int, zero_feed: bool) -> int:
+    """Last bit position of a segment at which the probe is exact.  At
+    a marker the windows are zero-filled like the reference's feed, so
+    every real bit qualifies; where the data just ends the reference
+    pads or raises, and only a window of real bits is safe."""
+    return seg_bits - 1 if zero_feed else seg_bits - PROBE_BITS
+
+
+class SegmentedReader:
+    """Symbol-at-a-time bit reader over one destuffed scan — what the
+    progressive decoder reads through.
+
+    The reader is one bit position ``p`` over the prescan's probe
+    windows (:meth:`ScanPrescan.windows_at`): up to ``fast_end`` a symbol
+    is a ``lookup`` hit on the window at ``p`` and raw bits are its top
+    bits.  Restart markers split the payload into segments;
+    :meth:`next_segment` moves to the next boundary.  The last bits of a
+    segment go through the careful helpers, so exhaustion and truncation
+    raise the same canonical errors as the baseline engines.
+    """
+
+    __slots__ = ("scan", "payload", "seg", "p", "seg_bits", "zero_feed",
+                 "trunc", "avail", "win", "win0", "fast_end")
+
+    def __init__(self, scan: ScanPrescan) -> None:
+        """Stand at the first bit of *scan*'s first segment."""
+        self.scan = scan
+        self.payload = scan.payload
+        self.seg = -1
+        self.next_segment()
+
+    def next_segment(self) -> None:
+        """Advance to the next restart segment, resetting bit state."""
+        self.seg += 1
+        scan = self.scan
+        if self.seg > scan.restart_count:
+            raise EntropyError("missing restart marker in progressive scan")
+        self.p = (scan.marker_payload_offsets[self.seg - 1] << 3
+                  if self.seg else 0)
+        self.seg_bits, self.zero_feed, self.trunc = _segment_bounds(
+            scan, self.seg)
+        #: How far raw reads may go before they raise: the segment end,
+        #: or past it by what the last symbol's peek padded.
+        self.avail = _UNBOUNDED if self.zero_feed else self.seg_bits
+        self._enter_span()
+
+    def _enter_span(self) -> None:
+        """Load the probe windows of the span that holds ``p``."""
+        self.win0, self.win = self.scan.windows_at(self.p)
+        #: Last position whose window is loaded and an exact probe.
+        self.fast_end = min(_probe_end(self.seg_bits, self.zero_feed),
+                            self.win0 + (SPAN_BYTES << 3) - 1)
+
+    def _rolled(self) -> bool:
+        """``p`` is past ``fast_end``: move to its span if that is why.
+        True when the window at ``p`` can be used after all."""
+        if self.p - self.win0 >= SPAN_BYTES << 3:
+            self._enter_span()
+        return self.p <= self.fast_end
+
+    def symbol(self, tab: FusedDecodeTables) -> int:
+        """Decode one Huffman symbol with *tab*."""
+        p = self.p
+        if p <= self.fast_end or self._rolled():
+            packed = tab.lookup[
+                self.win[p - self.win0] >> (PROBE_BITS - LOOKUP_BITS)]
+            if packed:
+                self.p = p + (packed >> 8)
+                return packed & 0xFF
+        sym, self.p, self.avail = _careful_symbol(
+            p, self.seg_bits, self.zero_feed, self.trunc, self.payload, tab)
+        return sym
+
+    def bits(self, n: int) -> int:
+        """Read *n* raw bits, MSB first."""
+        p = self.p
+        if n <= PROBE_BITS and (p <= self.fast_end or self._rolled()):
+            self.p = p + n
+            return self.win[p - self.win0] >> (PROBE_BITS - n)
+        val, self.p = _careful_read_bits(
+            n, p, self.avail, self.seg_bits, self.trunc, self.payload)
+        return val
 
 
 # ---------------------------------------------------------------------------
@@ -609,16 +768,11 @@ class FastEntropyDecoder:
         self._dc_tables = [fused_tables(t.dc, "dc") for t in tables]
         self._ac_tables = [fused_tables(t.ac, "ac") for t in tables]
         self._scan: ScanPrescan | None = None
-        self._payload = b""
-        self._acc = 0
-        self._nbits = 0
-        self._pos = 0
-        #: Phantom (zero-fed) bits currently counted in ``_nbits``: the
-        #: reference reader pads past a marker with zeros, and those
-        #: bits must not be mistaken for consumed payload when mapping
-        #: the reader position back to original-stream offsets.
-        self._phantom = 0
-        self._seg_end = 0
+        #: The reader: bits of the payload consumed so far.  It runs
+        #: past ``_seg_bits`` when a decode consumes the zeros the
+        #: reference reader feeds behind a marker.
+        self._p = 0
+        self._seg_bits = 0
         self._seg_zero_feed = False
         self._seg_trunc = False
         self._rst_idx = 0
@@ -655,20 +809,7 @@ class FastEntropyDecoder:
         segments cut out of a longer scan checks its RSTn sequence from
         there, so an out-of-sequence marker raises the sequential
         decoder's message."""
-        self._scan = destuff_scan(entropy_data)
-        self._first_restart = first_restart
-        self._payload = self._scan.payload
-        self._acc = 0
-        self._nbits = 0
-        self._pos = 0
-        self._phantom = 0
-        self._rst_idx = 0
-        self._set_segment_bounds()
-        self._preds = [0] * len(self._preds)
-        self._mcus_done = 0
-        self._rows_done = 0
-        self._row_byte_offsets = [0]
-        self._bind_planes()
+        self._attach(destuff_scan(entropy_data), 0, 0, first_restart)
 
     def start_prescanned(self, scan: ScanPrescan, bit_offset: int = 0) -> None:
         """Attach an existing prescan and start decoding at *bit_offset*.
@@ -677,57 +818,46 @@ class FastEntropyDecoder:
         destuffing prescan across many chunk decoders; feeding a payload
         back through :meth:`start` would destuff it a second time and
         misread destuffed 0xFF data bytes as markers.  *bit_offset* is an
-        absolute bit position into ``scan.payload`` — sub-byte offsets
-        prime the accumulator with the tail bits of the containing byte,
-        so :attr:`bit_position` equals *bit_offset* exactly.  Restart
-        sequencing (``RST0..RST7`` modulo checks) is only meaningful from
-        offset 0; speculative starts target marker-free scans.
+        absolute bit position into ``scan.payload``, and
+        :attr:`bit_position` starts out equal to it.  Restart sequencing
+        (``RST0..RST7`` modulo checks) is only meaningful from offset 0;
+        speculative starts target marker-free scans.
         """
-        payload = scan.payload
-        if not 0 <= bit_offset <= len(payload) * 8:
+        if not 0 <= bit_offset <= len(scan.payload) * 8:
             raise EntropyError(
                 f"bit offset {bit_offset} outside the "
-                f"{len(payload)}-byte payload")
+                f"{len(scan.payload)}-byte payload")
+        self._attach(scan, bit_offset, bisect_right(
+            scan.marker_payload_offsets, bit_offset >> 3), 0)
+
+    def _attach(self, scan: ScanPrescan, bit_offset: int, rst_idx: int,
+                first_restart: int) -> None:
+        """Point the reader at *bit_offset* of *scan*, in the segment
+        that restart marker *rst_idx* ends, and reset all decoding
+        state.  The probe windows are left to the first decode call,
+        which is what the ``entropy`` stage times."""
         self._scan = scan
-        self._payload = payload
-        byte, rem = bit_offset >> 3, bit_offset & 7
-        if rem:
-            self._acc = payload[byte] & ((1 << (8 - rem)) - 1)
-            self._nbits = 8 - rem
-            self._pos = byte + 1
-        else:
-            self._acc = 0
-            self._nbits = 0
-            self._pos = byte
-        self._phantom = 0
-        self._rst_idx = 0
-        self._first_restart = 0
-        while (self._rst_idx < scan.restart_count
-               and scan.marker_payload_offsets[self._rst_idx] * 8
-               <= bit_offset):
-            self._rst_idx += 1
-        self._set_segment_bounds()
+        self._p = bit_offset
+        self._first_restart = first_restart
+        self._rst_idx = rst_idx
+        self._seg_bits, self._seg_zero_feed, self._seg_trunc = (
+            _segment_bounds(scan, self._rst_idx))
         self._preds = [0] * len(self._preds)
         self._mcus_done = 0
         self._rows_done = 0
-        self._row_byte_offsets = [scan.orig_offset(byte)]
+        self._row_byte_offsets = [scan.orig_offset(bit_offset >> 3)]
         self._bind_planes()
-
-    def _set_segment_bounds(self) -> None:
-        """Derive the current segment's end and end-of-segment behavior."""
-        self._seg_end, self._seg_zero_feed, self._seg_trunc = (
-            _segment_bounds(self._scan, self._rst_idx))
 
     def _bind_planes(self) -> None:
         """Allocate the coefficient planes and lay out the block walk.
 
         ``_row_plan[mcol]`` lists the blocks of MCU column *mcol* in
-        decode order as ``(component, offset, view, dc fused, ac fused,
-        ac lookup, dc tables, ac tables)``: *offset* is the block's
-        first coefficient relative to the start of its MCU row, *view*
-        a typed ``memoryview`` of the flattened int16 plane.  Computed
-        once per decode, so the hot loop pays one addition per block
-        for addressing.
+        decode order as ``(component, offset, view, dc probe, ac probe,
+        dc tables, ac tables)``: *offset* is the block's first
+        coefficient relative to the start of its MCU row, *view* a typed
+        ``memoryview`` of the flattened int16 plane.  Computed once per
+        decode, so the hot loop pays one addition per block for
+        addressing.
         """
         geo = self.geometry
         self.coefficients = CoefficientBuffers.empty(geo)
@@ -737,7 +867,7 @@ class FastEntropyDecoder:
         self._row_plan = [
             tuple(
                 (ci, ((v * c.blocks_wide + mcol * c.h_factor + h) << 6),
-                 views[ci], dct.fused, act.fused, act.lookup, dct, act)
+                 views[ci], dct.probe, act.probe, dct, act)
                 for ci, (c, dct, act) in enumerate(zip(
                     geo.components, self._dc_tables, self._ac_tables))
                 for v in range(c.v_factor)
@@ -745,17 +875,10 @@ class FastEntropyDecoder:
             for mcol in range(geo.mcus_per_row)
         ]
 
-    def _mark_row_end(self, pos: int, real_bits: int) -> None:
-        """Record the original-stream offset reached after an MCU row.
-
-        Only real buffered bits roll the position back: phantom zero-fed
-        padding is not payload, and subtracting it would under-report a
-        row ending at a restart marker by the padding width (landing
-        mid-tail instead of just past the RSTn pair).
-        """
-        if real_bits < 0:
-            real_bits = 0
-        off = self._scan.orig_offset(max(0, pos - (real_bits >> 3)))
+    def _mark_row_end(self, bit: int) -> None:
+        """Record the original-stream offset reached after an MCU row:
+        the bytes that cover the *bit* payload bits consumed."""
+        off = self._scan.orig_offset((bit + 7) >> 3)
         self._row_byte_offsets.append(max(off, self._row_byte_offsets[-1]))
 
     @property
@@ -778,15 +901,12 @@ class FastEntropyDecoder:
     def bit_position(self) -> int:
         """Exact destuffed-payload bit offset consumed so far.
 
-        Phantom zero-fed bits (marker padding) are excluded, so two
-        decoders standing at the same :attr:`bit_position` are in the
-        same bitstream state — the convergence predicate the speculative
-        engine matches on.
+        Zeros fed behind a marker are not payload and are excluded, so
+        two decoders standing at the same :attr:`bit_position` are in
+        the same bitstream state — the convergence predicate the
+        speculative engine matches on.
         """
-        real = self._nbits - self._phantom
-        if real < 0:
-            real = 0
-        return self._pos * 8 - real
+        return min(self._p, self._seg_bits)
 
     @property
     def dc_predictors(self) -> tuple[int, ...]:
@@ -804,35 +924,33 @@ class FastEntropyDecoder:
     def decode_mcu_rows(self, nrows: int) -> int:
         """Decode up to *nrows* further MCU rows; return rows decoded.
 
-        One flat loop: tables and reader state live in locals, a symbol
-        costs one fused probe and one tuple unpack in the common case,
-        and coefficients are stored through typed ``memoryview``s of
-        the planes.  Everything rare — a restart boundary, the last
-        bytes of a segment, a code the probe cannot resolve in the DC
-        position or beyond ``LOOKUP_BITS`` — is a call to a
-        module-level helper.
+        One flat loop: tables and the reader live in locals, the reader
+        is the bit position ``p`` (relative to ``win0``, the first bit
+        of the current span of probe windows), a probe is
+        ``table[win[p]]`` and in the common case one tuple unpack yields
+        two symbols, and coefficients are stored through typed
+        ``memoryview``s of the planes.  Everything rare — a restart
+        boundary, the last bits of a segment, a symbol the probe does
+        not resolve — is a call to a module-level helper.
         """
         if self._scan is None:
             raise EntropyError("start() must be called before decoding")
         target = min(self._rows_done + nrows, self.geometry.mcu_rows)
         interval = self.restart_interval
         scan = self._scan
-        payload = self._payload
+        payload = scan.payload
         tolerant = self._passed     # None = strict
         preds = self._preds
         row_steps = self._row_steps
         zz_after = _ZIGZAG_AFTER
-        masks = _LOW_MASKS
-        read8 = _READ8
-        threshold = _REFILL_THRESHOLD
-        fused_bits, fused_mask = FUSED_BITS, _FUSED_MASK
+        span_bits = SPAN_BYTES << 3
 
         # Reader state -> locals.
-        acc, nbits, pos, phantom = (
-            self._acc, self._nbits, self._pos, self._phantom)
-        seg_end, zero_feed, trunc = (
-            self._seg_end, self._seg_zero_feed, self._seg_trunc)
-        bulk_end = seg_end - 7   # an 8-byte refill fits while pos < bulk_end
+        seg_bits, zero_feed, trunc = (
+            self._seg_bits, self._seg_zero_feed, self._seg_trunc)
+        win0, win = scan.windows_at(self._p)
+        p = self._p - win0
+        probe_end = _probe_end(seg_bits, zero_feed) - win0
         rst_idx = self._rst_idx
         mcus_done = self._mcus_done
         rows_done = self._rows_done
@@ -842,35 +960,32 @@ class FastEntropyDecoder:
             origins = [rows_done * step for step in row_steps]
             for mcu in self._row_plan:
                 if interval and mcus_done and mcus_done % interval == 0:
-                    pos, seg_end, zero_feed, trunc = _next_segment(
+                    p, seg_bits, zero_feed, trunc = _next_segment(
                         scan, rst_idx, self._first_restart)
-                    bulk_end = seg_end - 7
                     rst_idx += 1
-                    acc = nbits = phantom = 0
+                    p -= win0
+                    probe_end = _probe_end(seg_bits, zero_feed) - win0
                     preds[:] = [0] * len(preds)
-                for ci, rel, out, d_fused, a_fused, a_lookup, dct, act in mcu:
+                for ci, rel, out, d_probe, a_probe, dct, act in mcu:
                     base = origins[ci] + rel
+                    if not 0 <= p < span_bits:
+                        # The block starts in another span (a restart
+                        # can also lead back, behind fed zeros): roll.
+                        p += win0
+                        win0, win = scan.windows_at(p)
+                        p -= win0
+                        probe_end = _probe_end(seg_bits, zero_feed) - win0
 
                     # ---------------- DC ----------------
-                    if nbits < threshold:
-                        if pos < bulk_end:
-                            acc = ((acc & masks[nbits]) << 64) | read8(
-                                payload, pos)[0]
-                            nbits += 64
-                            pos += 8
-                        else:
-                            acc, nbits, pos, phantom = _refill_tail(
-                                acc, nbits, pos, seg_end, zero_feed,
-                                phantom, payload)
-                    e = (d_fused[(acc >> (nbits - fused_bits)) & fused_mask]
-                         if nbits >= threshold else None)
-                    if e:
+                    e = d_probe[win[p]] if p <= probe_end else None
+                    if e is not None:
                         bits, _, diff = e
-                        nbits -= bits
+                        p += bits
                     else:
-                        diff, acc, nbits, pos = _careful_dc(
-                            acc, nbits, pos, seg_end, zero_feed, trunc,
-                            payload, dct, tolerant)
+                        diff, p = _careful_dc(
+                            win0 + p, seg_bits, zero_feed, trunc, payload,
+                            dct, tolerant)
+                        p -= win0
                     pred = preds[ci] = preds[ci] + diff
                     if -32768 <= pred <= 32767:
                         out[base] = pred
@@ -884,74 +999,47 @@ class FastEntropyDecoder:
                     # ---------------- AC ----------------
                     k = 1
                     while k < 64:
-                        if nbits < threshold:
-                            if pos < bulk_end:
-                                acc = ((acc & masks[nbits]) << 64) | read8(
-                                    payload, pos)[0]
-                                nbits += 64
-                                pos += 8
-                            else:
-                                acc, nbits, pos, phantom = _refill_tail(
-                                    acc, nbits, pos, seg_end, zero_feed,
-                                    phantom, payload)
-                                if nbits < threshold:
-                                    k, val, acc, nbits, pos = _careful_ac(
-                                        k, acc, nbits, pos, seg_end,
-                                        zero_feed, trunc, payload, act,
-                                        tolerant)
-                                    if val:
-                                        out[base + zz_after[k]] = val
-                                    continue
-                        e = a_fused[(acc >> (nbits - fused_bits))
-                                    & fused_mask]
-                        if e:
-                            bits, advance, val = e
-                            nbits -= bits
-                            k += advance     # EOB: past 63; ZRL: 16
-                            if val:
-                                if k > 64:
-                                    _pass_or_raise(tolerant, _AC_OVERRUN)
-                                    break
-                                out[base + zz_after[k]] = val
-                            continue
-                        p2 = a_lookup[(acc >> (nbits - LOOKUP_BITS)) & 255]
-                        if p2:
-                            nbits -= p2 >> 8
-                            sym = p2 & 255
-                        else:
-                            sym, bits = _long_symbol(
-                                (acc >> (nbits - MAX_CODE_LENGTH)) & 65535,
-                                act)
-                            nbits -= bits
-                        size = sym & 15
-                        if size == 0:
-                            if sym == ZRL_SYMBOL:
-                                k += ZRL_ADVANCE
+                        if p <= probe_end:
+                            e = a_probe[win[p]]
+                            if e is not None:
+                                bits, advance, val, bits2, advance2, val2 = e
+                                p += bits
+                                k += advance     # EOB: past 63; ZRL: 16
+                                if val:
+                                    if k > 64:
+                                        _pass_or_raise(tolerant, _AC_OVERRUN)
+                                        break
+                                    out[base + zz_after[k]] = val
+                                    if k < 64:
+                                        # Not the block's last: the
+                                        # second symbol is an AC one.
+                                        p += bits2
+                                        k += advance2
+                                        if val2:
+                                            if k > 64:
+                                                _pass_or_raise(
+                                                    tolerant, _AC_OVERRUN)
+                                                break
+                                            out[base + zz_after[k]] = val2
                                 continue
-                            if sym != EOB_SYMBOL:
-                                _pass_or_raise(
-                                    tolerant, f"bad AC symbol {sym:#x}")
-                            break
-                        nbits -= size
-                        k += (sym >> 4) + 1
-                        if k > 64:
-                            _pass_or_raise(tolerant, _AC_OVERRUN)
-                            break
-                        m = (acc >> nbits) & masks[size]
-                        out[base + zz_after[k]] = (
-                            m if m >> (size - 1) else m - masks[size])
+                        k, val, p = _careful_ac(
+                            k, win0 + p, seg_bits, zero_feed, trunc, payload,
+                            act, tolerant)
+                        p -= win0
+                        if val:
+                            out[base + zz_after[k]] = val
                 mcus_done += 1
             rows_done += 1
+            bit = min(win0 + p, seg_bits)   # fed zeros are not payload
             if run_hook is None:
-                self._mark_row_end(pos, nbits - phantom)
-            elif run_hook(pos, nbits - phantom):
+                self._mark_row_end(bit)
+            elif run_hook(bit):
                 break
 
         # Locals -> state.
-        self._acc, self._nbits, self._pos, self._phantom = (
-            acc, nbits, pos, phantom)
-        self._seg_end, self._seg_zero_feed, self._seg_trunc = (
-            seg_end, zero_feed, trunc)
+        self._p = win0 + p
+        self._seg_bits, self._seg_zero_feed, self._seg_trunc = (
+            seg_bits, zero_feed, trunc)
         self._rst_idx = rst_idx
         self._mcus_done = mcus_done
         self._rows_done = rows_done
@@ -990,8 +1078,7 @@ class FastEntropyDecoder:
         limit = float("inf") if limit_bit is None else limit_bit
         preds, passed = self._preds, self._passed
 
-        def after_mcu(pos: int, real_bits: int) -> bool:
-            bit = (pos << 3) - (real_bits if real_bits > 0 else 0)
+        def after_mcu(bit: int) -> bool:
             if record:
                 positions.append(bit)
                 predictors.append(tuple(preds))

@@ -8,11 +8,11 @@ directions:
 
 - :class:`ProgressiveDecoder` accumulates every scan of a parsed
   :class:`~repro.jpeg.markers.JpegImageInfo` into one
-  :class:`~repro.jpeg.entropy.CoefficientBuffers`, reusing the fused
-  bit-reader helpers of :mod:`~repro.jpeg.fast_entropy`
-  (``_careful_symbol`` / ``_careful_read_bits`` over a destuffed scan
-  payload).  DC refinement scans — one raw bit per block, no Huffman
-  codes — are decoded fully vectorized over the coefficient planes.
+  :class:`~repro.jpeg.entropy.CoefficientBuffers`, reading each scan
+  through :class:`~repro.jpeg.fast_entropy.SegmentedReader` (one bit
+  position over the probe windows of a destuffed scan payload).  DC
+  refinement scans — one raw bit per block, no Huffman codes — are
+  decoded fully vectorized over the coefficient planes.
 - :func:`encode_progressive_scans` emits the inverse: a deterministic
   scan script (DC first, per-component spectral bands, then one
   refinement pass each) with per-scan optimized Huffman tables, so a
@@ -37,8 +37,8 @@ from .bitstream import BitWriter
 from .blocks import ImageGeometry, ceil_div
 from .constants import ZIGZAG_ORDER
 from .entropy import CoefficientBuffers
-from .fast_entropy import (TRUNCATED_FF, _careful_read_bits, _careful_symbol,
-                           destuff_scan, fused_tables)
+from .fast_entropy import (TRUNCATED_FF, SegmentedReader, destuff_scan,
+                           fused_tables)
 from .huffman import (HuffmanEncoder, encode_magnitude, extend,
                       spec_from_frequencies)
 from .markers import (HuffmanTableDef, JpegImageInfo, ScanComponent, ScanInfo)
@@ -66,66 +66,6 @@ DEFAULT_POINT_TRANSFORM = 1
 def _wrap16(value: int) -> int:
     """Wrap *value* into int16 range (deterministic hostile-input path)."""
     return ((value + 0x8000) & 0xFFFF) - 0x8000
-
-
-# ---------------------------------------------------------------------------
-# Bit reading over a destuffed scan with restart segments.
-# ---------------------------------------------------------------------------
-
-class _SegmentedReader:
-    """Careful bit reader over one destuffed scan payload.
-
-    Restart markers split the payload into segments; :meth:`next_segment`
-    re-aligns to the next boundary (the byte alignment happened at
-    destuff time — marker offsets are byte offsets).  Reads inside a
-    segment use the reference-compatible careful helpers from
-    :mod:`~repro.jpeg.fast_entropy`, so exhaustion and truncation raise
-    the same canonical errors as the baseline engines.
-    """
-
-    __slots__ = ("payload", "seg_starts", "seg_ends", "terminator",
-                 "seg", "pos", "seg_end", "acc", "nbits",
-                 "zero_feed", "trunc")
-
-    def __init__(self, prescan) -> None:
-        self.payload = prescan.payload
-        self.seg_starts = [0] + list(prescan.marker_payload_offsets)
-        self.seg_ends = list(prescan.marker_payload_offsets) \
-            + [len(prescan.payload)]
-        self.terminator = prescan.terminator
-        self.seg = -1
-        self.next_segment()
-
-    def next_segment(self) -> None:
-        """Advance to the next restart segment, resetting bit state."""
-        self.seg += 1
-        if self.seg >= len(self.seg_starts):
-            raise EntropyError("missing restart marker in progressive scan")
-        self.pos = self.seg_starts[self.seg]
-        self.seg_end = self.seg_ends[self.seg]
-        self.acc = 0
-        self.nbits = 0
-        last = self.seg == len(self.seg_starts) - 1
-        term = self.terminator
-        self.zero_feed = (not last) or (
-            term is not None and term != TRUNCATED_FF)
-        self.trunc = last and term == TRUNCATED_FF
-
-    def symbol(self, tab) -> int:
-        """Decode one Huffman symbol with *tab* (a fused table set)."""
-        sym, self.acc, self.nbits, self.pos = _careful_symbol(
-            self.acc, self.nbits, self.pos, self.seg_end,
-            self.zero_feed, self.trunc, self.payload, tab)
-        return sym
-
-    def bits(self, n: int) -> int:
-        """Read *n* raw bits, MSB first."""
-        if n == 0:
-            return 0
-        val, self.acc, self.nbits, self.pos = _careful_read_bits(
-            n, self.acc, self.nbits, self.pos, self.seg_end,
-            self.zero_feed, self.trunc, self.payload)
-        return val
 
 
 def _used_grid(cg) -> tuple[int, int]:
@@ -209,7 +149,7 @@ class ProgressiveDecoder:
         if h.is_dc and h.refining:
             self._decode_dc_refine(si, comps, prescan)
             return
-        reader = _SegmentedReader(prescan)
+        reader = SegmentedReader(prescan)
         if h.is_dc:
             self._decode_dc_first(si, comps, reader)
         elif h.refining:
@@ -234,7 +174,7 @@ class ProgressiveDecoder:
     # -- DC scans --------------------------------------------------------
 
     def _decode_dc_first(self, si: ScanInfo, comps: list[int],
-                         reader: _SegmentedReader) -> None:
+                         reader: SegmentedReader) -> None:
         h = si.header
         al = h.al
         geo = self.geometry
@@ -344,7 +284,7 @@ class ProgressiveDecoder:
     # -- AC scans --------------------------------------------------------
 
     def _decode_ac_first(self, si: ScanInfo, comps: list[int],
-                         reader: _SegmentedReader) -> None:
+                         reader: SegmentedReader) -> None:
         h = si.header
         ss, se, al = h.ss, h.se, h.al
         cg = self.geometry.components[comps[0]]
@@ -383,7 +323,7 @@ class ProgressiveDecoder:
             self.units_done = unit + 1
 
     def _decode_ac_refine(self, si: ScanInfo, comps: list[int],
-                          reader: _SegmentedReader) -> None:
+                          reader: SegmentedReader) -> None:
         h = si.header
         ss, se, al = h.ss, h.se, h.al
         p1 = 1 << al

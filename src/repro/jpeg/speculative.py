@@ -297,8 +297,8 @@ def decode_speculative_chunk(
         if not exact and payload_bits - failed_at < 64:
             # Ran off the end of the real payload — the MCU budget
             # exceeds what the slice truly holds; not misspeculation.
-            # (An end-of-data error can report up to an accumulator of
-            # real bits short of the payload end.)
+            # (The last recorded position is where the MCU that ran
+            # off the end began, a few real bits short of it.)
             trace.error_type = trace.error = None
             break
         nxt = max(attempt_bit + 1, failed_at - _RESTART_BACKOFF_BITS)

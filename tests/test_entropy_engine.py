@@ -10,13 +10,19 @@ runs, truncated payloads, tampered restart markers, stray markers).
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EntropyError, JpegError
 from repro.jpeg import (
@@ -41,12 +47,18 @@ from repro.jpeg.entropy import (
 )
 from repro.jpeg.fast_entropy import (
     EOB_ADVANCE,
-    FUSED_BITS,
+    PROBE_BITS,
     ZRL_ADVANCE,
     FastEntropyDecoder,
     fused_tables,
 )
-from repro.jpeg.huffman import HuffmanEncoder, HuffmanSpec
+from repro.jpeg.huffman import (
+    HuffmanDecoder,
+    HuffmanEncoder,
+    HuffmanSpec,
+    extend,
+    spec_from_frequencies,
+)
 from repro.data import synthetic_photo
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "corpus"
@@ -313,55 +325,69 @@ class TestPrescan:
         assert scan.terminator == 0xD9
 
     def test_fused_tables_cover_short_codes(self):
-        """What a fused entry *means* — bits consumed, zig-zag advance,
-        EXTENDed value — for known prefixes, whatever its layout."""
+        """What a probe entry *means* — bits consumed, zig-zag advance,
+        EXTENDed value, for one symbol or two — for known windows."""
         spec = HuffmanSpec(C.STD_AC_LUMINANCE_BITS, C.STD_AC_LUMINANCE_VALUES)
         tab = fused_tables(spec, "ac")
-        assert len(tab.fused) == 1 << FUSED_BITS
-        fused_hits = sum(1 for e in tab.fused if e)
-        assert fused_hits > 128  # most of the probe space is one-shot
+        assert len(tab.probe) == 1 << PROBE_BITS
+        assert all(e is None or len(e) == 6 for e in tab.probe)
+        # nearly all of the probe space is one-shot, most of it two-shot
+        assert sum(1 for e in tab.probe if e) > 0.95 * len(tab.probe)
+        assert sum(1 for e in tab.probe if e and e[3]) > 0.7 * len(tab.probe)
+
+        def windows(prefix: str):
+            """Every window that starts with *prefix*."""
+            pad = PROBE_BITS - len(prefix)
+            first = int(prefix, 2) << pad
+            return tab.probe[first:first + (1 << pad)]
+
+        def first_for(prefix: str):
+            """The first symbol every probe starting with *prefix* hits."""
+            firsts = {e[:3] for e in windows(prefix)}
+            assert len(firsts) == 1
+            return firsts.pop()
 
         def entry_for(prefix: str):
-            """The entry every probe starting with *prefix* must hit."""
-            pad = FUSED_BITS - len(prefix)
-            first = int(prefix, 2) << pad
-            entries = set(tab.fused[first:first + (1 << pad)])
+            """The whole entry every probe starting with *prefix* hits."""
+            entries = set(windows(prefix))
             assert len(entries) == 1
-            bits, advance, value = entries.pop()
-            return bits, advance, value
+            return entries.pop()
 
         # (run 0, size 1) has the 2-bit code 00: with either magnitude
-        # bit it is fused — 3 bits, one coefficient, EXTEND(m, 1)
-        assert entry_for("000") == (3, 1, -1)
-        assert entry_for("001") == (3, 1, 1)
+        # bit it is 3 bits, one coefficient, EXTEND(m, 1)
+        assert first_for("000") == (3, 1, -1)
+        assert first_for("001") == (3, 1, 1)
         # (run 1, size 1), code 1100: one zero, then the coefficient
-        assert entry_for("11001") == (5, 2, 1)
-        # EOB (1010) ends any block from any k; nothing is stored
-        bits, advance, value = entry_for("1010")
+        assert first_for("11001") == (5, 2, 1)
+        # two symbols in one hit: +1, then (run 1, size 1) = -1 ...
+        assert entry_for("001" "11000") == (3, 1, 1, 5, 2, -1)
+        # ... or the EOB (1010) that ends the block
+        assert entry_for("001" "1010") == (3, 1, 1, 4, EOB_ADVANCE, 0)
+        # EOB ends any block from any k; nothing is stored and nothing
+        # is paired behind it — what follows is the next block's DC
+        bits, advance, value, *second = entry_for("1010")
         assert (bits, value) == (4, 0) and 1 + advance >= 64
-        assert advance == EOB_ADVANCE
-        # (run 0, size 5), code 11010 + 5 magnitude bits = the full window
-        assert entry_for("1101000000") == (10, 1, -31)
-        # (run 0, size 6), code 1111000: magnitude falls outside the
-        # window, so the probe does not resolve it
-        assert tab.fused[int("1111000000", 2)] is None
-        # ZRL is an 11-bit code in this table: never fused here, but a
-        # table that gives it a short code fuses it as sixteen zeros
-        short_zrl = fused_tables(
-            HuffmanSpec((0, 2) + (0,) * 14, (C.EOB_SYMBOL, C.ZRL_SYMBOL)),
-            "ac")
-        assert short_zrl.fused[int("01", 2) << (FUSED_BITS - 2)] == (
-            2, ZRL_ADVANCE, 0)
-        # DC role: the value is the difference, the advance is the DC
-        # coefficient itself; categories past 11 are left to the
-        # fallback, which raises the reference error
+        assert advance == EOB_ADVANCE and second == [0, 0, 0]
+        # (run 0, size 5), code 11010 + 5 magnitude bits, leaves three
+        # bits: room for a (run 0, size 1)
+        assert entry_for("1101000000" "001") == (10, 1, -31, 3, 1, 1)
+        # (run 0, size 6), code 1111000 + 6 bits, is the full window
+        assert entry_for("1111000" "000000") == (13, 1, -63, 0, 0, 0)
+        # (run 0, size 7), code 11111000: the magnitude falls outside
+        # the window, so the probe does not resolve it
+        assert set(windows("11111000")) == {None}
+        # ZRL (11111111001) is sixteen zeros, nothing stored or paired
+        assert entry_for("11111111001") == (11, ZRL_ADVANCE, 0, 0, 0, 0)
+        # DC role: one symbol per entry; the value is the difference,
+        # the advance is the DC coefficient itself; categories past 11
+        # are left to the fallback, which raises the reference error
         dc = fused_tables(
             HuffmanSpec(C.STD_DC_LUMINANCE_BITS, C.STD_DC_LUMINANCE_VALUES),
             "dc")
-        assert dc.fused[0] == (2, 1, 0)               # category 0: code 00
-        assert dc.fused[int("0110", 2) << 6] == (5, 1, -3)  # category 2
+        assert dc.probe[0] == (2, 1, 0)               # category 0: code 00
+        assert dc.probe[int("01100", 2) << (PROBE_BITS - 5)] == (5, 1, -3)
         bad_dc = fused_tables(HuffmanSpec((0, 2) + (0,) * 14, (0, 12)), "dc")
-        assert bad_dc.fused[int("01", 2) << (FUSED_BITS - 2)] is None
+        assert bad_dc.probe[int("01", 2) << (PROBE_BITS - 2)] is None
 
 
 def unique_spec(i: int) -> HuffmanSpec:
@@ -463,3 +489,376 @@ class TestCoefficientAllocation:
         assert first is not second
         for a, b in zip(first.planes, second.planes):
             assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Two symbols per probe: what must not change at the pair boundary.
+# ---------------------------------------------------------------------------
+
+def ac_lum_codes():
+    return HuffmanEncoder(std_tables()[0].ac)
+
+
+def gray_stream(blocks) -> bytes:
+    """A one-component scan written symbol by symbol: *blocks* is a list
+    of blocks, each a list of ``(value, nbits)`` pairs (code words and
+    magnitudes alike), flushed with the standard 1-padding."""
+    writer = BitWriter()
+    for pairs in blocks:
+        writer.write_pairs(pairs)
+    writer.flush()
+    return writer.getvalue()
+
+
+def ac_pairs(symbol: int, magnitude: int = 0):
+    """Code word (and magnitude bits) of one AC luminance symbol."""
+    pairs = [ac_lum_codes().code_for(symbol)]
+    if symbol & 15:
+        pairs.append((magnitude, symbol & 15))
+    return pairs
+
+
+DC_ZERO = [HuffmanEncoder(std_tables()[0].dc).code_for(0)]
+
+
+def single_symbol_decoder(geo, tables, **kwargs) -> FastEntropyDecoder:
+    """A fast decoder with every second symbol struck from its AC
+    tables: what one-symbol-per-probe decoding would do."""
+    dec = FastEntropyDecoder(geo, tables, **kwargs)
+    for i, tab in enumerate(dec._ac_tables):
+        single = dec._ac_tables[i] = copy.copy(tab)
+        single._probe = [e and e[:3] + (0, 0, 0) for e in tab.probe]
+    return dec
+
+
+#: Two ordinary blocks: they keep whatever a test puts before them
+#: away from the end of the data, where the careful helpers take over.
+FILLER = 2 * [DC_ZERO + 4 * ac_pairs(0x01, 1) + ac_pairs(C.EOB_SYMBOL)]
+
+
+class TestPairBoundaries:
+    GEO = ImageGeometry(32, 8, "4:4:4", ncomponents=1)     # four blocks
+
+    def tables(self):
+        return std_tables()[:1]
+
+    @pytest.mark.parametrize("lead", [
+        [],                       # 63 x (0,1): the last is a *first* symbol
+        [(0x06, 0b100000)],       # a 13-bit symbol shifts the pairing: the
+                                  # last is a *second* symbol
+    ], ids=["first-slot", "second-slot"])
+    def test_coefficient_on_zigzag_63_leaves_the_next_dc_alone(self, lead):
+        """A block whose last coefficient sits on zig-zag 63 has no EOB:
+        the bits behind it are the next block's DC code, which look like
+        a pairable AC symbol (DC category 0 is ``00``, then ``001`` is a
+        whole (run 0, size 1) in the AC table)."""
+        ones = [p for _ in range(63 - len(lead)) for p in ac_pairs(0x01, 1)]
+        head = [p for sym, mag in lead for p in ac_pairs(sym, mag)]
+        block_a = DC_ZERO + head + ones
+        block_b = DC_ZERO + ac_pairs(0x01, 1) + ac_pairs(C.EOB_SYMBOL)
+        data = gray_stream([block_a, block_b] + FILLER)
+        assert_engines_agree(self.GEO, self.tables(), 0, data)
+        fast = FastEntropyDecoder(self.GEO, self.tables())
+        planes = fast.decode_all(data).planes[0].reshape(4, 64)
+        assert np.count_nonzero(planes[0]) == 63
+        assert planes[0][63] == 1                   # natural 63 = zig-zag 63
+        assert np.count_nonzero(planes[1]) == 1 and planes[1][1] == 1
+
+    def test_nothing_is_paired_after_eob_or_zrl(self):
+        for t in std_tables()[:2]:
+            for e in fused_tables(t.ac, "ac").probe:
+                if e and not e[2]:
+                    assert e[1] in (EOB_ADVANCE, ZRL_ADVANCE)
+                    assert e[3:] == (0, 0, 0)
+
+    def test_rejected_symbols_are_fused_in_neither_slot(self):
+        """0x50 is a size-0 AC symbol that is neither EOB nor ZRL, 12 is
+        no DC category: whatever code they get, no probe entry carries
+        them — first or second — and the stream that holds them raises
+        the reference's error."""
+        ac = HuffmanSpec((0, 3) + (0,) * 14, (0x01, 0x50, C.EOB_SYMBOL))
+        tab = fused_tables(ac, "ac")
+        step = 1 << (PROBE_BITS - 2)
+        assert set(tab.probe[step:2 * step]) == {None}      # code 01
+        # behind a (0,1) coefficient (00 + one bit): never a second slot
+        for m in (0, 1):
+            at = (m << 2 | 0b01) << (PROBE_BITS - 5)
+            assert {e[3:] for e in tab.probe[at:at + (1 << (PROBE_BITS - 5))]
+                    } == {(0, 0, 0)}
+        tables = [ComponentTables(std_tables()[0].dc, ac)]
+        data = gray_stream([DC_ZERO + [(0b00, 2), (1, 1), (0b01, 2)]]
+                           + 3 * [DC_ZERO + [(0b00, 2), (1, 1), (0b10, 2)]])
+        assert_engines_agree(self.GEO, tables, 0, data)
+        assert decode_outcome("fast", self.GEO, tables, 0, data) == (
+            "err", EntropyError, "bad AC symbol 0x50")
+
+    def overrun_stream(self):
+        """A 13-bit coefficient that fills its probe, 30 probes of two
+        coefficients, then one whose first symbol lands on zig-zag 62
+        and whose second — (run 2, size 1) — overruns."""
+        ones = [p for _ in range(61) for p in ac_pairs(0x01, 1)]
+        block_a = (DC_ZERO + ac_pairs(0x06, 0b100000) + ones
+                   + ac_pairs(0x21, 1))
+        block_b = DC_ZERO + ac_pairs(C.EOB_SYMBOL)
+        return gray_stream([block_a, block_b] + FILLER)
+
+    def test_overrun_on_the_second_symbol_raises_the_reference_error(self):
+        data = self.overrun_stream()
+        assert_engines_agree(self.GEO, self.tables(), 0, data)
+        assert decode_outcome("fast", self.GEO, self.tables(), 0, data) == (
+            "err", EntropyError, "AC coefficient index overran the block")
+
+    def test_tolerant_overrun_stands_where_single_symbol_decoding_does(self):
+        data = self.overrun_stream()
+        geo = self.GEO.mcu_strip(4)
+        pair = FastEntropyDecoder(geo, self.tables(), tolerant=True)
+        single = single_symbol_decoder(geo, self.tables(), tolerant=True)
+        assert single._ac_tables[0].probe != pair._ac_tables[0].probe
+        outcomes = []
+        for dec in (pair, single):
+            dec.start(data)
+            dec.decode_run()
+            outcomes.append((dec.bit_position, dec.run_positions,
+                             dec.run_passed, dec.run_predictors,
+                             [p.tobytes() for p in dec.coefficients.planes]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == [1] * 4      # passed over in the first MCU
+
+
+# ---------------------------------------------------------------------------
+# The probe table is the composition of single-symbol decodes.
+# ---------------------------------------------------------------------------
+
+def one_symbol(spec: HuffmanSpec, role: str, window: int):
+    """Independent single-symbol decode of a ``PROBE_BITS`` window:
+    ``(bits, k_advance, value)``, or None when no acceptable symbol's
+    code and magnitude fit the window."""
+    enc = HuffmanEncoder(spec)
+    by_code = {enc.code_for(sym)[::-1]: sym for sym in enc.symbols}
+    for length in range(1, PROBE_BITS + 1):
+        sym = by_code.get((length, window >> (PROBE_BITS - length)))
+        if sym is None:
+            continue
+        if role == "dc":
+            size, advance = sym, (1 if sym <= 11 else None)
+        else:
+            size = sym & 15
+            advance = ((sym >> 4) + 1 if size else
+                       {C.EOB_SYMBOL: EOB_ADVANCE,
+                        C.ZRL_SYMBOL: ZRL_ADVANCE}.get(sym))
+        if advance is None or length + size > PROBE_BITS:
+            return None
+        m = (window >> (PROBE_BITS - length - size)) & ((1 << size) - 1)
+        return length + size, advance, extend(m, size)
+    return None
+
+
+def assert_table_is_composition(spec: HuffmanSpec, role: str) -> None:
+    probe = fast_entropy.FusedDecodeTables(spec, role).probe
+    assert len(probe) == 1 << PROBE_BITS
+    single = [one_symbol(spec, role, w) for w in range(1 << PROBE_BITS)]
+    mask = (1 << PROBE_BITS) - 1
+    for w, (entry, first) in enumerate(zip(probe, single)):
+        if first is None or role == "dc":
+            assert entry == first, (w, entry, first)
+            continue
+        # the bits behind the first symbol, zero-filled: a second
+        # symbol that fits what is left never sees the fill
+        second = single[(w << first[0]) & mask] if first[2] else None
+        if second is None or first[0] + second[0] > PROBE_BITS:
+            second = (0, 0, 0)
+        assert entry == first + second, (w, entry, first, second)
+
+
+class TestProbeTableInvariant:
+    @pytest.mark.parametrize("role,bits,values", [
+        ("dc", C.STD_DC_LUMINANCE_BITS, C.STD_DC_LUMINANCE_VALUES),
+        ("dc", C.STD_DC_CHROMINANCE_BITS, C.STD_DC_CHROMINANCE_VALUES),
+        ("ac", C.STD_AC_LUMINANCE_BITS, C.STD_AC_LUMINANCE_VALUES),
+        ("ac", C.STD_AC_CHROMINANCE_BITS, C.STD_AC_CHROMINANCE_VALUES),
+    ])
+    def test_annex_k_tables(self, role, bits, values):
+        assert_table_is_composition(HuffmanSpec(bits, values), role)
+
+    @settings(max_examples=25, deadline=None)
+    @given(freqs=st.dictionaries(st.integers(0, 255),
+                                 st.integers(1, 1 << 20),
+                                 min_size=1, max_size=80),
+           role=st.sampled_from(["dc", "ac"]))
+    def test_optimized_tables(self, freqs, role):
+        """Per-image optimized tables are what real traffic carries:
+        any symbol set, code lengths up to 16, incomplete codes."""
+        assert_table_is_composition(spec_from_frequencies(freqs), role)
+
+    def test_first_level_lookup_matches_the_reference_decoder(self):
+        for t in std_tables()[:2]:
+            for spec, role in ((t.dc, "dc"), (t.ac, "ac")):
+                assert fused_tables(spec, role).lookup == \
+                    HuffmanDecoder(spec)._lookup.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Segment tails and small restart intervals.
+# ---------------------------------------------------------------------------
+
+def tail_variants(data: bytes, cut: int):
+    """*data* whole, and cut at *cut* three ways: the data just ends,
+    a marker ends it (the reader zero-feeds), a lone 0xFF ends it."""
+    return (data, data[:cut], data[:cut] + b"\xff\xd9", data[:cut] + b"\xff")
+
+
+class TestSegmentTails:
+    """The probe is exact only while the reference reader could neither
+    pad nor raise inside its window; inside a scan a segment is followed
+    by the next segment's bytes, not by zeros."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           interval=st.sampled_from([0, 1, 2, 3, 8]),
+           mode=st.sampled_from(["4:2:0", "4:2:2", "4:4:4", "gray"]),
+           density=st.sampled_from([0.01, 0.08, 0.6]),
+           cut=st.floats(0.0, 1.0))
+    def test_engines_agree_on_every_tail(self, seed, interval, mode,
+                                         density, cut):
+        if mode == "gray":
+            geo = ImageGeometry(40, 24, "4:4:4", ncomponents=1)
+        else:
+            geo = ImageGeometry(40, 24, mode)
+        tables = std_tables()[:len(geo.components)]
+        coeffs = random_coefficients(geo, seed=seed, density=density)
+        data = EntropyEncoder(geo, tables, interval).encode(coeffs)
+        for stream in tail_variants(data, int(cut * len(data))):
+            assert_engines_agree(geo, tables, interval, stream)
+
+    def test_small_spans_roll_without_changing_anything(self, monkeypatch):
+        """With 64-byte spans every stream crosses span boundaries —
+        forwards inside a segment, and backwards when a decode that fed
+        on zeros past a marker returns to the next segment."""
+        monkeypatch.setattr(fast_entropy, "SPAN_BYTES", 64)
+        geo = ImageGeometry(72, 56, "4:2:0")
+        tables = std_tables()
+        rng = np.random.default_rng(5)
+        for interval in (0, 1, 5):
+            coeffs = random_coefficients(geo, seed=interval, density=0.3)
+            data = EntropyEncoder(geo, tables, interval).encode(coeffs)
+            assert len(data) > 10 * 64
+            for cut in rng.integers(0, len(data), 6).tolist():
+                for stream in tail_variants(data, cut):
+                    assert_engines_agree(geo, tables, interval, stream)
+            # half a segment gone: the decoder feeds on zeros for the
+            # rest of its MCUs (a zero-fed block never ends early), far
+            # past the marker, then comes back for the next segment
+            marks = destuff_scan(data).marker_orig_offsets
+            if marks:
+                short = data[:marks[0] // 2] + data[marks[0]:]
+                assert_engines_agree(geo, tables, interval, short)
+
+
+# ---------------------------------------------------------------------------
+# What the reader allocates.
+# ---------------------------------------------------------------------------
+
+def long_gray_scan(rows: int):
+    """A dense one-component scan of *rows* identical MCU rows, one
+    restart segment each (the encoder runs once, on one row)."""
+    width = 2048
+    row_geo = ImageGeometry(width, 8, "4:4:4", ncomponents=1)
+    tables = std_tables()[:1]
+    row = random_coefficients(row_geo, seed=3, spread=300, density=0.9)
+    segment = EntropyEncoder(row_geo, tables).encode(row)
+    data = b"".join(segment + bytes([0xFF, 0xD0 + (i & 7)])
+                    for i in range(rows - 1)) + segment
+    geo = ImageGeometry(width, 8 * rows, "4:4:4", ncomponents=1)
+    return geo, tables, data, row.planes[0]
+
+
+class TestProbeWindows:
+    def test_windows_are_the_payload_bits(self):
+        rng = np.random.default_rng(9)
+        raw = rng.bytes(300)
+        scan = destuff_scan(raw.replace(b"\xff", b"\xfe"))
+        _, win = scan.windows_at(0)
+        bits = np.unpackbits(np.frombuffer(
+            scan.payload + b"\0\0", dtype=np.uint8))
+        assert len(win) == 8 * len(scan.payload)
+        for p in (0, 1, 7, 8, 9, 1000, len(win) - PROBE_BITS, len(win) - 1):
+            want = int("".join(map(str, bits[p:p + PROBE_BITS])), 2)
+            assert win[p] == want, p
+
+    def test_windows_are_zero_filled_at_restart_markers(self):
+        scan = destuff_scan(b"\xab\xcd\xff\xd0\xff\xd1\xee\xff\xd2\x77")
+        assert scan.marker_payload_offsets == [2, 2, 3]
+        _, win = scan.windows_at(0)
+        top = PROBE_BITS - 8
+        assert win[8] == 0xCD << top          # not ... 0xEE
+        assert win[12] == 0xD << (PROBE_BITS - 4)
+        assert win[16] == 0xEE << top         # an empty segment before it
+        assert win[24] == 0x77 << top
+
+    def test_a_shared_prescan_builds_each_span_once(self, monkeypatch):
+        built = []
+        build = fast_entropy._probe_windows
+        monkeypatch.setattr(
+            fast_entropy, "_probe_windows",
+            lambda scan, span: built.append(span) or build(scan, span))
+        geo = ImageGeometry(48, 32, "4:2:0")
+        tables = std_tables()
+        data = EntropyEncoder(geo, tables).encode(random_coefficients(geo, 1))
+        scan = destuff_scan(data)
+        first = FastEntropyDecoder(geo, tables)
+        first.start_prescanned(scan)
+        assert built == []                    # not in start(): lazily
+        first.decode_mcu_rows(1)
+        first.decode_mcu_rows(geo.mcu_rows)
+        second = FastEntropyDecoder(geo, tables)
+        second.start_prescanned(scan)
+        second.decode_mcu_rows(geo.mcu_rows)
+        assert built == [0]
+        for a, b in zip(first.coefficients.planes,
+                        second.coefficients.planes):
+            assert np.array_equal(a, b)
+
+    def test_a_prescan_pickles_without_its_windows(self):
+        scan = destuff_scan(b"\x12\x34\xff\xd0\x56")
+        scan.windows_at(0)
+        clone = pickle.loads(pickle.dumps(scan))
+        assert clone == scan and clone._windows is None
+        assert list(clone.windows_at(0)[1]) == list(scan.windows_at(0)[1])
+
+    def test_window_memory_does_not_grow_with_the_scan(self, monkeypatch):
+        """Windows are 16 bytes per payload byte: built span by span,
+        a decode holds a few spans' worth however long its scan.  Every
+        span build runs under ``tracemalloc`` and is charged the windows
+        still alive from earlier builds (tracing the decode loop itself,
+        which makes an int per probe, would take a minute)."""
+        build = fast_entropy._probe_windows
+        alive, peaks = [], []
+
+        def traced_build(scan, span):
+            held = sum(a().nbytes for a in alive if a() is not None)
+            tracemalloc.start()
+            try:
+                win = build(scan, span)
+                peaks.append(held + tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            alive.append(weakref.ref(win.obj))
+            return win
+
+        monkeypatch.setattr(fast_entropy, "_probe_windows", traced_build)
+        span_cost = 16 * fast_entropy.SPAN_BYTES
+        worst = {}
+        for rows in (10, 160):
+            geo, tables, data, row = long_gray_scan(rows)
+            dec = FastEntropyDecoder(geo, tables, geo.mcus_per_row)
+            del peaks[:]
+            planes = dec.decode_all(data).planes[0].reshape(rows, -1, 8, 8)
+            assert all(np.array_equal(r, row) for r in planes)
+            assert len(peaks) == -(-len(dec._scan.payload)
+                                   // fast_entropy.SPAN_BYTES)
+            worst[len(data)] = max(peaks)
+        short, long_ = sorted(worst)
+        assert short > 2 * fast_entropy.SPAN_BYTES and long_ >= 2 << 20
+        assert long_ >= 4 * short
+        assert span_cost < worst[long_] < 3.5 * span_cost
+        assert worst[long_] < 1.05 * worst[short]
