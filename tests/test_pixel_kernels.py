@@ -9,15 +9,20 @@ before the kernels were blocked.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import synthetic_photo, synthetic_smooth
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import idct
 from repro.jpeg.color import ycbcr_to_rgb_float
 from repro.jpeg.decoder import quant_tables_from_info
 from repro.jpeg.idct import TILE_BLOCKS, aan_scale_factors, idct_2d_aan, idct_samples
@@ -229,6 +234,216 @@ class TestIdctTiles:
                 assert np.array_equal(
                     idct_samples(coefs, quant),
                     naive_idct_samples(coefs, quant)), (path.name, ci)
+
+
+# ---------------------------------------------------------------------------
+# The IDCT follows each tile's nonzero bounding box.
+# ---------------------------------------------------------------------------
+
+def boxed_coefs(n, r, c, seed, keep=0.7):
+    """(n, 8, 8) blocks that are zero outside the top-left ``r x c``
+    corner and zero at ``1 - keep`` of the positions inside it, with the
+    corner's last row and column hit at least once so the box is
+    exactly ``(r, c)``."""
+    rng = np.random.default_rng(seed)
+    coefs = np.zeros((n, 8, 8), dtype=np.int16)
+    corner = rng.integers(-300, 301, (n, r, c))
+    coefs[:, :r, :c] = corner * (rng.random((n, r, c)) < keep)
+    coefs[n // 2, r - 1, 0] = coefs[0, 0, c - 1] = 7
+    return coefs
+
+
+def brute_box(coefs):
+    """Bounding box of the nonzero positions, by looking at each."""
+    live = (np.asarray(coefs) != 0).any(axis=0)
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    return (int(rows[-1]) + 1, int(cols[-1]) + 1) if rows.size else (1, 1)
+
+
+def tile_boxes_brute(coefs):
+    """Per-tile bounding boxes of a plane, by looking at each position."""
+    return [brute_box(coefs[s:s + TILE_BLOCKS])
+            for s in range(0, len(coefs), TILE_BLOCKS)]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record ``(live, slab width)`` of every ``_aan_pass`` call."""
+    calls = []
+    real = idct._aan_pass
+
+    def recording(src, dst, work, live=8):
+        calls.append((live, dst.shape[1]))
+        return real(src, dst, work, live)
+
+    monkeypatch.setattr(idct, "_aan_pass", recording)
+    return calls
+
+
+class TestIdctBoxes:
+    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_every_box(self, r, c):
+        """Every reduced form of both halves of the pass, as column pass
+        (``live = r``) and as row pass (``live = c``), on one block, a
+        ragged tile, a full tile and a full tile plus a ragged one."""
+        for n in (1, 37, TILE_BLOCKS, TILE_BLOCKS + 188):
+            coefs = boxed_coefs(n, r, c, seed=64 * r + 8 * c + n % 7)
+            assert idct._tile_boxes(coefs)[0] == (r, c)
+            assert np.array_equal(idct_samples(coefs, QUANT),
+                                  naive_idct_samples(coefs, QUANT)), n
+
+    @pytest.mark.parametrize("r,c", [(8, 8), (5, 8), (8, 3), (6, 6), (4, 4)])
+    def test_zero_rows_and_columns_inside_the_box(self, r, c):
+        """The box is an upper bound, not a promise that what is inside
+        is nonzero: whole rows and columns of it may be zero."""
+        coefs = boxed_coefs(TILE_BLOCKS + 5, r, c, seed=r * c)
+        coefs[:, 1:r - 1] = 0
+        assert np.array_equal(idct_samples(coefs, QUANT),
+                              naive_idct_samples(coefs, QUANT))
+        coefs = boxed_coefs(TILE_BLOCKS + 5, r, c, seed=r + c)
+        coefs[:, :, 1:c - 1] = 0
+        assert np.array_equal(idct_samples(coefs, QUANT),
+                              naive_idct_samples(coefs, QUANT))
+
+    def test_all_zero_tile(self, passes):
+        coefs = np.zeros((TILE_BLOCKS + 40, 8, 8), dtype=np.int16)
+        coefs[TILE_BLOCKS:] = boxed_coefs(40, 3, 5, seed=1)
+        out = idct_samples(coefs, QUANT)
+        assert (out[:TILE_BLOCKS] == 128).all()
+        assert np.array_equal(out, naive_idct_samples(coefs, QUANT))
+        assert passes == [(1, 1), (1, 8), (3, 5), (5, 8)]
+
+    @pytest.mark.parametrize("r,c", [(1, 1), (2, 2), (3, 7), (4, 4), (7, 5)])
+    def test_extremes_inside_a_box(self, r, c):
+        """+-2047 x quant 255 in every live position: the largest
+        intermediates the reduced forms can see."""
+        quant = np.full((8, 8), 255, dtype=np.uint16)
+        rng = np.random.default_rng(r * 8 + c)
+        coefs = np.zeros((TILE_BLOCKS + 9, 8, 8), dtype=np.int16)
+        coefs[:, :r, :c] = np.where(
+            rng.random((len(coefs), r, c)) < 0.5, 2047, -2047)
+        out = idct_samples(coefs, quant)
+        assert np.array_equal(out, naive_idct_samples(coefs, quant))
+        assert out.min() == 0 and out.max() == 255
+
+    def test_dc_only_ties(self):
+        """``dc * q / 8 + 128`` on exact ``.5`` ties (q = 4, dc odd):
+        ``rint`` rounds half to even, and the DC-only form must hand it
+        the same float64 the full flowgraph does."""
+        quant = QUANT.copy()
+        quant[0, 0] = 4
+        coefs = np.zeros((TILE_BLOCKS + 31, 8, 8), dtype=np.int16)
+        coefs[:, 0, 0] = np.arange(len(coefs)) * 2 - 255
+        out = idct_samples(coefs, quant)
+        assert np.array_equal(out, naive_idct_samples(coefs, quant))
+        ties = coefs[:, 0, 0].astype(np.float64) * 4 / 8 + 128
+        assert (ties % 1 == 0.5).all()
+        assert np.array_equal(out[:, 0, 0],
+                              np.clip(np.rint(ties), 0, 255).astype(np.uint8))
+
+    def test_tiles_of_one_plane_have_their_own_boxes(self, passes):
+        """A count that repeats exactly: the ``(live, slab width)`` each
+        tile's column and row pass ran with."""
+        boxes = [(8, 8), (2, 2), (1, 1), (3, 8), (8, 1), (5, 4)]
+        coefs = np.concatenate(
+            [boxed_coefs(TILE_BLOCKS, r, c, seed=i)
+             for i, (r, c) in enumerate(boxes)] + [boxed_coefs(77, 4, 6, seed=9)])
+        assert idct._tile_boxes(coefs) == boxes + [(4, 6)]
+        assert np.array_equal(idct_samples(coefs, QUANT),
+                              naive_idct_samples(coefs, QUANT))
+        assert passes == [(8, 8), (8, 8), (2, 2), (2, 8), (1, 1), (1, 8),
+                          (3, 8), (8, 8), (8, 1), (1, 8), (5, 4), (4, 8),
+                          (4, 6), (6, 8)]
+
+    def test_dense_and_sparse_tiles_run_the_forms_they_should(self, passes):
+        idct_samples(sparse_coefs(TILE_BLOCKS, seed=3), QUANT)
+        assert passes == [(8, 8), (8, 8)]
+        del passes[:]
+        idct_samples(boxed_coefs(TILE_BLOCKS, 2, 2, seed=3), QUANT)
+        assert passes == [(2, 2), (2, 8)]
+        del passes[:]
+        idct_2d_aan(sparse_coefs(3, seed=1))        # the float primitive
+        assert passes == [(8, 8), (8, 8)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_sparse_planes(self, data):
+        n = data.draw(st.integers(1, TILE_BLOCKS + 70))
+        density = data.draw(st.sampled_from([0.0, 0.002, 0.02, 0.2, 1.0]))
+        r = data.draw(st.integers(1, 8))
+        c = data.draw(st.integers(1, 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        coefs = np.zeros((n, 8, 8), dtype=np.int16)
+        coefs[:, :r, :c] = rng.integers(-2047, 2048, (n, r, c)) \
+            * (rng.random((n, r, c)) < density)
+        assert idct._tile_boxes(coefs) == tile_boxes_brute(coefs)
+        assert np.array_equal(idct_samples(coefs, QUANT),
+                              naive_idct_samples(coefs, QUANT))
+
+    def test_box_detector_against_brute_force(self):
+        """One nonzero coefficient at each of the 64 positions, in any
+        block of a ragged tile (every ``gcd(m, 8)`` row length), and
+        negative values, whose high bits are all set."""
+        for m in (1, 2, 3, 4, 12, 37, 40, TILE_BLOCKS):
+            for k in range(64):
+                coefs = np.zeros((m, 8, 8), dtype=np.int16)
+                coefs[(k * 7) % m, k // 8, k % 8] = -1 if k % 2 else 1
+                assert idct._tile_boxes(coefs) == [(k // 8 + 1, k % 8 + 1)]
+        coefs = sparse_coefs(3 * TILE_BLOCKS + 100, seed=8)
+        coefs[TILE_BLOCKS:2 * TILE_BLOCKS, 5:] = 0
+        coefs[2 * TILE_BLOCKS:, :, 3:] = 0
+        assert idct._tile_boxes(coefs) == tile_boxes_brute(coefs)
+
+    def test_inputs_the_word_view_cannot_take(self):
+        """A strided view, a wider dtype (values a cast to int16 would
+        wrap to zero included), a read-only plane: scanned, and decoded
+        to the same bytes as a plain int16 copy."""
+        base = boxed_coefs(2 * TILE_BLOCKS + 60, 3, 5, seed=4)
+        want = naive_idct_samples(base[::2], QUANT)
+        assert not base[::2].flags.c_contiguous
+        assert idct._tile_boxes(base[::2]) == tile_boxes_brute(base[::2])
+        assert np.array_equal(idct_samples(base[::2], QUANT), want)
+
+        wide = base.astype(np.int32)
+        assert np.array_equal(idct_samples(wide, QUANT),
+                              naive_idct_samples(base, QUANT))
+        wide = np.zeros((9, 8, 8), dtype=np.int32)
+        wide[4, 6, 2] = 1 << 16
+        assert idct._tile_boxes(wide) == [(7, 3)]
+        assert np.array_equal(idct_samples(wide, QUANT),
+                              naive_idct_samples(wide, QUANT))
+        swapped = base.astype(">i2")
+        assert idct._tile_boxes(swapped) == tile_boxes_brute(base)
+        assert np.array_equal(idct_samples(swapped, QUANT),
+                              naive_idct_samples(base, QUANT))
+
+        frozen = base.copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(idct_samples(frozen, QUANT),
+                              naive_idct_samples(base, QUANT))
+        shared = np.frombuffer(base.tobytes(), dtype=np.int16).reshape(-1, 8, 8)
+        assert not shared.flags.writeable
+        assert np.array_equal(idct_samples(shared, QUANT),
+                              naive_idct_samples(base, QUANT))
+
+    def test_empty_plane(self):
+        out = idct_samples(np.zeros((0, 8, 8), dtype=np.int16), QUANT)
+        assert out.shape == (0, 8, 8) and out.dtype == np.uint8
+        assert idct._tile_boxes(np.zeros((0, 8, 8), dtype=np.int16)) == []
+
+    def test_ledger_corpus_pixels_match_the_manifest(self):
+        """All 54 ledger files, both entropy engines, against the pixel
+        digests pinned before the IDCT followed the coefficients."""
+        pinned = json.loads((CORPUS / "manifest.json").read_text())["images"]
+        assert len(pinned) == 54
+        for name, entry in pinned.items():
+            data = (CORPUS / f"{name}.jpg").read_bytes()
+            for engine in ("fast", "reference"):
+                rgb = decode_jpeg(
+                    data, DecodeOptions(entropy_engine=engine)).rgb
+                assert hashlib.sha256(rgb.tobytes()).hexdigest() == \
+                    entry["out_sha256"], (name, engine)
 
 
 # ---------------------------------------------------------------------------
