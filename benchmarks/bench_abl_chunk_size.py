@@ -7,7 +7,7 @@ rule (largest per-image winner)."""
 
 from repro.core import DecodeMode, ExecutionConfig, PreparedImage
 from repro.core.chunking import candidate_chunk_rows, profile_chunk_sizes
-from repro.core.executors import execute_pipeline
+from repro.core.executors import execute
 from repro.evaluation import format_table, platforms
 
 from common import decoder_for, write_result
@@ -20,7 +20,7 @@ def render() -> str:
     times = {}
     for c in candidate_chunk_rows(rows_total):
         cfg = ExecutionConfig(platform=platforms.GTX560, chunk_mcu_rows=c)
-        t = execute_pipeline(cfg, prep).total_us
+        t = execute(cfg, prep, DecodeMode.PIPELINE).total_us
         times[c] = t
         records.append([str(c), str(c * prep.geometry.mcu_height),
                         f"{t / 1e3:.3f}"])

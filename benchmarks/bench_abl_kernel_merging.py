@@ -8,7 +8,7 @@ rejects."""
 import numpy as np
 
 from repro.core import DecodeMode, ExecutionConfig, PreparedImage
-from repro.core.executors import execute_gpu
+from repro.core.executors import execute
 from repro.evaluation import format_table, platforms
 from repro.gpusim import GTX560TI, occupancy
 from repro.kernels import GpuProgramOptions, MergedAllKernel, MergedIdctColorKernel
@@ -23,7 +23,7 @@ def gpu_parallel_us(prep, merge: bool) -> float:
     cfg = ExecutionConfig(
         platform=platforms.GTX560,
         gpu_options=GpuProgramOptions(merge_kernels=merge))
-    res = execute_gpu(cfg, prep)
+    res = execute(cfg, prep, DecodeMode.GPU)
     b = res.breakdown
     return b.get("kernel", 0) + b.get("write", 0) + b.get("read", 0)
 

@@ -9,8 +9,8 @@ compares PPS with re-partitioning on vs off."""
 
 from functools import lru_cache
 
-from repro.core import ExecutionConfig, PreparedImage
-from repro.core.executors import execute_pps
+from repro.core import DecodeMode, ExecutionConfig, PreparedImage
+from repro.core.executors import execute
 from repro.data import synthetic_skewed
 from repro.evaluation import format_table, platforms
 from repro.jpeg import EncoderSettings, encode_jpeg
@@ -36,10 +36,9 @@ def render() -> str:
     model = decoder_for("GTX 560").model_for("4:2:2")
     rows = []
     for name, prep in skewed_corpus():
-        on = execute_pps(ExecutionConfig(platform=platforms.GTX560,
-                                         model=model, repartition=True), prep)
-        off = execute_pps(ExecutionConfig(platform=platforms.GTX560,
-                                          model=model, repartition=False), prep)
+        on, off = (execute(ExecutionConfig(platform=platforms.GTX560,
+                                           model=model, repartition=rep),
+                           prep, DecodeMode.PPS) for rep in (True, False))
         rows.append([name, f"{on.total_us / 1e3:.3f}",
                      f"{off.total_us / 1e3:.3f}",
                      str(on.partition.cpu_rows), str(off.partition.cpu_rows)])

@@ -5,8 +5,8 @@ The paper vectorizes interleaved RGB output into 4-byte stores
 work-items so whole warsp take one branch (Section 4.2).  This bench
 prices the GPU parallel phase with those optimizations disabled."""
 
-from repro.core import ExecutionConfig, PreparedImage
-from repro.core.executors import execute_gpu
+from repro.core import DecodeMode, ExecutionConfig, PreparedImage
+from repro.core.executors import execute
 from repro.evaluation import format_table, platforms
 from repro.kernels import GpuProgramOptions
 
@@ -20,7 +20,7 @@ def gpu_parallel_us(prep, vectorized: bool, divergence_free: bool) -> float:
         platform=platforms.GTX560,
         gpu_options=GpuProgramOptions(vectorized=vectorized,
                                       divergence_free=divergence_free))
-    b = execute_gpu(cfg, prep).breakdown
+    b = execute(cfg, prep, DecodeMode.GPU).breakdown
     return b.get("kernel", 0) + b.get("write", 0) + b.get("read", 0)
 
 

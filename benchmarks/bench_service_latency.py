@@ -1,8 +1,8 @@
 """S3 — futures-based session latency under open-loop load: p50/p99
 submit-to-completion latency vs offered arrival rate.
 
-The S1 throughput sweep drives the batch decoder *closed-loop* (the
-next batch waits for the previous one).  This bench measures what a
+The perf ledger's ``session_small`` workload drives a session
+*closed-loop* (a fixed number in flight).  This bench measures what a
 serving front end actually exposes: an **open-loop** arrival process —
 requests submitted on a fixed schedule regardless of completions, the
 way independent clients hit ``repro serve`` — against a pumped
@@ -15,9 +15,9 @@ p50 — the knee every latency-vs-load curve has.
 
 Acceptance: on a multi-core host the session's *closed-loop* throughput
 (submit everything, wait for all handles) must reach at least
-``SERVICE_LATENCY_MIN_RATIO`` (default: ``SERVICE_BENCH_MIN_RATIO``'s
-default, 1.05) times the sequential decode loop — the pump and the
-futures layer must not eat the process-parallel win S1 established.
+``SERVICE_LATENCY_MIN_RATIO`` (default 1.05) times the sequential
+decode loop — the pump and the futures layer must not eat the
+process-parallel win.
 A throughput floor alone passes a pump that resolves handles a batch at
 a time, so the open-loop sweep carries a latency one too: at half the
 sequential rate the service is mostly idle when a request arrives, and
@@ -65,9 +65,7 @@ REQUESTS_PER_LEVEL = 18
 LIGHT_LOAD_SLACK_MS = 5.0
 
 #: Closed-loop floor: session throughput vs the sequential loop.
-MIN_RATIO = float(os.environ.get(
-    "SERVICE_LATENCY_MIN_RATIO",
-    os.environ.get("SERVICE_BENCH_MIN_RATIO", "1.05")))
+MIN_RATIO = float(os.environ.get("SERVICE_LATENCY_MIN_RATIO", "1.05"))
 
 
 def build_corpus() -> list[bytes]:

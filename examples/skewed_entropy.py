@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import DecodeMode, HeterogeneousDecoder, PreparedImage
-from repro.core.executors import ExecutionConfig, execute_pps
+from repro.core.executors import ExecutionConfig, execute
 from repro.data import synthetic_skewed
 from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, encode_jpeg
@@ -38,10 +38,9 @@ def main() -> None:
           f"{huff[half:].sum() / huff[:half].sum():.2f}x)")
 
     model = decoder.model_for("4:2:2")
-    on = execute_pps(ExecutionConfig(platform=plat, model=model,
-                                     repartition=True), prepared)
-    off = execute_pps(ExecutionConfig(platform=plat, model=model,
-                                      repartition=False), prepared)
+    on, off = (execute(ExecutionConfig(platform=plat, model=model,
+                                       repartition=rep),
+                       prepared, DecodeMode.PPS) for rep in (True, False))
 
     print(f"\nPPS with re-partitioning:    {on.total_time_ms:8.3f} ms "
           f"(CPU rows: {on.partition.cpu_rows})")

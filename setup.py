@@ -1,10 +1,26 @@
-"""Thin setup.py shim.
+"""Package metadata for ``pip install -e .``.
 
-All metadata lives in pyproject.toml; this file exists so that editable
-installs work on environments whose setuptools lacks PEP 660 support
-(no `wheel` package available offline).
+There is no pyproject.toml: everything setuptools needs is here, so an
+editable install works on environments whose setuptools lacks PEP 660
+support (no `wheel` package available offline).  The version is read
+from ``src/repro/version.py``, its single source of truth.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "version.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

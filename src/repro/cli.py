@@ -40,6 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .core.modes import DecodeMode
+from .kernels.program import KERNEL_SUBSAMPLINGS
+
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from .jpeg import parse_jpeg
@@ -131,7 +134,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from .core import DecodeMode, HeterogeneousDecoder
+    from .core import HeterogeneousDecoder
     from .evaluation import platforms
 
     data = Path(args.file).read_bytes()
@@ -446,8 +449,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 _PLATFORMS = ["GT 430", "GTX 560", "GTX 680"]
-_MODES = ["reference", "sequential", "simd", "gpu", "pipeline", "sps",
-          "pps", "auto"]
+_MODES = ["reference", *(m.value for m in DecodeMode), "auto"]
 _ENGINES = ["fast", "reference"]
 
 
@@ -576,7 +578,7 @@ def _add_file_parsers(sub) -> None:
     p = sub.add_parser("profile", help="offline-profile a platform")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
     p.add_argument("--subsampling", default="4:2:2",
-                   choices=["4:4:4", "4:2:2"])
+                   choices=KERNEL_SUBSAMPLINGS)
     p.add_argument("--output", default="model.json")
     p.set_defaults(func=_cmd_profile)
 

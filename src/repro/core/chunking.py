@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ProfilingError
-from .executors import ExecutionConfig, PreparedImage, execute_pipeline
+from .executors import ExecutionConfig, PreparedImage, execute
+from .modes import DecodeMode
 from .platform import Platform
 
 
@@ -62,7 +63,7 @@ def profile_chunk_sizes(
             if gpu_options is not None:
                 cfg_kwargs["gpu_options"] = gpu_options
             cfg = ExecutionConfig(**cfg_kwargs)
-            result = execute_pipeline(cfg, img)
+            result = execute(cfg, img, DecodeMode.PIPELINE)
             entries.append(ChunkProfileEntry(
                 width=img.geometry.width, height=img.geometry.height,
                 chunk_mcu_rows=c, total_us=result.total_us))

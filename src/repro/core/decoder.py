@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..errors import JpegUnsupportedError, ReproError
-from ..jpeg.markers import parse_jpeg
-from ..kernels.program import GpuProgramOptions
-from .executors import EXECUTORS, DecodeResult, ExecutionConfig, PreparedImage
+from ..errors import JpegUnsupportedError
+from ..kernels.program import KERNEL_SUBSAMPLINGS, GpuProgramOptions
+from .executors import DecodeResult, ExecutionConfig, PreparedImage, execute
 from .modes import DecodeMode
 from .perfmodel import PerformanceModel
 from .platform import Platform
@@ -80,7 +79,7 @@ class HeterogeneousDecoder:
     def _config(self, prepared: PreparedImage) -> ExecutionConfig:
         mode = prepared.geometry.mode
         model = None
-        if mode in ("4:4:4", "4:2:2"):
+        if mode in KERNEL_SUBSAMPLINGS:
             model = self.model_for(mode)
             options = replace(self.gpu_options,
                               workgroup_blocks=model.workgroup_blocks)
@@ -95,7 +94,7 @@ class HeterogeneousDecoder:
     def choose_mode(self, prepared: PreparedImage) -> DecodeMode:
         """Pick the predicted-fastest mode from the closed forms."""
         geo = prepared.geometry
-        if geo.mode not in ("4:4:4", "4:2:2"):
+        if geo.mode not in KERNEL_SUBSAMPLINGS:
             return DecodeMode.SIMD
         model = self.model_for(geo.mode)
         w, h, d = geo.width, geo.height, prepared.density
@@ -130,16 +129,12 @@ class HeterogeneousDecoder:
         if mode == "auto":
             mode = self.choose_mode(prepared)
         mode = DecodeMode(mode)
-        if mode.uses_gpu and prepared.geometry.mode not in ("4:4:4", "4:2:2"):
+        if mode.uses_gpu and prepared.geometry.mode not in KERNEL_SUBSAMPLINGS:
             raise JpegUnsupportedError(
                 f"{mode.value} mode supports 4:4:4/4:2:2 (the paper's "
                 f"scope); got {prepared.geometry.mode}"
             )
-        config = self._config(prepared)
-        try:
-            return EXECUTORS[mode](config, prepared)
-        except KeyError:
-            raise ReproError(f"unknown decode mode {mode!r}") from None
+        return execute(self._config(prepared), prepared, mode)
 
     def decode_all_modes(self, data: bytes | PreparedImage,
                          modes: tuple[DecodeMode, ...] | None = None

@@ -1,6 +1,6 @@
-"""Execution engines for the six decode modes (paper Figures 5 and 8).
+"""The executor for the six decode modes (paper Figures 5 and 8).
 
-Every executor produces two things from one compressed image:
+:func:`execute` produces two things from one compressed image:
 
 1. **Real pixels** — bit-identical to the reference sequential decoder
    (the math always runs through the same stage primitives, whether a
@@ -10,7 +10,7 @@ Every executor produces two things from one compressed image:
    and only pays dispatch overhead, exactly the OpenCL semantics the
    paper's schemes exploit.
 
-Executors also run in *pricing mode* (PreparedImage.virtual or
+It also runs in *pricing mode* (PreparedImage.virtual or
 coefficients=None): all scheduling logic executes, no pixel math — this
 is what offline profiling and chunk-size selection use.
 """
@@ -54,7 +54,7 @@ from .timeline import Timeline
 
 @dataclass
 class PreparedImage:
-    """One image, entropy-decoded once and shared across executors.
+    """One image, entropy-decoded once and shared across modes.
 
     ``coefficients is None`` marks a *virtual* image used for pricing:
     scheduling runs, pixel math is skipped, density is uniform.
@@ -115,7 +115,7 @@ class PreparedImage:
 
     def as_virtual(self) -> "PreparedImage":
         """A pricing-only copy: same geometry/density/row offsets, no
-        coefficient data.  Executors then skip all pixel math while
+        coefficient data.  :func:`execute` then skips all pixel math while
         producing *identical* simulated timings — the benchmark harness
         replays schedules through these."""
         return PreparedImage(
@@ -170,7 +170,7 @@ class DecodeResult:
 
 @dataclass
 class ExecutionConfig:
-    """Everything an executor needs besides the image."""
+    """Everything :func:`execute` needs besides the image and the mode."""
 
     platform: Platform
     model: PerformanceModel | None = None
@@ -219,15 +219,6 @@ def cpu_parallel_span(geometry: ImageGeometry, coeffs: CoefficientBuffers,
                        DecodeOptions(fancy_upsampling=fancy))
 
 
-def cpu_span_time_us(config: ExecutionConfig, geometry: ImageGeometry,
-                     pixel_rows: int, simd: bool) -> float:
-    """Simulated CPU time for the parallel phase over *pixel_rows*."""
-    if pixel_rows <= 0:
-        return 0.0
-    return calibrate.cpu_parallel_time_us(
-        geometry.width, pixel_rows, geometry.mode, config.platform.cpu, simd)
-
-
 def _cpu_stage_spans(config: ExecutionConfig, geometry: ImageGeometry,
                      timeline: Timeline, t0: float, simd: bool) -> float:
     """Add per-stage CPU spans (idct, upsample, color) from t0; return end."""
@@ -268,241 +259,140 @@ def _gpu_span(program: GpuDecodeProgram, prepared: PreparedImage,
 
 
 # ---------------------------------------------------------------------------
-# Mode executors.
+# The executor: one timeline, two switches.
 # ---------------------------------------------------------------------------
-
-def execute_cpu_only(config: ExecutionConfig, prepared: PreparedImage,
-                     mode: DecodeMode) -> DecodeResult:
-    """SEQUENTIAL and SIMD modes: Huffman then the CPU parallel phase."""
-    if mode not in (DecodeMode.SEQUENTIAL, DecodeMode.SIMD):
-        raise ValueError(f"not a CPU-only mode: {mode}")
-    simd = mode is DecodeMode.SIMD
-    geo = prepared.geometry
-    timeline = Timeline()
-    huff = prepared.huff_row_us(config.platform)
-    t_h = float(huff.sum())
-    timeline.add("cpu", "huffman", "huffman", 0.0, t_h)
-    t_end = _cpu_stage_spans(config, geo, timeline, t_h, simd)
-
-    rgb = None
-    if not prepared.is_virtual:
-        rgb = cpu_parallel_span(geo, prepared.coefficients, prepared.quants,
-                                0, geo.mcu_rows, config.fancy_upsampling)
-    return DecodeResult(
-        mode=mode, rgb=rgb, geometry=geo, timeline=timeline,
-        total_us=t_end, breakdown=timeline.stage_breakdown(),
-        info=prepared.info,
-    )
-
-
-def execute_gpu(config: ExecutionConfig, prepared: PreparedImage) -> DecodeResult:
-    """GPU mode: full Huffman on the CPU, one GPU pass (Figure 5a)."""
-    geo = prepared.geometry
-    program, queue = _make_program(config, prepared)
-    timeline = Timeline()
-    huff = prepared.huff_row_us(config.platform)
-    t_h = float(huff.sum())
-    timeline.add("cpu", "huffman", "huffman", 0.0, t_h)
-
-    host, events, rgb = _gpu_span(program, prepared, 0, geo.mcu_rows, t_h)
-    timeline.add("cpu", "dispatch", "dispatch", t_h, host)
-    timeline.add_events(events)
-    total = queue.finish(host)
-    return DecodeResult(
-        mode=DecodeMode.GPU, rgb=rgb, geometry=geo, timeline=timeline,
-        total_us=total, breakdown=timeline.stage_breakdown(),
-        info=prepared.info,
-    )
-
 
 def _chunk_spans(total_rows: int, chunk_rows: int) -> list[tuple[int, int]]:
     """Split [0, total_rows) into chunk-sized MCU-row spans."""
-    spans = []
-    r = 0
-    while r < total_rows:
-        spans.append((r, min(r + chunk_rows, total_rows)))
-        r += chunk_rows
-    return spans
+    return [(r, min(r + chunk_rows, total_rows))
+            for r in range(0, total_rows, chunk_rows)]
 
 
-def execute_pipeline(config: ExecutionConfig,
-                     prepared: PreparedImage) -> DecodeResult:
-    """Pipelined GPU mode (Section 4.5, Figure 5b): Huffman chunks
-    stream to the GPU; kernels overlap subsequent Huffman decoding."""
+def _gpu_share(config: ExecutionConfig, prepared: PreparedImage,
+               mode: DecodeMode) -> tuple[int, PartitionDecision | None]:
+    """MCU rows the GPU takes from the top: none (CPU-only), all (not
+    partitioned), or what Eq 10 (SPS) / Eq 15 (PPS) balance out."""
     geo = prepared.geometry
-    chunk_rows = config.resolve_chunk_rows()
-    program, queue = _make_program(config, prepared)
+    if not mode.uses_gpu:
+        return 0, None
+    if not mode.is_partitioned:
+        return geo.mcu_rows, None
+    model = config.require_model(mode)
+    if mode.is_pipelined:
+        decision = partition_pps(
+            model, geo.width, geo.height, prepared.density,
+            config.resolve_chunk_rows() * geo.mcu_height, geo.mcu_height)
+    else:
+        decision = partition_sps(model, geo.width, geo.height, geo.mcu_height)
+    return geo.pixel_rows_to_mcu_rows(decision.gpu_rows), decision
+
+
+def _resolve_last_chunk(config: ExecutionConfig, prepared: PreparedImage,
+                        decision: PartitionDecision, r0: int,
+                        consumed_huff: float, backlog: float
+                        ) -> tuple[int, PartitionDecision]:
+    """Eq 16/17: one GPU chunk + the CPU partition remain from MCU row
+    *r0*; re-solve the split with the density the decoded chunks showed.
+    Returns the GPU's new last row and the decision as finally taken."""
+    geo, model = prepared.geometry, config.model
+    remaining_px = min((geo.mcu_rows - r0) * geo.mcu_height,
+                       geo.height - r0 * geo.mcu_height)
+    est_total_huff = model.t_huff(geo.width, geo.height, prepared.density)
+    d_corr = corrected_density(
+        max(est_total_huff, 1e-9), consumed_huff,
+        remaining_px, geo.height, prepared.density)
+    re_dec = repartition_pps(model, geo.width, remaining_px,
+                             d_corr, backlog, geo.mcu_height)
+    r1 = min(r0 + geo.pixel_rows_to_mcu_rows(re_dec.gpu_rows), geo.mcu_rows)
+    gpu_px = min(r1 * geo.mcu_height, geo.height)
+    return r1, PartitionDecision(
+        cpu_rows=geo.height - gpu_px,
+        gpu_rows=gpu_px,
+        x_unrounded=re_dec.x_unrounded,
+        iterations=decision.iterations + re_dec.iterations,
+        converged=re_dec.converged,
+        predicted_cpu_us=re_dec.predicted_cpu_us,
+        predicted_gpu_us=re_dec.predicted_gpu_us,
+    )
+
+
+def execute(config: ExecutionConfig, prepared: PreparedImage,
+            mode: DecodeMode) -> DecodeResult:
+    """Run (or price) one decode under any of the six modes.
+
+    The modes are one timeline with two switches (plus CPU-only):
+    *partitioned* decides how many MCU rows the GPU takes (Section 5.2,
+    Figure 8a/8c), *pipelined* decides whether Huffman runs up front or
+    chunk by chunk with each chunk dispatched as it lands (Section 4.5,
+    Figure 5b/8c).  The CPU takes whatever rows are left.
+    """
+    geo = prepared.geometry
+    n = geo.mcu_rows
+    pipelined = mode.is_pipelined
     timeline = Timeline()
     huff = prepared.huff_row_us(config.platform)
-
-    host = 0.0
+    gpu_rows, decision = _gpu_share(config, prepared, mode)
+    program, queue = (_make_program(config, prepared) if gpu_rows > 0
+                      else (None, None))
+    host = consumed_huff = 0.0
+    decoded = 0                      # MCU rows Huffman has been through
     parts: list[np.ndarray] = []
-    for (r0, r1) in _chunk_spans(geo.mcu_rows, chunk_rows):
+
+    def huffman(r0: int, r1: int) -> float:
         dt = float(huff[r0:r1].sum())
-        timeline.add("cpu", f"huffman[{r0}:{r1}]", "huffman", host, host + dt)
-        host += dt
+        label = f"huffman[{r0}:{r1}]" if pipelined else "huffman"
+        timeline.add("cpu", label, "huffman", host, host + dt)
+        return dt
+
+    if not pipelined:
+        host += huffman(0, n)
+        decoded = n
+    spans = (_chunk_spans(gpu_rows, config.resolve_chunk_rows()) if pipelined
+             else [(0, gpu_rows)] if gpu_rows > 0 else [])
+    resolve_last = mode.is_partitioned and pipelined and config.repartition
+    for i, (r0, r1) in enumerate(spans):
+        if resolve_last and i == len(spans) - 1:
+            r1, decision = _resolve_last_chunk(
+                config, prepared, decision, r0, consumed_huff,
+                max(0.0, queue.device_free_at - host))
+            gpu_rows = r1
+            if r1 == r0:
+                break
+        if pipelined:
+            dt = huffman(r0, r1)
+            host += dt
+            consumed_huff += dt
+            decoded = r1
         t_before = host
         host, events, rgb = _gpu_span(program, prepared, r0, r1, host)
-        timeline.add("cpu", f"dispatch[{r0}:{r1}]", "dispatch", t_before, host)
+        timeline.add("cpu", f"dispatch[{r0}:{r1}]" if pipelined else "dispatch",
+                     "dispatch", t_before, host)
         timeline.add_events(events)
         if rgb is not None:
             parts.append(rgb)
-    total = queue.finish(host)
-    out = np.vstack(parts) if parts else None
+
+    # the CPU takes the rows that are left
+    if decoded < n:
+        host += huffman(decoded, n)
+    cpu_end = host
+    if not mode.uses_gpu:
+        cpu_end = _cpu_stage_spans(config, geo, timeline, host,
+                                   simd=mode is DecodeMode.SIMD)
+    elif gpu_rows < n:
+        cpu_px = geo.height - min(gpu_rows * geo.mcu_height, geo.height)
+        cpu_end = host + calibrate.cpu_parallel_time_us(
+            geo.width, cpu_px, geo.mode, config.platform.cpu, simd=True)
+        timeline.add("cpu", f"simd[{gpu_rows}:{n}]", "cpu-parallel",
+                     host, cpu_end)
+    if gpu_rows < n and not prepared.is_virtual:
+        parts.append(cpu_parallel_span(
+            geo, prepared.coefficients, prepared.quants,
+            gpu_rows, n, config.fancy_upsampling))
+
+    total = max(cpu_end, queue.finish(host)) if queue is not None else cpu_end
     return DecodeResult(
-        mode=DecodeMode.PIPELINE, rgb=out, geometry=geo, timeline=timeline,
-        total_us=total, breakdown=timeline.stage_breakdown(),
+        mode=mode, rgb=np.vstack(parts) if parts else None, geometry=geo,
+        timeline=timeline, total_us=total,
+        breakdown=timeline.stage_breakdown(), partition=decision,
         info=prepared.info,
     )
-
-
-def execute_sps(config: ExecutionConfig, prepared: PreparedImage) -> DecodeResult:
-    """SPS (Section 5.2.1, Figure 8a): full Huffman, then the parallel
-    phase split between GPU (top rows) and CPU (bottom rows)."""
-    geo = prepared.geometry
-    model = config.require_model(DecodeMode.SPS)
-    timeline = Timeline()
-    huff = prepared.huff_row_us(config.platform)
-    t_h = float(huff.sum())
-    timeline.add("cpu", "huffman", "huffman", 0.0, t_h)
-
-    decision = partition_sps(model, geo.width, geo.height, geo.mcu_height)
-    gpu_mcu_rows = geo.pixel_rows_to_mcu_rows(decision.gpu_rows)
-    host = t_h
-    parts: list[np.ndarray] = []
-
-    queue = None
-    if gpu_mcu_rows > 0:
-        program, queue = _make_program(config, prepared)
-        t_before = host
-        host, events, rgb = _gpu_span(program, prepared, 0, gpu_mcu_rows, host)
-        timeline.add("cpu", "dispatch", "dispatch", t_before, host)
-        timeline.add_events(events)
-        if rgb is not None:
-            parts.append(rgb)
-
-    cpu_pixel_rows = geo.height - min(gpu_mcu_rows * geo.mcu_height, geo.height)
-    cpu_end = host
-    if cpu_pixel_rows > 0:
-        dt = cpu_span_time_us(config, geo, cpu_pixel_rows, simd=True)
-        timeline.add("cpu", f"simd[{gpu_mcu_rows}:{geo.mcu_rows}]",
-                     "cpu-parallel", host, host + dt)
-        cpu_end = host + dt
-        if not prepared.is_virtual:
-            parts.append(cpu_parallel_span(
-                geo, prepared.coefficients, prepared.quants,
-                gpu_mcu_rows, geo.mcu_rows, config.fancy_upsampling))
-
-    total = max(cpu_end, queue.finish(host) if queue is not None else cpu_end)
-    out = np.vstack(parts) if parts and not prepared.is_virtual else None
-    return DecodeResult(
-        mode=DecodeMode.SPS, rgb=out, geometry=geo, timeline=timeline,
-        total_us=total, breakdown=timeline.stage_breakdown(),
-        partition=decision, info=prepared.info,
-    )
-
-
-def execute_pps(config: ExecutionConfig, prepared: PreparedImage) -> DecodeResult:
-    """PPS (Section 5.2.2, Figure 8c): GPU chunks overlap Huffman; the
-    split is re-solved before the last GPU chunk (Eq 16/17)."""
-    geo = prepared.geometry
-    model = config.require_model(DecodeMode.PPS)
-    chunk_rows = config.resolve_chunk_rows()
-    timeline = Timeline()
-    huff = prepared.huff_row_us(config.platform)
-
-    decision = partition_pps(
-        model, geo.width, geo.height, prepared.density,
-        chunk_rows * geo.mcu_height, geo.mcu_height)
-    gpu_mcu_rows = geo.pixel_rows_to_mcu_rows(decision.gpu_rows)
-
-    program, queue = (None, None)
-    if gpu_mcu_rows > 0:
-        program, queue = _make_program(config, prepared)
-
-    spans = _chunk_spans(gpu_mcu_rows, chunk_rows)
-    est_total_huff = model.t_huff(geo.width, geo.height, prepared.density)
-
-    host = 0.0
-    parts: list[np.ndarray] = []
-    consumed_huff = 0.0
-    final_decision = decision
-
-    for i, (r0, r1) in enumerate(spans):
-        is_last = i == len(spans) - 1
-        if is_last and config.repartition:
-            # Eq 16/17: one GPU chunk + the CPU partition remain
-            remaining_mcu_rows = geo.mcu_rows - r0
-            remaining_px = min(remaining_mcu_rows * geo.mcu_height,
-                               geo.height - r0 * geo.mcu_height)
-            d_corr = corrected_density(
-                max(est_total_huff, 1e-9), consumed_huff,
-                remaining_px, geo.height, prepared.density)
-            backlog = max(0.0, queue.device_free_at - host) if queue else 0.0
-            re_dec = repartition_pps(model, geo.width, remaining_px,
-                                     d_corr, backlog, geo.mcu_height)
-            new_gpu_px = re_dec.gpu_rows
-            new_gpu_rows = geo.pixel_rows_to_mcu_rows(new_gpu_px)
-            r1 = min(r0 + new_gpu_rows, geo.mcu_rows)
-            gpu_mcu_rows = r1
-            final_decision = PartitionDecision(
-                cpu_rows=geo.height - min(r1 * geo.mcu_height, geo.height),
-                gpu_rows=min(r1 * geo.mcu_height, geo.height),
-                x_unrounded=re_dec.x_unrounded,
-                iterations=decision.iterations + re_dec.iterations,
-                converged=re_dec.converged,
-                predicted_cpu_us=re_dec.predicted_cpu_us,
-                predicted_gpu_us=re_dec.predicted_gpu_us,
-            )
-            if r1 <= r0:
-                gpu_mcu_rows = r0
-                break
-        dt = float(huff[r0:r1].sum())
-        timeline.add("cpu", f"huffman[{r0}:{r1}]", "huffman", host, host + dt)
-        host += dt
-        consumed_huff += dt
-        t_before = host
-        host, events, rgb = _gpu_span(program, prepared, r0, r1, host)
-        timeline.add("cpu", f"dispatch[{r0}:{r1}]", "dispatch", t_before, host)
-        timeline.add_events(events)
-        if rgb is not None:
-            parts.append(rgb)
-        if is_last:
-            break
-
-    # CPU partition: Huffman for the remaining rows, then SIMD
-    cpu_end = host
-    if gpu_mcu_rows < geo.mcu_rows:
-        dt_h = float(huff[gpu_mcu_rows:].sum())
-        timeline.add("cpu", f"huffman[{gpu_mcu_rows}:{geo.mcu_rows}]",
-                     "huffman", host, host + dt_h)
-        host += dt_h
-        cpu_px = geo.height - min(gpu_mcu_rows * geo.mcu_height, geo.height)
-        dt_c = cpu_span_time_us(config, geo, cpu_px, simd=True)
-        timeline.add("cpu", f"simd[{gpu_mcu_rows}:{geo.mcu_rows}]",
-                     "cpu-parallel", host, host + dt_c)
-        cpu_end = host + dt_c
-        if not prepared.is_virtual:
-            parts.append(cpu_parallel_span(
-                geo, prepared.coefficients, prepared.quants,
-                gpu_mcu_rows, geo.mcu_rows, config.fancy_upsampling))
-
-    gpu_end = queue.finish(host) if queue is not None else cpu_end
-    total = max(cpu_end, gpu_end)
-    out = np.vstack(parts) if parts and not prepared.is_virtual else None
-    return DecodeResult(
-        mode=DecodeMode.PPS, rgb=out, geometry=geo, timeline=timeline,
-        total_us=total, breakdown=timeline.stage_breakdown(),
-        partition=final_decision, info=prepared.info,
-    )
-
-
-#: Dispatch table used by the public decoder facade.
-EXECUTORS = {
-    DecodeMode.SEQUENTIAL: lambda cfg, img: execute_cpu_only(cfg, img, DecodeMode.SEQUENTIAL),
-    DecodeMode.SIMD: lambda cfg, img: execute_cpu_only(cfg, img, DecodeMode.SIMD),
-    DecodeMode.GPU: execute_gpu,
-    DecodeMode.PIPELINE: execute_pipeline,
-    DecodeMode.SPS: execute_sps,
-    DecodeMode.PPS: execute_pps,
-}

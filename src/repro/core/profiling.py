@@ -18,7 +18,11 @@ from ..errors import KernelError, ProfilingError
 from ..gpusim import calibrate
 from ..gpusim.queue import CommandQueue
 from ..jpeg.blocks import ImageGeometry
-from ..kernels.program import GpuDecodeProgram, GpuProgramOptions
+from ..kernels.program import (
+    KERNEL_SUBSAMPLINGS,
+    GpuDecodeProgram,
+    GpuProgramOptions,
+)
 from .chunking import profile_chunk_sizes
 from .executors import PreparedImage
 from .perfmodel import PerformanceModel
@@ -108,7 +112,7 @@ def profile_platform(
 
     Set ``full_report=True`` to also get the raw records and sweeps.
     """
-    if subsampling not in ("4:4:4", "4:2:2"):
+    if subsampling not in KERNEL_SUBSAMPLINGS:
         raise ProfilingError(
             f"profiling covers the paper's modes (4:4:4/4:2:2), not {subsampling}"
         )

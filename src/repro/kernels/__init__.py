@@ -9,7 +9,12 @@ from .layout import (
     pack_span,
 )
 from .merged import MergedAllKernel, MergedIdctColorKernel, MergedUpsampleColorKernel
-from .program import GpuDecodeProgram, GpuProgramOptions, SpanResult
+from .program import (
+    KERNEL_SUBSAMPLINGS,
+    GpuDecodeProgram,
+    GpuProgramOptions,
+    SpanResult,
+)
 from .upsample_kernel import UpsampleKernel
 
 __all__ = [
@@ -17,6 +22,7 @@ __all__ = [
     "GpuDecodeProgram",
     "GpuProgramOptions",
     "IdctKernel",
+    "KERNEL_SUBSAMPLINGS",
     "MergedAllKernel",
     "MergedIdctColorKernel",
     "MergedUpsampleColorKernel",

@@ -55,13 +55,19 @@ class SpanResult:
         return self.events[-1].end if self.events else 0.0
 
 
+#: The paper's scope (Section 6): the subsamplings the GPU kernels — and
+#: with them the fitted models and the GPU modes — cover.  Everything
+#: else decodes on the CPU paths.
+KERNEL_SUBSAMPLINGS = ("4:4:4", "4:2:2")
+
+
 class GpuDecodeProgram:
     """Executes parallel-phase spans for one image on one queue."""
 
     def __init__(self, queue: CommandQueue, geometry: ImageGeometry,
                  quants: list[np.ndarray],
                  options: GpuProgramOptions | None = None) -> None:
-        if geometry.mode not in ("4:4:4", "4:2:2"):
+        if geometry.mode not in KERNEL_SUBSAMPLINGS:
             raise JpegUnsupportedError(
                 f"GPU kernels cover 4:4:4 and 4:2:2; {geometry.mode} "
                 "decodes via the CPU paths (the paper's scope, Section 6)"

@@ -68,8 +68,8 @@ points):
 
 CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
 (pull-driven batch loop; ``--schedule model|roundrobin`` turns the
-scheduler on).  Benchmarks:
-``benchmarks/bench_service_throughput.py`` (throughput sweep),
+scheduler on).  Benchmarks: the perf ledger's ``session_small`` and
+``http_mixed`` workloads (``benchmarks/perf/run.py``),
 ``benchmarks/bench_service_latency.py`` (open-loop latency vs offered
 load against a session) and ``benchmarks/bench_batch_partition.py``
 (model-guided vs round-robin makespan).

@@ -27,13 +27,12 @@ Three pieces, all stdlib-only:
 
 The whole layer is gated on ``request.trace is not None``: with
 tracing off (the default) the per-image cost is a single attribute
-check, enforced by ``benchmarks/bench_obs_overhead.py``.
+check (the perf ledger reports it as ``decoder.trace_overhead``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import uuid
 from bisect import bisect_right
@@ -48,10 +47,8 @@ from ..errors import ServiceError
 #: Trace modes accepted by :class:`ObsHub` / ``DecodeSession(tracing=...)``.
 #: ``off`` records nothing but keeps the metrics histogram live;
 #: ``on`` traces every request; ``sample`` traces a deterministic
-#: 1-in-N subset; ``unobserved`` additionally skips the metrics
-#: histogram — the benchmark control arm that stands in for the
-#: pre-observability build.
-TRACE_MODES = ("unobserved", "off", "on", "sample")
+#: 1-in-N subset.
+TRACE_MODES = ("off", "on", "sample")
 
 #: Explicit latency histogram buckets (seconds), Prometheus-style.
 LATENCY_BUCKETS_S = (0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -377,8 +374,7 @@ class ObsHub:
     mode gate (``off`` / ``on`` / ``sample``); ``record_spans`` files
     completed spans into the bounded :class:`TraceStore` and, when
     configured, the JSON-lines :class:`TraceLog`.  The latency
-    :class:`Histogram` stays live in every mode except ``unobserved``
-    (the benchmark control arm).
+    :class:`Histogram` stays live in every mode.
     """
 
     def __init__(self, mode: str = "off", sample_rate: float = 0.1,
@@ -425,9 +421,8 @@ class ObsHub:
         return TraceContext.new_root()
 
     def observe_latency(self, seconds: float) -> None:
-        """Feed the decode-latency histogram (no-op when unobserved)."""
-        if self.mode != "unobserved":
-            self.latency.observe(seconds)
+        """Feed the decode-latency histogram."""
+        self.latency.observe(seconds)
 
     def record_spans(self, spans: list[SpanRecord]) -> None:
         """File completed spans into the store and the optional log."""
@@ -535,187 +530,148 @@ def _escape_label(value: object) -> str:
             .replace("\n", "\\n"))
 
 
-class _PromWriter:
-    """Accumulates one exposition document with HELP/TYPE headers."""
-
-    def __init__(self):
-        """Start an empty document."""
-        self.lines: list[str] = []
-
-    def header(self, name: str, kind: str, help_text: str) -> None:
-        """Emit the ``# HELP`` / ``# TYPE`` pair for a metric family."""
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {kind}")
-
-    def sample(self, name: str, labels: dict | None, value: object) -> None:
-        """Emit one sample line."""
-        try:
-            numeric = float(value)
-        except (TypeError, ValueError):
-            return
-        if labels:
-            body = ",".join(f'{k}="{_escape_label(v)}"'
-                            for k, v in labels.items())
-            self.lines.append(f"{name}{{{body}}} {numeric:g}")
-        else:
-            self.lines.append(f"{name} {numeric:g}")
-
-    def render(self) -> str:
-        """The finished document (trailing newline included)."""
-        return "\n".join(self.lines) + "\n"
+def _at(node: object, *path: str, default: object = 0) -> object:
+    """``node[path[0]][path[1]]...``, or *default* where a key is absent
+    (an unscheduled session has no ``scheduler`` section)."""
+    for key in path:
+        node = (node or {}).get(key)
+    return default if node is None else node
 
 
-def render_prometheus(snapshot: dict, hub: ObsHub | None = None) -> str:
-    """Render a session ``stats_snapshot()`` as Prometheus text.
+def _one(*path: str):
+    """A family that is the single unlabelled number at *path*."""
+    return lambda snapshot: [(None, _at(snapshot, *path))]
 
-    Defensive against shape drift: every section is optional, so the
-    exporter keeps working if a stats key disappears.  Produces
-    counters (``_total``), gauges, and the decode-latency histogram
-    with explicit buckets; per-lane and per-host series carry
-    ``lane`` / ``host`` labels.
-    """
-    w = _PromWriter()
 
-    w.header("repro_images_total", "counter", "Images decoded (lifetime).")
-    w.sample("repro_images_total", {"outcome": "ok"},
-             snapshot.get("images_ok", 0))
-    w.sample("repro_images_total", {"outcome": "failed"},
-             snapshot.get("images_failed", 0))
-    w.sample("repro_images_total", {"outcome": "split"},
-             snapshot.get("images_split", 0))
-    w.header("repro_batches_total", "counter", "Batches decoded (lifetime).")
-    w.sample("repro_batches_total", None, snapshot.get("batches", 0))
+def _each(label: str, *path: str, field: str | None = None):
+    """A family with one sample per entry of the dict at *path*, in key
+    order, labelled ``label=key``: the entry, or the entry's *field*."""
+    def samples(snapshot: dict):
+        for key, entry in sorted(_at(snapshot, *path, default={}).items()):
+            yield {label: key}, entry if field is None else entry[field]
+    return samples
 
-    w.header("repro_queue_depth", "gauge", "Requests waiting in the queue.")
-    w.sample("repro_queue_depth", None, snapshot.get("pending", 0))
-    w.header("repro_queue_capacity", "gauge", "Bounded queue capacity.")
-    w.sample("repro_queue_capacity", None, snapshot.get("queue_capacity", 0))
 
-    faults = snapshot.get("faults", {})
-    w.header("repro_retries_total", "counter", "Per-image dispatch retries.")
-    w.sample("repro_retries_total", None, faults.get("retries", 0))
-    w.header("repro_infra_failures_total", "counter",
-             "Worker crashes / infrastructure failures.")
-    w.sample("repro_infra_failures_total", None,
-             faults.get("infra_failures", 0))
-    w.header("repro_deadline_expired_total", "counter",
-             "Requests shed by deadline.")
-    w.sample("repro_deadline_expired_total", None,
-             faults.get("deadline_expired", 0))
-    w.header("repro_pool_rebuilds_total", "counter",
-             "Broken worker pools rebuilt in place.")
-    w.sample("repro_pool_rebuilds_total", None, faults.get("pool_rebuilds", 0))
-    w.header("repro_shed_total", "counter",
-             "Admissions refused, by priority class.")
-    for priority, count in sorted(
-            (faults.get("shed_by_priority") or {}).items()):
-        w.sample("repro_shed_total", {"priority": priority}, count)
+def _per_host(*fields: tuple[str, dict]):
+    """A family over the remote host links, labelled by endpoint; each
+    of *fields* is ``(link counter, extra labels)``."""
+    def samples(snapshot: dict):
+        for _, link in sorted(_at(snapshot, "per_host", default={}).items()):
+            for counter, extra in fields:
+                yield {"host": link["endpoint"], **extra}, link[counter]
+    return samples
 
-    transport = snapshot.get("transport", {})
-    w.header("repro_transport_bytes_total", "counter",
-             "Result plane bytes by transport mode.")
-    w.sample("repro_transport_bytes_total", {"mode": "shm"},
-             transport.get("shm_bytes", 0))
-    w.sample("repro_transport_bytes_total", {"mode": "pickle"},
-             transport.get("pickle_bytes", 0))
 
-    per_executor = {lane: usage for lane, usage
-                    in sorted((snapshot.get("per_executor") or {}).items())
-                    if isinstance(usage, dict)}
-    # One family's header must precede ALL its samples (the exposition
-    # format forbids reopening a family), so the lane loop runs once
-    # per family rather than once with interleaved samples.
-    w.header("repro_lane_images_total", "counter",
-             "Images decoded per executor lane.")
-    for lane, usage in per_executor.items():
-        w.sample("repro_lane_images_total", {"lane": lane},
-                 usage.get("images", 0))
-    w.header("repro_lane_busy_seconds_total", "counter",
-             "Busy wall-clock per executor lane.")
-    for lane, usage in per_executor.items():
-        w.sample("repro_lane_busy_seconds_total", {"lane": lane},
-                 usage.get("busy_s", usage.get("wall_s", 0)))
+def _breaker_states(snapshot: dict):
+    """1 for the state each lane's breaker is in, 0 for the other two."""
+    breakers = _at(snapshot, "scheduler", "breakers", default={})
+    for lane, breaker in sorted(breakers.items()):
+        for state in ("closed", "open", "half_open"):
+            yield ({"lane": lane, "state": state},
+                   1 if breaker["state"] == state else 0)
 
-    scheduler = snapshot.get("scheduler") or {}
-    feedback = scheduler.get("feedback") or {}
-    scales = (feedback.get("scales") if isinstance(feedback, dict) else None) \
-        or scheduler.get("scales") or {}
-    w.header("repro_lane_ewma_scale", "gauge",
-             "EWMA feedback scale per scheduler lane.")
-    if isinstance(scales, dict):
-        for lane, scale in sorted(scales.items()):
-            w.sample("repro_lane_ewma_scale", {"lane": lane}, scale)
-    breakers = scheduler.get("breakers") or {}
-    w.header("repro_lane_breaker_state", "gauge",
-             "Circuit breaker state per lane (1 = in this state).")
-    states = ("closed", "open", "half_open")
-    if isinstance(breakers, dict):
-        for lane, info in sorted(breakers.items()):
-            current = info.get("state") if isinstance(info, dict) else info
-            for state in states:
-                w.sample("repro_lane_breaker_state",
-                         {"lane": lane, "state": state},
-                         1 if current == state else 0)
 
-    per_host = {entry.get("endpoint", lane): entry for lane, entry
-                in sorted((snapshot.get("per_host") or {}).items())
-                if isinstance(entry, dict)}
-    w.header("repro_host_requests_total", "counter",
-             "Requests dispatched per remote host.")
-    for host, entry in per_host.items():
-        w.sample("repro_host_requests_total", {"host": host},
-                 entry.get("requests", 0))
-    w.header("repro_host_failures_total", "counter",
-             "Failed dispatches per remote host.")
-    for host, entry in per_host.items():
-        w.sample("repro_host_failures_total", {"host": host},
-                 entry.get("failures", 0))
-    w.header("repro_host_bytes_total", "counter",
-             "Wire bytes per remote host, by direction.")
-    for host, entry in per_host.items():
-        w.sample("repro_host_bytes_total", {"host": host, "direction": "tx"},
-                 entry.get("bytes_tx", 0))
-        w.sample("repro_host_bytes_total", {"host": host, "direction": "rx"},
-                 entry.get("bytes_rx", 0))
-
-    if hub is not None:
-        hist = hub.latency.snapshot()
-        w.header("repro_decode_latency_seconds", "histogram",
-                 "End-to-end decode latency (submit to result).")
-        for le, count in hist["buckets"]:
-            w.sample("repro_decode_latency_seconds_bucket", {"le": le}, count)
-        w.sample("repro_decode_latency_seconds_sum", None, hist["sum"])
-        w.sample("repro_decode_latency_seconds_count", None, hist["count"])
-        counters = hub.counters()
-        w.header("repro_traces_started_total", "counter",
-                 "Trace contexts created by the sampler gate.")
-        w.sample("repro_traces_started_total", None,
-                 counters.get("traces_started", 0))
-        w.header("repro_spans_recorded_total", "counter",
-                 "Spans filed into the trace store.")
-        w.sample("repro_spans_recorded_total", None,
-                 counters.get("spans_recorded", 0))
-        w.header("repro_obs_uptime_seconds", "gauge",
-                 "Seconds since the observability hub started.")
-        w.sample("repro_obs_uptime_seconds", None,
-                 max(0.0, time() - hub.started_at))
-
-    w.header("repro_process_start_unixtime", "gauge",
-             "Unix time this process's exporter first rendered.")
-    w.sample("repro_process_start_unixtime", None, _PROCESS_EPOCH)
-    return w.render()
+def _latency_histogram(hub: ObsHub):
+    """Cumulative buckets, then ``_sum`` and ``_count``."""
+    hist = hub.latency.snapshot()
+    for le, count in hist["buckets"]:
+        yield {"le": le}, count, "_bucket"
+    yield None, hist["sum"], "_sum"
+    yield None, hist["count"], "_count"
 
 
 #: Stamped at import so repeated scrapes expose a stable start marker.
 _PROCESS_EPOCH = time()
 
+#: ``/metrics`` as data: ``(name, type, help, samples)`` per family, in
+#: exposition order.  ``samples(source)`` yields ``(labels | None,
+#: value)`` — plus a name suffix for histogram series.  One header, then
+#: all of a family's samples: the format forbids reopening a family.
+_SNAPSHOT_FAMILIES = (
+    ("repro_images_total", "counter", "Images decoded (lifetime).",
+     lambda s: [({"outcome": o}, _at(s, f"images_{o}"))
+                for o in ("ok", "failed", "split")]),
+    ("repro_batches_total", "counter", "Batches decoded (lifetime).",
+     _one("batches")),
+    ("repro_queue_depth", "gauge", "Requests waiting in the queue.",
+     _one("pending")),
+    ("repro_queue_capacity", "gauge", "Bounded queue capacity.",
+     _one("queue_capacity")),
+    ("repro_retries_total", "counter", "Per-image dispatch retries.",
+     _one("faults", "retries")),
+    ("repro_infra_failures_total", "counter",
+     "Worker crashes / infrastructure failures.",
+     _one("faults", "infra_failures")),
+    ("repro_deadline_expired_total", "counter", "Requests shed by deadline.",
+     _one("faults", "deadline_expired")),
+    ("repro_pool_rebuilds_total", "counter",
+     "Broken worker pools rebuilt in place.",
+     _one("faults", "pool_rebuilds")),
+    ("repro_shed_total", "counter", "Admissions refused, by priority class.",
+     _each("priority", "faults", "shed_by_priority")),
+    ("repro_transport_bytes_total", "counter",
+     "Result plane bytes by transport mode.",
+     lambda s: [({"mode": m}, _at(s, "transport", f"{m}_bytes"))
+                for m in ("shm", "pickle")]),
+    ("repro_lane_images_total", "counter", "Images decoded per executor lane.",
+     _each("lane", "per_executor", field="images")),
+    ("repro_lane_busy_seconds_total", "counter",
+     "Busy wall-clock per executor lane.",
+     _each("lane", "per_executor", field="busy_s")),
+    ("repro_lane_ewma_scale", "gauge",
+     "EWMA feedback scale per scheduler lane.",
+     _each("lane", "scheduler", "feedback", "scales")),
+    ("repro_lane_breaker_state", "gauge",
+     "Circuit breaker state per lane (1 = in this state).", _breaker_states),
+    ("repro_host_requests_total", "counter",
+     "Requests dispatched per remote host.", _per_host(("requests", {}))),
+    ("repro_host_failures_total", "counter",
+     "Failed dispatches per remote host.", _per_host(("failures", {}))),
+    ("repro_host_bytes_total", "counter",
+     "Wire bytes per remote host, by direction.",
+     _per_host(("bytes_tx", {"direction": "tx"}),
+               ("bytes_rx", {"direction": "rx"}))),
+    ("repro_process_start_unixtime", "gauge",
+     "Unix time this process's exporter first rendered.",
+     lambda _: [(None, _PROCESS_EPOCH)]),
+)
+
+#: The families read off the session's :class:`ObsHub`.
+_HUB_FAMILIES = (
+    ("repro_decode_latency_seconds", "histogram",
+     "End-to-end decode latency (submit to result).", _latency_histogram),
+    ("repro_traces_started_total", "counter",
+     "Trace contexts created by the sampler gate.",
+     lambda hub: [(None, hub.counters()["traces_started"])]),
+    ("repro_spans_recorded_total", "counter",
+     "Spans filed into the trace store.",
+     lambda hub: [(None, hub.counters()["spans_recorded"])]),
+    ("repro_obs_uptime_seconds", "gauge",
+     "Seconds since the observability hub started.",
+     lambda hub: [(None, max(0.0, time() - hub.started_at))]),
+)
+
+
+def render_prometheus(snapshot: dict, hub: ObsHub | None = None) -> str:
+    """Render a session ``stats_snapshot()`` as Prometheus text:
+    counters (``_total``), gauges and — given the *hub* — the
+    decode-latency histogram with explicit buckets; per-lane and
+    per-host series carry ``lane`` / ``host`` labels."""
+    lines: list[str] = []
+    for families, source in ((_SNAPSHOT_FAMILIES, snapshot),
+                             (_HUB_FAMILIES, hub)):
+        if source is None:
+            continue
+        for name, kind, help_text, samples in families:
+            lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+            for labels, value, *suffix in samples(source):
+                body = ",".join(f'{k}="{_escape_label(v)}"'
+                                for k, v in (labels or {}).items())
+                lines.append(f"{name}{''.join(suffix)}"
+                             f"{'{' + body + '}' if body else ''} "
+                             f"{float(value):g}")
+    return "\n".join(lines) + "\n"
+
+
 #: Re-exported so worker tasks can stamp spans without importing time.
 now = perf_counter
-
-#: Environment knob honored by the S9 benchmark and the CI obs job.
-TRACE_OVERHEAD_ENV = "TRACE_OVERHEAD_MAX_RATIO"
-
-
-def trace_overhead_budget(default: float = 0.03) -> float:
-    """The allowed tracing-off throughput overhead fraction."""
-    return float(os.environ.get(TRACE_OVERHEAD_ENV, str(default)))

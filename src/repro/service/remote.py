@@ -284,9 +284,8 @@ class DecodeWorkerHost:
     """One shard: a :class:`~repro.service.session.DecodeSession` served
     over the length-prefixed TCP protocol (``repro serve-worker``).
 
-    Either wrap an existing session (``DecodeWorkerHost(session=s)``)
-    or pass session keyword arguments and let the host own one (closed
-    with the host).  ``port=0`` binds an ephemeral port; read
+    The host builds its session from the keyword arguments and closes
+    it with itself.  ``port=0`` binds an ephemeral port; read
     :attr:`port` after construction.  One daemon thread per accepted
     connection; each connection serves frames sequentially (a host
     pool opens up to ``depth`` of them for ``depth``-way concurrency).
@@ -298,17 +297,14 @@ class DecodeWorkerHost:
     connection survives.
     """
 
-    def __init__(self, session: DecodeSession | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  **session_kwargs: Any) -> None:
-        """Bind the listening socket and attach (or build) the session."""
-        self._owns_session = session is None
-        self.session = session or DecodeSession(**session_kwargs)
+        """Bind the listening socket and build the session."""
+        self.session = DecodeSession(**session_kwargs)
         try:
             self._sock = socket.create_server((host, port))
         except OSError:
-            if self._owns_session:
-                self.session.close(drain=False)
+            self.session.close(drain=False)
             raise
         self._sock.settimeout(0.2)
         self.host, self.port = self._sock.getsockname()[:2]
@@ -412,8 +408,8 @@ class DecodeWorkerHost:
         self._stopping = True
 
     def close(self) -> None:
-        """Stop accepting, sever live connections, close the owned
-        session.  Idempotent."""
+        """Stop accepting, sever live connections, close the session.
+        Idempotent."""
         self.shutdown()
         with suppress(OSError):
             self._sock.close()
@@ -426,16 +422,7 @@ class DecodeWorkerHost:
                 conn.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._owns_session:
-            self.session.close(drain=False)
-
-    def __enter__(self) -> "DecodeWorkerHost":
-        """Context-manager entry: the host itself."""
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: close socket, connections, session."""
-        self.close()
+        self.session.close(drain=False)
 
 
 # ---------------------------------------------------------------------------

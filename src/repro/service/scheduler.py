@@ -50,13 +50,11 @@ from ..core.perfmodel import PerformanceModel
 from ..core.platform import Platform
 from ..errors import ReproError, ServiceError
 from ..jpeg.markers import JpegImageInfo, parse_jpeg
+from ..kernels.program import KERNEL_SUBSAMPLINGS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
     from .batch import ImageRequest, ImageResult
     from .workers import WorkerPool
-
-#: Subsampling modes the GPU kernels (and the fitted models) cover.
-MODELED_SUBSAMPLINGS = ("4:4:4", "4:2:2")
 
 #: Scheduling policies :class:`ModelScheduler` implements.
 POLICIES = ("model", "roundrobin")
@@ -121,7 +119,7 @@ class ExecutorLane:
         """GPU lanes cover only the paper's kernel scope (4:4:4/4:2:2);
         CPU lanes decode everything."""
         if self.kind == "gpu":
-            return subsampling in MODELED_SUBSAMPLINGS
+            return subsampling in KERNEL_SUBSAMPLINGS
         return True
 
     def open_pool(self) -> "WorkerPool | None":
@@ -500,7 +498,7 @@ def price_images(
                 pricing.costs[lane.name] = math.inf
             pricings.append(pricing)
             continue
-        model_sub = sub if sub in MODELED_SUBSAMPLINGS else "4:2:2"
+        model_sub = sub if sub in KERNEL_SUBSAMPLINGS else "4:2:2"
         for lane in executors:
             if not lane.eligible(sub):
                 pricing.costs[lane.name] = math.inf

@@ -215,7 +215,7 @@ class DecodeSession:
         shared-memory *transport* selection and lane-bound executor
         *lane_pools*) / :class:`~repro.service.queue.SubmissionQueue`.
 
-        *tracing* (``"off"``/``"on"``/``"sample"``/``"unobserved"``)
+        *tracing* (``"off"``/``"on"``/``"sample"``)
         gates whether :meth:`submit` creates a root
         :class:`~repro.service.obs.TraceContext` for requests that do
         not already carry one — a request submitted *with* a context

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import astuple, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import JpegUnsupportedError
 from repro.core import DecodeMode, HeterogeneousDecoder, PreparedImage
-from repro.core.executors import ExecutionConfig, cpu_parallel_span
+from repro.core.executors import ExecutionConfig, cpu_parallel_span, execute
 from repro.data import synthetic_photo, synthetic_skewed
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.evaluation import platforms
@@ -69,11 +74,10 @@ class TestScheduleSemantics:
 
     def test_pipeline_overlaps_huffman_with_gpu(self, gtx560_decoder, prep422):
         # force chunks smaller than the image so the pipeline has >1 stage
-        from repro.core.executors import execute_pipeline
         cfg = ExecutionConfig(platform=platforms.GTX560,
                               model=gtx560_decoder.model_for("4:2:2"),
                               chunk_mcu_rows=2)
-        res = execute_pipeline(cfg, prep422)
+        res = execute(cfg, prep422, DecodeMode.PIPELINE)
         gpu_spans = [s for s in res.timeline.spans if s.resource == "gpu"]
         huff_end = max(s.end for s in res.timeline.spans if s.kind == "huffman")
         assert min(s.start for s in gpu_spans) < huff_end
@@ -120,6 +124,83 @@ class TestPricingParity:
             assert res.total_us > 0 and res.rgb is None
 
 
+#: The pinned matrix: per subsampling, 6 sizes x 3 densities priced
+#: virtually plus two real (pixel-producing) images.
+MATRIX_SIZES = ((64, 48), (200, 120), (512, 384), (1024, 768),
+                (1600, 1200), (333, 517))
+MATRIX_DENSITIES = (0.05, 0.2, 0.45)
+TIMELINE_DIGESTS = Path(__file__).parent / "data" / "executor_timelines.json"
+
+
+def _matrix_images(subsampling: str) -> list[PreparedImage]:
+    settings = EncoderSettings(quality=85, subsampling=subsampling)
+    return [PreparedImage.virtual(w, h, subsampling, d)
+            for w, h in MATRIX_SIZES for d in MATRIX_DENSITIES] + [
+        PreparedImage.from_bytes(encode_jpeg(rgb, settings))
+        for rgb in (synthetic_photo(72, 104, seed=7, detail=0.7),
+                    synthetic_skewed(96, 64, seed=5))]
+
+
+def _result_record(res) -> tuple:
+    """Everything a decode reports, floats spelled to the last bit."""
+    def hx(v):
+        return float.hex(v) if isinstance(v, float) else v
+    return (
+        hx(res.total_us),
+        sorted((k, hx(v)) for k, v in res.breakdown.items()),
+        res.partition and tuple(map(hx, astuple(res.partition))),
+        [(s.resource, s.label, s.kind, hx(s.start), hx(s.end))
+         for s in res.timeline.spans],
+        res.rgb is not None and hashlib.sha1(res.rgb.tobytes()).hexdigest(),
+    )
+
+
+def timeline_digests(platform, run) -> dict[str, str]:
+    """One sha1 per mode over the whole matrix x chunk {model's, 1, 3}
+    x ``repartition`` on/off, decoded by ``run(config, prepared, mode)``.
+
+    ``tests/data/executor_timelines.json`` holds what this returned at
+    the commit before the five per-mode executors became ``execute``
+    (there, *run* looked the mode up in that commit's dispatch table).
+    """
+    decoder = HeterogeneousDecoder.for_platform(platform)
+    hashes = {mode: hashlib.sha1() for mode in DecodeMode}
+    for subsampling in ("4:4:4", "4:2:2"):
+        for prep in _matrix_images(subsampling):
+            base = decoder._config(prep)
+            for chunk in (None, 1, 3):
+                for repartition in (True, False):
+                    cfg = replace(base, chunk_mcu_rows=chunk,
+                                  repartition=repartition)
+                    for mode, h in hashes.items():
+                        h.update(repr(_result_record(
+                            run(cfg, prep, mode))).encode())
+    return {mode.value: h.hexdigest() for mode, h in hashes.items()}
+
+
+class TestOneExecutor:
+    @pytest.mark.parametrize("platform", platforms.ALL_PLATFORMS,
+                             ids=lambda p: p.name)
+    def test_timelines_identical_to_the_per_mode_executors(self, platform):
+        pinned = json.loads(TIMELINE_DIGESTS.read_text())[platform.name]
+        assert timeline_digests(platform, execute) == pinned
+
+    def test_modes_are_the_square_plus_cpu_only(self, gtx560_decoder):
+        """The four GPU modes are the corners of partitioned x pipelined,
+        the two CPU-only modes sit outside it (they differ in SIMD only),
+        and ``execute`` takes every one of the six."""
+        gpu_modes = [m for m in DecodeMode if m.uses_gpu]
+        assert sorted((m.is_partitioned, m.is_pipelined) for m in gpu_modes) \
+            == [(False, False), (False, True), (True, False), (True, True)]
+        cpu_modes = [m for m in DecodeMode if not m.uses_gpu]
+        assert cpu_modes == [DecodeMode.SEQUENTIAL, DecodeMode.SIMD]
+        assert not any(m.is_partitioned or m.is_pipelined for m in cpu_modes)
+        prep = PreparedImage.virtual(200, 120, "4:2:2", 0.2)
+        cfg = gtx560_decoder._config(prep)
+        for mode in DecodeMode:
+            assert execute(cfg, prep, mode).mode is mode
+
+
 class TestPerformanceShapes:
     def test_simd_faster_than_sequential(self, gtx560_decoder, prep422):
         seq = gtx560_decoder.decode(prep422, DecodeMode.SEQUENTIAL)
@@ -154,11 +235,10 @@ class TestPerformanceShapes:
                                                 subsampling="4:2:2"))
         prep = PreparedImage.from_bytes(data).as_virtual()
         model = gtx560_decoder.model_for("4:2:2")
-        from repro.core.executors import execute_pps
-        on = execute_pps(ExecutionConfig(platform=platforms.GTX560,
-                                         model=model, repartition=True), prep)
-        off = execute_pps(ExecutionConfig(platform=platforms.GTX560,
-                                          model=model, repartition=False), prep)
+        on = execute(ExecutionConfig(platform=platforms.GTX560, model=model,
+                                     repartition=True), prep, DecodeMode.PPS)
+        off = execute(ExecutionConfig(platform=platforms.GTX560, model=model,
+                                      repartition=False), prep, DecodeMode.PPS)
         assert on.total_us <= off.total_us * 1.05
 
 

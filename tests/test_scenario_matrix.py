@@ -225,7 +225,7 @@ class TestHostileMatrix:
             again = decode_jpeg(bad, DecodeOptions(salvage=True))
             info = parse_jpeg(blob)
             geo = info.geometry
-            assert first.salvaged, name
+            assert first.salvaged and first.errors, name
             assert first.rgb.shape == (64, 96, 3), name
             assert first.error_map.shape == (geo.mcu_rows,
                                              geo.mcus_per_row), name

@@ -239,6 +239,9 @@ class TestPricing:
             assert model.price("simd", w, h, d, scans=scans) == \
                 pytest.approx(base + (scans - 1) * model.scan_pass_factor
                               * model.t_huff(w, h, d))
+        prices = [model.price("simd", w, h, d, scans=scans)
+                  for scans in (1, 6, 14, 18)]
+        assert prices == sorted(set(prices)) and prices[0] == base
 
     def test_progressive_priced_with_scans_not_splittable(self):
         rgb = synthetic_photo(96, 96, seed=7, detail=0.6)

@@ -42,7 +42,6 @@ from repro.service.obs import (
     child_span,
     make_span,
     map_remote_spans,
-    trace_overhead_budget,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -170,12 +169,6 @@ class TestObsHub:
         with pytest.raises(ServiceError):
             ObsHub(mode="sample", sample_rate=0.0)
 
-    def test_overhead_budget_env_floor(self, monkeypatch):
-        monkeypatch.delenv("TRACE_OVERHEAD_MAX_RATIO", raising=False)
-        assert trace_overhead_budget() == pytest.approx(0.03)
-        monkeypatch.setenv("TRACE_OVERHEAD_MAX_RATIO", "0.5")
-        assert trace_overhead_budget() == pytest.approx(0.5)
-
 
 class TestMapRemoteSpans:
     def test_offset_clamps_into_client_window(self):
@@ -219,6 +212,30 @@ class TestPrometheus:
                   for s in samples}
         assert by_key[("repro_images_total",
                        (("outcome", "ok"),))] == 3
+
+    def test_fixed_snapshot_renders_the_pinned_sample_set(self):
+        """``tests/data/metrics_samples.json``: a full-shape snapshot (and
+        its unscheduled twin) with the samples the hand-written renderer
+        produced for them, before it became the family table."""
+        pinned = json.loads(
+            (REPO_ROOT / "tests/data/metrics_samples.json").read_text())
+        hub = ObsHub("sample")
+        for seconds in pinned["latencies"]:
+            hub.observe_latency(seconds)
+        hub._counters.update(traces_started=5, spans_recorded=60)
+        clocks = ("repro_obs_uptime_seconds", "repro_process_start_unixtime")
+        for text, expected in (
+                (render_prometheus(pinned["snapshot"], hub),
+                 pinned["samples"]),
+                (render_prometheus(pinned["unscheduled"]),
+                 pinned["unscheduled_samples"])):
+            samples, violations = check_prom_format.parse_samples(text)
+            assert violations == []
+            assert sorted(
+                (s.name, sorted(s.labels.items()),
+                 s.name in clocks or s.value) for s in samples) == sorted(
+                (name, sorted(labels.items()), name in clocks or value)
+                for name, labels, value in expected)
 
     def test_checker_rejects_bad_documents(self):
         assert check_prom_format.validate(
@@ -300,6 +317,26 @@ class TestEndToEndTrace:
             session.close(drain=False)
         assert result.ok
         assert result.trace_spans == []
+
+    def test_sampled_session_reconciles_exactly(self, blob):
+        """The deterministic 1-in-N gate, through a whole session: the
+        trace count is exact, each trace has at least its request span,
+        and a traced decode has the pixels of an untraced one."""
+        oracle = decode_jpeg(blob).rgb
+        session = DecodeSession(backend="serial", tracing="sample",
+                                trace_sample=0.5, pump=False)
+        try:
+            handles = [session.submit(blob) for _ in range(5)]
+            session.run_once()
+            results = [h.result(timeout=60) for h in handles]
+            counters = session.obs.counters()
+        finally:
+            session.close(drain=False)
+        assert all(np.array_equal(r.rgb, oracle) for r in results)
+        assert [bool(r.trace_spans) for r in results] \
+            == [True, False, True, False, True]
+        assert counters["traces_started"] == 3
+        assert counters["spans_recorded"] >= 3
 
 
 # ---------------------------------------------------------------------------
