@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.data import synthetic_photo
 from repro.evaluation import format_table, platforms
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
 from repro.service import BatchDecoder, ExecutorRegistry, ModelScheduler
 from repro.service.scheduler import schedule_lpt, schedule_roundrobin
 
@@ -78,27 +78,29 @@ def build_corpus() -> list[bytes]:
 
 def assert_bit_identity(blobs: list[bytes]) -> int:
     """Decode under the model scheduler; outputs must equal the
-    sequential decoder's exactly.  Returns the split-image count.
+    sequential decoder's exactly.  Returns the fanned-out image count.
 
-    Two batches run: the full mixed corpus, and a two-image skewed
-    batch (the 1024x768 DRI image plus the smallest image) where the
-    large image dominates — its best single-lane cost exceeds the ideal
-    balanced makespan — and must fall back to restart-segment fan-out.
+    Three groups run: the full mixed corpus (placed whole: it fills the
+    pool), then the 1024x768 DRI frame and the 768x576 marker-free
+    frame each alone — a lone frame at an idle pool fans out before
+    placement (restart-segment runs, speculative chunks), scheduler or
+    not.
     """
     scheduler = ModelScheduler(policy="model", platform=platforms.GTX560)
-    splits = 0
+    fanned = 0
     with BatchDecoder(backend="thread", workers=2,
                       scheduler=scheduler) as dec:
-        for batch_blobs in (blobs, [blobs[0], blobs[-1]]):
+        for batch_blobs in (blobs, blobs[:1], blobs[1:2]):
             batch = dec.decode_batch(batch_blobs)
             for i, res in enumerate(batch):
                 assert res.ok, f"image {i}: {res.error_type}: {res.error}"
                 assert np.array_equal(res.rgb,
                                       decode_jpeg(batch_blobs[i]).rgb), (
                     f"image {i}: scheduled decode differs from sequential")
-            splits += batch.schedule.split_count
-    assert splits >= 1, "skewed batch should split its dominant DRI image"
-    return splits
+            fanned += sum(r.segments > 1 for r in batch)
+    assert fanned == 2, ("a lone DRI frame and a lone marker-free frame "
+                         "fan out under the scheduler")
+    return fanned
 
 
 def measure_lane_bound(blobs: list[bytes]) -> dict[str, float]:
@@ -135,7 +137,7 @@ def render() -> str:
     pricings = scheduler.price(blobs)
 
     # Makespan study on identical pricings, whole-image placements only.
-    model = schedule_lpt(pricings, scheduler.executors, split_dominant=False)
+    model = schedule_lpt(pricings, scheduler.executors)
     rr = schedule_roundrobin(pricings, scheduler.executors)
     lane_of = {a.index: a for a in model.assignments}
     rr_of = {a.index: a for a in rr.assignments}
@@ -145,7 +147,7 @@ def render() -> str:
         m, r = lane_of[p.index], rr_of[p.index]
         rows.append([
             f"{p.width}x{p.height}", p.subsampling,
-            "yes" if p.has_restarts else "no",
+            "yes" if parse_jpeg(blobs[p.index]).restart_interval else "no",
             m.executor.kind if m.executor else "-",
             f"{m.predicted_us / 1e3:.2f}",
             r.executor.kind if r.executor else "-",
@@ -157,7 +159,7 @@ def render() -> str:
         f">= {MIN_RATIO}x; got {ratio:.3f} "
         f"({model.makespan_us / 1e3:.2f}ms vs {rr.makespan_us / 1e3:.2f}ms)")
 
-    splits = assert_bit_identity(blobs)
+    fanned = assert_bit_identity(blobs)
 
     walls = measure_lane_bound(blobs)
     wall_ratio = walls["roundrobin"] / walls["model"]
@@ -172,7 +174,7 @@ def render() -> str:
     note = (
         f"makespan: model {model.makespan_us / 1e3:.2f}ms vs round-robin "
         f"{rr.makespan_us / 1e3:.2f}ms = {ratio:.2f}x (floor {MIN_RATIO}x); "
-        f"bit-identity OK, {splits} dominant image(s) split\n"
+        f"bit-identity OK, {fanned} lone frame(s) fanned out\n"
         f"lane-bound pools (wall-clock): model {walls['model'] * 1e3:.0f}ms "
         f"vs round-robin {walls['roundrobin'] * 1e3:.0f}ms = "
         f"{wall_ratio:.2f}x "

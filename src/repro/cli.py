@@ -501,7 +501,7 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
                         "on the platform's SIMD and GPU lanes with the "
                         "fitted performance model and place whole images "
                         "(LPT for 'model', cyclic for 'roundrobin'); "
-                        "overrides --mode per image")
+                        "overrides --mode per placed image")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
                    help="platform whose lanes a scheduler prices")
     p.add_argument("--transport", default="auto",
@@ -528,9 +528,9 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
                    help="speculative chunk fan-out for marker-free "
                         "(DRI=0) images: optimistic parallel Huffman "
                         "decode stitched by bit-position convergence; "
-                        "'auto' fans out only when the batch cannot "
+                        "'auto' fans out only when whole images cannot "
                         "fill the pool and the fan-out is predicted to "
-                        "pay")
+                        "pay (decided before any --schedule placement)")
     _add_tracing_args(p)
 
 

@@ -9,9 +9,11 @@ three steps that are the same for every image:
 - **plan** — each image becomes one
   :class:`~repro.service.tasks.DecodePlan`: a whole-image task (the
   common case), one task per run of restart segments (DRI images, when
-  the batch alone cannot fill the pool *and* the fan-out is predicted
-  to finish sooner than the whole-image task), or one task per
-  speculative chunk (marker-free scans under the same conditions);
+  whole images cannot fill the pool *and* the fan-out is predicted to
+  finish sooner than the whole-image task), or one task per
+  speculative chunk (marker-free scans under the same conditions) —
+  one decision, :meth:`BatchDecoder._fans_out`, asked before a
+  scheduler places what stayed whole;
 - **dispatch** — one place leases the shared-memory slot, draws the
   fault directive, opens the attempt trace context and submits;
 - **gather** — one body (:meth:`BatchDecoder.gather_one`, per completed
@@ -86,8 +88,9 @@ from .workers import WorkerPool
 #: image up by, for one more ~0.5 ms dispatch each.
 SEGMENT_RUNS_PER_WORKER = 2
 
-#: Fan-out verdicts of :meth:`BatchDecoder._plan`.
-_NO, _IF_IT_PAYS, _FORCED = 0, 1, 2
+#: A header :meth:`BatchDecoder.admit` has not read (``None`` is one
+#: nobody could read).
+_UNREAD: Any = object()
 
 
 @dataclass
@@ -206,8 +209,9 @@ class BatchDecoder:
         *scheduler* enables cross-image batch scheduling: a
         :class:`~repro.service.scheduler.ModelScheduler`, or a policy
         name (``"model"``/``"roundrobin"``) to build one with the
-        default lane set.  A scheduled batch overrides each request's
-        ``mode``/``platform``/``split_segments`` with its lane placement.
+        default lane set.  It places the whole images of a group — the
+        ones :meth:`_fans_out` did not fan out first — and overrides
+        each placed request's ``mode``/``platform`` with its lane's.
 
         *transport* picks how process-pool workers return decoded
         planes: ``"shm"`` (shared-memory segments + descriptors),
@@ -237,13 +241,13 @@ class BatchDecoder:
         *speculative* governs the marker-free fan-out
         (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
         DRI=0 scan into speculative chunks under the same conditions as
-        restart segments — what is in flight cannot fill the pool, and
-        the fan-out is predicted to pay
-        (:func:`~repro.service.scheduler.fanout_pays`); ``"on"`` fans
-        out every eligible image regardless, ``"off"`` disables the path
-        (a per-request :attr:`ImageRequest.speculative` overrides
-        either way).  *speculative_chunks* fixes the chunk count
-        (default: the dispatching pool's worker count).
+        restart segments — whole images cannot fill the pool, and the
+        fan-out is predicted to pay (:meth:`_fans_out`, the one
+        decision, with or without a scheduler); ``"on"`` fans out every
+        eligible image regardless, ``"off"`` disables the path (a
+        per-request :attr:`ImageRequest.speculative` overrides either
+        way).  *speculative_chunks* fixes the chunk count (default: the
+        pool's worker count).
         """
         from .executors import ExecutorRegistry
         from .transport import TRANSPORTS
@@ -335,6 +339,13 @@ class BatchDecoder:
         activity counter."""
         return sum(p.rebuilds for p in self._pools())
 
+    @property
+    def _ships_whole(self) -> bool:
+        """True when a lane lives on another machine: such a decoder
+        ships whole images, each host's own session decides any
+        fan-out."""
+        return any(p.whole_images_only for p in self._pools())
+
     # -- plan -----------------------------------------------------------
 
     def _normalize(self, items: Sequence[bytes | ImageRequest]
@@ -351,20 +362,70 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
+    def _fans_out(self, index: int, req: ImageRequest, crowd: int,
+                  infos: "list[JpegImageInfo | None]") -> bool:
+        """The one fan-out decision, asked once per image before any
+        placement: does *req* decode as parallel units on the default
+        pool (restart-segment runs, or speculative chunks of a
+        marker-free scan) instead of as one whole-image task?
+
+        Only the reference pixel path fans out (executor modes consume
+        the scan in-order themselves).  Each verdict short-circuits the
+        next: the per-request knob forces or forbids; else whole images
+        already fill the pool — *crowd* counts those in flight plus the
+        group being admitted — or the pool is serial, and the image
+        stays whole; else a progressive or salvage decode stays whole
+        (:func:`~repro.service.scheduler.whole_image_only`); else the
+        fan-out must be predicted to pay
+        (:func:`~repro.service.scheduler.fanout_pays`).  The speculative
+        policy ``"on"`` stands in for the request knob on a parallel
+        pool, ``"off"`` forbids; speculation additionally needs the fast
+        engine's exact bit positions.  ``None`` below reads "if it
+        pays".  A header not read at admission is read here, into
+        *infos*, for a candidate only."""
+        pool = self.pool
+        if req.mode != "reference":
+            return False
+        parallel = pool.backend != "serial"
+        room = None if parallel and crowd < pool.workers else False
+        policy = {"off": False, "on": parallel,
+                  "auto": room}[self.speculative]
+        split = room if req.split_segments is None else req.split_segments
+        spec = policy if req.speculative is None else req.speculative
+        if req.entropy_engine != "fast":
+            spec = False
+        if (split is False and spec is False) or self._ships_whole:
+            return False
+        if infos[index] is _UNREAD:
+            infos[index] = read_header(req)
+        info = infos[index]
+        if info is None or whole_image_only(info, req.salvage):
+            return False
+        want = split if info.restart_interval > 0 else spec
+        if want is None:
+            want = fanout_pays(
+                modeled_entropy_us(len(info.entropy_data),
+                                   info.geometry.total_mcus),
+                pool.workers)
+        return want
+
     def _schedule(self, requests: list[ImageRequest],
-                  infos: "list[JpegImageInfo | None]", group: _Group
-                  ) -> tuple[list[ImageRequest], dict[int, str]]:
-        """Price and place the group from its headers *infos*: returns
-        the lane-rewritten requests and — with lane-bound pools — each
-        placed image's lane name."""
+                  infos: "list[JpegImageInfo | None]", fanned: list[bool],
+                  group: _Group) -> tuple[list[ImageRequest], dict[int, str]]:
+        """Price and place the group's whole images from their headers
+        (a *fanned* image is kept from the scheduler: no header, no
+        placement): returns the lane-rewritten requests and — with
+        lane-bound pools — each placed image's lane name."""
         t_plan0 = perf_counter()
-        schedule = group.schedule = self.scheduler.plan(requests, infos)
+        schedule = group.schedule = self.scheduler.plan(
+            requests, [None if out else info
+                       for out, info in zip(fanned, infos)])
         t_plan1 = perf_counter()
         requests = self.scheduler.apply(requests, schedule)
         lane_of = {a.index: a.executor.name for a in schedule.assignments
                    if a.executor is not None}
         for i, req in enumerate(requests):
-            if req.trace is None:
+            if req.trace is None or fanned[i]:
                 continue
             spans = group.trace_parent.setdefault(i, [])
             spans.append(child_span(
@@ -380,67 +441,29 @@ class BatchDecoder:
         return requests, lane_of
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
-              pool: WorkerPool, n_requests: int,
-              infos: "list[JpegImageInfo | None] | None" = None
+              infos: "list[JpegImageInfo | None]", fans_out: bool
               ) -> DecodePlan:
-        """Choose *req*'s decode plan — one short-circuiting decision:
-        request knobs, then the pool, then header facts, then the price.
-
-        Only the reference pixel path fans out (executor modes consume
-        the scan in-order themselves), and a link to another machine
-        ships whole images only — the host's own session decides any
-        fan-out.  The per-request knobs force or forbid (a scheduler's
-        dominant-image fallback arrives as one: it has priced the image
-        already); otherwise an image is a candidate only when whole
-        images cannot fill *pool* — *n_requests* counts those in flight
-        plus the group being admitted — and fans out if that is
-        predicted to pay.  The speculative policy ``"on"`` forces every
-        eligible image, ``"off"`` forbids; speculation additionally
-        needs the fast engine's exact bit positions.
-
-        *infos* are the group's headers where a scheduler has read
-        them, each taken out as it is used (kept alive through the
-        dispatches that follow they cost 2.5 MB of peak RSS); without
-        one the header is read here, and only for a fan-out candidate
-        or a reply that will ride a leased slot, so the common
-        throughput case pays zero serialized parent-side work per
-        image.  Fan-out units are sized from *pool*, the pool they run
-        on.  Raises the structure error of an image that cannot be
-        planned — the caller fails that image alone."""
-        split = spec = _NO
-        if req.mode == "reference" and not pool.whole_images_only:
-            parallel = pool.backend != "serial"
-            auto = _IF_IT_PAYS if parallel and n_requests < pool.workers \
-                else _NO
-            policy = {"off": _NO, "on": _FORCED if parallel else _NO,
-                      "auto": auto}[self.speculative]
-            split = {None: auto, True: _FORCED, False: _NO}[
-                req.split_segments]
-            if req.entropy_engine == "fast":
-                spec = {None: policy, True: _FORCED, False: _NO}[
-                    req.speculative]
-        if infos is not None:
-            info, infos[index] = infos[index], None
-        elif split or spec or self._rides_shm(pool):
-            info = read_header(req)
-        else:
-            info = None
-        if info is not None and not whole_image_only(info, req.salvage):
-            want = split if info.restart_interval > 0 else spec
-            if want == _IF_IT_PAYS and fanout_pays(
-                    modeled_entropy_us(len(info.entropy_data),
-                                       info.geometry.total_mcus),
-                    pool.workers):
-                want = _FORCED
-            if want == _FORCED and info.restart_interval > 0:
-                return SegmentPlan(index, req, lane, info,
-                                   SEGMENT_RUNS_PER_WORKER * pool.workers)
-            if want == _FORCED:
-                plan = SpeculativePlan.build(
-                    index, req, lane, info,
-                    self.speculative_chunks or pool.workers)
-                if plan is not None:
-                    return plan
+        """Build *req*'s decode plan from what :meth:`_fans_out`
+        decided.  Its header is taken out of *infos* as it is used (kept
+        alive through the dispatches that follow, a group's headers cost
+        2.5 MB of peak RSS); one still unread is read only for a reply
+        that will ride a leased slot, so the common throughput case
+        pays zero serialized parent-side work per image.  Fan-out units
+        are sized from the default pool, the pool they run on.  Raises
+        the structure error of an image that cannot be planned — the
+        caller fails that image alone."""
+        info, infos[index] = infos[index], None
+        if info is _UNREAD:
+            info = read_header(req) if self._rides_shm(self.pool) else None
+        if fans_out and info.restart_interval > 0:
+            return SegmentPlan(index, req, lane, info,
+                               SEGMENT_RUNS_PER_WORKER * self.pool.workers)
+        if fans_out:
+            plan = SpeculativePlan.build(
+                index, req, lane, info,
+                self.speculative_chunks or self.pool.workers)
+            if plan is not None:
+                return plan
         return WholeImagePlan(index, req, lane, info)
 
     # -- transport slots ------------------------------------------------
@@ -483,14 +506,20 @@ class BatchDecoder:
         group = _Group(results=[None] * len(requests),
                        admitted_at=perf_counter())
         try:
-            # The parent's one look at the bytes: all up front where a
-            # scheduler will price them, else lazily in _plan.
-            infos, lanes = None, {}
-            if self.scheduler is not None and requests:
-                infos = [read_header(req) for req in requests]
-                requests, lanes = self._schedule(requests, infos, group)
-            group.t0 = perf_counter()
+            # The parent's one look at the bytes (all up front where a
+            # scheduler will price them, else lazily), then the one
+            # fan-out decision, then placement of what stayed whole.
+            scheduled = self.scheduler is not None
+            infos = [read_header(req) if scheduled else _UNREAD
+                     for req in requests]
             crowd = self.in_flight + len(requests)
+            fanned = [self._fans_out(i, req, crowd, infos)
+                      for i, req in enumerate(requests)]
+            lanes = {}
+            if scheduled and requests:
+                requests, lanes = self._schedule(requests, infos, fanned,
+                                                 group)
+            group.t0 = perf_counter()
             for i, req in enumerate(requests):
                 lane = lanes.get(i)
                 pool = self.pool
@@ -499,7 +528,7 @@ class BatchDecoder:
                 group.open += 1
                 self.in_flight += 1
                 try:
-                    plan = self._plan(i, req, lane, pool, crowd, infos)
+                    plan = self._plan(i, req, lane, infos, fanned[i])
                 except (ReproError, ValueError) as exc:
                     # Cannot be planned: the image fails alone, as the
                     # reply of a task that was never sent.

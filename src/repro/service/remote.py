@@ -700,16 +700,15 @@ def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
     are *lanes* (:func:`remote_executors`), each bound to its
     :class:`HostPool` by the session's own executor registry.
 
-    Fan-out stays host-side: the scheduler ships whole images
-    (``split_dominant=False, speculative=False``) and each host's own
+    Fan-out stays host-side: a decoder with a lane on another machine
+    ships whole images, requests as submitted, and each host's own
     session decides any split.  Images no lane prices finitely
     (progressive, grayscale, exotic sampling — and every image once all
     hosts are down) decode on the session's local fallback pool: one
     serial worker, unless *session_kwargs* say otherwise.
     """
-    scheduler = ModelScheduler(
-        policy=policy, executors=lanes, split_dominant=False,
-        speculative=False, breakers=breakers)
+    scheduler = ModelScheduler(policy=policy, executors=lanes,
+                               breakers=breakers)
     return DecodeSession(scheduler=scheduler, lane_pools=True,
                          **{"backend": "serial", "workers": 1,
                             **session_kwargs})

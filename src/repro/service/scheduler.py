@@ -20,13 +20,11 @@ Three cooperating pieces:
   longest-processing-time greedy: images sorted by descending best-lane
   cost, each placed on the lane minimizing ``load + cost * scale``.
   :func:`schedule_roundrobin` is the cost-blind baseline the benchmark
-  compares against.  An image whose best single-lane cost exceeds the
-  batch's ideal balanced makespan *dominates* the batch — no whole-image
-  placement can hide it — so when it can be decomposed, and the
-  fan-out is predicted to finish sooner than the image whole
-  (:func:`fanout_pays`), the scheduler falls back to restart-segment or
-  speculative fan-out (:mod:`repro.jpeg.parallel_huffman`,
-  :mod:`repro.jpeg.speculative`) instead of assigning it whole.
+  compares against.  Only whole images are placed: whether an image
+  fans out instead (restart-segment runs or speculative chunks) is the
+  decoder's one decision, taken before placement
+  (:meth:`~repro.service.batch.BatchDecoder._fans_out`, priced by
+  :func:`fanout_pays`), and such an image is never handed over.
 - **Feedback** — :class:`ThroughputFeedback` keeps one EWMA correction
   factor per lane from observed vs. predicted per-image times, so the
   schedule adapts across batches the way PPS re-partitioning (Eq 16/17)
@@ -85,8 +83,9 @@ def fanout_pays(entropy_us: float, units: int) -> bool:
     """True when decoding an image's entropy data as *units* parallel
     tasks is predicted to finish sooner than decoding it whole:
     ``entropy_us / units + FANOUT_FIXED_US < entropy_us`` (both sides
-    add the same pixel stages).  *entropy_us* is the model's Eq 4 term
-    (``THuff``) for the image."""
+    add the same pixel stages).  *entropy_us* is the image's Eq 4 term
+    (``THuff``) in its header-only closed form,
+    :func:`~repro.jpeg.parallel_huffman.modeled_entropy_us`."""
     return units > 1 and entropy_us * (1.0 - 1.0 / units) > FANOUT_FIXED_US
 
 
@@ -154,27 +153,13 @@ class ImagePricing:
     height: int
     density: float
     subsampling: str
-    has_restarts: bool
-    #: True when the image can be decomposed for parallel decode at
-    #: all: restart-segment fan-out where DRI permits, speculative
-    #: chunk fan-out (:mod:`repro.jpeg.speculative`) for marker-free
-    #: scans when the scheduler runs with speculation enabled.  The
-    #: dominant-image fallback consults this, not :attr:`has_restarts`.
-    #: Progressive streams are never splittable: multi-scan coefficient
-    #: accumulation has no per-segment decomposition.
-    splittable: bool = False
     #: Entropy scans in the stream (1 = baseline, > 1 = progressive).
     scans: int = 1
-    #: The model's Eq 4 term (``THuff``, us) for one pass over the
-    #: entropy data — what a fan-out divides (see :func:`fanout_pays`);
-    #: 0 for images no lane prices.
-    entropy_us: float = 0.0
-    #: True when only the whole-image reference path can decode this
-    #: request (:func:`whole_image_only`, or a component layout the
-    #: simulated executors don't model).  Every lane prices as ``inf``;
-    #: the scheduler pins these to ``mode="reference"`` instead.
-    reference_only: bool = False
-    #: Predicted decode time (us) per lane name; ``inf`` = ineligible.
+    #: Predicted decode time (us) per lane name; ``inf`` = ineligible —
+    #: on every lane when only the whole-image reference path can decode
+    #: the request (:func:`whole_image_only`, or a component layout the
+    #: simulated executors don't model): it stays unassigned and
+    #: decodes as submitted.
     costs: dict[str, float] = field(default_factory=dict)
 
 
@@ -183,14 +168,11 @@ class Assignment:
     """Where one image of the batch was placed."""
 
     index: int
-    #: Lane the image runs on; None when it falls back to
-    #: restart-segment fan-out (or could not be priced).
+    #: Lane the image runs on; None when no lane could take it (or it
+    #: was never priced) — it decodes as submitted on the default pool.
     executor: ExecutorLane | None
     #: Model-predicted decode time on that lane (us), feedback-scaled.
     predicted_us: float = 0.0
-    #: True when the image is decoded via restart-segment fan-out
-    #: instead of a whole-image lane placement.
-    split: bool = False
 
 
 @dataclass
@@ -223,18 +205,12 @@ class BatchSchedule:
         """Predicted batch completion time: the busiest lane's load."""
         return max(self.loads.values(), default=0.0)
 
-    @property
-    def split_count(self) -> int:
-        """Images routed to restart-segment fan-out instead of a lane."""
-        return sum(a.split for a in self.assignments)
-
     def format(self) -> str:
         """One-line operator summary (CLI/benchmark output)."""
         lanes = " ".join(
             f"{name}={us / 1e3:.1f}ms" for name, us in sorted(self.loads.items()))
-        extra = f" split={self.split_count}" if self.split_count else ""
         return (f"schedule[{self.policy}] makespan="
-                f"{self.makespan_us / 1e3:.1f}ms {lanes}{extra}")
+                f"{self.makespan_us / 1e3:.1f}ms {lanes}")
 
 
 class ThroughputFeedback:
@@ -459,7 +435,6 @@ def price_images(
     infos: Sequence[tuple[int, JpegImageInfo]],
     executors: Sequence[ExecutorLane],
     model_for: "callable",
-    speculative: bool = False,
     salvage: "Collection[int]" = (),
 ) -> list[ImagePricing]:
     """Price parsed images on every lane.
@@ -469,31 +444,20 @@ def price_images(
     lazily-profiled cache).  Lanes ineligible for an image's subsampling
     price as ``inf``; CPU lanes on 4:2:0 fall back to the platform's
     4:2:2 model — the closest fitted surface, since 4:2:0 is outside the
-    paper's profiling scope.
-
-    With *speculative* set, marker-free images price as splittable too:
-    the speculative chunk fan-out (:mod:`repro.jpeg.speculative`) can
-    decompose any DRI=0 scan, so the dominant-image fallback is no
-    longer gated on restart markers.  *salvage* names the batch indices
-    whose request asked for a salvage decode.
+    paper's profiling scope.  *salvage* names the batch indices whose
+    request asked for a salvage decode.
     """
     pricings = []
     for index, info in infos:
         sub = info.subsampling_mode
         scans = max(1, len(info.scans))
-        whole = whole_image_only(info, index in salvage)
         pricing = ImagePricing(
             index=index, width=info.width, height=info.height,
-            density=info.file_density, subsampling=sub,
-            has_restarts=info.restart_interval > 0,
-            splittable=((info.restart_interval > 0 or speculative)
-                        and not whole),
-            scans=scans,
-            reference_only=whole or len(info.frame.components) != 3)
-        if pricing.reference_only:
+            density=info.file_density, subsampling=sub, scans=scans)
+        if whole_image_only(info, index in salvage) \
+                or len(info.frame.components) != 3:
             # The simulated executor lanes model 3-component baseline
-            # decoding only; these images route whole to the reference
-            # path (see ModelScheduler.apply).
+            # decoding only; these images stay unassigned.
             for lane in executors:
                 pricing.costs[lane.name] = math.inf
             pricings.append(pricing)
@@ -504,9 +468,6 @@ def price_images(
                 pricing.costs[lane.name] = math.inf
                 continue
             model: PerformanceModel = model_for(lane.platform, model_sub)
-            if not pricing.entropy_us:
-                pricing.entropy_us = model.t_huff(
-                    info.width, info.height, info.file_density)
             pricing.costs[lane.name] = model.price(
                 lane.kind, info.width, info.height, info.file_density,
                 scans=scans)
@@ -527,7 +488,6 @@ def schedule_lpt(
     pricings: Sequence[ImagePricing],
     executors: Sequence[ExecutorLane],
     feedback: ThroughputFeedback | None = None,
-    split_dominant: bool = True,
     lane_limits: "dict[str, int | None] | None" = None,
 ) -> BatchSchedule:
     """Makespan-minimizing greedy (LPT) over the priced batch.
@@ -535,22 +495,12 @@ def schedule_lpt(
     Images are placed in descending order of their best-lane cost, each
     onto the lane minimizing ``current load + scaled cost`` (ties break
     toward the earlier lane in *executors*, so identical batches
-    schedule identically).  Every cost — the sort key, the dominance
-    threshold, and the placement — is feedback-scaled, so the greedy
-    keeps optimizing the *corrected* makespan once observations drift
-    the scales away from 1.0.  LPT is the classic 4/3-approximation for
-    minimum-makespan scheduling on unrelated machines' restricted
-    cousin; cost-aware placement is what the round-robin baseline lacks.
-
-    When *split_dominant* is set, an image whose best single-lane cost
-    exceeds the ideal balanced makespan (total best-cost work divided by
-    the lane count) *and* that is splittable — it carries restart
-    markers, or the scheduler priced it with speculative chunk fan-out
-    available — is routed to parallel fan-out instead: the one case
-    where whole-image placement cannot avoid that image defining the
-    batch's finish line.  Only when the fan-out is predicted to pay,
-    though (:func:`fanout_pays` over the open lanes): a thumbnail that
-    heads a short batch dominates it too, and decodes sooner whole.
+    schedule identically).  Every cost — the sort key and the
+    placement — is feedback-scaled, so the greedy keeps optimizing the
+    *corrected* makespan once observations drift the scales away from
+    1.0.  LPT is the classic 4/3-approximation for minimum-makespan
+    scheduling on unrelated machines' restricted cousin; cost-aware
+    placement is what the round-robin baseline lacks.
 
     An image none of *executors* can take (every scaled cost ``inf`` —
     e.g. a lane subset excluding its only eligible lanes) is returned
@@ -578,25 +528,7 @@ def schedule_lpt(
                     for lane in executors if admissible(lane)),
                    default=math.inf)
 
-    best = {p.index: scaled_best(p) for p in pricings}
-    placeable = [p for p in pricings if math.isfinite(best[p.index])]
-    lanes_open = sum(1 for lane in executors if admissible(lane))
-    ideal = (sum(best[p.index] for p in placeable) / max(1, lanes_open)
-             if placeable else 0.0)
-
-    for pricing in sorted(pricings, key=lambda p: -best[p.index]):
-        if not math.isfinite(best[pricing.index]):
-            # No lane can take it — leave it unassigned, decoded as-is.
-            assignments.append(Assignment(index=pricing.index, executor=None))
-            continue
-        if (split_dominant and len(placeable) > 1
-                and (pricing.splittable or pricing.has_restarts)
-                and best[pricing.index] > ideal
-                and fanout_pays(pricing.entropy_us, lanes_open)):
-            assignments.append(Assignment(
-                index=pricing.index, executor=None,
-                predicted_us=best[pricing.index], split=True))
-            continue
+    for pricing in sorted(pricings, key=scaled_best, reverse=True):
         best_lane, best_total, best_cost = None, math.inf, math.inf
         for lane in executors:
             if not admissible(lane):
@@ -605,8 +537,9 @@ def schedule_lpt(
             total = loads[lane.name] + cost
             if total < best_total:
                 best_lane, best_total, best_cost = lane, total, cost
-        if best_lane is None or not math.isfinite(best_cost):
-            # Capacity (breaker caps) ran out mid-batch: degrade.
+        if best_lane is None:
+            # No lane can take it, or capacity (breaker caps) ran out
+            # mid-batch: leave it unassigned, decoded as submitted.
             assignments.append(Assignment(index=pricing.index, executor=None))
             continue
         assignments.append(Assignment(
@@ -680,8 +613,8 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
     scales converge to each lane's genuine hardware throughput and the
     LPT greedy starts optimizing the measured makespan — the cross-batch
     analog of the paper's Eq 16/17 runtime repartitioning.  Images
-    decoded outside a lane (split fallbacks, unassigned) have no
-    comparable observation and are excluded, as are failures.  Both the
+    decoded outside a lane (fanned out, unassigned) have no comparable
+    observation and are excluded, as are failures.  Both the
     feedback loop (:meth:`ModelScheduler.observe`) and the service stats
     (:meth:`~repro.service.stats.ServiceStats.record_schedule`) consume
     this one definition, so they can never silently diverge.
@@ -714,8 +647,8 @@ class ModelScheduler:
     cache :class:`~repro.core.decoder.HeterogeneousDecoder` maintains.
 
     :class:`~repro.service.batch.BatchDecoder` calls :meth:`plan` with
-    the normalized batch; the returned rewritten requests pin each image
-    to its lane's decode mode/platform (or to restart-segment fan-out).
+    the whole images of an admission group; the returned rewritten
+    requests pin each placed image to its lane's decode mode/platform.
     :class:`~repro.service.session.DecodeSession` calls :meth:`observe`
     with the completed results, closing the feedback loop.
     """
@@ -723,10 +656,8 @@ class ModelScheduler:
     def __init__(self, policy: str = "model",
                  executors: Sequence[ExecutorLane] | None = None,
                  platform: Platform | None = None,
-                 split_dominant: bool = True,
                  feedback: ThroughputFeedback | None = None,
-                 breakers: LaneBreakerBoard | None = None,
-                 speculative: bool = True) -> None:
+                 breakers: LaneBreakerBoard | None = None) -> None:
         """Build the lane set and the feedback state for one scheduler.
 
         *breakers* is the lane circuit-breaker board consulted at every
@@ -735,12 +666,6 @@ class ModelScheduler:
         probes it again after a 5 s cooldown.  Pass a configured
         :class:`LaneBreakerBoard` to tune (the CLI's
         ``--breaker-threshold`` does).
-
-        With *speculative* (the default), every image is priced as
-        splittable — marker-free scans decompose via speculative chunk
-        fan-out (:mod:`repro.jpeg.speculative`), so the dominant-image
-        fallback no longer serializes a big DRI=0 image on one lane.
-        Pass False to restore the DRI-gated behavior.
         """
         if policy not in POLICIES:
             raise ServiceError(
@@ -755,8 +680,6 @@ class ModelScheduler:
             raise ServiceError("scheduler needs at least one executor lane")
         self.policy = policy
         self.executors = tuple(executors)
-        self.split_dominant = split_dominant
-        self.speculative = speculative
         self.feedback = feedback or ThroughputFeedback()
         self.breakers = breakers or LaneBreakerBoard()
         self._decoders: dict[str, "object"] = {}
@@ -788,8 +711,7 @@ class ModelScheduler:
         caller bug, not traffic to route around.
         """
         infos = [(i, parse_jpeg(b)) for i, b in enumerate(blobs)]
-        return price_images(infos, self.executors, self._model_for,
-                            speculative=self.speculative)
+        return price_images(infos, self.executors, self._model_for)
 
     def plan(self, requests: "Sequence[ImageRequest]",
              infos: "Sequence[JpegImageInfo | None] | None" = None
@@ -799,10 +721,12 @@ class ModelScheduler:
         *infos* are the requests' headers where the caller has read
         them (:func:`~repro.service.tasks.read_header`, one each); a
         bare ``plan(requests)`` — benchmarks, offline studies — parses
-        for itself.  Images whose headers fail to parse (``None``) get
-        an unassigned :class:`Assignment` (``executor=None``) and are
-        left for the worker to fail with the precise decode error — the
-        scheduler never swallows an error the decoder would report.
+        for itself.  An image without a header (``None``) gets an
+        unassigned :class:`Assignment` (``executor=None``), so indices
+        stay the group's: one the decoder fans out and keeps from
+        placement, or one whose header fails to parse — left for the
+        worker to fail with the precise decode error, the scheduler
+        never swallows an error the decoder would report.
         """
         if infos is None:
             # Strictly: a salvage request only a tolerant parse can read
@@ -815,12 +739,12 @@ class ModelScheduler:
                     infos.append(None)
         pricings = price_images(
             [(i, info) for i, info in enumerate(infos) if info is not None],
-            self.executors, self._model_for, speculative=self.speculative,
+            self.executors, self._model_for,
             salvage={i for i, req in enumerate(requests) if req.salvage})
         limits = self.breakers.limits([l.name for l in self.executors])
         if self.policy == "model":
             schedule = schedule_lpt(pricings, self.executors, self.feedback,
-                                    self.split_dominant, lane_limits=limits)
+                                    lane_limits=limits)
         else:
             schedule = schedule_roundrobin(pricings, self.executors,
                                            self.feedback,
@@ -837,37 +761,15 @@ class ModelScheduler:
 
     def apply(self, requests: "list[ImageRequest]",
               schedule: BatchSchedule) -> "list[ImageRequest]":
-        """Rewrite each request to execute where the schedule placed it.
-
-        Lane placements pin the request to the lane's decode mode and
-        platform (whole-image task, no segment splitting); dominant-image
-        fallbacks pin the reference pixel path with the fan-out that
-        fits the image forced on — restart-segment splitting where DRI
-        permits, speculative chunk fan-out for marker-free scans.
-        Requests only the reference path can decode (progressive
-        streams, salvage decodes, grayscale/4-component layouts) are
-        pinned to ``mode="reference"`` whole-image.  Unassigned images
-        pass through untouched.
-        """
-        pricing = {p.index: p for p in schedule.pricings}
+        """Rewrite each request to execute where the schedule placed it:
+        a lane placement pins the lane's decode mode and platform;
+        unassigned images pass through untouched."""
         rewritten = list(requests)
         for a in schedule.assignments:
-            priced = pricing.get(a.index)
-            if priced is not None and priced.reference_only:
-                pins = dict(mode="reference", split_segments=False,
-                            speculative=False)
-            elif a.split and priced.has_restarts:
-                pins = dict(mode="reference", split_segments=True)
-            elif a.split:
-                pins = dict(mode="reference", split_segments=False,
-                            speculative=True)
-            elif a.executor is not None:
-                pins = dict(mode=a.executor.mode,
-                            platform=a.executor.platform.name,
-                            split_segments=False)
-            else:
-                continue
-            rewritten[a.index] = replace(rewritten[a.index], **pins)
+            if a.executor is not None:
+                rewritten[a.index] = replace(
+                    rewritten[a.index], mode=a.executor.mode,
+                    platform=a.executor.platform.name)
         return rewritten
 
     # -- observability --------------------------------------------------
@@ -898,7 +800,7 @@ class ModelScheduler:
 
         Every successfully decoded lane-placed image contributes its
         observed vs. predicted time (see :func:`lane_outcomes` for the
-        exact definition); split fallbacks, unassigned images, failures
+        exact definition); fanned-out and unassigned images, failures
         and failed-over rescues teach the feedback nothing and are
         skipped.
 

@@ -469,6 +469,7 @@ class DecodeSession:
         batch, scheduler = group.batch, self.decoder.scheduler
         with self._stats_lock:
             self.stats.record_image(result.ok, result.latency_s)
+            self.stats.images_split += result.segments > 1
             if batch is not None:
                 self.stats.record(batch.stats)
                 self.stats.record_faults(

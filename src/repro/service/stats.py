@@ -173,8 +173,8 @@ class ServiceStats:
     #: (None while idle).  See :attr:`total_wall_s`.
     _busy_s: float = 0.0
     _busy_from: float | None = None
-    #: Scheduled batches only: images that ran via restart-segment
-    #: fan-out because they dominated their batch.
+    #: Images that fanned out (``ImageResult.segments > 1``: runs of
+    #: restart segments or speculative chunks), scheduled or not.
     images_split: int = 0
     #: Scheduled batches only: per-lane placement and prediction totals.
     per_executor: dict[str, ExecutorUsage] = field(default_factory=dict)
@@ -270,7 +270,6 @@ class ServiceStats:
         """
         from .scheduler import lane_outcomes
 
-        self.images_split += sum(a.split for a in schedule.assignments)
         by_index = {a.index: a for a in schedule.assignments}
         for a, observed in lane_outcomes(schedule, results):
             usage = self.per_executor.setdefault(
@@ -385,9 +384,9 @@ class ServiceStats:
                 f"{name}={u.images} (bias {u.bias:.2f})"
                 for name, u in sorted(self.per_executor.items()))
             text += f"\nscheduled placements: {lanes}"
-            if self.images_split:
-                text += (f", {self.images_split} split "
-                         f"(restart/speculative fan-out)")
+        if self.images_split:
+            text += (f"\nfanned out: {self.images_split} "
+                     f"(restart/speculative fan-out)")
         if (self.retries or self.infra_failures or self.deadline_expired
                 or self.pool_rebuilds):
             text += (f"\nfaults: {self.retries} retries, "

@@ -129,13 +129,16 @@ class ImageRequest:
     #: Fancy (triangular) chroma upsampling for the reference path.
     fancy_upsampling: bool = True
     #: Restart-segment fan-out: ``True`` forces it (where DRI permits),
-    #: ``False`` forbids it, ``None`` lets the batch decoder decide
-    #: (split only when the batch alone cannot fill the worker pool).
+    #: ``False`` forbids it, ``None`` lets the batch decoder decide —
+    #: once, before any scheduler places the image
+    #: (:meth:`~repro.service.batch.BatchDecoder._fans_out`): only when
+    #: whole images cannot fill the pool and the fan-out is predicted
+    #: to pay.
     split_segments: bool | None = None
     #: Speculative chunk fan-out for marker-free scans: ``True`` forces
     #: it (where eligibility permits — DRI=0, fast engine, reference
     #: mode), ``False`` forbids it, ``None`` defers to the batch
-    #: decoder's ``speculative`` policy knob.
+    #: decoder's ``speculative`` policy knob (the same one decision).
     speculative: bool | None = None
     #: Relative deadline in milliseconds from submission; ``None``
     #: means no deadline.  A request whose deadline passes before its
@@ -446,12 +449,15 @@ def read_header(request: ImageRequest) -> JpegImageInfo | None:
     """The parent's one look at *request*'s bytes, read by pricing, the
     fan-out decision, the fan-out plans and the slot lease alike: its
     header as the worker's own parse will see it (tolerant for salvage),
-    or None when that parse raises — the worker reports the precise
-    error, and a stream nobody could read is leased nothing."""
+    or None when that parse raises or the frame's sampling has no
+    geometry — the worker reports the precise error, and a stream
+    nobody could read is leased nothing."""
     try:
-        return parse_jpeg(request.data, tolerant=request.salvage)
+        info = parse_jpeg(request.data, tolerant=request.salvage)
+        info.geometry   # raises for sampling factors nothing decodes
     except (ReproError, ValueError):
         return None
+    return info
 
 
 @dataclass(frozen=True)

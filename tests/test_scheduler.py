@@ -1,6 +1,8 @@
-"""Cross-image batch scheduler: pricing, LPT vs round-robin placement,
-dominant-image split fallback, throughput feedback, and bit-identity of
-scheduled decodes (ISSUE 3 tentpole + edge-case satellite)."""
+"""Cross-image batch scheduler: pricing, LPT vs round-robin placement
+of whole images, throughput feedback, and bit-identity of scheduled
+decodes (ISSUE 3 tentpole + edge-case satellite).  Whether an image
+fans out is not the scheduler's question (ISSUE 23): the decision
+table is ``tests/test_speculative_service.py::TestOneFanoutDecision``."""
 
 from __future__ import annotations
 
@@ -31,12 +33,10 @@ def encode(w, h, sub="4:2:2", dri=0, seed=7, detail=0.6, quality=85):
         quality=quality, subsampling=sub, restart_interval=dri))
 
 
-def fake_pricing(index, costs, has_restarts=False, w=64, h=64,
-                 entropy_us=0.0):
+def fake_pricing(index, costs, w=64, h=64):
     return ImagePricing(
         index=index, width=w, height=h, density=0.2,
-        subsampling="4:2:2", has_restarts=has_restarts, costs=dict(costs),
-        entropy_us=entropy_us)
+        subsampling="4:2:2", costs=dict(costs))
 
 
 def lanes(*names):
@@ -101,24 +101,6 @@ class TestLptPlacement:
         assert sched.loads["stalled"] == 0.0
         assert sched.loads["healthy"] == 250.0
 
-    def test_dominant_restart_image_splits(self):
-        ex = lanes("a", "b")
-        pricings = [
-            fake_pricing(0, {"a": 1000.0, "b": 900.0}, has_restarts=True,
-                         entropy_us=700.0),
-            fake_pricing(1, {"a": 10.0, "b": 10.0}),
-            fake_pricing(2, {"a": 10.0, "b": 12.0}),
-        ]
-        sched = schedule_lpt(pricings, ex, split_dominant=True)
-        dominant = sched.assignments[0]
-        assert dominant.split and dominant.executor is None
-        assert sched.split_count == 1
-        # Without restart markers the image must be placed whole.
-        pricings[0].has_restarts = False
-        sched2 = schedule_lpt(pricings, ex, split_dominant=True)
-        assert sched2.split_count == 0
-        assert sched2.assignments[0].executor is not None
-
     def test_roundrobin_skips_ineligible_lanes(self):
         ex = lanes("a", "b")
         pricings = [
@@ -135,21 +117,23 @@ class TestLptPlacement:
 
     def test_feedback_scales_sort_and_dominance(self):
         # Lane "a" learned a 100x slowdown; the image whose unscaled
-        # best is on "a" must be treated as the batch's biggest job and,
-        # carrying restart markers, split rather than placed whole.
+        # best (5) is the batch's smallest must be treated as its
+        # biggest job (scaled best 500) and head the LPT order.
         ex = lanes("a", "b")
         fb = ThroughputFeedback(alpha=1.0)
         fb.observe("a", 10.0, 1000.0)  # scale("a") = 100
         pricings = [
-            fake_pricing(0, {"a": 5.0, "b": 600.0}, has_restarts=True,
-                         entropy_us=600.0),
-            fake_pricing(1, {"a": 100.0, "b": 100.0}),
+            fake_pricing(0, {"a": 5.0, "b": 500.0}),
+            fake_pricing(1, {"a": 6.0, "b": 300.0}),
+            fake_pricing(2, {"a": 6.0, "b": 300.0}),
         ]
         sched = schedule_lpt(pricings, ex, feedback=fb)
-        # scaled best of image 0 is min(500, 600)=500 > ideal
-        # (500+100)/2=300 -> dominant, split.
-        assert sched.assignments[0].split
+        # Placed first it takes "a" (500 either way, earlier lane) and
+        # the other two share "b"; placed last, as the unscaled order
+        # would have it, it lands on "b" behind one of them (800).
+        assert sched.assignments[0].executor.name == "a"
         assert sched.assignments[0].predicted_us == pytest.approx(500.0)
+        assert sched.makespan_us == pytest.approx(600.0)
 
     def test_lane_subset_leaves_unpriceable_image_unassigned(self):
         # Pricings priced against lanes not in the executor set must not
@@ -158,7 +142,7 @@ class TestLptPlacement:
         sched = schedule_lpt(
             [fake_pricing(0, {"a": 10.0, "b": 20.0})], (only,))
         (a,) = sched.assignments
-        assert a.executor is None and not a.split
+        assert a.executor is None
 
 
 class TestFeedback:
@@ -250,7 +234,8 @@ class TestPricing:
         sched = ModelScheduler(platform=platforms.GTX560)
         p_base, p_prog = sched.price([encode(96, 96), prog])
         assert p_base.scans == 1 and p_prog.scans == 14
-        assert not p_prog.splittable
+        # Whole-image only: no lane models it, nothing fans it out.
+        assert all(math.isinf(c) for c in p_prog.costs.values())
         simd = next(l for l in sched.executors if l.kind == "simd")
         assert p_prog.costs[simd.name] > p_base.costs[simd.name]
 
@@ -268,61 +253,23 @@ class TestPricing:
 
 
 # ---------------------------------------------------------------------------
-# Speculative splittability (marker-free images).
+# The decoder's speculative policy under a scheduler.
 # ---------------------------------------------------------------------------
 
 class TestSpeculativeSplittability:
-    def test_marker_free_priced_splittable(self):
-        sched = ModelScheduler(platform=platforms.GTX560)
-        free, dri = encode(96, 96), encode(96, 96, dri=4)
-        p_free, p_dri = sched.price([free, dri])
-        assert not p_free.has_restarts and p_free.splittable
-        assert p_dri.has_restarts and p_dri.splittable
-
     def test_speculative_off_restores_dri_gate(self):
-        sched = ModelScheduler(platform=platforms.GTX560,
-                               speculative=False)
-        free, dri = encode(96, 96), encode(96, 96, dri=4)
-        p_free, p_dri = sched.price([free, dri])
-        assert not p_free.splittable
-        assert p_dri.splittable
-
-    def test_dominant_marker_free_image_splits(self):
-        # The PR-7 point: a dominant DRI=0 image no longer serializes
-        # the batch — splittable (via speculation) is enough to fan out.
-        ex = lanes("a", "b")
-        pricings = [
-            fake_pricing(0, {"a": 1000.0, "b": 900.0}, entropy_us=700.0),
-            fake_pricing(1, {"a": 10.0, "b": 10.0}),
-            fake_pricing(2, {"a": 10.0, "b": 12.0}),
-        ]
-        pricings[0].splittable = True
-        sched = schedule_lpt(pricings, ex, split_dominant=True)
-        dominant = sched.assignments[0]
-        assert dominant.split and dominant.executor is None
-        # Flag off: the same image is placed whole (pre-PR behavior).
-        pricings[0].splittable = False
-        sched2 = schedule_lpt(pricings, ex, split_dominant=True)
-        assert sched2.split_count == 0
-        assert sched2.assignments[0].executor is not None
-
-    def test_breaker_limits_still_cap_splittable_batches(self):
-        # Every image splittable must not defeat LaneBreakerBoard caps:
-        # with lane "a" open (limit 0) all placements land on "b".
-        ex = lanes("a", "b")
-        pricings = [fake_pricing(i, {"a": 10.0, "b": 11.0})
-                    for i in range(4)]
-        for p in pricings:
-            p.splittable = True
-        sched = schedule_lpt(pricings, ex, split_dominant=True,
-                             lane_limits={"a": 0, "b": None})
-        placed = [a for a in sched.assignments if a.executor is not None]
-        assert placed and all(a.executor.name == "b" for a in placed)
-        # All lanes open -> nothing placeable, nothing split either.
-        starved = schedule_lpt(pricings, ex, split_dominant=True,
-                               lane_limits={"a": 0, "b": 0})
-        assert all(a.executor is None and not a.split
-                   for a in starved.assignments)
+        # The policy is the decoder's, not the scheduler's: "off" keeps
+        # a lone marker-free frame whole (placed on a lane) while a lone
+        # DRI frame still fans out by restart segments.
+        free, dri = encode(640, 480, seed=6), encode(640, 480, dri=16, seed=6)
+        with BatchDecoder(backend="thread", workers=2, scheduler="model",
+                          speculative="off") as dec:
+            (whole,) = dec.decode_batch([free]).results
+            (runs,) = dec.decode_batch([dri]).results
+        assert whole.ok and whole.segments == 1
+        assert runs.ok and runs.segments > 1 and not runs.speculative
+        assert np.array_equal(whole.rgb, decode_jpeg(free).rgb)
+        assert np.array_equal(runs.rgb, decode_jpeg(dri).rgb)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +327,22 @@ class TestScheduledDecode:
                 assert res.simulated_us > 0
 
     def test_dominant_dri_image_runs_split(self):
-        # One large DRI image plus one tiny image: the large one's best
-        # lane cost exceeds the balanced ideal, so it must fan out by
-        # restart segments (reference path) and still match bit-exactly.
+        # One large DRI image plus one tiny image on a pool the two
+        # cannot fill: the large one fans out by restart segments
+        # (reference path) before placement, bit-exactly; the schedule
+        # never places it and keeps the group's indices for the rest.
         blobs = [encode(640, 480, dri=16, seed=6), encode(64, 64, seed=7)]
-        with BatchDecoder(backend="thread", workers=2,
+        with BatchDecoder(backend="thread", workers=3,
                           scheduler="model") as dec:
             batch = dec.decode_batch(blobs)
-        assert batch.schedule.split_count == 1
-        big = batch.results[0]
-        assert big.ok and big.segments > 1
+        big, tiny = batch.results
+        assert big.ok and big.segments > 1 and not big.speculative
         assert np.array_equal(big.rgb, decode_jpeg(blobs[0]).rgb)
+        assert tiny.ok and tiny.segments == 1
+        assert [a.index for a in batch.schedule.assignments] == [0, 1]
+        assert batch.schedule.assignments[0].executor is None
+        assert batch.schedule.assignments[1].executor is not None
+        assert len(batch.schedule.pricings) == 1
 
     def test_corrupt_image_fails_alone(self):
         blobs = [encode(128, 96, seed=8), b"\xff\xd8garbage"]
@@ -423,6 +375,32 @@ class TestServiceFeedbackLoop:
             assert usage.predicted_us > 0 and usage.observed_us > 0
             assert usage.bias > 0
         assert "scheduled placements" in svc.stats.format()
+
+    def test_fanned_out_image_is_counted_and_teaches_nothing(self):
+        # The group's index space survives the scheduler seeing a
+        # subset: the whole image's observation lands on its own lane,
+        # the fanned-out one is counted by what it did, not by a mark.
+        blobs = [encode(640, 480, dri=16, seed=6), encode(160, 120, seed=1)]
+        sched = ModelScheduler(policy="model", platform=platforms.GTX560)
+        with DecodeSession(max_batch=8, backend="thread", workers=3,
+                           scheduler=sched, pump=False) as svc:
+            handles = [svc.submit(b) for b in blobs]
+            result = svc.run_once()
+            assert handles[0].result(timeout=30).segments > 1
+        placed = result.schedule.assignments[1]
+        assert sched.feedback.observations == 1
+        assert sched.feedback.scale(placed.executor.name) != 1.0
+        assert {n: u.images for n, u in svc.stats.per_executor.items()} \
+            == {placed.executor.name: 1}
+        assert svc.stats.as_dict()["images_split"] == 1
+        assert "fanned out: 1" in svc.stats.format()
+
+    def test_unscheduled_sessions_count_fan_out_too(self):
+        with DecodeSession(backend="thread", workers=2, pump=False) as svc:
+            svc.submit(encode(640, 480, dri=16, seed=6))
+            svc.run_once()
+            assert svc.stats_snapshot()["images_split"] == 1
+        assert "fanned out: 1" in svc.stats.format()
 
     def test_scales_adapt_across_batches(self):
         blobs = [encode(160, 120, seed=i) for i in range(3)]

@@ -250,8 +250,7 @@ class TestBreakerAwarePlacement:
         limits = {l.name: 0 for l in sched.executors}
         schedule = schedule_lpt(pricings, sched.executors,
                                 lane_limits=limits)
-        assert all(a.executor is None and not a.split
-                   for a in schedule.assignments)
+        assert all(a.executor is None for a in schedule.assignments)
 
     def test_roundrobin_skips_capped_lanes(self, scheduler_and_pricings):
         sched, pricings = scheduler_and_pricings

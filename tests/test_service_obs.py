@@ -404,6 +404,28 @@ class TestTraceUnderFaults:
                             + [(1, "ok")] * (result.segments - 1)
                             + [(2, "ok")])
 
+    def test_fanned_out_request_has_no_schedule_span(self, small_rgb, blob):
+        """Fanned out before placement, a traced request was never
+        scheduled: it reads request -> queue -> one attempt per
+        subtask, while the whole image beside it keeps its schedule
+        span."""
+        dri = encode_jpeg(small_rgb, EncoderSettings(
+            quality=85, subsampling="4:2:2", restart_interval=4))
+        with DecodeSession(backend="thread", workers=2, scheduler="model",
+                           tracing="on", pump=False) as session:
+            handles = [session.submit(ImageRequest(data=dri,
+                                                   split_segments=True)),
+                       session.submit(blob)]
+            session.run_once()
+            fanned, whole = (h.result(timeout=60) for h in handles)
+        names = [s.name for s in fanned.trace_spans]
+        assert fanned.segments > 1
+        assert names[:2] == ["request", "queue"]
+        assert names.count("attempt") == fanned.segments
+        assert "schedule" not in names and "lane_excluded" not in names
+        assert [s.name for s in whole.trace_spans][:3] \
+            == ["request", "queue", "schedule"]
+
     def test_breaker_open_lane_emits_lane_excluded_event(self, blob):
         """An open circuit breaker excludes its lane from the plan and
         the traced batch records a zero-length ``lane_excluded`` event

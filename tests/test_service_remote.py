@@ -484,6 +484,36 @@ class TestShardedSession:
             finally:
                 session.close(drain=False)
 
+    def test_nothing_fans_out_on_the_front_tier(self, worker_host):
+        """The sharded cell of the fan-out decision table: a decoder
+        with a lane on another machine ships whole images, requests as
+        submitted — a lone frame, a forcing request, a parallel
+        fallback pool alike — and the host's own session decides."""
+        from repro.data import synthetic_photo
+        frame = encode_jpeg(
+            synthetic_photo(480, 640, seed=3, detail=0.6),
+            EncoderSettings(quality=85, subsampling="4:2:2",
+                            restart_interval=8))
+        oracle = decode_jpeg(frame).rgb
+        for fallback in ({}, {"backend": "thread", "workers": 2}):
+            before = worker_host.requests
+            session = front_tier([worker_host], pump=False, **fallback)
+            try:
+                lone = session.submit(frame)
+                session.run_once()
+                forced = session.submit(
+                    ImageRequest(data=frame, split_segments=True))
+                session.run_once()
+                lone, forced = lone.result(60), forced.result(60)
+            finally:
+                session.close(drain=False)
+            assert worker_host.requests == before + 2
+            assert np.array_equal(lone.rgb, oracle)
+            assert np.array_equal(forced.rgb, oracle)
+            # The (serial) host kept the lone frame whole and honoured
+            # the knob that travelled with the other.
+            assert lone.segments == 1 and forced.segments > 1
+
     def test_per_host_stats_section(self, blob):
         with running_host() as host:
             session = front_tier([host], breakers=LaneBreakerBoard(),

@@ -1,11 +1,14 @@
 """Speculative chunk fan-out through the batch service: bit-identity
 across backends and transports, the policy knob and per-request
-override, scheduler routing of dominant marker-free images, fault
-injection, and hostile-input error identity."""
+override, the one fan-out decision (the same with and without a
+scheduler), fault injection, and hostile-input error identity."""
 
 from __future__ import annotations
 
+import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +27,9 @@ from repro.service import (
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
-    WorkerPool,
     shm_available,
 )
-from repro.service.scheduler import FANOUT_FIXED_US, fanout_pays, price_images
+from repro.service.scheduler import FANOUT_FIXED_US, fanout_pays
 
 
 def encode(rgb, sub="4:2:0", quality=85, dri=0) -> bytes:
@@ -172,12 +174,14 @@ class TestPricedDecision:
 
     def test_thumbnail_heading_a_short_batch_decodes_whole(self, thumbnail,
                                                            blobs):
-        # It outweighs its batch, which is all the dominance rule asks.
+        # It outweighs its batch, and the two fill the pool.
         with BatchDecoder(workers=2, backend="thread",
                           scheduler="model") as dec:
             batch = dec.decode_batch([thumbnail, blobs[0]])
-        assert batch.ok and batch.schedule.split_count == 0
+        assert batch.ok
         assert [r.segments for r in batch.results] == [1, 1]
+        assert all(a.executor is not None
+                   for a in batch.schedule.assignments)
 
     def test_lone_frames_fan_out(self, frame_mf, frame_dri):
         with BatchDecoder(workers=2, backend="thread") as dec:
@@ -187,18 +191,6 @@ class TestPricedDecision:
         assert dri.ok and not dri.speculative and 1 < dri.segments <= 4
         assert np.array_equal(mf.rgb, decode_jpeg(frame_mf).rgb)
         assert np.array_equal(dri.rgb, decode_jpeg(frame_dri).rgb)
-
-    def test_frames_that_outweigh_their_batch_fan_out(self, frame_mf,
-                                                      frame_dri, thumbnail):
-        with BatchDecoder(workers=2, backend="thread",
-                          scheduler="model") as dec:
-            a = dec.decode_batch([frame_mf, thumbnail])
-            b = dec.decode_batch([frame_dri, thumbnail])
-        for batch in (a, b):
-            assert batch.ok and batch.schedule.split_count == 1
-            assert batch.results[0].segments > 1
-            assert batch.results[1].segments == 1
-        assert a.results[0].speculative and not b.results[0].speculative
 
     def test_policies_and_overrides_ignore_the_price(self, thumbnail,
                                                      frame_mf):
@@ -240,25 +232,27 @@ class TestPricedDecision:
         monkeypatch.setattr(fast_entropy, "destuff_scan", no_prescan)
         schedule = sched.plan(batch)
         assert len(parses) == len(batch)
-        assert all(p.entropy_us > 0 for p in schedule.pricings)
+        assert all(math.isfinite(min(p.costs.values()))
+                   for p in schedule.pricings)
 
 
 class TestDispatchingPool:
     """The fan-out decision and the unit count come from the pool the
-    units will run on, not from the decoder's default pool."""
+    units run on — the decoder's default pool — never from a lane's."""
 
-    def test_lane_pool_decides_and_sizes(self, frame_mf, frame_dri):
-        with BatchDecoder(backend="serial") as dec, \
-                WorkerPool(workers=3, backend="thread") as lane_pool:
-            spec = dec._plan(0, ImageRequest(data=frame_mf), None,
-                             lane_pool, 1)
-            runs = dec._plan(0, ImageRequest(data=frame_dri), None,
-                             lane_pool, 1)
-            whole = dec._plan(0, ImageRequest(data=frame_mf), None,
-                              dec.pool, 1)
-        assert spec.task_name == "spec" and len(spec.units) == 3
-        assert runs.task_name == "segment" and len(runs.units) == 6
-        assert whole.task_name == "whole"
+    def test_default_pool_decides_and_sizes(self, frame_mf, frame_dri):
+        with BatchDecoder(workers=3, backend="thread",
+                          scheduler="model") as dec:
+            (spec,) = dec.decode_batch([frame_mf]).results
+            (runs,) = dec.decode_batch([frame_dri]).results
+        assert spec.speculative and spec.segments == 3
+        assert not runs.speculative and runs.segments == 6
+        # A serial default pool decides "whole", whatever its lanes'
+        # pools could have run in parallel.
+        with BatchDecoder(backend="serial", scheduler="model",
+                          lane_pools="cpu=thread:3") as dec:
+            (whole,) = dec.decode_batch([frame_mf]).results
+        assert whole.ok and whole.segments == 1
 
 
 class TestComponentLayouts:
@@ -388,48 +382,36 @@ class TestHostileThroughService:
 
 class TestSchedulerRouting:
     def test_dominant_marker_free_image_speculates(self, frame_mf):
-        """The scheduler satellite, end to end: a dominant DRI=0 image
-        is no longer serialized — LPT marks it split, apply() routes it
-        speculative, and the decode fans out bit-identically."""
+        """End to end under a scheduler: a big DRI=0 image heading a
+        group the pool has room beside is not serialized on a lane — it
+        fans out speculatively before placement, bit-identically, and
+        the small one is placed."""
         big = frame_mf
         small = encode(GENERATORS["smooth"](64, 64, seed=7))
         assert parse_jpeg(big).restart_interval == 0
-        with BatchDecoder(workers=2, backend="thread",
+        with BatchDecoder(workers=3, backend="thread",
                           scheduler="model") as dec:
             batch = dec.decode_batch([big, small])
-        assert batch.schedule.split_count == 1
         res = batch.results[0]
         assert res.ok and res.segments > 1 and res.speculative
         assert np.array_equal(res.rgb, decode_jpeg(big).rgb)
+        assert [a.executor is not None
+                for a in batch.schedule.assignments] == [False, True]
 
     def test_scheduler_speculative_off_serializes_again(self, frame_mf):
-        big = frame_mf
-        small = encode(GENERATORS["smooth"](64, 64, seed=7))
-        sched = ModelScheduler(policy="model", speculative=False)
-        with BatchDecoder(workers=2, backend="thread",
-                          scheduler=sched) as dec:
-            batch = dec.decode_batch([big, small])
-        assert batch.schedule.split_count == 0
-        res = batch.results[0]
+        # The decoder's policy is the only switch: "off" under a
+        # scheduler places the frame whole on a lane.
+        with BatchDecoder(workers=3, backend="thread", scheduler="model",
+                          speculative="off") as dec:
+            batch = dec.decode_batch([frame_mf])
+        (res,) = batch.results
         assert res.ok and res.segments == 1
-        assert np.array_equal(res.rgb, decode_jpeg(big).rgb)
-
-    def test_pricing_marks_marker_free_splittable(self):
-        sched = ModelScheduler(policy="model")
-        free = encode(GENERATORS["photo"](96, 96, seed=1))
-        dri = encode(GENERATORS["photo"](96, 96, seed=1), dri=4)
-        infos = [(0, parse_jpeg(free)), (1, parse_jpeg(dri))]
-        with_spec = price_images(infos, sched.executors,
-                                 sched._model_for, speculative=True)
-        without = price_images(infos, sched.executors,
-                               sched._model_for, speculative=False)
-        assert [p.splittable for p in with_spec] == [True, True]
-        assert [p.splittable for p in without] == [False, True]
-        assert [p.has_restarts for p in with_spec] == [False, True]
+        assert batch.schedule.assignments[0].executor is not None
+        assert np.array_equal(res.rgb, decode_jpeg(frame_mf).rgb)
 
     def test_breaker_limits_survive_with_speculation(self):
-        # LaneBreakerBoard caps still constrain placement when every
-        # image prices splittable.
+        # LaneBreakerBoard caps still constrain placement: with every
+        # lane open nothing is placed, the image decodes as submitted.
         board = LaneBreakerBoard(threshold=1, cooldown_s=3600.0)
         sched = ModelScheduler(policy="model", breakers=board)
         lane_names = [ln.name for ln in sched.executors]
@@ -440,4 +422,122 @@ class TestSchedulerRouting:
         blob = encode(GENERATORS["photo"](96, 96, seed=2))
         schedule = sched.plan([ImageRequest(data=blob)])
         (a,) = schedule.assignments
-        assert a.executor is None and not a.split
+        assert a.executor is None
+
+
+# ---------------------------------------------------------------------------
+# The one fan-out decision (ISSUE 23): asked once per image, before any
+# placement, so every scheduler column answers the same.
+# ---------------------------------------------------------------------------
+
+def _photo(h, w, seed, **settings) -> bytes:
+    return encode_jpeg(GENERATORS["photo"](h, w, seed=seed),
+                       EncoderSettings(quality=85, **settings))
+
+
+_IMAGES = {
+    "frame": dict(h=480, w=640, seed=6, subsampling="4:2:0"),
+    "dri": dict(h=480, w=640, seed=6, subsampling="4:2:2",
+                restart_interval=8),
+    "gray": dict(h=480, w=640, seed=6, colorspace="gray",
+                 subsampling="4:4:4"),
+    "thumb": dict(h=192, w=256, seed=9, subsampling="4:2:0"),
+    "prog": dict(h=480, w=640, seed=6, subsampling="4:2:2",
+                 progressive=True),
+}
+
+_THREADS = dict(workers=2, backend="thread")
+_SPEC, _RUNS, _WHOLE = (True, True), (True, False), (False, False)
+
+#: ``name -> (decoder kwargs, [(image, request knobs)], [(fans out,
+#: speculative)])`` — what each group does on a 2-worker pool,
+#: scheduler or not.
+_CELLS = {
+    "lone-marker-free-frame": (_THREADS, [("frame", {})], [_SPEC]),
+    "lone-dri-frame": (_THREADS, [("dri", {})], [_RUNS]),
+    "lone-gray-frame": (_THREADS, [("gray", {})], [_SPEC]),
+    "frame-and-thumbnail": (_THREADS, [("frame", {}), ("thumb", {})],
+                            [_WHOLE, _WHOLE]),
+    "lone-thumbnail": (_THREADS, [("thumb", {})], [_WHOLE]),
+    "progressive-frame": (_THREADS, [("prog", {})], [_WHOLE]),
+    "salvage-frame": (_THREADS, [("frame", dict(salvage=True))], [_WHOLE]),
+    "serial-backend": (dict(backend="serial"), [("frame", {})], [_WHOLE]),
+    "split-segments-false": (
+        _THREADS, [("dri", dict(split_segments=False))], [_WHOLE]),
+    "speculative-false": (
+        _THREADS, [("frame", dict(speculative=False))], [_WHOLE]),
+    "forced-overrides": (
+        _THREADS, [("thumb", dict(speculative=True)),
+                   ("dri", dict(split_segments=True))], [_SPEC, _RUNS]),
+    "policy-on": ({**_THREADS, "speculative": "on"},
+                  [("thumb", {}), ("thumb", {})], [_SPEC, _SPEC]),
+    "policy-off": ({**_THREADS, "speculative": "off"}, [("frame", {})],
+                   [_WHOLE]),
+}
+
+
+@pytest.fixture(scope="module")
+def images() -> dict[str, bytes]:
+    return {name: _photo(**recipe) for name, recipe in _IMAGES.items()}
+
+
+class TestOneFanoutDecision:
+    @pytest.mark.parametrize("scheduler", [None, "model", "roundrobin"])
+    @pytest.mark.parametrize("cell", sorted(_CELLS))
+    def test_decision_table(self, cell, scheduler, images):
+        kwargs, group, want = _CELLS[cell]
+        requests = [ImageRequest(data=images[name], **knobs)
+                    for name, knobs in group]
+        with BatchDecoder(scheduler=scheduler, **kwargs) as dec:
+            batch = dec.decode_batch(requests)
+        assert [(r.segments > 1, r.speculative) for r in batch.results] \
+            == want
+        for req, res in zip(requests, batch.results):
+            assert res.ok, (res.error_type, res.error)
+            assert np.array_equal(res.rgb, decode_jpeg(req.data).rgb)
+        if scheduler is not None:
+            # What fanned out was never placed; what stayed whole and
+            # has a modelled lane was.
+            placed = [a.executor is not None
+                      for a in batch.schedule.assignments]
+            modelled = cell not in ("lone-gray-frame", "progressive-frame",
+                                    "salvage-frame")
+            assert placed == [modelled and not fanned for fanned, _ in want]
+
+    @pytest.mark.parametrize("dri", [0, 8])
+    def test_lone_frame_fans_out_on_a_scheduled_process_pool(self, dri):
+        frame = _photo(600, 800, 8, subsampling="4:2:2",
+                       restart_interval=dri)
+        with BatchDecoder(workers=2, backend="process",
+                          scheduler="model") as dec:
+            (res,) = dec.decode_batch([frame]).results
+        assert res.ok and res.segments > 1
+        assert res.speculative == (dri == 0)
+        assert np.array_equal(res.rgb, decode_jpeg(frame).rgb)
+
+    def test_unreadable_sampling_fails_alone_under_a_scheduler(self):
+        # Chroma sampled 2x1: the header parses, no geometry exists.
+        # The decision and the pricing both skip it; the worker names
+        # the error and the rest of the group decodes.
+        good = _photo(64, 64, 1, subsampling="4:2:2")
+        bad = bytearray(good)
+        chroma = bad.find(b"\xff\xc0") + 10 + 4
+        bad[chroma] = 0x21
+        with BatchDecoder(workers=2, backend="thread",
+                          scheduler="model") as dec:
+            batch = dec.decode_batch([bytes(bad), good])
+        assert batch.results[0].error_type == "JpegUnsupportedError"
+        assert batch.results[1].ok
+
+    def test_fanout_pays_has_one_call_site(self):
+        """Source guard: the price of fanning out is asked in one
+        place (``BatchDecoder._fans_out``); a second call site is a
+        second decision."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        calls = [f"{path.relative_to(src)}:{n}"
+                 for path in sorted(src.rglob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\bfanout_pays\(", line)
+                 and "def fanout_pays" not in line]
+        assert len(calls) == 1 and calls[0].startswith("service/batch.py"), \
+            calls
