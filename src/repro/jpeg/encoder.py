@@ -37,7 +37,8 @@ from .markers import (
     build_sof0,
     build_sos,
 )
-from .progressive import encode_progressive_scans
+from .progressive import (DEFAULT_BANDS, DEFAULT_POINT_TRANSFORM,
+                          encode_progressive_scans)
 from .quantization import QuantTable, chrominance_table, luminance_table, quantize_blocks
 from .sampling import downsample_plane
 
@@ -56,9 +57,13 @@ class EncoderSettings:
     path).  ``progressive`` emits a SOF2 multi-scan stream carrying the
     *same* quantized coefficients as the baseline twin — spectral bands
     [1, 5] and [6, 63] per component plus one successive-approximation
-    refinement pass, each scan with its own optimized Huffman tables.
-    Progressive mode ignores ``restart_interval`` and
-    ``optimize_huffman`` (per-scan tables are always optimized).
+    refinement pass, each scan with its own optimized Huffman tables;
+    ``bands`` and ``point_transform`` change that script (a single
+    ``(1, 63)`` band, ``Al`` = 0 for no refinement or 2 for two passes).
+    In progressive mode ``restart_interval`` counts the units of each
+    scan (MCUs of the interleaved DC scans, blocks of the AC ones) and
+    ``optimize_huffman`` is ignored (per-scan tables are always
+    optimized).
     """
 
     quality: int = 85
@@ -68,6 +73,8 @@ class EncoderSettings:
     comment: bytes | None = None
     colorspace: str = "ycbcr"
     progressive: bool = False
+    bands: tuple[tuple[int, int], ...] = DEFAULT_BANDS
+    point_transform: int = DEFAULT_POINT_TRANSFORM
 
 
 def _slot_of(ci: int) -> int:
@@ -181,7 +188,11 @@ def encode_jpeg(rgb: np.ndarray, settings: EncoderSettings | None = None) -> byt
         parts = _header_parts(geo, settings, lq, cq)
         parts.append(build_sof0(geo.width, geo.height,
                                 _frame_components(geo), progressive=True))
-        for scan in encode_progressive_scans(geo, coeffs):
+        if settings.restart_interval:
+            parts.append(build_dri(settings.restart_interval))
+        for scan in encode_progressive_scans(
+                geo, coeffs, settings.bands, settings.point_transform,
+                settings.restart_interval):
             if scan.tables:
                 parts.append(build_dht(list(scan.tables)))
             parts.append(build_sos(list(scan.components),

@@ -295,6 +295,19 @@ class FusedDecodeTables:
     The loop must not apply it when the first coefficient was the
     block's last (zig-zag 63): those bits are the next block's DC code.
 
+    The two progressive AC roles (``"ac_first"`` and ``"ac_refine"``,
+    read by :mod:`~repro.jpeg.progressive`) hold one triple per window
+    and know the EOBn symbols, which baseline scans do not have:
+
+    - a coefficient is ``(bits, run + 1, value)`` and ZRL
+      ``(bits, ZRL_ADVANCE, 0)``, as above (in a refinement scan the
+      value is the new coefficient's sign, +1 or -1, and a symbol of
+      any other size is not fused: the careful path raises on it);
+    - EOBn is ``(bits, 0, blocks)``: *bits* covers the code and its
+      ``n`` run bits, *blocks* is how many blocks end here, this one
+      included (``2**n`` plus the run bits), and the 0 advance is what
+      tells it from a coefficient.
+
     ``None`` means "not resolvable in one probe": the decoder falls
     back to the careful helpers, which use ``lookup``
     (``LOOKUP_BITS``-wide, ``(length << 8) | symbol``, magnitude read
@@ -309,7 +322,8 @@ class FusedDecodeTables:
 
     def __init__(self, spec: HuffmanSpec, role: str) -> None:
         """Build the symbol-at-a-time tables for *spec* acting as *role*
-        ("dc"/"ac"); :attr:`probe` is left to its first use."""
+        ("dc", "ac", or the progressive "ac_first" / "ac_refine");
+        :attr:`probe` is left to its first use."""
         self.spec = spec
         self.role = role
         self._probe: list | None = None
@@ -337,9 +351,8 @@ class FusedDecodeTables:
     @property
     def probe(self) -> list:
         """The ``PROBE_BITS``-wide table, built on first use: it is the
-        cold cost of a table (0.6 ms for an AC one), and the progressive
-        decoder — a fresh set of optimized tables per scan, read one
-        symbol at a time through ``lookup`` — never asks for it."""
+        cold cost of a table (0.3-0.5 ms), and not every role of every
+        DHT slot a stream defines is decoded through."""
         if self._probe is None:
             self._probe = _probe_table(*_canonical(self.spec), self.role)
         return self._probe
@@ -380,22 +393,31 @@ def _probe_table(lens: np.ndarray, starts: np.ndarray, syms: np.ndarray,
     width = PROBE_BITS
     if role == "dc":
         size, advance = syms, (syms <= 11).astype(np.int32)
+        fused = advance > 0
     else:
         size = syms & 15
         advance = np.where(size > 0, (syms >> 4) + 1, 0)
-        advance[syms == EOB_SYMBOL] = EOB_ADVANCE
         advance[syms == ZRL_SYMBOL] = ZRL_ADVANCE
+        if role == "ac":
+            advance[syms == EOB_SYMBOL] = EOB_ADVANCE
+            fused = advance > 0
+        else:   # progressive: every size-0 symbol but ZRL is an EOBn
+            fused = size <= (1 if role == "ac_refine" else 15)
+    eobn = fused & (advance == 0)   # reads its run length, r raw bits
+    size = np.where(eobn, syms >> 4, size)
     total = lens + size
-    fused = (advance > 0) & (total <= width)
+    fused &= total <= width
     total, advance, size = total * fused, advance * fused, size * fused
+    eobn &= fused
     full = (1 << size) - 1      # magnitude mask, and EXTEND's offset
-    half = (1 << size) >> 1     # magnitudes below it are negative
+    half = ((1 << size) >> 1) * ~eobn   # magnitudes below it are negative
+    floor = eobn << size        # an EOBn run of r bits starts at 2**r
 
     x = np.arange(1 << width, dtype=np.int32)
     owner = _window_owners(starts, width)
     bits, adv = total[owner], advance[owner]
     m = (x >> (width - bits)) & full[owner]
-    val = m - (m < half[owner]) * full[owner]
+    val = m - (m < half[owner]) * full[owner] + floor[owner]
     cols = [bits, adv, val]
     if role == "ac":
         rest = (x << bits) & ((1 << width) - 1)
@@ -638,82 +660,6 @@ def _probe_end(seg_bits: int, zero_feed: bool) -> int:
     every real bit qualifies; where the data just ends the reference
     pads or raises, and only a window of real bits is safe."""
     return seg_bits - 1 if zero_feed else seg_bits - PROBE_BITS
-
-
-class SegmentedReader:
-    """Symbol-at-a-time bit reader over one destuffed scan — what the
-    progressive decoder reads through.
-
-    The reader is one bit position ``p`` over the prescan's probe
-    windows (:meth:`ScanPrescan.windows_at`): up to ``fast_end`` a symbol
-    is a ``lookup`` hit on the window at ``p`` and raw bits are its top
-    bits.  Restart markers split the payload into segments;
-    :meth:`next_segment` moves to the next boundary.  The last bits of a
-    segment go through the careful helpers, so exhaustion and truncation
-    raise the same canonical errors as the baseline engines.
-    """
-
-    __slots__ = ("scan", "payload", "seg", "p", "seg_bits", "zero_feed",
-                 "trunc", "avail", "win", "win0", "fast_end")
-
-    def __init__(self, scan: ScanPrescan) -> None:
-        """Stand at the first bit of *scan*'s first segment."""
-        self.scan = scan
-        self.payload = scan.payload
-        self.seg = -1
-        self.next_segment()
-
-    def next_segment(self) -> None:
-        """Advance to the next restart segment, resetting bit state."""
-        self.seg += 1
-        scan = self.scan
-        if self.seg > scan.restart_count:
-            raise EntropyError("missing restart marker in progressive scan")
-        self.p = (scan.marker_payload_offsets[self.seg - 1] << 3
-                  if self.seg else 0)
-        self.seg_bits, self.zero_feed, self.trunc = _segment_bounds(
-            scan, self.seg)
-        #: How far raw reads may go before they raise: the segment end,
-        #: or past it by what the last symbol's peek padded.
-        self.avail = _UNBOUNDED if self.zero_feed else self.seg_bits
-        self._enter_span()
-
-    def _enter_span(self) -> None:
-        """Load the probe windows of the span that holds ``p``."""
-        self.win0, self.win = self.scan.windows_at(self.p)
-        #: Last position whose window is loaded and an exact probe.
-        self.fast_end = min(_probe_end(self.seg_bits, self.zero_feed),
-                            self.win0 + (SPAN_BYTES << 3) - 1)
-
-    def _rolled(self) -> bool:
-        """``p`` is past ``fast_end``: move to its span if that is why.
-        True when the window at ``p`` can be used after all."""
-        if self.p - self.win0 >= SPAN_BYTES << 3:
-            self._enter_span()
-        return self.p <= self.fast_end
-
-    def symbol(self, tab: FusedDecodeTables) -> int:
-        """Decode one Huffman symbol with *tab*."""
-        p = self.p
-        if p <= self.fast_end or self._rolled():
-            packed = tab.lookup[
-                self.win[p - self.win0] >> (PROBE_BITS - LOOKUP_BITS)]
-            if packed:
-                self.p = p + (packed >> 8)
-                return packed & 0xFF
-        sym, self.p, self.avail = _careful_symbol(
-            p, self.seg_bits, self.zero_feed, self.trunc, self.payload, tab)
-        return sym
-
-    def bits(self, n: int) -> int:
-        """Read *n* raw bits, MSB first."""
-        p = self.p
-        if n <= PROBE_BITS and (p <= self.fast_end or self._rolled()):
-            self.p = p + n
-            return self.win[p - self.win0] >> (PROBE_BITS - n)
-        val, self.p = _careful_read_bits(
-            n, p, self.avail, self.seg_bits, self.trunc, self.payload)
-        return val
 
 
 # ---------------------------------------------------------------------------

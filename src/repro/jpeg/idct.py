@@ -52,6 +52,7 @@ from .constants import BLOCK_SIZE, LEVEL_SHIFT, MAX_SAMPLE
 from .dct import dct_matrix
 from .idct_int import idct_2d_islow
 from .quantization import dequantize_blocks
+from .scratch import aligned_float64
 
 _C = dct_matrix()
 
@@ -256,14 +257,12 @@ def _aan_scratch(m: int) -> tuple[np.ndarray, ...]:
     :func:`_aan_pass`.
 
     The float64 slabs are one allocation whose first slab starts on a
-    64-byte boundary, so every (8, m) slab does (a slab is ``64 m``
-    bytes).  ``np.empty`` only promises 16, and the ufunc loops over
-    slabs that straddle cache lines run a full tile in 333 us against
-    260.
+    64-byte boundary (:func:`~repro.jpeg.scratch.aligned_float64`), so
+    every (8, m) slab does (a slab is ``64 m`` bytes).  ``np.empty``
+    only promises 16, and the ufunc loops over slabs that straddle
+    cache lines run a full tile in 333 us against 260.
     """
-    raw = np.empty(25 * BLOCK_SIZE * m + 7)
-    skip = -raw.ctypes.data % 64 // 8
-    slabs = raw[skip:skip + 25 * BLOCK_SIZE * m].reshape(25, BLOCK_SIZE, m)
+    slabs = aligned_float64(25 * BLOCK_SIZE * m).reshape(25, BLOCK_SIZE, m)
     return (np.empty((BLOCK_SIZE, BLOCK_SIZE, m), dtype=np.int32),
             slabs[:8], slabs[8:16], slabs[16:])
 

@@ -77,10 +77,16 @@ from .obs import render_prometheus
 from .session import DecodeSession
 
 
-def ppm_bytes(rgb: np.ndarray) -> bytes:
-    """Serialize an ``(h, w, 3)`` uint8 array as a binary PPM (P6)."""
+def ppm_parts(rgb: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A binary PPM (P6) of an ``(h, w, 3)`` uint8 array as its header
+    and the pixels behind it: contiguous, not copied."""
     h, w = rgb.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(rgb).tobytes()
+    return b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(rgb)
+
+
+def ppm_bytes(rgb: np.ndarray) -> bytes:
+    """:func:`ppm_parts` joined into one ``bytes``: one frame-sized copy."""
+    return b"".join(ppm_parts(rgb))
 
 
 def result_metadata(result: ImageResult) -> dict:
@@ -132,16 +138,20 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             super().log_message(format, *args)
 
-    def _send(self, status: int, body: bytes, content_type: str,
+    def _send(self, status: int, body: "bytes | tuple", content_type: str,
               extra_headers: dict[str, str] | None = None) -> None:
-        """Write one complete response."""
+        """Write one complete response; a tuple *body* is written part
+        by part, each from its own memory (no joined copy)."""
+        parts = body if isinstance(body, tuple) else (body,)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length",
+                         str(sum(memoryview(p).nbytes for p in parts)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        for part in parts:
+            self.wfile.write(part)
 
     def _send_json(self, status: int, payload: dict,
                    extra_headers: dict[str, str] | None = None) -> None:
@@ -150,9 +160,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
                    "application/json", extra_headers)
 
     def _retry_after(self) -> str:
-        """``Retry-After`` header value scaled to the session's current
-        backlog (see :meth:`~repro.service.session.DecodeSession.\
-retry_after_s`)."""
+        """``Retry-After`` value, scaled to the session's backlog."""
         return str(self.server.session.retry_after_s())
 
     # -- endpoints ------------------------------------------------------
@@ -199,7 +207,7 @@ retry_after_s`)."""
             headers["X-Salvaged"] = "1"
         if result.trace_spans:
             headers["X-Trace-Id"] = result.trace_spans[0].trace_id
-        self._send(200, ppm_bytes(result.rgb), "image/x-portable-pixmap",
+        self._send(200, ppm_parts(result.rgb), "image/x-portable-pixmap",
                    headers)
 
     def _read_request(self) -> "bytes | ImageRequest | None":
@@ -243,46 +251,38 @@ retry_after_s`)."""
         never decoded 504 / 503 / 500."""
         try:
             handle = self.server.session.submit(item, timeout=0)
-        except QueueFullError as exc:
+        except (QueueFullError, ServiceClosedError) as exc:
             # Retry-After scales with the actual backlog: a client told
             # to come back in N seconds should find queue space then.
-            self._send_json(429, {"error": str(exc)},
-                            {"Retry-After": self._retry_after()})
-            return None
-        except ServiceClosedError as exc:
-            self._send_json(503, {"error": str(exc)},
+            self._send_json(429 if isinstance(exc, QueueFullError) else 503,
+                            {"error": str(exc)},
                             {"Retry-After": self._retry_after()})
             return None
         except ServiceError as exc:
             # Invalid per-request knob (e.g. non-positive deadline).
             self._send_json(400, {"error": str(exc)})
             return None
+        extra = None
         try:
             return handle.result(timeout=self.server.result_timeout_s)
         except DeadlineExceededError as exc:
             # The request expired before a worker picked it up: the
             # service is shedding load, tell the client to back off.
-            self._send_json(504, {
-                "error": str(exc),
-                "request_id": handle.request_id},
-                {"Retry-After": self._retry_after()})
+            status, error = 504, str(exc)
+            extra = {"Retry-After": self._retry_after()}
         except TimeoutError:
-            self._send_json(504, {
-                "error": f"decode did not complete within "
-                         f"{self.server.result_timeout_s}s",
-                "request_id": handle.request_id})
+            status, error = 504, ("decode did not complete within "
+                                  f"{self.server.result_timeout_s}s")
         except CancelledError:
             # The session closed with drain=False under this request
             # (externally-owned session); answer, don't drop the socket.
-            self._send_json(503, {
-                "error": "request cancelled: session closing",
-                "request_id": handle.request_id})
+            status, error = 503, "request cancelled: session closing"
         except Exception as exc:
             # Infrastructure failure (dead pool): 500 beats a handler
             # traceback and a reset connection.
-            self._send_json(500, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "request_id": handle.request_id})
+            status, error = 500, f"{type(exc).__name__}: {exc}"
+        self._send_json(status, {"error": error,
+                                 "request_id": handle.request_id}, extra)
         return None
 
 
