@@ -390,8 +390,10 @@ def execute(config: ExecutionConfig, prepared: PreparedImage,
             gpu_rows, n, config.fancy_upsampling))
 
     total = max(cpu_end, queue.finish(host)) if queue is not None else cpu_end
+    # Each part is a fresh array of its own: a lone one is the frame.
+    rgb = np.vstack(parts) if len(parts) > 1 else (parts[0] if parts else None)
     return DecodeResult(
-        mode=mode, rgb=np.vstack(parts) if parts else None, geometry=geo,
+        mode=mode, rgb=rgb, geometry=geo,
         timeline=timeline, total_us=total,
         breakdown=timeline.stage_breakdown(), partition=decision,
         info=prepared.info,

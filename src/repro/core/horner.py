@@ -71,6 +71,35 @@ def _eval(node: "float | _Node", x: np.ndarray, count: OpCount | None) -> float:
     return acc
 
 
+def _flatten(node: "float | _Node") -> tuple:
+    """The tree as ``(var, children, leaf)`` with *children* highest
+    power first: plain floats when *leaf*, else flattened nodes (a lone
+    constant becomes a one-child leaf)."""
+    if not isinstance(node, _Node):
+        return 0, (float(node),), True
+    kids = node.coeffs_by_power[::-1]
+    if not any(isinstance(k, _Node) for k in kids):
+        return node.var, tuple(float(k) for k in kids), True
+    return node.var, tuple(_flatten(k) for k in kids), False
+
+
+def _horner(step: tuple, x: list[float]) -> float:
+    """:func:`_eval` on Python floats over a :func:`_flatten`\\ ed tree:
+    the same multiplications and additions on the same operands, in
+    the same order, so the result is bit-identical."""
+    var, kids, leaf = step
+    xv = x[var]
+    if leaf:
+        acc = kids[0]
+        for c in kids[1:]:
+            acc = acc * xv + c
+        return acc
+    acc = _horner(kids[0], x)
+    for kid in kids[1:]:
+        acc = acc * xv + _horner(kid, x)
+    return acc
+
+
 class HornerPolynomial:
     """A :class:`PolynomialModel` rearranged for cheap evaluation."""
 
@@ -81,14 +110,20 @@ class HornerPolynomial:
             for exp, c in zip(model.exponents, model.coefficients)
         }
         self._root = _build(terms, 0, model.n_vars)
+        self._steps = _flatten(self._root)
+        self._scale = [float(s) for s in np.broadcast_to(
+            model.scale, (model.n_vars,))]
 
     def evaluate(self, *values: float, count: OpCount | None = None) -> float:
         if len(values) != self.model.n_vars:
             raise ModelError(
                 f"expected {self.model.n_vars} values, got {len(values)}"
             )
-        x = np.asarray(values, dtype=np.float64) / self.model.scale
-        return _eval(self._root, x, count)
+        if count is not None:
+            x = np.asarray(values, dtype=np.float64) / self.model.scale
+            return _eval(self._root, x, count)
+        return _horner(self._steps, [float(v) / s
+                                     for v, s in zip(values, self._scale)])
 
     def __call__(self, *values: float) -> float:
         return self.evaluate(*values)

@@ -5,10 +5,15 @@ optional DRI, SOS) followed by the entropy-coded scan and EOI.  This
 module parses that structure into :class:`JpegImageInfo` — including the
 raw entropy-coded bytes, whose length drives the paper's entropy-density
 model (Eq. 3) — and provides the inverse serializers for the encoder.
+:func:`walk_header` reads only the frame-level facts, up to the first
+SOS header, into a :class:`FrameInfo`: what placing a decode needs (the
+paper's model inputs are the frame's width and height and the file
+size), without decoding a table or touching the scan.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -135,8 +140,55 @@ class ScanInfo:
     terminated: bool = True
 
 
+class _FrameFacts:
+    """What a frame header and the file's size say about an image —
+    shared by :class:`FrameInfo` and :class:`JpegImageInfo`."""
+
+    frame: FrameHeader
+    file_size: int
+
+    @property
+    def width(self) -> int:
+        return self.frame.width
+
+    @property
+    def height(self) -> int:
+        return self.frame.height
+
+    @property
+    def progressive(self) -> bool:
+        return self.frame.progressive
+
+    @property
+    def subsampling_mode(self) -> str:
+        return self.frame.subsampling_mode
+
+    @property
+    def geometry(self) -> ImageGeometry:
+        return ImageGeometry(self.width, self.height, self.subsampling_mode,
+                             ncomponents=len(self.frame.components))
+
+    @property
+    def file_density(self) -> float:
+        """Eq. (3): d = ImageFileSize / (w * h)."""
+        return self.file_size / float(self.width * self.height)
+
+
+@dataclass(frozen=True)
+class FrameInfo(_FrameFacts):
+    """A stream's frame-level facts as :func:`walk_header` reads them,
+    up to the first SOS header."""
+
+    frame: FrameHeader
+    #: The DRI in force at the first scan (0 = no restart markers).
+    restart_interval: int
+    file_size: int
+    #: Adobe APP14 color-transform code seen before the first scan.
+    adobe_transform: int | None = None
+
+
 @dataclass
-class JpegImageInfo:
+class JpegImageInfo(_FrameFacts):
     """Everything parsed from a baseline JPEG file.
 
     ``entropy_data`` holds the raw (still byte-stuffed) scan bytes; its
@@ -164,36 +216,10 @@ class JpegImageInfo:
     parse_errors: list[str] = field(default_factory=list)
 
     @property
-    def width(self) -> int:
-        return self.frame.width
-
-    @property
-    def height(self) -> int:
-        return self.frame.height
-
-    @property
-    def progressive(self) -> bool:
-        return self.frame.progressive
-
-    @property
-    def subsampling_mode(self) -> str:
-        return self.frame.subsampling_mode
-
-    @property
-    def geometry(self) -> ImageGeometry:
-        return ImageGeometry(self.width, self.height, self.subsampling_mode,
-                             ncomponents=len(self.frame.components))
-
-    @property
     def entropy_density(self) -> float:
         """Entropy-coded bytes per pixel — the paper's approximation uses
         file size; we expose both (see :attr:`file_density`)."""
         return len(self.entropy_data) / float(self.width * self.height)
-
-    @property
-    def file_density(self) -> float:
-        """Eq. (3): d = ImageFileSize / (w * h)."""
-        return self.file_size / float(self.width * self.height)
 
 
 def _read_u16(data: bytes, pos: int) -> int:
@@ -299,6 +325,12 @@ def parse_sos_payload(payload: bytes,
     return ScanHeader(components=tuple(comps), ss=ss, se=se, ah=ah, al=al)
 
 
+#: A marker that ends entropy-coded data: 0xFF followed by anything but
+#: a stuffed zero or an RSTn.  A fill 0xFF is followed by another 0xFF,
+#: so the first of a run matches; a lone 0xFF at the end matches nothing.
+_SCAN_END = re.compile(rb"\xff[^\x00\xd0-\xd7]")
+
+
 def _find_scan_end(data: bytes, start: int,
                    tolerant: bool = False) -> int:
     """Return the index just past the entropy-coded data beginning at
@@ -307,18 +339,82 @@ def _find_scan_end(data: bytes, start: int,
     *tolerant* accepts a stream that simply ends mid-scan (truncation)
     and returns ``len(data)``; the scan is then flagged unterminated
     and a decode of it is best-effort (the salvage path)."""
-    n = len(data)
-    # One C-level search per 0xFF instead of one Python iteration per
-    # byte: only the byte after each 0xFF is classified here.
-    pos = data.find(b"\xff", start)
-    while 0 <= pos < n - 1:
-        nxt = data[pos + 1]
-        if nxt != 0x00 and not C.is_rst(nxt):
-            return pos
-        pos = data.find(b"\xff", pos + 2)
+    end = _SCAN_END.search(data, start)
+    if end is not None:
+        return end.start()
     if tolerant:
-        return n
+        return len(data)
     raise JpegFormatError("entropy-coded data not terminated by a marker")
+
+
+def _check_segment_marker(marker: int) -> None:
+    """Raise for a marker that cannot open a segment where one is due:
+    a second SOI, a coding mode this decoder refuses, or a stray code."""
+    if marker == C.SOI:
+        raise JpegFormatError("unexpected second SOI")
+    if marker in C.UNSUPPORTED_SOF or marker == C.DAC:
+        name = C.SOF_MODE_NAMES.get(marker, "non-baseline mode")
+        raise JpegUnsupportedError(
+            f"unsupported JPEG mode: {name} (marker 0xFF{marker:02X})"
+        )
+    if marker not in C.SEGMENT_MARKERS:
+        raise JpegFormatError(f"unexpected marker 0xFF{marker:02X}")
+
+
+def walk_header(data: bytes) -> FrameInfo:
+    """Read *data*'s frame-level facts: walk its segments from SOI to
+    the first SOS header, reading SOF0/SOF2, DRI, Adobe APP14 and that
+    SOS header and stepping over everything else by its length.
+
+    No DQT or DHT is decoded, no scan end searched and no entropy byte
+    copied, so the walk costs a few segment hops whatever the image's
+    size.  It raises what :func:`parse_jpeg` raises for the markers,
+    lengths, frame and scan header it passes; damage it does not look
+    at — a table, the scan, anything behind the first SOS — is left for
+    the decode to report."""
+    n = len(data)
+    if n < 4 or data[0] != 0xFF or data[1] != C.SOI:
+        raise JpegFormatError("missing SOI marker")
+    pos = 2
+    frame: FrameHeader | None = None
+    restart_interval = 0
+    adobe_transform: int | None = None
+    while pos < n:
+        if data[pos] != 0xFF:
+            raise JpegFormatError(f"expected marker at offset {pos}")
+        while pos < n and data[pos] == 0xFF:
+            pos += 1
+        if pos >= n:
+            raise JpegFormatError("truncated marker")
+        marker = data[pos]
+        if marker == C.EOI:
+            break
+        _check_segment_marker(marker)
+        length = _read_u16(data, pos + 1)
+        start, pos = pos + 3, pos + 1 + length
+        if length < 2 or pos > n:
+            raise JpegFormatError("bad segment length")
+        if marker == C.SOF0 or marker == C.SOF2:
+            if frame is not None:
+                raise JpegFormatError("multiple SOF0 segments")
+            frame = parse_sof0_payload(data[start:pos],
+                                       progressive=marker == C.SOF2)
+        elif marker == C.DRI:
+            if length != 4:
+                raise JpegFormatError("bad DRI payload")
+            restart_interval = _read_u16(data, start)
+        elif marker == C.APP14 and length >= 14 \
+                and data.startswith(b"Adobe", start):
+            adobe_transform = data[start + 11]
+        elif marker == C.SOS:
+            if frame is None:
+                raise JpegFormatError("SOS before SOF")
+            parse_sos_payload(data[start:pos], progressive=frame.progressive)
+            return FrameInfo(frame=frame, restart_interval=restart_interval,
+                             file_size=n, adobe_transform=adobe_transform)
+    if frame is None:
+        raise JpegFormatError("missing SOF0")
+    raise JpegFormatError("missing SOS / entropy data")
 
 
 def parse_jpeg(data: bytes, tolerant: bool = False) -> JpegImageInfo:
@@ -359,15 +455,7 @@ def parse_jpeg(data: bytes, tolerant: bool = False) -> JpegImageInfo:
 
             if marker == C.EOI:
                 break
-            if marker == C.SOI:
-                raise JpegFormatError("unexpected second SOI")
-            if marker in C.UNSUPPORTED_SOF or marker == C.DAC:
-                name = C.SOF_MODE_NAMES.get(marker, "non-baseline mode")
-                raise JpegUnsupportedError(
-                    f"unsupported JPEG mode: {name} (marker 0xFF{marker:02X})"
-                )
-            if marker not in C.SEGMENT_MARKERS:
-                raise JpegFormatError(f"unexpected marker 0xFF{marker:02X}")
+            _check_segment_marker(marker)
 
             length = _read_u16(data, pos)
             if length < 2 or pos + length > len(data):

@@ -49,7 +49,7 @@ from time import perf_counter, sleep
 from typing import Any, Iterator, Sequence
 
 from ..errors import ReproError, ServiceError
-from ..jpeg.markers import JpegImageInfo
+from ..jpeg.markers import FrameInfo, JpegImageInfo, parse_jpeg
 from ..jpeg.parallel_huffman import modeled_entropy_us
 from .faults import FaultPlan
 from .obs import SpanRecord, TraceContext, child_span, make_span
@@ -87,11 +87,6 @@ from .workers import WorkerPool
 #: two per worker halve what the slower run of a pair can hold the
 #: image up by, for one more ~0.5 ms dispatch each.
 SEGMENT_RUNS_PER_WORKER = 2
-
-#: A header :meth:`BatchDecoder.admit` has not read (``None`` is one
-#: nobody could read).
-_UNREAD: Any = object()
-
 
 @dataclass
 class BatchResult:
@@ -362,12 +357,14 @@ class BatchDecoder:
             requests.append(req)
         return requests
 
-    def _fans_out(self, index: int, req: ImageRequest, crowd: int,
-                  infos: "list[JpegImageInfo | None]") -> bool:
+    def _fans_out(self, req: ImageRequest, crowd: int,
+                  header: FrameInfo | None) -> JpegImageInfo | None:
         """The one fan-out decision, asked once per image before any
         placement: does *req* decode as parallel units on the default
         pool (restart-segment runs, or speculative chunks of a
-        marker-free scan) instead of as one whole-image task?
+        marker-free scan) instead of as one whole-image task?  Returns
+        the full parse its fan-out plan is built from, or None: the
+        image decodes whole.
 
         Only the reference pixel path fans out (executor modes consume
         the scan in-order themselves).  Each verdict short-circuits the
@@ -375,17 +372,19 @@ class BatchDecoder:
         already fill the pool — *crowd* counts those in flight plus the
         group being admitted — or the pool is serial, and the image
         stays whole; else a progressive or salvage decode stays whole
-        (:func:`~repro.service.scheduler.whole_image_only`); else the
-        fan-out must be predicted to pay
+        (:func:`~repro.service.scheduler.whole_image_only`, on the
+        request's *header*); else the fan-out must be predicted to pay
         (:func:`~repro.service.scheduler.fanout_pays`).  The speculative
         policy ``"on"`` stands in for the request knob on a parallel
         pool, ``"off"`` forbids; speculation additionally needs the fast
         engine's exact bit positions.  ``None`` below reads "if it
-        pays".  A header not read at admission is read here, into
-        *infos*, for a candidate only."""
+        pays".  Only a candidate left standing by the header is parsed
+        in full — the plan needs its tables and scan, the price its
+        entropy bytes — and one the parse refuses stays whole, for its
+        worker to report."""
         pool = self.pool
         if req.mode != "reference":
-            return False
+            return None
         parallel = pool.backend != "serial"
         room = None if parallel and crowd < pool.workers else False
         policy = {"off": False, "on": parallel,
@@ -394,38 +393,39 @@ class BatchDecoder:
         spec = policy if req.speculative is None else req.speculative
         if req.entropy_engine != "fast":
             spec = False
-        if (split is False and spec is False) or self._ships_whole:
-            return False
-        if infos[index] is _UNREAD:
-            infos[index] = read_header(req)
-        info = infos[index]
-        if info is None or whole_image_only(info, req.salvage):
-            return False
+        if (split is False and spec is False) or self._ships_whole \
+                or header is None or whole_image_only(header, req.salvage):
+            return None
+        try:
+            info = parse_jpeg(req.data)
+        except (ReproError, ValueError):
+            return None
         want = split if info.restart_interval > 0 else spec
         if want is None:
             want = fanout_pays(
                 modeled_entropy_us(len(info.entropy_data),
                                    info.geometry.total_mcus),
                 pool.workers)
-        return want
+        return info if want else None
 
     def _schedule(self, requests: list[ImageRequest],
-                  infos: "list[JpegImageInfo | None]", fanned: list[bool],
+                  headers: "list[FrameInfo | None]",
+                  parsed: "list[JpegImageInfo | None]",
                   group: _Group) -> tuple[list[ImageRequest], dict[int, str]]:
         """Price and place the group's whole images from their headers
-        (a *fanned* image is kept from the scheduler: no header, no
-        placement): returns the lane-rewritten requests and — with
-        lane-bound pools — each placed image's lane name."""
+        (an image with a fan-out parse is kept from the scheduler: no
+        header, no placement): returns the lane-rewritten requests and —
+        with lane-bound pools — each placed image's lane name."""
         t_plan0 = perf_counter()
         schedule = group.schedule = self.scheduler.plan(
-            requests, [None if out else info
-                       for out, info in zip(fanned, infos)])
+            requests, [None if info is not None else header
+                       for header, info in zip(headers, parsed)])
         t_plan1 = perf_counter()
         requests = self.scheduler.apply(requests, schedule)
         lane_of = {a.index: a.executor.name for a in schedule.assignments
                    if a.executor is not None}
         for i, req in enumerate(requests):
-            if req.trace is None or fanned[i]:
+            if req.trace is None or parsed[i] is not None:
                 continue
             spans = group.trace_parent.setdefault(i, [])
             spans.append(child_span(
@@ -441,30 +441,24 @@ class BatchDecoder:
         return requests, lane_of
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
-              infos: "list[JpegImageInfo | None]", fans_out: bool
+              header: FrameInfo | None, info: JpegImageInfo | None
               ) -> DecodePlan:
-        """Build *req*'s decode plan from what :meth:`_fans_out`
-        decided.  Its header is taken out of *infos* as it is used (kept
-        alive through the dispatches that follow, a group's headers cost
-        2.5 MB of peak RSS); one still unread is read only for a reply
-        that will ride a leased slot, so the common throughput case
-        pays zero serialized parent-side work per image.  Fan-out units
-        are sized from the default pool, the pool they run on.  Raises
-        the structure error of an image that cannot be planned — the
-        caller fails that image alone."""
-        info, infos[index] = infos[index], None
-        if info is _UNREAD:
-            info = read_header(req) if self._rides_shm(self.pool) else None
-        if fans_out and info.restart_interval > 0:
+        """Build *req*'s decode plan: the fan-out of the parse
+        :meth:`_fans_out` returned as *info*, else one whole-image task
+        whose reply slot *header* sizes.  Fan-out units are sized from
+        the default pool, the pool they run on.  Raises the structure
+        error of an image that cannot be planned — the caller fails
+        that image alone."""
+        if info is not None and info.restart_interval > 0:
             return SegmentPlan(index, req, lane, info,
                                SEGMENT_RUNS_PER_WORKER * self.pool.workers)
-        if fans_out:
+        if info is not None:
             plan = SpeculativePlan.build(
                 index, req, lane, info,
                 self.speculative_chunks or self.pool.workers)
             if plan is not None:
                 return plan
-        return WholeImagePlan(index, req, lane, info)
+        return WholeImagePlan(index, req, lane, header)
 
     # -- transport slots ------------------------------------------------
 
@@ -497,27 +491,29 @@ class BatchDecoder:
 
     # -- admit: plan and dispatch ---------------------------------------
 
-    def admit(self, items: Sequence[bytes | ImageRequest]) -> _Group:
+    def admit(self, items: Sequence[bytes | ImageRequest],
+              headers: "Sequence[FrameInfo | None] | None" = None
+              ) -> _Group:
         """Schedule, plan and dispatch *items* as one group, on top of
         whatever is already in flight, and return without waiting.
+        *headers* are the items' :func:`read_header` values where the
+        caller read them (a session does, at submit), else read here.
         An infrastructure failure (closed pool) aborts the group and
         rides back as ``group.error``."""
         requests = self._normalize(items)
         group = _Group(results=[None] * len(requests),
                        admitted_at=perf_counter())
         try:
-            # The parent's one look at the bytes (all up front where a
-            # scheduler will price them, else lazily), then the one
-            # fan-out decision, then placement of what stayed whole.
-            scheduled = self.scheduler is not None
-            infos = [read_header(req) if scheduled else _UNREAD
-                     for req in requests]
+            # The parent's one look at each request's bytes, then the
+            # one fan-out decision, then placement of what stayed whole.
+            if headers is None:
+                headers = [read_header(req) for req in requests]
             crowd = self.in_flight + len(requests)
-            fanned = [self._fans_out(i, req, crowd, infos)
-                      for i, req in enumerate(requests)]
+            parsed = [self._fans_out(req, crowd, header)
+                      for req, header in zip(requests, headers)]
             lanes = {}
-            if scheduled and requests:
-                requests, lanes = self._schedule(requests, infos, fanned,
+            if self.scheduler is not None and requests:
+                requests, lanes = self._schedule(requests, headers, parsed,
                                                  group)
             group.t0 = perf_counter()
             for i, req in enumerate(requests):
@@ -528,7 +524,7 @@ class BatchDecoder:
                 group.open += 1
                 self.in_flight += 1
                 try:
-                    plan = self._plan(i, req, lane, infos, fanned[i])
+                    plan = self._plan(i, req, lane, headers[i], parsed[i])
                 except (ReproError, ValueError) as exc:
                     # Cannot be planned: the image fails alone, as the
                     # reply of a task that was never sent.

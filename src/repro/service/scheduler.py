@@ -46,9 +46,10 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 from ..core.modes import DecodeMode
 from ..core.perfmodel import PerformanceModel
 from ..core.platform import Platform
-from ..errors import ReproError, ServiceError
-from ..jpeg.markers import JpegImageInfo, parse_jpeg
+from ..errors import ServiceError
+from ..jpeg.markers import FrameInfo, walk_header
 from ..kernels.program import KERNEL_SUBSAMPLINGS
+from .tasks import read_header
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
     from .batch import ImageRequest, ImageResult
@@ -153,8 +154,6 @@ class ImagePricing:
     height: int
     density: float
     subsampling: str
-    #: Entropy scans in the stream (1 = baseline, > 1 = progressive).
-    scans: int = 1
     #: Predicted decode time (us) per lane name; ``inf`` = ineligible —
     #: on every lane when only the whole-image reference path can decode
     #: the request (:func:`whole_image_only`, or a component layout the
@@ -421,7 +420,7 @@ class LaneBreakerBoard:
             return out
 
 
-def whole_image_only(info: JpegImageInfo, salvage: bool = False) -> bool:
+def whole_image_only(info: FrameInfo, salvage: bool = False) -> bool:
     """True when a request decodes whole on the reference path or not at
     all — the one rule pricing, placement and the fan-out decision
     share: a progressive stream accumulates coefficients across scans,
@@ -432,14 +431,16 @@ def whole_image_only(info: JpegImageInfo, salvage: bool = False) -> bool:
 
 
 def price_images(
-    infos: Sequence[tuple[int, JpegImageInfo]],
+    infos: Sequence[tuple[int, FrameInfo]],
     executors: Sequence[ExecutorLane],
     model_for: "callable",
     salvage: "Collection[int]" = (),
 ) -> list[ImagePricing]:
-    """Price parsed images on every lane.
+    """Price images on every lane from their headers.
 
-    *infos* holds ``(batch_index, JpegImageInfo)`` pairs; *model_for* is
+    *infos* holds ``(batch_index, FrameInfo)`` pairs (the frame-level
+    facts of :func:`~repro.jpeg.markers.walk_header`: the paper's model
+    inputs are width, height and file size); *model_for* is
     ``f(platform, subsampling) -> PerformanceModel`` (the scheduler's
     lazily-profiled cache).  Lanes ineligible for an image's subsampling
     price as ``inf``; CPU lanes on 4:2:0 fall back to the platform's
@@ -450,10 +451,9 @@ def price_images(
     pricings = []
     for index, info in infos:
         sub = info.subsampling_mode
-        scans = max(1, len(info.scans))
         pricing = ImagePricing(
             index=index, width=info.width, height=info.height,
-            density=info.file_density, subsampling=sub, scans=scans)
+            density=info.file_density, subsampling=sub)
         if whole_image_only(info, index in salvage) \
                 or len(info.frame.components) != 3:
             # The simulated executor lanes model 3-component baseline
@@ -469,8 +469,7 @@ def price_images(
                 continue
             model: PerformanceModel = model_for(lane.platform, model_sub)
             pricing.costs[lane.name] = model.price(
-                lane.kind, info.width, info.height, info.file_density,
-                scans=scans)
+                lane.kind, info.width, info.height, info.file_density)
         pricings.append(pricing)
     return pricings
 
@@ -701,42 +700,36 @@ class ModelScheduler:
     # -- planning -------------------------------------------------------
 
     def price(self, blobs: Sequence[bytes]) -> list[ImagePricing]:
-        """Parse and price raw JPEG bytes on this scheduler's lanes.
+        """Read the headers of raw JPEG bytes and price them on this
+        scheduler's lanes.
 
         The pricing half of :meth:`plan` without the placement — the
         public entry point for benchmarks and offline what-if studies
         (feed the result to :func:`schedule_lpt` /
         :func:`schedule_roundrobin` directly).  Unlike :meth:`plan`,
-        parse errors propagate: a what-if study over broken bytes is a
+        header errors propagate: a what-if study over broken bytes is a
         caller bug, not traffic to route around.
         """
-        infos = [(i, parse_jpeg(b)) for i, b in enumerate(blobs)]
+        infos = [(i, walk_header(b)) for i, b in enumerate(blobs)]
         return price_images(infos, self.executors, self._model_for)
 
     def plan(self, requests: "Sequence[ImageRequest]",
-             infos: "Sequence[JpegImageInfo | None] | None" = None
+             infos: "Sequence[FrameInfo | None] | None" = None
              ) -> BatchSchedule:
         """Price and place one batch; returns the schedule.
 
         *infos* are the requests' headers where the caller has read
         them (:func:`~repro.service.tasks.read_header`, one each); a
-        bare ``plan(requests)`` — benchmarks, offline studies — parses
-        for itself.  An image without a header (``None``) gets an
+        bare ``plan(requests)`` — benchmarks, offline studies — reads
+        them itself.  An image without a header (``None``) gets an
         unassigned :class:`Assignment` (``executor=None``), so indices
         stay the group's: one the decoder fans out and keeps from
-        placement, or one whose header fails to parse — left for the
+        placement, or one whose header does not read — left for the
         worker to fail with the precise decode error, the scheduler
         never swallows an error the decoder would report.
         """
         if infos is None:
-            # Strictly: a salvage request only a tolerant parse can read
-            # stays unassigned, which routes it the same — as submitted.
-            infos = []
-            for req in requests:
-                try:
-                    infos.append(parse_jpeg(req.data))
-                except (ReproError, ValueError):
-                    infos.append(None)
+            infos = [read_header(req) for req in requests]
         pricings = price_images(
             [(i, info) for i, info in enumerate(infos) if info is not None],
             self.executors, self._model_for,

@@ -57,11 +57,13 @@ from ..errors import (
     ServiceClosedError,
     ServiceError,
 )
+from ..jpeg.markers import FrameInfo
 from .batch import BatchDecoder, BatchResult, ImageRequest, ImageResult
 from .obs import ObsHub, child_span, make_span
 from .queue import SubmissionQueue
 from .scheduler import ModelScheduler
 from .stats import ServiceStats
+from .tasks import read_header
 
 #: Weighted-shedding admission fractions by priority class: the share
 #: of the submission queue each class may fill.  Low-priority requests
@@ -152,6 +154,8 @@ class _Entry:
 
     request: ImageRequest
     handle: DecodeHandle
+    #: :func:`~repro.service.tasks.read_header` of the request, at submit.
+    header: FrameInfo | None
     #: Absolute ``perf_counter`` instant the request expires (None = no
     #: deadline): submission time plus ``deadline_ms``.
     deadline_at: float | None = None
@@ -288,7 +292,9 @@ class DecodeSession:
 
         Auto-assigned request ids are unique and monotonically
         increasing even under concurrent producers; an id is skipped
-        (never reissued) when the queue rejects its submission.
+        (never reissued) when the queue rejects its submission.  The
+        request's header is read here, on the caller's thread (for HTTP,
+        the handler threads), and rides the queue entry to admission.
         """
         if self._closed:
             raise ServiceClosedError("decode session is closed")
@@ -315,6 +321,7 @@ class DecodeSession:
             ctx = self.obs.maybe_start_trace()
             if ctx is not None:
                 req = replace(req, trace=ctx)
+        header = read_header(req)
         handle = DecodeHandle(req.request_id)
         deadline_at = (handle.submitted_at + req.deadline_ms / 1e3
                        if req.deadline_ms is not None else None)
@@ -324,7 +331,7 @@ class DecodeSession:
         limit = (None if fraction is None
                  else max(1, math.ceil(self.queue.capacity * fraction)))
         try:
-            self.queue.put(_Entry(req, handle, deadline_at),
+            self.queue.put(_Entry(req, handle, header, deadline_at),
                            timeout=timeout, limit=limit)
         except QueueFullError:
             with self._stats_lock:
@@ -412,7 +419,8 @@ class DecodeSession:
         """Admit *entries* as one group."""
         with self._stats_lock:
             self.stats.mark_busy(perf_counter())
-        group = self.decoder.admit([e.request for e in entries])
+        group = self.decoder.admit([e.request for e in entries],
+                                   [e.header for e in entries])
         group.tag = entries
         if group.error is not None:
             self._fail(group)

@@ -42,7 +42,7 @@ from ..jpeg.decoder import (
 )
 from ..jpeg.entropy import CoefficientBuffers, ComponentTables
 from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
-from ..jpeg.markers import JpegImageInfo, parse_jpeg
+from ..jpeg.markers import FrameInfo, JpegImageInfo, walk_header
 from ..jpeg.parallel_huffman import (
     RestartSegment,
     decode_segment_coefficients,
@@ -445,19 +445,20 @@ def decode_speculative_chunk_task(
 # three implementations.
 # ---------------------------------------------------------------------------
 
-def read_header(request: ImageRequest) -> JpegImageInfo | None:
+def read_header(request: ImageRequest) -> FrameInfo | None:
     """The parent's one look at *request*'s bytes, read by pricing, the
-    fan-out decision, the fan-out plans and the slot lease alike: its
-    header as the worker's own parse will see it (tolerant for salvage),
-    or None when that parse raises or the frame's sampling has no
-    geometry — the worker reports the precise error, and a stream
-    nobody could read is leased nothing."""
+    fan-out decision and the slot lease alike: the header walk
+    (:func:`~repro.jpeg.markers.walk_header`), or None when it raises or
+    the frame's sampling has no geometry — the worker reports the
+    precise error, and a stream nobody could read is leased nothing.
+    Damage the walk does not reach (a table, the scan) fails in the
+    worker, after the request was priced and leased like any other."""
     try:
-        info = parse_jpeg(request.data, tolerant=request.salvage)
-        info.geometry   # raises for sampling factors nothing decodes
+        header = walk_header(request.data)
+        header.geometry   # raises for sampling factors nothing decodes
     except (ReproError, ValueError):
         return None
-    return info
+    return header
 
 
 @dataclass(frozen=True)
@@ -569,12 +570,12 @@ class WholeImagePlan(DecodePlan):
     task_name = "whole"
 
     def __init__(self, index: int, request: ImageRequest,
-                 lane: str | None, info: JpegImageInfo | None) -> None:
-        """The reply's slot is the decoded frame of the header *info*;
-        with none read (or none readable) the reply pickles."""
+                 lane: str | None, header: FrameInfo | None) -> None:
+        """The reply's slot is the decoded frame of *header*; with none
+        readable the reply pickles."""
         super().__init__(index, request, lane, [Subtask(
             decode_image_task, (request,),
-            info.width * info.height * 3 if info is not None else 0)])
+            header.width * header.height * 3 if header is not None else 0)])
         self.result: ImageResult | None = None
 
     def task_args(self, unit: Subtask, ctx: TraceContext | None) -> tuple:

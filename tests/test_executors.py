@@ -49,6 +49,20 @@ class TestPixelIdentity:
         result = gt430_decoder.decode(prep422, mode)
         assert np.array_equal(result.rgb, ref_rgb_422)
 
+    def test_a_lone_part_is_the_frame_not_a_copy(self, gtx560_decoder,
+                                                 prep422, monkeypatch):
+        """A CPU-only mode renders the frame as one part, and that array
+        is the result's pixels: no frame-sized copy on the way out."""
+        from repro.core import executors
+
+        rendered = []
+        real = executors.cpu_parallel_span
+        monkeypatch.setattr(
+            executors, "cpu_parallel_span",
+            lambda *a, **k: rendered.append(real(*a, **k)) or rendered[-1])
+        result = gtx560_decoder.decode(prep422, DecodeMode.SIMD)
+        assert len(rendered) == 1 and result.rgb is rendered[0]
+
     def test_skewed_image_pps_pixels_correct(self, gtx680_decoder):
         rgb = synthetic_skewed(128, 160, seed=5)
         data = encode_jpeg(rgb, EncoderSettings(quality=85, subsampling="4:2:2"))

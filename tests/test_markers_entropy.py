@@ -123,8 +123,9 @@ class TestMarkerParsing:
 
 def find_scan_end_bytewise(data: bytes, start: int,
                            tolerant: bool = False) -> int:
-    """The per-byte scan-end walk ``markers._find_scan_end`` was until
-    ISSUE 15, kept verbatim as the oracle for the ``bytes.find`` one."""
+    """The first scan-end walk ``markers._find_scan_end`` had, one
+    Python iteration per byte, kept verbatim as an oracle for the regex
+    search."""
     pos = start
     n = len(data)
     while pos < n - 1:
@@ -135,6 +136,25 @@ def find_scan_end_bytewise(data: bytes, start: int,
                 continue
             return pos
         pos += 1
+    if tolerant:
+        return n
+    raise JpegFormatError("entropy-coded data not terminated by a marker")
+
+
+def find_scan_end_find_loop(data: bytes, start: int,
+                            tolerant: bool = False) -> int:
+    """The ``bytes.find`` loop that replaced the per-byte walk, and was
+    in turn replaced by the one regex search, kept verbatim as the
+    oracle for that search."""
+    n = len(data)
+    # One C-level search per 0xFF instead of one Python iteration per
+    # byte: only the byte after each 0xFF is classified here.
+    pos = data.find(b"\xff", start)
+    while 0 <= pos < n - 1:
+        nxt = data[pos + 1]
+        if nxt != 0x00 and not C.is_rst(nxt):
+            return pos
+        pos = data.find(b"\xff", pos + 2)
     if tolerant:
         return n
     raise JpegFormatError("entropy-coded data not terminated by a marker")
@@ -152,6 +172,32 @@ _SCAN_PIECES = st.one_of(
     st.just(b"\xff"),
 )
 
+#: Byte strings where most bytes are 0xFF or one of its neighbours in a
+#: scan: every stuffing, RSTn, fill and marker boundary, back to back.
+_FF_DENSE = st.lists(
+    st.sampled_from([0xFF, 0xFF, 0xFF, 0x00, 0xD0, 0xD7, 0xD8, 0xD9,
+                     0xCF, 0x01, 0x7F]),
+    max_size=40).map(bytes)
+
+
+def _expected_end(data: bytes, start: int, tolerant: bool):
+    """Both oracles' answer: an index, or the error message."""
+    answers = []
+    for oracle in (find_scan_end_bytewise, find_scan_end_find_loop):
+        try:
+            answers.append(oracle(data, start, tolerant))
+        except JpegFormatError as exc:
+            answers.append(str(exc))
+    assert answers[0] == answers[1]
+    return answers[0]
+
+
+def _actual_end(data, start: int, tolerant: bool):
+    try:
+        return _find_scan_end(data, start, tolerant=tolerant)
+    except JpegFormatError as exc:
+        return str(exc)
+
 
 class TestFindScanEnd:
     @settings(max_examples=400, deadline=None)
@@ -162,15 +208,17 @@ class TestFindScanEnd:
                                       tolerant, as_bytearray):
         data = b"".join(pieces) + (b"\xff" if lone_ff else b"")
         start = min(start, len(data) + 2)
-        try:
-            expected = find_scan_end_bytewise(data, start, tolerant)
-        except JpegFormatError as exc:
-            with pytest.raises(JpegFormatError) as got:
-                _find_scan_end(data, start, tolerant=tolerant)
-            assert str(got.value) == str(exc)
-            return
         subject = bytearray(data) if as_bytearray else data
-        assert _find_scan_end(subject, start, tolerant=tolerant) == expected
+        assert _actual_end(subject, start, tolerant) == \
+            _expected_end(data, start, tolerant)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=_FF_DENSE, start=st.integers(0, 44),
+           tolerant=st.booleans())
+    def test_equals_the_find_loop_on_ff_dense_bytes(self, data, start,
+                                                    tolerant):
+        assert _actual_end(data, start, tolerant) == \
+            _expected_end(data, start, tolerant)
 
     @pytest.mark.parametrize("data, start, end", [
         (b"\x12\xff\x00\x34\xff\xd9", 0, 4),        # stuffing is data

@@ -177,3 +177,39 @@ class TestHorner:
         count = OpCount()
         HornerPolynomial(model).evaluate(2.0, count=count)
         assert count.mults == 3 and count.adds == 3
+
+    def test_float_path_is_bit_identical_on_every_fitted_model(self):
+        """Pricing evaluates on Python floats; the ``OpCount`` path keeps
+        the recursive numpy walk.  Every fitted (platform, subsampling)
+        model must read the same to the last bit on both, over the sizes
+        and densities the scheduler prices."""
+        from repro.core.decoder import HeterogeneousDecoder
+        from repro.core.horner import _eval
+        from repro.evaluation import platforms
+        from repro.kernels.program import KERNEL_SUBSAMPLINGS
+
+        rng = np.random.default_rng(11)
+        widths = [1, 16, 96, 160, 320, 640, 1024, 4096, *rng.integers(
+            1, 8192, 12).tolist()]
+        densities = [0.0, 0.05, 0.3, 1.7, *rng.uniform(0, 3, 12).tolist()]
+        fits = ("huff_rate_fit", "cpu_simd_fit", "cpu_seq_fit", "gpu_fit",
+                "disp_fit")
+        checked = 0
+        for plat in platforms.ALL_PLATFORMS:
+            decoder = HeterogeneousDecoder.for_platform(plat)
+            for sub in KERNEL_SUBSAMPLINGS:
+                model = decoder.model_for(sub)
+                for name in fits:
+                    fit = getattr(model, name)
+                    poly = HornerPolynomial(fit)
+                    points = ([(d,) for d in densities] if fit.n_vars == 1
+                              else [(w, h) for w in widths for h in widths])
+                    for point in points:
+                        x = np.asarray(point, dtype=np.float64) / fit.scale
+                        want = _eval(poly._root, x, None)
+                        got = poly.evaluate(*point)
+                        assert type(got) is float
+                        assert got.hex() == want.hex(), (
+                            plat.name, sub, name, point)
+                        checked += 1
+        assert checked > 6000

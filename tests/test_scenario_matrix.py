@@ -17,14 +17,18 @@ salvage path, asserting:
 
 Satellites live here too: the named unsupported-SOF matrix (one case
 per marker 0xC0-0xCF), property tests of the parent's one header read
-(``read_header``: fuzzed bytes and broken frame headers are ``None``,
-never an exception), the lease every cell gets from that read, and
-salvage routed identically with and without a scheduler.
+(``read_header``, a walk to the first SOS header: fuzzed bytes and
+broken frame headers are ``None``, never an exception, and a readable
+stream agrees with the full parse on every frame-level fact), the
+lease every cell gets from that read, and salvage routed identically
+with and without a scheduler.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,7 @@ from repro.jpeg import (
     parse_jpeg,
 )
 from repro.jpeg import constants as C
+from repro.jpeg.markers import walk_header
 from repro.service import BatchDecoder, ImageRequest, shm_available
 from repro.service.tasks import read_header
 
@@ -54,6 +59,8 @@ from repro.service.tasks import read_header
 # ---------------------------------------------------------------------------
 
 ENGINES = ("fast", "reference")
+LEDGER_CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" \
+    / "perf" / "corpus"
 HOSTILE_KINDS = ("truncated", "bit-flipped", "stray-marker")
 
 
@@ -410,15 +417,34 @@ class TestReadHeaderProperties:
             assert read_header(ImageRequest(data=bad)) is None
 
     def test_reads_what_the_worker_will_parse(self, corpus):
-        """Strict for a strict request, tolerant for a salvage one: a
-        truncated stream has a header only under salvage."""
+        """The walk stops at the first SOS header, so a stream truncated
+        inside its scan reads the same frame, strict or salvage: the
+        damage is its worker's to report."""
         for name, blob in corpus.items():
             info = read_header(ImageRequest(data=blob))
             assert (info.width, info.height) == (96, 64), name
             cut = hostile_variant(blob, "truncated")
-            assert read_header(ImageRequest(data=cut)) is None, name
-            salvaged = read_header(ImageRequest(data=cut, salvage=True))
-            assert (salvaged.width, salvaged.height) == (96, 64), name
+            for salvage in (False, True):
+                assert read_header(ImageRequest(data=cut, salvage=salvage)) \
+                    == replace(info, file_size=len(cut)), name
+
+    def test_walk_agrees_with_the_full_parse(self, corpus):
+        """Every frame-level fact the walk reads is the one ``parse_jpeg``
+        reads, on every valid matrix cell and every ledger corpus file."""
+        blobs = dict(corpus)
+        blobs.update((p.name, p.read_bytes())
+                     for p in sorted(LEDGER_CORPUS.glob("*.jpg")))
+        assert len(blobs) == 22 + 54
+        for name, blob in blobs.items():
+            info, header = parse_jpeg(blob), walk_header(blob)
+            assert header.frame == info.frame, name
+            assert header.restart_interval \
+                == info.scans[0].restart_interval == info.restart_interval
+            assert header.file_size == info.file_size == len(blob), name
+            assert header.adobe_transform == info.adobe_transform, name
+            assert header.progressive == info.progressive, name
+            assert header.geometry == info.geometry, name
+            assert header.file_density == info.file_density, name
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +458,14 @@ class TestReadHeaderProperties:
                     reason="POSIX shared memory unavailable")
 class TestLeaseFromTheOneRead:
     def test_every_cell_leases_its_frame_or_nothing(self, corpus, oracles):
+        """A cell whose header walks leases its frame — a hostile one
+        too, whose worker then fails and hands the slot back unused."""
         cells = [(name, blob, oracles[name]) for name, blob in corpus.items()]
         for name, blob in corpus.items():
             for kind in HOSTILE_KINDS:
                 bad = hostile_variant(blob, kind)
                 cells.append((f"{name}/{kind}", bad, outcome(bad, "fast")))
+        unused = 0
         with BatchDecoder(workers=2, backend="process", transport="shm",
                           shm_min_bytes=0) as dec:
             leased: list[int] = []
@@ -448,10 +477,12 @@ class TestLeaseFromTheOneRead:
                 (res,) = batch.results
                 got = res.rgb if res.ok else (res.error_type, res.error)
                 assert_same_outcome(got, expected, context)
-                parses = read_header(ImageRequest(data=blob)) is not None
-                assert leased == ([64 * 96 * 3] if parses else []), context
+                walks = read_header(ImageRequest(data=blob)) is not None
+                assert leased == ([64 * 96 * 3] if walks else []), context
                 assert (batch.stats.bytes_shm > 0) == res.ok, context
                 assert dec.arena.leaked() == [], context
+                unused += bool(leased) and not res.ok
+        assert unused >= 22     # every truncated cell, at least
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,8 @@ class TestPricing:
             quality=85, subsampling="4:2:2", progressive=True))
         sched = ModelScheduler(platform=platforms.GTX560)
         p_base, p_prog = sched.price([encode(96, 96), prog])
-        assert p_base.scans == 1 and p_prog.scans == 14
-        # Whole-image only: no lane models it, nothing fans it out.
+        # Whole-image only: no lane models it, nothing fans it out (so
+        # the per-scan surcharge above never reaches an ImagePricing).
         assert all(math.isinf(c) for c in p_prog.costs.values())
         simd = next(l for l in sched.executors if l.kind == "simd")
         assert p_prog.costs[simd.name] > p_base.costs[simd.name]

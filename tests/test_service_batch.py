@@ -302,53 +302,70 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# One look at the bytes: the parent parses a request's header at most
-# once (``tasks.read_header``), and not at all where nothing reads it.
+# One look at the bytes: the parent walks each request's header once
+# (``tasks.read_header`` → ``markers.walk_header``; a session does it at
+# submit, on the caller's thread), and parses one in full only for a
+# fan-out candidate, whose plan needs the tables and the scan.
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def parent_parses(monkeypatch):
-    """Every ``parse_jpeg`` call made in this process, as the name of
-    the calling module.  Process-pool workers parse in their own
-    processes and never show up here; serial/thread "workers" do, under
-    ``repro.jpeg.*``."""
+def _count_calls(monkeypatch, name: str) -> list[str]:
+    """Every call of ``repro.jpeg.markers.<name>`` made in this process,
+    as the name of the calling module.  Process-pool workers run in
+    their own processes and never show up here; serial/thread "workers"
+    do, under ``repro.jpeg.*``."""
     import sys
 
     from repro.jpeg import markers
 
     callers: list[str] = []
-    real = markers.parse_jpeg
+    real = getattr(markers, name)
 
-    def counting(data, tolerant=False):
+    def counting(*args, **kwargs):
         callers.append(sys._getframe(1).f_globals["__name__"])
-        return real(data, tolerant)
+        return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro.") \
-                and getattr(module, "parse_jpeg", None) is real:
-            monkeypatch.setattr(module, "parse_jpeg", counting)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("repro.") \
+                and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return callers
+
+
+@pytest.fixture
+def parent_parses(monkeypatch):
+    """Every ``parse_jpeg`` call, by calling module."""
+    return _count_calls(monkeypatch, "parse_jpeg")
+
+
+@pytest.fixture
+def parent_walks(monkeypatch):
+    """Every ``walk_header`` call, by calling module."""
+    return _count_calls(monkeypatch, "walk_header")
 
 
 class TestOneHeaderRead:
     ONE_EACH = ["repro.service.tasks"] * 4
 
-    def test_scheduled_batch_parses_each_request_once(self, corpus,
-                                                      parent_parses):
+    def test_scheduled_batch_walks_each_request_once(self, corpus,
+                                                     parent_parses,
+                                                     parent_walks):
         with BatchDecoder(workers=2, backend="process",
                           scheduler="model") as dec:
             parent_parses.clear()       # construction profiles the lanes
             batch = dec.decode_batch(corpus)
         assert batch.ok
-        assert parent_parses == self.ONE_EACH
+        assert parent_walks == self.ONE_EACH
+        assert parent_parses == []
 
     @pytest.mark.parametrize("scheduled", [False, True])
     def test_forced_fanout_parses_each_request_once(self, tiny_rgb,
                                                     scheduled,
-                                                    parent_parses):
-        """Segment and speculative plans are built from the one read —
-        also behind a scheduler (a GPU-only lane set places no 4:2:0
-        frame, so the forced knobs reach the fan-out decision)."""
+                                                    parent_parses,
+                                                    parent_walks):
+        """Segment and speculative plans are built from the one full
+        parse a fan-out candidate gets — also behind a scheduler (a
+        GPU-only lane set places no 4:2:0 frame, so the forced knobs
+        reach the fan-out decision)."""
         from repro.evaluation import platforms
         from repro.service import ModelScheduler
         from repro.service.scheduler import ExecutorLane
@@ -365,40 +382,58 @@ class TestOneHeaderRead:
             batch = dec.decode_batch([
                 ImageRequest(data=b, split_segments=True, speculative=True)
                 for b in blobs])
-        assert parent_parses == ["repro.service.tasks"] * 2
+        assert parent_walks == ["repro.service.tasks"] * 2
+        assert parent_parses == ["repro.service.batch"] * 2
         segmented, speculated = batch.results
         assert segmented.segments > 1 and not segmented.speculative
         assert speculated.segments > 1 and speculated.speculative
         for res, blob in zip(batch, blobs):
             assert np.array_equal(res.rgb, decode_jpeg(blob).rgb)
 
-    def test_pumped_session_parses_each_request_once(self, corpus,
-                                                     sequential_rgbs,
-                                                     parent_parses):
+    def test_pumped_session_walks_each_request_once(self, corpus,
+                                                    sequential_rgbs,
+                                                    parent_parses,
+                                                    parent_walks):
         with DecodeSession(workers=2, backend="process",
                            scheduler="model") as sess:
             parent_parses.clear()
             handles = [sess.submit(b, timeout=None) for b in corpus]
             results = [h.result(timeout=60) for h in handles]
-        assert parent_parses == self.ONE_EACH
+        assert parent_walks == self.ONE_EACH
+        assert parent_parses == []
         for res, oracle in zip(results, sequential_rgbs):
             assert np.array_equal(res.rgb, oracle)
 
-    def test_lease_alone_costs_one_parse(self, corpus, parent_parses):
+    def test_session_walks_at_submit_not_at_admission(self, corpus,
+                                                      parent_walks):
+        """The header rides the queue entry: ``submit`` walks on the
+        caller's thread, admission reads nothing."""
+        with DecodeSession(workers=2, backend="thread", pump=False,
+                           max_batch=len(corpus)) as sess:
+            handles = [sess.submit(b) for b in corpus]
+            assert parent_walks == self.ONE_EACH
+            batch = sess.run_once()
+            assert parent_walks == self.ONE_EACH
+        assert batch.ok and all(h.result(timeout=60).ok for h in handles)
+
+    def test_lease_alone_costs_one_walk(self, corpus, parent_parses,
+                                        parent_walks):
         with BatchDecoder(workers=2, backend="process", transport="shm",
                           shm_min_bytes=0) as dec:
             if dec.arena is None:
                 pytest.skip("POSIX shared memory unavailable")
             batch = dec.decode_batch(corpus)
         assert batch.ok and batch.stats.bytes_shm > 0
-        assert parent_parses == self.ONE_EACH
+        assert parent_walks == self.ONE_EACH
+        assert parent_parses == []
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_nothing_to_decide_costs_no_parse(self, corpus, backend,
-                                              parent_parses):
+                                              parent_parses, parent_walks):
         """No scheduler, no lease, enough whole images to fill the pool:
-        the only parses are the decodes' own."""
+        one walk each, and the only parses are the decodes' own."""
         with BatchDecoder(workers=2, backend=backend) as dec:
             batch = dec.decode_batch(corpus)
         assert batch.ok
+        assert parent_walks == self.ONE_EACH
         assert parent_parses == ["repro.jpeg.decoder"] * 4

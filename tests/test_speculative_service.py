@@ -211,19 +211,19 @@ class TestPricedDecision:
     def test_plan_prices_from_the_header_alone(self, frame_mf, frame_dri,
                                                thumbnail, monkeypatch):
         """What ``scheduler.plan`` costs per image does not grow with
-        the pricing: one header parse, no prescan, no pass over the
+        the pricing: one header walk, no prescan, no pass over the
         entropy data."""
-        import repro.service.scheduler as scheduler_module
+        import repro.service.tasks as tasks_module
 
         sched = ModelScheduler(policy="model")
         batch = [ImageRequest(data=b)
                  for b in (frame_mf, frame_dri, thumbnail)]
         sched.plan(batch)               # profiles the lanes' models
-        parses = []
-        real_parse = scheduler_module.parse_jpeg
+        walks = []
+        real_walk = tasks_module.walk_header
         monkeypatch.setattr(
-            scheduler_module, "parse_jpeg",
-            lambda data: parses.append(1) or real_parse(data))
+            tasks_module, "walk_header",
+            lambda data: walks.append(1) or real_walk(data))
         import repro.jpeg.fast_entropy as fast_entropy
 
         def no_prescan(data):
@@ -231,7 +231,7 @@ class TestPricedDecision:
 
         monkeypatch.setattr(fast_entropy, "destuff_scan", no_prescan)
         schedule = sched.plan(batch)
-        assert len(parses) == len(batch)
+        assert len(walks) == len(batch)
         assert all(math.isfinite(min(p.costs.values()))
                    for p in schedule.pricings)
 
