@@ -8,7 +8,8 @@ multi-core speedup (LPT makespan over per-chunk costs, misspeculated
 chunks re-charged serially as repairs) plus the misspeculation rate —
 and, beside the model, what the fan-out *measures* on this host: the
 wall clock of the image fanned out over a process pool (forced, one
-worker per chunk up to the host's cores) over the wall clock of
+worker per chunk, so above the host's core count the workers
+oversubscribe it) over the wall clock of
 decoding it whole in-process.  The model prices the entropy decode
 alone on cores that do not contend; the measurement includes the
 parse, dispatch, stitch and the pixel stages, so it reads worse, and
@@ -72,11 +73,10 @@ def measured_ratios() -> dict[int, float]:
     want = decode_jpeg(data).rgb
     ratios = {}
     for chunks in CHUNK_COUNTS[1:]:
-        workers = max(2, min(chunks, os.cpu_count() or 2))
         whole_s = fanned_s = float("inf")
-        with BatchDecoder(workers=workers, backend="process",
-                          speculative="on",
-                          speculative_chunks=chunks) as decoder:
+        # A speculative image splits into one chunk per worker.
+        with BatchDecoder(workers=chunks, backend="process",
+                          speculative="on") as decoder:
             decoder.decode_batch([data])          # starts the pool
             for _ in range(MEASURE_REPEATS):
                 t0 = perf_counter()

@@ -11,8 +11,8 @@ the same synthetic corpus on a process pool:
    the run reports the surviving throughput and p99;
 3. **recovery probe** — one deterministic worker kill
    (``kill_at={0}``); the time to the batch's completion minus the
-   fault-free single-batch time approximates the rebuild + redispatch
-   recovery cost.
+   fault-free single-batch time approximates the rebuild + back-off +
+   redispatch recovery cost.
 
 Acceptance: with crashes injected, all results are ok (the recovery
 machinery hides the faults) and chaos throughput reaches at least
@@ -75,7 +75,7 @@ def run_once(blobs: list[bytes], oracles: list[np.ndarray],
     stream = [i % len(blobs) for i in range(TOTAL_IMAGES)]
     latencies: list[float] = []
     with BatchDecoder(workers=workers, backend="process",
-                      retry_backoff_s=0.0, faults=faults) as dec:
+                      faults=faults) as dec:
         dec.decode_batch([blobs[0]])  # warm the pool (fork + imports)
         t0 = perf_counter()
         for start in range(0, len(stream), BATCH_SIZE):
@@ -100,16 +100,15 @@ def run_once(blobs: list[bytes], oracles: list[np.ndarray],
 
 def recovery_probe(blobs: list[bytes], workers: int) -> float:
     """Extra wall-clock one worker kill adds to a single batch: the
-    rebuild + redispatch recovery time, in seconds."""
-    with BatchDecoder(workers=workers, backend="process",
-                      retry_backoff_s=0.0) as dec:
+    rebuild + back-off + redispatch recovery time, in seconds."""
+    with BatchDecoder(workers=workers, backend="process") as dec:
         dec.decode_batch([blobs[0]])
         t0 = perf_counter()
         dec.decode_batch([blobs[0]])
         clean = perf_counter() - t0
     plan = FaultPlan(kill_at={0})
     with BatchDecoder(workers=workers, backend="process",
-                      retry_backoff_s=0.0, faults=plan) as dec:
+                      faults=plan) as dec:
         # No warm-up decode: it would consume dispatch ordinal 0.  The
         # pool itself is started by the submit, like a fresh lane.
         t0 = perf_counter()

@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.modes import DecodeMode
+from .errors import QueueFullError, ReproError
 from .kernels.program import KERNEL_SUBSAMPLINGS
 
 
@@ -168,7 +169,6 @@ def _batch_inputs(args: argparse.Namespace) -> list[tuple[str, bytes]]:
 
 
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
-    from .errors import QueueFullError
     from .service import DecodeSession, ImageRequest
 
     blobs = _batch_inputs(args)
@@ -176,7 +176,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         print("no inputs: pass JPEG files and/or --synth N", file=sys.stderr)
         return 2
 
-    split = {"auto": None, "always": True, "never": False}[args.split_segments]
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,8 +209,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 req = ImageRequest(
                     data=data, request_id=f"{name}@{k}" if args.repeat > 1
                     else name,
-                    entropy_engine=args.entropy_engine, mode=args.mode,
-                    platform=args.platform, split_segments=split,
+                    mode=args.mode, platform=args.platform,
                     salvage=args.salvage)
                 while True:
                     try:
@@ -267,9 +265,8 @@ def _session_kwargs(args: argparse.Namespace,
             breakers=_breakers(args.breaker_threshold))
     return dict(
         kwargs, workers=args.workers, backend=args.backend,
-        scheduler=scheduler, transport=args.transport,
-        lane_pools=None if args.lane_pools == "none" else args.lane_pools,
-        speculative=args.speculative)
+        scheduler=scheduler,
+        lane_pools=None if args.lane_pools == "none" else args.lane_pools)
 
 
 def _describe_session(args: argparse.Namespace, session) -> str:
@@ -504,12 +501,6 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
                         "overrides --mode per placed image")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
                    help="platform whose lanes a scheduler prices")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "pickle"],
-                   help="how process-pool workers return decoded planes: "
-                        "shared-memory segments + descriptors ('shm') or "
-                        "the pickle result pipe; 'auto' picks shm whenever "
-                        "a process pool and working POSIX shm exist")
     p.add_argument("--lane-pools", default="none",
                    help="bind scheduler lanes to dedicated pools "
                         "(requires --schedule): 'auto' for the default "
@@ -523,14 +514,6 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
                    help="consecutive infrastructure failures before a "
                         "scheduler lane's circuit breaker trips open "
                         "(requires --schedule; default: 3)")
-    p.add_argument("--speculative", default="auto",
-                   choices=["auto", "on", "off"],
-                   help="speculative chunk fan-out for marker-free "
-                        "(DRI=0) images: optimistic parallel Huffman "
-                        "decode stitched by bit-position convergence; "
-                        "'auto' fans out only when whole images cannot "
-                        "fill the pool and the fan-out is predicted to "
-                        "pay (decided before any --schedule placement)")
     _add_tracing_args(p)
 
 
@@ -601,11 +584,7 @@ def _add_serving_parsers(sub) -> None:
     p.add_argument("--synth", type=int, default=0,
                    help="also generate N synthetic 640x480 JPEGs")
     _add_session_args(p, pull=True)
-    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES)
     p.add_argument("--mode", default="reference", choices=_MODES)
-    p.add_argument("--split-segments", default="auto",
-                   choices=["auto", "always", "never"],
-                   help="restart-segment fan-out for DRI images")
     p.add_argument("--repeat", type=int, default=1,
                    help="feed the input set N times (soak/throughput)")
     p.add_argument("--out-dir", default=None,
@@ -638,7 +617,7 @@ def _add_serving_parsers(sub) -> None:
     p.add_argument("--hosts", default=None,
                    help="shard decode across worker hosts "
                         "('host:port,host:port', see serve-worker); "
-                        "--workers/--backend/--transport/--lane-pools "
+                        "--workers/--backend/--lane-pools "
                         "then apply to the hosts, not this process")
     p.add_argument("--shard-depth", type=int, default=None,
                    help="requests on the wire per worker host; further "
@@ -697,7 +676,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A refused configuration or an unreadable input: one line and
+        # argparse's exit status, not a traceback.
+        print(f"{parser.prog}: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ points):
   scheduler's makespan win wall-clock
 - :class:`~repro.service.transport.PlaneArena` /
   :class:`~repro.service.transport.PlaneRef` — zero-copy shared-memory
-  plane transport for process-backend results (``transport="shm"``)
+  plane transport for process-backend results (where POSIX shm works)
 - :class:`~repro.service.queue.SubmissionQueue` — the backpressure ingress
 - :class:`~repro.service.workers.WorkerPool` — serial/thread/process pools
   (self-healing: a broken process pool is rebuilt in place)
@@ -104,7 +104,6 @@ from .remote import (
     sharded_session,
 )
 from .transport import (
-    TRANSPORTS,
     PlaneArena,
     PlaneRef,
     resolve_transport,
@@ -139,7 +138,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
-    "TRANSPORTS",
     "AsyncDecodeSession",
     "BatchDecoder",
     "BatchResult",

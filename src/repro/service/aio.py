@@ -39,7 +39,7 @@ class AsyncDecodeSession:
     Constructor keyword arguments are forwarded verbatim to
     :class:`~repro.service.session.DecodeSession` (``max_batch``,
     ``max_delay_ms``, ``queue_capacity``, ``workers``, ``backend``,
-    ``defaults``, ``scheduler``) — the pump thread always runs; a
+    ``scheduler``, ...) — the pump thread always runs; a
     pull-driven async session would defeat the point.
     """
 

@@ -30,12 +30,12 @@ lands them.  One driver at a time owns the two halves: ``decode_batch``
 :class:`~repro.service.session.DecodeSession` (admit whenever a worker
 has room, resolve each image as its plan finishes).
 
-Per image, requests choose the entropy engine (``fast``/``reference``),
-the decode mode (``reference`` = the real sequential pixel path, or any
-:class:`~repro.core.modes.DecodeMode` value to run a simulated
-heterogeneous executor), and the platform.  Failures are isolated: a
-corrupt JPEG fails its own result and never the batch.  The futures
-front end over this class is
+Per image, requests choose the decode mode (``reference`` = the real
+sequential pixel path, or any :class:`~repro.core.modes.DecodeMode`
+value to run a simulated heterogeneous executor) and the platform;
+every image decodes with the fast entropy engine, AAN IDCT and fancy
+upsampling.  Failures are isolated: a corrupt JPEG fails its own result
+and never the batch.  The futures front end over this class is
 :class:`~repro.service.session.DecodeSession`.
 """
 
@@ -87,6 +87,10 @@ from .workers import WorkerPool
 #: two per worker halve what the slower run of a pair can hold the
 #: image up by, for one more ~0.5 ms dispatch each.
 SEGMENT_RUNS_PER_WORKER = 2
+
+#: Base of the exponential back-off slept before each re-dispatch after
+#: a worker crash, doubled per attempt (0.01, 0.02, 0.04 s, ...).
+RETRY_BACKOFF_S = 0.01
 
 @dataclass
 class BatchResult:
@@ -187,19 +191,14 @@ class BatchDecoder:
 
     def __init__(self, workers: int | None = None,
                  backend: str | None = None,
-                 defaults: ImageRequest | None = None,
                  scheduler: ModelScheduler | str | None = None,
-                 transport: str = "auto",
                  lane_pools: "object | str | bool | None" = None,
-                 shm_min_bytes: int = SHM_MIN_BYTES,
                  retry_budget: int = 2,
-                 retry_backoff_s: float = 0.01,
                  faults: FaultPlan | None = None,
-                 speculative: str = "auto",
-                 speculative_chunks: int | None = None) -> None:
+                 speculative: str = "auto") -> None:
         """Create the pool (see :class:`~repro.service.workers.WorkerPool`
-        for backend semantics).  *defaults* seeds the per-image knobs
-        applied when a request is submitted as raw bytes.
+        for backend semantics).  Raw bytes submitted in place of an
+        :class:`ImageRequest` decode with the request defaults.
 
         *scheduler* enables cross-image batch scheduling: a
         :class:`~repro.service.scheduler.ModelScheduler`, or a policy
@@ -208,14 +207,13 @@ class BatchDecoder:
         ones :meth:`_fans_out` did not fan out first — and overrides
         each placed request's ``mode``/``platform`` with its lane's.
 
-        *transport* picks how process-pool workers return decoded
-        planes: ``"shm"`` (shared-memory segments + descriptors),
-        ``"pickle"`` (the classic result pipe), or ``"auto"`` (shm
-        wherever a process pool and working POSIX shared memory exist,
-        pickle everywhere else — nothing crosses a process boundary on
-        serial/thread backends).  *shm_min_bytes* keeps smaller payloads
-        on the pickle path (segment churn costs more than pickling a
-        few KB; tests pass 0 to force shm for every task).
+        Process-pool workers return decoded planes through shared
+        memory wherever a process pool and working POSIX shared memory
+        exist (:func:`~repro.service.transport.resolve_transport`), and
+        through the pickle result pipe everywhere else — nothing
+        crosses a process boundary on serial/thread backends.  Payloads
+        under :data:`~repro.service.transport.SHM_MIN_BYTES` pickle
+        anyway (segment churn costs more than pickling a few KB).
 
         *lane_pools* binds scheduler lanes to dedicated pools: pass an
         :class:`~repro.service.executors.ExecutorRegistry`, a layout
@@ -228,49 +226,34 @@ class BatchDecoder:
         after an *infrastructure* failure (its worker died and the pool
         was rebuilt) — decode is pure, so a retried decode is
         bit-identical.  Decode errors (``ok=False`` results) are never
-        retried: they are deterministic properties of the bytes.
-        *retry_backoff_s* is the base of the exponential back-off slept
-        before each re-dispatch.  *faults* attaches a
+        retried: they are deterministic properties of the bytes.  Each
+        re-dispatch first sleeps :data:`RETRY_BACKOFF_S`, doubled per
+        attempt.  *faults* attaches a
         :class:`~repro.service.faults.FaultPlan` for chaos testing.
 
         *speculative* governs the marker-free fan-out
         (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
-        DRI=0 scan into speculative chunks under the same conditions as
-        restart segments — whole images cannot fill the pool, and the
-        fan-out is predicted to pay (:meth:`_fans_out`, the one
-        decision, with or without a scheduler); ``"on"`` fans out every
-        eligible image regardless, ``"off"`` disables the path (a
-        per-request :attr:`ImageRequest.speculative` overrides either
-        way).  *speculative_chunks* fixes the chunk count (default: the
-        pool's worker count).
+        DRI=0 scan into speculative chunks — one per worker of the
+        default pool — under the same conditions as restart segments:
+        whole images cannot fill the pool, and the fan-out is predicted
+        to pay (:meth:`_fans_out`, the one decision, with or without a
+        scheduler); ``"on"`` fans out every eligible image regardless,
+        ``"off"`` disables the path (a per-request
+        :attr:`ImageRequest.speculative` overrides either way).
         """
         from .executors import ExecutorRegistry
-        from .transport import TRANSPORTS
 
+        # Validate everything cheap *before* any pool exists, so a
+        # bad configuration never leaks live worker processes.
         if speculative not in ("auto", "on", "off"):
             raise ServiceError(
                 f"speculative must be 'auto', 'on' or 'off', "
                 f"got {speculative!r}")
-        if speculative_chunks is not None and speculative_chunks < 1:
-            raise ServiceError(
-                f"speculative_chunks must be >= 1, got {speculative_chunks}")
         self.speculative = speculative
-        self.speculative_chunks = speculative_chunks
-
-        # Validate everything cheap *before* any pool exists, so a
-        # bad configuration never leaks live worker processes.
-        if transport not in TRANSPORTS:
-            raise ServiceError(
-                f"unknown transport {transport!r} "
-                f"(choose from {list(TRANSPORTS)})")
         if retry_budget < 0:
             raise ServiceError(
                 f"retry_budget must be >= 0, got {retry_budget}")
-        if retry_backoff_s < 0:
-            raise ServiceError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self.retry_budget = retry_budget
-        self.retry_backoff_s = retry_backoff_s
         self.faults = faults
         #: Cumulative infrastructure-failure re-dispatches, all batches.
         self.retries_total = 0
@@ -281,7 +264,6 @@ class BatchDecoder:
             raise ServiceError(
                 "lane_pools requires a scheduler (lane placements "
                 "come from ModelScheduler.plan)")
-        self.defaults = defaults or ImageRequest(data=b"")
         self.pool = WorkerPool(workers=workers, backend=backend)
         if lane_pools in (None, False, "none"):
             self.registry = None
@@ -304,9 +286,8 @@ class BatchDecoder:
         backends = {self.pool.backend}
         if self.registry is not None:
             backends |= self.registry.backends
-        self.transport = resolve_transport(transport, backends)
+        self.transport = resolve_transport(backends)
         self.arena = PlaneArena() if self.transport == "shm" else None
-        self.shm_min_bytes = shm_min_bytes
         #: The in-flight table: every dispatched subtask of every group.
         self._pending: dict[Future, _InFlight] = {}
         #: Images (plans) admitted and not yet finished.
@@ -348,10 +329,8 @@ class BatchDecoder:
         """Coerce raw bytes to requests and fill in missing ids."""
         requests = []
         for i, item in enumerate(items):
-            if isinstance(item, ImageRequest):
-                req = item
-            else:
-                req = replace(self.defaults, data=bytes(item))
+            req = item if isinstance(item, ImageRequest) \
+                else ImageRequest(data=bytes(item))
             if req.request_id is None:
                 req = replace(req, request_id=i)
             requests.append(req)
@@ -376,9 +355,8 @@ class BatchDecoder:
         request's *header*); else the fan-out must be predicted to pay
         (:func:`~repro.service.scheduler.fanout_pays`).  The speculative
         policy ``"on"`` stands in for the request knob on a parallel
-        pool, ``"off"`` forbids; speculation additionally needs the fast
-        engine's exact bit positions.  ``None`` below reads "if it
-        pays".  Only a candidate left standing by the header is parsed
+        pool, ``"off"`` forbids.  ``None`` below reads "if it pays".
+        Only a candidate left standing by the header is parsed
         in full — the plan needs its tables and scan, the price its
         entropy bytes — and one the parse refuses stays whole, for its
         worker to report."""
@@ -391,8 +369,6 @@ class BatchDecoder:
                   "auto": room}[self.speculative]
         split = room if req.split_segments is None else req.split_segments
         spec = policy if req.speculative is None else req.speculative
-        if req.entropy_engine != "fast":
-            spec = False
         if (split is False and spec is False) or self._ships_whole \
                 or header is None or whole_image_only(header, req.salvage):
             return None
@@ -453,9 +429,8 @@ class BatchDecoder:
             return SegmentPlan(index, req, lane, info,
                                SEGMENT_RUNS_PER_WORKER * self.pool.workers)
         if info is not None:
-            plan = SpeculativePlan.build(
-                index, req, lane, info,
-                self.speculative_chunks or self.pool.workers)
+            plan = SpeculativePlan.build(index, req, lane, info,
+                                         self.pool.workers)
             if plan is not None:
                 return plan
         return WholeImagePlan(index, req, lane, header)
@@ -470,7 +445,7 @@ class BatchDecoder:
         """Lease a shm slot for a reply of *nbytes*, if the transport
         applies to *pool* and the payload is worth a segment."""
         if not self._rides_shm(pool) \
-                or nbytes <= 0 or nbytes < self.shm_min_bytes:
+                or nbytes <= 0 or nbytes < SHM_MIN_BYTES:
             return None
         try:
             return self.arena.lease(nbytes)
@@ -615,7 +590,7 @@ class BatchDecoder:
         group.retries += 1
         # Slept on the driver's thread: other images keep decoding in
         # their workers, but nothing is gathered meanwhile.
-        sleep(self.retry_backoff_s * (2 ** (task.attempts - 1)))
+        sleep(RETRY_BACKOFF_S * (2 ** (task.attempts - 1)))
         # Prefer a surviving sibling over hammering what just failed,
         # where the registry has one (it never does for a local pool).
         alt = self.registry.failover_pool(plan.lane) \

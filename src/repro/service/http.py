@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import CancelledError
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -242,8 +241,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
             overrides["trace"] = self.server.session.obs.start_trace()
         if not overrides:
             return data
-        return replace(self.server.session.decoder.defaults, data=data,
-                       **overrides)
+        return ImageRequest(data=data, **overrides)
 
     def _decode(self, item: "bytes | ImageRequest") -> ImageResult | None:
         """Submit *item* without blocking and wait for its result; a

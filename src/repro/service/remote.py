@@ -71,10 +71,11 @@ MAX_BLOB_BYTES = 1 << 30
 #: ImageRequest fields carried verbatim in the decode header.  The
 #: front tier owns deadlines (a shed request never reaches the wire)
 #: and fan-out is the host's own policy, so ``deadline_ms`` stays home.
+#: :func:`decode_request` ignores names not listed here, so a frame from
+#: an older front tier carrying since-removed knobs still decodes.
 _REQUEST_FIELDS = (
-    "request_id", "entropy_engine", "mode", "platform", "idct_method",
-    "fancy_upsampling", "split_segments", "speculative", "salvage",
-    "priority",
+    "request_id", "mode", "platform", "split_segments", "speculative",
+    "salvage", "priority",
 )
 
 #: Scalar ImageResult fields carried verbatim in the result header.

@@ -186,16 +186,11 @@ class DecodeSession:
     def __init__(self, max_batch: int = 8, max_delay_ms: float = 0.0,
                  queue_capacity: int = 32,
                  workers: int | None = None, backend: str | None = None,
-                 defaults: ImageRequest | None = None,
                  scheduler: ModelScheduler | str | None = None,
-                 transport: str = "auto",
                  lane_pools: "object | str | bool | None" = None,
-                 shm_min_bytes: int | None = None,
                  retry_budget: int | None = None,
-                 retry_backoff_s: float | None = None,
                  faults: "object | None" = None,
                  default_deadline_ms: float | None = None,
-                 speculative: str | None = None,
                  tracing: str = "off", trace_sample: float = 0.1,
                  trace_log: "str | None" = None,
                  pump: bool = True) -> None:
@@ -210,14 +205,14 @@ class DecodeSession:
         admission orders pending requests earliest-deadline-first
         and requests whose deadline passes before their decode starts
         resolve with :class:`~repro.errors.DeadlineExceededError`.
-        *retry_budget*/*retry_backoff_s*/*faults* forward to
+        *retry_budget*/*faults* forward to
         :class:`~repro.service.batch.BatchDecoder` (worker-crash retry
-        policy and chaos injection), as does *speculative*
-        (``"auto"``/``"on"``/``"off"`` — the marker-free speculative
-        chunk fan-out policy); the remaining knobs are those of
-        :class:`~repro.service.batch.BatchDecoder` (including the
-        shared-memory *transport* selection and lane-bound executor
-        *lane_pools*) / :class:`~repro.service.queue.SubmissionQueue`.
+        policy and chaos injection); the remaining knobs are those of
+        :class:`~repro.service.batch.BatchDecoder` (including lane-bound
+        executor *lane_pools*) /
+        :class:`~repro.service.queue.SubmissionQueue`.  Fan-out follows
+        the decoder's ``"auto"`` policy; a request forces or forbids it
+        with its own ``split_segments`` / ``speculative``.
 
         *tracing* (``"off"``/``"on"``/``"sample"``)
         gates whether :meth:`submit` creates a root
@@ -243,14 +238,11 @@ class DecodeSession:
         self.queue = SubmissionQueue(
             capacity=queue_capacity,
             on_change=lambda: self.decoder.wake.set())
-        forwarded = {"shm_min_bytes": shm_min_bytes, "faults": faults,
-                     "retry_budget": retry_budget,
-                     "retry_backoff_s": retry_backoff_s,
-                     "speculative": speculative}
         self.decoder = BatchDecoder(
-            workers=workers, backend=backend, defaults=defaults,
-            scheduler=scheduler, transport=transport, lane_pools=lane_pools,
-            **{k: v for k, v in forwarded.items() if v is not None})
+            workers=workers, backend=backend, scheduler=scheduler,
+            lane_pools=lane_pools, faults=faults,
+            **({} if retry_budget is None
+               else {"retry_budget": retry_budget}))
         self._window = DISPATCH_DEPTH * self.decoder.workers
         self.obs = ObsHub(mode=tracing, sample_rate=trace_sample,
                           log_path=trace_log)
@@ -298,10 +290,8 @@ class DecodeSession:
         """
         if self._closed:
             raise ServiceClosedError("decode session is closed")
-        if isinstance(item, ImageRequest):
-            req = item
-        else:
-            req = replace(self.decoder.defaults, data=bytes(item))
+        req = item if isinstance(item, ImageRequest) \
+            else ImageRequest(data=bytes(item))
         if req.deadline_ms is None and self.default_deadline_ms is not None:
             req = replace(req, deadline_ms=self.default_deadline_ms)
         if req.deadline_ms is not None and req.deadline_ms <= 0:

@@ -108,15 +108,15 @@ def parse_priority(value: "str | int") -> int:
 
 @dataclass
 class ImageRequest:
-    """One image to decode, with its per-image knobs."""
+    """One image to decode, with its per-image knobs.  Every image
+    decodes with the :class:`~repro.jpeg.decoder.DecodeOptions`
+    defaults: the fast entropy engine, AAN IDCT, fancy upsampling."""
 
     #: Raw JFIF bytes.
     data: bytes
     #: Caller-chosen identity, echoed on the result (assigned by the
     #: service when submitted as raw bytes).
     request_id: Any = None
-    #: Huffman decode path: ``"fast"`` (fused tables) or ``"reference"``.
-    entropy_engine: str = "fast"
     #: ``"reference"`` runs the real sequential pixel path;
     #: any :class:`~repro.core.modes.DecodeMode` value (``"simd"``,
     #: ``"gpu"``, ``"pipeline"``, ``"sps"``, ``"pps"``, ``"auto"``)
@@ -124,10 +124,6 @@ class ImageRequest:
     mode: str = "reference"
     #: Platform name for executor modes (ignored by ``"reference"``).
     platform: str = "GTX 560"
-    #: IDCT method for the reference pixel path.
-    idct_method: str = "aan"
-    #: Fancy (triangular) chroma upsampling for the reference path.
-    fancy_upsampling: bool = True
     #: Restart-segment fan-out: ``True`` forces it (where DRI permits),
     #: ``False`` forbids it, ``None`` lets the batch decoder decide —
     #: once, before any scheduler places the image
@@ -136,8 +132,8 @@ class ImageRequest:
     #: to pay.
     split_segments: bool | None = None
     #: Speculative chunk fan-out for marker-free scans: ``True`` forces
-    #: it (where eligibility permits — DRI=0, fast engine, reference
-    #: mode), ``False`` forbids it, ``None`` defers to the batch
+    #: it (where eligibility permits — DRI=0, reference mode),
+    #: ``False`` forbids it, ``None`` defers to the batch
     #: decoder's ``speculative`` policy knob (the same one decision).
     speculative: bool | None = None
     #: Relative deadline in milliseconds from submission; ``None``
@@ -335,12 +331,7 @@ def _decode_image(request: ImageRequest) -> tuple[ImageResult, list]:
     resource = worker_name()
     result = ImageResult(request_id=request.request_id, ok=True)
     if request.mode == "reference":
-        options = DecodeOptions(
-            idct_method=request.idct_method,
-            fancy_upsampling=request.fancy_upsampling,
-            entropy_engine=request.entropy_engine,
-            salvage=request.salvage,
-        )
+        options = DecodeOptions(salvage=request.salvage)
         if ctx is not None:
             options.stage_hook = _stage_recorder(ctx, resource)
         decoded = decode_jpeg(request.data, options)
@@ -357,9 +348,7 @@ def _decode_image(request: ImageRequest) -> tuple[ImageResult, list]:
             request.platform)
         if plat is None:
             raise KeyError(f"unknown platform {request.platform!r}")
-        decoder = HeterogeneousDecoder.for_platform(
-            plat, entropy_engine=request.entropy_engine,
-            fancy_upsampling=request.fancy_upsampling)
+        decoder = HeterogeneousDecoder.for_platform(plat)
         t_dec = perf_counter()
         decoded = decoder.decode(request.data, request.mode)
         rgb, result.simulated_us = decoded.rgb, decoded.total_us
@@ -390,7 +379,6 @@ def decode_segment_task(
     segment_bytes: bytes,
     geometry_args: tuple,
     tables: list[ComponentTables],
-    entropy_engine: str,
     restart_interval: int = 0,
     slot: PlaneSlot | None = None,
     fault: FaultDirective | None = None,
@@ -402,7 +390,7 @@ def decode_segment_task(
     return run_task(
         lambda: (None, decode_segment_coefficients(
             seg, segment_bytes, ImageGeometry(*geometry_args), tables,
-            entropy_engine, restart_interval)),
+            restart_interval=restart_interval)),
         slot, fault)
 
 
@@ -547,10 +535,7 @@ class DecodePlan:
         """Run the pixel stages over the merged *coeffs* (here, in the
         parent) and wrap them; *t0* is when the merge began."""
         req = self.request
-        rgb = pixels_from_coefficients(info, coeffs, DecodeOptions(
-            idct_method=req.idct_method,
-            fancy_upsampling=req.fancy_upsampling,
-            entropy_engine=req.entropy_engine))
+        rgb = pixels_from_coefficients(info, coeffs, DecodeOptions())
         t1 = perf_counter()
         self.spans.append(WorkSpan(worker_name(), t0, t1))
         if req.trace is not None:
@@ -635,8 +620,7 @@ class SegmentPlan(DecodePlan):
                 # + 2: the run's trailing RSTn rides along, so its last
                 # segment ends at a marker as it does in the whole scan.
                 (run, info.entropy_data[run.byte_start:run.byte_stop + 2],
-                 geo_args, tables, request.entropy_engine,
-                 info.restart_interval),
+                 geo_args, tables, info.restart_interval),
                 packed_nbytes(segment_plane_nbytes(run, geo)))
             for run in merge_segment_runs(segments, run_count)]
         super().__init__(index, request, lane, units)

@@ -40,9 +40,6 @@ import numpy as np
 
 from ..errors import ServiceError
 
-#: Recognized transport names (``auto`` resolves per backend/host).
-TRANSPORTS = ("auto", "shm", "pickle")
-
 #: Segment capacities are rounded up to this granularity so a ring slot
 #: leased for one image is reusable for the next similarly-sized one.
 GRANULARITY = 256 * 1024
@@ -86,23 +83,16 @@ def shm_available() -> bool:
     return _shm_probe_result
 
 
-def resolve_transport(transport: str, backends) -> str:
-    """Resolve a requested transport against the pools that will run.
+def resolve_transport(backends) -> str:
+    """The result transport of a decoder dispatching to pools of the
+    given *backends* (worker-pool backend names).
 
-    *backends* is the collection of worker-pool backend names the
-    decoder dispatches to.  ``shm`` (and ``auto``) resolve to ``"shm"``
-    only when at least one pool is process-backed and
-    :func:`shm_available` holds — thread and serial workers share the
-    parent's address space, so there is nothing to transport.  Anything
-    else resolves to ``"pickle"``; an explicit ``shm`` request degrades
-    gracefully rather than raising, per the service contract that
-    transport selection never breaks a decode.
+    ``"shm"`` when at least one pool is process-backed and
+    :func:`shm_available` holds; ``"pickle"`` otherwise — thread and
+    serial workers share the parent's address space, so there is
+    nothing to transport, and a host without POSIX shared memory keeps
+    the result pipe rather than failing a decode.
     """
-    if transport not in TRANSPORTS:
-        raise ServiceError(
-            f"unknown transport {transport!r} (choose from {list(TRANSPORTS)})")
-    if transport == "pickle":
-        return "pickle"
     if "process" in set(backends) and shm_available():
         return "shm"
     return "pickle"

@@ -62,6 +62,27 @@ def gtx560_decoder() -> HeterogeneousDecoder:
     return HeterogeneousDecoder.for_platform(platforms.GTX560)
 
 
+@pytest.fixture()
+def shm_floor_zero(monkeypatch):
+    """Every reply rides a shared-memory slot, however small (the
+    service pickles payloads under ``SHM_MIN_BYTES`` otherwise)."""
+    monkeypatch.setattr("repro.service.batch.SHM_MIN_BYTES", 0)
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Re-dispatch after a worker crash without the back-off sleep."""
+    monkeypatch.setattr("repro.service.batch.RETRY_BACKOFF_S", 0.0)
+
+
+@pytest.fixture()
+def no_shm(monkeypatch):
+    """A host without POSIX shared memory: replies ride the pickle
+    pipe even from process pools."""
+    monkeypatch.setattr("repro.service.transport.shm_available",
+                        lambda: False)
+
+
 @pytest.fixture(scope="session")
 def gt430_decoder() -> HeterogeneousDecoder:
     return HeterogeneousDecoder.for_platform(platforms.GT430)

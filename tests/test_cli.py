@@ -105,13 +105,29 @@ class TestServeBatch:
         assert "schedule[roundrobin]" in capsys.readouterr().out
 
 
+class TestRefusedConfiguration:
+    """A configuration the service refuses ends in one ``repro: error:``
+    line and argparse's exit status, not a traceback."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--lane-pools", "auto", "--backend", "serial"],
+        ["--workers", "0"],
+    ])
+    def test_one_line_and_exit_status_2(self, jpeg_file, flags, capsys):
+        assert main(["serve-batch", str(jpeg_file), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ServiceError: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSessionFlags:
     """serve-batch / serve / serve-worker take the session flags from
     one declaration and turn them into one keyword set."""
 
     SHARED = ("max_batch", "max_delay_ms", "queue_capacity", "workers",
-              "backend", "schedule", "transport", "lane_pools", "platform",
-              "retry_budget", "breaker_threshold", "speculative",
+              "backend", "schedule", "lane_pools", "platform",
+              "retry_budget", "breaker_threshold",
               "tracing", "trace_sample", "trace_log")
 
     def test_shared_flags_parse_to_identical_defaults(self):

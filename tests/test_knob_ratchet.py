@@ -1,0 +1,48 @@
+"""The serving surface's knob ratchet: how many values a caller can set
+on the decoder, the session, a request and the CLI.
+
+The paper's runtime places work from what it can measure (the profiled
+platform, the image's entropy and size) and asks the operator for
+nothing.  A setting that no caller varies is not a knob but a constant,
+so these counts only go down: a new one needs two callers outside the
+tests that want different values, and removing one lowers its count
+here (the same way CI's line ratchet holds ``src/repro/service``)."""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+from pathlib import Path
+
+import pytest
+
+import repro.cli
+from repro.service import BatchDecoder, DecodeSession, ImageRequest
+
+RULE = ("a new knob needs two non-test callers that want different "
+        "values; a removed one lowers this count")
+
+
+def _parameters(fn) -> int:
+    """Parameters of *fn*, ``self`` excluded."""
+    return len(inspect.signature(fn).parameters) - 1
+
+
+#: What is counted -> (how to count it, the pinned count).
+COUNTS = {
+    "BatchDecoder.__init__ parameters":
+        (lambda: _parameters(BatchDecoder.__init__), 7),
+    "DecodeSession.__init__ parameters":
+        (lambda: _parameters(DecodeSession.__init__), 14),
+    "ImageRequest fields": (lambda: len(dataclasses.fields(ImageRequest)), 10),
+    "cli.py add_argument calls":
+        (lambda: Path(repro.cli.__file__).read_text().count(".add_argument("),
+         57),
+}
+
+
+@pytest.mark.parametrize("what", list(COUNTS))
+def test_knob_count(what):
+    count, pinned = COUNTS[what]
+    got = count()
+    assert got == pinned, f"{what}: {got}, pinned at {pinned}: {RULE}"

@@ -457,7 +457,8 @@ class TestReadHeaderProperties:
 @pytest.mark.skipif(not shm_available(),
                     reason="POSIX shared memory unavailable")
 class TestLeaseFromTheOneRead:
-    def test_every_cell_leases_its_frame_or_nothing(self, corpus, oracles):
+    def test_every_cell_leases_its_frame_or_nothing(self, corpus, oracles,
+                                                    shm_floor_zero):
         """A cell whose header walks leases its frame — a hostile one
         too, whose worker then fails and hands the slot back unused."""
         cells = [(name, blob, oracles[name]) for name, blob in corpus.items()]
@@ -466,8 +467,7 @@ class TestLeaseFromTheOneRead:
                 bad = hostile_variant(blob, kind)
                 cells.append((f"{name}/{kind}", bad, outcome(bad, "fast")))
         unused = 0
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0) as dec:
+        with BatchDecoder(workers=2, backend="process") as dec:
             leased: list[int] = []
             lease = dec.arena.lease
             dec.arena.lease = lambda n: leased.append(n) or lease(n)

@@ -153,8 +153,7 @@ def test_image_request_passthrough(corpus, sequential_rgbs):
         async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
                                       backend="serial") as sess:
             fut = await sess.submit(ImageRequest(
-                data=corpus[0], request_id="tagged",
-                entropy_engine="reference"))
+                data=corpus[0], request_id="tagged"))
             return await fut
 
     res = asyncio.run(main())

@@ -43,36 +43,29 @@ def sequential_rgbs(corpus):
     return [decode_jpeg(b).rgb for b in corpus]
 
 
+def _oracles(corpus, engine):
+    """Single-image decodes of *corpus* on the given entropy engine."""
+    return [decode_jpeg(b, DecodeOptions(entropy_engine=engine)).rgb
+            for b in corpus]
+
+
 class TestBatchBitIdentity:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_matches_sequential(self, corpus, sequential_rgbs,
-                                engine, backend):
-        reqs = [ImageRequest(data=b, entropy_engine=engine) for b in corpus]
+    def test_matches_sequential(self, corpus, engine, backend):
+        """The service's pixels are each entropy engine's oracle's."""
         with BatchDecoder(workers=2, backend=backend) as dec:
-            batch = dec.decode_batch(reqs)
+            batch = dec.decode_batch(corpus)
         assert batch.ok
         assert len(batch) == len(corpus)
-        for res, oracle in zip(batch, sequential_rgbs):
+        for res, oracle in zip(batch, _oracles(corpus, engine)):
             assert res.ok
             assert np.array_equal(res.rgb, oracle)
 
-    def test_engine_honored_per_image(self, corpus, sequential_rgbs):
-        """A mixed-engine batch still matches the oracle image-by-image."""
-        engines = ["fast", "reference", "fast", "reference"]
-        reqs = [ImageRequest(data=b, entropy_engine=e)
-                for b, e in zip(corpus, engines)]
-        with BatchDecoder(backend="serial") as dec:
-            batch = dec.decode_batch(reqs)
-        for res, oracle in zip(batch, sequential_rgbs):
-            assert np.array_equal(res.rgb, oracle)
-
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_split_segments_bit_identical(self, corpus, sequential_rgbs,
-                                          engine):
+    def test_split_segments_bit_identical(self, corpus, engine):
         """Forced restart-segment fan-out must not change a single bit."""
-        reqs = [ImageRequest(data=b, entropy_engine=engine,
-                             split_segments=True) for b in corpus]
+        reqs = [ImageRequest(data=b, split_segments=True) for b in corpus]
         with BatchDecoder(workers=3, backend="thread") as dec:
             batch = dec.decode_batch(reqs)
         assert batch.ok
@@ -80,7 +73,7 @@ class TestBatchBitIdentity:
         # Corpus images 1 and 2 carry DRI; they must actually have split.
         assert split_counts[1] > 1 and split_counts[2] > 1
         assert split_counts[0] == 1 and split_counts[3] == 1
-        for res, oracle in zip(batch, sequential_rgbs):
+        for res, oracle in zip(batch, _oracles(corpus, engine)):
             assert np.array_equal(res.rgb, oracle)
 
     def test_process_backend_matches_sequential(self, corpus,
@@ -99,14 +92,6 @@ class TestBatchBitIdentity:
         assert res.ok
         assert res.simulated_us is not None and res.simulated_us > 0
         assert np.array_equal(res.rgb, sequential_rgbs[0])
-
-    def test_custom_idct_matches_options(self, corpus):
-        req = ImageRequest(data=corpus[0], idct_method="islow")
-        with BatchDecoder(backend="serial") as dec:
-            res = dec.decode_batch([req]).results[0]
-        oracle = decode_jpeg(corpus[0],
-                             DecodeOptions(idct_method="islow")).rgb
-        assert np.array_equal(res.rgb, oracle)
 
 
 class TestErrorIsolation:
@@ -157,7 +142,7 @@ class TestErrorIsolation:
         # Invalid geometry makes the task fail before any bit is read.
         reply = decode_segment_task(
             seg, b"\x00", (0, 16, "4:2:2"),
-            component_tables_from_info(info), "fast")
+            component_tables_from_info(info))
         assert isinstance(reply, TaskReply)
         assert reply.value is None and reply.planes is None
         assert reply.error_type == "JpegError"
@@ -417,9 +402,8 @@ class TestOneHeaderRead:
         assert batch.ok and all(h.result(timeout=60).ok for h in handles)
 
     def test_lease_alone_costs_one_walk(self, corpus, parent_parses,
-                                        parent_walks):
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0) as dec:
+                                        parent_walks, shm_floor_zero):
+        with BatchDecoder(workers=2, backend="process") as dec:
             if dec.arena is None:
                 pytest.skip("POSIX shared memory unavailable")
             batch = dec.decode_batch(corpus)

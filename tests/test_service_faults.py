@@ -316,15 +316,14 @@ class TestSelfHealingRetry:
     def test_validation(self):
         with pytest.raises(ServiceError):
             BatchDecoder(backend="serial", retry_budget=-1)
-        with pytest.raises(ServiceError):
-            BatchDecoder(backend="serial", retry_backoff_s=-0.1)
 
-    def test_injected_kill_is_retried_and_healed(self, blob, oracle):
+    def test_injected_kill_is_retried_and_healed(self, blob, oracle,
+                                                 no_backoff):
         """A kill on the first dispatch surfaces as an infrastructure
         failure; the retry decodes bit-identically on attempt 2."""
         plan = FaultPlan(kill_at={0})
         with BatchDecoder(workers=2, backend="thread",
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([blob, blob])
         assert batch.ok, [(r.error_type, r.error) for r in batch]
         assert batch.retries >= 1
@@ -335,12 +334,13 @@ class TestSelfHealingRetry:
         for r in batch.results:
             assert np.array_equal(r.rgb, oracle)
 
-    def test_process_pool_is_rebuilt_in_place(self, blob, oracle):
+    def test_process_pool_is_rebuilt_in_place(self, blob, oracle,
+                                              no_backoff):
         """A real SIGKILL breaks the whole process pool; the decoder
         rebuilds it and the batch still completes without a restart."""
         plan = FaultPlan(kill_at={0})
         with BatchDecoder(workers=1, backend="process",
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([blob])
             assert batch.ok, [(r.error_type, r.error) for r in batch]
             assert dec.rebuilds >= 1
@@ -356,7 +356,7 @@ class TestSelfHealingRetry:
         never masquerades as a decode error."""
         plan = FaultPlan(kill_every=1)  # every dispatch dies
         with BatchDecoder(workers=2, backend="thread", retry_budget=0,
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([blob])
         result = batch.results[0]
         assert not result.ok
@@ -371,7 +371,7 @@ class TestSelfHealingRetry:
         decode errors are properties of the bytes."""
         plan = FaultPlan(exception_at={0})
         with BatchDecoder(workers=2, backend="thread",
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([blob, blob])
         failed = [r for r in batch.results if not r.ok]
         assert len(failed) == 1
@@ -425,13 +425,15 @@ MATRIX_FAULTS = {
 
 @pytest.mark.skipif(not shm_available(),
                     reason="POSIX shared memory unavailable")
+@pytest.mark.usefixtures("shm_floor_zero", "no_backoff")
 class TestUniformFaultMatrix:
     """One dispatch and one gather loop serve every plan, so every
     (plan kind, fault kind) cell must hold the same invariants: the
     documented outcome, attempts/retries as injected, no leaked slot,
-    no /dev/shm residue."""
+    no /dev/shm residue.  Every reply rides shared memory, and a
+    speculative image splits into one chunk per worker."""
 
-    CHUNKS = 3
+    WORKERS = 2
 
     @pytest.fixture(scope="class")
     def cells(self, small_rgb, blob):
@@ -440,16 +442,15 @@ class TestUniformFaultMatrix:
             quality=85, subsampling="4:2:2", restart_interval=4))
         info = parse_jpeg(dri)
         n_segments = -(-info.geometry.total_mcus // info.restart_interval)
-        # Segments ship as runs: SEGMENT_RUNS_PER_WORKER per worker of
-        # test_cell's two-worker pool.
-        n_runs = SEGMENT_RUNS_PER_WORKER * 2
+        # Segments ship as runs: SEGMENT_RUNS_PER_WORKER per worker.
+        n_runs = SEGMENT_RUNS_PER_WORKER * self.WORKERS
         assert n_segments > n_runs
         return {
             "whole": (ImageRequest(data=blob), 1),
             "segment": (ImageRequest(data=dri, split_segments=True),
                         n_runs),
             "spec": (ImageRequest(data=blob, speculative=True),
-                     self.CHUNKS),
+                     self.WORKERS),
         }
 
     @pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
@@ -459,11 +460,9 @@ class TestUniformFaultMatrix:
         request, units = cells[kind]
         want = decode_jpeg(request.data).rgb
         t0 = time.perf_counter()
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0, retry_budget=budget,
-                          retry_backoff_s=0.0, faults=make_plan(),
-                          speculative="off",
-                          speculative_chunks=self.CHUNKS) as dec:
+        with BatchDecoder(workers=self.WORKERS, backend="process",
+                          retry_budget=budget, faults=make_plan(),
+                          speculative="off") as dec:
             batch = dec.decode_batch([request])
             leaked = dec.arena.leaked()
         elapsed = time.perf_counter() - t0
@@ -527,13 +526,13 @@ class TestUniformFaultMatrix:
         thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
         thumb_rgb = decode_jpeg(thumb).rgb
         order: list[int] = []
-        with DecodeSession(workers=2, backend="process", transport="shm",
-                           shm_min_bytes=0, retry_budget=budget,
-                           retry_backoff_s=0.0, faults=make_plan(),
-                           speculative="off", max_batch=1) as session:
-            session.decoder.speculative_chunks = self.CHUNKS
+        with DecodeSession(workers=self.WORKERS, backend="process",
+                           retry_budget=budget, faults=make_plan(),
+                           max_batch=1) as session:
             handles = [session.submit(request)]
-            handles += [session.submit(thumb) for _ in range(3)]
+            handles += [session.submit(ImageRequest(data=thumb,
+                                                    speculative=False))
+                        for _ in range(3)]
             for i, h in enumerate(handles):
                 h.add_done_callback(lambda _h, i=i: order.append(i))
             res, *siblings = [h.result(timeout=120) for h in handles]
@@ -631,8 +630,8 @@ class TestDeadlines:
 class TestEndToEndRecovery:
     @pytest.mark.skipif(not shm_available(),
                         reason="POSIX shared memory unavailable")
-    def test_killed_worker_mid_batch_all_handles_resolve_once(self, blob,
-                                                              oracle):
+    def test_killed_worker_mid_batch_all_handles_resolve_once(
+            self, blob, oracle, shm_floor_zero, no_backoff):
         """The chaos regression contract: kill a process worker
         mid-batch through the pumped session — every handle resolves
         exactly once with a successful, bit-identical result, the pool
@@ -647,8 +646,7 @@ class TestEndToEndRecovery:
                     resolved.get(handle.request_id, 0) + 1
 
         with DecodeSession(max_batch=4, max_delay_ms=50.0,
-                           workers=2, backend="process", transport="shm",
-                           shm_min_bytes=0, retry_backoff_s=0.0,
+                           workers=2, backend="process",
                            faults=plan) as session:
             handles = [session.submit(blob) for _ in range(4)]
             for h in handles:
@@ -671,13 +669,14 @@ class TestEndToEndRecovery:
         assert all(n == 1 for n in resolved.values())
         assert not shm_files()
 
-    def test_http_recovers_from_killed_worker(self, blob, oracle):
+    def test_http_recovers_from_killed_worker(self, blob, oracle,
+                                              no_backoff):
         """The same contract over a socket: the response of a request
         whose first dispatch died is still 200 and bit-identical."""
         plan = FaultPlan(kill_at={0})
         srv = DecodeHTTPServer(port=0, backend="process", workers=1,
                                max_batch=2, max_delay_ms=1.0,
-                               retry_backoff_s=0.0, faults=plan)
+                               faults=plan)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:

@@ -344,6 +344,7 @@ class TestEndToEndTrace:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestTraceUnderFaults:
     def test_killed_dispatch_yields_sibling_attempt_spans(self, blob):
         """A FaultPlan kill on attempt 1 must surface as two ``attempt``
@@ -351,8 +352,7 @@ class TestTraceUnderFaults:
         attempt=2 ok."""
         plan = FaultPlan(kill_at={0})
         ctx = TraceContext.new_root()
-        with BatchDecoder(workers=2, backend="thread",
-                          retry_backoff_s=0.0, faults=plan,
+        with BatchDecoder(workers=2, backend="thread", faults=plan,
                           speculative="off") as dec:
             batch = dec.decode_batch(
                 [ImageRequest(data=blob, trace=ctx)])
@@ -384,9 +384,8 @@ class TestTraceUnderFaults:
         }[kind]
         plan = FaultPlan(kill_at={0})
         ctx = TraceContext.new_root()
-        with BatchDecoder(workers=2, backend="thread",
-                          retry_backoff_s=0.0, faults=plan,
-                          speculative="off", speculative_chunks=3) as dec:
+        with BatchDecoder(workers=2, backend="thread", faults=plan,
+                          speculative="off") as dec:
             batch = dec.decode_batch([replace(request, trace=ctx)])
         (result,) = batch.results
         assert result.ok and batch.retries == 1

@@ -207,13 +207,19 @@ class TestFraming:
 class TestCodecs:
     def test_request_roundtrip(self, blob):
         req = ImageRequest(data=blob, request_id="img-1", salvage=True,
-                           priority=PRIORITY_HIGH, entropy_engine="fast")
-        rebuilt = decode_request(*encode_request(req))
+                           priority=PRIORITY_HIGH, mode="simd",
+                           platform="GT 430", speculative=False)
+        header, blobs = encode_request(req)
+        assert set(header["request"]) == {
+            "request_id", "mode", "platform", "split_segments",
+            "speculative", "salvage", "priority"}
+        rebuilt = decode_request(header, blobs)
         assert bytes(rebuilt.data) == bytes(blob)
         assert rebuilt.request_id == "img-1"
         assert rebuilt.salvage is True
         assert rebuilt.priority == PRIORITY_HIGH
-        assert rebuilt.entropy_engine == "fast"
+        assert (rebuilt.mode, rebuilt.platform) == ("simd", "GT 430")
+        assert rebuilt.speculative is False
 
     def test_non_scalar_request_id_stringified(self, blob):
         req = ImageRequest(data=blob, request_id=("batch", 3))
@@ -330,6 +336,26 @@ class TestDecodeWorkerHost:
             send_frame(sock, {"op": "ping"})
             reply, _ = recv_frame(sock)
             assert reply["op"] == "pong"
+
+    def test_frame_from_an_older_front_tier_decodes(self, worker_host,
+                                                    blob, oracle):
+        """A front tier from before the service dropped its per-request
+        engine, IDCT and upsampling knobs still sends them: the host
+        ignores the names and decodes the same pixels as without."""
+        header, blobs = encode_request(ImageRequest(data=blob,
+                                                    request_id=3))
+        old = copy.deepcopy(header)
+        old["request"].update(entropy_engine="reference",
+                              idct_method="islow", fancy_upsampling=False)
+        results = []
+        with _connect(worker_host) as sock:
+            for frame in (old, header):
+                send_frame(sock, frame, blobs)
+                results.append(decode_result(*recv_frame(sock)))
+        for result in results:
+            assert result.ok, (result.error_type, result.error)
+            assert result.request_id == 3
+            assert np.array_equal(result.rgb, oracle)
 
     def test_decode_error_travels_as_result(self, worker_host):
         with _connect(worker_host) as sock:

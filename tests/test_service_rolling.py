@@ -64,7 +64,10 @@ class Hook:
 
 
 def hooked_session(hook: Hook, **kwargs) -> DecodeSession:
-    session = DecodeSession(faults=hook, speculative="off", **kwargs)
+    """A session whose dispatches consult *hook*.  Its thumbnails never
+    fan out: their modeled entropy decode is far below what a fan-out
+    must save to pay (``scheduler.fanout_pays``)."""
+    session = DecodeSession(faults=hook, **kwargs)
     hook.session = session
     return session
 
@@ -76,11 +79,11 @@ class TestResolutionOrder:
         """No batch barrier: the thumbnail submitted right after a frame
         is answered while the frame still decodes."""
         order: list[str] = []
-        with DecodeSession(workers=2, backend=backend,
-                           speculative="off") as session:
+        with DecodeSession(workers=2, backend=backend) as session:
             # Warm the pool so neither request pays worker start-up.
             assert session.submit(thumb).result(timeout=120).ok
-            big = session.submit(frame)
+            # Alone on an idle pool the frame would fan out; keep it whole.
+            big = session.submit(ImageRequest(data=frame, speculative=False))
             big.add_done_callback(lambda _h: order.append("frame"))
             small = session.submit(thumb)
             small.add_done_callback(lambda _h: order.append("thumb"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueueFullError, ServiceClosedError
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     DecodeHandle,
     DecodeSession,
@@ -51,14 +51,15 @@ class TestHandleBitIdentity:
     @pytest.mark.parametrize("scheduler", [None, "model", "roundrobin"])
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_matrix(self, corpus, sequential_rgbs, engine, backend,
-                    scheduler):
-        reqs = [ImageRequest(data=b, entropy_engine=engine) for b in corpus]
+    def test_matrix(self, corpus, engine, backend, scheduler):
+        """The session's pixels are each entropy engine's oracle's."""
+        oracles = [decode_jpeg(b, DecodeOptions(entropy_engine=engine)).rgb
+                   for b in corpus]
         with DecodeSession(max_batch=4, max_delay_ms=20.0, workers=2,
                            backend=backend, scheduler=scheduler) as sess:
-            handles = [sess.submit(r) for r in reqs]
+            handles = [sess.submit(b) for b in corpus]
             results = [h.result(timeout=60) for h in handles]
-        for res, oracle in zip(results, sequential_rgbs):
+        for res, oracle in zip(results, oracles):
             assert res.ok, f"{res.error_type}: {res.error}"
             assert np.array_equal(res.rgb, oracle)
         assert all(h.done() and not h.cancelled() for h in handles)

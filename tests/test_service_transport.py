@@ -1,7 +1,7 @@
 """Shared-memory plane transport: arena lifecycle, leak accounting
-(including a killed worker mid-batch), bit-identity of ``transport=shm``
-across engines x schedulers x lane-pool layouts, and the N-producer
-session stress with shm enabled."""
+(including a killed worker mid-batch), bit-identity of shm-transported
+results against both engines' oracles x schedulers x lane-pool layouts,
+and the N-producer session stress with shm enabled."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceError
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeSession,
@@ -160,25 +160,24 @@ class TestPlaneArena:
 
 
 class TestTransportResolution:
-    def test_pickle_always_allowed(self):
-        assert resolve_transport("pickle", {"process"}) == "pickle"
+    def test_pickle_always_allowed(self, no_shm):
+        """A host without POSIX shared memory keeps the pickle pipe,
+        process pools included."""
+        assert resolve_transport({"process"}) == "pickle"
+        with BatchDecoder(workers=1, backend="process") as dec:
+            assert dec.transport == "pickle" and dec.arena is None
 
     def test_auto_uses_shm_only_with_process_pools(self):
-        assert resolve_transport("auto", {"process"}) == "shm"
-        assert resolve_transport("auto", {"thread"}) == "pickle"
-        assert resolve_transport("auto", {"serial"}) == "pickle"
-        assert resolve_transport("shm", {"serial", "process"}) == "shm"
-        assert resolve_transport("shm", {"thread"}) == "pickle"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ServiceError):
-            resolve_transport("carrier-pigeon", {"process"})
+        assert resolve_transport({"process"}) == "shm"
+        assert resolve_transport({"thread"}) == "pickle"
+        assert resolve_transport({"serial"}) == "pickle"
+        assert resolve_transport({"serial", "process"}) == "shm"
 
     def test_bad_config_spawns_no_pools(self):
         """Constructor validation fires before any pool exists, so a
         misconfigured decoder cannot leak worker processes."""
         with pytest.raises(ServiceError):
-            BatchDecoder(backend="process", transport="carrier-pigeon")
+            BatchDecoder(backend="process", speculative="sometimes")
         with pytest.raises(ServiceError):
             BatchDecoder(backend="process", lane_pools="auto")  # no scheduler
 
@@ -211,14 +210,13 @@ class TestCrashSafety:
         assert name not in shm_files()
 
     def test_worker_killed_mid_batch_heals_and_leaves_no_segments(
-            self, corpus, sequential_rgbs):
+            self, corpus, sequential_rgbs, shm_floor_zero):
         """Kill the pool's worker while it decodes a shm-transported
         batch: the decoder quarantines the dead worker's slots, rebuilds
         the pool in place and redispatches, so the batch still succeeds
         bit-identically — and every segment is released, with close()
         unlinking the arena without residue."""
-        dec = BatchDecoder(workers=1, backend="process", transport="shm",
-                           shm_min_bytes=0)
+        dec = BatchDecoder(workers=1, backend="process")
         # Warm the pool and the ring with a healthy batch first.
         batch = dec.decode_batch([corpus[0]])
         assert batch.ok
@@ -244,10 +242,10 @@ class TestCrashSafety:
         assert dec.arena.leaked() == []
         assert not shm_files()
 
-    def test_batch_completion_releases_every_slot(self, corpus):
+    def test_batch_completion_releases_every_slot(self, corpus,
+                                                  shm_floor_zero):
         """After any successful shm batch the ring holds zero leases."""
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0) as dec:
+        with BatchDecoder(workers=2, backend="process") as dec:
             reqs = [ImageRequest(data=corpus[1], split_segments=True),
                     ImageRequest(data=corpus[0])]
             batch = dec.decode_batch(reqs)
@@ -260,22 +258,19 @@ class TestCrashSafety:
 # Bit-identity matrix: engines x schedulers x lane-pool layouts.
 # ---------------------------------------------------------------------------
 
-def _identity_requests(corpus, engine):
-    """The corpus as requests, including a forced DRI fan-out image."""
-    reqs = [ImageRequest(data=b, entropy_engine=engine) for b in corpus]
-    reqs.append(ImageRequest(data=corpus[1], entropy_engine=engine,
-                             split_segments=True))
-    return reqs
-
-
+@pytest.mark.usefixtures("shm_floor_zero")
 class TestShmBitIdentity:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_unscheduled(self, corpus, sequential_rgbs, engine):
-        oracle = sequential_rgbs + [sequential_rgbs[1]]
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0) as dec:
+    def test_unscheduled(self, corpus, engine):
+        """The corpus plus a forced DRI fan-out image, against the
+        single-image decodes of either entropy engine."""
+        requests = [ImageRequest(data=b) for b in corpus]
+        requests.append(ImageRequest(data=corpus[1], split_segments=True))
+        oracle = [decode_jpeg(r.data, DecodeOptions(entropy_engine=engine)).rgb
+                  for r in requests]
+        with BatchDecoder(workers=2, backend="process") as dec:
             assert dec.transport == "shm"
-            batch = dec.decode_batch(_identity_requests(corpus, engine))
+            batch = dec.decode_batch(requests)
             assert batch.ok, [(r.error_type, r.error) for r in batch]
             assert batch.results[-1].segments > 1  # DRI fan-out ran
             assert batch.stats.bytes_shm > 0
@@ -293,8 +288,8 @@ class TestShmBitIdentity:
         lane_pools = None if layout is None else ExecutorRegistry(
             scheduler.executors, layout=layout)
         try:
-            with BatchDecoder(workers=2, backend="process", transport="shm",
-                              shm_min_bytes=0, scheduler=scheduler,
+            with BatchDecoder(workers=2, backend="process",
+                              scheduler=scheduler,
                               lane_pools=lane_pools) as dec:
                 batch = dec.decode_batch(corpus)
                 assert batch.ok, [(r.error_type, r.error) for r in batch]
@@ -314,15 +309,18 @@ class TestShmBitIdentity:
 # ---------------------------------------------------------------------------
 
 class TestTransportStats:
-    def test_bytes_moved_counters(self, corpus):
+    def test_bytes_moved_counters(self, corpus, shm_floor_zero,
+                                  monkeypatch):
         # Whole-image accounting: pin speculative fan-out off so the
         # counters see exactly one image's pixel planes.
         with BatchDecoder(workers=2, backend="process",
-                          transport="shm", shm_min_bytes=0,
                           speculative="off") as dec:
             shm_batch = dec.decode_batch([corpus[0]])
+        # The same pool on a host without POSIX shared memory.
+        monkeypatch.setattr("repro.service.transport.shm_available",
+                            lambda: False)
         with BatchDecoder(workers=2, backend="process",
-                          transport="pickle", speculative="off") as dec:
+                          speculative="off") as dec:
             pickle_batch = dec.decode_batch([corpus[0]])
         rgb_bytes = decode_jpeg(corpus[0]).rgb.nbytes
         assert shm_batch.stats.bytes_shm == rgb_bytes
@@ -374,14 +372,14 @@ class TestTransportStats:
 # ---------------------------------------------------------------------------
 
 class TestSessionStressShm:
-    def test_many_producers_blocking_mode(self, corpus, sequential_rgbs):
+    def test_many_producers_blocking_mode(self, corpus, sequential_rgbs,
+                                          shm_floor_zero):
         """Concurrent producers over a small queue, process pool + shm:
         nothing lost, nothing duplicated, everything bit-identical."""
         producers, per_producer = 4, 6
         session = DecodeSession(max_batch=4, max_delay_ms=1.0,
                                 queue_capacity=8, workers=2,
-                                backend="process", transport="shm",
-                                shm_min_bytes=0)
+                                backend="process")
         assert session.decoder.transport == "shm"
         handles: dict[int, list] = {i: [] for i in range(producers)}
 

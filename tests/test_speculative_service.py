@@ -128,9 +128,9 @@ class TestSpeculativeBatches:
         assert all(r.segments == 1 for r in full.results)
         assert lone.results[0].segments > 1
 
-    def test_chunk_count_knob(self, blobs, oracles):
-        with BatchDecoder(workers=2, backend="thread", speculative="on",
-                          speculative_chunks=5) as dec:
+    def test_one_chunk_per_worker(self, blobs, oracles):
+        with BatchDecoder(workers=5, backend="thread",
+                          speculative="on") as dec:
             batch = dec.decode_batch([ImageRequest(data=blobs[1])])
         res = batch.results[0]
         assert res.ok and res.segments == 5
@@ -151,8 +151,6 @@ class TestSpeculativeBatches:
 
         with pytest.raises(ServiceError):
             BatchDecoder(speculative="sometimes")
-        with pytest.raises(ServiceError):
-            BatchDecoder(speculative_chunks=0)
 
 
 class TestPricedDecision:
@@ -295,10 +293,11 @@ class TestComponentLayouts:
 @pytest.mark.skipif(not shm_available(),
                     reason="POSIX shared memory unavailable")
 class TestSpeculativeShm:
-    def test_process_shm_identity_and_no_leak(self, blobs, oracles):
+    def test_process_shm_identity_and_no_leak(self, blobs, oracles,
+                                              shm_floor_zero):
         before = shm_files()
-        with BatchDecoder(workers=2, backend="process", transport="shm",
-                          shm_min_bytes=0, speculative="on") as dec:
+        with BatchDecoder(workers=2, backend="process",
+                          speculative="on") as dec:
             batch = dec.decode_batch(
                 [ImageRequest(data=b) for b in blobs[:2]])
             assert batch.ok
@@ -310,11 +309,12 @@ class TestSpeculativeShm:
         assert shm_files() == before, "leaked /dev/shm segments"
 
 
+@pytest.mark.usefixtures("no_backoff")
 class TestSpeculativeFaults:
     def test_killed_chunk_is_retried(self, blobs, oracles):
         plan = FaultPlan(kill_at={1})
         with BatchDecoder(workers=4, backend="thread", speculative="on",
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([ImageRequest(data=blobs[0])])
         res = batch.results[0]
         assert res.ok and batch.retries >= 1
@@ -325,8 +325,7 @@ class TestSpeculativeFaults:
         # boundary: the stitch repairs it, the image never fails.
         plan = FaultPlan(kill_at={1, 2})
         with BatchDecoder(workers=4, backend="thread", speculative="on",
-                          retry_budget=0, retry_backoff_s=0.0,
-                          faults=plan) as dec:
+                          retry_budget=0, faults=plan) as dec:
             batch = dec.decode_batch([ImageRequest(data=blobs[0])])
         res = batch.results[0]
         assert res.ok, (res.error_type, res.error)
@@ -336,7 +335,7 @@ class TestSpeculativeFaults:
     def test_decode_exception_in_chunk_heals(self, blobs, oracles):
         plan = FaultPlan(exception_at={2})
         with BatchDecoder(workers=4, backend="thread", speculative="on",
-                          retry_backoff_s=0.0, faults=plan) as dec:
+                          faults=plan) as dec:
             batch = dec.decode_batch([ImageRequest(data=blobs[0])])
         res = batch.results[0]
         assert res.ok
@@ -346,8 +345,7 @@ class TestSpeculativeFaults:
     def test_total_chunk_loss_is_infra_failure(self, blobs):
         plan = FaultPlan(kill_every=1)
         with BatchDecoder(workers=2, backend="thread", speculative="on",
-                          retry_budget=0, retry_backoff_s=0.0,
-                          faults=plan) as dec:
+                          retry_budget=0, faults=plan) as dec:
             batch = dec.decode_batch([ImageRequest(data=blobs[0])])
         res = batch.results[0]
         assert not res.ok and res.infra_failure
