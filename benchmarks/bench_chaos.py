@@ -92,7 +92,7 @@ def run_once(blobs: list[bytes], oracles: list[np.ndarray],
         return {
             "ips": len(stream) / elapsed,
             "p99_ms": percentile([s * 1e3 for s in latencies], 99),
-            "retries": dec.retries_total,
+            "retries": dec.stats.retries,
             "rebuilds": dec.rebuilds,
             "kills": faults.injected["kill"] if faults is not None else 0,
         }

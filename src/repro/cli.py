@@ -188,7 +188,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
         def handle(batch) -> None:
             nonlocal failures
-            print(f"  {batch.stats.format()}")
             if batch.schedule is not None:
                 print(f"  {batch.schedule.format()}")
             for r in batch:
@@ -224,7 +223,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             batch = svc.run_once()   # None when the step only shed
             if batch is not None:
                 handle(batch)
-        print(f"summary: {svc.stats.format()}")
+        print(f"summary: {svc.stats.format(svc.decoder.rebuilds)}")
     return 1 if failures else 0
 
 
@@ -363,7 +362,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # shut down.
         server.close()
         session.close(drain=True)
-        print(f"summary: {session.stats.format()}")
+        print(f"summary: {session.stats.format(session.decoder.rebuilds)}")
     return 0
 
 
@@ -381,7 +380,8 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     finally:
         # close() severs live connections and drains the owned session.
         host.close()
-        print(f"summary: {host.session.stats.format()}")
+        session = host.session
+        print(f"summary: {session.stats.format(session.decoder.rebuilds)}")
     return 0
 
 

@@ -54,16 +54,16 @@ points):
   lane delays) for chaos tests and ``benchmarks/bench_chaos.py``
 - :class:`~repro.service.scheduler.LaneBreakerBoard` — per-lane circuit
   breakers (closed → open → half-open) feeding the scheduler
-- :class:`~repro.service.stats.BatchStats` /
-  :class:`~repro.service.stats.ServiceStats` — latency percentiles,
-  images/sec, worker utilization, per-lane placement totals
+- :class:`~repro.service.stats.ServiceStats` — a decoder's one record:
+  latency percentiles and histogram, images/sec, fault and transport
+  counters, per-lane placement totals
 - :mod:`~repro.service.obs` — the observability layer (PR 10):
   :class:`~repro.service.obs.TraceContext` /
   :class:`~repro.service.obs.SpanRecord` per-request trace spans
   threaded submit → queue → scheduler → lane dispatch → worker stages
   (and across the TCP wire into remote hosts),
   :class:`~repro.service.obs.ObsHub` (sampler + trace store + JSON-lines
-  log + latency histogram) and
+  log) and
   :func:`~repro.service.obs.render_prometheus` behind ``GET /metrics``
 
 CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
@@ -84,7 +84,6 @@ from .obs import (
     TRACE_MODES,
     ObsHub,
     SpanRecord,
-    SpanRing,
     TraceContext,
     TraceLog,
     TraceStore,
@@ -120,7 +119,7 @@ from .scheduler import (
     schedule_roundrobin,
 )
 from .session import DecodeHandle, DecodeSession
-from .stats import BatchStats, ExecutorUsage, ServiceStats, percentile
+from .stats import ExecutorUsage, ServiceStats, percentile
 from .tasks import (
     PRIORITIES,
     PRIORITY_HIGH,
@@ -142,7 +141,6 @@ __all__ = [
     "BatchDecoder",
     "BatchResult",
     "BatchSchedule",
-    "BatchStats",
     "DecodeHTTPServer",
     "DecodeHandle",
     "DecodeSession",
@@ -163,7 +161,6 @@ __all__ = [
     "RemoteLane",
     "ServiceStats",
     "SpanRecord",
-    "SpanRing",
     "SubmissionQueue",
     "TRACE_MODES",
     "ThroughputFeedback",

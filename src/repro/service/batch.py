@@ -59,7 +59,7 @@ from .scheduler import (
     fanout_pays,
     whole_image_only,
 )
-from .stats import BatchStats
+from .stats import ServiceStats
 from .tasks import (  # noqa: F401 - task functions re-exported
     DecodePlan,
     ImageRequest,
@@ -94,10 +94,9 @@ RETRY_BACKOFF_S = 0.01
 
 @dataclass
 class BatchResult:
-    """All results of one batch (request order) plus reduced stats."""
+    """All results of one batch (request order) and what it ran under."""
 
     results: list[ImageResult]
-    stats: BatchStats
     #: The cross-image schedule this batch ran under (None when the
     #: decoder has no scheduler attached).
     schedule: BatchSchedule | None = None
@@ -106,9 +105,6 @@ class BatchResult:
     lane_pools: dict | None = None
     #: Result transport the batch used (``"shm"`` or ``"pickle"``).
     transport: str = "pickle"
-    #: Tasks re-dispatched after an infrastructure failure (dead
-    #: worker) inside this batch.
-    retries: int = 0
     #: Per-lane count of failed dispatches to another machine
     #: (connection refused/lost/timeout), counted even when a failover
     #: redispatch saved every image — the scheduler charges them to the
@@ -156,8 +152,8 @@ class _InFlight:
 @dataclass
 class _Group:
     """What one :meth:`BatchDecoder.admit` planned and dispatched
-    together (one schedule, one feedback observation, one
-    :class:`BatchStats`), possibly while earlier groups are in flight."""
+    together (one schedule, one feedback observation), possibly while
+    earlier groups are in flight."""
 
     results: list
     #: ``perf_counter`` at admission, and when dispatch began (the
@@ -167,23 +163,16 @@ class _Group:
     schedule: BatchSchedule | None = None
     #: Plans dispatched and not yet finished.
     open: int = 0
-    #: The reduced group, set when its last plan finishes.
+    #: The group's result, set when its last plan finishes.
     batch: BatchResult | None = None
     #: The infrastructure failure that aborted the group, if one did.
     error: BaseException | None = None
     #: The admitting driver's per-image records (a session's entries).
     tag: Any = None
-    #: Pools that actually received work — the honest utilization
-    #: denominator (with lane-bound pools the default pool often sits
-    #: idle by construction).
-    pools_used: set[int] = field(default_factory=set)
     #: Parent-side spans per index for traced requests (schedule
     #: placement, dispatch attempts, breaker exclusions).
     trace_parent: dict[int, list[SpanRecord]] = field(default_factory=dict)
     lane_failures: dict[str, int] = field(default_factory=dict)
-    bytes_shm: int = 0
-    bytes_pickle: int = 0
-    retries: int = 0
 
 
 class BatchDecoder:
@@ -255,8 +244,10 @@ class BatchDecoder:
                 f"retry_budget must be >= 0, got {retry_budget}")
         self.retry_budget = retry_budget
         self.faults = faults
-        #: Cumulative infrastructure-failure re-dispatches, all batches.
-        self.retries_total = 0
+        #: The one record of what this decoder did: each counter is
+        #: bumped where its event happens, on the driver's thread (a
+        #: session shares it and adds what only the session sees).
+        self.stats = ServiceStats()
         if isinstance(scheduler, str):
             scheduler = ModelScheduler(policy=scheduler)
         self.scheduler = scheduler
@@ -534,7 +525,6 @@ class BatchDecoder:
             # Never submitted: nobody can be writing into the slot.
             self._release_slot(slot)
             raise
-        plan.group.pools_used.add(id(pool))
         self._track(fut, _InFlight(plan, unit, pool, attempts, slot,
                                    ctx, t_disp))
 
@@ -587,7 +577,7 @@ class BatchDecoder:
                 group.lane_failures.get(pool.charges_lane, 0) + 1
         if task.attempts > self.retry_budget:
             return False
-        group.retries += 1
+        self.stats.retries += 1
         # Slept on the driver's thread: other images keep decoding in
         # their workers, but nothing is gathered meanwhile.
         sleep(RETRY_BACKOFF_S * (2 ** (task.attempts - 1)))
@@ -603,18 +593,18 @@ class BatchDecoder:
     def _planes(self, task: _InFlight, reply: TaskReply) -> "list | None":
         """Resolve a reply's heavy payload into arrays, accounting the
         bytes to the transport that carried them."""
-        planes, group = reply.planes, task.plan.group
+        planes = reply.planes
         if isinstance(planes, tuple):
             # Shared-memory refs: zero-copy views; the slot stays
             # leased until the plan has merged (or copied) them.
-            group.bytes_shm += sum(r.nbytes for r in planes)
+            self.stats.bytes_shm += sum(r.nbytes for r in planes)
             task.plan.slots.append(task.slot)
             return [self.arena.resolve(r, copy=False) for r in planes]
         # Nothing rode the slot (none leased, or the publish fell back
         # to pickle) and its worker is done with it: recycle it now.
         self._release_slot(task.slot)
         if planes and task.pool.backend == "process":
-            group.bytes_pickle += sum(p.nbytes for p in planes)
+            self.stats.bytes_pickle += sum(p.nbytes for p in planes)
         return planes
 
     def gather_one(self, fut: Future) -> DecodePlan | None:
@@ -666,7 +656,7 @@ class BatchDecoder:
                 error_type="WorkerCrashError",
                 error=f"worker crashed after {task.attempts} "
                       f"attempt(s): {type(failure).__name__}: {failure}")
-        plan.spans.extend(reply.spans)
+        plan.busy_s += reply.busy_s
         plan.trace_spans.extend(reply.trace_spans)
         plan.accept(task.unit, reply, arrays)
         plan.attempts = max(plan.attempts, task.attempts)
@@ -677,28 +667,35 @@ class BatchDecoder:
         return plan
 
     def _finish(self, plan: DecodePlan) -> None:
-        """Finish *plan* into its result, release its slots and stamp
-        the per-image bookkeeping the plan cannot know."""
-        group = plan.group
+        """Finish *plan* into its result, release its slots, stamp the
+        per-image bookkeeping the plan cannot know and count what the
+        image did."""
+        group, stats = plan.group, self.stats
         result = plan.finish()
         while plan.slots:
             self._release_slot(plan.slots.pop())
-        result.spans, result.trace_spans = plan.spans, plan.trace_spans
+        result.trace_spans = plan.trace_spans
         result.attempts = plan.attempts
         result.failed_over = plan.failed_over
-        result.wall_us = sum(s.duration_s for s in result.spans) * 1e6 \
-            or None
+        result.wall_us = plan.busy_s * 1e6 or None
         result.latency_s = perf_counter() - group.t0
         extra = group.trace_parent.pop(plan.index, None)
         if extra:
             # Parent-side spans (schedule, lane_excluded, attempts) ride
             # in front of the worker-side ones.
             result.trace_spans = extra + result.trace_spans
+        stats.images_split += result.segments > 1
+        stats.infra_failures += not result.ok and result.infra_failure
         group.results[plan.index] = result
         group.open -= 1
         self.in_flight -= 1
         if not group.open:
-            group.batch = self._report(group)
+            stats.batches += 1
+            group.batch = BatchResult(
+                results=group.results, schedule=group.schedule,
+                lane_pools=(self.registry.describe()
+                            if self.registry is not None else None),
+                transport=self.transport, lane_failures=group.lane_failures)
 
     def gather(self) -> Iterator[DecodePlan]:
         """Land every future completed so far, yielding each plan as
@@ -737,28 +734,6 @@ class BatchDecoder:
         if group.error is not None:
             raise group.error
         return group.batch
-
-    def _report(self, group: _Group) -> BatchResult:
-        """Reduce a finished group into its :class:`BatchResult`."""
-        wall_s = perf_counter() - group.t0
-        done = group.results
-        workers = sum(p.workers for p in self._pools()
-                      if id(p) in group.pools_used) or self.pool.workers
-        stats = BatchStats.from_spans(
-            batch_size=len(done),
-            ok=sum(r.ok for r in done),
-            failed=sum(not r.ok for r in done),
-            wall_s=wall_s, workers=workers,
-            latencies_s=[r.latency_s for r in done],
-            spans=[s for r in done for s in r.spans],
-            bytes_shm=group.bytes_shm, bytes_pickle=group.bytes_pickle)
-        self.retries_total += group.retries
-        return BatchResult(
-            results=done, stats=stats, schedule=group.schedule,
-            lane_pools=(self.registry.describe()
-                        if self.registry is not None else None),
-            transport=self.transport, retries=group.retries,
-            lane_failures=group.lane_failures)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -170,8 +170,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
         if path == "/stats":
             self._send_json(200, self.server.session.stats_snapshot())
         elif path == "/metrics":
-            body = render_prometheus(self.server.session.stats_snapshot(),
-                                     self.server.session.obs)
+            body = render_prometheus(self.server.session.stats_snapshot())
             self._send(200, body.encode(),
                        "text/plain; version=0.0.4; charset=utf-8")
         elif path == "/healthz":

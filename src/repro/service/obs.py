@@ -9,14 +9,16 @@ Three pieces, all stdlib-only:
    (entropy / IDCT / upsample / color, the same boundaries
    ``core/profiling`` instruments), shm publish and — across the PR 9
    TCP wire — remote worker hosts, whose spans are mapped back into
-   the client's clock domain.  Workers record :class:`SpanRecord`\\ s
-   into a bounded drop-oldest :class:`SpanRing` and ship them back
-   piggybacked on the result, so the hot path never blocks on I/O.
+   the client's clock domain.  A worker task collects the
+   :class:`SpanRecord`\\ s it records in its own list and returns them
+   on its reply, so the hot path never blocks on I/O and no span
+   outlives the task that recorded it.
 
-2. **Metrics** — :class:`Histogram` (explicit buckets) plus counters
-   aggregated by :class:`ObsHub`; :func:`render_prometheus` turns a
-   ``stats_snapshot()`` dict into Prometheus text exposition format
-   for the HTTP server's ``GET /metrics``.
+2. **Metrics** — :class:`Histogram` (explicit buckets, kept by
+   :class:`~repro.service.stats.ServiceStats`) and
+   :func:`render_prometheus`, which turns a ``stats_snapshot()`` dict
+   alone into Prometheus text exposition format for the HTTP server's
+   ``GET /metrics``.
 
 3. **Timeline reconstruction** — :func:`spans_to_timeline` replays
    collected spans through the simulated-schedule
@@ -36,7 +38,7 @@ import json
 import threading
 import uuid
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, time
@@ -45,17 +47,13 @@ from ..core.timeline import Timeline
 from ..errors import ServiceError
 
 #: Trace modes accepted by :class:`ObsHub` / ``DecodeSession(tracing=...)``.
-#: ``off`` records nothing but keeps the metrics histogram live;
-#: ``on`` traces every request; ``sample`` traces a deterministic
-#: 1-in-N subset.
+#: ``off`` records nothing; ``on`` traces every request; ``sample``
+#: traces a deterministic 1-in-N subset.
 TRACE_MODES = ("off", "on", "sample")
 
 #: Explicit latency histogram buckets (seconds), Prometheus-style.
 LATENCY_BUCKETS_S = (0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
-#: Default bound on the worker-side span ring (drop-oldest beyond it).
-RING_CAPACITY = 2048
 
 #: Default bound on the number of traces the in-memory store retains.
 TRACE_CAPACITY = 256
@@ -178,106 +176,42 @@ def child_span(ctx: TraceContext, name: str, resource: str, kind: str,
                       kind=kind, start=start, end=end, attrs=attrs)
 
 
-class SpanRing:
-    """Bounded drop-oldest span buffer for one worker process.
-
-    Built on :class:`collections.deque` with ``maxlen``: ``append`` is
-    atomic under the GIL, so recording never takes a lock — the only
-    synchronization is the drain, which swaps the visible batch out.
-    """
-
-    def __init__(self, capacity: int = RING_CAPACITY):
-        """Create a ring holding at most *capacity* spans."""
-        self._ring: deque[SpanRecord] = deque(maxlen=capacity)
-        self._recorded = 0
-        self._drained = 0
-
-    def record(self, span: SpanRecord) -> None:
-        """Append one span, silently evicting the oldest when full."""
-        self._ring.append(span)
-        self._recorded += 1
-
-    def drain(self) -> list[SpanRecord]:
-        """Remove and return every buffered span (oldest first)."""
-        out: list[SpanRecord] = []
-        while True:
-            try:
-                out.append(self._ring.popleft())
-            except IndexError:
-                self._drained += len(out)
-                return out
-
-    def drain_trace(self, trace_id: str) -> list[SpanRecord]:
-        """Remove and return the buffered spans of one trace only."""
-        keep, out = [], []
-        for span in self.drain():
-            (out if span.trace_id == trace_id else keep).append(span)
-        for span in keep:
-            self._ring.append(span)
-        self._drained -= len(keep)
-        return out
-
-    @property
-    def dropped(self) -> int:
-        """Spans evicted by the drop-oldest bound since creation."""
-        return max(0, self._recorded - self._drained - len(self._ring))
-
-    def __len__(self) -> int:
-        """Number of spans currently buffered."""
-        return len(self._ring)
-
-
-#: Per-process worker ring.  Module-level so picklable task functions
-#: (``decode_image_task`` and friends) reach it without carrying state.
-_WORKER_RING = SpanRing()
-
-
-def record_worker_span(span: SpanRecord) -> None:
-    """Record *span* into this process's ring (lock-free append)."""
-    _WORKER_RING.record(span)
-
-
-def drain_worker_spans(trace_id: str) -> list[SpanRecord]:
-    """Pull the current process's buffered spans for *trace_id*."""
-    return _WORKER_RING.drain_trace(trace_id)
-
-
+@dataclass
 class Histogram:
     """Prometheus-style histogram with explicit upper bounds.
 
-    ``observe`` is a bisect plus two adds under a lock — cheap against
-    millisecond-scale decode latencies.  ``snapshot`` returns
-    *cumulative* bucket counts, ready for text exposition.
+    ``observe`` is a bisect plus two adds; its owner serializes the
+    calls (a session records under its stats lock).  ``snapshot``
+    returns *cumulative* bucket counts, ready for text exposition.
     """
 
-    def __init__(self, buckets: tuple[float, ...] = LATENCY_BUCKETS_S):
-        """Create a histogram over ascending *buckets* (seconds)."""
-        self.buckets = tuple(sorted(buckets))
-        self._counts = [0] * (len(self.buckets) + 1)  # last = +Inf
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
+    #: Ascending upper bounds (seconds); ``+Inf`` is implied.
+    buckets: tuple[float, ...] = LATENCY_BUCKETS_S
+    _counts: list[int] = field(init=False, default_factory=list)
+    _sum: float = field(init=False, default=0.0)
+    _count: int = field(init=False, default=0)
+
+    def __post_init__(self) -> None:
+        """Sort the bounds; one count per bucket plus ``+Inf``."""
+        self.buckets = tuple(sorted(self.buckets))
+        self._counts = [0] * (len(self.buckets) + 1)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        idx = bisect_right(self.buckets, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[bisect_right(self.buckets, value)] += 1
+        self._sum += value
+        self._count += 1
 
     def snapshot(self) -> dict:
         """Cumulative ``{le: count}`` buckets plus sum and count."""
-        with self._lock:
-            counts = list(self._counts)
-            total, n = self._sum, self._count
         cumulative: list[tuple[str, int]] = []
         running = 0
-        for bound, count in zip(self.buckets, counts):
+        for bound, count in zip(self.buckets, self._counts):
             running += count
             cumulative.append((repr(bound), running))
-        cumulative.append(("+Inf", n))
-        return {"buckets": cumulative, "sum": total, "count": n}
+        cumulative.append(("+Inf", self._count))
+        return {"buckets": cumulative, "sum": self._sum,
+                "count": self._count}
 
 
 class TraceStore:
@@ -368,13 +302,12 @@ def read_trace_log(path: str | Path) -> "OrderedDict[str, list[SpanRecord]]":
 
 
 class ObsHub:
-    """Per-session observability root: sampler, metrics, trace sinks.
+    """Per-session observability root: sampler and trace sinks.
 
     Owned by ``DecodeSession``.  ``maybe_start_trace`` implements the
     mode gate (``off`` / ``on`` / ``sample``); ``record_spans`` files
     completed spans into the bounded :class:`TraceStore` and, when
-    configured, the JSON-lines :class:`TraceLog`.  The latency
-    :class:`Histogram` stays live in every mode.
+    configured, the JSON-lines :class:`TraceLog`.
     """
 
     def __init__(self, mode: str = "off", sample_rate: float = 0.1,
@@ -385,7 +318,6 @@ class ObsHub:
             raise ServiceError(
                 f"trace sample rate must be in (0, 1], got {sample_rate}")
         self.sample_period = max(1, round(1.0 / sample_rate))
-        self.latency = Histogram()
         self.store = TraceStore()
         self.log = TraceLog(log_path) if log_path else None
         self.started_at = time()
@@ -419,10 +351,6 @@ class ObsHub:
         with self._lock:
             self._counters["traces_started"] += 1
         return TraceContext.new_root()
-
-    def observe_latency(self, seconds: float) -> None:
-        """Feed the decode-latency histogram."""
-        self.latency.observe(seconds)
 
     def record_spans(self, spans: list[SpanRecord]) -> None:
         """File completed spans into the store and the optional log."""
@@ -539,8 +467,12 @@ def _at(node: object, *path: str, default: object = 0) -> object:
 
 
 def _one(*path: str):
-    """A family that is the single unlabelled number at *path*."""
-    return lambda snapshot: [(None, _at(snapshot, *path))]
+    """A family that is the single unlabelled number at *path* (no
+    sample when the snapshot has no such key)."""
+    def samples(snapshot: dict):
+        value = _at(snapshot, *path, default=None)
+        return [] if value is None else [(None, value)]
+    return samples
 
 
 def _each(label: str, *path: str, field: str | None = None):
@@ -571,9 +503,12 @@ def _breaker_states(snapshot: dict):
                    1 if breaker["state"] == state else 0)
 
 
-def _latency_histogram(hub: ObsHub):
-    """Cumulative buckets, then ``_sum`` and ``_count``."""
-    hist = hub.latency.snapshot()
+def _latency_histogram(snapshot: dict):
+    """Cumulative buckets, then ``_sum`` and ``_count`` (no sample when
+    the snapshot carries no histogram)."""
+    hist = snapshot.get("latency_histogram")
+    if hist is None:
+        return
     for le, count in hist["buckets"]:
         yield {"le": le}, count, "_bucket"
     yield None, hist["sum"], "_sum"
@@ -634,42 +569,32 @@ _SNAPSHOT_FAMILIES = (
     ("repro_process_start_unixtime", "gauge",
      "Unix time this process's exporter first rendered.",
      lambda _: [(None, _PROCESS_EPOCH)]),
-)
-
-#: The families read off the session's :class:`ObsHub`.
-_HUB_FAMILIES = (
     ("repro_decode_latency_seconds", "histogram",
      "End-to-end decode latency (submit to result).", _latency_histogram),
     ("repro_traces_started_total", "counter",
      "Trace contexts created by the sampler gate.",
-     lambda hub: [(None, hub.counters()["traces_started"])]),
+     _one("tracing", "traces_started")),
     ("repro_spans_recorded_total", "counter",
-     "Spans filed into the trace store.",
-     lambda hub: [(None, hub.counters()["spans_recorded"])]),
+     "Spans filed into the trace store.", _one("tracing", "spans_recorded")),
     ("repro_obs_uptime_seconds", "gauge",
-     "Seconds since the observability hub started.",
-     lambda hub: [(None, max(0.0, time() - hub.started_at))]),
+     "Seconds since the observability hub started.", _one("uptime_s")),
 )
 
 
-def render_prometheus(snapshot: dict, hub: ObsHub | None = None) -> str:
+def render_prometheus(snapshot: dict) -> str:
     """Render a session ``stats_snapshot()`` as Prometheus text:
-    counters (``_total``), gauges and — given the *hub* — the
-    decode-latency histogram with explicit buckets; per-lane and
-    per-host series carry ``lane`` / ``host`` labels."""
+    counters (``_total``), gauges and the decode-latency histogram with
+    explicit buckets; per-lane and per-host series carry ``lane`` /
+    ``host`` labels.  The snapshot is the only input."""
     lines: list[str] = []
-    for families, source in ((_SNAPSHOT_FAMILIES, snapshot),
-                             (_HUB_FAMILIES, hub)):
-        if source is None:
-            continue
-        for name, kind, help_text, samples in families:
-            lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
-            for labels, value, *suffix in samples(source):
-                body = ",".join(f'{k}="{_escape_label(v)}"'
-                                for k, v in (labels or {}).items())
-                lines.append(f"{name}{''.join(suffix)}"
-                             f"{'{' + body + '}' if body else ''} "
-                             f"{float(value):g}")
+    for name, kind, help_text, samples in _SNAPSHOT_FAMILIES:
+        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        for labels, value, *suffix in samples(snapshot):
+            body = ",".join(f'{k}="{_escape_label(v)}"'
+                            for k, v in (labels or {}).items())
+            lines.append(f"{name}{''.join(suffix)}"
+                         f"{'{' + body + '}' if body else ''} "
+                         f"{float(value):g}")
     return "\n".join(lines) + "\n"
 
 

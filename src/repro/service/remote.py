@@ -56,7 +56,6 @@ from .faults import FaultDirective, apply_dispatch_fault
 from .obs import SpanRecord, TraceContext, child_span, map_remote_spans
 from .scheduler import ExecutorLane, LaneBreakerBoard, ModelScheduler
 from .session import DecodeSession
-from .stats import WorkSpan
 from .tasks import ImageRequest, ImageResult, TaskReply, decode_image_task
 from .workers import WorkerPool
 
@@ -90,9 +89,8 @@ _RESULT_FIELDS = (
 # Framing.
 # ---------------------------------------------------------------------------
 
-def send_frame(sock: socket.socket, header: dict,
-               blobs: Sequence[bytes] = ()) -> int:
-    """Write one complete frame; returns the exact bytes put on the wire.
+def pack_frame(header: dict, blobs: Sequence[bytes] = ()) -> bytes:
+    """One complete frame as it goes on the wire.
 
     The header is compact JSON; blobs follow as length-prefixed raw
     bytes (the byte-transport analog of shm
@@ -103,16 +101,15 @@ def send_frame(sock: socket.socket, header: dict,
              struct.pack(">I", len(blobs))]
     for blob in blobs:
         parts += [struct.pack(">Q", len(blob)), bytes(blob)]
-    data = b"".join(parts)
+    return b"".join(parts)
+
+
+def send_frame(sock: socket.socket, header: dict,
+               blobs: Sequence[bytes] = ()) -> int:
+    """Write one complete frame; returns the exact bytes put on the wire."""
+    data = pack_frame(header, blobs)
     sock.sendall(data)
     return len(data)
-
-
-def frame_nbytes(header: dict, blobs: Sequence[bytes] = ()) -> int:
-    """Exact wire size of the frame :func:`send_frame` would emit for
-    *header* + *blobs* (used for receive-side byte accounting)."""
-    payload = json.dumps(header, separators=(",", ":")).encode()
-    return 4 + len(payload) + 4 + sum(8 + len(b) for b in blobs)
 
 
 def _recv_exact(sock: socket.socket, n: int,
@@ -132,8 +129,10 @@ def _recv_exact(sock: socket.socket, n: int,
     return bytes(buf)
 
 
-def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]] | None:
-    """Read one complete frame; None on clean EOF at a frame boundary.
+def recv_frame(sock: socket.socket
+               ) -> tuple[dict, list[bytes], int] | None:
+    """Read one complete frame: its header, its blobs and the bytes it
+    took on the wire; None on clean EOF at a frame boundary.
 
     Raises :class:`~repro.errors.RemoteProtocolError` on truncation
     mid-frame, an oversized header/blob, or undecodable header JSON.
@@ -156,6 +155,7 @@ def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]] | None:
             f"{type(header).__name__}")
     (nblobs,) = struct.unpack(">I", _recv_exact(sock, 4))
     blobs: list[bytes] = []
+    nbytes = 8 + header_len
     for _ in range(nblobs):
         (blob_len,) = struct.unpack(">Q", _recv_exact(sock, 8))
         if blob_len > MAX_BLOB_BYTES:
@@ -163,7 +163,8 @@ def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]] | None:
                 f"frame blob of {blob_len} bytes exceeds the "
                 f"{MAX_BLOB_BYTES}-byte limit")
         blobs.append(_recv_exact(sock, blob_len))
-    return header, blobs
+        nbytes += 8 + blob_len
+    return header, blobs, nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +229,14 @@ def decode_request(header: dict, blobs: Sequence[bytes]) -> ImageRequest:
 
 
 def encode_result(result: ImageResult) -> tuple[dict, list[bytes]]:
-    """Serialize one decode outcome: scalars + spans in the header,
-    pixel plane (and salvage error map, when present) as blobs."""
+    """Serialize one decode outcome: scalars (busy time as ``wall_us``
+    among them) and trace spans in the header, pixel plane (and salvage
+    error map, when present) as blobs."""
     header: dict[str, Any] = {"op": "result"}
     for name in _RESULT_FIELDS:
         header[name] = getattr(result, name)
     header["request_id"] = _wire_id(result.request_id)
     header["salvage_errors"] = list(result.salvage_errors)
-    header["spans"] = [[s.worker, s.started, s.finished]
-                       for s in result.spans]
     if result.trace_spans:
         header["trace_spans"] = [s.to_dict() for s in result.trace_spans]
     blobs: list[bytes] = []
@@ -253,7 +253,9 @@ def encode_result(result: ImageResult) -> tuple[dict, list[bytes]]:
 
 def decode_result(header: dict, blobs: Sequence[bytes]) -> ImageResult:
     """Rebuild the :class:`~repro.service.batch.ImageResult` of one
-    ``result`` frame (pixels bit-identical to the host's array)."""
+    ``result`` frame (pixels bit-identical to the host's array).  An
+    older host's frame also carries its busy time as ``spans`` triples;
+    ``wall_us`` says the same, so they are not read."""
     known = {name: header[name] for name in _RESULT_FIELDS
              if name in header}
     try:
@@ -261,9 +263,6 @@ def decode_result(header: dict, blobs: Sequence[bytes]) -> ImageResult:
     except TypeError as exc:
         raise RemoteProtocolError(f"malformed decode result: {exc}")
     result.salvage_errors = list(header.get("salvage_errors", ()))
-    result.spans = [WorkSpan(worker=str(w), started=float(a),
-                             finished=float(b))
-                    for w, a, b in header.get("spans", ())]
     try:
         result.trace_spans = [SpanRecord.from_dict(d)
                               for d in header.get("trace_spans", ())]
@@ -352,9 +351,9 @@ class DecodeWorkerHost:
         try:
             with conn:
                 while (frame := recv_frame(conn)) is not None:
-                    header, blobs = frame
+                    header, blobs, received = frame
                     with self._lock:
-                        self.bytes_rx += frame_nbytes(header, blobs)
+                        self.bytes_rx += received
                     try:
                         reply, out_blobs = self._dispatch(header, blobs)
                     except Exception as exc:   # answer, don't drop
@@ -362,11 +361,12 @@ class DecodeWorkerHost:
                             "op": "error",
                             "error_type": type(exc).__name__,
                             "error": str(exc)}, []
+                    data = pack_frame(reply, out_blobs)
                     # Counted before the send: the client may read the
                     # counter the instant its recv returns.
                     with self._lock:
-                        self.bytes_tx += frame_nbytes(reply, out_blobs)
-                    send_frame(conn, reply, out_blobs)
+                        self.bytes_tx += len(data)
+                    conn.sendall(data)
         except (RemoteProtocolError, OSError):
             pass    # the peer is gone, or what it sends is not frames
         finally:
@@ -636,8 +636,7 @@ class HostPool(WorkerPool):
         if frame is None:
             raise RemoteHostError(f"host {endpoint} closed the connection")
         t1 = perf_counter()
-        reply, reply_blobs = frame
-        received = frame_nbytes(reply, reply_blobs)
+        reply, reply_blobs, received = frame
         with self._lock:
             self.bytes_tx += sent
             self.bytes_rx += received
@@ -660,10 +659,8 @@ class HostPool(WorkerPool):
         rgb, result.rgb = result.rgb, None
         return TaskReply(
             value=result, planes=None if rgb is None else [rgb],
-            # Busy spans are attributed to the host, so utilization math
-            # and the per-worker stats name where the time was spent.
-            spans=[replace(s, worker=f"{endpoint}/{s.worker}")
-                   for s in result.spans],
+            # The host's own busy time, as its plan measured it.
+            busy_s=(result.wall_us or 0.0) / 1e6,
             trace_spans=trace_spans)
 
     def describe(self) -> dict:

@@ -15,7 +15,7 @@ decoder's in-flight table:
   most urgent pending requests that fit (priority, then earliest
   deadline, then age; expired ones are shed), at most ``max_batch`` of
   them, and admits them together: one schedule, one feedback
-  observation, one stats record.  ``max_delay_ms`` > 0 holds a group
+  observation.  ``max_delay_ms`` > 0 holds a group
   back until ``max_batch`` requests are pending or the oldest has waited
   that long — off by default: no worker waits for a batch to end, so an
   idle one gains nothing from waiting for company;
@@ -48,7 +48,7 @@ import threading
 from concurrent.futures import Future, InvalidStateError
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from time import perf_counter
+from time import perf_counter, time
 from typing import Any, Callable
 
 from ..errors import (
@@ -62,7 +62,6 @@ from .batch import BatchDecoder, BatchResult, ImageRequest, ImageResult
 from .obs import ObsHub, child_span, make_span
 from .queue import SubmissionQueue
 from .scheduler import ModelScheduler
-from .stats import ServiceStats
 from .tasks import read_header
 
 #: Weighted-shedding admission fractions by priority class: the share
@@ -246,7 +245,9 @@ class DecodeSession:
         self._window = DISPATCH_DEPTH * self.decoder.workers
         self.obs = ObsHub(mode=tracing, sample_rate=trace_sample,
                           log_path=trace_log)
-        self.stats = ServiceStats()
+        #: The decoder's one record, to which the session adds only what
+        #: it alone sees: sheds, deadline drops, latency, busy intervals.
+        self.stats = self.decoder.stats
         self._stats_lock = threading.Lock()
         self._ids = itertools.count()     # next() is atomic
         self._closed = False
@@ -364,9 +365,7 @@ class DecodeSession:
             e.handle._set_exception(DeadlineExceededError(
                 f"request {e.handle.request_id} missed its "
                 f"{e.request.deadline_ms:g} ms deadline before decode"))
-        if expired:
-            with self._stats_lock:
-                self.stats.record_faults(deadline_expired=len(expired))
+        self.stats.deadline_expired += len(expired)
         return batch
 
     def _pump_loop(self) -> None:
@@ -437,17 +436,16 @@ class DecodeSession:
                 plan.group.tag[plan.index].handle._set_exception(exc)
 
     def _settle(self, group, index: int) -> None:
-        """One image is done: stamp latency, fold its share of stats,
-        feedback and spans, *then* resolve its handle — so a completion
-        observer always sees itself counted.  The per-group folds (one
-        ``scheduler.observe``, one stats record) ride on the image that
-        completes its group."""
+        """One image is done: stamp latency, count it, fold feedback and
+        spans, *then* resolve its handle — so a completion observer
+        always sees itself counted.  The per-group folds (one
+        ``scheduler.observe``, one per-lane placement record) ride on
+        the image that completes its group."""
         entry, result = group.tag[index], group.results[index]
         now = perf_counter()
         # True submit-to-completion latency (the dispatch core only
         # measured from admission).
         result.latency_s = now - entry.handle.submitted_at
-        self.obs.observe_latency(result.latency_s)
         ctx = entry.request.trace
         if ctx is not None:
             # Root span carries the context's own identity; the queue
@@ -467,20 +465,12 @@ class DecodeSession:
         batch, scheduler = group.batch, self.decoder.scheduler
         with self._stats_lock:
             self.stats.record_image(result.ok, result.latency_s)
-            self.stats.images_split += result.segments > 1
-            if batch is not None:
-                self.stats.record(batch.stats)
-                self.stats.record_faults(
-                    retries=batch.retries,
-                    infra_failures=sum(1 for r in batch.results
-                                       if not r.ok and r.infra_failure),
-                    pool_rebuilds=self.decoder.rebuilds)
-                if batch.schedule is not None and scheduler is not None:
-                    scheduler.observe(batch.schedule, batch.results,
-                                      lane_failures=batch.lane_failures)
-                    self.stats.record_schedule(
-                        batch.schedule, batch.results,
-                        lane_pools=batch.lane_pools)
+            if batch is not None and batch.schedule is not None \
+                    and scheduler is not None:
+                scheduler.observe(batch.schedule, batch.results,
+                                  lane_failures=batch.lane_failures)
+                self.stats.record_schedule(batch.schedule, batch.results,
+                                           lane_pools=batch.lane_pools)
             if not self.decoder.in_flight:
                 self.stats.mark_idle(now)
         entry.handle._set_result(result)
@@ -526,7 +516,7 @@ class DecodeSession:
         (when sharded) per-host link health.  A read: nothing it
         reports is written back into :attr:`stats`."""
         with self._stats_lock:
-            snap = self.stats.as_dict()
+            snap = self.stats.as_dict(pool_rebuilds=self.decoder.rebuilds)
         snap["pending"] = len(self.queue)
         snap["in_flight"] = self.decoder.in_flight
         snap["queue_capacity"] = self.queue.capacity
@@ -537,6 +527,7 @@ class DecodeSession:
         snap["retry_budget"] = self.decoder.retry_budget
         snap["closed"] = self._closed
         snap["tracing"] = {"mode": self.obs.mode, **self.obs.counters()}
+        snap["uptime_s"] = max(0.0, time() - self.obs.started_at)
         snap["transport"]["mode"] = self.decoder.transport
         scheduler, registry = self.decoder.scheduler, self.decoder.registry
         if scheduler is not None:

@@ -1,18 +1,15 @@
-"""Batch and service statistics: latency percentiles, throughput,
-worker utilization.
+"""Service statistics: latency percentiles, throughput, fault and
+transport counters, per-lane placement totals.
 
-Every decoded image carries a ``(worker, started, finished)`` span
-measured with the shared monotonic clock (``time.perf_counter`` is
-system-wide on Linux, so spans from process-pool workers are directly
-comparable to the parent's wall-clock window).  :class:`BatchStats`
-reduces one batch's spans into the numbers an operator watches —
-images/sec, p50/p90/p99 latency, and busy-time utilization per worker —
-and :class:`ServiceStats` accumulates those across the admission
-groups a long-running :class:`~repro.service.session.DecodeSession`
-processes.  Groups overlap under the rolling pump, so the service's
-busy time is not the sum of their walls but the union of the intervals
-during which anything was in flight (:meth:`ServiceStats.mark_busy` /
-:meth:`ServiceStats.mark_idle`).
+One :class:`ServiceStats` per :class:`~repro.service.batch.BatchDecoder`
+(a :class:`~repro.service.session.DecodeSession` shares its decoder's)
+records each fact once, where it happens: the decoder counts retries,
+transport bytes, fan-outs, infrastructure failures and finished
+groups; the session counts sheds, deadline drops and each image's
+submit-to-completion latency.  Groups overlap under the rolling pump,
+so the service's busy time is not the sum of their walls but the union
+of the intervals during which anything was in flight
+(:meth:`ServiceStats.mark_busy` / :meth:`ServiceStats.mark_idle`).
 """
 
 from __future__ import annotations
@@ -20,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
+
+from .obs import Histogram
 
 #: Sliding window of per-image latency samples retained for service
 #: percentiles.  Counters (images, wall time, throughput) are exact
@@ -46,85 +45,6 @@ def percentile(values: list[float], q: float) -> float:
     hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
     return data[lo] * (1.0 - frac) + data[hi] * frac
-
-
-@dataclass(frozen=True)
-class WorkSpan:
-    """One unit of worker-side busy time attributed to a named worker."""
-
-    worker: str
-    started: float      # perf_counter at task start (worker side)
-    finished: float     # perf_counter at task end (worker side)
-
-    @property
-    def duration_s(self) -> float:
-        """Busy seconds this span contributed."""
-        return max(0.0, self.finished - self.started)
-
-
-@dataclass
-class BatchStats:
-    """Reduced metrics for one decoded batch."""
-
-    batch_size: int
-    ok: int
-    failed: int
-    wall_s: float
-    workers: int
-    images_per_sec: float
-    latency_p50_ms: float
-    latency_p90_ms: float
-    latency_p99_ms: float
-    latency_mean_ms: float
-    #: Sum of worker busy seconds / (wall_s * workers) in [0, 1].
-    worker_utilization: float
-    #: Busy seconds keyed by worker name (thread name or "pid-<n>").
-    per_worker_busy_s: dict[str, float] = field(default_factory=dict)
-    #: Result bytes that crossed shared memory (descriptor transport).
-    bytes_shm: int = 0
-    #: Result bytes that crossed a process boundary pickled.
-    bytes_pickle: int = 0
-
-    @classmethod
-    def from_spans(cls, *, batch_size: int, ok: int, failed: int,
-                   wall_s: float, workers: int,
-                   latencies_s: list[float],
-                   spans: list[WorkSpan],
-                   bytes_shm: int = 0,
-                   bytes_pickle: int = 0) -> "BatchStats":
-        """Reduce per-image latencies and worker spans into one record."""
-        lat_ms = [s * 1e3 for s in latencies_s] or [0.0]
-        busy: dict[str, float] = {}
-        for span in spans:
-            busy[span.worker] = busy.get(span.worker, 0.0) + span.duration_s
-        denom = wall_s * max(1, workers)
-        util = min(1.0, sum(busy.values()) / denom) if denom > 0 else 0.0
-        return cls(
-            batch_size=batch_size, ok=ok, failed=failed,
-            wall_s=wall_s, workers=workers,
-            images_per_sec=(ok + failed) / wall_s if wall_s > 0 else 0.0,
-            latency_p50_ms=percentile(lat_ms, 50),
-            latency_p90_ms=percentile(lat_ms, 90),
-            latency_p99_ms=percentile(lat_ms, 99),
-            latency_mean_ms=sum(lat_ms) / len(lat_ms),
-            worker_utilization=util,
-            per_worker_busy_s=busy,
-            bytes_shm=bytes_shm,
-            bytes_pickle=bytes_pickle,
-        )
-
-    def format(self) -> str:
-        """One-paragraph human-readable summary (CLI/benchmark output)."""
-        return (
-            f"batch={self.batch_size} ok={self.ok} failed={self.failed} "
-            f"wall={self.wall_s * 1e3:.1f}ms "
-            f"throughput={self.images_per_sec:.2f} img/s "
-            f"latency p50/p90/p99="
-            f"{self.latency_p50_ms:.1f}/{self.latency_p90_ms:.1f}/"
-            f"{self.latency_p99_ms:.1f}ms "
-            f"util={self.worker_utilization * 100.0:.0f}% "
-            f"({self.workers} workers)"
-        )
 
 
 @dataclass
@@ -164,8 +84,14 @@ class ExecutorUsage:
 
 @dataclass
 class ServiceStats:
-    """Running totals across every group a service instance processed."""
+    """Running totals across everything one decoder processed.
 
+    Scalar counters are written on the one thread that drives the
+    decoder; the dict-valued sections and the latency record only under
+    the owning session's stats lock.
+    """
+
+    #: Admission groups whose last plan landed.
     batches: int = 0
     images_ok: int = 0
     images_failed: int = 0
@@ -183,17 +109,18 @@ class ServiceStats:
     bytes_pickle: int = 0
     #: Fault-tolerance counters: task re-dispatches after worker
     #: crashes, images failed on infrastructure (crash past the retry
-    #: budget), requests shed at their deadline, and worker-pool
-    #: rebuilds observed so far.
+    #: budget) and requests shed at their deadline.  Pool rebuilds are
+    #: the pools' own counter, read when a report is made.
     retries: int = 0
     infra_failures: int = 0
     deadline_expired: int = 0
-    pool_rebuilds: int = 0
     #: Requests refused at admission by weighted load shedding, counted
     #: per priority class (fills under overload; empty otherwise).
     shed_by_priority: dict = field(default_factory=dict)
     _latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
+    #: Every latency recorded, in the ``/metrics`` histogram's buckets.
+    _latency_buckets: Histogram = field(default_factory=Histogram)
 
     def record_image(self, ok: bool, latency_s: float) -> None:
         """Count one finished image and its submit-to-completion
@@ -203,13 +130,7 @@ class ServiceStats:
         else:
             self.images_failed += 1
         self._latencies_s.append(latency_s)
-
-    def record(self, stats: BatchStats) -> None:
-        """Fold one finished group's transport totals into the running
-        totals (its images were counted one by one)."""
-        self.batches += 1
-        self.bytes_shm += stats.bytes_shm
-        self.bytes_pickle += stats.bytes_pickle
+        self._latency_buckets.observe(latency_s)
 
     def mark_busy(self, now: float) -> None:
         """Something was admitted at *now*: a busy interval opens,
@@ -231,22 +152,6 @@ class ServiceStats:
         if self._busy_from is None:
             return self._busy_s
         return self._busy_s + max(0.0, perf_counter() - self._busy_from)
-
-    def record_faults(self, *, retries: int = 0, infra_failures: int = 0,
-                      deadline_expired: int = 0,
-                      pool_rebuilds: int | None = None) -> None:
-        """Fold one batch's fault-tolerance activity into the totals.
-
-        *pool_rebuilds* is the decoder's *cumulative* rebuild counter
-        (it replaces rather than adds — pools heal outside the
-        per-batch accounting); the other arguments are per-batch
-        increments.
-        """
-        self.retries += retries
-        self.infra_failures += infra_failures
-        self.deadline_expired += deadline_expired
-        if pool_rebuilds is not None:
-            self.pool_rebuilds = pool_rebuilds
 
     def record_shed(self, priority: int) -> None:
         """Count one request refused at admission by weighted shedding."""
@@ -287,7 +192,7 @@ class ServiceStats:
                     continue
                 usage = self.per_executor.setdefault(
                     a.executor.name, ExecutorUsage())
-                usage.busy_s += sum(s.duration_s for s in result.spans)
+                usage.busy_s += (result.wall_us or 0.0) / 1e6
                 usage.pool_backend = pool.get("backend", "")
                 usage.pool_workers = pool.get("workers", 0)
 
@@ -297,8 +202,9 @@ class ServiceStats:
         total = self.images_ok + self.images_failed
         return total / self.total_wall_s if self.total_wall_s > 0 else 0.0
 
-    def as_dict(self) -> dict:
-        """JSON-serializable snapshot of the running totals.
+    def as_dict(self, pool_rebuilds: int = 0) -> dict:
+        """JSON-serializable snapshot of the running totals, with the
+        decoder's *pool_rebuilds* counter as it reads now.
 
         The shape the HTTP shim's ``GET /stats`` endpoint returns (via
         :meth:`~repro.service.session.DecodeSession.stats_snapshot`,
@@ -338,6 +244,7 @@ class ServiceStats:
                 "p99": percentile(lat, 99),
                 "mean": sum(lat) / len(lat),
             },
+            "latency_histogram": self._latency_buckets.snapshot(),
             "transport": {
                 "shm_bytes": self.bytes_shm,
                 "pickle_bytes": self.bytes_pickle,
@@ -346,7 +253,7 @@ class ServiceStats:
                 "retries": self.retries,
                 "infra_failures": self.infra_failures,
                 "deadline_expired": self.deadline_expired,
-                "pool_rebuilds": self.pool_rebuilds,
+                "pool_rebuilds": pool_rebuilds,
                 "shed_by_priority": {
                     str(priority): count for priority, count
                     in sorted(self.shed_by_priority.items())
@@ -369,8 +276,9 @@ class ServiceStats:
             },
         }
 
-    def format(self) -> str:
-        """Multi-batch closing summary (printed by ``repro serve-batch``)."""
+    def format(self, pool_rebuilds: int = 0) -> str:
+        """Multi-batch closing summary (printed by ``repro serve-batch``),
+        with the decoder's *pool_rebuilds* counter as it reads now."""
         lat = [s * 1e3 for s in self._latencies_s] or [0.0]
         text = (
             f"{self.batches} batches, {self.images_ok} ok / "
@@ -388,11 +296,11 @@ class ServiceStats:
             text += (f"\nfanned out: {self.images_split} "
                      f"(restart/speculative fan-out)")
         if (self.retries or self.infra_failures or self.deadline_expired
-                or self.pool_rebuilds):
+                or pool_rebuilds):
             text += (f"\nfaults: {self.retries} retries, "
                      f"{self.infra_failures} infra failures, "
                      f"{self.deadline_expired} deadline-expired, "
-                     f"{self.pool_rebuilds} pool rebuilds")
+                     f"{pool_rebuilds} pool rebuilds")
         if self.shed_by_priority:
             shed = " ".join(
                 f"p{priority}={count}" for priority, count

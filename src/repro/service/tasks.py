@@ -62,14 +62,7 @@ from ..jpeg.speculative import (
     _sequential as _decode_sequential_prescanned,
 )
 from .faults import FaultDirective, apply_dispatch_fault
-from .obs import (
-    SpanRecord,
-    TraceContext,
-    child_span,
-    drain_worker_spans,
-    record_worker_span,
-)
-from .stats import WorkSpan
+from .obs import SpanRecord, TraceContext, child_span
 from .transport import PlaneSlot, packed_nbytes, publish_planes
 from .workers import worker_name
 
@@ -189,11 +182,10 @@ class ImageResult:
     simulated_us: float | None = None
     #: Submit-to-completion latency, seconds (filled by the batch loop).
     latency_s: float = 0.0
-    #: Worker busy spans that produced this image (utilization input).
-    spans: list[WorkSpan] = field(default_factory=list)
-    #: Real worker busy time in microseconds (sum of spans) — the
-    #: wall-clock observation lane-bound scheduling feeds back into the
-    #: scheduler, as opposed to the model-world :attr:`simulated_us`.
+    #: Real busy time in microseconds: the plan's tasks' plus any
+    #: parent-side merge (None when nothing ran) — the wall-clock
+    #: observation lane-bound scheduling feeds back into the scheduler,
+    #: as opposed to the model-world :attr:`simulated_us`.
     wall_us: float | None = None
     #: Decode attempts this image consumed (> 1 after a worker-crash
     #: retry; decode is pure, so a retried success is bit-identical).
@@ -251,8 +243,9 @@ class TaskReply:
     planes: "list | tuple | None" = None
     error_type: str | None = None
     error: str | None = None
-    #: Worker busy spans and worker-side trace spans of the task.
-    spans: list[WorkSpan] = field(default_factory=list)
+    #: Seconds the task ran, set by :func:`run_task`.
+    busy_s: float = 0.0
+    #: The worker-side trace spans the task recorded (traced only).
     trace_spans: list[SpanRecord] = field(default_factory=list)
 
 
@@ -262,25 +255,27 @@ _STAGE_KINDS = {"parse": "dispatch", "entropy": "huffman",
                 "color": "cpu-parallel", "shm_publish": "write"}
 
 
-def _stage_recorder(ctx: TraceContext, resource: str):
+def _stage_recorder(ctx: TraceContext, resource: str,
+                    spans: list[SpanRecord]):
     """A :attr:`DecodeOptions.stage_hook` that records each decode
-    stage into this worker process's lock-free span ring (drained and
-    shipped back on the reply by :func:`run_task`)."""
+    stage into *spans*, the list its task's reply carries back."""
     def hook(stage: str, t0: float, t1: float) -> None:
         """Record one completed decoder stage as a child span."""
-        record_worker_span(child_span(
+        spans.append(child_span(
             ctx, stage, resource, _STAGE_KINDS.get(stage, "dispatch"),
             t0, t1))
     return hook
 
 
-def run_task(body: Callable[[], tuple], slot: PlaneSlot | None,
-             fault: FaultDirective | None,
+def run_task(body: Callable[[list[SpanRecord]], tuple],
+             slot: PlaneSlot | None, fault: FaultDirective | None,
              ctx: TraceContext | None = None) -> TaskReply:
     """The shell every worker task runs in; never raises (except by
     injected crash faults, which model a worker that never returns).
 
-    *body* returns ``(value, planes)``.  *Any* failure inside it —
+    *body* takes the reply's trace span list (a traced body appends its
+    stage spans to it) and returns ``(value, planes)``.  *Any* failure
+    inside it —
     malformed bytes, truncated scan, unsupported feature, but also the
     unexpected (``MemoryError``, numpy shape errors) — is captured on
     the reply, so one bad task cannot poison its batch.  With a
@@ -290,16 +285,15 @@ def run_task(body: Callable[[], tuple], slot: PlaneSlot | None,
     decode.  *fault* is an injected chaos directive: ``kill``/``delay``
     apply at entry, ``exception`` raises inside the body's scope,
     ``shm_fail`` fails the publish.  *ctx* (traced whole-image tasks)
-    ships the worker's stage spans back on the reply.
+    records the publish as a span too.
     """
     apply_dispatch_fault(fault)
     t0 = perf_counter()
-    resource = worker_name()
     reply = TaskReply()
     try:
         if fault is not None and fault.kind == "exception":
             raise RuntimeError(fault.message)
-        reply.value, reply.planes = body()
+        reply.value, reply.planes = body(reply.trace_spans)
     except Exception as exc:  # ANY failure stays on this task's reply
         reply.error_type = type(exc).__name__
         # KeyError.__str__ repr-quotes its message; report the text.
@@ -312,28 +306,28 @@ def run_task(body: Callable[[], tuple], slot: PlaneSlot | None,
             t_pub = perf_counter()
             refs = publish_planes(slot, reply.planes)
             if ctx is not None:
-                record_worker_span(child_span(
-                    ctx, "shm_publish", resource, "write", t_pub,
+                reply.trace_spans.append(child_span(
+                    ctx, "shm_publish", worker_name(), "write", t_pub,
                     perf_counter(), nbytes=sum(r.nbytes for r in refs)))
             reply.planes = refs
         except Exception:
             pass  # slot too small / segment gone: pickle the arrays
-    reply.spans = [WorkSpan(resource, t0, perf_counter())]
-    if ctx is not None:
-        reply.trace_spans = drain_worker_spans(ctx.trace_id)
+    reply.busy_s = perf_counter() - t0
     return reply
 
 
-def _decode_image(request: ImageRequest) -> tuple[ImageResult, list]:
+def _decode_image(request: ImageRequest,
+                  spans: list[SpanRecord]) -> tuple[ImageResult, list]:
     """Whole-image task body: decode *request* on the reference pixel
-    path or a simulated heterogeneous executor."""
+    path or a simulated heterogeneous executor, recording its stage
+    spans into *spans* when it is traced."""
     ctx = request.trace
     resource = worker_name()
     result = ImageResult(request_id=request.request_id, ok=True)
     if request.mode == "reference":
         options = DecodeOptions(salvage=request.salvage)
         if ctx is not None:
-            options.stage_hook = _stage_recorder(ctx, resource)
+            options.stage_hook = _stage_recorder(ctx, resource, spans)
         decoded = decode_jpeg(request.data, options)
         rgb = decoded.rgb
         if request.salvage:
@@ -356,7 +350,7 @@ def _decode_image(request: ImageRequest) -> tuple[ImageResult, list]:
             # Simulated-executor decodes have no per-stage hooks; one
             # span covers the whole decode, tagged with the lane's mode
             # so the Gantt still names the work.
-            record_worker_span(child_span(
+            spans.append(child_span(
                 ctx, "decode", resource, "kernel",
                 t_dec, perf_counter(), mode=str(request.mode),
                 platform=str(request.platform)))
@@ -370,8 +364,8 @@ def decode_image_task(request: ImageRequest,
     """Decode one whole image inside a worker (see :func:`run_task`):
     ``value`` is the :class:`ImageResult` without pixels, ``planes``
     the one RGB array (or its shared-memory ref)."""
-    return run_task(lambda: _decode_image(request), slot, fault,
-                    request.trace)
+    return run_task(lambda spans: _decode_image(request, spans), slot,
+                    fault, request.trace)
 
 
 def decode_segment_task(
@@ -388,7 +382,7 @@ def decode_segment_task(
     *geometry_args* is the pickled-down ``ImageGeometry`` of the full
     image."""
     return run_task(
-        lambda: (None, decode_segment_coefficients(
+        lambda _spans: (None, decode_segment_coefficients(
             seg, segment_bytes, ImageGeometry(*geometry_args), tables,
             restart_interval=restart_interval)),
         slot, fault)
@@ -423,8 +417,8 @@ def decode_speculative_chunk_task(
     only when the task itself failed structurally.
     """
     return run_task(
-        lambda: _decode_chunk(chunk, slice_bytes, geometry_args, tables,
-                              terminator),
+        lambda _spans: _decode_chunk(chunk, slice_bytes, geometry_args,
+                                     tables, terminator),
         slot, fault)
 
 
@@ -491,10 +485,10 @@ class DecodePlan:
         self.units = units
         #: Subtasks not yet accepted or lost.
         self.pending = len(units)
-        #: Worker busy spans / worker trace spans of accepted replies
-        #: (plus the plan's own parent-side merge); the gather loop
-        #: collects them and stamps them onto the finished result.
-        self.spans: list[WorkSpan] = []
+        #: Busy seconds and worker trace spans of accepted replies (plus
+        #: the plan's own parent-side merge); the gather loop collects
+        #: them and stamps them onto the finished result.
+        self.busy_s = 0.0
         self.trace_spans: list[SpanRecord] = []
         #: Leased slots whose planes this plan still references.
         self.slots: list[PlaneSlot] = []
@@ -537,7 +531,7 @@ class DecodePlan:
         req = self.request
         rgb = pixels_from_coefficients(info, coeffs, DecodeOptions())
         t1 = perf_counter()
-        self.spans.append(WorkSpan(worker_name(), t0, t1))
+        self.busy_s += t1 - t0
         if req.trace is not None:
             self.trace_spans.append(child_span(
                 req.trace, span_name, worker_name(), "cpu-parallel",
@@ -742,7 +736,7 @@ class SpeculativePlan(DecodePlan):
             # Every chunk died on infrastructure: the pool is gone, and
             # quietly serializing the whole decode in the parent would
             # mask it.  Partial loss heals below; total loss is terminal.
-            self.spans.append(WorkSpan(worker_name(), t0, perf_counter()))
+            self.busy_s += perf_counter() - t0
             return self._failed(
                 "WorkerCrashError",
                 "all speculative chunks lost to worker crashes",
@@ -756,8 +750,7 @@ class SpeculativePlan(DecodePlan):
                     self.scan, geo, self.tables,
                     self.info.restart_interval)
             except Exception as exc:
-                self.spans.append(
-                    WorkSpan(worker_name(), t0, perf_counter()))
+                self.busy_s += perf_counter() - t0
                 return self._failed(
                     type(exc).__name__, str(exc),
                     misspeculated=len(report.misspeculated))

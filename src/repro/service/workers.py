@@ -49,7 +49,8 @@ def default_backend() -> str:
 
 
 def worker_name() -> str:
-    """Stable identity of the executing worker, for utilization stats.
+    """Stable identity of the executing worker: the resource its trace
+    spans name.
 
     Process-pool workers report ``pid-<os.getpid()>`` (detected via
     ``multiprocessing.current_process()``, which is start-method

@@ -473,13 +473,14 @@ class TestLeaseFromTheOneRead:
             dec.arena.lease = lambda n: leased.append(n) or lease(n)
             for context, blob, expected in cells:
                 del leased[:]
+                shm_before = dec.stats.bytes_shm
                 batch = dec.decode_batch([ImageRequest(data=blob)])
                 (res,) = batch.results
                 got = res.rgb if res.ok else (res.error_type, res.error)
                 assert_same_outcome(got, expected, context)
                 walks = read_header(ImageRequest(data=blob)) is not None
                 assert leased == ([64 * 96 * 3] if walks else []), context
-                assert (batch.stats.bytes_shm > 0) == res.ok, context
+                assert (dec.stats.bytes_shm > shm_before) == res.ok, context
                 assert dec.arena.leaked() == [], context
                 unused += bool(leased) and not res.ok
         assert unused >= 22     # every truncated cell, at least

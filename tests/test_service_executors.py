@@ -13,7 +13,9 @@ from repro.service import (
     BatchDecoder,
     DecodeSession,
     ExecutorRegistry,
+    ImageRequest,
     ModelScheduler,
+    TraceContext,
     default_executors,
     parse_lane_pools,
 )
@@ -115,13 +117,16 @@ class TestLaneBoundDispatch:
     def test_placed_images_run_on_their_lane_pool(self, corpus,
                                                   sequential_rgbs):
         """Thread-named pools prove each placement executed on the pool
-        bound to its lane (worker names carry the pool prefix)."""
+        bound to its lane: a traced request's ``decode`` span names the
+        worker that ran it (worker names carry the pool prefix)."""
         scheduler = ModelScheduler(policy="model")
+        requests = [ImageRequest(data=b, trace=TraceContext.new_root())
+                    for b in corpus]
         with ExecutorRegistry(scheduler.executors,
                               layout="gpu=thread:1,cpu=thread:2") as registry, \
                 BatchDecoder(backend="serial", scheduler=scheduler,
                              lane_pools=registry) as dec:
-            batch = dec.decode_batch(corpus)
+            batch = dec.decode_batch(requests)
         assert batch.ok
         assert batch.schedule.wall_time
         by_index = {a.index: a for a in batch.schedule.assignments}
@@ -133,10 +138,10 @@ class TestLaneBoundDispatch:
             if a.executor is None:
                 continue
             expected_prefix = f"{pool_of_lane[a.executor.name]}-worker"
-            assert all(s.worker.startswith(expected_prefix)
-                       for s in result.spans), (
+            (decode,) = [s for s in result.trace_spans if s.name == "decode"]
+            assert decode.resource.startswith(expected_prefix), (
                 f"image {i} on lane {a.executor.name} ran on "
-                f"{[s.worker for s in result.spans]}")
+                f"{decode.resource}")
 
     def test_wall_clock_feedback_reaches_scheduler(self, corpus):
         """Through the service loop, lane-bound batches feed *wall*

@@ -326,8 +326,7 @@ class TestSelfHealingRetry:
                           faults=plan) as dec:
             batch = dec.decode_batch([blob, blob])
         assert batch.ok, [(r.error_type, r.error) for r in batch]
-        assert batch.retries >= 1
-        assert dec.retries_total == batch.retries
+        assert dec.stats.retries >= 1
         assert plan.injected["kill"] == 1
         attempts = sorted(r.attempts for r in batch.results)
         assert attempts[-1] == 2
@@ -362,7 +361,7 @@ class TestSelfHealingRetry:
         assert not result.ok
         assert result.infra_failure
         assert result.error_type == "WorkerCrashError"
-        assert batch.retries == 0
+        assert dec.stats.retries == 0
 
     def test_decode_exceptions_are_isolated_and_never_retried(self, blob,
                                                               oracle):
@@ -377,7 +376,7 @@ class TestSelfHealingRetry:
         assert len(failed) == 1
         assert failed[0].error_type == "RuntimeError"
         assert not failed[0].infra_failure
-        assert batch.retries == 0
+        assert dec.stats.retries == 0
         survivor = next(r for r in batch.results if r.ok)
         assert np.array_equal(survivor.rgb, oracle)
 
@@ -493,17 +492,17 @@ class TestUniformFaultMatrix:
             # The killed dispatch retried once; siblings that were in
             # flight on the broken pool retried with it.
             assert res.attempts == 2
-            assert 1 <= batch.retries <= units
+            assert 1 <= dec.stats.retries <= units
             assert dec.rebuilds >= 1
         else:
             assert res.attempts == 1
-            assert batch.retries == 0
+            assert dec.stats.retries == 0
         if fault == "shm_fail":
             # Every publish failed over to the pickle pipe.
-            assert batch.stats.bytes_shm == 0
-            assert batch.stats.bytes_pickle > 0
+            assert dec.stats.bytes_shm == 0
+            assert dec.stats.bytes_pickle > 0
         elif res.ok:
-            assert batch.stats.bytes_shm > 0
+            assert dec.stats.bytes_shm > 0
         if fault == "delay":
             assert elapsed >= DelayFirstDispatch.DELAY_S
 

@@ -1,5 +1,6 @@
 """Observability layer (PR 10): trace contexts and span records,
-the worker span ring, the deterministic sampler, Prometheus rendering
+stage spans riding their task's reply, the deterministic sampler,
+Prometheus rendering
 (validated by ``tools/check_prom_format.py``), end-to-end traced
 decodes through a session, trace propagation under injected faults
 (retry attempts, breaker-excluded lanes), the JSON-lines trace log,
@@ -29,7 +30,6 @@ from repro.service import (
     ModelScheduler,
     ObsHub,
     SpanRecord,
-    SpanRing,
     TraceContext,
     format_trace,
     read_trace_log,
@@ -105,29 +105,6 @@ class TestSpanRecord:
         assert back.duration_s == pytest.approx(1.0)
 
 
-class TestSpanRing:
-    def test_drop_oldest_at_capacity(self):
-        ring = SpanRing(capacity=3)
-        ctx = TraceContext.new_root()
-        for i in range(5):
-            ring.record(_span(ctx, name=f"s{i}"))
-        assert len(ring) == 3
-        assert ring.dropped == 2
-        names = [s.name for s in ring.drain()]
-        assert names == ["s2", "s3", "s4"]
-        assert len(ring) == 0
-
-    def test_drain_trace_filters_other_traces(self):
-        ring = SpanRing(capacity=16)
-        mine, other = TraceContext.new_root(), TraceContext.new_root()
-        ring.record(_span(mine, name="keep"))
-        ring.record(_span(other, name="skip"))
-        got = ring.drain_trace(mine.trace_id)
-        assert [s.name for s in got] == ["keep"]
-        # The other trace's span is still in the ring.
-        assert [s.name for s in ring.drain()] == ["skip"]
-
-
 class TestHistogram:
     def test_buckets_are_cumulative_with_inf(self):
         hist = Histogram(buckets=(0.01, 0.1, 1.0))
@@ -197,7 +174,7 @@ class TestPrometheus:
             session.run_once()
             for handle in handles:
                 assert handle.result(timeout=60).ok
-            text = render_prometheus(session.stats_snapshot(), session.obs)
+            text = render_prometheus(session.stats_snapshot())
         finally:
             session.close(drain=False)
         violations = check_prom_format.validate(text)
@@ -215,18 +192,14 @@ class TestPrometheus:
 
     def test_fixed_snapshot_renders_the_pinned_sample_set(self):
         """``tests/data/metrics_samples.json``: a full-shape snapshot (and
-        its unscheduled twin) with the samples the hand-written renderer
+        its unscheduled twin, which carries no latency histogram, trace
+        counters or uptime) with the samples the hand-written renderer
         produced for them, before it became the family table."""
         pinned = json.loads(
             (REPO_ROOT / "tests/data/metrics_samples.json").read_text())
-        hub = ObsHub("sample")
-        for seconds in pinned["latencies"]:
-            hub.observe_latency(seconds)
-        hub._counters.update(traces_started=5, spans_recorded=60)
         clocks = ("repro_obs_uptime_seconds", "repro_process_start_unixtime")
         for text, expected in (
-                (render_prometheus(pinned["snapshot"], hub),
-                 pinned["samples"]),
+                (render_prometheus(pinned["snapshot"]), pinned["samples"]),
                 (render_prometheus(pinned["unscheduled"]),
                  pinned["unscheduled_samples"])):
             samples, violations = check_prom_format.parse_samples(text)
@@ -289,6 +262,27 @@ class TestEndToEndTrace:
         for span in spans:
             assert span.start >= root.start - 1e-6
             assert span.end <= root.end + 1e-6
+
+    def test_concurrent_tasks_return_only_their_own_stage_spans(self, blob):
+        """Stage spans are the return value of the task that recorded
+        them: eight traced requests decoding at once on one thread pool
+        each get exactly their own five stages, parented on their own
+        attempt span."""
+        ctxs = [TraceContext.new_root() for _ in range(8)]
+        with BatchDecoder(workers=8, backend="thread",
+                          speculative="off") as dec:
+            batch = dec.decode_batch(
+                [ImageRequest(data=blob, trace=ctx) for ctx in ctxs])
+        for ctx, result in zip(ctxs, batch.results):
+            assert result.ok
+            assert {s.trace_id for s in result.trace_spans} == {ctx.trace_id}
+            (attempt,) = [s for s in result.trace_spans
+                          if s.name == "attempt"]
+            assert attempt.parent_id == ctx.span_id
+            stages = [s for s in result.trace_spans if s is not attempt]
+            assert sorted(s.name for s in stages) == [
+                "color", "entropy", "idct", "parse", "upsample"]
+            assert {s.parent_id for s in stages} == {attempt.span_id}
 
     def test_trace_lands_in_store_and_renders(self, blob):
         session = DecodeSession(backend="serial", tracing="on", pump=False)
@@ -388,7 +382,7 @@ class TestTraceUnderFaults:
                           speculative="off") as dec:
             batch = dec.decode_batch([replace(request, trace=ctx)])
         (result,) = batch.results
-        assert result.ok and batch.retries == 1
+        assert result.ok and dec.stats.retries == 1
         assert np.array_equal(result.rgb, decode_jpeg(request.data).rgb)
         attempts = [s for s in result.trace_spans if s.name == "attempt"]
         # One span per dispatch: every subtask once, the killed one twice.

@@ -64,11 +64,9 @@ from repro.service.remote import (
     decode_result,
     encode_request,
     encode_result,
-    frame_nbytes,
     recv_frame,
     send_frame,
 )
-from repro.service.stats import WorkSpan
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -162,10 +160,10 @@ class TestFraming:
             header = {"op": "decode", "n": 7}
             blobs = [b"\x00\x01\x02", b"", b"payload"]
             sent = send_frame(a, header, blobs)
-            assert sent == frame_nbytes(header, blobs)
-            got_header, got_blobs = recv_frame(b)
+            got_header, got_blobs, received = recv_frame(b)
             assert got_header == header
             assert got_blobs == blobs
+            assert received == sent
         finally:
             a.close()
             b.close()
@@ -235,12 +233,26 @@ class TestCodecs:
             request_id=5, ok=True, rgb=oracle.copy(),
             width=oracle.shape[1], height=oracle.shape[0],
             wall_us=1234.5, attempts=1)
-        result.spans = [WorkSpan(worker="w0", started=0.5, finished=1.5)]
-        rebuilt = decode_result(*encode_result(result))
+        header, blobs = encode_result(result)
+        assert "spans" not in header
+        rebuilt = decode_result(header, blobs)
         assert rebuilt.ok
         assert np.array_equal(rebuilt.rgb, oracle)
         assert rebuilt.wall_us == 1234.5
-        assert rebuilt.spans == result.spans
+
+    def test_result_frame_from_an_older_host_decodes(self, oracle):
+        """A host from before busy time became one number also sends it
+        as ``spans`` triples beside ``wall_us``: the front tier reads
+        ``wall_us`` and decodes the frame as if the triples were not
+        there."""
+        header, blobs = encode_result(ImageResult(
+            request_id=5, ok=True, rgb=oracle.copy(),
+            width=oracle.shape[1], height=oracle.shape[0], wall_us=1000.0))
+        old = dict(header, spans=[["pid-7", 0.5, 0.5005],
+                                  ["pid-7", 0.6, 0.6005]])
+        rebuilt = decode_result(old, blobs)
+        assert rebuilt.ok and rebuilt.wall_us == 1000.0
+        assert np.array_equal(rebuilt.rgb, oracle)
 
     def test_error_result_roundtrip(self):
         result = ImageResult(request_id="bad", ok=False,
@@ -307,10 +319,10 @@ class TestDecodeWorkerHost:
     def test_ping_and_stats_ops(self, worker_host):
         with _connect(worker_host) as sock:
             send_frame(sock, {"op": "ping"})
-            reply, _ = recv_frame(sock)
+            reply, _, _ = recv_frame(sock)
             assert reply["op"] == "pong"
             send_frame(sock, {"op": "stats"})
-            reply, _ = recv_frame(sock)
+            reply, _, _ = recv_frame(sock)
             assert reply["op"] == "stats"
             assert "batches" in reply["stats"]
 
@@ -318,7 +330,7 @@ class TestDecodeWorkerHost:
         with _connect(worker_host) as sock:
             req = ImageRequest(data=blob, request_id=1)
             send_frame(sock, *encode_request(req))
-            reply, blobs = recv_frame(sock)
+            reply, blobs, _ = recv_frame(sock)
             result = decode_result(reply, blobs)
         assert result.ok
         assert np.array_equal(result.rgb, oracle)
@@ -330,11 +342,11 @@ class TestDecodeWorkerHost:
             self, worker_host):
         with _connect(worker_host) as sock:
             send_frame(sock, {"op": "bogus"})
-            reply, _ = recv_frame(sock)
+            reply, _, _ = recv_frame(sock)
             assert reply["op"] == "error"
             assert "bogus" in reply["error"]
             send_frame(sock, {"op": "ping"})
-            reply, _ = recv_frame(sock)
+            reply, _, _ = recv_frame(sock)
             assert reply["op"] == "pong"
 
     def test_frame_from_an_older_front_tier_decodes(self, worker_host,
@@ -351,7 +363,7 @@ class TestDecodeWorkerHost:
         with _connect(worker_host) as sock:
             for frame in (old, header):
                 send_frame(sock, frame, blobs)
-                results.append(decode_result(*recv_frame(sock)))
+                results.append(decode_result(*recv_frame(sock)[:2]))
         for result in results:
             assert result.ok, (result.error_type, result.error)
             assert result.request_id == 3
@@ -361,7 +373,7 @@ class TestDecodeWorkerHost:
         with _connect(worker_host) as sock:
             req = ImageRequest(data=b"not a jpeg", request_id=9)
             send_frame(sock, *encode_request(req))
-            reply, blobs = recv_frame(sock)
+            reply, blobs, _ = recv_frame(sock)
             result = decode_result(reply, blobs)
         assert not result.ok
         assert result.error_type
@@ -384,9 +396,9 @@ class TestRemoteLanePool:
             assert reply.error_type is None
             assert reply.value.ok and reply.value.rgb is None
             assert np.array_equal(reply.planes[0], oracle)
-            assert reply.spans, "host spans must survive the wire"
-            assert all(s.worker.startswith(worker_host.endpoint)
-                       for s in reply.spans)
+            # The host's busy time is the reply's.
+            assert reply.value.wall_us > 0
+            assert reply.busy_s == pytest.approx(reply.value.wall_us / 1e6)
             described = pool.describe()
             assert described["backend"] == "remote"
             link = described["link"]
@@ -397,6 +409,20 @@ class TestRemoteLanePool:
             assert link["in_flight"] == 0
             assert link["bytes_tx"] > len(blob)
             assert link["bytes_rx"] > oracle.nbytes
+
+    def test_host_and_link_count_the_same_bytes(self, worker_host, blob):
+        """Both ends count what crossed the wire, each from the frame it
+        read or wrote: after N round trips the host received what the
+        link sent and sent what the link received."""
+        with host_pool(worker_host.host, worker_host.port, depth=1) as pool:
+            for i in range(3):
+                reply = pool.submit(decode_image_task,
+                                    ImageRequest(data=blob, request_id=i),
+                                    None, None).result(timeout=60)
+                assert reply.value.ok
+            link = pool.describe()["link"]
+        assert worker_host.bytes_rx == link["bytes_tx"] > 3 * len(blob)
+        assert worker_host.bytes_tx == link["bytes_rx"]
 
     def test_only_whole_image_plans_reach_a_remote_lane(self, worker_host):
         """The contract that replaced sniffing ``fn`` at submit: the
@@ -510,6 +536,23 @@ class TestShardedSession:
             finally:
                 session.close(drain=False)
 
+    def test_front_tier_wall_us_is_the_hosts(self, blob, monkeypatch):
+        """The front tier's busy time for a remote image is the one the
+        host measured and sent as ``wall_us``."""
+        from repro.service import remote
+
+        sent, encode = [], remote.encode_result
+        monkeypatch.setattr(remote, "encode_result",
+                            lambda r: sent.append(r.wall_us) or encode(r))
+        with running_host() as host, \
+                front_tier([host], pump=False) as session:
+            handle = session.submit(blob)
+            session.run_once()
+            result = handle.result(timeout=60)
+        (host_wall_us,) = sent
+        assert host_wall_us > 0
+        assert result.wall_us == pytest.approx(host_wall_us, rel=1e-12)
+
     def test_nothing_fans_out_on_the_front_tier(self, worker_host):
         """The sharded cell of the fan-out decision table: a decoder
         with a lane on another machine ships whole images, requests as
@@ -548,7 +591,7 @@ class TestShardedSession:
                 session.submit(blob)
                 session.run_once()
                 snapshot = session.stats_snapshot()
-                metrics = render_prometheus(snapshot, session.obs)
+                metrics = render_prometheus(snapshot)
             finally:
                 session.close(drain=False)
         (entry,) = snapshot["per_host"].values()

@@ -273,7 +273,7 @@ class TestShmBitIdentity:
             batch = dec.decode_batch(requests)
             assert batch.ok, [(r.error_type, r.error) for r in batch]
             assert batch.results[-1].segments > 1  # DRI fan-out ran
-            assert batch.stats.bytes_shm > 0
+            assert dec.stats.bytes_shm > 0
             for res, want in zip(batch, oracle):
                 assert np.array_equal(res.rgb, want)
             assert dec.arena.leaked() == []
@@ -314,19 +314,19 @@ class TestTransportStats:
         # Whole-image accounting: pin speculative fan-out off so the
         # counters see exactly one image's pixel planes.
         with BatchDecoder(workers=2, backend="process",
-                          speculative="off") as dec:
-            shm_batch = dec.decode_batch([corpus[0]])
+                          speculative="off") as shm_dec:
+            shm_dec.decode_batch([corpus[0]])
         # The same pool on a host without POSIX shared memory.
         monkeypatch.setattr("repro.service.transport.shm_available",
                             lambda: False)
         with BatchDecoder(workers=2, backend="process",
-                          speculative="off") as dec:
-            pickle_batch = dec.decode_batch([corpus[0]])
+                          speculative="off") as pickle_dec:
+            pickle_dec.decode_batch([corpus[0]])
         rgb_bytes = decode_jpeg(corpus[0]).rgb.nbytes
-        assert shm_batch.stats.bytes_shm == rgb_bytes
-        assert shm_batch.stats.bytes_pickle == 0
-        assert pickle_batch.stats.bytes_pickle == rgb_bytes
-        assert pickle_batch.stats.bytes_shm == 0
+        assert shm_dec.stats.bytes_shm == rgb_bytes
+        assert shm_dec.stats.bytes_pickle == 0
+        assert pickle_dec.stats.bytes_pickle == rgb_bytes
+        assert pickle_dec.stats.bytes_shm == 0
 
     def test_session_snapshot_has_transport_and_lane_detail(self, corpus):
         scheduler = ModelScheduler(policy="model")
