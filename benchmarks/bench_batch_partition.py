@@ -17,27 +17,16 @@ scheduler-attached :class:`~repro.service.BatchDecoder` and every
 output asserted bit-identical to the sequential
 :func:`repro.jpeg.decode_jpeg` result — placement must never change
 pixels.
-
-**Lane-bound pools mode** (ISSUE 5): the same policy comparison is
-additionally run for real — each lane bound to its own process pool
-(:class:`~repro.service.ExecutorRegistry`), a feedback warm-up batch so
-the EWMA scales learn each lane's wall-per-simulated-us factor, then a
-timed batch per policy.  The model-vs-roundrobin win is then measured
-in *wall-clock*, not simulated, time.  The wall ratio is asserted
-against ``LANE_POOL_MIN_RATIO`` (default 1.0 — model at least parity)
-only on multi-core hosts; a single core timeshares the pools, so both
-policies degenerate to the same total work and the row is report-only.
 """
 
 import os
-from time import perf_counter
 
 import numpy as np
 
 from repro.data import synthetic_photo
 from repro.evaluation import format_table, platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
-from repro.service import BatchDecoder, ExecutorRegistry, ModelScheduler
+from repro.service import BatchDecoder, ModelScheduler
 from repro.service.scheduler import schedule_lpt, schedule_roundrobin
 
 from common import write_result
@@ -60,10 +49,6 @@ CORPUS = (
 
 #: Acceptance floor: round-robin makespan / model-guided makespan.
 MIN_RATIO = float(os.environ.get("BATCH_PARTITION_MIN_RATIO", "1.10"))
-
-#: Lane-bound pools: wall-clock round-robin/model floor (multi-core
-#: hosts only; 1.0 = the model policy must at least reach parity).
-LANE_POOL_MIN_RATIO = float(os.environ.get("LANE_POOL_MIN_RATIO", "1.0"))
 
 
 def build_corpus() -> list[bytes]:
@@ -103,33 +88,6 @@ def assert_bit_identity(blobs: list[bytes]) -> int:
     return fanned
 
 
-def measure_lane_bound(blobs: list[bytes]) -> dict[str, float]:
-    """Wall-clock seconds per policy with lanes bound to real pools.
-
-    Each policy gets a fresh scheduler and its own two process pools
-    (GPU lane alone, SIMD lane alone — the heterogeneous shape), one
-    un-timed warm-up batch that forks the pools and feeds the EWMA
-    feedback real wall-clock observations, then one timed batch.
-    """
-    walls: dict[str, float] = {}
-    for policy in ("model", "roundrobin"):
-        scheduler = ModelScheduler(policy=policy, platform=platforms.GTX560)
-        with ExecutorRegistry(
-                scheduler.executors,
-                layout="gpu=process:1,cpu=process:1") as registry, \
-                BatchDecoder(backend="serial", scheduler=scheduler,
-                             lane_pools=registry) as dec:
-            warm = dec.decode_batch(blobs)
-            assert warm.ok, [(r.error_type, r.error) for r in warm]
-            assert warm.schedule.wall_time, "lane-bound run must observe wall"
-            scheduler.observe(warm.schedule, warm.results)
-            t0 = perf_counter()
-            batch = dec.decode_batch(blobs)
-            walls[policy] = perf_counter() - t0
-            assert batch.ok, [(r.error_type, r.error) for r in batch]
-    return walls
-
-
 def render() -> str:
     """Price the batch, compare the two policies, format the table."""
     blobs = build_corpus()
@@ -161,25 +119,10 @@ def render() -> str:
 
     fanned = assert_bit_identity(blobs)
 
-    walls = measure_lane_bound(blobs)
-    wall_ratio = walls["roundrobin"] / walls["model"]
-    multicore = (os.cpu_count() or 1) >= 2
-    if multicore:
-        assert wall_ratio >= LANE_POOL_MIN_RATIO, (
-            f"lane-bound pools: model policy wall-clock must beat "
-            f"round-robin by >= {LANE_POOL_MIN_RATIO}x on a multi-core "
-            f"host; got {wall_ratio:.3f} ({walls['model'] * 1e3:.0f}ms vs "
-            f"{walls['roundrobin'] * 1e3:.0f}ms)")
-
     note = (
         f"makespan: model {model.makespan_us / 1e3:.2f}ms vs round-robin "
         f"{rr.makespan_us / 1e3:.2f}ms = {ratio:.2f}x (floor {MIN_RATIO}x); "
-        f"bit-identity OK, {fanned} lone frame(s) fanned out\n"
-        f"lane-bound pools (wall-clock): model {walls['model'] * 1e3:.0f}ms "
-        f"vs round-robin {walls['roundrobin'] * 1e3:.0f}ms = "
-        f"{wall_ratio:.2f}x "
-        + (f"(floor {LANE_POOL_MIN_RATIO}x)" if multicore
-           else "(single core: report-only)"))
+        f"bit-identity OK, {fanned} lone frame(s) fanned out")
     return format_table(
         ["Image", "Subsampling", "DRI", "LPT lane", "pred ms", "RR lane"],
         rows,

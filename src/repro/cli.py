@@ -262,10 +262,8 @@ def _session_kwargs(args: argparse.Namespace,
         scheduler = ModelScheduler(
             policy=args.schedule, platform=plat,
             breakers=_breakers(args.breaker_threshold))
-    return dict(
-        kwargs, workers=args.workers, backend=args.backend,
-        scheduler=scheduler,
-        lane_pools=None if args.lane_pools == "none" else args.lane_pools)
+    return dict(kwargs, workers=args.workers, backend=args.backend,
+                scheduler=scheduler)
 
 
 def _describe_session(args: argparse.Namespace, session) -> str:
@@ -275,8 +273,6 @@ def _describe_session(args: argparse.Namespace, session) -> str:
             f"{decoder.pool.backend} workers, transport={decoder.transport}")
     if decoder.scheduler is not None:
         text += f", schedule={decoder.scheduler.policy}"
-    if args.lane_pools != "none":
-        text += f", lane-pools={args.lane_pools}"
     return text
 
 
@@ -501,12 +497,6 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
                         "overrides --mode per placed image")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
                    help="platform whose lanes a scheduler prices")
-    p.add_argument("--lane-pools", default="none",
-                   help="bind scheduler lanes to dedicated pools "
-                        "(requires --schedule): 'auto' for the default "
-                        "layout (each GPU lane its own pool, CPU lanes "
-                        "share the remaining cores) or a spec like "
-                        "'gpu=1,simd=process:3'")
     p.add_argument("--retry-budget", type=int, default=None,
                    help="redispatches per image after a worker crash "
                         "before the request fails (default: 2)")
@@ -617,7 +607,7 @@ def _add_serving_parsers(sub) -> None:
     p.add_argument("--hosts", default=None,
                    help="shard decode across worker hosts "
                         "('host:port,host:port', see serve-worker); "
-                        "--workers/--backend/--lane-pools "
+                        "--workers/--backend "
                         "then apply to the hosts, not this process")
     p.add_argument("--shard-depth", type=int, default=None,
                    help="requests on the wire per worker host; further "

@@ -39,10 +39,6 @@ points):
 - :class:`~repro.service.scheduler.ModelScheduler` — model-guided
   cross-image batch scheduling (LPT over per-lane predicted costs,
   round-robin baseline, EWMA throughput feedback)
-- :class:`~repro.service.executors.ExecutorRegistry` — lane-bound
-  heterogeneous executor pools (GPU lane = its own pool, CPU lanes =
-  a sized shared pool, remote lane = the link to its host), making the
-  scheduler's makespan win wall-clock
 - :class:`~repro.service.transport.PlaneArena` /
   :class:`~repro.service.transport.PlaneRef` — zero-copy shared-memory
   plane transport for process-backend results (where POSIX shm works)
@@ -77,7 +73,6 @@ load against a session) and ``benchmarks/bench_batch_partition.py``
 
 from .aio import AsyncDecodeSession
 from .batch import BatchDecoder, BatchResult
-from .executors import ExecutorRegistry, parse_lane_pools
 from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
 from .http import DecodeHTTPServer, ppm_bytes
 from .obs import (
@@ -146,7 +141,6 @@ __all__ = [
     "DecodeSession",
     "DecodeWorkerHost",
     "ExecutorLane",
-    "ExecutorRegistry",
     "ExecutorUsage",
     "FaultDirective",
     "FaultPlan",
@@ -173,7 +167,6 @@ __all__ = [
     "format_trace",
     "map_remote_spans",
     "parse_hosts",
-    "parse_lane_pools",
     "parse_priority",
     "percentile",
     "ppm_bytes",

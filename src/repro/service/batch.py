@@ -41,6 +41,7 @@ and never the batch.  The futures front end over this class is
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -100,9 +101,6 @@ class BatchResult:
     #: The cross-image schedule this batch ran under (None when the
     #: decoder has no scheduler attached).
     schedule: BatchSchedule | None = None
-    #: Lane→pool binding map when the batch ran on lane-bound executor
-    #: pools (:meth:`~repro.service.executors.ExecutorRegistry.describe`).
-    lane_pools: dict | None = None
     #: Result transport the batch used (``"shm"`` or ``"pickle"``).
     transport: str = "pickle"
     #: Per-lane count of failed dispatches to another machine
@@ -135,7 +133,7 @@ class _InFlight:
     plan: DecodePlan
     unit: Subtask
     #: Pool this attempt ran on (a retry targets the same, healed, pool
-    #: unless the registry offers a sibling to fail over to).
+    #: unless a failed link has a sibling to fail over to).
     pool: WorkerPool
     #: Dispatch attempts so far (1 = first try).
     attempts: int
@@ -181,7 +179,6 @@ class BatchDecoder:
     def __init__(self, workers: int | None = None,
                  backend: str | None = None,
                  scheduler: ModelScheduler | str | None = None,
-                 lane_pools: "object | str | bool | None" = None,
                  retry_budget: int = 2,
                  faults: FaultPlan | None = None,
                  speculative: str = "auto") -> None:
@@ -195,6 +192,10 @@ class BatchDecoder:
         default lane set.  It places the whole images of a group — the
         ones :meth:`_fans_out` did not fan out first — and overrides
         each placed request's ``mode``/``platform`` with its lane's.
+        Every local lane runs on the one pool; a lane that lives on
+        another machine opens its own link
+        (:meth:`~repro.service.scheduler.ExecutorLane.open_pool`), kept
+        in :attr:`links` and closed with the decoder.
 
         Process-pool workers return decoded planes through shared
         memory wherever a process pool and working POSIX shared memory
@@ -203,13 +204,6 @@ class BatchDecoder:
         crosses a process boundary on serial/thread backends.  Payloads
         under :data:`~repro.service.transport.SHM_MIN_BYTES` pickle
         anyway (segment churn costs more than pickling a few KB).
-
-        *lane_pools* binds scheduler lanes to dedicated pools: pass an
-        :class:`~repro.service.executors.ExecutorRegistry`, a layout
-        spec string (``"gpu=1,simd=3"`` / ``"auto"``), or ``True`` for
-        the default layout.  Requires a scheduler; placed images then
-        dispatch to their lane's own pool and the scheduler's feedback
-        sees real per-lane wall-clock times.
 
         *retry_budget* bounds how many times one task is re-dispatched
         after an *infrastructure* failure (its worker died and the pool
@@ -230,8 +224,6 @@ class BatchDecoder:
         ``"off"`` disables the path (a per-request
         :attr:`ImageRequest.speculative` overrides either way).
         """
-        from .executors import ExecutorRegistry
-
         # Validate everything cheap *before* any pool exists, so a
         # bad configuration never leaks live worker processes.
         if speculative not in ("auto", "on", "off"):
@@ -251,33 +243,22 @@ class BatchDecoder:
         if isinstance(scheduler, str):
             scheduler = ModelScheduler(policy=scheduler)
         self.scheduler = scheduler
-        if lane_pools not in (None, False, "none") and scheduler is None:
-            raise ServiceError(
-                "lane_pools requires a scheduler (lane placements "
-                "come from ModelScheduler.plan)")
         self.pool = WorkerPool(workers=workers, backend=backend)
-        if lane_pools in (None, False, "none"):
-            self.registry = None
-            self._owns_registry = False
-        elif isinstance(lane_pools, ExecutorRegistry):
-            # Caller-built registry: adopted for dispatch, but its
-            # lifecycle stays with the caller (close() leaves it open,
-            # mirroring DecodeHTTPServer's session ownership rule).
-            self.registry = lane_pools
-            self._owns_registry = False
-        else:
-            layout = None if lane_pools is True else lane_pools
-            try:
-                self.registry = ExecutorRegistry(
-                    self.scheduler.executors, layout=layout, backend=backend)
-            except BaseException:
-                self.pool.close()
-                raise
-            self._owns_registry = True
-        backends = {self.pool.backend}
-        if self.registry is not None:
-            backends |= self.registry.backends
-        self.transport = resolve_transport(backends)
+        #: Lane name -> the link to the machine that lane lives on.
+        self.links: dict[str, WorkerPool] = {}
+        self._failover_turn = itertools.count()     # next() is atomic
+        try:
+            for lane in scheduler.executors if scheduler is not None else ():
+                link = lane.open_pool()
+                if link is not None:
+                    self.links[lane.name] = link
+        except BaseException:
+            for pool in self._pools():
+                pool.close()
+            raise
+        # Only the local pool can be process-backed: links are threads
+        # waiting on sockets.
+        self.transport = resolve_transport({self.pool.backend})
         self.arena = PlaneArena() if self.transport == "shm" else None
         #: The in-flight table: every dispatched subtask of every group.
         self._pending: dict[Future, _InFlight] = {}
@@ -290,10 +271,8 @@ class BatchDecoder:
         self.wake = threading.Event()
 
     def _pools(self) -> list[WorkerPool]:
-        """The default pool and every lane-bound pool."""
-        lanes = self.registry.pools.values() if self.registry is not None \
-            else ()
-        return [self.pool, *lanes]
+        """The local pool and every link."""
+        return [self.pool, *self.links.values()]
 
     @property
     def workers(self) -> int:
@@ -306,12 +285,15 @@ class BatchDecoder:
         activity counter."""
         return sum(p.rebuilds for p in self._pools())
 
-    @property
-    def _ships_whole(self) -> bool:
-        """True when a lane lives on another machine: such a decoder
-        ships whole images, each host's own session decides any
-        fan-out."""
-        return any(p.whole_images_only for p in self._pools())
+    def _failover(self, lane: str | None) -> WorkerPool | None:
+        """A sibling link to redispatch to after *lane*'s link failed a
+        task, round-robin over the others.  None for a local lane (its
+        pool heals in place and the task retries on it) and for the
+        only link."""
+        others = [name for name in self.links if name != lane]
+        if lane not in self.links or not others:
+            return None
+        return self.links[others[next(self._failover_turn) % len(others)]]
 
     # -- plan -----------------------------------------------------------
 
@@ -360,7 +342,9 @@ class BatchDecoder:
                   "auto": room}[self.speculative]
         split = room if req.split_segments is None else req.split_segments
         spec = policy if req.speculative is None else req.speculative
-        if (split is False and spec is False) or self._ships_whole \
+        # A decoder with a lane on another machine ships whole images:
+        # each host's own session decides any fan-out.
+        if (split is False and spec is False) or self.links \
                 or header is None or whole_image_only(header, req.salvage):
             return None
         try:
@@ -381,8 +365,8 @@ class BatchDecoder:
                   group: _Group) -> tuple[list[ImageRequest], dict[int, str]]:
         """Price and place the group's whole images from their headers
         (an image with a fan-out parse is kept from the scheduler: no
-        header, no placement): returns the lane-rewritten requests and —
-        with lane-bound pools — each placed image's lane name."""
+        header, no placement): returns the lane-rewritten requests and
+        each placed image's lane name."""
         t_plan0 = perf_counter()
         schedule = group.schedule = self.scheduler.plan(
             requests, [None if info is not None else header
@@ -402,9 +386,6 @@ class BatchDecoder:
                 spans.append(child_span(
                     req.trace, "lane_excluded", lane, "dispatch",
                     t_plan1, t_plan1, lane=lane, reason="breaker_open"))
-        if self.registry is None:
-            return requests, {}
-        schedule.wall_time = True
         return requests, lane_of
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
@@ -484,9 +465,7 @@ class BatchDecoder:
             group.t0 = perf_counter()
             for i, req in enumerate(requests):
                 lane = lanes.get(i)
-                pool = self.pool
-                if lane is not None:
-                    pool = self.registry.pool_for(lane) or self.pool
+                pool = self.links.get(lane, self.pool)
                 group.open += 1
                 self.in_flight += 1
                 try:
@@ -567,24 +546,23 @@ class BatchDecoder:
         self._quarantine_slot(task.slot)
         task.pool.heal()
         plan, pool, group = task.plan, task.pool, task.plan.group
-        if pool.charges_lane is not None:
-            # Nothing here can heal this pool, so its lane answers for
-            # the failure: the lane whose pool actually failed (the
-            # failover target when the rescue dispatch failed too), and
-            # before the budget check — every failed dispatch counts,
-            # even the one that exhausts the budget.
-            group.lane_failures[pool.charges_lane] = \
-                group.lane_failures.get(pool.charges_lane, 0) + 1
+        if pool is not self.pool:
+            # Nothing here can heal a link, so its lane answers for the
+            # failure: the lane whose link actually failed (the
+            # failover target when the rescue dispatch failed too; a
+            # link carries its lane's name), and before the budget
+            # check — every failed dispatch counts, even the one that
+            # exhausts the budget.
+            group.lane_failures[pool.name] = \
+                group.lane_failures.get(pool.name, 0) + 1
         if task.attempts > self.retry_budget:
             return False
         self.stats.retries += 1
         # Slept on the driver's thread: other images keep decoding in
         # their workers, but nothing is gathered meanwhile.
         sleep(RETRY_BACKOFF_S * (2 ** (task.attempts - 1)))
-        # Prefer a surviving sibling over hammering what just failed,
-        # where the registry has one (it never does for a local pool).
-        alt = self.registry.failover_pool(plan.lane) \
-            if self.registry is not None else None
+        # Prefer a surviving sibling over hammering what just failed.
+        alt = self._failover(plan.lane)
         if alt is not None:
             pool, plan.failed_over = alt, True
         self._dispatch(plan, task.unit, pool, task.attempts + 1)
@@ -693,8 +671,6 @@ class BatchDecoder:
             stats.batches += 1
             group.batch = BatchResult(
                 results=group.results, schedule=group.schedule,
-                lane_pools=(self.registry.describe()
-                            if self.registry is not None else None),
                 transport=self.transport, lane_failures=group.lane_failures)
 
     def gather(self) -> Iterator[DecodePlan]:
@@ -722,11 +698,9 @@ class BatchDecoder:
         Raises only on infrastructure failure (closed pool); per-image
         decode errors are reported on the individual results.  With a
         scheduler attached the schedule the group ran under rides back
-        on ``BatchResult.schedule`` (flagged ``wall_time`` when it ran
-        on lane-bound pools, whose per-image ``wall_us`` is then the
-        real execution time the scheduler's feedback consumes).  Every
-        leased shared-memory segment is released (or unlinked at
-        :meth:`close`) even when a worker dies mid-batch.
+        on ``BatchResult.schedule``.  Every leased shared-memory segment
+        is released (or unlinked at :meth:`close`) even when a worker
+        dies mid-batch.
         """
         group = self.admit(items)
         for _ in self.drain(group):
@@ -738,14 +712,11 @@ class BatchDecoder:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Shut pools down (waits for in-flight tasks), then unlink
-        every shared-memory segment the arena still holds — including
-        slots a crashed worker never returned.  A caller-supplied
-        ``ExecutorRegistry`` is left open (the caller owns it); only a
-        registry this decoder built from a layout spec is closed."""
-        self.pool.close()
-        if self.registry is not None and self._owns_registry:
-            self.registry.close()
+        """Shut the pool and the links down (waits for in-flight
+        tasks), then unlink every shared-memory segment the arena still
+        holds — including slots a crashed worker never returned."""
+        for pool in self._pools():
+            pool.close()
         if self.arena is not None:
             self.arena.close()
 

@@ -75,6 +75,12 @@ from .tasks import ImageRequest, ImageResult, parse_priority
 from .obs import render_prometheus
 from .session import DecodeSession
 
+#: Seconds a connection may stay silent — idle between requests, or
+#: stalled mid-body — before its handler drops it.  Handler threads are
+#: joined at close, so without a bound one silent client would hold up
+#: shutdown and the SIGTERM drain.
+IDLE_TIMEOUT_S = 30.0
+
 
 def ppm_parts(rgb: np.ndarray) -> tuple[bytes, np.ndarray]:
     """A binary PPM (P6) of an ``(h, w, 3)`` uint8 array as its header
@@ -130,6 +136,12 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
     server: "_SessionHTTPServer"
 
     # -- plumbing -------------------------------------------------------
+
+    @property
+    def timeout(self) -> float:
+        """The connection's socket timeout (:data:`IDLE_TIMEOUT_S`); the
+        stdlib turns its expiry into a closed connection."""
+        return IDLE_TIMEOUT_S
 
     def log_message(self, format: str, *args: Any) -> None:
         """Suppress per-request stderr chatter unless the server is

@@ -1,9 +1,9 @@
 """Sharded serving tier: scheduler lanes that live across a socket.
 
-The executor registry binds every scheduler lane to a worker pool; this
-module supplies the lane and the pool whose other end is another
-machine, so the same Eq 5/6 pricing + per-lane EWMA feedback machinery
-places whole images onto worker hosts.  Three pieces:
+A decoder runs its local scheduler lanes on its one worker pool; this
+module supplies the lane that opens a pool of its own, whose other end
+is another machine, so the same Eq 5/6 pricing + per-lane EWMA
+feedback machinery places whole images onto worker hosts.  Three pieces:
 
 - :class:`DecodeWorkerHost` — a lightweight worker host (``repro
   serve-worker``) wrapping one :class:`~repro.service.session.\
@@ -344,6 +344,8 @@ class DecodeWorkerHost:
                 target=self._serve_connection, args=(conn,), daemon=True,
                 name=f"repro-host-{self.port}-conn{self.connections}")
             thread.start()
+            # Forget the threads of connections that have ended.
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -464,7 +466,8 @@ class RemoteLane(ExecutorLane):
         return f"{self.host}:{self.port}"
 
     def open_pool(self) -> "HostPool":
-        """The link to this lane's host: what a registry binds it to."""
+        """The link to this lane's host: where the decoder sends the
+        images placed on this lane."""
         return HostPool(self)
 
 
@@ -530,10 +533,8 @@ class HostPool(WorkerPool):
     Socket-level failures (refused, reset, timeout) raise
     :class:`~repro.errors.RemoteHostError` through the future; the
     gather loop treats that like a worker crash — retry (on a sibling
-    host when the registry offers one) and charge the lane's breaker.
+    host where the decoder has one) and charge the lane's breaker.
     """
-
-    whole_images_only = True
 
     def __init__(self, lane: RemoteLane) -> None:
         """A pool of ``lane.depth`` threads targeting ``lane.endpoint``.
@@ -547,7 +548,6 @@ class HostPool(WorkerPool):
         #: a socket, the decode runs on the host.
         self.backend = "remote"
         self.lane = lane
-        self.charges_lane = lane.name
         self._lock = threading.Lock()
         self._local = threading.local()     # .sock: this thread's link
         self._socks: set[socket.socket] = set()
@@ -561,8 +561,9 @@ class HostPool(WorkerPool):
 
         The dispatch core's one call shape, ``submit(unit.fn, *args,
         slot, fault)``: *fn* names the work the host runs (only
-        whole-image plans reach a pool that is :attr:`whole_images_only`)
-        and no shm *slot* is leased for replies that cross a socket.
+        whole-image plans reach a link: a decoder with one fans nothing
+        out) and no shm *slot* is leased for replies that cross a
+        socket.
         """
         return super().submit(self._serve, request, fault)
 
@@ -664,10 +665,10 @@ class HostPool(WorkerPool):
             trace_spans=trace_spans)
 
     def describe(self) -> dict:
-        """The pool's stats entry plus ``link``: the wire and health
-        counters of this host (the ``per_host`` section of ``/stats``)."""
+        """The wire and health counters of this host (its entry in the
+        ``per_host`` section of ``/stats``)."""
         with self._lock:
-            link = {
+            return {
                 "endpoint": self.lane.endpoint,
                 "depth": self.workers,
                 "in_flight": self.in_flight,
@@ -678,7 +679,6 @@ class HostPool(WorkerPool):
                 "bytes_tx": self.bytes_tx,
                 "bytes_rx": self.bytes_rx,
             }
-        return {**super().describe(), "link": link}
 
     def close(self) -> None:
         """Finish queued requests and stop the threads (the base
@@ -695,8 +695,8 @@ def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
                     **session_kwargs: Any) -> DecodeSession:
     """The front tier (``repro serve --hosts``): a plain
     :class:`~repro.service.session.DecodeSession` whose scheduler lanes
-    are *lanes* (:func:`remote_executors`), each bound to its
-    :class:`HostPool` by the session's own executor registry.
+    are *lanes* (:func:`remote_executors`), each dispatching to the
+    :class:`HostPool` it opens.
 
     Fan-out stays host-side: a decoder with a lane on another machine
     ships whole images, requests as submitted, and each host's own
@@ -707,6 +707,6 @@ def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
     """
     scheduler = ModelScheduler(policy=policy, executors=lanes,
                                breakers=breakers)
-    return DecodeSession(scheduler=scheduler, lane_pools=True,
+    return DecodeSession(scheduler=scheduler,
                          **{"backend": "serial", "workers": 1,
                             **session_kwargs})

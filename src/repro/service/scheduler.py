@@ -124,9 +124,8 @@ class ExecutorLane:
 
     def open_pool(self) -> "WorkerPool | None":
         """The pool only this lane can provide, or None (every local
-        lane) to run on the pools the
-        :class:`~repro.service.executors.ExecutorRegistry` builds.  A
-        lane that lives on another machine answers with the link to it
+        lane) to run on the decoder's one local pool.  A lane that
+        lives on another machine answers with the link to it
         (:class:`~repro.service.remote.RemoteLane`)."""
         return None
 
@@ -193,11 +192,6 @@ class BatchSchedule:
     #: (limit 0) — surfaced so traced requests can record a
     #: ``lane_excluded`` event.
     excluded: tuple = ()
-    #: True when the batch executed on lane-bound pools
-    #: (:mod:`repro.service.executors`): observed per-lane times are
-    #: then real wall-clock (``ImageResult.wall_us``) rather than the
-    #: executor simulation's microseconds.
-    wall_time: bool = False
 
     @property
     def makespan_us(self) -> float:
@@ -603,17 +597,17 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
     """Pair lane-placed assignments with their observed decode times.
 
     Returns ``(assignment, observed_us)`` for every successfully decoded
-    image the schedule placed on a lane.  The observed quantity depends
-    on how the batch executed: on one shared pool it is the executor's
-    own simulated time (``ImageResult.simulated_us`` — the same
-    model-world microseconds the predictions are in), but when the
-    schedule ran on lane-bound pools (``schedule.wall_time``) it is the
-    *real* worker wall-clock (``ImageResult.wall_us``), so the EWMA
-    scales converge to each lane's genuine hardware throughput and the
-    LPT greedy starts optimizing the measured makespan — the cross-batch
-    analog of the paper's Eq 16/17 runtime repartitioning.  Images
-    decoded outside a lane (fanned out, unassigned) have no comparable
-    observation and are excluded, as are failures.  Both the
+    image the schedule placed on a lane.  Each lane is observed on the
+    device it priced, as the paper's Eq 16/17 correct the model against
+    the measured time of that device: a simulated-executor lane
+    (simd/seq/gpu) by the executor's own simulated time
+    (``ImageResult.simulated_us``, the model-world microseconds the
+    predictions are in), a lane that decodes for real (``mode ==
+    "reference"``: a host on another machine) by its measured busy time
+    (``ImageResult.wall_us``), so its EWMA scale converges to that
+    host's genuine throughput.  Images decoded outside a lane (fanned
+    out, unassigned) have no comparable observation and are excluded,
+    as are failures.  Both the
     feedback loop (:meth:`ModelScheduler.observe`) and the service stats
     (:meth:`~repro.service.stats.ServiceStats.record_schedule`) consume
     this one definition, so they can never silently diverge.
@@ -628,7 +622,7 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
             # its scheduled lane — its wall time describes the rescue
             # host, not the lane that was priced.
             continue
-        observed = result.wall_us if schedule.wall_time \
+        observed = result.wall_us if a.executor.mode == "reference" \
             else result.simulated_us
         if observed is None or observed <= 0:
             continue

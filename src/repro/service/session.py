@@ -186,7 +186,6 @@ class DecodeSession:
                  queue_capacity: int = 32,
                  workers: int | None = None, backend: str | None = None,
                  scheduler: ModelScheduler | str | None = None,
-                 lane_pools: "object | str | bool | None" = None,
                  retry_budget: int | None = None,
                  faults: "object | None" = None,
                  default_deadline_ms: float | None = None,
@@ -207,8 +206,7 @@ class DecodeSession:
         *retry_budget*/*faults* forward to
         :class:`~repro.service.batch.BatchDecoder` (worker-crash retry
         policy and chaos injection); the remaining knobs are those of
-        :class:`~repro.service.batch.BatchDecoder` (including lane-bound
-        executor *lane_pools*) /
+        :class:`~repro.service.batch.BatchDecoder` /
         :class:`~repro.service.queue.SubmissionQueue`.  Fan-out follows
         the decoder's ``"auto"`` policy; a request forces or forbids it
         with its own ``split_segments`` / ``speculative``.
@@ -239,7 +237,7 @@ class DecodeSession:
             on_change=lambda: self.decoder.wake.set())
         self.decoder = BatchDecoder(
             workers=workers, backend=backend, scheduler=scheduler,
-            lane_pools=lane_pools, faults=faults,
+            faults=faults,
             **({} if retry_budget is None
                else {"retry_budget": retry_budget}))
         self._window = DISPATCH_DEPTH * self.decoder.workers
@@ -469,8 +467,7 @@ class DecodeSession:
                     and scheduler is not None:
                 scheduler.observe(batch.schedule, batch.results,
                                   lane_failures=batch.lane_failures)
-                self.stats.record_schedule(batch.schedule, batch.results,
-                                           lane_pools=batch.lane_pools)
+                self.stats.record_schedule(batch.schedule, batch.results)
             if not self.decoder.in_flight:
                 self.stats.mark_idle(now)
         entry.handle._set_result(result)
@@ -529,19 +526,17 @@ class DecodeSession:
         snap["tracing"] = {"mode": self.obs.mode, **self.obs.counters()}
         snap["uptime_s"] = max(0.0, time() - self.obs.started_at)
         snap["transport"]["mode"] = self.decoder.transport
-        scheduler, registry = self.decoder.scheduler, self.decoder.registry
-        if scheduler is not None:
-            snap["scheduler"] = scheduler.snapshot()
-        snap["per_host"] = {}
-        if registry is not None:
-            lanes = snap["lane_pools"] = registry.describe()
-            # The distributed mirror of per_executor: each host link's
-            # wire counters as its pool reports them, plus its lane's
-            # breaker.
-            snap["per_host"] = {
-                name: {**info["link"],
-                       "breaker": scheduler.breakers.state(name)}
-                for name, info in sorted(lanes.items()) if "link" in info}
+        breakers = {}
+        if self.decoder.scheduler is not None:
+            snap["scheduler"] = self.decoder.scheduler.snapshot()
+            breakers = snap["scheduler"]["breakers"]
+        # The distributed mirror of per_executor: each host link's wire
+        # counters plus its lane's breaker, as the scheduler section
+        # above reports it (untracked lanes are closed).
+        snap["per_host"] = {
+            name: {**link.describe(), "breaker": breakers.get(
+                name, {"state": "closed"})["state"]}
+            for name, link in sorted(self.decoder.links.items())}
         return snap
 
     # -- lifecycle ------------------------------------------------------

@@ -54,32 +54,19 @@ class ExecutorUsage:
     images: int = 0
     predicted_us: float = 0.0
     observed_us: float = 0.0
-    #: Real worker busy seconds spent on this lane's images (only
-    #: meaningful once the lane runs on its own bound pool).
+    #: Measured busy seconds spent on this lane's placed images.
     busy_s: float = 0.0
-    #: The lane's bound pool, when lane-bound execution is active.
-    pool_backend: str = ""
-    pool_workers: int = 0
 
     @property
     def bias(self) -> float:
-        """Observed/predicted time ratio (1.0 = the model was exact).
-
-        With lane-bound pools the observation is real wall-clock while
-        the prediction stays in the model's simulated microseconds, so
-        the bias is the lane's wall-per-simulated-us factor rather than
-        a dimensionless error — still exactly what the feedback scale
-        converges to.
-        """
+        """Observed/predicted time ratio (1.0 = the model was exact) —
+        exactly what the lane's feedback scale converges to.  A lane on
+        another machine is observed in measured time against a
+        prediction in model microseconds, so its bias is that host's
+        wall-per-model-us factor rather than a dimensionless error."""
         if self.predicted_us <= 0:
             return 1.0
         return self.observed_us / self.predicted_us
-
-    def utilization(self, total_wall_s: float) -> float:
-        """Busy fraction of this lane's pool over *total_wall_s*."""
-        if total_wall_s <= 0 or self.pool_workers <= 0:
-            return 0.0
-        return min(1.0, self.busy_s / (total_wall_s * self.pool_workers))
 
 
 @dataclass
@@ -158,8 +145,7 @@ class ServiceStats:
         self.shed_by_priority[priority] = \
             self.shed_by_priority.get(priority, 0) + 1
 
-    def record_schedule(self, schedule, results,
-                        lane_pools: dict | None = None) -> None:
+    def record_schedule(self, schedule, results) -> None:
         """Fold one scheduled batch's placements into per-lane totals.
 
         *schedule* is the batch's
@@ -168,33 +154,22 @@ class ServiceStats:
         index space).  Per-lane observed/predicted totals use the same
         :func:`~repro.service.scheduler.lane_outcomes` extraction the
         feedback loop uses, so the reported bias always matches what
-        the scheduler learned from.  *lane_pools* (the batch's
-        lane→pool binding map, when it ran on lane-bound executor
-        pools) attributes each lane's real busy seconds to its pool so
-        :meth:`as_dict` can report per-lane pool utilization.
+        the scheduler learned from; every placed image adds its
+        measured ``wall_us`` to its lane's ``busy_s``.
         """
         from .scheduler import lane_outcomes
 
-        by_index = {a.index: a for a in schedule.assignments}
         for a, observed in lane_outcomes(schedule, results):
             usage = self.per_executor.setdefault(
                 a.executor.name, ExecutorUsage())
             usage.images += 1
             usage.predicted_us += a.predicted_us
             usage.observed_us += observed
-        if lane_pools:
-            for i, result in enumerate(results):
-                a = by_index.get(i)
-                if a is None or a.executor is None:
-                    continue
-                pool = lane_pools.get(a.executor.name)
-                if pool is None:
-                    continue
+        for a in schedule.assignments:
+            if a.executor is not None:
                 usage = self.per_executor.setdefault(
                     a.executor.name, ExecutorUsage())
-                usage.busy_s += (result.wall_us or 0.0) / 1e6
-                usage.pool_backend = pool.get("backend", "")
-                usage.pool_workers = pool.get("workers", 0)
+                usage.busy_s += (results[a.index].wall_us or 0.0) / 1e6
 
     @property
     def images_per_sec(self) -> float:
@@ -266,11 +241,6 @@ class ServiceStats:
                     "observed_us": u.observed_us,
                     "bias": u.bias,
                     "busy_s": u.busy_s,
-                    "pool": {
-                        "backend": u.pool_backend,
-                        "workers": u.pool_workers,
-                    },
-                    "utilization": u.utilization(total_wall_s),
                 }
                 for name, u in sorted(self.per_executor.items())
             },

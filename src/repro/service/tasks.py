@@ -183,9 +183,9 @@ class ImageResult:
     #: Submit-to-completion latency, seconds (filled by the batch loop).
     latency_s: float = 0.0
     #: Real busy time in microseconds: the plan's tasks' plus any
-    #: parent-side merge (None when nothing ran) — the wall-clock
-    #: observation lane-bound scheduling feeds back into the scheduler,
-    #: as opposed to the model-world :attr:`simulated_us`.
+    #: parent-side merge (None when nothing ran) — what a lane that
+    #: decodes for real (a remote host) is observed by, as opposed to
+    #: the model-world :attr:`simulated_us` of a simulated lane.
     wall_us: float | None = None
     #: Decode attempts this image consumed (> 1 after a worker-crash
     #: retry; decode is pure, so a retried success is bit-identical).

@@ -68,23 +68,15 @@ def worker_name() -> str:
 class WorkerPool:
     """Uniform submit/close wrapper over the three pool backends."""
 
-    #: Local pools take any subtask and heal in place.  A link to
-    #: another machine (:class:`~repro.service.remote.HostPool`) takes
-    #: whole images only — the far side decides any fan-out — and names
-    #: the lane that answers for its failed dispatches, because nothing
-    #: on this side can heal a host.
-    whole_images_only = False
-    charges_lane: str | None = None
-
     def __init__(self, workers: int | None = None,
                  backend: str | None = None,
                  name: str | None = None) -> None:
         """Create a pool of *workers* workers on *backend*.
 
         ``workers=None`` uses every core; ``backend=None`` picks
-        :func:`default_backend`.  *name* labels the pool (lane-bound
-        pools use the lane name) and prefixes its worker threads so
-        utilization spans attribute to the right pool.
+        :func:`default_backend`.  *name* labels the pool (a link to
+        another machine uses its lane's name) and prefixes its worker
+        threads.
         """
         self.name = name or "decode"
         self.backend = backend or default_backend()
@@ -162,12 +154,6 @@ class WorkerPool:
             except Exception:
                 pass
             return True
-
-    def describe(self) -> dict:
-        """JSON-ready facts about this pool (its entry in the lane→pool
-        map of ``GET /stats``)."""
-        return {"backend": self.backend, "workers": self.workers,
-                "rebuilds": self.rebuilds}
 
     def close(self) -> None:
         """Shut the pool down, waiting for in-flight tasks to finish."""

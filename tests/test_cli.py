@@ -110,7 +110,7 @@ class TestRefusedConfiguration:
     line and argparse's exit status, not a traceback."""
 
     @pytest.mark.parametrize("flags", [
-        ["--lane-pools", "auto", "--backend", "serial"],
+        ["--retry-budget", "-1"],
         ["--workers", "0"],
     ])
     def test_one_line_and_exit_status_2(self, jpeg_file, flags, capsys):
@@ -126,7 +126,7 @@ class TestSessionFlags:
     one declaration and turn them into one keyword set."""
 
     SHARED = ("max_batch", "max_delay_ms", "queue_capacity", "workers",
-              "backend", "schedule", "lane_pools", "platform",
+              "backend", "schedule", "platform",
               "retry_budget", "breaker_threshold",
               "tracing", "trace_sample", "trace_log")
 
@@ -157,7 +157,7 @@ class TestSessionFlags:
 
     def test_serve_hosts_builds_a_plain_session_over_remote_lanes(self):
         from repro.cli import _serve_session, build_parser
-        from repro.service import DecodeSession, ExecutorRegistry
+        from repro.service import DecodeSession, HostPool
 
         args = build_parser().parse_args(
             ["serve", "--hosts", "a:1,b:2", "--shard-depth", "3",
@@ -165,15 +165,16 @@ class TestSessionFlags:
         session = _serve_session(args)      # connects to nothing yet
         try:
             assert type(session) is DecodeSession
-            assert type(session.decoder.registry) is ExecutorRegistry
             scheduler = session.decoder.scheduler
             assert scheduler.policy == "roundrobin"
             assert scheduler.breakers.threshold == 5
             assert [lane.endpoint for lane in scheduler.executors] \
                 == ["a:1", "b:2"]
             assert all(lane.depth == 3 for lane in scheduler.executors)
-            pools = session.decoder.registry.pools
-            assert [pool.workers for pool in pools.values()] == [3, 3]
+            links = session.decoder.links
+            assert list(links) == [lane.name for lane in scheduler.executors]
+            assert all(type(link) is HostPool for link in links.values())
+            assert [link.workers for link in links.values()] == [3, 3]
             # The local fallback pool stays small whatever the flags say.
             assert (session.decoder.pool.backend,
                     session.decoder.pool.workers) == ("serial", 1)

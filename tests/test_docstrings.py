@@ -3,8 +3,8 @@
 The scope is the ISSUE-2 satellite contract, widened by ISSUEs 3-5 and
 14: ``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
 pixel kernels ``repro.jpeg.idct``/``repro.jpeg.color``, every module of ``repro.service`` (the scheduler, the serving front
-ends ``session``/``aio``/``http``, and the ISSUE-5 lane-pool
-``executors``/shared-memory ``transport`` modules included), and the
+ends ``session``/``aio``/``http``, and the shared-memory
+``transport`` module included), and the
 partitioning core ``repro.core.partition``/``repro.core.perfmodel``
 must document their module, every public class and every public
 function/method.  The
@@ -36,11 +36,12 @@ def test_scope_includes_serving_front_ends():
 
 
 def test_scope_includes_executors_and_transport():
-    """The ISSUE-5 widening: the lane-pool executors and the
-    shared-memory transport modules must stay fully documented."""
+    """The shared-memory transport module must stay fully documented
+    (the lane-pool executors module that came with it is gone: a
+    decoder has one local pool)."""
     files = check_docstrings.collect(list(check_docstrings.DEFAULT_TARGETS))
     names = {f.name for f in files if "service" in str(f)}
-    assert {"executors.py", "transport.py"} <= names
+    assert "transport.py" in names
 
 
 def test_scope_includes_fault_injection():

@@ -253,6 +253,13 @@ class TestStats:
         with pytest.raises(ValueError):
             percentile([], 50)
 
+    def test_wall_us_populated_only_with_results(self, corpus):
+        """Every decoded result carries its real worker busy time."""
+        with BatchDecoder(backend="thread", workers=2) as dec:
+            batch = dec.decode_batch(corpus)
+        for result in batch:
+            assert result.wall_us is not None and result.wall_us > 0
+
 
 class TestWorkerPool:
     def test_unknown_backend_rejected(self):

@@ -229,6 +229,37 @@ class TestBackpressureAndStats:
             thread.join(timeout=30)
             srv.close()
 
+    def test_stalled_upload_does_not_hold_up_close(self, blob, oracle,
+                                                   monkeypatch):
+        """A client that stops mid-body is dropped once its connection
+        has been silent for the idle timeout, so ``close()`` — the
+        SIGTERM drain path — returns; a well-formed request before it
+        still gets its 200."""
+        from repro.service import http
+        monkeypatch.setattr(http, "IDLE_TIMEOUT_S", 0.5)
+        srv = DecodeHTTPServer(port=0, backend="serial")
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        stalled = socket.create_connection((srv.host, srv.port), timeout=30)
+        try:
+            with _post(srv.url + "/decode", blob, timeout=30) as resp:
+                assert resp.status == 200
+                assert resp.read() == ppm_bytes(oracle)
+            stalled.sendall(b"POST /decode HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 1000\r\n\r\n" + b"\xff" * 10)
+            deadline = time.monotonic() + 30
+            while srv._httpd.handled < 2:   # both connections accepted
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            srv.shutdown()
+            thread.join(timeout=30)
+            closer = threading.Thread(target=srv.close, daemon=True)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive(), "close() waited on a stalled upload"
+        finally:
+            stalled.close()
+
     def test_stats_and_healthz(self, server, blob):
         with _post(server.url + "/decode", blob) as resp:
             resp.read()

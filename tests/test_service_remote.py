@@ -45,7 +45,6 @@ from repro.service import (
     DecodeSession,
     BatchDecoder,
     DecodeWorkerHost,
-    ExecutorRegistry,
     FaultDirective,
     HostPool,
     ImageRequest,
@@ -99,7 +98,7 @@ def running_host(port: int = 0, **session_kwargs):
 
 
 def host_pool(host: str, port: int, **link) -> HostPool:
-    """The pool the registry would bind a lane for ``host:port`` to."""
+    """The link a lane for ``host:port`` opens."""
     (lane,) = remote_executors([(host, port)], **link)
     return lane.open_pool()
 
@@ -349,6 +348,18 @@ class TestDecodeWorkerHost:
             reply, _, _ = recv_frame(sock)
             assert reply["op"] == "pong"
 
+    def test_thread_list_holds_live_connections_only(self, worker_host):
+        """A long-lived host keeps no record of connections that ended:
+        each accept forgets the threads whose connection is gone."""
+        for _ in range(20):
+            with _connect(worker_host) as sock:
+                send_frame(sock, {"op": "ping"})
+                assert recv_frame(sock)[0]["op"] == "pong"
+            assert wait_until(lambda: not any(
+                t.is_alive() for t in worker_host._threads))
+        assert worker_host.connections == 20
+        assert len(worker_host._threads) <= len(worker_host._conns) + 1
+
     def test_frame_from_an_older_front_tier_decodes(self, worker_host,
                                                     blob, oracle):
         """A front tier from before the service dropped its per-request
@@ -399,11 +410,10 @@ class TestRemoteLanePool:
             # The host's busy time is the reply's.
             assert reply.value.wall_us > 0
             assert reply.busy_s == pytest.approx(reply.value.wall_us / 1e6)
-            described = pool.describe()
-            assert described["backend"] == "remote"
-            link = described["link"]
+            assert pool.backend == "remote"
+            link = pool.describe()
             assert link["endpoint"] == worker_host.endpoint
-            assert link["depth"] == described["workers"] == 2
+            assert link["depth"] == pool.workers == 2
             assert link["requests"] == 1
             assert link["failures"] == 0
             assert link["in_flight"] == 0
@@ -420,7 +430,7 @@ class TestRemoteLanePool:
                                     ImageRequest(data=blob, request_id=i),
                                     None, None).result(timeout=60)
                 assert reply.value.ok
-            link = pool.describe()["link"]
+            link = pool.describe()
         assert worker_host.bytes_rx == link["bytes_tx"] > 3 * len(blob)
         assert worker_host.bytes_tx == link["bytes_rx"]
 
@@ -433,15 +443,30 @@ class TestRemoteLanePool:
                             EncoderSettings(quality=85, subsampling="4:2:2"))
         lanes = remote_executors([(worker_host.host, worker_host.port)])
         with BatchDecoder(backend="thread", workers=2, speculative="on",
-                          scheduler=ModelScheduler(executors=lanes),
-                          lane_pools=True) as decoder:
-            assert decoder.registry.pool_for(lanes[0].name).whole_images_only
-            assert not decoder.pool.whole_images_only
+                          scheduler=ModelScheduler(executors=lanes)) as decoder:
+            assert list(decoder.links) == [lanes[0].name]
             (result,) = decoder.decode_batch([frame])
         assert result.ok and not result.speculative
         assert result.segments == 1
         assert np.array_equal(result.rgb, decode_jpeg(frame).rgb)
         assert worker_host.requests == 1
+
+    def test_a_scheduled_remote_lane_opens_uses_and_closes_its_link(
+            self, worker_host, blob, oracle):
+        """Naming a remote lane in the scheduler is all it takes: the
+        decoder opens the lane's link, sends the lane's images down it
+        and closes it with itself."""
+        (lane,) = remote_executors([(worker_host.host, worker_host.port)])
+        with BatchDecoder(backend="serial",
+                          scheduler=ModelScheduler(executors=[lane])) as dec:
+            link = dec.links[lane.name]
+            assert type(link) is HostPool and link.lane is lane
+            (result,) = dec.decode_batch([blob])
+            assert np.array_equal(result.rgb, oracle)
+            assert link.requests == worker_host.requests == 1
+        with pytest.raises(ServiceClosedError):
+            link.submit(decode_image_task, ImageRequest(data=blob),
+                        None, None)
 
     def test_submit_never_blocks_and_wire_depth_is_bounded(
             self, worker_host, blob):
@@ -454,12 +479,12 @@ class TestRemoteLanePool:
                                    None, None) for i in range(3)]
             # All three were accepted while the host holds the first.
             assert wait_until(
-                lambda: pool.describe()["link"]["in_flight"] == 1)
+                lambda: pool.describe()["in_flight"] == 1)
             assert not any(f.done() for f in futures)
-            assert pool.describe()["link"]["connected"] == 1
+            assert pool.describe()["connected"] == 1
             gate.set()
             assert all(f.result(timeout=60).value.ok for f in futures)
-            assert pool.describe()["link"]["requests"] == 3
+            assert pool.describe()["requests"] == 3
 
     def test_connection_refused_is_remote_host_error(self, blob):
         probe = socket.socket()
@@ -472,7 +497,7 @@ class TestRemoteLanePool:
                                  ImageRequest(data=blob), None, None)
             with pytest.raises(RemoteHostError):
                 future.result(timeout=30)
-            assert pool.describe()["link"]["failures"] == 1
+            assert pool.describe()["failures"] == 1
 
     def test_client_side_fault_injection(self, worker_host, blob):
         with host_pool(worker_host.host, worker_host.port,
@@ -508,7 +533,7 @@ class TestRemoteLanePool:
         assert lane.connect_timeout_s == 5.0
         with pytest.raises(ServiceError):
             remote_executors("a:1", depth=0)[0].open_pool()
-        # A local lane opens nothing; the registry gives it a pool.
+        # A local lane opens nothing: it runs on the decoder's pool.
         local = ModelScheduler().executors[0]
         assert local.open_pool() is None
 
@@ -524,7 +549,8 @@ class TestShardedSession:
                                  max_batch=8, pump=False)
             try:
                 assert type(session) is DecodeSession
-                assert type(session.decoder.registry) is ExecutorRegistry
+                assert list(session.decoder.links) == [
+                    lane.name for lane in session.decoder.scheduler.executors]
                 handles = [session.submit(blob) for _ in range(8)]
                 session.run_once()
                 for handle in handles:
@@ -599,8 +625,6 @@ class TestShardedSession:
         assert entry["requests"] == 1
         assert entry["breaker"] == "closed"
         assert entry["bytes_tx"] > 0
-        (lane,) = snapshot["lane_pools"].values()
-        assert lane["backend"] == "remote" and lane["kind"] == "simd"
         # The /metrics host series render from the same snapshot.
         assert check_prom_format.validate(metrics) == []
         samples, _ = check_prom_format.parse_samples(metrics)
@@ -730,23 +754,19 @@ class TestShardedSession:
                                        executors=[local, remote],
                                        breakers=breakers)
             with DecodeSession(scheduler=scheduler, backend="serial",
-                               lane_pools="cpu=thread:1", max_batch=4,
-                               pump=False) as session:
+                               max_batch=4, pump=False) as session:
                 handles = [session.submit(blob) for _ in range(4)]
                 batch = session.run_once()
                 for handle in handles:
                     assert np.array_equal(handle.result(timeout=60).rgb,
                                           oracle)
                 assert host.requests == 2
-                lanes = session.stats_snapshot()["lane_pools"]
-                assert "link" in lanes[remote.name]
-                assert "link" not in lanes[local.name]
+                assert list(session.decoder.links) == [remote.name]
                 assert set(session.stats_snapshot()["per_host"]) \
                     == {remote.name}
-                assert session.decoder.registry.failover_pool(
-                    remote.name) is None       # its only sibling is local
-                assert session.decoder.registry.failover_pool(
-                    local.name) is None
+                # Its only sibling is local: nothing to fail over to.
+                assert session.decoder._failover(remote.name) is None
+                assert session.decoder._failover(local.name) is None
             # One group, both kinds of failure: the host is charged per
             # dispatch, the local lane per image.
             on_local = {a.index for a in batch.schedule.assignments
@@ -758,6 +778,55 @@ class TestShardedSession:
                               lane_failures={remote.name: 1})
             assert breakers.state(remote.name) == "open"
             assert breakers.state(local.name) == "open"
+
+    def test_each_lane_is_observed_in_the_units_it_was_priced_in(
+            self, blob):
+        """In one session, a simulated lane learns from the executor's
+        simulated time and a lane that decodes for real (a host) from
+        its measured busy time."""
+        with running_host() as host:
+            (remote,) = remote_executors([(host.host, host.port)])
+            local = ModelScheduler().executors[0]
+            scheduler = ModelScheduler(policy="roundrobin",
+                                       executors=[local, remote])
+            with DecodeSession(scheduler=scheduler, backend="serial",
+                               max_batch=4, pump=False) as session:
+                for _ in range(4):
+                    session.submit(blob)
+                batch = session.run_once()
+                per_executor = session.stats_snapshot()["per_executor"]
+        lane_of = {a.index: a.executor.name
+                   for a in batch.schedule.assignments}
+        assert sorted(lane_of.values()) == sorted([local.name] * 2
+                                                  + [remote.name] * 2)
+        simulated = sum(r.simulated_us for i, r in enumerate(batch.results)
+                        if lane_of[i] == local.name)
+        measured = sum(r.wall_us for i, r in enumerate(batch.results)
+                       if lane_of[i] == remote.name)
+        assert per_executor[local.name]["observed_us"] \
+            == pytest.approx(simulated)
+        assert per_executor[remote.name]["observed_us"] \
+            == pytest.approx(measured)
+
+    def test_one_breaker_story_per_stats_read(self):
+        """``/stats`` reports a lane's breaker once: the per-host entry
+        says what the scheduler section says, and the read moves no
+        breaker — not even one whose cooldown has run out."""
+        now = [0.0]
+        breakers = LaneBreakerBoard(threshold=1, cooldown_s=5.0,
+                                    clock=lambda: now[0])
+        session = front_tier([("127.0.0.1", 1)], breakers=breakers,
+                             pump=False)       # connects to nothing
+        try:
+            (lane,) = session.decoder.scheduler.executors
+            assert breakers.record(lane.name, ok=False)     # tripped open
+            now[0] = 6.0                                    # cooled down
+            snapshot = session.stats_snapshot()
+        finally:
+            session.close(drain=False)
+        assert snapshot["scheduler"]["breakers"][lane.name]["state"] \
+            == snapshot["per_host"][lane.name]["breaker"] == "open"
+        assert breakers.snapshot()[lane.name]["state"] == "open"
 
     def test_dead_host_fails_over_and_trips_breaker(self, blob, oracle):
         dead = DecodeWorkerHost(port=0, backend="serial")

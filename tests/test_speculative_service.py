@@ -245,10 +245,9 @@ class TestDispatchingPool:
             (runs,) = dec.decode_batch([frame_dri]).results
         assert spec.speculative and spec.segments == 3
         assert not runs.speculative and runs.segments == 6
-        # A serial default pool decides "whole", whatever its lanes'
-        # pools could have run in parallel.
-        with BatchDecoder(backend="serial", scheduler="model",
-                          lane_pools="cpu=thread:3") as dec:
+        # A serial default pool decides "whole", whatever lanes the
+        # scheduler names.
+        with BatchDecoder(backend="serial", scheduler="model") as dec:
             (whole,) = dec.decode_batch([frame_mf]).results
         assert whole.ok and whole.segments == 1
 

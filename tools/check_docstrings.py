@@ -22,8 +22,7 @@ With no arguments, checks the modules this repo scopes the rule to:
 ISSUE-14 pixel kernels ``repro.jpeg.idct`` and ``repro.jpeg.color``, every
 module of ``repro.service`` — which as of ISSUE 4 includes the serving
 front ends ``service/session.py``, ``service/aio.py`` and
-``service/http.py``, and as of ISSUE 5 the lane-bound executor pools
-``service/executors.py`` and the shared-memory transport
+``service/http.py``, and the shared-memory transport
 ``service/transport.py`` — and the partitioning core
 (``repro.core.partition``, ``repro.core.perfmodel``).  Exit status 1
 when any violation is found.

@@ -18,9 +18,9 @@ CI runs it over ``src/repro/service/batch.py`` and
 (ISSUE 13 collapsed a 490-line ``decode_batch``) cannot grow back, and
 over ``src/repro/jpeg/idct.py``, ``color.py`` and ``decoder.py`` so the
 tile loop, the strip loop and the shared pixel helper (ISSUE 14) cannot
-grow into one; over ``src/repro/service/remote.py``, ``executors.py``
-and ``src/repro/cli.py`` (ISSUE 18: one pool contract, one declaration
-per CLI flag); and, with ``--max 150``, over
+grow into one; over ``src/repro/service/remote.py`` and
+``src/repro/cli.py`` (one pool contract, one declaration per CLI flag);
+and, with ``--max 150``, over
 ``src/repro/jpeg/fast_entropy.py``, whose ``decode_mcu_rows`` keeps its
 fast path inline on purpose and its cold paths in helpers (ISSUE 15).
 Exit status 1 when any function is over the limit.
