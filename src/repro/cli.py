@@ -245,8 +245,8 @@ def _session_kwargs(args: argparse.Namespace,
     *local_lanes* the flags that size and schedule local pools are left
     out: on a sharded front tier they describe the worker hosts."""
     kwargs = dict(
-        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-        queue_capacity=args.queue_capacity, retry_budget=args.retry_budget,
+        max_batch=args.max_batch, queue_capacity=args.queue_capacity,
+        retry_budget=args.retry_budget,
         # serve-worker has no such flag: the front tier owns deadlines.
         default_deadline_ms=getattr(args, "default_deadline_ms", None),
         tracing=args.tracing, trace_sample=args.trace_sample,
@@ -344,7 +344,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    f"[{', '.join(lane.endpoint for lane in lanes)}], "
                    f"depth={lanes[0].depth}")
     print(f"serve: listening on {server.url} "
-          f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
+          f"(max_batch={args.max_batch}, "
           f"{_describe_session(args, session)}{sharded})", flush=True)
     print("endpoints: POST /decode (JPEG in, PPM out; ?format=json for "
           "metadata), GET /stats, GET /metrics, GET /healthz", flush=True)
@@ -368,7 +368,7 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     host = DecodeWorkerHost(host=args.host, port=args.port,
                             **_session_kwargs(args))
     print(f"serve-worker: listening on {host.endpoint} "
-          f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
+          f"(max_batch={args.max_batch}, "
           f"{_describe_session(args, host.session)})", flush=True)
     try:
         _serve_until_signalled(host.serve_forever, host.shutdown,
@@ -467,19 +467,13 @@ def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
     """The session flags serve-batch / serve / serve-worker share, each
     declared once (:func:`_session_kwargs` reads them back).  *pull*
     (serve-batch: no pump, the command forms every batch itself) spells
-    the group size ``--batch-size`` and has no delay to set."""
+    the group size ``--batch-size``."""
     if pull:
         p.add_argument("--batch-size", dest="max_batch", type=int, default=8)
-        p.set_defaults(max_delay_ms=0.0)
     else:
         p.add_argument("--max-batch", type=int, default=8,
                        help="most requests admitted to the pool as one "
                             "group (one schedule, one feedback observation)")
-        p.add_argument("--max-delay-ms", type=float, default=0.0,
-                       help="hold requests back for company until "
-                            "--max-batch are pending or the oldest has "
-                            "waited this long (default 0: admit as soon "
-                            "as a worker has room)")
     p.add_argument("--queue-capacity", type=int, default=32,
                    help="bounded submission queue (serve: full = HTTP 429)")
     p.add_argument("--workers", type=int, default=None,

@@ -58,7 +58,7 @@ points):
   :class:`~repro.service.obs.SpanRecord` per-request trace spans
   threaded submit → queue → scheduler → lane dispatch → worker stages
   (and across the TCP wire into remote hosts),
-  :class:`~repro.service.obs.ObsHub` (sampler + trace store + JSON-lines
+  :class:`~repro.service.obs.ObsHub` (sampler + span counters + JSON-lines
   log) and
   :func:`~repro.service.obs.render_prometheus` behind ``GET /metrics``
 
@@ -81,7 +81,6 @@ from .obs import (
     SpanRecord,
     TraceContext,
     TraceLog,
-    TraceStore,
     format_trace,
     map_remote_spans,
     read_trace_log,
@@ -160,7 +159,6 @@ __all__ = [
     "ThroughputFeedback",
     "TraceContext",
     "TraceLog",
-    "TraceStore",
     "WorkerPool",
     "apply_dispatch_fault",
     "default_executors",

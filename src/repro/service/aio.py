@@ -38,9 +38,9 @@ class AsyncDecodeSession:
 
     Constructor keyword arguments are forwarded verbatim to
     :class:`~repro.service.session.DecodeSession` (``max_batch``,
-    ``max_delay_ms``, ``queue_capacity``, ``workers``, ``backend``,
-    ``scheduler``, ...) — the pump thread always runs; a
-    pull-driven async session would defeat the point.
+    ``queue_capacity``, ``workers``, ``backend``, ``scheduler``, ...) —
+    the pump thread always runs; a pull-driven async session would
+    defeat the point.
     """
 
     def __init__(self, **session_kwargs: Any) -> None:

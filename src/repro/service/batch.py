@@ -221,8 +221,7 @@ class BatchDecoder:
         whole images cannot fill the pool, and the fan-out is predicted
         to pay (:meth:`_fans_out`, the one decision, with or without a
         scheduler); ``"on"`` fans out every eligible image regardless,
-        ``"off"`` disables the path (a per-request
-        :attr:`ImageRequest.speculative` overrides either way).
+        ``"off"`` disables the path.
         """
         # Validate everything cheap *before* any pool exists, so a
         # bad configuration never leaks live worker processes.
@@ -320,28 +319,26 @@ class BatchDecoder:
 
         Only the reference pixel path fans out (executor modes consume
         the scan in-order themselves).  Each verdict short-circuits the
-        next: the per-request knob forces or forbids; else whole images
-        already fill the pool — *crowd* counts those in flight plus the
-        group being admitted — or the pool is serial, and the image
-        stays whole; else a progressive or salvage decode stays whole
+        next: whole images already fill the pool — *crowd* counts those
+        in flight plus the group being admitted — or the pool is
+        serial, and the image stays whole; else a progressive or
+        salvage decode stays whole
         (:func:`~repro.service.scheduler.whole_image_only`, on the
         request's *header*); else the fan-out must be predicted to pay
         (:func:`~repro.service.scheduler.fanout_pays`).  The speculative
-        policy ``"on"`` stands in for the request knob on a parallel
-        pool, ``"off"`` forbids.  ``None`` below reads "if it pays".
-        Only a candidate left standing by the header is parsed
-        in full — the plan needs its tables and scan, the price its
-        entropy bytes — and one the parse refuses stays whole, for its
-        worker to report."""
+        policy is the one override, for marker-free scans only: ``"on"``
+        forces their fan-out on a parallel pool, ``"off"`` forbids it.
+        ``None`` below reads "if it pays".  Only a candidate left
+        standing by the header is parsed in full — the plan needs its
+        tables and scan, the price its entropy bytes — and one the
+        parse refuses stays whole, for its worker to report."""
         pool = self.pool
         if req.mode != "reference":
             return None
         parallel = pool.backend != "serial"
-        room = None if parallel and crowd < pool.workers else False
-        policy = {"off": False, "on": parallel,
-                  "auto": room}[self.speculative]
-        split = room if req.split_segments is None else req.split_segments
-        spec = policy if req.speculative is None else req.speculative
+        split = None if parallel and crowd < pool.workers else False
+        spec = {"off": False, "on": parallel,
+                "auto": split}[self.speculative]
         # A decoder with a lane on another machine ships whole images:
         # each host's own session decides any fan-out.
         if (split is False and spec is False) or self.links \

@@ -58,6 +58,7 @@ in JSON metadata) when rows were recovered past an error.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import CancelledError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -80,6 +81,9 @@ from .session import DecodeSession
 #: joined at close, so without a bound one silent client would hold up
 #: shutdown and the SIGTERM drain.
 IDLE_TIMEOUT_S = 30.0
+
+#: Seconds a handler waits for its decode before answering 504.
+RESULT_TIMEOUT_S = 120.0
 
 
 def ppm_parts(rgb: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -144,10 +148,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
         return IDLE_TIMEOUT_S
 
     def log_message(self, format: str, *args: Any) -> None:
-        """Suppress per-request stderr chatter unless the server is
-        constructed with ``quiet=False``."""
-        if not self.server.quiet:
-            super().log_message(format, *args)
+        """Suppress the stdlib's per-request stderr chatter."""
 
     def _send(self, status: int, body: "bytes | tuple", content_type: str,
               extra_headers: dict[str, str] | None = None) -> None:
@@ -273,7 +274,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
             return None
         extra = None
         try:
-            return handle.result(timeout=self.server.result_timeout_s)
+            return handle.result(timeout=RESULT_TIMEOUT_S)
         except DeadlineExceededError as exc:
             # The request expired before a worker picked it up: the
             # service is shedding load, tell the client to back off.
@@ -281,7 +282,7 @@ class _DecodeRequestHandler(BaseHTTPRequestHandler):
             extra = {"Retry-After": self._retry_after()}
         except TimeoutError:
             status, error = 504, ("decode did not complete within "
-                                  f"{self.server.result_timeout_s}s")
+                                  f"{RESULT_TIMEOUT_S}s")
         except CancelledError:
             # The session closed with drain=False under this request
             # (externally-owned session); answer, don't drop the socket.
@@ -309,8 +310,6 @@ class _SessionHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     session: DecodeSession
-    result_timeout_s: float
-    quiet: bool
 
     #: Connections accepted so far (bounded serve_forever counts these,
     #: not accept-timeout ticks).
@@ -334,16 +333,18 @@ class DecodeHTTPServer:
 
     def __init__(self, session: DecodeSession | None = None,
                  host: str = "127.0.0.1", port: int = 8077,
-                 result_timeout_s: float = 120.0, quiet: bool = True,
                  **session_kwargs: Any) -> None:
         """Bind the listening socket and attach (or build) the session."""
         self._owns_session = session is None
+        # _stopping ends either loop; _looping says whether the stdlib's
+        # unbounded loop runs — the only one BaseServer.shutdown can wait
+        # for.  One lock orders the two flags.
         self._stopping = False
+        self._looping = False
+        self._loop_lock = threading.Lock()
         self.session = session or DecodeSession(**session_kwargs)
         self._httpd = _SessionHTTPServer((host, port), _DecodeRequestHandler)
         self._httpd.session = self.session
-        self._httpd.result_timeout_s = result_timeout_s
-        self._httpd.quiet = quiet
 
     @property
     def host(self) -> str:
@@ -365,7 +366,14 @@ class DecodeHTTPServer:
         *max_requests* connections have been accepted — the bounded mode
         tests and demos use so the call returns on its own."""
         if max_requests is None:
-            self._httpd.serve_forever(poll_interval=0.05)
+            with self._loop_lock:
+                if self._stopping:
+                    return
+                self._looping = True
+            try:
+                self._httpd.serve_forever(poll_interval=0.05)
+            finally:
+                self._looping = False
         else:
             # Short accept timeout so a shutdown() from another thread
             # (the graceful-drain signal path) stops this loop too.
@@ -375,9 +383,13 @@ class DecodeHTTPServer:
                 self._httpd.handle_request()
 
     def shutdown(self) -> None:
-        """Stop a :meth:`serve_forever` loop running in another thread."""
-        self._stopping = True
-        self._httpd.shutdown()
+        """Stop a :meth:`serve_forever` loop running in another thread;
+        returns at once when none is."""
+        with self._loop_lock:
+            self._stopping = True
+            looping = self._looping
+        if looping:
+            self._httpd.shutdown()
 
     def close(self) -> None:
         """Close the socket; drain and close the session if owned."""

@@ -55,9 +55,6 @@ TRACE_MODES = ("off", "on", "sample")
 LATENCY_BUCKETS_S = (0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: Default bound on the number of traces the in-memory store retains.
-TRACE_CAPACITY = 256
-
 
 def parse_trace_mode(mode: str) -> str:
     """Validate a tracing mode string, returning it normalized."""
@@ -178,27 +175,24 @@ def child_span(ctx: TraceContext, name: str, resource: str, kind: str,
 
 @dataclass
 class Histogram:
-    """Prometheus-style histogram with explicit upper bounds.
+    """Prometheus-style histogram over :data:`LATENCY_BUCKETS_S`
+    (``+Inf`` implied).
 
     ``observe`` is a bisect plus two adds; its owner serializes the
     calls (a session records under its stats lock).  ``snapshot``
     returns *cumulative* bucket counts, ready for text exposition.
     """
 
-    #: Ascending upper bounds (seconds); ``+Inf`` is implied.
-    buckets: tuple[float, ...] = LATENCY_BUCKETS_S
-    _counts: list[int] = field(init=False, default_factory=list)
+    #: One count per bucket plus ``+Inf``.
+    _counts: list[int] = field(
+        init=False,
+        default_factory=lambda: [0] * (len(LATENCY_BUCKETS_S) + 1))
     _sum: float = field(init=False, default=0.0)
     _count: int = field(init=False, default=0)
 
-    def __post_init__(self) -> None:
-        """Sort the bounds; one count per bucket plus ``+Inf``."""
-        self.buckets = tuple(sorted(self.buckets))
-        self._counts = [0] * (len(self.buckets) + 1)
-
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self._counts[bisect_right(self.buckets, value)] += 1
+        self._counts[bisect_right(LATENCY_BUCKETS_S, value)] += 1
         self._sum += value
         self._count += 1
 
@@ -206,48 +200,12 @@ class Histogram:
         """Cumulative ``{le: count}`` buckets plus sum and count."""
         cumulative: list[tuple[str, int]] = []
         running = 0
-        for bound, count in zip(self.buckets, self._counts):
+        for bound, count in zip(LATENCY_BUCKETS_S, self._counts):
             running += count
             cumulative.append((repr(bound), running))
         cumulative.append(("+Inf", self._count))
         return {"buckets": cumulative, "sum": self._sum,
                 "count": self._count}
-
-
-class TraceStore:
-    """Bounded in-memory map of ``trace_id -> spans`` (drop-oldest)."""
-
-    def __init__(self, capacity: int = TRACE_CAPACITY):
-        """Retain at most *capacity* traces, evicting the oldest."""
-        self.capacity = capacity
-        self._traces: OrderedDict[str, list[SpanRecord]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def add(self, spans: list[SpanRecord]) -> None:
-        """File *spans* under their trace ids, evicting old traces."""
-        with self._lock:
-            for span in spans:
-                bucket = self._traces.get(span.trace_id)
-                if bucket is None:
-                    bucket = self._traces[span.trace_id] = []
-                bucket.append(span)
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-
-    def get(self, trace_id: str) -> list[SpanRecord]:
-        """Spans of one trace (empty when unknown or evicted)."""
-        with self._lock:
-            return list(self._traces.get(trace_id, ()))
-
-    def last(self, n: int) -> list[tuple[str, list[SpanRecord]]]:
-        """The *n* most recently started traces, oldest first."""
-        with self._lock:
-            ids = list(self._traces.keys())[-n:]
-            return [(tid, list(self._traces[tid])) for tid in ids]
-
-    def __len__(self) -> int:
-        """Number of retained traces."""
-        return len(self._traces)
 
 
 class TraceLog:
@@ -263,7 +221,6 @@ class TraceLog:
         """Append spans to *path* (created on first write)."""
         self.path = Path(path)
         self._lock = threading.Lock()
-        self.written = 0
 
     def append(self, spans: list[SpanRecord]) -> None:
         """Serialize and append *spans*, one JSON object per line."""
@@ -275,7 +232,6 @@ class TraceLog:
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(payload)
-            self.written += len(spans)
 
 
 def read_trace_log(path: str | Path) -> "OrderedDict[str, list[SpanRecord]]":
@@ -302,12 +258,12 @@ def read_trace_log(path: str | Path) -> "OrderedDict[str, list[SpanRecord]]":
 
 
 class ObsHub:
-    """Per-session observability root: sampler and trace sinks.
+    """Per-session observability root: sampler, counters and trace log.
 
     Owned by ``DecodeSession``.  ``maybe_start_trace`` implements the
-    mode gate (``off`` / ``on`` / ``sample``); ``record_spans`` files
-    completed spans into the bounded :class:`TraceStore` and, when
-    configured, the JSON-lines :class:`TraceLog`.
+    mode gate (``off`` / ``on`` / ``sample``); ``record_spans`` counts
+    completed spans and, when configured, appends them to the
+    JSON-lines :class:`TraceLog`.
     """
 
     def __init__(self, mode: str = "off", sample_rate: float = 0.1,
@@ -318,17 +274,11 @@ class ObsHub:
             raise ServiceError(
                 f"trace sample rate must be in (0, 1], got {sample_rate}")
         self.sample_period = max(1, round(1.0 / sample_rate))
-        self.store = TraceStore()
         self.log = TraceLog(log_path) if log_path else None
         self.started_at = time()
         self._seq = 0
         self._lock = threading.Lock()
         self._counters = {"traces_started": 0, "spans_recorded": 0}
-
-    @property
-    def enabled(self) -> bool:
-        """True when any request may be traced (``on`` or ``sample``)."""
-        return self.mode in ("on", "sample")
 
     def maybe_start_trace(self) -> TraceContext | None:
         """A fresh root context per the mode gate, or ``None``.
@@ -353,10 +303,9 @@ class ObsHub:
         return TraceContext.new_root()
 
     def record_spans(self, spans: list[SpanRecord]) -> None:
-        """File completed spans into the store and the optional log."""
+        """Count completed spans and append them to the optional log."""
         if not spans:
             return
-        self.store.add(spans)
         if self.log is not None:
             self.log.append(spans)
         with self._lock:
@@ -575,7 +524,7 @@ _SNAPSHOT_FAMILIES = (
      "Trace contexts created by the sampler gate.",
      _one("tracing", "traces_started")),
     ("repro_spans_recorded_total", "counter",
-     "Spans filed into the trace store.", _one("tracing", "spans_recorded")),
+     "Spans recorded by traced requests.", _one("tracing", "spans_recorded")),
     ("repro_obs_uptime_seconds", "gauge",
      "Seconds since the observability hub started.", _one("uptime_s")),
 )

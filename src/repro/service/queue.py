@@ -30,7 +30,7 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
-from ..errors import QueueFullError, ServiceClosedError
+from ..errors import QueueFullError, ServiceClosedError, ServiceError
 
 
 class SubmissionQueue:
@@ -41,7 +41,8 @@ class SubmissionQueue:
         """Create a queue holding at most *capacity* pending requests;
         *on_change* is the consumer's arrival/close wake-up."""
         if capacity <= 0:
-            raise ValueError(f"queue capacity must be positive, got {capacity}")
+            raise ServiceError(
+                f"queue capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._on_change = on_change
         self._items: deque[Any] = deque()
@@ -128,11 +129,6 @@ class SubmissionQueue:
                                     if id(item) not in gone)
                 self._cond.notify_all()
             return taken, dead
-
-    def peek(self) -> Any:
-        """The oldest pending request (None when empty), left queued."""
-        with self._cond:
-            return self._items[0] if self._items else None
 
     def close(self) -> None:
         """Refuse further ``put`` calls and wake every blocked waiter.

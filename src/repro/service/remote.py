@@ -73,8 +73,7 @@ MAX_BLOB_BYTES = 1 << 30
 #: :func:`decode_request` ignores names not listed here, so a frame from
 #: an older front tier carrying since-removed knobs still decodes.
 _REQUEST_FIELDS = (
-    "request_id", "mode", "platform", "split_segments", "speculative",
-    "salvage", "priority",
+    "request_id", "mode", "platform", "salvage", "priority",
 )
 
 #: Scalar ImageResult fields carried verbatim in the result header.

@@ -79,6 +79,10 @@ POLICIES = ("model", "roundrobin")
 #: jitter takes back.  Table: ``docs/benchmarks.md``, PR 16.
 FANOUT_FIXED_US = 250.0
 
+#: EWMA weight of a lane's newest observed/predicted ratio in
+#: :class:`ThroughputFeedback`.
+FEEDBACK_ALPHA = 0.3
+
 
 def fanout_pays(entropy_us: float, units: int) -> bool:
     """True when decoding an image's entropy data as *units* parallel
@@ -217,11 +221,8 @@ class ThroughputFeedback:
     got wrong for the traffic actually seen.
     """
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        """*alpha* is the EWMA weight of the newest observation."""
-        if not 0.0 < alpha <= 1.0:
-            raise ServiceError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+    def __init__(self) -> None:
+        """No lane observed yet: every scale reads 1.0."""
         self._scales: dict[str, float] = {}
         self.observations = 0
 
@@ -245,8 +246,8 @@ class ThroughputFeedback:
         if prev is None:
             self._scales[lane_name] = ratio
         else:
-            self._scales[lane_name] = (1 - self.alpha) * prev \
-                + self.alpha * ratio
+            self._scales[lane_name] = (1 - FEEDBACK_ALPHA) * prev \
+                + FEEDBACK_ALPHA * ratio
         self.observations += 1
 
     def reset(self, lane_name: str) -> None:
@@ -649,7 +650,6 @@ class ModelScheduler:
     def __init__(self, policy: str = "model",
                  executors: Sequence[ExecutorLane] | None = None,
                  platform: Platform | None = None,
-                 feedback: ThroughputFeedback | None = None,
                  breakers: LaneBreakerBoard | None = None) -> None:
         """Build the lane set and the feedback state for one scheduler.
 
@@ -673,7 +673,7 @@ class ModelScheduler:
             raise ServiceError("scheduler needs at least one executor lane")
         self.policy = policy
         self.executors = tuple(executors)
-        self.feedback = feedback or ThroughputFeedback()
+        self.feedback = ThroughputFeedback()
         self.breakers = breakers or LaneBreakerBoard()
         self._decoders: dict[str, "object"] = {}
         self._rr_cursor = 0

@@ -15,10 +15,8 @@ decoder's in-flight table:
   most urgent pending requests that fit (priority, then earliest
   deadline, then age; expired ones are shed), at most ``max_batch`` of
   them, and admits them together: one schedule, one feedback
-  observation.  ``max_delay_ms`` > 0 holds a group
-  back until ``max_batch`` requests are pending or the oldest has waited
-  that long — off by default: no worker waits for a batch to end, so an
-  idle one gains nothing from waiting for company;
+  observation.  Nothing is held back for company: no worker waits for
+  a batch to end, so an idle one gains nothing from waiting;
 - **per-plan resolution** — a handle resolves as soon as its own image
   is done, never when a batch is; stats and trace spans fold in first,
   so a completion observer (done callback, ``GET /stats`` right after a
@@ -182,8 +180,7 @@ class DecodeSession:
     serve-batch`` runs, and the deterministic choice for lifecycle tests.
     """
 
-    def __init__(self, max_batch: int = 8, max_delay_ms: float = 0.0,
-                 queue_capacity: int = 32,
+    def __init__(self, max_batch: int = 8, queue_capacity: int = 32,
                  workers: int | None = None, backend: str | None = None,
                  scheduler: ModelScheduler | str | None = None,
                  retry_budget: int | None = None,
@@ -195,9 +192,8 @@ class DecodeSession:
         """Build queue, decoder and (unless ``pump=False``) the pump.
 
         *max_batch* caps one admission group (and one ``run_once``
-        batch); *max_delay_ms* > 0 holds pending requests back until
-        *max_batch* of them are waiting or the oldest has waited that
-        long (0, the default, admits as soon as the window has room).
+        batch); pending requests are admitted as soon as the window has
+        room.
         *default_deadline_ms* applies to every request that does not
         carry its own ``deadline_ms`` (None = no default deadline);
         admission orders pending requests earliest-deadline-first
@@ -208,8 +204,7 @@ class DecodeSession:
         policy and chaos injection); the remaining knobs are those of
         :class:`~repro.service.batch.BatchDecoder` /
         :class:`~repro.service.queue.SubmissionQueue`.  Fan-out follows
-        the decoder's ``"auto"`` policy; a request forces or forbids it
-        with its own ``split_segments`` / ``speculative``.
+        the decoder's ``"auto"`` policy.
 
         *tracing* (``"off"``/``"on"``/``"sample"``)
         gates whether :meth:`submit` creates a root
@@ -220,16 +215,12 @@ class DecodeSession:
         fraction in ``sample`` mode, *trace_log* a JSON-lines span log.
         """
         if max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_delay_ms < 0:
-            raise ValueError(
-                f"max_delay_ms must be non-negative, got {max_delay_ms}")
+            raise ServiceError(f"max_batch must be positive, got {max_batch}")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ServiceError(
                 f"default_deadline_ms must be positive, "
                 f"got {default_deadline_ms}")
         self.max_batch = max_batch
-        self.max_delay_ms = max_delay_ms
         self.default_deadline_ms = default_deadline_ms
         # One wake-up for the pump: arrivals and completions both set it.
         self.queue = SubmissionQueue(
@@ -330,17 +321,6 @@ class DecodeSession:
 
     # -- the pump -------------------------------------------------------
 
-    def _hold_s(self) -> float:
-        """Seconds the queue should still wait for company: 0 once
-        ``max_batch`` requests are pending, the oldest has aged
-        ``max_delay_ms``, or the session is closing."""
-        oldest = self.queue.peek()
-        if oldest is None or len(self.queue) >= self.max_batch \
-                or self.queue.closed:
-            return 0.0
-        return max(0.0, oldest.handle.submitted_at
-                   + self.max_delay_ms / 1e3 - perf_counter())
-
     def _form_batch(self, limit: int) -> list[_Entry]:
         """Shed expired requests, then take the *limit* most urgent off
         the queue — called when a worker has room, so the order is
@@ -376,16 +356,15 @@ class DecodeSession:
         while True:
             decoder.wake.clear()
             self._settle_all(decoder.gather())
-            hold = self._admit_pending()
+            self._admit_pending()
             if self.queue.closed and not decoder.in_flight \
                     and not self.pending:
                 return
-            decoder.wake.wait(hold)
+            decoder.wake.wait()
 
-    def _admit_pending(self) -> float | None:
+    def _admit_pending(self) -> None:
         """Admit pending requests, most urgent first, in groups of up to
-        ``max_batch`` while the window has room.  Returns how long the
-        remainder is being held for company (None: nothing is)."""
+        ``max_batch`` while the window has room."""
         while len(self.queue):
             if self._cancel_pending:
                 for e in self._form_batch(self.queue.capacity):
@@ -393,14 +372,10 @@ class DecodeSession:
                 continue
             room = self._window - self.decoder.in_flight
             if room <= 0:
-                return None
-            hold = self._hold_s()
-            if hold > 0:
-                return hold
+                return
             entries = self._form_batch(min(room, self.max_batch))
             if entries:
                 self._admit(entries)
-        return None
 
     def _admit(self, entries: list[_Entry]):
         """Admit *entries* as one group."""
@@ -449,7 +424,7 @@ class DecodeSession:
             # Root span carries the context's own identity; the queue
             # span covers submit -> admission.  Prepended so the root
             # leads — downstream consumers (remote host wire encoding,
-            # the trace store) see one self-contained span list.
+            # the trace log) see one self-contained span list.
             result.trace_spans = [
                 make_span(ctx, "request", "session", "dispatch",
                           entry.handle.submitted_at, now,
@@ -519,7 +494,6 @@ class DecodeSession:
         snap["queue_capacity"] = self.queue.capacity
         snap["queue_space"] = self.queue.space
         snap["max_batch"] = self.max_batch
-        snap["max_delay_ms"] = self.max_delay_ms
         snap["default_deadline_ms"] = self.default_deadline_ms
         snap["retry_budget"] = self.decoder.retry_budget
         snap["closed"] = self._closed

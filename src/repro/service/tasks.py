@@ -103,7 +103,10 @@ def parse_priority(value: "str | int") -> int:
 class ImageRequest:
     """One image to decode, with its per-image knobs.  Every image
     decodes with the :class:`~repro.jpeg.decoder.DecodeOptions`
-    defaults: the fast entropy engine, AAN IDCT, fancy upsampling."""
+    defaults: the fast entropy engine, AAN IDCT, fancy upsampling.
+    Whether it fans out is the batch decoder's one decision
+    (:meth:`~repro.service.batch.BatchDecoder._fans_out`), not the
+    request's."""
 
     #: Raw JFIF bytes.
     data: bytes
@@ -117,18 +120,6 @@ class ImageRequest:
     mode: str = "reference"
     #: Platform name for executor modes (ignored by ``"reference"``).
     platform: str = "GTX 560"
-    #: Restart-segment fan-out: ``True`` forces it (where DRI permits),
-    #: ``False`` forbids it, ``None`` lets the batch decoder decide —
-    #: once, before any scheduler places the image
-    #: (:meth:`~repro.service.batch.BatchDecoder._fans_out`): only when
-    #: whole images cannot fill the pool and the fan-out is predicted
-    #: to pay.
-    split_segments: bool | None = None
-    #: Speculative chunk fan-out for marker-free scans: ``True`` forces
-    #: it (where eligibility permits — DRI=0, reference mode),
-    #: ``False`` forbids it, ``None`` defers to the batch
-    #: decoder's ``speculative`` policy knob (the same one decision).
-    speculative: bool | None = None
     #: Relative deadline in milliseconds from submission; ``None``
     #: means no deadline.  A request whose deadline passes before its
     #: decode starts is shed with

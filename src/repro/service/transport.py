@@ -44,6 +44,11 @@ from ..errors import ServiceError
 #: leased for one image is reusable for the next similarly-sized one.
 GRANULARITY = 256 * 1024
 
+#: Free segments a :class:`PlaneArena` keeps parked for reuse; a
+#: release beyond this unlinks the surplus segment instead of hoarding
+#: ``/dev/shm`` space under shifting traffic.
+MAX_FREE = 32
+
 #: Plane offsets inside a packed segment are aligned to this many bytes.
 ALIGNMENT = 64
 
@@ -259,19 +264,8 @@ class PlaneArena:
     loop may lease/release concurrently.
     """
 
-    def __init__(self, granularity: int = GRANULARITY,
-                 max_free: int = 32) -> None:
-        """Create an empty arena.
-
-        *granularity* is the capacity rounding unit; *max_free* bounds
-        the free ring — releasing beyond it unlinks the surplus segment
-        instead of hoarding ``/dev/shm`` space under shifting traffic.
-        """
-        if granularity <= 0:
-            raise ServiceError(
-                f"granularity must be positive, got {granularity}")
-        self.granularity = granularity
-        self.max_free = max_free
+    def __init__(self) -> None:
+        """Create an empty arena."""
         self._lock = threading.Lock()
         self._segments: dict[str, object] = {}   # name -> SharedMemory
         self._free: list[str] = []               # names, LRU order
@@ -309,9 +303,8 @@ class PlaneArena:
                 self.reused += 1
                 return PlaneSlot(name=best, capacity=self._segments[best].size)
             capacity = max(
-                self.granularity,
-                (nbytes + self.granularity - 1)
-                // self.granularity * self.granularity)
+                GRANULARITY,
+                (nbytes + GRANULARITY - 1) // GRANULARITY * GRANULARITY)
             shared_memory = _shared_memory_module()
             self._counter += 1
             name = f"{self._prefix}-{self._counter}"
@@ -327,14 +320,14 @@ class PlaneArena:
 
         Releasing an unknown or already-free name is a no-op — the
         gather loop's error paths may race a blanket cleanup.  Beyond
-        ``max_free`` parked segments, the released one is unlinked.
+        :data:`MAX_FREE` parked segments, the released one is unlinked.
         """
         name = slot.name if isinstance(slot, PlaneSlot) else slot
         with self._lock:
             if self._closed or name not in self._leased:
                 return
             self._leased.discard(name)
-            if len(self._free) >= self.max_free:
+            if len(self._free) >= MAX_FREE:
                 self._unlink(name)
             else:
                 self._free.append(name)

@@ -3,6 +3,8 @@ profiled decoders, cached per session to keep the suite fast."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ def no_shm(monkeypatch):
     pipe even from process pools."""
     monkeypatch.setattr("repro.service.transport.shm_available",
                         lambda: False)
+
+
+@pytest.fixture()
+def fanout_always(monkeypatch):
+    """Every fan-out candidate is predicted to pay.  The image still
+    needs a parallel pool with room — more workers than whole images
+    in flight — to fan out."""
+    monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US", 0.0)
+
+
+@pytest.fixture()
+def fanout_never(monkeypatch):
+    """No fan-out is predicted to pay: images decode whole unless the
+    decoder's ``speculative="on"`` forces a marker-free scan's chunks."""
+    monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US", math.inf)
 
 
 @pytest.fixture(scope="session")

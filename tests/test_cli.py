@@ -112,6 +112,8 @@ class TestRefusedConfiguration:
     @pytest.mark.parametrize("flags", [
         ["--retry-budget", "-1"],
         ["--workers", "0"],
+        ["--batch-size", "0"],
+        ["--queue-capacity", "0"],
     ])
     def test_one_line_and_exit_status_2(self, jpeg_file, flags, capsys):
         assert main(["serve-batch", str(jpeg_file), *flags]) == 2
@@ -125,7 +127,7 @@ class TestSessionFlags:
     """serve-batch / serve / serve-worker take the session flags from
     one declaration and turn them into one keyword set."""
 
-    SHARED = ("max_batch", "max_delay_ms", "queue_capacity", "workers",
+    SHARED = ("max_batch", "queue_capacity", "workers",
               "backend", "schedule", "platform",
               "retry_budget", "breaker_threshold",
               "tracing", "trace_sample", "trace_log")
@@ -152,8 +154,9 @@ class TestSessionFlags:
         assert parser.parse_args(
             ["serve-batch", "--batch-size", "3"]).max_batch == 3
         assert parser.parse_args(["serve", "--max-batch", "3"]).max_batch == 3
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-batch", "--max-delay-ms", "1"])
+        for command in ("serve-batch", "serve", "serve-worker"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--max-delay-ms", "1"])
 
     def test_serve_hosts_builds_a_plain_session_over_remote_lanes(self):
         from repro.cli import _serve_session, build_parser

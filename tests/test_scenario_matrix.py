@@ -251,10 +251,12 @@ class TestHostileMatrix:
             assert decoded.rgb.shape == (64, 96, 3), name
             assert decoded.salvaged == bool(decoded.errors), name
 
-    def test_forced_fanout_agrees_with_the_oracle(self, corpus):
+    def test_forced_fanout_agrees_with_the_oracle(self, corpus,
+                                                  fanout_always):
         """Every baseline cell, valid and hostile (plus a scan cut
-        short with its EOI kept), through forced fan-out: the
-        sequential oracle's pixels, or its exact error."""
+        short with its EOI kept), through forced fan-out — each alone
+        on the pool, where every fan-out pays: the sequential oracle's
+        pixels, or its exact error."""
         cells = {name: blob for name, blob in corpus.items()
                  if name.startswith("baseline")}
         items = []
@@ -266,11 +268,9 @@ class TestHostileMatrix:
                          for kind in HOSTILE_KINDS]
             items += [(f"{name}/{i}", v) for i, v in enumerate(variants)]
         with BatchDecoder(workers=3, backend="thread") as dec:
-            batch = dec.decode_batch([
-                ImageRequest(data=v, speculative=True, split_segments=True)
-                for _, v in items])
+            results = [dec.decode_batch([v]).results[0] for _, v in items]
         fanned = 0
-        for (context, blob), res in zip(items, batch.results):
+        for (context, blob), res in zip(items, results):
             got = res.rgb if res.ok else (res.error_type, res.error)
             assert_same_outcome(got, outcome(blob, "fast"), context)
             fanned += res.segments > 1

@@ -120,8 +120,8 @@ class TestLptPlacement:
         # best (5) is the batch's smallest must be treated as its
         # biggest job (scaled best 500) and head the LPT order.
         ex = lanes("a", "b")
-        fb = ThroughputFeedback(alpha=1.0)
-        fb.observe("a", 10.0, 1000.0)  # scale("a") = 100
+        fb = ThroughputFeedback()
+        fb.observe("a", 10.0, 1000.0)  # first observation: scale 100
         pricings = [
             fake_pricing(0, {"a": 5.0, "b": 500.0}),
             fake_pricing(1, {"a": 6.0, "b": 300.0}),
@@ -146,14 +146,17 @@ class TestLptPlacement:
 
 
 class TestFeedback:
-    def test_ewma_converges_toward_observed_ratio(self):
-        fb = ThroughputFeedback(alpha=0.3)
+    def test_ewma_converges_toward_observed_ratio(self, monkeypatch):
+        fb = ThroughputFeedback()
         assert fb.scale("lane") == 1.0
         fb.observe("lane", 100.0, 200.0)
         assert fb.scale("lane") == pytest.approx(2.0)
         fb.observe("lane", 100.0, 100.0)
         assert fb.scale("lane") == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
-        assert fb.observations == 2
+        monkeypatch.setattr("repro.service.scheduler.FEEDBACK_ALPHA", 1.0)
+        fb.observe("lane", 100.0, 400.0)
+        assert fb.scale("lane") == pytest.approx(4.0)
+        assert fb.observations == 3
 
     def test_degenerate_observations_ignored(self):
         fb = ThroughputFeedback()
@@ -162,15 +165,11 @@ class TestFeedback:
         fb.observe("lane", math.inf, 50.0)
         assert fb.scale("lane") == 1.0 and fb.observations == 0
 
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ServiceError):
-            ThroughputFeedback(alpha=0.0)
-
     def test_feedback_redirects_schedule(self):
         # After observing that lane "a" runs 100x slower than predicted,
         # the scheduler routes the next batch to "b".
         ex = lanes("a", "b")
-        fb = ThroughputFeedback(alpha=1.0)
+        fb = ThroughputFeedback()
         pricings = [fake_pricing(i, {"a": 10.0, "b": 15.0})
                     for i in range(4)]
         before = schedule_lpt(pricings, ex, feedback=fb)

@@ -10,7 +10,16 @@ import pytest
 
 from repro.errors import QueueFullError, ServiceError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.service import AsyncDecodeSession, ImageRequest
+from repro.evaluation import platforms
+from repro.service import (
+    AsyncDecodeSession,
+    FaultPlan,
+    ImageRequest,
+    default_executors,
+)
+
+#: Seconds each dispatch on a browned-out lane sleeps first.
+STALL_S = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +43,8 @@ def sequential_rgbs(corpus):
 
 def test_async_submit_resolves_bit_identical(corpus, sequential_rgbs):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
-                                      backend="thread", workers=2) as sess:
+        async with AsyncDecodeSession(max_batch=2, backend="thread",
+                                      workers=2) as sess:
             futures = [await sess.submit(b) for b in corpus]
             return await asyncio.gather(*futures)
 
@@ -51,8 +60,8 @@ def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
     total = 2 * len(corpus)
 
     async def main():
-        async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
-                                      backend="thread", workers=2) as sess:
+        async with AsyncDecodeSession(max_batch=2, backend="thread",
+                                      workers=2) as sess:
             async def produce():
                 for blob in 2 * corpus:
                     await sess.submit(blob)
@@ -75,8 +84,8 @@ def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
 
 def test_unbounded_stream_ends_when_idle(corpus):
     async def main():
-        async with AsyncDecodeSession(max_batch=4, max_delay_ms=1.0,
-                                      backend="thread", workers=2) as sess:
+        async with AsyncDecodeSession(max_batch=4, backend="thread",
+                                      workers=2) as sess:
             for blob in corpus:
                 await sess.submit(blob)
             return [res async for res in sess]
@@ -88,8 +97,7 @@ def test_unbounded_stream_ends_when_idle(corpus):
 
 def test_decode_failure_resolves_future(corpus):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
-                                      backend="serial") as sess:
+        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
             fut = await sess.submit(b"definitely not a jpeg")
             return await fut
 
@@ -98,14 +106,38 @@ def test_decode_failure_resolves_future(corpus):
     assert res.error_type and res.error
 
 
+def _stalled_session(**session_kwargs) -> AsyncDecodeSession:
+    """A one-worker scheduled session whose every lane is browned out:
+    the first two requests fill its in-flight window (one per
+    ``DISPATCH_DEPTH`` slot) for about a second, and what is submitted
+    after them stays queued."""
+    lanes = {lane.name: STALL_S
+             for lane in default_executors(platforms.GTX560)}
+    return AsyncDecodeSession(workers=1, backend="thread",
+                              scheduler="model",
+                              faults=FaultPlan(delay_lanes=lanes),
+                              **session_kwargs)
+
+
+async def _fill_window(sess: AsyncDecodeSession, blob: bytes) -> list:
+    """Submit the two stalled requests and wait until both are
+    admitted, so the queue is empty and the window full."""
+    blockers = [await sess.submit(blob) for _ in range(2)]
+    for _ in range(1000):
+        if sess.pending == 0:
+            return blockers
+        await asyncio.sleep(0.005)
+    raise AssertionError("the pump never admitted the stalled requests")
+
+
 def test_failfast_submit_raises_queuefull(corpus):
     """timeout=0 surfaces QueueFullError directly on the awaiting
-    coroutine once the bounded queue fills (pump starved by a huge
-    batch deadline so nothing drains)."""
+    coroutine once the bounded queue fills (nothing drains while the
+    window is held by stalled decodes)."""
     async def main():
-        sess = AsyncDecodeSession(max_batch=64, max_delay_ms=60_000,
-                                  queue_capacity=2, backend="serial")
+        sess = _stalled_session(queue_capacity=2)
         try:
+            await _fill_window(sess, corpus[0])
             await sess.submit(corpus[0], timeout=0)
             await sess.submit(corpus[0], timeout=0)
             with pytest.raises(QueueFullError):
@@ -118,16 +150,18 @@ def test_failfast_submit_raises_queuefull(corpus):
 
 def test_close_drain_false_cancels_futures(corpus):
     async def main():
-        sess = AsyncDecodeSession(max_batch=64, max_delay_ms=60_000,
-                                  backend="serial")
+        sess = _stalled_session()
+        blockers = await _fill_window(sess, corpus[0])
         futures = [await sess.submit(corpus[0]) for _ in range(3)]
         await sess.close(drain=False)
         # Give call_soon_threadsafe deliveries a tick to land.
         await asyncio.sleep(0.05)
-        return futures
+        return blockers, futures
 
-    futures = asyncio.run(main())
+    blockers, futures = asyncio.run(main())
     assert all(f.cancelled() for f in futures)
+    # What was in flight still resolved.
+    assert all(f.result().ok for f in blockers)
 
 
 def test_second_loop_rejected(corpus):
@@ -150,8 +184,7 @@ def test_second_loop_rejected(corpus):
 
 def test_image_request_passthrough(corpus, sequential_rgbs):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
-                                      backend="serial") as sess:
+        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
             fut = await sess.submit(ImageRequest(
                 data=corpus[0], request_id="tagged"))
             return await fut
@@ -163,8 +196,7 @@ def test_image_request_passthrough(corpus, sequential_rgbs):
 
 def test_stats_snapshot_reachable(corpus):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, max_delay_ms=1.0,
-                                      backend="serial") as sess:
+        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
             await (await sess.submit(corpus[2]))
             assert sess.pending == 0
             assert not sess.closed

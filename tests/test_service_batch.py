@@ -63,11 +63,12 @@ class TestBatchBitIdentity:
             assert np.array_equal(res.rgb, oracle)
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_split_segments_bit_identical(self, corpus, engine):
-        """Forced restart-segment fan-out must not change a single bit."""
-        reqs = [ImageRequest(data=b, split_segments=True) for b in corpus]
-        with BatchDecoder(workers=3, backend="thread") as dec:
-            batch = dec.decode_batch(reqs)
+    def test_split_segments_bit_identical(self, corpus, engine,
+                                          fanout_always):
+        """Restart-segment fan-out must not change a single bit."""
+        with BatchDecoder(workers=5, backend="thread",
+                          speculative="off") as dec:
+            batch = dec.decode_batch(corpus)
         assert batch.ok
         split_counts = [r.segments for r in batch]
         # Corpus images 1 and 2 carry DRI; they must actually have split.
@@ -109,18 +110,17 @@ class TestErrorIsolation:
             assert res.error_type and res.error
 
     def test_corrupt_segment_fails_only_its_image(self, corpus,
-                                                  sequential_rgbs):
+                                                  sequential_rgbs,
+                                                  fanout_always):
         """A truncated DRI image under forced splitting fails in
         isolation — the marker-structure validation refuses to fan out
         a scan whose RSTn count no longer matches the DRI interval."""
         dri = corpus[1]
         # Truncate the scan but keep the EOI so headers still parse.
         bad = dri[: len(dri) // 2] + dri[-2:]
-        reqs = [ImageRequest(data=dri, split_segments=True),
-                ImageRequest(data=bad, split_segments=True),
-                ImageRequest(data=corpus[0])]
-        with BatchDecoder(workers=2, backend="thread") as dec:
-            batch = dec.decode_batch(reqs)
+        with BatchDecoder(workers=4, backend="thread",
+                          speculative="off") as dec:
+            batch = dec.decode_batch([dri, bad, corpus[0]])
         assert [r.ok for r in batch] == [True, False, True]
         assert batch.results[1].error_type == "EntropyError"
         assert "segments" in batch.results[1].error
@@ -148,13 +148,14 @@ class TestErrorIsolation:
         assert "invalid image dimensions" in reply.error
         assert reply.busy_s >= 0
 
-    def test_failed_split_reports_the_plans_segment_count(self, corpus):
+    def test_failed_split_reports_the_plans_segment_count(self, corpus,
+                                                          fanout_always):
         """A split image that fails reports how many segments it was
         split into — the plan's subtask count, same as on success —
         not how many happened to decode."""
         from repro.service import FaultPlan
 
-        req = ImageRequest(data=corpus[1], split_segments=True)
+        req = ImageRequest(data=corpus[1])
         with BatchDecoder(workers=2, backend="thread") as dec:
             total = dec.decode_batch([req]).results[0].segments
         assert total > 2
@@ -212,7 +213,7 @@ class TestQueueBackpressure:
         assert _drain(q, 4) == ["a"]
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             SubmissionQueue(capacity=0)
 
     def test_service_backpressure_and_drain(self, corpus, sequential_rgbs):
@@ -341,11 +342,10 @@ class TestOneHeaderRead:
     def test_forced_fanout_parses_each_request_once(self, tiny_rgb,
                                                     scheduled,
                                                     parent_parses,
-                                                    parent_walks):
+                                                    parent_walks,
+                                                    fanout_always):
         """Segment and speculative plans are built from the one full
-        parse a fan-out candidate gets — also behind a scheduler (a
-        GPU-only lane set places no 4:2:0 frame, so the forced knobs
-        reach the fan-out decision)."""
+        parse a fan-out candidate gets — also behind a scheduler."""
         from repro.evaluation import platforms
         from repro.service import ModelScheduler
         from repro.service.scheduler import ExecutorLane
@@ -356,12 +356,10 @@ class TestOneHeaderRead:
         scheduler = ModelScheduler(executors=(
             ExecutorLane("gpu", "gpu", platforms.GTX560),)) \
             if scheduled else None
-        with BatchDecoder(workers=2, backend="process",
+        with BatchDecoder(workers=3, backend="process",
                           scheduler=scheduler) as dec:
             parent_parses.clear()
-            batch = dec.decode_batch([
-                ImageRequest(data=b, split_segments=True, speculative=True)
-                for b in blobs])
+            batch = dec.decode_batch(blobs)
         assert parent_walks == ["repro.service.tasks"] * 2
         assert parent_parses == ["repro.service.batch"] * 2
         segmented, speculated = batch.results

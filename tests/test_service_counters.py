@@ -2,7 +2,8 @@
 where its event happens, so ``/stats`` reads exactly the events a
 caller can count from the results — here through a process pool whose
 replies ride shared memory, a worker crash (retried, or with no budget
-lost), and a forced fan-out."""
+lost), and a fan-out (every one pays; the progressive thumbnails decode
+whole regardless)."""
 
 from __future__ import annotations
 
@@ -22,13 +23,14 @@ from repro.service.tasks import SegmentPlan
 
 @pytest.mark.skipif(not shm_available(),
                     reason="POSIX shared memory unavailable")
-@pytest.mark.usefixtures("shm_floor_zero", "no_backoff")
+@pytest.mark.usefixtures("shm_floor_zero", "no_backoff", "fanout_always")
 @pytest.mark.parametrize("budget", [2, 0])
 def test_stats_count_what_the_results_show(small_rgb, tiny_rgb, monkeypatch,
                                            budget):
     dri = encode_jpeg(small_rgb, EncoderSettings(
         quality=85, subsampling="4:2:2", restart_interval=4))
-    thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
+    thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75,
+                                                  progressive=True))
     busy = []       # busy seconds of each reply the fan-out accepted
     accept = SegmentPlan.accept
 
@@ -38,12 +40,11 @@ def test_stats_count_what_the_results_show(small_rgb, tiny_rgb, monkeypatch,
 
     monkeypatch.setattr(SegmentPlan, "accept", spy)
     faults = FaultPlan(kill_at={1})     # a run of the fan-out dies
-    requests = [ImageRequest(data=dri, split_segments=True,
-                             trace=TraceContext.new_root())]
-    requests += [ImageRequest(data=thumb, split_segments=False,
-                              speculative=False) for _ in range(3)]
+    requests = [ImageRequest(data=dri, trace=TraceContext.new_root())]
+    requests += [ImageRequest(data=thumb) for _ in range(3)]
+    # One image per group: the frame has the pool to itself to fan out.
     with DecodeSession(workers=2, backend="process", faults=faults,
-                       retry_budget=budget, max_batch=2,
+                       retry_budget=budget, max_batch=1,
                        pump=False) as session:
         handles = [session.submit(r) for r in requests]
         groups = 0
@@ -58,7 +59,7 @@ def test_stats_count_what_the_results_show(small_rgb, tiny_rgb, monkeypatch,
     assert snap["faults"]["retries"] == faults.dispatches - units
     assert snap["faults"]["infra_failures"] == lost
     assert snap["images_split"] == sum(r.segments > 1 for r in results) == 1
-    assert snap["batches"] == groups == 2
+    assert snap["batches"] == groups == 4
     assert leaked == []
     if not budget:
         assert snap["faults"]["retries"] == 0 and lost >= 1

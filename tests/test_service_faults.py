@@ -7,6 +7,7 @@ the ``repro serve`` CLI's graceful SIGTERM drain."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import signal
@@ -430,9 +431,17 @@ class TestUniformFaultMatrix:
     (plan kind, fault kind) cell must hold the same invariants: the
     documented outcome, attempts/retries as injected, no leaked slot,
     no /dev/shm residue.  Every reply rides shared memory, and a
-    speculative image splits into one chunk per worker."""
+    speculative image splits into one chunk per worker.  The faulted
+    image is alone on the pool, so it has room to fan out: the whole
+    cell prices every fan-out out, the others price it in."""
 
     WORKERS = 2
+
+    @pytest.fixture(autouse=True)
+    def fanout_price(self, kind, monkeypatch):
+        """The fan-out price of one *kind* of cell."""
+        monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US",
+                            math.inf if kind == "whole" else 0.0)
 
     @pytest.fixture(scope="class")
     def cells(self, small_rgb, blob):
@@ -446,10 +455,8 @@ class TestUniformFaultMatrix:
         assert n_segments > n_runs
         return {
             "whole": (ImageRequest(data=blob), 1),
-            "segment": (ImageRequest(data=dri, split_segments=True),
-                        n_runs),
-            "spec": (ImageRequest(data=blob, speculative=True),
-                     self.WORKERS),
+            "segment": (ImageRequest(data=dri), n_runs),
+            "spec": (ImageRequest(data=blob), self.WORKERS),
         }
 
     @pytest.mark.parametrize("fault", list(MATRIX_FAULTS))
@@ -460,8 +467,7 @@ class TestUniformFaultMatrix:
         want = decode_jpeg(request.data).rgb
         t0 = time.perf_counter()
         with BatchDecoder(workers=self.WORKERS, backend="process",
-                          retry_budget=budget, faults=make_plan(),
-                          speculative="off") as dec:
+                          retry_budget=budget, faults=make_plan()) as dec:
             batch = dec.decode_batch([request])
             leaked = dec.arena.leaked()
         elapsed = time.perf_counter() - t0
@@ -518,20 +524,20 @@ class TestUniformFaultMatrix:
         own: the fault is the faulted image's business — its siblings
         resolve (retried with it only when a real SIGKILL broke the
         pool under them), every handle resolves exactly once, and no
-        slot outlives the run."""
+        slot outlives the run.  The thumbnails are progressive, so they
+        decode whole at any fan-out price."""
         make_plan, budget = MATRIX_FAULTS[fault]
         request, units = cells[kind]
         want = decode_jpeg(request.data).rgb
-        thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75))
+        thumb = encode_jpeg(tiny_rgb, EncoderSettings(quality=75,
+                                                      progressive=True))
         thumb_rgb = decode_jpeg(thumb).rgb
         order: list[int] = []
         with DecodeSession(workers=self.WORKERS, backend="process",
                            retry_budget=budget, faults=make_plan(),
                            max_batch=1) as session:
             handles = [session.submit(request)]
-            handles += [session.submit(ImageRequest(data=thumb,
-                                                    speculative=False))
-                        for _ in range(3)]
+            handles += [session.submit(thumb) for _ in range(3)]
             for i, h in enumerate(handles):
                 h.add_done_callback(lambda _h, i=i: order.append(i))
             res, *siblings = [h.result(timeout=120) for h in handles]
@@ -644,8 +650,7 @@ class TestEndToEndRecovery:
                 resolved[handle.request_id] = \
                     resolved.get(handle.request_id, 0) + 1
 
-        with DecodeSession(max_batch=4, max_delay_ms=50.0,
-                           workers=2, backend="process",
+        with DecodeSession(max_batch=4, workers=2, backend="process",
                            faults=plan) as session:
             handles = [session.submit(blob) for _ in range(4)]
             for h in handles:
@@ -674,8 +679,7 @@ class TestEndToEndRecovery:
         whose first dispatch died is still 200 and bit-identical."""
         plan = FaultPlan(kill_at={0})
         srv = DecodeHTTPServer(port=0, backend="process", workers=1,
-                               max_batch=2, max_delay_ms=1.0,
-                               faults=plan)
+                               max_batch=2, faults=plan)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
@@ -705,7 +709,7 @@ class TestEndToEndRecovery:
         """X-Deadline-Ms: an already-expired deadline answers 504 with
         Retry-After; an invalid header answers 400."""
         srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                               max_batch=4, max_delay_ms=1.0)
+                               max_batch=4)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:

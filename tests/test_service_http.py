@@ -33,7 +33,7 @@ def oracle(blob):
 def server():
     """A live server on an ephemeral port, torn down after the test."""
     srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                           max_batch=4, max_delay_ms=1.0)
+                           max_batch=4)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -76,29 +76,45 @@ class TestDecodeEndpoint:
                                                    oracle.shape[0])
         assert meta["latency_ms"] > 0
 
-    def test_concurrent_posts_batch_together(self, server, blob, oracle):
-        """Several in-flight requests ride the same pump; all answers
-        are correct and /stats shows a multi-image batch formed."""
+    def test_concurrent_posts_batch_together(self, blob, oracle):
+        """Concurrent POSTs pending together are admitted as one group
+        (a pump-less session, driven here once all four are queued);
+        all answers are correct and /stats counts one batch."""
+        session = DecodeSession(max_batch=4, backend="thread", workers=2,
+                                pump=False)
+        srv = DecodeHTTPServer(session=session, port=0)
+        loop = threading.Thread(target=srv.serve_forever, daemon=True)
+        loop.start()
         bodies: list[bytes | None] = [None] * 4
 
         def fetch(i: int) -> None:
-            with _post(server.url + "/decode", blob) as resp:
+            with _post(srv.url + "/decode", blob) as resp:
                 bodies[i] = resp.read()
 
         threads = [threading.Thread(target=fetch, args=(i,))
                    for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            while session.pending < 4:
+                assert time.monotonic() < deadline, "posts never queued"
+                time.sleep(0.01)
+            session.run_once()
+            for t in threads:
+                t.join(timeout=60)
+            with urllib.request.urlopen(srv.url + "/stats",
+                                        timeout=30) as resp:
+                stats = json.loads(resp.read())
+        finally:
+            srv.shutdown()
+            loop.join(timeout=30)
+            srv.close()
+            session.close(drain=False)
         expected = ppm_bytes(oracle)
         assert all(b == expected for b in bodies)
-        with urllib.request.urlopen(server.url + "/stats",
-                                    timeout=30) as resp:
-            stats = json.loads(resp.read())
         assert stats["images_ok"] == 4
-        # Batching actually happened: fewer batches than images.
-        assert stats["batches"] < 4
+        assert stats["batches"] == 1
 
     def test_malformed_jpeg_maps_to_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -275,6 +291,44 @@ class TestBackpressureAndStats:
             assert json.loads(resp.read())["status"] == "ok"
 
 
+class TestShutdown:
+    """``shutdown()`` stops whichever loop runs — the bounded one of
+    ``repro serve --max-requests`` included — and returns at once when
+    none does."""
+
+    @staticmethod
+    def _shutdown_returns(srv: DecodeHTTPServer) -> None:
+        stopper = threading.Thread(target=srv.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=1)
+        assert not stopper.is_alive(), "shutdown() blocked"
+
+    def test_server_that_never_served(self):
+        with DecodeHTTPServer(port=0, backend="serial") as srv:
+            self._shutdown_returns(srv)
+
+    def test_after_and_during_a_bounded_serve(self):
+        with DecodeHTTPServer(port=0, backend="serial") as srv:
+            loop = threading.Thread(
+                target=srv.serve_forever, kwargs={"max_requests": 1},
+                daemon=True)
+            loop.start()
+            with urllib.request.urlopen(srv.url + "/healthz",
+                                        timeout=30) as resp:
+                assert resp.status == 200
+            loop.join(timeout=30)
+            assert not loop.is_alive()
+            self._shutdown_returns(srv)
+        with DecodeHTTPServer(port=0, backend="serial") as srv:
+            loop = threading.Thread(
+                target=srv.serve_forever, kwargs={"max_requests": 100},
+                daemon=True)
+            loop.start()
+            self._shutdown_returns(srv)
+            loop.join(timeout=1)
+            assert not loop.is_alive()
+
+
 class TestServeCli:
     def test_serve_answers_real_http_round_trip(self, blob, oracle,
                                                 capsys):
@@ -290,8 +344,7 @@ class TestServeCli:
         rc: list[int] = []
         thread = threading.Thread(target=lambda: rc.append(main(
             ["serve", "--port", str(port), "--backend", "thread",
-             "--workers", "2", "--max-delay-ms", "1",
-             "--max-requests", "3"])))
+             "--workers", "2", "--max-requests", "3"])))
         thread.start()
         base = f"http://127.0.0.1:{port}"
         deadline = time.monotonic() + 30

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.data import synthetic_photo
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
@@ -38,6 +39,7 @@ from repro.service import (
 )
 from repro.errors import ServiceError
 from repro.service.obs import (
+    LATENCY_BUCKETS_S,
     Histogram,
     child_span,
     make_span,
@@ -107,15 +109,16 @@ class TestSpanRecord:
 
 class TestHistogram:
     def test_buckets_are_cumulative_with_inf(self):
-        hist = Histogram(buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
+        hist = Histogram()
+        for value in (0.001, 0.03, 0.3, 20.0):
             hist.observe(value)
         snap = hist.snapshot()
+        assert [le for le, _ in snap["buckets"]] \
+            == [repr(b) for b in LATENCY_BUCKETS_S] + ["+Inf"]
         counts = [count for _, count in snap["buckets"]]
-        assert counts == [1, 2, 3, 4]
-        assert snap["buckets"][-1][0] == "+Inf"
+        assert counts == [1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 4]
         assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(5.555)
+        assert snap["sum"] == pytest.approx(20.331)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +287,22 @@ class TestEndToEndTrace:
                 "color", "entropy", "idct", "parse", "upsample"]
             assert {s.parent_id for s in stages} == {attempt.span_id}
 
-    def test_trace_lands_in_store_and_renders(self, blob):
-        session = DecodeSession(backend="serial", tracing="on", pump=False)
+    def test_trace_lands_in_store_and_renders(self, blob, tmp_path):
+        """A traced request's spans land in the trace log, which
+        renders them."""
+        log = tmp_path / "spans.jsonl"
+        session = DecodeSession(backend="serial", tracing="on",
+                                trace_log=str(log), pump=False)
         try:
             handle = session.submit(blob)
             session.run_once()
             result = handle.result(timeout=60)
             trace_id = result.trace_spans[0].trace_id
-            stored = session.obs.store.get(trace_id)
         finally:
             session.close(drain=False)
-        assert stored
+        stored = read_trace_log(log)[trace_id]
+        assert [s.to_dict() for s in stored] \
+            == [s.to_dict() for s in result.trace_spans]
         text = format_trace(trace_id, stored)
         assert trace_id in text
         assert "request" in text and "attempt" in text
@@ -364,22 +372,21 @@ class TestTraceUnderFaults:
 
     @pytest.mark.parametrize("kind", ["whole", "segment", "spec"])
     def test_every_plan_kind_traces_one_attempt_per_dispatch(
-            self, small_rgb, blob, kind):
+            self, small_rgb, blob, kind, fanout_always):
         """The one dispatch opens an attempt context for every subtask
         of every plan: one ``attempt`` span per dispatch carrying
         ``attempt=`` and ``task=``, all siblings under the request
-        span, the killed subtask's retry among them."""
+        span, the killed subtask's retry among them.  Every fan-out
+        pays; the policy keeps the marker-free image whole or forces
+        its chunks."""
         dri = encode_jpeg(small_rgb, EncoderSettings(
             quality=85, subsampling="4:2:2", restart_interval=4))
-        request = {
-            "whole": ImageRequest(data=blob),
-            "segment": ImageRequest(data=dri, split_segments=True),
-            "spec": ImageRequest(data=blob, speculative=True),
-        }[kind]
+        request = ImageRequest(data=dri if kind == "segment" else blob)
         plan = FaultPlan(kill_at={0})
         ctx = TraceContext.new_root()
         with BatchDecoder(workers=2, backend="thread", faults=plan,
-                          speculative="off") as dec:
+                          speculative="on" if kind == "spec"
+                          else "off") as dec:
             batch = dec.decode_batch([replace(request, trace=ctx)])
         (result,) = batch.results
         assert result.ok and dec.stats.retries == 1
@@ -397,18 +404,18 @@ class TestTraceUnderFaults:
                             + [(1, "ok")] * (result.segments - 1)
                             + [(2, "ok")])
 
-    def test_fanned_out_request_has_no_schedule_span(self, small_rgb, blob):
+    def test_fanned_out_request_has_no_schedule_span(self, blob):
         """Fanned out before placement, a traced request was never
         scheduled: it reads request -> queue -> one attempt per
         subtask, while the whole image beside it keeps its schedule
-        span."""
-        dri = encode_jpeg(small_rgb, EncoderSettings(
-            quality=85, subsampling="4:2:2", restart_interval=4))
-        with DecodeSession(backend="thread", workers=2, scheduler="model",
+        span.  The pool has room for both; only the 640x480 frame's
+        fan-out pays."""
+        dri = encode_jpeg(synthetic_photo(480, 640, seed=6, detail=0.6),
+                          EncoderSettings(quality=85, subsampling="4:2:2",
+                                          restart_interval=8))
+        with DecodeSession(backend="thread", workers=3, scheduler="model",
                            tracing="on", pump=False) as session:
-            handles = [session.submit(ImageRequest(data=dri,
-                                                   split_segments=True)),
-                       session.submit(blob)]
+            handles = [session.submit(dri), session.submit(blob)]
             session.run_once()
             fanned, whole = (h.result(timeout=60) for h in handles)
         names = [s.name for s in fanned.trace_spans]
@@ -520,10 +527,10 @@ class TestTraceLogAndCLI:
 
 class TestHTTPObservability:
     @pytest.fixture()
-    def server(self):
+    def server(self, tmp_path):
         srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                               max_batch=4, max_delay_ms=1.0,
-                               tracing="off")
+                               max_batch=4, tracing="off",
+                               trace_log=str(tmp_path / "spans.jsonl"))
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         yield srv
@@ -558,7 +565,7 @@ class TestHTTPObservability:
             assert resp.status == 200
             trace_id = resp.headers["X-Trace-Id"]
         assert trace_id
-        spans = server.session.obs.store.get(trace_id)
+        spans = read_trace_log(server.session.obs.log.path)[trace_id]
         assert {"request", "queue", "attempt"} <= {s.name for s in spans}
 
     def test_untraced_decode_has_no_trace_header(self, server, blob):

@@ -52,6 +52,7 @@ from repro.service import (
     ModelScheduler,
     parse_hosts,
     parse_priority,
+    read_trace_log,
     remote_executors,
     render_prometheus,
     sharded_session,
@@ -205,18 +206,16 @@ class TestCodecs:
     def test_request_roundtrip(self, blob):
         req = ImageRequest(data=blob, request_id="img-1", salvage=True,
                            priority=PRIORITY_HIGH, mode="simd",
-                           platform="GT 430", speculative=False)
+                           platform="GT 430")
         header, blobs = encode_request(req)
         assert set(header["request"]) == {
-            "request_id", "mode", "platform", "split_segments",
-            "speculative", "salvage", "priority"}
+            "request_id", "mode", "platform", "salvage", "priority"}
         rebuilt = decode_request(header, blobs)
         assert bytes(rebuilt.data) == bytes(blob)
         assert rebuilt.request_id == "img-1"
         assert rebuilt.salvage is True
         assert rebuilt.priority == PRIORITY_HIGH
         assert (rebuilt.mode, rebuilt.platform) == ("simd", "GT 430")
-        assert rebuilt.speculative is False
 
     def test_non_scalar_request_id_stringified(self, blob):
         req = ImageRequest(data=blob, request_id=("batch", 3))
@@ -363,16 +362,21 @@ class TestDecodeWorkerHost:
     def test_frame_from_an_older_front_tier_decodes(self, worker_host,
                                                     blob, oracle):
         """A front tier from before the service dropped its per-request
-        engine, IDCT and upsampling knobs still sends them: the host
-        ignores the names and decodes the same pixels as without."""
+        engine, IDCT and upsampling knobs, or its fan-out pair, still
+        sends them: the host ignores the names and decodes the same
+        pixels as without."""
         header, blobs = encode_request(ImageRequest(data=blob,
                                                     request_id=3))
-        old = copy.deepcopy(header)
-        old["request"].update(entropy_engine="reference",
-                              idct_method="islow", fancy_upsampling=False)
+        frames = [header]
+        for removed in (dict(entropy_engine="reference",
+                             idct_method="islow", fancy_upsampling=False),
+                        dict(split_segments=True, speculative=False)):
+            old = copy.deepcopy(header)
+            old["request"].update(removed)
+            frames.append(old)
         results = []
         with _connect(worker_host) as sock:
-            for frame in (old, header):
+            for frame in frames:
                 send_frame(sock, frame, blobs)
                 results.append(decode_result(*recv_frame(sock)[:2]))
         for result in results:
@@ -579,35 +583,33 @@ class TestShardedSession:
         assert host_wall_us > 0
         assert result.wall_us == pytest.approx(host_wall_us, rel=1e-12)
 
-    def test_nothing_fans_out_on_the_front_tier(self, worker_host):
+    def test_nothing_fans_out_on_the_front_tier(self, fanout_always):
         """The sharded cell of the fan-out decision table: a decoder
-        with a lane on another machine ships whole images, requests as
-        submitted — a lone frame, a forcing request, a parallel
-        fallback pool alike — and the host's own session decides."""
+        with a lane on another machine ships whole images — a lone
+        frame with or without a parallel fallback pool, even where every
+        fan-out pays — and the host's own session decides: a serial
+        host keeps the frame whole, a parallel one fans it out."""
         from repro.data import synthetic_photo
         frame = encode_jpeg(
             synthetic_photo(480, 640, seed=3, detail=0.6),
             EncoderSettings(quality=85, subsampling="4:2:2",
                             restart_interval=8))
         oracle = decode_jpeg(frame).rgb
-        for fallback in ({}, {"backend": "thread", "workers": 2}):
-            before = worker_host.requests
-            session = front_tier([worker_host], pump=False, **fallback)
-            try:
-                lone = session.submit(frame)
-                session.run_once()
-                forced = session.submit(
-                    ImageRequest(data=frame, split_segments=True))
-                session.run_once()
-                lone, forced = lone.result(60), forced.result(60)
-            finally:
-                session.close(drain=False)
-            assert worker_host.requests == before + 2
-            assert np.array_equal(lone.rgb, oracle)
-            assert np.array_equal(forced.rgb, oracle)
-            # The (serial) host kept the lone frame whole and honoured
-            # the knob that travelled with the other.
-            assert lone.segments == 1 and forced.segments > 1
+        parallel = {"backend": "thread", "workers": 2}
+        for pool, fans_out in (({}, False), (parallel, True)):
+            with running_host(**pool) as host:
+                for fallback in ({}, parallel):
+                    before = host.requests
+                    session = front_tier([host], pump=False, **fallback)
+                    try:
+                        handle = session.submit(frame)
+                        session.run_once()
+                        result = handle.result(60)
+                    finally:
+                        session.close(drain=False)
+                    assert host.requests == before + 1
+                    assert np.array_equal(result.rgb, oracle)
+                    assert (result.segments > 1) == fans_out
 
     def test_per_host_stats_section(self, blob):
         with running_host() as host:
@@ -1150,17 +1152,22 @@ class TestTraceStitching:
             parent = ids[queue_span.parent_id]
             assert queue_span.start >= parent.start - 1e-6
 
-    def test_remote_spans_ride_result_and_land_in_client_store(self, blob):
+    def test_remote_spans_ride_result_and_land_in_client_store(
+            self, blob, tmp_path):
+        """The host's spans come back on the result and the client
+        records them in its trace log with its own."""
+        log = tmp_path / "spans.jsonl"
         with running_host() as host:
-            session = front_tier([host], tracing="on", pump=False)
+            session = front_tier([host], tracing="on", trace_log=str(log),
+                                 pump=False)
             try:
                 handle = session.submit(blob)
                 session.run_once()
                 result = handle.result(timeout=60)
                 trace_id = result.trace_spans[0].trace_id
-                stored = session.obs.store.get(trace_id)
             finally:
                 session.close(drain=False)
+        stored = read_trace_log(log)[trace_id]
         assert {s.span_id for s in stored} == {
             s.span_id for s in result.trace_spans}
         trip = next(s for s in stored if s.name == "remote_roundtrip")

@@ -75,15 +75,17 @@ def hooked_session(hook: Hook, **kwargs) -> DecodeSession:
 class TestResolutionOrder:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_thumbnail_overtakes_the_frame_it_followed(self, backend,
-                                                       thumb, frame):
+                                                       thumb, frame,
+                                                       fanout_never):
         """No batch barrier: the thumbnail submitted right after a frame
         is answered while the frame still decodes."""
         order: list[str] = []
         with DecodeSession(workers=2, backend=backend) as session:
             # Warm the pool so neither request pays worker start-up.
             assert session.submit(thumb).result(timeout=120).ok
-            # Alone on an idle pool the frame would fan out; keep it whole.
-            big = session.submit(ImageRequest(data=frame, speculative=False))
+            # Alone on an idle pool the frame would fan out; no fan-out
+            # pays here, so it decodes whole.
+            big = session.submit(frame)
             big.add_done_callback(lambda _h: order.append("frame"))
             small = session.submit(thumb)
             small.add_done_callback(lambda _h: order.append("thumb"))
@@ -231,7 +233,7 @@ class TestNoLostWakeup:
         want = decode_jpeg(blob).rgb
         per_thread = 25
         handles: list[list] = [[] for _ in range(8)]
-        with DecodeSession(workers=2, backend="thread", max_delay_ms=0,
+        with DecodeSession(workers=2, backend="thread",
                            queue_capacity=8) as session:
             def produce(k):
                 for _ in range(per_thread):

@@ -7,12 +7,13 @@ submission queue."""
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
 
-from repro.errors import QueueFullError, ServiceClosedError
+from repro.errors import QueueFullError, ServiceClosedError, ServiceError
 from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     DecodeHandle,
@@ -55,7 +56,7 @@ class TestHandleBitIdentity:
         """The session's pixels are each entropy engine's oracle's."""
         oracles = [decode_jpeg(b, DecodeOptions(entropy_engine=engine)).rgb
                    for b in corpus]
-        with DecodeSession(max_batch=4, max_delay_ms=20.0, workers=2,
+        with DecodeSession(max_batch=4, workers=2,
                            backend=backend, scheduler=scheduler) as sess:
             handles = [sess.submit(b) for b in corpus]
             results = [h.result(timeout=60) for h in handles]
@@ -72,25 +73,6 @@ class TestHandleBitIdentity:
         for res, oracle in zip(results, sequential_rgbs):
             assert res.ok
             assert np.array_equal(res.rgb, oracle)
-
-    def test_age_deadline_dispatches_partial_batch(self, corpus,
-                                                   sequential_rgbs):
-        """A lone request must not wait for max_batch to fill: the
-        max_delay_ms deadline dispatches it."""
-        with DecodeSession(max_batch=64, max_delay_ms=10.0,
-                           backend="thread", workers=1) as sess:
-            res = sess.submit(corpus[0]).result(timeout=30)
-        assert res.ok
-        assert np.array_equal(res.rgb, sequential_rgbs[0])
-
-    def test_size_trigger_fills_batches(self, corpus):
-        """With a huge age deadline, dispatch happens on batch size."""
-        with DecodeSession(max_batch=2, max_delay_ms=60_000,
-                           backend="thread", workers=2) as sess:
-            handles = [sess.submit(corpus[3]) for _ in range(4)]
-            results = [h.result(timeout=60) for h in handles]
-            assert all(r.ok for r in results)
-            assert sess.stats.batches >= 2
 
     def test_error_isolation_resolves_not_raises(self, corpus,
                                                  sequential_rgbs):
@@ -110,10 +92,12 @@ class TestHandleBitIdentity:
 
     def test_latency_measured_from_submit(self, corpus):
         """Session latency covers queue wait, not just batch wall."""
-        with DecodeSession(max_batch=8, max_delay_ms=50.0,
-                           backend="serial") as sess:
-            res = sess.submit(corpus[3]).result(timeout=30)
-        # The pump waited ~50ms for the batch to fill before decoding.
+        with DecodeSession(max_batch=8, backend="serial",
+                           pump=False) as sess:
+            handle = sess.submit(corpus[3])
+            time.sleep(0.05)        # queued, nothing admits it yet
+            sess.run_once()
+            res = handle.result(timeout=0)
         assert res.latency_s >= 0.045
 
 
@@ -169,10 +153,9 @@ class TestHandleApi:
 
 class TestSessionLifecycle:
     def test_close_drain_false_cancels_pending(self, corpus):
-        """Pending handles are cancelled, not decoded: the pump is held
-        idle by a huge batch-fill deadline, so nothing dispatched yet."""
-        sess = DecodeSession(max_batch=64, max_delay_ms=60_000,
-                             backend="serial")
+        """Pending handles are cancelled, not decoded: a pump-less
+        session has dispatched nothing yet."""
+        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
         handles = [sess.submit(corpus[3]) for _ in range(3)]
         sess.close(drain=False)
         for h in handles:
@@ -182,8 +165,7 @@ class TestSessionLifecycle:
 
     def test_close_drain_true_completes_pending(self, corpus,
                                                 sequential_rgbs):
-        sess = DecodeSession(max_batch=64, max_delay_ms=60_000,
-                             backend="serial")
+        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
         handles = [sess.submit(corpus[3]) for _ in range(3)]
         sess.close(drain=True)
         for h in handles:
@@ -206,8 +188,7 @@ class TestSessionLifecycle:
         assert sess.closed
 
     def test_cancelled_callback_fires(self, corpus):
-        sess = DecodeSession(max_batch=64, max_delay_ms=60_000,
-                             backend="serial")
+        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
         seen = []
         h = sess.submit(corpus[3])
         h.add_done_callback(lambda hh: seen.append(hh.cancelled()))
@@ -215,10 +196,8 @@ class TestSessionLifecycle:
         assert seen == [True]
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             DecodeSession(max_batch=0, backend="serial")
-        with pytest.raises(ValueError):
-            DecodeSession(max_delay_ms=-1, backend="serial")
 
     def test_stats_snapshot_shape(self, corpus):
         with DecodeSession(max_batch=2, backend="serial",
@@ -354,7 +333,7 @@ class TestQueueStress:
         n_producers, per_producer = 4, 3
         all_handles: list[list[DecodeHandle]] = [[] for _ in
                                                  range(n_producers)]
-        with DecodeSession(max_batch=4, max_delay_ms=1.0,
+        with DecodeSession(max_batch=4,
                            queue_capacity=4, backend="thread",
                            workers=2) as sess:
             def produce(pid: int) -> None:

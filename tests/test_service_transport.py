@@ -18,7 +18,6 @@ from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import (
     BatchDecoder,
     DecodeSession,
-    ImageRequest,
     ModelScheduler,
     PlaneArena,
     WorkerPool,
@@ -109,8 +108,9 @@ class TestPlaneArena:
         with pytest.raises(ServiceError):
             arena.lease(1)
 
-    def test_max_free_bounds_the_ring(self):
-        with PlaneArena(max_free=1) as arena:
+    def test_max_free_bounds_the_ring(self, monkeypatch):
+        monkeypatch.setattr("repro.service.transport.MAX_FREE", 1)
+        with PlaneArena() as arena:
             slots = [arena.lease(10) for _ in range(3)]
             for slot in slots:
                 arena.release(slot)
@@ -143,8 +143,9 @@ class TestPlaneArena:
             for ref, plane in zip(refs, planes):
                 assert np.array_equal(arena.resolve(ref), plane)
 
-    def test_publish_overflow_raises(self):
-        with PlaneArena(granularity=4096) as arena:
+    def test_publish_overflow_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.service.transport.GRANULARITY", 4096)
+        with PlaneArena() as arena:
             slot = arena.lease(16)
             with pytest.raises(ServiceError):
                 publish_plane(slot, np.zeros(slot.capacity + 1,
@@ -242,14 +243,16 @@ class TestCrashSafety:
         assert not shm_files()
 
     def test_batch_completion_releases_every_slot(self, corpus,
-                                                  shm_floor_zero):
-        """After any successful shm batch the ring holds zero leases."""
+                                                  shm_floor_zero,
+                                                  fanout_always):
+        """After any successful shm batch the ring holds zero leases —
+        a fanned-out image's (alone on the pool) and a whole batch's."""
         with BatchDecoder(workers=2, backend="process") as dec:
-            reqs = [ImageRequest(data=corpus[1], split_segments=True),
-                    ImageRequest(data=corpus[0])]
-            batch = dec.decode_batch(reqs)
-            assert batch.ok
-            assert dec.arena.leaked() == []
+            for group in ([corpus[1]], corpus[:2]):
+                batch = dec.decode_batch(group)
+                assert batch.ok
+                assert dec.arena.leaked() == []
+            assert dec.stats.images_split == 1
         assert not shm_files()
 
 
@@ -260,20 +263,22 @@ class TestCrashSafety:
 @pytest.mark.usefixtures("shm_floor_zero")
 class TestShmBitIdentity:
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_unscheduled(self, corpus, engine):
-        """The corpus plus a forced DRI fan-out image, against the
-        single-image decodes of either entropy engine."""
-        requests = [ImageRequest(data=b) for b in corpus]
-        requests.append(ImageRequest(data=corpus[1], split_segments=True))
-        oracle = [decode_jpeg(r.data, DecodeOptions(entropy_engine=engine)).rgb
-                  for r in requests]
+    def test_unscheduled(self, corpus, engine, fanout_always):
+        """The corpus, then its DRI image alone on the pool (where it
+        fans out), against the single-image decodes of either entropy
+        engine."""
+        blobs = corpus + [corpus[1]]
+        oracle = [decode_jpeg(b, DecodeOptions(entropy_engine=engine)).rgb
+                  for b in blobs]
         with BatchDecoder(workers=2, backend="process") as dec:
             assert dec.transport == "shm"
-            batch = dec.decode_batch(requests)
-            assert batch.ok, [(r.error_type, r.error) for r in batch]
-            assert batch.results[-1].segments > 1  # DRI fan-out ran
+            results = list(dec.decode_batch(corpus))
+            results += dec.decode_batch([corpus[1]]).results
+            assert all(r.ok for r in results), \
+                [(r.error_type, r.error) for r in results]
+            assert results[-1].segments > 1  # DRI fan-out ran
             assert dec.stats.bytes_shm > 0
-            for res, want in zip(batch, oracle):
+            for res, want in zip(results, oracle):
                 assert np.array_equal(res.rgb, want)
             assert dec.arena.leaked() == []
 
@@ -367,7 +372,7 @@ class TestSessionStressShm:
         """Concurrent producers over a small queue, process pool + shm:
         nothing lost, nothing duplicated, everything bit-identical."""
         producers, per_producer = 4, 6
-        session = DecodeSession(max_batch=4, max_delay_ms=1.0,
+        session = DecodeSession(max_batch=4,
                                 queue_capacity=8, workers=2,
                                 backend="process")
         assert session.decoder.transport == "shm"

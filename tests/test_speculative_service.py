@@ -1,7 +1,7 @@
 """Speculative chunk fan-out through the batch service: bit-identity
-across backends and transports, the policy knob and per-request
-override, the one fan-out decision (the same with and without a
-scheduler), fault injection, and hostile-input error identity."""
+across backends and transports, the decoder's policy knob, the one
+fan-out decision (the same with and without a scheduler), fault
+injection, and hostile-input error identity."""
 
 from __future__ import annotations
 
@@ -98,25 +98,6 @@ class TestSpeculativeBatches:
         assert res.ok and res.segments == 1 and not res.speculative
         assert np.array_equal(res.rgb, oracles[0])
 
-    def test_request_override_forbids(self, blobs, oracles):
-        with BatchDecoder(workers=4, backend="thread",
-                          speculative="on") as dec:
-            batch = dec.decode_batch(
-                [ImageRequest(data=blobs[0], speculative=False)])
-        res = batch.results[0]
-        assert res.ok and res.segments == 1 and not res.speculative
-        assert np.array_equal(res.rgb, oracles[0])
-
-    def test_request_override_forces_despite_off_policy(self, blobs,
-                                                        oracles):
-        with BatchDecoder(workers=4, backend="thread",
-                          speculative="off") as dec:
-            batch = dec.decode_batch(
-                [ImageRequest(data=blobs[0], speculative=True)])
-        res = batch.results[0]
-        assert res.ok and res.segments > 1
-        assert np.array_equal(res.rgb, oracles[0])
-
     def test_auto_policy_defers_to_batch_pressure(self, blobs, frame_mf):
         # A batch that already fills the pool keeps whole-image tasks;
         # a lone frame fans out.
@@ -136,14 +117,15 @@ class TestSpeculativeBatches:
         assert res.ok and res.segments == 5
         assert np.array_equal(res.rgb, oracles[1])
 
-    def test_dri_image_not_speculated(self, small_rgb):
+    def test_dri_image_not_speculated(self, small_rgb, fanout_never):
+        # "on" forces marker-free chunks only; a restart stream follows
+        # the price, which says no here.
         data = encode(small_rgb, dri=4)
         with BatchDecoder(workers=4, backend="thread",
                           speculative="on") as dec:
-            batch = dec.decode_batch([ImageRequest(
-                data=data, speculative=True, split_segments=False)])
+            batch = dec.decode_batch([ImageRequest(data=data)])
         res = batch.results[0]
-        assert res.ok and not res.speculative
+        assert res.ok and not res.speculative and res.segments == 1
         assert np.array_equal(res.rgb, decode_jpeg(data).rgb)
 
     def test_invalid_policy_rejected(self):
@@ -191,20 +173,23 @@ class TestPricedDecision:
         assert np.array_equal(dri.rgb, decode_jpeg(frame_dri).rgb)
 
     def test_policies_and_overrides_ignore_the_price(self, thumbnail,
-                                                     frame_mf):
+                                                     frame_mf, monkeypatch):
+        """The policy overrides the price for marker-free scans only:
+        "on" fans out a thumbnail no fan-out pays for, beside a restart
+        stream that, with room to spare, follows the price; "off" keeps
+        a lone frame whole that every fan-out would pay for."""
         small_dri = encode(GENERATORS["photo"](64, 80, seed=3), dri=4)
-        with BatchDecoder(workers=2, backend="thread",
+        monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US",
+                            math.inf)
+        with BatchDecoder(workers=3, backend="thread",
                           speculative="on") as dec:
-            on = dec.decode_batch(
-                [thumbnail,
-                 ImageRequest(data=small_dri, split_segments=True)])
-        assert [r.segments > 1 for r in on.results] == [True, True]
+            on = dec.decode_batch([thumbnail, small_dri])
+        assert [r.segments > 1 for r in on.results] == [True, False]
+        monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US", 0.0)
         with BatchDecoder(workers=2, backend="thread",
                           speculative="off") as dec:
-            off = dec.decode_batch(
-                [frame_mf, ImageRequest(data=thumbnail, speculative=True)])
+            off = dec.decode_batch([frame_mf])
         assert off.results[0].segments == 1
-        assert off.results[1].segments > 1
 
     def test_plan_prices_from_the_header_alone(self, frame_mf, frame_dri,
                                                thumbnail, monkeypatch):
@@ -253,21 +238,22 @@ class TestDispatchingPool:
 
 
 class TestComponentLayouts:
-    """Forced fan-out of every component layout, with and without
-    restart markers: the units' MCU strips keep the component count."""
+    """Fan-out of every component layout, with and without restart
+    markers, where every fan-out pays: the units' MCU strips keep the
+    component count."""
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("dri", [0, 4])
     @pytest.mark.parametrize("colorspace", ["gray", "ycbcr", "ycck"])
-    def test_forced_fanout_is_bit_identical(self, colorspace, dri, backend):
+    def test_forced_fanout_is_bit_identical(self, colorspace, dri, backend,
+                                            fanout_always):
         rgb = GENERATORS["photo"](64, 96, seed=5)
         data = encode_jpeg(rgb, EncoderSettings(
             quality=85, colorspace=colorspace, restart_interval=dri,
             subsampling="4:4:4" if colorspace == "gray" else "4:2:0"))
         want = decode_jpeg(data).rgb
         with BatchDecoder(workers=2, backend=backend) as dec:
-            (res,) = dec.decode_batch([ImageRequest(
-                data=data, split_segments=True, speculative=True)]).results
+            (res,) = dec.decode_batch([data]).results
         assert res.ok, (res.error_type, res.error)
         assert res.segments > 1
         assert res.speculative == (dri == 0)
@@ -446,7 +432,7 @@ _IMAGES = {
 _THREADS = dict(workers=2, backend="thread")
 _SPEC, _RUNS, _WHOLE = (True, True), (True, False), (False, False)
 
-#: ``name -> (decoder kwargs, [(image, request knobs)], [(fans out,
+#: ``name -> (decoder kwargs, [(image, request fields)], [(fans out,
 #: speculative)])`` — what each group does on a 2-worker pool,
 #: scheduler or not.
 _CELLS = {
@@ -459,13 +445,6 @@ _CELLS = {
     "progressive-frame": (_THREADS, [("prog", {})], [_WHOLE]),
     "salvage-frame": (_THREADS, [("frame", dict(salvage=True))], [_WHOLE]),
     "serial-backend": (dict(backend="serial"), [("frame", {})], [_WHOLE]),
-    "split-segments-false": (
-        _THREADS, [("dri", dict(split_segments=False))], [_WHOLE]),
-    "speculative-false": (
-        _THREADS, [("frame", dict(speculative=False))], [_WHOLE]),
-    "forced-overrides": (
-        _THREADS, [("thumb", dict(speculative=True)),
-                   ("dri", dict(split_segments=True))], [_SPEC, _RUNS]),
     "policy-on": ({**_THREADS, "speculative": "on"},
                   [("thumb", {}), ("thumb", {})], [_SPEC, _SPEC]),
     "policy-off": ({**_THREADS, "speculative": "off"}, [("frame", {})],
