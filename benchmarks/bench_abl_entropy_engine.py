@@ -128,6 +128,5 @@ def render() -> str:
             f"{build_ms:.2f} ms")
 
 
-def test_abl_entropy_engine(benchmark):
-    out = benchmark(render)
-    write_result("abl_entropy_engine", out)
+def test_abl_entropy_engine():
+    write_result("abl_entropy_engine", render())

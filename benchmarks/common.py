@@ -1,32 +1,17 @@
 """Shared benchmark infrastructure.
 
-Each benchmark module regenerates one table or figure of the paper:
-the *measured* quantity is the simulated decode schedule (replayed in
-pricing mode — identical timings to the full decode, no pixel math, see
-tests/test_executors.py::TestPricingParity), and the module writes the
-paper-shaped rows/series to ``benchmarks/results/<id>.txt``.
-
-Real corpora (actual JPEG bytes with per-row entropy offsets) feed the
-table benchmarks; virtual (w, h, density) sweeps feed the figure
-benchmarks whose x-axes are size or density.
+Each wall-clock benchmark here (A8 entropy engine, S3 session latency,
+S5 chaos, S8 sharded serving) writes its table to
+``benchmarks/results/<name>.txt``.  The paper's modelled figures and
+tables are tier-1 tests, mapped claim by claim in
+``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from pathlib import Path
 
-from repro.core import DecodeMode, HeterogeneousDecoder, PreparedImage
-from repro.data import CorpusSpec, build_corpus
-from repro.evaluation import platforms, prepare_corpus
-
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Geometric size ladder used by the figure sweeps (pixels on the x-axis).
-SWEEP_SIDES = (256, 384, 512, 768, 1024, 1536, 2048)
-
-#: Mid-range entropy density (Figure 7's typical region).
-TYPICAL_DENSITY = 0.20
 
 
 def write_result(name: str, text: str) -> None:
@@ -35,37 +20,3 @@ def write_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
-
-
-@lru_cache(maxsize=8)
-def decoder_for(platform_name: str) -> HeterogeneousDecoder:
-    plat = {p.name: p for p in platforms.ALL_PLATFORMS}[platform_name]
-    return HeterogeneousDecoder.for_platform(plat)
-
-
-def virtual_sweep(subsampling: str, density: float = TYPICAL_DENSITY,
-                  sides=SWEEP_SIDES) -> list[PreparedImage]:
-    """Square-image size ladder as pricing-mode descriptors."""
-    return [PreparedImage.virtual(s, s, subsampling, density) for s in sides]
-
-
-@lru_cache(maxsize=4)
-def real_corpus(subsampling: str) -> tuple[PreparedImage, ...]:
-    """A small real corpus (encoded + entropy-decoded once per session),
-    then converted to pricing replays with the *actual* per-row entropy
-    offsets — the quantity Tables 2/3 and the re-partitioning ablation
-    depend on."""
-    spec = CorpusSpec(
-        sizes=((192, 144), (256, 192), (320, 320), (448, 336), (512, 384),
-               (768, 576), (1024, 768)),
-        subsampling=subsampling, quality=85,
-        seeds=(101,), detail_levels=(0.3, 0.7),
-    )
-    prepared = prepare_corpus(build_corpus(spec))
-    return tuple(p.as_virtual() for p in prepared)
-
-
-def run_modes(decoder: HeterogeneousDecoder, prep: PreparedImage,
-              modes=tuple(DecodeMode)) -> dict[DecodeMode, float]:
-    """Simulated total time (us) per mode for one image."""
-    return {m: decoder.decode(prep, m).total_us for m in modes}

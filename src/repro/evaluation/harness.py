@@ -87,19 +87,6 @@ def summarize_speedups(
     return out
 
 
-def speedup_series(
-    measurements: list[ImageMeasurement],
-    modes: tuple[DecodeMode, ...] = EVALUATED_MODES,
-    baseline: DecodeMode = DecodeMode.SIMD,
-) -> dict[DecodeMode, list[tuple[int, float]]]:
-    """Figure 10: (pixels, speedup) series per mode, sorted by size."""
-    out: dict[DecodeMode, list[tuple[int, float]]] = {m: [] for m in modes}
-    for m in sorted(measurements, key=lambda r: r.pixels):
-        for mode in modes:
-            out[mode].append((m.pixels, m.speedup(mode, baseline)))
-    return out
-
-
 def amdahl_series(
     platform: Platform,
     prepared: list[PreparedImage],

@@ -1,9 +1,6 @@
-"""Paper-style text rendering of tables and figure series."""
+"""Plain-text table rendering for benchmark result files."""
 
 from __future__ import annotations
-
-from ..core.modes import DecodeMode
-from .harness import SpeedupSummary
 
 
 def format_table(headers: list[str], rows: list[list[str]],
@@ -23,59 +20,3 @@ def format_table(headers: list[str], rows: list[list[str]],
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-_MODE_LABELS = {
-    DecodeMode.GPU: "GPU",
-    DecodeMode.PIPELINE: "Pipeline",
-    DecodeMode.SPS: "SPS",
-    DecodeMode.PPS: "PPS",
-    DecodeMode.SIMD: "SIMD",
-    DecodeMode.SEQUENTIAL: "Sequential",
-}
-
-
-def format_speedup_table(
-    summaries_by_platform: dict[str, dict[DecodeMode, SpeedupSummary]],
-    title: str,
-) -> str:
-    """Tables 2/3 layout: modes as rows, machines as columns."""
-    platforms = list(summaries_by_platform)
-    modes = list(next(iter(summaries_by_platform.values())))
-    headers = ["Mode"] + platforms
-    rows = []
-    for mode in modes:
-        row = [_MODE_LABELS.get(mode, mode.value)]
-        for p in platforms:
-            row.append(str(summaries_by_platform[p][mode]))
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def format_series(series: list[tuple], headers: list[str],
-                  title: str = "", fmt: str = "{:.3f}") -> str:
-    """Figure data as a column table (pixels + one or more values)."""
-    rows = []
-    for tup in series:
-        row = [str(int(tup[0]))]
-        for v in tup[1:]:
-            row.append(fmt.format(v))
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def format_breakdown(
-    breakdowns: dict[DecodeMode, dict[str, float]], title: str = ""
-) -> str:
-    """Figure 9 layout: stages as rows, modes as columns (SIMD-normalized)."""
-    modes = list(breakdowns)
-    stages = sorted({s for b in breakdowns.values() for s in b})
-    stages = [s for s in stages if s != "total"] + ["total"]
-    headers = ["Stage"] + [_MODE_LABELS.get(m, m.value) for m in modes]
-    rows = []
-    for stage in stages:
-        row = [stage]
-        for m in modes:
-            v = breakdowns[m].get(stage)
-            row.append(f"{v:.3f}" if v is not None else "-")
-        rows.append(row)
-    return format_table(headers, rows, title=title)

@@ -16,23 +16,16 @@ This module implements that extension:
   about equal compressed size and :func:`decode_segment_coefficients`
   decodes one run in isolation into an MCU strip
   (:func:`~repro.jpeg.blocks.scatter_mcu_strip` places it into the
-  global grid) — the unit of work :mod:`repro.service` fans out across
-  a real worker pool;
-- :class:`ParallelEntropyDecoder` decodes every segment independently
-  (results are bit-identical to the sequential decoder — tested) and
-  models the multi-core schedule: segments are greedily assigned to
-  ``cores`` workers (LPT order), giving the simulated speedup;
+  global grid; the runs' result is bit-identical to the sequential
+  decoder's) — the unit of work :mod:`repro.service` fans out across a
+  real worker pool.
 
-The executors do not use it by default — the paper's pipeline relies on
-*in-order* row availability, which parallel segment decoding breaks —
-but the A7 ablation benchmark quantifies the opportunity, and the
+The executors do not use it — the paper's pipeline relies on *in-order*
+row availability, which parallel segment decoding breaks — but the
 batched decode service (:mod:`repro.service`) exploits it for real
-wall-clock parallelism across processes.
-
-Marker-free scans get a third fan-out mode: speculative
-self-synchronizing decode (:mod:`repro.jpeg.speculative`), wrapped here
-by :class:`SpeculativeEntropyDecoder` with the same modeled-schedule
-reporting as :class:`ParallelEntropyDecoder`.
+wall-clock parallelism across processes.  Marker-free scans fan out by
+speculative self-synchronizing decode instead
+(:mod:`repro.jpeg.speculative`).
 """
 
 from __future__ import annotations
@@ -42,19 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EntropyError
-from .blocks import ImageGeometry, scatter_mcu_strip
-from .entropy import CoefficientBuffers, ComponentTables
+from .blocks import ImageGeometry
+from .entropy import ComponentTables
 from .fast_entropy import (
     FastEntropyDecoder,
     create_entropy_decoder,
     destuff_scan,
-)
-from .speculative import (
-    DEFAULT_OVERLAP_BYTES,
-    SpeculativeChunk,
-    SpeculativeReport,
-    _sequential as _sequential_oracle,
-    speculate,
 )
 
 
@@ -211,138 +197,3 @@ def modeled_entropy_us(nbytes: int, mcus: int) -> float:
     """Modelled sequential entropy-decode time (us) of *mcus* MCUs coded
     in *nbytes* bytes."""
     return (nbytes * HUFFMAN_NS_PER_BYTE + mcus * HUFFMAN_NS_PER_MCU) / 1e3
-
-
-def _lpt_makespan(work: list[float], cores: int) -> float:
-    """Longest-processing-time-first schedule length on *cores* workers."""
-    loads = [0.0] * max(1, cores)
-    for w in sorted(work, reverse=True):
-        i = loads.index(min(loads))
-        loads[i] += w
-    return max(loads)
-
-
-@dataclass
-class ParallelDecodeResult:
-    """Output of a parallel entropy decode."""
-
-    coefficients: CoefficientBuffers
-    segments: list[RestartSegment]
-    sequential_us: float      # simulated single-core time
-    parallel_us: float        # simulated LPT makespan on `cores`
-    cores: int
-
-    @property
-    def speedup(self) -> float:
-        """Modeled multi-core speedup (sequential time / LPT makespan)."""
-        return self.sequential_us / self.parallel_us
-
-
-class ParallelEntropyDecoder:
-    """Decode restart segments independently; merge into one buffer."""
-
-    def __init__(self, geometry: ImageGeometry,
-                 tables: list[ComponentTables],
-                 restart_interval: int,
-                 entropy_engine: str = "fast") -> None:
-        """Validate the DRI interval and bind per-segment decode inputs."""
-        if restart_interval <= 0:
-            raise EntropyError("parallel Huffman decoding needs a DRI interval")
-        self.geometry = geometry
-        self.tables = tables
-        self.restart_interval = restart_interval
-        self.entropy_engine = entropy_engine
-
-    def decode(self, entropy_data: bytes,
-               cores: int = 4) -> ParallelDecodeResult:
-        """Decode all segments; model the multi-core schedule with
-        :func:`modeled_entropy_us` per segment.
-
-        Segments start and end on MCU-row boundaries only if the
-        interval divides the row width, so each is decoded into an MCU
-        strip and then scattered into the global block grid.
-        """
-        geo = self.geometry
-        segments = split_restart_segments(
-            entropy_data, geo.total_mcus, self.restart_interval)
-        out = CoefficientBuffers.empty(geo)
-        for seg in segments:
-            planes = decode_segment_coefficients(
-                seg, entropy_data[seg.byte_start:seg.byte_stop], geo,
-                self.tables, self.entropy_engine)
-            scatter_mcu_strip(planes, 0, seg.mcu_start, seg.mcu_count,
-                              geo, out.planes)
-        work = [modeled_entropy_us(seg.nbytes, seg.mcu_count)
-                for seg in segments]
-        return ParallelDecodeResult(
-            coefficients=out, segments=segments,
-            sequential_us=float(sum(work)),
-            parallel_us=_lpt_makespan(work, cores),
-            cores=cores,
-        )
-
-
-@dataclass
-class SpeculativeDecodeResult:
-    """Output of a speculative (marker-free) parallel entropy decode."""
-
-    coefficients: CoefficientBuffers
-    report: SpeculativeReport
-    chunks: list[SpeculativeChunk]
-    sequential_us: float      # simulated single-core time
-    parallel_us: float        # simulated LPT makespan + serial repairs
-    cores: int
-
-    @property
-    def speedup(self) -> float:
-        """Modeled multi-core speedup (sequential time / LPT makespan)."""
-        return self.sequential_us / self.parallel_us
-
-
-class SpeculativeEntropyDecoder:
-    """Marker-free fan-out: chunk, decode optimistically, stitch.
-
-    The restart-segment decoder above needs a DRI interval; this one
-    does not — it guesses chunk boundaries and relies on Huffman
-    self-synchronization (:mod:`repro.jpeg.speculative`).  The modeled
-    schedule mirrors :class:`ParallelEntropyDecoder`: chunk costs are
-    LPT-packed onto ``cores`` workers, and every misspeculated chunk
-    adds its span again as a serial repair on the critical path.
-    """
-
-    def __init__(self, geometry: ImageGeometry,
-                 tables: list[ComponentTables],
-                 chunk_count: int | None = None,
-                 overlap: int = DEFAULT_OVERLAP_BYTES) -> None:
-        """Bind decode inputs; *chunk_count* None = one chunk per core."""
-        self.geometry = geometry
-        self.tables = tables
-        self.chunk_count = chunk_count
-        self.overlap = overlap
-
-    def decode(self, entropy_data: bytes, cores: int = 4,
-               map_fn=map) -> SpeculativeDecodeResult:
-        """Decode the whole scan speculatively; model the schedule
-        with :func:`modeled_entropy_us` applied to each chunk's shipped
-        window."""
-        geo = self.geometry
-        scan = destuff_scan(entropy_data)
-        n_chunks = self.chunk_count if self.chunk_count else max(1, cores)
-        chunks, out, report = speculate(scan, geo, self.tables, n_chunks,
-                                        self.overlap, map_fn)
-        mcus_per_chunk = geo.total_mcus / len(chunks)
-        work = [modeled_entropy_us(c.window_stop - c.start, mcus_per_chunk)
-                for c in chunks]
-        sequential_us = modeled_entropy_us(len(scan.payload),
-                                           geo.total_mcus)
-        parallel_us = _lpt_makespan(work, cores)
-        if out is None:
-            # Whole-scan fallback: the sequential decode IS the path.
-            parallel_us = parallel_us + sequential_us
-            out = _sequential_oracle(scan, geo, self.tables, 0)
-        else:
-            parallel_us += sum(work[k] for k in report.misspeculated)
-        return SpeculativeDecodeResult(
-            coefficients=out, report=report, chunks=chunks,
-            sequential_us=sequential_us, parallel_us=parallel_us,
-            cores=cores)

@@ -543,49 +543,23 @@ def speculative_eligible(restart_interval: int,
     return restart_interval == 0 and prescan.restart_count == 0
 
 
-def speculate(scan: ScanPrescan, geometry: ImageGeometry,
-              tables: list[ComponentTables], chunk_count: int,
-              overlap: int = DEFAULT_OVERLAP_BYTES, map_fn=map):
-    """Chunk, decode and stitch a marker-free *scan*.
-
-    Returns ``(chunks, coefficients, report)``; *coefficients* is None
-    when the stitch could not establish coverage and the caller has to
-    decode the scan sequentially.  *map_fn* orders the chunk decodes
-    (pass a pool's ``map`` for real parallelism —
-    :func:`decode_speculative_chunk` is picklable).
-    """
-    chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
-    geo_args = (geometry.width, geometry.height, geometry.mode,
-                geometry.ncomponents)
-    payload = scan.payload
-    tasks = [
-        (c, payload[c.start:c.slice_stop], geo_args, tables, "fast",
-         scan.terminator if c.slice_stop == len(payload) else None)
-        for c in chunks
-    ]
-    traces = list(map_fn(_decode_chunk_star, tasks))
-    out, report = stitch_chunks(traces, chunks, geometry,
-                                repair=make_repairer(scan, geometry, tables))
-    return chunks, out, report
-
-
 def decode_coefficients_speculative(
     info,
     chunk_count: int,
     overlap: int = DEFAULT_OVERLAP_BYTES,
     engine: str = "fast",
-    map_fn=map,
     prescan: ScanPrescan | None = None,
 ) -> tuple[CoefficientBuffers, SpeculativeReport]:
-    """Speculatively decode a whole scan's coefficients.
+    """Speculatively decode a whole scan's coefficients: chunk, decode
+    each chunk in turn, stitch.
 
-    *info* is a parsed :class:`~repro.jpeg.markers.JpegImageInfo`;
-    *map_fn* as for :func:`speculate`.  Misspeculated boundaries are
-    healed by sequential gap repair; only when the stitch cannot
-    establish coverage at all is the whole scan re-decoded sequentially.
-    Either way the result is bit-identical to the sequential oracle and
-    hostile streams raise the oracle's exact errors; the report says
-    which path ran.
+    *info* is a parsed :class:`~repro.jpeg.markers.JpegImageInfo`.
+    Misspeculated boundaries are healed by sequential gap repair; only
+    when the stitch cannot establish coverage at all is the whole scan
+    re-decoded sequentially.  Either way the result is bit-identical to
+    the sequential oracle and hostile streams raise the oracle's exact
+    errors; the report says which path ran.  (The batched service fans
+    the same chunk decodes out over a worker pool instead.)
     """
     from .decoder import component_tables_from_info
 
@@ -593,19 +567,25 @@ def decode_coefficients_speculative(
     tables = component_tables_from_info(info)
     scan = prescan if prescan is not None else destuff_scan(info.entropy_data)
     if speculative_eligible(info.restart_interval, scan) and engine == "fast":
-        _, out, report = speculate(scan, geometry, tables, chunk_count,
-                                   overlap, map_fn)
+        chunks = plan_chunks(len(scan.payload), chunk_count, overlap)
+        geo_args = (geometry.width, geometry.height, geometry.mode,
+                    geometry.ncomponents)
+        payload = scan.payload
+        traces = [
+            decode_speculative_chunk(
+                c, payload[c.start:c.slice_stop], geo_args, tables, "fast",
+                scan.terminator if c.slice_stop == len(payload) else None)
+            for c in chunks
+        ]
+        out, report = stitch_chunks(
+            traces, chunks, geometry,
+            repair=make_repairer(scan, geometry, tables))
     else:
         out, report = None, SpeculativeReport(
             chunks=1, fallback=True, reason="scan not speculative-eligible")
     if out is None:
         out = _sequential(scan, geometry, tables, info.restart_interval)
     return out, report
-
-
-def _decode_chunk_star(args) -> ChunkTrace:
-    """Tuple-splat adapter for ``map``-style executors."""
-    return decode_speculative_chunk(*args)
 
 
 def make_repairer(scan: ScanPrescan, geometry: ImageGeometry,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.jpeg import decode_jpeg, parse_jpeg
+from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
 
 
 @pytest.fixture()
@@ -78,11 +78,25 @@ class TestProfileEvaluate:
         model = PerformanceModel.load(out_path)
         assert model.platform_name == "GTX 560"
 
-    def test_evaluate_lists_all_modes(self, jpeg_file, capsys):
-        assert main(["evaluate", str(jpeg_file)]) == 0
-        out = capsys.readouterr().out
-        for mode in ("sequential", "simd", "gpu", "pipeline", "sps", "pps"):
-            assert mode in out
+    def test_evaluate_lists_all_modes(self, tmp_path, small_rgb, capsys):
+        """Every mode gets a row with its speed relative to SIMD; on a
+        geometry the GPU kernels do not cover (4:2:0), the GPU modes
+        read n/a and the command still succeeds."""
+        for subsampling in ("4:2:0", "4:2:2"):
+            path = tmp_path / "img.jpg"
+            path.write_bytes(encode_jpeg(small_rgb, EncoderSettings(
+                quality=85, subsampling=subsampling)))
+            assert main(["evaluate", str(path)]) == 0, subsampling
+            rows = dict(line.split(None, 1)
+                        for line in capsys.readouterr().out.splitlines()[1:])
+            assert list(rows) == ["sequential", "simd", "gpu", "pipeline",
+                                  "sps", "pps"]
+            assert rows["simd"].endswith(" 1.00x")
+            sequential = float(rows["sequential"].split()[-1].rstrip("x"))
+            assert 0.3 < sequential < 0.7
+            for mode in ("gpu", "pipeline", "sps", "pps"):
+                assert rows[mode].startswith("n/a") == (
+                    subsampling == "4:2:0"), (subsampling, mode)
 
 
 class TestServeBatch:

@@ -12,10 +12,12 @@ import pytest
 
 from repro.errors import JpegUnsupportedError
 from repro.core import DecodeMode, HeterogeneousDecoder, PreparedImage
+from repro.core.chunking import candidate_chunk_rows
 from repro.core.executors import ExecutionConfig, cpu_parallel_span, execute
 from repro.data import synthetic_photo, synthetic_skewed
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.evaluation import platforms
+from repro.kernels import GpuProgramOptions
 
 ALL_MODES = tuple(DecodeMode)
 
@@ -215,6 +217,14 @@ class TestOneExecutor:
             assert execute(cfg, prep, mode).mode is mode
 
 
+def gpu_parallel_us(prep, options):
+    """GPU-mode transfers + kernels on the GTX 560 under *options*."""
+    b = execute(ExecutionConfig(platform=platforms.GTX560,
+                                gpu_options=options),
+                prep, DecodeMode.GPU).breakdown
+    return b.get("kernel", 0) + b.get("write", 0) + b.get("read", 0)
+
+
 class TestPerformanceShapes:
     def test_simd_faster_than_sequential(self, gtx560_decoder, prep422):
         seq = gtx560_decoder.decode(prep422, DecodeMode.SEQUENTIAL)
@@ -243,17 +253,54 @@ class TestPerformanceShapes:
         assert pps.total_us < simd.total_us          # PPS still wins
 
     def test_repartition_helps_on_skewed_images(self, gtx560_decoder):
-        """A6: on back-loaded entropy, re-partitioning must not hurt."""
-        rgb = synthetic_skewed(256, 256, seed=9, dense_fraction=0.5)
-        data = encode_jpeg(rgb, EncoderSettings(quality=85,
-                                                subsampling="4:2:2"))
-        prep = PreparedImage.from_bytes(data).as_virtual()
+        """A6: on back- or front-loaded entropy, re-partitioning must
+        not hurt."""
         model = gtx560_decoder.model_for("4:2:2")
-        on = execute(ExecutionConfig(platform=platforms.GTX560, model=model,
-                                     repartition=True), prep, DecodeMode.PPS)
-        off = execute(ExecutionConfig(platform=platforms.GTX560, model=model,
-                                      repartition=False), prep, DecodeMode.PPS)
-        assert on.total_us <= off.total_us * 1.05
+        for dense_at_top in (False, True):
+            rgb = synthetic_skewed(256, 256, seed=9, dense_fraction=0.5,
+                                   dense_at_top=dense_at_top)
+            data = encode_jpeg(rgb, EncoderSettings(quality=85,
+                                                    subsampling="4:2:2"))
+            prep = PreparedImage.from_bytes(data).as_virtual()
+            on, off = (execute(ExecutionConfig(platform=platforms.GTX560,
+                                               model=model, repartition=rep),
+                               prep, DecodeMode.PPS) for rep in (True, False))
+            assert on.total_us <= off.total_us * 1.05, dense_at_top
+
+    @pytest.mark.parametrize("subsampling", ["4:4:4", "4:2:2"])
+    def test_merged_kernels_beat_separate(self, subsampling):
+        """Section 4.4: merging IDCT+color (4:4:4) or upsample+color
+        (4:2:2) shortens the GPU parallel phase at every size."""
+        for side in (512, 1024, 2048):
+            prep = PreparedImage.virtual(side, side, subsampling, 0.2)
+            merged, separate = (
+                gpu_parallel_us(prep, GpuProgramOptions(merge_kernels=m))
+                for m in (True, False))
+            assert merged < separate, side
+
+    def test_tuned_kernels_beat_scalar_stores_and_divergence(self):
+        """Figure 4's vec4 stores and Section 4.2's divergence-free
+        upsampling: turning either off never shortens the GPU parallel
+        phase (GTX 560, 4:2:2)."""
+        for side in (512, 1024, 2048):
+            prep = PreparedImage.virtual(side, side, "4:2:2", 0.2)
+            tuned = gpu_parallel_us(prep, GpuProgramOptions())
+            assert tuned <= gpu_parallel_us(
+                prep, GpuProgramOptions(vectorized=False)), side
+            assert tuned <= gpu_parallel_us(
+                prep, GpuProgramOptions(divergence_free=False)), side
+
+    def test_best_pipeline_chunk_is_shorter_than_the_frame(self):
+        """Section 4.5: more chunks decode faster until the GPU starves,
+        so the best chunk of the halving ladder (1536x1536 4:2:2,
+        GTX 560) is not the full-height one."""
+        prep = PreparedImage.virtual(1536, 1536, "4:2:2", 0.2)
+        rows = prep.geometry.mcu_rows
+        times = {c: execute(ExecutionConfig(platform=platforms.GTX560,
+                                            chunk_mcu_rows=c),
+                            prep, DecodeMode.PIPELINE).total_us
+                 for c in candidate_chunk_rows(rows)}
+        assert min(times, key=times.get) < rows
 
 
 class TestCpuParallelSpan:

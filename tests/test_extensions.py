@@ -1,4 +1,4 @@
-"""Extensions: integer islow IDCT and restart-marker parallel Huffman."""
+"""Extensions: integer islow IDCT and restart-marker segment runs."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.jpeg.blocks import scatter_mcu_strip
 from repro.jpeg.entropy import CoefficientBuffers
 from repro.jpeg.fast_entropy import FastEntropyDecoder
 from repro.jpeg.parallel_huffman import (
-    ParallelEntropyDecoder,
     decode_segment_coefficients,
     merge_segment_runs,
     segment_plane_nbytes,
@@ -188,54 +187,3 @@ class TestSegmentRuns:
         # Run 0 does not contain the marker and still decodes.
         self._decode_runs(bad, runs[:1])
 
-
-class TestParallelEntropyDecoder:
-    @pytest.mark.parametrize("mode", ["4:4:4", "4:2:2", "4:2:0"])
-    def test_bit_identical_to_sequential(self, mode):
-        rgb = synthetic_photo(72, 104, seed=23, detail=0.7)
-        data = encode_jpeg(rgb, EncoderSettings(quality=80, subsampling=mode,
-                                                restart_interval=4))
-        info = parse_jpeg(data)
-        geo = info.geometry
-        tables = component_tables_from_info(info)
-
-        from repro.jpeg.entropy import EntropyDecoder
-        seq = EntropyDecoder(geo, tables, info.restart_interval)
-        seq.decode_all(info.entropy_data)
-
-        par = ParallelEntropyDecoder(geo, tables, info.restart_interval)
-        result = par.decode(info.entropy_data, cores=4)
-        for a, b in zip(seq.coefficients.planes, result.coefficients.planes):
-            assert (a == b).all()
-
-    def test_multicore_speedup_modeled(self, restart_jpeg):
-        info = parse_jpeg(restart_jpeg)
-        par = ParallelEntropyDecoder(info.geometry,
-                                     component_tables_from_info(info),
-                                     info.restart_interval)
-        r1 = par.decode(info.entropy_data, cores=1)
-        r4 = par.decode(info.entropy_data, cores=4)
-        assert r1.speedup == pytest.approx(1.0)
-        assert 1.5 < r4.speedup <= 4.0
-        assert r4.parallel_us < r1.parallel_us
-
-    def test_requires_interval(self, restart_jpeg):
-        info = parse_jpeg(restart_jpeg)
-        with pytest.raises(EntropyError):
-            ParallelEntropyDecoder(info.geometry,
-                                   component_tables_from_info(info), 0)
-
-    def test_full_decode_pixels_match(self, restart_jpeg):
-        """Parallel entropy decode + parallel phase == reference decode."""
-        info = parse_jpeg(restart_jpeg)
-        ref = decode_jpeg(restart_jpeg)
-        par = ParallelEntropyDecoder(info.geometry,
-                                     component_tables_from_info(info),
-                                     info.restart_interval)
-        result = par.decode(info.entropy_data, cores=4)
-        from repro.core.executors import cpu_parallel_span
-        from repro.jpeg.decoder import quant_tables_from_info
-        rgb = cpu_parallel_span(info.geometry, result.coefficients,
-                                quant_tables_from_info(info),
-                                0, info.geometry.mcu_rows)
-        assert np.array_equal(rgb, ref.rgb)

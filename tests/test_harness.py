@@ -11,13 +11,9 @@ from repro.evaluation import (
     amdahl_series,
     balance_series,
     breakdown_for,
-    format_breakdown,
-    format_series,
-    format_speedup_table,
     format_table,
     measure_corpus,
     prepare_corpus,
-    speedup_series,
     summarize_speedups,
     platforms,
 )
@@ -58,12 +54,6 @@ class TestSummaries:
         assert np.isfinite(pps.cov_percent)
         assert "±" in str(pps)
 
-    def test_series_sorted_by_pixels(self, measurements):
-        series = speedup_series(measurements)
-        for pts in series.values():
-            pixels = [p for p, _ in pts]
-            assert pixels == sorted(pixels)
-
 
 class TestFigureSeries:
     def test_amdahl_series_bounded(self, tiny_corpus):
@@ -91,18 +81,3 @@ class TestFormatting:
         lines = out.splitlines()
         assert lines[0] == "T"
         assert all(len(l) == len(lines[1]) for l in lines[1:])
-
-    def test_format_speedup_table(self, measurements):
-        summaries = {"GTX 560": summarize_speedups(measurements)}
-        out = format_speedup_table(summaries, "Table 2")
-        assert "PPS" in out and "GTX 560" in out
-
-    def test_format_series(self):
-        out = format_series([(100, 1.5), (200, 2.5)],
-                            ["Pixels", "Speedup"], title="Fig")
-        assert "100" in out and "2.500" in out
-
-    def test_format_breakdown(self, tiny_corpus):
-        bd = breakdown_for(platforms.GTX560, tiny_corpus[0].as_virtual())
-        out = format_breakdown(bd, title="Figure 9")
-        assert "huffman" in out and "total" in out

@@ -166,7 +166,8 @@ class TestMergedKernels:
             k.describe_launch(y_plane=bad_y, cb_plane=c, cr_plane=c)
 
     def test_all_merged_kernel_loses_occupancy(self):
-        """The fusion the paper rejects: register pressure must show."""
+        """The fusion the paper rejects: register pressure must show,
+        as under 0.6x the two-stage kernel's occupancy."""
         comps = [rand_coeffs(4096) for _ in range(3)]
         launch = MergedAllKernel().describe_launch(
             y_coeffs=comps[0], cb_coeffs=comps[1], cr_coeffs=comps[2],
@@ -181,7 +182,7 @@ class TestMergedKernels:
         occ_two = occupancy(two_stage.ndrange, GTX560TI,
                             two_stage.registers_per_item,
                             two_stage.traffic.local_bytes_per_group)
-        assert occ_all < occ_two
+        assert occ_all < 0.6 * occ_two
 
     def test_all_merged_execute_is_ablation_only(self):
         with pytest.raises(NotImplementedError):

@@ -197,6 +197,27 @@ class TestPricing:
         with pytest.raises(ModelError):
             model.price("fpga", w, h, d)
 
+    def test_mixed_batch_makespan_lpt_vs_roundrobin(self):
+        """The cross-image claim on a real mixed batch, priced from its
+        headers on the GTX 560's SIMD + GPU lanes: two large frames,
+        a mid tier and a tail of small images (4:2:0 ones fit only the
+        CPU lane).  LPT's makespan is pinned and round-robin's is at
+        least 1.10x of it."""
+        batch = ((21, 1024, 768, "4:2:2", 16), (22, 768, 576, "4:4:4", 0),
+                 (23, 512, 384, "4:2:2", 0), (24, 448, 336, "4:4:4", 8),
+                 (25, 320, 240, "4:2:0", 0), (26, 256, 192, "4:2:2", 0),
+                 (27, 192, 144, "4:2:0", 0), (28, 160, 120, "4:2:2", 0),
+                 (29, 160, 120, "4:4:4", 0), (30, 128, 128, "4:2:2", 8))
+        blobs = [encode(w, h, sub, dri, seed=seed)
+                 for seed, w, h, sub, dri in batch]
+        scheduler = ModelScheduler(policy="model", platform=platforms.GTX560)
+        pricings = scheduler.price(blobs)
+        lpt = schedule_lpt(pricings, scheduler.executors)
+        rr = schedule_roundrobin(pricings, scheduler.executors)
+        assert lpt.makespan_us == pytest.approx(7235, rel=1e-3)
+        assert rr.makespan_us == pytest.approx(9476, rel=1e-3)
+        assert rr.makespan_us / lpt.makespan_us >= 1.10
+
     def test_price_batch_matches_scalar(self):
         sched = ModelScheduler(platform=platforms.GTX560)
         model = sched._model_for(platforms.GTX560, "4:2:2")

@@ -28,7 +28,6 @@ from repro.jpeg import (
 )
 from repro.jpeg.decoder import component_tables_from_info
 from repro.jpeg.fast_entropy import FastEntropyDecoder, destuff_scan
-from repro.jpeg.parallel_huffman import SpeculativeEntropyDecoder
 from repro.jpeg.speculative import (
     MIN_CHUNK_BYTES,
     SpeculativeChunk,
@@ -204,15 +203,6 @@ class TestBitIdentity:
             assert info.restart_interval == 0, name
             out, _ = decode_coefficients_speculative(info, 4)
             assert_identical(out, oracle_coefficients(info), f"[{name}]")
-
-    def test_modeled_speedup(self, small_rgb):
-        info = parse_jpeg(encode(small_rgb))
-        dec = SpeculativeEntropyDecoder(
-            info.geometry, component_tables_from_info(info))
-        r = dec.decode(info.entropy_data, cores=4)
-        assert_identical(r.coefficients, oracle_coefficients(info))
-        assert r.speedup > 1.0
-        assert r.cores == 4 and len(r.chunks) == 4
 
 
 # ---------------------------------------------------------------------------
