@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Async gallery: an asyncio producer streaming a mixed-subsampling
-corpus through :class:`repro.service.AsyncDecodeSession`.
+corpus through a plain :class:`repro.service.DecodeSession`.
 
-The producer coroutine submits JPEGs one by one (as a web frontend
-would, requests trickling in) while the consumer iterates the
-completion stream concurrently — submission and completion overlap,
-which a pull-driven batch loop could never do.  Underneath,
-the session's pump thread forms cross-request batches by size/age and
-fans them out over the worker pool.
+A handle is a :class:`concurrent.futures.Future`, so asyncio needs no
+adapter: the producer coroutine submits JPEGs one by one (as a web
+frontend would, requests trickling in) with ``asyncio.to_thread`` — a
+full queue then waits in a thread, never on the loop — and wraps each
+handle with ``asyncio.wrap_future``.  The consumer reads completions
+concurrently, in *completion* order, from a queue the wrapped futures'
+done callbacks feed; submission and completion overlap, which a
+pull-driven batch loop could never do.  Underneath, the session's pump
+thread keeps a rolling window of decodes in flight on the worker pool.
 
 Run:  python examples/async_gallery.py
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from repro.data import synthetic_photo
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.service import AsyncDecodeSession
+from repro.service import DecodeSession
 
 #: (name, (height, width), subsampling, restart_interval)
 GALLERY = [
@@ -51,34 +54,42 @@ async def main() -> None:
     gallery = build_gallery()
     oracle = {name: decode_jpeg(data).rgb for name, data in gallery}
 
-    async with AsyncDecodeSession(max_batch=4,
-                                  backend="thread") as session:
-        async def produce() -> None:
-            # Trickle submissions in like live traffic; the pump admits
-            # each as soon as a worker has room and resolves it when
-            # its own image is done.
-            for name, data in gallery:
-                await session.submit(data)
-                print(f"  submitted {name}")
-                await asyncio.sleep(0.003)
+    session = DecodeSession(max_batch=4, backend="thread")
+    completions: asyncio.Queue = asyncio.Queue()
 
-        producer = asyncio.create_task(produce())
+    async def produce() -> None:
+        # Trickle submissions in like live traffic; the pump admits
+        # each as soon as a worker has room and resolves it when its
+        # own image is done.
+        for name, data in gallery:
+            handle = await asyncio.to_thread(session.submit, data, None)
+            asyncio.wrap_future(handle).add_done_callback(
+                completions.put_nowait)
+            print(f"  submitted {name}")
+            await asyncio.sleep(0.003)
+
+    async def consume() -> None:
         print("\ncompletions (in completion order):")
-        async for result in session.completed(count=len(gallery)):
+        for _ in gallery:
+            result = (await completions.get()).result()
             name = GALLERY[result.request_id][0]
             assert result.ok, f"{name}: {result.error}"
             assert np.array_equal(result.rgb, oracle[name]), name
             print(f"  {name:<16} {result.width}x{result.height} "
                   f"in {result.latency_s * 1e3:6.1f} ms "
                   f"({result.segments} segment(s))")
-        await producer
 
-        snap = session.stats_snapshot()
-        print(f"\n{snap['batches']} batches for {snap['images_ok']} images "
-              f"(pump batched {snap['images_ok'] / snap['batches']:.1f} "
-              f"images/dispatch), "
-              f"p50/p99 latency {snap['latency_ms']['p50']:.1f}/"
-              f"{snap['latency_ms']['p99']:.1f} ms")
+    try:
+        await asyncio.gather(produce(), consume())
+    finally:
+        await asyncio.to_thread(session.close, True)
+
+    snap = session.stats_snapshot()
+    print(f"\n{snap['batches']} batches for {snap['images_ok']} images "
+          f"(pump batched {snap['images_ok'] / snap['batches']:.1f} "
+          f"images/dispatch), "
+          f"p50/p99 latency {snap['latency_ms']['p50']:.1f}/"
+          f"{snap['latency_ms']['p99']:.1f} ms")
     print("all outputs bit-identical to decode_jpeg")
 
 

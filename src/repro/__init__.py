@@ -43,8 +43,8 @@ def __getattr__(name):  # lazy top-level API to keep import light
         from .evaluation import platforms
 
         return platforms
-    if name in {"AsyncDecodeSession", "BatchDecoder", "DecodeHTTPServer",
-                "DecodeSession", "ImageRequest"}:
+    if name in {"BatchDecoder", "DecodeHTTPServer", "DecodeSession",
+                "ImageRequest"}:
         from . import service
 
         return getattr(service, name)

@@ -160,9 +160,6 @@ class DecodeResult:
     def total_time_ms(self) -> float:
         return self.total_us / 1e3
 
-    def speedup_over(self, other: "DecodeResult") -> float:
-        return other.total_us / self.total_us
-
 
 # ---------------------------------------------------------------------------
 # Shared configuration.

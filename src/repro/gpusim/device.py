@@ -45,10 +45,6 @@ class GPUDeviceSpec:
             raise DeviceError("memory_efficiency must be in (0, 1]")
 
     @property
-    def cores_per_sm(self) -> int:
-        return self.cores // self.sm_count
-
-    @property
     def peak_gflops(self) -> float:
         """Peak single-precision throughput at 1 op/core/clock."""
         return self.cores * self.core_clock_mhz / 1e3

@@ -94,7 +94,3 @@ class SimKernel(ABC):
     @abstractmethod
     def execute(self, **args: Any) -> Any:
         """Run the kernel's computation and return its outputs."""
-
-    def time_us(self, device: GPUDeviceSpec, **args: Any) -> float:
-        """Convenience: price a launch without executing it."""
-        return kernel_time_us(self.describe_launch(**args), device)

@@ -187,10 +187,6 @@ class BitReader:
         self._nbits -= nbits
         self._acc &= (1 << self._nbits) - 1
 
-    def align_to_byte(self) -> None:
-        """Discard bits up to the next byte boundary."""
-        self._nbits -= self._nbits % 8
-
     @property
     def hit_marker(self) -> bool:
         """True once the reader has zero-fed past a marker boundary."""
@@ -201,10 +197,6 @@ class BitReader:
         """Index of the next unread byte in the underlying buffer
         (not counting bits still in the accumulator)."""
         return self._pos
-
-    def bits_consumed(self) -> int:
-        """Approximate count of payload bits consumed so far."""
-        return self._pos * 8 - self._nbits
 
     def find_restart_marker(self) -> int:
         """Byte-align, then consume an RSTn marker and return ``n``.

@@ -120,11 +120,6 @@ def rgb_to_ycbcr_float(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return out[..., 0], out[..., 1], out[..., 2]
 
 
-def color_convert_interleaved(ycc: np.ndarray) -> np.ndarray:
-    """Convenience wrapper: (..., 3) YCbCr -> (..., 3) RGB (float path)."""
-    return ycbcr_to_rgb_float(ycc[..., 0], ycc[..., 1], ycc[..., 2])
-
-
 def gray_to_rgb(y: np.ndarray) -> np.ndarray:
     """Grayscale scan to RGB: replicate luma into all three channels."""
     y = np.asarray(y)

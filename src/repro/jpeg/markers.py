@@ -215,12 +215,6 @@ class JpegImageInfo(_FrameFacts):
     #: these into :attr:`~repro.jpeg.decoder.DecodedImage.errors`.
     parse_errors: list[str] = field(default_factory=list)
 
-    @property
-    def entropy_density(self) -> float:
-        """Entropy-coded bytes per pixel — the paper's approximation uses
-        file size; we expose both (see :attr:`file_density`)."""
-        return len(self.entropy_data) / float(self.width * self.height)
-
 
 def _read_u16(data: bytes, pos: int) -> int:
     if pos + 2 > len(data):

@@ -595,11 +595,6 @@ class ProgressiveDecoder:
             self.units_done = unit
 
 
-def decode_progressive(info: JpegImageInfo) -> CoefficientBuffers:
-    """Decode every scan of a parsed SOF2 stream into coefficients."""
-    return ProgressiveDecoder(info).decode()
-
-
 # ---------------------------------------------------------------------------
 # Encoder.
 # ---------------------------------------------------------------------------

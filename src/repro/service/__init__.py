@@ -12,12 +12,11 @@ Public surface (serving front ends first — the recommended entry
 points):
 
 - :class:`~repro.service.session.DecodeSession` — futures-based
-  sessions: ``submit`` returns a per-request
-  :class:`~repro.service.session.DecodeHandle`, a background pump keeps a
+  sessions: ``submit`` returns a
+  :class:`~repro.service.session.DecodeHandle` (a ``Future``; asyncio
+  awaits it via :func:`asyncio.wrap_future`), a background pump keeps a
   rolling window of decodes in flight and resolves each handle when
   its own image is done
-- :class:`~repro.service.aio.AsyncDecodeSession` — the asyncio adapter
-  (async submit, completion stream)
 - :class:`~repro.service.http.DecodeHTTPServer` — stdlib HTTP shim
   (``POST /decode``, ``GET /stats``, 429 backpressure, ``X-Priority``
   weighted shedding classes, backlog-scaled ``Retry-After``)
@@ -67,11 +66,11 @@ CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
 scheduler on).  Benchmarks: the perf ledger's ``session_small`` and
 ``http_mixed`` workloads (``benchmarks/perf/run.py``),
 ``benchmarks/bench_service_latency.py`` (open-loop latency vs offered
-load against a session) and ``benchmarks/bench_batch_partition.py``
-(model-guided vs round-robin makespan).
+load against a session); model-guided vs round-robin makespan is
+pinned by ``tests/test_scheduler.py::TestPricing::\
+test_mixed_batch_makespan_lpt_vs_roundrobin``.
 """
 
-from .aio import AsyncDecodeSession
 from .batch import BatchDecoder, BatchResult
 from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
 from .http import DecodeHTTPServer, ppm_bytes
@@ -131,7 +130,6 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
-    "AsyncDecodeSession",
     "BatchDecoder",
     "BatchResult",
     "BatchSchedule",

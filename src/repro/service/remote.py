@@ -454,6 +454,11 @@ class RemoteLane(ExecutorLane):
     connect_timeout_s: float = 5.0
     request_timeout_s: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ServiceError(
+                f"shard depth must be positive, got {self.depth}")
+
     @property
     def mode(self) -> str:
         """Remote images decode for real: always ``"reference"``."""

@@ -4,10 +4,9 @@ dispatch loop.
 A bare :class:`~repro.service.batch.BatchDecoder` is pull-driven — the
 caller forms each batch and blocks for it, so submission can never
 overlap completion.  :class:`DecodeSession` inverts that: ``submit``
-returns a :class:`DecodeHandle` (future-like — ``done()``,
-``result(timeout)``, ``add_done_callback()``) and one background **pump
-thread** runs a continuous admit → dispatch → gather loop over the
-decoder's in-flight table:
+returns a :class:`DecodeHandle` (a :class:`concurrent.futures.Future`)
+and one background **pump thread** runs a continuous admit → dispatch →
+gather loop over the decoder's in-flight table:
 
 - **window** — at most :data:`DISPATCH_DEPTH` images per worker are in
   flight; the rest wait in the queue, where backpressure applies;
@@ -32,9 +31,9 @@ handle with an ``ok=False`` result rather than raising, exactly like
 the batch API.
 
 Sessions are context managers (see :meth:`DecodeSession.close` for
-drain vs cancel).  The async front end (:mod:`repro.service.aio`) and
-the HTTP shim (:mod:`repro.service.http`) both layer on this class;
-``repro serve-batch`` drives a pump-less session (``pump=False``)
+drain vs cancel).  The HTTP shim (:mod:`repro.service.http`) layers on
+this class, asyncio code awaits a handle with :func:`asyncio.wrap_future`,
+and ``repro serve-batch`` drives a pump-less session (``pump=False``)
 through :meth:`DecodeSession.run_once`.
 """
 
@@ -47,7 +46,7 @@ from concurrent.futures import Future, InvalidStateError
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from time import perf_counter, time
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import (
     DeadlineExceededError,
@@ -78,71 +77,38 @@ DEFAULT_SHED_FRACTIONS: dict[int, float] = {0: 0.5, 1: 0.9}
 DISPATCH_DEPTH = 2
 
 
-class DecodeHandle:
-    """Future-like handle for one submitted decode request.
+class DecodeHandle(Future):
+    """The :class:`concurrent.futures.Future` of one submitted decode.
 
-    Thin, thread-safe wrapper over :class:`concurrent.futures.Future`
-    that resolves to an :class:`~repro.service.batch.ImageResult`.
-    Decode *failures* still resolve the handle (with ``ok=False`` on the
-    result) — only infrastructure faults (a dead worker pool) surface as
-    exceptions, and cancellation (``close(drain=False)``) as
-    ``CancelledError``.
+    It resolves to an :class:`~repro.service.batch.ImageResult`, also
+    when the decode failed (``ok=False``); only infrastructure faults
+    (a dead worker pool) raise, and ``close(drain=False)`` cancels.
+    ``cancel()`` is best-effort: it succeeds until the handle resolves,
+    and the decode may still run.  From asyncio, on any loop: ``await
+    asyncio.wrap_future(session.submit(x))`` (cancelling it cancels the
+    handle); ``await asyncio.to_thread(session.submit, x, None)`` waits
+    for queue space off the loop; ``asyncio.as_completed`` yields in
+    completion order; ``await asyncio.to_thread(session.close, drain)``.
     """
 
     def __init__(self, request_id: Any) -> None:
         """Create a pending handle echoing *request_id*."""
+        super().__init__()
         self.request_id = request_id
         #: perf_counter at submission; the pump's age deadline and the
         #: submit-to-completion latency both measure from here.
         self.submitted_at = perf_counter()
-        self._future: Future = Future()
-
-    def done(self) -> bool:
-        """True once resolved or cancelled."""
-        return self._future.done()
-
-    def cancelled(self) -> bool:
-        """True when the request was cancelled before it decoded."""
-        return self._future.cancelled()
-
-    def cancel(self) -> bool:
-        """Best-effort cancel; returns True when the handle was still
-        pending.  The decode may still run — only the resolution is
-        dropped."""
-        return self._future.cancel()
-
-    def result(self, timeout: float | None = None) -> ImageResult:
-        """Block up to *timeout* seconds for the decode outcome.
-
-        Raises ``TimeoutError`` at the deadline, ``CancelledError`` when
-        the handle was cancelled, and re-raises infrastructure failures.
-        """
-        return self._future.result(timeout)
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        """The infrastructure exception, or None when the decode
-        resolved normally (even with ``ok=False``)."""
-        return self._future.exception(timeout)
-
-    def add_done_callback(self, fn: Callable[["DecodeHandle"], None]) -> None:
-        """Call ``fn(handle)`` exactly once when the handle completes
-        (immediately when already done); exceptions from *fn* are
-        swallowed by the Future machinery, never propagated into the
-        pump."""
-        self._future.add_done_callback(lambda _fut: fn(self))
-
-    # -- resolution (session-internal) ---------------------------------
 
     def _set_result(self, result: ImageResult) -> None:
         """Resolve with *result*; a lost race against cancel (or an
         earlier resolution) is a no-op."""
         with suppress(InvalidStateError):
-            self._future.set_result(result)
+            self.set_result(result)
 
     def _set_exception(self, exc: BaseException) -> None:
         """Fail with an infrastructure error; same no-op rule."""
         with suppress(InvalidStateError):
-            self._future.set_exception(exc)
+            self.set_exception(exc)
 
 
 @dataclass

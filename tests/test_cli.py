@@ -136,6 +136,16 @@ class TestRefusedConfiguration:
         assert captured.err.startswith("repro: error: ServiceError: ")
         assert captured.err.count("\n") == 1
 
+    def test_serve_names_the_shard_depth(self, capsys):
+        """--shard-depth 0 is refused as the depth it is, not as the
+        worker count of the host pool it would open."""
+        assert main(["serve", "--hosts", "127.0.0.1:1",
+                     "--shard-depth", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("repro: error: ServiceError: shard depth "
+                                "must be positive, got 0\n")
+
 
 class TestSessionFlags:
     """serve-batch / serve / serve-worker take the session flags from

@@ -3,7 +3,7 @@
 The scope is the ISSUE-2 satellite contract, widened by ISSUEs 3-5 and
 14: ``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
 pixel kernels ``repro.jpeg.idct``/``repro.jpeg.color``, every module of ``repro.service`` (the scheduler, the serving front
-ends ``session``/``aio``/``http``, and the shared-memory
+ends ``session``/``http``, and the shared-memory
 ``transport`` module included), and the
 partitioning core ``repro.core.partition``/``repro.core.perfmodel``
 must document their module, every public class and every public
@@ -29,10 +29,10 @@ def test_scoped_modules_fully_documented(capsys):
 
 def test_scope_includes_serving_front_ends():
     """The ISSUE-4 widening: the default targets must sweep in the new
-    session/aio/http serving modules (via the service directory)."""
+    session/http serving modules (via the service directory)."""
     files = check_docstrings.collect(list(check_docstrings.DEFAULT_TARGETS))
     names = {f.name for f in files if "service" in str(f)}
-    assert {"session.py", "aio.py", "http.py"} <= names
+    assert {"session.py", "http.py"} <= names
 
 
 def test_scope_includes_executors_and_transport():

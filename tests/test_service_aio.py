@@ -1,18 +1,22 @@
-"""Asyncio front end: async submit, future resolution on the loop,
-completion streaming, backpressure off the event loop, lifecycle."""
+"""asyncio over a plain session, spelled with the standard library: a
+handle is a ``concurrent.futures.Future``, so ``asyncio.wrap_future``
+awaits it on any loop and ``asyncio.to_thread`` keeps blocking calls
+(backpressure, close) off the loop."""
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+from time import perf_counter
 
 import numpy as np
 import pytest
 
-from repro.errors import QueueFullError, ServiceError
+from repro.errors import QueueFullError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.evaluation import platforms
 from repro.service import (
-    AsyncDecodeSession,
+    DecodeSession,
     FaultPlan,
     ImageRequest,
     default_executors,
@@ -43,10 +47,10 @@ def sequential_rgbs(corpus):
 
 def test_async_submit_resolves_bit_identical(corpus, sequential_rgbs):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, backend="thread",
-                                      workers=2) as sess:
-            futures = [await sess.submit(b) for b in corpus]
-            return await asyncio.gather(*futures)
+        with DecodeSession(max_batch=2, backend="thread",
+                           workers=2) as sess:
+            return await asyncio.gather(
+                *(asyncio.wrap_future(sess.submit(b)) for b in corpus))
 
     results = asyncio.run(main())
     for res, oracle in zip(results, sequential_rgbs):
@@ -55,20 +59,24 @@ def test_async_submit_resolves_bit_identical(corpus, sequential_rgbs):
 
 
 def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
-    """An asyncio producer submits while the consumer iterates the
-    completion stream — the overlap DecodeService could never offer."""
+    """An asyncio producer submits while the consumer reads results in
+    completion order from a queue the wrapped futures' done callbacks
+    feed."""
     total = 2 * len(corpus)
 
     async def main():
-        async with AsyncDecodeSession(max_batch=2, backend="thread",
-                                      workers=2) as sess:
+        with DecodeSession(max_batch=2, backend="thread",
+                           workers=2) as sess:
+            completions: asyncio.Queue = asyncio.Queue()
+
             async def produce():
                 for blob in 2 * corpus:
-                    await sess.submit(blob)
+                    asyncio.wrap_future(sess.submit(blob)).add_done_callback(
+                        completions.put_nowait)
                     await asyncio.sleep(0.002)
 
             producer = asyncio.create_task(produce())
-            got = [res async for res in sess.completed(count=total)]
+            got = [(await completions.get()).result() for _ in range(total)]
             await producer
             return got
 
@@ -76,6 +84,7 @@ def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
     assert len(got) == total
     # Ids are assigned in submission order; completion order is
     # arbitrary, so map each result back to its oracle by id.
+    assert sorted(res.request_id for res in got) == list(range(total))
     for res in got:
         assert res.ok
         oracle = sequential_rgbs[res.request_id % len(corpus)]
@@ -83,46 +92,77 @@ def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
 
 
 def test_unbounded_stream_ends_when_idle(corpus):
+    """``asyncio.as_completed`` over the submitted handles yields each
+    result once and ends when the last one is in."""
     async def main():
-        async with AsyncDecodeSession(max_batch=4, backend="thread",
-                                      workers=2) as sess:
-            for blob in corpus:
-                await sess.submit(blob)
-            return [res async for res in sess]
+        with DecodeSession(max_batch=4, backend="thread",
+                           workers=2) as sess:
+            futures = [asyncio.wrap_future(sess.submit(b)) for b in corpus]
+            return [await f for f in asyncio.as_completed(futures)]
 
     results = asyncio.run(main())
     assert len(results) == len(corpus)
     assert all(r.ok for r in results)
 
 
-def test_decode_failure_resolves_future(corpus):
+def test_decode_failure_resolves_future():
     async def main():
-        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
-            fut = await sess.submit(b"definitely not a jpeg")
-            return await fut
+        with DecodeSession(max_batch=2, backend="serial") as sess:
+            return await asyncio.wrap_future(
+                sess.submit(b"definitely not a jpeg"))
 
     res = asyncio.run(main())
     assert not res.ok
     assert res.error_type and res.error
 
 
-def _stalled_session(**session_kwargs) -> AsyncDecodeSession:
+def test_one_handle_awaited_from_two_loops(corpus, sequential_rgbs):
+    """A handle belongs to no event loop: successive ``asyncio.run``
+    loops each await the same one."""
+    with DecodeSession(backend="serial") as sess:
+        handle = sess.submit(corpus[2])
+        assert isinstance(handle, concurrent.futures.Future)
+        first = asyncio.run(_await(handle))
+        second = asyncio.run(_await(handle))
+    assert first is second
+    assert np.array_equal(first.rgb, sequential_rgbs[2])
+
+
+async def _await(handle):
+    """Await *handle* on the running loop."""
+    return await asyncio.wrap_future(handle)
+
+
+def test_cancelling_the_wrapped_future_cancels_the_handle(corpus):
+    sess = DecodeSession(backend="serial", pump=False)
+    handle = sess.submit(corpus[2])
+
+    async def main():
+        future = asyncio.wrap_future(handle)
+        future.cancel()
+        await asyncio.sleep(0)
+
+    asyncio.run(main())
+    sess.close(drain=False)
+    assert handle.cancelled()
+
+
+def _stalled_session(**session_kwargs) -> DecodeSession:
     """A one-worker scheduled session whose every lane is browned out:
     the first two requests fill its in-flight window (one per
     ``DISPATCH_DEPTH`` slot) for about a second, and what is submitted
     after them stays queued."""
     lanes = {lane.name: STALL_S
              for lane in default_executors(platforms.GTX560)}
-    return AsyncDecodeSession(workers=1, backend="thread",
-                              scheduler="model",
-                              faults=FaultPlan(delay_lanes=lanes),
-                              **session_kwargs)
+    return DecodeSession(workers=1, backend="thread", scheduler="model",
+                         faults=FaultPlan(delay_lanes=lanes),
+                         **session_kwargs)
 
 
-async def _fill_window(sess: AsyncDecodeSession, blob: bytes) -> list:
+async def _fill_window(sess: DecodeSession, blob: bytes) -> list:
     """Submit the two stalled requests and wait until both are
     admitted, so the queue is empty and the window full."""
-    blockers = [await sess.submit(blob) for _ in range(2)]
+    blockers = [asyncio.wrap_future(sess.submit(blob)) for _ in range(2)]
     for _ in range(1000):
         if sess.pending == 0:
             return blockers
@@ -131,19 +171,19 @@ async def _fill_window(sess: AsyncDecodeSession, blob: bytes) -> list:
 
 
 def test_failfast_submit_raises_queuefull(corpus):
-    """timeout=0 surfaces QueueFullError directly on the awaiting
-    coroutine once the bounded queue fills (nothing drains while the
-    window is held by stalled decodes)."""
+    """``timeout=0`` never blocks, so it runs on the loop itself and
+    raises QueueFullError once the bounded queue fills (nothing drains
+    while the window is held by stalled decodes)."""
     async def main():
         sess = _stalled_session(queue_capacity=2)
         try:
             await _fill_window(sess, corpus[0])
-            await sess.submit(corpus[0], timeout=0)
-            await sess.submit(corpus[0], timeout=0)
+            sess.submit(corpus[0], timeout=0)
+            sess.submit(corpus[0], timeout=0)
             with pytest.raises(QueueFullError):
-                await sess.submit(corpus[0], timeout=0)
+                sess.submit(corpus[0], timeout=0)
         finally:
-            await sess.close(drain=False)
+            await asyncio.to_thread(sess.close, False)
 
     asyncio.run(main())
 
@@ -152,42 +192,63 @@ def test_close_drain_false_cancels_futures(corpus):
     async def main():
         sess = _stalled_session()
         blockers = await _fill_window(sess, corpus[0])
-        futures = [await sess.submit(corpus[0]) for _ in range(3)]
-        await sess.close(drain=False)
-        # Give call_soon_threadsafe deliveries a tick to land.
-        await asyncio.sleep(0.05)
-        return blockers, futures
+        queued = [asyncio.wrap_future(sess.submit(corpus[0]))
+                  for _ in range(3)]
+        await asyncio.to_thread(sess.close, False)
+        await asyncio.wait(queued, timeout=5)
+        return [await f for f in blockers], queued
 
-    blockers, futures = asyncio.run(main())
-    assert all(f.cancelled() for f in futures)
+    in_flight, queued = asyncio.run(main())
+    assert all(f.cancelled() for f in queued)
     # What was in flight still resolved.
-    assert all(f.result().ok for f in blockers)
+    assert all(res.ok for res in in_flight)
 
 
-def test_second_loop_rejected(corpus):
-    sess_holder = []
+def test_blocking_submit_off_the_loop_overlaps_consumer(corpus,
+                                                        sequential_rgbs):
+    """A producer whose submits wait for queue space in a thread keeps
+    the loop free: the consumer receives the first result while the
+    producer is still blocked on a later submit."""
+    blobs = [corpus[0]] * 5
 
-    async def first():
-        sess = AsyncDecodeSession(backend="serial")
-        sess_holder.append(sess)
-        await sess.submit(corpus[2])
+    async def main():
+        sess = _stalled_session(queue_capacity=1)
+        pending: asyncio.Queue = asyncio.Queue()
+        received: list[float] = []
 
-    async def second():
-        with pytest.raises(ServiceError, match="different event loop"):
-            await sess_holder[0].submit(corpus[2])
-        await asyncio.get_running_loop().run_in_executor(
-            None, sess_holder[0]._session.close)
+        async def produce():
+            try:
+                for blob in blobs:
+                    handle = await asyncio.to_thread(sess.submit, blob, None)
+                    await pending.put(asyncio.wrap_future(handle))
+                return perf_counter()
+            finally:
+                await pending.put(None)
 
-    asyncio.run(first())
-    asyncio.run(second())
+        producer = asyncio.create_task(produce())
+        got = []
+        while (future := await pending.get()) is not None:
+            got.append(await future)
+            received.append(perf_counter())
+        produced_at = await producer
+        await asyncio.to_thread(sess.close, True)
+        return got, received, produced_at
+
+    got, received, produced_at = asyncio.run(main())
+    # One worker, a window of two and one queue slot: the fifth submit
+    # waits for the second decode, a full stall after the first.
+    assert received[0] < produced_at
+    assert [res.request_id for res in got] == list(range(len(blobs)))
+    for res in got:
+        assert res.ok
+        assert np.array_equal(res.rgb, sequential_rgbs[0])
 
 
 def test_image_request_passthrough(corpus, sequential_rgbs):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
-            fut = await sess.submit(ImageRequest(
-                data=corpus[0], request_id="tagged"))
-            return await fut
+        with DecodeSession(max_batch=2, backend="serial") as sess:
+            return await asyncio.wrap_future(sess.submit(ImageRequest(
+                data=corpus[0], request_id="tagged")))
 
     res = asyncio.run(main())
     assert res.request_id == "tagged"
@@ -196,8 +257,8 @@ def test_image_request_passthrough(corpus, sequential_rgbs):
 
 def test_stats_snapshot_reachable(corpus):
     async def main():
-        async with AsyncDecodeSession(max_batch=2, backend="serial") as sess:
-            await (await sess.submit(corpus[2]))
+        with DecodeSession(max_batch=2, backend="serial") as sess:
+            await asyncio.wrap_future(sess.submit(corpus[2]))
             assert sess.pending == 0
             assert not sess.closed
             return sess.stats_snapshot()

@@ -21,9 +21,8 @@ With no arguments, checks the modules this repo scopes the rule to:
 ``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
 ISSUE-14 pixel kernels ``repro.jpeg.idct`` and ``repro.jpeg.color``, every
 module of ``repro.service`` — which as of ISSUE 4 includes the serving
-front ends ``service/session.py``, ``service/aio.py`` and
-``service/http.py``, and the shared-memory transport
-``service/transport.py`` — and the partitioning core
+front ends ``service/session.py`` and ``service/http.py``, and the
+shared-memory transport ``service/transport.py`` — and the partitioning core
 (``repro.core.partition``, ``repro.core.perfmodel``).  Exit status 1
 when any violation is found.
 """
@@ -40,7 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: to the partitioning core by ISSUE 3 — the modules docs/partitioning.md
 #: maps the paper onto must stay documented — and, via the service
 #: directory target, to the ISSUE-4 serving front ends
-#: session.py/aio.py/http.py; tests/test_docstrings.py pins them).
+#: session.py/http.py; tests/test_docstrings.py pins them).
 DEFAULT_TARGETS = (
     REPO_ROOT / "src" / "repro" / "jpeg" / "fast_entropy.py",
     REPO_ROOT / "src" / "repro" / "jpeg" / "parallel_huffman.py",
