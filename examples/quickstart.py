@@ -23,9 +23,9 @@ def main() -> None:
     print(f"encoded {rgb.shape[1]}x{rgb.shape[0]} -> {len(data)} bytes "
           f"({len(data) / rgb[..., 0].size:.2f} B/px entropy density)")
 
-    # 2. Build a decoder for a platform.  The first decode triggers the
-    #    offline profiling step (Section 5.1) and caches the fitted
-    #    performance model for the process.
+    # 2. Build a decoder for a platform.  Its performance models were
+    #    fitted in the offline profiling step (Section 5.1) and ship
+    #    with the package; the first decode loads the one it needs.
     decoder = HeterogeneousDecoder.for_platform(platforms.GTX560)
 
     # 3. Decode once per mode; entropy decoding is shared via prepare().

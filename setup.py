@@ -22,5 +22,7 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the built-in platforms' fitted models (tools/fit_models.py)
+    package_data={"repro.core": ["fitted_models.json"]},
     install_requires=["numpy"],
 )

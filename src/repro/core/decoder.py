@@ -1,15 +1,17 @@
 """Public decoder facade: :class:`HeterogeneousDecoder`.
 
 Ties the whole system together the way the paper's runtime does: given a
-platform (CPU + GPU), it lazily profiles the platform per subsampling
-mode (offline step, cached), then decodes images under any of the six
-execution modes — or picks the predicted-fastest mode automatically from
-the fitted closed forms.
+platform (CPU + GPU), it looks up the platform's performance model per
+subsampling mode (fitted offline, once), then decodes images under any
+of the six execution modes — or picks the predicted-fastest mode
+automatically from the fitted closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 from ..errors import JpegUnsupportedError
 from ..kernels.program import KERNEL_SUBSAMPLINGS, GpuProgramOptions
@@ -19,14 +21,59 @@ from .perfmodel import PerformanceModel
 from .platform import Platform
 from .profiling import profile_platform
 
-#: Process-wide model cache: profiling is "required only once for a given
-#: CPU-GPU combination" (Section 5) — keyed by (platform, subsampling).
-_MODEL_CACHE: dict[tuple[str, str], PerformanceModel] = {}
+#: The built-in platforms' models, fitted offline by ``profile_platform``
+#: and written by ``tools/fit_models.py`` (its only writer): profiling is
+#: "required only once for a given CPU-GPU combination" (Section 5).
+FITTED_MODELS = Path(__file__).with_name("fitted_models.json")
+
+#: Process-wide model cache, keyed by what a fit depends on: the
+#: platform's value, the subsampling and the GPU options.
+_MODEL_CACHE: dict[tuple[Platform, str, GpuProgramOptions],
+                   PerformanceModel] = {}
 
 
 def clear_model_cache() -> None:
     """Drop all cached performance models (tests use this)."""
     _MODEL_CACHE.clear()
+
+
+def fitted_for(platform: Platform, subsampling: str,
+               gpu_options: GpuProgramOptions) -> dict:
+    """What one fit depends on, in the JSON form ``fitted_models.json``
+    records beside each model."""
+    return json.loads(json.dumps({
+        "platform": asdict(platform), "subsampling": subsampling,
+        "gpu_options": asdict(gpu_options)}))
+
+
+def _shipped_model(platform: Platform, subsampling: str,
+                   gpu_options: GpuProgramOptions) -> PerformanceModel | None:
+    """The shipped model fitted for exactly these inputs, if any."""
+    key = fitted_for(platform, subsampling, gpu_options)
+    for entry in json.loads(FITTED_MODELS.read_text()):
+        if entry["fitted_for"] == key:
+            return PerformanceModel.from_dict(entry["model"])
+    return None
+
+
+def fitted_model(platform: Platform, subsampling: str,
+                 gpu_options: GpuProgramOptions = GpuProgramOptions()
+                 ) -> PerformanceModel:
+    """The performance model of *platform* for one subsampling mode.
+
+    A built-in platform at default options gets its shipped fit; any
+    other combination (a custom :class:`Platform`, non-default options)
+    is profiled on first use.  Either way the model is cached for the
+    process.
+    """
+    key = (platform, subsampling, gpu_options)
+    model = _MODEL_CACHE.get(key)
+    if model is None:
+        model = (_shipped_model(platform, subsampling, gpu_options)
+                 or profile_platform(platform, subsampling,
+                                     gpu_options=gpu_options))
+        _MODEL_CACHE[key] = model
+    return model
 
 
 @dataclass
@@ -40,7 +87,7 @@ class HeterogeneousDecoder:
         size); profiling may override the work-group size with its sweep
         winner.
     models : pre-fitted performance models keyed by subsampling; missing
-        entries are profiled on first use and cached process-wide.
+        entries come from :func:`fitted_model`.
     """
 
     platform: Platform
@@ -60,14 +107,10 @@ class HeterogeneousDecoder:
     # -- model management --------------------------------------------------
 
     def model_for(self, subsampling: str) -> PerformanceModel:
-        """Fetch (or lazily fit) the performance model for a mode."""
-        if subsampling in self.models:
-            return self.models[subsampling]
-        key = (self.platform.name, subsampling)
-        if key not in _MODEL_CACHE:
-            _MODEL_CACHE[key] = profile_platform(
-                self.platform, subsampling, gpu_options=self.gpu_options)
-        self.models[subsampling] = _MODEL_CACHE[key]
+        """The performance model for a mode (see :func:`fitted_model`)."""
+        if subsampling not in self.models:
+            self.models[subsampling] = fitted_model(
+                self.platform, subsampling, self.gpu_options)
         return self.models[subsampling]
 
     # -- decoding ------------------------------------------------------------

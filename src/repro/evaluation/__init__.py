@@ -2,9 +2,9 @@
 
 The three machines of Table 1 (:mod:`.platforms`) and the measurements
 its figures and tables are made of: all-mode timings over a corpus and
-their mean speedups (Tables 2, 3), the Figure 9 breakdown, the Figure
-11 Amdahl series and the Figure 12 balance.  The claims they support
-are checked in ``tests/test_calibration_anchors.py``.
+their mean speedups (Tables 2, 3), the Figure 11 Amdahl series and the
+Figure 12 balance.  The claims they support are checked in
+``tests/test_calibration_anchors.py``.
 """
 
 from . import platforms
@@ -13,7 +13,6 @@ from .harness import (
     SpeedupSummary,
     amdahl_series,
     balance_series,
-    breakdown_for,
     measure_corpus,
     prepare_corpus,
     summarize_speedups,
@@ -30,7 +29,6 @@ __all__ = [
     "SpeedupSummary",
     "amdahl_series",
     "balance_series",
-    "breakdown_for",
     "format_table",
     "measure_corpus",
     "platforms",

@@ -130,19 +130,3 @@ def balance_series(
                 (img.geometry.width * img.geometry.height, cpu_us, gpu_us))
     return out
 
-
-def breakdown_for(
-    platform: Platform,
-    prepared: PreparedImage,
-    modes: tuple[DecodeMode, ...] = (DecodeMode.SEQUENTIAL, DecodeMode.SIMD,
-                                     DecodeMode.GPU),
-) -> dict[DecodeMode, dict[str, float]]:
-    """Figure 9: per-stage breakdowns, normalized by the SIMD total."""
-    decoder = HeterogeneousDecoder.for_platform(platform)
-    results = {m: decoder.decode(prepared, m) for m in modes}
-    simd_total = results[DecodeMode.SIMD].total_us
-    out = {}
-    for mode, res in results.items():
-        out[mode] = {k: v / simd_total for k, v in res.breakdown.items()}
-        out[mode]["total"] = res.total_us / simd_total
-    return out

@@ -30,9 +30,11 @@ from .merged import MergedIdctColorKernel, MergedUpsampleColorKernel
 from .upsample_kernel import UpsampleKernel
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuProgramOptions:
-    """Kernel-level knobs (the profiling sweep and the ablations)."""
+    """Kernel-level knobs (the profiling sweep and the ablations).
+
+    Frozen, so a set of options can key the fitted-model cache."""
 
     merge_kernels: bool = True
     vectorized: bool = True

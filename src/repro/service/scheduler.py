@@ -43,6 +43,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
+from ..core.decoder import fitted_model
 from ..core.modes import DecodeMode
 from ..core.perfmodel import PerformanceModel
 from ..core.platform import Platform
@@ -436,12 +437,12 @@ def price_images(
     *infos* holds ``(batch_index, FrameInfo)`` pairs (the frame-level
     facts of :func:`~repro.jpeg.markers.walk_header`: the paper's model
     inputs are width, height and file size); *model_for* is
-    ``f(platform, subsampling) -> PerformanceModel`` (the scheduler's
-    lazily-profiled cache).  Lanes ineligible for an image's subsampling
-    price as ``inf``; CPU lanes on 4:2:0 fall back to the platform's
-    4:2:2 model — the closest fitted surface, since 4:2:0 is outside the
-    paper's profiling scope.  *salvage* names the batch indices whose
-    request asked for a salvage decode.
+    ``f(platform, subsampling) -> PerformanceModel`` (the scheduler
+    passes :func:`~repro.core.decoder.fitted_model`).  Lanes ineligible
+    for an image's subsampling price as ``inf``; CPU lanes on 4:2:0 fall
+    back to the platform's 4:2:2 model — the closest fitted surface,
+    since 4:2:0 is outside the paper's profiling scope.  *salvage* names
+    the batch indices whose request asked for a salvage decode.
     """
     pricings = []
     for index, info in infos:
@@ -636,9 +637,9 @@ class ModelScheduler:
 
     Construct with a *policy* (``"model"`` = LPT, ``"roundrobin"`` =
     the baseline) and either a lane set or a platform whose
-    :func:`default_executors` lanes are used.  Performance models are
-    profiled lazily per (platform, subsampling) through the process-wide
-    cache :class:`~repro.core.decoder.HeterogeneousDecoder` maintains.
+    :func:`default_executors` lanes are used.  Performance models come
+    from :func:`~repro.core.decoder.fitted_model`, the process-wide
+    table :class:`~repro.core.decoder.HeterogeneousDecoder` reads too.
 
     :class:`~repro.service.batch.BatchDecoder` calls :meth:`plan` with
     the whole images of an admission group; the returned rewritten
@@ -675,21 +676,7 @@ class ModelScheduler:
         self.executors = tuple(executors)
         self.feedback = ThroughputFeedback()
         self.breakers = breakers or LaneBreakerBoard()
-        self._decoders: dict[str, "object"] = {}
         self._rr_cursor = 0
-
-    # -- model access ---------------------------------------------------
-
-    def _model_for(self, platform: Platform,
-                   subsampling: str) -> PerformanceModel:
-        """Fetch (lazily profile) the model for one lane's platform."""
-        from ..core.decoder import HeterogeneousDecoder
-
-        dec = self._decoders.get(platform.name)
-        if dec is None:
-            dec = HeterogeneousDecoder.for_platform(platform)
-            self._decoders[platform.name] = dec
-        return dec.model_for(subsampling)
 
     # -- planning -------------------------------------------------------
 
@@ -705,7 +692,7 @@ class ModelScheduler:
         caller bug, not traffic to route around.
         """
         infos = [(i, walk_header(b)) for i, b in enumerate(blobs)]
-        return price_images(infos, self.executors, self._model_for)
+        return price_images(infos, self.executors, fitted_model)
 
     def plan(self, requests: "Sequence[ImageRequest]",
              infos: "Sequence[FrameInfo | None] | None" = None
@@ -726,7 +713,7 @@ class ModelScheduler:
             infos = [read_header(req) for req in requests]
         pricings = price_images(
             [(i, info) for i, info in enumerate(infos) if info is not None],
-            self.executors, self._model_for,
+            self.executors, fitted_model,
             salvage={i for i, req in enumerate(requests) if req.salvage})
         limits = self.breakers.limits([l.name for l in self.executors])
         if self.policy == "model":

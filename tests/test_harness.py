@@ -10,7 +10,6 @@ from repro.data import CorpusSpec, build_corpus
 from repro.evaluation import (
     amdahl_series,
     balance_series,
-    breakdown_for,
     format_table,
     measure_corpus,
     prepare_corpus,
@@ -68,11 +67,6 @@ class TestFigureSeries:
         for pts in series.values():
             for px, cpu_us, gpu_us in pts:
                 assert px > 0 and cpu_us >= 0 and gpu_us >= 0
-
-    def test_breakdown_normalized_to_simd(self, tiny_corpus):
-        bd = breakdown_for(platforms.GTX560, tiny_corpus[0].as_virtual())
-        assert bd[DecodeMode.SIMD]["total"] == pytest.approx(1.0)
-        assert bd[DecodeMode.SEQUENTIAL]["total"] > 1.0
 
 
 class TestFormatting:

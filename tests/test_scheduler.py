@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.decoder import fitted_model
 from repro.data import synthetic_photo
 from repro.errors import ModelError, ServiceError
 from repro.evaluation import platforms
@@ -185,8 +186,7 @@ class TestFeedback:
 
 class TestPricing:
     def test_perfmodel_price_kinds(self):
-        sched = ModelScheduler(platform=platforms.GTX560)
-        model = sched._model_for(platforms.GTX560, "4:2:2")
+        model = fitted_model(platforms.GTX560, "4:2:2")
         w, h, d = 640, 480, 0.2
         assert model.price("simd", w, h, d) == pytest.approx(
             model.total_cpu(w, h, d, simd=True))
@@ -219,8 +219,7 @@ class TestPricing:
         assert rr.makespan_us / lpt.makespan_us >= 1.10
 
     def test_price_batch_matches_scalar(self):
-        sched = ModelScheduler(platform=platforms.GTX560)
-        model = sched._model_for(platforms.GTX560, "4:2:2")
+        model = fitted_model(platforms.GTX560, "4:2:2")
         images = [(640, 480, 0.2), (128, 128, 0.35)]
         assert model.price_batch("gpu", images) == [
             model.price("gpu", w, h, d) for (w, h, d) in images]
@@ -235,8 +234,7 @@ class TestPricing:
         assert math.isfinite(p.costs[simd.name])
 
     def test_progressive_scan_surcharge(self):
-        sched = ModelScheduler(platform=platforms.GTX560)
-        model = sched._model_for(platforms.GTX560, "4:2:2")
+        model = fitted_model(platforms.GTX560, "4:2:2")
         w, h, d = 640, 480, 0.2
         base = model.price("simd", w, h, d)
         for scans in (6, 14, 18):
