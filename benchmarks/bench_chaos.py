@@ -65,7 +65,7 @@ def build_corpus() -> tuple[list[bytes], list[np.ndarray]]:
     return blobs, oracles
 
 
-def run_once(blobs: list[bytes], oracles: list[np.ndarray],
+def run_trial(blobs: list[bytes], oracles: list[np.ndarray],
              workers: int, faults: FaultPlan | None) -> dict:
     """Decode TOTAL_IMAGES cycled requests; return run metrics.
 
@@ -124,8 +124,8 @@ def render() -> str:
     workers = min(4, cpus)
     blobs, oracles = build_corpus()
 
-    clean = run_once(blobs, oracles, workers, faults=None)
-    chaos = run_once(blobs, oracles, workers,
+    clean = run_trial(blobs, oracles, workers, faults=None)
+    chaos = run_trial(blobs, oracles, workers,
                      faults=FaultPlan(kill_rate=CRASH_RATE, seed=CRASH_SEED))
     recovery_s = recovery_probe(blobs, workers)
 

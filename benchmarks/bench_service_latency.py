@@ -89,7 +89,7 @@ def time_sequential(blobs: list[bytes]) -> tuple[float, list[np.ndarray]]:
 
 def _session(workers: int) -> DecodeSession:
     """The configuration under test: a pumped process-pool session."""
-    return DecodeSession(max_batch=4, queue_capacity=32, workers=workers,
+    return DecodeSession(queue_capacity=32, workers=workers,
                          backend="process")
 
 

@@ -129,18 +129,15 @@ def run_tier(ports: list[int], blobs: list[bytes],
     latencies: list[float] = []
     session = sharded_session(
         remote_executors([("127.0.0.1", p) for p in ports]),
-        policy="roundrobin", max_batch=BATCH_SIZE, pump=False,
-        queue_capacity=max(32, BATCH_SIZE))
+        policy="roundrobin", queue_capacity=max(32, BATCH_SIZE))
     try:
         # Warm every host link (connection + first-decode caches).
         warm = [session.submit(blobs[0]) for _ in range(len(ports))]
-        session.run_once()
         assert all(h.result(timeout=120).ok for h in warm)
         t0 = perf_counter()
         for start in range(0, len(stream), BATCH_SIZE):
             chunk = stream[start:start + BATCH_SIZE]
             handles = [session.submit(blobs[i]) for i in chunk]
-            session.run_once()
             for i, handle in zip(chunk, handles):
                 res = handle.result(timeout=120)
                 assert res.ok, (f"image {i} failed through the tier: "
@@ -163,7 +160,7 @@ def shed_probe(port: int, blobs: list[bytes]) -> dict:
     requests; returns per-class admission counts and high-class p99."""
     session = sharded_session(
         remote_executors([("127.0.0.1", port)]), policy="roundrobin",
-        max_batch=BATCH_SIZE, queue_capacity=SHED_QUEUE)
+        queue_capacity=SHED_QUEUE)
     admitted = {PRIORITY_LOW: [], PRIORITY_HIGH: []}
     shed = {PRIORITY_LOW: 0, PRIORITY_HIGH: 0}
     try:

@@ -54,7 +54,7 @@ async def main() -> None:
     gallery = build_gallery()
     oracle = {name: decode_jpeg(data).rgb for name, data in gallery}
 
-    session = DecodeSession(max_batch=4, backend="thread")
+    session = DecodeSession(backend="thread")
     completions: asyncio.Queue = asyncio.Queue()
 
     async def produce() -> None:

@@ -7,8 +7,9 @@ Commands mirror the workflows the library supports:
 - ``synth OUT.jpg``            — generate + encode a synthetic image
 - ``profile``                  — run offline profiling, save model JSON
 - ``evaluate``                 — all-mode simulated timings for one file
-- ``serve-batch FILE...``      — pull-driven batched decode service over
-  a worker pool (bounded queue, per-batch stats; see :mod:`repro.service`)
+- ``serve-batch FILE...``      — decode files through a
+  :class:`~repro.service.session.DecodeSession` over a worker pool,
+  reporting each result as it completes (see :mod:`repro.service`)
 - ``serve --port N``           — HTTP decode service over a futures-based
   :class:`~repro.service.session.DecodeSession` (``POST /decode`` →
   PPM/metadata, ``GET /stats``, 429 on backpressure; see
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .core.modes import DecodeMode
-from .errors import QueueFullError, ReproError
+from .errors import DeadlineExceededError, ReproError
 from .kernels.program import KERNEL_SUBSAMPLINGS
 
 
@@ -172,7 +173,31 @@ def _batch_inputs(args: argparse.Namespace) -> list[tuple[str, bytes]]:
     return blobs
 
 
+def _report(handle, out_dir: Path | None) -> bool:
+    """Report one resolved serve-batch handle (its PPM under *out_dir*);
+    True when the image failed, a missed deadline included."""
+    try:
+        r = handle.result()
+    except DeadlineExceededError as exc:
+        print(f"    FAIL {handle.request_id}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return True
+    if not r.ok:
+        print(f"    FAIL {r.request_id}: {r.error_type}: {r.error}",
+              file=sys.stderr)
+        return True
+    if r.salvaged:
+        print(f"    SALVAGED {r.request_id}: "
+              + "; ".join(r.salvage_errors), file=sys.stderr)
+    if out_dir is not None:
+        name = str(r.request_id).replace("/", "_")
+        _write_ppm(out_dir / f"{name}.ppm", r.rgb)
+    return False
+
+
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
+    from queue import SimpleQueue
+
     from .service import DecodeSession, ImageRequest
 
     blobs = _batch_inputs(args)
@@ -184,29 +209,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    failures = 0
-    # Pull-driven: no pump thread, this loop forms every batch itself.
-    with DecodeSession(**_session_kwargs(args), pump=False) as svc:
+    with DecodeSession(**_session_kwargs(args)) as svc:
         print(f"serve-batch: {len(blobs)} inputs x{args.repeat}, "
-              f"batch={args.max_batch}, {_describe_session(args, svc)}")
-
-        def handle(batch) -> None:
-            nonlocal failures
-            if batch.schedule is not None:
-                print(f"  {batch.schedule.format()}")
-            for r in batch:
-                if not r.ok:
-                    failures += 1
-                    print(f"    FAIL {r.request_id}: "
-                          f"{r.error_type}: {r.error}", file=sys.stderr)
-                    continue
-                if r.salvaged:
-                    print(f"    SALVAGED {r.request_id}: "
-                          + "; ".join(r.salvage_errors), file=sys.stderr)
-                if out_dir is not None:
-                    name = str(r.request_id).replace("/", "_")
-                    _write_ppm(out_dir / f"{name}.ppm", r.rgb)
-
+              f"{_describe_session(args, svc)}")
+        resolved: SimpleQueue = SimpleQueue()
         for k in range(args.repeat):
             for name, data in blobs:
                 req = ImageRequest(
@@ -214,19 +220,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                     else name,
                     mode=args.mode, platform=args.platform,
                     salvage=args.salvage)
-                while True:
-                    try:
-                        svc.submit(req, timeout=0)
-                        break
-                    except QueueFullError:
-                        # Backpressure: drain one batch, then retry.
-                        batch = svc.run_once()
-                        if batch is not None:
-                            handle(batch)
-        while svc.pending:
-            batch = svc.run_once()   # None when the step only shed
-            if batch is not None:
-                handle(batch)
+                # Waits while the queue is full: backpressure.
+                svc.submit(req, timeout=None).add_done_callback(resolved.put)
+        failures = sum(_report(resolved.get(), out_dir)
+                       for _ in range(len(blobs) * args.repeat))
         print(f"summary: {svc.stats.format(svc.decoder.rebuilds)}")
     return 1 if failures else 0
 
@@ -249,7 +246,7 @@ def _session_kwargs(args: argparse.Namespace,
     *local_lanes* the flags that size and schedule local pools are left
     out: on a sharded front tier they describe the worker hosts."""
     kwargs = dict(
-        max_batch=args.max_batch, queue_capacity=args.queue_capacity,
+        queue_capacity=args.queue_capacity,
         retry_budget=args.retry_budget,
         # serve-worker has no such flag: the front tier owns deadlines.
         default_deadline_ms=getattr(args, "default_deadline_ms", None),
@@ -348,8 +345,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    f"[{', '.join(lane.endpoint for lane in lanes)}], "
                    f"depth={lanes[0].depth}")
     print(f"serve: listening on {server.url} "
-          f"(max_batch={args.max_batch}, "
-          f"{_describe_session(args, session)}{sharded})", flush=True)
+          f"({_describe_session(args, session)}{sharded})", flush=True)
     print("endpoints: POST /decode (JPEG in, PPM out; ?format=json for "
           "metadata), GET /stats, GET /metrics, GET /healthz", flush=True)
     try:
@@ -372,8 +368,7 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     host = DecodeWorkerHost(host=args.host, port=args.port,
                             **_session_kwargs(args))
     print(f"serve-worker: listening on {host.endpoint} "
-          f"(max_batch={args.max_batch}, "
-          f"{_describe_session(args, host.session)})", flush=True)
+          f"({_describe_session(args, host.session)})", flush=True)
     try:
         _serve_until_signalled(host.serve_forever, host.shutdown,
                                "connections")
@@ -467,17 +462,9 @@ def _add_tracing_args(p: argparse.ArgumentParser) -> None:
                         "'repro trace' and 'repro timeline')")
 
 
-def _add_session_args(p: argparse.ArgumentParser, pull: bool = False) -> None:
+def _add_session_args(p: argparse.ArgumentParser) -> None:
     """The session flags serve-batch / serve / serve-worker share, each
-    declared once (:func:`_session_kwargs` reads them back).  *pull*
-    (serve-batch: no pump, the command forms every batch itself) spells
-    the group size ``--batch-size``."""
-    if pull:
-        p.add_argument("--batch-size", dest="max_batch", type=int, default=8)
-    else:
-        p.add_argument("--max-batch", type=int, default=8,
-                       help="most requests admitted to the pool as one "
-                            "group (one schedule, one feedback observation)")
+    declared once (:func:`_session_kwargs` reads them back)."""
     p.add_argument("--queue-capacity", type=int, default=32,
                    help="bounded submission queue (serve: full = HTTP 429)")
     p.add_argument("--workers", type=int, default=None,
@@ -571,7 +558,7 @@ def _add_serving_parsers(sub) -> None:
                    help="JPEG files to decode (may be empty with --synth)")
     p.add_argument("--synth", type=int, default=0,
                    help="also generate N synthetic 640x480 JPEGs")
-    _add_session_args(p, pull=True)
+    _add_session_args(p)
     p.add_argument("--mode", default="reference", choices=_MODES)
     p.add_argument("--repeat", type=int, default=1,
                    help="feed the input set N times (soak/throughput)")

@@ -62,9 +62,9 @@ points):
   :func:`~repro.service.obs.render_prometheus` behind ``GET /metrics``
 
 CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
-(pull-driven batch loop; ``--schedule model|roundrobin`` turns the
-scheduler on).  Benchmarks: the perf ledger's ``session_small`` and
-``http_mixed`` workloads (``benchmarks/perf/run.py``),
+(files through a session, each result reported as it resolves;
+``--schedule model|roundrobin`` turns the scheduler on).  Benchmarks:
+the perf ledger's ``session_small`` and ``http_mixed`` workloads (``benchmarks/perf/run.py``),
 ``benchmarks/bench_service_latency.py`` (open-loop latency vs offered
 load against a session); model-guided vs round-robin makespan is
 pinned by ``tests/test_scheduler.py::TestPricing::\

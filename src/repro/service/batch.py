@@ -46,7 +46,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any, Iterator, Sequence
 
 from ..errors import ReproError, ServiceError
@@ -89,8 +89,8 @@ from .workers import WorkerPool
 #: image up by, for one more ~0.5 ms dispatch each.
 SEGMENT_RUNS_PER_WORKER = 2
 
-#: Base of the exponential back-off slept before each re-dispatch after
-#: a worker crash, doubled per attempt (0.01, 0.02, 0.04 s, ...).
+#: Base of the exponential back-off a re-dispatch after a worker crash
+#: waits out, doubled per attempt (0.01, 0.02, 0.04 s, ...).
 RETRY_BACKOFF_S = 0.01
 
 @dataclass
@@ -210,9 +210,10 @@ class BatchDecoder:
         was rebuilt) — decode is pure, so a retried decode is
         bit-identical.  Decode errors (``ok=False`` results) are never
         retried: they are deterministic properties of the bytes.  Each
-        re-dispatch first sleeps :data:`RETRY_BACKOFF_S`, doubled per
-        attempt.  *faults* attaches a
-        :class:`~repro.service.faults.FaultPlan` for chaos testing.
+        re-dispatch falls due :data:`RETRY_BACKOFF_S` later, doubled per
+        attempt; the driver lands and admits other work meanwhile.
+        *faults* attaches a :class:`~repro.service.faults.FaultPlan` for
+        chaos testing.
 
         *speculative* governs the marker-free fan-out
         (:mod:`repro.jpeg.speculative`): ``"auto"`` (default) splits a
@@ -268,6 +269,11 @@ class BatchDecoder:
         #: under a session, by every arrival on its queue).
         self._landed: deque[Future] = deque()
         self.wake = threading.Event()
+        #: Crashed subtasks waiting out their back-off, as (due
+        #: ``perf_counter``, key) pairs: each stays in the in-flight
+        #: table under its key, a future that never runs, so its plan
+        #: stays open and an aborted group drops it.
+        self._deferred: list[tuple[float, Future]] = []
 
     def _pools(self) -> list[WorkerPool]:
         """The local pool and every link."""
@@ -537,12 +543,14 @@ class BatchDecoder:
 
     def _recover(self, task: _InFlight) -> bool:
         """Clean up after a dispatch whose worker died; True when the
-        subtask was re-dispatched, False when its budget is spent."""
+        subtask's re-dispatch was deferred, False when its budget is
+        spent."""
         # The dead worker may still hold a view into its slot —
         # quarantine, never recycle.
         self._quarantine_slot(task.slot)
+        task.slot = None
         task.pool.heal()
-        plan, pool, group = task.plan, task.pool, task.plan.group
+        pool, group = task.pool, task.plan.group
         if pool is not self.pool:
             # Nothing here can heal a link, so its lane answers for the
             # failure: the lane whose link actually failed (the
@@ -555,15 +563,45 @@ class BatchDecoder:
         if task.attempts > self.retry_budget:
             return False
         self.stats.retries += 1
-        # Slept on the driver's thread: other images keep decoding in
-        # their workers, but nothing is gathered meanwhile.
-        sleep(RETRY_BACKOFF_S * (2 ** (task.attempts - 1)))
-        # Prefer a surviving sibling over hammering what just failed.
-        alt = self._failover(plan.lane)
-        if alt is not None:
-            pool, plan.failed_over = alt, True
-        self._dispatch(plan, task.unit, pool, task.attempts + 1)
+        # Due later: the driver keeps landing replies and admitting
+        # requests while the back-off runs.
+        key = Future()
+        self._pending[key] = task
+        self._deferred.append((perf_counter() + RETRY_BACKOFF_S
+                               * (2 ** (task.attempts - 1)), key))
         return True
+
+    def _redispatch_due(self) -> Iterator[DecodePlan]:
+        """Re-dispatch every deferred subtask whose back-off has run
+        out, yielding the plan of one whose dispatch failed (its group
+        aborted, as :meth:`gather_one` does)."""
+        now = perf_counter()
+        due = [key for at, key in self._deferred if at <= now]
+        self._deferred = [(at, key) for at, key in self._deferred
+                          if at > now]
+        for key in due:
+            task = self._pending.pop(key, None)
+            if task is None:
+                continue    # its group was aborted meanwhile
+            plan, pool = task.plan, task.pool
+            # Prefer a surviving sibling over hammering what just failed.
+            alt = self._failover(plan.lane)
+            if alt is not None:
+                pool, plan.failed_over = alt, True
+            try:
+                self._dispatch(plan, task.unit, pool, task.attempts + 1)
+            except BaseException as exc:
+                self._forget(task)
+                self._abort(plan.group, exc)
+                yield plan
+
+    def next_due_s(self) -> float | None:
+        """Seconds until the earliest deferred re-dispatch falls due (0
+        when one is overdue), None when none waits: the longest a driver
+        may sleep on :attr:`wake`."""
+        if not self._deferred:
+            return None
+        return max(0.0, min(at for at, _ in self._deferred) - perf_counter())
 
     def _planes(self, task: _InFlight, reply: TaskReply) -> "list | None":
         """Resolve a reply's heavy payload into arrays, accounting the
@@ -583,10 +621,11 @@ class BatchDecoder:
         return planes
 
     def gather_one(self, fut: Future) -> DecodePlan | None:
-        """Land one completed future: retry it if its worker crashed,
-        else hand its reply to its plan.  Returns the plan when that was
-        its last subtask (its result is in ``plan.group.results``), or
-        when infrastructure failed under it (``plan.group.error``)."""
+        """Land one completed future: defer its retry if its worker
+        crashed, else hand its reply to its plan.  Returns the plan when
+        that was its last subtask (its result is in
+        ``plan.group.results``), or when infrastructure failed under it
+        (``plan.group.error``)."""
         task = self._pending.pop(fut, None)
         if task is None:
             return None     # a straggler of an aborted group
@@ -671,21 +710,14 @@ class BatchDecoder:
                 transport=self.transport, lane_failures=group.lane_failures)
 
     def gather(self) -> Iterator[DecodePlan]:
-        """Land every future completed so far, yielding each plan as
-        :meth:`gather_one` returns it."""
+        """Re-dispatch the retries that fell due, then land every future
+        completed so far, yielding each plan as :meth:`gather_one`
+        returns it."""
+        yield from self._redispatch_due()
         while self._landed:
             plan = self.gather_one(self._landed.popleft())
             if plan is not None:
                 yield plan
-
-    def drain(self, group: _Group) -> Iterator[DecodePlan]:
-        """Block until *group* has no open plan, yielding every plan
-        that lands meanwhile.  Clear before gather: a completion between
-        the two leaves :attr:`wake` set, so none is slept through."""
-        while group.open:
-            self.wake.wait()
-            self.wake.clear()
-            yield from self.gather()
 
     def decode_batch(self, items: Sequence[bytes | ImageRequest]
                      ) -> BatchResult:
@@ -697,11 +729,15 @@ class BatchDecoder:
         scheduler attached the schedule the group ran under rides back
         on ``BatchResult.schedule``.  Every leased shared-memory segment
         is released (or unlinked at :meth:`close`) even when a worker
-        dies mid-batch.
+        dies mid-batch.  Clear before gather: a completion between the
+        two leaves :attr:`wake` set, so none is slept through.
         """
         group = self.admit(items)
-        for _ in self.drain(group):
-            pass
+        while group.open:
+            self.wake.wait(self.next_due_s())
+            self.wake.clear()
+            for _ in self.gather():
+                pass
         if group.error is not None:
             raise group.error
         return group.batch

@@ -2,10 +2,9 @@
 
 The service's ingress: producers :meth:`~SubmissionQueue.put` requests
 and a consumer — the :class:`~repro.service.session.DecodeSession`
-pump thread, or a pull-mode caller of its ``run_once`` — drains them
-with :meth:`~SubmissionQueue.take`, most urgent first: requests stay
-queued, and count against the capacity, until the moment a worker has
-room for them.  Both ends are safe under concurrency: any number of
+pump thread — drains them with :meth:`~SubmissionQueue.take`, most
+urgent first: requests stay queued, and count against the capacity,
+until the moment a worker has room for them.  Both ends are safe under concurrency: any number of
 producer threads may block in ``put`` while the consumer drains (one
 condition variable serializes slot claims, so no request is ever lost
 or duplicated).  Capacity is a hard bound —

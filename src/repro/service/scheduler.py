@@ -203,13 +203,6 @@ class BatchSchedule:
         """Predicted batch completion time: the busiest lane's load."""
         return max(self.loads.values(), default=0.0)
 
-    def format(self) -> str:
-        """One-line operator summary (CLI/benchmark output)."""
-        lanes = " ".join(
-            f"{name}={us / 1e3:.1f}ms" for name, us in sorted(self.loads.items()))
-        return (f"schedule[{self.policy}] makespan="
-                f"{self.makespan_us / 1e3:.1f}ms {lanes}")
-
 
 class ThroughputFeedback:
     """Per-lane EWMA correction of the model's predictions.

@@ -12,19 +12,20 @@ gather loop over the decoder's in-flight table:
   flight; the rest wait in the queue, where backpressure applies;
 - **admission group** — whenever the window has room the pump takes the
   most urgent pending requests that fit (priority, then earliest
-  deadline, then age; expired ones are shed), at most ``max_batch`` of
-  them, and admits them together: one schedule, one feedback
-  observation.  Nothing is held back for company: no worker waits for
+  deadline, then age; expired ones are shed), at most
+  :data:`MAX_GROUP` of them, and admits them together: one schedule,
+  one feedback observation.  Nothing is held back for company: no worker waits for
   a batch to end, so an idle one gains nothing from waiting;
 - **per-plan resolution** — a handle resolves as soon as its own image
   is done, never when a batch is; stats and trace spans fold in first,
   so a completion observer (done callback, ``GET /stats`` right after a
   response) always sees itself counted.
 
-The pump sleeps on one wake-up — a decode finished *or* a request
-arrived — and burns no CPU while idle.  It is also the one sequential
-resource left: planning, dispatch, retry back-off and a fanned-out
-frame's stitch + pixel stages all run on it.  Everything the batch
+The pump is the session's one driver.  It sleeps on one wake-up — a
+decode finished *or* a request arrived — or until a crashed task's
+retry falls due, and burns no CPU while idle.  It is also the one
+sequential resource left: planning, dispatch and a fanned-out frame's
+stitch + pixel stages all run on it.  Everything the batch
 layer guarantees (bit-identity with ``decode_jpeg``, per-image error
 isolation, fan-out) holds unchanged; a failed decode *resolves* its
 handle with an ``ok=False`` result rather than raising, exactly like
@@ -33,8 +34,8 @@ the batch API.
 Sessions are context managers (see :meth:`DecodeSession.close` for
 drain vs cancel).  The HTTP shim (:mod:`repro.service.http`) layers on
 this class, asyncio code awaits a handle with :func:`asyncio.wrap_future`,
-and ``repro serve-batch`` drives a pump-less session (``pump=False``)
-through :meth:`DecodeSession.run_once`.
+and ``repro serve-batch`` submits its files to one and reports each
+handle as it resolves.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..errors import (
     ServiceError,
 )
 from ..jpeg.markers import FrameInfo
-from .batch import BatchDecoder, BatchResult, ImageRequest, ImageResult
+from .batch import BatchDecoder, ImageRequest, ImageResult
 from .obs import ObsHub, child_span, make_span
 from .queue import SubmissionQueue
 from .scheduler import ModelScheduler
@@ -75,6 +76,11 @@ DEFAULT_SHED_FRACTIONS: dict[int, float] = {0: 0.5, 1: 0.9}
 #: task arriving.  Deeper only lets requests age inside the pool, where
 #: neither priority, deadline nor ``close(drain=False)`` can reach them.
 DISPATCH_DEPTH = 2
+
+#: Most pending requests admitted as one group (one schedule, one
+#: feedback observation).  It binds only where the window exceeds it —
+#: a sharded front tier of many deep links.
+MAX_GROUP = 8
 
 
 class DecodeHandle(Future):
@@ -141,25 +147,20 @@ class DecodeSession:
     ``submit`` enqueues a request and immediately returns its
     :class:`DecodeHandle`; the background pump thread admits requests
     whenever a worker has room and resolves each handle as its image
-    finishes.  Construct with ``pump=False`` for the pull-driven mode
-    (no thread; the caller drives :meth:`run_once`) — how ``repro
-    serve-batch`` runs, and the deterministic choice for lifecycle tests.
+    finishes.
     """
 
-    def __init__(self, max_batch: int = 8, queue_capacity: int = 32,
+    def __init__(self, queue_capacity: int = 32,
                  workers: int | None = None, backend: str | None = None,
                  scheduler: ModelScheduler | str | None = None,
                  retry_budget: int | None = None,
                  faults: "object | None" = None,
                  default_deadline_ms: float | None = None,
                  tracing: str = "off", trace_sample: float = 0.1,
-                 trace_log: "str | None" = None,
-                 pump: bool = True) -> None:
-        """Build queue, decoder and (unless ``pump=False``) the pump.
+                 trace_log: "str | None" = None) -> None:
+        """Build queue, decoder and the pump; pending requests are
+        admitted as soon as the window has room.
 
-        *max_batch* caps one admission group (and one ``run_once``
-        batch); pending requests are admitted as soon as the window has
-        room.
         *default_deadline_ms* applies to every request that does not
         carry its own ``deadline_ms`` (None = no default deadline);
         admission orders pending requests earliest-deadline-first
@@ -180,13 +181,10 @@ class DecodeSession:
         regardless of the local mode.  *trace_sample* is the sampled
         fraction in ``sample`` mode, *trace_log* a JSON-lines span log.
         """
-        if max_batch <= 0:
-            raise ServiceError(f"max_batch must be positive, got {max_batch}")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ServiceError(
                 f"default_deadline_ms must be positive, "
                 f"got {default_deadline_ms}")
-        self.max_batch = max_batch
         self.default_deadline_ms = default_deadline_ms
         # One wake-up for the pump: arrivals and completions both set it.
         self.queue = SubmissionQueue(
@@ -208,12 +206,9 @@ class DecodeSession:
         self._closed = False
         self._close_lock = threading.Lock()
         self._cancel_pending = False
-        self._pump_thread: threading.Thread | None = None
-        if pump:
-            self._pump_thread = threading.Thread(
-                target=self._pump_loop, name="decode-session-pump",
-                daemon=True)
-            self._pump_thread.start()
+        self._pump_thread = threading.Thread(
+            target=self._pump_loop, name="decode-session-pump", daemon=True)
+        self._pump_thread.start()
 
     # -- submission -----------------------------------------------------
 
@@ -314,10 +309,10 @@ class DecodeSession:
 
     def _pump_loop(self) -> None:
         """Land what finished, admit what fits, sleep until a decode
-        finishes or a request arrives — until the session is closed and
-        nothing is pending or in flight.  Clearing the wake-up *before*
-        looking means an event between the look and the sleep leaves it
-        set: none is slept through."""
+        finishes, a request arrives or a retry falls due — until the
+        session is closed and nothing is pending or in flight.  Clearing
+        the wake-up *before* looking means an event between the look and
+        the sleep leaves it set: none is slept through."""
         decoder = self.decoder
         while True:
             decoder.wake.clear()
@@ -326,11 +321,11 @@ class DecodeSession:
             if self.queue.closed and not decoder.in_flight \
                     and not self.pending:
                 return
-            decoder.wake.wait()
+            decoder.wake.wait(decoder.next_due_s())
 
     def _admit_pending(self) -> None:
         """Admit pending requests, most urgent first, in groups of up to
-        ``max_batch`` while the window has room."""
+        :data:`MAX_GROUP` while the window has room."""
         while len(self.queue):
             if self._cancel_pending:
                 for e in self._form_batch(self.queue.capacity):
@@ -339,11 +334,11 @@ class DecodeSession:
             room = self._window - self.decoder.in_flight
             if room <= 0:
                 return
-            entries = self._form_batch(min(room, self.max_batch))
+            entries = self._form_batch(min(room, MAX_GROUP))
             if entries:
                 self._admit(entries)
 
-    def _admit(self, entries: list[_Entry]):
+    def _admit(self, entries: list[_Entry]) -> None:
         """Admit *entries* as one group."""
         with self._stats_lock:
             self.stats.mark_busy(perf_counter())
@@ -352,7 +347,6 @@ class DecodeSession:
         group.tag = entries
         if group.error is not None:
             self._fail(group)
-        return group
 
     def _fail(self, group) -> None:
         """Infrastructure failed under *group* (closed pool): fail every
@@ -413,25 +407,6 @@ class DecodeSession:
                 self.stats.mark_idle(now)
         entry.handle._set_result(result)
 
-    # -- pull mode ------------------------------------------------------
-
-    def run_once(self) -> BatchResult | None:
-        """Pull-mode step: admit one batch of up to ``max_batch`` queued
-        requests and gather it, settling handles, stats and feedback as
-        the pump does.  None when nothing is pending or everything
-        pending had expired and was shed (:attr:`pending` tells the two
-        apart) — and on a pumped session, whose pump owns the queue."""
-        if self._pump_thread is not None:
-            return None
-        entries = self._form_batch(self.max_batch)
-        if not entries:
-            return None
-        group = self._admit(entries)
-        self._settle_all(self.decoder.drain(group))
-        if group.error is not None:
-            raise group.error
-        return group.batch
-
     # -- observability --------------------------------------------------
 
     def retry_after_s(self) -> int:
@@ -439,13 +414,13 @@ class DecodeSession:
         current backlog: pending requests over the observed service
         rate (images per busy second), clamped to [1, 30].  Before any
         image has completed the rate is unknown and the estimate assumes
-        one ``max_batch`` drains per second.  This is what HTTP 429/503/504
-        responses put in ``Retry-After``."""
+        one :data:`MAX_GROUP` drains per second.  This is what HTTP
+        429/503/504 responses put in ``Retry-After``."""
         backlog = self.pending
         with self._stats_lock:
             rate = self.stats.images_per_sec
         if rate <= 0:
-            rate = float(self.max_batch)
+            rate = float(MAX_GROUP)
         return int(min(30, max(1, math.ceil(backlog / rate))))
 
     def stats_snapshot(self) -> dict:
@@ -459,7 +434,6 @@ class DecodeSession:
         snap["in_flight"] = self.decoder.in_flight
         snap["queue_capacity"] = self.queue.capacity
         snap["queue_space"] = self.queue.space
-        snap["max_batch"] = self.max_batch
         snap["default_deadline_ms"] = self.default_deadline_ms
         snap["retry_budget"] = self.decoder.retry_budget
         snap["closed"] = self._closed
@@ -485,9 +459,9 @@ class DecodeSession:
         """Shut the session down; idempotent.
 
         ``drain=True`` decodes every request already accepted (the pump
-        finishes the queue; in pull mode the same loop runs inline
-        here), then closes the pool.  ``drain=False`` cancels every
-        request not yet admitted — what is in flight still resolves.
+        finishes the queue), then closes the pool.  ``drain=False``
+        cancels every request not yet admitted — what is in flight still
+        resolves.
         Either way, subsequent :meth:`submit` calls raise
         :class:`~repro.errors.ServiceClosedError`.
         """
@@ -497,11 +471,7 @@ class DecodeSession:
             self._cancel_pending = not drain
             self._closed = True
             self.queue.close()   # refuse new puts, wake the pump
-        if self._pump_thread is not None:
-            self._pump_thread.join()
-        else:
-            # Pull mode: finish (or cancel) what is still queued here.
-            self._pump_loop()
+        self._pump_thread.join()
         self.decoder.close()
 
     def __enter__(self) -> "DecodeSession":

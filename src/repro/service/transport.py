@@ -260,8 +260,9 @@ class PlaneArena:
     cleanup unconditional: :meth:`close` unlinks each one whether it is
     free, still leased to a task whose worker died, or already gone.
 
-    Thread-safe: the session pump, pull-mode callers and the gather
-    loop may lease/release concurrently.
+    Thread-safe: the session pump, a
+    :meth:`~repro.service.batch.BatchDecoder.decode_batch` caller and
+    the gather loop may lease/release concurrently.
     """
 
     def __init__(self) -> None:

@@ -4,6 +4,7 @@ profiled decoders, cached per session to keep the suite fast."""
 from __future__ import annotations
 
 import math
+from time import perf_counter, sleep
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ from repro.core import HeterogeneousDecoder
 from repro.data import synthetic_photo, synthetic_smooth
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.evaluation import platforms
+from repro.service import (
+    DecodeSession,
+    FaultPlan,
+    ImageRequest,
+    default_executors,
+)
+from repro.service.session import DISPATCH_DEPTH
+
+#: Seconds each dispatch on a browned-out lane sleeps first.
+STALL_S = 0.5
 
 
 @pytest.fixture(scope="session")
@@ -98,6 +109,46 @@ def fanout_never(monkeypatch):
     """No fan-out is predicted to pay: images decode whole unless the
     decoder's ``speculative="on"`` forces a marker-free scan's chunks."""
     monkeypatch.setattr("repro.service.scheduler.FANOUT_FIXED_US", math.inf)
+
+
+def _stalled_session(workers: int = 1, **session_kwargs) -> DecodeSession:
+    """A scheduled session (one worker by default) whose every lane is
+    browned out: each dispatch sleeps :data:`STALL_S` before it decodes."""
+    lanes = {lane.name: STALL_S
+             for lane in default_executors(platforms.GTX560)}
+    return DecodeSession(workers=workers, backend="thread",
+                         scheduler="model",
+                         faults=FaultPlan(delay_lanes=lanes),
+                         **session_kwargs)
+
+
+def _held_session(blob: "bytes | ImageRequest", **session_kwargs):
+    """A stalled session whose in-flight window is held: two requests
+    for *blob* (one per ``DISPATCH_DEPTH`` slot of its one worker) are
+    admitted and decode for about a second, so what is submitted next
+    stays queued.  Returns ``(session, blockers)``."""
+    session = _stalled_session(**session_kwargs)
+    blockers = [session.submit(blob, timeout=None)
+                for _ in range(DISPATCH_DEPTH)]
+    give_up = perf_counter() + 10
+    while session.pending:
+        if perf_counter() > give_up:
+            session.close(drain=False)
+            raise AssertionError("the pump never admitted the blockers")
+        sleep(0.005)
+    return session, blockers
+
+
+@pytest.fixture()
+def stalled_session():
+    """Factory of :func:`_stalled_session` (the caller closes it)."""
+    return _stalled_session
+
+
+@pytest.fixture()
+def held_session():
+    """Factory of :func:`_held_session` (the caller closes it)."""
+    return _held_session
 
 
 @pytest.fixture(scope="session")

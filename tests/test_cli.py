@@ -104,11 +104,10 @@ class TestServeBatch:
                                    capsys):
         out_dir = tmp_path / "out"
         assert main(["serve-batch", str(jpeg_file), "--schedule", "model",
-                     "--backend", "serial", "--batch-size", "4",
+                     "--backend", "serial",
                      "--out-dir", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "schedule=model" in out
-        assert "schedule[model]" in out and "makespan=" in out
         assert "scheduled placements" in out
         (ppm,) = sorted(out_dir.glob("*.ppm"))
         assert np.array_equal(_read_ppm(ppm), decode_jpeg(jpeg_422).rgb)
@@ -116,7 +115,28 @@ class TestServeBatch:
     def test_roundrobin_schedule_flag(self, jpeg_file, capsys):
         assert main(["serve-batch", str(jpeg_file), "--schedule",
                      "roundrobin", "--backend", "serial"]) == 0
-        assert "schedule[roundrobin]" in capsys.readouterr().out
+        assert "schedule=roundrobin" in capsys.readouterr().out
+
+
+    def test_backpressure_paces_the_submits(self, jpeg_file, tmp_path,
+                                            jpeg_422):
+        """A one-slot queue: each submit waits for the pump, and every
+        repeat is still reported and written."""
+        out_dir = tmp_path / "out"
+        assert main(["serve-batch", str(jpeg_file), "--repeat", "4",
+                     "--queue-capacity", "1", "--backend", "serial",
+                     "--out-dir", str(out_dir)]) == 0
+        ppms = sorted(out_dir.glob("*.ppm"))
+        assert len(ppms) == 4
+        want = decode_jpeg(jpeg_422).rgb
+        assert all(np.array_equal(_read_ppm(p), want) for p in ppms)
+
+    def test_missed_deadline_is_a_failure(self, jpeg_file, capsys):
+        """A request shed at admission is reported and fails the run."""
+        assert main(["serve-batch", str(jpeg_file), "--backend", "serial",
+                     "--default-deadline-ms", "0.001"]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL" in err and "DeadlineExceededError" in err
 
 
 class TestRefusedConfiguration:
@@ -126,8 +146,8 @@ class TestRefusedConfiguration:
     @pytest.mark.parametrize("flags", [
         ["--retry-budget", "-1"],
         ["--workers", "0"],
-        ["--batch-size", "0"],
         ["--queue-capacity", "0"],
+        ["--default-deadline-ms", "0"],
     ])
     def test_one_line_and_exit_status_2(self, jpeg_file, flags, capsys):
         assert main(["serve-batch", str(jpeg_file), *flags]) == 2
@@ -151,7 +171,7 @@ class TestSessionFlags:
     """serve-batch / serve / serve-worker take the session flags from
     one declaration and turn them into one keyword set."""
 
-    SHARED = ("max_batch", "queue_capacity", "workers",
+    SHARED = ("queue_capacity", "workers",
               "backend", "schedule", "platform",
               "retry_budget", "breaker_threshold",
               "tracing", "trace_sample", "trace_log")
@@ -165,20 +185,22 @@ class TestSessionFlags:
         defaults = [{name: args[name] for name in self.SHARED}
                     for args in parsed]
         assert defaults[0] == defaults[1] == defaults[2]
-        assert defaults[0]["max_batch"] == 8
         assert defaults[0]["queue_capacity"] == 32
         kwargs = [_session_kwargs(parser.parse_args([command]))
                   for command in ("serve-batch", "serve", "serve-worker")]
         assert kwargs[0] == kwargs[1] == kwargs[2]
 
     def test_one_spelling_per_command_for_the_group_size(self):
+        """The group size is spelled once, as ``session.MAX_GROUP``: no
+        command parses a flag for it, nor for a hold timer."""
         from repro.cli import build_parser
+        from repro.service.session import MAX_GROUP
 
+        assert MAX_GROUP == 8
         parser = build_parser()
-        assert parser.parse_args(
-            ["serve-batch", "--batch-size", "3"]).max_batch == 3
-        assert parser.parse_args(["serve", "--max-batch", "3"]).max_batch == 3
         for command in ("serve-batch", "serve", "serve-worker"):
+            assert not [dest for dest in vars(parser.parse_args([command]))
+                        if "batch" in dest or "group" in dest]
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--max-delay-ms", "1"])
 

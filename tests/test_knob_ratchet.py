@@ -33,11 +33,11 @@ COUNTS = {
     "BatchDecoder.__init__ parameters":
         (lambda: _parameters(BatchDecoder.__init__), 6),
     "DecodeSession.__init__ parameters":
-        (lambda: _parameters(DecodeSession.__init__), 12),
+        (lambda: _parameters(DecodeSession.__init__), 10),
     "ImageRequest fields": (lambda: len(dataclasses.fields(ImageRequest)), 8),
     "cli.py add_argument calls":
         (lambda: Path(repro.cli.__file__).read_text().count(".add_argument("),
-         55),
+         53),
 }
 
 

@@ -370,23 +370,14 @@ class TestScheduledDecode:
         assert not batch.results[1].ok
         assert batch.results[1].error_type is not None
 
-    def test_schedule_format_mentions_lanes(self):
-        with BatchDecoder(backend="serial", scheduler="model") as dec:
-            batch = dec.decode_batch([encode(128, 96, seed=9)])
-        text = batch.schedule.format()
-        assert "schedule[model]" in text and "makespan=" in text
-
 
 class TestServiceFeedbackLoop:
-    def test_run_once_feeds_observations_and_stats(self):
+    def test_session_feeds_observations_and_stats(self):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
         sched = ModelScheduler(policy="model", platform=platforms.GTX560)
-        with DecodeSession(max_batch=8, backend="serial",
-                           scheduler=sched, pump=False) as svc:
-            for b in blobs:
-                svc.submit(b)
-            result = svc.run_once()
-        assert result.schedule is not None
+        with DecodeSession(backend="serial", scheduler=sched) as svc:
+            handles = [svc.submit(b) for b in blobs]
+            assert all(h.result(timeout=30).ok for h in handles)
         assert sched.feedback.observations == 3
         assert sum(u.images for u in svc.stats.per_executor.values()) == 3
         for usage in svc.stats.per_executor.values():
@@ -398,41 +389,37 @@ class TestServiceFeedbackLoop:
         # The group's index space survives the scheduler seeing a
         # subset: the whole image's observation lands on its own lane,
         # the fanned-out one is counted by what it did, not by a mark.
+        # The group is one decode_batch; its fold is the session's.
         blobs = [encode(640, 480, dri=16, seed=6), encode(160, 120, seed=1)]
         sched = ModelScheduler(policy="model", platform=platforms.GTX560)
-        with DecodeSession(max_batch=8, backend="thread", workers=3,
-                           scheduler=sched, pump=False) as svc:
-            handles = [svc.submit(b) for b in blobs]
-            result = svc.run_once()
-            assert handles[0].result(timeout=30).segments > 1
+        with BatchDecoder(backend="thread", workers=3,
+                          scheduler=sched) as dec:
+            result = dec.decode_batch(blobs)
+        assert result.results[0].segments > 1
+        sched.observe(result.schedule, result.results)
+        dec.stats.record_schedule(result.schedule, result.results)
         placed = result.schedule.assignments[1]
         assert sched.feedback.observations == 1
         assert sched.feedback.scale(placed.executor.name) != 1.0
-        assert {n: u.images for n, u in svc.stats.per_executor.items()} \
+        assert {n: u.images for n, u in dec.stats.per_executor.items()} \
             == {placed.executor.name: 1}
-        assert svc.stats.as_dict()["images_split"] == 1
-        assert "fanned out: 1" in svc.stats.format()
+        assert dec.stats.as_dict()["images_split"] == 1
+        assert "fanned out: 1" in dec.stats.format()
 
     def test_unscheduled_sessions_count_fan_out_too(self):
-        with DecodeSession(backend="thread", workers=2, pump=False) as svc:
-            svc.submit(encode(640, 480, dri=16, seed=6))
-            svc.run_once()
+        with DecodeSession(backend="thread", workers=2) as svc:
+            svc.submit(encode(640, 480, dri=16, seed=6)).result(timeout=30)
             assert svc.stats_snapshot()["images_split"] == 1
         assert "fanned out: 1" in svc.stats.format()
 
     def test_scales_adapt_across_batches(self):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
         sched = ModelScheduler(policy="model", platform=platforms.GTX560)
-        with DecodeSession(max_batch=8, backend="serial",
-                           scheduler=sched, pump=False) as svc:
-            for b in blobs:
-                svc.submit(b)
-            svc.run_once()
-            scales = sched.feedback.scales()
-            assert scales  # at least one lane observed
-            for b in blobs:
-                svc.submit(b)
-            svc.run_once()
+        with DecodeSession(backend="serial", scheduler=sched) as svc:
+            for _ in range(2):
+                handles = [svc.submit(b) for b in blobs]
+                assert all(h.result(timeout=30).ok for h in handles)
+                assert sched.feedback.scales()  # at least one lane observed
         assert sched.feedback.observations == 6
 
     def test_roundrobin_rotation_persists_across_batches(self):
@@ -440,12 +427,9 @@ class TestServiceFeedbackLoop:
         blob = encode(128, 96, seed=10)
         sched = ModelScheduler(policy="roundrobin",
                                platform=platforms.GTX560)
-        with DecodeSession(max_batch=1, backend="serial",
-                           scheduler=sched, pump=False) as svc:
-            for _ in range(4):
-                svc.submit(blob)
+        with BatchDecoder(backend="serial", scheduler=sched) as dec:
             names = []
-            while (result := svc.run_once()) is not None:
-                (a,) = result.schedule.assignments
+            for _ in range(4):
+                (a,) = dec.decode_batch([blob]).schedule.assignments
                 names.append(a.executor.name)
         assert len(set(names)) == 2  # both lanes saw traffic

@@ -14,16 +14,7 @@ import pytest
 
 from repro.errors import QueueFullError
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.evaluation import platforms
-from repro.service import (
-    DecodeSession,
-    FaultPlan,
-    ImageRequest,
-    default_executors,
-)
-
-#: Seconds each dispatch on a browned-out lane sleeps first.
-STALL_S = 0.5
+from repro.service import DecodeSession, ImageRequest
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +38,7 @@ def sequential_rgbs(corpus):
 
 def test_async_submit_resolves_bit_identical(corpus, sequential_rgbs):
     async def main():
-        with DecodeSession(max_batch=2, backend="thread",
+        with DecodeSession(backend="thread",
                            workers=2) as sess:
             return await asyncio.gather(
                 *(asyncio.wrap_future(sess.submit(b)) for b in corpus))
@@ -65,7 +56,7 @@ def test_completion_stream_overlaps_producer(corpus, sequential_rgbs):
     total = 2 * len(corpus)
 
     async def main():
-        with DecodeSession(max_batch=2, backend="thread",
+        with DecodeSession(backend="thread",
                            workers=2) as sess:
             completions: asyncio.Queue = asyncio.Queue()
 
@@ -95,7 +86,7 @@ def test_unbounded_stream_ends_when_idle(corpus):
     """``asyncio.as_completed`` over the submitted handles yields each
     result once and ends when the last one is in."""
     async def main():
-        with DecodeSession(max_batch=4, backend="thread",
+        with DecodeSession(backend="thread",
                            workers=2) as sess:
             futures = [asyncio.wrap_future(sess.submit(b)) for b in corpus]
             return [await f for f in asyncio.as_completed(futures)]
@@ -107,7 +98,7 @@ def test_unbounded_stream_ends_when_idle(corpus):
 
 def test_decode_failure_resolves_future():
     async def main():
-        with DecodeSession(max_batch=2, backend="serial") as sess:
+        with DecodeSession(backend="serial") as sess:
             return await asyncio.wrap_future(
                 sess.submit(b"definitely not a jpeg"))
 
@@ -133,8 +124,9 @@ async def _await(handle):
     return await asyncio.wrap_future(handle)
 
 
-def test_cancelling_the_wrapped_future_cancels_the_handle(corpus):
-    sess = DecodeSession(backend="serial", pump=False)
+def test_cancelling_the_wrapped_future_cancels_the_handle(corpus,
+                                                         held_session):
+    sess, _ = held_session(corpus[2])
     handle = sess.submit(corpus[2])
 
     async def main():
@@ -147,21 +139,11 @@ def test_cancelling_the_wrapped_future_cancels_the_handle(corpus):
     assert handle.cancelled()
 
 
-def _stalled_session(**session_kwargs) -> DecodeSession:
-    """A one-worker scheduled session whose every lane is browned out:
-    the first two requests fill its in-flight window (one per
-    ``DISPATCH_DEPTH`` slot) for about a second, and what is submitted
-    after them stays queued."""
-    lanes = {lane.name: STALL_S
-             for lane in default_executors(platforms.GTX560)}
-    return DecodeSession(workers=1, backend="thread", scheduler="model",
-                         faults=FaultPlan(delay_lanes=lanes),
-                         **session_kwargs)
-
-
 async def _fill_window(sess: DecodeSession, blob: bytes) -> list:
-    """Submit the two stalled requests and wait until both are
-    admitted, so the queue is empty and the window full."""
+    """Submit two requests to a ``stalled_session`` (one per
+    ``DISPATCH_DEPTH`` slot of its one worker) and wait until both are
+    admitted, so the queue is empty and the window full for about a
+    second; what is submitted next stays queued."""
     blockers = [asyncio.wrap_future(sess.submit(blob)) for _ in range(2)]
     for _ in range(1000):
         if sess.pending == 0:
@@ -170,12 +152,12 @@ async def _fill_window(sess: DecodeSession, blob: bytes) -> list:
     raise AssertionError("the pump never admitted the stalled requests")
 
 
-def test_failfast_submit_raises_queuefull(corpus):
+def test_failfast_submit_raises_queuefull(corpus, stalled_session):
     """``timeout=0`` never blocks, so it runs on the loop itself and
     raises QueueFullError once the bounded queue fills (nothing drains
     while the window is held by stalled decodes)."""
     async def main():
-        sess = _stalled_session(queue_capacity=2)
+        sess = stalled_session(queue_capacity=2)
         try:
             await _fill_window(sess, corpus[0])
             sess.submit(corpus[0], timeout=0)
@@ -188,9 +170,9 @@ def test_failfast_submit_raises_queuefull(corpus):
     asyncio.run(main())
 
 
-def test_close_drain_false_cancels_futures(corpus):
+def test_close_drain_false_cancels_futures(corpus, stalled_session):
     async def main():
-        sess = _stalled_session()
+        sess = stalled_session()
         blockers = await _fill_window(sess, corpus[0])
         queued = [asyncio.wrap_future(sess.submit(corpus[0]))
                   for _ in range(3)]
@@ -205,14 +187,15 @@ def test_close_drain_false_cancels_futures(corpus):
 
 
 def test_blocking_submit_off_the_loop_overlaps_consumer(corpus,
-                                                        sequential_rgbs):
+                                                        sequential_rgbs,
+                                                        stalled_session):
     """A producer whose submits wait for queue space in a thread keeps
     the loop free: the consumer receives the first result while the
     producer is still blocked on a later submit."""
     blobs = [corpus[0]] * 5
 
     async def main():
-        sess = _stalled_session(queue_capacity=1)
+        sess = stalled_session(queue_capacity=1)
         pending: asyncio.Queue = asyncio.Queue()
         received: list[float] = []
 
@@ -246,7 +229,7 @@ def test_blocking_submit_off_the_loop_overlaps_consumer(corpus,
 
 def test_image_request_passthrough(corpus, sequential_rgbs):
     async def main():
-        with DecodeSession(max_batch=2, backend="serial") as sess:
+        with DecodeSession(backend="serial") as sess:
             return await asyncio.wrap_future(sess.submit(ImageRequest(
                 data=corpus[0], request_id="tagged")))
 
@@ -257,7 +240,7 @@ def test_image_request_passthrough(corpus, sequential_rgbs):
 
 def test_stats_snapshot_reachable(corpus):
     async def main():
-        with DecodeSession(max_batch=2, backend="serial") as sess:
+        with DecodeSession(backend="serial") as sess:
             await asyncio.wrap_future(sess.submit(corpus[2]))
             assert sess.pending == 0
             assert not sess.closed

@@ -216,32 +216,27 @@ class TestQueueBackpressure:
         with pytest.raises(ServiceError):
             SubmissionQueue(capacity=0)
 
-    def test_service_backpressure_and_drain(self, corpus, sequential_rgbs):
-        with DecodeSession(max_batch=2, queue_capacity=2,
-                           backend="serial", pump=False) as svc:
-            svc.submit(corpus[0])
-            svc.submit(corpus[1])
+    def test_service_backpressure_and_drain(self, corpus, sequential_rgbs,
+                                            held_session):
+        svc, blockers = held_session(corpus[0], queue_capacity=2)
+        with svc:
+            handles = [svc.submit(corpus[0]), svc.submit(corpus[1])]
             with pytest.raises(QueueFullError):
                 svc.submit(corpus[2])     # full: backpressure surfaces
             assert svc.pending == 2
-            first = svc.run_once()        # drain one batch ...
-            assert first is not None and first.ok
-            svc.submit(corpus[2])         # ... and submission succeeds
-            batches = []
-            while svc.pending:
-                batches.append(svc.run_once())
-            assert svc.run_once() is None
-        results = list(first) + [r for b in batches for r in b]
-        # Ids are unique and monotonic; the rejected submission's id (2)
+            # Waits until the pump frees a slot, then is accepted.
+            handles.append(svc.submit(corpus[2], timeout=None))
+            results = [h.result(timeout=30) for h in handles]
+        # Ids are unique and monotonic; the rejected submission's id (4)
         # is skipped, never reissued.
-        assert [r.request_id for r in results] == [0, 1, 3]
+        assert [b.request_id for b in blockers] == [0, 1]
+        assert [r.request_id for r in results] == [2, 3, 5]
         for res, oracle in zip(results, sequential_rgbs):
             assert np.array_equal(res.rgb, oracle)
-        assert svc.stats.batches == 2
-        assert svc.stats.images_ok == 3
+        assert svc.stats.images_ok == 5
 
     def test_closed_service_rejects_submissions(self, corpus):
-        svc = DecodeSession(backend="serial", pump=False)
+        svc = DecodeSession(backend="serial")
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit(corpus[0])
@@ -383,16 +378,18 @@ class TestOneHeaderRead:
             assert np.array_equal(res.rgb, oracle)
 
     def test_session_walks_at_submit_not_at_admission(self, corpus,
-                                                      parent_walks):
+                                                      parent_walks,
+                                                      held_session):
         """The header rides the queue entry: ``submit`` walks on the
         caller's thread, admission reads nothing."""
-        with DecodeSession(workers=2, backend="thread", pump=False,
-                           max_batch=len(corpus)) as sess:
+        sess, _ = held_session(corpus[0])
+        with sess:
+            parent_walks.clear()
             handles = [sess.submit(b) for b in corpus]
+            assert sess.pending == len(corpus)
             assert parent_walks == self.ONE_EACH
-            batch = sess.run_once()
+            assert all(h.result(timeout=60).ok for h in handles)
             assert parent_walks == self.ONE_EACH
-        assert batch.ok and all(h.result(timeout=60).ok for h in handles)
 
     def test_lease_alone_costs_one_walk(self, corpus, parent_parses,
                                         parent_walks, shm_floor_zero):

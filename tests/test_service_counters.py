@@ -7,6 +7,8 @@ whole regardless)."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.jpeg import EncoderSettings, encode_jpeg, parse_jpeg
@@ -42,14 +44,15 @@ def test_stats_count_what_the_results_show(small_rgb, tiny_rgb, monkeypatch,
     faults = FaultPlan(kill_at={1})     # a run of the fan-out dies
     requests = [ImageRequest(data=dri, trace=TraceContext.new_root())]
     requests += [ImageRequest(data=thumb) for _ in range(3)]
-    # One image per group: the frame has the pool to itself to fan out.
+    # One image per group (each submit waits for the previous one's
+    # admission): the frame has the pool to itself to fan out.
     with DecodeSession(workers=2, backend="process", faults=faults,
-                       retry_budget=budget, max_batch=1,
-                       pump=False) as session:
-        handles = [session.submit(r) for r in requests]
-        groups = 0
-        while session.run_once() is not None:
-            groups += 1
+                       retry_budget=budget) as session:
+        handles = []
+        for r in requests:
+            handles.append(session.submit(r))
+            while session.pending:
+                time.sleep(0.001)
         results = [h.result(timeout=120) for h in handles]
         snap = session.stats_snapshot()
         leaked = session.decoder.arena.leaked()
@@ -59,7 +62,7 @@ def test_stats_count_what_the_results_show(small_rgb, tiny_rgb, monkeypatch,
     assert snap["faults"]["retries"] == faults.dispatches - units
     assert snap["faults"]["infra_failures"] == lost
     assert snap["images_split"] == sum(r.segments > 1 for r in results) == 1
-    assert snap["batches"] == groups == 4
+    assert snap["batches"] == len(requests) == 4
     assert leaked == []
     if not budget:
         assert snap["faults"]["retries"] == 0 and lost >= 1

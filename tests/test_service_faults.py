@@ -521,10 +521,11 @@ class TestUniformFaultMatrix:
                                            tiny_rgb):
         """The same 15 cells through a pumped session, with three
         thumbnails admitted behind the faulted image in groups of their
-        own: the fault is the faulted image's business — its siblings
-        resolve (retried with it only when a real SIGKILL broke the
-        pool under them), every handle resolves exactly once, and no
-        slot outlives the run.  The thumbnails are progressive, so they
+        own (each submit waits for the previous one's admission): the
+        fault is the faulted image's business — its siblings resolve
+        (retried with it only when a real SIGKILL broke the pool under
+        them), every handle resolves exactly once, and no slot outlives
+        the run.  The thumbnails are progressive, so they
         decode whole at any fan-out price."""
         make_plan, budget = MATRIX_FAULTS[fault]
         request, units = cells[kind]
@@ -534,10 +535,13 @@ class TestUniformFaultMatrix:
         thumb_rgb = decode_jpeg(thumb).rgb
         order: list[int] = []
         with DecodeSession(workers=self.WORKERS, backend="process",
-                           retry_budget=budget, faults=make_plan(),
-                           max_batch=1) as session:
-            handles = [session.submit(request)]
-            handles += [session.submit(thumb) for _ in range(3)]
+                           retry_budget=budget,
+                           faults=make_plan()) as session:
+            handles = []
+            for item in [request] + [thumb] * 3:
+                handles.append(session.submit(item))
+                while session.pending:
+                    time.sleep(0.001)
             for i, h in enumerate(handles):
                 h.add_done_callback(lambda _h, i=i: order.append(i))
             res, *siblings = [h.result(timeout=120) for h in handles]
@@ -579,53 +583,58 @@ class TestUniformFaultMatrix:
 class TestDeadlines:
     def test_validation(self):
         with pytest.raises(ServiceError):
-            DecodeSession(backend="serial", default_deadline_ms=0,
-                          pump=False)
-        with DecodeSession(backend="serial", pump=False) as svc:
+            DecodeSession(backend="serial", default_deadline_ms=0)
+        with DecodeSession(backend="serial") as svc:
             with pytest.raises(ServiceError):
                 svc.submit(ImageRequest(data=b"x", deadline_ms=-5))
 
     def test_expired_request_is_shed_with_deadline_error(self, blob,
-                                                         oracle):
-        """A request whose deadline passes before batch forming resolves
-        with DeadlineExceededError; fresh requests still decode."""
-        with DecodeSession(backend="serial", pump=False) as session:
+                                                         oracle,
+                                                         held_session):
+        """A request whose deadline passes while it queues behind a held
+        window resolves with DeadlineExceededError; fresh requests
+        still decode."""
+        session, _ = held_session(blob)
+        with session:
             doomed = session.submit(ImageRequest(data=blob, deadline_ms=5))
             fresh = session.submit(blob)
-            time.sleep(0.03)
-            batch = session.run_once()
-            assert batch is not None
             with pytest.raises(DeadlineExceededError):
-                doomed.result(timeout=0)
-            result = fresh.result(timeout=0)
+                doomed.result(timeout=30)
+            result = fresh.result(timeout=30)
             assert result.ok
             assert np.array_equal(result.rgb, oracle)
             snap = session.stats_snapshot()
             assert snap["faults"]["deadline_expired"] == 1
 
-    def test_default_deadline_applies_to_bare_bytes(self, blob):
-        with DecodeSession(backend="serial", default_deadline_ms=5,
-                           pump=False) as session:
+    def test_default_deadline_applies_to_bare_bytes(self, blob,
+                                                    held_session):
+        session, _ = held_session(ImageRequest(data=blob,
+                                               deadline_ms=60_000),
+                                  default_deadline_ms=5)
+        with session:
             handle = session.submit(blob)
-            time.sleep(0.03)
-            assert session.run_once() is None  # everything was shed
             with pytest.raises(DeadlineExceededError):
-                handle.result(timeout=0)
+                handle.result(timeout=30)
+            assert session.stats.deadline_expired == 1
 
-    def test_batches_form_earliest_deadline_first(self, blob):
+    def test_batches_form_earliest_deadline_first(self, blob, held_session):
         """Tightest deadline decodes first; deadline-free requests keep
-        FIFO order after every deadlined one."""
-        with DecodeSession(backend="serial", max_batch=8,
-                           pump=False) as session:
+        FIFO order after every deadlined one.  One worker decodes in
+        admission order, so the completion order is the admission's."""
+        session, _ = held_session(blob)
+        order = []
+        with session:
             loose = session.submit(
                 ImageRequest(data=blob, deadline_ms=60_000))
             bare = session.submit(blob)
             tight = session.submit(
                 ImageRequest(data=blob, deadline_ms=5_000))
-            batch = session.run_once()
-            assert [r.request_id for r in batch.results] == [
-                tight.request_id, loose.request_id, bare.request_id]
-            assert all(r.ok for r in batch.results)
+            for h in (loose, bare, tight):
+                h.add_done_callback(lambda h: order.append(h.request_id))
+            results = [h.result(timeout=30) for h in (loose, bare, tight)]
+        assert order == [tight.request_id, loose.request_id,
+                         bare.request_id]
+        assert all(r.ok for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +659,7 @@ class TestEndToEndRecovery:
                 resolved[handle.request_id] = \
                     resolved.get(handle.request_id, 0) + 1
 
-        with DecodeSession(max_batch=4, workers=2, backend="process",
+        with DecodeSession(workers=2, backend="process",
                            faults=plan) as session:
             handles = [session.submit(blob) for _ in range(4)]
             for h in handles:
@@ -679,7 +688,7 @@ class TestEndToEndRecovery:
         whose first dispatch died is still 200 and bit-identical."""
         plan = FaultPlan(kill_at={0})
         srv = DecodeHTTPServer(port=0, backend="process", workers=1,
-                               max_batch=2, faults=plan)
+                               faults=plan)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
@@ -708,8 +717,7 @@ class TestEndToEndRecovery:
     def test_http_deadline_maps_to_504(self, blob):
         """X-Deadline-Ms: an already-expired deadline answers 504 with
         Retry-After; an invalid header answers 400."""
-        srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                               max_batch=4)
+        srv = DecodeHTTPServer(port=0, backend="thread", workers=2)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:

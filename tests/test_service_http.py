@@ -32,8 +32,7 @@ def oracle(blob):
 @pytest.fixture()
 def server():
     """A live server on an ephemeral port, torn down after the test."""
-    srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                           max_batch=4)
+    srv = DecodeHTTPServer(port=0, backend="thread", workers=2)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -76,15 +75,23 @@ class TestDecodeEndpoint:
                                                    oracle.shape[0])
         assert meta["latency_ms"] > 0
 
-    def test_concurrent_posts_batch_together(self, blob, oracle):
-        """Concurrent POSTs pending together are admitted as one group
-        (a pump-less session, driven here once all four are queued);
-        all answers are correct and /stats counts one batch."""
-        session = DecodeSession(max_batch=4, backend="thread", workers=2,
-                                pump=False)
+    def test_concurrent_posts_batch_together(self, blob, oracle,
+                                             stalled_session):
+        """Concurrent POSTs pending together are admitted as one group:
+        the pump is held inside a first request's done callback (the
+        stall makes sure the callback is in place before it lands) until
+        all four are queued; all answers are correct and /stats counts
+        the first request's group and the four POSTs' one group."""
+        session = stalled_session(workers=2)
         srv = DecodeHTTPServer(session=session, port=0)
         loop = threading.Thread(target=srv.serve_forever, daemon=True)
         loop.start()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_pump(_handle) -> None:
+            held.set()
+            release.wait(timeout=30)
+
         bodies: list[bytes | None] = [None] * 4
 
         def fetch(i: int) -> None:
@@ -94,27 +101,30 @@ class TestDecodeEndpoint:
         threads = [threading.Thread(target=fetch, args=(i,))
                    for i in range(4)]
         try:
+            session.submit(blob).add_done_callback(hold_pump)
+            assert held.wait(timeout=30), "the first request never landed"
             for t in threads:
                 t.start()
             deadline = time.monotonic() + 30
             while session.pending < 4:
                 assert time.monotonic() < deadline, "posts never queued"
                 time.sleep(0.01)
-            session.run_once()
+            release.set()
             for t in threads:
                 t.join(timeout=60)
             with urllib.request.urlopen(srv.url + "/stats",
                                         timeout=30) as resp:
                 stats = json.loads(resp.read())
         finally:
+            release.set()
             srv.shutdown()
             loop.join(timeout=30)
             srv.close()
             session.close(drain=False)
         expected = ppm_bytes(oracle)
         assert all(b == expected for b in bodies)
-        assert stats["images_ok"] == 4
-        assert stats["batches"] == 1
+        assert stats["images_ok"] == 5
+        assert stats["batches"] == 2
 
     def test_malformed_jpeg_maps_to_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -190,11 +200,11 @@ class TestDecodeEndpoint:
 
 
 class TestBackpressureAndStats:
-    def test_queue_full_maps_to_429(self, blob):
-        """A pump-less session never drains, so capacity-1 fills after
-        one direct submit; the HTTP submit then fails fast as 429."""
-        session = DecodeSession(queue_capacity=1, backend="serial",
-                                pump=False)
+    def test_queue_full_maps_to_429(self, blob, held_session):
+        """Nothing drains while stalled decodes hold the window, so
+        capacity-1 fills after one direct submit; the HTTP submit then
+        fails fast as 429."""
+        session, _ = held_session(blob, queue_capacity=1)
         srv = DecodeHTTPServer(session=session, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
@@ -211,11 +221,10 @@ class TestBackpressureAndStats:
             srv.close()
             session.close(drain=False)
 
-    def test_cancelled_request_maps_to_503(self, blob):
+    def test_cancelled_request_maps_to_503(self, blob, held_session):
         """Closing an externally-owned session with drain=False while a
         POST is waiting answers 503 — never a dropped connection."""
-        session = DecodeSession(queue_capacity=4, backend="serial",
-                                pump=False)
+        session, _ = held_session(blob, queue_capacity=4)
         srv = DecodeHTTPServer(session=session, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()

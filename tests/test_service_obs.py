@@ -171,10 +171,9 @@ class TestMapRemoteSpans:
 class TestPrometheus:
     def test_live_session_render_is_valid_exposition(self, blob):
         session = DecodeSession(backend="serial", scheduler="model",
-                                tracing="on", pump=False)
+                                tracing="on")
         try:
             handles = [session.submit(blob) for _ in range(3)]
-            session.run_once()
             for handle in handles:
                 assert handle.result(timeout=60).ok
             text = render_prometheus(session.stats_snapshot())
@@ -238,11 +237,10 @@ def _trace_of(result):
 
 class TestEndToEndTrace:
     def test_reference_decode_emits_stage_hierarchy(self, blob):
-        session = DecodeSession(backend="serial", tracing="on", pump=False)
+        session = DecodeSession(backend="serial", tracing="on")
         try:
             handle = session.submit(ImageRequest(data=blob,
                                                  mode="reference"))
-            session.run_once()
             result = handle.result(timeout=60)
         finally:
             session.close(drain=False)
@@ -292,10 +290,9 @@ class TestEndToEndTrace:
         renders them."""
         log = tmp_path / "spans.jsonl"
         session = DecodeSession(backend="serial", tracing="on",
-                                trace_log=str(log), pump=False)
+                                trace_log=str(log))
         try:
             handle = session.submit(blob)
-            session.run_once()
             result = handle.result(timeout=60)
             trace_id = result.trace_spans[0].trace_id
         finally:
@@ -310,10 +307,9 @@ class TestEndToEndTrace:
         assert timeline.render()
 
     def test_untraced_requests_carry_no_spans(self, blob):
-        session = DecodeSession(backend="serial", tracing="off", pump=False)
+        session = DecodeSession(backend="serial", tracing="off")
         try:
             handle = session.submit(blob)
-            session.run_once()
             result = handle.result(timeout=60)
         finally:
             session.close(drain=False)
@@ -326,10 +322,9 @@ class TestEndToEndTrace:
         and a traced decode has the pixels of an untraced one."""
         oracle = decode_jpeg(blob).rgb
         session = DecodeSession(backend="serial", tracing="sample",
-                                trace_sample=0.5, pump=False)
+                                trace_sample=0.5)
         try:
             handles = [session.submit(blob) for _ in range(5)]
-            session.run_once()
             results = [h.result(timeout=60) for h in handles]
             counters = session.obs.counters()
         finally:
@@ -414,9 +409,8 @@ class TestTraceUnderFaults:
                           EncoderSettings(quality=85, subsampling="4:2:2",
                                           restart_interval=8))
         with DecodeSession(backend="thread", workers=3, scheduler="model",
-                           tracing="on", pump=False) as session:
+                           tracing="on") as session:
             handles = [session.submit(dri), session.submit(blob)]
-            session.run_once()
             fanned, whole = (h.result(timeout=60) for h in handles)
         names = [s.name for s in fanned.trace_spans]
         assert fanned.segments > 1
@@ -461,10 +455,9 @@ class TestTraceUnderFaults:
 class TestTraceLogAndCLI:
     def _decode_with_log(self, blob, path, n=2):
         session = DecodeSession(backend="serial", tracing="on",
-                                trace_log=str(path), pump=False)
+                                trace_log=str(path))
         try:
             handles = [session.submit(blob) for _ in range(n)]
-            session.run_once()
             return [h.result(timeout=60) for h in handles]
         finally:
             session.close(drain=False)
@@ -529,7 +522,7 @@ class TestHTTPObservability:
     @pytest.fixture()
     def server(self, tmp_path):
         srv = DecodeHTTPServer(port=0, backend="thread", workers=2,
-                               max_batch=4, tracing="off",
+                               tracing="off",
                                trace_log=str(tmp_path / "spans.jsonl"))
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()

@@ -549,14 +549,12 @@ class TestRemoteLanePool:
 class TestShardedSession:
     def test_two_hosts_bit_identical_and_both_served(self, blob, oracle):
         with running_host() as h1, running_host() as h2:
-            session = front_tier([h1, h2], policy="roundrobin",
-                                 max_batch=8, pump=False)
+            session = front_tier([h1, h2], policy="roundrobin")
             try:
                 assert type(session) is DecodeSession
                 assert list(session.decoder.links) == [
                     lane.name for lane in session.decoder.scheduler.executors]
                 handles = [session.submit(blob) for _ in range(8)]
-                session.run_once()
                 for handle in handles:
                     result = handle.result(timeout=60)
                     assert result.ok
@@ -575,9 +573,8 @@ class TestShardedSession:
         monkeypatch.setattr(remote, "encode_result",
                             lambda r: sent.append(r.wall_us) or encode(r))
         with running_host() as host, \
-                front_tier([host], pump=False) as session:
+                front_tier([host]) as session:
             handle = session.submit(blob)
-            session.run_once()
             result = handle.result(timeout=60)
         (host_wall_us,) = sent
         assert host_wall_us > 0
@@ -600,10 +597,9 @@ class TestShardedSession:
             with running_host(**pool) as host:
                 for fallback in ({}, parallel):
                     before = host.requests
-                    session = front_tier([host], pump=False, **fallback)
+                    session = front_tier([host], **fallback)
                     try:
                         handle = session.submit(frame)
-                        session.run_once()
                         result = handle.result(60)
                     finally:
                         session.close(drain=False)
@@ -613,11 +609,9 @@ class TestShardedSession:
 
     def test_per_host_stats_section(self, blob):
         with running_host() as host:
-            session = front_tier([host], breakers=LaneBreakerBoard(),
-                                 pump=False)
+            session = front_tier([host], breakers=LaneBreakerBoard())
             try:
-                session.submit(blob)
-                session.run_once()
+                session.submit(blob).result(timeout=60)
                 snapshot = session.stats_snapshot()
                 metrics = render_prometheus(snapshot)
             finally:
@@ -755,20 +749,17 @@ class TestShardedSession:
             scheduler = ModelScheduler(policy="roundrobin",
                                        executors=[local, remote],
                                        breakers=breakers)
-            with DecodeSession(scheduler=scheduler, backend="serial",
-                               max_batch=4, pump=False) as session:
-                handles = [session.submit(blob) for _ in range(4)]
-                batch = session.run_once()
-                for handle in handles:
-                    assert np.array_equal(handle.result(timeout=60).rgb,
-                                          oracle)
+            with BatchDecoder(scheduler=scheduler,
+                              backend="serial") as decoder:
+                batch = decoder.decode_batch([blob] * 4)
+                for result in batch.results:
+                    assert np.array_equal(result.rgb, oracle)
                 assert host.requests == 2
-                assert list(session.decoder.links) == [remote.name]
-                assert set(session.stats_snapshot()["per_host"]) \
-                    == {remote.name}
+                # Only the host opens a link (the per-host stats keys).
+                assert list(decoder.links) == [remote.name]
                 # Its only sibling is local: nothing to fail over to.
-                assert session.decoder._failover(remote.name) is None
-                assert session.decoder._failover(local.name) is None
+                assert decoder._failover(remote.name) is None
+                assert decoder._failover(local.name) is None
             # One group, both kinds of failure: the host is charged per
             # dispatch, the local lane per image.
             on_local = {a.index for a in batch.schedule.assignments
@@ -791,20 +782,19 @@ class TestShardedSession:
             local = ModelScheduler().executors[0]
             scheduler = ModelScheduler(policy="roundrobin",
                                        executors=[local, remote])
-            with DecodeSession(scheduler=scheduler, backend="serial",
-                               max_batch=4, pump=False) as session:
-                for _ in range(4):
-                    session.submit(blob)
-                batch = session.run_once()
-                per_executor = session.stats_snapshot()["per_executor"]
-        lane_of = {a.index: a.executor.name
-                   for a in batch.schedule.assignments}
-        assert sorted(lane_of.values()) == sorted([local.name] * 2
-                                                  + [remote.name] * 2)
-        simulated = sum(r.simulated_us for i, r in enumerate(batch.results)
-                        if lane_of[i] == local.name)
-        measured = sum(r.wall_us for i, r in enumerate(batch.results)
-                       if lane_of[i] == remote.name)
+            with DecodeSession(scheduler=scheduler,
+                               backend="serial") as session:
+                handles = [session.submit(blob) for _ in range(4)]
+                results = [h.result(timeout=60) for h in handles]
+            per_executor = session.stats_snapshot()["per_executor"]
+        # Round-robin alternates the lanes; only the simulated one
+        # reports a simulated time.
+        on_local = [r for r in results if r.simulated_us is not None]
+        on_host = [r for r in results if r.simulated_us is None]
+        assert len(on_local) == len(on_host) == 2
+        assert host.requests == 2
+        simulated = sum(r.simulated_us for r in on_local)
+        measured = sum(r.wall_us for r in on_host)
         assert per_executor[local.name]["observed_us"] \
             == pytest.approx(simulated)
         assert per_executor[remote.name]["observed_us"] \
@@ -817,8 +807,8 @@ class TestShardedSession:
         now = [0.0]
         breakers = LaneBreakerBoard(threshold=1, cooldown_s=5.0,
                                     clock=lambda: now[0])
-        session = front_tier([("127.0.0.1", 1)], breakers=breakers,
-                             pump=False)       # connects to nothing
+        session = front_tier([("127.0.0.1", 1)],
+                             breakers=breakers)    # connects to nothing
         try:
             (lane,) = session.decoder.scheduler.executors
             assert breakers.record(lane.name, ok=False)     # tripped open
@@ -839,16 +829,14 @@ class TestShardedSession:
             session = front_tier(
                 [alive, ("127.0.0.1", dead_port)],
                 policy="roundrobin", breakers=breakers,
-                connect_timeout_s=2.0, max_batch=8, pump=False)
+                connect_timeout_s=2.0)
             try:
                 handles = [session.submit(blob) for _ in range(8)]
-                batch = session.run_once()
                 results = [h.result(timeout=60) for h in handles]
                 assert all(r.ok for r in results)
                 assert all(np.array_equal(r.rgb, oracle) for r in results)
                 assert any(r.failed_over for r in results)
                 dead_lane = f"remote-127.0.0.1:{dead_port}"
-                assert batch.lane_failures.get(dead_lane, 0) > 0
                 assert breakers.state(dead_lane) == "open"
                 per_host = session.stats_snapshot()["per_host"]
                 assert per_host[dead_lane]["failures"] > 0
@@ -863,19 +851,15 @@ class TestShardedSession:
         dead.close()
         breakers = LaneBreakerBoard(threshold=1, cooldown_s=60.0)
         session = front_tier([("127.0.0.1", dead_port)], breakers=breakers,
-                             connect_timeout_s=2.0, retry_budget=0,
-                             pump=False)
+                             connect_timeout_s=2.0, retry_budget=0)
         try:
             lost = session.submit(blob)
-            session.run_once()
             # The only host is gone and has no sibling: the image fails
             # on infrastructure and the lane's breaker opens ...
             assert lost.result(timeout=60).infra_failure
             assert breakers.state(f"remote-127.0.0.1:{dead_port}") == "open"
             # ... so the next one is placed nowhere and decodes here.
-            handle = session.submit(blob)
-            session.run_once()
-            result = handle.result(timeout=60)
+            result = session.submit(blob).result(timeout=60)
             assert result.ok and np.array_equal(result.rgb, oracle)
             assert not result.failed_over
         finally:
@@ -890,10 +874,9 @@ class TestShardedSession:
             session = front_tier(
                 [alive, ("127.0.0.1", port)],
                 policy="roundrobin", breakers=breakers,
-                connect_timeout_s=2.0, max_batch=4, pump=False)
+                connect_timeout_s=2.0)
             try:
                 handles = [session.submit(blob) for _ in range(4)]
-                session.run_once()
                 assert all(h.result(timeout=60).ok for h in handles)
                 lane = f"remote-127.0.0.1:{port}"
                 assert breakers.state(lane) == "open"
@@ -902,7 +885,6 @@ class TestShardedSession:
                     time.sleep(0.3)  # past the cooldown: probe half-opens
                     for _ in range(3):
                         handles = [session.submit(blob) for _ in range(4)]
-                        session.run_once()
                         assert all(h.result(timeout=60).ok
                                    for h in handles)
                     assert breakers.state(lane) == "closed"
@@ -940,8 +922,7 @@ class TestKillHostMidBatch:
             remote_executors(
                 f"127.0.0.1:{victim_port},127.0.0.1:{survivor_port}",
                 connect_timeout_s=2.0, request_timeout_s=30.0),
-            policy="roundrobin", breakers=breakers,
-            max_batch=8, pump=False)
+            policy="roundrobin", breakers=breakers)
         restarted = None
         victim_lane = f"remote-127.0.0.1:{victim_port}"
         try:
@@ -952,19 +933,18 @@ class TestKillHostMidBatch:
             # victim's breaker must trip.
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=10)
-            batch = session.run_once()
             results = [h.result(timeout=60) for h in handles]
             assert all(r.ok for r in results)
             assert all(np.array_equal(r.rgb, oracle) for r in results)
             assert breakers.state(victim_lane) == "open"
-            assert batch.lane_failures.get(victim_lane, 0) > 0
+            assert session.stats_snapshot()["per_host"][victim_lane][
+                "failures"] > 0
 
             # Restart on the same port; the half-open canary re-admits.
             restarted, _ = _spawn_worker(port=victim_port)
             time.sleep(0.3)
             for _ in range(3):
                 handles = [session.submit(blob) for _ in range(4)]
-                session.run_once()
                 assert all(h.result(timeout=60).ok for h in handles)
             assert breakers.state(victim_lane) == "closed"
         finally:
@@ -998,8 +978,8 @@ class TestPriority:
             with pytest.raises(ServiceError):
                 parse_priority(bad)
 
-    def test_weighted_shedding_by_class(self, blob):
-        session = DecodeSession(queue_capacity=10, pump=False)
+    def test_weighted_shedding_by_class(self, blob, held_session):
+        session, _ = held_session(blob, queue_capacity=10)
         try:
             def fill(priority: int) -> int:
                 admitted = 0
@@ -1020,23 +1000,22 @@ class TestPriority:
         finally:
             session.close(drain=False)
 
-    def test_high_priority_dispatches_first(self, blob):
-        session = DecodeSession(max_batch=3, pump=False)
-        try:
-            session.submit(ImageRequest(data=blob, request_id="low",
-                                        priority=PRIORITY_LOW))
-            session.submit(ImageRequest(data=blob, request_id="high",
-                                        priority=PRIORITY_HIGH))
-            session.submit(ImageRequest(data=blob, request_id="normal",
-                                        priority=PRIORITY_NORMAL))
-            batch = session.run_once()
-            order = [r.request_id for r in batch.results]
-            assert order == ["high", "normal", "low"]
-        finally:
-            session.close(drain=False)
+    def test_high_priority_dispatches_first(self, blob, held_session):
+        """Queued behind a held window, the classes are admitted high
+        first; one worker decodes in admission order."""
+        session, _ = held_session(blob)
+        order = []
+        with session:
+            for name, priority in (("low", PRIORITY_LOW),
+                                   ("high", PRIORITY_HIGH),
+                                   ("normal", PRIORITY_NORMAL)):
+                session.submit(ImageRequest(
+                    data=blob, request_id=name, priority=priority,
+                )).add_done_callback(lambda h: order.append(h.request_id))
+        assert order == ["high", "normal", "low"]
 
     def test_invalid_priority_rejected_at_submit(self, blob):
-        with DecodeSession(pump=False) as session:
+        with DecodeSession() as session:
             with pytest.raises(ServiceError):
                 session.submit(ImageRequest(data=blob, priority=-2))
             with pytest.raises(ServiceError):
@@ -1077,13 +1056,13 @@ class TestHTTPPriorityAndRetryAfter:
             assert "X-Priority" in json.loads(
                 excinfo.value.read())["error"]
 
-    def test_retry_after_scales_with_backlog(self, blob):
-        session = DecodeSession(queue_capacity=4, max_batch=2, pump=False)
+    def test_retry_after_scales_with_backlog(self, blob, held_session):
+        session, _ = held_session(blob, queue_capacity=16)
         try:
             assert session.retry_after_s() == 1  # empty: floor
             with serving(DecodeHTTPServer(session=session,
                                           port=0)) as server:
-                for _ in range(4):
+                for _ in range(16):
                     session.submit(ImageRequest(data=blob,
                                                 priority=PRIORITY_HIGH))
                 req = urllib.request.Request(server.url + "/decode",
@@ -1093,8 +1072,9 @@ class TestHTTPPriorityAndRetryAfter:
                 assert excinfo.value.code == 429
                 retry_after = int(excinfo.value.headers["Retry-After"])
                 assert 1 <= retry_after <= 30
-                # 4 pending at a nominal max_batch=2 img/s floor: the
-                # hint must exceed the empty-queue floor.
+                # 16 pending at the nominal MAX_GROUP img/s before any
+                # decode completed, or at the held window's observed
+                # rate: the hint must exceed the empty-queue floor.
                 assert retry_after >= 2
         finally:
             session.close(drain=False)
@@ -1107,10 +1087,9 @@ class TestTraceStitching:
 
     def test_remote_spans_are_client_clock_mapped(self, blob):
         with running_host() as host:
-            session = front_tier([host], tracing="on", pump=False)
+            session = front_tier([host], tracing="on")
             try:
                 handle = session.submit(blob)
-                session.run_once()
                 result = handle.result(timeout=60)
             finally:
                 session.close(drain=False)
@@ -1158,11 +1137,9 @@ class TestTraceStitching:
         records them in its trace log with its own."""
         log = tmp_path / "spans.jsonl"
         with running_host() as host:
-            session = front_tier([host], tracing="on", trace_log=str(log),
-                                 pump=False)
+            session = front_tier([host], tracing="on", trace_log=str(log))
             try:
                 handle = session.submit(blob)
-                session.run_once()
                 result = handle.result(timeout=60)
                 trace_id = result.trace_spans[0].trace_id
             finally:

@@ -23,6 +23,7 @@ from repro.service import (
     BatchDecoder,
     DecodeSession,
     FaultDirective,
+    FaultPlan,
     ImageRequest,
     ServiceStats,
 )
@@ -253,6 +254,57 @@ class TestNoLostWakeup:
             assert session.stats.images_ok == 8 * per_thread
 
 
+class TestRetryBackOff:
+    def test_a_back_off_does_not_freeze_the_pump(self, monkeypatch, thumb):
+        """A crashed task's re-dispatch waits out its back-off without
+        the pump: the other image resolves meanwhile, and the killed
+        one resolves on its second attempt once the back-off is over."""
+        monkeypatch.setattr("repro.service.batch.RETRY_BACKOFF_S", 0.5)
+        with DecodeSession(workers=2, backend="thread",
+                           faults=FaultPlan(kill_at={0})) as session:
+            killed = session.submit(thumb)
+            other = session.submit(thumb)
+            assert other.result(timeout=30).latency_s < 0.25
+            assert session.decoder.in_flight == 1    # the deferred retry
+            result = killed.result(timeout=30)
+        assert result.ok and result.attempts == 2
+        assert result.latency_s >= 0.5
+        assert session.stats.retries == 1
+
+    def test_close_with_drain_waits_for_a_deferred_retry(self, monkeypatch,
+                                                        thumb):
+        monkeypatch.setattr("repro.service.batch.RETRY_BACKOFF_S", 0.2)
+        session = DecodeSession(workers=2, backend="thread",
+                                faults=FaultPlan(kill_at={0}))
+        handle = session.submit(thumb)
+        session.close(drain=True)
+        result = handle.result(timeout=0)
+        assert result.ok and result.attempts == 2
+
+    def test_an_aborted_group_drops_its_deferred_retries(self, monkeypatch,
+                                                         thumb):
+        """Both images of a group crash and wait out their back-off;
+        the first re-dispatch fails on the closed pool, which aborts the
+        group: the second retry is dropped with it, and nothing is left
+        in flight."""
+        monkeypatch.setattr("repro.service.batch.RETRY_BACKOFF_S", 0.05)
+        decoder = BatchDecoder(workers=2, backend="thread",
+                               faults=FaultPlan(kill_at={0, 1}))
+        group = decoder.admit([thumb, thumb])
+        while len(decoder._deferred) < 2:
+            decoder.wake.wait(5)
+            decoder.wake.clear()
+            assert list(decoder.gather()) == []
+        assert decoder.in_flight == 2 and group.open == 2
+        decoder.pool.close()
+        time.sleep(decoder.next_due_s())
+        (failed,) = decoder.gather()
+        assert failed.group is group and group.error is not None
+        assert decoder.in_flight == 0 and group.open == 0
+        assert not decoder._pending
+        decoder.close()
+
+
 class TestBusyTimeIsAUnion:
     def test_overlapping_groups_do_not_double_count(self):
         """Two 1 s groups of 10 images, overlapping by half: 20 images
@@ -317,13 +369,6 @@ class TestOneCore:
         assert calls["gather_one"] == 5
         assert 1 <= calls["admit"] <= 5
 
-        calls.clear()
-        with DecodeSession(workers=2, backend="thread",
-                           pump=False) as session:
-            handles = [session.submit(thumb) for _ in range(3)]
-            assert session.run_once().ok
-            assert all(h.done() for h in handles)
-        assert calls == {"admit": 1, "gather_one": 3}
 
     def test_fanout_reads_batch_as_what_is_in_flight(self, frame):
         """The auto rule fans a lone frame out over an idle pool and

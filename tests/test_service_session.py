@@ -7,7 +7,6 @@ submission queue."""
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -56,7 +55,7 @@ class TestHandleBitIdentity:
         """The session's pixels are each entropy engine's oracle's."""
         oracles = [decode_jpeg(b, DecodeOptions(entropy_engine=engine)).rgb
                    for b in corpus]
-        with DecodeSession(max_batch=4, workers=2,
+        with DecodeSession(workers=2,
                            backend=backend, scheduler=scheduler) as sess:
             handles = [sess.submit(b) for b in corpus]
             results = [h.result(timeout=60) for h in handles]
@@ -66,7 +65,7 @@ class TestHandleBitIdentity:
         assert all(h.done() and not h.cancelled() for h in handles)
 
     def test_process_backend(self, corpus, sequential_rgbs):
-        with DecodeSession(max_batch=4, workers=2,
+        with DecodeSession(workers=2,
                            backend="process") as sess:
             handles = [sess.submit(b) for b in corpus]
             results = [h.result(timeout=120) for h in handles]
@@ -78,7 +77,7 @@ class TestHandleBitIdentity:
                                                  sequential_rgbs):
         """A corrupt image resolves its own handle with ok=False; the
         good neighbor's handle is untouched."""
-        with DecodeSession(max_batch=2, backend="thread",
+        with DecodeSession(backend="thread",
                            workers=2) as sess:
             good = sess.submit(corpus[0])
             bad = sess.submit(b"not a jpeg at all")
@@ -90,20 +89,23 @@ class TestHandleBitIdentity:
         assert bad.exception(timeout=0) is None     # resolved, not raised
         assert bad_res.error_type and bad_res.error
 
-    def test_latency_measured_from_submit(self, corpus):
-        """Session latency covers queue wait, not just batch wall."""
-        with DecodeSession(max_batch=8, backend="serial",
-                           pump=False) as sess:
-            handle = sess.submit(corpus[3])
-            time.sleep(0.05)        # queued, nothing admits it yet
-            sess.run_once()
-            res = handle.result(timeout=0)
-        assert res.latency_s >= 0.045
+    def test_latency_measured_from_submit(self, corpus, held_session):
+        """Session latency covers queue wait, not just batch wall: the
+        request queues behind two stalled decodes on one worker, so it
+        finishes three stalls after its submit, two after admission."""
+        sess, _ = held_session(corpus[3])
+        stall_s = max(sess.decoder.faults.delay_lanes.values())
+        try:
+            res = sess.submit(corpus[3]).result(timeout=30)
+        finally:
+            sess.close()
+        assert res.ok
+        assert res.latency_s >= 2.8 * stall_s
 
 
 class TestHandleApi:
     def test_request_ids_monotonic_and_echoed(self, corpus):
-        with DecodeSession(max_batch=4, backend="serial") as sess:
+        with DecodeSession(backend="serial") as sess:
             handles = [sess.submit(corpus[3]) for _ in range(3)]
             assert [h.request_id for h in handles] == [0, 1, 2]
             results = [h.result(timeout=30) for h in handles]
@@ -116,10 +118,11 @@ class TestHandleApi:
             assert handle.request_id == "user-7"
             assert handle.result(timeout=30).request_id == "user-7"
 
-    def test_result_timeout_raises_timeouterror(self, corpus):
-        """result(timeout) on a never-dispatched handle raises
-        TimeoutError (pump-less session, nothing drains the queue)."""
-        sess = DecodeSession(backend="serial", pump=False)
+    def test_result_timeout_raises_timeouterror(self, corpus,
+                                                held_session):
+        """result(timeout) on a still-queued handle raises TimeoutError
+        (stalled decodes hold the window)."""
+        sess, _ = held_session(corpus[3])
         try:
             handle = sess.submit(corpus[3])
             assert not handle.done()
@@ -131,7 +134,7 @@ class TestHandleApi:
 
     def test_callbacks_fire_exactly_once(self, corpus):
         calls: list[DecodeHandle] = []
-        with DecodeSession(max_batch=2, backend="thread",
+        with DecodeSession(backend="thread",
                            workers=2) as sess:
             h = sess.submit(corpus[3])
             h.add_done_callback(calls.append)
@@ -142,7 +145,7 @@ class TestHandleApi:
         assert all(c is h for c in calls)
 
     def test_callback_exception_does_not_kill_pump(self, corpus):
-        with DecodeSession(max_batch=1, backend="serial") as sess:
+        with DecodeSession(backend="serial") as sess:
             h1 = sess.submit(corpus[3])
             h1.add_done_callback(
                 lambda _h: (_ for _ in ()).throw(RuntimeError("boom")))
@@ -152,20 +155,23 @@ class TestHandleApi:
 
 
 class TestSessionLifecycle:
-    def test_close_drain_false_cancels_pending(self, corpus):
-        """Pending handles are cancelled, not decoded: a pump-less
-        session has dispatched nothing yet."""
-        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
+    def test_close_drain_false_cancels_pending(self, corpus, held_session):
+        """Queued handles are cancelled, not decoded; what is in flight
+        still resolves."""
+        sess, blockers = held_session(corpus[3])
         handles = [sess.submit(corpus[3]) for _ in range(3)]
         sess.close(drain=False)
         for h in handles:
             assert h.cancelled()
             with pytest.raises(CancelledError):
                 h.result(timeout=1)
+        assert all(b.result(timeout=0).ok for b in blockers)
+        assert sess.stats.images_ok == len(blockers)
 
     def test_close_drain_true_completes_pending(self, corpus,
-                                                sequential_rgbs):
-        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
+                                                sequential_rgbs,
+                                                held_session):
+        sess, _ = held_session(corpus[3])
         handles = [sess.submit(corpus[3]) for _ in range(3)]
         sess.close(drain=True)
         for h in handles:
@@ -187,8 +193,8 @@ class TestSessionLifecycle:
         sess.close(drain=False)     # mixed-mode close after close: no-op
         assert sess.closed
 
-    def test_cancelled_callback_fires(self, corpus):
-        sess = DecodeSession(max_batch=64, backend="serial", pump=False)
+    def test_cancelled_callback_fires(self, corpus, held_session):
+        sess, _ = held_session(corpus[3])
         seen = []
         h = sess.submit(corpus[3])
         h.add_done_callback(lambda hh: seen.append(hh.cancelled()))
@@ -197,10 +203,10 @@ class TestSessionLifecycle:
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ServiceError):
-            DecodeSession(max_batch=0, backend="serial")
+            DecodeSession(default_deadline_ms=0, backend="serial")
 
     def test_stats_snapshot_shape(self, corpus):
-        with DecodeSession(max_batch=2, backend="serial",
+        with DecodeSession(backend="serial",
                            scheduler="model") as sess:
             sess.submit(corpus[0]).result(timeout=60)
             snap = sess.stats_snapshot()
@@ -216,26 +222,19 @@ class TestSessionLifecycle:
 
 
 class TestPullMode:
-    """A pump-less session is the pull-driven service shape (``repro
-    serve-batch``): nothing decodes until the owner calls run_once."""
+    """The shape ``repro serve-batch`` drives: the owner submits its
+    work, then pulls each result off its handle while the pump decodes."""
 
-    def test_run_once_decodes_submitted_work(self, corpus, sequential_rgbs):
-        with DecodeSession(max_batch=2, backend="serial",
-                           pump=False) as sess:
-            assert sess.max_batch == 2
-            handle = sess.submit(corpus[0])
-            assert handle.request_id == 0 and not handle.done()
-            batch = sess.run_once()
-            assert handle.result(timeout=0) is batch.results[0]
-        assert np.array_equal(batch.results[0].rgb, sequential_rgbs[0])
-        assert sess.stats.batches == 1
-
-    def test_close_without_drain_does_not_decode_leftovers(self, corpus):
-        sess = DecodeSession(max_batch=2, backend="serial", pump=False)
+    def test_close_without_drain_does_not_decode_leftovers(
+            self, corpus, held_session):
+        sess, blockers = held_session(corpus[0])
         handle = sess.submit(corpus[0])
         sess.close(drain=False)
-        assert sess.stats.batches == 0
         assert handle.cancelled()
+        assert sess.pending == 0 and not sess.decoder.in_flight
+        assert sess.stats.images_ok + sess.stats.images_failed \
+            == len(blockers)
+        assert sess.stats.batches <= len(blockers)
 
 
 class TestQueueStress:
@@ -333,8 +332,7 @@ class TestQueueStress:
         n_producers, per_producer = 4, 3
         all_handles: list[list[DecodeHandle]] = [[] for _ in
                                                  range(n_producers)]
-        with DecodeSession(max_batch=4,
-                           queue_capacity=4, backend="thread",
+        with DecodeSession(queue_capacity=4, backend="thread",
                            workers=2) as sess:
             def produce(pid: int) -> None:
                 for _ in range(per_producer):

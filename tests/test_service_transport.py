@@ -326,12 +326,9 @@ class TestTransportStats:
 
     def test_session_snapshot_has_transport_and_lane_detail(self, corpus):
         scheduler = ModelScheduler(policy="model")
-        with DecodeSession(max_batch=4, backend="serial", pump=False,
-                           scheduler=scheduler) as s:
-            for blob in corpus:
-                s.submit(blob)
-            while s.run_once() is not None:
-                pass
+        with DecodeSession(backend="serial", scheduler=scheduler) as s:
+            handles = [s.submit(blob) for blob in corpus]
+            assert all(h.result(timeout=60).ok for h in handles)
             snap = s.stats_snapshot()
         assert snap["transport"]["mode"] == "pickle"  # serial default pool
         assert snap["per_host"] == {}        # no lane on another machine
@@ -349,8 +346,7 @@ class TestTransportStats:
 
         from repro.service import DecodeHTTPServer
 
-        with DecodeHTTPServer(port=0, backend="serial", max_batch=2,
-                              pump=True) as server:
+        with DecodeHTTPServer(port=0, backend="serial") as server:
             thread = threading.Thread(target=server.serve_forever,
                                       kwargs={"max_requests": 1},
                                       daemon=True)
@@ -372,8 +368,7 @@ class TestSessionStressShm:
         """Concurrent producers over a small queue, process pool + shm:
         nothing lost, nothing duplicated, everything bit-identical."""
         producers, per_producer = 4, 6
-        session = DecodeSession(max_batch=4,
-                                queue_capacity=8, workers=2,
+        session = DecodeSession(queue_capacity=8, workers=2,
                                 backend="process")
         assert session.decoder.transport == "shm"
         handles: dict[int, list] = {i: [] for i in range(producers)}
