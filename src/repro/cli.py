@@ -43,7 +43,7 @@ import numpy as np
 
 from .core.modes import DecodeMode
 from .errors import DeadlineExceededError, ReproError
-from .kernels.program import KERNEL_SUBSAMPLINGS
+from .kernels.options import KERNEL_SUBSAMPLINGS
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -218,7 +218,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 req = ImageRequest(
                     data=data, request_id=f"{name}@{k}" if args.repeat > 1
                     else name,
-                    mode=args.mode, platform=args.platform,
                     salvage=args.salvage)
                 # Waits while the queue is full: backpressure.
                 svc.submit(req, timeout=None).add_done_callback(resolved.put)
@@ -239,6 +238,14 @@ def _breakers(threshold: int | None):
     return LaneBreakerBoard(threshold=threshold)
 
 
+def _pricing_platform(args: argparse.Namespace):
+    """The platform ``--platform`` names: the prior every scheduler
+    lane, local or remote, is priced at."""
+    from .evaluation import platforms
+
+    return {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
+
+
 def _session_kwargs(args: argparse.Namespace,
                     local_lanes: bool = True) -> dict:
     """:class:`~repro.service.session.DecodeSession` keywords from the
@@ -256,12 +263,12 @@ def _session_kwargs(args: argparse.Namespace,
         return kwargs
     scheduler = None
     if args.schedule != "none":
-        from .evaluation import platforms
         from .service import ModelScheduler
+        from .service.scheduler import local_lane
 
-        plat = {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
         scheduler = ModelScheduler(
-            policy=args.schedule, platform=plat,
+            policy=args.schedule,
+            executors=(local_lane(_pricing_platform(args)),),
             breakers=_breakers(args.breaker_threshold))
     return dict(kwargs, workers=args.workers, backend=args.backend,
                 scheduler=scheduler)
@@ -321,7 +328,9 @@ def _serve_session(args: argparse.Namespace):
     if not args.hosts:
         return DecodeSession(**_session_kwargs(args))
     policy = "roundrobin" if args.schedule == "roundrobin" else "model"
-    link = {} if args.shard_depth is None else {"depth": args.shard_depth}
+    link = {"platform": _pricing_platform(args)}
+    if args.shard_depth is not None:
+        link["depth"] = args.shard_depth
     return sharded_session(
         remote_executors(args.hosts, **link), policy=policy,
         breakers=_breakers(args.breaker_threshold),
@@ -476,12 +485,14 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", default="none",
                    choices=["none", "model", "roundrobin"],
                    help="cross-image batch scheduling: price each image "
-                        "on the platform's SIMD and GPU lanes with the "
-                        "fitted performance model and place whole images "
-                        "(LPT for 'model', cyclic for 'roundrobin'); "
-                        "overrides --mode per placed image")
+                        "with the fitted performance model, corrected by "
+                        "each lane's measured wall time, and place whole "
+                        "images (LPT for 'model', cyclic for "
+                        "'roundrobin')")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
-                   help="platform whose lanes a scheduler prices")
+                   help="pricing prior of a scheduler's lanes: the "
+                        "platform whose fitted SIMD rate prices them "
+                        "before wall-time feedback corrects it")
     p.add_argument("--retry-budget", type=int, default=None,
                    help="redispatches per image after a worker crash "
                         "before the request fails (default: 2)")
@@ -559,7 +570,6 @@ def _add_serving_parsers(sub) -> None:
     p.add_argument("--synth", type=int, default=0,
                    help="also generate N synthetic 640x480 JPEGs")
     _add_session_args(p)
-    p.add_argument("--mode", default="reference", choices=_MODES)
     p.add_argument("--repeat", type=int, default=1,
                    help="feed the input set N times (soak/throughput)")
     p.add_argument("--out-dir", default=None,

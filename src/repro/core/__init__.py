@@ -1,65 +1,32 @@
 """The paper's contribution: performance model, dynamic partitioning and
-pipelined heterogeneous execution."""
+pipelined heterogeneous execution.
 
-from .amdahl import max_speedup, parallel_fraction, percent_of_max
-from .decoder import HeterogeneousDecoder, clear_model_cache
-from .executors import (
-    DecodeResult,
-    ExecutionConfig,
-    PreparedImage,
-    cpu_parallel_span,
-)
-from .horner import HornerPolynomial, naive_evaluate
-from .modes import EVALUATED_MODES, DecodeMode
-from .newton import newton_solve, round_rows_to_mcu
-from .partition import (
-    PartitionDecision,
-    corrected_density,
-    partition_pps,
-    partition_sps,
-    repartition_pps,
-)
-from .perfmodel import PerformanceModel
-from .platform import Platform
-from .profiling import (
-    ProfilingReport,
-    TrainingImage,
-    default_training_grid,
-    profile_platform,
-)
-from .regression import PolynomialModel, fit_best_polynomial, fit_polynomial
-from .timeline import Span, Timeline
+Names resolve lazily: a caller that only prices images with a fitted
+model (the decode service) never loads the simulated executors."""
 
-__all__ = [
-    "DecodeMode",
-    "DecodeResult",
-    "EVALUATED_MODES",
-    "ExecutionConfig",
-    "HeterogeneousDecoder",
-    "HornerPolynomial",
-    "PartitionDecision",
-    "PerformanceModel",
-    "Platform",
-    "PolynomialModel",
-    "PreparedImage",
-    "ProfilingReport",
-    "Span",
-    "Timeline",
-    "TrainingImage",
-    "clear_model_cache",
-    "corrected_density",
-    "cpu_parallel_span",
-    "default_training_grid",
-    "fit_best_polynomial",
-    "fit_polynomial",
-    "max_speedup",
-    "naive_evaluate",
-    "newton_solve",
-    "parallel_fraction",
-    "partition_pps",
-    "partition_sps",
-    "percent_of_max",
-    "profile_platform",
-    "repartition_pps",
-    "round_rows_to_mcu",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "max_speedup": "amdahl", "parallel_fraction": "amdahl",
+    "percent_of_max": "amdahl",
+    "HeterogeneousDecoder": "decoder", "clear_model_cache": "decoder",
+    "DecodeResult": "executors", "ExecutionConfig": "executors",
+    "PreparedImage": "executors", "cpu_parallel_span": "executors",
+    "HornerPolynomial": "horner", "naive_evaluate": "horner",
+    "EVALUATED_MODES": "modes", "DecodeMode": "modes",
+    "newton_solve": "newton", "round_rows_to_mcu": "newton",
+    "PartitionDecision": "partition", "corrected_density": "partition",
+    "partition_pps": "partition", "partition_sps": "partition",
+    "repartition_pps": "partition",
+    "PerformanceModel": "perfmodel",
+    "Platform": "platform",
+    "ProfilingReport": "profiling", "TrainingImage": "profiling",
+    "default_training_grid": "profiling", "profile_platform": "profiling",
+    "PolynomialModel": "regression", "fit_best_polynomial": "regression",
+    "fit_polynomial": "regression",
+    "Span": "timeline", "Timeline": "timeline",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import JpegUnsupportedError
-from ..kernels.program import KERNEL_SUBSAMPLINGS, GpuProgramOptions
-from .executors import DecodeResult, ExecutionConfig, PreparedImage, execute
+from ..kernels.options import KERNEL_SUBSAMPLINGS, GpuProgramOptions
 from .modes import DecodeMode
 from .perfmodel import PerformanceModel
 from .platform import Platform
-from .profiling import profile_platform
+
+if TYPE_CHECKING:  # pragma: no cover - the executors load on first decode
+    from .executors import DecodeResult, ExecutionConfig, PreparedImage
 
 #: The built-in platforms' models, fitted offline by ``profile_platform``
 #: and written by ``tools/fit_models.py`` (its only writer): profiling is
@@ -63,15 +65,19 @@ def fitted_model(platform: Platform, subsampling: str,
 
     A built-in platform at default options gets its shipped fit; any
     other combination (a custom :class:`Platform`, non-default options)
-    is profiled on first use.  Either way the model is cached for the
+    is profiled on first use — the only case that loads the simulated
+    executors and the profiler.  Either way the model is cached for the
     process.
     """
     key = (platform, subsampling, gpu_options)
     model = _MODEL_CACHE.get(key)
     if model is None:
-        model = (_shipped_model(platform, subsampling, gpu_options)
-                 or profile_platform(platform, subsampling,
-                                     gpu_options=gpu_options))
+        model = _shipped_model(platform, subsampling, gpu_options)
+        if model is None:
+            from .profiling import profile_platform
+
+            model = profile_platform(platform, subsampling,
+                                     gpu_options=gpu_options)
         _MODEL_CACHE[key] = model
     return model
 
@@ -117,9 +123,13 @@ class HeterogeneousDecoder:
 
     def prepare(self, data: bytes) -> PreparedImage:
         """Parse and entropy-decode once; reusable across modes."""
+        from .executors import PreparedImage
+
         return PreparedImage.from_bytes(data, self.entropy_engine)
 
     def _config(self, prepared: PreparedImage) -> ExecutionConfig:
+        from .executors import ExecutionConfig
+
         mode = prepared.geometry.mode
         model = None
         if mode in KERNEL_SUBSAMPLINGS:
@@ -168,6 +178,8 @@ class HeterogeneousDecoder:
         Returns a :class:`DecodeResult` with real pixels, the simulated
         timeline, and the partition decision for SPS/PPS.
         """
+        from .executors import PreparedImage, execute
+
         prepared = data if isinstance(data, PreparedImage) else self.prepare(data)
         if mode == "auto":
             mode = self.choose_mode(prepared)
@@ -183,6 +195,8 @@ class HeterogeneousDecoder:
                          modes: tuple[DecodeMode, ...] | None = None
                          ) -> dict[DecodeMode, DecodeResult]:
         """Decode once per mode, sharing the entropy-decode work."""
+        from .executors import PreparedImage
+
         prepared = data if isinstance(data, PreparedImage) else self.prepare(data)
         modes = modes or tuple(DecodeMode)
         return {m: self.decode(prepared, m) for m in modes}

@@ -34,7 +34,8 @@ from ..jpeg.decoder import (
 from ..jpeg.entropy import CoefficientBuffers
 from ..jpeg.fast_entropy import create_entropy_decoder
 from ..jpeg.markers import JpegImageInfo, parse_jpeg
-from ..kernels.program import GpuDecodeProgram, GpuProgramOptions
+from ..kernels.options import GpuProgramOptions
+from ..kernels.program import GpuDecodeProgram
 from .modes import DecodeMode
 from .partition import (
     PartitionDecision,

@@ -18,11 +18,8 @@ from ..errors import KernelError, ProfilingError
 from ..gpusim import calibrate
 from ..gpusim.queue import CommandQueue
 from ..jpeg.blocks import ImageGeometry
-from ..kernels.program import (
-    KERNEL_SUBSAMPLINGS,
-    GpuDecodeProgram,
-    GpuProgramOptions,
-)
+from ..kernels.options import KERNEL_SUBSAMPLINGS, GpuProgramOptions
+from ..kernels.program import GpuDecodeProgram
 from .chunking import profile_chunk_sizes
 from .executors import PreparedImage
 from .perfmodel import PerformanceModel

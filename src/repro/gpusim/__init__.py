@@ -2,50 +2,27 @@
 
 Real math on NumPy buffers, simulated time from a calibrated cost model.
 See DESIGN.md §2 for why this substitution preserves the paper's
-scheduling behaviour.
+scheduling behaviour.  Names resolve lazily: the device specs a
+platform is made of load without the queue and kernel model.
 """
 
-from .calibrate import (
-    SEQUENTIAL_COSTS,
-    SIMD_COSTS,
-    cpu_parallel_time_us,
-    huffman_time_us,
-)
-from .device import (
-    GT430,
-    GTX560TI,
-    GTX680,
-    INTEL_I7_2600K,
-    INTEL_I7_3770K,
-    CPUDeviceSpec,
-    GPUDeviceSpec,
-)
-from .kernel import KernelLaunch, SimKernel, kernel_time_us
-from .memory import DeviceBuffer, MemoryTraffic, PinnedHostBuffer
-from .ndrange import NDRange, occupancy
-from .queue import DISPATCH_OVERHEAD_US, CommandQueue, Event
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CommandQueue",
-    "CPUDeviceSpec",
-    "DeviceBuffer",
-    "DISPATCH_OVERHEAD_US",
-    "Event",
-    "GPUDeviceSpec",
-    "GT430",
-    "GTX560TI",
-    "GTX680",
-    "INTEL_I7_2600K",
-    "INTEL_I7_3770K",
-    "KernelLaunch",
-    "MemoryTraffic",
-    "NDRange",
-    "PinnedHostBuffer",
-    "SEQUENTIAL_COSTS",
-    "SIMD_COSTS",
-    "SimKernel",
-    "cpu_parallel_time_us",
-    "huffman_time_us",
-    "kernel_time_us",
-    "occupancy",
-]
+_EXPORTS = {
+    "SEQUENTIAL_COSTS": "calibrate", "SIMD_COSTS": "calibrate",
+    "cpu_parallel_time_us": "calibrate", "huffman_time_us": "calibrate",
+    "GT430": "device", "GTX560TI": "device", "GTX680": "device",
+    "INTEL_I7_2600K": "device", "INTEL_I7_3770K": "device",
+    "CPUDeviceSpec": "device", "GPUDeviceSpec": "device",
+    "KernelLaunch": "kernel", "SimKernel": "kernel",
+    "kernel_time_us": "kernel",
+    "DeviceBuffer": "memory", "MemoryTraffic": "memory",
+    "PinnedHostBuffer": "memory",
+    "NDRange": "ndrange", "occupancy": "ndrange",
+    "DISPATCH_OVERHEAD_US": "queue", "CommandQueue": "queue",
+    "Event": "queue",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -17,8 +17,13 @@ Public surface:
   ``EncoderSettings(progressive=True)``
 - submodules for each decoding stage (bitstream, huffman, quantization,
   dct/idct, sampling, color, blocks, entropy, fast_entropy, markers)
+
+The decode path loads with the package; the encoder and the
+speculative coder load on first use, so a process that only decodes
+never compiles them.
 """
 
+from .._lazy import lazy_exports
 from .blocks import ImageGeometry
 from .decoder import (
     DecodedImage,
@@ -26,7 +31,6 @@ from .decoder import (
     decode_jpeg,
     decode_jpeg_rowwise,
 )
-from .encoder import EncoderSettings, encode_jpeg
 from .fast_entropy import (
     ENTROPY_ENGINES,
     FastEntropyDecoder,
@@ -34,12 +38,13 @@ from .fast_entropy import (
     destuff_scan,
 )
 from .markers import JpegImageInfo, parse_jpeg
-from .speculative import (
-    SpeculativeReport,
-    decode_coefficients_speculative,
-    plan_chunks,
-    speculative_eligible,
-)
+
+__getattr__ = lazy_exports(__name__, {
+    "EncoderSettings": "encoder", "encode_jpeg": "encoder",
+    "SpeculativeReport": "speculative",
+    "decode_coefficients_speculative": "speculative",
+    "plan_chunks": "speculative", "speculative_eligible": "speculative",
+})
 
 __all__ = [
     "DecodeOptions",

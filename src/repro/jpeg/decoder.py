@@ -29,7 +29,6 @@ from .entropy import CoefficientBuffers, ComponentTables
 from .fast_entropy import create_entropy_decoder
 from .idct import idct_samples
 from .markers import JpegImageInfo, parse_jpeg
-from .progressive import ProgressiveDecoder
 from .sampling import upsample_plane
 
 
@@ -217,6 +216,8 @@ def pixels_from_coefficients(
 def _decode_progressive(info: JpegImageInfo,
                         options: DecodeOptions) -> DecodedImage:
     """Whole-image progressive decode, optionally salvaging bad scans."""
+    from .progressive import ProgressiveDecoder
+
     dec = ProgressiveDecoder(info)
     geo = dec.geometry
     hook = options.stage_hook

@@ -27,20 +27,8 @@ from .color_kernel import ColorConvertKernel
 from .idct_kernel import IdctKernel
 from .layout import PlanarBlockLayout, pack_span
 from .merged import MergedIdctColorKernel, MergedUpsampleColorKernel
+from .options import KERNEL_SUBSAMPLINGS, GpuProgramOptions
 from .upsample_kernel import UpsampleKernel
-
-
-@dataclass(frozen=True)
-class GpuProgramOptions:
-    """Kernel-level knobs (the profiling sweep and the ablations).
-
-    Frozen, so a set of options can key the fitted-model cache."""
-
-    merge_kernels: bool = True
-    vectorized: bool = True
-    divergence_free: bool = True
-    workgroup_blocks: int = 16       # IDCT work-group size, in blocks
-    workgroup_items: int = 128       # upsample+color work-group size
 
 
 @dataclass
@@ -55,12 +43,6 @@ class SpanResult:
     @property
     def done_at(self) -> float:
         return self.events[-1].end if self.events else 0.0
-
-
-#: The paper's scope (Section 6): the subsamplings the GPU kernels — and
-#: with them the fitted models and the GPU modes — cover.  Everything
-#: else decodes on the CPU paths.
-KERNEL_SUBSAMPLINGS = ("4:4:4", "4:2:2")
 
 
 class GpuDecodeProgram:

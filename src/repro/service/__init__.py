@@ -71,9 +71,9 @@ pinned by ``tests/test_scheduler.py::TestPricing::\
 test_mixed_batch_makespan_lpt_vs_roundrobin``.
 """
 
+from .._lazy import lazy_exports
 from .batch import BatchDecoder, BatchResult
 from .faults import FaultDirective, FaultPlan, apply_dispatch_fault
-from .http import DecodeHTTPServer, ppm_bytes
 from .obs import (
     TRACE_MODES,
     ObsHub,
@@ -87,14 +87,6 @@ from .obs import (
     spans_to_timeline,
 )
 from .queue import SubmissionQueue
-from .remote import (
-    DecodeWorkerHost,
-    HostPool,
-    RemoteLane,
-    parse_hosts,
-    remote_executors,
-    sharded_session,
-)
 from .transport import (
     PlaneArena,
     PlaneRef,
@@ -123,6 +115,15 @@ from .tasks import (
     parse_priority,
 )
 from .workers import BACKENDS, WorkerPool
+
+# The HTTP front end and the sharded tier load on first use: a session
+# that serves neither never compiles them.
+__getattr__ = lazy_exports(__name__, {
+    "DecodeHTTPServer": "http", "ppm_bytes": "http",
+    "DecodeWorkerHost": "remote", "HostPool": "remote",
+    "RemoteLane": "remote", "parse_hosts": "remote",
+    "remote_executors": "remote", "sharded_session": "remote",
+})
 
 __all__ = [
     "BACKENDS",

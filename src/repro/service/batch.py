@@ -30,12 +30,10 @@ lands them.  One driver at a time owns the two halves: ``decode_batch``
 :class:`~repro.service.session.DecodeSession` (admit whenever a worker
 has room, resolve each image as its plan finishes).
 
-Per image, requests choose the decode mode (``reference`` = the real
-sequential pixel path, or any :class:`~repro.core.modes.DecodeMode`
-value to run a simulated heterogeneous executor) and the platform;
-every image decodes with the fast entropy engine, AAN IDCT and fancy
-upsampling.  Failures are isolated: a corrupt JPEG fails its own result
-and never the batch.  The futures front end over this class is
+Every image decodes with :func:`~repro.jpeg.decoder.decode_jpeg`'s
+defaults — the fast entropy engine, AAN IDCT and fancy upsampling —
+wherever it runs.  Failures are isolated: a corrupt JPEG fails its own
+result and never the batch.  The futures front end over this class is
 :class:`~repro.service.session.DecodeSession`.
 """
 
@@ -189,11 +187,10 @@ class BatchDecoder:
         *scheduler* enables cross-image batch scheduling: a
         :class:`~repro.service.scheduler.ModelScheduler`, or a policy
         name (``"model"``/``"roundrobin"``) to build one with the
-        default lane set.  It places the whole images of a group — the
-        ones :meth:`_fans_out` did not fan out first — and overrides
-        each placed request's ``mode``/``platform`` with its lane's.
-        Every local lane runs on the one pool; a lane that lives on
-        another machine opens its own link
+        default lane set, the one local lane.  It places the whole
+        images of a group — the ones :meth:`_fans_out` did not fan out
+        first.  Every local lane runs on the one pool; a lane that lives
+        on another machine opens its own link
         (:meth:`~repro.service.scheduler.ExecutorLane.open_pool`), kept
         in :attr:`links` and closed with the decoder.
 
@@ -323,12 +320,10 @@ class BatchDecoder:
         the full parse its fan-out plan is built from, or None: the
         image decodes whole.
 
-        Only the reference pixel path fans out (executor modes consume
-        the scan in-order themselves).  Each verdict short-circuits the
-        next: whole images already fill the pool — *crowd* counts those
-        in flight plus the group being admitted — or the pool is
-        serial, and the image stays whole; else a progressive or
-        salvage decode stays whole
+        Each verdict short-circuits the next: whole images already fill
+        the pool — *crowd* counts those in flight plus the group being
+        admitted — or the pool is serial, and the image stays whole;
+        else a progressive or salvage decode stays whole
         (:func:`~repro.service.scheduler.whole_image_only`, on the
         request's *header*); else the fan-out must be predicted to pay
         (:func:`~repro.service.scheduler.fanout_pays`).  The speculative
@@ -339,8 +334,6 @@ class BatchDecoder:
         tables and scan, the price its entropy bytes — and one the
         parse refuses stays whole, for its worker to report."""
         pool = self.pool
-        if req.mode != "reference":
-            return None
         parallel = pool.backend != "serial"
         split = None if parallel and crowd < pool.workers else False
         spec = {"off": False, "on": parallel,
@@ -365,17 +358,15 @@ class BatchDecoder:
     def _schedule(self, requests: list[ImageRequest],
                   headers: "list[FrameInfo | None]",
                   parsed: "list[JpegImageInfo | None]",
-                  group: _Group) -> tuple[list[ImageRequest], dict[int, str]]:
+                  group: _Group) -> dict[int, str]:
         """Price and place the group's whole images from their headers
         (an image with a fan-out parse is kept from the scheduler: no
-        header, no placement): returns the lane-rewritten requests and
-        each placed image's lane name."""
+        header, no placement): returns each placed image's lane name."""
         t_plan0 = perf_counter()
         schedule = group.schedule = self.scheduler.plan(
             requests, [None if info is not None else header
                        for header, info in zip(headers, parsed)])
         t_plan1 = perf_counter()
-        requests = self.scheduler.apply(requests, schedule)
         lane_of = {a.index: a.executor.name for a in schedule.assignments
                    if a.executor is not None}
         for i, req in enumerate(requests):
@@ -389,7 +380,7 @@ class BatchDecoder:
                 spans.append(child_span(
                     req.trace, "lane_excluded", lane, "dispatch",
                     t_plan1, t_plan1, lane=lane, reason="breaker_open"))
-        return requests, lane_of
+        return lane_of
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
               header: FrameInfo | None, info: JpegImageInfo | None
@@ -463,8 +454,7 @@ class BatchDecoder:
                       for req, header in zip(requests, headers)]
             lanes = {}
             if self.scheduler is not None and requests:
-                requests, lanes = self._schedule(requests, headers, parsed,
-                                                 group)
+                lanes = self._schedule(requests, headers, parsed, group)
             group.t0 = perf_counter()
             for i, req in enumerate(requests):
                 lane = lanes.get(i)

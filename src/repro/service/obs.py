@@ -23,7 +23,8 @@ Three pieces, all stdlib-only:
 3. **Timeline reconstruction** — :func:`spans_to_timeline` replays
    collected spans through the simulated-schedule
    :class:`~repro.core.timeline.Timeline` ASCII-Gantt renderer
-   (the paper's Figure 5/8 view, measured instead of simulated), and
+   (the paper's Figure 5/8 view, measured instead of simulated; loaded
+   only when a chart is drawn), and
    :func:`read_trace_log` feeds it from the rotation-safe JSON-lines
    event log (``--trace-log``).
 
@@ -42,9 +43,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, time
+from typing import TYPE_CHECKING
 
-from ..core.timeline import Timeline
 from ..errors import ServiceError
+
+if TYPE_CHECKING:  # pragma: no cover - loaded when a chart is drawn
+    from ..core.timeline import Timeline
 
 #: Trace modes accepted by :class:`ObsHub` / ``DecodeSession(tracing=...)``.
 #: ``off`` records nothing; ``on`` traces every request; ``sample``
@@ -355,6 +359,8 @@ def spans_to_timeline(spans: list[SpanRecord]) -> Timeline:
     microseconds, matching :class:`~repro.core.timeline.Timeline`'s
     simulated-time units so its renderer and metrics apply unchanged.
     """
+    from ..core.timeline import Timeline
+
     timeline = Timeline()
     if not spans:
         return timeline

@@ -71,16 +71,17 @@ MAX_BLOB_BYTES = 1 << 30
 #: front tier owns deadlines (a shed request never reaches the wire)
 #: and fan-out is the host's own policy, so ``deadline_ms`` stays home.
 #: :func:`decode_request` ignores names not listed here, so a frame from
-#: an older front tier carrying since-removed knobs still decodes.
-_REQUEST_FIELDS = (
-    "request_id", "mode", "platform", "salvage", "priority",
-)
+#: an older front tier carrying since-removed knobs (``mode``,
+#: ``platform``) still decodes.
+_REQUEST_FIELDS = ("request_id", "salvage", "priority")
 
 #: Scalar ImageResult fields carried verbatim in the result header.
+#: :func:`decode_result` reads only these, so an older host's
+#: ``simulated_us`` is ignored.
 _RESULT_FIELDS = (
     "request_id", "ok", "width", "height", "error_type", "error",
-    "segments", "speculative", "misspeculated", "simulated_us",
-    "wall_us", "attempts", "infra_failure", "salvaged",
+    "segments", "speculative", "misspeculated", "wall_us", "attempts",
+    "infra_failure", "salvaged",
 )
 
 
@@ -438,11 +439,8 @@ class RemoteLane(ExecutorLane):
 
     ``kind="simd"`` keys Eq 5/6 pricing — hosts start priced as the
     platform's parallel CPU path and the per-lane EWMA feedback learns
-    each host's real throughput from observed ``wall_us``.  The
-    :attr:`mode` override keeps remote requests on the *reference*
-    decode path (the host runs real decodes; its own session picks any
-    further fan-out), where the inherited mapping would pin the
-    simulated SIMD executor.
+    each host's real throughput from observed ``wall_us``.  The host's
+    own session picks any further fan-out.
     """
 
     host: str = ""
@@ -458,11 +456,6 @@ class RemoteLane(ExecutorLane):
         if self.depth < 1:
             raise ServiceError(
                 f"shard depth must be positive, got {self.depth}")
-
-    @property
-    def mode(self) -> str:
-        """Remote images decode for real: always ``"reference"``."""
-        return "reference"
 
     @property
     def endpoint(self) -> str:

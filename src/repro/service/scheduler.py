@@ -40,16 +40,15 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from ..core.decoder import fitted_model
-from ..core.modes import DecodeMode
 from ..core.perfmodel import PerformanceModel
 from ..core.platform import Platform
 from ..errors import ServiceError
 from ..jpeg.markers import FrameInfo, walk_header
-from ..kernels.program import KERNEL_SUBSAMPLINGS
+from ..kernels.options import KERNEL_SUBSAMPLINGS
 from .tasks import read_header
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
@@ -97,28 +96,22 @@ def fanout_pays(entropy_us: float, units: int) -> bool:
 
 @dataclass(frozen=True)
 class ExecutorLane:
-    """One schedulable device lane of a platform.
+    """One schedulable lane: what the scheduler assigns whole images to.
 
-    A lane is what the scheduler assigns whole images to: the platform's
-    CPU running the SIMD parallel phase (``kind="simd"``), its plain
-    sequential path (``"seq"``), or its GPU (``"gpu"``).  The *kind*
-    doubles as the pricing key for
-    :meth:`repro.core.perfmodel.PerformanceModel.price`.
+    In a decoder a lane is something that decodes: the decoder's one
+    local pool (:func:`local_lane`) or a link to another machine
+    (:class:`~repro.service.remote.RemoteLane`); every image decodes
+    with :func:`~repro.jpeg.decoder.decode_jpeg` wherever it lands.
+    The *kind* — the *platform*'s SIMD CPU (``"simd"``), plain
+    sequential CPU (``"seq"``) or GPU (``"gpu"``) — is the pricing key
+    for :meth:`repro.core.perfmodel.PerformanceModel.price`: the
+    fitted model's prior, which each lane's wall-time EWMA
+    (:class:`ThroughputFeedback`) corrects to what it measures.
     """
 
     name: str
     kind: str
     platform: Platform
-
-    @property
-    def mode(self) -> str:
-        """The :class:`~repro.core.modes.DecodeMode` value this lane's
-        images execute under inside a worker."""
-        return {
-            "simd": DecodeMode.SIMD.value,
-            "seq": DecodeMode.SEQUENTIAL.value,
-            "gpu": DecodeMode.GPU.value,
-        }[self.kind]
 
     def eligible(self, subsampling: str) -> bool:
         """GPU lanes cover only the paper's kernel scope (4:4:4/4:2:2);
@@ -135,12 +128,17 @@ class ExecutorLane:
         return None
 
 
-def default_executors(platform: Platform) -> tuple[ExecutorLane, ...]:
-    """The natural lane set for one platform: its SIMD CPU and its GPU.
+def local_lane(platform: Platform) -> ExecutorLane:
+    """The decoder's one local pool as a lane, priced at *platform*'s
+    SIMD CPU rate — the lane a scheduled local session has."""
+    return ExecutorLane(name="local", kind="simd", platform=platform)
 
-    Multi-platform deployments concatenate the lanes of several
-    platforms; names are prefixed with the platform so feedback scales
-    stay distinct.
+
+def default_executors(platform: Platform) -> tuple[ExecutorLane, ...]:
+    """The paper's device lanes of one platform, its SIMD CPU and its
+    GPU: the lane set of model-level pricing studies (the cross-image
+    makespan claim).  Names are prefixed with the platform so several
+    platforms' lanes stay distinct.
     """
     slug = platform.name.lower().replace(" ", "")
     return (
@@ -159,10 +157,10 @@ class ImagePricing:
     density: float
     subsampling: str
     #: Predicted decode time (us) per lane name; ``inf`` = ineligible —
-    #: on every lane when only the whole-image reference path can decode
-    #: the request (:func:`whole_image_only`, or a component layout the
-    #: simulated executors don't model): it stays unassigned and
-    #: decodes as submitted.
+    #: on every lane when the request must decode whole
+    #: (:func:`whole_image_only`) or the fitted model has no surface for
+    #: its component layout: it stays unassigned and decodes on the
+    #: default pool.
     costs: dict[str, float] = field(default_factory=dict)
 
 
@@ -410,12 +408,11 @@ class LaneBreakerBoard:
 
 
 def whole_image_only(info: FrameInfo, salvage: bool = False) -> bool:
-    """True when a request decodes whole on the reference path or not at
+    """True when a request decodes whole on the default pool or not at
     all — the one rule pricing, placement and the fan-out decision
     share: a progressive stream accumulates coefficients across scans,
-    so it has no fan-out units and no modelled lane; a salvage decode's
-    error map needs one decoder's view of the damage, and the simulated
-    executors ignore ``salvage``."""
+    so it has no fan-out units and no modelled price; a salvage
+    decode's error map needs one decoder's view of the damage."""
     return salvage or info.progressive
 
 
@@ -445,8 +442,8 @@ def price_images(
             density=info.file_density, subsampling=sub)
         if whole_image_only(info, index in salvage) \
                 or len(info.frame.components) != 3:
-            # The simulated executor lanes model 3-component baseline
-            # decoding only; these images stay unassigned.
+            # The fitted models price 3-component baseline frames
+            # only; these images stay unassigned.
             for lane in executors:
                 pricing.costs[lane.name] = math.inf
             pricings.append(pricing)
@@ -592,17 +589,13 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
     """Pair lane-placed assignments with their observed decode times.
 
     Returns ``(assignment, observed_us)`` for every successfully decoded
-    image the schedule placed on a lane.  Each lane is observed on the
-    device it priced, as the paper's Eq 16/17 correct the model against
-    the measured time of that device: a simulated-executor lane
-    (simd/seq/gpu) by the executor's own simulated time
-    (``ImageResult.simulated_us``, the model-world microseconds the
-    predictions are in), a lane that decodes for real (``mode ==
-    "reference"``: a host on another machine) by its measured busy time
-    (``ImageResult.wall_us``), so its EWMA scale converges to that
-    host's genuine throughput.  Images decoded outside a lane (fanned
-    out, unassigned) have no comparable observation and are excluded,
-    as are failures.  Both the
+    image the schedule placed on a lane.  Every lane decodes for real
+    and is observed by its measured busy time (``ImageResult.wall_us``),
+    as the paper's Eq 16/17 correct the model against the measured time
+    of the device it priced, so each lane's EWMA scale converges to the
+    ratio of its genuine speed to the fitted prior.  Images decoded
+    outside a lane (fanned out, unassigned) have no comparable
+    observation and are excluded, as are failures.  Both the
     feedback loop (:meth:`ModelScheduler.observe`) and the service stats
     (:meth:`~repro.service.stats.ServiceStats.record_schedule`) consume
     this one definition, so they can never silently diverge.
@@ -617,8 +610,7 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
             # its scheduled lane — its wall time describes the rescue
             # host, not the lane that was priced.
             continue
-        observed = result.wall_us if a.executor.mode == "reference" \
-            else result.simulated_us
+        observed = result.wall_us
         if observed is None or observed <= 0:
             continue
         outcomes.append((a, observed))
@@ -629,16 +621,19 @@ class ModelScheduler:
     """Cross-image batch scheduler: price, place, execute, adapt.
 
     Construct with a *policy* (``"model"`` = LPT, ``"roundrobin"`` =
-    the baseline) and either a lane set or a platform whose
-    :func:`default_executors` lanes are used.  Performance models come
-    from :func:`~repro.core.decoder.fitted_model`, the process-wide
-    table :class:`~repro.core.decoder.HeterogeneousDecoder` reads too.
+    the baseline) and a lane set: *executors*, else a *platform*'s
+    :func:`default_executors` device lanes (model-level pricing
+    studies), else the one :func:`local_lane` priced as the GTX 560's
+    SIMD CPU — what a scheduled local session runs.  Performance models
+    come from :func:`~repro.core.decoder.fitted_model`, the
+    process-wide table :class:`~repro.core.decoder.HeterogeneousDecoder`
+    reads too.
 
     :class:`~repro.service.batch.BatchDecoder` calls :meth:`plan` with
-    the whole images of an admission group; the returned rewritten
-    requests pin each placed image to its lane's decode mode/platform.
-    :class:`~repro.service.session.DecodeSession` calls :meth:`observe`
-    with the completed results, closing the feedback loop.
+    the whole images of an admission group and sends each placed image
+    to its lane's pool.  :class:`~repro.service.session.DecodeSession`
+    calls :meth:`observe` with the completed results, closing the
+    feedback loop.
     """
 
     def __init__(self, policy: str = "model",
@@ -661,8 +656,9 @@ class ModelScheduler:
         if executors is None:
             if platform is None:
                 from ..evaluation import platforms
-                platform = platforms.GTX560
-            executors = default_executors(platform)
+                executors = (local_lane(platforms.GTX560),)
+            else:
+                executors = default_executors(platform)
         if not executors:
             raise ServiceError("scheduler needs at least one executor lane")
         self.policy = policy
@@ -725,19 +721,6 @@ class ModelScheduler:
         schedule.excluded = tuple(
             sorted(name for name, cap in limits.items() if cap == 0))
         return schedule
-
-    def apply(self, requests: "list[ImageRequest]",
-              schedule: BatchSchedule) -> "list[ImageRequest]":
-        """Rewrite each request to execute where the schedule placed it:
-        a lane placement pins the lane's decode mode and platform;
-        unassigned images pass through untouched."""
-        rewritten = list(requests)
-        for a in schedule.assignments:
-            if a.executor is not None:
-                rewritten[a.index] = replace(
-                    rewritten[a.index], mode=a.executor.mode,
-                    platform=a.executor.platform.name)
-        return rewritten
 
     # -- observability --------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -50,21 +50,14 @@ from ..jpeg.parallel_huffman import (
     segment_plane_nbytes,
     split_restart_segments,
 )
-from ..jpeg.speculative import (
-    DEFAULT_OVERLAP_BYTES,
-    SpeculativeChunk,
-    chunk_mcu_budget,
-    decode_speculative_chunk,
-    make_repairer,
-    plan_chunks,
-    speculative_eligible,
-    stitch_chunks,
-    _sequential as _decode_sequential_prescanned,
-)
 from .faults import FaultDirective, apply_dispatch_fault
 from .obs import SpanRecord, TraceContext, child_span
 from .transport import PlaneSlot, packed_nbytes, publish_planes
 from .workers import worker_name
+
+if TYPE_CHECKING:  # pragma: no cover - the speculative coder loads when
+    # a marker-free scan first fans out
+    from ..jpeg.speculative import SpeculativeChunk
 
 #: The three load-shedding priority classes (higher = more important).
 PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH = 0, 1, 2
@@ -113,13 +106,6 @@ class ImageRequest:
     #: Caller-chosen identity, echoed on the result (assigned by the
     #: service when submitted as raw bytes).
     request_id: Any = None
-    #: ``"reference"`` runs the real sequential pixel path;
-    #: any :class:`~repro.core.modes.DecodeMode` value (``"simd"``,
-    #: ``"gpu"``, ``"pipeline"``, ``"sps"``, ``"pps"``, ``"auto"``)
-    #: runs the corresponding simulated heterogeneous executor.
-    mode: str = "reference"
-    #: Platform name for executor modes (ignored by ``"reference"``).
-    platform: str = "GTX 560"
     #: Relative deadline in milliseconds from submission; ``None``
     #: means no deadline.  A request whose deadline passes before its
     #: decode starts is shed with
@@ -129,8 +115,8 @@ class ImageRequest:
     #: Best-effort decode of hostile bytes: instead of ``ok=False`` on a
     #: corrupt scan, return the pixels decoded before the failure with
     #: :attr:`ImageResult.error_regions` marking the damage.  Salvage
-    #: requests decode whole-image on the reference path (no segment or
-    #: speculative fan-out — the error map needs one decoder's view).
+    #: requests decode whole-image (no segment or speculative fan-out —
+    #: the error map needs one decoder's view).
     salvage: bool = False
     #: Load-shedding priority class: 0 = low, 1 = normal (default),
     #: 2 = high.  Under overload the session sheds low classes first
@@ -169,14 +155,11 @@ class ImageResult:
     #: Speculative chunk boundaries that failed to converge and were
     #: healed by sequential gap repair (0 on a clean stitch).
     misspeculated: int = 0
-    #: Simulated executor time in microseconds (executor modes only).
-    simulated_us: float | None = None
     #: Submit-to-completion latency, seconds (filled by the batch loop).
     latency_s: float = 0.0
     #: Real busy time in microseconds: the plan's tasks' plus any
-    #: parent-side merge (None when nothing ran) — what a lane that
-    #: decodes for real (a remote host) is observed by, as opposed to
-    #: the model-world :attr:`simulated_us` of a simulated lane.
+    #: parent-side merge (None when nothing ran) — what the scheduler
+    #: observes a lane by.
     wall_us: float | None = None
     #: Decode attempts this image consumed (> 1 after a worker-crash
     #: retry; decode is pure, so a retried success is bit-identical).
@@ -309,42 +292,19 @@ def run_task(body: Callable[[list[SpanRecord]], tuple],
 
 def _decode_image(request: ImageRequest,
                   spans: list[SpanRecord]) -> tuple[ImageResult, list]:
-    """Whole-image task body: decode *request* on the reference pixel
-    path or a simulated heterogeneous executor, recording its stage
-    spans into *spans* when it is traced."""
-    ctx = request.trace
-    resource = worker_name()
+    """Whole-image task body: :func:`~repro.jpeg.decoder.decode_jpeg`,
+    recording its stage spans into *spans* when it is traced."""
+    options = DecodeOptions(salvage=request.salvage)
+    if request.trace is not None:
+        options.stage_hook = _stage_recorder(request.trace, worker_name(),
+                                             spans)
+    decoded = decode_jpeg(request.data, options)
+    rgb = decoded.rgb
     result = ImageResult(request_id=request.request_id, ok=True)
-    if request.mode == "reference":
-        options = DecodeOptions(salvage=request.salvage)
-        if ctx is not None:
-            options.stage_hook = _stage_recorder(ctx, resource, spans)
-        decoded = decode_jpeg(request.data, options)
-        rgb = decoded.rgb
-        if request.salvage:
-            result.salvaged = decoded.salvaged
-            result.error_regions = decoded.error_map
-            result.salvage_errors = list(decoded.errors)
-    else:
-        from ..core import HeterogeneousDecoder
-        from ..evaluation import platforms
-
-        plat = {p.name: p for p in platforms.ALL_PLATFORMS}.get(
-            request.platform)
-        if plat is None:
-            raise KeyError(f"unknown platform {request.platform!r}")
-        decoder = HeterogeneousDecoder.for_platform(plat)
-        t_dec = perf_counter()
-        decoded = decoder.decode(request.data, request.mode)
-        rgb, result.simulated_us = decoded.rgb, decoded.total_us
-        if ctx is not None:
-            # Simulated-executor decodes have no per-stage hooks; one
-            # span covers the whole decode, tagged with the lane's mode
-            # so the Gantt still names the work.
-            spans.append(child_span(
-                ctx, "decode", resource, "kernel",
-                t_dec, perf_counter(), mode=str(request.mode),
-                platform=str(request.platform)))
+    if request.salvage:
+        result.salvaged = decoded.salvaged
+        result.error_regions = decoded.error_map
+        result.salvage_errors = list(decoded.errors)
     result.height, result.width = rgb.shape[:2]
     return result, [rgb]
 
@@ -383,6 +343,8 @@ def _decode_chunk(chunk, slice_bytes, geometry_args, tables, terminator):
     """Speculative-chunk task body: the trace rides the pickle pipe
     with its coefficient planes stripped out as the heavy payload (the
     gather loop reattaches them)."""
+    from ..jpeg.speculative import decode_speculative_chunk
+
     trace = decode_speculative_chunk(
         chunk, slice_bytes, geometry_args, tables, "fast", terminator)
     planes, trace.planes = trace.planes, None
@@ -653,6 +615,12 @@ class SpeculativePlan(DecodePlan):
         """Plan *n_chunks* speculative chunks over *info*'s scan, or
         None when the scan does not qualify (the image then decodes
         whole)."""
+        from ..jpeg.speculative import (
+            DEFAULT_OVERLAP_BYTES,
+            plan_chunks,
+            speculative_eligible,
+        )
+
         try:
             scan = destuff_scan(info.entropy_data)
         except (ReproError, ValueError):
@@ -673,6 +641,8 @@ class SpeculativePlan(DecodePlan):
                  lane: str | None, info: JpegImageInfo,
                  scan: ScanPrescan, chunks: list[SpeculativeChunk]) -> None:
         """Slice the destuffed *scan* into one task per chunk."""
+        from ..jpeg.speculative import chunk_mcu_budget
+
         geo = info.geometry
         self.info = info
         #: The destuffed scan — sliced for the chunk tasks, and the
@@ -721,6 +691,12 @@ class SpeculativePlan(DecodePlan):
         exact error for hostile streams.  Either way the coefficients
         are bit-identical to the sequential decode.
         """
+        from ..jpeg.speculative import (
+            _sequential,
+            make_repairer,
+            stitch_chunks,
+        )
+
         geo = self.info.geometry
         t0 = perf_counter()
         if self.infra and not any(t is not None for t in self.traces):
@@ -737,7 +713,7 @@ class SpeculativePlan(DecodePlan):
             repair=make_repairer(self.scan, geo, self.tables))
         if coeffs is None:
             try:
-                coeffs = _decode_sequential_prescanned(
+                coeffs = _sequential(
                     self.scan, geo, self.tables,
                     self.info.restart_interval)
             except Exception as exc:

@@ -17,7 +17,7 @@ from repro.service import (
     DecodeSession,
     FaultPlan,
     ImageRequest,
-    default_executors,
+    ModelScheduler,
 )
 from repro.service.session import DISPATCH_DEPTH
 
@@ -114,10 +114,10 @@ def fanout_never(monkeypatch):
 def _stalled_session(workers: int = 1, **session_kwargs) -> DecodeSession:
     """A scheduled session (one worker by default) whose every lane is
     browned out: each dispatch sleeps :data:`STALL_S` before it decodes."""
-    lanes = {lane.name: STALL_S
-             for lane in default_executors(platforms.GTX560)}
+    scheduler = ModelScheduler()
+    lanes = {lane.name: STALL_S for lane in scheduler.executors}
     return DecodeSession(workers=workers, backend="thread",
-                         scheduler="model",
+                         scheduler=scheduler,
                          faults=FaultPlan(delay_lanes=lanes),
                          **session_kwargs)
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
+
+CORPUS = Path(__file__).resolve().parents[1] / "benchmarks/perf/corpus"
 
 
 @pytest.fixture()
@@ -112,6 +116,24 @@ class TestServeBatch:
         (ppm,) = sorted(out_dir.glob("*.ppm"))
         assert np.array_equal(_read_ppm(ppm), decode_jpeg(jpeg_422).rgb)
 
+    def test_scheduled_serve_batch_decodes_420(self, tmp_path, capsys):
+        """A 4:2:0 frame, outside the GPU kernels' scope, decodes through
+        a scheduled session like any other: every image runs
+        ``decode_jpeg``, and the service takes no decode mode."""
+        src = CORPUS / "small00.jpg"
+        assert parse_jpeg(src.read_bytes()).subsampling_mode == "4:2:0"
+        out_dir = tmp_path / "out"
+        assert main(["serve-batch", str(src), "--schedule", "model",
+                     "--backend", "thread", "--workers", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        assert "FAIL" not in capsys.readouterr().err
+        (ppm,) = sorted(out_dir.glob("*.ppm"))
+        assert np.array_equal(_read_ppm(ppm),
+                              decode_jpeg(src.read_bytes()).rgb)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-batch", str(src),
+                                       "--mode", "gpu"])
+
     def test_roundrobin_schedule_flag(self, jpeg_file, capsys):
         assert main(["serve-batch", str(jpeg_file), "--schedule",
                      "roundrobin", "--backend", "serial"]) == 0
@@ -210,7 +232,8 @@ class TestSessionFlags:
 
         args = build_parser().parse_args(
             ["serve", "--hosts", "a:1,b:2", "--shard-depth", "3",
-             "--schedule", "roundrobin", "--breaker-threshold", "5"])
+             "--schedule", "roundrobin", "--breaker-threshold", "5",
+             "--platform", "GT 430"])
         session = _serve_session(args)      # connects to nothing yet
         try:
             assert type(session) is DecodeSession
@@ -220,6 +243,9 @@ class TestSessionFlags:
             assert [lane.endpoint for lane in scheduler.executors] \
                 == ["a:1", "b:2"]
             assert all(lane.depth == 3 for lane in scheduler.executors)
+            # --platform names the hosts' pricing prior too.
+            assert {lane.platform.name for lane in scheduler.executors} \
+                == {"GT 430"}
             links = session.decoder.links
             assert list(links) == [lane.name for lane in scheduler.executors]
             assert all(type(link) is HostPool for link in links.values())

@@ -1,0 +1,86 @@
+"""The serving import graph: a cold start loads only what serves.
+
+A scheduled process-pool session prices with the shipped fitted models
+and decodes every image with ``decode_jpeg``, so it never needs the
+paper's evaluation layer (simulated executors, profiler, GPU kernels,
+gpusim's queue, the figure harness, the encoder) nor the HTTP and
+sharded front ends.  Each check runs a fresh interpreter: this test
+process has imported everything already.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SMALL = ROOT / "benchmarks/perf/corpus/small00.jpg"
+
+#: What a scheduled session's cold start must not load.
+NOT_SERVING = (
+    "repro.core.executors", "repro.core.profiling", "repro.core.partition",
+    "repro.kernels.program",
+    "repro.gpusim.queue", "repro.gpusim.kernel",
+    "repro.evaluation.harness", "repro.data",
+    "repro.jpeg.encoder", "repro.jpeg.progressive", "repro.jpeg.speculative",
+    "repro.service.http", "repro.service.remote",
+)
+
+_SESSION = """
+import json, sys
+import repro.service
+from repro.service import DecodeSession
+
+data = open(sys.argv[1], "rb").read()
+with DecodeSession(workers=2, backend="process", scheduler="model") as s:
+    result = s.submit(data, timeout=None).result(timeout=60)
+loaded = sorted(m for m in sys.modules if m.startswith("repro"))
+import repro.core, repro.evaluation, repro.jpeg, repro.service
+resolved = [repro.core.HeterogeneousDecoder.__name__,
+            repro.service.DecodeHTTPServer.__name__,
+            repro.jpeg.encode_jpeg.__name__,
+            repro.evaluation.platforms.__name__]
+print(json.dumps({"ok": result.ok, "loaded": loaded, "resolved": resolved}))
+"""
+
+_DECODE = """
+import json, sys
+from repro.jpeg import decode_jpeg
+
+rgb = decode_jpeg(open(sys.argv[1], "rb").read()).rgb
+print(json.dumps({"shape": list(rgb.shape),
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.startswith("repro"))}))
+"""
+
+
+def _fresh(script: str) -> dict:
+    """Run *script* on the ledger's 4:2:0 thumbnail in a new interpreter
+    and return the JSON line it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(SMALL)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scheduled_session_loads_only_what_serves():
+    report = _fresh(_SESSION)
+    assert report["ok"]
+    assert [m for m in NOT_SERVING if m in report["loaded"]] == []
+    # The lazy names still resolve, once asked for.
+    assert report["resolved"] == [
+        "HeterogeneousDecoder", "DecodeHTTPServer", "encode_jpeg",
+        "repro.evaluation.platforms"]
+
+
+def test_decode_jpeg_loads_no_encoder_or_fanout_coder():
+    report = _fresh(_DECODE)
+    assert report["shape"] == [120, 160, 3]
+    assert [m for m in ("repro.jpeg.encoder", "repro.jpeg.progressive",
+                        "repro.jpeg.speculative")
+            if m in report["loaded"]] == []

@@ -85,15 +85,6 @@ class TestBatchBitIdentity:
         for res, oracle in zip(batch, sequential_rgbs):
             assert np.array_equal(res.rgb, oracle)
 
-    def test_executor_mode_decodes(self, corpus, sequential_rgbs):
-        """Executor modes ride the simulated platform but keep real pixels."""
-        req = ImageRequest(data=corpus[0], mode="simd")
-        with BatchDecoder(backend="serial") as dec:
-            res = dec.decode_batch([req]).results[0]
-        assert res.ok
-        assert res.simulated_us is not None and res.simulated_us > 0
-        assert np.array_equal(res.rgb, sequential_rgbs[0])
-
 
 class TestErrorIsolation:
     def test_corrupt_image_fails_alone(self, corpus, sequential_rgbs):
@@ -164,13 +155,6 @@ class TestErrorIsolation:
             res = dec.decode_batch([req]).results[0]
         assert not res.ok and res.error_type == "RuntimeError"
         assert res.segments == total
-
-    def test_unknown_platform_reported(self, corpus):
-        req = ImageRequest(data=corpus[0], mode="simd", platform="RTX 9999")
-        with BatchDecoder(backend="serial") as dec:
-            res = dec.decode_batch([req]).results[0]
-        assert not res.ok
-        assert "RTX 9999" in res.error
 
 
 def _drain(q: SubmissionQueue, max_items: int) -> list:

@@ -27,6 +27,7 @@ from repro.errors import (
     ServiceError,
     WorkerCrashError,
 )
+from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
 from repro.service import (
     BatchDecoder,
@@ -214,8 +215,9 @@ class TestLaneBreakerBoard:
 
 @pytest.fixture(scope="module")
 def scheduler_and_pricings(small_rgb):
-    """A model scheduler plus priced images for placement tests."""
-    sched = ModelScheduler(policy="model")
+    """A model scheduler over the GTX 560's SIMD + GPU lanes plus priced
+    images for placement tests."""
+    sched = ModelScheduler(policy="model", platform=platforms.GTX560)
     blobs = [encode_jpeg(small_rgb, EncoderSettings(
         quality=q, subsampling="4:2:2")) for q in (70, 80, 90)]
     return sched, sched.price(blobs)

@@ -239,8 +239,7 @@ class TestEndToEndTrace:
     def test_reference_decode_emits_stage_hierarchy(self, blob):
         session = DecodeSession(backend="serial", tracing="on")
         try:
-            handle = session.submit(ImageRequest(data=blob,
-                                                 mode="reference"))
+            handle = session.submit(ImageRequest(data=blob))
             result = handle.result(timeout=60)
         finally:
             session.close(drain=False)
@@ -263,6 +262,22 @@ class TestEndToEndTrace:
         for span in spans:
             assert span.start >= root.start - 1e-6
             assert span.end <= root.end + 1e-6
+
+    def test_scheduled_session_records_stage_spans(self, blob):
+        """A traced request placed by the scheduler on a process-pool
+        session decodes for real on its lane: the trace shows where the
+        time went, stage by stage, nested under the attempt."""
+        with DecodeSession(workers=2, backend="process", scheduler="model",
+                           tracing="on") as session:
+            result = session.submit(blob).result(timeout=60)
+        assert result.ok
+        spans = _trace_of(result)
+        (schedule,) = [s for s in spans if s.name == "schedule"]
+        assert schedule.attrs["lane"] == "local"
+        (attempt,) = [s for s in spans if s.name == "attempt"]
+        stages = {s.name for s in spans if s.parent_id == attempt.span_id}
+        assert {"parse", "entropy", "idct", "upsample", "color"} <= stages
+        assert "decode" not in {s.name for s in spans}
 
     def test_concurrent_tasks_return_only_their_own_stage_spans(self, blob):
         """Stage spans are the return value of the task that recorded

@@ -205,17 +205,30 @@ class TestFraming:
 class TestCodecs:
     def test_request_roundtrip(self, blob):
         req = ImageRequest(data=blob, request_id="img-1", salvage=True,
-                           priority=PRIORITY_HIGH, mode="simd",
-                           platform="GT 430")
+                           priority=PRIORITY_HIGH)
         header, blobs = encode_request(req)
         assert set(header["request"]) == {
-            "request_id", "mode", "platform", "salvage", "priority"}
+            "request_id", "salvage", "priority"}
         rebuilt = decode_request(header, blobs)
         assert bytes(rebuilt.data) == bytes(blob)
         assert rebuilt.request_id == "img-1"
         assert rebuilt.salvage is True
         assert rebuilt.priority == PRIORITY_HIGH
-        assert (rebuilt.mode, rebuilt.platform) == ("simd", "GT 430")
+
+    def test_request_frame_from_an_older_front_tier_decodes(
+            self, worker_host, blob, oracle):
+        """A front tier from before lanes were real still sends the
+        request's ``mode`` / ``platform``: the host ignores both and
+        decodes the image bit-identically."""
+        header, blobs = encode_request(ImageRequest(data=blob,
+                                                    request_id=4))
+        header["request"].update(mode="simd", platform="GT 430")
+        with _connect(worker_host) as sock:
+            send_frame(sock, header, blobs)
+            result = decode_result(*recv_frame(sock)[:2])
+        assert result.ok, (result.error_type, result.error)
+        assert result.request_id == 4
+        assert np.array_equal(result.rgb, oracle)
 
     def test_non_scalar_request_id_stringified(self, blob):
         req = ImageRequest(data=blob, request_id=("batch", 3))
@@ -251,6 +264,19 @@ class TestCodecs:
         rebuilt = decode_result(old, blobs)
         assert rebuilt.ok and rebuilt.wall_us == 1000.0
         assert np.array_equal(rebuilt.rgb, oracle)
+
+    def test_result_header_with_simulated_time_decodes(self, oracle):
+        """A host from before lanes were real also sends
+        ``simulated_us``: the front tier reads the frame without it."""
+        header, blobs = encode_result(ImageResult(
+            request_id=6, ok=True, rgb=oracle.copy(),
+            width=oracle.shape[1], height=oracle.shape[0], wall_us=900.0))
+        assert "simulated_us" not in header
+        rebuilt = decode_result(dict(header, simulated_us=None), blobs)
+        assert rebuilt.ok and rebuilt.wall_us == 900.0
+        assert not hasattr(rebuilt, "simulated_us")
+        rebuilt = decode_result(dict(header, simulated_us=512.0), blobs)
+        assert rebuilt.ok and np.array_equal(rebuilt.rgb, oracle)
 
     def test_error_result_roundtrip(self):
         result = ImageResult(request_id="bad", ok=False,
@@ -772,11 +798,9 @@ class TestShardedSession:
             assert breakers.state(remote.name) == "open"
             assert breakers.state(local.name) == "open"
 
-    def test_each_lane_is_observed_in_the_units_it_was_priced_in(
-            self, blob):
-        """In one session, a simulated lane learns from the executor's
-        simulated time and a lane that decodes for real (a host) from
-        its measured busy time."""
+    def test_every_lane_is_observed_by_wall_time(self, blob):
+        """In one session, the local lane and a host both decode for
+        real, and each learns from its images' measured busy time."""
         with running_host() as host:
             (remote,) = remote_executors([(host.host, host.port)])
             local = ModelScheduler().executors[0]
@@ -787,18 +811,14 @@ class TestShardedSession:
                 handles = [session.submit(blob) for _ in range(4)]
                 results = [h.result(timeout=60) for h in handles]
             per_executor = session.stats_snapshot()["per_executor"]
-        # Round-robin alternates the lanes; only the simulated one
-        # reports a simulated time.
-        on_local = [r for r in results if r.simulated_us is not None]
-        on_host = [r for r in results if r.simulated_us is None]
-        assert len(on_local) == len(on_host) == 2
+        # Round-robin alternates the lanes.
         assert host.requests == 2
-        simulated = sum(r.simulated_us for r in on_local)
-        measured = sum(r.wall_us for r in on_host)
+        assert [per_executor[lane.name]["images"]
+                for lane in (local, remote)] == [2, 2]
+        assert all(r.ok and r.wall_us > 0 for r in results)
         assert per_executor[local.name]["observed_us"] \
-            == pytest.approx(simulated)
-        assert per_executor[remote.name]["observed_us"] \
-            == pytest.approx(measured)
+            + per_executor[remote.name]["observed_us"] \
+            == pytest.approx(sum(r.wall_us for r in results))
 
     def test_one_breaker_story_per_stats_read(self):
         """``/stats`` reports a lane's breaker once: the per-host entry
