@@ -9,7 +9,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "max_speedup": "amdahl", "parallel_fraction": "amdahl",
     "percent_of_max": "amdahl",
-    "HeterogeneousDecoder": "decoder", "clear_model_cache": "decoder",
+    "HeterogeneousDecoder": "decoder", "clear_model_cache": "perfmodel",
     "DecodeResult": "executors", "ExecutionConfig": "executors",
     "PreparedImage": "executors", "cpu_parallel_span": "executors",
     "HornerPolynomial": "horner", "naive_evaluate": "horner",

@@ -9,78 +9,20 @@ automatically from the fitted closed forms.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from ..errors import JpegUnsupportedError
 from ..kernels.options import KERNEL_SUBSAMPLINGS, GpuProgramOptions
 from .modes import DecodeMode
-from .perfmodel import PerformanceModel
+# The shipped-model lookup lives beside the model it returns; importing
+# it here keeps its old import path working.
+from .perfmodel import (FITTED_MODELS, PerformanceModel, clear_model_cache,
+                        fitted_for, fitted_model)
 from .platform import Platform
 
 if TYPE_CHECKING:  # pragma: no cover - the executors load on first decode
     from .executors import DecodeResult, ExecutionConfig, PreparedImage
-
-#: The built-in platforms' models, fitted offline by ``profile_platform``
-#: and written by ``tools/fit_models.py`` (its only writer): profiling is
-#: "required only once for a given CPU-GPU combination" (Section 5).
-FITTED_MODELS = Path(__file__).with_name("fitted_models.json")
-
-#: Process-wide model cache, keyed by what a fit depends on: the
-#: platform's value, the subsampling and the GPU options.
-_MODEL_CACHE: dict[tuple[Platform, str, GpuProgramOptions],
-                   PerformanceModel] = {}
-
-
-def clear_model_cache() -> None:
-    """Drop all cached performance models (tests use this)."""
-    _MODEL_CACHE.clear()
-
-
-def fitted_for(platform: Platform, subsampling: str,
-               gpu_options: GpuProgramOptions) -> dict:
-    """What one fit depends on, in the JSON form ``fitted_models.json``
-    records beside each model."""
-    return json.loads(json.dumps({
-        "platform": asdict(platform), "subsampling": subsampling,
-        "gpu_options": asdict(gpu_options)}))
-
-
-def _shipped_model(platform: Platform, subsampling: str,
-                   gpu_options: GpuProgramOptions) -> PerformanceModel | None:
-    """The shipped model fitted for exactly these inputs, if any."""
-    key = fitted_for(platform, subsampling, gpu_options)
-    for entry in json.loads(FITTED_MODELS.read_text()):
-        if entry["fitted_for"] == key:
-            return PerformanceModel.from_dict(entry["model"])
-    return None
-
-
-def fitted_model(platform: Platform, subsampling: str,
-                 gpu_options: GpuProgramOptions = GpuProgramOptions()
-                 ) -> PerformanceModel:
-    """The performance model of *platform* for one subsampling mode.
-
-    A built-in platform at default options gets its shipped fit; any
-    other combination (a custom :class:`Platform`, non-default options)
-    is profiled on first use — the only case that loads the simulated
-    executors and the profiler.  Either way the model is cached for the
-    process.
-    """
-    key = (platform, subsampling, gpu_options)
-    model = _MODEL_CACHE.get(key)
-    if model is None:
-        model = _shipped_model(platform, subsampling, gpu_options)
-        if model is None:
-            from .profiling import profile_platform
-
-            model = profile_platform(platform, subsampling,
-                                     gpu_options=gpu_options)
-        _MODEL_CACHE[key] = model
-    return model
-
 
 @dataclass
 class HeterogeneousDecoder:

@@ -31,7 +31,7 @@ from ..jpeg.decoder import (
     quant_tables_from_info,
     render_span,
 )
-from ..jpeg.entropy import CoefficientBuffers
+from ..jpeg.coefficients import CoefficientBuffers
 from ..jpeg.fast_entropy import create_entropy_decoder
 from ..jpeg.markers import JpegImageInfo, parse_jpeg
 from ..kernels.options import GpuProgramOptions

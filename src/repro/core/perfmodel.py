@@ -13,17 +13,25 @@ mode, with image width, height and entropy density as the only inputs:
 
 All polynomials are evaluated in Horner form at run time (Section 5.1's
 optimization); density uses Eq 3: ``d = file_size / (w * h)``.
+
+:func:`fitted_model` serves a platform's model: the built-in platforms'
+shipped fits, or a profile made on first use for anything else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..errors import ModelError
+from ..kernels.options import GpuProgramOptions
 from .horner import HornerPolynomial
 from .regression import PolynomialModel
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .platform import Platform
 
 #: Executor kinds the batch-pricing API understands.  Each kind maps one
 #: whole image onto one device lane: ``"simd"``/``"seq"`` run Huffman
@@ -186,3 +194,62 @@ class PerformanceModel:
     def load(cls, path: str | Path) -> "PerformanceModel":
         """Read a model previously written by :meth:`save`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+#: The built-in platforms' models, fitted offline by ``profile_platform``
+#: and written by ``tools/fit_models.py`` (its only writer): profiling is
+#: "required only once for a given CPU-GPU combination" (Section 5).
+FITTED_MODELS = Path(__file__).with_name("fitted_models.json")
+
+#: Process-wide model cache, keyed by what a fit depends on: the
+#: platform's value, the subsampling and the GPU options.
+_MODEL_CACHE: dict[tuple[Platform, str, GpuProgramOptions],
+                   PerformanceModel] = {}
+
+
+def clear_model_cache() -> None:
+    """Drop all cached performance models (tests use this)."""
+    _MODEL_CACHE.clear()
+
+
+def fitted_for(platform: Platform, subsampling: str,
+               gpu_options: GpuProgramOptions) -> dict:
+    """What one fit depends on, in the JSON form ``fitted_models.json``
+    records beside each model."""
+    return json.loads(json.dumps({
+        "platform": asdict(platform), "subsampling": subsampling,
+        "gpu_options": asdict(gpu_options)}))
+
+
+def _shipped_model(platform: Platform, subsampling: str,
+                   gpu_options: GpuProgramOptions) -> PerformanceModel | None:
+    """The shipped model fitted for exactly these inputs, if any."""
+    key = fitted_for(platform, subsampling, gpu_options)
+    for entry in json.loads(FITTED_MODELS.read_text()):
+        if entry["fitted_for"] == key:
+            return PerformanceModel.from_dict(entry["model"])
+    return None
+
+
+def fitted_model(platform: Platform, subsampling: str,
+                 gpu_options: GpuProgramOptions = GpuProgramOptions()
+                 ) -> PerformanceModel:
+    """The performance model of *platform* for one subsampling mode.
+
+    A built-in platform at default options gets its shipped fit; any
+    other combination (a custom :class:`Platform`, non-default options)
+    is profiled on first use — the only case that loads the simulated
+    executors and the profiler.  Either way the model is cached for the
+    process.
+    """
+    key = (platform, subsampling, gpu_options)
+    model = _MODEL_CACHE.get(key)
+    if model is None:
+        model = _shipped_model(platform, subsampling, gpu_options)
+        if model is None:
+            from .profiling import profile_platform
+
+            model = profile_platform(platform, subsampling,
+                                     gpu_options=gpu_options)
+        _MODEL_CACHE[key] = model
+    return model

@@ -25,7 +25,7 @@ from ..errors import JpegError, JpegUnsupportedError
 from .blocks import ImageGeometry, blocks_to_plane
 from .color import (cmyk_inverted_to_rgb, gray_to_rgb, ycbcr_to_rgb_float,
                     ycck_to_rgb)
-from .entropy import CoefficientBuffers, ComponentTables
+from .coefficients import CoefficientBuffers, ComponentTables
 from .fast_entropy import create_entropy_decoder
 from .idct import idct_samples
 from .markers import JpegImageInfo, parse_jpeg

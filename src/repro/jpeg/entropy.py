@@ -23,69 +23,16 @@ single reused :class:`BitWriter` across restart intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import EntropyError, HuffmanError
-from .bitstream import BitReader, BitWriter
+from .bitstream import BitReader, BitWriter, HuffmanDecoder, HuffmanEncoder
 from .blocks import ImageGeometry
+# The shared containers live in .coefficients; importing them here
+# keeps their old import path working.
+from .coefficients import CoefficientBuffers, ComponentTables, dc_range_error
 from .constants import EOB_SYMBOL, ZIGZAG_ORDER, ZRL_SYMBOL
-from .huffman import (
-    HuffmanDecoder,
-    HuffmanEncoder,
-    HuffmanSpec,
-    extend,
-    magnitude_category,
-)
-
-
-@dataclass
-class ComponentTables:
-    """Huffman table pair assigned to one scan component."""
-
-    dc: HuffmanSpec
-    ac: HuffmanSpec
-
-
-@dataclass
-class CoefficientBuffers:
-    """Per-component quantized coefficient batches in natural order.
-
-    ``planes[ci]`` has shape (blocks_high * blocks_wide, 8, 8) int16 with
-    blocks in row-major grid order — the layout of the whole-image buffer
-    the re-engineered libjpeg-turbo keeps below its legacy hierarchy
-    (paper Section 3).
-    """
-
-    geometry: ImageGeometry
-    planes: list[np.ndarray]
-
-    @classmethod
-    def empty(cls, geometry: ImageGeometry) -> "CoefficientBuffers":
-        planes = [
-            np.zeros((c.blocks_total, 8, 8), dtype=np.int16)
-            for c in geometry.components
-        ]
-        return cls(geometry=geometry, planes=planes)
-
-    def rows_slice(self, mcu_row_start: int, mcu_row_stop: int) -> "CoefficientBuffers":
-        """A view-based sub-buffer covering [mcu_row_start, mcu_row_stop)."""
-        sub_geo = self.geometry
-        planes = []
-        for comp, plane in zip(sub_geo.components, self.planes):
-            per_row = comp.blocks_wide * comp.v_factor
-            planes.append(plane[mcu_row_start * per_row: mcu_row_stop * per_row])
-        return CoefficientBuffers(geometry=sub_geo, planes=planes)
-
-
-def dc_range_error(pred: int) -> EntropyError:
-    """The error both entropy engines raise when a DC predictor leaves
-    the int16 coefficient range (hostile DC differences: a valid 8-bit
-    stream keeps it within +-2047).  The text is the one numpy's int16
-    store used to leak as a bare ``OverflowError``, so only the type
-    changed for anyone matching on it."""
-    return EntropyError(f"Python integer {pred} out of bounds for int16")
+from .huffman import extend, magnitude_category
 
 
 class EntropyDecoder:
@@ -237,7 +184,7 @@ class EntropyEncoder:
     Vectorized form: the zig-zag permutation is applied to each whole
     coefficient plane in one numpy fancy-index, Huffman codes come from
     dense precomputed ``(code, length)`` arrays
-    (:meth:`~repro.jpeg.huffman.HuffmanEncoder.code_arrays`), and each
+    (:meth:`~repro.jpeg.bitstream.HuffmanEncoder.code_arrays`), and each
     block is emitted as one batched :meth:`BitWriter.write_pairs` call.
     A single writer lives for the whole scan; restart markers are
     emitted in place via :meth:`BitWriter.emit_marker` instead of

@@ -65,12 +65,7 @@ import numpy as np
 from ..errors import BitstreamError, EntropyError, HuffmanError
 from .blocks import ImageGeometry
 from .constants import EOB_SYMBOL, ZIGZAG_ORDER, ZRL_SYMBOL
-from .entropy import (
-    CoefficientBuffers,
-    ComponentTables,
-    EntropyDecoder,
-    dc_range_error,
-)
+from .coefficients import CoefficientBuffers, ComponentTables, dc_range_error
 from .huffman import LOOKUP_BITS, MAX_CODE_LENGTH, HuffmanSpec, extend
 
 #: Sentinel for a scan that ends in a lone 0xFF (truncated stuffing pair).
@@ -1049,12 +1044,10 @@ class FastEntropyDecoder:
 # Engine selection.
 # ---------------------------------------------------------------------------
 
-#: Engine registry: ``fast`` is the default everywhere; ``reference`` is
-#: the retained oracle the property tests compare against.
-ENTROPY_ENGINES = {
-    "fast": FastEntropyDecoder,
-    "reference": EntropyDecoder,
-}
+#: Engine names: ``fast`` is the default everywhere; ``reference`` is
+#: the retained oracle the property tests compare against, loaded only
+#: when it is asked for.
+ENTROPY_ENGINES = ("fast", "reference")
 
 
 def create_entropy_decoder(
@@ -1064,11 +1057,11 @@ def create_entropy_decoder(
     restart_interval: int = 0,
 ):
     """Instantiate the entropy engine named *engine*."""
-    try:
-        cls = ENTROPY_ENGINES[engine]
-    except KeyError:
-        raise EntropyError(
-            f"unknown entropy engine {engine!r} "
-            f"(choose from {sorted(ENTROPY_ENGINES)})"
-        ) from None
-    return cls(geometry, tables, restart_interval)
+    if engine == "fast":
+        return FastEntropyDecoder(geometry, tables, restart_interval)
+    if engine == "reference":
+        from .entropy import EntropyDecoder
+        return EntropyDecoder(geometry, tables, restart_interval)
+    raise EntropyError(
+        f"unknown entropy engine {engine!r} "
+        f"(choose from {sorted(ENTROPY_ENGINES)})")

@@ -5,19 +5,21 @@ counts the codes of length i+1, HUFFVAL lists symbol values by increasing
 code length.  Codes are assigned canonically (numerically increasing
 within a length, doubling between lengths).
 
-Decoding uses the classic two-level strategy libjpeg uses: a dense
-lookup table indexed by the next ``LOOKUP_BITS`` bits resolves short
-codes in one step; longer codes fall back to the MINCODE/MAXCODE walk.
+This module holds the table form, the Annex-K table builder and the
+magnitude coding both entropy engines share.  The code words
+themselves are read and written bit by bit by
+:class:`~repro.jpeg.bitstream.HuffmanDecoder` and
+:class:`~repro.jpeg.bitstream.HuffmanEncoder`, beside the bit reader
+and writer they drive: the fast decode path never loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import HuffmanError
-from .bitstream import BitReader, BitWriter
 
 #: Number of bits resolved by the first-level decode table.
 LOOKUP_BITS = 8
@@ -125,116 +127,6 @@ def spec_from_frequencies(freqs: dict[int, int]) -> HuffmanSpec:
     return HuffmanSpec(bits=tuple(int(b) for b in bits[1:17]), values=tuple(syms))
 
 
-@dataclass
-class HuffmanEncoder:
-    """Symbol -> (code, length) mapping derived from a spec."""
-
-    spec: HuffmanSpec
-    _codes: dict[int, tuple[int, int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._codes = {}
-        code = 0
-        k = 0
-        for length in range(1, MAX_CODE_LENGTH + 1):
-            for _ in range(self.spec.bits[length - 1]):
-                self._codes[self.spec.values[k]] = (code, length)
-                code += 1
-                k += 1
-            code <<= 1
-
-    def encode(self, writer: BitWriter, symbol: int) -> None:
-        """Write the code for *symbol* to *writer*."""
-        try:
-            code, length = self._codes[symbol]
-        except KeyError:
-            raise HuffmanError(f"symbol {symbol:#x} not in table") from None
-        writer.write_bits(code, length)
-
-    def code_for(self, symbol: int) -> tuple[int, int]:
-        """Return (code, length) for *symbol* (for tests/inspection)."""
-        if symbol not in self._codes:
-            raise HuffmanError(f"symbol {symbol:#x} not in table")
-        return self._codes[symbol]
-
-    def code_length(self, symbol: int) -> int:
-        """Length in bits of the code for *symbol*."""
-        return self.code_for(symbol)[1]
-
-    def code_arrays(self) -> tuple[list[int], list[int]]:
-        """Dense symbol-indexed ``(codes, lengths)`` lists (256 entries).
-
-        A zero length marks a symbol absent from the table.  This is the
-        precomputed form the vectorized :class:`~repro.jpeg.entropy.
-        EntropyEncoder` indexes in its hot loop instead of paying a dict
-        lookup and a method call per symbol.
-        """
-        codes = [0] * 256
-        lengths = [0] * 256
-        for sym, (code, length) in self._codes.items():
-            codes[sym] = code
-            lengths[sym] = length
-        return codes, lengths
-
-    @property
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(self._codes)
-
-
-class HuffmanDecoder:
-    """Table-driven decoder for one Huffman table.
-
-    ``lookup[p]`` for an 8-bit prefix p packs (length << 8 | symbol) when a
-    complete code of length <= 8 starts with p, else 0.  Longer codes use
-    MINCODE/MAXCODE/VALPTR arrays (F.2.2.3 of the standard).
-    """
-
-    def __init__(self, spec: HuffmanSpec) -> None:
-        self.spec = spec
-        enc = HuffmanEncoder(spec)
-
-        self._mincode = np.zeros(MAX_CODE_LENGTH + 1, dtype=np.int64)
-        self._maxcode = np.full(MAX_CODE_LENGTH + 1, -1, dtype=np.int64)
-        self._valptr = np.zeros(MAX_CODE_LENGTH + 1, dtype=np.int64)
-
-        code = 0
-        k = 0
-        for length in range(1, MAX_CODE_LENGTH + 1):
-            count = spec.bits[length - 1]
-            if count:
-                self._valptr[length] = k
-                self._mincode[length] = code
-                code += count
-                k += count
-                self._maxcode[length] = code - 1
-            code <<= 1
-
-        self._lookup = np.zeros(1 << LOOKUP_BITS, dtype=np.int32)
-        for symbol in enc.symbols:
-            c, length = enc.code_for(symbol)
-            if length <= LOOKUP_BITS:
-                shift = LOOKUP_BITS - length
-                base = c << shift
-                packed = (length << 8) | symbol
-                self._lookup[base: base + (1 << shift)] = packed
-
-    def decode(self, reader: BitReader) -> int:
-        """Decode and return the next symbol from *reader*."""
-        prefix = reader.peek_bits(LOOKUP_BITS)
-        packed = int(self._lookup[prefix])
-        if packed:
-            reader.skip_bits(packed >> 8)
-            return packed & 0xFF
-        # slow path: walk code lengths > LOOKUP_BITS
-        code = reader.read_bits(LOOKUP_BITS)
-        for length in range(LOOKUP_BITS + 1, MAX_CODE_LENGTH + 1):
-            code = (code << 1) | reader.read_bits(1)
-            if code <= self._maxcode[length]:
-                idx = self._valptr[length] + code - self._mincode[length]
-                return int(self.spec.values[int(idx)])
-        raise HuffmanError("undecodable Huffman code")
-
-
 # ---------------------------------------------------------------------------
 # Magnitude ("EXTEND") coding of DC differences and AC coefficients.
 # ---------------------------------------------------------------------------
@@ -267,3 +159,13 @@ def extend(bits: int, cat: int) -> int:
     if bits < (1 << (cat - 1)):
         return bits - (1 << cat) + 1
     return bits
+
+
+def __getattr__(name: str):
+    """The old import path of the bit-level codec classes, which live in
+    :mod:`repro.jpeg.bitstream`: resolved (and that module loaded) only
+    when asked for."""
+    if name in ("HuffmanEncoder", "HuffmanDecoder"):
+        from . import bitstream
+        return getattr(bitstream, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

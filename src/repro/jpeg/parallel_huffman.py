@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import EntropyError
 from .blocks import ImageGeometry
-from .entropy import ComponentTables
+from .coefficients import ComponentTables
 from .fast_entropy import (
     FastEntropyDecoder,
     create_entropy_decoder,

@@ -8,7 +8,7 @@ directions:
 
 - :class:`ProgressiveDecoder` accumulates every scan of a parsed
   :class:`~repro.jpeg.markers.JpegImageInfo` into one
-  :class:`~repro.jpeg.entropy.CoefficientBuffers`.  The Huffman-coded
+  :class:`~repro.jpeg.coefficients.CoefficientBuffers`.  The Huffman-coded
   scans are read the way the baseline engine reads its one scan: a bit
   position in a local over the probe windows of the destuffed payload,
   one table hit per symbol (:mod:`~repro.jpeg.fast_entropy`); AC
@@ -35,18 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BitstreamError, EntropyError, JpegFormatError
-from .bitstream import BitWriter
+from .bitstream import BitWriter, HuffmanEncoder
 from .blocks import ImageGeometry, ceil_div
 from .constants import ZIGZAG_ORDER
-from .entropy import CoefficientBuffers
+from .coefficients import CoefficientBuffers
 from .fast_entropy import (SPAN_BYTES, TRUNCATED_FF, ZRL_ADVANCE,
                            FusedDecodeTables, ScanPrescan, _AC_OVERRUN,
                            _UNBOUNDED, _ZIGZAG_AFTER, _careful_dc,
                            _careful_read_bits, _careful_symbol, _exhausted,
                            _probe_end, _segment_bounds, destuff_scan,
                            fused_tables)
-from .huffman import (HuffmanEncoder, encode_magnitude, extend,
-                      spec_from_frequencies)
+from .huffman import encode_magnitude, extend, spec_from_frequencies
 from .markers import (HuffmanTableDef, JpegImageInfo, ScanComponent, ScanInfo)
 
 _ZIGZAG = tuple(int(i) for i in ZIGZAG_ORDER)

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..errors import EntropyError
 from .blocks import ImageGeometry, scatter_mcu_strip
-from .entropy import CoefficientBuffers, ComponentTables
+from .coefficients import CoefficientBuffers, ComponentTables
 from .fast_entropy import FastEntropyDecoder, ScanPrescan, destuff_scan
 
 #: Chunks shorter than this are not worth a task dispatch; the planner

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..jpeg.blocks import ImageGeometry
-from ..jpeg.entropy import CoefficientBuffers
+from ..jpeg.coefficients import CoefficientBuffers
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import JpegUnsupportedError
 from ..gpusim.queue import CommandQueue, Event
 from ..jpeg.blocks import ImageGeometry, blocks_to_plane
-from ..jpeg.entropy import CoefficientBuffers
+from ..jpeg.coefficients import CoefficientBuffers
 from .color_kernel import ColorConvertKernel
 from .idct_kernel import IdctKernel
 from .layout import PlanarBlockLayout, pack_span

@@ -40,7 +40,7 @@ points):
   round-robin baseline, EWMA throughput feedback)
 - :class:`~repro.service.transport.PlaneArena` /
   :class:`~repro.service.transport.PlaneRef` — zero-copy shared-memory
-  plane transport for process-backend results (where POSIX shm works)
+  plane transport for process-backend results (Linux: memfd + /proc)
 - :class:`~repro.service.queue.SubmissionQueue` — the backpressure ingress
 - :class:`~repro.service.workers.WorkerPool` — serial/thread/process pools
   (self-healing: a broken process pool is rebuilt in place)

@@ -195,12 +195,12 @@ class BatchDecoder:
         in :attr:`links` and closed with the decoder.
 
         Process-pool workers return decoded planes through shared
-        memory wherever a process pool and working POSIX shared memory
+        memory wherever a process pool and working memfd shared memory
         exist (:func:`~repro.service.transport.resolve_transport`), and
         through the pickle result pipe everywhere else — nothing
         crosses a process boundary on serial/thread backends.  Payloads
         under :data:`~repro.service.transport.SHM_MIN_BYTES` pickle
-        anyway (segment churn costs more than pickling a few KB).
+        anyway (slot churn costs more than pickling a few KB).
 
         *retry_budget* bounds how many times one task is re-dispatched
         after an *infrastructure* failure (its worker died and the pool
@@ -409,7 +409,7 @@ class BatchDecoder:
 
     def _lease(self, nbytes: int, pool: WorkerPool) -> PlaneSlot | None:
         """Lease a shm slot for a reply of *nbytes*, if the transport
-        applies to *pool* and the payload is worth a segment."""
+        applies to *pool* and the payload is worth a slot."""
         if not self._rides_shm(pool) \
                 or nbytes <= 0 or nbytes < SHM_MIN_BYTES:
             return None
@@ -424,9 +424,9 @@ class BatchDecoder:
             self.arena.release(slot)
 
     def _quarantine_slot(self, slot: PlaneSlot | None) -> None:
-        """Unlink a failed dispatch's slot without recycling it: the
-        dead (or killed) worker may have been mid-memcpy into the
-        segment, so the name must never be reused."""
+        """Close a failed dispatch's slot without recycling it: the
+        dead (or killed) worker may have been mid-memcpy into it, so
+        it must never be leased again."""
         if slot is not None and self.arena is not None:
             self.arena.discard(slot)
 
@@ -523,8 +523,8 @@ class BatchDecoder:
 
     def _forget(self, task: _InFlight) -> None:
         """Quarantine every slot an abandoned subtask's plan holds: a
-        worker may still be writing into its lease, so the names are
-        unlinked, never returned to the ring."""
+        worker may still be writing into its lease, so the slots are
+        closed, never returned to the ring."""
         self._quarantine_slot(task.slot)
         while task.plan.slots:
             self._quarantine_slot(task.plan.slots.pop())
@@ -717,8 +717,8 @@ class BatchDecoder:
         Raises only on infrastructure failure (closed pool); per-image
         decode errors are reported on the individual results.  With a
         scheduler attached the schedule the group ran under rides back
-        on ``BatchResult.schedule``.  Every leased shared-memory segment
-        is released (or unlinked at :meth:`close`) even when a worker
+        on ``BatchResult.schedule``.  Every leased shared-memory slot
+        is released (or closed at :meth:`close`) even when a worker
         dies mid-batch.  Clear before gather: a completion between the
         two leaves :attr:`wake` set, so none is slept through.
         """
@@ -736,7 +736,7 @@ class BatchDecoder:
 
     def close(self) -> None:
         """Shut the pool and the links down (waits for in-flight
-        tasks), then unlink every shared-memory segment the arena still
+        tasks), then close every shared-memory slot the arena still
         holds — including slots a crashed worker never returned."""
         for pool in self._pools():
             pool.close()

@@ -43,8 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
-from ..core.decoder import fitted_model
-from ..core.perfmodel import PerformanceModel
+from ..core.perfmodel import PerformanceModel, fitted_model
 from ..core.platform import Platform
 from ..errors import ServiceError
 from ..jpeg.markers import FrameInfo, walk_header
@@ -428,7 +427,7 @@ def price_images(
     facts of :func:`~repro.jpeg.markers.walk_header`: the paper's model
     inputs are width, height and file size); *model_for* is
     ``f(platform, subsampling) -> PerformanceModel`` (the scheduler
-    passes :func:`~repro.core.decoder.fitted_model`).  Lanes ineligible
+    passes :func:`~repro.core.perfmodel.fitted_model`).  Lanes ineligible
     for an image's subsampling price as ``inf``; CPU lanes on 4:2:0 fall
     back to the platform's 4:2:2 model — the closest fitted surface,
     since 4:2:0 is outside the paper's profiling scope.  *salvage* names
@@ -625,7 +624,7 @@ class ModelScheduler:
     :func:`default_executors` device lanes (model-level pricing
     studies), else the one :func:`local_lane` priced as the GTX 560's
     SIMD CPU — what a scheduled local session runs.  Performance models
-    come from :func:`~repro.core.decoder.fitted_model`, the
+    come from :func:`~repro.core.perfmodel.fitted_model`, the
     process-wide table :class:`~repro.core.decoder.HeterogeneousDecoder`
     reads too.
 

@@ -40,7 +40,7 @@ from ..jpeg.decoder import (
     decode_jpeg,
     pixels_from_coefficients,
 )
-from ..jpeg.entropy import CoefficientBuffers, ComponentTables
+from ..jpeg.coefficients import CoefficientBuffers, ComponentTables
 from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
 from ..jpeg.markers import FrameInfo, JpegImageInfo, walk_header
 from ..jpeg.parallel_huffman import (
@@ -253,7 +253,7 @@ def run_task(body: Callable[[list[SpanRecord]], tuple],
     malformed bytes, truncated scan, unsupported feature, but also the
     unexpected (``MemoryError``, numpy shape errors) — is captured on
     the reply, so one bad task cannot poison its batch.  With a
-    transport *slot* the planes are packed into the leased segment and
+    transport *slot* the planes are packed into the leased slot and
     only descriptors ride the result pipe; if publishing fails for any
     reason they fall back to the pickle path rather than failing the
     decode.  *fault* is an injected chaos directive: ``kill``/``delay``
@@ -285,7 +285,7 @@ def run_task(body: Callable[[list[SpanRecord]], tuple],
                     perf_counter(), nbytes=sum(r.nbytes for r in refs)))
             reply.planes = refs
         except Exception:
-            pass  # slot too small / segment gone: pickle the arrays
+            pass  # slot too small / file gone: pickle the arrays
     reply.busy_s = perf_counter() - t0
     return reply
 

@@ -4,35 +4,37 @@ The paper's dispatch term ``Tdisp`` (Eq 5/6) prices moving decoded
 planes between devices; the service's process backend pays the same
 tax in a different currency — every worker pickles its full RGB array
 back through the executor's result pipe.  This module removes the
-serialization from that hop: workers write decoded planes into named
-``multiprocessing.shared_memory`` segments and send back only a tiny
-:class:`PlaneRef` descriptor ``(segment, offset, shape, dtype)``; the
+serialization from that hop: workers write decoded planes into
+shared-memory files the parent owns and send back only a tiny
+:class:`PlaneRef` descriptor ``(inode, offset, shape, dtype)``; the
 parent maps the same physical pages and materializes the array with at
 most one ``memcpy`` (or none, with ``copy=False``).
 
-Three cooperating pieces:
+Each slot is one nameless ``memfd_create`` file the parent keeps open.
+A :class:`PlaneSlot` carries the owner's pid, the fd number, the file's
+inode and its capacity; a worker maps the slot by opening
+``/proc/<owner pid>/fd/<fd>``, after ``fstat`` shows the slot's inode
+(a closed slot's fd number may name a new file).  A file nothing names
+goes with the last process holding it, so there is nothing to unlink,
+no resource-tracker process is ever started, and a crash leaves no
+residue.  Linux only: elsewhere :func:`shm_available` is false and
+results ride the pickle pipe.
 
-- :class:`PlaneArena` — the parent-side segment manager: a ring of
-  reusable named segments (``repro-<pid>-...``), leased per task and
-  released on gather.  Every name the arena ever issued is tracked, so
-  :meth:`PlaneArena.close` can unlink segments even when the worker
-  that was filling one died mid-batch; :meth:`PlaneArena.leaked`
-  reports the slots currently unaccounted for.
-- :func:`publish_plane` / :func:`publish_planes` — the worker-side
-  writers: attach to the leased segment by name (attachments are cached
-  per process, so a reused ring slot costs no re-``mmap``), copy the
-  array(s) in, return descriptors.
+- :class:`PlaneArena` — the parent side: a ring of reusable slots,
+  leased per task, released on gather, all closed by
+  :meth:`PlaneArena.close` even when a worker died mid-batch.
+- :func:`publish_plane` / :func:`publish_planes` — the worker side:
+  map the slot (cached per process by inode), copy the array(s) in,
+  return descriptors.
 - :func:`resolve_transport` / :func:`shm_available` — policy: ``shm``
-  engages only where it can win (a process-backend pool on a host with
-  working POSIX shared memory); everywhere else the service keeps the
-  plain pickle path, so serial/thread backends behave exactly as
-  before.
+  for a process-backend pool on a host where it works, pickle
+  everywhere else.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import secrets
 import threading
 from dataclasses import dataclass
 
@@ -40,48 +42,80 @@ import numpy as np
 
 from ..errors import ServiceError
 
-#: Segment capacities are rounded up to this granularity so a ring slot
+#: Slot capacities are rounded up to this granularity so a ring slot
 #: leased for one image is reusable for the next similarly-sized one.
 GRANULARITY = 256 * 1024
 
-#: Free segments a :class:`PlaneArena` keeps parked for reuse; a
-#: release beyond this unlinks the surplus segment instead of hoarding
-#: ``/dev/shm`` space under shifting traffic.
+#: Free slots a :class:`PlaneArena` keeps parked for reuse; a release
+#: beyond this closes the surplus slot's file instead of hoarding
+#: shared memory under shifting traffic.
 MAX_FREE = 32
 
-#: Plane offsets inside a packed segment are aligned to this many bytes.
+#: Plane offsets inside a packed slot are aligned to this many bytes.
 ALIGNMENT = 64
 
 #: Payloads below this size stay on the pickle path even when shm is
-#: active: a segment lease + worker attach costs more than pickling a
+#: active: a slot lease + worker mapping costs more than pickling a
 #: few KB through the result pipe ever will.
 SHM_MIN_BYTES = 32 * 1024
 
 _shm_probe_result: bool | None = None
 
 
-def _shared_memory_module():
-    """Import guard: ``multiprocessing.shared_memory`` (3.8+)."""
-    from multiprocessing import shared_memory
-    return shared_memory
+def _create_file(capacity: int) -> tuple[int, int, mmap.mmap]:
+    """A new nameless shared-memory file of *capacity* bytes:
+    ``(fd, inode, mapping)``.  The fd is close-on-exec; forked workers
+    inherit it, as they inherit every other open fd of the parent."""
+    fd = os.memfd_create("repro-plane")
+    try:
+        os.ftruncate(fd, capacity)
+        return fd, os.fstat(fd).st_ino, mmap.mmap(fd, capacity)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+def _map_slot(slot: "PlaneSlot") -> mmap.mmap:
+    """Map the file *slot* names, through its owner's fd table.
+
+    Raises :class:`~repro.errors.ServiceError` when the fd number now
+    holds another file (the arena closed the slot and the number was
+    reused): one with another inode, or one with a name — inode numbers
+    are per file system, and a nameless file has no links.  ``OSError``
+    when the owner or the fd is gone.
+    """
+    fd = os.open(f"/proc/{slot.owner}/fd/{slot.fd}",
+                 os.O_RDWR | os.O_NOCTTY)
+    try:
+        st = os.fstat(fd)
+        if st.st_ino != slot.inode or st.st_nlink:
+            raise ServiceError(
+                f"fd {slot.fd} of process {slot.owner} no longer holds "
+                f"plane file {slot.inode}")
+        return mmap.mmap(fd, slot.capacity)
+    finally:
+        os.close(fd)
 
 
 def shm_available() -> bool:
-    """True when POSIX shared memory demonstrably works on this host.
+    """True when nameless shared memory demonstrably works on this host.
 
-    Probed once per process by creating and unlinking a tiny segment;
-    any failure (missing ``/dev/shm``, sandboxed ``shm_open``, missing
-    module) makes the service fall back to pickle transport.
+    Probed once per process: create a ``memfd_create`` file, map it
+    back through ``/proc/<pid>/fd`` as a worker would, and close it.
+    Any failure (no ``memfd_create`` off Linux, no readable ``/proc``,
+    a sandbox refusing either) makes the service fall back to pickle
+    transport.
     """
     global _shm_probe_result
     if _shm_probe_result is None:
         try:
-            shared_memory = _shared_memory_module()
-            probe = shared_memory.SharedMemory(
-                create=True, size=GRANULARITY,
-                name=f"repro-probe-{os.getpid()}-{secrets.token_hex(4)}")
-            probe.close()
-            probe.unlink()
+            fd, inode, mapping = _create_file(mmap.PAGESIZE)
+            mapping.close()
+            try:
+                _map_slot(PlaneSlot(owner=os.getpid(), fd=fd, inode=inode,
+                                    capacity=mmap.PAGESIZE)).close()
+            finally:
+                os.close(fd)
             _shm_probe_result = True
         except Exception:
             _shm_probe_result = False
@@ -95,8 +129,8 @@ def resolve_transport(backends) -> str:
     ``"shm"`` when at least one pool is process-backed and
     :func:`shm_available` holds; ``"pickle"`` otherwise — thread and
     serial workers share the parent's address space, so there is
-    nothing to transport, and a host without POSIX shared memory keeps
-    the result pipe rather than failing a decode.
+    nothing to transport, and a host without nameless shared memory
+    keeps the result pipe rather than failing a decode.
     """
     if "process" in set(backends) and shm_available():
         return "shm"
@@ -109,14 +143,11 @@ def resolve_transport(backends) -> str:
 
 @dataclass(frozen=True)
 class PlaneRef:
-    """Where one decoded plane lives inside a shared-memory segment.
+    """Where one decoded plane lives inside a slot: all a worker sends
+    back over the result pipe, a few hundred bytes whatever the plane's
+    size."""
 
-    This is the only thing a worker sends back over the result pipe:
-    a name, an offset, a shape and a dtype — a few hundred bytes no
-    matter how large the plane is.
-    """
-
-    segment: str
+    inode: int
     offset: int
     shape: tuple[int, ...]
     dtype: str
@@ -132,9 +163,12 @@ class PlaneRef:
 
 @dataclass(frozen=True)
 class PlaneSlot:
-    """One leased ring segment a worker may write planes into."""
+    """One leased ring slot a worker may write planes into: file *fd*
+    of process *owner*, whose inode is *inode*."""
 
-    name: str
+    owner: int
+    fd: int
+    inode: int
     capacity: int
 
 
@@ -159,54 +193,32 @@ def packed_nbytes(sizes) -> int:
 # Worker side.
 # ---------------------------------------------------------------------------
 
-#: Per-process cache of attached segments; ring reuse makes the same
-#: few names recur, so each worker pays the ``shm_open``/``mmap`` once.
-#: Bounded: beyond this many entries the oldest attachment is closed,
-#: so workers in a long-running service do not pin pages of segments
-#: the arena has long since unlinked.
+#: Per-process cache of slot mappings by inode (ring reuse makes the
+#: same few recur; a mapping keeps its file, so no other file can take
+#: the inode).  Bounded, oldest closed first, so a long-lived worker
+#: does not pin pages of files the arena has long since closed.
 _ATTACH_CACHE_MAX = 32
-_attached: dict[str, object] = {}
+_attached: dict[int, mmap.mmap] = {}
 _attached_lock = threading.Lock()
 
 
-def _attach(name: str):
-    """Attach to segment *name*, cached, without tracker side effects.
-
-    ``SharedMemory(name=...)`` registers the segment with the
-    ``resource_tracker`` even when merely attaching.  The arena's
-    parent owns the lifecycle, and under the fork start method parent
-    and workers *share* one tracker process — an attach-side
-    registration would collide with (and an unregister would cancel)
-    the parent's own, producing bogus "leaked shared_memory" noise or
-    tracker KeyErrors at shutdown (bpo-38119).  Python 3.13+ exposes
-    ``track=False``; on older interpreters registration is suppressed
-    around the constructor instead.
-    """
+def _attach(slot: PlaneSlot) -> mmap.mmap:
+    """This process's mapping of *slot*, cached by inode."""
     with _attached_lock:
-        shm = _attached.get(name)
-        if shm is not None:
-            return shm
-        shared_memory = _shared_memory_module()
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13
-            from multiprocessing import resource_tracker
-            original = resource_tracker.register
-            resource_tracker.register = lambda *a, **k: None
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
+        mapping = _attached.get(slot.inode)
+        if mapping is not None:
+            return mapping
+        mapping = _map_slot(slot)
         while len(_attached) >= _ATTACH_CACHE_MAX:
             # FIFO eviction; process-pool workers run one task at a
-            # time, so nothing can be mid-write in an evicted segment.
+            # time, so nothing can be mid-write in an evicted mapping.
             old = _attached.pop(next(iter(_attached)))
             try:
                 old.close()
-            except Exception:
+            except BufferError:
                 pass
-        _attached[name] = shm
-        return shm
+        _attached[slot.inode] = mapping
+        return mapping
 
 
 def publish_plane(slot: PlaneSlot, array: np.ndarray,
@@ -215,19 +227,19 @@ def publish_plane(slot: PlaneSlot, array: np.ndarray,
 
     Worker-side: one ``memcpy`` into the shared pages, no
     serialization.  Raises :class:`~repro.errors.ServiceError` when the
-    slot cannot hold the plane — callers fall back to pickling the
-    array instead of failing the decode.
+    slot cannot hold the plane or its fd no longer names its file —
+    callers fall back to pickling the array instead of failing the
+    decode.
     """
     array = np.ascontiguousarray(array)
     if offset + array.nbytes > slot.capacity:
         raise ServiceError(
             f"plane ({array.nbytes} B at offset {offset}) exceeds slot "
-            f"{slot.name} capacity ({slot.capacity} B)")
-    shm = _attach(slot.name)
-    dst = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf,
+            f"{slot.inode} capacity ({slot.capacity} B)")
+    dst = np.ndarray(array.shape, dtype=array.dtype, buffer=_attach(slot),
                      offset=offset)
     np.copyto(dst, array)
-    return PlaneRef(segment=slot.name, offset=offset,
+    return PlaneRef(inode=slot.inode, offset=offset,
                     shape=tuple(array.shape), dtype=array.dtype.str)
 
 
@@ -251,14 +263,14 @@ def publish_planes(slot: PlaneSlot, arrays) -> tuple[PlaneRef, ...]:
 # ---------------------------------------------------------------------------
 
 class PlaneArena:
-    """Parent-side ring of reusable shared-memory segments.
+    """Parent-side ring of reusable shared-memory slots.
 
-    Segments are created on demand (capacity rounded up to
+    Slots are created on demand (capacity rounded up to
     :data:`GRANULARITY`), leased to exactly one in-flight task at a
-    time, and returned to the free ring on release.  The arena keeps
-    its own handle to every segment it ever created, which makes
-    cleanup unconditional: :meth:`close` unlinks each one whether it is
-    free, still leased to a task whose worker died, or already gone.
+    time, and returned to the free ring on release.  The arena holds
+    the fd and a mapping of every slot it has not closed, which makes
+    cleanup unconditional: :meth:`close` closes each one whether it is
+    free or still leased to a task whose worker died.
 
     Thread-safe: the session pump, a
     :meth:`~repro.service.batch.BatchDecoder.decode_batch` caller and
@@ -268,14 +280,12 @@ class PlaneArena:
     def __init__(self) -> None:
         """Create an empty arena."""
         self._lock = threading.Lock()
-        self._segments: dict[str, object] = {}   # name -> SharedMemory
-        self._free: list[str] = []               # names, LRU order
-        self._leased: set[str] = set()
-        self._prefix = f"repro-{os.getpid()}-{secrets.token_hex(4)}"
-        self._counter = 0
+        self._maps: dict[int, mmap.mmap] = {}    # inode -> mapping
+        self._free: list[PlaneSlot] = []         # LRU order
+        self._leased: set[PlaneSlot] = set()
         self._closed = False
-        #: Cumulative counters (observability): segments created,
-        #: leases served from the ring, bytes written through the arena.
+        #: Cumulative counters (observability): slots created, leases
+        #: served from the ring.
         self.created = 0
         self.reused = 0
 
@@ -284,82 +294,74 @@ class PlaneArena:
     def lease(self, nbytes: int) -> PlaneSlot:
         """Lease a slot holding at least *nbytes* bytes.
 
-        Reuses the smallest adequate free segment, else creates a new
-        one (capacity rounded up to the granularity).
+        Reuses the smallest adequate free slot, else creates a new one
+        (capacity rounded up to the granularity).
         """
         if nbytes < 0:
             raise ServiceError(f"lease size must be >= 0, got {nbytes}")
         with self._lock:
             if self._closed:
                 raise ServiceError("plane arena is closed")
-            best = None
-            for name in self._free:
-                cap = self._segments[name].size
-                if cap >= nbytes and (best is None
-                                      or cap < self._segments[best].size):
-                    best = name
-            if best is not None:
-                self._free.remove(best)
-                self._leased.add(best)
+            fits = [s for s in self._free if s.capacity >= nbytes]
+            if fits:
+                slot = min(fits, key=lambda s: s.capacity)
+                self._free.remove(slot)
                 self.reused += 1
-                return PlaneSlot(name=best, capacity=self._segments[best].size)
-            capacity = max(
-                GRANULARITY,
-                (nbytes + GRANULARITY - 1) // GRANULARITY * GRANULARITY)
-            shared_memory = _shared_memory_module()
-            self._counter += 1
-            name = f"{self._prefix}-{self._counter}"
-            shm = shared_memory.SharedMemory(
-                create=True, size=capacity, name=name)
-            self._segments[name] = shm
-            self._leased.add(name)
-            self.created += 1
-            return PlaneSlot(name=name, capacity=capacity)
+            else:
+                capacity = max(
+                    GRANULARITY,
+                    (nbytes + GRANULARITY - 1) // GRANULARITY * GRANULARITY)
+                fd, inode, mapping = _create_file(capacity)
+                self._maps[inode] = mapping
+                slot = PlaneSlot(owner=os.getpid(), fd=fd, inode=inode,
+                                 capacity=capacity)
+                self.created += 1
+            self._leased.add(slot)
+            return slot
 
-    def release(self, slot: "PlaneSlot | str") -> None:
+    def release(self, slot: PlaneSlot) -> None:
         """Return a leased slot to the free ring; idempotent.
 
-        Releasing an unknown or already-free name is a no-op — the
+        Releasing an unknown or already-free slot is a no-op — the
         gather loop's error paths may race a blanket cleanup.  Beyond
-        :data:`MAX_FREE` parked segments, the released one is unlinked.
+        :data:`MAX_FREE` parked slots, the released one is closed.
         """
-        name = slot.name if isinstance(slot, PlaneSlot) else slot
         with self._lock:
-            if self._closed or name not in self._leased:
+            if self._closed or slot not in self._leased:
                 return
-            self._leased.discard(name)
+            self._leased.discard(slot)
             if len(self._free) >= MAX_FREE:
-                self._unlink(name)
+                self._drop(slot)
             else:
-                self._free.append(name)
+                self._free.append(slot)
 
-    def discard(self, slot: "PlaneSlot | str") -> None:
-        """Unlink a leased slot *without* returning it to the ring.
+    def discard(self, slot: PlaneSlot) -> None:
+        """Close a leased slot *without* returning it to the ring.
 
         The quarantine path: when a batch aborts while workers may
-        still be writing into their leased segments, recycling those
-        names would let the *next* batch read a segment a stale worker
-        is mid-``memcpy`` into.  Discarding unlinks the name instead —
-        the stale worker's mapping stays valid until it drops its
-        handle, and no future lease can collide with it.  Idempotent.
+        still be writing into their leased slots, recycling them would
+        let the *next* batch read a file a stale worker is
+        mid-``memcpy`` into.  Discarding closes the arena's fd and
+        mapping instead — the stale worker's own mapping stays valid
+        until it drops it, and no future lease can get that file
+        (a reused fd number holds a new inode).  Idempotent.
         """
-        name = slot.name if isinstance(slot, PlaneSlot) else slot
         with self._lock:
-            if self._closed or name not in self._leased:
+            if self._closed or slot not in self._leased:
                 return
-            self._leased.discard(name)
-            self._unlink(name)
+            self._leased.discard(slot)
+            self._drop(slot)
 
-    def leaked(self) -> list[str]:
-        """Names of slots leased but never released (in-flight or lost).
+    def leaked(self) -> list[PlaneSlot]:
+        """Slots leased but never released (in-flight or lost).
 
         Between batches this should be empty; a non-empty list after a
         batch completed means a code path dropped a slot (the killed-
-        worker regression guards exactly that).  :meth:`close` unlinks
+        worker regression guards exactly that).  :meth:`close` frees
         these too.
         """
         with self._lock:
-            return sorted(self._leased)
+            return sorted(self._leased, key=lambda s: s.inode)
 
     # -- materialization ------------------------------------------------
 
@@ -368,57 +370,52 @@ class PlaneArena:
 
         ``copy=True`` (the service default) returns an independent
         array — one ``memcpy``, after which the slot may be reused.
-        ``copy=False`` returns a zero-copy view into the segment: valid
+        ``copy=False`` returns a zero-copy view into the slot: valid
         only until the slot is released or the arena closed, the right
         choice when the caller immediately reduces the data (e.g.
         scattering segment planes into the merged grid).
         """
         with self._lock:
-            shm = self._segments.get(ref.segment)
-        if shm is None:
+            mapping = self._maps.get(ref.inode)
+        if mapping is None:
             raise ServiceError(
-                f"plane ref names unknown segment {ref.segment!r}")
+                f"plane ref names no open slot (inode {ref.inode})")
         view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
-                          buffer=shm.buf, offset=ref.offset)
+                          buffer=mapping, offset=ref.offset)
         return view.copy() if copy else view
 
     # -- lifecycle ------------------------------------------------------
 
     @property
     def segments(self) -> int:
-        """Segments currently backed by shared memory."""
+        """Slots currently backed by an open shared-memory file."""
         with self._lock:
-            return len(self._segments)
+            return len(self._maps)
 
-    def _unlink(self, name: str) -> None:
-        """Close and unlink one segment (lock held by caller)."""
-        shm = self._segments.pop(name, None)
-        if shm is None:
-            return
+    def _drop(self, slot: PlaneSlot) -> None:
+        """Close one slot's mapping and fd (lock held by caller).  A
+        mapping a zero-copy view still exports stays mapped until the
+        view is collected; the file goes with the last holder."""
+        mapping = self._maps.pop(slot.inode)
         try:
-            shm.close()
-        except Exception:
+            mapping.close()
+        except BufferError:
             pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:
-            pass
+        os.close(slot.fd)
 
     def close(self) -> None:
-        """Unlink every segment — free, leased or orphaned; idempotent.
+        """Close every slot — free, leased or orphaned; idempotent.
 
         Safe to call while workers that were filling slots have died:
-        the arena's own handles are authoritative, no worker
-        cooperation is needed.
+        the arena's own fds are authoritative, no worker cooperation
+        is needed.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for name in list(self._segments):
-                self._unlink(name)
+            for slot in self._free + list(self._leased):
+                self._drop(slot)
             self._free.clear()
             self._leased.clear()
 
@@ -434,6 +431,5 @@ class PlaneArena:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: unlink everything."""
+        """Context-manager exit: close every slot."""
         self.close()
-

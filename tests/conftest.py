@@ -90,7 +90,7 @@ def no_backoff(monkeypatch):
 
 @pytest.fixture()
 def no_shm(monkeypatch):
-    """A host without POSIX shared memory: replies ride the pickle
+    """A host without memfd shared memory: replies ride the pickle
     pipe even from process pools."""
     monkeypatch.setattr("repro.service.transport.shm_available",
                         lambda: False)

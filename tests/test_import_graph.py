@@ -4,8 +4,11 @@ A scheduled process-pool session prices with the shipped fitted models
 and decodes every image with ``decode_jpeg``, so it never needs the
 paper's evaluation layer (simulated executors, profiler, GPU kernels,
 gpusim's queue, the figure harness, the encoder) nor the HTTP and
-sharded front ends.  Each check runs a fresh interpreter: this test
-process has imported everything already.
+sharded front ends.  Nor does it need the per-symbol reference
+entropy engine and its bit reader, the ``HeterogeneousDecoder`` facade,
+or named POSIX shared memory: plane slots are nameless ``memfd`` files,
+so no resource-tracker process is ever started.  Each check runs a
+fresh interpreter: this test process has imported everything already.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.service import shm_available
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL = ROOT / "benchmarks/perf/corpus/small00.jpg"
@@ -27,6 +32,16 @@ NOT_SERVING = (
     "repro.evaluation.harness", "repro.data",
     "repro.jpeg.encoder", "repro.jpeg.progressive", "repro.jpeg.speculative",
     "repro.service.http", "repro.service.remote",
+    "repro.jpeg.bitstream", "repro.jpeg.entropy",
+    "repro.core.decoder", "repro.core.modes",
+    "multiprocessing.shared_memory",
+)
+
+#: What plain ``decode_jpeg`` must not load: the encoder, the fan-out
+#: coders and the reference entropy engine with its bit reader.
+NOT_DECODING = (
+    "repro.jpeg.encoder", "repro.jpeg.progressive", "repro.jpeg.speculative",
+    "repro.jpeg.bitstream", "repro.jpeg.entropy",
 )
 
 _SESSION = """
@@ -37,13 +52,19 @@ from repro.service import DecodeSession
 data = open(sys.argv[1], "rb").read()
 with DecodeSession(workers=2, backend="process", scheduler="model") as s:
     result = s.submit(data, timeout=None).result(timeout=60)
-loaded = sorted(m for m in sys.modules if m.startswith("repro"))
+    transport, shm_bytes = s.decoder.transport, s.stats.bytes_shm
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("repro", "multiprocessing")))
+import multiprocessing.resource_tracker as tracker
+tracker_pid = tracker._resource_tracker._pid
 import repro.core, repro.evaluation, repro.jpeg, repro.service
 resolved = [repro.core.HeterogeneousDecoder.__name__,
             repro.service.DecodeHTTPServer.__name__,
             repro.jpeg.encode_jpeg.__name__,
             repro.evaluation.platforms.__name__]
-print(json.dumps({"ok": result.ok, "loaded": loaded, "resolved": resolved}))
+print(json.dumps({"ok": result.ok, "loaded": loaded, "resolved": resolved,
+                  "transport": transport, "shm_bytes": shm_bytes,
+                  "tracker_pid": tracker_pid}))
 """
 
 _DECODE = """
@@ -72,6 +93,11 @@ def test_scheduled_session_loads_only_what_serves():
     report = _fresh(_SESSION)
     assert report["ok"]
     assert [m for m in NOT_SERVING if m in report["loaded"]] == []
+    # The thumbnail's 57,600 pixel bytes rode a slot where the host has
+    # nameless shared memory, and no resource tracker was started.
+    if shm_available():
+        assert report["transport"] == "shm" and report["shm_bytes"] > 0
+    assert report["tracker_pid"] is None
     # The lazy names still resolve, once asked for.
     assert report["resolved"] == [
         "HeterogeneousDecoder", "DecodeHTTPServer", "encode_jpeg",
@@ -81,6 +107,4 @@ def test_scheduled_session_loads_only_what_serves():
 def test_decode_jpeg_loads_no_encoder_or_fanout_coder():
     report = _fresh(_DECODE)
     assert report["shape"] == [120, 160, 3]
-    assert [m for m in ("repro.jpeg.encoder", "repro.jpeg.progressive",
-                        "repro.jpeg.speculative")
-            if m in report["loaded"]] == []
+    assert [m for m in NOT_DECODING if m in report["loaded"]] == []

@@ -1,14 +1,19 @@
 """Shared-memory plane transport: arena lifecycle, leak accounting
-(including a killed worker mid-batch), bit-identity of shm-transported
-results against both engines' oracles with and without a scheduler,
-and the N-producer session stress with shm enabled."""
+(including a killed worker mid-batch), the inode check on a reused fd
+number, no residue after a SIGKILLed session, bit-identity of
+shm-transported results against both engines' oracles with and without
+a scheduler, and the N-producer session stress with shm enabled."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,15 +29,19 @@ from repro.service import (
     resolve_transport,
     shm_available,
 )
+from repro.service.tasks import ImageRequest, decode_image_task
 from repro.service.transport import (
     PlaneRef,
+    PlaneSlot,
     packed_nbytes,
     publish_plane,
     publish_planes,
 )
 
 pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable")
+    not shm_available(), reason="memfd shared memory unavailable")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def shm_files(prefix: str = "repro-") -> list[str]:
@@ -42,6 +51,15 @@ def shm_files(prefix: str = "repro-") -> list[str]:
                       if f.startswith(prefix))
     except FileNotFoundError:  # non-Linux: nothing to check
         return []
+
+
+def fd_closed(slot: PlaneSlot) -> bool:
+    """The arena's fd of *slot* is closed: the number is free, or was
+    reused for another file."""
+    try:
+        return os.fstat(slot.fd).st_ino != slot.inode
+    except OSError:
+        return True
 
 
 @pytest.fixture(scope="module")
@@ -68,42 +86,44 @@ class TestPlaneArena:
         with PlaneArena() as arena:
             slot = arena.lease(1000)
             assert slot.capacity >= 1000
-            assert arena.leaked() == [slot.name]
+            assert arena.leaked() == [slot]
             arena.release(slot)
             assert arena.leaked() == []
             again = arena.lease(500)
-            assert again.name == slot.name  # ring reuse, not a new segment
+            assert again == slot  # ring reuse, not a new file
             assert arena.created == 1 and arena.reused == 1
 
     def test_discard_quarantines_instead_of_recycling(self):
-        """Discarded slots are unlinked, never returned to the ring —
+        """Discarded slots are closed, never returned to the ring —
         the aborted-batch path where a stale worker may still write."""
         with PlaneArena() as arena:
             slot = arena.lease(1024)
             arena.discard(slot)
             assert arena.leaked() == []
-            assert slot.name not in shm_files()
+            assert fd_closed(slot) and arena.segments == 0
             arena.discard(slot)  # idempotent
             fresh = arena.lease(1024)
-            assert fresh.name != slot.name  # the name was not reused
+            assert fresh.inode != slot.inode  # the file was not reused
 
     def test_release_is_idempotent(self):
         with PlaneArena() as arena:
             slot = arena.lease(10)
             arena.release(slot)
             arena.release(slot)          # no-op
-            arena.release("no-such-segment")
+            arena.release(dataclasses.replace(slot, inode=-1))  # unknown
             assert arena.leaked() == []
+            assert arena.segments == 1
 
     def test_close_unlinks_everything_even_leased(self):
         arena = PlaneArena()
         leased = arena.lease(1024)
         freed = arena.lease(1024)
         arena.release(freed)
-        names = {leased.name, freed.name}
-        assert set(shm_files()) & names == names
+        assert arena.segments == 2
+        assert not fd_closed(leased) and not fd_closed(freed)
         arena.close()
-        assert set(shm_files()) & names == set()
+        assert fd_closed(leased) and fd_closed(freed)
+        assert arena.segments == 0
         arena.close()  # idempotent
         with pytest.raises(ServiceError):
             arena.lease(1)
@@ -114,7 +134,7 @@ class TestPlaneArena:
             slots = [arena.lease(10) for _ in range(3)]
             for slot in slots:
                 arena.release(slot)
-            # one parked segment, the surplus unlinked immediately
+            # one parked slot, the surplus closed immediately
             assert arena.segments == 1
 
     def test_publish_and_resolve_roundtrip(self):
@@ -152,16 +172,64 @@ class TestPlaneArena:
                                              dtype=np.uint8))
 
     def test_resolve_unknown_segment_raises(self):
+        """A ref into a slot the arena has closed names nothing."""
         with PlaneArena() as arena:
-            ref = PlaneRef(segment="repro-nope", offset=0,
-                           shape=(1,), dtype="|u1")
+            slot = arena.lease(16)
+            arena.discard(slot)
+            ref = PlaneRef(inode=slot.inode, offset=0, shape=(1,),
+                           dtype="|u1")
             with pytest.raises(ServiceError):
                 arena.resolve(ref)
+
+    def test_publish_from_the_arena_process_roundtrips(self):
+        """The ledger's transport probe publishes into slots of its own
+        arena, in its own process: the second pass reuses the ring."""
+        rng = np.random.default_rng(3)
+        frames = [rng.integers(0, 255, size=(h, 40, 3), dtype=np.uint8)
+                  for h in (30, 2300, 60)]
+        with PlaneArena() as arena:
+            for _ in range(2):
+                for frame in frames:
+                    slot = arena.lease(frame.nbytes)
+                    assert slot.owner == os.getpid()
+                    ref = publish_plane(slot, frame)
+                    assert np.array_equal(arena.resolve(ref, copy=True),
+                                          frame)
+                    arena.release(slot)
+            assert arena.created == 2 and arena.reused == 4
+            assert arena.leaked() == []
+
+    def test_reused_fd_number_is_refused_by_inode(self, corpus,
+                                                  sequential_rgbs):
+        """A slot whose fd number now names another file is refused: the
+        publish raises, and a worker's reply falls back to pickling the
+        very same pixels."""
+        with PlaneArena() as arena, \
+                WorkerPool(workers=1, backend="process") as pool:
+            old = arena.lease(1 << 20)
+            arena.discard(old)
+            new = arena.lease(1 << 20)
+            stale = dataclasses.replace(old, fd=new.fd)
+            assert stale.inode != new.inode
+            with pytest.raises(ServiceError):
+                publish_plane(stale, np.zeros(8, dtype=np.uint8))
+            request = ImageRequest(data=corpus[0])
+            for reply in (decode_image_task(request, stale),
+                          pool.submit(decode_image_task, request,
+                                      stale).result(timeout=60)):
+                assert reply.error is None
+                assert isinstance(reply.planes, list)   # pickled, not refs
+                assert np.array_equal(reply.planes[0], sequential_rgbs[0])
+            # The file that took the fd number was never written.
+            assert not arena.resolve(PlaneRef(
+                inode=new.inode, offset=0, shape=(1 << 20,),
+                dtype="|u1")).any()
+            arena.release(new)
 
 
 class TestTransportResolution:
     def test_pickle_always_allowed(self, no_shm):
-        """A host without POSIX shared memory keeps the pickle pipe,
+        """A host without memfd shared memory keeps the pickle pipe,
         process pools included."""
         assert resolve_transport({"process"}) == "pickle"
         with BatchDecoder(workers=1, backend="process") as dec:
@@ -201,21 +269,48 @@ class TestCrashSafety:
         fut = pool.submit(_sigkill_self, slot)
         with pytest.raises(BaseException):
             fut.result(timeout=60)
-        assert arena.leaked() == [slot.name]  # accounting sees the loss
+        assert arena.leaked() == [slot]       # accounting sees the loss
         arena.release(slot)                   # the error-path reclaim
         assert arena.leaked() == []
-        name = slot.name
         arena.close()
         pool.close()
-        assert name not in shm_files()
+        assert fd_closed(slot) and arena.segments == 0
+
+    def test_sigkilled_session_leaves_no_residue(self, corpus):
+        """SIGKILL a session's whole process group — parent, workers and
+        any helper — while a slot is leased: a nameless file goes with
+        its last holder, so /dev/shm gets no entry to leak."""
+        before = shm_files()
+        script = (
+            "import sys, time\n"
+            "from repro.service import DecodeSession\n"
+            "data = open(sys.argv[1], 'rb').read()\n"
+            "s = DecodeSession(workers=1, backend='process')\n"
+            "assert s.submit(data, timeout=None).result(timeout=60).ok\n"
+            "s.decoder.arena.lease(1 << 20)\n"
+            "print(s.decoder.transport, flush=True)\n"
+            "time.sleep(120)\n")
+        blob = ROOT / "benchmarks/perf/corpus/small00.jpg"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", script, str(blob)],
+                                stdout=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline().strip() == "shm"
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+            proc.stdout.close()
+        assert shm_files() == before
 
     def test_worker_killed_mid_batch_heals_and_leaves_no_segments(
             self, corpus, sequential_rgbs, shm_floor_zero):
         """Kill the pool's worker while it decodes a shm-transported
         batch: the decoder quarantines the dead worker's slots, rebuilds
         the pool in place and redispatches, so the batch still succeeds
-        bit-identically — and every segment is released, with close()
-        unlinking the arena without residue."""
+        bit-identically — and every slot is released, with close()
+        freeing the arena without residue."""
         dec = BatchDecoder(workers=1, backend="process")
         # Warm the pool and the ring with a healthy batch first.
         batch = dec.decode_batch([corpus[0]])
@@ -312,7 +407,7 @@ class TestTransportStats:
         with BatchDecoder(workers=2, backend="process",
                           speculative="off") as shm_dec:
             shm_dec.decode_batch([corpus[0]])
-        # The same pool on a host without POSIX shared memory.
+        # The same pool on a host without memfd shared memory.
         monkeypatch.setattr("repro.service.transport.shm_available",
                             lambda: False)
         with BatchDecoder(workers=2, backend="process",

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Fail when a ``repro-*`` shared-memory segment is left in ``/dev/shm``.
 
-The transport arena (``repro.service.transport.PlaneArena``) names every
-segment ``repro-<pid>-<token>``; after a test suite or a benchmark has
-exited, none may remain — a leftover means a lease was never released
-or a crashed worker's slot was never unlinked.  CI runs this after every
-job that touches the arena.
+The transport arena (``repro.service.transport.PlaneArena``) no longer
+names its slots: each is a nameless ``memfd_create`` file that goes with
+the last process holding it, so it cannot leave anything in
+``/dev/shm``.  The check stays as a guard: a ``repro-*`` entry after a
+test suite or a benchmark has exited means some code path went back to
+named shared memory and leaked it.  CI runs this after every job that
+touches the arena.
 
 Usage::
 

@@ -6,7 +6,7 @@ This is that step for the three Table 1 platforms: it runs
 ``profile_platform`` for each platform and kernel subsampling at default
 GPU options, and writes the six fitted models, each beside what it was
 fitted for, to ``src/repro/core/fitted_models.json`` — the table
-``repro.core.decoder.fitted_model`` serves instead of profiling at
+``repro.core.perfmodel.fitted_model`` serves instead of profiling at
 first use.  It is the table's only writer; rerun it after a change that
 moves a fit (the device specs, the calibration, the training grid or
 the regression); ``tests/test_fitted_models.py`` fails until you do.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core.decoder import FITTED_MODELS, fitted_for  # noqa: E402
+from repro.core.perfmodel import FITTED_MODELS, fitted_for  # noqa: E402
 from repro.core.profiling import profile_platform  # noqa: E402
 from repro.evaluation import platforms  # noqa: E402
 from repro.kernels.program import (  # noqa: E402
