@@ -43,7 +43,7 @@ REPEATS = 5
 MIN_SPEEDUP = float(os.environ.get("ENTROPY_BENCH_MIN_SPEEDUP", "3.0"))
 
 #: Ceiling on one cold ``(spec, "ac")`` table build.  The budget is 1 ms
-#: on the ledger host (docs/benchmarks.md records the reading); the
+#: on the ledger host (docs/benchmarks.md, "Measured constants"); the
 #: assert leaves a runner room to be twice as slow.
 MAX_COLD_BUILD_MS = 2.0
 

@@ -4,7 +4,7 @@ Each wall-clock benchmark here (A8 entropy engine, S3 session latency,
 S5 chaos, S8 sharded serving) writes its table to
 ``benchmarks/results/<name>.txt``.  The paper's modelled figures and
 tables are tier-1 tests, mapped claim by claim in
-``docs/benchmarks.md``.
+``docs/benchmarks.md`` ("Paper claim → tier-1 test").
 """
 
 from __future__ import annotations

@@ -83,7 +83,7 @@ _ZIGZAG_AFTER = (0,) + tuple(int(i) for i in ZIGZAG_ORDER)
 #: bits hold two code + magnitude pairs in 59-78 % of the Annex-K table
 #: slots; 14 pairs a few more but doubles the tables and their cold
 #: build for no measured gain, 16 thrashes the cache (figures in
-#: ``docs/architecture.md``).
+#: ``docs/benchmarks.md``, "Measured constants").
 PROBE_BITS = 13
 
 #: Payload bytes per span of probe windows.  A window is two bytes per

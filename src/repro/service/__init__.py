@@ -52,7 +52,7 @@ points):
 - :class:`~repro.service.stats.ServiceStats` — a decoder's one record:
   latency percentiles and histogram, images/sec, fault and transport
   counters, per-lane placement totals
-- :mod:`~repro.service.obs` — the observability layer (PR 10):
+- :mod:`~repro.service.obs` — the observability layer:
   :class:`~repro.service.obs.TraceContext` /
   :class:`~repro.service.obs.SpanRecord` per-request trace spans
   threaded submit → queue → scheduler → lane dispatch → worker stages

@@ -1,4 +1,4 @@
-"""Low-overhead observability for the decode service (PR 10).
+"""Low-overhead observability for the decode service.
 
 Three pieces, all stdlib-only:
 
@@ -7,9 +7,9 @@ Three pieces, all stdlib-only:
    :class:`~repro.service.batch.ImageRequest` through queue wait,
    scheduler placement, lane dispatch, the worker-side decode stages
    (entropy / IDCT / upsample / color, the same boundaries
-   ``core/profiling`` instruments), shm publish and — across the PR 9
-   TCP wire — remote worker hosts, whose spans are mapped back into
-   the client's clock domain.  A worker task collects the
+   ``core/profiling`` instruments), shm publish and — across the
+   sharded tier's TCP wire — remote worker hosts, whose spans are
+   mapped back into the client's clock domain.  A worker task collects the
    :class:`SpanRecord`\\ s it records in its own list and returns them
    on its reply, so the hot path never blocks on I/O and no span
    outlives the task that recorded it.
@@ -79,7 +79,7 @@ class TraceContext:
     """Identity of one span within one trace, propagated on requests.
 
     Frozen, picklable and JSON-friendly: it crosses process-pool
-    pickling and the PR 9 TCP header unchanged.  ``child()`` derives
+    pickling and the sharded tier's TCP header unchanged.  ``child()`` derives
     the context a sub-operation should record under.
     """
 

@@ -63,8 +63,8 @@ POLICIES = ("model", "roundrobin")
 #: dispatch, lease and reply per unit, the overlap every speculative
 #: chunk decodes twice, and the stitch or scatter of the units' planes.
 #: (The pixel stages cost the same on either path: a worker runs them
-#: for a whole image, the pump thread for a fanned-out one.)  Fitted in
-#: PR 16 on the 2-core ledger host over the ``http_mixed`` members with
+#: for a whole image, the pump thread for a fanned-out one.)  Fitted
+#: on the 2-core ledger host over the ``http_mixed`` members with
 #: the parallel saving taken out — two units on *one* ``process``
 #: worker against the same image whole on that worker, best of 9: 1.3-
 #: 1.9 ms for the 256x192 thumbnails (``THuff`` 155-227 us), 2.5 / 4.4
@@ -74,8 +74,8 @@ POLICIES = ("model", "roundrobin")
 #: decision is close.  The price is twice that.  The overhead is also
 #: CPU the rest of the batch would have used, so a fan-out has to win
 #: it back once for its own latency and once for its neighbours'; and
-#: a predicted gain of a millisecond or two is inside what dispatch
-#: jitter takes back.  Table: ``docs/benchmarks.md``, PR 16.
+#: a predicted gain of a millisecond or two is inside dispatch jitter.
+#: Table: ``docs/benchmarks.md``, "Measured constants".
 FANOUT_FIXED_US = 250.0
 
 #: EWMA weight of a lane's newest observed/predicted ratio in

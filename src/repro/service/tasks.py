@@ -124,7 +124,7 @@ class ImageRequest:
     #: :data:`repro.service.session.DEFAULT_SHED_FRACTIONS`) and batch
     #: forming orders higher classes first at equal deadlines.
     priority: int = PRIORITY_NORMAL
-    #: Tracing context (PR 10): set by ``DecodeSession.submit`` when
+    #: Tracing context: set by ``DecodeSession.submit`` when
     #: the request is sampled for tracing.  ``None`` (the default)
     #: keeps every observability hook dormant — the entire tracing
     #: layer hangs off this single attribute check.
@@ -185,7 +185,7 @@ class ImageResult:
     #: Canonical decode errors salvage mode recovered from (one per
     #: failed scan), empty otherwise.
     salvage_errors: list[str] = field(default_factory=list)
-    #: Trace spans for this image (PR 10): worker-side stage spans
+    #: Trace spans for this image: worker-side stage spans
     #: shipped back piggybacked on the result, plus parent-side
     #: schedule/attempt spans.  Empty when the request was not traced.
     trace_spans: list[SpanRecord] = field(default_factory=list)

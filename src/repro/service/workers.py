@@ -10,12 +10,12 @@ Three interchangeable backends behind one ``submit``-shaped surface:
   (which release the GIL) with another image's entropy decode; also the
   deterministic choice for tests.
 - ``"serial"`` — run the task inline on ``submit``.  Zero concurrency,
-  zero overhead; the baseline the throughput benchmark compares against
-  and the fallback on single-core hosts.
+  zero overhead; the fallback on single-core hosts and the local pool
+  of a sharded front tier.
 
 Task functions submitted to the ``process`` backend must be module-level
 (picklable) and take picklable arguments — see
-:mod:`repro.service.batch` for the task functions themselves.
+:mod:`repro.service.tasks` for the task functions themselves.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ Usage::
 
 With no arguments, checks the modules this repo scopes the rule to:
 ``repro.jpeg.fast_entropy``, ``repro.jpeg.parallel_huffman``, the
-ISSUE-14 pixel kernels ``repro.jpeg.idct`` and ``repro.jpeg.color``, every
-module of ``repro.service`` — which as of ISSUE 4 includes the serving
+pixel kernels ``repro.jpeg.idct`` and ``repro.jpeg.color``, every
+module of ``repro.service`` — which includes the serving
 front ends ``service/session.py`` and ``service/http.py``, and the
 shared-memory transport ``service/transport.py`` — and the partitioning core
 (``repro.core.partition``, ``repro.core.perfmodel``).  Exit status 1
@@ -35,11 +35,11 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Modules the docstring rule is scoped to (ISSUE 2 satellite; widened
-#: to the partitioning core by ISSUE 3 — the modules docs/partitioning.md
+#: Modules the docstring rule is scoped to: the entropy and pixel
+#: kernels, the partitioning core — the modules docs/partitioning.md
 #: maps the paper onto must stay documented — and, via the service
-#: directory target, to the ISSUE-4 serving front ends
-#: session.py/http.py; tests/test_docstrings.py pins them).
+#: directory target, every service module including the serving front
+#: ends session.py/http.py; tests/test_docstrings.py pins them.
 DEFAULT_TARGETS = (
     REPO_ROOT / "src" / "repro" / "jpeg" / "fast_entropy.py",
     REPO_ROOT / "src" / "repro" / "jpeg" / "parallel_huffman.py",

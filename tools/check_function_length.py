@@ -14,15 +14,15 @@ Usage::
     python tools/check_function_length.py PATH... --max 80
 
 CI runs it over ``src/repro/service/batch.py`` and
-``src/repro/service/tasks.py`` so the dispatch core's one big loop
-(ISSUE 13 collapsed a 490-line ``decode_batch``) cannot grow back, and
+``src/repro/service/tasks.py`` so the dispatch core stays plan ->
+dispatch -> gather in small functions, not one long loop, and
 over ``src/repro/jpeg/idct.py``, ``color.py`` and ``decoder.py`` so the
-tile loop, the strip loop and the shared pixel helper (ISSUE 14) cannot
+tile loop, the strip loop and the shared pixel helper cannot
 grow into one; over ``src/repro/service/remote.py`` and
 ``src/repro/cli.py`` (one pool contract, one declaration per CLI flag);
 and, with ``--max 150``, over
 ``src/repro/jpeg/fast_entropy.py``, whose ``decode_mcu_rows`` keeps its
-fast path inline on purpose and its cold paths in helpers (ISSUE 15).
+fast path inline on purpose and its cold paths in helpers.
 Exit status 1 when any function is over the limit.
 """
 
