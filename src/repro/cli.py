@@ -80,8 +80,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if args.mode == "reference":
         from .jpeg import DecodeOptions, decode_jpeg
 
-        decoded = decode_jpeg(data, DecodeOptions(
-            entropy_engine=args.entropy_engine, salvage=args.salvage))
+        decoded = decode_jpeg(data, DecodeOptions(salvage=args.salvage))
         rgb = decoded.rgb
         if decoded.salvaged:
             bad = int(decoded.error_map.sum())
@@ -92,8 +91,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         from .evaluation import platforms
 
         plat = {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
-        decoder = HeterogeneousDecoder.for_platform(
-            plat, entropy_engine=args.entropy_engine)
+        decoder = HeterogeneousDecoder.for_platform(plat)
         result = decoder.decode(data, args.mode)
         rgb = result.rgb
         print(f"simulated {result.mode.value} decode: "
@@ -141,8 +139,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     data = Path(args.file).read_bytes()
     plat = {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
-    decoder = HeterogeneousDecoder.for_platform(
-        plat, entropy_engine=args.entropy_engine)
+    decoder = HeterogeneousDecoder.for_platform(plat)
     prepared = decoder.prepare(data)
     gpu_ok = prepared.geometry.mode in KERNEL_SUBSAMPLINGS
     totals = {mode: decoder.decode(prepared, mode).total_us
@@ -451,7 +448,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 _PLATFORMS = ["GT 430", "GTX 560", "GTX 680"]
 _MODES = ["reference", *(m.value for m in DecodeMode), "auto"]
-_ENGINES = ["fast", "reference"]
 
 
 def _add_tracing_args(p: argparse.ArgumentParser) -> None:
@@ -514,9 +510,6 @@ def _add_file_parsers(sub) -> None:
     p.add_argument("output")
     p.add_argument("--mode", default="reference", choices=_MODES)
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
-    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES,
-                   help="Huffman decode path (bit-exact; 'fast' uses the "
-                        "fused-table engine)")
     p.add_argument("--salvage", action="store_true",
                    help="best-effort decode of corrupt streams (reference "
                         "mode): return the rows decoded before the error "
@@ -554,8 +547,6 @@ def _add_file_parsers(sub) -> None:
     p = sub.add_parser("evaluate", help="all-mode simulated timings")
     p.add_argument("file")
     p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS)
-    p.add_argument("--entropy-engine", default="fast", choices=_ENGINES,
-                   help="Huffman decode path used to prepare the image")
     p.set_defaults(func=_cmd_evaluate)
 
 

@@ -15,10 +15,7 @@ from typing import TYPE_CHECKING
 from ..errors import JpegUnsupportedError
 from ..kernels.options import KERNEL_SUBSAMPLINGS, GpuProgramOptions
 from .modes import DecodeMode
-# The shipped-model lookup lives beside the model it returns; importing
-# it here keeps its old import path working.
-from .perfmodel import (FITTED_MODELS, PerformanceModel, clear_model_cache,
-                        fitted_for, fitted_model)
+from .perfmodel import PerformanceModel, fitted_model
 from .platform import Platform
 
 if TYPE_CHECKING:  # pragma: no cover - the executors load on first decode
@@ -36,16 +33,19 @@ class HeterogeneousDecoder:
         winner.
     models : pre-fitted performance models keyed by subsampling; missing
         entries come from :func:`fitted_model`.
+    repartition : let PPS re-solve its split before the last GPU chunk
+        with the corrected density (Eq. 16; the A6 ablation turns it
+        off).
+
+    The CPU rows of a partitioned frame run the same IDCT, fancy
+    upsampling and colour conversion as the GPU kernels, so the frame
+    equals :func:`~repro.jpeg.decode_jpeg`'s in every mode.
     """
 
     platform: Platform
     gpu_options: GpuProgramOptions = field(default_factory=GpuProgramOptions)
     models: dict[str, PerformanceModel] = field(default_factory=dict)
-    fancy_upsampling: bool = True
     repartition: bool = True
-    #: Huffman decode path used by :meth:`prepare` — "fast" (fused
-    #: tables, default) or "reference" (per-symbol oracle); bit-exact.
-    entropy_engine: str = "fast"
 
     @classmethod
     def for_platform(cls, platform: Platform, **kwargs) -> "HeterogeneousDecoder":
@@ -67,7 +67,7 @@ class HeterogeneousDecoder:
         """Parse and entropy-decode once; reusable across modes."""
         from .executors import PreparedImage
 
-        return PreparedImage.from_bytes(data, self.entropy_engine)
+        return PreparedImage.from_bytes(data)
 
     def _config(self, prepared: PreparedImage) -> ExecutionConfig:
         from .executors import ExecutionConfig
@@ -83,7 +83,6 @@ class HeterogeneousDecoder:
         return ExecutionConfig(
             platform=self.platform, model=model, gpu_options=options,
             repartition=self.repartition,
-            fancy_upsampling=self.fancy_upsampling,
         )
 
     def choose_mode(self, prepared: PreparedImage) -> DecodeMode:

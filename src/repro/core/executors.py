@@ -32,7 +32,7 @@ from ..jpeg.decoder import (
     render_span,
 )
 from ..jpeg.coefficients import CoefficientBuffers
-from ..jpeg.fast_entropy import create_entropy_decoder
+from ..jpeg.fast_entropy import FastEntropyDecoder
 from ..jpeg.markers import JpegImageInfo, parse_jpeg
 from ..kernels.options import GpuProgramOptions
 from ..kernels.program import GpuDecodeProgram
@@ -69,14 +69,8 @@ class PreparedImage:
     quants: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def from_bytes(cls, data: bytes,
-                   entropy_engine: str = "fast") -> "PreparedImage":
-        """Parse + fully entropy-decode a real JPEG (the expensive step).
-
-        *entropy_engine* selects the Huffman decode path ("fast" or
-        "reference"); both are bit-exact, the fast engine is the default
-        so every pipeline benchmark rides the fused decode tables.
-        """
+    def from_bytes(cls, data: bytes) -> "PreparedImage":
+        """Parse + fully entropy-decode a real JPEG (the expensive step)."""
         info = parse_jpeg(data)
         if info.progressive:
             raise JpegUnsupportedError(
@@ -87,9 +81,8 @@ class PreparedImage:
                 "simulated executors model 3-component YCbCr decoding "
                 "only; decode on the reference path")
         geo = info.geometry
-        dec = create_entropy_decoder(entropy_engine, geo,
-                                     component_tables_from_info(info),
-                                     info.restart_interval)
+        dec = FastEntropyDecoder(geo, component_tables_from_info(info),
+                                 info.restart_interval)
         dec.start(info.entropy_data)
         dec.decode_mcu_rows(geo.mcu_rows)
         return cls(
@@ -175,7 +168,6 @@ class ExecutionConfig:
     gpu_options: GpuProgramOptions = field(default_factory=GpuProgramOptions)
     chunk_mcu_rows: int | None = None   # pipeline chunk size; defaults to model's
     repartition: bool = True            # PPS re-partitioning (A6 ablation)
-    fancy_upsampling: bool = True
 
     def resolve_chunk_rows(self) -> int:
         if self.chunk_mcu_rows is not None:
@@ -199,7 +191,7 @@ class ExecutionConfig:
 
 def cpu_parallel_span(geometry: ImageGeometry, coeffs: CoefficientBuffers,
                       quants: list[np.ndarray], mcu_row_start: int,
-                      mcu_row_stop: int, fancy: bool = True) -> np.ndarray:
+                      mcu_row_stop: int) -> np.ndarray:
     """Dequant + IDCT + upsample + color for an MCU-row span, on the CPU.
 
     Identical primitives to the GPU program, so pixels match exactly.
@@ -214,7 +206,7 @@ def cpu_parallel_span(geometry: ImageGeometry, coeffs: CoefficientBuffers,
             "partial spans are not defined for 4:2:0 (no vertical context)"
         )
     return render_span(geo, coeffs, quants, mcu_row_start, mcu_row_stop,
-                       DecodeOptions(fancy_upsampling=fancy))
+                       DecodeOptions())
 
 
 def _cpu_stage_spans(config: ExecutionConfig, geometry: ImageGeometry,
@@ -385,7 +377,7 @@ def execute(config: ExecutionConfig, prepared: PreparedImage,
     if gpu_rows < n and not prepared.is_virtual:
         parts.append(cpu_parallel_span(
             geo, prepared.coefficients, prepared.quants,
-            gpu_rows, n, config.fancy_upsampling))
+            gpu_rows, n))
 
     total = max(cpu_end, queue.finish(host)) if queue is not None else cpu_end
     # Each part is a fresh array of its own: a lone one is the frame.

@@ -6,9 +6,9 @@ YCbCr -> RGB per the JFIF equations::
     G = Y - 0.34414 (Cb - 128) - 0.71414 (Cr - 128)
     B = Y + 1.772   (Cb - 128)
 
-plus the forward (RGB -> YCbCr) transform used by the encoder, both as
-float paths and as the libjpeg-style 16-bit fixed-point paths ("SIMD"
-analog).  All functions are fully vectorized over arbitrary leading axes.
+plus the forward (RGB -> YCbCr) transform used by the encoder, both in
+float64.  All functions are fully vectorized over arbitrary leading
+axes.
 """
 
 from __future__ import annotations
@@ -19,15 +19,6 @@ import numpy as np
 
 from .constants import MAX_SAMPLE
 from .scratch import aligned_float64
-
-#: Fixed-point scale used by the integer conversion path (libjpeg uses 16).
-FIX_BITS = 16
-_HALF = 1 << (FIX_BITS - 1)
-
-
-def _fix(x: float) -> int:
-    return int(x * (1 << FIX_BITS) + 0.5)
-
 
 #: Byte budget of one float64 strip buffer of :func:`ycbcr_to_rgb_float`
 #: (32 rows of a 1280-wide frame); five are live per call.  Measured at
@@ -88,24 +79,6 @@ def ycbcr_to_rgb_float(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndar
         np.add(yf, np.multiply(cbf, 1.772, out=term), out=acc)
         _store_channel(acc, rgb[rows, ..., 2])
     return rgb.reshape(out_shape + (3,))
-
-
-_FR_CR = _fix(1.402)
-_FG_CB = _fix(0.34414)
-_FG_CR = _fix(0.71414)
-_FB_CB = _fix(1.772)
-
-
-def ycbcr_to_rgb_int(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
-    """Algorithm 2 in 16-bit fixed point (libjpeg jdcolor.c convention)."""
-    yi = y.astype(np.int64) << FIX_BITS
-    cbi = cb.astype(np.int64) - 128
-    cri = cr.astype(np.int64) - 128
-    r = (yi + _FR_CR * cri + _HALF) >> FIX_BITS
-    g = (yi - _FG_CB * cbi - _FG_CR * cri + _HALF) >> FIX_BITS
-    b = (yi + _FB_CB * cbi + _HALF) >> FIX_BITS
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(rgb, 0, MAX_SAMPLE).astype(np.uint8)
 
 
 def rgb_to_ycbcr_float(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

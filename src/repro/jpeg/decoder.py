@@ -55,7 +55,6 @@ class DecodeOptions:
     check per stage when unset.
     """
 
-    idct_method: str = "aan"
     fancy_upsampling: bool = True
     entropy_engine: str = "fast"
     salvage: bool = False
@@ -163,7 +162,7 @@ def render_span(geometry: ImageGeometry, coefficients: CoefficientBuffers,
               - mcu_row_start * geometry.mcu_height)
     t0 = perf_counter() if hook else 0.0
     planes = [
-        blocks_to_plane(idct_samples(coefs, quant, options.idct_method),
+        blocks_to_plane(idct_samples(coefs, quant),
                         comp.blocks_wide, nrows * comp.v_factor)
         for comp, coefs, quant in zip(geometry.components, span.planes, quants)
     ]

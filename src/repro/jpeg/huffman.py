@@ -160,12 +160,3 @@ def extend(bits: int, cat: int) -> int:
         return bits - (1 << cat) + 1
     return bits
 
-
-def __getattr__(name: str):
-    """The old import path of the bit-level codec classes, which live in
-    :mod:`repro.jpeg.bitstream`: resolved (and that module loaded) only
-    when asked for."""
-    if name in ("HuffmanEncoder", "HuffmanDecoder"):
-        from . import bitstream
-        return getattr(bitstream, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

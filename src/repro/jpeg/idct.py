@@ -1,15 +1,13 @@
 """Inverse DCT implementations (paper Section 4.1).
 
-Three interchangeable transforms, mirroring libjpeg's pluggable IDCT
-methods (:data:`IDCT_METHODS`):
+The decoder runs one transform, AAN; the other two are its oracles:
 
 ``idct_2d_reference``
     Direct evaluation of the paper's Eq. (1) column pass and Eq. (2) row
     pass — the correctness oracle.
 
 ``idct_2d_blocks``
-    Vectorized separable transform (``C.T @ X @ C``) over block batches
-    (the ``"matrix"`` method).
+    Vectorized separable transform (``C.T @ X @ C``) over block batches.
 
 ``idct_2d_aan``
     The AAN fast scaled IDCT (Arai/Agui/Nakajima, reference [26] in the
@@ -50,8 +48,6 @@ import numpy as np
 
 from .constants import BLOCK_SIZE, LEVEL_SHIFT, MAX_SAMPLE
 from .dct import dct_matrix
-from .idct_int import idct_2d_islow
-from .quantization import dequantize_blocks
 from .scratch import aligned_float64
 
 _C = dct_matrix()
@@ -233,14 +229,6 @@ def samples_from_idct(spatial: np.ndarray) -> np.ndarray:
 # The decode path's entry point: tiled dequantize + IDCT + level shift.
 # ---------------------------------------------------------------------------
 
-#: Pluggable IDCT methods, mirroring libjpeg's jpeg_idct_* selection
-#: ("aan" = jidctflt, "islow" = jidctint, "matrix" = orthonormal oracle).
-IDCT_METHODS = {
-    "aan": idct_2d_aan,
-    "matrix": idct_2d_blocks,
-    "islow": idct_2d_islow,
-}
-
 #: Byte budget of one float64 (8, 8, tile) scratch slab.  With the two
 #: slabs the passes ping-pong between, the pass temporaries and the
 #: tile's own coefficients the working set is about 1 MB, the size of a
@@ -341,38 +329,28 @@ def _aan_tile(coefs: np.ndarray, quant: np.ndarray, out: np.ndarray,
     out[...] = rows.transpose(2, 1, 0)
 
 
-def idct_samples(coefs: np.ndarray, quant: np.ndarray,
-                 method: str = "aan") -> np.ndarray:
+def idct_samples(coefs: np.ndarray, quant: np.ndarray) -> np.ndarray:
     """Dequantize + IDCT + level shift + clamp: quantized (n, 8, 8)
     coefficients in, (n, 8, 8) uint8 samples out.
 
-    Equal, byte for byte, to ``samples_from_idct(IDCT_METHODS[method](
+    Equal, byte for byte, to ``samples_from_idct(idct_2d_aan(
     dequantize_blocks(coefs, quant)))`` but evaluated over tiles of
-    :data:`TILE_BLOCKS` blocks.  The default AAN method runs the fused
-    blocks-last kernel :func:`_aan_tile`, whose work follows each
-    tile's nonzero bounding box; the other methods run their own
-    transform per tile.  The scratch belongs to this call (one
-    allocation, reused by every full tile), so concurrent calls — the
-    ``thread`` backend — share nothing.
+    :data:`TILE_BLOCKS` blocks by the fused blocks-last kernel
+    :func:`_aan_tile`, whose work follows each tile's nonzero bounding
+    box.  The scratch belongs to this call (one allocation, reused by
+    every full tile), so concurrent calls — the ``thread`` backend —
+    share nothing.
     """
-    transform = IDCT_METHODS[method]
     coefs = np.asarray(coefs)
     n = coefs.shape[0]
     out = np.empty((n, BLOCK_SIZE, BLOCK_SIZE), dtype=np.uint8)
-    fused = transform is idct_2d_aan
-    if fused:
-        quant = quant.astype(np.int32)
-        boxes = _tile_boxes(coefs)
+    quant = quant.astype(np.int32)
+    boxes = _tile_boxes(coefs)
     scratch_blocks = 0
     for start in range(0, n, TILE_BLOCKS):
-        tile = slice(start, start + TILE_BLOCKS)
-        if not fused:
-            out[tile] = samples_from_idct(
-                transform(dequantize_blocks(coefs[tile], quant)))
-            continue
         m = min(TILE_BLOCKS, n - start)
         if m != scratch_blocks:        # first tile, and a shorter last one
             scratch, scratch_blocks = _aan_scratch(m), m
-        _aan_tile(coefs[tile], quant, out[tile], scratch,
-                  boxes[start // TILE_BLOCKS])
+        _aan_tile(coefs[start:start + m], quant, out[start:start + m],
+                  scratch, boxes[start // TILE_BLOCKS])
     return out

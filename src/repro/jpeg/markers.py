@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,6 +356,87 @@ def _check_segment_marker(marker: int) -> None:
         raise JpegFormatError(f"unexpected marker 0xFF{marker:02X}")
 
 
+class _SegmentWalk:
+    """The one walk over a stream's marker segments, from SOI on.
+
+    Iterating yields ``(marker, start, end)`` for each segment, whose
+    payload is ``data[start:end]``, after the fill-byte, marker and
+    length checks, and reads the frame-level segments on the way:
+    SOF0/SOF2 into :attr:`frame`, DRI into :attr:`restart_interval`,
+    Adobe APP14 into :attr:`adobe_transform` and each SOS header into
+    :attr:`scan`.  It ends at EOI or at the end of the data.
+
+    :attr:`pos` is where the walk stands, the offset a tolerant parse
+    reports.  The walk does not know where entropy data ends: a
+    consumer that reads a scan moves :attr:`pos` past it before asking
+    for the next segment, and one that stops at the first SOS never
+    searches for the scan end at all.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        if len(data) < 4 or data[0] != 0xFF or data[1] != C.SOI:
+            raise JpegFormatError("missing SOI marker")
+        self.data = data
+        self.pos = 2
+        self.frame: FrameHeader | None = None
+        self.restart_interval = 0
+        self.adobe_transform: int | None = None
+        self.scan: ScanHeader | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        data, n = self.data, len(self.data)
+        while self.pos < n:
+            pos = self.pos
+            if data[pos] != 0xFF:
+                raise JpegFormatError(f"expected marker at offset {pos}")
+            while pos < n and data[pos] == 0xFF:    # fill bytes
+                pos += 1
+            if pos >= n:
+                self.pos = pos
+                raise JpegFormatError("truncated marker")
+            marker = data[pos]
+            self.pos = pos = pos + 1
+            if marker == C.EOI:
+                return
+            _check_segment_marker(marker)
+            length = _read_u16(data, pos)
+            if length < 2 or pos + length > n:
+                raise JpegFormatError("bad segment length")
+            self.pos = end = pos + length
+            self._read(marker, pos + 2, end)
+            yield marker, pos + 2, end
+
+    def _read(self, marker: int, start: int, end: int) -> None:
+        """Read a frame-level segment into the walk's state; step over
+        any other."""
+        data = self.data
+        if marker == C.SOF0 or marker == C.SOF2:
+            if self.frame is not None:
+                raise JpegFormatError("multiple SOF0 segments")
+            self.frame = parse_sof0_payload(data[start:end],
+                                            progressive=marker == C.SOF2)
+        elif marker == C.DRI:
+            if end - start != 2:
+                raise JpegFormatError("bad DRI payload")
+            self.restart_interval = _read_u16(data, start)
+        elif marker == C.APP14 and end - start >= 12 \
+                and data.startswith(b"Adobe", start):
+            self.adobe_transform = data[start + 11]
+        elif marker == C.SOS:
+            if self.frame is None:
+                raise JpegFormatError("SOS before SOF")
+            if self.scan is not None and not self.frame.progressive:
+                raise JpegUnsupportedError(
+                    "multi-scan sequential JPEGs are unsupported")
+            self.scan = parse_sos_payload(data[start:end],
+                                          progressive=self.frame.progressive)
+
+    def missing(self) -> JpegFormatError:
+        """What a stream whose walk ended before any scan lacks."""
+        return JpegFormatError("missing SOF0" if self.frame is None
+                               else "missing SOS / entropy data")
+
+
 def walk_header(data: bytes) -> FrameInfo:
     """Read *data*'s frame-level facts: walk its segments from SOI to
     the first SOS header, reading SOF0/SOF2, DRI, Adobe APP14 and that
@@ -362,53 +444,18 @@ def walk_header(data: bytes) -> FrameInfo:
 
     No DQT or DHT is decoded, no scan end searched and no entropy byte
     copied, so the walk costs a few segment hops whatever the image's
-    size.  It raises what :func:`parse_jpeg` raises for the markers,
-    lengths, frame and scan header it passes; damage it does not look
-    at — a table, the scan, anything behind the first SOS — is left for
-    the decode to report."""
-    n = len(data)
-    if n < 4 or data[0] != 0xFF or data[1] != C.SOI:
-        raise JpegFormatError("missing SOI marker")
-    pos = 2
-    frame: FrameHeader | None = None
-    restart_interval = 0
-    adobe_transform: int | None = None
-    while pos < n:
-        if data[pos] != 0xFF:
-            raise JpegFormatError(f"expected marker at offset {pos}")
-        while pos < n and data[pos] == 0xFF:
-            pos += 1
-        if pos >= n:
-            raise JpegFormatError("truncated marker")
-        marker = data[pos]
-        if marker == C.EOI:
-            break
-        _check_segment_marker(marker)
-        length = _read_u16(data, pos + 1)
-        start, pos = pos + 3, pos + 1 + length
-        if length < 2 or pos > n:
-            raise JpegFormatError("bad segment length")
-        if marker == C.SOF0 or marker == C.SOF2:
-            if frame is not None:
-                raise JpegFormatError("multiple SOF0 segments")
-            frame = parse_sof0_payload(data[start:pos],
-                                       progressive=marker == C.SOF2)
-        elif marker == C.DRI:
-            if length != 4:
-                raise JpegFormatError("bad DRI payload")
-            restart_interval = _read_u16(data, start)
-        elif marker == C.APP14 and length >= 14 \
-                and data.startswith(b"Adobe", start):
-            adobe_transform = data[start + 11]
-        elif marker == C.SOS:
-            if frame is None:
-                raise JpegFormatError("SOS before SOF")
-            parse_sos_payload(data[start:pos], progressive=frame.progressive)
-            return FrameInfo(frame=frame, restart_interval=restart_interval,
-                             file_size=n, adobe_transform=adobe_transform)
-    if frame is None:
-        raise JpegFormatError("missing SOF0")
-    raise JpegFormatError("missing SOS / entropy data")
+    size.  It is the walk :func:`parse_jpeg` takes, so it raises what
+    that raises for the markers, lengths, frame and scan header it
+    passes; damage it does not look at — a table, the scan, anything
+    behind the first SOS — is left for the decode to report."""
+    walk = _SegmentWalk(data)
+    for marker, _, _ in walk:
+        if marker == C.SOS:
+            return FrameInfo(frame=walk.frame,
+                             restart_interval=walk.restart_interval,
+                             file_size=len(data),
+                             adobe_transform=walk.adobe_transform)
+    raise walk.missing()
 
 
 def parse_jpeg(data: bytes, tolerant: bool = False) -> JpegImageInfo:
@@ -421,128 +468,84 @@ def parse_jpeg(data: bytes, tolerant: bool = False) -> JpegImageInfo:
     between progressive scans, a misparsing SOS — stops the parse there
     instead of raising, returning the scans already recovered with the
     fault recorded in :attr:`JpegImageInfo.parse_errors`."""
-    if len(data) < 4 or data[0] != 0xFF or data[1] != C.SOI:
-        raise JpegFormatError("missing SOI marker")
-
-    pos = 2
-    frame: FrameHeader | None = None
+    walk = _SegmentWalk(data)
     quant: dict[int, QuantTable] = {}
     dc: dict[int, HuffmanSpec] = {}
     ac: dict[int, HuffmanSpec] = {}
-    restart_interval = 0
     comments: list[bytes] = []
     scans: list[ScanInfo] = []
-    adobe_transform: int | None = None
     parse_errors: list[str] = []
-
-    while pos < len(data):
-        try:
-            if data[pos] != 0xFF:
-                raise JpegFormatError(f"expected marker at offset {pos}")
-            # skip fill bytes (0xFF padding before a marker)
-            while pos < len(data) and data[pos] == 0xFF:
-                pos += 1
-            if pos >= len(data):
-                raise JpegFormatError("truncated marker")
-            marker = data[pos]
-            pos += 1
-
-            if marker == C.EOI:
-                break
-            _check_segment_marker(marker)
-
-            length = _read_u16(data, pos)
-            if length < 2 or pos + length > len(data):
-                raise JpegFormatError("bad segment length")
-            payload = data[pos + 2: pos + length]
-            pos += length
-
-            if marker in (C.SOF0, C.SOF2):
-                if frame is not None:
-                    raise JpegFormatError("multiple SOF0 segments")
-                frame = parse_sof0_payload(payload,
-                                           progressive=marker == C.SOF2)
-            elif marker == C.DQT:
-                for t in parse_dqt_payload(payload):
+    try:
+        for marker, start, end in walk:
+            if marker == C.DQT:
+                for t in parse_dqt_payload(data[start:end]):
                     quant[t.table_id] = t
             elif marker == C.DHT:
-                for t in parse_dht_payload(payload):
+                for t in parse_dht_payload(data[start:end]):
                     (dc if t.table_class == 0 else ac)[t.table_id] = t.spec
-            elif marker == C.DRI:
-                if len(payload) != 2:
-                    raise JpegFormatError("bad DRI payload")
-                restart_interval = struct.unpack(">H", payload)[0]
             elif marker == C.COM:
-                comments.append(payload)
-            elif marker == C.APP14 and payload.startswith(b"Adobe") \
-                    and len(payload) >= 12:
-                adobe_transform = payload[11]
+                comments.append(data[start:end])
             elif marker == C.SOS:
-                if frame is None:
-                    raise JpegFormatError("SOS before SOF")
-                if scans and not frame.progressive:
-                    raise JpegUnsupportedError(
-                        "multi-scan sequential JPEGs are unsupported")
-                header = parse_sos_payload(payload,
-                                           progressive=frame.progressive)
-                end = _find_scan_end(data, pos, tolerant=tolerant)
+                stop = _find_scan_end(data, end, tolerant=tolerant)
                 scans.append(ScanInfo(
-                    header=header, entropy=data[pos:end],
+                    header=walk.scan, entropy=data[end:stop],
                     dc_tables=dict(dc), ac_tables=dict(ac),
-                    restart_interval=restart_interval,
-                    terminated=end < len(data)))
-                pos = end
+                    restart_interval=walk.restart_interval,
+                    terminated=stop < len(data)))
+                walk.pos = stop
             # APPn and other segments are skipped
-        except (JpegFormatError, JpegUnsupportedError) as exc:
-            if not (tolerant and frame is not None and scans):
-                raise
-            # Best-effort: container damage after the first complete
-            # scan ends the parse; everything recovered so far stands.
-            parse_errors.append(
-                f"header parse stopped at offset {pos}: {exc}")
-            break
+    except (JpegFormatError, JpegUnsupportedError) as exc:
+        if not (tolerant and walk.frame is not None and scans):
+            raise
+        # Best-effort: container damage after the first complete scan
+        # ends the parse; everything recovered so far stands.
+        parse_errors.append(
+            f"header parse stopped at offset {walk.pos}: {exc}")
 
-    if frame is None:
-        raise JpegFormatError("missing SOF0")
     if not scans:
-        raise JpegFormatError("missing SOS / entropy data")
+        raise walk.missing()
+    frame = walk.frame
     for comp in frame.components:
         if comp.quant_table_id not in quant:
             raise JpegFormatError(
                 f"component {comp.component_id} references missing "
                 f"quant table {comp.quant_table_id}"
             )
+    scans = _usable_scans(scans, tolerant, parse_errors)
+    return JpegImageInfo(
+        frame=frame, scan=scans[0].header, quant_tables=quant, dc_tables=dc,
+        ac_tables=ac, restart_interval=walk.restart_interval,
+        entropy_data=b"".join(si.entropy for si in scans),
+        file_size=len(data), comments=comments, scans=scans,
+        adobe_transform=walk.adobe_transform, parse_errors=parse_errors,
+    )
+
+
+def _usable_scans(scans: list[ScanInfo], tolerant: bool,
+                  parse_errors: list[str]) -> list[ScanInfo]:
+    """*scans* up to the first that references a Huffman table not
+    defined at its SOS: that one raises, or, in a tolerant parse that
+    has a usable scan before it, is dropped with everything after it
+    (later scans refine the same broken table state) and recorded in
+    *parse_errors*."""
     usable: list[ScanInfo] = []
     for si in scans:
         h = si.header
-        fault = None
+        needs_dc = h.is_dc and not h.refining
+        needs_ac = h.se > 0
         for sc in h.components:
-            needs_dc = h.is_dc and not h.refining
-            needs_ac = h.se > 0
             if (needs_dc and sc.dc_table_id not in si.dc_tables) \
                     or (needs_ac and sc.ac_table_id not in si.ac_tables):
                 fault = JpegFormatError(
                     f"scan component {sc.component_id} references missing "
                     "Huffman table"
                 )
-                break
-        if fault is not None:
-            # Tolerant mode drops this scan and everything after it
-            # (later scans refine the same broken table state).
-            if not tolerant or not usable:
-                raise fault
-            parse_errors.append(f"scan {len(usable)} dropped: {fault}")
-            break
+                if not tolerant or not usable:
+                    raise fault
+                parse_errors.append(f"scan {len(usable)} dropped: {fault}")
+                return usable
         usable.append(si)
-    scans = usable
-
-    return JpegImageInfo(
-        frame=frame, scan=scans[0].header, quant_tables=quant, dc_tables=dc,
-        ac_tables=ac, restart_interval=restart_interval,
-        entropy_data=b"".join(si.entropy for si in scans),
-        file_size=len(data), comments=comments, scans=scans,
-        adobe_transform=adobe_transform, parse_errors=parse_errors,
-    )
+    return usable
 
 
 # ---------------------------------------------------------------------------

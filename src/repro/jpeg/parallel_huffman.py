@@ -37,11 +37,7 @@ import numpy as np
 from ..errors import EntropyError
 from .blocks import ImageGeometry
 from .coefficients import ComponentTables
-from .fast_entropy import (
-    FastEntropyDecoder,
-    create_entropy_decoder,
-    destuff_scan,
-)
+from .fast_entropy import FastEntropyDecoder, destuff_scan
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,6 @@ def decode_segment_coefficients(
     segment_bytes: bytes,
     geometry: ImageGeometry,
     tables: list[ComponentTables],
-    entropy_engine: str = "fast",
     restart_interval: int = 0,
 ) -> list[np.ndarray]:
     """Entropy-decode one restart segment, or one run of them, in
@@ -152,11 +147,10 @@ def decode_segment_coefficients(
     *restart_interval*), whose sequence is checked from ``seg.index``,
     and should carry its trailing marker too so the last segment ends
     the way it does in the whole scan.  The strip's MCU count is the
-    run's only bound: the fast engine takes it as an untraced
+    run's only bound, decoded as one untraced
     :meth:`~repro.jpeg.fast_entropy.FastEntropyDecoder.decode_run`
     (which drops the per-row offset bookkeeping, ~1.5 us per MCU of a
-    strip), the reference engine row by row.  Returns the strip's
-    coefficient planes, ready for
+    strip).  Returns the strip's coefficient planes, ready for
     :func:`~repro.jpeg.blocks.scatter_mcu_strip`.
 
     This function is self-contained and picklable-argument-only on
@@ -164,13 +158,9 @@ def decode_segment_coefficients(
     workers.
     """
     strip = geometry.mcu_strip(seg.mcu_count)
-    vdec = create_entropy_decoder(entropy_engine, strip, tables,
-                                  restart_interval)
+    vdec = FastEntropyDecoder(strip, tables, restart_interval)
     vdec.start(segment_bytes, first_restart=seg.index)
-    if isinstance(vdec, FastEntropyDecoder):
-        vdec.decode_run(record=False)
-    else:
-        vdec.decode_mcu_rows(strip.mcu_rows)
+    vdec.decode_run(record=False)
     return vdec.coefficients.planes
 
 

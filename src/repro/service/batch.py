@@ -59,7 +59,7 @@ from .scheduler import (
     whole_image_only,
 )
 from .stats import ServiceStats
-from .tasks import (  # noqa: F401 - task functions re-exported
+from .tasks import (
     DecodePlan,
     ImageRequest,
     ImageResult,
@@ -68,8 +68,6 @@ from .tasks import (  # noqa: F401 - task functions re-exported
     Subtask,
     TaskReply,
     WholeImagePlan,
-    decode_image_task,
-    decode_segment_task,
     read_header,
 )
 from .transport import (

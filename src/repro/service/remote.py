@@ -477,6 +477,8 @@ def parse_hosts(spec: "str | Iterable[Any]") -> list[tuple[str, int]]:
             host, port = entry
         elif entry.strip():
             host, _, port = entry.strip().rpartition(":")
+            if host.startswith("["):    # "[::1]:9077": an IPv6 literal
+                host = host[1:-1] if host.endswith("]") else ""
         else:
             continue    # "a:1,b:2," — a trailing comma names no host
         if not host or not str(port).isdigit() \

@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import JpegError
-from repro.jpeg.color import (
-    rgb_to_ycbcr_float,
-    ycbcr_to_rgb_float,
-    ycbcr_to_rgb_int,
-)
+from repro.jpeg.color import rgb_to_ycbcr_float, ycbcr_to_rgb_float
 from repro.jpeg.sampling import (
     downsample_h2v1,
     downsample_h2v2,
@@ -51,14 +47,6 @@ class TestColorConversion:
         cr = np.array([[255]], dtype=np.uint8)
         rgb = ycbcr_to_rgb_float(y, cb, cr)
         assert rgb.max() <= 255
-
-    def test_int_path_close_to_float(self):
-        rng = np.random.default_rng(0)
-        y, cb, cr = (rng.integers(0, 256, (32, 32)).astype(np.uint8)
-                     for _ in range(3))
-        a = ycbcr_to_rgb_float(y, cb, cr).astype(int)
-        b = ycbcr_to_rgb_int(y, cb, cr).astype(int)
-        assert np.abs(a - b).max() <= 1
 
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.uint8, (4, 4, 3), elements=U8))

@@ -116,6 +116,19 @@ def test_fanout_functions_stay_under_80_lines(capsys):
         capsys.readouterr().out
 
 
+def test_marker_walk_is_one_loop_of_short_functions(capsys):
+    """``walk_header`` and ``parse_jpeg`` consume one segment walk: the
+    fill-byte, marker and length checks are written once, and no
+    function of the module passes 80 lines."""
+    path = REPO_ROOT / "src" / "repro" / "jpeg" / "markers.py"
+    source = path.read_text()
+    for check in ("expected marker at offset", "truncated marker",
+                  "_check_segment_marker(marker)", "bad segment length"):
+        assert source.count(check) == 1, check
+    assert check_function_length.main([str(path), "--max", "80"]) == 0, \
+        capsys.readouterr().out
+
+
 def test_entropy_hot_loop_stays_under_150_lines(capsys):
     """ISSUE 15: restart handling, the end-of-segment careful symbols
     and the long-code walk live in module-level helpers; the hot

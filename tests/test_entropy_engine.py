@@ -52,13 +52,8 @@ from repro.jpeg.fast_entropy import (
     FastEntropyDecoder,
     fused_tables,
 )
-from repro.jpeg.huffman import (
-    HuffmanDecoder,
-    HuffmanEncoder,
-    HuffmanSpec,
-    extend,
-    spec_from_frequencies,
-)
+from repro.jpeg.bitstream import HuffmanDecoder, HuffmanEncoder
+from repro.jpeg.huffman import HuffmanSpec, extend, spec_from_frequencies
 from repro.data import synthetic_photo
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "corpus"

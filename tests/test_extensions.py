@@ -1,4 +1,4 @@
-"""Extensions: integer islow IDCT and restart-marker segment runs."""
+"""Extension: restart-marker segment runs."""
 
 from __future__ import annotations
 
@@ -7,12 +7,11 @@ import pytest
 
 from repro.errors import EntropyError
 from repro.data import synthetic_photo
-from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
+from repro.jpeg import (EncoderSettings, create_entropy_decoder, encode_jpeg,
+                        parse_jpeg)
 from repro.jpeg.decoder import component_tables_from_info
-from repro.jpeg.idct import idct_2d_blocks
-from repro.jpeg.idct_int import idct_2d_islow, samples_from_idct_islow
 from repro.jpeg.blocks import scatter_mcu_strip
-from repro.jpeg.entropy import CoefficientBuffers
+from repro.jpeg.coefficients import CoefficientBuffers
 from repro.jpeg.fast_entropy import FastEntropyDecoder
 from repro.jpeg.parallel_huffman import (
     decode_segment_coefficients,
@@ -20,36 +19,6 @@ from repro.jpeg.parallel_huffman import (
     segment_plane_nbytes,
     split_restart_segments,
 )
-
-
-class TestIslowIdct:
-    def test_close_to_float_reference(self):
-        rng = np.random.default_rng(0)
-        coeffs = rng.integers(-500, 500, (64, 8, 8)).astype(np.int32)
-        a = idct_2d_islow(coeffs)
-        b = idct_2d_blocks(coeffs)
-        assert np.abs(a - b).max() < 1.0
-
-    def test_samples_within_one_level_of_float(self):
-        rng = np.random.default_rng(1)
-        coeffs = rng.integers(-300, 300, (32, 8, 8)).astype(np.int32)
-        ints = samples_from_idct_islow(idct_2d_islow(coeffs))
-        floats = np.clip(np.rint(idct_2d_blocks(coeffs) + 128), 0,
-                         255).astype(np.uint8)
-        assert np.abs(ints.astype(int) - floats.astype(int)).max() <= 1
-
-    def test_dc_only_flat(self):
-        coeffs = np.zeros((1, 8, 8), dtype=np.int32)
-        coeffs[0, 0, 0] = 64
-        out = idct_2d_islow(coeffs)
-        assert np.all(out == out[0, 0, 0])
-
-    def test_decoder_accepts_islow_method(self, jpeg_422, ref_rgb_422):
-        out = decode_jpeg(jpeg_422, DecodeOptions(idct_method="islow")).rgb
-        # islow vs aan: at most 1 level per sample pre-color-conversion;
-        # color conversion can amplify slightly
-        assert np.abs(out.astype(int) - ref_rgb_422.astype(int)).max() <= 3
-        assert (out != ref_rgb_422).mean() < 0.20
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +77,13 @@ class TestSegmentRuns:
             info.entropy_data, info.geometry.total_mcus,
             info.restart_interval)
 
-    def _decode_runs(self, info, runs, engine="fast"):
+    def _decode_runs(self, info, runs):
         geo = info.geometry
         out = CoefficientBuffers.empty(geo)
         for run in runs:
             planes = decode_segment_coefficients(
                 run, info.entropy_data[run.byte_start:run.byte_stop + 2],
-                geo, component_tables_from_info(info), engine,
-                info.restart_interval)
+                geo, component_tables_from_info(info), info.restart_interval)
             assert [p.nbytes for p in planes] == \
                 segment_plane_nbytes(run, geo)
             scatter_mcu_strip(planes, 0, run.mcu_start, run.mcu_count,
@@ -147,18 +115,22 @@ class TestSegmentRuns:
         biggest = max(s.nbytes for s in segs)
         assert all(abs(r.nbytes - share) <= 2 * biggest for r in runs)
 
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("oracle", ["fast", "reference"])
     @pytest.mark.parametrize("run_count", [1, 2, 5, 1000])
     def test_runs_decode_bit_identically(self, restart_jpeg, run_count,
-                                         engine):
+                                         oracle):
+        """The runs, decoded apart, equal the whole-scan decode of
+        either engine."""
         info = parse_jpeg(restart_jpeg)
         runs = merge_segment_runs(self._segments(info), run_count)
         if run_count == 2:
             # 24 segments in 2 runs: the second starts mid-way through
             # the RST0..RST7 cycle and runs across its wrap-around.
             assert runs[1].index % 8 and runs[1].mcu_count > 8 * 3
-        got = self._decode_runs(info, runs, engine)
-        want = sequential_outcome(info)
+        got = self._decode_runs(info, runs)
+        want = create_entropy_decoder(
+            oracle, info.geometry, component_tables_from_info(info),
+            info.restart_interval).decode_all(info.entropy_data)
         for g, w in zip(got.planes, want.planes):
             assert np.array_equal(g, w)
 

@@ -14,7 +14,7 @@ import pytest
 import repro.core.decoder
 import repro.core.profiling
 from repro.core import HeterogeneousDecoder, clear_model_cache
-from repro.core.decoder import FITTED_MODELS, fitted_for, fitted_model
+from repro.core.perfmodel import FITTED_MODELS, fitted_for, fitted_model
 from repro.core.perfmodel import PerformanceModel
 from repro.core.profiling import profile_platform
 from repro.evaluation import platforms

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from repro.errors import HuffmanError
 from repro.jpeg import constants as C
-from repro.jpeg.bitstream import BitReader, BitWriter
+from repro.jpeg.bitstream import (BitReader, BitWriter, HuffmanDecoder,
+                                  HuffmanEncoder)
 from repro.jpeg.huffman import (
-    HuffmanDecoder,
-    HuffmanEncoder,
     HuffmanSpec,
     encode_magnitude,
     extend,

@@ -1,5 +1,6 @@
-"""The serving surface's knob ratchet: how many values a caller can set
-on the decoder, the session, a request and the CLI.
+"""The knob ratchet: how many values a caller can set on the batch
+decoder, the session, a request, the CLI, the codec's decode options
+and the paper-model decoder.
 
 The paper's runtime places work from what it can measure (the profiled
 platform, the image's entropy and size) and asks the operator for
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import repro.cli
+from repro.core import HeterogeneousDecoder
+from repro.jpeg import DecodeOptions
 from repro.service import BatchDecoder, DecodeSession, ImageRequest
 
 RULE = ("a new knob needs two non-test callers that want different "
@@ -37,7 +40,10 @@ COUNTS = {
     "ImageRequest fields": (lambda: len(dataclasses.fields(ImageRequest)), 6),
     "cli.py add_argument calls":
         (lambda: Path(repro.cli.__file__).read_text().count(".add_argument("),
-         52),
+         50),
+    "DecodeOptions fields": (lambda: len(dataclasses.fields(DecodeOptions)), 4),
+    "HeterogeneousDecoder fields":
+        (lambda: len(dataclasses.fields(HeterogeneousDecoder)), 4),
 }
 
 

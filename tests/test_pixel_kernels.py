@@ -207,20 +207,6 @@ class TestIdctTiles:
         assert np.array_equal(idct_2d_aan(deq), naive_idct_aan(deq))
         assert np.array_equal(idct_2d_aan(deq[0]), naive_idct_aan(deq[:1])[0])
 
-    @pytest.mark.parametrize("method", ["matrix", "islow"])
-    def test_other_methods_are_tiling_invariant(self, method):
-        """The non-default methods run their own transform per tile;
-        the result may not depend on where the tile boundaries fall."""
-        coefs = sparse_coefs(2 * TILE_BLOCKS + 5, seed=11)
-        whole = idct_samples(coefs, QUANT, method)
-        parts = [idct_samples(coefs[s:s + 37], QUANT, method)
-                 for s in range(0, len(coefs), 37)]
-        assert np.array_equal(whole, np.concatenate(parts))
-
-    def test_unknown_method(self):
-        with pytest.raises(KeyError):
-            idct_samples(sparse_coefs(1, seed=0), QUANT, "nope")
-
     def test_every_committed_corpus_image(self):
         """Real coefficient planes: every component of every image the
         perf ledger times."""

@@ -40,6 +40,7 @@ from repro.errors import (
     JpegError,
     JpegFormatError,
     JpegUnsupportedError,
+    ReproError,
 )
 from repro.jpeg import (
     DecodeOptions,
@@ -445,6 +446,73 @@ class TestReadHeaderProperties:
             assert header.progressive == info.progressive, name
             assert header.geometry == info.geometry, name
             assert header.file_density == info.file_density, name
+
+
+def _first_scan_offset(blob: bytes) -> int:
+    """Offset just past the first SOS header of a valid, fill-free
+    stream."""
+    pos = 2
+    while blob[pos + 1] != C.SOS:
+        pos += 2 + struct.unpack_from(">H", blob, pos + 2)[0]
+    return pos + 2 + struct.unpack_from(">H", blob, pos + 2)[0]
+
+
+def _or_none(read, blob: bytes):
+    """``read(blob)``, or None when it raises a ``ReproError``; any
+    other exception propagates."""
+    try:
+        return read(blob)
+    except ReproError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def undamaged(corpus) -> list[bytes]:
+    """Every valid matrix cell, and two small ledger files whose frames
+    carry a restart interval (no matrix cell does)."""
+    return [blob for _, blob in sorted(corpus.items())] + [
+        (LEDGER_CORPUS / name).read_bytes()
+        for name in ("small05.jpg", "small20.jpg")]
+
+
+EDITS = st.lists(st.tuples(st.sampled_from(("set", "insert", "delete", "cut")),
+                           st.integers(0, 1 << 20), st.integers(0, 255)),
+                 min_size=1, max_size=3)
+
+
+class TestOneWalk:
+    """``walk_header`` and ``parse_jpeg`` take the same segment walk, so
+    on any damage to a valid stream's header they agree: a parse that
+    succeeds (strict or tolerant) has a walk that reads its frame, a
+    walk that raises has a parse that raises, and neither raises
+    anything but a ``ReproError``.  The parse may fail where the walk
+    does not: it decodes the DQT and DHT payloads the walk steps over."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pick=st.integers(0, 1 << 20), edits=EDITS)
+    def test_mutated_headers(self, undamaged, pick, edits):
+        blob = bytearray(undamaged[pick % len(undamaged)])
+        span = _first_scan_offset(blob) + 8
+        for op, at, byte in edits:
+            at %= max(1, min(span, len(blob)))
+            if op == "set" and blob:
+                blob[at] = byte
+            elif op == "insert":
+                blob.insert(at, byte)
+            elif op == "delete":
+                del blob[at:at + 1]
+            elif op == "cut":
+                del blob[at:]
+        blob = bytes(blob)
+        header = _or_none(walk_header, blob)
+        for tolerant in (False, True):
+            info = _or_none(lambda b: parse_jpeg(b, tolerant=tolerant), blob)
+            if header is None:
+                assert info is None
+            elif info is not None:
+                assert header.frame == info.frame
+                assert header.restart_interval \
+                    == info.scans[0].restart_interval
 
 
 # ---------------------------------------------------------------------------

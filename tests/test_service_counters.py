@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.jpeg import EncoderSettings, encode_jpeg, parse_jpeg
-from repro.jpeg.entropy import CoefficientBuffers
+from repro.jpeg.coefficients import CoefficientBuffers
 from repro.service import (
     DecodeSession,
     FaultPlan,

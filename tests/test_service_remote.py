@@ -57,7 +57,7 @@ from repro.service import (
     render_prometheus,
     sharded_session,
 )
-from repro.service.batch import ImageResult, decode_image_task
+from repro.service.tasks import ImageResult, decode_image_task
 from repro.service.remote import (
     MAX_HEADER_BYTES,
     decode_request,
@@ -319,6 +319,18 @@ class TestParseHosts:
             parse_hosts("nocolon")
         with pytest.raises(ServiceError):
             parse_hosts("a:notaport")
+
+    def test_bracketed_ipv6_literal(self):
+        """The brackets only delimit the literal: getaddrinfo refuses
+        "[::1]", and an unclosed bracket names no host."""
+        assert parse_hosts("[::1]:9077, [fe80::2]:1") == [
+            ("::1", 9077), ("fe80::2", 1)]
+        host, port = parse_hosts("[::1]:9077")[0]
+        assert socket.getaddrinfo(host, port, type=socket.SOCK_STREAM,
+                                  flags=socket.AI_NUMERICHOST)
+        for spec in ("[::1:9077", "[]:9077", "[:9077"):
+            with pytest.raises(ServiceError):
+                parse_hosts(spec)
 
     def test_duplicate_hosts_rejected(self):
         with pytest.raises(ServiceError):
