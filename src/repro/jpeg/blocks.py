@@ -12,8 +12,8 @@ padding, fully vectorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class ComponentGeometry:
+class ComponentGeometry(NamedTuple):
     """Geometry of one color component within the MCU grid."""
 
     component_id: int          # 1 = Y, 2 = Cb, 3 = Cr (JFIF convention)
@@ -56,10 +55,7 @@ class ComponentGeometry:
         return self.h_factor * self.v_factor
 
 
-@dataclass(frozen=True)
-class ImageGeometry:
-    """Full MCU-grid geometry for an image (the decoder's coordinate system)."""
-
+class _ImageSize(NamedTuple):
     width: int
     height: int
     mode: str  # "4:4:4" | "4:2:2" | "4:2:0" | "4:1:1" | "4:4:0"
@@ -68,21 +64,25 @@ class ImageGeometry:
     #: argument tuples from older workers keep constructing correctly.
     ncomponents: int = 3
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise JpegError(
-                f"invalid image dimensions {self.width}x{self.height}"
-            )
-        if self.ncomponents not in (1, 3, 4):
-            raise JpegError(
-                f"unsupported component count {self.ncomponents}"
-            )
-        if self.ncomponents == 1 and self.mode != "4:4:4":
+
+class ImageGeometry(_ImageSize):
+    """Full MCU-grid geometry for an image (the decoder's coordinate
+    system): a validated ``(width, height, mode, ncomponents)`` tuple
+    whose derived values are computed once per instance."""
+
+    def __new__(cls, width: int, height: int, mode: str,
+                ncomponents: int = 3) -> "ImageGeometry":
+        if width <= 0 or height <= 0:
+            raise JpegError(f"invalid image dimensions {width}x{height}")
+        if ncomponents not in (1, 3, 4):
+            raise JpegError(f"unsupported component count {ncomponents}")
+        if ncomponents == 1 and mode != "4:4:4":
             raise JpegError(
                 "grayscale images have no chroma to subsample; "
                 "use mode '4:4:4'"
             )
-        sampling_factors(self.mode)  # validates the mode string
+        sampling_factors(mode)  # validates the mode string
+        return super().__new__(cls, width, height, mode, ncomponents)
 
     @cached_property
     def luma_factors(self) -> tuple[int, int]:

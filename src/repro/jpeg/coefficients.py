@@ -10,7 +10,7 @@ reference engine (:mod:`repro.jpeg.entropy`) and its bit reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +19,13 @@ from .blocks import ImageGeometry
 from .huffman import HuffmanSpec
 
 
-@dataclass
-class ComponentTables:
+class ComponentTables(NamedTuple):
     """Huffman table pair assigned to one scan component."""
 
     dc: HuffmanSpec
     ac: HuffmanSpec
 
 
-@dataclass
 class CoefficientBuffers:
     """Per-component quantized coefficient batches in natural order.
 
@@ -37,8 +35,12 @@ class CoefficientBuffers:
     (paper Section 3).
     """
 
-    geometry: ImageGeometry
-    planes: list[np.ndarray]
+    __slots__ = ("geometry", "planes")
+
+    def __init__(self, geometry: ImageGeometry,
+                 planes: list[np.ndarray]) -> None:
+        self.geometry = geometry
+        self.planes = planes
 
     @classmethod
     def empty(cls, geometry: ImageGeometry) -> "CoefficientBuffers":

@@ -15,9 +15,8 @@ all executors must produce bit-identical RGB output to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .markers import JpegImageInfo, parse_jpeg
 from .sampling import upsample_plane
 
 
-@dataclass
-class DecodeOptions:
+class DecodeOptions(NamedTuple):
     """Decoder knobs (subset of libjpeg's djpeg options).
 
     ``entropy_engine`` selects the Huffman decode path: ``"fast"`` (the
@@ -58,12 +56,10 @@ class DecodeOptions:
     fancy_upsampling: bool = True
     entropy_engine: str = "fast"
     salvage: bool = False
-    stage_hook: Callable[[str, float, float], None] | None = field(
-        default=None, repr=False, compare=False)
+    stage_hook: Callable[[str, float, float], None] | None = None
 
 
-@dataclass
-class DecodedImage:
+class DecodedImage(NamedTuple):
     """Decoder output: pixels plus the metadata the partitioner consumes.
 
     ``error_map`` is only populated by salvage mode: a boolean
@@ -76,9 +72,9 @@ class DecodedImage:
     rgb: np.ndarray                 # (h, w, 3) uint8
     info: JpegImageInfo
     coefficients: CoefficientBuffers | None = None
-    row_byte_offsets: list[int] = field(default_factory=list)
+    row_byte_offsets: list[int] | tuple = ()
     error_map: np.ndarray | None = None
-    errors: list[str] = field(default_factory=list)
+    errors: list[str] | tuple = ()
 
     @property
     def width(self) -> int:

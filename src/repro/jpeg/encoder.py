@@ -9,6 +9,7 @@ restart intervals and optionally per-image optimized Huffman tables.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +26,7 @@ from .entropy import (
     collect_symbol_frequencies,
 )
 from .huffman import HuffmanSpec, spec_from_frequencies
-from .markers import (
-    FrameComponent,
-    HuffmanTableDef,
-    ScanComponent,
-    build_app0_jfif,
-    build_app14_adobe,
-    build_dht,
-    build_dqt,
-    build_dri,
-    build_sof0,
-    build_sos,
-)
+from .markers import FrameComponent, ScanComponent
 from .progressive import (DEFAULT_BANDS, DEFAULT_POINT_TRANSFORM,
                           encode_progressive_scans)
 from .quantization import QuantTable, chrominance_table, luminance_table, quantize_blocks
@@ -171,8 +161,6 @@ def _header_parts(geo: ImageGeometry, settings: EncoderSettings,
     app = build_app14_adobe(2) if ncomp == 4 else build_app0_jfif()
     parts = [bytes([0xFF, C.SOI]), app]
     if settings.comment:
-        from .markers import build_com
-
         parts.append(build_com(settings.comment))
     parts.append(build_dqt([lq] if ncomp == 1 else [lq, cq]))
     return parts
@@ -214,8 +202,8 @@ def encode_jpeg(rgb: np.ndarray, settings: EncoderSettings | None = None) -> byt
     dht_tables = []
     for slot in sorted({_slot_of(ci) for ci in range(ncomp)}):
         ci = [c for c in range(ncomp) if _slot_of(c) == slot][0]
-        dht_tables.append(HuffmanTableDef(0, slot, tables[ci].dc))
-        dht_tables.append(HuffmanTableDef(1, slot, tables[ci].ac))
+        dht_tables.append((0, slot, tables[ci].dc))
+        dht_tables.append((1, slot, tables[ci].ac))
     scan_components = [
         ScanComponent(component_id=cg.component_id,
                       dc_table_id=_slot_of(ci), ac_table_id=_slot_of(ci))
@@ -231,3 +219,68 @@ def encode_jpeg(rgb: np.ndarray, settings: EncoderSettings | None = None) -> byt
     parts.append(scan_bytes)
     parts.append(bytes([0xFF, C.EOI]))
     return b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Marker-segment writers (the inverse of repro.jpeg.markers' parsers).
+# ---------------------------------------------------------------------------
+
+def _segment(marker: int, payload: bytes) -> bytes:
+    return bytes([0xFF, marker]) + struct.pack(">H", len(payload) + 2) + payload
+
+
+def build_app0_jfif() -> bytes:
+    """Standard JFIF APP0 segment (version 1.1, no thumbnail)."""
+    payload = b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + bytes([0, 0])
+    return _segment(C.APP0, payload)
+
+
+def build_dqt(tables: list[QuantTable]) -> bytes:
+    payload = b"".join(t.to_dqt_payload() for t in tables)
+    return _segment(C.DQT, payload)
+
+
+def build_sof0(width: int, height: int,
+               components: list[FrameComponent],
+               progressive: bool = False) -> bytes:
+    payload = struct.pack(">BHHB", 8, height, width, len(components))
+    for comp in components:
+        payload += bytes([
+            comp.component_id,
+            (comp.h_factor << 4) | comp.v_factor,
+            comp.quant_table_id,
+        ])
+    return _segment(C.SOF2 if progressive else C.SOF0, payload)
+
+
+def build_app14_adobe(transform: int) -> bytes:
+    """Adobe APP14 segment carrying the color-transform code."""
+    payload = b"Adobe" + struct.pack(">HHHB", 100, 0, 0, transform)
+    return _segment(C.APP14, payload)
+
+
+def build_dht(tables: list[tuple[int, int, HuffmanSpec]]) -> bytes:
+    """One DHT segment of ``(table_class, table_id, spec)`` triples."""
+    payload = b""
+    for table_class, table_id, spec in tables:
+        payload += bytes([(table_class << 4) | table_id])
+        payload += bytes(spec.bits)
+        payload += bytes(spec.values)
+    return _segment(C.DHT, payload)
+
+
+def build_dri(interval: int) -> bytes:
+    return _segment(C.DRI, struct.pack(">H", interval))
+
+
+def build_sos(components: list[ScanComponent], ss: int = 0, se: int = 63,
+              ah: int = 0, al: int = 0) -> bytes:
+    payload = bytes([len(components)])
+    for sc in components:
+        payload += bytes([sc.component_id, (sc.dc_table_id << 4) | sc.ac_table_id])
+    payload += bytes([ss, se, (ah << 4) | al])
+    return _segment(C.SOS, payload)
+
+
+def build_com(text: bytes) -> bytes:
+    return _segment(C.COM, text)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,12 +105,23 @@ _UNBOUNDED = 1 << 62
 
 _AC_OVERRUN = "AC coefficient index overran the block"
 
+#: The sequential Huffman cost model (Figure 7's slope and per-pixel
+#: base re-expressed per MCU) in closed form: Eq 4's ``THuff`` without
+#: a profiled platform.
+HUFFMAN_NS_PER_BYTE = 13.0
+HUFFMAN_NS_PER_MCU = 70.0
+
+
+def modeled_entropy_us(nbytes: int, mcus: int) -> float:
+    """Modelled sequential entropy-decode time (us) of *mcus* MCUs coded
+    in *nbytes* bytes."""
+    return (nbytes * HUFFMAN_NS_PER_BYTE + mcus * HUFFMAN_NS_PER_MCU) / 1e3
+
 
 # ---------------------------------------------------------------------------
 # Destuffing prescan.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ScanPrescan:
     """One-pass digest of a byte-stuffed entropy-coded segment.
 
@@ -123,18 +133,20 @@ class ScanPrescan:
     row-byte-offset bookkeeping that drives Eq. 16/17).
     """
 
-    payload: bytes
-    marker_payload_offsets: list[int] = field(default_factory=list)
-    marker_values: list[int] = field(default_factory=list)
-    marker_orig_offsets: list[int] = field(default_factory=list)
-    #: First non-RST event: a marker byte, TRUNCATED_FF, or None (clean
-    #: end of data).  Nothing past it is ever decodable.
-    terminator: int | None = None
-    piece_payload_starts: list[int] = field(default_factory=lambda: [0])
-    piece_orig_starts: list[int] = field(default_factory=lambda: [0])
-    #: ``(span, windows)`` of the span built last, see :meth:`windows_at`.
-    _windows: tuple[int, memoryview] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    def __init__(self, payload: bytes, terminator: int | None = None) -> None:
+        """A digest of *payload* with empty indexes (:func:`destuff_scan`
+        fills them as it goes)."""
+        self.payload = payload
+        self.marker_payload_offsets: list[int] = []
+        self.marker_values: list[int] = []
+        self.marker_orig_offsets: list[int] = []
+        #: First non-RST event: a marker byte, TRUNCATED_FF, or None
+        #: (clean end of data).  Nothing past it is ever decodable.
+        self.terminator = terminator
+        self.piece_payload_starts = [0]
+        self.piece_orig_starts = [0]
+        #: ``(span, windows)`` of the span built last, see :meth:`windows_at`.
+        self._windows: tuple[int, memoryview] | None = None
 
     def orig_offset(self, payload_pos: int) -> int:
         """Original-stream byte offset equivalent to *payload_pos*."""

@@ -15,7 +15,7 @@ and writer they drive: the fast decode path never loads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,32 +28,39 @@ LOOKUP_BITS = 8
 MAX_CODE_LENGTH = 16
 
 
-@dataclass(frozen=True)
-class HuffmanSpec:
-    """Transmitted form of a Huffman table: (BITS, HUFFVAL)."""
-
+class _Table(NamedTuple):
     bits: tuple[int, ...]       # 16 counts, bits[i] = #codes of length i+1
     values: tuple[int, ...]     # symbols in canonical order
 
-    def __post_init__(self) -> None:
-        if len(self.bits) != MAX_CODE_LENGTH:
+
+class HuffmanSpec(_Table):
+    """Transmitted form of a Huffman table: (BITS, HUFFVAL), checked
+    on construction; equal and hashed by value (it keys the fused
+    decode-table cache)."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: tuple[int, ...],
+                values: tuple[int, ...]) -> "HuffmanSpec":
+        if len(bits) != MAX_CODE_LENGTH:
             raise HuffmanError("BITS must have exactly 16 entries")
-        if sum(self.bits) != len(self.values):
+        if sum(bits) != len(values):
             raise HuffmanError(
-                f"BITS sums to {sum(self.bits)} but {len(self.values)} "
+                f"BITS sums to {sum(bits)} but {len(values)} "
                 "values supplied"
             )
-        if sum(self.bits) == 0:
+        if sum(bits) == 0:
             raise HuffmanError("empty Huffman table")
-        if len(set(self.values)) != len(self.values):
+        if len(set(values)) != len(values):
             raise HuffmanError("duplicate symbols in Huffman table")
         # Kraft inequality check: the canonical assignment must not overflow.
         code = 0
         for length in range(1, MAX_CODE_LENGTH + 1):
-            code += self.bits[length - 1]
+            code += bits[length - 1]
             if code > (1 << length):
                 raise HuffmanError("BITS describes an over-full code")
             code <<= 1
+        return super().__new__(cls, bits, values)
 
 
 def spec_from_frequencies(freqs: dict[int, int]) -> HuffmanSpec:

@@ -47,10 +47,7 @@ import math
 import numpy as np
 
 from .constants import BLOCK_SIZE, LEVEL_SHIFT, MAX_SAMPLE
-from .dct import dct_matrix
 from .scratch import aligned_float64
-
-_C = dct_matrix()
 
 
 def idct_1d_reference(coeffs: np.ndarray) -> np.ndarray:
@@ -77,9 +74,13 @@ def idct_2d_reference(block: np.ndarray) -> np.ndarray:
 
 
 def idct_2d_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Vectorized separable IDCT over (n, 8, 8) batches: C.T @ X @ C."""
+    """Vectorized separable IDCT over (n, 8, 8) batches: C.T @ X @ C
+    (a test oracle: the forward transform's module loads here only)."""
+    from .dct import dct_matrix
+
+    c = dct_matrix()
     blocks = np.asarray(blocks, dtype=np.float64)
-    return np.einsum("xu,nuv,yv->nxy", _C.T, blocks, _C.T, optimize=True)
+    return np.einsum("xu,nuv,yv->nxy", c.T, blocks, c.T, optimize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""JFIF/JPEG marker-segment parsing and serialization (paper Section 2).
+"""JFIF/JPEG marker-segment parsing (paper Section 2).
 
 A JPEG file is a sequence of marker segments (SOI, APP0, DQT, SOF0, DHT,
 optional DRI, SOS) followed by the entropy-coded scan and EOI.  This
 module parses that structure into :class:`JpegImageInfo` — including the
 raw entropy-coded bytes, whose length drives the paper's entropy-density
-model (Eq. 3) — and provides the inverse serializers for the encoder.
+model (Eq. 3); the encoder writes the segments back
+(:mod:`repro.jpeg.encoder`).
 :func:`walk_header` reads only the frame-level facts, up to the first
 SOS header, into a :class:`FrameInfo`: what placing a decode needs (the
 paper's model inputs are the frame's width and height and the file
 size), without decoding a table or touching the scan.
+
+The header records are named tuples: immutable, compared by value, and
+cheap to define on a cold start.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from __future__ import annotations
 import re
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from ..errors import JpegFormatError, JpegUnsupportedError
 from . import constants as C
@@ -27,8 +29,7 @@ from .huffman import HuffmanSpec
 from .quantization import QuantTable, parse_dqt_payload
 
 
-@dataclass(frozen=True)
-class FrameComponent:
+class FrameComponent(NamedTuple):
     """One component entry of a SOF0 header."""
 
     component_id: int
@@ -37,8 +38,7 @@ class FrameComponent:
     quant_table_id: int
 
 
-@dataclass(frozen=True)
-class FrameHeader:
+class FrameHeader(NamedTuple):
     """Parsed SOF0 (baseline) or SOF2 (progressive) DCT header."""
 
     precision: int
@@ -77,8 +77,7 @@ class FrameHeader:
         return modes[key]
 
 
-@dataclass(frozen=True)
-class ScanComponent:
+class ScanComponent(NamedTuple):
     """One component entry of a SOS header."""
 
     component_id: int
@@ -86,8 +85,7 @@ class ScanComponent:
     ac_table_id: int
 
 
-@dataclass(frozen=True)
-class ScanHeader:
+class ScanHeader(NamedTuple):
     """Parsed SOS header.
 
     Baseline scans carry the fixed (Ss, Se, Ah, Al) = (0, 63, 0, 0);
@@ -112,17 +110,7 @@ class ScanHeader:
         return self.ah != 0
 
 
-@dataclass(frozen=True)
-class HuffmanTableDef:
-    """One table from a DHT segment."""
-
-    table_class: int  # 0 = DC, 1 = AC
-    table_id: int
-    spec: HuffmanSpec
-
-
-@dataclass(frozen=True)
-class ScanInfo:
+class ScanInfo(NamedTuple):
     """One entropy-coded scan with the table state active at its SOS.
 
     Progressive streams may redefine Huffman tables between scans, so
@@ -145,8 +133,7 @@ class _FrameFacts:
     """What a frame header and the file's size say about an image —
     shared by :class:`FrameInfo` and :class:`JpegImageInfo`."""
 
-    frame: FrameHeader
-    file_size: int
+    __slots__ = ()
 
     @property
     def width(self) -> int:
@@ -175,11 +162,7 @@ class _FrameFacts:
         return self.file_size / float(self.width * self.height)
 
 
-@dataclass(frozen=True)
-class FrameInfo(_FrameFacts):
-    """A stream's frame-level facts as :func:`walk_header` reads them,
-    up to the first SOS header."""
-
+class _FrameInfo(NamedTuple):
     frame: FrameHeader
     #: The DRI in force at the first scan (0 = no restart markers).
     restart_interval: int
@@ -188,15 +171,14 @@ class FrameInfo(_FrameFacts):
     adobe_transform: int | None = None
 
 
-@dataclass
-class JpegImageInfo(_FrameFacts):
-    """Everything parsed from a baseline JPEG file.
+class FrameInfo(_FrameInfo, _FrameFacts):
+    """A stream's frame-level facts as :func:`walk_header` reads them,
+    up to the first SOS header."""
 
-    ``entropy_data`` holds the raw (still byte-stuffed) scan bytes; its
-    length is the paper's "entropy data size" and, divided by w*h, the
-    entropy density *d* of Eq. (3).
-    """
+    __slots__ = ()
 
+
+class _JpegImageInfo(NamedTuple):
     frame: FrameHeader
     scan: ScanHeader
     quant_tables: dict[int, QuantTable]
@@ -205,16 +187,27 @@ class JpegImageInfo(_FrameFacts):
     restart_interval: int
     entropy_data: bytes
     file_size: int
-    comments: list[bytes] = field(default_factory=list)
+    comments: list[bytes]
     #: Every entropy-coded scan in stream order (baseline: exactly one).
-    scans: list[ScanInfo] = field(default_factory=list)
+    scans: list[ScanInfo]
     #: Adobe APP14 color-transform code (0 = plain/CMYK, 1 = YCbCr,
     #: 2 = YCCK); None when no Adobe marker is present.
-    adobe_transform: int | None = None
+    adobe_transform: int | None
     #: Container faults survived by a tolerant parse (empty for strict
     #: parses, which raise instead): the salvage decode path folds
     #: these into :attr:`~repro.jpeg.decoder.DecodedImage.errors`.
-    parse_errors: list[str] = field(default_factory=list)
+    parse_errors: list[str]
+
+
+class JpegImageInfo(_JpegImageInfo, _FrameFacts):
+    """Everything parsed from a baseline JPEG file.
+
+    ``entropy_data`` holds the raw (still byte-stuffed) scan bytes; its
+    length is the paper's "entropy data size" and, divided by w*h, the
+    entropy density *d* of Eq. (3).
+    """
+
+    __slots__ = ()
 
 
 def _read_u16(data: bytes, pos: int) -> int:
@@ -248,9 +241,11 @@ def parse_sof0_payload(payload: bytes,
                        components=tuple(comps), progressive=progressive)
 
 
-def parse_dht_payload(payload: bytes) -> list[HuffmanTableDef]:
-    """Parse a DHT segment payload (may define several tables)."""
-    tables: list[HuffmanTableDef] = []
+def parse_dht_payload(payload: bytes
+                      ) -> list[tuple[int, int, HuffmanSpec]]:
+    """Parse a DHT segment payload (may define several tables) into
+    ``(table_class, table_id, spec)`` triples; class 0 is DC, 1 AC."""
+    tables: list[tuple[int, int, HuffmanSpec]] = []
     pos = 0
     while pos < len(payload):
         if pos + 17 > len(payload):
@@ -266,10 +261,7 @@ def parse_dht_payload(payload: bytes) -> list[HuffmanTableDef]:
             raise JpegFormatError("truncated DHT values")
         values = tuple(payload[pos: pos + nvals])
         pos += nvals
-        tables.append(
-            HuffmanTableDef(table_class=table_class, table_id=table_id,
-                            spec=HuffmanSpec(bits=bits, values=values))
-        )
+        tables.append((table_class, table_id, HuffmanSpec(bits, values)))
     return tables
 
 
@@ -481,8 +473,9 @@ def parse_jpeg(data: bytes, tolerant: bool = False) -> JpegImageInfo:
                 for t in parse_dqt_payload(data[start:end]):
                     quant[t.table_id] = t
             elif marker == C.DHT:
-                for t in parse_dht_payload(data[start:end]):
-                    (dc if t.table_class == 0 else ac)[t.table_id] = t.spec
+                for table_class, table_id, spec in parse_dht_payload(
+                        data[start:end]):
+                    (dc if table_class == 0 else ac)[table_id] = spec
             elif marker == C.COM:
                 comments.append(data[start:end])
             elif marker == C.SOS:
@@ -547,66 +540,3 @@ def _usable_scans(scans: list[ScanInfo], tolerant: bool,
         usable.append(si)
     return usable
 
-
-# ---------------------------------------------------------------------------
-# Serializers (encoder side).
-# ---------------------------------------------------------------------------
-
-def _segment(marker: int, payload: bytes) -> bytes:
-    return bytes([0xFF, marker]) + struct.pack(">H", len(payload) + 2) + payload
-
-
-def build_app0_jfif() -> bytes:
-    """Standard JFIF APP0 segment (version 1.1, no thumbnail)."""
-    payload = b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + bytes([0, 0])
-    return _segment(C.APP0, payload)
-
-
-def build_dqt(tables: list[QuantTable]) -> bytes:
-    payload = b"".join(t.to_dqt_payload() for t in tables)
-    return _segment(C.DQT, payload)
-
-
-def build_sof0(width: int, height: int,
-               components: list[FrameComponent],
-               progressive: bool = False) -> bytes:
-    payload = struct.pack(">BHHB", 8, height, width, len(components))
-    for comp in components:
-        payload += bytes([
-            comp.component_id,
-            (comp.h_factor << 4) | comp.v_factor,
-            comp.quant_table_id,
-        ])
-    return _segment(C.SOF2 if progressive else C.SOF0, payload)
-
-
-def build_app14_adobe(transform: int) -> bytes:
-    """Adobe APP14 segment carrying the color-transform code."""
-    payload = b"Adobe" + struct.pack(">HHHB", 100, 0, 0, transform)
-    return _segment(C.APP14, payload)
-
-
-def build_dht(tables: list[HuffmanTableDef]) -> bytes:
-    payload = b""
-    for t in tables:
-        payload += bytes([(t.table_class << 4) | t.table_id])
-        payload += bytes(t.spec.bits)
-        payload += bytes(t.spec.values)
-    return _segment(C.DHT, payload)
-
-
-def build_dri(interval: int) -> bytes:
-    return _segment(C.DRI, struct.pack(">H", interval))
-
-
-def build_sos(components: list[ScanComponent], ss: int = 0, se: int = 63,
-              ah: int = 0, al: int = 0) -> bytes:
-    payload = bytes([len(components)])
-    for sc in components:
-        payload += bytes([sc.component_id, (sc.dc_table_id << 4) | sc.ac_table_id])
-    payload += bytes([ss, se, (ah << 4) | al])
-    return _segment(C.SOS, payload)
-
-
-def build_com(text: bytes) -> bytes:
-    return _segment(C.COM, text)

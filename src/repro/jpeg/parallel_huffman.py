@@ -30,7 +30,7 @@ speculative self-synchronizing decode instead
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .coefficients import ComponentTables
 from .fast_entropy import FastEntropyDecoder, destuff_scan
 
 
-@dataclass(frozen=True)
-class RestartSegment:
+class RestartSegment(NamedTuple):
     """One independently decodable span of the entropy-coded data: a
     restart segment, or a *run* of consecutive ones
     (:func:`merge_segment_runs`) — ``index`` is then the run's first
@@ -174,16 +173,3 @@ def segment_plane_nbytes(seg: RestartSegment,
     block_nbytes = 8 * 8 * np.dtype(np.int16).itemsize
     return [c.blocks_total * block_nbytes
             for c in geometry.mcu_strip(seg.mcu_count).components]
-
-
-#: The sequential Huffman cost model (Figure 7's slope and per-pixel
-#: base re-expressed per MCU) in closed form: Eq 4's ``THuff`` without
-#: a profiled platform.
-HUFFMAN_NS_PER_BYTE = 13.0
-HUFFMAN_NS_PER_MCU = 70.0
-
-
-def modeled_entropy_us(nbytes: int, mcus: int) -> float:
-    """Modelled sequential entropy-decode time (us) of *mcus* MCUs coded
-    in *nbytes* bytes."""
-    return (nbytes * HUFFMAN_NS_PER_BYTE + mcus * HUFFMAN_NS_PER_MCU) / 1e3

@@ -45,8 +45,9 @@ from .fast_entropy import (SPAN_BYTES, TRUNCATED_FF, ZRL_ADVANCE,
                            _careful_read_bits, _careful_symbol, _exhausted,
                            _probe_end, _segment_bounds, destuff_scan,
                            fused_tables)
-from .huffman import encode_magnitude, extend, spec_from_frequencies
-from .markers import (HuffmanTableDef, JpegImageInfo, ScanComponent, ScanInfo)
+from .huffman import (HuffmanSpec, encode_magnitude, extend,
+                      spec_from_frequencies)
+from .markers import JpegImageInfo, ScanComponent, ScanInfo
 
 _ZIGZAG = tuple(int(i) for i in ZIGZAG_ORDER)
 
@@ -780,18 +781,19 @@ def _encode_ac_refine_block(block: np.ndarray, ss: int, se: int, al: int,
 
 @dataclass(frozen=True)
 class EncodedScan:
-    """One emitted scan: SOS parameters, its DHT tables, entropy bytes."""
+    """One emitted scan: SOS parameters, its DHT tables as
+    ``(table_class, table_id, spec)`` triples, entropy bytes."""
 
     components: tuple[ScanComponent, ...]
     ss: int
     se: int
     ah: int
     al: int
-    tables: tuple[HuffmanTableDef, ...]
+    tables: tuple[tuple[int, int, HuffmanSpec], ...]
     data: bytes
 
 
-def _run_scan(encode, keys) -> tuple[tuple[HuffmanTableDef, ...], bytes]:
+def _run_scan(encode, keys) -> tuple[tuple, bytes]:
     """Two-pass scan emission: count symbols, optimize tables, emit.
 
     *encode* is called once with each sink; *keys* lists the
@@ -801,16 +803,14 @@ def _run_scan(encode, keys) -> tuple[tuple[HuffmanTableDef, ...], bytes]:
     counter = _ScanCounter()
     encode(counter)
     encoders: dict[tuple[str, int], HuffmanEncoder] = {}
-    tables: list[HuffmanTableDef] = []
+    tables: list[tuple[int, int, HuffmanSpec]] = []
     for key in keys:
         freqs = counter.freqs.get(key)
         if not freqs:
             continue
         spec = spec_from_frequencies(freqs)
         encoders[key] = HuffmanEncoder(spec)
-        tables.append(HuffmanTableDef(
-            table_class=0 if key[0] == "dc" else 1,
-            table_id=key[1], spec=spec))
+        tables.append((0 if key[0] == "dc" else 1, key[1], spec))
     emitter = _ScanEmitter(encoders)
     encode(emitter)
     emitter.writer.flush()

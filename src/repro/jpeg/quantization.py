@@ -7,7 +7,7 @@ quantize/dequantize over batches of blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,20 +45,25 @@ def chrominance_table(quality: int) -> np.ndarray:
     return scale_quant_table(STD_CHROMINANCE_QUANT, quality)
 
 
-@dataclass(frozen=True)
-class QuantTable:
-    """A quantization table with its DQT slot id (0..3)."""
-
+class _Steps(NamedTuple):
     table_id: int
     values: np.ndarray  # (8, 8) uint16, natural order
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.table_id <= 3:
-            raise JpegFormatError(f"bad quant table id {self.table_id}")
-        if self.values.shape != (8, 8):
+
+class QuantTable(_Steps):
+    """A quantization table with its DQT slot id (0..3), checked on
+    construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, table_id: int, values: np.ndarray) -> "QuantTable":
+        if not 0 <= table_id <= 3:
+            raise JpegFormatError(f"bad quant table id {table_id}")
+        if values.shape != (8, 8):
             raise JpegFormatError("quant table must be 8x8")
-        if np.any(self.values < 1):
+        if np.any(values < 1):
             raise JpegFormatError("quant steps must be >= 1")
+        return super().__new__(cls, table_id, values)
 
     def to_dqt_payload(self) -> bytes:
         """Serialize as one table of a DQT segment payload (8-bit precision)."""

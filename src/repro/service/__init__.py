@@ -59,7 +59,7 @@ points):
   (and across the TCP wire into remote hosts),
   :class:`~repro.service.obs.ObsHub` (sampler + span counters + JSON-lines
   log) and
-  :func:`~repro.service.obs.render_prometheus` behind ``GET /metrics``
+  :func:`~repro.service.http.render_prometheus` behind ``GET /metrics``
 
 CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
 (files through a session, each result reported as it resolves;
@@ -83,7 +83,6 @@ from .obs import (
     format_trace,
     map_remote_spans,
     read_trace_log,
-    render_prometheus,
     spans_to_timeline,
 )
 from .queue import SubmissionQueue
@@ -120,6 +119,7 @@ from .workers import BACKENDS, WorkerPool
 # that serves neither never compiles them.
 __getattr__ = lazy_exports(__name__, {
     "DecodeHTTPServer": "http", "ppm_bytes": "http",
+    "render_prometheus": "http",
     "DecodeWorkerHost": "remote", "HostPool": "remote",
     "RemoteLane": "remote", "parse_hosts": "remote",
     "remote_executors": "remote", "sharded_session": "remote",

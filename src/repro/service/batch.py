@@ -43,13 +43,12 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from ..errors import ReproError, ServiceError
 from ..jpeg.markers import FrameInfo, JpegImageInfo, parse_jpeg
-from ..jpeg.parallel_huffman import modeled_entropy_us
+from ..jpeg.fast_entropy import modeled_entropy_us
 from .faults import FaultPlan
 from .obs import SpanRecord, TraceContext, child_span, make_span
 from .scheduler import (
@@ -63,8 +62,6 @@ from .tasks import (
     DecodePlan,
     ImageRequest,
     ImageResult,
-    SegmentPlan,
-    SpeculativePlan,
     Subtask,
     TaskReply,
     WholeImagePlan,
@@ -89,21 +86,41 @@ SEGMENT_RUNS_PER_WORKER = 2
 #: waits out, doubled per attempt (0.01, 0.02, 0.04 s, ...).
 RETRY_BACKOFF_S = 0.01
 
-@dataclass
 class BatchResult:
-    """All results of one batch (request order) and what it ran under."""
+    """One group :meth:`BatchDecoder.admit` planned and dispatched
+    together (one schedule, one feedback observation); once its last
+    plan lands (:attr:`open` is 0), the batch's results in request
+    order and what they ran under."""
 
-    results: list[ImageResult]
     #: The cross-image schedule this batch ran under (None when the
     #: decoder has no scheduler attached).
     schedule: BatchSchedule | None = None
-    #: Result transport the batch used (``"shm"`` or ``"pickle"``).
-    transport: str = "pickle"
-    #: Per-lane count of failed dispatches to another machine
-    #: (connection refused/lost/timeout), counted even when a failover
-    #: redispatch saved every image — the scheduler charges them to the
-    #: lane breakers, so a dying host trips while siblings absorb it.
-    lane_failures: dict = field(default_factory=dict)
+    #: ``perf_counter`` when dispatch began (the group-relative latency
+    #: origin).
+    t0 = 0.0
+    #: Plans dispatched and not yet finished.
+    open = 0
+    #: The infrastructure failure that aborted the group, if one did.
+    error: BaseException | None = None
+    #: The admitting driver's per-image records (a session's handles).
+    tag: Any = None
+
+    def __init__(self, size: int, transport: str) -> None:
+        """An open group of *size* requests, admitted now."""
+        self.results: list[ImageResult | None] = [None] * size
+        #: Result transport the batch used (``"shm"`` or ``"pickle"``).
+        self.transport = transport
+        #: ``perf_counter`` at admission.
+        self.admitted_at = perf_counter()
+        #: Per-lane count of failed dispatches to another machine
+        #: (connection refused/lost/timeout), counted even when a
+        #: failover redispatch saved every image — the scheduler
+        #: charges them to the lane breakers, so a dying host trips
+        #: while siblings absorb it.
+        self.lane_failures: dict[str, int] = {}
+        #: Parent-side spans per index for traced requests (schedule
+        #: placement, dispatch attempts, breaker exclusions).
+        self.trace_parent: dict[int, list[SpanRecord]] = {}
 
     def __iter__(self):
         """Iterate results in request order."""
@@ -119,8 +136,7 @@ class BatchResult:
         return all(r.ok for r in self.results)
 
 
-@dataclass
-class _InFlight:
+class _InFlight(NamedTuple):
     """One dispatched subtask: what the gather loop needs to hand its
     reply to the plan, or to requeue it after its worker dies (a fresh
     slot is leased on redispatch — the old one is quarantined, the dead
@@ -141,32 +157,6 @@ class _InFlight:
     ctx: TraceContext | None
     #: ``perf_counter`` at dispatch: the attempt span's start.
     dispatched_at: float
-
-
-@dataclass
-class _Group:
-    """What one :meth:`BatchDecoder.admit` planned and dispatched
-    together (one schedule, one feedback observation), possibly while
-    earlier groups are in flight."""
-
-    results: list
-    #: ``perf_counter`` at admission, and when dispatch began (the
-    #: group-relative latency origin).
-    admitted_at: float = 0.0
-    t0: float = 0.0
-    schedule: BatchSchedule | None = None
-    #: Plans dispatched and not yet finished.
-    open: int = 0
-    #: The group's result, set when its last plan finishes.
-    batch: BatchResult | None = None
-    #: The infrastructure failure that aborted the group, if one did.
-    error: BaseException | None = None
-    #: The admitting driver's per-image records (a session's entries).
-    tag: Any = None
-    #: Parent-side spans per index for traced requests (schedule
-    #: placement, dispatch attempts, breaker exclusions).
-    trace_parent: dict[int, list[SpanRecord]] = field(default_factory=dict)
-    lane_failures: dict[str, int] = field(default_factory=dict)
 
 
 class BatchDecoder:
@@ -305,7 +295,7 @@ class BatchDecoder:
             req = item if isinstance(item, ImageRequest) \
                 else ImageRequest(data=bytes(item))
             if req.request_id is None:
-                req = replace(req, request_id=i)
+                req = req._replace(request_id=i)
             requests.append(req)
         return requests
 
@@ -356,7 +346,7 @@ class BatchDecoder:
     def _schedule(self, requests: list[ImageRequest],
                   headers: "list[FrameInfo | None]",
                   parsed: "list[JpegImageInfo | None]",
-                  group: _Group) -> dict[int, str]:
+                  group: BatchResult) -> dict[int, str]:
         """Price and place the group's whole images from their headers
         (an image with a fan-out parse is kept from the scheduler: no
         header, no placement): returns each placed image's lane name."""
@@ -374,7 +364,7 @@ class BatchDecoder:
             spans.append(child_span(
                 req.trace, "schedule", "scheduler", "dispatch",
                 t_plan0, t_plan1, lane=lane_of.get(i, "")))
-            for lane in getattr(schedule, "excluded", ()):
+            for lane in schedule.excluded:
                 spans.append(child_span(
                     req.trace, "lane_excluded", lane, "dispatch",
                     t_plan1, t_plan1, lane=lane, reason="breaker_open"))
@@ -389,15 +379,15 @@ class BatchDecoder:
         the default pool, the pool they run on.  Raises the structure
         error of an image that cannot be planned — the caller fails
         that image alone."""
-        if info is not None and info.restart_interval > 0:
+        if info is None:
+            return WholeImagePlan(index, req, lane, header)
+        from .fanout import SegmentPlan, SpeculativePlan
+        if info.restart_interval > 0:
             return SegmentPlan(index, req, lane, info,
                                SEGMENT_RUNS_PER_WORKER * self.pool.workers)
-        if info is not None:
-            plan = SpeculativePlan.build(index, req, lane, info,
-                                         self.pool.workers)
-            if plan is not None:
-                return plan
-        return WholeImagePlan(index, req, lane, header)
+        plan = SpeculativePlan.build(index, req, lane, info,
+                                     self.pool.workers)
+        return plan or WholeImagePlan(index, req, lane, header)
 
     # -- transport slots ------------------------------------------------
 
@@ -432,7 +422,7 @@ class BatchDecoder:
 
     def admit(self, items: Sequence[bytes | ImageRequest],
               headers: "Sequence[FrameInfo | None] | None" = None
-              ) -> _Group:
+              ) -> BatchResult:
         """Schedule, plan and dispatch *items* as one group, on top of
         whatever is already in flight, and return without waiting.
         *headers* are the items' :func:`read_header` values where the
@@ -440,8 +430,7 @@ class BatchDecoder:
         An infrastructure failure (closed pool) aborts the group and
         rides back as ``group.error``."""
         requests = self._normalize(items)
-        group = _Group(results=[None] * len(requests),
-                       admitted_at=perf_counter())
+        group = BatchResult(len(requests), self.transport)
         try:
             # The parent's one look at each request's bytes, then the
             # one fan-out decision, then placement of what stayed whole.
@@ -508,7 +497,7 @@ class BatchDecoder:
         self._landed.append(fut)
         self.wake.set()
 
-    def _abort(self, group: _Group, exc: BaseException) -> None:
+    def _abort(self, group: BatchResult, exc: BaseException) -> None:
         """Infrastructure failed under *group*: forget its in-flight
         subtasks and record *exc*."""
         for fut, task in list(self._pending.items()):
@@ -536,7 +525,6 @@ class BatchDecoder:
         # The dead worker may still hold a view into its slot —
         # quarantine, never recycle.
         self._quarantine_slot(task.slot)
-        task.slot = None
         task.pool.heal()
         pool, group = task.pool, task.plan.group
         if pool is not self.pool:
@@ -554,7 +542,7 @@ class BatchDecoder:
         # Due later: the driver keeps landing replies and admitting
         # requests while the back-off runs.
         key = Future()
-        self._pending[key] = task
+        self._pending[key] = task._replace(slot=None)
         self._deferred.append((perf_counter() + RETRY_BACKOFF_S
                                * (2 ** (task.attempts - 1)), key))
         return True
@@ -693,9 +681,6 @@ class BatchDecoder:
         self.in_flight -= 1
         if not group.open:
             stats.batches += 1
-            group.batch = BatchResult(
-                results=group.results, schedule=group.schedule,
-                transport=self.transport, lane_failures=group.lane_failures)
 
     def gather(self) -> Iterator[DecodePlan]:
         """Re-dispatch the retries that fell due, then land every future
@@ -728,7 +713,7 @@ class BatchDecoder:
                 pass
         if group.error is not None:
             raise group.error
-        return group.batch
+        return group
 
     # -- lifecycle ------------------------------------------------------
 

@@ -47,8 +47,8 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from ..errors import ServiceError, WorkerCrashError
 
@@ -56,8 +56,7 @@ from ..errors import ServiceError, WorkerCrashError
 FAULT_KINDS = ("kill", "exception", "delay", "shm_fail")
 
 
-@dataclass(frozen=True)
-class FaultDirective:
+class FaultDirective(NamedTuple):
     """One injected fault, resolved parent-side, applied worker-side.
 
     Picklable and tiny: only the directive crosses the process

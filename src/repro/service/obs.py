@@ -15,9 +15,8 @@ Three pieces, all stdlib-only:
    outlives the task that recorded it.
 
 2. **Metrics** — :class:`Histogram` (explicit buckets, kept by
-   :class:`~repro.service.stats.ServiceStats`) and
-   :func:`render_prometheus`, which turns a ``stats_snapshot()`` dict
-   alone into Prometheus text exposition format for the HTTP server's
+   :class:`~repro.service.stats.ServiceStats`), which the HTTP
+   server's :func:`~repro.service.http.render_prometheus` exposes at
    ``GET /metrics``.
 
 3. **Timeline reconstruction** — :func:`spans_to_timeline` replays
@@ -36,14 +35,13 @@ check (the perf ledger reports it as ``decoder.trace_overhead``).
 from __future__ import annotations
 
 import json
+import os
 import threading
-import uuid
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import ServiceError
 
@@ -71,11 +69,10 @@ def parse_trace_mode(mode: str) -> str:
 
 def _new_id(nbytes: int = 8) -> str:
     """A random lowercase-hex identifier (*nbytes* bytes of entropy)."""
-    return uuid.uuid4().hex[: nbytes * 2]
+    return os.urandom(nbytes).hex()
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Identity of one span within one trace, propagated on requests.
 
     Frozen, picklable and JSON-friendly: it crosses process-pool
@@ -111,8 +108,7 @@ class TraceContext:
                               else str(payload["parent_id"])))
 
 
-@dataclass
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One completed operation inside a trace.
 
     Timestamps are ``time.perf_counter()`` seconds — system-wide
@@ -130,7 +126,7 @@ class SpanRecord:
     kind: str          # a Timeline glyph kind: huffman/dispatch/...
     start: float       # perf_counter seconds (client clock domain)
     end: float
-    attrs: dict = field(default_factory=dict)
+    attrs: dict
 
     @property
     def duration_s(self) -> float:
@@ -177,7 +173,6 @@ def child_span(ctx: TraceContext, name: str, resource: str, kind: str,
                       kind=kind, start=start, end=end, attrs=attrs)
 
 
-@dataclass
 class Histogram:
     """Prometheus-style histogram over :data:`LATENCY_BUCKETS_S`
     (``+Inf`` implied).
@@ -187,12 +182,11 @@ class Histogram:
     returns *cumulative* bucket counts, ready for text exposition.
     """
 
-    #: One count per bucket plus ``+Inf``.
-    _counts: list[int] = field(
-        init=False,
-        default_factory=lambda: [0] * (len(LATENCY_BUCKETS_S) + 1))
-    _sum: float = field(init=False, default=0.0)
-    _count: int = field(init=False, default=0)
+    def __init__(self) -> None:
+        """An empty histogram; one count per bucket plus ``+Inf``."""
+        self._counts = [0] * (len(LATENCY_BUCKETS_S) + 1)
+        self._sum = 0.0
+        self._count = 0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -401,156 +395,6 @@ def format_trace(trace_id: str, spans: list[SpanRecord],
 
     walk(None, 0)
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition (dependency-free).
-# ---------------------------------------------------------------------------
-
-def _escape_label(value: object) -> str:
-    """Escape a label value per the exposition format."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _at(node: object, *path: str, default: object = 0) -> object:
-    """``node[path[0]][path[1]]...``, or *default* where a key is absent
-    (an unscheduled session has no ``scheduler`` section)."""
-    for key in path:
-        node = (node or {}).get(key)
-    return default if node is None else node
-
-
-def _one(*path: str):
-    """A family that is the single unlabelled number at *path* (no
-    sample when the snapshot has no such key)."""
-    def samples(snapshot: dict):
-        value = _at(snapshot, *path, default=None)
-        return [] if value is None else [(None, value)]
-    return samples
-
-
-def _each(label: str, *path: str, field: str | None = None):
-    """A family with one sample per entry of the dict at *path*, in key
-    order, labelled ``label=key``: the entry, or the entry's *field*."""
-    def samples(snapshot: dict):
-        for key, entry in sorted(_at(snapshot, *path, default={}).items()):
-            yield {label: key}, entry if field is None else entry[field]
-    return samples
-
-
-def _per_host(*fields: tuple[str, dict]):
-    """A family over the remote host links, labelled by endpoint; each
-    of *fields* is ``(link counter, extra labels)``."""
-    def samples(snapshot: dict):
-        for _, link in sorted(_at(snapshot, "per_host", default={}).items()):
-            for counter, extra in fields:
-                yield {"host": link["endpoint"], **extra}, link[counter]
-    return samples
-
-
-def _breaker_states(snapshot: dict):
-    """1 for the state each lane's breaker is in, 0 for the other two."""
-    breakers = _at(snapshot, "scheduler", "breakers", default={})
-    for lane, breaker in sorted(breakers.items()):
-        for state in ("closed", "open", "half_open"):
-            yield ({"lane": lane, "state": state},
-                   1 if breaker["state"] == state else 0)
-
-
-def _latency_histogram(snapshot: dict):
-    """Cumulative buckets, then ``_sum`` and ``_count`` (no sample when
-    the snapshot carries no histogram)."""
-    hist = snapshot.get("latency_histogram")
-    if hist is None:
-        return
-    for le, count in hist["buckets"]:
-        yield {"le": le}, count, "_bucket"
-    yield None, hist["sum"], "_sum"
-    yield None, hist["count"], "_count"
-
-
-#: Stamped at import so repeated scrapes expose a stable start marker.
-_PROCESS_EPOCH = time()
-
-#: ``/metrics`` as data: ``(name, type, help, samples)`` per family, in
-#: exposition order.  ``samples(source)`` yields ``(labels | None,
-#: value)`` — plus a name suffix for histogram series.  One header, then
-#: all of a family's samples: the format forbids reopening a family.
-_SNAPSHOT_FAMILIES = (
-    ("repro_images_total", "counter", "Images decoded (lifetime).",
-     lambda s: [({"outcome": o}, _at(s, f"images_{o}"))
-                for o in ("ok", "failed", "split")]),
-    ("repro_batches_total", "counter", "Batches decoded (lifetime).",
-     _one("batches")),
-    ("repro_queue_depth", "gauge", "Requests waiting in the queue.",
-     _one("pending")),
-    ("repro_queue_capacity", "gauge", "Bounded queue capacity.",
-     _one("queue_capacity")),
-    ("repro_retries_total", "counter", "Per-image dispatch retries.",
-     _one("faults", "retries")),
-    ("repro_infra_failures_total", "counter",
-     "Worker crashes / infrastructure failures.",
-     _one("faults", "infra_failures")),
-    ("repro_deadline_expired_total", "counter", "Requests shed by deadline.",
-     _one("faults", "deadline_expired")),
-    ("repro_pool_rebuilds_total", "counter",
-     "Broken worker pools rebuilt in place.",
-     _one("faults", "pool_rebuilds")),
-    ("repro_shed_total", "counter", "Admissions refused, by priority class.",
-     _each("priority", "faults", "shed_by_priority")),
-    ("repro_transport_bytes_total", "counter",
-     "Result plane bytes by transport mode.",
-     lambda s: [({"mode": m}, _at(s, "transport", f"{m}_bytes"))
-                for m in ("shm", "pickle")]),
-    ("repro_lane_images_total", "counter", "Images decoded per executor lane.",
-     _each("lane", "per_executor", field="images")),
-    ("repro_lane_busy_seconds_total", "counter",
-     "Busy wall-clock per executor lane.",
-     _each("lane", "per_executor", field="busy_s")),
-    ("repro_lane_ewma_scale", "gauge",
-     "EWMA feedback scale per scheduler lane.",
-     _each("lane", "scheduler", "feedback", "scales")),
-    ("repro_lane_breaker_state", "gauge",
-     "Circuit breaker state per lane (1 = in this state).", _breaker_states),
-    ("repro_host_requests_total", "counter",
-     "Requests dispatched per remote host.", _per_host(("requests", {}))),
-    ("repro_host_failures_total", "counter",
-     "Failed dispatches per remote host.", _per_host(("failures", {}))),
-    ("repro_host_bytes_total", "counter",
-     "Wire bytes per remote host, by direction.",
-     _per_host(("bytes_tx", {"direction": "tx"}),
-               ("bytes_rx", {"direction": "rx"}))),
-    ("repro_process_start_unixtime", "gauge",
-     "Unix time this process's exporter first rendered.",
-     lambda _: [(None, _PROCESS_EPOCH)]),
-    ("repro_decode_latency_seconds", "histogram",
-     "End-to-end decode latency (submit to result).", _latency_histogram),
-    ("repro_traces_started_total", "counter",
-     "Trace contexts created by the sampler gate.",
-     _one("tracing", "traces_started")),
-    ("repro_spans_recorded_total", "counter",
-     "Spans recorded by traced requests.", _one("tracing", "spans_recorded")),
-    ("repro_obs_uptime_seconds", "gauge",
-     "Seconds since the observability hub started.", _one("uptime_s")),
-)
-
-
-def render_prometheus(snapshot: dict) -> str:
-    """Render a session ``stats_snapshot()`` as Prometheus text:
-    counters (``_total``), gauges and the decode-latency histogram with
-    explicit buckets; per-lane and per-host series carry ``lane`` /
-    ``host`` labels.  The snapshot is the only input."""
-    lines: list[str] = []
-    for name, kind, help_text, samples in _SNAPSHOT_FAMILIES:
-        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
-        for labels, value, *suffix in samples(snapshot):
-            body = ",".join(f'{k}="{_escape_label(v)}"'
-                            for k, v in (labels or {}).items())
-            lines.append(f"{name}{''.join(suffix)}"
-                         f"{'{' + body + '}' if body else ''} "
-                         f"{float(value):g}")
-    return "\n".join(lines) + "\n"
 
 
 #: Re-exported so worker tasks can stamp spans without importing time.

@@ -45,7 +45,7 @@ import struct
 import threading
 from concurrent.futures import Future
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -392,7 +392,7 @@ class DecodeWorkerHost:
                 # Fork a child context so the host's own "request" span
                 # nests under the client's attempt span instead of
                 # reusing its span identity.
-                request = replace(request, trace=request.trace.child())
+                request = request._replace(trace=request.trace.child())
             handle = self.session.submit(request, timeout=None)
             result = handle.result()
             with self._lock:
@@ -433,9 +433,10 @@ class DecodeWorkerHost:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RemoteLane(ExecutorLane):
+class RemoteLane:
     """An :class:`~repro.service.scheduler.ExecutorLane` that lives
-    across a socket, and the description of the link to it.
+    across a socket, and the description of the link to it: the lane's
+    ``name``, ``kind`` and ``platform`` plus the link's settings.
 
     ``kind="simd"`` keys Eq 5/6 pricing — hosts start priced as the
     platform's parallel CPU path and the per-lane EWMA feedback learns
@@ -443,6 +444,9 @@ class RemoteLane(ExecutorLane):
     own session picks any further fan-out.
     """
 
+    name: str
+    kind: str
+    platform: Any
     host: str = ""
     port: int = 0
     #: Requests on the wire to this host at once; further placements
@@ -456,6 +460,8 @@ class RemoteLane(ExecutorLane):
         if self.depth < 1:
             raise ServiceError(
                 f"shard depth must be positive, got {self.depth}")
+
+    eligible = ExecutorLane.eligible
 
     @property
     def endpoint(self) -> str:

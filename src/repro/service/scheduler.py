@@ -40,8 +40,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
 from ..core.perfmodel import PerformanceModel, fitted_model
 from ..core.platform import Platform
@@ -89,12 +88,11 @@ def fanout_pays(entropy_us: float, units: int) -> bool:
     ``entropy_us / units + FANOUT_FIXED_US < entropy_us`` (both sides
     add the same pixel stages).  *entropy_us* is the image's Eq 4 term
     (``THuff``) in its header-only closed form,
-    :func:`~repro.jpeg.parallel_huffman.modeled_entropy_us`."""
+    :func:`~repro.jpeg.fast_entropy.modeled_entropy_us`."""
     return units > 1 and entropy_us * (1.0 - 1.0 / units) > FANOUT_FIXED_US
 
 
-@dataclass(frozen=True)
-class ExecutorLane:
+class ExecutorLane(NamedTuple):
     """One schedulable lane: what the scheduler assigns whole images to.
 
     In a decoder a lane is something that decodes: the decoder's one
@@ -146,8 +144,7 @@ def default_executors(platform: Platform) -> tuple[ExecutorLane, ...]:
     )
 
 
-@dataclass
-class ImagePricing:
+class ImagePricing(NamedTuple):
     """One image's scheduler-relevant facts and per-lane predictions."""
 
     index: int                    # position in the submitted batch
@@ -160,11 +157,10 @@ class ImagePricing:
     #: (:func:`whole_image_only`) or the fitted model has no surface for
     #: its component layout: it stays unassigned and decodes on the
     #: default pool.
-    costs: dict[str, float] = field(default_factory=dict)
+    costs: dict[str, float]
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     """Where one image of the batch was placed."""
 
     index: int
@@ -175,21 +171,20 @@ class Assignment:
     predicted_us: float = 0.0
 
 
-@dataclass
-class BatchSchedule:
+class BatchSchedule(NamedTuple):
     """The outcome of planning one batch: placements + predicted loads."""
 
     policy: str
     assignments: list[Assignment]
     #: Predicted total busy time per lane name (us).
-    loads: dict[str, float] = field(default_factory=dict)
-    pricings: list[ImagePricing] = field(default_factory=list)
+    loads: dict[str, float]
+    pricings: list[ImagePricing]
+    #: Per-lane placement caps the batch was planned under
+    #: (:meth:`LaneBreakerBoard.limits`); empty = no breakers active.
+    lane_limits: dict
     #: Round-robin only: lane index where the next batch's rotation
     #: resumes, so streams of small batches keep cycling lanes.
     rr_next_cursor: int = 0
-    #: Per-lane placement caps the batch was planned under
-    #: (:meth:`LaneBreakerBoard.limits`); empty = no breakers active.
-    lane_limits: dict = field(default_factory=dict)
     #: Lane names excluded from this plan by an open circuit breaker
     #: (limit 0) — surfaced so traced requests can record a
     #: ``lane_excluded`` event.
@@ -252,7 +247,6 @@ class ThroughputFeedback:
         self._scales.pop(lane_name, None)
 
 
-@dataclass
 class _LaneBreaker:
     """Per-lane circuit-breaker state (see :class:`LaneBreakerBoard`)."""
 
@@ -438,7 +432,7 @@ def price_images(
         sub = info.subsampling_mode
         pricing = ImagePricing(
             index=index, width=info.width, height=info.height,
-            density=info.file_density, subsampling=sub)
+            density=info.file_density, subsampling=sub, costs={})
         if whole_image_only(info, index in salvage) \
                 or len(info.frame.components) != 3:
             # The fitted models price 3-component baseline frames
@@ -713,13 +707,12 @@ class ModelScheduler:
                                            start=self._rr_cursor,
                                            lane_limits=limits)
             self._rr_cursor = schedule.rr_next_cursor
-        schedule.assignments += [
+        schedule.assignments.extend(
             Assignment(index=i, executor=None)
-            for i, info in enumerate(infos) if info is None]
+            for i, info in enumerate(infos) if info is None)
         schedule.assignments.sort(key=lambda a: a.index)
-        schedule.excluded = tuple(
-            sorted(name for name, cap in limits.items() if cap == 0))
-        return schedule
+        return schedule._replace(excluded=tuple(
+            sorted(name for name, cap in limits.items() if cap == 0)))
 
     # -- observability --------------------------------------------------
 

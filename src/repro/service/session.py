@@ -45,7 +45,6 @@ import math
 import threading
 from concurrent.futures import Future, InvalidStateError
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from time import perf_counter, time
 from typing import Any
 
@@ -97,13 +96,30 @@ class DecodeHandle(Future):
     completion order; ``await asyncio.to_thread(session.close, drain)``.
     """
 
-    def __init__(self, request_id: Any) -> None:
-        """Create a pending handle echoing *request_id*."""
+    def __init__(self, request: ImageRequest,
+                 header: FrameInfo | None) -> None:
+        """A pending handle for *request*; it rides the queue to admission
+        with *header*, the request's :func:`read_header` at submit."""
         super().__init__()
-        self.request_id = request_id
+        self.request_id = request.request_id
+        self.request, self.header = request, header
         #: perf_counter at submission; the pump's age deadline and the
         #: submit-to-completion latency both measure from here.
         self.submitted_at = perf_counter()
+        #: Absolute ``perf_counter`` instant the request expires (None =
+        #: no deadline): submission time plus ``deadline_ms``.
+        self.deadline_at = None if request.deadline_ms is None \
+            else self.submitted_at + request.deadline_ms / 1e3
+
+    @property
+    def edf_key(self) -> tuple[float, float, float]:
+        """Admission sort key: priority class first (higher
+        classes dispatch ahead of lower ones), then earliest deadline,
+        then FIFO age; deadline-free requests sort after every
+        deadlined one of their class."""
+        return (-self.request.priority,
+                self.deadline_at if self.deadline_at is not None
+                else math.inf, self.submitted_at)
 
     def _set_result(self, result: ImageResult) -> None:
         """Resolve with *result*; a lost race against cancel (or an
@@ -115,29 +131,6 @@ class DecodeHandle(Future):
         """Fail with an infrastructure error; same no-op rule."""
         with suppress(InvalidStateError):
             self.set_exception(exc)
-
-
-@dataclass
-class _Entry:
-    """One queued request and the handle that will carry its outcome."""
-
-    request: ImageRequest
-    handle: DecodeHandle
-    #: :func:`~repro.service.tasks.read_header` of the request, at submit.
-    header: FrameInfo | None
-    #: Absolute ``perf_counter`` instant the request expires (None = no
-    #: deadline): submission time plus ``deadline_ms``.
-    deadline_at: float | None = None
-
-    @property
-    def edf_key(self) -> tuple[float, float, float]:
-        """Admission sort key: priority class first (higher
-        classes dispatch ahead of lower ones), then earliest deadline,
-        then FIFO age; deadline-free requests sort after every
-        deadlined one of their class."""
-        return (-self.request.priority,
-                self.deadline_at if self.deadline_at is not None
-                else math.inf, self.handle.submitted_at)
 
 
 class DecodeSession:
@@ -237,14 +230,14 @@ class DecodeSession:
         increasing even under concurrent producers; an id is skipped
         (never reissued) when the queue rejects its submission.  The
         request's header is read here, on the caller's thread (for HTTP,
-        the handler threads), and rides the queue entry to admission.
+        the handler threads), and rides the handle to admission.
         """
         if self._closed:
             raise ServiceClosedError("decode session is closed")
         req = item if isinstance(item, ImageRequest) \
             else ImageRequest(data=bytes(item))
         if req.deadline_ms is None and self.default_deadline_ms is not None:
-            req = replace(req, deadline_ms=self.default_deadline_ms)
+            req = req._replace(deadline_ms=self.default_deadline_ms)
         if req.deadline_ms is not None and req.deadline_ms <= 0:
             raise ServiceError(
                 f"deadline_ms must be positive, got {req.deadline_ms}")
@@ -254,26 +247,22 @@ class DecodeSession:
                 f"priority must be a non-negative integer, "
                 f"got {req.priority!r}")
         if req.request_id is None:
-            req = replace(req, request_id=next(self._ids))
+            req = req._replace(request_id=next(self._ids))
         if req.trace is None:
             # Mode gate applies only to trace *creation*; a propagated
             # context (remote host replaying a client trace) is always
             # honored, so hosts need no tracing configuration.
             ctx = self.obs.maybe_start_trace()
             if ctx is not None:
-                req = replace(req, trace=ctx)
-        header = read_header(req)
-        handle = DecodeHandle(req.request_id)
-        deadline_at = (handle.submitted_at + req.deadline_ms / 1e3
-                       if req.deadline_ms is not None else None)
+                req = req._replace(trace=ctx)
+        handle = DecodeHandle(req, read_header(req))
         # ceil, so a fraction never shrinks a tiny queue below what an
         # unweighted session would admit (0.9 of capacity 2 is still 2).
         fraction = DEFAULT_SHED_FRACTIONS.get(req.priority)
         limit = (None if fraction is None
                  else max(1, math.ceil(self.queue.capacity * fraction)))
         try:
-            self.queue.put(_Entry(req, handle, header, deadline_at),
-                           timeout=timeout, limit=limit)
+            self.queue.put(handle, timeout=timeout, limit=limit)
         except QueueFullError:
             with self._stats_lock:
                 self.stats.record_shed(req.priority)
@@ -282,7 +271,7 @@ class DecodeSession:
 
     # -- the pump -------------------------------------------------------
 
-    def _form_batch(self, limit: int) -> list[_Entry]:
+    def _form_batch(self, limit: int) -> list[DecodeHandle]:
         """Shed expired requests, then take the *limit* most urgent off
         the queue — called when a worker has room, so the order is
         decided at the last moment.
@@ -301,8 +290,8 @@ class DecodeSession:
             expired=lambda e: e.deadline_at is not None
             and now >= e.deadline_at)
         for e in expired:
-            e.handle._set_exception(DeadlineExceededError(
-                f"request {e.handle.request_id} missed its "
+            e._set_exception(DeadlineExceededError(
+                f"request {e.request_id} missed its "
                 f"{e.request.deadline_ms:g} ms deadline before decode"))
         self.stats.deadline_expired += len(expired)
         return batch
@@ -329,7 +318,7 @@ class DecodeSession:
         while len(self.queue):
             if self._cancel_pending:
                 for e in self._form_batch(self.queue.capacity):
-                    e.handle.cancel()
+                    e.cancel()
                 continue
             room = self._window - self.decoder.in_flight
             if room <= 0:
@@ -338,13 +327,13 @@ class DecodeSession:
             if entries:
                 self._admit(entries)
 
-    def _admit(self, entries: list[_Entry]) -> None:
-        """Admit *entries* as one group."""
+    def _admit(self, handles: list[DecodeHandle]) -> None:
+        """Admit the requests of *handles* as one group."""
         with self._stats_lock:
             self.stats.mark_busy(perf_counter())
-        group = self.decoder.admit([e.request for e in entries],
-                                   [e.header for e in entries])
-        group.tag = entries
+        group = self.decoder.admit([h.request for h in handles],
+                                   [h.header for h in handles])
+        group.tag = handles
         if group.error is not None:
             self._fail(group)
 
@@ -352,7 +341,7 @@ class DecodeSession:
         """Infrastructure failed under *group* (closed pool): fail every
         handle it has not resolved, never silently drop one."""
         for e in group.tag:
-            e.handle._set_exception(group.error)
+            e._set_exception(group.error)
         with self._stats_lock:
             if not self.decoder.in_flight:
                 self.stats.mark_idle(perf_counter())
@@ -366,7 +355,7 @@ class DecodeSession:
                 else:
                     self._settle(plan.group, plan.index)
             except Exception as exc:    # a fold failed, not the decode:
-                plan.group.tag[plan.index].handle._set_exception(exc)
+                plan.group.tag[plan.index]._set_exception(exc)
 
     def _settle(self, group, index: int) -> None:
         """One image is done: stamp latency, count it, fold feedback and
@@ -374,12 +363,12 @@ class DecodeSession:
         always sees itself counted.  The per-group folds (one
         ``scheduler.observe``, one per-lane placement record) ride on
         the image that completes its group."""
-        entry, result = group.tag[index], group.results[index]
+        handle, result = group.tag[index], group.results[index]
         now = perf_counter()
         # True submit-to-completion latency (the dispatch core only
         # measured from admission).
-        result.latency_s = now - entry.handle.submitted_at
-        ctx = entry.request.trace
+        result.latency_s = now - handle.submitted_at
+        ctx = handle.request.trace
         if ctx is not None:
             # Root span carries the context's own identity; the queue
             # span covers submit -> admission.  Prepended so the root
@@ -387,25 +376,25 @@ class DecodeSession:
             # the trace log) see one self-contained span list.
             result.trace_spans = [
                 make_span(ctx, "request", "session", "dispatch",
-                          entry.handle.submitted_at, now,
-                          request_id=str(entry.request.request_id),
+                          handle.submitted_at, now,
+                          request_id=str(handle.request_id),
                           ok=result.ok),
                 child_span(ctx, "queue", "session", "dispatch",
-                           entry.handle.submitted_at, group.admitted_at,
-                           priority=entry.request.priority),
+                           handle.submitted_at, group.admitted_at,
+                           priority=handle.request.priority),
             ] + result.trace_spans
             self.obs.record_spans(result.trace_spans)
-        batch, scheduler = group.batch, self.decoder.scheduler
+        scheduler = self.decoder.scheduler
         with self._stats_lock:
             self.stats.record_image(result.ok, result.latency_s)
-            if batch is not None and batch.schedule is not None \
+            if not group.open and group.schedule is not None \
                     and scheduler is not None:
-                scheduler.observe(batch.schedule, batch.results,
-                                  lane_failures=batch.lane_failures)
-                self.stats.record_schedule(batch.schedule, batch.results)
+                scheduler.observe(group.schedule, group.results,
+                                  lane_failures=group.lane_failures)
+                self.stats.record_schedule(group.schedule, group.results)
             if not self.decoder.in_flight:
                 self.stats.mark_idle(now)
-        entry.handle._set_result(result)
+        handle._set_result(result)
 
     # -- observability --------------------------------------------------
 

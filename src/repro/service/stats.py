@@ -15,7 +15,6 @@ of the intervals during which anything was in flight
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from time import perf_counter
 
 from .obs import Histogram
@@ -47,7 +46,6 @@ def percentile(values: list[float], q: float) -> float:
     return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
-@dataclass
 class ExecutorUsage:
     """Running per-lane totals for scheduled batches."""
 
@@ -69,13 +67,13 @@ class ExecutorUsage:
         return self.observed_us / self.predicted_us
 
 
-@dataclass
 class ServiceStats:
     """Running totals across everything one decoder processed.
 
     Scalar counters are written on the one thread that drives the
     decoder; the dict-valued sections and the latency record only under
-    the owning session's stats lock.
+    the owning session's stats lock.  Counters start at their class
+    defaults.
     """
 
     #: Admission groups whose last plan landed.
@@ -90,7 +88,7 @@ class ServiceStats:
     #: restart segments or speculative chunks), scheduled or not.
     images_split: int = 0
     #: Scheduled batches only: per-lane placement and prediction totals.
-    per_executor: dict[str, ExecutorUsage] = field(default_factory=dict)
+    per_executor: dict[str, ExecutorUsage]
     #: Result bytes moved through each transport across all batches.
     bytes_shm: int = 0
     bytes_pickle: int = 0
@@ -103,11 +101,15 @@ class ServiceStats:
     deadline_expired: int = 0
     #: Requests refused at admission by weighted load shedding, counted
     #: per priority class (fills under overload; empty otherwise).
-    shed_by_priority: dict = field(default_factory=dict)
-    _latencies_s: deque = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
-    #: Every latency recorded, in the ``/metrics`` histogram's buckets.
-    _latency_buckets: Histogram = field(default_factory=Histogram)
+    shed_by_priority: dict
+
+    def __init__(self) -> None:
+        """Nothing processed yet."""
+        self.per_executor = {}
+        self.shed_by_priority = {}
+        self._latencies_s: deque = deque(maxlen=LATENCY_WINDOW)
+        #: Every latency recorded, in the ``/metrics`` histogram's buckets.
+        self._latency_buckets = Histogram()
 
     def record_image(self, ok: bool, latency_s: float) -> None:
         """Count one finished image and its submit-to-completion

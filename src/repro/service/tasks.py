@@ -5,59 +5,30 @@ units, place them, merge — and this module states it once.  A
 :class:`DecodePlan` partitions one image's decode into
 :class:`Subtask`\\ s ``(worker fn, args, slot bytes)``, takes each
 subtask's :class:`TaskReply` (or its loss to a dead worker), and
-finishes into one :class:`ImageResult`:
-
-- :class:`WholeImagePlan` — one task per image (the common case): the
-  destuffing prescan + fused fast-path entropy decode and the numpy
-  pixel stages all run inside the worker (or on a remote host);
-- :class:`SegmentPlan` — one task per *run of restart segments* of a
-  DRI image (a couple of runs per worker of the pool, balanced by
-  compressed bytes), merged into a whole-image coefficient grid;
-- :class:`SpeculativePlan` — one task per *speculative chunk* of a
-  marker-free scan: optimistic decoders started at guessed byte
-  offsets, stitched back by bit-position convergence with sequential
-  repair of misspeculated gaps.
-
-All three are bit-identical to the sequential oracle.  The worker-side
-task functions share one shell, :func:`run_task`.  What drives the
-plans — slot leasing, retry, failover, tracing — lives in
-:mod:`repro.service.batch`.
+finishes into one :class:`ImageResult`.  :class:`WholeImagePlan` is one
+task per image (the common case): the destuffing prescan, fused
+fast-path entropy decode and numpy pixel stages all run inside the
+worker (or on a remote host).  The fan-out plans, one task per run of
+restart segments or per speculative chunk, are
+:mod:`repro.service.fanout`'s.  Every worker task runs in one shell,
+:func:`run_task`; what drives the plans — slot leasing, retry,
+failover, tracing — lives in :mod:`repro.service.batch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import EntropyError, ReproError, ServiceError
-from ..jpeg.blocks import ImageGeometry, scatter_mcu_strip
-from ..jpeg.decoder import (
-    DecodeOptions,
-    component_tables_from_info,
-    decode_jpeg,
-    pixels_from_coefficients,
-)
-from ..jpeg.coefficients import CoefficientBuffers, ComponentTables
-from ..jpeg.fast_entropy import ScanPrescan, destuff_scan
-from ..jpeg.markers import FrameInfo, JpegImageInfo, walk_header
-from ..jpeg.parallel_huffman import (
-    RestartSegment,
-    decode_segment_coefficients,
-    merge_segment_runs,
-    segment_plane_nbytes,
-    split_restart_segments,
-)
+from ..errors import ReproError, ServiceError
+from ..jpeg.decoder import DecodeOptions, decode_jpeg
+from ..jpeg.markers import FrameInfo, walk_header
 from .faults import FaultDirective, apply_dispatch_fault
 from .obs import SpanRecord, TraceContext, child_span
-from .transport import PlaneSlot, packed_nbytes, publish_planes
+from .transport import PlaneSlot, publish_planes
 from .workers import worker_name
-
-if TYPE_CHECKING:  # pragma: no cover - the speculative coder loads when
-    # a marker-free scan first fans out
-    from ..jpeg.speculative import SpeculativeChunk
 
 #: The three load-shedding priority classes (higher = more important).
 PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_HIGH = 0, 1, 2
@@ -92,8 +63,7 @@ def parse_priority(value: "str | int") -> int:
     return priority
 
 
-@dataclass
-class ImageRequest:
+class ImageRequest(NamedTuple):
     """One image to decode, with its per-image knobs.  Every image
     decodes with the :class:`~repro.jpeg.decoder.DecodeOptions`
     defaults: the fast entropy engine, AAN IDCT, fancy upsampling.
@@ -131,9 +101,10 @@ class ImageRequest:
     trace: TraceContext | None = None
 
 
-@dataclass
 class ImageResult:
-    """Outcome of one image's decode inside a batch."""
+    """Outcome of one image's decode inside a batch: ``ImageResult(
+    request_id, ok, **fields)`` sets any field below by keyword, the
+    rest keep their class defaults."""
 
     request_id: Any
     ok: bool
@@ -184,11 +155,25 @@ class ImageResult:
     error_regions: np.ndarray | None = None
     #: Canonical decode errors salvage mode recovered from (one per
     #: failed scan), empty otherwise.
-    salvage_errors: list[str] = field(default_factory=list)
+    salvage_errors: list[str]
     #: Trace spans for this image: worker-side stage spans
     #: shipped back piggybacked on the result, plus parent-side
     #: schedule/attempt spans.  Empty when the request was not traced.
-    trace_spans: list[SpanRecord] = field(default_factory=list)
+    trace_spans: list[SpanRecord]
+
+    def __init__(self, request_id: Any, ok: bool, **fields: Any) -> None:
+        """The outcome *ok* of request *request_id*, with *fields*."""
+        self.request_id, self.ok = request_id, ok
+        self.salvage_errors, self.trace_spans = [], []
+        _set_fields(self, fields)
+
+
+def _set_fields(record: Any, fields: dict) -> None:
+    """Set keyword *fields* on *record*: only names its class declares."""
+    for name, value in fields.items():
+        if name not in type(record).__annotations__:
+            raise TypeError(f"{type(record).__name__} has no field {name!r}")
+        setattr(record, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +181,6 @@ class ImageResult:
 # (module-level: the process backend pickles them by reference).
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TaskReply:
     """What every worker task sends back, whatever it decoded.
 
@@ -205,6 +189,7 @@ class TaskReply:
     worker died never replies; past the retry budget the gather loop
     writes the reply for it (``WorkerCrashError``) and flags the plan
     :attr:`~DecodePlan.infra`, so plans see one shape for both.
+    ``TaskReply(**fields)`` takes any field below by keyword.
     """
 
     #: The light part of the outcome, pickled as is: the pixel-less
@@ -220,7 +205,12 @@ class TaskReply:
     #: Seconds the task ran, set by :func:`run_task`.
     busy_s: float = 0.0
     #: The worker-side trace spans the task recorded (traced only).
-    trace_spans: list[SpanRecord] = field(default_factory=list)
+    trace_spans: list[SpanRecord]
+
+    def __init__(self, **fields: Any) -> None:
+        """A reply with *fields* set."""
+        self.trace_spans = []
+        _set_fields(self, fields)
 
 
 #: Decoder stage name → Timeline glyph kind for worker stage spans.
@@ -294,11 +284,10 @@ def _decode_image(request: ImageRequest,
                   spans: list[SpanRecord]) -> tuple[ImageResult, list]:
     """Whole-image task body: :func:`~repro.jpeg.decoder.decode_jpeg`,
     recording its stage spans into *spans* when it is traced."""
-    options = DecodeOptions(salvage=request.salvage)
-    if request.trace is not None:
-        options.stage_hook = _stage_recorder(request.trace, worker_name(),
-                                             spans)
-    decoded = decode_jpeg(request.data, options)
+    hook = (_stage_recorder(request.trace, worker_name(), spans)
+            if request.trace is not None else None)
+    decoded = decode_jpeg(request.data, DecodeOptions(
+        salvage=request.salvage, stage_hook=hook))
     rgb = decoded.rgb
     result = ImageResult(request_id=request.request_id, ok=True)
     if request.salvage:
@@ -317,62 +306,6 @@ def decode_image_task(request: ImageRequest,
     the one RGB array (or its shared-memory ref)."""
     return run_task(lambda spans: _decode_image(request, spans), slot,
                     fault, request.trace)
-
-
-def decode_segment_task(
-    seg: RestartSegment,
-    segment_bytes: bytes,
-    geometry_args: tuple,
-    tables: list[ComponentTables],
-    restart_interval: int = 0,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> TaskReply:
-    """Decode one run of restart segments inside a worker (see
-    :func:`run_task`): ``planes`` are its coefficient planes.
-    *geometry_args* is the pickled-down ``ImageGeometry`` of the full
-    image."""
-    return run_task(
-        lambda _spans: (None, decode_segment_coefficients(
-            seg, segment_bytes, ImageGeometry(*geometry_args), tables,
-            restart_interval=restart_interval)),
-        slot, fault)
-
-
-def _decode_chunk(chunk, slice_bytes, geometry_args, tables, terminator):
-    """Speculative-chunk task body: the trace rides the pickle pipe
-    with its coefficient planes stripped out as the heavy payload (the
-    gather loop reattaches them)."""
-    from ..jpeg.speculative import decode_speculative_chunk
-
-    trace = decode_speculative_chunk(
-        chunk, slice_bytes, geometry_args, tables, "fast", terminator)
-    planes, trace.planes = trace.planes, None
-    return trace, planes
-
-
-def decode_speculative_chunk_task(
-    chunk: SpeculativeChunk,
-    slice_bytes: bytes,
-    geometry_args: tuple[int, int, str],
-    tables: list[ComponentTables],
-    terminator: int | None,
-    slot: PlaneSlot | None = None,
-    fault: FaultDirective | None = None,
-) -> TaskReply:
-    """Speculatively decode one chunk inside a worker (see
-    :func:`run_task`).
-
-    Decode errors inside the chunk are *not* task errors — the
-    optimistic decoder records them on the trace and the stitcher
-    decides whether they matter (misspeculation repairs sequentially,
-    a hostile stream falls back to the oracle).  ``error_type`` is set
-    only when the task itself failed structurally.
-    """
-    return run_task(
-        lambda _spans: _decode_chunk(chunk, slice_bytes, geometry_args,
-                                     tables, terminator),
-        slot, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +329,7 @@ def read_header(request: ImageRequest) -> FrameInfo | None:
     return header
 
 
-@dataclass(frozen=True)
-class Subtask:
+class Subtask(NamedTuple):
     """One unit of a plan's fan-out, everything a (re)dispatch needs."""
 
     #: Module-level worker function, called as
@@ -476,24 +408,6 @@ class DecodePlan:
             error_type=error_type, error=error, segments=len(self.units),
             infra_failure=self.infra, **fields)
 
-    def _rendered(self, info: JpegImageInfo, coeffs: CoefficientBuffers,
-                  t0: float, span_name: str, span_attrs: dict,
-                  **fields: Any) -> ImageResult:
-        """Run the pixel stages over the merged *coeffs* (here, in the
-        parent) and wrap them; *t0* is when the merge began."""
-        req = self.request
-        rgb = pixels_from_coefficients(info, coeffs, DecodeOptions())
-        t1 = perf_counter()
-        self.busy_s += t1 - t0
-        if req.trace is not None:
-            self.trace_spans.append(child_span(
-                req.trace, span_name, worker_name(), "cpu-parallel",
-                t0, t1, **span_attrs))
-        return ImageResult(
-            request_id=req.request_id, ok=True, rgb=rgb,
-            width=info.width, height=info.height,
-            segments=len(self.units), **fields)
-
 
 class WholeImagePlan(DecodePlan):
     """One task: the whole image decodes inside a worker (or on a
@@ -515,7 +429,7 @@ class WholeImagePlan(DecodePlan):
         stage spans nest under that attempt."""
         if ctx is None:
             return unit.args
-        return (replace(self.request, trace=ctx),)
+        return (self.request._replace(trace=ctx),)
 
     def accept(self, unit: Subtask, reply: TaskReply,
                arrays: "list | None") -> None:
@@ -532,198 +446,3 @@ class WholeImagePlan(DecodePlan):
         if self.slots:
             self.result.rgb = self.result.rgb.copy()
         return self.result
-
-
-class SegmentPlan(DecodePlan):
-    """One task per run of restart segments of a DRI image."""
-
-    task_name = "segment"
-
-    def __init__(self, index: int, request: ImageRequest,
-                 lane: str | None, info: JpegImageInfo,
-                 run_count: int) -> None:
-        """Split *info*'s scan at its RSTn markers into at most
-        *run_count* runs of consecutive segments.
-
-        Validates the marker structure before fanning out: a truncated
-        or corrupt scan has fewer RSTn boundaries than the DRI interval
-        demands, and isolated segments would then zero-pad their way to
-        silent garbage where the sequential decoder raises.
-        """
-        geo = info.geometry
-        expected = -(-geo.total_mcus // info.restart_interval)
-        segments = split_restart_segments(
-            info.entropy_data, geo.total_mcus, info.restart_interval)
-        if len(segments) != expected:
-            raise EntropyError(
-                f"restart marker structure inconsistent: expected "
-                f"{expected} segments, found {len(segments)} "
-                f"(truncated or corrupt scan)")
-        tables = component_tables_from_info(info)
-        geo_args = (geo.width, geo.height, geo.mode, geo.ncomponents)
-        units = [
-            Subtask(
-                decode_segment_task,
-                # + 2: the run's trailing RSTn rides along, so its last
-                # segment ends at a marker as it does in the whole scan.
-                (run, info.entropy_data[run.byte_start:run.byte_stop + 2],
-                 geo_args, tables, info.restart_interval),
-                packed_nbytes(segment_plane_nbytes(run, geo)))
-            for run in merge_segment_runs(segments, run_count)]
-        super().__init__(index, request, lane, units)
-        self.info = info
-        self.planes: list[tuple[RestartSegment, list]] = []
-        #: The failed (or lost) run earliest in the scan, if any.
-        self.failure: tuple[int, TaskReply] | None = None
-
-    def accept(self, unit: Subtask, reply: TaskReply,
-               arrays: "list | None") -> None:
-        """Keep the run's planes for the merge, or its error (no
-        sibling can cover a failed run; of several failures the one
-        earliest in the scan wins — the sequential decoder's)."""
-        run = unit.args[0]
-        if reply.error_type is None:
-            self.planes.append((run, arrays))
-        elif self.failure is None or run.index < self.failure[0]:
-            self.failure = run.index, reply
-
-    def finish(self) -> ImageResult:
-        """Scatter the runs into one coefficient grid and run the
-        pixel stages."""
-        if self.failure is not None:
-            reply = self.failure[1]
-            return self._failed(reply.error_type, reply.error)
-        t0 = perf_counter()
-        geo = self.info.geometry
-        merged = CoefficientBuffers.empty(geo)
-        for run, planes in self.planes:
-            scatter_mcu_strip(planes, 0, run.mcu_start, run.mcu_count,
-                              geo, merged.planes)
-        return self._rendered(self.info, merged, t0, "merge",
-                              {"segments": len(self.planes)})
-
-
-class SpeculativePlan(DecodePlan):
-    """One task per speculative chunk of a marker-free scan."""
-
-    task_name = "spec"
-
-    @classmethod
-    def build(cls, index: int, request: ImageRequest, lane: str | None,
-              info: JpegImageInfo, n_chunks: int
-              ) -> "SpeculativePlan | None":
-        """Plan *n_chunks* speculative chunks over *info*'s scan, or
-        None when the scan does not qualify (the image then decodes
-        whole)."""
-        from ..jpeg.speculative import (
-            DEFAULT_OVERLAP_BYTES,
-            plan_chunks,
-            speculative_eligible,
-        )
-
-        try:
-            scan = destuff_scan(info.entropy_data)
-        except (ReproError, ValueError):
-            # Malformed scan structure: the whole-image worker reports
-            # the precise decode error.
-            return None
-        if not speculative_eligible(info.restart_interval, scan):
-            return None
-        chunks = plan_chunks(len(scan.payload), n_chunks,
-                             DEFAULT_OVERLAP_BYTES)
-        if len(chunks) < 2:
-            # One chunk degenerates to the sequential decode — a
-            # whole-image task without the stitch tax.
-            return None
-        return cls(index, request, lane, info, scan, chunks)
-
-    def __init__(self, index: int, request: ImageRequest,
-                 lane: str | None, info: JpegImageInfo,
-                 scan: ScanPrescan, chunks: list[SpeculativeChunk]) -> None:
-        """Slice the destuffed *scan* into one task per chunk."""
-        from ..jpeg.speculative import chunk_mcu_budget
-
-        geo = info.geometry
-        self.info = info
-        #: The destuffed scan — sliced for the chunk tasks, and the
-        #: substrate the stitcher's gap repair (and the whole-scan
-        #: fallback) decode.
-        self.scan = scan
-        self.chunks = chunks
-        self.tables = component_tables_from_info(info)
-        #: Traces by chunk index; None marks a chunk whose task failed
-        #: or whose worker crashed past the retry budget — the stitcher
-        #: treats both as misspeculation (repair or fall back), never
-        #: as an image error.
-        self.traces: list = [None] * len(chunks)
-        geo_args = (geo.width, geo.height, geo.mode, geo.ncomponents)
-        bpms = [c.h_factor * c.v_factor for c in geo.components]
-        payload = scan.payload
-        units = []
-        for chunk in chunks:
-            budget = chunk_mcu_budget(chunk, geo)
-            units.append(Subtask(
-                decode_speculative_chunk_task,
-                (chunk, payload[chunk.start:chunk.slice_stop], geo_args,
-                 self.tables,
-                 scan.terminator if chunk.slice_stop == len(payload)
-                 else None),
-                # int16 coefficient blocks: 64 * 2 bytes each.
-                packed_nbytes([budget * bpm * 128 for bpm in bpms])))
-        super().__init__(index, request, lane, units)
-
-    def accept(self, unit: Subtask, reply: TaskReply,
-               arrays: "list | None") -> None:
-        """Reattach the chunk's planes to its trace.  A failed or lost
-        task leaves the chunk None — one more misspeculated chunk,
-        never an image error (the stitch repairs or falls back)."""
-        if reply.error_type is None:
-            reply.value.planes = arrays
-            self.traces[unit.args[0].index] = reply.value
-
-    def finish(self) -> ImageResult:
-        """Stitch the chunk traces and run the pixel stages.
-
-        Misspeculated boundaries (and chunks lost to crashed workers)
-        are healed by sequential gap repair inside the stitch; only
-        when coverage cannot be established at all does the whole scan
-        re-decode sequentially — which also reproduces the oracle's
-        exact error for hostile streams.  Either way the coefficients
-        are bit-identical to the sequential decode.
-        """
-        from ..jpeg.speculative import (
-            _sequential,
-            make_repairer,
-            stitch_chunks,
-        )
-
-        geo = self.info.geometry
-        t0 = perf_counter()
-        if self.infra and not any(t is not None for t in self.traces):
-            # Every chunk died on infrastructure: the pool is gone, and
-            # quietly serializing the whole decode in the parent would
-            # mask it.  Partial loss heals below; total loss is terminal.
-            self.busy_s += perf_counter() - t0
-            return self._failed(
-                "WorkerCrashError",
-                "all speculative chunks lost to worker crashes",
-                misspeculated=len(self.chunks))
-        coeffs, report = stitch_chunks(
-            self.traces, self.chunks, geo,
-            repair=make_repairer(self.scan, geo, self.tables))
-        if coeffs is None:
-            try:
-                coeffs = _sequential(
-                    self.scan, geo, self.tables,
-                    self.info.restart_interval)
-            except Exception as exc:
-                self.busy_s += perf_counter() - t0
-                return self._failed(
-                    type(exc).__name__, str(exc),
-                    misspeculated=len(report.misspeculated))
-        return self._rendered(
-            self.info, coeffs, t0, "stitch",
-            {"chunks": len(self.chunks),
-             "misspeculated": len(report.misspeculated)},
-            speculative=report.ok,
-            misspeculated=len(report.misspeculated))

@@ -36,7 +36,7 @@ from __future__ import annotations
 import mmap
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ def resolve_transport(backends) -> str:
 # Descriptors.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneRef:
+class PlaneRef(NamedTuple):
     """Where one decoded plane lives inside a slot: all a worker sends
     back over the result pipe, a few hundred bytes whatever the plane's
     size."""
@@ -161,8 +160,7 @@ class PlaneRef:
         return n
 
 
-@dataclass(frozen=True)
-class PlaneSlot:
+class PlaneSlot(NamedTuple):
     """One leased ring slot a worker may write planes into: file *fd*
     of process *owner*, whose inode is *inode*."""
 

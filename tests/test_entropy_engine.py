@@ -817,7 +817,7 @@ class TestProbeWindows:
         scan = destuff_scan(b"\x12\x34\xff\xd0\x56")
         scan.windows_at(0)
         clone = pickle.loads(pickle.dumps(scan))
-        assert clone == scan and clone._windows is None
+        assert vars(clone) == {**vars(scan), "_windows": None}
         assert list(clone.windows_at(0)[1]) == list(scan.windows_at(0)[1])
 
     def test_window_memory_does_not_grow_with_the_scan(self, monkeypatch):

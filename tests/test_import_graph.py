@@ -9,6 +9,11 @@ entropy engine and its bit reader, the ``HeterogeneousDecoder`` facade,
 or named POSIX shared memory: plane slots are nameless ``memfd`` files,
 so no resource-tracker process is ever started.  Each check runs a
 fresh interpreter: this test process has imported everything already.
+
+What the cold start does load it should load cheaply: the ledger
+starts from source, so every line of it is compiled, and every
+``@dataclass`` on it generates and compiles its methods at import.
+Both are ratchets: lower the pins when they fall, never raise them.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from repro.service import shm_available
@@ -35,6 +41,9 @@ NOT_SERVING = (
     "repro.jpeg.bitstream", "repro.jpeg.entropy",
     "repro.core.decoder", "repro.core.modes",
     "multiprocessing.shared_memory",
+    # the fan-out plans and their restart-run coder (a thumbnail decodes
+    # whole), and the encoder's forward DCT
+    "repro.service.fanout", "repro.jpeg.parallel_huffman", "repro.jpeg.dct",
 )
 
 #: What plain ``decode_jpeg`` must not load: the encoder, the fan-out
@@ -42,10 +51,26 @@ NOT_SERVING = (
 NOT_DECODING = (
     "repro.jpeg.encoder", "repro.jpeg.progressive", "repro.jpeg.speculative",
     "repro.jpeg.bitstream", "repro.jpeg.entropy",
+    "repro.jpeg.parallel_huffman", "repro.jpeg.dct",
 )
 
+#: ``@dataclass`` classes the cold session creates: the paper-model
+#: records (``Platform``, the device specs, ``GpuProgramOptions``,
+#: ``PerformanceModel``, ``PolynomialModel`` and the two horner nodes)
+#: that pricing loads.
+DATACLASSES = 8
+
+#: Source lines of the ``repro`` modules the cold session loads.
+SERVING_LINES = 8_995
+
 _SESSION = """
-import json, sys
+import dataclasses, json, sys
+created = []
+process_class = dataclasses._process_class
+def counting(cls, *args):
+    created.append(cls.__qualname__)
+    return process_class(cls, *args)
+dataclasses._process_class = counting
 import repro.service
 from repro.service import DecodeSession
 
@@ -55,6 +80,9 @@ with DecodeSession(workers=2, backend="process", scheduler="model") as s:
     transport, shm_bytes = s.decoder.transport, s.stats.bytes_shm
 loaded = sorted(m for m in sys.modules
                 if m.startswith(("repro", "multiprocessing")))
+lines = sum(open(sys.modules[m].__file__).read().count("\\n")
+            for m in loaded if m.startswith("repro"))
+dataclasses_created = list(created)
 import multiprocessing.resource_tracker as tracker
 tracker_pid = tracker._resource_tracker._pid
 import repro.core, repro.evaluation, repro.jpeg, repro.service
@@ -64,7 +92,8 @@ resolved = [repro.core.HeterogeneousDecoder.__name__,
             repro.evaluation.platforms.__name__]
 print(json.dumps({"ok": result.ok, "loaded": loaded, "resolved": resolved,
                   "transport": transport, "shm_bytes": shm_bytes,
-                  "tracker_pid": tracker_pid}))
+                  "tracker_pid": tracker_pid, "lines": lines,
+                  "dataclasses": dataclasses_created}))
 """
 
 _DECODE = """
@@ -78,6 +107,7 @@ print(json.dumps({"shape": list(rgb.shape),
 """
 
 
+@lru_cache(maxsize=None)
 def _fresh(script: str) -> dict:
     """Run *script* on the ledger's 4:2:0 thumbnail in a new interpreter
     and return the JSON line it prints."""
@@ -102,6 +132,21 @@ def test_scheduled_session_loads_only_what_serves():
     assert report["resolved"] == [
         "HeterogeneousDecoder", "DecodeHTTPServer", "encode_jpeg",
         "repro.evaluation.platforms"]
+    # The ledger starts from source, with no bytecode cache: every cold
+    # start compiles each of these lines again.
+    assert report["lines"] <= SERVING_LINES, (
+        f"the cold session loads {report['lines']} lines of repro, "
+        f"ratchet {SERVING_LINES}")
+
+
+def test_scheduled_session_creates_few_dataclasses():
+    """Each ``@dataclass`` generates and compiles its methods at import
+    (frozen ones cost the most): records on the serving path are named
+    tuples or plain classes instead."""
+    created = _fresh(_SESSION)["dataclasses"]
+    assert len(created) <= DATACLASSES, (
+        f"{len(created)} dataclasses on the cold path, ratchet "
+        f"{DATACLASSES}: {created}")
 
 
 def test_decode_jpeg_loads_no_encoder_or_fanout_coder():

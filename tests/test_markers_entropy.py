@@ -18,11 +18,9 @@ from repro.jpeg.entropy import (
     EntropyEncoder,
 )
 from repro.jpeg.huffman import HuffmanSpec
+from repro.jpeg.encoder import build_dht, build_dqt, build_sos
 from repro.jpeg.markers import (
     _find_scan_end,
-    build_dht,
-    build_dqt,
-    build_sos,
     parse_dht_payload,
     parse_sof0_payload,
     parse_sos_payload,
@@ -109,12 +107,8 @@ class TestMarkerParsing:
 
     def test_dht_roundtrip(self):
         spec = HuffmanSpec(C.STD_DC_LUMINANCE_BITS, C.STD_DC_LUMINANCE_VALUES)
-        from repro.jpeg.markers import HuffmanTableDef
-        seg = build_dht([HuffmanTableDef(0, 1, spec)])
-        parsed = parse_dht_payload(seg[4:])
-        assert parsed[0].table_class == 0
-        assert parsed[0].table_id == 1
-        assert parsed[0].spec == spec
+        seg = build_dht([(0, 1, spec)])
+        assert parse_dht_payload(seg[4:]) == [(0, 1, spec)]
 
     def test_dht_truncated(self):
         with pytest.raises(JpegFormatError):

@@ -27,7 +27,6 @@ with and without a scheduler.
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -427,7 +426,7 @@ class TestReadHeaderProperties:
             cut = hostile_variant(blob, "truncated")
             for salvage in (False, True):
                 assert read_header(ImageRequest(data=cut, salvage=salvage)) \
-                    == replace(info, file_size=len(cut)), name
+                    == info._replace(file_size=len(cut)), name
 
     def test_walk_agrees_with_the_full_parse(self, corpus):
         """Every frame-level fact the walk reads is the one ``parse_jpeg``

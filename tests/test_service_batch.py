@@ -123,7 +123,8 @@ class TestErrorIsolation:
         from repro.jpeg import parse_jpeg
         from repro.jpeg.decoder import component_tables_from_info
         from repro.jpeg.parallel_huffman import RestartSegment
-        from repro.service.tasks import TaskReply, decode_segment_task
+        from repro.service.fanout import decode_segment_task
+        from repro.service.tasks import TaskReply
 
         info = parse_jpeg(corpus[1])
         seg = RestartSegment(index=0, byte_start=0, byte_stop=1,

@@ -20,7 +20,7 @@ from repro.service import (
     TraceContext,
     shm_available,
 )
-from repro.service.tasks import SegmentPlan
+from repro.service.fanout import SegmentPlan
 
 
 @pytest.mark.skipif(not shm_available(),

@@ -13,7 +13,6 @@ import json
 import sys
 import threading
 import urllib.request
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -397,7 +396,7 @@ class TestTraceUnderFaults:
         with BatchDecoder(workers=2, backend="thread", faults=plan,
                           speculative="on" if kind == "spec"
                           else "off") as dec:
-            batch = dec.decode_batch([replace(request, trace=ctx)])
+            batch = dec.decode_batch([request._replace(trace=ctx)])
         (result,) = batch.results
         assert result.ok and dec.stats.retries == 1
         assert np.array_equal(result.rgb, decode_jpeg(request.data).rgb)

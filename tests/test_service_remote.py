@@ -83,6 +83,14 @@ def shm_files(prefix: str = "repro-") -> list[str]:
         return []
 
 
+def by_value(obj):
+    """*obj* with every nested record (stats, histogram, per-lane usage)
+    unfolded into its attributes, so two states compare by value."""
+    if isinstance(obj, dict):
+        return {k: by_value(v) for k, v in obj.items()}
+    return by_value(vars(obj)) if hasattr(obj, "__dict__") else obj
+
+
 @contextmanager
 def running_host(port: int = 0, **session_kwargs):
     """An in-process :class:`DecodeWorkerHost` with its accept loop
@@ -768,9 +776,9 @@ class TestShardedSession:
                 counts = [e["requests"] for e in seen]
                 assert counts == sorted(counts)
             # Idle now: polling again leaves every stats field as it was.
-            before = copy.deepcopy(vars(session.stats))
+            before = copy.deepcopy(by_value(session.stats))
             final = [session.stats_snapshot() for _ in range(2)]
-            assert vars(session.stats) == before
+            assert by_value(session.stats) == before
             assert not hasattr(session.stats, "per_host")
             assert final[0]["per_host"] == final[1]["per_host"]
             (entry,) = final[0]["per_host"].values()

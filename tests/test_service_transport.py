@@ -6,7 +6,6 @@ a scheduler, and the N-producer session stress with shm enabled."""
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import subprocess
@@ -110,7 +109,7 @@ class TestPlaneArena:
             slot = arena.lease(10)
             arena.release(slot)
             arena.release(slot)          # no-op
-            arena.release(dataclasses.replace(slot, inode=-1))  # unknown
+            arena.release(slot._replace(inode=-1))  # unknown
             assert arena.leaked() == []
             assert arena.segments == 1
 
@@ -209,7 +208,7 @@ class TestPlaneArena:
             old = arena.lease(1 << 20)
             arena.discard(old)
             new = arena.lease(1 << 20)
-            stale = dataclasses.replace(old, fd=new.fd)
+            stale = old._replace(fd=new.fd)
             assert stale.inode != new.inode
             with pytest.raises(ServiceError):
                 publish_plane(stale, np.zeros(8, dtype=np.uint8))
