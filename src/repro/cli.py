@@ -38,12 +38,17 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core.modes import DecodeMode
 from .errors import DeadlineExceededError, ReproError
 from .kernels.options import KERNEL_SUBSAMPLINGS
+
+if TYPE_CHECKING:  # pragma: no cover - the viewer loads them on use
+    from .core.timeline import Timeline
+    from .service.obs import SpanRecord
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -386,15 +391,74 @@ def _cmd_serve_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .service.obs import format_trace, read_trace_log
+def spans_to_timeline(spans: list[SpanRecord]) -> Timeline:
+    """Replay collected spans through the ASCII-Gantt renderer.
 
-    path = Path(args.trace_log)
+    Times are normalized to the trace start and expressed in
+    microseconds, matching :class:`~repro.core.timeline.Timeline`'s
+    simulated-time units so its renderer and metrics apply unchanged.
+    """
+    from .core.timeline import Timeline
+
+    timeline = Timeline()
+    if not spans:
+        return timeline
+    origin = min(s.start for s in spans)
+    for span in sorted(spans, key=lambda s: s.start):
+        start_us = (span.start - origin) * 1e6
+        end_us = max(start_us, (span.end - origin) * 1e6)
+        timeline.add(span.resource, span.name, span.kind, start_us, end_us)
+    return timeline
+
+
+def format_trace(trace_id: str, spans: list[SpanRecord],
+                 width: int = 78) -> str:
+    """Render one trace: Gantt chart plus an indented span tree (the
+    measured counterpart of the paper's Figure 5/8 timelines)."""
+    if not spans:
+        return f"trace {trace_id}: no spans"
+    lines = [f"trace {trace_id} — {len(spans)} span(s), "
+             f"{(max(s.end for s in spans) - min(s.start for s in spans)) * 1e3:.2f} ms",
+             "", spans_to_timeline(spans).render(width=width), ""]
+    by_parent: dict[str | None, list[SpanRecord]] = {}
+    known = {s.span_id for s in spans}
+    for span in spans:
+        parent = span.parent_id if span.parent_id in known else None
+        by_parent.setdefault(parent, []).append(span)
+    origin = min(s.start for s in spans)
+
+    def walk(parent: str | None, depth: int) -> None:
+        """Append one tree level, sorted by start time."""
+        for span in sorted(by_parent.get(parent, ()), key=lambda s: s.start):
+            attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items()
+                             if k != "clock_offset_s")
+            lines.append(
+                f"  {'  ' * depth}{span.name:<14} "
+                f"+{(span.start - origin) * 1e3:8.2f} ms "
+                f"{span.duration_s * 1e3:8.2f} ms  "
+                f"[{span.resource}]{'  ' + attrs if attrs else ''}")
+            walk(span.span_id, depth + 1)
+
+    walk(None, 0)
+    return "\n".join(lines)
+
+
+def _read_traces(path: Path) -> dict[str, list[SpanRecord]] | None:
+    """The span log at *path* as ``trace_id -> spans``, or ``None``
+    (reported on stderr) when no serving command has written it."""
+    from .service.obs import read_trace_log
+
     if not path.exists():
         print(f"no trace log at {path} (run a serving command with "
               f"--trace-log {path})", file=sys.stderr)
+        return None
+    return read_trace_log(path)
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    traces = _read_traces(args.trace_log)
+    if traces is None:
         return 2
-    traces = read_trace_log(path)
     spans = traces.get(args.trace_id)
     if not spans:
         # Prefix match, so operators can paste a truncated id.
@@ -406,7 +470,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   + ", ".join(matches), file=sys.stderr)
             return 2
     if not spans:
-        print(f"trace {args.trace_id!r} not found in {path} "
+        print(f"trace {args.trace_id!r} not found in {args.trace_log} "
               f"({len(traces)} trace(s) logged)", file=sys.stderr)
         return 2
     _print_clipped(format_trace(spans[0].trace_id, spans,
@@ -426,14 +490,10 @@ def _print_clipped(text: str) -> None:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from .service.obs import format_trace, read_trace_log
-
-    path = Path(args.trace_log)
-    if not path.exists():
-        print(f"no trace log at {path} (run a serving command with "
-              f"--trace-log {path})", file=sys.stderr)
+    path = args.trace_log
+    traces = _read_traces(path)
+    if traces is None:
         return 2
-    traces = read_trace_log(path)
     if not traces:
         print(f"{path} holds no complete spans yet", file=sys.stderr)
         return 2
@@ -630,7 +690,8 @@ def _add_trace_parsers(sub) -> None:
                         "(default: 5)")
     q.set_defaults(func=_cmd_timeline)
     for reader in (p, q):
-        reader.add_argument("--trace-log", default="traces.jsonl",
+        reader.add_argument("--trace-log", type=Path,
+                            default="traces.jsonl",
                             help="JSON-lines span log a serving command "
                                  "wrote (default: traces.jsonl)")
         reader.add_argument("--width", type=int, default=78,

@@ -1,6 +1,6 @@
 """Low-overhead observability for the decode service.
 
-Three pieces, all stdlib-only:
+Two pieces, both stdlib-only:
 
 1. **Trace spans** — a :class:`TraceContext` (trace id + span id) is
    created at ``DecodeSession.submit`` and rides the
@@ -12,20 +12,15 @@ Three pieces, all stdlib-only:
    mapped back into the client's clock domain.  A worker task collects the
    :class:`SpanRecord`\\ s it records in its own list and returns them
    on its reply, so the hot path never blocks on I/O and no span
-   outlives the task that recorded it.
+   outlives the task that recorded it.  With ``--trace-log`` every
+   completed span is appended to a rotation-safe JSON-lines
+   :class:`TraceLog`, which :func:`read_trace_log` reads back for
+   ``repro trace`` / ``repro timeline``.
 
 2. **Metrics** — :class:`Histogram` (explicit buckets, kept by
    :class:`~repro.service.stats.ServiceStats`), which the HTTP
    server's :func:`~repro.service.http.render_prometheus` exposes at
    ``GET /metrics``.
-
-3. **Timeline reconstruction** — :func:`spans_to_timeline` replays
-   collected spans through the simulated-schedule
-   :class:`~repro.core.timeline.Timeline` ASCII-Gantt renderer
-   (the paper's Figure 5/8 view, measured instead of simulated; loaded
-   only when a chart is drawn), and
-   :func:`read_trace_log` feeds it from the rotation-safe JSON-lines
-   event log (``--trace-log``).
 
 The whole layer is gated on ``request.trace is not None``: with
 tracing off (the default) the per-image cost is a single attribute
@@ -40,13 +35,10 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
-from time import perf_counter, time
-from typing import TYPE_CHECKING, NamedTuple
+from time import time
+from typing import NamedTuple
 
 from ..errors import ServiceError
-
-if TYPE_CHECKING:  # pragma: no cover - loaded when a chart is drawn
-    from ..core.timeline import Timeline
 
 #: Trace modes accepted by :class:`ObsHub` / ``DecodeSession(tracing=...)``.
 #: ``off`` records nothing; ``on`` traces every request; ``sample``
@@ -115,7 +107,8 @@ class SpanRecord(NamedTuple):
     monotonic on Linux, so spans recorded by forked pool workers are
     directly comparable with the parent's; spans from *remote* hosts
     live in a foreign clock domain until
-    :func:`map_remote_spans` shifts them into the client's.
+    :func:`~repro.service.remote.map_remote_spans` shifts them into the
+    client's.
     """
 
     trace_id: str
@@ -313,89 +306,3 @@ class ObsHub:
         """Current counter values (copied)."""
         with self._lock:
             return dict(self._counters)
-
-
-def map_remote_spans(spans: list[SpanRecord], endpoint: str,
-                     t0: float, t1: float, host_recv: float,
-                     host_send: float) -> list[SpanRecord]:
-    """Shift remote-host spans into the client's clock domain.
-
-    The offset is estimated from the request/response pair the same
-    way NTP does: the midpoint of the client window ``[t0, t1]`` is
-    assumed simultaneous with the midpoint of the host's
-    ``[host_recv, host_send]`` service window.  Mapped timestamps are
-    then clamped into ``[t0, t1]`` so a skewed host clock can never
-    make a stitched timeline show negative queue waits.  Resources are
-    prefixed with ``endpoint/`` so Gantt rows name the host.
-    """
-    offset = ((t0 + t1) / 2.0) - ((host_recv + host_send) / 2.0)
-    mapped = []
-    for span in spans:
-        start = min(max(span.start + offset, t0), t1)
-        end = min(max(span.end + offset, start), t1)
-        mapped.append(SpanRecord(
-            trace_id=span.trace_id, span_id=span.span_id,
-            parent_id=span.parent_id, name=span.name,
-            resource=f"{endpoint}/{span.resource}", kind=span.kind,
-            start=start, end=end,
-            attrs={**span.attrs, "clock_offset_s": offset}))
-    return mapped
-
-
-# ---------------------------------------------------------------------------
-# Timeline reconstruction (the measured Figure 5/8 view).
-# ---------------------------------------------------------------------------
-
-def spans_to_timeline(spans: list[SpanRecord]) -> Timeline:
-    """Replay collected spans through the ASCII-Gantt renderer.
-
-    Times are normalized to the trace start and expressed in
-    microseconds, matching :class:`~repro.core.timeline.Timeline`'s
-    simulated-time units so its renderer and metrics apply unchanged.
-    """
-    from ..core.timeline import Timeline
-
-    timeline = Timeline()
-    if not spans:
-        return timeline
-    origin = min(s.start for s in spans)
-    for span in sorted(spans, key=lambda s: s.start):
-        start_us = (span.start - origin) * 1e6
-        end_us = max(start_us, (span.end - origin) * 1e6)
-        timeline.add(span.resource, span.name, span.kind, start_us, end_us)
-    return timeline
-
-
-def format_trace(trace_id: str, spans: list[SpanRecord],
-                 width: int = 78) -> str:
-    """Render one trace: Gantt chart plus an indented span tree."""
-    if not spans:
-        return f"trace {trace_id}: no spans"
-    lines = [f"trace {trace_id} — {len(spans)} span(s), "
-             f"{(max(s.end for s in spans) - min(s.start for s in spans)) * 1e3:.2f} ms",
-             "", spans_to_timeline(spans).render(width=width), ""]
-    by_parent: dict[str | None, list[SpanRecord]] = {}
-    known = {s.span_id for s in spans}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in known else None
-        by_parent.setdefault(parent, []).append(span)
-    origin = min(s.start for s in spans)
-
-    def walk(parent: str | None, depth: int) -> None:
-        """Append one tree level, sorted by start time."""
-        for span in sorted(by_parent.get(parent, ()), key=lambda s: s.start):
-            attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items()
-                             if k != "clock_offset_s")
-            lines.append(
-                f"  {'  ' * depth}{span.name:<14} "
-                f"+{(span.start - origin) * 1e3:8.2f} ms "
-                f"{span.duration_s * 1e3:8.2f} ms  "
-                f"[{span.resource}]{'  ' + attrs if attrs else ''}")
-            walk(span.span_id, depth + 1)
-
-    walk(None, 0)
-    return "\n".join(lines)
-
-
-#: Re-exported so worker tasks can stamp spans without importing time.
-now = perf_counter

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..errors import RemoteHostError, RemoteProtocolError, ServiceError
 from .faults import FaultDirective, apply_dispatch_fault
-from .obs import SpanRecord, TraceContext, child_span, map_remote_spans
+from .obs import SpanRecord, TraceContext, child_span
 from .scheduler import ExecutorLane, LaneBreakerBoard, ModelScheduler
 from .session import DecodeSession
 from .tasks import ImageRequest, ImageResult, TaskReply, decode_image_task
@@ -518,6 +518,33 @@ def remote_executors(hosts: "str | Iterable[Any]",
     if len({lane.name for lane in lanes}) != len(lanes):
         raise ServiceError("duplicate worker host endpoints")
     return lanes
+
+
+def map_remote_spans(spans: list[SpanRecord], endpoint: str,
+                     t0: float, t1: float, host_recv: float,
+                     host_send: float) -> list[SpanRecord]:
+    """Shift remote-host spans into the client's clock domain.
+
+    The offset is estimated from the request/response pair the same
+    way NTP does: the midpoint of the client window ``[t0, t1]`` is
+    assumed simultaneous with the midpoint of the host's
+    ``[host_recv, host_send]`` service window.  Mapped timestamps are
+    then clamped into ``[t0, t1]`` so a skewed host clock can never
+    make a stitched timeline show negative queue waits.  Resources are
+    prefixed with ``endpoint/`` so Gantt rows name the host.
+    """
+    offset = ((t0 + t1) / 2.0) - ((host_recv + host_send) / 2.0)
+    mapped = []
+    for span in spans:
+        start = min(max(span.start + offset, t0), t1)
+        end = min(max(span.end + offset, start), t1)
+        mapped.append(SpanRecord(
+            trace_id=span.trace_id, span_id=span.span_id,
+            parent_id=span.parent_id, name=span.name,
+            resource=f"{endpoint}/{span.resource}", kind=span.kind,
+            start=start, end=end,
+            attrs={**span.attrs, "clock_offset_s": offset}))
+    return mapped
 
 
 class HostPool(WorkerPool):

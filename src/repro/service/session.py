@@ -429,16 +429,12 @@ class DecodeSession:
         snap["tracing"] = {"mode": self.obs.mode, **self.obs.counters()}
         snap["uptime_s"] = max(0.0, time() - self.obs.started_at)
         snap["transport"]["mode"] = self.decoder.transport
-        breakers = {}
         if self.decoder.scheduler is not None:
             snap["scheduler"] = self.decoder.scheduler.snapshot()
-            breakers = snap["scheduler"]["breakers"]
         # The distributed mirror of per_executor: each host link's wire
-        # counters plus its lane's breaker, as the scheduler section
-        # above reports it (untracked lanes are closed).
+        # counters (its lane's breaker is in the scheduler section).
         snap["per_host"] = {
-            name: {**link.describe(), "breaker": breakers.get(
-                name, {"state": "closed"})["state"]}
+            name: link.describe()
             for name, link in sorted(self.decoder.links.items())}
         return snap
 

@@ -204,8 +204,6 @@ class ServiceStats:
             "images_ok": self.images_ok,
             "images_failed": self.images_failed,
             "images_split": self.images_split,
-            "total_wall_s": total_wall_s,
-            "images_per_sec": rate,
             "throughput": {
                 "horizon": "lifetime",
                 "images_per_sec": rate,

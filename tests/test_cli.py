@@ -228,7 +228,8 @@ class TestSessionFlags:
 
     def test_serve_hosts_builds_a_plain_session_over_remote_lanes(self):
         from repro.cli import _serve_session, build_parser
-        from repro.service import DecodeSession, HostPool
+        from repro.service import DecodeSession
+        from repro.service.remote import HostPool
 
         args = build_parser().parse_args(
             ["serve", "--hosts", "a:1,b:2", "--shard-depth", "3",
@@ -258,7 +259,7 @@ class TestSessionFlags:
 
     def test_shard_depth_defaults_to_the_lanes_own(self):
         from repro.cli import _serve_session, build_parser
-        from repro.service import RemoteLane
+        from repro.service.remote import RemoteLane
 
         session = _serve_session(
             build_parser().parse_args(["serve", "--hosts", "a:1"]))

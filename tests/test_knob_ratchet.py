@@ -1,6 +1,7 @@
 """The knob ratchet: how many values a caller can set on the batch
 decoder, the session, a request, the CLI, the codec's decode options
-and the paper-model decoder.
+and the paper-model decoder, plus how many names ``repro.service``
+exports (one joins only when code outside the tests imports it).
 
 The paper's runtime places work from what it can measure (the profiled
 platform, the image's entropy and size) and asks the operator for
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli
+import repro.service
 from repro.core import HeterogeneousDecoder
 from repro.jpeg import DecodeOptions
 from repro.service import BatchDecoder, DecodeSession, ImageRequest
@@ -49,6 +51,9 @@ COUNTS = {
          50),
     "DecodeOptions fields": (lambda: _fields(DecodeOptions), 4),
     "HeterogeneousDecoder fields": (lambda: _fields(HeterogeneousDecoder), 4),
+    # What front ends construct and what the API returns; every other
+    # name is imported from its own module.
+    "repro.service.__all__ names": (lambda: len(repro.service.__all__), 18),
 }
 
 

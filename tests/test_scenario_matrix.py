@@ -50,7 +50,8 @@ from repro.jpeg import (
 )
 from repro.jpeg import constants as C
 from repro.jpeg.markers import walk_header
-from repro.service import BatchDecoder, ImageRequest, shm_available
+from repro.service import BatchDecoder, ImageRequest
+from repro.service.transport import shm_available
 from repro.service.tasks import read_header
 
 # ---------------------------------------------------------------------------

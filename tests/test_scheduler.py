@@ -16,16 +16,15 @@ from repro.data import synthetic_photo
 from repro.errors import ModelError, ServiceError
 from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.service import (
-    BatchDecoder,
-    DecodeSession,
-    ModelScheduler,
+from repro.service import BatchDecoder, DecodeSession, ModelScheduler
+from repro.service.scheduler import (
+    ExecutorLane,
+    ImagePricing,
     ThroughputFeedback,
     default_executors,
     schedule_lpt,
     schedule_roundrobin,
 )
-from repro.service.scheduler import ExecutorLane, ImagePricing
 
 
 def encode(w, h, sub="4:2:2", dri=0, seed=7, detail=0.6, quality=85):

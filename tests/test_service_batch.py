@@ -16,10 +16,10 @@ from repro.service import (
     BatchDecoder,
     DecodeSession,
     ImageRequest,
-    SubmissionQueue,
     WorkerPool,
     percentile,
 )
+from repro.service.queue import SubmissionQueue
 
 
 @pytest.fixture(scope="module")

@@ -13,13 +13,9 @@ import pytest
 
 from repro.jpeg import EncoderSettings, encode_jpeg, parse_jpeg
 from repro.jpeg.coefficients import CoefficientBuffers
-from repro.service import (
-    DecodeSession,
-    FaultPlan,
-    ImageRequest,
-    TraceContext,
-    shm_available,
-)
+from repro.service import DecodeSession, FaultPlan, ImageRequest
+from repro.service.obs import TraceContext
+from repro.service.transport import shm_available
 from repro.service.fanout import SegmentPlan
 
 

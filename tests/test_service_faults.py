@@ -33,16 +33,14 @@ from repro.service import (
     BatchDecoder,
     DecodeHTTPServer,
     DecodeSession,
-    FaultDirective,
     FaultPlan,
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
-    apply_dispatch_fault,
-    schedule_lpt,
-    schedule_roundrobin,
-    shm_available,
 )
+from repro.service.faults import FaultDirective, apply_dispatch_fault
+from repro.service.scheduler import schedule_lpt, schedule_roundrobin
+from repro.service.transport import shm_available
 from repro.service.batch import SEGMENT_RUNS_PER_WORKER, ImageResult
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

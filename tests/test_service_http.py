@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
-from repro.service import DecodeHTTPServer, DecodeSession, ppm_bytes
+from repro.service import DecodeHTTPServer, DecodeSession
+from repro.service.http import ppm_bytes
 
 
 @pytest.fixture(scope="module")

@@ -28,22 +28,21 @@ from repro.service import (
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
-    ObsHub,
-    SpanRecord,
-    TraceContext,
-    format_trace,
-    read_trace_log,
-    render_prometheus,
-    spans_to_timeline,
 )
+from repro.cli import format_trace, spans_to_timeline
 from repro.errors import ServiceError
+from repro.service.http import render_prometheus
 from repro.service.obs import (
     LATENCY_BUCKETS_S,
     Histogram,
+    ObsHub,
+    SpanRecord,
+    TraceContext,
     child_span,
     make_span,
-    map_remote_spans,
+    read_trace_log,
 )
+from repro.service.remote import map_remote_spans
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -160,6 +159,55 @@ class TestMapRemoteSpans:
         assert span.resource == "h:1/res"
         assert 1.0 - 1e-6 <= span.start <= span.end <= 2.0 + 1e-6
         assert span.duration_s == pytest.approx(0.5, abs=1e-6)
+
+
+class TestFormatTrace:
+    def test_stitched_remote_trace_renders_the_pinned_text(self):
+        """A trace whose host spans were mapped into the client's clock
+        (each carries ``clock_offset_s``) renders to this exact text:
+        the offset stays out of the span tree and the host rows are
+        named ``endpoint/resource``."""
+        root = TraceContext("feedc0de", "root", None)
+        attempt = TraceContext("feedc0de", "att1", "root")
+        # The host's clock runs 490 s ahead of the client's.
+        host = [
+            SpanRecord("feedc0de", "hreq", "att1", "request", "client",
+                       "dispatch", 500.0, 500.006, {}),
+            SpanRecord("feedc0de", "hent", "hreq", "entropy", "w0",
+                       "huffman", 500.001, 500.004, {"segments": 3}),
+        ]
+        spans = [
+            make_span(root, "request", "client", "dispatch", 10.0, 10.012),
+            make_span(attempt, "attempt", "remote-h:1", "dispatch",
+                      10.001, 10.011, attempt=1),
+            SpanRecord("feedc0de", "rt", "att1", "remote_roundtrip", "h:1",
+                       "read", 10.002, 10.010,
+                       {"bytes_tx": 100, "bytes_rx": 5000}),
+            *map_remote_spans(host, "h:1", t0=10.002, t1=10.010,
+                              host_recv=500.0, host_send=500.0065),
+        ]
+        assert all("clock_offset_s" in s.attrs for s in spans[3:])
+        assert format_trace("feedc0de", spans, width=60) == "\n".join((
+            "trace feedc0de — 5 span(s), 12.00 ms",
+            "",
+            "client |" + "d" * 58 + "  |",
+            " h:1 |" + " " * 9 + "r" * 40 + " " * 11 + "|",
+            "h:1/client |" + " " * 13 + "d" * 30 + " " * 17 + "|",
+            "h:1/w0 |" + " " * 18 + "H" * 15 + " " * 27 + "|",
+            "remote-h:1 |    " + "d" * 50 + "      |",
+            "     0 " + "-" * 46 + " 12.00 ms",
+            "     [H=huffman  d=dispatch  C=cpu-parallel  w=write  "
+            "K=kernel  r=read]",
+            "",
+            "  request        +    0.00 ms    12.00 ms  [client]",
+            "    attempt        +    1.00 ms    10.00 ms  [remote-h:1]  "
+            "attempt=1",
+            "      remote_roundtrip +    2.00 ms     8.00 ms  [h:1]  "
+            "bytes_tx=100 bytes_rx=5000",
+            "      request        +    2.75 ms     6.00 ms  [h:1/client]",
+            "        entropy        +    3.75 ms     3.00 ms  [h:1/w0]  "
+            "segments=3",
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -45,28 +45,27 @@ from repro.service import (
     DecodeSession,
     BatchDecoder,
     DecodeWorkerHost,
-    FaultDirective,
-    HostPool,
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
-    parse_hosts,
-    parse_priority,
-    read_trace_log,
     remote_executors,
-    render_prometheus,
     sharded_session,
 )
-from repro.service.tasks import ImageResult, decode_image_task
+from repro.service.faults import FaultDirective
+from repro.service.http import render_prometheus
+from repro.service.obs import read_trace_log
 from repro.service.remote import (
     MAX_HEADER_BYTES,
+    HostPool,
     decode_request,
     decode_result,
     encode_request,
     encode_result,
+    parse_hosts,
     recv_frame,
     send_frame,
 )
+from repro.service.tasks import ImageResult, decode_image_task, parse_priority
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -662,10 +661,10 @@ class TestShardedSession:
                 metrics = render_prometheus(snapshot)
             finally:
                 session.close(drain=False)
-        (entry,) = snapshot["per_host"].values()
+        ((lane, entry),) = snapshot["per_host"].items()
         assert entry["endpoint"] == f"{host.host}:{host.port}"
         assert entry["requests"] == 1
-        assert entry["breaker"] == "closed"
+        assert snapshot["scheduler"]["breakers"][lane]["state"] == "closed"
         assert entry["bytes_tx"] > 0
         # The /metrics host series render from the same snapshot.
         assert check_prom_format.validate(metrics) == []
@@ -746,7 +745,7 @@ class TestShardedSession:
         monotone per-host entries and write nothing into the session's
         ``ServiceStats``."""
         keys = {"endpoint", "depth", "in_flight", "connected", "requests",
-                "failures", "reconnects", "bytes_tx", "bytes_rx", "breaker"}
+                "failures", "reconnects", "bytes_tx", "bytes_rx"}
         with running_host() as host, \
                 front_tier([host], depth=2, queue_capacity=64) as session:
             polls: list[list[dict]] = [[], []]
@@ -841,9 +840,10 @@ class TestShardedSession:
             == pytest.approx(sum(r.wall_us for r in results))
 
     def test_one_breaker_story_per_stats_read(self):
-        """``/stats`` reports a lane's breaker once: the per-host entry
-        says what the scheduler section says, and the read moves no
-        breaker — not even one whose cooldown has run out."""
+        """``/stats`` reports a lane's breaker once, in the scheduler
+        section (the per-host entry holds only the link's counters),
+        and the read moves no breaker — not even one whose cooldown
+        has run out."""
         now = [0.0]
         breakers = LaneBreakerBoard(threshold=1, cooldown_s=5.0,
                                     clock=lambda: now[0])
@@ -857,7 +857,8 @@ class TestShardedSession:
         finally:
             session.close(drain=False)
         assert snapshot["scheduler"]["breakers"][lane.name]["state"] \
-            == snapshot["per_host"][lane.name]["breaker"] == "open"
+            == "open"
+        assert "breaker" not in snapshot["per_host"][lane.name]
         assert breakers.snapshot()[lane.name]["state"] == "open"
 
     def test_dead_host_fails_over_and_trips_breaker(self, blob, oracle):
@@ -878,9 +879,10 @@ class TestShardedSession:
                 assert any(r.failed_over for r in results)
                 dead_lane = f"remote-127.0.0.1:{dead_port}"
                 assert breakers.state(dead_lane) == "open"
-                per_host = session.stats_snapshot()["per_host"]
-                assert per_host[dead_lane]["failures"] > 0
-                assert per_host[dead_lane]["breaker"] == "open"
+                snapshot = session.stats_snapshot()
+                assert snapshot["per_host"][dead_lane]["failures"] > 0
+                assert snapshot["scheduler"]["breakers"][dead_lane][
+                    "state"] == "open"
             finally:
                 session.close(drain=False)
 

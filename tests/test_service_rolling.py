@@ -22,11 +22,11 @@ from repro.service import (
     PRIORITY_LOW,
     BatchDecoder,
     DecodeSession,
-    FaultDirective,
     FaultPlan,
     ImageRequest,
-    ServiceStats,
 )
+from repro.service.faults import FaultDirective
+from repro.service.stats import ServiceStats
 from repro.service.session import DISPATCH_DEPTH
 
 
@@ -335,9 +335,9 @@ class TestBusyTimeIsAUnion:
             elapsed = time.perf_counter() - t0
             snap = session.stats_snapshot()
             assert snap["batches"] > 6          # groups did overlap
-            assert snap["images_per_sec"] == pytest.approx(
+            assert snap["throughput"]["images_per_sec"] == pytest.approx(
                 24 / elapsed, rel=0.10)
-            assert snap["total_wall_s"] <= elapsed
+            assert snap["throughput"]["total_wall_s"] <= elapsed
             # 24 waiting at ~35 img/s is under a second of backlog.
             with monkeypatch.context() as patch:
                 patch.setattr(DecodeSession, "pending",

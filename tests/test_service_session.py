@@ -14,12 +14,8 @@ import pytest
 
 from repro.errors import QueueFullError, ServiceClosedError, ServiceError
 from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
-from repro.service import (
-    DecodeHandle,
-    DecodeSession,
-    ImageRequest,
-    SubmissionQueue,
-)
+from repro.service import DecodeHandle, DecodeSession, ImageRequest
+from repro.service.queue import SubmissionQueue
 
 
 @pytest.fixture(scope="module")

@@ -23,18 +23,18 @@ from repro.service import (
     BatchDecoder,
     DecodeSession,
     ModelScheduler,
-    PlaneArena,
     WorkerPool,
-    resolve_transport,
-    shm_available,
 )
 from repro.service.tasks import ImageRequest, decode_image_task
 from repro.service.transport import (
+    PlaneArena,
     PlaneRef,
     PlaneSlot,
     packed_nbytes,
     publish_plane,
     publish_planes,
+    resolve_transport,
+    shm_available,
 )
 
 pytestmark = pytest.mark.skipif(

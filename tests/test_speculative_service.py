@@ -27,8 +27,8 @@ from repro.service import (
     ImageRequest,
     LaneBreakerBoard,
     ModelScheduler,
-    shm_available,
 )
+from repro.service.transport import shm_available
 from repro.service.scheduler import FANOUT_FIXED_US, fanout_pays
 
 
