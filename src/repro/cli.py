@@ -426,20 +426,23 @@ def format_trace(trace_id: str, spans: list[SpanRecord],
         parent = span.parent_id if span.parent_id in known else None
         by_parent.setdefault(parent, []).append(span)
     origin = min(s.start for s in spans)
+    tree: list[tuple[str, SpanRecord]] = []
 
-    def walk(parent: str | None, depth: int) -> None:
+    def walk(parent: str | None, indent: str) -> None:
         """Append one tree level, sorted by start time."""
         for span in sorted(by_parent.get(parent, ()), key=lambda s: s.start):
-            attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items()
-                             if k != "clock_offset_s")
-            lines.append(
-                f"  {'  ' * depth}{span.name:<14} "
-                f"+{(span.start - origin) * 1e3:8.2f} ms "
-                f"{span.duration_s * 1e3:8.2f} ms  "
-                f"[{span.resource}]{'  ' + attrs if attrs else ''}")
-            walk(span.span_id, depth + 1)
+            tree.append((indent + span.name, span))
+            walk(span.span_id, indent + "  ")
 
-    walk(None, 0)
+    walk(None, "")
+    pad = max(len(name) for name, _ in tree)    # the columns line up
+    for name, span in tree:
+        attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items()
+                         if k != "clock_offset_s")
+        lines.append(
+            f"  {name:<{pad}} +{(span.start - origin) * 1e3:8.2f} ms "
+            f"{span.duration_s * 1e3:8.2f} ms  "
+            f"[{span.resource}]{'  ' + attrs if attrs else ''}")
     return "\n".join(lines)
 
 

@@ -87,7 +87,9 @@ class Timeline:
             "write": "w", "kernel": "K", "read": "r",
         }
         lines = []
-        for resource in sorted({s.resource for s in self.spans}):
+        resources = sorted({s.resource for s in self.spans})
+        pad = max(map(len, resources))   # every bar row starts together
+        for resource in resources:
             row = [" "] * width
             for s in self.spans:
                 if s.resource != resource:
@@ -97,8 +99,8 @@ class Timeline:
                 g = glyphs.get(s.kind, "#")
                 for i in range(a, min(b, width)):
                     row[i] = g
-            lines.append(f"{resource:>4} |{''.join(row)}|")
+            lines.append(f"{resource:>{pad}} |{''.join(row)}|")
         legend = "  ".join(f"{g}={k}" for k, g in glyphs.items())
-        lines.append(f"     0 {'-' * (width - 14)} {t_end / 1e3:.2f} ms")
-        lines.append(f"     [{legend}]")
+        lines.append(f"{'':{pad}} 0 {'-' * (width - 14)} {t_end / 1e3:.2f} ms")
+        lines.append(f"{'':{pad}} [{legend}]")
         return "\n".join(lines)

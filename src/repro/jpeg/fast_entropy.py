@@ -1,12 +1,8 @@
 """Fused fast-path entropy engine — the default Huffman decode path.
 
 The paper's whole pipeline is gated by sequential Huffman decoding
-(Section 1), and in this reproduction that stage was the slowest code in
-the tree: :class:`~repro.jpeg.bitstream.BitReader` destuffed one byte at
-a time, every symbol paid a method call plus three bitstream calls, and
-the block loop dispatched per coefficient.  CPython charges per
-bytecode, so this module moves everything it can out of the per-symbol
-loop and into tables built once:
+(Section 1).  CPython charges per bytecode, so this module moves
+everything it can out of the per-symbol loop and into tables built once:
 
 1. **Destuffing prescan** (:func:`destuff_scan`): one vectorized pass
    converts the byte-stuffed scan into a contiguous marker-free payload
@@ -20,14 +16,15 @@ loop and into tables built once:
    past a restart marker are zero-filled there, which is exactly what
    the reference reader feeds past a marker, so the probe stays exact up
    to the last bit of a restart segment.
-3. **One table hit carries two symbols**
-   (:class:`FusedDecodeTables`): ``probe[win[p]]`` is a ready-to-use
-   tuple ``(bits, k_advance, value, bits2, k_advance2, value2)`` —
-   symbol decode, magnitude read and EXTEND of one coefficient, and of
-   the symbol after it wherever both fit the window.  A wider window
-   alone buys nothing (a 10-bit one already resolved ~98 % of the
-   symbols); what it buys is room for the second symbol, which cuts
-   the number of loop iterations.
+3. **One table hit carries several symbols**: ``probe[win[p]]``
+   (:class:`FusedDecodeTables`) is a ready-to-use tuple — symbol decode,
+   magnitude read and EXTEND of an AC coefficient, and of the symbol
+   after it wherever both fit the window — and a block opens on one hit
+   of its *head* (:func:`head_probe`): the DC difference, the first AC
+   symbol where it fits behind, and an EOB closing that coefficient
+   where that fits too.  A wider window alone buys nothing (a 10-bit one
+   already resolved ~98 % of the symbols); what it buys is room for
+   more symbols per hit, which cuts the number of loop iterations.
 4. **Flattened hot loop**: :meth:`FastEntropyDecoder.decode_mcu_rows`
    binds every table to a local, walks a per-MCU block plan computed
    once per decode, and stores coefficients through a typed
@@ -40,18 +37,14 @@ loop and into tables built once:
    same loop over an MCU-strip geometry, stopped at an MCU count or a
    bit limit and optionally tracing ``(bit position, DC predictors)``
    per MCU — what restart runs, speculative chunks and the stitcher's
-   repairs are made of (:mod:`~repro.jpeg.parallel_huffman`,
-   :mod:`~repro.jpeg.speculative`).
+   repairs are made of.
 
-:class:`FastEntropyDecoder` is bit-exact with
-:class:`~repro.jpeg.entropy.EntropyDecoder` (the retained ``reference``
-oracle): identical coefficient planes on valid streams, and identical
-exception types *and messages* on adversarial ones (truncated payloads,
-bad restart sequences, undecodable codes, a DC predictor leaving int16)
-— property-tested in ``tests/test_entropy_engine.py``.  Select an engine
-by name through :func:`create_entropy_decoder` (the ``entropy_engine=``
-knob on :class:`~repro.jpeg.decoder.DecodeOptions`,
-:class:`~repro.core.decoder.HeterogeneousDecoder` and the CLI).
+:class:`FastEntropyDecoder` is bit-exact with the ``reference`` oracle
+:class:`~repro.jpeg.entropy.EntropyDecoder`: identical coefficient
+planes on valid streams, and identical exception types *and messages*
+on adversarial ones — property-tested in ``tests/test_entropy_engine.py``.
+:func:`create_entropy_decoder` selects an engine by name
+(``DecodeOptions.entropy_engine``).
 """
 
 from __future__ import annotations
@@ -73,8 +66,8 @@ TRUNCATED_FF = -1
 #: Zig-zag order shifted by one: ``_ZIGZAG_AFTER[k]`` is the natural
 #: index of zig-zag position ``k - 1``.  A fused entry advances ``k``
 #: *past* the coefficient it carries, so the store looks its index up
-#: after the advance and the loop needs no separate ``k += 1``.  (Tuple
-#: indexing is the fastest per-coefficient lookup CPython offers.)
+#: after the advance, with no separate ``k += 1``; a ``k`` past 64 (an
+#: overrun) raises the lookup's IndexError.
 _ZIGZAG_AFTER = (0,) + tuple(int(i) for i in ZIGZAG_ORDER)
 
 #: Width of the probe window: ``win[p]`` is the next ``PROBE_BITS``
@@ -167,9 +160,8 @@ class ScanPrescan:
         it.  Bits past the payload, and past the restart marker that
         ends the segment a window starts in, read as zero.
 
-        Built on first use and kept until another span is asked for:
-        decoders that share a prescan (the stitcher's repairs) build a
-        span once, and a decode holds one span however long its scan.
+        Built on first use and kept until another span is asked for, so
+        decoders that share a prescan build a span once.
         """
         span = bit // (SPAN_BYTES << 3)
         cached = self._windows
@@ -279,40 +271,26 @@ class FusedDecodeTables:
 
     ``probe[w]`` for a ``PROBE_BITS``-wide window *w* is the complete,
     ready-to-use outcome of decoding the symbol(s) whose code *and*
-    magnitude bits fit in the window.  In the DC role it is a triple
-    ``(bits, k_advance, value)``; in the AC role the triple of the first
-    symbol followed by the triple of the second,
-    ``(bits, k_advance, value, bits2, k_advance2, value2)``:
+    magnitude bits fit in the window: per symbol a triple ``(bits,
+    k_advance, value)``, the bits the reader consumes (code plus
+    magnitude), how far the zig-zag index moves and the EXTENDed value.
+    By role:
 
-    - ``bits``: code length plus magnitude width, what the reader
-      consumes;
-    - ``k_advance``: how far the zig-zag index moves.  A coefficient
-      after ``run`` zeros advances ``run + 1`` (the store then indexes
-      ``_ZIGZAG_AFTER``); ZRL advances :data:`ZRL_ADVANCE`; EOB advances
-      :data:`EOB_ADVANCE`, past the end of any block.  In the DC role it
-      is always 1 (the DC coefficient itself);
-    - ``value``: the EXTENDed coefficient (DC role: the difference to
-      the predictor).  In the AC role 0 can only mean EOB or ZRL, since
-      EXTEND never produces 0 for a non-zero size.
-
-    The second triple is the single-symbol decode of the bits behind
-    the first, present when the first symbol is a coefficient (nothing
-    is paired after EOB or ZRL) and the second fits what is left of the
-    window; ``(0, 0, 0)`` otherwise, which the loop can apply blindly.
-    The loop must not apply it when the first coefficient was the
-    block's last (zig-zag 63): those bits are the next block's DC code.
-
-    The two progressive AC roles (``"ac_first"`` and ``"ac_refine"``,
-    read by :mod:`~repro.jpeg.progressive`) hold one triple per window
-    and know the EOBn symbols, which baseline scans do not have:
-
-    - a coefficient is ``(bits, run + 1, value)`` and ZRL
-      ``(bits, ZRL_ADVANCE, 0)``, as above (in a refinement scan the
-      value is the new coefficient's sign, +1 or -1, and a symbol of
-      any other size is not fused: the careful path raises on it);
-    - EOBn is ``(bits, 0, blocks)``: *bits* covers the code and its
-      ``n`` run bits, *blocks* is how many blocks end here, this one
-      included (``2**n`` plus the run bits), and the 0 advance is what
+    - ``"ac"``, baseline AC: a coefficient after ``run`` zeros advances
+      ``run + 1`` (the store then indexes ``_ZIGZAG_AFTER``), ZRL
+      :data:`ZRL_ADVANCE` and EOB :data:`EOB_ADVANCE`, past any block; a
+      value of 0 is EOB or ZRL (EXTEND never makes one).  A coefficient
+      is followed by the triple of the symbol behind it where both fit,
+      anything else by ``(0, 0, 0)``, which the loop applies blindly —
+      but never behind zig-zag 63: those bits are the next block's DC.
+    - ``"dc"``, progressive DC scans: ``(bits, 1, difference)``.  A
+      baseline block opens on its :func:`head_probe` instead.
+    - ``"ac_first"`` / ``"ac_refine"``, progressive AC scans
+      (:mod:`~repro.jpeg.progressive`): one triple, as in ``"ac"`` (a
+      refinement value is the new coefficient's sign; other sizes are
+      not fused), or EOBn as ``(bits, 0, blocks)``: *bits* covers the
+      code and its ``n`` run bits, *blocks* is how many blocks end here,
+      this one included (``2**n`` plus the run bits), and the 0 advance
       tells it from a coefficient.
 
     ``None`` means "not resolvable in one probe": the decoder falls
@@ -320,7 +298,7 @@ class FusedDecodeTables:
     (``LOOKUP_BITS``-wide, ``(length << 8) | symbol``, magnitude read
     separately) and the MINCODE/MAXCODE walk for longer codes.  Symbols
     the reference decoder would reject (DC category > 11, AC size-0
-    symbols other than EOB/ZRL) are never fused in either slot, so the
+    symbols other than EOB/ZRL) are never fused in any slot, so the
     fallback path raises the exact reference errors.
     """
 
@@ -328,8 +306,7 @@ class FusedDecodeTables:
                  "valptr", "values")
 
     def __init__(self, spec: HuffmanSpec, role: str) -> None:
-        """Build the symbol-at-a-time tables for *spec* acting as *role*
-        ("dc", "ac", or the progressive "ac_first" / "ac_refine");
+        """Build the symbol-at-a-time tables for *spec* acting as *role*;
         :attr:`probe` is left to its first use."""
         self.spec = spec
         self.role = role
@@ -358,10 +335,19 @@ class FusedDecodeTables:
     @property
     def probe(self) -> list:
         """The ``PROBE_BITS``-wide table, built on first use: it is the
-        cold cost of a table (0.3-0.5 ms), and not every role of every
-        DHT slot a stream defines is decoded through."""
+        cold cost of a table (0.6-0.8 ms, 1.8-3.1 ms for the first one a
+        process builds), and not every role of every DHT slot a stream
+        defines is decoded through."""
         if self._probe is None:
-            self._probe = _probe_table(*_canonical(self.spec), self.role)
+            cols = list(_columns(self.spec, self.role))
+            if self.role == "ac":   # pair each coefficient with what follows
+                bits, adv, val = cols
+                rest = _behind(bits)
+                paired = (val != 0) & (bits[rest] > 0) & (
+                    bits + bits[rest] <= PROBE_BITS)
+                cols += [bits[rest] * paired, adv[rest] * paired,
+                         val[rest] * paired]
+            self._probe = _entries(cols)
         return self._probe
 
 
@@ -387,16 +373,11 @@ def _window_owners(starts: np.ndarray, width: int) -> np.ndarray:
                      np.diff(edges, append=1 << width))
 
 
-def _probe_table(lens: np.ndarray, starts: np.ndarray, syms: np.ndarray,
-                 role: str) -> list:
-    """``FusedDecodeTables.probe`` for canonical symbols *syms* with
-    code lengths *lens* and 16-bit-aligned code *starts*.
-
-    Vectorised over the windows: per-symbol facts (bits consumed,
-    advance, magnitude mask) are gathered per window, the second symbol
-    of an AC entry is the first symbol of the window shifted past the
-    first, and one tuple is made per run of equal windows.
-    """
+def _columns(spec: HuffmanSpec, role: str):
+    """Single-symbol decode of every ``PROBE_BITS`` window by *spec* in
+    *role*, vectorised: arrays ``(bits, advance, value)`` over the
+    windows, all 0 where no acceptable symbol fits the window."""
+    lens, starts, syms = _canonical(spec)
     width = PROBE_BITS
     if role == "dc":
         size, advance = syms, (syms <= 11).astype(np.int32)
@@ -420,30 +401,33 @@ def _probe_table(lens: np.ndarray, starts: np.ndarray, syms: np.ndarray,
     half = ((1 << size) >> 1) * ~eobn   # magnitudes below it are negative
     floor = eobn << size        # an EOBn run of r bits starts at 2**r
 
-    x = np.arange(1 << width, dtype=np.int32)
     owner = _window_owners(starts, width)
     bits, adv = total[owner], advance[owner]
-    m = (x >> (width - bits)) & full[owner]
-    val = m - (m < half[owner]) * full[owner] + floor[owner]
-    cols = [bits, adv, val]
-    if role == "ac":
-        rest = (x << bits) & ((1 << width) - 1)
-        bits2 = bits[rest]
-        paired = (val != 0) & (bits2 > 0) & (bits + bits2 <= width)
-        cols += [bits2 * paired, adv[rest] * paired, val[rest] * paired]
+    m = (np.arange(1 << width, dtype=np.int32) >> (width - bits)) & full[owner]
+    return bits, adv, m - (m < half[owner]) * full[owner] + floor[owner]
 
-    change = np.zeros(x.size, dtype=bool)
+
+def _behind(bits: np.ndarray) -> np.ndarray:
+    """Each window shifted past its first *bits*, zero-filled."""
+    return (np.arange(bits.size, dtype=np.int32) << bits) & (bits.size - 1)
+
+
+def _entries(cols: list) -> list:
+    """A probe table: the tuple of per-window *cols* for every window,
+    one tuple per run of equal windows, and None where ``cols[0]``, the
+    bits consumed, is 0."""
+    change = np.zeros(cols[0].size, dtype=bool)
     change[0] = True
     for c in cols:
         change[1:] |= c[1:] != c[:-1]
     first = np.flatnonzero(change)
     entries = np.fromiter(zip(*(c[first].tolist() for c in cols)),
                           dtype=object, count=first.size)
-    entries[bits[first] == 0] = None
-    return np.repeat(entries, np.diff(first, append=x.size)).tolist()
+    entries[cols[0][first] == 0] = None
+    return np.repeat(entries, np.diff(first, append=change.size)).tolist()
 
 
-_TABLE_CACHE: dict[tuple[HuffmanSpec, str], FusedDecodeTables] = {}
+_TABLE_CACHE: dict[tuple, FusedDecodeTables | list] = {}
 _TABLE_CACHE_LOCK = threading.Lock()
 
 #: Cache bound: per-image optimized tables would otherwise accumulate
@@ -451,29 +435,58 @@ _TABLE_CACHE_LOCK = threading.Lock()
 _TABLE_CACHE_MAX = 64
 
 
-def fused_tables(spec: HuffmanSpec, role: str) -> FusedDecodeTables:
-    """Build (or fetch cached) fused tables for *spec* in *role*.
-
-    The cache is LRU-bounded at ``_TABLE_CACHE_MAX`` entries — a hit
-    moves its entry to the young end of the (insertion-ordered) dict —
-    so unique per-image optimized Huffman tables cannot leak memory in
-    long-lived processes, and the Annex-K standard tables, which nearly
-    every image uses, are never the ones evicted.  Lookup, refresh and
+def _cached(key: tuple, build):
+    """``build()``, kept in the table cache under *key*.  The cache is
+    LRU-bounded at ``_TABLE_CACHE_MAX`` entries (a hit moves its entry
+    to the young end of the dict), so per-image optimized tables cannot
+    leak memory in long-lived processes and the Annex-K tables nearly
+    every image uses are never the ones evicted.  Lookup, refresh and
     eviction run under one lock (``thread``-backend workers share the
-    cache); the table build itself runs outside it.
-    """
-    key = (spec, role)
+    cache); the build itself runs outside it."""
     with _TABLE_CACHE_LOCK:
         tab = _TABLE_CACHE.pop(key, None)
         if tab is not None:
             _TABLE_CACHE[key] = tab
             return tab
-    tab = FusedDecodeTables(spec, role)
+    tab = build()
     with _TABLE_CACHE_LOCK:
         _TABLE_CACHE[key] = tab
         while len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
             del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return tab
+
+
+def fused_tables(spec: HuffmanSpec, role: str) -> FusedDecodeTables:
+    """Build (or fetch cached) fused tables for *spec* in *role*."""
+    return _cached((spec, role), lambda: FusedDecodeTables(spec, role))
+
+
+def head_probe(dc: HuffmanSpec, ac: HuffmanSpec) -> list:
+    """Build (or fetch cached) the head probe of baseline blocks coded
+    by *dc* and *ac*: ``head[w]`` is ``(bits, diff, k, i, v)``, the bits
+    the reader consumes, the DC difference and the zig-zag index *k*
+    after the head.  *k* is 1 when only the DC symbol fits the window;
+    where the first AC symbol fits too, *k* is past it and a coefficient
+    stores *v* at natural index *i*; where an EOB ends the block (that
+    symbol, or one closing the coefficient) *k* is :data:`EOB_ADVANCE`.
+    Without a coefficient *v* is 0 and *i* 1: the store is blind, and
+    the plane is still zero there.  None where the DC symbol is not
+    fused, as in the ``"dc"`` probe."""
+    def build() -> list:
+        bits, _, diff = _columns(dc, "dc")
+        abits, adv, val = _columns(ac, "ac")
+        rest = _behind(bits)
+        fits = (bits > 0) & (abits[rest] > 0) & (
+            bits + abits[rest] <= PROBE_BITS)
+        bits, k, v = (bits + abits[rest] * fits, 1 + adv[rest] * fits,
+                      val[rest] * fits)
+        rest = _behind(bits)    # an EOB closes a coefficient, not a ZRL
+        eob = (v != 0) & (adv[rest] == EOB_ADVANCE) & (
+            bits + abits[rest] <= PROBE_BITS)
+        i = np.where(v != 0, np.array(_ZIGZAG_AFTER)[np.minimum(k, 64)], 1)
+        return _entries([bits + abits[rest] * eob, diff, np.where(
+            eob, EOB_ADVANCE, np.minimum(k, EOB_ADVANCE)), i, v])
+    return _cached((dc, ac), build)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +689,10 @@ def _probe_end(seg_bits: int, zero_feed: bool) -> int:
 class FastEntropyDecoder:
     """Drop-in fast replacement for :class:`EntropyDecoder`.
 
-    Same constructor, lifecycle and outputs as the reference engine; the
-    only intentional difference is that :attr:`row_byte_offsets` reports
-    the *minimal* original-stream byte count covering the bits consumed
-    (the reference reports its internal fill position, which can run a
-    byte or two ahead) — both satisfy the monotonicity and end-of-scan
-    bounds the partitioner relies on.
+    Same constructor, lifecycle and outputs as the reference engine, but
+    :attr:`row_byte_offsets` reports the *minimal* byte count covering
+    the bits consumed (the reference's fill position can run a byte or
+    two ahead); both keep the bounds the partitioner relies on.
     """
 
     def __init__(
@@ -695,18 +706,14 @@ class FastEntropyDecoder:
         """Bind fused tables for *tables* and allocate decode state
         (same signature as the reference :class:`EntropyDecoder`).
 
-        *tolerant* relaxes structural checks for speculative decoding
-        (:mod:`~repro.jpeg.speculative`): a mid-stream guess parses
+        *tolerant* is for speculative decoding: a mid-stream guess parses
         garbage until it self-synchronizes, and that garbage routinely
-        overruns blocks or overflows the int16 DC range.  Tolerant mode
-        clamps instead of raising — AC overruns and bad AC symbols end
-        the block and out-of-range DC categories decode as empty, each
-        counted (:attr:`run_passed` says in which MCU of a bounded run:
-        the same error *after* the guess has synchronised is the
-        stream's own, and the sequential decoder raises it), and DC
-        stores wrap modulo 2**16 (the stitcher's DC-delta patch is also
-        modular, so wrapped speculative values still patch to the exact
-        sequential result).  Undecodable Huffman codes still raise:
+        overruns blocks or overflows the int16 DC range.  AC overruns and
+        bad AC symbols then end the block and out-of-range DC categories
+        decode as empty, each counted (:attr:`run_passed` says in which
+        MCU of a run: after the guess has synchronised the error is the
+        stream's own), and DC stores wrap modulo 2**16, as the
+        stitcher's DC-delta patch does.  Undecodable codes still raise:
         with no codeword length there is nothing to skip.
         """
         if len(tables) != len(geometry.components):
@@ -720,6 +727,7 @@ class FastEntropyDecoder:
         self._passed = _Passed() if tolerant else None
         self._dc_tables = [fused_tables(t.dc, "dc") for t in tables]
         self._ac_tables = [fused_tables(t.ac, "ac") for t in tables]
+        self._heads = [head_probe(t.dc, t.ac) for t in tables]
         self._scan: ScanPrescan | None = None
         #: The reader: bits of the payload consumed so far.  It runs
         #: past ``_seg_bits`` when a decode consumes the zeros the
@@ -767,14 +775,13 @@ class FastEntropyDecoder:
     def start_prescanned(self, scan: ScanPrescan, bit_offset: int = 0) -> None:
         """Attach an existing prescan and start decoding at *bit_offset*.
 
-        The speculative engine (:mod:`repro.jpeg.speculative`) shares one
-        destuffing prescan across many chunk decoders; feeding a payload
-        back through :meth:`start` would destuff it a second time and
-        misread destuffed 0xFF data bytes as markers.  *bit_offset* is an
+        The speculative engine shares one prescan across many chunk
+        decoders (:meth:`start` would destuff a payload a second time and
+        misread its 0xFF data bytes as markers).  *bit_offset* is an
         absolute bit position into ``scan.payload``, and
         :attr:`bit_position` starts out equal to it.  Restart sequencing
-        (``RST0..RST7`` modulo checks) is only meaningful from offset 0;
-        speculative starts target marker-free scans.
+        is checked from offset 0 only; speculative starts target
+        marker-free scans.
         """
         if not 0 <= bit_offset <= len(scan.payload) * 8:
             raise EntropyError(
@@ -805,7 +812,7 @@ class FastEntropyDecoder:
         """Allocate the coefficient planes and lay out the block walk.
 
         ``_row_plan[mcol]`` lists the blocks of MCU column *mcol* in
-        decode order as ``(component, offset, view, dc probe, ac probe,
+        decode order as ``(component, offset, view, head probe, ac probe,
         dc tables, ac tables)``: *offset* is the block's first
         coefficient relative to the start of its MCU row, *view* a typed
         ``memoryview`` of the flattened int16 plane.  Computed once per
@@ -820,9 +827,10 @@ class FastEntropyDecoder:
         self._row_plan = [
             tuple(
                 (ci, ((v * c.blocks_wide + mcol * c.h_factor + h) << 6),
-                 views[ci], dct.probe, act.probe, dct, act)
-                for ci, (c, dct, act) in enumerate(zip(
-                    geo.components, self._dc_tables, self._ac_tables))
+                 views[ci], head, act.probe, dct, act)
+                for ci, (c, head, dct, act) in enumerate(zip(
+                    geo.components, self._heads, self._dc_tables,
+                    self._ac_tables))
                 for v in range(c.v_factor)
                 for h in range(c.h_factor))
             for mcol in range(geo.mcus_per_row)
@@ -877,14 +885,12 @@ class FastEntropyDecoder:
     def decode_mcu_rows(self, nrows: int) -> int:
         """Decode up to *nrows* further MCU rows; return rows decoded.
 
-        One flat loop: tables and the reader live in locals, the reader
-        is the bit position ``p`` (relative to ``win0``, the first bit
-        of the current span of probe windows), a probe is
-        ``table[win[p]]`` and in the common case one tuple unpack yields
-        two symbols, and coefficients are stored through typed
-        ``memoryview``s of the planes.  Everything rare — a restart
-        boundary, the last bits of a segment, a symbol the probe does
-        not resolve — is a call to a module-level helper.
+        One flat loop over locals: the reader is the bit position ``p``
+        (relative to ``win0``, the first bit of the current span of
+        probe windows), a block opens on one head probe and goes on in
+        AC probes of up to two symbols, each one tuple unpack, and
+        coefficients are stored through typed ``memoryview``s of the
+        planes.  Everything rare is a call to a module-level helper.
         """
         if self._scan is None:
             raise EntropyError("start() must be called before decoding")
@@ -919,7 +925,7 @@ class FastEntropyDecoder:
                     p -= win0
                     probe_end = _probe_end(seg_bits, zero_feed) - win0
                     preds[:] = [0] * len(preds)
-                for ci, rel, out, d_probe, a_probe, dct, act in mcu:
+                for ci, rel, out, h_probe, a_probe, dct, act in mcu:
                     base = origins[ci] + rel
                     if not 0 <= p < span_bits:
                         # The block starts in another span (a restart
@@ -929,16 +935,17 @@ class FastEntropyDecoder:
                         p -= win0
                         probe_end = _probe_end(seg_bits, zero_feed) - win0
 
-                    # ---------------- DC ----------------
-                    e = d_probe[win[p]] if p <= probe_end else None
+                    # ------- DC, and the AC symbols behind it -------
+                    e = h_probe[win[p]] if p <= probe_end else None
                     if e is not None:
-                        bits, _, diff = e
+                        bits, diff, k, i, v = e
                         p += bits
                     else:
                         diff, p = _careful_dc(
                             win0 + p, seg_bits, zero_feed, trunc, payload,
                             dct, tolerant)
                         p -= win0
+                        k, i, v = 1, 1, 0
                     pred = preds[ci] = preds[ci] + diff
                     if -32768 <= pred <= 32767:
                         out[base] = pred
@@ -948,9 +955,9 @@ class FastEntropyDecoder:
                         out[base] = ((pred + 32768) & 65535) - 32768
                     else:
                         raise dc_range_error(pred)
+                    out[base + i] = v
 
                     # ---------------- AC ----------------
-                    k = 1
                     while k < 64:
                         if p <= probe_end:
                             e = a_probe[win[p]]
@@ -959,21 +966,18 @@ class FastEntropyDecoder:
                                 p += bits
                                 k += advance     # EOB: past 63; ZRL: 16
                                 if val:
-                                    if k > 64:
+                                    try:    # k past 64 overruns zz_after
+                                        out[base + zz_after[k]] = val
+                                        if k < 64:
+                                            # Not the block's last: the
+                                            # second symbol is an AC one.
+                                            p += bits2
+                                            k += advance2
+                                            if val2:
+                                                out[base + zz_after[k]] = val2
+                                    except IndexError:
                                         _pass_or_raise(tolerant, _AC_OVERRUN)
                                         break
-                                    out[base + zz_after[k]] = val
-                                    if k < 64:
-                                        # Not the block's last: the
-                                        # second symbol is an AC one.
-                                        p += bits2
-                                        k += advance2
-                                        if val2:
-                                            if k > 64:
-                                                _pass_or_raise(
-                                                    tolerant, _AC_OVERRUN)
-                                                break
-                                            out[base + zz_after[k]] = val2
                                 continue
                         k, val, p = _careful_ac(
                             k, win0 + p, seg_bits, zero_feed, trunc, payload,
@@ -1014,16 +1018,12 @@ class FastEntropyDecoder:
         ``payload bits - 7``.  With *record*, :attr:`run_positions` and
         :attr:`run_predictors` (and :attr:`run_passed`, for a tolerant
         decoder) get one entry per MCU — the trace the speculative
-        stitcher synchronises on.  Decode errors propagate;
-        the record then holds the MCUs completed before the error (and
-        the planes whatever was stored).
+        stitcher synchronises on.  Decode errors propagate, the record
+        holding the MCUs completed before the error.
 
         This is :meth:`decode_mcu_rows` itself — a strip's MCU row is
         one MCU — with the stop rule and the record hooked into its
-        per-row epilogue in place of the row-offset bookkeeping: a
-        whole-image decode pays one ``is None`` test per MCU row for
-        it, and a run pays one closure call per MCU instead of a call
-        into the decoder with its state load and store.
+        per-row epilogue: a run pays one closure call per MCU.
         """
         positions = self.run_positions = []
         predictors = self.run_predictors = []

@@ -8,6 +8,7 @@ from time import perf_counter, sleep
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import HeterogeneousDecoder
 from repro.data import synthetic_photo, synthetic_smooth
@@ -20,6 +21,10 @@ from repro.service import (
     ModelScheduler,
 )
 from repro.service.session import DISPATCH_DEPTH
+
+#: ``pytest --hypothesis-profile=deep``: 20x the default profile's
+#: examples per property (CI fuzzes the entropy engine's parity with it).
+settings.register_profile("deep", max_examples=20 * 100)
 
 #: Seconds each dispatch on a browned-out lane sleeps first.
 STALL_S = 0.5

@@ -11,6 +11,7 @@ runs, truncated payloads, tampered restart markers, stray markers).
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import sys
 import threading
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EntropyError, JpegError
+from repro.errors import EntropyError, HuffmanError, JpegError
 from repro.jpeg import (
     EncoderSettings,
     DecodeOptions,
@@ -51,12 +52,22 @@ from repro.jpeg.fast_entropy import (
     ZRL_ADVANCE,
     FastEntropyDecoder,
     fused_tables,
+    head_probe,
 )
 from repro.jpeg.bitstream import HuffmanDecoder, HuffmanEncoder
 from repro.jpeg.huffman import HuffmanSpec, extend, spec_from_frequencies
 from repro.data import synthetic_photo
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "corpus"
+
+
+def parity_examples(count: int) -> settings:
+    """Settings of an engine-parity property that runs *count* examples
+    under the default hypothesis profile (100 per property) and as many
+    times more as the loaded profile has: ``--hypothesis-profile=deep``
+    (``tests/conftest.py``) runs it 20 times deeper."""
+    return settings(max_examples=count * settings.default.max_examples // 100,
+                    deadline=None)
 
 
 def std_tables() -> list[ComponentTables]:
@@ -298,6 +309,35 @@ class TestAdversarialStreams:
         dc = spec.decode_all(data).planes[0][:, 0, 0]
         assert dc[15] == 16 * 2047 and dc[16] == 17 * 2047 - 65536
 
+    def test_salvage_keeps_the_rows_before_the_dc_predictor_leaves_int16(
+            self):
+        """A 64x64 gray frame whose predictor leaves int16 in its sixth
+        MCU row, reached through both DC paths: fifteen +2047 differences
+        the careful path decodes, then +1 blocks whose head holds DC,
+        coefficient and EOB, and +127 blocks whose DC fills the head.
+        Pixels, error map and errors are the ones the decoder gave
+        before the head probe existed (a digest of them)."""
+        dc_codes = HuffmanEncoder(std_tables()[0].dc)
+        blocks = []
+        for b in range(64):
+            diff, cat, mag = ((2047, 11, 1) if b < 15 else
+                              (127, 7, 0) if b % 2 else (1, 1, 1))
+            blocks.append([dc_codes.code_for(cat), (diff, cat)]
+                          + ac_pairs(0x01, mag) + ac_pairs(C.EOB_SYMBOL))
+        base = encode_jpeg(np.full((64, 64, 3), 128, dtype=np.uint8),
+                           EncoderSettings(colorspace="gray"))
+        header = base[:len(base) - len(parse_jpeg(base).entropy_data) - 2]
+        out = decode_jpeg(header + gray_stream(blocks) + b"\xff\xd9",
+                          DecodeOptions(salvage=True))
+        assert out.errors == ["Python integer 32880 out of bounds for int16"]
+        assert out.error_map.any(axis=1).tolist() == [False] * 5 + [True] * 3
+        digest = hashlib.sha256(out.rgb.tobytes())
+        digest.update(out.error_map.tobytes())
+        digest.update("\n".join(out.errors).encode())
+        assert digest.hexdigest() == (
+            "219cf5a70d678667925c82abb7697c97"
+            "90ee9aceb1c1eb8d85cadd9f9705118a")
+
 
 class TestPrescan:
     def test_destuff_removes_stuffing_and_indexes_markers(self):
@@ -391,6 +431,16 @@ def unique_spec(i: int) -> HuffmanSpec:
 
 
 class TestTableCache:
+    def test_a_baseline_decode_builds_heads_not_dc_probes(self):
+        """A baseline block opens on its head, cached per (DC, AC) spec
+        pair; the ``"dc"`` probe is left to progressive DC scans."""
+        data = encode_jpeg(synthetic_photo(48, 64, seed=4), EncoderSettings(
+            subsampling="4:2:0", optimize_huffman=True))
+        decode_jpeg(data)
+        for t in component_tables_from_info(parse_jpeg(data)):
+            assert (t.dc, t.ac) in fast_entropy._TABLE_CACHE
+            assert fused_tables(t.dc, "dc")._probe is None
+
     def test_lru_keeps_the_standard_tables_resident(self):
         """A hit refreshes its entry: a stream of per-image optimized
         specs (more than the cache holds) never evicts tables that are
@@ -619,6 +669,31 @@ class TestPairBoundaries:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == [1] * 4      # passed over in the first MCU
 
+    def test_overrun_found_by_the_careful_path(self):
+        """61 coefficients, then (run 2, size 4): its 12-bit code and 4
+        magnitude bits fit no probe, so ``_careful_ac`` meets the
+        overrun.  A strict decode raises the reference error; a tolerant
+        one passes over it once, ends the block, and decodes the next
+        blocks as the strict path would have."""
+        ones = [p for _ in range(61) for p in ac_pairs(0x01, 1)]
+        block_a = DC_ZERO + ones + ac_pairs(0x24, 0b1010)
+        block_b = DC_ZERO + ac_pairs(0x01, 1) + ac_pairs(C.EOB_SYMBOL)
+        data = gray_stream([block_a, block_b] + FILLER)
+        code, length = ac_lum_codes().code_for(0x24)
+        shift = PROBE_BITS - length
+        probe = fused_tables(self.tables()[0].ac, "ac").probe
+        assert set(probe[code << shift:(code + 1) << shift]) == {None}
+        assert_engines_agree(self.GEO, self.tables(), 0, data)
+        assert decode_outcome("fast", self.GEO, self.tables(), 0, data) == (
+            "err", EntropyError, "AC coefficient index overran the block")
+        dec = FastEntropyDecoder(self.GEO.mcu_strip(4), self.tables(),
+                                 tolerant=True)
+        dec.start(data)
+        assert dec.decode_run() == 4 and dec.run_passed == [1] * 4
+        planes = dec.coefficients.planes[0].reshape(4, 64)
+        assert np.count_nonzero(planes[0]) == 61
+        assert np.count_nonzero(planes[1]) == 1 and planes[1][1] == 1
+
 
 # ---------------------------------------------------------------------------
 # The probe table is the composition of single-symbol decodes.
@@ -665,6 +740,44 @@ def assert_table_is_composition(spec: HuffmanSpec, role: str) -> None:
         assert entry == first + second, (w, entry, first, second)
 
 
+def careful_head(dc: HuffmanSpec, ac: HuffmanSpec, window: int):
+    """The head entry a ``PROBE_BITS`` *window* implies, decoded one
+    symbol at a time by the careful helpers (the bits past the window
+    read as zero): None unless the DC symbol fits the window."""
+    payload = (window << (16 - PROBE_BITS)).to_bytes(2, "big")
+    at = (16, True, False, payload)     # seg_bits, zero_feed, trunc
+    try:
+        diff, p = fast_entropy._careful_dc(
+            0, *at, fused_tables(dc, "dc"), None)
+    except (EntropyError, HuffmanError):
+        return None
+    if p > PROBE_BITS:
+        return None
+    head = (p, diff, 1, 1, 0)
+    for _ in range(2):      # the first AC symbol, then a closing EOB
+        try:
+            k, v, p = fast_entropy._careful_ac(
+                head[2], p, *at, fused_tables(ac, "ac"), None)
+        except (EntropyError, HuffmanError):
+            break
+        if p > PROBE_BITS or (head[4] and (v or k != EOB_ADVANCE)):
+            break           # it does not fit, or is not a closing EOB
+        i = fast_entropy._ZIGZAG_AFTER[k] if v else head[3]
+        head = (p, diff, k, i, v or head[4])
+        if not v:
+            break           # EOB or ZRL: nothing closes behind it
+    return head
+
+
+def assert_head_is_composition(dc: HuffmanSpec, ac: HuffmanSpec) -> None:
+    head = head_probe(dc, ac)
+    dc_probe = fused_tables(dc, "dc").probe
+    assert len(head) == 1 << PROBE_BITS
+    for w, entry in enumerate(head):
+        assert entry == careful_head(dc, ac, w), w
+        assert (entry is None) == (dc_probe[w] is None), w
+
+
 class TestProbeTableInvariant:
     @pytest.mark.parametrize("role,bits,values", [
         ("dc", C.STD_DC_LUMINANCE_BITS, C.STD_DC_LUMINANCE_VALUES),
@@ -675,7 +788,7 @@ class TestProbeTableInvariant:
     def test_annex_k_tables(self, role, bits, values):
         assert_table_is_composition(HuffmanSpec(bits, values), role)
 
-    @settings(max_examples=25, deadline=None)
+    @parity_examples(25)
     @given(freqs=st.dictionaries(st.integers(0, 255),
                                  st.integers(1, 1 << 20),
                                  min_size=1, max_size=80),
@@ -684,6 +797,21 @@ class TestProbeTableInvariant:
         """Per-image optimized tables are what real traffic carries:
         any symbol set, code lengths up to 16, incomplete codes."""
         assert_table_is_composition(spec_from_frequencies(freqs), role)
+
+    @pytest.mark.parametrize("pair", [0, 1], ids=["luma", "chroma"])
+    def test_annex_k_heads(self, pair):
+        t = std_tables()[pair]
+        assert_head_is_composition(t.dc, t.ac)
+
+    @parity_examples(25)
+    @given(dc=st.dictionaries(st.integers(0, 15), st.integers(1, 1 << 20),
+                              min_size=1, max_size=16),
+           ac=st.dictionaries(st.integers(0, 255), st.integers(1, 1 << 20),
+                              min_size=1, max_size=80))
+    def test_optimized_heads(self, dc, ac):
+        """DC categories past 11 are drawn too: no head carries them."""
+        assert_head_is_composition(spec_from_frequencies(dc),
+                                   spec_from_frequencies(ac))
 
     def test_first_level_lookup_matches_the_reference_decoder(self):
         for t in std_tables()[:2]:
@@ -707,7 +835,7 @@ class TestSegmentTails:
     pad nor raise inside its window; inside a scan a segment is followed
     by the next segment's bytes, not by zeros."""
 
-    @settings(max_examples=40, deadline=None)
+    @parity_examples(40)
     @given(seed=st.integers(0, 2**31 - 1),
            interval=st.sampled_from([0, 1, 2, 3, 8]),
            mode=st.sampled_from(["4:2:0", "4:2:2", "4:4:4", "gray"]),

@@ -190,24 +190,38 @@ class TestFormatTrace:
         assert format_trace("feedc0de", spans, width=60) == "\n".join((
             "trace feedc0de — 5 span(s), 12.00 ms",
             "",
-            "client |" + "d" * 58 + "  |",
-            " h:1 |" + " " * 9 + "r" * 40 + " " * 11 + "|",
+            "    client |" + "d" * 58 + "  |",
+            "       h:1 |" + " " * 9 + "r" * 40 + " " * 11 + "|",
             "h:1/client |" + " " * 13 + "d" * 30 + " " * 17 + "|",
-            "h:1/w0 |" + " " * 18 + "H" * 15 + " " * 27 + "|",
+            "    h:1/w0 |" + " " * 18 + "H" * 15 + " " * 27 + "|",
             "remote-h:1 |    " + "d" * 50 + "      |",
-            "     0 " + "-" * 46 + " 12.00 ms",
-            "     [H=huffman  d=dispatch  C=cpu-parallel  w=write  "
+            "           0 " + "-" * 46 + " 12.00 ms",
+            "           [H=huffman  d=dispatch  C=cpu-parallel  w=write  "
             "K=kernel  r=read]",
             "",
-            "  request        +    0.00 ms    12.00 ms  [client]",
-            "    attempt        +    1.00 ms    10.00 ms  [remote-h:1]  "
+            "  request              +    0.00 ms    12.00 ms  [client]",
+            "    attempt            +    1.00 ms    10.00 ms  [remote-h:1]  "
             "attempt=1",
             "      remote_roundtrip +    2.00 ms     8.00 ms  [h:1]  "
             "bytes_tx=100 bytes_rx=5000",
-            "      request        +    2.75 ms     6.00 ms  [h:1/client]",
+            "      request          +    2.75 ms     6.00 ms  [h:1/client]",
             "        entropy        +    3.75 ms     3.00 ms  [h:1/w0]  "
             "segments=3",
         ))
+
+    def test_gantt_rows_start_in_one_column(self):
+        """Resource labels of any length: every bar row opens in one
+        column, and the axis's 0 stands in it."""
+        ctx = TraceContext("0ddba11", "root", None)
+        spans = [
+            make_span(ctx, "request", "client", "dispatch", 0.0, 0.004),
+            make_span(ctx, "attempt", "remote-h:1", "dispatch", 0.001, 0.003),
+            make_span(ctx, "entropy", "127.0.0.1:35017/serial", "huffman",
+                      0.001, 0.002),
+        ]
+        gantt = format_trace("0ddba11", spans).split("\n\n")[1].splitlines()
+        assert [line.index("|") for line in gantt[:3]] == [23] * 3
+        assert gantt[3].index("0") == 23
 
 
 # ---------------------------------------------------------------------------
