@@ -11,7 +11,7 @@ _EXPORTS = {
     "percent_of_max": "amdahl",
     "HeterogeneousDecoder": "decoder", "clear_model_cache": "perfmodel",
     "DecodeResult": "executors", "ExecutionConfig": "executors",
-    "PreparedImage": "executors", "cpu_parallel_span": "executors",
+    "PreparedImage": "executors",
     "HornerPolynomial": "horner", "naive_evaluate": "horner",
     "EVALUATED_MODES": "modes", "DecodeMode": "modes",
     "newton_solve": "newton", "round_rows_to_mcu": "newton",

@@ -189,26 +189,6 @@ class ExecutionConfig:
 # CPU parallel phase (real math + simulated cost).
 # ---------------------------------------------------------------------------
 
-def cpu_parallel_span(geometry: ImageGeometry, coeffs: CoefficientBuffers,
-                      quants: list[np.ndarray], mcu_row_start: int,
-                      mcu_row_stop: int) -> np.ndarray:
-    """Dequant + IDCT + upsample + color for an MCU-row span, on the CPU.
-
-    Identical primitives to the GPU program, so pixels match exactly.
-    4:2:0's vertical fancy upsampling needs cross-span context, which the
-    paper's partitioned modes never require (they cover 4:4:4/4:2:2);
-    partial 4:2:0 spans are therefore rejected.
-    """
-    geo = geometry
-    whole = mcu_row_start == 0 and mcu_row_stop == geo.mcu_rows
-    if geo.mode == "4:2:0" and not whole:
-        raise JpegUnsupportedError(
-            "partial spans are not defined for 4:2:0 (no vertical context)"
-        )
-    return render_span(geo, coeffs, quants, mcu_row_start, mcu_row_stop,
-                       DecodeOptions())
-
-
 def _cpu_stage_spans(config: ExecutionConfig, geometry: ImageGeometry,
                      timeline: Timeline, t0: float, simd: bool) -> float:
     """Add per-stage CPU spans (idct, upsample, color) from t0; return end."""
@@ -375,9 +355,8 @@ def execute(config: ExecutionConfig, prepared: PreparedImage,
         timeline.add("cpu", f"simd[{gpu_rows}:{n}]", "cpu-parallel",
                      host, cpu_end)
     if gpu_rows < n and not prepared.is_virtual:
-        parts.append(cpu_parallel_span(
-            geo, prepared.coefficients, prepared.quants,
-            gpu_rows, n))
+        parts.append(render_span(geo, prepared.coefficients, prepared.quants,
+                                 gpu_rows, n, DecodeOptions()))
 
     total = max(cpu_end, queue.finish(host)) if queue is not None else cpu_end
     # Each part is a fresh array of its own: a lone one is the frame.

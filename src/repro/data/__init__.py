@@ -1,14 +1,7 @@
 """Deterministic synthetic corpora (DESIGN.md substitution for the
 paper's photo corpora)."""
 
-from .corpus import (
-    CorpusImage,
-    CorpusSpec,
-    build_corpus,
-    size_sweep_corpus,
-    test_corpus,
-    training_corpus,
-)
+from .corpus import CorpusImage, CorpusSpec, build_corpus
 from .synth import (
     GENERATORS,
     marker_free_corpus,
@@ -26,11 +19,8 @@ __all__ = [
     "build_corpus",
     "marker_free_corpus",
     "scenario_corpus",
-    "size_sweep_corpus",
     "synthetic_detail",
     "synthetic_photo",
     "synthetic_skewed",
     "synthetic_smooth",
-    "test_corpus",
-    "training_corpus",
 ]

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ..jpeg.encoder import EncoderSettings, encode_jpeg
 from .synth import GENERATORS
 
@@ -86,42 +84,3 @@ def build_corpus(spec: CorpusSpec) -> list[CorpusImage]:
     key = (spec.kind, tuple(spec.sizes), spec.subsampling, spec.quality,
            tuple(spec.seeds), tuple(spec.detail_levels))
     return list(_build_cached(key))
-
-
-def training_corpus(subsampling: str = "4:2:2") -> list[CorpusImage]:
-    """Default *training* corpus (distinct seeds from the test corpus,
-    as the paper keeps the sets disjoint)."""
-    return build_corpus(CorpusSpec(
-        subsampling=subsampling, seeds=(11, 12),
-        detail_levels=(0.25, 0.75),
-    ))
-
-
-def test_corpus(subsampling: str = "4:2:2",
-                sizes: tuple[tuple[int, int], ...] | None = None
-                ) -> list[CorpusImage]:
-    """Default *test* corpus — seeds disjoint from training."""
-    spec = CorpusSpec(subsampling=subsampling, seeds=(101, 102),
-                      detail_levels=(0.3, 0.6))
-    if sizes is not None:
-        spec = CorpusSpec(kind=spec.kind, sizes=sizes,
-                          subsampling=subsampling, quality=spec.quality,
-                          seeds=spec.seeds, detail_levels=spec.detail_levels)
-    return build_corpus(spec)
-
-
-def size_sweep_corpus(subsampling: str = "4:2:2",
-                      max_side: int = 1024, seed: int = 201
-                      ) -> list[CorpusImage]:
-    """Geometric size ladder for the Figure 6/10/11 x-axes."""
-    sizes = []
-    side = 128
-    while side <= max_side:
-        sizes.append((side, side))
-        sizes.append((min(side * 3 // 2, max_side), side))
-        side *= 2
-    # dedupe, keep order
-    seen: set[tuple[int, int]] = set()
-    uniq = [s for s in sizes if not (s in seen or seen.add(s))]
-    return build_corpus(CorpusSpec(sizes=tuple(uniq), subsampling=subsampling,
-                                   seeds=(seed,), detail_levels=(0.5,)))

@@ -5,6 +5,9 @@ Public surface:
 - :func:`repro.jpeg.encode_jpeg` / :class:`repro.jpeg.EncoderSettings`
 - :func:`repro.jpeg.decode_jpeg` / :class:`repro.jpeg.DecodeOptions`
 - :func:`repro.jpeg.parse_jpeg` for header-only inspection
+- :func:`repro.jpeg.decoder.render_span` — the one pixel path:
+  IDCT, upsampling and colour over any MCU-row span, bit-identical to
+  the same rows of :func:`decode_jpeg`'s frame
 - :data:`repro.jpeg.ENTROPY_ENGINES` / the ``entropy_engine=`` knob on
   :class:`DecodeOptions` select the Huffman decode path ("fast" fused
   engine by default, "reference" per-symbol oracle)
@@ -25,12 +28,7 @@ never compiles them.
 
 from .._lazy import lazy_exports
 from .blocks import ImageGeometry
-from .decoder import (
-    DecodedImage,
-    DecodeOptions,
-    decode_jpeg,
-    decode_jpeg_rowwise,
-)
+from .decoder import DecodedImage, DecodeOptions, decode_jpeg
 from .fast_entropy import (
     ENTROPY_ENGINES,
     FastEntropyDecoder,
@@ -58,7 +56,6 @@ __all__ = [
     "create_entropy_decoder",
     "decode_coefficients_speculative",
     "decode_jpeg",
-    "decode_jpeg_rowwise",
     "destuff_scan",
     "encode_jpeg",
     "parse_jpeg",

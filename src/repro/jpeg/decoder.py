@@ -1,12 +1,11 @@
 """Reference sequential JPEG decoder (the "libjpeg" baseline).
 
-Mirrors the 2-tier structure of libjpeg-turbo (paper Figure 2): the
-*coefficient controller* owns entropy decoding into the whole-image
-coefficient buffers introduced by the re-engineering step (paper
-Section 3), and :func:`render_span` owns everything downstream of them —
-dequantization + IDCT, upsampling, color conversion — over any MCU-row
-span, so row-granular access remains available for the legacy
-row-by-row execution style.
+Mirrors the 2-tier structure of libjpeg-turbo (paper Figure 2): an
+entropy engine fills the whole-image coefficient buffers introduced by
+the re-engineering step (paper Section 3), and :func:`render_span` owns
+everything downstream of them — dequantization + IDCT, upsampling,
+color conversion — over any MCU-row span, bit-identical to the same
+rows of the whole frame.
 
 This module is the correctness oracle for every parallel execution mode:
 all executors must produce bit-identical RGB output to
@@ -20,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..errors import JpegError, JpegUnsupportedError
+from ..errors import JpegError
 from .blocks import ImageGeometry, blocks_to_plane
 from .color import (cmyk_inverted_to_rgb, gray_to_rgb, ycbcr_to_rgb_float,
                     ycck_to_rgb)
@@ -111,30 +110,6 @@ def quant_tables_from_info(info: JpegImageInfo) -> list[np.ndarray]:
     ]
 
 
-class CoefficientController:
-    """Tier 1: entropy decoding of a baseline scan, in MCU-row steps."""
-
-    def __init__(self, info: JpegImageInfo, options: DecodeOptions) -> None:
-        if info.progressive:
-            raise JpegUnsupportedError(
-                "progressive streams use the progressive decode path"
-            )
-        self.info = info
-        self.geometry = info.geometry
-        self.options = options
-        self.entropy = create_entropy_decoder(
-            options.entropy_engine,
-            self.geometry,
-            component_tables_from_info(info),
-            info.restart_interval,
-        )
-        self.entropy.start(info.entropy_data)
-
-    def decode_rows(self, nrows: int) -> int:
-        """Entropy-decode *nrows* more MCU rows; return total rows done."""
-        return self.entropy.decode_mcu_rows(nrows)
-
-
 def render_span(geometry: ImageGeometry, coefficients: CoefficientBuffers,
                 quants: list[np.ndarray], mcu_row_start: int,
                 mcu_row_stop: int, options: DecodeOptions,
@@ -143,33 +118,41 @@ def render_span(geometry: ImageGeometry, coefficients: CoefficientBuffers,
 
     Per component dequantize + IDCT into a sample plane; upsample chroma
     to luma resolution; crop to the image; colour-convert.  Returns the
-    span's ``(pixel_rows, width, 3)`` uint8 RGB.  Handles every supported
-    component layout: 1 (grayscale), 3 (JFIF YCbCr), 4 (Adobe YCCK when
-    *adobe_transform* is 2, inverted CMYK otherwise).  The one pixel
-    path of the whole-image decode, the row-wise decode and the
+    span's ``(pixel_rows, width, 3)`` uint8 RGB, bit-identical to the
+    same rows of the whole frame for any span.  When chroma is
+    subsampled vertically (4:2:0, 4:4:0) the upsampler reads one chroma
+    row across each span edge, so the span renders one MCU row of halo
+    on either side (clipped to the frame) and returns only its own rows.
+    Handles every supported component layout: 1 (grayscale), 3 (JFIF
+    YCbCr), 4 (Adobe YCCK when *adobe_transform* is 2, inverted CMYK
+    otherwise).  The one pixel path of the whole-image decode and the
     executors' CPU partition; emits the "idct", "upsample" and "color"
     stages on ``options.stage_hook``.
     """
     hook = options.stage_hook
-    nrows = mcu_row_stop - mcu_row_start
-    span = coefficients.rows_slice(mcu_row_start, mcu_row_stop)
+    halo = int(geometry.ncomponents > 1 and geometry.luma_factors[1] > 1)
+    lo = max(mcu_row_start - halo, 0)
+    hi = min(mcu_row_stop + halo, geometry.mcu_rows)
+    span = coefficients.rows_slice(lo, hi)
     width = geometry.width
-    height = (min(mcu_row_stop * geometry.mcu_height, geometry.height)
-              - mcu_row_start * geometry.mcu_height)
+    mcu_height = geometry.mcu_height
+    rows = slice((mcu_row_start - lo) * mcu_height,
+                 min(mcu_row_stop * mcu_height, geometry.height)
+                 - lo * mcu_height)
     t0 = perf_counter() if hook else 0.0
     planes = [
         blocks_to_plane(idct_samples(coefs, quant),
-                        comp.blocks_wide, nrows * comp.v_factor)
+                        comp.blocks_wide, (hi - lo) * comp.v_factor)
         for comp, coefs, quant in zip(geometry.components, span.planes, quants)
     ]
     if hook:
         hook("idct", t0, perf_counter())
-    y = planes[0][:height, :width]
+    y = planes[0][rows, :width]
     if len(planes) > 1:
         t0 = perf_counter() if hook else 0.0
         cb, cr = (
             upsample_plane(plane, geometry.mode,
-                           options.fancy_upsampling)[:height, :width]
+                           options.fancy_upsampling)[rows, :width]
             for plane in planes[1:3])
         if hook:
             hook("upsample", t0, perf_counter())
@@ -179,7 +162,7 @@ def render_span(geometry: ImageGeometry, coefficients: CoefficientBuffers,
     elif len(planes) == 3:
         rgb = ycbcr_to_rgb_float(y, cb, cr)
     else:
-        k = planes[3][:height, :width]
+        k = planes[3][rows, :width]
         if adobe_transform == 2:
             rgb = ycck_to_rgb(y, cb, cr, k)
         else:
@@ -253,43 +236,48 @@ def _decode_progressive(info: JpegImageInfo,
     )
 
 
-def _decode_baseline_salvage(info: JpegImageInfo,
-                             options: DecodeOptions) -> DecodedImage:
-    """Row-at-a-time baseline decode keeping everything before a failure."""
-    coef = CoefficientController(info, options)
-    geo = coef.geometry
+def _decode_baseline(info: JpegImageInfo,
+                     options: DecodeOptions) -> DecodedImage:
+    """Whole-image baseline decode.  Salvage steps one MCU row at a time
+    and keeps every row decoded before a failure."""
+    geo = info.geometry
+    engine = create_entropy_decoder(
+        options.entropy_engine, geo, component_tables_from_info(info),
+        info.restart_interval)
+    engine.start(info.entropy_data)
     hook = options.stage_hook
     t_entropy = perf_counter() if hook else 0.0
-    error_map = np.zeros((geo.mcu_rows, geo.mcus_per_row), dtype=bool)
-    errors: list[str] = list(info.parse_errors)
-    try:
-        while not coef.entropy.finished:
-            coef.decode_rows(1)
-    except JpegError as exc:
-        errors.append(str(exc))
-        error_map[coef.entropy.rows_decoded:, :] = True
+    error_map, errors = None, ()
+    if not options.salvage:
+        engine.decode_mcu_rows(geo.mcu_rows)
     else:
-        if not info.scans[-1].terminated:
-            # The truncated tail zero-fed through (EOB-shaped padding):
-            # every row whose entropy ran to the cut is reconstructed
-            # from padding, not data.  Condemn from the first such row.
-            errors.append("entropy-coded data not terminated by a marker")
-            offsets = coef.entropy.row_byte_offsets
-            end = len(info.entropy_data)
-            first_bad = geo.mcu_rows - 1
-            for i in range(1, len(offsets)):
-                if offsets[i] >= end:
-                    first_bad = min(first_bad, i - 1)
-                    break
-            error_map[first_bad:, :] = True
+        error_map = np.zeros((geo.mcu_rows, geo.mcus_per_row), dtype=bool)
+        errors = list(info.parse_errors)
+        try:
+            while not engine.finished:
+                engine.decode_mcu_rows(1)
+        except JpegError as exc:
+            errors.append(str(exc))
+            error_map[engine.rows_decoded:, :] = True
+        else:
+            if not info.scans[-1].terminated:
+                # The truncated tail zero-fed through (EOB-shaped
+                # padding): every row whose entropy ran to the cut is
+                # reconstructed from padding, not data.  Condemn from
+                # the first such row.
+                errors.append("entropy-coded data not terminated by a marker")
+                offsets = engine.row_byte_offsets
+                end = len(info.entropy_data)
+                first_bad = next((i - 1 for i in range(1, len(offsets))
+                                  if offsets[i] >= end), geo.mcu_rows - 1)
+                error_map[min(first_bad, geo.mcu_rows - 1):, :] = True
     if hook:
         hook("entropy", t_entropy, perf_counter())
-    rgb = pixels_from_coefficients(info, coef.entropy.coefficients, options)
     return DecodedImage(
-        rgb=rgb,
+        rgb=pixels_from_coefficients(info, engine.coefficients, options),
         info=info,
-        coefficients=coef.entropy.coefficients,
-        row_byte_offsets=coef.entropy.row_byte_offsets,
+        coefficients=engine.coefficients,
+        row_byte_offsets=engine.row_byte_offsets,
         error_map=error_map,
         errors=errors,
     )
@@ -298,10 +286,10 @@ def _decode_baseline_salvage(info: JpegImageInfo,
 def decode_jpeg(data: bytes, options: DecodeOptions | None = None) -> DecodedImage:
     """Decode JFIF bytes to RGB — whole image, sequential.
 
-    Baseline (SOF0) streams run the two-tier controller pipeline;
+    Baseline (SOF0) streams entropy-decode into the coefficient buffers;
     progressive (SOF2) streams accumulate all scans through
-    :class:`~repro.jpeg.progressive.ProgressiveDecoder` before the
-    shared pixel stages.
+    :class:`~repro.jpeg.progressive.ProgressiveDecoder`.  Both then run
+    :func:`render_span` over the whole frame.
     """
     options = options or DecodeOptions()
     hook = options.stage_hook
@@ -313,63 +301,4 @@ def decode_jpeg(data: bytes, options: DecodeOptions | None = None) -> DecodedIma
         hook("parse", t0, perf_counter())
     if info.progressive:
         return _decode_progressive(info, options)
-    if options.salvage:
-        return _decode_baseline_salvage(info, options)
-    coef = CoefficientController(info, options)
-
-    geo = coef.geometry
-    t0 = perf_counter() if hook else 0.0
-    coef.decode_rows(geo.mcu_rows)
-    if hook:
-        hook("entropy", t0, perf_counter())
-    rgb = pixels_from_coefficients(info, coef.entropy.coefficients, options)
-    return DecodedImage(
-        rgb=rgb,
-        info=info,
-        coefficients=coef.entropy.coefficients,
-        row_byte_offsets=coef.entropy.row_byte_offsets,
-    )
-
-
-def decode_jpeg_rowwise(data: bytes, options: DecodeOptions | None = None,
-                        rows_per_step: int = 1) -> DecodedImage:
-    """Decode in MCU-row steps, the legacy libjpeg-turbo execution style.
-
-    Produces output identical to :func:`decode_jpeg`; exists to model (and
-    test) the row-granular path whose extra dependencies the paper's
-    Section 3 identifies as the obstacle to parallelism.  Emits the same
-    five stages on ``stage_hook``, "entropy" and the pixel stages once
-    per step.
-    """
-    options = options or DecodeOptions()
-    hook = options.stage_hook
-    t0 = perf_counter() if hook else 0.0
-    info = parse_jpeg(data)
-    if hook:
-        hook("parse", t0, perf_counter())
-    if info.progressive:
-        raise JpegUnsupportedError(
-            "progressive JPEGs decode whole-image; use decode_jpeg")
-    coef = CoefficientController(info, options)
-    geo = coef.geometry
-    quants = quant_tables_from_info(info)
-
-    rgb = np.empty((info.height, info.width, 3), dtype=np.uint8)
-    done = 0
-    while done < geo.mcu_rows:
-        step = min(rows_per_step, geo.mcu_rows - done)
-        t0 = perf_counter() if hook else 0.0
-        coef.decode_rows(step)
-        if hook:
-            hook("entropy", t0, perf_counter())
-        span = render_span(geo, coef.entropy.coefficients, quants,
-                           done, done + step, options, info.adobe_transform)
-        y0 = done * geo.mcu_height
-        rgb[y0:y0 + len(span)] = span
-        done += step
-    return DecodedImage(
-        rgb=rgb,
-        info=info,
-        coefficients=coef.entropy.coefficients,
-        row_byte_offsets=coef.entropy.row_byte_offsets,
-    )
+    return _decode_baseline(info, options)

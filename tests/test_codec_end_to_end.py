@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import os
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,11 +17,10 @@ from repro.jpeg import (
     DecodeOptions,
     EncoderSettings,
     decode_jpeg,
-    decode_jpeg_rowwise,
     encode_jpeg,
     parse_jpeg,
 )
-from repro.jpeg.decoder import quant_tables_from_info
+from repro.jpeg.decoder import quant_tables_from_info, render_span
 from repro.jpeg.idct import idct_2d_blocks, idct_samples, samples_from_idct
 from repro.jpeg.quantization import dequantize_blocks
 
@@ -25,6 +30,53 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     if mse == 0:
         return np.inf
     return 10 * np.log10(255.0 ** 2 / mse)
+
+
+def render_rowwise(data: bytes, rows_per_step: int) -> np.ndarray:
+    """The frame as bands of *rows_per_step* MCU rows, one
+    :func:`render_span` call each, stacked."""
+    whole = decode_jpeg(data)
+    geo = whole.info.geometry
+    quants = quant_tables_from_info(whole.info)
+    return np.vstack([
+        render_span(geo, whole.coefficients, quants, r,
+                    min(r + rows_per_step, geo.mcu_rows), DecodeOptions(),
+                    whole.info.adobe_transform)
+        for r in range(0, geo.mcu_rows, rows_per_step)])
+
+
+def sha1(blob: bytes) -> str:
+    return hashlib.sha1(blob).hexdigest()
+
+
+_STDLIB = sysconfig.get_paths()["stdlib"]
+_PURELIB = sysconfig.get_paths()["purelib"]
+
+#: Baseline streams other encoders wrote, found where the Python
+#: standard library, IPython and a rustup toolchain's docs install them
+#: (none is committed): name -> (glob, stream sha1, pixel sha1,
+#: (width, height, subsampling)).  The pixel digests are this decoder's
+#: own output, so they guard against change, not against a misreading
+#: of the spec both entropy engines share.
+FOREIGN_BASELINE = {
+    "python.jpg": (
+        f"{_STDLIB}/test/imghdrdata/python.jpg",
+        "9b19331a00f83f12fdc2feba2eb401f9732f8d44",
+        "4ebedc20786c9a805e3bf253809ffc0896ad8fc7", (16, 16, "4:2:0")),
+    "python-raw.jpg": (
+        f"{_STDLIB}/test/imghdrdata/python-raw.jpg",
+        "3d231ac2c04311202745f9a9780e3c2a2e304eb1",
+        "4ebedc20786c9a805e3bf253809ffc0896ad8fc7", (16, 16, "4:2:0")),
+    "ipython-2x2.jpg": (
+        f"{_PURELIB}/IPython/core/tests/2x2.jpg",
+        "a16d35b1d7e4557b8d3bb2466a4370afbb9db064",
+        "96639119578b38be1ce81e9538d4768378f48fda", (2, 2, "4:4:4")),
+    "verify.jpeg": (
+        os.path.expanduser(
+            "~/.rustup/**/embedded-book/assets/verify.jpeg"),
+        "114547e46d09a1f10eac1e228c2b696c366c6431",
+        "77ac3b385d58b7b53398dc688a43116794949ef7", (720, 477, "4:4:4")),
+}
 
 
 class TestQuality:
@@ -85,12 +137,12 @@ class TestEquivalences:
     @pytest.mark.parametrize("step", [1, 3, 5])
     def test_rowwise_equals_whole(self, jpeg_422, step):
         whole = decode_jpeg(jpeg_422).rgb
-        rows = decode_jpeg_rowwise(jpeg_422, rows_per_step=step).rgb
+        rows = render_rowwise(jpeg_422, rows_per_step=step)
         assert np.array_equal(whole, rows)
 
     def test_444_rowwise_equals_whole(self, jpeg_444):
         whole = decode_jpeg(jpeg_444).rgb
-        rows = decode_jpeg_rowwise(jpeg_444, rows_per_step=2).rgb
+        rows = render_rowwise(jpeg_444, rows_per_step=2)
         assert np.array_equal(whole, rows)
 
     def test_decoder_returns_row_offsets(self, jpeg_422):
@@ -126,3 +178,26 @@ class TestErrors:
         fancy = decode_jpeg(data, DecodeOptions(fancy_upsampling=True)).rgb
         simple = decode_jpeg(data, DecodeOptions(fancy_upsampling=False)).rgb
         assert not np.array_equal(fancy, simple)
+
+
+class TestForeignBaselineFiles:
+    """ROADMAP "meet the outside world" (c), the baseline half: streams
+    this repo's encoder did not write decode to their pinned pixels, the
+    reference engine agrees, and one-MCU-row bands stitch to the frame."""
+
+    @pytest.mark.parametrize("name", sorted(FOREIGN_BASELINE))
+    def test_matches_its_pinned_digest(self, name):
+        pattern, stream, pixels, shape = FOREIGN_BASELINE[name]
+        paths = sorted(glob.glob(pattern, recursive=True))
+        if not paths:
+            pytest.skip(f"no {name} installed here")
+        blob = Path(paths[0]).read_bytes()
+        if sha1(blob) != stream:
+            pytest.skip(f"a different {name} than the one pinned")
+        fast = decode_jpeg(blob)
+        info = fast.info
+        assert (info.width, info.height, info.subsampling_mode) == shape
+        assert sha1(fast.rgb.tobytes()) == pixels
+        reference = decode_jpeg(blob, DecodeOptions(entropy_engine="reference"))
+        assert np.array_equal(reference.rgb, fast.rgb)
+        assert np.array_equal(render_rowwise(blob, 1), fast.rgb)

@@ -18,10 +18,11 @@ from repro.jpeg import (
     DecodeOptions,
     EncoderSettings,
     decode_jpeg,
-    decode_jpeg_rowwise,
     encode_jpeg,
     parse_jpeg,
 )
+from repro.jpeg.decoder import quant_tables_from_info, render_span
+from repro.jpeg.sampling import SUBSAMPLING_MODES
 
 
 def random_rgb(seed: int, h: int, w: int, smooth: bool) -> np.ndarray:
@@ -75,20 +76,40 @@ def test_encoder_options_never_change_pixels(seed, h, w, restart, optimize):
     assert np.array_equal(decode_jpeg(base).rgb, decode_jpeg(variant).rgb)
 
 
-@settings(max_examples=10, deadline=None)
+#: Every component layout the decoder renders: YCbCr in each sampling
+#: mode, grayscale, and Adobe YCCK with vertically subsampled chroma.
+LAYOUTS = ([("ycbcr", mode) for mode in SUBSAMPLING_MODES]
+           + [("gray", "4:4:4"), ("ycck", "4:2:0"), ("ycck", "4:4:0")])
+
+
+@settings(max_examples=40, deadline=None)
 @given(
+    layout=st.sampled_from(LAYOUTS),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    h=st.integers(min_value=8, max_value=56),
-    w=st.integers(min_value=8, max_value=56),
+    h=st.integers(min_value=17, max_value=56),
+    w=st.integers(min_value=8, max_value=40),
     step=st.integers(min_value=1, max_value=4),
-    mode=st.sampled_from(["4:4:4", "4:2:2"]),
+    progressive=st.booleans(),
 )
-def test_rowwise_always_equals_whole(seed, h, w, step, mode):
+def test_rowwise_always_equals_whole(layout, seed, h, w, step,
+                                     progressive):
+    """Bands of ``step`` MCU rows rendered one ``render_span`` call at a
+    time stitch bit-identically to the whole frame: vertically
+    subsampled chroma (4:2:0, 4:4:0) included, whose fancy upsampler
+    reads across every band edge."""
+    colorspace, mode = layout
     rgb = random_rgb(seed, h, w, smooth=True)
-    data = encode_jpeg(rgb, EncoderSettings(quality=85, subsampling=mode))
-    assert np.array_equal(
-        decode_jpeg(data).rgb,
-        decode_jpeg_rowwise(data, rows_per_step=step).rgb)
+    data = encode_jpeg(rgb, EncoderSettings(
+        quality=85, subsampling=mode, colorspace=colorspace,
+        progressive=progressive))
+    whole = decode_jpeg(data)
+    info, geo = whole.info, whole.info.geometry
+    quants = quant_tables_from_info(info)
+    bands = [render_span(geo, whole.coefficients, quants, r,
+                         min(r + step, geo.mcu_rows), DecodeOptions(),
+                         info.adobe_transform)
+             for r in range(0, geo.mcu_rows, step)]
+    assert np.array_equal(np.vstack(bands), whole.rgb)
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,11 @@ from repro.errors import ReproError
 from repro.data import (
     CorpusSpec,
     build_corpus,
-    size_sweep_corpus,
     synthetic_detail,
     synthetic_photo,
     synthetic_skewed,
     synthetic_smooth,
-    training_corpus,
 )
-from repro.data import test_corpus as make_test_corpus
 from repro.jpeg import parse_jpeg
 
 
@@ -98,17 +95,6 @@ class TestCorpora:
         a = build_corpus(spec)
         b = build_corpus(spec)
         assert a[0].data is b[0].data
-
-    def test_training_and_test_disjoint_seeds(self):
-        tr = {c.seed for c in training_corpus()}
-        te = {c.seed for c in make_test_corpus()}
-        assert not (tr & te)
-
-    def test_size_sweep_ascending_unique(self):
-        corpus = size_sweep_corpus(max_side=512)
-        keys = [(c.width, c.height) for c in corpus]
-        assert len(set(keys)) == len(keys)
-        assert max(c.width for c in corpus) <= 512
 
     def test_density_property(self):
         spec = CorpusSpec(sizes=((64, 64),), seeds=(1,))

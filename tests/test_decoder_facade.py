@@ -15,8 +15,8 @@ from repro.core import (
     clear_model_cache,
 )
 from repro.data import synthetic_photo
-from repro.jpeg import (DecodeOptions, EncoderSettings, decode_jpeg,
-                        decode_jpeg_rowwise, encode_jpeg)
+from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg.decoder import quant_tables_from_info, render_span
 from repro.evaluation import platforms
 
 
@@ -92,38 +92,58 @@ class TestRepr:
 
 
 STAGES = {"parse", "entropy", "idct", "upsample", "color"}
+PIXEL_STAGES = ["idct", "upsample", "color"]
+BAND_ROWS = 4
 
 
 class TestStageSpans:
-    """``stage_hook`` must account for a whole decode on both the
-    whole-image and the row-wise path: the same five stages, in order,
-    nothing overlapping, and together (nearly) the call's wall time."""
+    """``stage_hook`` must account for a whole decode, and for a frame
+    rendered in bands: the stages in order, nothing overlapping, and
+    together (nearly) the call's wall time.  A whole decode emits all
+    five stages; each ``render_span`` call emits the three pixel stages
+    once."""
 
     @pytest.fixture(scope="class")
     def frame(self):
         rgb = synthetic_photo(256, 384, seed=5)
         return encode_jpeg(rgb, EncoderSettings(subsampling="4:2:2"))
 
+    @pytest.fixture(scope="class")
+    def render_bands(self, frame):
+        """``render_span`` over bands of :data:`BAND_ROWS` MCU rows of
+        the frame, its coefficients decoded untraced beforehand."""
+        decoded = decode_jpeg(frame)
+        geo = decoded.info.geometry
+        quants = quant_tables_from_info(decoded.info)
+
+        def render(data, options):
+            return np.vstack([
+                render_span(geo, decoded.coefficients, quants, r,
+                            min(r + BAND_ROWS, geo.mcu_rows), options)
+                for r in range(0, geo.mcu_rows, BAND_ROWS)])
+        return render
+
     @staticmethod
     def traced(decode, data):
         spans = []
         t0 = perf_counter()
-        out = decode(data, DecodeOptions(
+        rgb = decode(data, DecodeOptions(
             stage_hook=lambda stage, a, b: spans.append((stage, a, b))))
-        return out.rgb, spans, t0, perf_counter()
+        return rgb, spans, t0, perf_counter()
 
-    @pytest.mark.parametrize("decode", [
-        decode_jpeg,
-        lambda data, options: decode_jpeg_rowwise(data, options,
-                                                  rows_per_step=4),
-    ], ids=["whole", "rowwise"])
-    def test_five_stages_close(self, frame, decode):
+    @pytest.mark.parametrize("path", ["whole", "rowwise"])
+    def test_five_stages_close(self, frame, render_bands, path):
+        decode, stages, first = {
+            "whole": (lambda data, options: decode_jpeg(data, options).rgb,
+                      STAGES, "parse"),
+            "rowwise": (render_bands, set(PIXEL_STAGES), "idct"),
+        }[path]
         closures = []
         # best of three: a host hiccup between two spans is not a gap
         for _ in range(3):
             rgb, spans, t0, t1 = self.traced(decode, frame)
-            assert {stage for stage, _, _ in spans} == STAGES
-            assert spans[0][0] == "parse"
+            assert {stage for stage, _, _ in spans} == stages
+            assert spans[0][0] == first
             bounds = [t for _, a, b in spans for t in (a, b)]
             assert bounds == sorted(bounds) and t0 <= bounds[0]
             assert bounds[-1] <= t1
@@ -131,12 +151,7 @@ class TestStageSpans:
         assert 0.95 <= max(closures) <= 1.0
         assert np.array_equal(rgb, decode_jpeg(frame).rgb)
 
-    def test_rowwise_emits_per_step(self, frame):
-        _, spans, _, _ = self.traced(
-            lambda data, options: decode_jpeg_rowwise(data, options,
-                                                      rows_per_step=4), frame)
-        steps = 256 // 8 // 4
-        stages = [stage for stage, _, _ in spans]
-        assert stages.count("parse") == 1
-        for stage in STAGES - {"parse"}:
-            assert stages.count(stage) == steps
+    def test_rowwise_emits_per_step(self, frame, render_bands):
+        _, spans, _, _ = self.traced(render_bands, frame)
+        steps = 256 // 8 // BAND_ROWS
+        assert [stage for stage, _, _ in spans] == PIXEL_STAGES * steps

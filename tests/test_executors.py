@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import JpegUnsupportedError
 from repro.core import DecodeMode, HeterogeneousDecoder, PreparedImage
 from repro.core.chunking import candidate_chunk_rows
-from repro.core.executors import ExecutionConfig, cpu_parallel_span, execute
+from repro.core.executors import ExecutionConfig, execute
 from repro.data import synthetic_photo, synthetic_skewed
-from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg import DecodeOptions, EncoderSettings, decode_jpeg, encode_jpeg
+from repro.jpeg.decoder import render_span
 from repro.evaluation import platforms
 from repro.kernels import GpuProgramOptions
 
@@ -58,9 +58,9 @@ class TestPixelIdentity:
         from repro.core import executors
 
         rendered = []
-        real = executors.cpu_parallel_span
+        real = executors.render_span
         monkeypatch.setattr(
-            executors, "cpu_parallel_span",
+            executors, "render_span",
             lambda *a, **k: rendered.append(real(*a, **k)) or rendered[-1])
         result = gtx560_decoder.decode(prep422, DecodeMode.SIMD)
         assert len(rendered) == 1 and result.rgb is rendered[0]
@@ -304,28 +304,38 @@ class TestPerformanceShapes:
 
 
 class TestCpuParallelSpan:
-    def test_partial_420_rejected(self):
+    """The CPU partition's pixels: ``render_span`` over the rows the GPU
+    left, on the same coefficients the GPU spans read."""
+
+    @staticmethod
+    def span(prep, r0, r1):
+        return render_span(prep.geometry, prep.coefficients, prep.quants,
+                           r0, r1, DecodeOptions())
+
+    def test_partial_420_spans_stitch(self):
+        """Vertically subsampled chroma reads across the span edge; the
+        span's MCU-row halo makes every cut exact."""
         rgb = synthetic_photo(64, 64, seed=3)
         data = encode_jpeg(rgb, EncoderSettings(subsampling="4:2:0"))
         prep = PreparedImage.from_bytes(data)
-        with pytest.raises(JpegUnsupportedError):
-            cpu_parallel_span(prep.geometry, prep.coefficients, prep.quants,
-                              0, 1)
+        ref = decode_jpeg(data).rgb
+        rows = prep.geometry.mcu_rows
+        for cut in range(1, rows):
+            out = np.vstack([self.span(prep, 0, cut),
+                             self.span(prep, cut, rows)])
+            assert np.array_equal(out, ref), cut
 
     def test_whole_420_supported(self):
         rgb = synthetic_photo(64, 64, seed=3)
         data = encode_jpeg(rgb, EncoderSettings(subsampling="4:2:0"))
         prep = PreparedImage.from_bytes(data)
         ref = decode_jpeg(data).rgb
-        out = cpu_parallel_span(prep.geometry, prep.coefficients, prep.quants,
-                                0, prep.geometry.mcu_rows)
+        out = self.span(prep, 0, prep.geometry.mcu_rows)
         assert np.array_equal(out, ref)
 
     def test_spans_stitch_to_whole(self, prep422, ref_rgb_422):
-        geo = prep422.geometry
-        mid = geo.mcu_rows // 2
-        top = cpu_parallel_span(geo, prep422.coefficients, prep422.quants,
-                                0, mid)
-        bottom = cpu_parallel_span(geo, prep422.coefficients, prep422.quants,
-                                   mid, geo.mcu_rows)
-        assert np.array_equal(np.vstack([top, bottom]), ref_rgb_422)
+        rows = prep422.geometry.mcu_rows
+        mid = rows // 2
+        out = np.vstack([self.span(prep422, 0, mid),
+                         self.span(prep422, mid, rows)])
+        assert np.array_equal(out, ref_rgb_422)
