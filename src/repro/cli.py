@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core.modes import DecodeMode
-from .errors import DeadlineExceededError, ReproError
+from .errors import DeadlineExceededError, ReproError, ServiceError
 from .kernels.options import KERNEL_SUBSAMPLINGS
 
 if TYPE_CHECKING:  # pragma: no cover - the viewer loads them on use
@@ -240,20 +240,12 @@ def _breakers(threshold: int | None):
     return LaneBreakerBoard(threshold=threshold)
 
 
-def _pricing_platform(args: argparse.Namespace):
-    """The platform ``--platform`` names: the prior every scheduler
-    lane, local or remote, is priced at."""
-    from .evaluation import platforms
-
-    return {p.name: p for p in platforms.ALL_PLATFORMS}[args.platform]
-
-
 def _session_kwargs(args: argparse.Namespace,
-                    local_lanes: bool = True) -> dict:
+                    local_pool: bool = True) -> dict:
     """:class:`~repro.service.session.DecodeSession` keywords from the
     shared session flags (see :func:`_add_session_args`).  Without
-    *local_lanes* the flags that size and schedule local pools are left
-    out: on a sharded front tier they describe the worker hosts."""
+    *local_pool* the flags that size the local pool are left out: on a
+    sharded front tier they describe the worker hosts."""
     kwargs = dict(
         queue_capacity=args.queue_capacity,
         retry_budget=args.retry_budget,
@@ -261,29 +253,16 @@ def _session_kwargs(args: argparse.Namespace,
         default_deadline_ms=getattr(args, "default_deadline_ms", None),
         tracing=args.tracing, trace_sample=args.trace_sample,
         trace_log=args.trace_log)
-    if not local_lanes:
+    if not local_pool:
         return kwargs
-    scheduler = None
-    if args.schedule != "none":
-        from .service import ModelScheduler
-        from .service.scheduler import local_lane
-
-        scheduler = ModelScheduler(
-            policy=args.schedule,
-            executors=(local_lane(_pricing_platform(args)),),
-            breakers=_breakers(args.breaker_threshold))
-    return dict(kwargs, workers=args.workers, backend=args.backend,
-                scheduler=scheduler)
+    return dict(kwargs, workers=args.workers, backend=args.backend)
 
 
 def _describe_session(args: argparse.Namespace, session) -> str:
     """The configuration half of a serving command's startup line."""
     decoder = session.decoder
-    text = (f"queue={args.queue_capacity}, {decoder.pool.workers} x "
+    return (f"queue={args.queue_capacity}, {decoder.pool.workers} x "
             f"{decoder.pool.backend} workers, transport={decoder.transport}")
-    if decoder.scheduler is not None:
-        text += f", schedule={decoder.scheduler.policy}"
-    return text
 
 
 def _serve_until_signalled(serve, stop, accepting: str) -> None:
@@ -324,19 +303,28 @@ def _serve_until_signalled(serve, stop, accepting: str) -> None:
 def _serve_session(args: argparse.Namespace):
     """The session ``repro serve`` fronts: a local one, or with
     ``--hosts`` the sharded front tier — the same class over remote
-    lanes."""
+    lanes, the only session a scheduler places for.  The flags that
+    tune its lanes are refused without one."""
     from .service import DecodeSession, remote_executors, sharded_session
 
     if not args.hosts:
+        for flag, value in (("--platform", args.platform),
+                            ("--breaker-threshold", args.breaker_threshold)):
+            if value is not None:
+                raise ServiceError(f"{flag} tunes the worker-host lanes "
+                                   f"and needs --hosts")
         return DecodeSession(**_session_kwargs(args))
-    policy = "roundrobin" if args.schedule == "roundrobin" else "model"
-    link = {"platform": _pricing_platform(args)}
+    link = {}
+    if args.platform is not None:
+        from .evaluation import platforms
+        link["platform"] = {p.name: p for p in
+                            platforms.ALL_PLATFORMS}[args.platform]
     if args.shard_depth is not None:
         link["depth"] = args.shard_depth
     return sharded_session(
-        remote_executors(args.hosts, **link), policy=policy,
+        remote_executors(args.hosts, **link),
         breakers=_breakers(args.breaker_threshold),
-        **_session_kwargs(args, local_lanes=False))
+        **_session_kwargs(args, local_pool=False))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -541,24 +529,9 @@ def _add_session_args(p: argparse.ArgumentParser) -> None:
                    choices=["process", "thread", "serial"],
                    help="worker pool backend (default: process on "
                         "multi-core hosts, serial otherwise)")
-    p.add_argument("--schedule", default="none",
-                   choices=["none", "model", "roundrobin"],
-                   help="cross-image batch scheduling: price each image "
-                        "with the fitted performance model, corrected by "
-                        "each lane's measured wall time, and place whole "
-                        "images (LPT for 'model', cyclic for "
-                        "'roundrobin')")
-    p.add_argument("--platform", default="GTX 560", choices=_PLATFORMS,
-                   help="pricing prior of a scheduler's lanes: the "
-                        "platform whose fitted SIMD rate prices them "
-                        "before wall-time feedback corrects it")
     p.add_argument("--retry-budget", type=int, default=None,
                    help="redispatches per image after a worker crash "
                         "before the request fails (default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=None,
-                   help="consecutive infrastructure failures before a "
-                        "scheduler lane's circuit breaker trips open "
-                        "(requires --schedule; default: 3)")
     _add_tracing_args(p)
 
 
@@ -662,6 +635,15 @@ def _add_serving_parsers(sub) -> None:
                    help="requests on the wire per worker host; further "
                         "placements wait in the host's lane (default: "
                         "RemoteLane.depth, 2)")
+    p.add_argument("--platform", default=None, choices=_PLATFORMS,
+                   help="pricing prior of the worker-host lanes: the "
+                        "platform whose fitted SIMD rate prices them "
+                        "before wall-time feedback corrects it "
+                        "(default: GTX 560; needs --hosts)")
+    p.add_argument("--breaker-threshold", type=int, default=None,
+                   help="consecutive infrastructure failures before a "
+                        "worker host's circuit breaker trips open "
+                        "(default: 3; needs --hosts)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

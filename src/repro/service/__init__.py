@@ -39,8 +39,8 @@ every other name is imported from its own module:
   ``_LOW`` shedding classes) / :class:`ImageResult` /
   :class:`BatchResult`
 - :class:`~repro.service.scheduler.ModelScheduler` — model-guided
-  cross-image batch scheduling (LPT over per-lane predicted costs,
-  round-robin baseline, EWMA throughput feedback), guarded by
+  cross-image batch scheduling (LPT over per-lane predicted costs from
+  the work each lane still holds, EWMA throughput feedback), guarded by
   :class:`~repro.service.scheduler.LaneBreakerBoard` per-lane circuit
   breakers (closed → open → half-open)
 - :class:`~repro.service.faults.FaultPlan` — deterministic fault
@@ -49,14 +49,14 @@ every other name is imported from its own module:
 - :func:`~repro.service.stats.percentile` — the latency percentile
   every report uses
 
-CLI: ``repro serve`` (HTTP front end) and ``repro serve-batch``
-(files through a session, each result reported as it resolves;
-``--schedule model|roundrobin`` turns the scheduler on).  Benchmarks:
-the perf ledger's ``session_small`` and ``http_mixed`` workloads (``benchmarks/perf/run.py``),
-``benchmarks/bench_service_latency.py`` (open-loop latency vs offered
-load against a session); model-guided vs round-robin makespan is
-pinned by ``tests/test_scheduler.py::TestPricing::\
-test_mixed_batch_makespan_lpt_vs_roundrobin``.
+CLI: ``repro serve`` (HTTP front end; ``--hosts`` schedules across
+worker hosts) and ``repro serve-batch`` (files through a session, each
+result reported as it resolves).  Benchmarks: the perf ledger's
+``session_small`` and ``http_mixed`` workloads
+(``benchmarks/perf/run.py``), ``benchmarks/bench_service_latency.py``
+(open-loop latency vs offered load against a session); LPT's makespan
+against a cost-blind cyclic placement is pinned by
+``tests/test_scheduler.py::TestPricing``.
 """
 
 from .._lazy import lazy_exports

@@ -173,12 +173,13 @@ class BatchDecoder:
         :class:`ImageRequest` decode with the request defaults.
 
         *scheduler* enables cross-image batch scheduling: a
-        :class:`~repro.service.scheduler.ModelScheduler`, or a policy
-        name (``"model"``/``"roundrobin"``) to build one with the
-        default lane set, the one local lane.  It places the whole
-        images of a group — the ones :meth:`_fans_out` did not fan out
-        first.  Every local lane runs on the one pool; a lane that lives
-        on another machine opens its own link
+        :class:`~repro.service.scheduler.ModelScheduler`, or its policy
+        name ``"model"`` to build one with the default lane set, the one
+        local lane.  It places the whole images of a group — the ones
+        :meth:`_fans_out` did not fan out first — from the work each
+        lane still holds (:meth:`held_us`).  Every local lane runs on
+        the one pool; a lane that lives on another machine opens its
+        own link
         (:meth:`~repro.service.scheduler.ExecutorLane.open_pool`), kept
         in :attr:`links` and closed with the decoder.
 
@@ -353,7 +354,8 @@ class BatchDecoder:
         t_plan0 = perf_counter()
         schedule = group.schedule = self.scheduler.plan(
             requests, [None if info is not None else header
-                       for header, info in zip(headers, parsed)])
+                       for header, info in zip(headers, parsed)],
+            held=self.held_us())
         t_plan1 = perf_counter()
         lane_of = {a.index: a.executor.name for a in schedule.assignments
                    if a.executor is not None}
@@ -369,6 +371,23 @@ class BatchDecoder:
                     req.trace, "lane_excluded", lane, "dispatch",
                     t_plan1, t_plan1, lane=lane, reason="breaker_open"))
         return lane_of
+
+    def held_us(self) -> dict[str, float]:
+        """Predicted us each scheduler lane holds: the feedback-scaled
+        price (``Assignment.predicted_us``) of every placed image in the
+        in-flight table, a deferred retry included, counted on the lane
+        whose pool has it now — a failed-over image on the sibling it
+        moved to.  Read afresh from the table, so whatever lands or is
+        aborted stops counting, however the group is driven."""
+        held = {lane.name: 0.0 for lane in self.scheduler.executors}
+        for task in self._pending.values():
+            plan = task.plan
+            if plan.lane is not None:
+                lane = plan.lane if task.pool is self.pool \
+                    else task.pool.name
+                held[lane] += \
+                    plan.group.schedule.assignments[plan.index].predicted_us
+        return held
 
     def _plan(self, index: int, req: ImageRequest, lane: str | None,
               header: FrameInfo | None, info: JpegImageInfo | None

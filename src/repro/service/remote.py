@@ -722,7 +722,7 @@ class HostPool(WorkerPool):
                     self._socks.pop().close()
 
 
-def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
+def sharded_session(lanes: Sequence[ExecutorLane],
                     breakers: LaneBreakerBoard | None = None,
                     **session_kwargs: Any) -> DecodeSession:
     """The front tier (``repro serve --hosts``): a plain
@@ -737,8 +737,7 @@ def sharded_session(lanes: Sequence[ExecutorLane], policy: str = "model",
     hosts are down) decode on the session's local fallback pool: one
     serial worker, unless *session_kwargs* say otherwise.
     """
-    scheduler = ModelScheduler(policy=policy, executors=lanes,
-                               breakers=breakers)
+    scheduler = ModelScheduler(executors=lanes, breakers=breakers)
     return DecodeSession(scheduler=scheduler,
                          **{"backend": "serial", "workers": 1,
                             **session_kwargs})

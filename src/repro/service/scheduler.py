@@ -18,9 +18,11 @@ Three cooperating pieces:
   kernel scope) as ineligible (``inf``).
 - **Assignment** — :func:`schedule_lpt` runs the classic
   longest-processing-time greedy: images sorted by descending best-lane
-  cost, each placed on the lane minimizing ``load + cost * scale``.
-  :func:`schedule_roundrobin` is the cost-blind baseline the benchmark
-  compares against.  Only whole images are placed: whether an image
+  cost, each placed on the lane minimizing ``load + cost * scale``,
+  where a lane's load starts at the predicted work it already holds —
+  so lanes finish together across admission groups, as the paper's
+  SPS/PPS make devices finish together within an image (Eq 10/11,
+  16/17).  Only whole images are placed: whether an image
   fans out instead (restart-segment runs or speculative chunks) is the
   decoder's one decision, taken before placement
   (:meth:`~repro.service.batch.BatchDecoder._fans_out`, priced by
@@ -53,9 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch imports us)
     from .batch import ImageRequest, ImageResult
     from .workers import WorkerPool
 
-#: Scheduling policies :class:`ModelScheduler` implements.
-POLICIES = ("model", "roundrobin")
-
 #: What fanning one image out must save before it is taken, in model
 #: microseconds.  Fan-out adds a serial share only a fanned-out image
 #: pays: the parent-side parse and destuffing prescan, one more
@@ -80,6 +79,12 @@ FANOUT_FIXED_US = 250.0
 #: EWMA weight of a lane's newest observed/predicted ratio in
 #: :class:`ThroughputFeedback`.
 FEEDBACK_ALPHA = 0.3
+
+#: Most one observation may count for, as a multiple of the lane's
+#: current scale (1.0 before its first): a host's first decodes run cold
+#: (26-143x their price for loopback hosts on a 2-core box), and a lane
+#: priced that high gets no placement that could correct it.
+FEEDBACK_MAX_RISE = 2.0
 
 
 def fanout_pays(entropy_us: float, units: int) -> bool:
@@ -131,19 +136,6 @@ def local_lane(platform: Platform) -> ExecutorLane:
     return ExecutorLane(name="local", kind="simd", platform=platform)
 
 
-def default_executors(platform: Platform) -> tuple[ExecutorLane, ...]:
-    """The paper's device lanes of one platform, its SIMD CPU and its
-    GPU: the lane set of model-level pricing studies (the cross-image
-    makespan claim).  Names are prefixed with the platform so several
-    platforms' lanes stay distinct.
-    """
-    slug = platform.name.lower().replace(" ", "")
-    return (
-        ExecutorLane(name=f"{slug}-simd", kind="simd", platform=platform),
-        ExecutorLane(name=f"{slug}-gpu", kind="gpu", platform=platform),
-    )
-
-
 class ImagePricing(NamedTuple):
     """One image's scheduler-relevant facts and per-lane predictions."""
 
@@ -174,17 +166,14 @@ class Assignment(NamedTuple):
 class BatchSchedule(NamedTuple):
     """The outcome of planning one batch: placements + predicted loads."""
 
-    policy: str
     assignments: list[Assignment]
-    #: Predicted total busy time per lane name (us).
+    #: Predicted total busy time per lane name (us): what the lane held
+    #: when the batch was planned plus what the batch placed on it.
     loads: dict[str, float]
     pricings: list[ImagePricing]
     #: Per-lane placement caps the batch was planned under
     #: (:meth:`LaneBreakerBoard.limits`); empty = no breakers active.
     lane_limits: dict
-    #: Round-robin only: lane index where the next batch's rotation
-    #: resumes, so streams of small batches keep cycling lanes.
-    rr_next_cursor: int = 0
     #: Lane names excluded from this plan by an open circuit breaker
     #: (limit 0) — surfaced so traced requests can record a
     #: ``lane_excluded`` event.
@@ -205,6 +194,11 @@ class ThroughputFeedback:
     cross-batch analog of the paper's Eq 17 density correction: the
     fitted polynomials stay fixed, a single scalar absorbs what the fit
     got wrong for the traffic actually seen.
+
+    A ratio counts for at most :data:`FEEDBACK_MAX_RISE` times the
+    current scale.  Falls are taken whole: a lane priced too cheap draws
+    the placements that re-measure it, one priced too dear draws none,
+    so only a rise has to be earned over several observations.
     """
 
     def __init__(self) -> None:
@@ -227,8 +221,9 @@ class ThroughputFeedback:
                 or not math.isfinite(predicted_us) \
                 or not math.isfinite(observed_us):
             return
-        ratio = observed_us / predicted_us
         prev = self._scales.get(lane_name)
+        ratio = min(observed_us / predicted_us,
+                    FEEDBACK_MAX_RISE * (prev or 1.0))
         if prev is None:
             self._scales[lane_name] = ratio
         else:
@@ -467,6 +462,7 @@ def schedule_lpt(
     executors: Sequence[ExecutorLane],
     feedback: ThroughputFeedback | None = None,
     lane_limits: "dict[str, int | None] | None" = None,
+    held: "dict[str, float] | None" = None,
 ) -> BatchSchedule:
     """Makespan-minimizing greedy (LPT) over the priced batch.
 
@@ -477,8 +473,14 @@ def schedule_lpt(
     placement — is feedback-scaled, so the greedy keeps optimizing the
     *corrected* makespan once observations drift the scales away from
     1.0.  LPT is the classic 4/3-approximation for minimum-makespan
-    scheduling on unrelated machines' restricted cousin; cost-aware
-    placement is what the round-robin baseline lacks.
+    scheduling on unrelated machines' restricted cousin.
+
+    *held* is each lane's starting load: the predicted us of work
+    placed on it earlier and not yet landed
+    (:meth:`~repro.service.batch.BatchDecoder.held_us`); absent lanes
+    start empty.  A stream of small groups thus fills the lane that
+    will finish first, rather than whichever lane an empty start and
+    the feedback scales favour every time.
 
     An image none of *executors* can take (every scaled cost ``inf`` —
     e.g. a lane subset excluding its only eligible lanes) is returned
@@ -495,7 +497,8 @@ def schedule_lpt(
     limits = lane_limits or {}
     placed: dict[str, int] = {lane.name: 0 for lane in executors}
     assignments: list[Assignment] = []
-    loads: dict[str, float] = {lane.name: 0.0 for lane in executors}
+    loads = {lane.name: (held or {}).get(lane.name, 0.0)
+             for lane in executors}
 
     def admissible(lane: ExecutorLane) -> bool:
         cap = limits.get(lane.name)
@@ -526,55 +529,8 @@ def schedule_lpt(
         placed[best_lane.name] += 1
 
     assignments.sort(key=lambda a: a.index)
-    return BatchSchedule(policy="model", assignments=assignments,
-                         loads=loads, pricings=list(pricings),
-                         lane_limits=dict(limits))
-
-
-def schedule_roundrobin(
-    pricings: Sequence[ImagePricing],
-    executors: Sequence[ExecutorLane],
-    feedback: ThroughputFeedback | None = None,
-    start: int = 0,
-    lane_limits: "dict[str, int | None] | None" = None,
-) -> BatchSchedule:
-    """Cost-blind baseline: cycle lanes in batch order.
-
-    Each image goes to the next lane in rotation (skipping lanes
-    ineligible for its subsampling and lanes at their *lane_limits*
-    breaker cap — see :func:`schedule_lpt`), beginning at lane index
-    *start* — :class:`ModelScheduler` threads the previous batch's end
-    position through so a stream of small batches still rotates every
-    lane.  Loads are accounted with the model's prices so the two
-    policies' makespans are comparable.
-    """
-    limits = lane_limits or {}
-    placed: dict[str, int] = {lane.name: 0 for lane in executors}
-    assignments: list[Assignment] = []
-    loads: dict[str, float] = {lane.name: 0.0 for lane in executors}
-    cursor = start % len(executors) if executors else 0
-    for pricing in pricings:
-        lane = None
-        for probe in range(len(executors)):
-            candidate = executors[(cursor + probe) % len(executors)]
-            cap = limits.get(candidate.name)
-            if cap is not None and placed[candidate.name] >= cap:
-                continue
-            if math.isfinite(pricing.costs.get(candidate.name, math.inf)):
-                lane = candidate
-                cursor = (cursor + probe + 1) % len(executors)
-                break
-        if lane is None:
-            assignments.append(Assignment(index=pricing.index, executor=None))
-            continue
-        cost = _scaled_cost(pricing, lane, feedback)
-        assignments.append(Assignment(
-            index=pricing.index, executor=lane, predicted_us=cost))
-        loads[lane.name] += cost
-        placed[lane.name] += 1
-    return BatchSchedule(policy="roundrobin", assignments=assignments,
-                         loads=loads, pricings=list(pricings),
-                         rr_next_cursor=cursor, lane_limits=dict(limits))
+    return BatchSchedule(assignments=assignments, loads=loads,
+                         pricings=list(pricings), lane_limits=dict(limits))
 
 
 def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
@@ -613,25 +569,23 @@ def lane_outcomes(schedule: BatchSchedule, results: "Sequence[ImageResult]"
 class ModelScheduler:
     """Cross-image batch scheduler: price, place, execute, adapt.
 
-    Construct with a *policy* (``"model"`` = LPT, ``"roundrobin"`` =
-    the baseline) and a lane set: *executors*, else a *platform*'s
-    :func:`default_executors` device lanes (model-level pricing
-    studies), else the one :func:`local_lane` priced as the GTX 560's
-    SIMD CPU — what a scheduled local session runs.  Performance models
-    come from :func:`~repro.core.perfmodel.fitted_model`, the
-    process-wide table :class:`~repro.core.decoder.HeterogeneousDecoder`
-    reads too.
+    Construct over a lane set: *executors*, else the one
+    :func:`local_lane` priced as the GTX 560's SIMD CPU — what a
+    scheduled local session runs.  *policy* names the one placement
+    policy, ``"model"`` (LPT from the lanes' held work); any other name
+    is refused.  Performance models come from
+    :func:`~repro.core.perfmodel.fitted_model`, the process-wide table
+    :class:`~repro.core.decoder.HeterogeneousDecoder` reads too.
 
     :class:`~repro.service.batch.BatchDecoder` calls :meth:`plan` with
-    the whole images of an admission group and sends each placed image
-    to its lane's pool.  :class:`~repro.service.session.DecodeSession`
-    calls :meth:`observe` with the completed results, closing the
-    feedback loop.
+    the whole images of an admission group and the work its lanes still
+    hold, and sends each placed image to its lane's pool.
+    :class:`~repro.service.session.DecodeSession` calls :meth:`observe`
+    with the completed results, closing the feedback loop.
     """
 
     def __init__(self, policy: str = "model",
                  executors: Sequence[ExecutorLane] | None = None,
-                 platform: Platform | None = None,
                  breakers: LaneBreakerBoard | None = None) -> None:
         """Build the lane set and the feedback state for one scheduler.
 
@@ -642,23 +596,18 @@ class ModelScheduler:
         :class:`LaneBreakerBoard` to tune (the CLI's
         ``--breaker-threshold`` does).
         """
-        if policy not in POLICIES:
+        if policy != "model":
             raise ServiceError(
-                f"unknown scheduling policy {policy!r} "
-                f"(choose from {list(POLICIES)})")
+                f"unknown scheduling policy {policy!r} (the one policy "
+                f"is 'model')")
         if executors is None:
-            if platform is None:
-                from ..evaluation import platforms
-                executors = (local_lane(platforms.GTX560),)
-            else:
-                executors = default_executors(platform)
+            from ..evaluation import platforms
+            executors = (local_lane(platforms.GTX560),)
         if not executors:
             raise ServiceError("scheduler needs at least one executor lane")
-        self.policy = policy
         self.executors = tuple(executors)
         self.feedback = ThroughputFeedback()
         self.breakers = breakers or LaneBreakerBoard()
-        self._rr_cursor = 0
 
     # -- planning -------------------------------------------------------
 
@@ -668,8 +617,7 @@ class ModelScheduler:
 
         The pricing half of :meth:`plan` without the placement — the
         public entry point for benchmarks and offline what-if studies
-        (feed the result to :func:`schedule_lpt` /
-        :func:`schedule_roundrobin` directly).  Unlike :meth:`plan`,
+        (feed the result to :func:`schedule_lpt` directly).  Unlike :meth:`plan`,
         header errors propagate: a what-if study over broken bytes is a
         caller bug, not traffic to route around.
         """
@@ -677,9 +625,11 @@ class ModelScheduler:
         return price_images(infos, self.executors, fitted_model)
 
     def plan(self, requests: "Sequence[ImageRequest]",
-             infos: "Sequence[FrameInfo | None] | None" = None
-             ) -> BatchSchedule:
-        """Price and place one batch; returns the schedule.
+             infos: "Sequence[FrameInfo | None] | None" = None,
+             held: "dict[str, float] | None" = None) -> BatchSchedule:
+        """Price and place one batch from the lanes' *held* work (see
+        :func:`schedule_lpt`; None = every lane empty); returns the
+        schedule.
 
         *infos* are the requests' headers where the caller has read
         them (:func:`~repro.service.tasks.read_header`, one each); a
@@ -698,15 +648,8 @@ class ModelScheduler:
             self.executors, fitted_model,
             salvage={i for i, req in enumerate(requests) if req.salvage})
         limits = self.breakers.limits([l.name for l in self.executors])
-        if self.policy == "model":
-            schedule = schedule_lpt(pricings, self.executors, self.feedback,
-                                    lane_limits=limits)
-        else:
-            schedule = schedule_roundrobin(pricings, self.executors,
-                                           self.feedback,
-                                           start=self._rr_cursor,
-                                           lane_limits=limits)
-            self._rr_cursor = schedule.rr_next_cursor
+        schedule = schedule_lpt(pricings, self.executors, self.feedback,
+                                lane_limits=limits, held=held)
         schedule.assignments.extend(
             Assignment(index=i, executor=None)
             for i, info in enumerate(infos) if info is None)
@@ -719,12 +662,11 @@ class ModelScheduler:
     def snapshot(self) -> dict:
         """JSON-ready view of the scheduler's adaptive state.
 
-        Exposed through ``GET /stats`` on the HTTP front end: the
-        policy, the lane set, and the per-lane EWMA correction scales
-        with how many observations shaped them.
+        Exposed through ``GET /stats`` on the HTTP front end: the lane
+        set, and the per-lane EWMA correction scales with how many
+        observations shaped them.
         """
         return {
-            "policy": self.policy,
             "executors": [lane.name for lane in self.executors],
             "feedback": {
                 "scales": self.feedback.scales(),

@@ -20,6 +20,7 @@ from repro.service import (
     ImageRequest,
     ModelScheduler,
 )
+from repro.service.scheduler import ExecutorLane
 from repro.service.session import DISPATCH_DEPTH
 
 #: ``pytest --hypothesis-profile=deep``: 20x the default profile's
@@ -164,3 +165,12 @@ def gt430_decoder() -> HeterogeneousDecoder:
 @pytest.fixture(scope="session")
 def gtx680_decoder() -> HeterogeneousDecoder:
     return HeterogeneousDecoder.for_platform(platforms.GTX680)
+
+
+@pytest.fixture(scope="session")
+def device_lanes() -> tuple[ExecutorLane, ExecutorLane]:
+    """The GTX 560's SIMD CPU and GPU as two scheduler lanes, both on
+    the decoder's local pool: the lane set of the model-level pricing
+    studies (the cross-image makespan claim, breaker caps, feedback)."""
+    return (ExecutorLane("gtx560-simd", "simd", platforms.GTX560),
+            ExecutorLane("gtx560-gpu", "gpu", platforms.GTX560))

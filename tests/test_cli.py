@@ -104,26 +104,32 @@ class TestProfileEvaluate:
 
 
 class TestServeBatch:
-    def test_scheduled_serve_batch(self, jpeg_file, tmp_path, jpeg_422,
-                                   capsys):
+    def test_serve_batch_schedules_nothing(self, jpeg_file, tmp_path,
+                                           jpeg_422, capsys):
+        """A local session has one pool, so there is no placement to
+        choose: no serving command takes ``--schedule``, and serve-batch
+        reports no schedule."""
+        parser = build_parser()
+        for command in ("serve-batch", "serve", "serve-worker"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--schedule", "model"])
+        capsys.readouterr()
         out_dir = tmp_path / "out"
-        assert main(["serve-batch", str(jpeg_file), "--schedule", "model",
-                     "--backend", "serial",
+        assert main(["serve-batch", str(jpeg_file), "--backend", "serial",
                      "--out-dir", str(out_dir)]) == 0
         out = capsys.readouterr().out
-        assert "schedule=model" in out
-        assert "scheduled placements" in out
+        assert "schedule" not in out
         (ppm,) = sorted(out_dir.glob("*.ppm"))
         assert np.array_equal(_read_ppm(ppm), decode_jpeg(jpeg_422).rgb)
 
-    def test_scheduled_serve_batch_decodes_420(self, tmp_path, capsys):
+    def test_serve_batch_decodes_420(self, tmp_path, capsys):
         """A 4:2:0 frame, outside the GPU kernels' scope, decodes through
-        a scheduled session like any other: every image runs
-        ``decode_jpeg``, and the service takes no decode mode."""
+        serve-batch like any other: every image runs ``decode_jpeg``,
+        and the service takes no decode mode."""
         src = CORPUS / "small00.jpg"
         assert parse_jpeg(src.read_bytes()).subsampling_mode == "4:2:0"
         out_dir = tmp_path / "out"
-        assert main(["serve-batch", str(src), "--schedule", "model",
+        assert main(["serve-batch", str(src),
                      "--backend", "thread", "--workers", "2",
                      "--out-dir", str(out_dir)]) == 0
         assert "FAIL" not in capsys.readouterr().err
@@ -133,11 +139,6 @@ class TestServeBatch:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-batch", str(src),
                                        "--mode", "gpu"])
-
-    def test_roundrobin_schedule_flag(self, jpeg_file, capsys):
-        assert main(["serve-batch", str(jpeg_file), "--schedule",
-                     "roundrobin", "--backend", "serial"]) == 0
-        assert "schedule=roundrobin" in capsys.readouterr().out
 
 
     def test_backpressure_paces_the_submits(self, jpeg_file, tmp_path,
@@ -188,14 +189,25 @@ class TestRefusedConfiguration:
         assert captured.err == ("repro: error: ServiceError: shard depth "
                                 "must be positive, got 0\n")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--platform", "GT 430"), ("--breaker-threshold", "5")])
+    def test_serve_refuses_lane_flags_without_hosts(self, flag, value,
+                                                    capsys):
+        """The flags that tune worker-host lanes mean nothing to a
+        local session: without ``--hosts`` they are refused, not
+        ignored."""
+        assert main(["serve", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"repro: error: ServiceError: {flag} tunes "
+                                f"the worker-host lanes and needs --hosts\n")
+
 
 class TestSessionFlags:
     """serve-batch / serve / serve-worker take the session flags from
     one declaration and turn them into one keyword set."""
 
-    SHARED = ("queue_capacity", "workers",
-              "backend", "schedule", "platform",
-              "retry_budget", "breaker_threshold",
+    SHARED = ("queue_capacity", "workers", "backend", "retry_budget",
               "tracing", "trace_sample", "trace_log")
 
     def test_shared_flags_parse_to_identical_defaults(self):
@@ -233,13 +245,11 @@ class TestSessionFlags:
 
         args = build_parser().parse_args(
             ["serve", "--hosts", "a:1,b:2", "--shard-depth", "3",
-             "--schedule", "roundrobin", "--breaker-threshold", "5",
-             "--platform", "GT 430"])
+             "--breaker-threshold", "5", "--platform", "GT 430"])
         session = _serve_session(args)      # connects to nothing yet
         try:
             assert type(session) is DecodeSession
             scheduler = session.decoder.scheduler
-            assert scheduler.policy == "roundrobin"
             assert scheduler.breakers.threshold == 5
             assert [lane.endpoint for lane in scheduler.executors] \
                 == ["a:1", "b:2"]

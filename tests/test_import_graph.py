@@ -63,7 +63,7 @@ NOT_DECODING = (
 DATACLASSES = 8
 
 #: Source lines of the ``repro`` modules the cold session loads.
-SERVING_LINES = 8_746
+SERVING_LINES = 8_707
 
 _SESSION = """
 import dataclasses, json, sys

@@ -48,7 +48,7 @@ COUNTS = {
     "ImageRequest fields": (lambda: _fields(ImageRequest), 6),
     "cli.py add_argument calls":
         (lambda: Path(repro.cli.__file__).read_text().count(".add_argument("),
-         50),
+         49),
     "DecodeOptions fields": (lambda: _fields(DecodeOptions), 4),
     "HeterogeneousDecoder fields": (lambda: _fields(HeterogeneousDecoder), 4),
     # What front ends construct and what the API returns; every other

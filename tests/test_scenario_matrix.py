@@ -594,7 +594,7 @@ class TestSalvageBehindAScheduler:
                     "EntropyError",
                     "restart marker out of sequence: RST4, expected RST3")
 
-    @pytest.mark.parametrize("scheduler", [None, "model", "roundrobin"])
+    @pytest.mark.parametrize("scheduler", [None, "model"])
     def test_salvage_matches_the_direct_decode(self, damaged, scheduler):
         with BatchDecoder(workers=2, backend="thread",
                           scheduler=scheduler) as dec:
@@ -655,13 +655,12 @@ class TestSalvageUnderChaos:
         assert victim.ok and victim.attempts > 1
         assert plan.injected["kill"] == 1
 
-    def test_breakers_stay_closed_for_salvage_results(self, corpus):
-        from repro.evaluation import platforms
+    def test_breakers_stay_closed_for_salvage_results(self, corpus,
+                                                      device_lanes):
         from repro.service import LaneBreakerBoard, ModelScheduler
 
         board = LaneBreakerBoard(threshold=1)  # hair-trigger on purpose
-        sched = ModelScheduler(policy="model", platform=platforms.GTX560,
-                               breakers=board)
+        sched = ModelScheduler(executors=device_lanes, breakers=board)
         bad = hostile_variant(corpus["baseline-ycbcr-4:2:2-96x64-q85"],
                               "truncated")
         requests = [

@@ -1,11 +1,12 @@
-"""Cross-image batch scheduler: pricing, LPT vs round-robin placement
-of whole images, throughput feedback, and bit-identity of scheduled
-decodes (ISSUE 3 tentpole + edge-case satellite).  Whether an image
+"""Cross-image batch scheduler: pricing, LPT placement of whole images
+from the work each lane holds (against a cost-blind cyclic baseline),
+throughput feedback, and bit-identity of scheduled decodes.  Whether an image
 fans out is not the scheduler's question (ISSUE 23): the decision
 table is ``tests/test_speculative_service.py::TestOneFanoutDecision``."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.core.decoder import fitted_model
 from repro.data import synthetic_photo
-from repro.errors import ModelError, ServiceError
+from repro.errors import ModelError, ServiceClosedError, ServiceError
 from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg
 from repro.service import BatchDecoder, DecodeSession, ModelScheduler
@@ -21,9 +22,7 @@ from repro.service.scheduler import (
     ExecutorLane,
     ImagePricing,
     ThroughputFeedback,
-    default_executors,
     schedule_lpt,
-    schedule_roundrobin,
 )
 
 
@@ -42,6 +41,19 @@ def fake_pricing(index, costs, w=64, h=64):
 def lanes(*names):
     return tuple(ExecutorLane(name=n, kind="simd", platform=platforms.GTX560)
                  for n in names)
+
+
+def cyclic_makespan(pricings, executors):
+    """The cost-blind baseline LPT is measured against: each image on
+    the next lane in turn that can take it."""
+    loads, turn = [0.0] * len(executors), 0
+    for pricing in pricings:
+        costs = [pricing.costs[lane.name] for lane in executors]
+        while math.isinf(costs[turn % len(costs)]):
+            turn += 1
+        loads[turn % len(costs)] += costs[turn % len(costs)]
+        turn += 1
+    return max(loads)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +91,20 @@ class TestLptPlacement:
             fake_pricing(3, {"a": 10.0, "b": 10.0}),
         ]
         lpt = schedule_lpt(pricings, ex)
-        rr = schedule_roundrobin(pricings, ex)
         assert lpt.makespan_us == 110.0
-        assert rr.makespan_us == 200.0
+        assert cyclic_makespan(pricings, ex) == 200.0
+
+    def test_held_work_moves_a_placement(self):
+        # Empty lanes send the image to the cheaper "a"; 100 us still
+        # held on "a" makes "b" finish it first.
+        ex = lanes("a", "b")
+        pricings = [fake_pricing(0, {"a": 40.0, "b": 60.0})]
+        assert schedule_lpt(pricings, ex).assignments[0].executor.name \
+            == "a"
+        sched = schedule_lpt(pricings, ex, held={"a": 100.0})
+        assert sched.assignments[0].executor.name == "b"
+        assert sched.assignments[0].predicted_us == 60.0
+        assert sched.loads == {"a": 100.0, "b": 60.0}
 
     def test_ineligible_lane_never_assigned(self):
         ex = lanes("cpu", "gpu")
@@ -101,27 +124,20 @@ class TestLptPlacement:
         assert sched.loads["stalled"] == 0.0
         assert sched.loads["healthy"] == 250.0
 
-    def test_roundrobin_skips_ineligible_lanes(self):
-        ex = lanes("a", "b")
-        pricings = [
-            fake_pricing(0, {"a": 10.0, "b": math.inf}),
-            fake_pricing(1, {"a": 10.0, "b": 10.0}),
-        ]
-        rr = schedule_roundrobin(pricings, ex)
-        assert rr.assignments[0].executor.name == "a"
-        assert rr.assignments[1].executor.name == "b"
-
     def test_empty_batch(self):
         sched = schedule_lpt([], lanes("a"))
         assert sched.assignments == [] and sched.makespan_us == 0.0
 
-    def test_feedback_scales_sort_and_dominance(self):
+    def test_feedback_scales_sort_and_dominance(self, monkeypatch):
         # Lane "a" learned a 100x slowdown; the image whose unscaled
         # best (5) is the batch's smallest must be treated as its
         # biggest job (scaled best 500) and head the LPT order.
         ex = lanes("a", "b")
         fb = ThroughputFeedback()
-        fb.observe("a", 10.0, 1000.0)  # first observation: scale 100
+        monkeypatch.setattr("repro.service.scheduler.FEEDBACK_ALPHA", 1.0)
+        for _ in range(7):      # each observation at most doubles it
+            fb.observe("a", 10.0, 1000.0)
+        assert fb.scale("a") == 100.0
         pricings = [
             fake_pricing(0, {"a": 5.0, "b": 500.0}),
             fake_pricing(1, {"a": 6.0, "b": 300.0}),
@@ -154,9 +170,29 @@ class TestFeedback:
         fb.observe("lane", 100.0, 100.0)
         assert fb.scale("lane") == pytest.approx(0.7 * 2.0 + 0.3 * 1.0)
         monkeypatch.setattr("repro.service.scheduler.FEEDBACK_ALPHA", 1.0)
-        fb.observe("lane", 100.0, 400.0)
-        assert fb.scale("lane") == pytest.approx(4.0)
-        assert fb.observations == 3
+        fb.observe("lane", 100.0, 300.0)
+        assert fb.scale("lane") == pytest.approx(3.0)
+        fb.observe("lane", 100.0, 100.0)
+        assert fb.scale("lane") == pytest.approx(1.0)
+        assert fb.observations == 4
+
+    def test_a_rise_is_capped_per_observation(self):
+        # A host's cold first decode (here 100x its price) lifts its
+        # scale only to 2, so it keeps drawing the placements that
+        # re-measure it; a fall is taken whole.
+        fb = ThroughputFeedback()
+        fb.observe("cold", 10.0, 1000.0)
+        assert fb.scale("cold") == 2.0
+        fb.observe("cold", 10.0, 1000.0)
+        assert fb.scale("cold") == pytest.approx(0.7 * 2.0 + 0.3 * 4.0)
+        fb.observe("cold", 10.0, 1.0)
+        assert fb.scale("cold") == pytest.approx(0.7 * 2.6 + 0.3 * 0.1)
+        pricings = [fake_pricing(i, {"cold": 10.0, "warm": 10.0})
+                    for i in range(4)]
+        fb = ThroughputFeedback()
+        fb.observe("cold", 10.0, 1000.0)
+        sched = schedule_lpt(pricings, lanes("cold", "warm"), feedback=fb)
+        assert sched.loads == {"cold": 20.0, "warm": 30.0}
 
     def test_degenerate_observations_ignored(self):
         fb = ThroughputFeedback()
@@ -166,15 +202,16 @@ class TestFeedback:
         assert fb.scale("lane") == 1.0 and fb.observations == 0
 
     def test_feedback_redirects_schedule(self):
-        # After observing that lane "a" runs 100x slower than predicted,
-        # the scheduler routes the next batch to "b".
+        # After observing that lane "a" keeps running 100x slower than
+        # predicted, the scheduler routes the next batch to "b".
         ex = lanes("a", "b")
         fb = ThroughputFeedback()
         pricings = [fake_pricing(i, {"a": 10.0, "b": 15.0})
                     for i in range(4)]
         before = schedule_lpt(pricings, ex, feedback=fb)
         assert any(a.executor.name == "a" for a in before.assignments)
-        fb.observe("a", 10.0, 1000.0)
+        for _ in range(10):
+            fb.observe("a", 10.0, 1000.0)
         after = schedule_lpt(pricings, ex, feedback=fb)
         assert all(a.executor.name == "b" for a in after.assignments)
 
@@ -196,12 +233,12 @@ class TestPricing:
         with pytest.raises(ModelError):
             model.price("fpga", w, h, d)
 
-    def test_mixed_batch_makespan_lpt_vs_roundrobin(self):
+    def test_mixed_batch_makespan_lpt_vs_roundrobin(self, device_lanes):
         """The cross-image claim on a real mixed batch, priced from its
         headers on the GTX 560's SIMD + GPU lanes: two large frames,
         a mid tier and a tail of small images (4:2:0 ones fit only the
-        CPU lane).  LPT's makespan is pinned and round-robin's is at
-        least 1.10x of it."""
+        CPU lane).  LPT's makespan is pinned and the cost-blind cyclic
+        placement's is at least 1.10x of it."""
         batch = ((21, 1024, 768, "4:2:2", 16), (22, 768, 576, "4:4:4", 0),
                  (23, 512, 384, "4:2:2", 0), (24, 448, 336, "4:4:4", 8),
                  (25, 320, 240, "4:2:0", 0), (26, 256, 192, "4:2:2", 0),
@@ -209,13 +246,12 @@ class TestPricing:
                  (29, 160, 120, "4:4:4", 0), (30, 128, 128, "4:2:2", 8))
         blobs = [encode(w, h, sub, dri, seed=seed)
                  for seed, w, h, sub, dri in batch]
-        scheduler = ModelScheduler(policy="model", platform=platforms.GTX560)
-        pricings = scheduler.price(blobs)
-        lpt = schedule_lpt(pricings, scheduler.executors)
-        rr = schedule_roundrobin(pricings, scheduler.executors)
+        pricings = ModelScheduler(executors=device_lanes).price(blobs)
+        lpt = schedule_lpt(pricings, device_lanes)
+        cyclic = cyclic_makespan(pricings, device_lanes)
         assert lpt.makespan_us == pytest.approx(7235, rel=1e-3)
-        assert rr.makespan_us == pytest.approx(9476, rel=1e-3)
-        assert rr.makespan_us / lpt.makespan_us >= 1.10
+        assert cyclic == pytest.approx(9476, rel=1e-3)
+        assert cyclic / lpt.makespan_us >= 1.10
 
     def test_price_batch_matches_scalar(self):
         model = fitted_model(platforms.GTX560, "4:2:2")
@@ -223,8 +259,8 @@ class TestPricing:
         assert model.price_batch("gpu", images) == [
             model.price("gpu", w, h, d) for (w, h, d) in images]
 
-    def test_gpu_lane_ineligible_for_420(self):
-        sched = ModelScheduler(platform=platforms.GTX560)
+    def test_gpu_lane_ineligible_for_420(self, device_lanes):
+        sched = ModelScheduler(executors=device_lanes)
         blob = encode(96, 96, sub="4:2:0")
         (p,) = sched.price([blob])
         gpu = next(l for l in sched.executors if l.kind == "gpu")
@@ -244,11 +280,12 @@ class TestPricing:
                   for scans in (1, 6, 14, 18)]
         assert prices == sorted(set(prices)) and prices[0] == base
 
-    def test_progressive_priced_with_scans_not_splittable(self):
+    def test_progressive_priced_with_scans_not_splittable(self,
+                                                           device_lanes):
         rgb = synthetic_photo(96, 96, seed=7, detail=0.6)
         prog = encode_jpeg(rgb, EncoderSettings(
             quality=85, subsampling="4:2:2", progressive=True))
-        sched = ModelScheduler(platform=platforms.GTX560)
+        sched = ModelScheduler(executors=device_lanes)
         p_base, p_prog = sched.price([encode(96, 96), prog])
         # Whole-image only: no lane models it, nothing fans it out (so
         # the per-scan surcharge above never reaches an ImagePricing).
@@ -256,14 +293,10 @@ class TestPricing:
         simd = next(l for l in sched.executors if l.kind == "simd")
         assert p_prog.costs[simd.name] > p_base.costs[simd.name]
 
-    def test_default_executors_shape(self):
-        ex = default_executors(platforms.GTX680)
-        assert [l.kind for l in ex] == ["simd", "gpu"]
-        assert all(l.platform is platforms.GTX680 for l in ex)
-
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ServiceError):
-            ModelScheduler(policy="fifo")
+        for policy in ("fifo", "roundrobin"):
+            with pytest.raises(ServiceError):
+                ModelScheduler(policy=policy)
         with pytest.raises(ServiceError):
             ModelScheduler(executors=())
 
@@ -301,14 +334,13 @@ class TestScheduledDecode:
             encode(128, 96, "4:2:2", dri=8, seed=4),
         ]
 
-    @pytest.mark.parametrize("policy", ["model", "roundrobin"])
+    @pytest.mark.parametrize("policy", ["model"])
     def test_bit_identity_vs_sequential(self, policy):
         blobs = self._mixed_blobs()
         with BatchDecoder(backend="thread", workers=2,
                           scheduler=policy) as dec:
             batch = dec.decode_batch(blobs)
         assert batch.schedule is not None
-        assert batch.schedule.policy == policy
         for i, res in enumerate(batch):
             assert res.ok, res.error
             assert np.array_equal(res.rgb, decode_jpeg(blobs[i]).rgb)
@@ -375,9 +407,9 @@ class TestScheduledDecode:
 
 
 class TestServiceFeedbackLoop:
-    def test_session_feeds_observations_and_stats(self):
+    def test_session_feeds_observations_and_stats(self, device_lanes):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
-        sched = ModelScheduler(policy="model", platform=platforms.GTX560)
+        sched = ModelScheduler(executors=device_lanes)
         with DecodeSession(backend="serial", scheduler=sched) as svc:
             handles = [svc.submit(b) for b in blobs]
             assert all(h.result(timeout=30).ok for h in handles)
@@ -388,13 +420,13 @@ class TestServiceFeedbackLoop:
             assert usage.bias > 0
         assert "scheduled placements" in svc.stats.format()
 
-    def test_fanned_out_image_is_counted_and_teaches_nothing(self):
+    def test_fanned_out_image_is_counted_and_teaches_nothing(self, device_lanes):
         # The group's index space survives the scheduler seeing a
         # subset: the whole image's observation lands on its own lane,
         # the fanned-out one is counted by what it did, not by a mark.
         # The group is one decode_batch; its fold is the session's.
         blobs = [encode(640, 480, dri=16, seed=6), encode(160, 120, seed=1)]
-        sched = ModelScheduler(policy="model", platform=platforms.GTX560)
+        sched = ModelScheduler(executors=device_lanes)
         with BatchDecoder(backend="thread", workers=3,
                           scheduler=sched) as dec:
             result = dec.decode_batch(blobs)
@@ -415,9 +447,9 @@ class TestServiceFeedbackLoop:
             assert svc.stats_snapshot()["images_split"] == 1
         assert "fanned out: 1" in svc.stats.format()
 
-    def test_scales_adapt_across_batches(self):
+    def test_scales_adapt_across_batches(self, device_lanes):
         blobs = [encode(160, 120, seed=i) for i in range(3)]
-        sched = ModelScheduler(policy="model", platform=platforms.GTX560)
+        sched = ModelScheduler(executors=device_lanes)
         with DecodeSession(backend="serial", scheduler=sched) as svc:
             for _ in range(2):
                 handles = [svc.submit(b) for b in blobs]
@@ -425,14 +457,49 @@ class TestServiceFeedbackLoop:
                 assert sched.feedback.scales()  # at least one lane observed
         assert sched.feedback.observations == 6
 
-    def test_roundrobin_rotation_persists_across_batches(self):
-        # A stream of single-image batches must still cycle the lanes.
+    def test_overlapping_single_image_groups_share_the_lanes(self):
+        # A stream of one-image groups admitted on top of each other
+        # cycles the lanes: each lane starts from the work it holds.
         blob = encode(128, 96, seed=10)
-        sched = ModelScheduler(policy="roundrobin",
-                               platform=platforms.GTX560)
+        sched = ModelScheduler(executors=lanes("a", "b"))
         with BatchDecoder(backend="serial", scheduler=sched) as dec:
-            names = []
-            for _ in range(4):
-                (a,) = dec.decode_batch([blob]).schedule.assignments
-                names.append(a.executor.name)
-        assert len(set(names)) == 2  # both lanes saw traffic
+            groups = [dec.admit([blob]) for _ in range(4)]
+            names = [g.schedule.assignments[0].executor.name
+                     for g in groups]
+            held = dec.held_us()
+            assert held["a"] == held["b"] > 0
+            while any(g.open for g in groups):
+                dec.wake.wait(1.0)
+                dec.wake.clear()
+                for _ in dec.gather():
+                    pass
+        assert names == ["a", "b", "a", "b"]
+
+    def test_held_work_is_released(self):
+        """Whatever drives a group — ``decode_batch``, a session's pump
+        or an abort — a lane stops holding an image's price once it
+        lands or is dropped."""
+        blob = encode(128, 96, seed=10)
+        idle = {"a": 0.0, "b": 0.0}
+        sched = ModelScheduler(executors=lanes("a", "b"))
+        with DecodeSession(backend="thread", workers=2,
+                           scheduler=sched) as svc:
+            assert all(h.result(timeout=30).ok
+                       for h in [svc.submit(blob) for _ in range(6)])
+        assert svc.decoder.held_us() == idle
+        with BatchDecoder(backend="serial", scheduler=sched) as dec:
+            assert dec.decode_batch([blob] * 3).ok
+            assert dec.held_us() == idle
+            # The pool closes after the group's first dispatch: the
+            # second fails and the group aborts, dropping the first.
+            submit, calls = dec.pool.submit, itertools.count()
+
+            def close_after_first(*args):
+                if next(calls):
+                    dec.pool.close()
+                return submit(*args)
+
+            dec.pool.submit = close_after_first
+            group = dec.admit([blob, blob])
+            assert isinstance(group.error, ServiceClosedError)
+            assert dec.held_us() == idle

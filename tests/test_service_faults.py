@@ -27,7 +27,6 @@ from repro.errors import (
     ServiceError,
     WorkerCrashError,
 )
-from repro.evaluation import platforms
 from repro.jpeg import EncoderSettings, decode_jpeg, encode_jpeg, parse_jpeg
 from repro.service import (
     BatchDecoder,
@@ -39,7 +38,7 @@ from repro.service import (
     ModelScheduler,
 )
 from repro.service.faults import FaultDirective, apply_dispatch_fault
-from repro.service.scheduler import schedule_lpt, schedule_roundrobin
+from repro.service.scheduler import schedule_lpt
 from repro.service.transport import shm_available
 from repro.service.batch import SEGMENT_RUNS_PER_WORKER, ImageResult
 
@@ -208,14 +207,14 @@ class TestLaneBreakerBoard:
 
 
 # ---------------------------------------------------------------------------
-# Breaker caps inside the placement policies.
+# Breaker caps inside the placement policy.
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def scheduler_and_pricings(small_rgb):
+def scheduler_and_pricings(small_rgb, device_lanes):
     """A model scheduler over the GTX 560's SIMD + GPU lanes plus priced
     images for placement tests."""
-    sched = ModelScheduler(policy="model", platform=platforms.GTX560)
+    sched = ModelScheduler(executors=device_lanes)
     blobs = [encode_jpeg(small_rgb, EncoderSettings(
         quality=q, subsampling="4:2:2")) for q in (70, 80, 90)]
     return sched, sched.price(blobs)
@@ -252,15 +251,6 @@ class TestBreakerAwarePlacement:
         schedule = schedule_lpt(pricings, sched.executors,
                                 lane_limits=limits)
         assert all(a.executor is None for a in schedule.assignments)
-
-    def test_roundrobin_skips_capped_lanes(self, scheduler_and_pricings):
-        sched, pricings = scheduler_and_pricings
-        gpu = next(l.name for l in sched.executors if l.kind == "gpu")
-        schedule = schedule_roundrobin(pricings, sched.executors,
-                                       lane_limits={gpu: 0})
-        placed = [a.executor.name for a in schedule.assignments
-                  if a.executor is not None]
-        assert placed and gpu not in placed
 
     def test_observe_trips_breaker_and_resets_feedback(self, small_rgb):
         """Consecutive infra failures on one lane trip its breaker via

@@ -157,7 +157,7 @@ class TestDecodeEndpoint:
         assert "Content-Length" in json.loads(body)["error"]
 
     def test_salvage_header_survives_a_scheduler(self, small_rgb):
-        """X-Salvage behind ``--schedule model``: the request is routed
+        """X-Salvage behind a ``"model"`` scheduler: the request is routed
         whole to the reference path, not placed on a lane whose
         executor ignores ``salvage``."""
         from repro.jpeg import DecodeOptions

@@ -594,7 +594,7 @@ class TestRemoteLanePool:
 class TestShardedSession:
     def test_two_hosts_bit_identical_and_both_served(self, blob, oracle):
         with running_host() as h1, running_host() as h2:
-            session = front_tier([h1, h2], policy="roundrobin")
+            session = front_tier([h1, h2])
             try:
                 assert type(session) is DecodeSession
                 assert list(session.decoder.links) == [
@@ -608,6 +608,31 @@ class TestShardedSession:
                 assert h1.requests + h2.requests == 8
             finally:
                 session.close(drain=False)
+
+    def test_a_stream_of_one_image_groups_spreads_over_the_hosts(
+            self, blob):
+        """Three clients each submit 15 requests one at a time, so most
+        admission groups hold one image.  Placed from empty lanes, each
+        went to whichever host the feedback scales favoured (44 of 45
+        on one host); placed from the work each host still holds, the
+        hosts share the stream."""
+        with running_host() as h1, running_host() as h2, \
+                front_tier([h1, h2]) as session:
+            results = []
+
+            def client():
+                for _ in range(15):
+                    results.append(session.submit(blob).result(timeout=60))
+
+            clients = [threading.Thread(target=client) for _ in range(3)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+        assert len(results) == 45 and all(r.ok for r in results)
+        assert h1.requests + h2.requests == 45
+        assert min(h1.requests, h2.requests) >= 15, \
+            (h1.requests, h2.requests)
 
     def test_front_tier_wall_us_is_the_hosts(self, blob, monkeypatch):
         """The front tier's busy time for a remote image is the one the
@@ -791,8 +816,7 @@ class TestShardedSession:
             local = ModelScheduler().executors[0]
             assert local.kind == "simd"
             breakers = LaneBreakerBoard(threshold=1, cooldown_s=60.0)
-            scheduler = ModelScheduler(policy="roundrobin",
-                                       executors=[local, remote],
+            scheduler = ModelScheduler(executors=[local, remote],
                                        breakers=breakers)
             with BatchDecoder(scheduler=scheduler,
                               backend="serial") as decoder:
@@ -823,17 +847,18 @@ class TestShardedSession:
         with running_host() as host:
             (remote,) = remote_executors([(host.host, host.port)])
             local = ModelScheduler().executors[0]
-            scheduler = ModelScheduler(policy="roundrobin",
-                                       executors=[local, remote])
+            scheduler = ModelScheduler(executors=[local, remote])
             with DecodeSession(scheduler=scheduler,
                                backend="serial") as session:
                 handles = [session.submit(blob) for _ in range(4)]
                 results = [h.result(timeout=60) for h in handles]
             per_executor = session.stats_snapshot()["per_executor"]
-        # Round-robin alternates the lanes.
-        assert host.requests == 2
-        assert [per_executor[lane.name]["images"]
-                for lane in (local, remote)] == [2, 2]
+        # Both lanes take images (two each when the four arrive as one
+        # group; how many each depends on how the pump groups them).
+        images = [per_executor[lane.name]["images"]
+                  for lane in (local, remote)]
+        assert sum(images) == 4 and min(images) >= 1
+        assert host.requests == images[1]
         assert all(r.ok and r.wall_us > 0 for r in results)
         assert per_executor[local.name]["observed_us"] \
             + per_executor[remote.name]["observed_us"] \
@@ -869,8 +894,7 @@ class TestShardedSession:
             breakers = LaneBreakerBoard(threshold=2, cooldown_s=60.0)
             session = front_tier(
                 [alive, ("127.0.0.1", dead_port)],
-                policy="roundrobin", breakers=breakers,
-                connect_timeout_s=2.0)
+                breakers=breakers, connect_timeout_s=2.0)
             try:
                 handles = [session.submit(blob) for _ in range(8)]
                 results = [h.result(timeout=60) for h in handles]
@@ -915,8 +939,7 @@ class TestShardedSession:
             breakers = LaneBreakerBoard(threshold=1, cooldown_s=0.2)
             session = front_tier(
                 [alive, ("127.0.0.1", port)],
-                policy="roundrobin", breakers=breakers,
-                connect_timeout_s=2.0)
+                breakers=breakers, connect_timeout_s=2.0)
             try:
                 handles = [session.submit(blob) for _ in range(4)]
                 assert all(h.result(timeout=60).ok for h in handles)
@@ -964,7 +987,7 @@ class TestKillHostMidBatch:
             remote_executors(
                 f"127.0.0.1:{victim_port},127.0.0.1:{survivor_port}",
                 connect_timeout_s=2.0, request_timeout_s=30.0),
-            policy="roundrobin", breakers=breakers)
+            breakers=breakers)
         restarted = None
         victim_lane = f"remote-127.0.0.1:{victim_port}"
         try:

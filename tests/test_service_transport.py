@@ -376,7 +376,7 @@ class TestShmBitIdentity:
                 assert np.array_equal(res.rgb, want)
             assert dec.arena.leaked() == []
 
-    @pytest.mark.parametrize("policy", ["model", "roundrobin"])
+    @pytest.mark.parametrize("policy", ["model"])
     @pytest.mark.parametrize("layout", [None])
     def test_scheduled_lane_layouts(self, corpus, sequential_rgbs,
                                     policy, layout):

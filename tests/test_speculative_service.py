@@ -458,7 +458,7 @@ def images() -> dict[str, bytes]:
 
 
 class TestOneFanoutDecision:
-    @pytest.mark.parametrize("scheduler", [None, "model", "roundrobin"])
+    @pytest.mark.parametrize("scheduler", [None, "model"])
     @pytest.mark.parametrize("cell", sorted(_CELLS))
     def test_decision_table(self, cell, scheduler, images):
         kwargs, group, want = _CELLS[cell]
